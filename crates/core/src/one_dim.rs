@@ -21,6 +21,7 @@ use cubeaddr::NodeId;
 use cubecomm::exchange::{exchange_over_dims, BufferPolicy};
 use cubecomm::sbnt::all_to_all_sbnt;
 use cubecomm::{Block, BlockMsg};
+use cubelayout::pattern::ElementMove;
 use cubelayout::{DistMatrix, Layout, TransposeSpec};
 use cubesim::SimNet;
 
@@ -33,9 +34,22 @@ pub type Routed<T> = (u64, T);
 /// are not communicated).
 pub fn spec_blocks<T: Copy>(spec: &TransposeSpec, m: &DistMatrix<T>) -> Vec<Vec<Vec<Routed<T>>>> {
     let num = spec.before.num_nodes().max(spec.after.num_nodes());
+    route_blocks(m, num, &spec.traffic_matrix(), spec.moves())
+}
+
+/// `blocks[src][dst]` over `num` nodes: the `(dst_local, value)` pairs of
+/// `moves`, in order, each block allocated once at its `traffic` size.
+pub(crate) fn route_blocks<T: Copy>(
+    m: &DistMatrix<T>,
+    num: usize,
+    traffic: &[Vec<usize>],
+    moves: impl Iterator<Item = ElementMove>,
+) -> Vec<Vec<Vec<Routed<T>>>> {
+    let sized =
+        |s: usize, d: usize| traffic.get(s).and_then(|row| row.get(d)).copied().unwrap_or(0);
     let mut blocks: Vec<Vec<Vec<Routed<T>>>> =
-        (0..num).map(|_| (0..num).map(|_| Vec::new()).collect()).collect();
-    for mv in spec.moves() {
+        (0..num).map(|s| (0..num).map(|d| Vec::with_capacity(sized(s, d))).collect()).collect();
+    for mv in moves {
         let value = m.node(mv.src)[mv.src_local as usize];
         blocks[mv.src.index()][mv.dst.index()].push((mv.dst_local, value));
     }
@@ -45,28 +59,32 @@ pub fn spec_blocks<T: Copy>(spec: &TransposeSpec, m: &DistMatrix<T>) -> Vec<Vec<
 /// Assembles routed blocks into the output matrix laid out by `after`.
 ///
 /// # Panics
-/// If any element is missing or misrouted.
+/// If any element is missing, duplicated, misrouted or addressed outside
+/// its node's local storage.
 #[track_caller]
 pub fn assemble<T: Copy + Default>(
     after: &Layout,
     result: Vec<Vec<Block<Routed<T>>>>,
 ) -> DistMatrix<T> {
     let mut out = DistMatrix::<T>::zeroed(after.clone());
-    let mut filled = vec![vec![false; after.elems_per_node()]; after.num_nodes()];
+    let per = after.elems_per_node();
+    // `filled[node * per + local]`.
+    let mut filled = vec![false; after.num_nodes() * per];
     for (x, blks) in result.into_iter().enumerate() {
         for b in blks {
             assert_eq!(b.dst.index(), x, "block for {} delivered to {x}", b.dst);
+            let (slots, got) = (out.node_mut(b.dst), &mut filled[x * per..][..per]);
             for (local, value) in b.data {
-                assert!(!filled[x][local as usize], "duplicate element at node {x} local {local}");
-                filled[x][local as usize] = true;
-                out.node_mut(NodeId(x as u64))[local as usize] = value;
+                let l = local as usize;
+                assert!(l < per, "node {x} local {local} is outside its {per} elements");
+                assert!(!got[l], "duplicate element at node {x} local {local}");
+                got[l] = true;
+                slots[l] = value;
             }
         }
     }
-    for (x, f) in filled.iter().enumerate() {
-        for (l, &got) in f.iter().enumerate() {
-            assert!(got, "node {x} local {l} never received its element");
-        }
+    if let Some(missing) = filled.iter().position(|&got| !got) {
+        panic!("node {} local {} never received its element", missing / per, missing % per);
     }
     out
 }
@@ -241,6 +259,50 @@ mod tests {
         let after =
             Layout::one_dim(q, p, Direction::Rows, n, Assignment::Consecutive, Encoding::Binary);
         (before, after)
+    }
+
+    /// The delivery of a correct 4×4 transpose over 4 nodes, for the
+    /// `assemble` diagnostics below to corrupt.
+    fn delivered() -> (Layout, Vec<Vec<Block<Routed<u64>>>>) {
+        let (before, after) = canonical_1d(2, 2, 2);
+        let spec = TransposeSpec::with_after(before.clone(), after.clone());
+        let mut result: Vec<Vec<Block<Routed<u64>>>> = vec![Vec::new(); 4];
+        for (s, per_dst) in spec_blocks(&spec, &labels(before)).into_iter().enumerate() {
+            for (d, data) in per_dst.into_iter().enumerate() {
+                result[d].push(Block::new(NodeId(s as u64), NodeId(d as u64), data));
+            }
+        }
+        (after, result)
+    }
+
+    #[test]
+    fn assemble_accepts_a_complete_delivery() {
+        let (after, result) = delivered();
+        assert_transposed(&canonical_1d(2, 2, 2).0, &assemble(&after, result));
+    }
+
+    #[test]
+    #[should_panic(expected = "node 2 local 4 is outside its 4 elements")]
+    fn assemble_names_a_local_address_out_of_range() {
+        let (after, mut result) = delivered();
+        result[2][1].data[0].0 = 4;
+        assemble(&after, result);
+    }
+
+    #[test]
+    #[should_panic(expected = "duplicate element at node 1 local 3")]
+    fn assemble_names_a_duplicate() {
+        let (after, mut result) = delivered();
+        result[1][0].data[0].0 = 3;
+        assemble(&after, result);
+    }
+
+    #[test]
+    #[should_panic(expected = "node 3 local 2 never received its element")]
+    fn assemble_names_a_missing_element() {
+        let (after, mut result) = delivered();
+        result[3].remove(2);
+        assemble(&after, result);
     }
 
     #[test]

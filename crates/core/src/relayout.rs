@@ -9,10 +9,11 @@
 //! such conversion; this module drives it from a pair of layouts of the
 //! *same* matrix.
 
-use crate::one_dim::Routed;
+use crate::one_dim::{route_blocks, Routed};
 use cubeaddr::NodeId;
 use cubecomm::exchange::{exchange_over_dims, BufferPolicy};
 use cubecomm::{Block, BlockMsg};
+use cubelayout::pattern::{relayout_moves, relayout_traffic};
 use cubelayout::{DistMatrix, Layout};
 use cubesim::SimNet;
 
@@ -33,14 +34,7 @@ pub fn relayout<T: Copy + Default + Send + Sync>(
     assert_eq!((from.p(), from.q()), (to.p(), to.q()), "shape mismatch");
     let num = from.num_nodes().max(to.num_nodes());
     let mut held: Vec<Vec<Block<Routed<T>>>> = (0..num).map(|_| Vec::new()).collect();
-    let mut per_pair: Vec<Vec<Vec<Routed<T>>>> =
-        (0..num).map(|_| (0..num).map(|_| Vec::new()).collect()).collect();
-    for (u, v) in from.elements() {
-        let src = from.place(u, v);
-        let dst = to.place(u, v);
-        let value = m.node(src.node)[src.local as usize];
-        per_pair[src.node.index()][dst.node.index()].push((dst.local, value));
-    }
+    let per_pair = route_blocks(m, num, &relayout_traffic(from, to), relayout_moves(from, to));
     let mut diff = 0u64;
     for (s, per_dst) in per_pair.into_iter().enumerate() {
         for (d, data) in per_dst.into_iter().enumerate() {

@@ -27,7 +27,10 @@ fn exchange_initial<T: Copy>(
     spec: &TransposeSpec,
     num: usize,
 ) -> Vec<Vec<Elem<T>>> {
-    let mut initial: Vec<Vec<Elem<T>>> = (0..num).map(|_| Vec::new()).collect();
+    // Every node of the before-layout starts with exactly its own elements.
+    let (holders, per) = (spec.before.num_nodes(), spec.before.elems_per_node());
+    let mut initial: Vec<Vec<Elem<T>>> =
+        (0..num).map(|x| Vec::with_capacity(if x < holders { per } else { 0 })).collect();
     for mv in spec.moves() {
         let value = m.node(mv.src)[mv.src_local as usize];
         initial[mv.src.index()].push((mv.dst.bits(), mv.dst_local, value));

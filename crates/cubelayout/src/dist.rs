@@ -6,7 +6,8 @@
 //! and the verification harness use `u64` element *labels* `w = (u || v)`
 //! so that any misrouted element is immediately identifiable.
 
-use crate::layout::Layout;
+use crate::layout::{Layout, Placement};
+use crate::separable::PlaceTables;
 use cubeaddr::NodeId;
 
 /// A `2^p × 2^q` matrix stored as one flat buffer per cube node.
@@ -27,20 +28,20 @@ impl<T: Copy + Default> DistMatrix<T> {
 }
 
 impl<T: Copy> DistMatrix<T> {
-    /// Builds the matrix by evaluating `f(u, v)` for every element and
-    /// placing it per the layout.
+    /// Builds the matrix by evaluating `f(u, v)` for every element, in
+    /// row-major order, and placing it per the layout.
     pub fn from_fn(layout: Layout, mut f: impl FnMut(u64, u64) -> T) -> Self {
-        let nodes = layout.num_nodes();
-        let per = layout.elems_per_node();
-        let mut buffers: Vec<Vec<Option<T>>> = vec![vec![None; per]; nodes];
-        for (u, v) in layout.elements() {
-            let pl = layout.place(u, v);
-            buffers[pl.node.index()][pl.local as usize] = Some(f(u, v));
+        let tables = PlaceTables::new(&layout);
+        // Element (0, 0) doubles as the fill value: a layout is a
+        // bijection, so every other slot is overwritten below.
+        let first = f(0, 0);
+        let mut buffers = vec![vec![first; layout.elems_per_node()]; layout.num_nodes()];
+        for (u, row) in tables.rows.iter().enumerate() {
+            for (v, col) in tables.cols.iter().enumerate().skip(usize::from(u == 0)) {
+                let pl = row.with(*col);
+                buffers[pl.node.index()][pl.local as usize] = f(u as u64, v as u64);
+            }
         }
-        let buffers = buffers
-            .into_iter()
-            .map(|b| b.into_iter().map(|x| x.expect("layout not surjective")).collect())
-            .collect();
         DistMatrix { layout, buffers }
     }
 
@@ -49,13 +50,18 @@ impl<T: Copy> DistMatrix<T> {
         &self.layout
     }
 
-    /// Element access through the layout map.
-    pub fn get(&self, u: u64, v: u64) -> T {
-        let pl = self.layout.place(u, v);
+    fn at(&self, pl: Placement) -> T {
         self.buffers[pl.node.index()][pl.local as usize]
     }
 
+    /// Element access through the layout map.
+    #[track_caller]
+    pub fn get(&self, u: u64, v: u64) -> T {
+        self.at(self.layout.place(u, v))
+    }
+
     /// Mutable element access through the layout map.
+    #[track_caller]
     pub fn set(&mut self, u: u64, v: u64, value: T) {
         let pl = self.layout.place(u, v);
         self.buffers[pl.node.index()][pl.local as usize] = value;
@@ -93,16 +99,12 @@ impl<T: Copy> DistMatrix<T> {
     /// Gathers into a dense row-major `P × Q` matrix (test/verification
     /// helper).
     pub fn gather(&self) -> Vec<Vec<T>> {
-        let (rows, cols) = (1usize << self.layout.p(), 1usize << self.layout.q());
-        let mut out = Vec::with_capacity(rows);
-        for u in 0..rows as u64 {
-            let mut row = Vec::with_capacity(cols);
-            for v in 0..cols as u64 {
-                row.push(self.get(u, v));
-            }
-            out.push(row);
-        }
-        out
+        let tables = PlaceTables::new(&self.layout);
+        tables
+            .rows
+            .iter()
+            .map(|row| tables.cols.iter().map(|col| self.at(row.with(*col))).collect())
+            .collect()
     }
 }
 
@@ -120,12 +122,23 @@ pub fn label_matrix(layout: Layout) -> DistMatrix<u64> {
 ///
 /// Returns the first offending `(u, v, found)` triple, or `None` when the
 /// transpose is correct.
+///
+/// # Panics
+/// If `m` is not a `2^q × 2^p` matrix for the `2^p × 2^q` layout `before`.
+#[track_caller]
 pub fn check_transposed_labels(before: &Layout, m: &DistMatrix<u64>) -> Option<(u64, u64, u64)> {
-    let q = before.q();
-    for (u, v) in before.elements() {
-        let found = m.get(v, u);
-        if found != (u << q) | v {
-            return Some((u, v, found));
+    let (p, q) = (before.p(), before.q());
+    assert_eq!((m.layout.p(), m.layout.q()), (q, p), "result is not shaped as the transpose");
+    // Indexed by the (u, v) of `before`: rows[u] is what `m`'s column u
+    // contributes.
+    let tables = PlaceTables::new(&m.layout).transposed();
+    for (u, row) in tables.rows.iter().enumerate() {
+        for (v, col) in tables.cols.iter().enumerate() {
+            let found = m.at(row.with(*col));
+            let (u, v) = (u as u64, v as u64);
+            if found != (u << q) | v {
+                return Some((u, v, found));
+            }
         }
     }
     None
@@ -165,6 +178,25 @@ mod tests {
         m.set(2, 3, 99);
         assert_eq!(m.get(2, 3), 99);
         assert_eq!(m.get(3, 2), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "element (4, 0) is outside the 2^2 × 2^2 matrix")]
+    fn get_rejects_an_index_out_of_range() {
+        label_matrix(sample_layout()).get(4, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "element (1, 7) is outside the 2^2 × 2^2 matrix")]
+    fn set_rejects_an_index_out_of_range() {
+        DistMatrix::<u64>::zeroed(sample_layout()).set(1, 7, 9);
+    }
+
+    #[test]
+    #[should_panic(expected = "not shaped as the transpose")]
+    fn check_transposed_rejects_a_wrong_shape() {
+        let wide = Layout::one_dim(1, 3, Direction::Cols, 1, Assignment::Cyclic, Encoding::Binary);
+        check_transposed_labels(&wide, &label_matrix(wide.clone()));
     }
 
     #[test]

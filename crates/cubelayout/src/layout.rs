@@ -2,7 +2,8 @@
 
 use crate::field::SubField;
 use crate::scheme::{Assignment, Direction, Encoding};
-use cubeaddr::{concat, split, DimSet, NodeId};
+use crate::separable::Part;
+use cubeaddr::{split, DimSet, NodeId};
 
 /// Where a matrix element lives: the owning processor and the local
 /// storage offset inside it.
@@ -208,19 +209,41 @@ impl Layout {
         1usize << (self.q - self.n_c())
     }
 
+    /// What row index `u` contributes to a placement: the row processor
+    /// sub-address and the virtual row bits, each shifted to its position
+    /// above the column part.
+    pub(crate) fn row_part(&self, u: u64) -> Part {
+        Part {
+            node: self.row.to_proc(u) << self.n_c(),
+            local: self.row.dims().complement(self.p).extract(u) << (self.q - self.n_c()),
+        }
+    }
+
+    /// What column index `v` contributes to a placement (the low-order
+    /// ends of the node and local addresses).
+    pub(crate) fn col_part(&self, v: u64) -> Part {
+        Part { node: self.col.to_proc(v), local: self.col.dims().complement(self.q).extract(v) }
+    }
+
     /// Maps element `(u, v)` to its placement.
+    ///
+    /// # Panics
+    /// If `(u, v)` is not an element of the `2^p × 2^q` matrix.
     #[inline]
+    #[track_caller]
     pub fn place(&self, u: u64, v: u64) -> Placement {
-        debug_assert!(u < (1u64 << self.p) && v < (1u64 << self.q));
-        let node = concat(self.row.to_proc(u), self.col.to_proc(v), self.n_c());
-        let vrow = self.row.dims().complement(self.p).extract(u);
-        let vcol = self.col.dims().complement(self.q).extract(v);
-        let local = concat(vrow, vcol, self.q - self.n_c());
-        Placement { node: NodeId(node), local }
+        assert!(
+            u < (1u64 << self.p) && v < (1u64 << self.q),
+            "element ({u}, {v}) is outside the 2^{} × 2^{} matrix",
+            self.p,
+            self.q
+        );
+        self.row_part(u).with(self.col_part(v))
     }
 
     /// Maps the flat element address `w = (u || v)` to its placement.
     #[inline]
+    #[track_caller]
     pub fn place_w(&self, w: u64) -> Placement {
         let (u, v) = split(w, self.q);
         self.place(u, v)
@@ -446,6 +469,19 @@ mod tests {
         roundtrip(&l);
         assert_eq!(l.local_rows(), 4);
         assert_eq!(l.local_cols(), 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "element (8, 1) is outside the 2^3 × 2^2 matrix")]
+    fn place_rejects_a_row_index_out_of_range() {
+        // Row 8 of an 8-row matrix would otherwise alias onto row 0's node.
+        Layout::square(3, 2, 1, Assignment::Cyclic, Encoding::Binary).place(8, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "element (0, 4) is outside the 2^3 × 2^2 matrix")]
+    fn place_rejects_a_column_index_out_of_range() {
+        Layout::square(3, 2, 1, Assignment::Cyclic, Encoding::Binary).place(0, 4);
     }
 
     #[test]

@@ -26,6 +26,7 @@ pub mod layout;
 pub mod parse;
 pub mod pattern;
 pub mod scheme;
+mod separable;
 pub mod table;
 
 pub use dist::DistMatrix;

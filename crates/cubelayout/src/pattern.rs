@@ -16,6 +16,7 @@
 //!   reference \[4\]).
 
 use crate::layout::Layout;
+use crate::separable::{MoveTables, PlaceTables};
 use cubeaddr::{DimSet, NodeId};
 
 /// A transposition problem: the layout of `A` before, and the layout the
@@ -145,33 +146,17 @@ impl TransposeSpec {
         CommPattern::Mixed
     }
 
+    /// Both layouts tabulated by the `(u, v)` of `A`: element `(u, v)`
+    /// leaves `before.place(u, v)` and arrives at `after.place(v, u)`.
+    fn tables(&self) -> MoveTables {
+        MoveTables::new(PlaceTables::new(&self.before), PlaceTables::new(&self.after).transposed())
+    }
+
     /// When every source node communicates with exactly one destination
     /// node and the induced node map is injective, returns that map
     /// (`map[src] = dst`); otherwise `None`.
     pub fn node_map(&self) -> Option<Vec<NodeId>> {
-        let n_nodes = self.before.num_nodes().max(self.after.num_nodes());
-        let mut dst_of: Vec<Option<NodeId>> = vec![None; n_nodes];
-        for (u, v) in self.before.elements() {
-            let s = self.src(u, v);
-            let d = self.dst(u, v);
-            match dst_of[s.index()] {
-                None => dst_of[s.index()] = Some(d),
-                Some(prev) if prev != d => return None,
-                _ => {}
-            }
-        }
-        let mut seen = vec![false; n_nodes];
-        let mut map = Vec::with_capacity(n_nodes);
-        for (s, d) in dst_of.into_iter().enumerate() {
-            // A node holding no data maps to itself.
-            let d = d.unwrap_or(NodeId(s as u64));
-            if seen[d.index()] {
-                return None;
-            }
-            seen[d.index()] = true;
-            map.push(d);
-        }
-        Some(map)
+        self.tables().node_map(self.before.num_nodes().max(self.after.num_nodes()))
     }
 
     /// True when the node-level communication is a (nontrivial or trivial)
@@ -183,30 +168,43 @@ impl TransposeSpec {
     /// The traffic matrix: `counts[s][d]` = number of elements node `s`
     /// must send to node `d ≠ s` (diagonal counts elements that stay).
     pub fn traffic_matrix(&self) -> Vec<Vec<usize>> {
-        let nb = self.before.num_nodes();
-        let na = self.after.num_nodes();
-        let mut counts = vec![vec![0usize; na]; nb];
-        for (u, v) in self.before.elements() {
-            counts[self.src(u, v).index()][self.dst(u, v).index()] += 1;
-        }
-        counts
+        self.tables().traffic(self.before.num_nodes(), self.after.num_nodes())
     }
 
-    /// Iterates every element move `(u, v, src, src_local, dst, dst_local)`.
-    pub fn moves(&self) -> impl Iterator<Item = ElementMove> + '_ {
-        self.before.elements().map(move |(u, v)| {
-            let from = self.before.place(u, v);
-            let to = self.after.place(v, u);
-            ElementMove {
-                u,
-                v,
-                src: from.node,
-                src_local: from.local,
-                dst: to.node,
-                dst_local: to.local,
-            }
-        })
+    /// Iterates every element move `(u, v, src, src_local, dst, dst_local)`
+    /// in row-major `(u, v)` order.
+    pub fn moves(&self) -> impl Iterator<Item = ElementMove> {
+        self.tables().into_moves()
     }
+}
+
+/// A storage-form change of the *same* matrix (no transposition): element
+/// `(u, v)` goes from `from.place(u, v)` to `to.place(u, v)`.
+#[track_caller]
+fn relayout_tables(from: &Layout, to: &Layout) -> MoveTables {
+    MoveTables::new(PlaceTables::new(from), PlaceTables::new(to))
+}
+
+/// The traffic matrix of a storage-form change of the *same* matrix (no
+/// transposition): `counts[s][d]` = number of elements `(u, v)` with
+/// `from.place(u, v)` on node `s` and `to.place(u, v)` on node `d`.
+///
+/// # Panics
+/// If the layouts' shapes differ.
+#[track_caller]
+pub fn relayout_traffic(from: &Layout, to: &Layout) -> Vec<Vec<usize>> {
+    relayout_tables(from, to).traffic(from.num_nodes(), to.num_nodes())
+}
+
+/// Iterates every element move of a storage-form change of the *same*
+/// matrix, in row-major `(u, v)` order: element `(u, v)` goes from
+/// `from.place(u, v)` to `to.place(u, v)`.
+///
+/// # Panics
+/// If the layouts' shapes differ.
+#[track_caller]
+pub fn relayout_moves(from: &Layout, to: &Layout) -> impl Iterator<Item = ElementMove> {
+    relayout_tables(from, to).into_moves()
 }
 
 /// One element's source and destination placement in a transposition.

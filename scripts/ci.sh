@@ -139,6 +139,23 @@ begin "cubecheck: Swapped Dragonfly planner lint smoke (time-bounded)"
 # families the cube schedules pass — the topology-generic checker path.
 timeout 300 cargo run --release -q -p cubecheck -- dragonfly-smoke
 
+begin "perfbench: the harness's own unit tests"
+# perfbench/ is its own workspace root, so `cargo test --workspace` above
+# never reaches these.
+cargo test --offline -q --manifest-path perfbench/Cargo.toml
+
+begin "perfbench smoke: one round of each driver::execute workload must be correct"
+# Paper-scale ops with every check on (output labels, chosen algorithm,
+# pinned simulated time). No time bound: timing is BENCHMARK.json's job.
+for workload in ipsc6-2d-spt ipsc6-1d-exchange cm16-2d-mpt; do
+    verdict="$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+        --workload "$workload" --rounds 1 | tail -n 1)"
+    case "$verdict" in
+        *'"correct": true'*) ;;
+        *) echo "FAIL: perfbench $workload: $verdict" >&2; false ;;
+    esac
+done
+
 begin "router figures: CSVs must match committed baselines at every thread count"
 for threads in 1 default; do
     rm -rf "$fig_tmp"/*

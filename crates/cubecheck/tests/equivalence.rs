@@ -4,19 +4,21 @@
 //! For every engine with a static planner, the lowered plan's per-round
 //! link claims must coincide exactly — round counts, link sets, element
 //! counts, message/packet totals — with the `CommReport` of a real
-//! execution recorded under `record_links`. The execution runs under
-//! `cubesim::par::with_threads` at 1 and 2 workers, pinning the
-//! determinism claim the engines make ("results do not depend on the
-//! thread count") to the static schedule. Every random plan must also
-//! pass `check_all` cleanly: no false positives.
+//! execution recorded under `record_links`. The engines with a parallel
+//! data plane execute under `cubesim::par::with_threads` at 1 and 2
+//! workers, pinning the determinism claim they make ("results do not
+//! depend on the thread count") to the static schedule; the
+//! store-and-forward router is serial and runs once. Every random plan
+//! must also pass `check_all` cleanly: no false positives.
 
 use cubeaddr::{DimSet, NodeId};
 use cubecomm::ecube::{ecube_route, RouteMsg};
 use cubecomm::exchange::all_to_all_exchange;
+use cubecomm::graph::graph_route;
 use cubecomm::one_to_all::{one_to_all_rotated_sbts, one_to_all_sbt};
 use cubecomm::plan::{
-    all_to_all_exchange_plan, all_to_all_sbnt_plan, ecube_route_plan, one_to_all_sbt_plan,
-    one_to_all_trees_plan, some_to_all_plan, CommSchedule,
+    all_to_all_exchange_plan, all_to_all_sbnt_plan, dragonfly_direct_plan, ecube_route_plan,
+    one_to_all_sbt_plan, one_to_all_trees_plan, some_to_all_plan, CommSchedule,
 };
 use cubecomm::sbnt::all_to_all_sbnt;
 use cubecomm::sbt::Sbt;
@@ -24,6 +26,7 @@ use cubecomm::some_to_all::some_to_all;
 use cubecomm::{Block, BlockMsg, BufferPolicy};
 use cubesim::par::with_threads;
 use cubesim::{CommReport, MachineParams, PortMode, SimNet};
+use cubetopo::{SwappedDragonfly, Topology};
 use proptest::prelude::*;
 
 /// Thread settings every execution is replayed at (satellite 1: the
@@ -71,6 +74,13 @@ fn assert_equivalent(plan: &CommSchedule, params: &MachineParams, report: &CommR
     assert!(diags.is_empty(), "{}: {}", plan.name, diags[0]);
     let errs = cubecheck::cross_validate(&low, report);
     assert!(errs.is_empty(), "{}:\n{}", plan.name, errs.join("\n"));
+}
+
+/// Router input for a planner's `(src, dst, elems)` message list.
+fn route_msgs(msgs: &[(NodeId, NodeId, u64)]) -> Vec<RouteMsg<u64>> {
+    msgs.iter()
+        .map(|&(src, dst, elems)| RouteMsg { src, dst, data: vec![src.bits(); elems as usize] })
+        .collect()
 }
 
 proptest! {
@@ -185,9 +195,9 @@ proptest! {
         }
     }
 
-    /// The e-cube flight planner mirrors the flat router, including its
-    /// contention serialization, at both thread settings (the router is
-    /// the one engine with a parallel data plane).
+    /// The e-cube flight planner mirrors the router, including its
+    /// contention serialization (one execution: the router is a serial
+    /// loop that does not consult the thread setting).
     #[test]
     fn ecube_plan_equivalent(n in 1u32..5, seed in any::<u64>(), count in 0usize..12) {
         let num = 1u64 << n;
@@ -202,22 +212,46 @@ proptest! {
             .collect();
         let params = MachineParams::unit(PortMode::AllPorts);
         let plan = ecube_route_plan(n, &msgs);
-        for t in THREADS {
-            let report = with_threads(t, || {
-                let mut net: SimNet<Block<u64>> = SimNet::new(n, params.clone());
-                net.record_links();
-                let route_msgs: Vec<RouteMsg<u64>> = msgs
-                    .iter()
-                    .map(|&(src, dst, elems)| RouteMsg {
-                        src,
-                        dst,
-                        data: vec![src.bits(); elems as usize],
-                    })
-                    .collect();
-                let _ = ecube_route(&mut net, route_msgs);
-                net.finalize()
-            });
-            assert_equivalent(&plan, &params, &report);
-        }
+        let mut net: SimNet<Block<u64>> = SimNet::new(n, params.clone());
+        net.record_links();
+        let _ = ecube_route(&mut net, route_msgs(&msgs));
+        assert_equivalent(&plan, &params, &net.finalize());
+    }
+}
+
+proptest! {
+    // The only plan-vs-execution check the Dragonfly direct planner has
+    // (it has no engine twin), over four machine shapes: more cases.
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The Dragonfly direct planner mirrors `graph_route` on a
+    /// `SwappedDragonfly` net — local-global-local paths, gateway
+    /// contention and all — on a few `D3(K,M)`.
+    #[test]
+    fn dragonfly_direct_plan_equivalent(
+        shape in 0usize..4,
+        seed in any::<u64>(),
+        count in 0usize..24,
+    ) {
+        let (k, m) = [(1u32, 3u32), (2, 2), (2, 3), (3, 4)][shape];
+        let topo = SwappedDragonfly::new(k, m);
+        let num = topo.num_nodes() as u64;
+        let mut msgs: Vec<(NodeId, NodeId, u64)> = (0..count as u64)
+            .map(|i| {
+                let h = i.wrapping_add(1).wrapping_mul(seed | 1);
+                (NodeId((h >> 7) % num), NodeId((h >> 29) % num), (h >> 51) % 4)
+            })
+            .collect();
+        // Whatever the seed drew, every set has a local and a
+        // zero-element message: both must plan and route no hops.
+        msgs.push((NodeId(seed % num), NodeId(seed % num), 2));
+        msgs.push((NodeId(0), NodeId(num - 1), 0));
+        let params = MachineParams::unit(PortMode::AllPorts);
+        let plan = dragonfly_direct_plan(k, m, &msgs);
+        let mut net: SimNet<Block<u64>, SwappedDragonfly> =
+            SimNet::on_topology(topo, params.clone());
+        net.record_links();
+        let _ = graph_route(&mut net, route_msgs(&msgs));
+        assert_equivalent(&plan, &params, &net.finalize());
     }
 }

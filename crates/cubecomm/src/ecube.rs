@@ -7,39 +7,19 @@
 //! naive "just send everything to its destination" transpose slow
 //! compared with the scheduled algorithms: contending messages queue.
 //!
-//! # Data plane
-//!
-//! The router keeps its state in the flat style of [`SimNet`]: one *lane*
-//! per node that any message path touches, holding that node's outgoing
-//! FIFO queues as intrusive lists threaded through a single per-lane slab
-//! (inline tail cursors, a free list for retired entries — no per-queue
-//! allocation), and a bitmask of the non-empty queues. Blocks travel the
-//! wire as bare [`Block`] payloads, so a forwarding hop moves a block
-//! from slab to commit buffer to link slot and back — no buffer
-//! allocation anywhere on the path. Liveness is a single
-//! undelivered-message counter plus a bitmap of lanes with queued blocks,
-//! so a round costs O(messages in flight + touched nodes), never
-//! O(2^n · n); lanes are built lazily from the injected messages' paths,
-//! so a 2-message probe on a 14-cube allocates a handful of queues, not
-//! ~230 000.
-//!
-//! Each round runs a staging/commit split: per-lane work — popping queue
-//! heads into staged messages, and advancing landed blocks (next-dim
-//! computation, requeueing) — touches only that lane and fans out over
-//! [`cubesim::par`] worker threads, while every [`SimNet`] interaction
-//! (the [`SimNet::send_batch`] commit, [`SimNet::drain_all`], the cost
-//! accounting) stays on the calling thread in a fixed order. Reports and
-//! arrivals are therefore byte-identical at every `CUBEBENCH_THREADS`.
-//! The pre-rework implementation survives as [`reference::RefRouter`]
-//! with an equivalence property test
+//! [`ecube_route`] is [`graph_route`] on the cube: the e-cube order is
+//! [`cubetopo::Hypercube`]'s [`cubetopo::MinimalRoute`], and the lanes,
+//! FIFOs and round loop are documented in [`crate::graph`]. The
+//! full-lattice router both replaced survives as
+//! [`reference::RefRouter`], the oracle of the equivalence property test
 //! (`crates/cubecomm/tests/router_equivalence.rs`).
 
 pub mod reference;
 
 use crate::block::Block;
+use crate::graph::graph_route;
 use cubeaddr::NodeId;
-use cubesim::{par, SimNet};
-use cubesync::atomic::{AtomicUsize, Ordering};
+use cubesim::SimNet;
 
 /// A message handed to the router.
 #[derive(Clone, Debug)]
@@ -63,201 +43,6 @@ pub fn ecube_next_dim(cur: NodeId, dst: NodeId) -> Option<u32> {
     }
 }
 
-/// Sentinel for the intrusive FIFO links in a lane's slab.
-pub(crate) const NIL: u32 = u32::MAX;
-
-/// Largest cube dimension the router supports: the per-lane FIFO cursors
-/// live in inline arrays of this size so building a lane allocates
-/// nothing. [`SimNet`]'s dense `2^n · n` lattice runs out of memory long
-/// before this bound bites.
-pub(crate) const MAX_LANE_DIMS: usize = 32;
-
-/// Per-touched-node router state: the node's outgoing queues plus the
-/// round-local staging, landing and arrival buffers its parallel passes
-/// write. Everything a worker thread mutates lives in exactly one lane.
-///
-/// The queues are intrusive circular FIFOs threaded through one slab:
-/// `slab[i]` holds a block and the index of its queue successor, the tail
-/// entry links back to the head (so one cursor per queue finds both
-/// ends), and retired entries chain from `free` for reuse. One growable
-/// allocation per lane (often none for pass-through lanes) instead of a
-/// `VecDeque` per dimension.
-pub(crate) struct Lane<T> {
-    /// The node this lane belongs to.
-    pub(crate) node: NodeId,
-    /// FIFO entries: `(block, next index)`; `next` doubles as the free
-    /// list link once the block is taken.
-    pub(crate) slab: Vec<(Option<Block<T>>, u32)>,
-    /// Head of the slab free list.
-    pub(crate) free: u32,
-    /// FIFO tail per dimension (`NIL` when that queue is empty); the
-    /// head is the tail's successor.
-    pub(crate) tails: [u32; MAX_LANE_DIMS],
-    /// Bit `d` set ⇔ queue `d` is non-empty (the active-slot list).
-    pub(crate) qmask: u64,
-    /// Queue heads popped this round, awaiting the serial commit.
-    pub(crate) staged: Vec<(u32, Block<T>)>,
-    /// Blocks delivered to this node this round, dimension-ascending.
-    pub(crate) landed: Vec<(u32, Block<T>)>,
-    /// Blocks whose final destination is this node, in arrival order.
-    pub(crate) arrived: Vec<Block<T>>,
-}
-
-impl<T> Lane<T> {
-    pub(crate) fn new(node: NodeId) -> Self {
-        Lane {
-            node,
-            slab: Vec::new(),
-            free: NIL,
-            tails: [NIL; MAX_LANE_DIMS],
-            qmask: 0,
-            staged: Vec::new(),
-            landed: Vec::new(),
-            arrived: Vec::new(),
-        }
-    }
-
-    /// Appends `block` to the dimension-`dim` FIFO.
-    pub(crate) fn push(&mut self, dim: u32, block: Block<T>) {
-        let idx = if self.free == NIL {
-            self.slab.push((Some(block), NIL));
-            (self.slab.len() - 1) as u32
-        } else {
-            let i = self.free;
-            let entry = &mut self.slab[i as usize];
-            self.free = entry.1;
-            *entry = (Some(block), NIL);
-            i
-        };
-        let d = dim as usize;
-        let tail = self.tails[d];
-        if tail == NIL {
-            self.slab[idx as usize].1 = idx; // 1-entry ring: head == tail
-        } else {
-            let head = self.slab[tail as usize].1;
-            self.slab[idx as usize].1 = head;
-            self.slab[tail as usize].1 = idx;
-        }
-        self.tails[d] = idx;
-        self.qmask |= 1 << dim;
-    }
-
-    /// Pops the head of the dimension-`dim` FIFO (must be non-empty).
-    pub(crate) fn pop(&mut self, dim: u32) -> Block<T> {
-        let d = dim as usize;
-        let tail = self.tails[d];
-        let head = self.slab[tail as usize].1;
-        let entry = &mut self.slab[head as usize];
-        let block = entry.0.take().expect("qmask bit set on empty queue");
-        let next = entry.1;
-        entry.1 = self.free;
-        self.free = head;
-        if head == tail {
-            self.tails[d] = NIL;
-            self.qmask &= !(1 << dim);
-        } else {
-            self.slab[tail as usize].1 = next;
-        }
-        block
-    }
-
-    /// [`Lane::stage`] fused with the commit regrouping: pops every
-    /// queue head straight into the per-dimension commit buffers. The
-    /// single-worker twin of `stage` + regroup; lanes are visited
-    /// ascending and `stage` pops dimensions ascending, so the buffer
-    /// contents come out identical either way.
-    pub(crate) fn stage_into(&mut self, commit: &mut [Vec<(NodeId, Block<T>)>]) {
-        let mut mask = self.qmask;
-        while mask != 0 {
-            let d = mask.trailing_zeros();
-            mask &= mask - 1;
-            let block = self.pop(d);
-            commit[d as usize].push((self.node, block));
-        }
-    }
-
-    /// Pops the head of every non-empty queue into `staged` (one message
-    /// per outgoing link per round). Lane-local; runs on worker threads.
-    pub(crate) fn stage(&mut self) {
-        let mut mask = self.qmask;
-        while mask != 0 {
-            let d = mask.trailing_zeros();
-            mask &= mask - 1;
-            let block = self.pop(d);
-            self.staged.push((d, block));
-        }
-    }
-
-    /// Retires or requeues every block landed this round. Lane-local;
-    /// runs on worker threads. The `landed` list is dimension-ascending
-    /// (the commit pass sends dimension-major and [`SimNet::drain_all`]
-    /// preserves send order), which reproduces the reference router's
-    /// requeue order exactly.
-    fn advance(&mut self, pending: &AtomicUsize) {
-        let mut retired = 0usize;
-        // Detach the landed list so the requeues below can borrow self.
-        let mut landed = std::mem::take(&mut self.landed);
-        for (_, b) in landed.drain(..) {
-            match ecube_next_dim(self.node, b.dst) {
-                None => {
-                    self.arrived.push(b);
-                    retired += 1;
-                }
-                Some(nd) => self.push(nd, b),
-            }
-        }
-        self.landed = landed;
-        if retired > 0 {
-            pending.fetch_sub(retired, Ordering::Relaxed);
-        }
-    }
-}
-
-/// Every node a message set's e-cube paths visit (sources, intermediate
-/// hops and destinations), sorted ascending, deduplicated. Local and
-/// empty messages touch nothing. The router sizes its queue storage from
-/// this list instead of the full `2^n` lattice.
-fn touched_nodes<T>(msgs: &[RouteMsg<T>], num: usize) -> Vec<u64> {
-    // Mark path nodes in a bitmap, then read it back in word order: the
-    // result comes out sorted and deduplicated without sorting the
-    // per-message path multiset. The bitmap is num/64 words — 2 KB on a
-    // 14-cube, nothing like the queue lattice this sizing avoids.
-    let mut seen = vec![0u64; num.div_ceil(64)];
-    for m in msgs {
-        if m.data.is_empty() || m.src == m.dst {
-            continue;
-        }
-        let dst = m.dst.bits();
-        let mut cur = m.src.bits();
-        while cur != dst {
-            seen[(cur / 64) as usize] |= 1 << (cur % 64);
-            cur ^= 1 << (cur ^ dst).trailing_zeros();
-        }
-        seen[(dst / 64) as usize] |= 1 << (dst % 64);
-    }
-    let mut touched = Vec::new();
-    for (w, &word) in seen.iter().enumerate() {
-        let mut bits = word;
-        while bits != 0 {
-            touched.push((w * 64) as u64 + u64::from(bits.trailing_zeros()));
-            bits &= bits - 1;
-        }
-    }
-    touched
-}
-
-/// Reads the set bits of `bits` into `out` as sorted indices.
-pub(crate) fn bitmap_to_list(bits: &[u64], out: &mut Vec<u32>) {
-    out.clear();
-    for (w, &word) in bits.iter().enumerate() {
-        let mut word = word;
-        while word != 0 {
-            out.push((w * 64) as u32 + word.trailing_zeros());
-            word &= word - 1;
-        }
-    }
-}
-
 /// Routes all messages to their destinations with dimension-ordered
 /// store-and-forward routing, one message per directed link per round
 /// (FIFO per link). Returns the blocks received per node, in arrival
@@ -266,152 +51,11 @@ pub(crate) fn bitmap_to_list(bits: &[u64], out: &mut Vec<u32>) {
 /// The router hardware operates independently on every link, so this is
 /// an all-port operation regardless of what the node processors could do;
 /// run it on a net with [`cubesim::PortMode::AllPorts`].
-///
-/// Per-node staging and advancement fan out over
-/// [`cubesim::par::num_threads`] workers; all cost accounting stays
-/// serial, so results and [`cubesim::CommReport`]s do not depend on the
-/// thread count.
 pub fn ecube_route<T: Send>(
     net: &mut SimNet<Block<T>>,
     msgs: Vec<RouteMsg<T>>,
 ) -> Vec<Vec<Block<T>>> {
-    let n = net.n();
-    assert!(
-        n as usize <= MAX_LANE_DIMS,
-        "router supports cubes up to n = {MAX_LANE_DIMS}, got n = {n}"
-    );
-    let num = net.num_nodes();
-    let mut result: Vec<Vec<Block<T>>> = (0..num).map(|_| Vec::new()).collect();
-
-    // Lazily sized queue storage: one lane per touched node, found by a
-    // dense node → lane translation (a single flat u32 array, not a
-    // queue lattice).
-    let touched = touched_nodes(&msgs, num);
-    let mut lane_of: Vec<u32> = vec![u32::MAX; num];
-    for (i, &x) in touched.iter().enumerate() {
-        lane_of[x as usize] = i as u32;
-    }
-    let mut lanes: Vec<Lane<T>> = touched.iter().map(|&x| Lane::new(NodeId(x))).collect();
-
-    // Live-lane bitmap: bit set ⇔ that lane has a queued block. Kept in
-    // lock-step with the lanes' qmasks; the per-round active list reads
-    // off it in word order, sorted for free.
-    let mut live = vec![0u64; lanes.len().div_ceil(64)];
-
-    // Inject: local messages arrive immediately; the rest queue at their
-    // source on their first dimension, in input order.
-    let mut injected = 0usize;
-    for m in msgs {
-        if m.data.is_empty() {
-            continue;
-        }
-        match ecube_next_dim(m.src, m.dst) {
-            None => result[m.dst.index()].push(Block::new(m.src, m.dst, m.data)),
-            Some(d) => {
-                let li = lane_of[m.src.index()];
-                lanes[li as usize].push(d, Block::new(m.src, m.dst, m.data));
-                live[(li / 64) as usize] |= 1 << (li % 64);
-                injected += 1;
-            }
-        }
-    }
-
-    // Undelivered-message counter: the O(1) liveness test that replaces
-    // the reference router's full-lattice queue scan.
-    let pending = AtomicUsize::new(injected);
-    let mut active: Vec<u32> = Vec::new();
-    let mut landed_bits = vec![0u64; live.len()];
-    let mut landed_lanes: Vec<u32> = Vec::new();
-    // Per-dimension commit buffers, reused across rounds.
-    let mut commit: Vec<Vec<(NodeId, Block<T>)>> = (0..n).map(|_| Vec::new()).collect();
-    let threads = par::num_threads();
-
-    while pending.load(Ordering::Relaxed) > 0 {
-        bitmap_to_list(&live, &mut active);
-        // Stage: one queue head per non-empty outgoing link, grouped
-        // dimension-major with nodes ascending within each dimension. At
-        // one worker the heads go straight into the commit buffers; with
-        // more, lanes stage in parallel and a serial pass regroups —
-        // either way the commit order is identical.
-        // A lane whose queues just drained leaves the live set; it
-        // re-enters when a block lands on it below.
-        if threads <= 1 {
-            for &li in &active {
-                let lane = &mut lanes[li as usize];
-                lane.stage_into(&mut commit);
-                if lane.qmask == 0 {
-                    live[(li / 64) as usize] &= !(1 << (li % 64));
-                }
-            }
-        } else {
-            par::par_for_each_mut_sparse(&mut lanes, &active, Lane::stage);
-            for &li in &active {
-                let lane = &mut lanes[li as usize];
-                for (d, msg) in lane.staged.drain(..) {
-                    commit[d as usize].push((lane.node, msg));
-                }
-                if lane.qmask == 0 {
-                    live[(li / 64) as usize] &= !(1 << (li % 64));
-                }
-            }
-        }
-        // Commit (serial): batch-send per dimension — all legality
-        // checks and cost accounting on this thread, in a fixed order.
-        for (d, staged) in commit.iter_mut().enumerate() {
-            net.send_batch(d as u32, staged.drain(..));
-        }
-        net.finish_round();
-        // Drain (serial): one pass over the inbox, in send order, so
-        // every lane sees its deliveries dimension-ascending.
-        if threads <= 1 {
-            // Advance inline: retire arrivals, requeue the rest.
-            let mut retired = 0usize;
-            net.drain_all_with(|dst, _, b| {
-                match ecube_next_dim(dst, b.dst) {
-                    None => {
-                        // Straight into the result: same per-node order
-                        // as the split path's arrived buffer.
-                        result[dst.index()].push(b);
-                        retired += 1;
-                    }
-                    Some(nd) => {
-                        // Only a requeue touches the lane.
-                        let li = lane_of[dst.index()];
-                        lanes[li as usize].push(nd, b);
-                        live[(li / 64) as usize] |= 1 << (li % 64);
-                    }
-                }
-            });
-            if retired > 0 {
-                pending.fetch_sub(retired, Ordering::Relaxed);
-            }
-        } else {
-            net.drain_all_with(|dst, dim, b| {
-                let li = lane_of[dst.index()];
-                landed_bits[(li / 64) as usize] |= 1 << (li % 64);
-                lanes[li as usize].landed.push((dim, b));
-            });
-            bitmap_to_list(&landed_bits, &mut landed_lanes);
-            landed_bits.fill(0);
-            // Advance (parallel): retire arrivals, requeue the rest.
-            par::par_for_each_mut_sparse(&mut lanes, &landed_lanes, |lane| lane.advance(&pending));
-            for &li in &landed_lanes {
-                if lanes[li as usize].qmask != 0 {
-                    live[(li / 64) as usize] |= 1 << (li % 64);
-                }
-            }
-        }
-    }
-
-    for lane in lanes {
-        let x = lane.node.index();
-        if result[x].is_empty() {
-            result[x] = lane.arrived;
-        } else {
-            result[x].extend(lane.arrived);
-        }
-    }
-    result
+    graph_route(net, msgs)
 }
 
 #[cfg(test)]
@@ -428,31 +72,6 @@ mod tests {
         assert_eq!(ecube_next_dim(NodeId(0b000), NodeId(0b110)), Some(1));
         assert_eq!(ecube_next_dim(NodeId(0b010), NodeId(0b110)), Some(2));
         assert_eq!(ecube_next_dim(NodeId(0b110), NodeId(0b110)), None);
-    }
-
-    #[test]
-    fn lane_fifo_preserves_order_across_reuse() {
-        let mut lane: Lane<u64> = Lane::new(NodeId(0));
-        for v in 0..5u64 {
-            lane.push(2, Block::new(NodeId(0), NodeId(4), vec![v]));
-        }
-        lane.push(0, Block::new(NodeId(0), NodeId(1), vec![9]));
-        assert_eq!(lane.qmask, 0b101);
-        for v in 0..5u64 {
-            assert_eq!(lane.pop(2).data, vec![v]);
-        }
-        assert_eq!(lane.qmask, 0b001);
-        // Freed slots get reused without disturbing FIFO order.
-        let before = lane.slab.len();
-        for v in 5..8u64 {
-            lane.push(2, Block::new(NodeId(0), NodeId(4), vec![v]));
-        }
-        assert_eq!(lane.slab.len(), before);
-        assert_eq!(lane.pop(0).data, vec![9]);
-        for v in 5..8u64 {
-            assert_eq!(lane.pop(2).data, vec![v]);
-        }
-        assert_eq!(lane.qmask, 0);
     }
 
     #[test]
@@ -548,35 +167,6 @@ mod tests {
             ecube_route(&mut net, vec![RouteMsg { src: NodeId(2), dst: NodeId(2), data: vec![5] }]);
         assert_eq!(out[2].len(), 1);
         assert_eq!(net.finalize().rounds, 0);
-    }
-
-    #[test]
-    fn touched_nodes_covers_paths_only() {
-        // Two messages on a 14-cube touch at most their two e-cube
-        // paths, not the 2^14-node lattice: the lazily sized router
-        // allocates queues for a handful of lanes.
-        let msgs = vec![
-            RouteMsg { src: NodeId(0), dst: NodeId(0b101), data: vec![1u64] },
-            RouteMsg { src: NodeId(0b11_0000_0000_0000), dst: NodeId(1), data: vec![2] },
-        ];
-        let touched = touched_nodes(&msgs, 1 << 14);
-        // Message 1: 0 → 1 → 101 touches {0, 1, 101}. Message 2 crosses
-        // dims {0, 12, 13}: 4 nodes. Node 1 is shared.
-        assert_eq!(touched.len(), 3 + 4 - 1);
-        assert!(touched.windows(2).all(|w| w[0] < w[1]), "sorted, deduplicated");
-        for m in &msgs {
-            assert!(touched.contains(&m.src.bits()));
-            assert!(touched.contains(&m.dst.bits()));
-        }
-    }
-
-    #[test]
-    fn touched_nodes_skips_local_and_empty() {
-        let msgs = vec![
-            RouteMsg { src: NodeId(5), dst: NodeId(5), data: vec![1u64] },
-            RouteMsg { src: NodeId(0), dst: NodeId(7), data: Vec::new() },
-        ];
-        assert!(touched_nodes(&msgs, 8).is_empty());
     }
 
     #[test]

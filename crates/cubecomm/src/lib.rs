@@ -18,10 +18,10 @@
 //! * [`some_to_all`] — some-to-all / all-to-some personalized
 //!   communication as `k` splitting (or accumulation) steps composed with
 //!   `l` all-to-all steps in the order of Theorem 1.
-//! * [`ecube`] — a dimension-ordered store-and-forward router, the
-//!   "routing logic" baseline of the experiments.
-//! * [`graph`] — the same router lifted to any
+//! * [`graph`] — the store-and-forward router, on any
 //!   [`cubetopo::MinimalRoute`] topology (e.g. the Swapped Dragonfly).
+//! * [`ecube`] — that router on the cube (dimension-ordered), the
+//!   "routing logic" baseline of the experiments.
 //! * [`plan`] — static, payload-free introspection of all the above: the
 //!   schedules as first-class data, for the `cubecheck` invariant
 //!   checkers and for planning-cost benchmarks.

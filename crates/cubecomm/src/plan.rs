@@ -52,7 +52,7 @@ use crate::some_to_all;
 use cubeaddr::{DimSet, NodeId};
 use cubesim::PortMode;
 use cubesync::sync::Arc;
-use cubetopo::{TopoSpec, Topology};
+use cubetopo::{Hypercube, TopoSpec, Topology};
 
 /// A block's metadata: everything the cost model and the invariants see.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -362,8 +362,10 @@ pub fn all_to_all_sbnt_plan(n: u32, sizes: &[Vec<u64>]) -> CommSchedule {
 
 /// Plans [`crate::ecube::ecube_route`]: dimension-ordered store-and-
 /// forward routing, one message per directed link per round, FIFO per
-/// link, with the flat router's exact staging order (lanes ascending,
-/// dimensions ascending per lane, commits dimension-major).
+/// link, with the router's exact staging order (lanes ascending,
+/// dimensions ascending per lane, commits dimension-major) — the
+/// contention simulation [`dragonfly_direct_plan`] shares, on a
+/// [`Hypercube`].
 ///
 /// `msgs` are `(src, dst, elems)`; zero-element and local messages plan
 /// no hops (local blocks still appear in the plan's block list, with an
@@ -376,7 +378,7 @@ pub fn ecube_route_plan(n: u32, msgs: &[(NodeId, NodeId, u64)]) -> CommSchedule 
         .map(|&(src, dst, elems)| BlockMeta { src, dst, elems })
         .collect();
     check_blocks(&TopoSpec::hypercube(n), &blocks);
-    let rounds = skeleton::ecube_rounds(n, &blocks);
+    let rounds = skeleton::route_rounds(&Hypercube::new(n), &blocks);
     CommSchedule {
         name: format!("ecube_route/n{n}"),
         topo: TopoSpec::hypercube(n),

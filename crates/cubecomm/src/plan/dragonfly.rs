@@ -11,8 +11,10 @@
 //! * [`dragonfly_direct_plan`] — *direct* (minimal) routing: every
 //!   message follows its local–global–local path one hop per round
 //!   with per-link FIFO queueing, exactly mirroring
-//!   [`crate::graph::graph_route`] on a [`SwappedDragonfly`] net (the
-//!   Dragonfly twin of [`crate::plan::ecube_route_plan`]).
+//!   [`crate::graph::graph_route`] on a [`SwappedDragonfly`] net. The
+//!   contention simulation is the `MinimalRoute`-generic one in
+//!   `plan::skeleton` that [`crate::plan::ecube_route_plan`] runs on
+//!   the cube; this planner only names the topology.
 //! * [`dragonfly_swap_exchange_plan`] — the scheduled all-to-all: a
 //!   rotation schedule of `2M - 1` rounds (gather toward gateways,
 //!   one fully parallel global round, distribute from arrival routers)
@@ -26,13 +28,14 @@
 //! (`dimension_ordered: false`).
 
 use super::{
-    check_blocks, fingerprint, BlockMeta, CommSchedule, PlanCache, PlanKey, PlanRound, PlannedMsg,
+    check_blocks, fingerprint, skeleton, BlockMeta, CommSchedule, PlanCache, PlanKey, PlanRound,
+    PlannedMsg,
 };
 use cubeaddr::NodeId;
 use cubesim::PortMode;
 use cubesync::sync::Arc;
-use cubetopo::{MinimalRoute, SwappedDragonfly, TopoSpec, Topology};
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use cubetopo::{SwappedDragonfly, TopoSpec, Topology};
+use std::collections::BTreeMap;
 
 /// Plans minimal (direct) store-and-forward routing on `D3(K,M)`: every
 /// message follows its local–global–local path, one message per
@@ -55,64 +58,7 @@ pub fn dragonfly_direct_plan(k: u32, m: u32, msgs: &[(NodeId, NodeId, u64)]) -> 
         .collect();
     check_blocks(&topo, &blocks);
 
-    let ports = d.ports() as usize;
-    // Per-node, per-port FIFOs of block ids — the planner's stand-in for
-    // the router's lanes. `active` tracks nodes with queued blocks, in
-    // ascending order (the router's live-lane bitmap reads out sorted).
-    let mut queues: BTreeMap<u64, Vec<VecDeque<u32>>> = BTreeMap::new();
-    let mut active: BTreeSet<u64> = BTreeSet::new();
-    let mut pending = 0usize;
-    for (id, b) in blocks.iter().enumerate() {
-        if let Some(p) = d.next_port(b.src.bits(), b.dst.bits()) {
-            queues.entry(b.src.bits()).or_insert_with(|| vec![VecDeque::new(); ports])[p as usize]
-                .push_back(id as u32);
-            active.insert(b.src.bits());
-            pending += 1;
-        }
-    }
-
-    let mut rounds = Vec::new();
-    while pending > 0 {
-        // Stage: one queue head per non-empty outgoing link, nodes
-        // ascending, ports ascending per node; commit port-major — the
-        // router's exact send order.
-        let mut commit: Vec<Vec<(u64, u32)>> = vec![Vec::new(); ports];
-        let staging: Vec<u64> = active.iter().copied().collect();
-        for x in staging {
-            let q = queues.get_mut(&x).expect("active node has queues");
-            for (p, fifo) in q.iter_mut().enumerate() {
-                if let Some(id) = fifo.pop_front() {
-                    commit[p].push((x, id));
-                }
-            }
-            if q.iter().all(VecDeque::is_empty) {
-                active.remove(&x);
-            }
-        }
-        let mut round = PlanRound::default();
-        for (p, sent) in commit.iter().enumerate() {
-            for &(x, id) in sent {
-                round.msgs.push(PlannedMsg { src: NodeId(x), dim: p as u32, blocks: vec![id] });
-            }
-        }
-        // Deliver in send order: retire arrivals, requeue the rest.
-        for (p, sent) in commit.iter().enumerate() {
-            for &(x, id) in sent {
-                let at = d.neighbor(x, p as u32).expect("planned route crossed an unwired port");
-                match d.next_port(at, blocks[id as usize].dst.bits()) {
-                    None => pending -= 1,
-                    Some(np) => {
-                        queues.entry(at).or_insert_with(|| vec![VecDeque::new(); ports])
-                            [np as usize]
-                            .push_back(id);
-                        active.insert(at);
-                    }
-                }
-            }
-        }
-        rounds.push(round);
-    }
-
+    let rounds = skeleton::route_rounds(&d, &blocks);
     CommSchedule {
         name: format!("dragonfly_direct/{}", d.label()),
         topo,
@@ -255,6 +201,7 @@ pub fn dragonfly_swap_exchange_plan_cached(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
 
     fn all_to_all_sizes(num: usize, elems: u64) -> Vec<Vec<u64>> {
         (0..num).map(|s| (0..num).map(|t| if s == t { 0 } else { elems }).collect()).collect()

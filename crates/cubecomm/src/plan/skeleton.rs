@@ -31,11 +31,13 @@
 //!    engines make, and byte-identical to [`super::reference`] (enforced
 //!    by the `plan_reference` property tests).
 //!
-//! The e-cube planner cannot be fully factored — its round structure is
-//! a contention simulation — but its simulation loop is rebuilt on the
-//! flat router's data plane: intrusive FIFO slabs (`head`/`tail`/`next`
+//! The two store-and-forward routing planners (e-cube on the cube,
+//! direct routing on the Swapped Dragonfly) cannot be factored — their
+//! round structure is a contention simulation — so they share one,
+//! [`route_rounds`], generic over [`MinimalRoute`] and built like the
+//! router's data plane: intrusive FIFO slabs (`head`/`tail`/`next`
 //! arrays, no per-lane `VecDeque`) and a live-lane bitmap, so a round
-//! costs O(live lanes), not O(2^n · n) full-lattice scans.
+//! costs O(live lanes), not O(nodes · ports) full-lattice scans.
 
 use super::{chunk_ids, BlockMeta, PlanRound, PlannedMsg};
 use crate::exchange::BufferPolicy;
@@ -43,6 +45,7 @@ use crate::sbnt::sbnt_path_dims;
 use crate::sbt::Sbt;
 use cubeaddr::NodeId;
 use cubesim::par;
+use cubetopo::MinimalRoute;
 
 /// One exchange step's instantiated skeleton: the dimension crossed, its
 /// position in the dimension sequence, and the senders with their block
@@ -399,37 +402,37 @@ fn lane_push(
     tail[lane] = id;
 }
 
-/// Rounds of [`super::ecube_route_plan`]: the dimension-ordered router's
-/// contention simulation on the flat router's data plane — intrusive
-/// per-lane FIFOs (a block sits in at most one queue, so one `next` slot
-/// per block suffices) and a live-lane bitmap whose ascending scan
-/// reproduces the router's lanes-ascending, dimensions-ascending staging
-/// order exactly.
-pub(super) fn ecube_rounds(n: u32, blocks: &[BlockMeta]) -> Vec<PlanRound> {
-    let nd = n as usize;
-    let num = cubeaddr::num_nodes(n);
-    let lanes = num * nd;
+/// Rounds of [`super::ecube_route_plan`] and
+/// [`super::dragonfly_direct_plan`]: the contention simulation of
+/// minimal-path store-and-forward routing on `topo`, taking
+/// [`crate::graph::graph_route`]'s decisions in its order. One lane per
+/// directed link (`node * ports + port`), each an intrusive FIFO (a
+/// block sits in at most one queue, so one `next` slot per block
+/// suffices), and a live-lane bitmap whose ascending scan reproduces the
+/// router's nodes-ascending, ports-ascending staging order exactly.
+pub(super) fn route_rounds<G: MinimalRoute>(topo: &G, blocks: &[BlockMeta]) -> Vec<PlanRound> {
+    let ports = topo.ports() as usize;
+    let lanes = topo.num_nodes() * ports;
     let mut head = vec![NONE; lanes];
     let mut tail = vec![NONE; lanes];
     let mut next = vec![NONE; blocks.len()];
     let mut live = vec![0u64; lanes.div_ceil(64)];
     let mut in_flight = 0usize;
     for (id, b) in blocks.iter().enumerate() {
-        let diff = b.src.bits() ^ b.dst.bits();
-        if diff != 0 {
-            let lane = b.src.index() * nd + diff.trailing_zeros() as usize;
+        if let Some(p) = topo.next_port(b.src.bits(), b.dst.bits()) {
+            let lane = b.src.index() * ports + p as usize;
             lane_push(&mut head, &mut tail, &mut next, &mut live, lane, id as u32);
             in_flight += 1;
         }
     }
-    // Flat staged-hop log: `(src, dim, id)` records in send order, with
+    // Flat staged-hop log: `(src, port, id)` records in send order, with
     // round boundaries — the whole simulation allocates nothing per hop.
     let mut flat: Vec<(u64, u32, u32)> = Vec::new();
     let mut bounds: Vec<usize> = vec![0];
-    let mut commit: Vec<Vec<(u64, u32)>> = vec![Vec::new(); nd];
+    let mut commit: Vec<Vec<(u64, u32)>> = vec![Vec::new(); ports];
     while in_flight > 0 {
         // Stage: pop the head of every live lane, lanes ascending (the
-        // router's node-major, dimension-minor scan).
+        // router's node-major, port-minor scan).
         for (w, word) in live.iter_mut().enumerate() {
             let mut bits = *word;
             while bits != 0 {
@@ -441,25 +444,25 @@ pub(super) fn ecube_rounds(n: u32, blocks: &[BlockMeta]) -> Vec<PlanRound> {
                     tail[lane] = NONE;
                     *word &= !(1u64 << (lane % 64));
                 }
-                commit[lane % nd].push(((lane / nd) as u64, id));
+                commit[lane % ports].push(((lane / ports) as u64, id));
             }
         }
-        // Commit dimension-major — the router's send order.
-        for (d, staged) in commit.iter_mut().enumerate() {
+        // Commit port-major — the router's send order.
+        for (p, staged) in commit.iter_mut().enumerate() {
             for (src, id) in staged.drain(..) {
-                flat.push((src, d as u32, id));
+                flat.push((src, p as u32, id));
             }
         }
-        // Land in send order: retire arrivals, requeue the rest on their
-        // next e-cube dimension.
-        for &(src, d, id) in &flat[bounds[bounds.len() - 1]..] {
-            let land = src ^ (1u64 << d);
-            let diff = land ^ blocks[id as usize].dst.bits();
-            if diff == 0 {
-                in_flight -= 1;
-            } else {
-                let lane = land as usize * nd + diff.trailing_zeros() as usize;
-                lane_push(&mut head, &mut tail, &mut next, &mut live, lane, id);
+        // Land in send order: retire arrivals, requeue the rest on the
+        // next port of their route.
+        for &(src, p, id) in &flat[bounds[bounds.len() - 1]..] {
+            let land = topo.neighbor(src, p).expect("minimal routes cross wired ports only");
+            match topo.next_port(land, blocks[id as usize].dst.bits()) {
+                None => in_flight -= 1,
+                Some(np) => {
+                    let lane = land as usize * ports + np as usize;
+                    lane_push(&mut head, &mut tail, &mut next, &mut live, lane, id);
+                }
             }
         }
         bounds.push(flat.len());

@@ -96,27 +96,21 @@ pub fn with_stall_timeout<R>(timeout: Duration, f: impl FnOnce() -> R) -> R {
 }
 
 /// The scheduler stall timeout: the [`with_stall_timeout`] override if
-/// installed, else `CUBERUN_STALL_TIMEOUT_MS`, else the historical
-/// `CUBERUN_RECV_TIMEOUT_MS` (this detector replaced the per-receive
-/// watchdog, which false-positived under heavy oversubscription — a
-/// virtual node can legitimately sit parked far longer than any one
-/// receive used to take). Unset falls back to
-/// [`DEFAULT_STALL_TIMEOUT`]; a set but malformed value panics.
+/// installed, else `CUBERUN_STALL_TIMEOUT_MS`, else
+/// [`DEFAULT_STALL_TIMEOUT`]; a set but malformed value panics. (The
+/// per-receive watchdog this detector replaced false-positived under
+/// heavy oversubscription — a virtual node can legitimately sit parked
+/// far longer than any one receive used to take — so its
+/// `CUBERUN_RECV_TIMEOUT_MS` is not read here; only
+/// [`crate::reference`], which still has that watchdog, reads it.)
 fn stall_timeout() -> Duration {
     if let Some(t) = STALL_OVERRIDE.with(Cell::get) {
         return t;
     }
     static TIMEOUT: OnceLock<Duration> = OnceLock::new();
-    *TIMEOUT.get_or_init(|| {
-        let raw = std::env::var("CUBERUN_STALL_TIMEOUT_MS")
-            .map(|v| ("CUBERUN_STALL_TIMEOUT_MS", v))
-            .or_else(|_| {
-                std::env::var("CUBERUN_RECV_TIMEOUT_MS").map(|v| ("CUBERUN_RECV_TIMEOUT_MS", v))
-            });
-        match raw {
-            Ok((var, value)) => parse_stall_timeout(var, &value),
-            Err(_) => DEFAULT_STALL_TIMEOUT,
-        }
+    *TIMEOUT.get_or_init(|| match std::env::var("CUBERUN_STALL_TIMEOUT_MS") {
+        Ok(v) => parse_stall_timeout("CUBERUN_STALL_TIMEOUT_MS", &v),
+        Err(_) => DEFAULT_STALL_TIMEOUT,
     })
 }
 

@@ -4,7 +4,10 @@
 //! `(n, PQ, preset)` simulation points fanned out with [`par_map`]) and
 //! the exchange-engine data plane (per-node gather/scatter/permute loops
 //! fanned out with [`par_for_each_mut`] while the central `SimNet` cost
-//! accounting stays serial).
+//! accounting stays serial). The store-and-forward router
+//! (`cubecomm::graph`) is deliberately not a consumer: a lane's work in
+//! one round is tiny next to a scoped-thread fork, and forking it once
+//! per round measured 2.6–3.8× slower than the serial loop.
 //!
 //! Every helper returns results **in input order** and runs each item on
 //! exactly one worker, so a parallel run is byte-identical to the
@@ -187,57 +190,6 @@ pub fn par_for_each_mut_with<T: Send>(
     });
 }
 
-/// Runs `f` for the items at `indices` (strictly ascending positions
-/// into `items`), fanning chunks of the index list over [`num_threads`]
-/// scoped threads.
-///
-/// The sparse sibling of [`par_for_each_mut`], for data planes that keep
-/// an active-slot list over mostly-idle storage (the e-cube router's
-/// live lanes): only the listed items are visited, so a round costs
-/// O(active), not O(total). Disjointness follows from the ascending
-/// order, which is asserted.
-pub fn par_for_each_mut_sparse<T: Send>(
-    items: &mut [T],
-    indices: &[u32],
-    f: impl Fn(&mut T) + Sync,
-) {
-    par_for_each_mut_sparse_with(num_threads(), items, indices, f);
-}
-
-/// [`par_for_each_mut_sparse`] with an explicit worker count.
-pub fn par_for_each_mut_sparse_with<T: Send>(
-    threads: usize,
-    items: &mut [T],
-    indices: &[u32],
-    f: impl Fn(&mut T) + Sync,
-) {
-    let threads = threads.min(indices.len());
-    if threads <= 1 {
-        let mut prev = None;
-        for &i in indices {
-            assert!(prev < Some(i), "indices must be strictly ascending");
-            prev = Some(i);
-            f(&mut items[i as usize]);
-        }
-        return;
-    }
-    // Split the slice once into disjoint per-index references, then fan
-    // those out like any other mutable slice.
-    let mut refs: Vec<&mut T> = Vec::with_capacity(indices.len());
-    let mut rest = items;
-    let mut base = 0usize;
-    for &i in indices {
-        let i = i as usize;
-        assert!(i >= base, "indices must be strictly ascending");
-        let tail = std::mem::take(&mut rest);
-        let (first, after) = tail[i - base..].split_first_mut().expect("index out of bounds");
-        refs.push(first);
-        rest = after;
-        base = i + 1;
-    }
-    par_for_each_mut_with(threads, &mut refs, |_, item| f(item));
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -332,35 +284,6 @@ mod tests {
     fn for_each_mut_worker_panic_propagates() {
         let mut items = vec![0u64; 8];
         par_for_each_mut_with(4, &mut items, |i, _| assert!(i != 6, "boom"));
-    }
-
-    #[test]
-    fn sparse_visits_exactly_the_listed_indices() {
-        for threads in [1, 2, 3, 8] {
-            let mut items = vec![0u64; 41];
-            let indices: Vec<u32> = vec![0, 3, 4, 17, 40];
-            par_for_each_mut_sparse_with(threads, &mut items, &indices, |slot| *slot += 1);
-            for (i, &v) in items.iter().enumerate() {
-                let expect = u64::from(indices.contains(&(i as u32)));
-                assert_eq!(v, expect, "index {i}, {threads} threads");
-            }
-        }
-    }
-
-    #[test]
-    fn sparse_empty_and_full_lists_are_fine() {
-        let mut items = vec![1u64; 8];
-        par_for_each_mut_sparse_with(4, &mut items, &[], |_| unreachable!());
-        let all: Vec<u32> = (0..8).collect();
-        par_for_each_mut_sparse_with(3, &mut items, &all, |slot| *slot *= 2);
-        assert_eq!(items, vec![2u64; 8]);
-    }
-
-    #[test]
-    #[should_panic(expected = "strictly ascending")]
-    fn sparse_rejects_unsorted_indices() {
-        let mut items = vec![0u64; 8];
-        par_for_each_mut_sparse_with(2, &mut items, &[3, 1], |_| ());
     }
 
     #[test]

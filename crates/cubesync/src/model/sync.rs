@@ -5,7 +5,7 @@
 //! global object id the engine keys its protocol state on. Under a
 //! check, the engine decides ownership and blocking *first* — the real
 //! inner lock is then always uncontended, which is what lets these
-//! types stay `unsafe`-free: the data really is protected by a real
+//! types stay entirely safe Rust: the data really is protected by a real
 //! `std::sync::Mutex`, the model merely forces who gets it when.
 
 use std::fmt;

@@ -144,10 +144,12 @@ begin "perfbench: the harness's own unit tests"
 # never reaches these.
 cargo test --offline -q --manifest-path perfbench/Cargo.toml
 
-begin "perfbench smoke: one round of each driver::execute workload must be correct"
+begin "perfbench smoke: one round of each driver::execute, router and plan workload must be correct"
 # Paper-scale ops with every check on (output labels, chosen algorithm,
-# pinned simulated time). No time bound: timing is BENCHMARK.json's job.
-for workload in ipsc6-2d-spt ipsc6-1d-exchange cm16-2d-mpt; do
+# router twin agreement, plan lint and replay, pinned simulated time).
+# No time bound: timing is BENCHMARK.json's job.
+for workload in ipsc6-2d-spt ipsc6-1d-exchange cm16-2d-mpt \
+    cm14-router cm14-plan-cold cm14-plan-warm; do
     verdict="$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
         --workload "$workload" --rounds 1 | tail -n 1)"
     case "$verdict" in

@@ -308,11 +308,15 @@ mod tests {
     }
 }
 
-/// Allocation gate for the in-place kernel: a counting global allocator
-/// (test harness only) that, while armed on the current thread, counts
-/// allocations at or above a size threshold. `unsafe impl GlobalAlloc`
-/// must live in this module — the workspace denies `unsafe_code`
-/// everywhere except this file.
+/// Allocation gates: a counting global allocator (test harness only)
+/// with two independent counters. While a thread is `ARMED` it counts
+/// allocations at or above a size threshold (the in-place kernel's
+/// gate); while a thread has `COUNTED` set it counts every allocation
+/// that thread makes (the CM-scale MPT gate). The second is thread-local
+/// end to end, so the gates cannot disturb each other when the harness
+/// runs them side by side. `unsafe impl GlobalAlloc` must live in this
+/// module — the workspace denies `unsafe_code` everywhere except this
+/// file.
 #[cfg(test)]
 mod alloc_gate {
     use cubesync::atomic::{AtomicUsize, Ordering};
@@ -328,6 +332,9 @@ mod alloc_gate {
         /// Only the thread running the gated test arms itself, so the
         /// rest of the (parallel) test harness doesn't pollute the count.
         pub static ARMED: Cell<bool> = const { Cell::new(false) };
+        /// `Some(allocations so far)` while this thread counts every
+        /// allocation it makes, whatever its size.
+        pub static COUNTED: Cell<Option<usize>> = const { Cell::new(None) };
     }
 
     struct Counting;
@@ -343,6 +350,7 @@ mod alloc_gate {
             {
                 BIG_ALLOCS.fetch_add(1, Ordering::Relaxed);
             }
+            let _ = COUNTED.try_with(|c| c.set(c.get().map(|seen| seen + 1)));
             unsafe { System.alloc(layout) }
         }
 
@@ -357,8 +365,34 @@ mod alloc_gate {
 
 #[cfg(test)]
 mod alloc_gate_tests {
-    use super::alloc_gate::{ARMED, BIG_ALLOCS, THRESHOLD};
+    use super::alloc_gate::{ARMED, BIG_ALLOCS, COUNTED, THRESHOLD};
     use cubesync::atomic::Ordering;
+
+    /// `cm16-2d-mpt` at reduced size — one element per node, 256 nodes,
+    /// every packet a one-element message: MPT may allocate a packet's
+    /// payload, its delivery list and the output buffer per node, plus
+    /// a handful of growing vectors for the whole transpose (≈ 3.2 per
+    /// node in all). Anything allocated per path — there are 2H(x) of
+    /// them per node — blows the bound.
+    #[test]
+    fn mpt_at_cm_shape_allocates_a_small_constant_per_node() {
+        use cubelayout::{Assignment, Encoding, Layout};
+        use cubesim::{MachineParams, SimNet};
+        let before = Layout::square(4, 4, 4, Assignment::Consecutive, Encoding::Binary);
+        let after = before.swapped_shape();
+        let m = crate::verify::labels(before.clone());
+        let mut net = SimNet::new(8, MachineParams::connection_machine());
+        // One worker: `rebuild` then runs on this (counted) thread.
+        let (out, allocs) = cubesim::par::with_threads(1, || {
+            COUNTED.with(|c| c.set(Some(0)));
+            let out = crate::two_dim::transpose_mpt(&m, &after, &mut net, 1);
+            (out, COUNTED.with(|c| c.take()).expect("counting was on"))
+        });
+        crate::verify::assert_transposed(&before, &out);
+        net.finalize();
+        let nodes = before.num_nodes();
+        assert!(allocs <= 4 * nodes, "transpose_mpt made {allocs} allocations for {nodes} nodes");
+    }
 
     /// The in-place path must never allocate O(mn)-sized scratch after
     /// warmup: with `mn` elements of `u64`, no single allocation may

@@ -21,10 +21,19 @@
 //!
 //! The simulator enforces the edge-disjointness claims at runtime: any
 //! two messages on one directed link in the same round abort the run.
+//!
+//! All three build one *flight plan* and run it: a flight is a packet,
+//! its injection cycle and a `(start, len)` reference to its path, and
+//! every path a packet actually rides is written once — by the same
+//! allocation-free writer behind [`mpt_path`] — into one byte arena for
+//! the whole transpose. MPT at the paper's CM size is 65 536 nodes of
+//! `2H(x)` paths each, of which a one-element array rides one; nothing
+//! is allocated per path, and an unused path is never written.
 
 use cubeaddr::NodeId;
 use cubelayout::{CommPattern, DistMatrix, Layout, TransposeSpec};
 use cubesim::{Payload, SimNet};
+use std::ops::Range;
 
 /// A pipelined packet: a slice of the source node's local array.
 #[derive(Clone, Debug)]
@@ -54,61 +63,99 @@ pub fn h_of(x: u64, half: u32) -> u32 {
     cubeaddr::hamming(r, c)
 }
 
-/// The α (row) and β (column) dimension sequences of node `x`, indexed as
-/// the paper's `α_{H-1} … α_0` / `β_{H-1} … β_0`: `alpha[k] = α_k`, so
-/// index `H-1` is the highest differing dimension.
-fn alpha_beta(x: u64, half: u32) -> (Vec<u32>, Vec<u32>) {
+/// Hands `push` the dimensions of path `p ∈ {0, …, 2H(x)-1}` from `x` to
+/// `tr(x)` (§6.1.3), in routing order, without allocating — the one path
+/// construction behind [`mpt_path`], [`spt_path`] and the flight plans.
+///
+/// With `β_{H-1} > … > β_0` the set bits of `x_r ⊕ x_c` and
+/// `α_k = β_k + half`: path `p < H` routes the pairs `(α_k, β_k)` for
+/// `k = p-1, p-2, …` (cyclically, so path 0 starts at the highest
+/// differing dimension); path `H + j` is path `j` with every pair
+/// reversed. A diagonal node (`H = 0`) has no path.
+fn write_path(x: u64, half: u32, p: u32, mut push: impl FnMut(u32)) {
     let (r, c) = cubeaddr::split(x, half);
-    let diff = r ^ c;
-    let beta: Vec<u32> = (0..half).filter(|&i| (diff >> i) & 1 == 1).collect();
-    let alpha: Vec<u32> = beta.iter().map(|&i| i + half).collect();
-    (alpha, beta)
+    let mut diff = r ^ c;
+    let h = diff.count_ones();
+    if h == 0 {
+        return;
+    }
+    assert!(p < 2 * h, "path {p} out of range for H = {h}");
+    // β_k is the k-th lowest set bit; a field is at most 32 bits wide.
+    let mut beta = [0u32; 32];
+    for b in &mut beta[..h as usize] {
+        *b = diff.trailing_zeros();
+        diff &= diff - 1;
+    }
+    let (j, row_first) = if p < h { (p, true) } else { (p - h, false) };
+    for step in 0..h {
+        let b = beta[((j + h - 1 - step) % h) as usize];
+        let (first, second) = if row_first { (b + half, b) } else { (b, b + half) };
+        push(first);
+        push(second);
+    }
 }
 
 /// Path `p ∈ {0, …, 2H(x)-1}` from `x` to `tr(x)` (§6.1.3): the sequence
 /// of dimensions routed. Path 0 is the SPT path; paths 0 and `H(x)` are
 /// the DPT pair.
 pub fn mpt_path(x: u64, half: u32, p: u32) -> Vec<u32> {
-    let (alpha, beta) = alpha_beta(x, half);
-    let h = alpha.len() as u32;
-    if h == 0 {
-        return Vec::new();
-    }
-    assert!(p < 2 * h, "path {p} out of range for H = {h}");
-    let mut dims = Vec::with_capacity(2 * h as usize);
-    if p < h {
-        for step in 0..h {
-            let k = ((p + h - 1 - step) % h) as usize;
-            dims.push(alpha[k]);
-            dims.push(beta[k]);
-        }
-    } else {
-        let j = p - h;
-        for step in 0..h {
-            let k = ((j + h - 1 - step) % h) as usize;
-            dims.push(beta[k]);
-            dims.push(alpha[k]);
-        }
-    }
+    let mut dims = Vec::with_capacity(2 * h_of(x, half) as usize);
+    write_path(x, half, p, |d| dims.push(d));
     dims
 }
 
 /// The SPT path of `x`: highest-to-lowest (row, column) dimension pairs.
 pub fn spt_path(x: u64, half: u32) -> Vec<u32> {
-    let h = h_of(x, half);
-    if h == 0 {
-        Vec::new()
-    } else {
-        mpt_path(x, half, 0)
-    }
+    mpt_path(x, half, 0)
+}
+
+/// A path written into a [`FlightPlan`]'s arena: the dimensions
+/// `arena[start..start + len]`.
+#[derive(Clone, Copy)]
+struct PathRef {
+    start: u32,
+    len: u32,
 }
 
 /// One pipelined flight: a packet, its path, and its injection cycle.
 struct Flight<T> {
     src: NodeId,
-    path: std::rc::Rc<Vec<u32>>,
+    path: PathRef,
     inject: usize,
     packet: Packet<T>,
+}
+
+/// Every flight of one transpose, and the one arena their paths live in
+/// (a dimension fits a byte: `n ≤ 64`).
+struct FlightPlan<T> {
+    arena: Vec<u8>,
+    flights: Vec<Flight<T>>,
+}
+
+impl<T: Copy> FlightPlan<T> {
+    fn new() -> Self {
+        FlightPlan { arena: Vec::new(), flights: Vec::new() }
+    }
+
+    /// Writes path `p` of node `x` into the arena.
+    fn path(&mut self, x: u64, half: u32, p: u32) -> PathRef {
+        let start = self.arena.len();
+        write_path(x, half, p, |d| self.arena.push(d as u8));
+        // The end fitting u32 means every position before it does.
+        let end = u32::try_from(self.arena.len()).expect("flight-plan arena exceeds 4 GiB");
+        PathRef { start: start as u32, len: end - start as u32 }
+    }
+
+    /// Adds the flights carrying `data[range]` in packets of at most `b`
+    /// elements, injected one per cycle along `path`.
+    fn pipeline(&mut self, x: u64, path: PathRef, data: &[T], range: Range<usize>, b: usize) {
+        assert!(b > 0);
+        let first = range.start;
+        for (i, chunk) in data[range].chunks(b).enumerate() {
+            let packet = Packet { offset: first + i * b, data: chunk.to_vec() };
+            self.flights.push(Flight { src: NodeId(x), path, inject: i, packet });
+        }
+    }
 }
 
 /// Runs all flights to completion, one hop per cycle starting at each
@@ -116,23 +163,21 @@ struct Flight<T> {
 ///
 /// Panics (inside the simulator) if the flight set ever contends for a
 /// directed link — the runtime check of the edge-disjointness lemmas.
-fn run_flights<T: Clone>(
-    net: &mut SimNet<Packet<T>>,
-    flights: Vec<Flight<T>>,
-) -> Vec<Vec<Packet<T>>> {
+fn run_flights<T>(net: &mut SimNet<Packet<T>>, plan: FlightPlan<T>) -> Vec<Vec<Packet<T>>> {
     let num = net.num_nodes();
     let mut deliveries: Vec<Vec<Packet<T>>> = (0..num).map(|_| Vec::new()).collect();
-    // in_flight: (current node, path, pos, packet) for launched flights.
+    /// A launched flight: where its packet is, and the arena positions
+    /// of its next hop and of its path's end.
     struct Live<T> {
         at: NodeId,
-        path: std::rc::Rc<Vec<u32>>,
-        pos: usize,
+        next: u32,
+        end: u32,
         packet: Packet<T>,
     }
+    let FlightPlan { arena, flights: mut waiting } = plan;
     // Stable sort by injection cycle, then drain through a cursor: the
     // launch scan is one pass over the schedule instead of re-partitioning
     // (and reallocating) the whole waiting list every cycle.
-    let mut waiting = flights;
     waiting.sort_by_key(|f| f.inject);
     let mut waiting = waiting.into_iter().peekable();
     let mut live: Vec<Live<T>> = Vec::new();
@@ -141,22 +186,23 @@ fn run_flights<T: Clone>(
         // Launch this cycle's injections.
         while let Some(f) = waiting.next_if(|f| f.inject <= cycle) {
             debug_assert_eq!(f.inject, cycle, "missed injection cycle");
-            live.push(Live { at: f.src, path: f.path, pos: 0, packet: f.packet });
+            let PathRef { start, len } = f.path;
+            live.push(Live { at: f.src, next: start, end: start + len, packet: f.packet });
         }
         // Every live packet advances one hop: the payload itself moves
         // (no per-hop clone) and is reclaimed from the inbox below.
         for l in &mut live {
             let pkt = std::mem::replace(&mut l.packet, Packet { offset: 0, data: Vec::new() });
-            net.send(l.at, l.path[l.pos], pkt);
+            net.send(l.at, u32::from(arena[l.next as usize]), pkt);
         }
         net.finish_round();
         live.retain_mut(|l| {
-            let dim = l.path[l.pos];
+            let dim = u32::from(arena[l.next as usize]);
             let next = l.at.neighbor(dim);
             l.packet = net.recv(next, dim);
             l.at = next;
-            l.pos += 1;
-            if l.pos == l.path.len() {
+            l.next += 1;
+            if l.next == l.end {
                 let pkt = std::mem::replace(&mut l.packet, Packet { offset: 0, data: Vec::new() });
                 deliveries[l.at.index()].push(pkt);
                 return false;
@@ -166,29 +212,6 @@ fn run_flights<T: Clone>(
         cycle += 1;
     }
     deliveries
-}
-
-/// Slices `data` into packets of at most `b` elements, tagged with their
-/// offsets.
-fn packetize<T: Clone>(data: &[T], b: usize) -> Vec<Packet<T>> {
-    assert!(b > 0);
-    data.chunks(b).enumerate().map(|(i, c)| Packet { offset: i * b, data: c.to_vec() }).collect()
-}
-
-/// Slices `data` into exactly `parts` near-equal packets (sizes differing
-/// by at most one; trailing parts may be empty when `data.len() < parts`).
-fn split_exact<T: Clone>(data: &[T], parts: usize) -> Vec<Packet<T>> {
-    let total = data.len();
-    let base = total / parts;
-    let extra = total % parts;
-    let mut out = Vec::with_capacity(parts);
-    let mut offset = 0usize;
-    for k in 0..parts {
-        let take = base + usize::from(k < extra);
-        out.push(Packet { offset, data: data[offset..offset + take].to_vec() });
-        offset += take;
-    }
-    out
 }
 
 /// Shared validation and setup: the spec must be a pairwise exchange with
@@ -225,8 +248,10 @@ fn check_pairwise(spec: &TransposeSpec) -> u32 {
 /// storage order.
 ///
 /// Each destination's work — sorting its packets by offset, block-copying
-/// them into the source array they tile exactly, and the tiled local
-/// transpose — is independent, so destinations are processed in parallel.
+/// them into the source array they tile exactly (skipped when the array
+/// arrived as one whole packet, which is then transposed where it lies),
+/// and the tiled local transpose — is independent, so destinations are
+/// processed in parallel.
 fn rebuild<T: Copy + Default + Send + Sync>(
     spec: &TransposeSpec,
     m: &DistMatrix<T>,
@@ -241,12 +266,17 @@ fn rebuild<T: Copy + Default + Send + Sync>(
     cubesim::par::par_for_each_mut(&mut slots, |dst, (pkts, out)| {
         // Each destination receives from exactly one source, tr(dst).
         let src = tr(dst as u64, half);
-        let arr: Vec<T> = if src == dst as u64 {
+        let whole = pkts.len() == 1 && pkts[0].offset == 0 && pkts[0].data.len() == per;
+        let mut gathered;
+        let arr: &[T] = if src == dst as u64 {
             // Diagonal node (H = 0): its own array, nothing arrived.
             debug_assert!(pkts.is_empty());
-            m.node(NodeId(src)).to_vec()
+            m.node(NodeId(src))
+        } else if whole {
+            // The source's array arrived as one packet: it is the array.
+            &pkts[0].data
         } else {
-            let mut gathered = vec![T::default(); per];
+            gathered = vec![T::default(); per];
             pkts.sort_unstable_by_key(|p| p.offset);
             let mut covered = 0usize;
             for pkt in pkts.iter() {
@@ -255,9 +285,9 @@ fn rebuild<T: Copy + Default + Send + Sync>(
                 covered += pkt.data.len();
             }
             assert_eq!(covered, per, "node {dst} missing elements from {src}");
-            gathered
+            &gathered
         };
-        crate::local::transpose_flat_blocked_into(&arr, rows, cols, 64, out);
+        crate::local::transpose_flat_blocked_into(arr, rows, cols, 64, out);
     });
     let buffers: Vec<Vec<T>> = slots.into_iter().map(|(_, out)| out).collect();
     DistMatrix::from_buffers(spec.after.clone(), buffers)
@@ -274,17 +304,16 @@ pub fn transpose_spt<T: Copy + Default + Send + Sync>(
 ) -> DistMatrix<T> {
     let spec = TransposeSpec::with_after(m.layout().clone(), after.clone());
     let half = check_pairwise(&spec);
-    let mut flights = Vec::new();
+    let mut plan = FlightPlan::new();
     for x in 0..spec.before.num_nodes() as u64 {
         if h_of(x, half) == 0 {
             continue;
         }
-        let path = std::rc::Rc::new(spt_path(x, half));
-        for (i, pkt) in packetize(m.node(NodeId(x)), b).into_iter().enumerate() {
-            flights.push(Flight { src: NodeId(x), path: path.clone(), inject: i, packet: pkt });
-        }
+        let path = plan.path(x, half, 0);
+        let data = m.node(NodeId(x));
+        plan.pipeline(x, path, data, 0..data.len(), b);
     }
-    let deliveries = run_flights(net, flights);
+    let deliveries = run_flights(net, plan);
     rebuild(&spec, m, deliveries, half)
 }
 
@@ -320,7 +349,7 @@ pub fn transpose_dpt<T: Copy + Default + Send + Sync>(
 ) -> DistMatrix<T> {
     let spec = TransposeSpec::with_after(m.layout().clone(), after.clone());
     let half = check_pairwise(&spec);
-    let mut flights = Vec::new();
+    let mut plan = FlightPlan::new();
     for x in 0..spec.before.num_nodes() as u64 {
         let h = h_of(x, half);
         if h == 0 {
@@ -329,15 +358,11 @@ pub fn transpose_dpt<T: Copy + Default + Send + Sync>(
         let data = m.node(NodeId(x));
         let mid = data.len() / 2;
         for (path_id, range) in [(0u32, 0..mid), (h, mid..data.len())] {
-            let path = std::rc::Rc::new(mpt_path(x, half, path_id));
-            let slice = &data[range.clone()];
-            for (i, mut pkt) in packetize(slice, b).into_iter().enumerate() {
-                pkt.offset += range.start;
-                flights.push(Flight { src: NodeId(x), path: path.clone(), inject: i, packet: pkt });
-            }
+            let path = plan.path(x, half, path_id);
+            plan.pipeline(x, path, data, range, b);
         }
     }
-    let deliveries = run_flights(net, flights);
+    let deliveries = run_flights(net, plan);
     rebuild(&spec, m, deliveries, half)
 }
 
@@ -368,8 +393,17 @@ pub fn transpose_mpt<T: Copy + Default + Send + Sync>(
     assert!(k >= 1);
     let spec = TransposeSpec::with_after(m.layout().clone(), after.clone());
     let half = check_pairwise(&spec);
-    let mut flights = Vec::new();
-    for x in 0..spec.before.num_nodes() as u64 {
+    let deliveries = run_flights(net, mpt_plan(m, half, k));
+    rebuild(&spec, m, deliveries, half)
+}
+
+/// The MPT flight plan: node `x`'s array cut into `4·k_H·H(x)` near-equal
+/// packets (sizes differing by at most one, the longer ones first), packet
+/// `idx` on path `idx mod 2H`. Empty packets — and the paths only they
+/// would ride — are never materialized.
+fn mpt_plan<T: Copy>(m: &DistMatrix<T>, half: u32, k: u32) -> FlightPlan<T> {
+    let mut plan = FlightPlan::new();
+    for x in 0..m.layout().num_nodes() as u64 {
         let h = h_of(x, half);
         if h == 0 {
             continue;
@@ -379,25 +413,32 @@ pub fn transpose_mpt<T: Copy + Default + Send + Sync>(
         // packet size stays near PQ/(4·k·(n/2)·N) and all classes finish
         // within 2·k·(n/2) + 1 cycles (the paper's ⌊(n/2)/H⌋·4H packets).
         let k_h = (k * half / h).max(1);
-        let n_packets = (4 * k_h * h) as usize;
-        let packets = split_exact(data, n_packets);
-        let paths: Vec<std::rc::Rc<Vec<u32>>> =
-            (0..2 * h).map(|p| std::rc::Rc::new(mpt_path(x, half, p))).collect();
-        // Packet ordinal o on path p: o-th of the path's 2·k_h packets,
-        // injected at cycle 2H·(o/2) + (o mod 2) — two packets per path
-        // every 2H cycles, the (2, 2H)-disjoint schedule of Lemma 14.
-        for (idx, pkt) in packets.into_iter().enumerate() {
-            if pkt.data.is_empty() {
-                continue;
+        let n_paths = 2 * h as usize;
+        let n_packets = 2 * k_h as usize * n_paths;
+        let (base, extra) = (data.len() / n_packets, data.len() % n_packets);
+        // A path's first packet is the longest it ever carries, so the
+        // first pass over the paths (o = 0) writes every path in use.
+        let mut paths = [PathRef { start: 0, len: 0 }; 64];
+        let mut offset = 0usize;
+        for idx in 0..n_packets {
+            let take = base + usize::from(idx < extra);
+            if take == 0 {
+                break;
             }
-            let p = idx % (2 * h as usize);
-            let o = idx / (2 * h as usize);
-            let inject = 2 * h as usize * (o / 2) + (o % 2);
-            flights.push(Flight { src: NodeId(x), path: paths[p].clone(), inject, packet: pkt });
+            // Packet ordinal o on path p: o-th of the path's 2·k_h packets,
+            // injected at cycle 2H·(o/2) + (o mod 2) — two packets per path
+            // every 2H cycles, the (2, 2H)-disjoint schedule of Lemma 14.
+            let (p, o) = (idx % n_paths, idx / n_paths);
+            if o == 0 {
+                paths[p] = plan.path(x, half, p as u32);
+            }
+            let inject = n_paths * (o / 2) + (o % 2);
+            let packet = Packet { offset, data: data[offset..offset + take].to_vec() };
+            plan.flights.push(Flight { src: NodeId(x), path: paths[p], inject, packet });
+            offset += take;
         }
     }
-    let deliveries = run_flights(net, flights);
-    rebuild(&spec, m, deliveries, half)
+    plan
 }
 
 #[cfg(test)]
@@ -453,6 +494,128 @@ mod tests {
             assert_eq!(cur, 0b111_000, "path {p} misses the destination");
         }
         assert_eq!(edges.len(), 36);
+    }
+
+    #[test]
+    fn figure4_path_lists() {
+        // The six lists of Figure 4, x = (000 ‖ 111) on the 6-cube:
+        // rotations of (5 2)(4 1)(3 0), then of the pair-reversed mirror.
+        let listed: [[u32; 6]; 6] = [
+            [5, 2, 4, 1, 3, 0],
+            [3, 0, 5, 2, 4, 1],
+            [4, 1, 3, 0, 5, 2],
+            [2, 5, 1, 4, 0, 3],
+            [0, 3, 2, 5, 1, 4],
+            [1, 4, 0, 3, 2, 5],
+        ];
+        for (p, want) in listed.iter().enumerate() {
+            assert_eq!(mpt_path(0b000_111, 3, p as u32), want, "path {p}");
+        }
+        assert_eq!(spt_path(0b000_111, 3), listed[0]);
+    }
+
+    /// §6.1.3 as the paper lists it — the α and β sequences built as
+    /// lists, then rotated and pair-reversed — kept as the oracle for
+    /// the allocation-free writer.
+    fn listed_path(x: u64, half: u32, p: u32) -> Vec<u32> {
+        let (r, c) = cubeaddr::split(x, half);
+        let beta: Vec<u32> = (0..half).filter(|&i| ((r ^ c) >> i) & 1 == 1).collect();
+        let alpha: Vec<u32> = beta.iter().map(|&i| i + half).collect();
+        let h = beta.len() as u32;
+        let (j, row_first) = if p < h { (p, true) } else { (p - h, false) };
+        let mut dims = Vec::new();
+        for step in 0..h {
+            let k = ((j + h - 1 - step) % h) as usize;
+            dims.extend(if row_first { [alpha[k], beta[k]] } else { [beta[k], alpha[k]] });
+        }
+        dims
+    }
+
+    #[test]
+    fn every_path_matches_the_listed_construction() {
+        for half in 1..=5u32 {
+            for x in 0..1u64 << (2 * half) {
+                let h = h_of(x, half);
+                for p in 0..2 * h {
+                    assert_eq!(mpt_path(x, half, p), listed_path(x, half, p), "x={x:#b} p={p}");
+                }
+                assert_eq!(spt_path(x, half), listed_path(x, half, 0), "x={x:#b} SPT");
+                // A diagonal node has no path, whatever `p` says.
+                if h == 0 {
+                    assert!(mpt_path(x, half, 3).is_empty());
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "path 6 out of range for H = 3")]
+    fn path_index_beyond_2h_rejected() {
+        let _ = mpt_path(0b1001_0100, 4, 6);
+    }
+
+    #[test]
+    fn arena_paths_are_the_listed_paths_back_to_back() {
+        // All 2H paths of every node of the 6-cube in one arena: each
+        // reference must slice out exactly its own path.
+        let half = 3;
+        let mut plan: FlightPlan<u64> = FlightPlan::new();
+        let mut refs = Vec::new();
+        for x in 0..1u64 << (2 * half) {
+            for p in 0..2 * h_of(x, half) {
+                refs.push((x, p, plan.path(x, half, p)));
+            }
+        }
+        assert_eq!(plan.arena.len(), refs.iter().map(|r| r.2.len as usize).sum::<usize>());
+        for (x, p, path) in refs {
+            let dims = &plan.arena[path.start as usize..(path.start + path.len) as usize];
+            let dims: Vec<u32> = dims.iter().map(|&d| u32::from(d)).collect();
+            assert_eq!(dims, listed_path(x, half, p), "x={x:#b} p={p}");
+        }
+    }
+
+    #[test]
+    fn mpt_deliveries_tile_the_source_array_when_packets_are_ragged() {
+        // Shapes whose per-node array is not a multiple of (or is smaller
+        // than) the 4·k_H·H packet count: near-equal packets, some empty.
+        let shapes = [
+            Layout::square(3, 3, 2, Assignment::Consecutive, Encoding::Binary),
+            Layout::square(5, 4, 2, Assignment::Cyclic, Encoding::Binary),
+            Layout::square(3, 3, 1, Assignment::Consecutive, Encoding::Binary),
+        ];
+        let mut ragged = 0;
+        for before in shapes {
+            let half = before.n() / 2;
+            let per = before.elems_per_node();
+            let m = labels(before.clone());
+            for k in 1..=3u32 {
+                let mut net = net(before.n());
+                let deliveries = run_flights(&mut net, mpt_plan(&m, half, k));
+                net.finalize();
+                for (dst, mut pkts) in deliveries.into_iter().enumerate() {
+                    let src = tr(dst as u64, half);
+                    let h = h_of(src, half);
+                    if h == 0 {
+                        assert!(pkts.is_empty());
+                        continue;
+                    }
+                    let n_packets = (4 * (k * half / h).max(1) * h) as usize;
+                    ragged += usize::from(!per.is_multiple_of(n_packets));
+                    assert_eq!(pkts.len(), n_packets.min(per), "node {dst} k={k}");
+                    pkts.sort_by_key(|p| p.offset);
+                    let mut covered = 0;
+                    for pkt in &pkts {
+                        assert_eq!(pkt.offset, covered, "node {dst} k={k}: gap or overlap");
+                        assert!(!pkt.data.is_empty() && pkt.data.len() <= per.div_ceil(n_packets));
+                        let end = covered + pkt.data.len();
+                        assert_eq!(pkt.data, m.node(NodeId(src))[covered..end]);
+                        covered = end;
+                    }
+                    assert_eq!(covered, per, "node {dst} k={k}: offsets must tile 0..{per}");
+                }
+            }
+        }
+        assert!(ragged > 0, "no shape exercised the ragged split");
     }
 
     #[test]

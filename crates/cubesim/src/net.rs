@@ -87,16 +87,24 @@ scalar_payloads!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize, f32, f64);
 ///
 /// # Performance
 ///
-/// The data plane is flat-indexed: message slots, per-node port
-/// masks, and per-link element totals live in dense vectors indexed by
-/// `node * ports + port` (`node * n + dim` on the cube), with side lists
-/// of the indices touched this round so round boundaries cost
-/// O(messages), not O(nodes·ports). The dense arrays are allocated once
-/// at construction (`num_nodes · ports` slots), so construction is
-/// O(N·ports) in the machine size — trivial at the paper's machine sizes
-/// (n ≤ 14), but don't build a 2^40-node cube. On [`Hypercube`] every
-/// topology query monomorphizes to the same bit arithmetic the flat
-/// cube-only data plane used, so the generic layer costs nothing.
+/// Two things are dense, indexed by directed link (`node * ports + port`;
+/// `node * n + dim` on the cube) and allocated zeroed once at
+/// construction: a `u32` *position index* per link for each of the two
+/// rounds in play (this round's sends, last boundary's deliveries) and
+/// the cumulative `u64` element total per link — 16 bytes per link, so
+/// 3.5 MiB on the 14-cube and 16 MiB on the paper's 65 536-node 16-cube,
+/// whatever the payload type. Everything else is per round and compact:
+/// payloads and their `(link, elements)` records sit in send order in
+/// vectors that grow to the busiest round's message count and are
+/// recycled, and a link's position index says where in them its message
+/// is (0 = none). `send`, `recv` and `has_message` are O(1) through the
+/// index; round boundaries, drains and the unconsumed checks walk the
+/// compact vectors front to back, so they cost O(messages), not
+/// O(nodes·ports), and an idle link is never touched. Construction is
+/// O(N·ports) in the machine size and refuses a graph whose link count
+/// overflows the 32-bit index (the 27-cube is the largest cube). On
+/// [`Hypercube`] every topology query monomorphizes to bit arithmetic,
+/// so the generic layer costs nothing.
 pub struct SimNet<P, T: Topology = Hypercube> {
     topo: T,
     /// Cached `topo.ports()` — the stride of every flat slab.
@@ -104,20 +112,27 @@ pub struct SimNet<P, T: Topology = Hypercube> {
     /// Cached `topo.num_nodes()`.
     num: usize,
     params: MachineParams,
-    /// Message slot per directed link, indexed `dst * ports + rp` where
-    /// `rp` is the *receiver's* port for the link (on the cube, the
-    /// shared dimension): sent this round, delivered at the boundary.
-    outgoing: Vec<Option<P>>,
-    /// Slots filled in `outgoing` this round, in send order, with each
-    /// message's element count cached so round boundaries never re-read
-    /// the payloads.
-    outgoing_idx: Vec<(usize, u32)>,
-    /// Messages delivered at the last round boundary, awaiting recv
-    /// (same indexing as `outgoing`).
-    inbox: Vec<Option<P>>,
-    /// Slots the last boundary delivered into (consumed ones stay listed
-    /// until the next boundary; their slot is `None`).
-    inbox_idx: Vec<(usize, u32)>,
+    /// This round's payloads, in send order; delivered at the boundary.
+    out_msgs: Vec<Option<P>>,
+    /// Parallel to `out_msgs`: each message's link slot and its element
+    /// count, cached so round boundaries never re-read the payloads. A
+    /// slot is `dst * ports + rp` where `rp` is the *receiver's* port for
+    /// the link (on the cube, the shared dimension).
+    outgoing_idx: Vec<(u32, u32)>,
+    /// Per link slot: 0 when the link is free this round, else the
+    /// message's index in `out_msgs` plus one.
+    out_pos: Vec<u32>,
+    /// Payloads delivered at the last round boundary, in the order they
+    /// were sent; `None` once received.
+    in_msgs: Vec<Option<P>>,
+    /// Parallel to `in_msgs` (consumed messages stay listed until the
+    /// next boundary).
+    inbox_idx: Vec<(u32, u32)>,
+    /// Per link slot: 0 when nothing is pending on the link, else the
+    /// message's index in `in_msgs` plus one. Zeroed as each message is
+    /// received, so it is all zero when the boundary swaps it with
+    /// `out_pos`.
+    in_pos: Vec<u32>,
     /// Ports used per node this round (bit mask), for port checks.
     dims_used: Vec<u64>,
     /// Nodes with a non-zero `dims_used` mask this round.
@@ -154,16 +169,26 @@ impl<P: Payload, T: Topology> SimNet<P, T> {
         let nodes = topo.num_nodes();
         let ports = topo.ports();
         assert!(ports <= 64, "{}: {ports} ports exceed the 64-bit port masks", topo.label());
-        let links = nodes * ports as usize;
+        let links = nodes
+            .checked_mul(ports as usize)
+            .filter(|&links| u32::try_from(links).is_ok())
+            .unwrap_or_else(|| {
+                panic!(
+                    "{}: {nodes} nodes x {ports} ports exceed the 32-bit link index",
+                    topo.label()
+                )
+            });
         SimNet {
             ports,
             num: nodes,
             topo,
             params,
-            outgoing: (0..links).map(|_| None).collect(),
+            out_msgs: Vec::new(),
             outgoing_idx: Vec::new(),
-            inbox: (0..links).map(|_| None).collect(),
+            out_pos: vec![0; links],
+            in_msgs: Vec::new(),
             inbox_idx: Vec::new(),
+            in_pos: vec![0; links],
             dims_used: vec![0; nodes],
             dims_touched: Vec::new(),
             copies: vec![0; nodes],
@@ -245,12 +270,18 @@ impl<P: Payload, T: Topology> SimNet<P, T> {
         let rp = self.topo.reverse_port(src.index() as u64, dim).unwrap();
         let slot = self.slot(dst, rp);
         assert!(
-            self.outgoing[slot].is_none(),
+            self.out_pos[slot] == 0,
             "link contention: directed link {src}--dim {dim}--> {dst} used twice in round {}",
             self.report.rounds
         );
-        self.outgoing[slot] = Some(data);
-        self.outgoing_idx.push((slot, elems as u32));
+        let elems32 = u32::try_from(elems).unwrap_or_else(|_| {
+            panic!("message from {src} on dim {dim} carries {elems} elements, over the u32 limit")
+        });
+        self.out_msgs.push(Some(data));
+        // At most one message per link per round, and the link count
+        // fits u32 (checked at construction), so the position does too.
+        self.out_pos[slot] = self.out_msgs.len() as u32;
+        self.outgoing_idx.push((slot as u32, elems32));
         // Port-usage masks only feed the one-port legality check; under
         // all-port rules skip the bookkeeping (two random-access writes
         // per send on the hottest path).
@@ -260,6 +291,8 @@ impl<P: Payload, T: Topology> SimNet<P, T> {
         }
         let src_slot = self.slot(src, dim);
         self.link_totals[src_slot] += elems as u64;
+        // Totals only grow, so the running maximum is the final one.
+        self.report.max_link_elems = self.report.max_link_elems.max(self.link_totals[src_slot]);
         self.report.total_messages += 1;
         self.report.total_elems += elems as u64;
         self.report.total_packets += self.params.packets(elems) as u64;
@@ -302,9 +335,11 @@ impl<P: Payload, T: Topology> SimNet<P, T> {
     pub fn drain_dim(&mut self, dim: u32, out: &mut Vec<(NodeId, P)>) {
         out.clear();
         let n = self.ports as usize;
-        for &(slot, _) in &self.inbox_idx {
+        for (msg, &(slot, _)) in self.in_msgs.iter_mut().zip(&self.inbox_idx) {
+            let slot = slot as usize;
             if slot % n == dim as usize {
-                if let Some(data) = self.inbox[slot].take() {
+                if let Some(data) = msg.take() {
+                    self.in_pos[slot] = 0;
                     out.push((NodeId((slot / n) as u64), data));
                 }
             }
@@ -335,8 +370,10 @@ impl<P: Payload, T: Topology> SimNet<P, T> {
     /// buffer round-trip per message.
     pub fn drain_all_with(&mut self, mut consume: impl FnMut(NodeId, u32, P)) {
         let n = self.ports as usize;
-        for &(slot, _) in &self.inbox_idx {
-            if let Some(data) = self.inbox[slot].take() {
+        for (msg, &(slot, _)) in self.in_msgs.iter_mut().zip(&self.inbox_idx) {
+            if let Some(data) = msg.take() {
+                let slot = slot as usize;
+                self.in_pos[slot] = 0;
                 consume(NodeId((slot / n) as u64), (slot % n) as u32, data);
             }
         }
@@ -353,7 +390,10 @@ impl<P: Payload, T: Topology> SimNet<P, T> {
         self.check_node(dst);
         let msg = if dim < self.ports {
             let slot = self.slot(dst, dim);
-            self.inbox[slot].take()
+            match std::mem::take(&mut self.in_pos[slot]) {
+                0 => None,
+                pos => self.in_msgs[pos as usize - 1].take(),
+            }
         } else {
             None
         };
@@ -367,7 +407,7 @@ impl<P: Payload, T: Topology> SimNet<P, T> {
 
     /// True when a message is pending for `dst` on `dim`.
     pub fn has_message(&self, dst: NodeId, dim: u32) -> bool {
-        dst.index() < self.num && dim < self.ports && self.inbox[self.slot(dst, dim)].is_some()
+        dst.index() < self.num && dim < self.ports && self.in_pos[self.slot(dst, dim)] != 0
     }
 
     /// Charges `elems` elements of local copy/rearrangement work to `node`
@@ -390,14 +430,13 @@ impl<P: Payload, T: Topology> SimNet<P, T> {
     /// delivered at the previous boundary were never received.
     #[track_caller]
     pub fn finish_round(&mut self) {
-        for &(slot, _) in &self.inbox_idx {
-            if self.inbox[slot].is_some() {
-                let (dst, dim) = (slot / self.ports as usize, slot % self.ports as usize);
-                panic!(
-                    "unconsumed message at node {dst} on dim {dim} when round {} ended",
-                    self.report.rounds
-                );
-            }
+        if let Some(i) = self.in_msgs.iter().position(Option::is_some) {
+            let slot = self.inbox_idx[i].0 as usize;
+            let (dst, dim) = (slot / self.ports as usize, slot % self.ports as usize);
+            panic!(
+                "unconsumed message at node {dst} on dim {dim} when round {} ended",
+                self.report.rounds
+            );
         }
         if self.params.ports == PortMode::OnePort {
             for &node in &self.dims_touched {
@@ -438,7 +477,7 @@ impl<P: Payload, T: Topology> SimNet<P, T> {
                 .map(|&(slot, elems)| {
                     // Slot is receiver-side (dst, rp); the event names the
                     // sender and the sender's port (dim, on the cube).
-                    let (dst, rp) = ((slot / n) as u64, (slot % n) as u32);
+                    let (dst, rp) = ((slot as usize / n) as u64, (slot as usize % n) as u32);
                     let src = self.topo.neighbor(dst, rp).unwrap();
                     let dim = self.topo.reverse_port(dst, rp).unwrap();
                     crate::report::LinkEvent { src, dim, elems }
@@ -456,11 +495,14 @@ impl<P: Payload, T: Topology> SimNet<P, T> {
             });
         }
 
-        // Deliver: the filled outgoing slots become the inbox; the old
-        // inbox storage (verified empty above) becomes next round's
-        // outgoing. No per-round allocation.
-        std::mem::swap(&mut self.inbox, &mut self.outgoing);
+        // Deliver: this round's messages and position index become the
+        // inbox. Every message of the old inbox was received (verified
+        // above), which zeroed its position, so the old index comes back
+        // as an all-free `out_pos` without a sweep. No per-round allocation.
+        std::mem::swap(&mut self.in_msgs, &mut self.out_msgs);
         std::mem::swap(&mut self.inbox_idx, &mut self.outgoing_idx);
+        std::mem::swap(&mut self.in_pos, &mut self.out_pos);
+        self.out_msgs.clear();
         self.outgoing_idx.clear();
         for &x in &self.dims_touched {
             self.dims_used[x] = 0;
@@ -477,15 +519,14 @@ impl<P: Payload, T: Topology> SimNet<P, T> {
     /// # Panics
     /// If any message is still in flight or undelivered.
     #[track_caller]
-    pub fn finalize(mut self) -> CommReport {
+    pub fn finalize(self) -> CommReport {
         assert!(
             self.outgoing_idx.is_empty(),
             "{} messages sent but the round never finished",
             self.outgoing_idx.len()
         );
-        let pending = self.inbox_idx.iter().filter(|&&(s, _)| self.inbox[s].is_some()).count();
+        let pending = self.in_msgs.iter().filter(|m| m.is_some()).count();
         assert!(pending == 0, "{pending} delivered messages never received");
-        self.report.max_link_elems = self.link_totals.iter().copied().max().unwrap_or(0);
         self.report
     }
 }
@@ -772,6 +813,28 @@ mod tests {
     fn out_of_range_dim_rejected() {
         let mut net = unit_net(2, PortMode::OnePort);
         net.send(NodeId(0), 5, vec![1]);
+    }
+
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    #[should_panic(expected = "message from 1 on dim 0 carries 4294967296 elements")]
+    fn element_count_beyond_u32_rejected() {
+        struct Huge;
+        impl Payload for Huge {
+            fn elems(&self) -> usize {
+                1 << 32
+            }
+        }
+        let mut net: SimNet<Huge> = SimNet::new(1, MachineParams::unit(PortMode::OnePort));
+        net.send(NodeId(1), 0, Huge);
+    }
+
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    #[should_panic(expected = "28-cube: 268435456 nodes x 28 ports exceed the 32-bit link index")]
+    fn link_count_beyond_u32_rejected() {
+        // Refused before anything is allocated.
+        let _ = unit_net(28, PortMode::AllPorts);
     }
 
     #[test]

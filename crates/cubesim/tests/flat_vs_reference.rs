@@ -4,7 +4,9 @@
 //! Both nets are driven through identical randomly generated schedules
 //! (legal and deliberately illegal ones) and must produce identical
 //! [`CommReport`]s, identical received payloads, and identical panic
-//! messages at the same points.
+//! messages at the same points. `ReferenceNet` has no drains, so the
+//! drain tests receive from it one message at a time in the order each
+//! drain documents (send order; ascending destination per dimension).
 
 use cubeaddr::NodeId;
 use cubesim::reference::ReferenceNet;
@@ -145,6 +147,147 @@ fn drive<N: Net>(
     (net.finalize_report(), received)
 }
 
+/// How [`drive_drained`] empties what a boundary delivered, after the
+/// round's early `recv`s.
+#[derive(Clone, Copy, Debug)]
+enum Drain {
+    All,
+    AllWith,
+    Dim,
+}
+
+type Delivery = (NodeId, u32, Vec<u64>);
+
+/// Sends one round and closes it, then receives the sends marked in
+/// `early` one by one (in send order) — the part of [`drive_drained`]
+/// and [`drive_reference_ordered`] that is the same on both nets.
+fn round_with_early_recvs<N: Net>(
+    net: &mut N,
+    round: &Round,
+    early: &[bool],
+    got: &mut Vec<Delivery>,
+) {
+    for (src, dim, payload) in &round.sends {
+        net.send(*src, *dim, payload.clone());
+    }
+    for (node, elems) in &round.copies {
+        net.local_copy(*node, *elems);
+    }
+    net.finish_round();
+    for ((src, dim, _), _) in round.sends.iter().zip(early).filter(|(_, &e)| e) {
+        let dst = src.neighbor(*dim);
+        assert!(net.has_message(dst, *dim));
+        got.push((dst, *dim, net.recv(dst, *dim)));
+        assert!(!net.has_message(dst, *dim), "has_message still true after recv");
+    }
+}
+
+/// Runs the schedule on the flat net, emptying each round's remaining
+/// deliveries through the drain under test.
+fn drive_drained(
+    mut net: SimNet<Vec<u64>>,
+    n: u32,
+    schedule: &[Round],
+    early: &[Vec<bool>],
+    mode: Drain,
+) -> (CommReport, Vec<Delivery>) {
+    let mut got = Vec::new();
+    // Recycled across rounds, stale on entry: the drains must clear them.
+    let mut all_buf = vec![(NodeId(0), 0, vec![0xdead])];
+    let mut dim_buf = vec![(NodeId(0), vec![0xdead])];
+    for (round, early) in schedule.iter().zip(early) {
+        round_with_early_recvs(&mut net, round, early, &mut got);
+        match mode {
+            Drain::All => {
+                net.drain_all(&mut all_buf);
+                got.extend(all_buf.iter().cloned());
+            }
+            Drain::AllWith => net.drain_all_with(|dst, dim, data| got.push((dst, dim, data))),
+            Drain::Dim => {
+                for d in 0..n {
+                    net.drain_dim(d, &mut dim_buf);
+                    got.extend(dim_buf.iter().map(|(dst, data)| (*dst, d, data.clone())));
+                }
+            }
+        }
+        for (src, dim, _) in &round.sends {
+            assert!(!net.has_message(src.neighbor(*dim), *dim), "drained slot still pending");
+        }
+    }
+    (net.finalize(), got)
+}
+
+/// Runs the schedule on the reference net, receiving each round's
+/// remaining deliveries in the order `mode`'s drain documents.
+fn drive_reference_ordered(
+    mut net: ReferenceNet<Vec<u64>>,
+    schedule: &[Round],
+    early: &[Vec<bool>],
+    mode: Drain,
+) -> (CommReport, Vec<Delivery>) {
+    let mut got = Vec::new();
+    for (round, early) in schedule.iter().zip(early) {
+        round_with_early_recvs(&mut net, round, early, &mut got);
+        let mut rest: Vec<(NodeId, u32)> = round
+            .sends
+            .iter()
+            .zip(early)
+            .filter(|(_, &e)| !e)
+            .map(|((src, dim, _), _)| (src.neighbor(*dim), *dim))
+            .collect();
+        if let Drain::Dim = mode {
+            rest.sort_by_key(|&(dst, dim)| (dim, dst.index()));
+        }
+        for (dst, dim) in rest {
+            got.push((dst, dim, net.recv(dst, dim)));
+        }
+    }
+    (net.finalize(), got)
+}
+
+/// One step of a directed case.
+enum Op {
+    Send(u64, u32, Vec<u64>),
+    Recv(u64, u32),
+    Has(u64, u32),
+    Finish,
+}
+
+/// What a directed case observed before it ended.
+#[derive(Debug, PartialEq)]
+enum Seen {
+    Payload(Vec<u64>),
+    Pending(bool),
+}
+
+/// Runs `ops` then `finalize`; returns everything observed on the way
+/// and either the report or the text of the panic that stopped the run.
+fn run_script<N: Net>(mut net: N, ops: &[Op]) -> (Vec<Seen>, Result<CommReport, String>) {
+    let mut seen = Vec::new();
+    let log = &mut seen;
+    let outcome = catch_unwind(AssertUnwindSafe(move || {
+        for op in ops {
+            match op {
+                Op::Send(src, dim, data) => net.send(NodeId(*src), *dim, data.clone()),
+                Op::Recv(dst, dim) => log.push(Seen::Payload(net.recv(NodeId(*dst), *dim))),
+                Op::Has(dst, dim) => log.push(Seen::Pending(net.has_message(NodeId(*dst), *dim))),
+                Op::Finish => net.finish_round(),
+            }
+        }
+        net.finalize_report()
+    }));
+    (seen, outcome.map_err(|e| panic_msg(Err(e)).expect("an Err carries a panic")))
+}
+
+/// Runs a directed case on both nets (all-port 2-cube) and returns the
+/// flat net's observations once they are known to equal the reference's.
+fn both(ops: &[Op]) -> (Vec<Seen>, Result<CommReport, String>) {
+    let flat = run_script(SimNet::<Vec<u64>>::new(2, params(PortMode::AllPorts)), ops);
+    let reference = run_script(ReferenceNet::<Vec<u64>>::new(2, params(PortMode::AllPorts)), ops);
+    assert_eq!(flat, reference, "flat net diverges from the reference");
+    flat
+}
+
 fn params(ports: PortMode) -> MachineParams {
     MachineParams::intel_ipsc().with_ports(ports)
 }
@@ -161,6 +304,134 @@ fn panic_msg(result: Result<(), Box<dyn std::any::Any + Send>>) -> Option<String
                 .unwrap_or_else(|_| "<non-string panic>".to_string()),
         }),
     }
+}
+
+/// The same directed link used in consecutive rounds: the second send
+/// is made while the first delivery still sits unreceived in the inbox.
+#[test]
+fn link_reused_while_earlier_delivery_pending() {
+    let (seen, outcome) = both(&[
+        Op::Send(0, 0, vec![1]),
+        Op::Finish,
+        Op::Send(0, 0, vec![2, 3]),
+        Op::Has(1, 0),
+        Op::Recv(1, 0),
+        Op::Has(1, 0),
+        Op::Finish,
+        Op::Has(1, 0),
+        Op::Recv(1, 0),
+    ]);
+    assert_eq!(
+        seen,
+        vec![
+            Seen::Pending(true),
+            Seen::Payload(vec![1]),
+            Seen::Pending(false),
+            Seen::Pending(true),
+            Seen::Payload(vec![2, 3]),
+        ]
+    );
+    let report = outcome.expect("legal schedule");
+    assert_eq!((report.rounds, report.total_messages, report.max_link_elems), (2, 2, 3));
+}
+
+#[test]
+fn second_recv_on_one_slot_finds_nothing() {
+    let (seen, outcome) = both(&[
+        Op::Send(2, 1, vec![9]),
+        Op::Send(1, 0, vec![8]),
+        Op::Finish,
+        Op::Recv(0, 1),
+        Op::Recv(0, 1),
+    ]);
+    assert_eq!(seen, vec![Seen::Payload(vec![9])]);
+    assert_eq!(outcome.unwrap_err(), "recv at 0 on dim 1: no message delivered (round 1)");
+}
+
+#[test]
+fn has_message_false_after_recv_and_after_next_boundary() {
+    let (seen, outcome) = both(&[
+        Op::Send(3, 0, vec![4]),
+        Op::Has(2, 0),
+        Op::Finish,
+        Op::Has(2, 0),
+        Op::Recv(2, 0),
+        Op::Has(2, 0),
+        Op::Finish,
+        Op::Has(2, 0),
+        Op::Send(3, 0, vec![5]),
+        Op::Finish,
+        Op::Has(2, 0),
+        Op::Recv(2, 0),
+    ]);
+    assert_eq!(
+        seen,
+        vec![
+            Seen::Pending(false),
+            Seen::Pending(true),
+            Seen::Payload(vec![4]),
+            Seen::Pending(false),
+            Seen::Pending(false),
+            Seen::Pending(true),
+            Seen::Payload(vec![5]),
+        ]
+    );
+    assert_eq!(outcome.expect("legal schedule").rounds, 3);
+}
+
+/// Contention is judged against this round's sends only: the link's
+/// previous-round message was delivered and received, and one send on
+/// it is legal again — the second is not.
+#[test]
+fn contention_on_link_whose_previous_message_was_received() {
+    let (seen, outcome) = both(&[
+        Op::Send(0, 1, vec![1]),
+        Op::Finish,
+        Op::Recv(2, 1),
+        Op::Send(0, 1, vec![2]),
+        Op::Send(0, 1, vec![3]),
+    ]);
+    assert_eq!(seen, vec![Seen::Payload(vec![1])]);
+    assert_eq!(
+        outcome.unwrap_err(),
+        "link contention: directed link 0--dim 1--> 2 used twice in round 1"
+    );
+}
+
+#[test]
+fn finalize_with_one_of_many_deliveries_pending() {
+    let mut ops: Vec<Op> =
+        (0..4).flat_map(|x| (0..2).map(move |d| Op::Send(x, d, vec![x]))).collect();
+    ops.push(Op::Finish);
+    // Receive all eight but the one node 3 got from node 1.
+    for x in 0..4u64 {
+        for d in 0..2 {
+            if (x, d) != (3, 1) {
+                ops.push(Op::Recv(x, d));
+            }
+        }
+    }
+    let (seen, outcome) = both(&ops);
+    assert_eq!(seen.len(), 7);
+    assert_eq!(outcome.unwrap_err(), "1 delivered messages never received");
+}
+
+/// A send left in an unfinished round, and a delivery left unconsumed at
+/// the next boundary with other traffic around it.
+#[test]
+fn unfinished_round_and_unconsumed_delivery_rejected() {
+    let (_, outcome) =
+        both(&[Op::Send(0, 0, vec![1]), Op::Finish, Op::Recv(1, 0), Op::Send(1, 1, vec![2])]);
+    assert_eq!(outcome.unwrap_err(), "1 messages sent but the round never finished");
+    let (_, outcome) = both(&[
+        Op::Send(0, 0, vec![1]),
+        Op::Send(3, 1, vec![2]),
+        Op::Finish,
+        Op::Recv(1, 0),
+        Op::Send(0, 0, vec![3]),
+        Op::Finish,
+    ]);
+    assert_eq!(outcome.unwrap_err(), "unconsumed message at node 1 on dim 1 when round 1 ended");
 }
 
 proptest! {
@@ -183,6 +454,37 @@ proptest! {
             drive(ReferenceNet::<Vec<u64>>::new(n, params(ports)), n, &schedule, record);
         prop_assert_eq!(&flat.0, &reference.0, "reports diverge (seed {seed} n {n})");
         prop_assert_eq!(&flat.1, &reference.1, "payloads diverge (seed {seed} n {n})");
+    }
+
+    /// Legal schedules emptied through each drain, mixed with partial
+    /// `recv`s: same report as the reference, and the deliveries come
+    /// back in the order the drain documents.
+    #[test]
+    fn drains_match_reference_in_documented_order(
+        seed in 0u64..u64::MAX,
+        n in 1u32..=4,
+        rounds in 1usize..=5,
+        one_port in prop::bool::ANY,
+        mode in 0u32..3,
+    ) {
+        let ports = if one_port { PortMode::OnePort } else { PortMode::AllPorts };
+        let mode = [Drain::All, Drain::AllWith, Drain::Dim][mode as usize];
+        let mut rng = Rng(seed);
+        let schedule = legal_schedule(&mut rng, n, rounds, ports);
+        let early: Vec<Vec<bool>> = schedule
+            .iter()
+            .map(|round| round.sends.iter().map(|_| rng.below(4) == 0).collect())
+            .collect();
+        let flat =
+            drive_drained(SimNet::<Vec<u64>>::new(n, params(ports)), n, &schedule, &early, mode);
+        let reference = drive_reference_ordered(
+            ReferenceNet::<Vec<u64>>::new(n, params(ports)),
+            &schedule,
+            &early,
+            mode,
+        );
+        prop_assert_eq!(&flat.0, &reference.0, "reports diverge (seed {seed} n {n} {mode:?})");
+        prop_assert_eq!(&flat.1, &reference.1, "deliveries diverge (seed {seed} n {n} {mode:?})");
     }
 
     /// Illegal schedules: both implementations must reject the same

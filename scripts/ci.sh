@@ -89,6 +89,12 @@ begin "cubecheck: plan/execution equivalence at 1 and 2 worker threads"
 CUBEBENCH_THREADS=1 cargo test --release -q -p cubecheck --test equivalence
 CUBEBENCH_THREADS=2 cargo test --release -q -p cubecheck --test equivalence
 
+begin "cubesim: flat SimNet vs ReferenceNet (reports, payloads, drain order, panic text)"
+# With the equivalence suite above, the simulator's regression net. The
+# workspace test step already ran it; running it by name makes a
+# simulator regression fail under the simulator's name.
+cargo test --release -q -p cubesim --test flat_vs_reference
+
 begin "perf smoke: n=10 all-to-all schedule (time-bounded)"
 timeout 300 cargo test --release -q -p cubecomm --test perf_smoke -- --ignored \
     n10_all_to_all_completes_within_bound
@@ -107,10 +113,12 @@ timeout 300 cargo test --release -q -p cubetranspose --test perf_smoke -- --igno
 begin "local-kernels smoke: in-place transpose no slower than scratch gather"
 timeout 300 cargo test --release -q -p cubetranspose --test local_kernels_smoke -- --ignored
 
-begin "allocation gate: in-place path performs zero O(mn)-sized allocations"
+begin "allocation gates: no O(mn)-sized scratch in place; MPT allocates O(1) per node"
 # The counting global allocator lives in crates/core/src/local.rs's test
-# module (the one unsafe-allowlisted file); the gate arms it around a
-# warmed in-place transpose and fails on any matrix-sized allocation.
+# module (the one unsafe-allowlisted file). One gate arms it around a
+# warmed in-place transpose and fails on any matrix-sized allocation;
+# the other counts every allocation of one transpose_mpt at the reduced
+# cm16-2d-mpt shape and fails if anything is allocated per path.
 cargo test --release -q -p cubetranspose --lib alloc_gate_tests
 
 begin "perf smoke: n=14 schedule construction + rule sweep (time-bounded)"

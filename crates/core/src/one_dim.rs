@@ -89,6 +89,30 @@ pub fn assemble<T: Copy + Default>(
     out
 }
 
+/// `exchange_over_dims`' inputs for a `per_pair[src][dst]` payload
+/// matrix: the non-empty blocks each node holds, and the dimensions any
+/// of them crosses, highest first.
+pub(crate) fn held_and_dims<T>(per_pair: Vec<Vec<Vec<T>>>) -> (Vec<Vec<Block<T>>>, Vec<u32>) {
+    let mut diff = 0u64;
+    let held = per_pair
+        .into_iter()
+        .enumerate()
+        .map(|(s, per_dst)| {
+            per_dst
+                .into_iter()
+                .enumerate()
+                .filter(|(_, data)| !data.is_empty())
+                .map(|(d, data)| {
+                    diff |= (s ^ d) as u64;
+                    Block::new(NodeId(s as u64), NodeId(d as u64), data)
+                })
+                .collect()
+        })
+        .collect();
+    let dims = (0..u64::BITS).rev().filter(|&d| (diff >> d) & 1 == 1).collect();
+    (held, dims)
+}
+
 /// Transposes `m` into layout `after` with the standard exchange
 /// algorithm (§5): all-to-all personalized communication over the node
 /// dimensions in which sources and destinations differ, highest first.
@@ -116,27 +140,7 @@ pub fn transpose_1d_exchange<T: Copy + Default + Send + Sync>(
     policy: BufferPolicy,
 ) -> DistMatrix<T> {
     let spec = TransposeSpec::with_after(m.layout().clone(), after.clone());
-    let blocks = spec_blocks(&spec, m);
-    let held: Vec<Vec<Block<Routed<T>>>> = blocks
-        .into_iter()
-        .enumerate()
-        .map(|(s, per_dst)| {
-            per_dst
-                .into_iter()
-                .enumerate()
-                .filter(|(_, data)| !data.is_empty())
-                .map(|(d, data)| Block::new(NodeId(s as u64), NodeId(d as u64), data))
-                .collect()
-        })
-        .collect();
-    // Dimensions actually crossed by any block, descending.
-    let mut diff = 0u64;
-    for slot in &held {
-        for b in slot {
-            diff |= b.src.bits() ^ b.dst.bits();
-        }
-    }
-    let dims: Vec<u32> = (0..net.n()).rev().filter(|&d| (diff >> d) & 1 == 1).collect();
+    let (held, dims) = held_and_dims(spec_blocks(&spec, m));
     let result = exchange_over_dims(net, held, &dims, policy);
     assemble(after, result)
 }

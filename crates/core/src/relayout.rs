@@ -9,10 +9,10 @@
 //! such conversion; this module drives it from a pair of layouts of the
 //! *same* matrix.
 
-use crate::one_dim::{route_blocks, Routed};
+use crate::one_dim::{held_and_dims, route_blocks, Routed};
 use cubeaddr::NodeId;
 use cubecomm::exchange::{exchange_over_dims, BufferPolicy};
-use cubecomm::{Block, BlockMsg};
+use cubecomm::BlockMsg;
 use cubelayout::pattern::{relayout_moves, relayout_traffic};
 use cubelayout::{DistMatrix, Layout};
 use cubesim::SimNet;
@@ -33,18 +33,8 @@ pub fn relayout<T: Copy + Default + Send + Sync>(
     let from = m.layout();
     assert_eq!((from.p(), from.q()), (to.p(), to.q()), "shape mismatch");
     let num = from.num_nodes().max(to.num_nodes());
-    let mut held: Vec<Vec<Block<Routed<T>>>> = (0..num).map(|_| Vec::new()).collect();
-    let per_pair = route_blocks(m, num, &relayout_traffic(from, to), relayout_moves(from, to));
-    let mut diff = 0u64;
-    for (s, per_dst) in per_pair.into_iter().enumerate() {
-        for (d, data) in per_dst.into_iter().enumerate() {
-            if !data.is_empty() {
-                diff |= (s ^ d) as u64;
-                held[s].push(Block::new(NodeId(s as u64), NodeId(d as u64), data));
-            }
-        }
-    }
-    let dims: Vec<u32> = (0..net.n()).rev().filter(|&d| (diff >> d) & 1 == 1).collect();
+    let (held, dims) =
+        held_and_dims(route_blocks(m, num, &relayout_traffic(from, to), relayout_moves(from, to)));
     let result = exchange_over_dims(net, held, &dims, policy);
 
     let mut out = DistMatrix::<T>::zeroed(to.clone());

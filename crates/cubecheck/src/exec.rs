@@ -9,10 +9,11 @@
 //! links, port discipline, nonempty messages), so replaying a schedule
 //! is itself a check; feeding the report to
 //! [`crate::crossval::cross_validate`] against the schedule's own
-//! lowering then closes the loop for topologies whose engines don't
-//! have a dedicated execution twin (the Dragonfly planner family is
-//! cross-validated this way; the cube planners are cross-validated
-//! against their real engines instead, which exercises more).
+//! lowering then closes the loop. The Dragonfly planner family, which
+//! has no payload engine, is validated this way. The cube engines run
+//! their plans with real blocks through [`cubecomm::exec::execute`],
+//! which also tracks where every block is; this replay carries sizes
+//! only, so the warm-cache path it dominates moves no payloads.
 
 use cubecomm::plan::CommSchedule;
 use cubesim::{CommReport, MachineParams, Payload, SimNet};

@@ -26,6 +26,17 @@ impl<T> Block<T> {
     }
 }
 
+/// One source's non-empty per-destination payloads (`per_dst[d]` is for
+/// node `d`) as blocks, destinations ascending.
+pub(crate) fn blocks_from<T>(src: NodeId, per_dst: Vec<Vec<T>>) -> Vec<Block<T>> {
+    per_dst
+        .into_iter()
+        .enumerate()
+        .filter(|(_, data)| !data.is_empty())
+        .map(|(d, data)| Block::new(src, NodeId(d as u64), data))
+        .collect()
+}
+
 /// A bare block is a message: the store-and-forward router sends one
 /// block per link per round, with no batching wrapper (and therefore no
 /// per-hop buffer allocation).
@@ -45,63 +56,6 @@ impl<T> Payload for BlockMsg<T> {
     }
 }
 
-/// Per-node inventory of blocks held, keyed by destination, used by the
-/// exchange-style algorithms.
-///
-/// Several blocks with the same destination (different sources) may be
-/// held at once; they are kept in arrival order.
-#[derive(Clone, Debug)]
-pub struct BlockStore<T> {
-    /// `held[dst] = blocks for that destination`.
-    held: Vec<Vec<Block<T>>>,
-}
-
-impl<T> BlockStore<T> {
-    /// An empty store for an `n`-cube with `2^n` possible destinations.
-    pub fn new(num_nodes: usize) -> Self {
-        BlockStore { held: (0..num_nodes).map(|_| Vec::new()).collect() }
-    }
-
-    /// Adds a block (no-op for empty data).
-    pub fn add(&mut self, b: Block<T>) {
-        if !b.data.is_empty() {
-            self.held[b.dst.index()].push(b);
-        }
-    }
-
-    /// Removes and returns all held blocks whose destination satisfies
-    /// `pred`, in ascending destination order.
-    pub fn take_matching(&mut self, mut pred: impl FnMut(NodeId) -> bool) -> Vec<Block<T>> {
-        let mut out = Vec::new();
-        for (dst, slot) in self.held.iter_mut().enumerate() {
-            if !slot.is_empty() && pred(NodeId(dst as u64)) {
-                out.append(slot);
-            }
-        }
-        out
-    }
-
-    /// All blocks for one destination (e.g. draining the final state).
-    pub fn take_for(&mut self, dst: NodeId) -> Vec<Block<T>> {
-        std::mem::take(&mut self.held[dst.index()])
-    }
-
-    /// Total elements held.
-    pub fn total_elems(&self) -> usize {
-        self.held.iter().flatten().map(|b| b.data.len()).sum()
-    }
-
-    /// True when no blocks are held.
-    pub fn is_empty(&self) -> bool {
-        self.held.iter().all(|s| s.is_empty())
-    }
-
-    /// Destinations currently held, ascending.
-    pub fn destinations(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.held.iter().enumerate().filter(|(_, s)| !s.is_empty()).map(|(d, _)| NodeId(d as u64))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -114,28 +68,5 @@ mod tests {
     fn payload_counts_data_only() {
         let msg = BlockMsg(vec![blk(0, 1, 3), blk(0, 2, 5)]);
         assert_eq!(msg.elems(), 8);
-    }
-
-    #[test]
-    fn store_add_take() {
-        let mut s = BlockStore::new(4);
-        s.add(blk(0, 1, 2));
-        s.add(blk(2, 1, 3));
-        s.add(blk(0, 3, 1));
-        s.add(blk(0, 2, 0)); // empty: dropped
-        assert_eq!(s.total_elems(), 6);
-        let odd = s.take_matching(|d| d.bits() % 2 == 1);
-        assert_eq!(odd.len(), 3);
-        assert!(s.is_empty());
-    }
-
-    #[test]
-    fn take_for_drains_one_destination() {
-        let mut s = BlockStore::new(4);
-        s.add(blk(0, 2, 2));
-        s.add(blk(1, 2, 2));
-        s.add(blk(1, 3, 2));
-        assert_eq!(s.take_for(NodeId(2)).len(), 2);
-        assert_eq!(s.total_elems(), 2);
     }
 }

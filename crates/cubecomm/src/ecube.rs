@@ -8,10 +8,10 @@
 //! compared with the scheduled algorithms: contending messages queue.
 //!
 //! [`ecube_route`] is [`graph_route`] on the cube: the e-cube order is
-//! [`cubetopo::Hypercube`]'s [`cubetopo::MinimalRoute`], and the lanes,
-//! FIFOs and round loop are documented in [`crate::graph`]. The
-//! full-lattice router both replaced survives as
-//! [`reference::RefRouter`], the oracle of the equivalence property test
+//! [`cubetopo::Hypercube`]'s [`cubetopo::MinimalRoute`], and the round
+//! loop is documented in [`crate::graph`]. The full-lattice router both
+//! replaced survives as [`reference::RefRouter`], the oracle of the
+//! equivalence property test
 //! (`crates/cubecomm/tests/router_equivalence.rs`).
 
 pub mod reference;
@@ -51,10 +51,7 @@ pub fn ecube_next_dim(cur: NodeId, dst: NodeId) -> Option<u32> {
 /// The router hardware operates independently on every link, so this is
 /// an all-port operation regardless of what the node processors could do;
 /// run it on a net with [`cubesim::PortMode::AllPorts`].
-pub fn ecube_route<T: Send>(
-    net: &mut SimNet<Block<T>>,
-    msgs: Vec<RouteMsg<T>>,
-) -> Vec<Vec<Block<T>>> {
+pub fn ecube_route<T>(net: &mut SimNet<Block<T>>, msgs: Vec<RouteMsg<T>>) -> Vec<Vec<Block<T>>> {
     graph_route(net, msgs)
 }
 
@@ -171,8 +168,8 @@ mod tests {
 
     #[test]
     fn sparse_probe_on_large_cube_is_cheap_and_correct() {
-        // The lazy sizing must not change behavior: a 2-message probe on
-        // an n=14 net routes exactly as on a small one.
+        // A 2-message probe on an n=14 net routes exactly as on a small
+        // one.
         let mut net = net(14);
         let far = (1u64 << 14) - 1;
         let out = ecube_route(

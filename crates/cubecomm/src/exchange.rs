@@ -16,42 +16,11 @@
 //! message, significant copy time), or — the optimum — gathered only when
 //! a chunk is smaller than the break-even block size `B_copy = τ/t_copy`.
 
-use crate::block::{Block, BlockMsg};
+use crate::block::{blocks_from, Block, BlockMsg};
+use crate::exec;
+use crate::plan::skeleton;
 use cubeaddr::NodeId;
-use cubesim::{BufferPool, SimNet};
-
-/// Splits the step's outgoing blocks into the number of memory-contiguous
-/// chunks the iPSC implementation sees.
-///
-/// The exchange algorithm works in place: at the `k`-th exchange step
-/// (0-based) the elements to send occupy `2^k` equal non-contiguous runs
-/// of the local array, because `k` already-processed address bits sit
-/// above the bit being exchanged (§8.1: "the local array is partitioned
-/// into `2^j` same-sized blocks during step `j`"). Blocks are grouped in
-/// destination order, which is the local storage order of the blocked
-/// array.
-fn memory_chunks<T>(
-    blocks: &mut Vec<Block<T>>,
-    step_index: usize,
-    pool: &mut BufferPool<Block<T>>,
-) -> Vec<Vec<Block<T>>> {
-    blocks.sort_by_key(|b| (b.dst, b.src));
-    let want = 1usize << step_index.min(62);
-    let chunks = want.min(blocks.len().max(1));
-    let per = blocks.len().div_ceil(chunks);
-    let mut out: Vec<Vec<Block<T>>> = Vec::with_capacity(chunks);
-    for b in blocks.drain(..) {
-        match out.last_mut() {
-            Some(chunk) if chunk.len() < per => chunk.push(b),
-            _ => {
-                let mut chunk = pool.take();
-                chunk.push(b);
-                out.push(chunk);
-            }
-        }
-    }
-    out
-}
+use cubesim::SimNet;
 
 /// Send policy for one exchange step (paper §8.1).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -87,164 +56,24 @@ pub enum BufferPolicy {
 /// If some block's destination is unreachable through `dims` (left
 /// stranded), or on cost-model violations.
 #[track_caller]
-pub fn exchange_over_dims<T: Clone + Send + Sync>(
+pub fn exchange_over_dims<T>(
     net: &mut SimNet<BlockMsg<T>>,
-    mut held: Vec<Vec<Block<T>>>,
+    held: Vec<Vec<Block<T>>>,
     dims: &[u32],
     policy: BufferPolicy,
 ) -> Vec<Vec<Block<T>>> {
     assert_eq!(held.len(), net.num_nodes());
-    // Spare block vectors recycled across steps and sub-rounds: after the
-    // first step primes the pool, partitioning and message assembly reuse
-    // delivered buffers instead of allocating.
-    let mut pool: BufferPool<Block<T>> = BufferPool::new();
-    let mut to_send: Vec<Vec<Block<T>>> = Vec::with_capacity(held.len());
-    // Per-node (keep, send) pairs staged for the parallel partition.
-    type Partitioned<T> = Vec<(Vec<Block<T>>, Vec<Block<T>>)>;
-    let mut work: Partitioned<T> = Vec::with_capacity(held.len());
-    for (step_index, &j) in dims.iter().enumerate() {
-        // Partition each node's holdings into keep / send: an in-place
-        // swap-to-tail partition (keeps never move off the slot; the send
-        // tail drains into a pooled buffer), fanned out per node. Block
-        // order within a list is not preserved — no consumer depends on
-        // it (`memory_chunks` re-sorts by destination).
-        to_send.clear();
-        work.clear();
-        work.extend(held.iter_mut().map(|slot| (std::mem::take(slot), pool.take())));
-        cubesim::par::par_for_each_mut(&mut work, |x, (slot, send)| {
-            let xbit = (x as u64 >> j) & 1;
-            let mut i = 0;
-            let mut end = slot.len();
-            while i < end {
-                if (slot[i].dst.bits() >> j) & 1 == xbit {
-                    i += 1;
-                } else {
-                    end -= 1;
-                    slot.swap(i, end);
-                }
-            }
-            send.extend(slot.drain(end..));
-        });
-        for (x, (slot, send)) in work.drain(..).enumerate() {
-            held[x] = slot;
-            to_send.push(send);
-        }
-        match policy {
-            BufferPolicy::Ideal => {
-                for (x, send) in to_send.drain(..).enumerate() {
-                    if send.is_empty() {
-                        pool.put(send);
-                    } else {
-                        net.send(NodeId(x as u64), j, BlockMsg(send));
-                    }
-                }
-                deliver_round(net, &mut held, j, &mut pool);
-            }
-            BufferPolicy::Unbuffered => {
-                let mut chunked: Vec<Vec<Vec<Block<T>>>> = to_send
-                    .drain(..)
-                    .map(|mut s| {
-                        let chunks = memory_chunks(&mut s, step_index, &mut pool);
-                        pool.put(s);
-                        chunks
-                    })
-                    .collect();
-                let max_chunks = chunked.iter().map(|c| c.len()).max().unwrap_or(0);
-                // One sub-round per chunk ordinal, synchronized across the
-                // machine (all nodes have symmetric chunk structure in the
-                // uniform case).
-                for i in 0..max_chunks {
-                    for (x, chunks) in chunked.iter_mut().enumerate() {
-                        if i < chunks.len() {
-                            let chunk = std::mem::take(&mut chunks[i]);
-                            net.send(NodeId(x as u64), j, BlockMsg(chunk));
-                        }
-                    }
-                    deliver_round(net, &mut held, j, &mut pool);
-                }
-            }
-            BufferPolicy::Buffered { min_direct } => {
-                // (direct chunks, gathered blocks) per node.
-                type Split<T> = Vec<(Vec<Vec<Block<T>>>, Vec<Block<T>>)>;
-                let mut split: Split<T> = to_send
-                    .drain(..)
-                    .map(|mut send| {
-                        let mut direct = Vec::new();
-                        let mut gathered = pool.take();
-                        for mut chunk in memory_chunks(&mut send, step_index, &mut pool) {
-                            let elems: usize = chunk.iter().map(|b| b.data.len()).sum();
-                            if elems >= min_direct {
-                                direct.push(chunk);
-                            } else {
-                                gathered.append(&mut chunk);
-                                pool.put(chunk);
-                            }
-                        }
-                        pool.put(send);
-                        (direct, gathered)
-                    })
-                    .collect();
-                let max_direct = split.iter().map(|(d, _)| d.len()).max().unwrap_or(0);
-                for i in 0..max_direct {
-                    for (x, (direct, _)) in split.iter_mut().enumerate() {
-                        if i < direct.len() {
-                            let chunk = std::mem::take(&mut direct[i]);
-                            net.send(NodeId(x as u64), j, BlockMsg(chunk));
-                        }
-                    }
-                    deliver_round(net, &mut held, j, &mut pool);
-                }
-                if split.iter().any(|(_, g)| !g.is_empty()) {
-                    for (x, (_, gathered)) in split.iter_mut().enumerate() {
-                        let gathered = std::mem::take(gathered);
-                        if gathered.is_empty() {
-                            pool.put(gathered);
-                        } else {
-                            let elems: usize = gathered.iter().map(|b| b.data.len()).sum();
-                            net.local_copy(NodeId(x as u64), elems);
-                            net.send(NodeId(x as u64), j, BlockMsg(gathered));
-                        }
-                    }
-                    deliver_round(net, &mut held, j, &mut pool);
-                } else {
-                    for (_, gathered) in split {
-                        pool.put(gathered);
-                    }
-                }
-            }
-        }
-    }
-    for (x, slot) in held.iter().enumerate() {
+    // Planned from where each block *is*, whatever its `src` tag says.
+    let mut metas = Vec::new();
+    let mut payloads = Vec::new();
+    for (x, slot) in held.into_iter().enumerate() {
         for b in slot {
-            assert_eq!(
-                b.dst.index(),
-                x,
-                "block {} -> {} stranded at node {x}: dims {dims:?} do not cover it",
-                b.src,
-                b.dst
-            );
+            metas.push(exec::meta_at(NodeId(x as u64), &b));
+            payloads.push(b);
         }
     }
-    held
-}
-
-/// Finishes the round and folds every delivered message back into `held`,
-/// recycling the message buffers through `pool`.
-fn deliver_round<T: Clone>(
-    net: &mut SimNet<BlockMsg<T>>,
-    held: &mut [Vec<Block<T>>],
-    j: u32,
-    pool: &mut BufferPool<Block<T>>,
-) {
-    net.finish_round();
-    for (x, slot) in held.iter_mut().enumerate() {
-        let node = NodeId(x as u64);
-        if net.has_message(node, j) {
-            let mut msg = net.recv(node, j).0;
-            slot.append(&mut msg);
-            pool.put(msg);
-        }
-    }
+    let rounds = skeleton::exchange_rounds(net.n(), &metas, dims, policy);
+    exec::execute(net, &metas, &rounds, payloads)
 }
 
 /// All-to-all personalized communication by the standard exchange
@@ -254,7 +83,7 @@ fn deliver_round<T: Clone>(
 /// allowed — virtual elements are not communicated). Returns
 /// `result[dst]` = the source-tagged blocks received (plus the diagonal
 /// block, which never moves).
-pub fn all_to_all_exchange<T: Clone + Send + Sync>(
+pub fn all_to_all_exchange<T>(
     net: &mut SimNet<BlockMsg<T>>,
     blocks: Vec<Vec<Vec<T>>>,
     policy: BufferPolicy,
@@ -266,12 +95,7 @@ pub fn all_to_all_exchange<T: Clone + Send + Sync>(
         .enumerate()
         .map(|(s, per_dst)| {
             assert_eq!(per_dst.len(), 1 << n, "need one (possibly empty) block per destination");
-            per_dst
-                .into_iter()
-                .enumerate()
-                .filter(|(_, data)| !data.is_empty())
-                .map(|(d, data)| Block::new(NodeId(s as u64), NodeId(d as u64), data))
-                .collect()
+            blocks_from(NodeId(s as u64), per_dst)
         })
         .collect();
     let dims: Vec<u32> = (0..n).rev().collect();

@@ -12,167 +12,30 @@
 //!
 //! # Data plane
 //!
-//! The router keeps its state in the flat style of [`SimNet`]: one *lane*
-//! per node that any message path touches, holding that node's outgoing
-//! FIFO queues as intrusive lists threaded through a single per-lane slab
-//! (inline tail cursors, a free list for retired entries — no per-queue
-//! allocation), and a bitmask of the non-empty queues. Blocks travel the
-//! wire as bare [`Block`] payloads, so a forwarding hop moves a block
-//! from slab to commit buffer to link slot and back — no buffer
-//! allocation anywhere on the path. Liveness is a single
-//! undelivered-message counter plus a bitmap of lanes with queued blocks,
-//! so a round costs O(messages in flight + touched nodes), never
-//! O(nodes · ports); lanes are built lazily from the injected messages'
-//! paths, so a 2-message probe on a 14-cube allocates a handful of
-//! queues, not ~230 000.
-//!
-//! A round is one serial pass on the calling thread: every live lane
-//! pops its queue heads into per-port commit buffers, the buffers go to
-//! [`SimNet::send_batch`] port-major, and [`SimNet::drain_all_with`]
-//! retires each landed block or requeues it on the port
-//! [`MinimalRoute::next_port`] names. The router starts no threads and
-//! does not read `CUBEBENCH_THREADS`. The full-lattice implementation it
+//! The router does not simulate contention itself: it tags the routed
+//! messages as [`BlockMeta`], asks the planner's contention simulation
+//! (`plan::skeleton::route_hops`, the one place the FIFO discipline
+//! lives) for its flat `(sender, port, block)` hop log, and runs the
+//! log. A round is one serial pass on the calling thread: every hop's
+//! bare [`Block`] is sent, the round is finished, and
+//! [`SimNet::drain_all_with`] hands the deliveries back in send order,
+//! each retired at its destination or parked by id for its next hop. A
+//! hop moves a block from the parking table to a link slot and back — no
+//! buffer allocation on the path, 16 bytes of log per hop, and no limit
+//! on the topology's port count. The router starts no threads and does
+//! not read `CUBEBENCH_THREADS`. The full-lattice implementation it
 //! replaced survives as [`crate::ecube::reference::RefRouter`], the
-//! oracle of `crates/cubecomm/tests/router_equivalence.rs`.
+//! independent oracle of the contention simulation
+//! (`crates/cubecomm/tests/router_equivalence.rs`).
 //!
 //! [`Hypercube`]: cubetopo::Hypercube
 
 use crate::block::Block;
 use crate::ecube::RouteMsg;
+use crate::plan::{skeleton, BlockMeta};
 use cubeaddr::NodeId;
 use cubesim::SimNet;
 use cubetopo::MinimalRoute;
-
-/// Sentinel for the intrusive FIFO links in a lane's slab.
-const NIL: u32 = u32::MAX;
-
-/// Most ports per node the router supports: the per-lane FIFO cursors
-/// live in inline arrays of this size so building a lane allocates
-/// nothing. [`SimNet`]'s dense `nodes · ports` lattice runs out of memory
-/// long before this bound bites on a cube.
-const MAX_LANE_PORTS: usize = 32;
-
-/// Per-touched-node router state: the node's outgoing queues.
-///
-/// The queues are intrusive circular FIFOs threaded through one slab:
-/// `slab[i]` holds a block and the index of its queue successor, the tail
-/// entry links back to the head (so one cursor per queue finds both
-/// ends), and retired entries chain from `free` for reuse. One growable
-/// allocation per lane (often none for pass-through lanes) instead of a
-/// `VecDeque` per port.
-struct Lane<T> {
-    /// The node this lane belongs to.
-    node: NodeId,
-    /// FIFO entries: `(block, next index)`; `next` doubles as the free
-    /// list link once the block is taken.
-    slab: Vec<(Option<Block<T>>, u32)>,
-    /// Head of the slab free list.
-    free: u32,
-    /// FIFO tail per port (`NIL` when that queue is empty); the head is
-    /// the tail's successor.
-    tails: [u32; MAX_LANE_PORTS],
-    /// Bit `p` set ⇔ queue `p` is non-empty (the active-slot list).
-    qmask: u64,
-}
-
-impl<T> Lane<T> {
-    fn new(node: NodeId) -> Self {
-        Lane { node, slab: Vec::new(), free: NIL, tails: [NIL; MAX_LANE_PORTS], qmask: 0 }
-    }
-
-    /// Appends `block` to the port-`port` FIFO.
-    fn push(&mut self, port: u32, block: Block<T>) {
-        let idx = if self.free == NIL {
-            self.slab.push((Some(block), NIL));
-            (self.slab.len() - 1) as u32
-        } else {
-            let i = self.free;
-            let entry = &mut self.slab[i as usize];
-            self.free = entry.1;
-            *entry = (Some(block), NIL);
-            i
-        };
-        let p = port as usize;
-        let tail = self.tails[p];
-        if tail == NIL {
-            self.slab[idx as usize].1 = idx; // 1-entry ring: head == tail
-        } else {
-            let head = self.slab[tail as usize].1;
-            self.slab[idx as usize].1 = head;
-            self.slab[tail as usize].1 = idx;
-        }
-        self.tails[p] = idx;
-        self.qmask |= 1 << port;
-    }
-
-    /// Pops the head of the port-`port` FIFO (must be non-empty).
-    fn pop(&mut self, port: u32) -> Block<T> {
-        let p = port as usize;
-        let tail = self.tails[p];
-        let head = self.slab[tail as usize].1;
-        let entry = &mut self.slab[head as usize];
-        let block = entry.0.take().expect("qmask bit set on empty queue");
-        let next = entry.1;
-        entry.1 = self.free;
-        self.free = head;
-        if head == tail {
-            self.tails[p] = NIL;
-            self.qmask &= !(1 << port);
-        } else {
-            self.slab[tail as usize].1 = next;
-        }
-        block
-    }
-
-    /// Pops the head of every non-empty queue (one message per outgoing
-    /// link per round), ports ascending, into the per-port commit
-    /// buffers.
-    fn stage_into(&mut self, commit: &mut [Vec<(NodeId, Block<T>)>]) {
-        let mut mask = self.qmask;
-        while mask != 0 {
-            let p = mask.trailing_zeros();
-            mask &= mask - 1;
-            let block = self.pop(p);
-            commit[p as usize].push((self.node, block));
-        }
-    }
-}
-
-/// Every node a message set's routes visit under `topo`'s routing
-/// function (sources, intermediate hops and destinations), sorted
-/// ascending, deduplicated. Local and empty messages touch nothing. The
-/// router sizes its queue storage from this list instead of the full
-/// node lattice.
-fn touched_nodes<T, G: MinimalRoute>(topo: &G, msgs: &[RouteMsg<T>]) -> Vec<u64> {
-    // Mark path nodes in a bitmap, then read it back in word order: the
-    // result comes out sorted and deduplicated without sorting the
-    // per-message path multiset. The bitmap is nodes/64 words — 2 KB on
-    // a 14-cube, nothing like the queue lattice this sizing avoids.
-    let mut seen = vec![0u64; topo.num_nodes().div_ceil(64)];
-    for m in msgs {
-        if m.data.is_empty() || m.src == m.dst {
-            continue;
-        }
-        let dst = m.dst.bits();
-        let mut cur = m.src.bits();
-        while let Some(p) = topo.next_port(cur, dst) {
-            seen[(cur / 64) as usize] |= 1 << (cur % 64);
-            cur = topo.neighbor(cur, p).unwrap_or_else(|| {
-                panic!("{}: route for {cur} -> {dst} uses unwired port {p}", topo.label())
-            });
-        }
-        seen[(dst / 64) as usize] |= 1 << (dst % 64);
-    }
-    let mut touched = Vec::new();
-    for (w, &word) in seen.iter().enumerate() {
-        let mut bits = word;
-        while bits != 0 {
-            touched.push((w * 64) as u64 + u64::from(bits.trailing_zeros()));
-            bits &= bits - 1;
-        }
-    }
-    touched
-}
 
 /// Routes all messages to their destinations over `net`'s topology with
 /// minimal-path store-and-forward routing, one message per directed
@@ -182,93 +45,44 @@ fn touched_nodes<T, G: MinimalRoute>(topo: &G, msgs: &[RouteMsg<T>]) -> Vec<u64>
 /// The router hardware operates independently on every link, so this is
 /// an all-port operation regardless of what the node processors could
 /// do; run it on a net with [`cubesim::PortMode::AllPorts`].
-pub fn graph_route<T: Send, G: MinimalRoute>(
+pub fn graph_route<T, G: MinimalRoute>(
     net: &mut SimNet<Block<T>, G>,
     msgs: Vec<RouteMsg<T>>,
 ) -> Vec<Vec<Block<T>>> {
-    let topo = net.topology().clone();
-    let ports = net.ports() as usize;
-    assert!(
-        ports <= MAX_LANE_PORTS,
-        "router supports up to {MAX_LANE_PORTS} ports per node; the {} has {ports}",
-        topo.label()
-    );
-    let num = net.num_nodes();
-    let mut result: Vec<Vec<Block<T>>> = (0..num).map(|_| Vec::new()).collect();
-
-    // Lazily sized queue storage: one lane per touched node, found by a
-    // dense node → lane translation (a single flat u32 array, not a
-    // queue lattice).
-    let touched = touched_nodes(&topo, &msgs);
-    let mut lane_of: Vec<u32> = vec![u32::MAX; num];
-    for (i, &x) in touched.iter().enumerate() {
-        lane_of[x as usize] = i as u32;
-    }
-    let mut lanes: Vec<Lane<T>> = touched.iter().map(|&x| Lane::new(NodeId(x))).collect();
-
-    // Live-lane bitmap: bit set ⇔ that lane has a queued block. Kept in
-    // lock-step with the lanes' qmasks; scanning it in word order visits
-    // the live lanes sorted for free.
-    let mut live = vec![0u64; lanes.len().div_ceil(64)];
-
-    // Inject: local messages arrive immediately; the rest queue at their
-    // source on their first port, in input order. `pending` counts the
-    // undelivered ones: the O(1) liveness test that replaces the
-    // reference router's full-lattice queue scan.
-    let mut pending = 0usize;
+    let mut result: Vec<Vec<Block<T>>> = (0..net.num_nodes()).map(|_| Vec::new()).collect();
+    // Local messages arrive immediately; the rest get ids in input order
+    // and wait, parked, for their hops.
+    let mut metas: Vec<BlockMeta> = Vec::new();
+    let mut parked: Vec<Option<Block<T>>> = Vec::new();
     for m in msgs {
         if m.data.is_empty() {
             continue;
         }
-        match topo.next_port(m.src.bits(), m.dst.bits()) {
-            None => result[m.dst.index()].push(Block::new(m.src, m.dst, m.data)),
-            Some(p) => {
-                let li = lane_of[m.src.index()];
-                lanes[li as usize].push(p, Block::new(m.src, m.dst, m.data));
-                live[(li / 64) as usize] |= 1 << (li % 64);
-                pending += 1;
-            }
+        if m.src == m.dst {
+            result[m.dst.index()].push(Block::new(m.src, m.dst, m.data));
+        } else {
+            metas.push(BlockMeta { src: m.src, dst: m.dst, elems: m.data.len() as u64 });
+            parked.push(Some(Block::new(m.src, m.dst, m.data)));
         }
     }
-
-    // Per-port commit buffers, reused across rounds.
-    let mut commit: Vec<Vec<(NodeId, Block<T>)>> = (0..ports).map(|_| Vec::new()).collect();
-
-    while pending > 0 {
-        // Stage: one queue head per non-empty outgoing link, grouped
-        // port-major with nodes ascending within each port. A lane whose
-        // queues just drained leaves the live set; it re-enters when a
-        // block lands on it below.
-        for (w, word) in live.iter_mut().enumerate() {
-            let mut bits = *word;
-            while bits != 0 {
-                let bit = bits.trailing_zeros();
-                bits &= bits - 1;
-                let lane = &mut lanes[w * 64 + bit as usize];
-                lane.stage_into(&mut commit);
-                if lane.qmask == 0 {
-                    *word &= !(1 << bit);
-                }
-            }
-        }
-        // Commit: batch-send per port — all legality checks and cost
-        // accounting in a fixed order.
-        for (p, staged) in commit.iter_mut().enumerate() {
-            net.send_batch(p as u32, staged.drain(..));
+    let (hops, bounds) = skeleton::route_hops(net.topology(), &metas);
+    for w in bounds.windows(2) {
+        let round = &hops[w[0]..w[1]];
+        for &(src, port, id) in round {
+            let block = parked[id as usize].take().expect("a block makes one hop per round");
+            net.send(NodeId(src), port, block);
         }
         net.finish_round();
-        // Drain: one pass over the inbox, in send order, so every node
-        // sees its deliveries port-ascending — the reference router's
-        // arrival and requeue order. Retire arrivals, requeue the rest.
-        net.drain_all_with(|dst, _, b| match topo.next_port(dst.bits(), b.dst.bits()) {
-            None => {
-                result[dst.index()].push(b);
-                pending -= 1;
-            }
-            Some(np) => {
-                let li = lane_of[dst.index()];
-                lanes[li as usize].push(np, b);
-                live[(li / 64) as usize] |= 1 << (li % 64);
+        // Deliveries come back in send order — the i-th is `round[i]` —
+        // so every node sees its arrivals port-ascending, the reference
+        // router's arrival order.
+        let mut sent = round.iter();
+        net.drain_all_with(|at, _, block| {
+            let &(_, _, id) = sent.next().expect("one delivery per hop");
+            if block.dst == at {
+                result[at.index()].push(block);
+            } else {
+                parked[id as usize] = Some(block);
             }
         });
     }
@@ -279,64 +93,10 @@ pub fn graph_route<T: Send, G: MinimalRoute>(
 mod tests {
     use super::*;
     use cubesim::{MachineParams, PortMode};
-    use cubetopo::{Hypercube, SwappedDragonfly, Topology};
+    use cubetopo::{SwappedDragonfly, Topology};
 
     fn dragonfly_net(k: u32, m: u32) -> SimNet<Block<u64>, SwappedDragonfly> {
         SimNet::on_topology(SwappedDragonfly::new(k, m), MachineParams::unit(PortMode::AllPorts))
-    }
-
-    #[test]
-    fn lane_fifo_preserves_order_across_reuse() {
-        let mut lane: Lane<u64> = Lane::new(NodeId(0));
-        for v in 0..5u64 {
-            lane.push(2, Block::new(NodeId(0), NodeId(4), vec![v]));
-        }
-        lane.push(0, Block::new(NodeId(0), NodeId(1), vec![9]));
-        assert_eq!(lane.qmask, 0b101);
-        for v in 0..5u64 {
-            assert_eq!(lane.pop(2).data, vec![v]);
-        }
-        assert_eq!(lane.qmask, 0b001);
-        // Freed slots get reused without disturbing FIFO order.
-        let before = lane.slab.len();
-        for v in 5..8u64 {
-            lane.push(2, Block::new(NodeId(0), NodeId(4), vec![v]));
-        }
-        assert_eq!(lane.slab.len(), before);
-        assert_eq!(lane.pop(0).data, vec![9]);
-        for v in 5..8u64 {
-            assert_eq!(lane.pop(2).data, vec![v]);
-        }
-        assert_eq!(lane.qmask, 0);
-    }
-
-    #[test]
-    fn touched_nodes_covers_paths_only() {
-        // Two messages on a 14-cube touch at most their two e-cube
-        // paths, not the 2^14-node lattice: the lazily sized router
-        // allocates queues for a handful of lanes.
-        let msgs = vec![
-            RouteMsg { src: NodeId(0), dst: NodeId(0b101), data: vec![1u64] },
-            RouteMsg { src: NodeId(0b11_0000_0000_0000), dst: NodeId(1), data: vec![2] },
-        ];
-        let touched = touched_nodes(&Hypercube::new(14), &msgs);
-        // Message 1: 0 → 1 → 101 touches {0, 1, 101}. Message 2 crosses
-        // dims {0, 12, 13}: 4 nodes. Node 1 is shared.
-        assert_eq!(touched.len(), 3 + 4 - 1);
-        assert!(touched.windows(2).all(|w| w[0] < w[1]), "sorted, deduplicated");
-        for m in &msgs {
-            assert!(touched.contains(&m.src.bits()));
-            assert!(touched.contains(&m.dst.bits()));
-        }
-    }
-
-    #[test]
-    fn touched_nodes_skips_local_and_empty() {
-        let msgs = vec![
-            RouteMsg { src: NodeId(5), dst: NodeId(5), data: vec![1u64] },
-            RouteMsg { src: NodeId(0), dst: NodeId(7), data: Vec::new() },
-        ];
-        assert!(touched_nodes(&Hypercube::new(3), &msgs).is_empty());
     }
 
     #[test]
@@ -398,6 +158,30 @@ mod tests {
         // Round 1: first message crosses (arriving at router 0, its
         // destination). Round 2: second crosses. Round 3: its intra hop.
         assert_eq!(r.rounds, 3);
+    }
+
+    #[test]
+    fn routes_on_a_topology_with_more_than_32_ports() {
+        // D3(2, 32) has 31 local + 2 global = 33 ports a router. One
+        // message per hop class: local, global (group 7's gateway to
+        // group 20 is router 10, landing on router 7 / K = 3), and
+        // local–global–local.
+        let d = SwappedDragonfly::new(2, 32);
+        assert_eq!(d.ports(), 33);
+        let mut net = dragonfly_net(2, 32);
+        let at = |g, r| NodeId(d.node_at(g, r));
+        let pairs = [(at(5, 3), at(5, 9)), (at(7, 10), at(20, 3)), (at(40, 3), at(11, 30))];
+        let msgs: Vec<RouteMsg<u64>> = pairs
+            .iter()
+            .enumerate()
+            .map(|(i, &(src, dst))| RouteMsg { src, dst, data: vec![i as u64; i + 1] })
+            .collect();
+        let out = graph_route(&mut net, msgs);
+        for (i, &(src, dst)) in pairs.iter().enumerate() {
+            assert_eq!(out[dst.index()], vec![Block::new(src, dst, vec![i as u64; i + 1])]);
+        }
+        let r = net.finalize();
+        assert_eq!((r.rounds, r.total_messages), (3, 1 + 1 + 3));
     }
 
     #[test]

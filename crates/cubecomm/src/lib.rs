@@ -3,7 +3,9 @@
 //!
 //! Everything here moves *source-tagged blocks* ([`block::Block`]) between
 //! nodes of a simulated cube ([`cubesim::SimNet`]), charging the paper's
-//! cost model while really moving the data:
+//! cost model while really moving the data. Each algorithm exists once,
+//! as the schedule [`plan`] builds; the modules below tag their payloads,
+//! build that schedule and hand it to the one executor, [`exec`]:
 //!
 //! * [`sbt`] — spanning binomial trees: standard, translated, rotated and
 //!   reflected variants (Definitions 8–9).
@@ -22,13 +24,17 @@
 //!   [`cubetopo::MinimalRoute`] topology (e.g. the Swapped Dragonfly).
 //! * [`ecube`] — that router on the cube (dimension-ordered), the
 //!   "routing logic" baseline of the experiments.
-//! * [`plan`] — static, payload-free introspection of all the above: the
-//!   schedules as first-class data, for the `cubecheck` invariant
-//!   checkers and for planning-cost benchmarks.
+//! * [`plan`] — all the above as first-class, payload-free data: the
+//!   schedules the engines run, the `cubecheck` invariant checkers
+//!   analyse and the planning-cost benchmarks time.
+//! * [`exec`] — the executor: runs planned rounds on a `SimNet` with the
+//!   real blocks, and turns a schedule that misplaces one into a
+//!   diagnostic.
 
 pub mod block;
 pub mod ecube;
 pub mod exchange;
+pub mod exec;
 pub mod graph;
 pub mod one_to_all;
 pub mod plan;

@@ -12,66 +12,44 @@
 //!   `T_min = (1/n)(1 - 1/N)·PQ·t_c + n·τ` — the same order as the lower
 //!   bound.
 
-use crate::block::{Block, BlockMsg};
-use crate::sbt::Sbt;
-use cubeaddr::{mask, NodeId};
+use crate::block::{blocks_from, Block, BlockMsg};
+use crate::exec;
+use crate::plan::skeleton;
+use crate::sbt::{common_root, Sbt};
+use cubeaddr::NodeId;
 use cubesim::SimNet;
 
-/// Validates and wraps the per-destination payload list.
+/// Validates the per-destination payload list.
 #[track_caller]
 fn check_blocks<T>(net: &SimNet<BlockMsg<T>>, blocks: &[Vec<T>]) {
     assert_eq!(blocks.len(), net.num_nodes(), "need exactly one block per destination node");
 }
 
+/// The concatenated payload each node holds (empty where nothing was
+/// sent), blocks in the given order.
+pub(crate) fn payload_per_node<T>(held: Vec<Vec<Block<T>>>) -> Vec<Vec<T>> {
+    held.into_iter().map(|blks| blks.into_iter().flat_map(|b| b.data).collect()).collect()
+}
+
 /// One-to-all personalized communication from `root` by SBT routing,
-/// one-port legal (each round uses a single dimension everywhere).
+/// one-port legal (each round uses a single dimension everywhere): in
+/// round `j` the nodes whose logical address uses only bits below `j`
+/// each send, all at once, the data for the subtree reached through
+/// logical dimension `j`.
 ///
 /// `blocks[d]` is the payload for physical node `d`; the return value is
 /// the payload each node ends up holding (`result[d] == blocks[d]`,
 /// physically routed through the cube).
-pub fn one_to_all_sbt<T: Clone>(
+pub fn one_to_all_sbt<T>(
     net: &mut SimNet<BlockMsg<T>>,
     root: NodeId,
     blocks: Vec<Vec<T>>,
 ) -> Vec<Vec<T>> {
     check_blocks(net, &blocks);
-    let n = net.n();
-    let tree = Sbt::new(n, root);
-    let num = net.num_nodes();
-
-    // held[x] = blocks (dst-tagged) currently at physical node x.
-    let mut held: Vec<Vec<Block<T>>> = vec![Vec::new(); num];
-    held[root.index()] = blocks
-        .into_iter()
-        .enumerate()
-        .filter(|(_, b)| !b.is_empty())
-        .map(|(d, b)| Block::new(root, NodeId(d as u64), b))
-        .collect();
-
-    // Logical dimensions ascending: at step j the active nodes are those
-    // whose logical address uses only bits below j; each sends the data
-    // for the subtree reached through logical dimension j.
-    for j in 0..n {
-        for lx in 0..(1u64 << j) {
-            let x = tree.physical(lx);
-            let (keep, send): (Vec<_>, Vec<_>) =
-                held[x.index()].drain(..).partition(|b| (tree.logical(b.dst) >> j) & 1 == 0);
-            held[x.index()] = keep;
-            if !send.is_empty() {
-                net.send(x, tree.physical_dim(j), BlockMsg(send));
-            }
-        }
-        net.finish_round();
-        for lx in 0..(1u64 << j) {
-            let child = tree.physical(lx | (1 << j));
-            let dim = tree.physical_dim(j);
-            if net.has_message(child, dim) {
-                held[child.index()].extend(net.recv(child, dim).0);
-            }
-        }
-    }
-
-    collect_own(held)
+    let payloads = blocks_from(root, blocks);
+    let metas = exec::metas_at_src(&payloads);
+    let rounds = skeleton::sbt_rounds(net.n(), &metas, &Sbt::new(net.n(), root));
+    payload_per_node(exec::execute(net, &metas, &rounds, payloads))
 }
 
 /// One-to-all personalized communication from `root` over an arbitrary
@@ -81,78 +59,34 @@ pub fn one_to_all_sbt<T: Clone>(
 /// dimensions in every logical step (true for distinct rotations and for
 /// rotation/reflection pairs on even cubes), or the link-contention check
 /// aborts.
-pub fn one_to_all_trees<T: Clone>(
+pub fn one_to_all_trees<T>(
     net: &mut SimNet<BlockMsg<T>>,
     blocks: Vec<Vec<T>>,
     trees: &[Sbt],
 ) -> Vec<Vec<T>> {
     check_blocks(net, &blocks);
-    let n = net.n();
-    assert!(!trees.is_empty());
-    let root = trees[0].root();
-    for t in trees {
-        assert_eq!(t.n(), n, "tree on the wrong cube");
-        assert_eq!(t.root(), root, "trees must share the root");
-    }
-    if n == 0 {
-        return blocks;
-    }
-    let num = net.num_nodes();
-    let k_trees = trees.len();
-
-    // held[k][x] = blocks of tree k at node x. Each tree routes its own
-    // slice of every destination block.
-    let mut held: Vec<Vec<Vec<Block<T>>>> =
-        (0..k_trees).map(|_| (0..num).map(|_| Vec::new()).collect()).collect();
+    let root = common_root(net.n(), trees);
+    // One block per non-empty (destination, tree) slice, destination-major
+    // — so a node's blocks, in id order, are its payload in tree order.
+    let mut payloads = Vec::new();
+    let mut tree_of: Vec<u32> = Vec::new();
     for (d, data) in blocks.into_iter().enumerate() {
-        let parts = split_even(data, k_trees);
-        for (k, part) in parts.into_iter().enumerate() {
+        for (k, part) in split_even(data, trees.len()).into_iter().enumerate() {
             if !part.is_empty() {
-                held[k][root.index()].push(Block::new(root, NodeId(d as u64), part));
+                tree_of.push(k as u32);
+                payloads.push(Block::new(root, NodeId(d as u64), part));
             }
         }
     }
-
-    for j in 0..n {
-        for (k, tree) in trees.iter().enumerate() {
-            let dim = tree.physical_dim(j);
-            for lx in 0..(1u64 << j) {
-                let x = tree.physical(lx);
-                let (keep, send): (Vec<_>, Vec<_>) =
-                    held[k][x.index()].drain(..).partition(|b| (tree.logical(b.dst) >> j) & 1 == 0);
-                held[k][x.index()] = keep;
-                if !send.is_empty() {
-                    net.send(x, dim, BlockMsg(send));
-                }
-            }
-        }
-        net.finish_round();
-        for (k, tree) in trees.iter().enumerate() {
-            let dim = tree.physical_dim(j);
-            for lx in 0..(1u64 << j) {
-                let child = tree.physical(lx | (1 << j));
-                if net.has_message(child, dim) {
-                    held[k][child.index()].extend(net.recv(child, dim).0);
-                }
-            }
-        }
-    }
-
-    // Merge the slices per node, in tree order so the original block is
-    // reassembled in order.
-    let mut merged: Vec<Vec<Block<T>>> = (0..num).map(|_| Vec::new()).collect();
-    for per_node in held {
-        for (x, blks) in per_node.into_iter().enumerate() {
-            merged[x].extend(blks);
-        }
-    }
-    collect_own(merged)
+    let metas = exec::metas_at_src(&payloads);
+    let rounds = skeleton::trees_rounds(net.n(), &metas, trees, &tree_of);
+    payload_per_node(exec::execute(net, &metas, &rounds, payloads))
 }
 
 /// One-to-all personalized communication from `root` over `n` distinctly
 /// rotated SBTs concurrently (n-port):
 /// `T_min = (1/n)(1 - 1/N)·PQ·t_c + n·τ`.
-pub fn one_to_all_rotated_sbts<T: Clone>(
+pub fn one_to_all_rotated_sbts<T>(
     net: &mut SimNet<BlockMsg<T>>,
     root: NodeId,
     blocks: Vec<Vec<T>>,
@@ -171,7 +105,7 @@ pub fn one_to_all_rotated_sbts<T: Clone>(
 /// # Panics
 /// Unless `k` divides `n`.
 #[track_caller]
-pub fn one_to_all_k_rotated_sbts<T: Clone>(
+pub fn one_to_all_k_rotated_sbts<T>(
     net: &mut SimNet<BlockMsg<T>>,
     root: NodeId,
     blocks: Vec<Vec<T>>,
@@ -191,7 +125,7 @@ pub fn one_to_all_k_rotated_sbts<T: Clone>(
 /// On odd `n` (the two trees would share a dimension in the middle
 /// step).
 #[track_caller]
-pub fn one_to_all_reflected_pair<T: Clone>(
+pub fn one_to_all_reflected_pair<T>(
     net: &mut SimNet<BlockMsg<T>>,
     root: NodeId,
     blocks: Vec<Vec<T>>,
@@ -218,35 +152,6 @@ pub(crate) fn split_even<T>(mut data: Vec<T>, parts: usize) -> Vec<Vec<T>> {
     }
     debug_assert!(rest.is_empty());
     out
-}
-
-/// Final bookkeeping: every node must hold exactly the blocks destined to
-/// itself; returns the concatenated payload per node.
-#[track_caller]
-fn collect_own<T>(held: Vec<Vec<Block<T>>>) -> Vec<Vec<T>> {
-    held.into_iter()
-        .enumerate()
-        .map(|(x, blks)| {
-            let mut out = Vec::new();
-            for b in blks {
-                assert_eq!(
-                    b.dst.index(),
-                    x,
-                    "routing failure: block for {} stranded at {x}",
-                    b.dst
-                );
-                out.extend(b.data);
-            }
-            out
-        })
-        .collect()
-}
-
-/// Verifies that the low bits of a logical address are all the caller
-/// expects (used in tests).
-#[allow(dead_code)]
-fn logical_prefix_matches(l: u64, j: u32, lx: u64) -> bool {
-    l & mask(j) == lx
 }
 
 #[cfg(test)]

@@ -1,24 +1,31 @@
 //! Static schedule introspection: metadata-only communication plans.
 //!
-//! Every routing engine in this crate executes a *schedule* — a sequence
+//! Every routing algorithm in this crate is a *schedule* — a sequence
 //! of synchronous rounds, each moving a set of `(source, dimension)`
-//! messages — but historically only exposed the execution interface:
-//! the schedule existed implicitly, observable solely through
-//! [`cubesim::SimNet`]'s dynamic accounting. The builders here produce
-//! the same schedules as first-class data ([`CommSchedule`]) without a
-//! simulator and without payloads: blocks are `(src, dst, elems)`
-//! records ([`BlockMeta`]), and each planned round lists which block ids
-//! cross which directed links.
+//! messages. The builders here produce the schedules as first-class data
+//! ([`CommSchedule`]) without a simulator and without payloads: blocks
+//! are `(src, dst, elems)` records ([`BlockMeta`]), and each planned
+//! round lists which block ids cross which directed links.
 //!
-//! Each builder mirrors its engine's control flow *exactly* — the same
-//! partitioning, chunking, grouping and FIFO order — so that a plan's
-//! per-round link claims coincide, round for round and link for link,
-//! with the [`cubesim::CommReport::link_history`] an execution records.
-//! The `cubecheck` crate's equivalence property tests enforce this
-//! coincidence on random schedules; its static checkers then prove the
-//! paper's structural invariants (port legality, edge-disjointness,
-//! `B_m` packet budgets, conservation, deadlock freedom) on the plan
-//! alone.
+//! The builders do not mirror engines; they *are* the control flow. The
+//! block engines ([`crate::exchange`], [`crate::one_to_all`],
+//! [`crate::sbnt`], [`crate::some_to_all`]) tag their payloads as
+//! [`BlockMeta`], build the rounds with the same `skeleton` functions
+//! the planners below call, and hand them to [`crate::exec::execute`];
+//! the router ([`crate::graph`]) runs the hop log of the contention
+//! simulation that [`ecube_route_plan`] and [`dragonfly_direct_plan`]
+//! materialize. So a plan's per-round link claims coincide, round for
+//! round and link for link, with the
+//! [`cubesim::CommReport::link_history`] an execution records, and the
+//! `cubecheck` crate's static checkers (port legality,
+//! edge-disjointness, `B_m` packet budgets, conservation, deadlock
+//! freedom) analyse the schedule that actually runs. What stays
+//! independent, as the oracle of each family: [`mod@reference`] (the
+//! original simulate-every-node planners) for exchange, trees and SBnT;
+//! [`crate::ecube::reference::RefRouter`] for the contention simulation
+//! on the cube; and on the Dragonfly, [`cubesim::SimNet`]'s own link and
+//! port checks, the five `cubecheck` rule families and the executor's
+//! delivery check.
 //!
 //! Construction is factored and fast (see the `skeleton` module): the
 //! node-independent round structure is computed once directly from
@@ -26,7 +33,8 @@
 //! allocation-heavy per-round materialization fanned over
 //! [`cubesim::par`] (byte-identical output at any `CUBEBENCH_THREADS`).
 //! The pre-optimization planners survive verbatim in [`mod@reference`],
-//! pinned to the fast builders by equivalence property tests. A keyed
+//! pinned to the fast builders by the `plan_construction` property
+//! tests. A keyed
 //! LRU [`PlanCache`] (see [`cache`]) plus the `*_cached` wrappers below
 //! make repeated requests for the same shape pay construction once.
 //!
@@ -38,7 +46,7 @@
 pub mod cache;
 pub mod dragonfly;
 pub mod reference;
-mod skeleton;
+pub(crate) mod skeleton;
 
 pub use cache::{fingerprint, CacheStats, MachineKey, PlanCache, PlanKey};
 pub use dragonfly::{
@@ -47,7 +55,7 @@ pub use dragonfly::{
 };
 
 use crate::exchange::BufferPolicy;
-use crate::sbt::Sbt;
+use crate::sbt::{common_root, Sbt};
 use crate::some_to_all;
 use cubeaddr::{DimSet, NodeId};
 use cubesim::PortMode;
@@ -83,7 +91,7 @@ pub struct PlannedMsg {
 /// the same round (the gather pass of the buffered exchange policy).
 #[derive(Clone, PartialEq, Eq, Debug, Default)]
 pub struct PlanRound {
-    /// Messages sent this round, in the engine's send order.
+    /// Messages sent this round, in send order.
     pub msgs: Vec<PlannedMsg>,
     /// `(node, elements)` local-copy charges for this round.
     pub copies: Vec<(NodeId, u64)>,
@@ -147,9 +155,14 @@ pub(crate) fn check_blocks(topo: &TopoSpec, blocks: &[BlockMeta]) {
     }
 }
 
-/// Mirrors `exchange::memory_chunks` on block ids: sort by
-/// `(dst, src)` (the local storage order of the blocked array) and split
-/// into the `2^step` near-equal runs the iPSC implementation sees.
+/// The memory-contiguous chunks the iPSC implementation sees at exchange
+/// step `step_index` (0-based): the exchange works in place, so the
+/// elements to send occupy `2^step` equal non-contiguous runs of the
+/// local array, because `step` already-processed address bits sit above
+/// the bit being exchanged (§8.1: "the local array is partitioned into
+/// `2^j` same-sized blocks during step `j`"). Ids are sorted by
+/// `(dst, src)` — the local storage order of the blocked array — and
+/// split into that many near-equal runs.
 fn chunk_ids(mut ids: Vec<u32>, step_index: usize, blocks: &[BlockMeta]) -> Vec<Vec<u32>> {
     if ids.is_empty() {
         return Vec::new();
@@ -165,10 +178,11 @@ fn chunk_ids(mut ids: Vec<u32>, step_index: usize, blocks: &[BlockMeta]) -> Vec<
 /// algorithm over `dims` in order, starting from every block at its
 /// source, under the given send policy.
 ///
-/// Blocks must have pairwise distinct `(src, dst)` pairs — the engine's
-/// in-place partition does not preserve the order of equal `(dst, src)`
-/// sort keys, so duplicate pairs could chunk differently in the plan
-/// than in the execution.
+/// Blocks must have pairwise distinct `(src, dst)` pairs, so that the
+/// `(dst, src)` chunk order of the unbuffered and buffered policies is
+/// total and a plan reads the same whatever order its blocks were
+/// listed in. ([`crate::exchange::exchange_over_dims`] itself accepts
+/// duplicates and breaks the tie by holding order.)
 #[track_caller]
 pub fn exchange_plan(
     n: u32,
@@ -294,12 +308,7 @@ pub fn one_to_all_sbt_plan(n: u32, root: NodeId, sizes: &[u64]) -> CommSchedule 
 pub fn one_to_all_trees_plan(n: u32, sizes: &[u64], trees: &[Sbt]) -> CommSchedule {
     let num = cubeaddr::num_nodes(n);
     assert_eq!(sizes.len(), num, "one size per destination node");
-    assert!(!trees.is_empty());
-    let root = trees[0].root();
-    for t in trees {
-        assert_eq!(t.n(), n, "tree on the wrong cube");
-        assert_eq!(t.root(), root, "trees must share the root");
-    }
+    let root = common_root(n, trees);
     let k_trees = trees.len() as u64;
     // Block per (destination, tree) slice, mirroring split_even sizing:
     // part k of a total gets `total/k_trees` plus one of the first
@@ -362,9 +371,9 @@ pub fn all_to_all_sbnt_plan(n: u32, sizes: &[Vec<u64>]) -> CommSchedule {
 
 /// Plans [`crate::ecube::ecube_route`]: dimension-ordered store-and-
 /// forward routing, one message per directed link per round, FIFO per
-/// link, with the router's exact staging order (lanes ascending,
-/// dimensions ascending per lane, commits dimension-major) — the
-/// contention simulation [`dragonfly_direct_plan`] shares, on a
+/// link (nodes ascending, dimensions ascending per node, sends
+/// dimension-major) — the contention simulation
+/// [`dragonfly_direct_plan`] and the router itself share, on a
 /// [`Hypercube`].
 ///
 /// `msgs` are `(src, dst, elems)`; zero-element and local messages plan

@@ -1,7 +1,10 @@
-//! Factored, parallel schedule construction.
+//! Factored, parallel schedule construction — and the control flow of
+//! the engines: the block engines execute these rounds
+//! ([`crate::exec::execute`]) and the router runs [`route_hops`]' log,
+//! so nothing here mirrors anything.
 //!
 //! The original planners (preserved verbatim in [`super::reference`])
-//! rebuilt every schedule by simulating the engine: per-node `Vec`s of
+//! rebuilt every schedule by simulating every node: per-node `Vec`s of
 //! held blocks, partitioned and re-scattered once per round, across all
 //! `2^n` nodes — O(2^n) work and allocations per round even when only a
 //! handful of nodes send. The paper's algorithms are node-symmetric by
@@ -27,15 +30,14 @@
 //!    vectors are materialized — are fanned over
 //!    [`cubesim::par::par_map`], which returns results in input order on
 //!    any worker count. Emitted schedules are therefore byte-identical
-//!    at any `CUBEBENCH_THREADS`, the same determinism contract the
-//!    engines make, and byte-identical to [`super::reference`] (enforced
-//!    by the `plan_reference` property tests).
+//!    at any `CUBEBENCH_THREADS`, and byte-identical to
+//!    [`super::reference`] (enforced by the `plan_construction` property
+//!    tests).
 //!
-//! The two store-and-forward routing planners (e-cube on the cube,
-//! direct routing on the Swapped Dragonfly) cannot be factored — their
-//! round structure is a contention simulation — so they share one,
-//! [`route_rounds`], generic over [`MinimalRoute`] and built like the
-//! router's data plane: intrusive FIFO slabs (`head`/`tail`/`next`
+//! Store-and-forward routing (e-cube on the cube, direct routing on the
+//! Swapped Dragonfly) cannot be factored — its round structure is a
+//! contention simulation — so it exists once, [`route_hops`], generic
+//! over [`MinimalRoute`]: intrusive FIFO slabs (`head`/`tail`/`next`
 //! arrays, no per-lane `VecDeque`) and a live-lane bitmap, so a round
 //! costs O(live lanes), not O(nodes · ports) full-lattice scans.
 
@@ -49,7 +51,7 @@ use cubetopo::MinimalRoute;
 
 /// One exchange step's instantiated skeleton: the dimension crossed, its
 /// position in the dimension sequence, and the senders with their block
-/// runs (senders ascending, blocks in the engine's held order).
+/// runs (senders ascending, blocks in held order).
 struct ExchangeStep {
     dim: u32,
     step_index: usize,
@@ -59,16 +61,17 @@ struct ExchangeStep {
     movers: Vec<u32>,
 }
 
-/// Rounds of [`super::exchange_plan`]: dimension `dims[t]` is exchanged
-/// at step `t`, under `policy`.
+/// Rounds of [`super::exchange_plan`] and of
+/// [`crate::exchange::exchange_over_dims`]: dimension `dims[t]` is
+/// exchanged at step `t`, under `policy`.
 ///
 /// A block moves at step `t` iff bit `dims[t]` of `src ⊕ dst` is set and
 /// the dimension has not been exchanged before; its holder is `src` with
-/// every already-exchanged bit replaced by `dst`'s. The engine's held
-/// order (which fixes block order inside a message) is maintained as one
-/// global rank list: each step stably partitions it into keepers then
-/// movers, whose restriction to any node reproduces that node's list.
-pub(super) fn exchange_rounds(
+/// every already-exchanged bit replaced by `dst`'s. The held order at
+/// each node (which fixes block order inside a message) is maintained
+/// as one global rank list: each step stably partitions it into keepers
+/// then movers, whose restriction to any node is that node's list.
+pub(crate) fn exchange_rounds(
     n: u32,
     blocks: &[BlockMeta],
     dims: &[u32],
@@ -124,8 +127,8 @@ pub(super) fn exchange_rounds(
     par::par_map(&steps, |s| emit_exchange_step(s, blocks, policy)).concat()
 }
 
-/// Materializes one exchange step's rounds under the send policy —
-/// exactly the engine's per-step emission, restricted to actual senders.
+/// Materializes one exchange step's rounds under the send policy (paper
+/// §8.1), senders only.
 fn emit_exchange_step(
     step: &ExchangeStep,
     blocks: &[BlockMeta],
@@ -135,8 +138,8 @@ fn emit_exchange_step(
     let run = |&(_, s, e): &(u64, u32, u32)| &step.movers[s as usize..e as usize];
     match policy {
         BufferPolicy::Ideal => {
-            // One round per step, sends or not: the engine always pays
-            // the round boundary.
+            // One round per step, sends or not: the step's round boundary
+            // is paid either way.
             let msgs = step
                 .senders
                 .iter()
@@ -173,8 +176,7 @@ fn emit_exchange_step(
                 .collect()
         }
         BufferPolicy::Buffered { min_direct } => {
-            // (direct chunks, gathered ids) per sender, as the engine
-            // splits them.
+            // (direct chunks, gathered ids) per sender.
             let split: Vec<(u64, Vec<Vec<u32>>, Vec<u32>)> = step
                 .senders
                 .iter()
@@ -229,7 +231,7 @@ fn emit_exchange_step(
 /// logical destination `l` sits at logical node `l mod 2^j` and is sent
 /// iff bit `j` of `l` is set. The logical structure is the skeleton; the
 /// tree's `physical`/`physical_dim` relabeling instantiates it.
-pub(super) fn sbt_rounds(n: u32, blocks: &[BlockMeta], tree: &Sbt) -> Vec<PlanRound> {
+pub(crate) fn sbt_rounds(n: u32, blocks: &[BlockMeta], tree: &Sbt) -> Vec<PlanRound> {
     let logical: Vec<u64> = blocks.iter().map(|b| tree.logical(b.dst)).collect();
     let rounds: Vec<u32> = (0..n).collect();
     par::par_map(&rounds, |&j| {
@@ -250,7 +252,7 @@ pub(super) fn sbt_rounds(n: u32, blocks: &[BlockMeta], tree: &Sbt) -> Vec<PlanRo
 /// Rounds of [`super::one_to_all_trees_plan`]: the SBT skeleton of
 /// [`sbt_rounds`], once per tree per round, messages in tree-major
 /// order. `tree_of[id]` is the tree routing block `id`.
-pub(super) fn trees_rounds(
+pub(crate) fn trees_rounds(
     n: u32,
     blocks: &[BlockMeta],
     trees: &[Sbt],
@@ -316,7 +318,7 @@ struct SbntRound {
 /// (trees at different roots are translations of each other), so each
 /// distinct relative address's path is computed once and shared by all
 /// `2^n` source nodes.
-pub(super) fn sbnt_rounds(n: u32, blocks: &[BlockMeta]) -> Vec<PlanRound> {
+pub(crate) fn sbnt_rounds(n: u32, blocks: &[BlockMeta]) -> Vec<PlanRound> {
     let num = cubeaddr::num_nodes(n);
     let mut path_of_rel: Vec<Vec<u32>> = vec![Vec::new(); num];
     let mut rel_of: Vec<u64> = Vec::with_capacity(blocks.len());
@@ -402,15 +404,23 @@ fn lane_push(
     tail[lane] = id;
 }
 
-/// Rounds of [`super::ecube_route_plan`] and
-/// [`super::dragonfly_direct_plan`]: the contention simulation of
-/// minimal-path store-and-forward routing on `topo`, taking
-/// [`crate::graph::graph_route`]'s decisions in its order. One lane per
-/// directed link (`node * ports + port`), each an intrusive FIFO (a
-/// block sits in at most one queue, so one `next` slot per block
-/// suffices), and a live-lane bitmap whose ascending scan reproduces the
-/// router's nodes-ascending, ports-ascending staging order exactly.
-pub(super) fn route_rounds<G: MinimalRoute>(topo: &G, blocks: &[BlockMeta]) -> Vec<PlanRound> {
+/// One round-delimited hop log of [`route_hops`]: `(sender, port, block
+/// id)` records in send order, and the round bounds into them (round `r`
+/// is `hops[bounds[r]..bounds[r + 1]]`).
+pub(crate) type HopLog = (Vec<(u64, u32, u32)>, Vec<usize>);
+
+/// The contention simulation of minimal-path store-and-forward routing
+/// on `topo`: one message per directed link per round, FIFO per link.
+/// [`route_rounds`] materializes its log as a plan and
+/// [`crate::graph::graph_route`] runs it with payloads, so the FIFO
+/// discipline exists once. One lane per directed link
+/// (`node * ports + port`), each an intrusive FIFO (a block sits in at
+/// most one queue, so one `next` slot per block suffices), and a
+/// live-lane bitmap whose ascending scan stages nodes ascending, ports
+/// ascending; sends are committed port-major, and a landed block joins
+/// its next lane in send order.
+pub(crate) fn route_hops<G: MinimalRoute>(topo: &G, blocks: &[BlockMeta]) -> HopLog {
+    assert!(blocks.len() < NONE as usize, "block id space exhausted");
     let ports = topo.ports() as usize;
     let lanes = topo.num_nodes() * ports;
     let mut head = vec![NONE; lanes];
@@ -425,14 +435,13 @@ pub(super) fn route_rounds<G: MinimalRoute>(topo: &G, blocks: &[BlockMeta]) -> V
             in_flight += 1;
         }
     }
-    // Flat staged-hop log: `(src, port, id)` records in send order, with
-    // round boundaries — the whole simulation allocates nothing per hop.
-    let mut flat: Vec<(u64, u32, u32)> = Vec::new();
+    // The whole simulation allocates nothing per hop.
+    let mut hops: Vec<(u64, u32, u32)> = Vec::new();
     let mut bounds: Vec<usize> = vec![0];
     let mut commit: Vec<Vec<(u64, u32)>> = vec![Vec::new(); ports];
     while in_flight > 0 {
-        // Stage: pop the head of every live lane, lanes ascending (the
-        // router's node-major, port-minor scan).
+        // Stage: pop the head of every live lane, lanes ascending
+        // (node-major, port-minor).
         for (w, word) in live.iter_mut().enumerate() {
             let mut bits = *word;
             while bits != 0 {
@@ -447,15 +456,15 @@ pub(super) fn route_rounds<G: MinimalRoute>(topo: &G, blocks: &[BlockMeta]) -> V
                 commit[lane % ports].push(((lane / ports) as u64, id));
             }
         }
-        // Commit port-major — the router's send order.
+        // Commit port-major — the send order.
         for (p, staged) in commit.iter_mut().enumerate() {
             for (src, id) in staged.drain(..) {
-                flat.push((src, p as u32, id));
+                hops.push((src, p as u32, id));
             }
         }
         // Land in send order: retire arrivals, requeue the rest on the
         // next port of their route.
-        for &(src, p, id) in &flat[bounds[bounds.len() - 1]..] {
+        for &(src, p, id) in &hops[bounds[bounds.len() - 1]..] {
             let land = topo.neighbor(src, p).expect("minimal routes cross wired ports only");
             match topo.next_port(land, blocks[id as usize].dst.bits()) {
                 None => in_flight -= 1,
@@ -465,11 +474,19 @@ pub(super) fn route_rounds<G: MinimalRoute>(topo: &G, blocks: &[BlockMeta]) -> V
                 }
             }
         }
-        bounds.push(flat.len());
+        bounds.push(hops.len());
     }
+    (hops, bounds)
+}
+
+/// Rounds of [`super::ecube_route_plan`] and
+/// [`super::dragonfly_direct_plan`]: [`route_hops`]' log, one
+/// single-block message per hop.
+pub(super) fn route_rounds<G: MinimalRoute>(topo: &G, blocks: &[BlockMeta]) -> Vec<PlanRound> {
+    let (hops, bounds) = route_hops(topo, blocks);
     let ranges: Vec<(usize, usize)> = bounds.windows(2).map(|w| (w[0], w[1])).collect();
     par::par_map(&ranges, |&(s, e)| PlanRound {
-        msgs: flat[s..e]
+        msgs: hops[s..e]
             .iter()
             .map(|&(src, dim, id)| PlannedMsg { src: NodeId(src), dim, blocks: vec![id] })
             .collect(),

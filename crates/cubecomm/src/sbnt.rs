@@ -8,11 +8,13 @@
 //! `n/2` better than the SBT, which is what makes the n-port all-to-all
 //! time `T_min ≈ PQ/2N·t_c + n·τ` achievable.
 
-use crate::block::{Block, BlockMsg};
+use crate::block::{blocks_from, Block, BlockMsg};
+use crate::exec;
+use crate::one_to_all::payload_per_node;
+use crate::plan::skeleton;
 use cubeaddr::necklace::{base, nearest_one_left_cyclic};
 use cubeaddr::NodeId;
 use cubesim::SimNet;
-use std::collections::BTreeMap;
 
 /// The SBnT routing path from `src` to `dst`: the sequence of dimensions
 /// crossed, starting with `base(src ⊕ dst)` and then following the set
@@ -50,76 +52,25 @@ pub fn sbnt_path_dims(src: NodeId, dst: NodeId, n: u32) -> Vec<u32> {
 /// `blocks[src][dst]` as in
 /// [`all_to_all_exchange`](crate::exchange::all_to_all_exchange); returns
 /// `result[dst]` with source-tagged blocks.
-pub fn all_to_all_sbnt<T: Clone>(
+pub fn all_to_all_sbnt<T>(
     net: &mut SimNet<BlockMsg<T>>,
     blocks: Vec<Vec<Vec<T>>>,
 ) -> Vec<Vec<Block<T>>> {
-    let n = net.n();
     let num = net.num_nodes();
     assert_eq!(blocks.len(), num);
-
-    /// A block in flight with its remaining path.
-    struct InFlight<T> {
-        block: Block<T>,
-        dims: Vec<u32>,
-        pos: usize,
-    }
-
-    let mut result: Vec<Vec<Block<T>>> = vec![Vec::new(); num];
-    // pending[x] = blocks at node x still needing hops.
-    let mut pending: Vec<Vec<InFlight<T>>> = (0..num).map(|_| Vec::new()).collect();
+    let mut payloads = Vec::new();
     for (s, per_dst) in blocks.into_iter().enumerate() {
         assert_eq!(per_dst.len(), num);
-        let src = NodeId(s as u64);
-        for (d, data) in per_dst.into_iter().enumerate() {
-            if data.is_empty() {
-                continue;
-            }
-            let dst = NodeId(d as u64);
-            let block = Block::new(src, dst, data);
-            if s == d {
-                result[d].push(block);
-            } else {
-                pending[s].push(InFlight { block, dims: sbnt_path_dims(src, dst, n), pos: 0 });
-            }
-        }
+        payloads.extend(blocks_from(NodeId(s as u64), per_dst));
     }
+    route_sbnt(net, payloads)
+}
 
-    while pending.iter().any(|p| !p.is_empty()) {
-        // Group every node's pending blocks by next dimension; one message
-        // per (node, dim) per round. BTreeMap keeps rounds deterministic.
-        let mut hops: Vec<(NodeId, u32, Vec<InFlight<T>>)> = Vec::new();
-        for (x, slot) in pending.iter_mut().enumerate() {
-            let mut by_dim: BTreeMap<u32, Vec<InFlight<T>>> = BTreeMap::new();
-            for f in slot.drain(..) {
-                by_dim.entry(f.dims[f.pos]).or_default().push(f);
-            }
-            for (dim, group) in by_dim {
-                hops.push((NodeId(x as u64), dim, group));
-            }
-        }
-        for (x, dim, group) in &hops {
-            let msg = BlockMsg(group.iter().map(|f| f.block.clone()).collect());
-            net.send(*x, *dim, msg);
-        }
-        net.finish_round();
-        for (x, dim, group) in hops {
-            let dst_node = x.neighbor(dim);
-            // Drain the delivered message (payload identical to `group`'s
-            // blocks; we advance the in-flight records instead).
-            let _ = net.recv(dst_node, dim);
-            for mut f in group {
-                f.pos += 1;
-                if f.pos == f.dims.len() {
-                    debug_assert_eq!(f.block.dst, dst_node);
-                    result[dst_node.index()].push(f.block);
-                } else {
-                    pending[dst_node.index()].push(f);
-                }
-            }
-        }
-    }
-    result
+/// Routes every block from its `src` along its SBnT path.
+fn route_sbnt<T>(net: &mut SimNet<BlockMsg<T>>, payloads: Vec<Block<T>>) -> Vec<Vec<Block<T>>> {
+    let metas = exec::metas_at_src(&payloads);
+    let rounds = skeleton::sbnt_rounds(net.n(), &metas);
+    exec::execute(net, &metas, &rounds, payloads)
 }
 
 /// One-to-all personalized communication with n-port SBnT routing
@@ -128,34 +79,13 @@ pub fn all_to_all_sbnt<T: Clone>(
 /// port travel as one message, so the spanning-tree depth bounds the
 /// round count and the balanced port split keeps the root's links within
 /// a factor of ~2 of `(1/n)(1 - 1/N)·PQ` elements each.
-pub fn one_to_all_sbnt<T: Clone>(
+pub fn one_to_all_sbnt<T>(
     net: &mut SimNet<BlockMsg<T>>,
     root: NodeId,
     blocks: Vec<Vec<T>>,
 ) -> Vec<Vec<T>> {
-    let num = net.num_nodes();
-    assert_eq!(blocks.len(), num, "one block per destination");
-    let all: Vec<Vec<Vec<T>>> = (0..num)
-        .map(|s| {
-            if s == root.index() {
-                blocks.clone()
-            } else {
-                (0..num).map(|_| Vec::new()).collect()
-            }
-        })
-        .collect();
-    let result = all_to_all_sbnt(net, all);
-    result
-        .into_iter()
-        .map(|blks| {
-            let mut out = Vec::new();
-            for b in blks {
-                debug_assert_eq!(b.src, root);
-                out.extend(b.data);
-            }
-            out
-        })
-        .collect()
+    assert_eq!(blocks.len(), net.num_nodes(), "one block per destination");
+    payload_per_node(route_sbnt(net, blocks_from(root, blocks)))
 }
 
 #[cfg(test)]

@@ -154,6 +154,19 @@ impl Sbt {
     }
 }
 
+/// The root a tree family shares, after checking it is a non-empty
+/// family of trees on the `n`-cube with one root.
+#[track_caller]
+pub(crate) fn common_root(n: u32, trees: &[Sbt]) -> NodeId {
+    assert!(!trees.is_empty());
+    let root = trees[0].root();
+    for t in trees {
+        assert_eq!(t.n(), n, "tree on the wrong cube");
+        assert_eq!(t.root(), root, "trees must share the root");
+    }
+    root
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -15,7 +15,7 @@
 //! ([`exchange_over_dims`]) — a splitting step *is* an exchange step in
 //! which only the data-holding half of each pair has anything to send.
 
-use crate::block::{Block, BlockMsg};
+use crate::block::{blocks_from, Block, BlockMsg};
 use crate::exchange::{exchange_over_dims, BufferPolicy};
 use cubeaddr::{DimSet, NodeId};
 use cubesim::SimNet;
@@ -29,7 +29,7 @@ use cubesim::SimNet;
 /// must partition the cube (`l_dims ∪ k_dims = {0..n}`, disjoint).
 ///
 /// Splitting (over `k_dims`) runs first, per Theorem 1.
-pub fn some_to_all<T: Clone + Send + Sync>(
+pub fn some_to_all<T>(
     net: &mut SimNet<BlockMsg<T>>,
     l_dims: DimSet,
     k_dims: DimSet,
@@ -43,7 +43,7 @@ pub fn some_to_all<T: Clone + Send + Sync>(
 
 /// The same operation with the phases in the *suboptimal* order
 /// (all-to-all first), for demonstrating Theorem 1's claim.
-pub fn some_to_all_suboptimal<T: Clone + Send + Sync>(
+pub fn some_to_all_suboptimal<T>(
     net: &mut SimNet<BlockMsg<T>>,
     l_dims: DimSet,
     k_dims: DimSet,
@@ -60,7 +60,7 @@ pub fn some_to_all_suboptimal<T: Clone + Send + Sync>(
 /// accumulation over `k_dims` runs last, per Theorem 1.
 ///
 /// `blocks[src][j]` is the payload for the `j`-th destination.
-pub fn all_to_some<T: Clone + Send + Sync>(
+pub fn all_to_some<T>(
     net: &mut SimNet<BlockMsg<T>>,
     l_dims: DimSet,
     k_dims: DimSet,
@@ -115,12 +115,7 @@ fn seed_sources<T>(
     let mut held: Vec<Vec<Block<T>>> = (0..num).map(|_| Vec::new()).collect();
     for (src, per_dst) in sources.iter().zip(blocks) {
         assert_eq!(per_dst.len(), num, "one (possibly empty) block per destination");
-        held[src.index()] = per_dst
-            .into_iter()
-            .enumerate()
-            .filter(|(_, data)| !data.is_empty())
-            .map(|(d, data)| Block::new(*src, NodeId(d as u64), data))
-            .collect();
+        held[src.index()] = blocks_from(*src, per_dst);
     }
     held
 }

@@ -1,7 +1,7 @@
 //! Time-bounded performance smoke test for the schedule executor.
 //!
 //! Runs the full n = 10 all-to-all personalized exchange (1024 nodes,
-//! ~one million blocks through the flat-indexed `SimNet`) and fails if
+//! ~one million blocks planned, then executed on `SimNet`) and fails if
 //! it takes longer than a generous wall-clock bound. Ignored by default
 //! so ordinary debug test runs stay fast; `scripts/ci.sh` runs it in
 //! release mode with `--ignored`.
@@ -28,7 +28,7 @@ fn n10_all_to_all_completes_within_bound() {
 
     assert_eq!(report.rounds, n as usize);
     assert!(result.iter().all(|per_node| per_node.len() == num));
-    // ~0.2 s on a modest core; the bound only catches order-of-magnitude
+    // ~0.5 s on a modest core; the bound only catches order-of-magnitude
     // regressions (e.g. accidental per-round allocation or quadratic
     // bookkeeping), not scheduler jitter.
     assert!(elapsed < Duration::from_secs(30), "n=10 all-to-all took {elapsed:?}");
@@ -43,7 +43,7 @@ fn n12_router_transpose_completes_within_bound() {
 
     // The FIG16-18 workload one size below the headline: the
     // node-permutation transpose pattern on a 12-cube (4096 messages,
-    // heavy link contention) through the flat lane-based router.
+    // heavy link contention) through the router.
     let n = 12u32;
     let half = n / 2;
     let msgs: Vec<RouteMsg<u64>> = (0..(1u64 << n))

@@ -2,10 +2,10 @@
 //!
 //! Two consumers share this module: the experiment sweeps (independent
 //! `(n, PQ, preset)` simulation points fanned out with [`par_map`]) and
-//! the exchange-engine data plane (per-node gather/scatter/permute loops
+//! the field-map data plane (per-node gather/scatter/permute loops
 //! fanned out with [`par_for_each_mut`] while the central `SimNet` cost
 //! accounting stays serial). The store-and-forward router
-//! (`cubecomm::graph`) is deliberately not a consumer: a lane's work in
+//! (`cubecomm::graph`) is deliberately not a consumer: a node's work in
 //! one round is tiny next to a scoped-thread fork, and forking it once
 //! per round measured 2.6–3.8× slower than the serial loop.
 //!

@@ -66,6 +66,20 @@ if [ -n "$violations" ]; then
     false
 fi
 
+begin "lint policy: one round loop per substrate in cubecomm (finish_round only in exec.rs, graph.rs, ecube/reference.rs)"
+# The block engines run their plans through cubecomm::exec and the router
+# runs the planner's hop log; RefRouter is the preserved oracle. Another
+# hand-written round loop would be a second copy of a schedule's control
+# flow, unpinned by any equivalence test.
+violations="$(grep -rl 'finish_round' --include='*.rs' crates/cubecomm/src 2>/dev/null \
+    | grep -v -x -e 'crates/cubecomm/src/exec.rs' -e 'crates/cubecomm/src/graph.rs' \
+        -e 'crates/cubecomm/src/ecube/reference.rs' || true)"
+if [ -n "$violations" ]; then
+    echo "FAIL: hand-written round loops outside the executor and the router:" >&2
+    echo "$violations" >&2
+    false
+fi
+
 begin "model-check: exhaustive interleaving of the real concurrency protocols (time-bounded)"
 # Rebuilds the facade's dependents against the model backend and
 # enumerates schedules of cubesim::par, the cuberun scheduler, and the

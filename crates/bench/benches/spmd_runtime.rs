@@ -1,17 +1,11 @@
 //! Real message-passing transposes on the SPMD runtime: wall-clock cost
-//! of the exchange and SPT node programs across cube sizes, old
-//! thread-per-node runtime vs the cooperative virtual-node pool.
-//!
-//! The `threads/*` rows run `cuberun::reference` (one OS thread per
-//! node) and stop at n = 10, its hard cap; the `virtual/*` rows run the
-//! scheduler and continue to n = 16 — 65 536 virtual nodes, the paper's
-//! Connection-Machine configuration, unreachable by the old runtime.
+//! of the exchange and SPT node programs across cube sizes on the
+//! cooperative virtual-node pool, up to n = 16 — 65 536 virtual nodes,
+//! the paper's Connection-Machine configuration.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use cubelayout::{Assignment, DistMatrix, Encoding, Layout};
-use cubetranspose::spmd::{
-    spmd_transpose_exchange, spmd_transpose_exchange_threads, spmd_transpose_spt,
-};
+use cubetranspose::spmd::{spmd_transpose_exchange, spmd_transpose_spt};
 
 /// A 2^half x 2^half matrix on a (2·half)-cube: one element per node.
 fn one_elem_per_node(half: u32) -> (Layout, Layout, DistMatrix<f64>) {
@@ -24,17 +18,6 @@ fn one_elem_per_node(half: u32) -> (Layout, Layout, DistMatrix<f64>) {
 fn bench_exchange(c: &mut Criterion) {
     let mut group = c.benchmark_group("spmd_exchange_transpose");
     group.sample_size(10);
-    // The old runtime: one OS thread per cube node. 2^10 threads is its
-    // refusal threshold, so the sweep stops there.
-    for n in [6u32, 8, 10] {
-        let (_, after, m) = one_elem_per_node(n / 2);
-        group.throughput(Throughput::Elements(1 << n));
-        group.bench_with_input(BenchmarkId::new("threads", n), &m, |b, m| {
-            b.iter(|| spmd_transpose_exchange_threads(m, &after))
-        });
-    }
-    // The virtual-node pool: same program, same sizes, then onward to
-    // the Connection-Machine configuration.
     for n in [6u32, 8, 10, 12, 14, 16] {
         let (_, after, m) = one_elem_per_node(n / 2);
         group.throughput(Throughput::Elements(1 << n));

@@ -394,6 +394,47 @@ mod alloc_gate_tests {
         assert!(allocs <= 4 * nodes, "transpose_mpt made {allocs} allocations for {nodes} nodes");
     }
 
+    /// The `cuberun` data plane at one worker: an all-dimensions `u64`
+    /// exchange on a 10-cube may allocate each node's boxed program and,
+    /// for a node that falls behind its neighbors, the overflow deque of
+    /// its inbox (≈ 2 per node in all) — nothing per directed link:
+    /// there are `num × ports` = 10 per node of those, and a queue
+    /// apiece is what the bound rules out. Counted on both threads that
+    /// allocate: this one (inboxes, slab, results) and the worker, which
+    /// starts counting in the first node program it polls.
+    #[test]
+    fn spmd_exchange_allocates_a_small_constant_per_node() {
+        use cubesync::atomic::AtomicUsize;
+        use std::cell::Cell;
+        let n = 10u32;
+        let on_worker = AtomicUsize::new(0);
+        COUNTED.with(|c| c.set(Some(0)));
+        let (sums, stats) = cuberun::with_workers(1, || {
+            cuberun::run_spmd(n, |ctx| {
+                let on_worker = &on_worker;
+                async move {
+                    COUNTED.with(|c| c.set(c.get().or(Some(0))));
+                    let mut acc = ctx.id().bits();
+                    for j in 0..ctx.n() {
+                        acc += ctx.exchange(j, acc).await;
+                    }
+                    on_worker.fetch_max(COUNTED.with(Cell::get).unwrap_or(0), Ordering::Relaxed);
+                    acc
+                }
+            })
+        });
+        let on_caller = COUNTED.with(|c| c.take()).expect("counting was on");
+        let nodes = 1usize << n;
+        let total: u64 = (0..nodes as u64).sum();
+        assert!(sums.iter().all(|&s| s == total), "dimension scan must sum every id");
+        assert_eq!(stats.messages, (nodes as u64) * n as u64);
+        let allocs = on_caller + on_worker.load(Ordering::Relaxed);
+        assert!(
+            allocs <= 4 * nodes,
+            "run_spmd made {allocs} allocations for {nodes} nodes × {n} ports"
+        );
+    }
+
     /// The in-place path must never allocate O(mn)-sized scratch after
     /// warmup: with `mn` elements of `u64`, no single allocation may
     /// reach a quarter of the matrix (the kernel's strip scratch is

@@ -10,9 +10,9 @@
 //! worker threads.
 //!
 //! The results are bit-identical to the simulator drivers, which the test
-//! suite checks, and [`spmd_transpose_exchange_threads`] keeps the same
-//! exchange program on the pre-scheduler thread-per-node runtime for
-//! equivalence tests and old-vs-new benchmarks.
+//! suite checks; this module's tests also run the exchange program on
+//! the thread-per-node oracle runtime ([`cuberun::reference`]), which no
+//! library function calls.
 
 use cubelayout::{DistMatrix, Layout, TransposeSpec};
 use cuberun::{run_spmd, RunStats};
@@ -78,46 +78,27 @@ pub fn spmd_transpose_exchange<T: Copy + Default + Send + Sync>(
             let me = ctx.id().bits();
             let mut held = initial[ctx.id().index()].clone();
             for j in (0..n).rev() {
-                let (keep, send): (Vec<_>, Vec<_>) =
-                    held.into_iter().partition(|&(dst, _, _)| (dst >> j) & 1 == (me >> j) & 1);
-                held = keep;
+                // Partition in place: what crosses dimension j moves to
+                // `send`, the rest keeps its buffer.
+                let mut send = Vec::new();
+                held.retain(|&elem| {
+                    let stays = (elem.0 >> j) & 1 == (me >> j) & 1;
+                    if !stays {
+                        send.push(elem);
+                    }
+                    stays
+                });
                 // Both partners always exchange (possibly empty vectors):
                 // the synchronous exchange keeps every pair in lock step.
                 let incoming = ctx.exchange(j, send).await;
-                held.extend(incoming);
+                if held.is_empty() {
+                    held = incoming;
+                } else {
+                    held.extend(incoming);
+                }
             }
             place_held(me, held, per_after)
         }
-    });
-
-    (DistMatrix::from_buffers(after.clone(), results), stats)
-}
-
-/// The same standard-exchange transposition on the pre-scheduler
-/// thread-per-node runtime ([`cuberun::reference`]) — the "before" side
-/// of the old-vs-new benchmark, and an equivalence check that the
-/// cooperative scheduler changed the execution substrate, not the
-/// algorithm. Capped at `n <= 10` by the reference runtime.
-pub fn spmd_transpose_exchange_threads<T: Copy + Default + Send + Sync>(
-    m: &DistMatrix<T>,
-    after: &Layout,
-) -> (DistMatrix<T>, RunStats) {
-    let spec = TransposeSpec::with_after(m.layout().clone(), after.clone());
-    let n = after.n();
-    let num = after.num_nodes();
-    let per_after = after.elems_per_node();
-    let initial = exchange_initial(m, &spec, num);
-
-    let (results, stats) = cuberun::reference::run_spmd_threads::<Vec<Elem<T>>, _, _>(n, |ctx| {
-        let me = ctx.id().bits();
-        let mut held = initial[ctx.id().index()].clone();
-        for j in (0..n).rev() {
-            let (keep, send): (Vec<_>, Vec<_>) =
-                held.into_iter().partition(|&(dst, _, _)| (dst >> j) & 1 == (me >> j) & 1);
-            held = keep;
-            held.extend(ctx.exchange(j, send));
-        }
-        place_held(me, held, per_after)
     });
 
     (DistMatrix::from_buffers(after.clone(), results), stats)
@@ -319,6 +300,35 @@ mod tests {
     use super::*;
     use crate::verify::{assert_transposed, labels};
     use cubelayout::{Assignment, Direction, Encoding};
+
+    /// The exchange program of [`spmd_transpose_exchange`] on the
+    /// thread-per-node oracle runtime ([`cuberun::reference`], capped at
+    /// `n <= 10`): the cooperative scheduler changed the execution
+    /// substrate, not the algorithm.
+    fn spmd_transpose_exchange_threads<T: Copy + Default + Send + Sync>(
+        m: &DistMatrix<T>,
+        after: &Layout,
+    ) -> (DistMatrix<T>, RunStats) {
+        let spec = TransposeSpec::with_after(m.layout().clone(), after.clone());
+        let n = after.n();
+        let per_after = after.elems_per_node();
+        let initial = exchange_initial(m, &spec, after.num_nodes());
+
+        let (results, stats) =
+            cuberun::reference::run_spmd_threads::<Vec<Elem<T>>, _, _>(n, |ctx| {
+                let me = ctx.id().bits();
+                let mut held = initial[ctx.id().index()].clone();
+                for j in (0..n).rev() {
+                    let (keep, send): (Vec<_>, Vec<_>) =
+                        held.into_iter().partition(|&(dst, _, _)| (dst >> j) & 1 == (me >> j) & 1);
+                    held = keep;
+                    held.extend(ctx.exchange(j, send));
+                }
+                place_held(me, held, per_after)
+            });
+
+        (DistMatrix::from_buffers(after.clone(), results), stats)
+    }
 
     #[test]
     fn spmd_exchange_matches_simulator() {

@@ -6,8 +6,9 @@
 //! message passing. Every cube node is a **virtual node**: an `async`
 //! node program compiled into a resumable state machine, multiplexed
 //! with all its siblings onto a fixed worker pool by a cooperative
-//! scheduler (flat per-link mailbox slab, park on empty `recv`, wake on
-//! `send` — see `sched`'s module docs for the protocol and the
+//! scheduler (one inbox per node, park on a `recv` with nothing pending
+//! on its port, wake on the matching `send`, counters private to each
+//! worker — see `sched`'s module docs for the protocol and the
 //! determinism argument). That is how the paper's machines actually
 //! worked — many logical processes per physical processor — and it lets
 //! `n = 16` (65 536 nodes, the paper's Connection Machine scale) run on
@@ -32,7 +33,7 @@
 //! The worker pool is sized by `CUBERUN_WORKERS` (falling back to the
 //! ambient `cubesim::par` thread count); results are byte-identical at
 //! any pool size. The pre-scheduler thread-per-node runtime survives in
-//! [`mod@reference`] for equivalence tests and old-vs-new benchmarks.
+//! [`mod@reference`] as the oracle of the equivalence tests.
 //!
 //! The runtime is topology-generic underneath: [`run_spmd`] is the
 //! hypercube specialization of [`run_spmd_on`], which runs the same

@@ -10,7 +10,7 @@
 //! scheduler internals and the determinism argument.
 //!
 //! The former thread-per-node runtime survives as [`crate::reference`]
-//! (equivalence tests and the old-vs-new benchmark run both).
+//! (the equivalence tests run both).
 
 use crate::sched::{self, lock, Shared, VSlot, WANT_BARRIER, WANT_NONE};
 use cubeaddr::NodeId;
@@ -144,15 +144,20 @@ pub struct RunStats {
     pub workers: usize,
     /// High-water mark of simultaneously live (spawned, unfinished)
     /// virtual-node contexts — the memory footprint the cooperative
-    /// scheduler actually paid for.
+    /// scheduler actually paid for. The largest of the samples workers
+    /// take as their own share of the live set peaks: never more than a
+    /// count that really occurred, and exact when every context is live
+    /// at once (any program in which all nodes must start before one can
+    /// finish).
     pub peak_live: u32,
-    /// Times a virtual node parked (suspended on an empty mailbox or an
-    /// incomplete barrier).
+    /// Times a virtual node parked (suspended with no message pending
+    /// on the awaited port, or on an incomplete barrier).
     pub parks: u64,
     /// Times a parked node was woken by a message or barrier release.
     pub wakes: u64,
-    /// Ready-queue entries each worker stole from its siblings
-    /// (`steals[w]` = contexts worker `w` claimed from other queues).
+    /// Contexts each worker took from its siblings (`steals[w]` = ready
+    /// nodes worker `w` drained from other queues plus unspawned nodes
+    /// it claimed from other home ranges).
     pub steals: Vec<u64>,
 }
 
@@ -219,18 +224,23 @@ impl<T> NodeCtx<T> {
 
     /// Sends `msg` to the neighbor across port `dim` (immediate; links
     /// are buffered). If the neighbor is parked on this link, it is
-    /// woken onto the sending worker's ready queue.
+    /// woken onto its home worker's ready queue; a neighbor parked on
+    /// another link is left alone.
     #[track_caller]
     pub fn send(&self, dim: u32, msg: T) {
         let peer = self.wired_neighbor(dim, "send");
         let sh = &*self.shared;
         let back =
             sh.topo.reverse_port(self.id.bits(), dim).expect("a wired link has a reverse port");
-        sh.messages.fetch_add(1, Ordering::Relaxed);
+        sched::bump(&sh.my_block().messages, 1);
         let woke = {
-            let mut slot = lock(sh.slot(peer, back));
-            slot.queue.push_back(msg);
-            std::mem::take(&mut slot.parked)
+            let mut inbox = lock(sh.inbox(peer));
+            inbox.push(back, msg);
+            let awaited = inbox.parked == Some(back);
+            if awaited {
+                inbox.parked = None;
+            }
+            awaited
         };
         if woke {
             sh.wake(peer as u32);
@@ -305,9 +315,9 @@ impl<T: Clone> NodeCtx<T> {
     }
 }
 
-/// Future of [`NodeCtx::recv`]: ready as soon as the mailbox holds a
-/// message, otherwise records the awaited dimension in the node's want
-/// cell for the scheduler to park on.
+/// Future of [`NodeCtx::recv`]: ready as soon as the node's inbox holds
+/// a message from the awaited port, otherwise records that port in the
+/// node's want cell for the scheduler to park on.
 #[must_use = "recv does nothing until awaited"]
 pub struct Recv<'a, T> {
     ctx: &'a NodeCtx<T>,
@@ -320,7 +330,7 @@ impl<T> Future for Recv<'_, T> {
     fn poll(self: Pin<&mut Self>, _cx: &mut Context<'_>) -> Poll<T> {
         let sh = &*self.ctx.shared;
         let me = self.ctx.id.bits();
-        let popped = lock(sh.slot(me, self.dim)).queue.pop_front();
+        let popped = lock(sh.inbox(me)).take(self.dim);
         match popped {
             Some(msg) => {
                 sh.want[me as usize].store(WANT_NONE, Ordering::Relaxed);
@@ -369,9 +379,9 @@ impl<T> Future for BarrierWait<'_, T> {
             b.generation += 1;
             sh.barrier_generation.store(b.generation, Ordering::Release);
             sh.barriers.fetch_add(1, Ordering::Relaxed);
-            let mut waiters = std::mem::take(&mut b.waiters);
+            let waiters = std::mem::take(&mut b.waiters);
             drop(b);
-            sh.wake_all(&mut waiters);
+            sh.wake_all(waiters);
             sh.want[me].store(WANT_NONE, Ordering::Relaxed);
             Poll::Ready(())
         } else {
@@ -407,7 +417,7 @@ where
     cubeaddr::check_dims(n);
     assert!(
         n <= 16,
-        "refusing a mailbox slab for 2^{n} virtual nodes; use the simulator for giant cubes"
+        "refusing to allocate inboxes for 2^{n} virtual nodes; use the simulator for giant cubes"
     );
     run_spmd_on(TopoSpec::hypercube(n), program)
 }
@@ -434,7 +444,7 @@ where
     let num = topo.num_nodes();
     assert!(
         num <= 1 << 16,
-        "refusing a mailbox slab for {num} virtual nodes; use the simulator for giant ensembles"
+        "refusing to allocate inboxes for {num} virtual nodes; use the simulator for giant ensembles"
     );
     let workers = num_workers().clamp(1, num);
     let shared = Arc::new(Shared::<T>::new(topo, workers, stall_timeout()));
@@ -473,14 +483,17 @@ where
         })
         .collect();
 
+    // The scope join above ordered every worker's counter stores before
+    // these reads.
+    let peak_live = shared.blocks.iter().map(|b| b.peak_live.load(Ordering::Relaxed)).max();
     let stats = RunStats {
-        messages: shared.messages.load(Ordering::Relaxed),
+        messages: shared.total(|b| &b.messages),
         barriers: shared.barriers.load(Ordering::Relaxed),
         workers,
-        peak_live: shared.peak_live.load(Ordering::Relaxed),
-        parks: shared.parks.load(Ordering::Relaxed),
-        wakes: shared.wakes.load(Ordering::Relaxed),
-        steals: shared.steals.iter().map(|s| s.load(Ordering::Relaxed)).collect(),
+        peak_live: peak_live.unwrap_or(0) as u32,
+        parks: shared.total(|b| &b.parks),
+        wakes: shared.total(|b| &b.wakes),
+        steals: shared.blocks.iter().map(|b| b.steals.load(Ordering::Relaxed)).collect(),
     };
     (results, stats)
 }
@@ -640,12 +653,142 @@ mod tests {
     }
 
     #[test]
+    fn all_ports_program_is_identical_at_any_worker_count() {
+        // Every node sends on every port, then receives in *reverse*
+        // port order: up to n messages sit in one inbox at once and are
+        // taken out of arrival order. The fold is order-sensitive.
+        let n = 10u32;
+        let fold = |acc: u64, v: u64| acc.wrapping_mul(1_000_003).wrapping_add(v);
+        let expect: Vec<u64> = (0..1u64 << n)
+            .map(|x| (0..n).rev().fold(x, |acc, p| fold(acc, (x ^ (1 << p)) * 31 + p as u64)))
+            .collect();
+        for workers in [1usize, 2, 5] {
+            let (results, stats) = with_workers(workers, || {
+                run_spmd(n, |ctx| async move {
+                    let me = ctx.id().bits();
+                    for p in 0..ctx.n() {
+                        ctx.send(p, me * 31 + p as u64);
+                    }
+                    let mut acc = me;
+                    for p in (0..ctx.n()).rev() {
+                        acc = fold(acc, ctx.recv(p).await);
+                    }
+                    acc
+                })
+            });
+            assert_eq!(results, expect, "workers={workers}");
+            assert_eq!(stats.messages, (n as u64) << n);
+        }
+    }
+
+    #[test]
+    fn two_ports_interleaved_stay_fifo_per_link() {
+        // Node 0's inbox sees a0 b0 a1 b1 in that arrival order (a
+        // barrier after each send pins it) and is read b, b, a, a.
+        let (results, _) = run_spmd(2, |ctx| async move {
+            let me = ctx.id().bits();
+            for step in 0..4u64 {
+                match (me, step % 2) {
+                    (1, 0) => ctx.send(0, 10 + step / 2), // a: across port 0
+                    (2, 1) => ctx.send(1, 20 + step / 2), // b: across port 1
+                    _ => {}
+                }
+                ctx.barrier().await;
+            }
+            if me != 0 {
+                return Vec::new();
+            }
+            vec![ctx.recv(1).await, ctx.recv(1).await, ctx.recv(0).await, ctx.recv(0).await]
+        });
+        assert_eq!(results[0], [20, 21, 10, 11]);
+    }
+
+    #[test]
+    fn backlog_on_another_port_neither_wakes_nor_requeues() {
+        // One worker spawns nodes 0..4 in order, so the run is exact.
+        // Nodes 0, 1 (after leaving two messages on node 3's port 1)
+        // and 2 park; node 3 wakes 1 and 2, then awaits port 0 with a
+        // backlog only on port 1 — it must park, not bounce off the
+        // backlog. Node 1 adds three more on port 1, which must not wake
+        // node 3; node 2 detours through node 0 (so a node 3 woken early
+        // would be polled, and park, again) and only then answers on
+        // port 0. Five parks, five wakes, no more.
+        let (results, stats) = with_workers(1, || {
+            run_spmd(2, |ctx| async move {
+                match ctx.id().bits() {
+                    0 => {
+                        let echo = ctx.recv(1).await;
+                        ctx.send(1, echo);
+                    }
+                    1 => {
+                        (0..2).for_each(|i| ctx.send(1, 100 + i));
+                        ctx.recv(1).await;
+                        (2..5).for_each(|i| ctx.send(1, 100 + i));
+                    }
+                    2 => {
+                        let go = ctx.recv(0).await;
+                        let echoed = ctx.exchange(1, go).await;
+                        ctx.send(0, echoed + 1);
+                    }
+                    _ => {
+                        ctx.send(1, 0);
+                        ctx.send(0, 7);
+                        let mut got = vec![ctx.recv(0).await];
+                        for _ in 0..5 {
+                            got.push(ctx.recv(1).await);
+                        }
+                        return got;
+                    }
+                }
+                Vec::new()
+            })
+        });
+        assert_eq!(results[3], [8, 100, 101, 102, 103, 104]);
+        assert_eq!((stats.parks, stats.wakes), (5, 5), "{stats:?}");
+    }
+
+    #[test]
+    fn deep_backlog_on_one_port_does_not_starve_another() {
+        // The inbox is scanned in arrival order, so a receive on port 1
+        // behind a 10 000-message backlog on port 0 costs 10 000 tag
+        // comparisons: 1 000 such receives are 10^7 comparisons, a few
+        // milliseconds. The bound is loose enough for a debug build on
+        // a loaded box and tight enough to catch the scan turning into
+        // something per-entry expensive (a move, an allocation).
+        const BACKLOG: u64 = 10_000;
+        const ROUNDS: u64 = 1_000;
+        let start = std::time::Instant::now();
+        let (results, _) = run_spmd(2, |ctx| async move {
+            let me = ctx.id().bits();
+            if me == 1 {
+                (0..BACKLOG).for_each(|i| ctx.send(0, i));
+            }
+            ctx.barrier().await; // the backlog is in node 0's inbox
+            let mut sum = 0u64;
+            if me == 0 || me == 2 {
+                for i in 0..ROUNDS {
+                    sum += ctx.exchange(1, me + i).await;
+                }
+            }
+            if me == 0 {
+                for i in 0..BACKLOG {
+                    assert_eq!(ctx.recv(0).await, i, "port 0 out of order");
+                }
+            }
+            sum
+        });
+        let elapsed = start.elapsed();
+        assert_eq!(results[0], 2 * ROUNDS + ROUNDS * (ROUNDS - 1) / 2);
+        assert!(elapsed < Duration::from_secs(5), "backlog scan took {elapsed:?}");
+    }
+
+    #[test]
     fn giant_cube_rejected() {
         let caught = std::panic::catch_unwind(|| {
             let _ = run_spmd::<u64, _, _, _>(17, |_| async move {});
         });
         let msg = panic_message(caught.unwrap_err());
-        assert!(msg.contains("refusing a mailbox slab"), "{msg}");
+        assert!(msg.contains("refusing to allocate inboxes for 2^17"), "{msg}");
     }
 
     #[test]

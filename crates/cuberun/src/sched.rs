@@ -3,37 +3,61 @@
 //!
 //! # Data plane
 //!
-//! * **Mailbox slab** — one FIFO per directed link, stored flat at
-//!   `node * ports + port` (the PR-1 `SimNet` layout; on the cube,
-//!   `ports = n` and a port is a dimension). `mail[x*ports + p]` holds
-//!   what `x`'s neighbor across port `p` sent to `x`. Each slot is
-//!   a `Mutex<MailSlot>` (a `VecDeque` plus the receiver's parked flag);
-//!   steady-state sends and receives reuse the deque's capacity, so hops
-//!   are allocation-free once warm.
+//! * **Inboxes** — one per *node*, not per link: the paper's schedules
+//!   are fixed and known in advance, so a node never has more than a
+//!   handful of messages pending, and a queue per directed link (2^20
+//!   of them at n = 16, each used once) is the wrong unit of storage.
+//!   An [`Inbox`] holds `(port, message)` entries in arrival order —
+//!   the oldest inline, later ones in a deque allocated only when a
+//!   second message is pending — plus the port its node is parked on.
+//!   `recv(p)` takes the oldest entry tagged `p`, which is per-link FIFO
+//!   because every link has one sender. On the cube `ports = n` and a
+//!   port is a dimension; a message sent across port `p` is tagged with
+//!   the receiver's reverse port.
 //! * **Want cells** — one atomic per node recording what a suspended
-//!   node is waiting for (a dimension, or a barrier generation). Written
+//!   node is waiting for (a port, or a barrier generation). Written
 //!   by the node's own `recv`/`barrier` futures while its worker polls
 //!   it; read back by that worker to park it, and by the stall detector
 //!   to report *which* nodes wait on *which* dims.
-//! * **Ready queues** — one `VecDeque<u32>` of runnable node ids per
-//!   worker. A send that finds its receiver parked pushes the receiver
-//!   onto the *sender's* queue; idle workers steal from the front of
-//!   other queues (half at a time) and, before sleeping, claim
-//!   not-yet-spawned nodes from a [`ClaimCursor`] — the same
-//!   work-claiming machinery as `cubesim::par`.
+//! * **Ready queues and home ranges** — every worker owns a contiguous
+//!   range of node ids (its *home* range) and one `VecDeque<u32>` of
+//!   runnable ids. A worker spawns its own range lazily through a
+//!   [`ClaimCursor`] (the work-claiming machinery of `cubesim::par`),
+//!   and a node that becomes runnable is always pushed onto its *home*
+//!   worker's queue, whoever woke it — so on a cube only the top
+//!   `log2(workers)` dimensions ever cross workers. Idle workers steal
+//!   from the front of other queues (half at a time), then claim
+//!   unspawned nodes from other ranges, then sleep.
+//! * **Worker blocks** — every counter the message path touches
+//!   (`messages`, `parks`, `wakes`, `steals`, polls, spawned and
+//!   completed contexts) lives in one cache-line-aligned
+//!   [`WorkerBlock`] per worker, written only by that worker with a
+//!   plain load-add-store and summed by [`crate::RunStats`], the stall
+//!   clock and the end-of-run check. No message bumps a shared atomic.
 //!
 //! # Park/wake protocol (two-phase, no lost wakeups)
 //!
-//! A `recv` on an empty mailbox does **not** publish anything: it
-//! records the dimension in the node's want cell and returns `Pending`.
-//! Only after the worker has finished with the context (its slab lock is
-//! released, so any other worker could run it) does the worker *park*
-//! the node: re-lock the mailbox, re-check for a message that raced in
-//! (if one did, the node just goes back on the ready queue), otherwise
-//! set the slot's parked flag. A sender that sees the flag clears it and
-//! enqueues the receiver. Because the flag is only ever set after the
+//! A `recv` that finds no message for its port does **not** publish
+//! anything: it records the port in the node's want cell and returns
+//! `Pending`. Only after the worker has finished with the context (its
+//! slab lock is released, so any other worker could run it) does the
+//! worker *park* the node: re-lock the inbox, re-check for a message
+//! *for the awaited port* that raced in (if one did, the node just goes
+//! back on its ready queue), otherwise set `parked = Some(port)`. A
+//! sender whose message arrives on exactly that port clears the flag
+//! and enqueues the receiver; a message for any other port is stored
+//! and wakes nobody. Because the flag is only ever set after the
 //! context is released, and only the one clearing sender enqueues, each
 //! node is owned by at most one worker at a time.
+//!
+//! # End of run
+//!
+//! No shared count of finished programs exists to hit the node count. A
+//! worker that runs out of work checks, under the sleep lock, whether
+//! the workers' `completed` cells sum to it; the one that sees they do
+//! ends the run. The sleep lock orders those reads after every earlier
+//! sleeper's completions, so the last worker to go idle sees the full
+//! sum.
 //!
 //! # Determinism
 //!
@@ -42,11 +66,11 @@
 //! node whose messages arrive in its program order, and a `recv` names
 //! the one link it consumes from. The scheduler only decides *when* a
 //! node runs, never *what* it observes. (Scheduler counters — parks,
-//! wakes, steals — are timing-dependent; message and barrier counts are
-//! not.)
+//! wakes, steals, `peak_live` — are timing-dependent; message and
+//! barrier counts are not.)
 
 use cubesim::par::ClaimCursor;
-use cubesync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use cubesync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use cubesync::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use cubetopo::{TopoSpec, Topology};
 use std::cell::Cell;
@@ -65,11 +89,49 @@ pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// One directed link endpoint: the queue of in-flight messages plus the
-/// receiver's parked flag.
-pub(crate) struct MailSlot<T> {
-    pub(crate) queue: VecDeque<T>,
-    pub(crate) parked: bool,
+/// Everything in flight towards one node: `(port, message)` entries in
+/// arrival order, plus the port the node is parked on.
+///
+/// `first` is the oldest entry and `rest` the later ones (`first` is
+/// `None` only when nothing is pending), so the common case of at most
+/// one pending message never touches the heap.
+pub(crate) struct Inbox<T> {
+    first: Option<(u32, T)>,
+    rest: VecDeque<(u32, T)>,
+    /// The port the node's parked `recv` awaits; cleared by the sender
+    /// that delivers on it.
+    pub(crate) parked: Option<u32>,
+}
+
+impl<T> Inbox<T> {
+    fn new() -> Self {
+        Inbox { first: None, rest: VecDeque::new(), parked: None }
+    }
+
+    /// Appends a message that arrived on `port`.
+    pub(crate) fn push(&mut self, port: u32, msg: T) {
+        if self.first.is_none() {
+            self.first = Some((port, msg));
+        } else {
+            self.rest.push_back((port, msg));
+        }
+    }
+
+    /// Removes the oldest message that arrived on `port`. A backlog on
+    /// other ports costs one tag comparison per entry ahead of it.
+    pub(crate) fn take(&mut self, port: u32) -> Option<T> {
+        if matches!(self.first, Some((p, _)) if p == port) {
+            let taken = std::mem::replace(&mut self.first, self.rest.pop_front());
+            return taken.map(|(_, msg)| msg);
+        }
+        let at = self.rest.iter().position(|&(p, _)| p == port)?;
+        self.rest.remove(at).map(|(_, msg)| msg)
+    }
+
+    /// Whether a message that arrived on `port` is pending.
+    fn has(&self, port: u32) -> bool {
+        self.first.iter().chain(&self.rest).any(|&(p, _)| p == port)
+    }
 }
 
 /// Global barrier state: a generation counter plus the arrival count and
@@ -87,129 +149,185 @@ pub(crate) struct StallClock {
     since: Instant,
 }
 
+/// One worker's private state: its share of the unspawned nodes and
+/// every counter it bumps. Each cell has a single writer — the owning
+/// worker, through [`bump`] — and any number of readers; the alignment
+/// keeps two workers' blocks off one cache line (and off its prefetched
+/// neighbor).
+#[repr(align(128))]
+pub(crate) struct WorkerBlock {
+    /// Unspawned nodes of the home range: `start + unspawned.claim()`.
+    /// The one cell siblings write, when they steal from the range.
+    unspawned: ClaimCursor,
+    start: usize,
+    pub(crate) messages: AtomicU64,
+    pub(crate) parks: AtomicU64,
+    pub(crate) wakes: AtomicU64,
+    pub(crate) steals: AtomicU64,
+    /// Polls of node futures; with `wakes` and `messages`, the progress
+    /// the stall detector times.
+    polls: AtomicU64,
+    spawned: AtomicU64,
+    completed: AtomicU64,
+    /// Largest ensemble-wide live count this worker sampled.
+    pub(crate) peak_live: AtomicU64,
+}
+
+impl WorkerBlock {
+    fn claim(&self) -> Option<u32> {
+        self.unspawned.claim().map(|i| (self.start + i) as u32)
+    }
+}
+
+/// Adds to a single-writer counter cell without a read-modify-write.
+pub(crate) fn bump(cell: &AtomicU64, by: u64) {
+    cell.store(cell.load(Ordering::Relaxed) + by, Ordering::Relaxed);
+}
+
 /// Everything the workers and node contexts share for one run.
 pub(crate) struct Shared<T> {
     pub(crate) topo: TopoSpec,
-    /// Cached `topo.ports()`: the mailbox-slab stride (`n` on the cube).
+    /// Cached `topo.ports()` (`n` on the cube).
     pub(crate) ports: u32,
     pub(crate) num: usize,
-    pub(crate) workers: usize,
     pub(crate) stall_timeout: Duration,
 
-    /// Mailbox slab, `node * ports + port`.
-    mail: Vec<Mutex<MailSlot<T>>>,
+    /// One inbox per node.
+    inboxes: Vec<Mutex<Inbox<T>>>,
     /// Per-node wait reason (see [`WANT_NONE`] / [`WANT_BARRIER`]).
     pub(crate) want: Vec<AtomicU64>,
     pub(crate) barrier: Mutex<BarrierState>,
     /// Mirror of `barrier.generation` for lock-free re-polls.
     pub(crate) barrier_generation: AtomicU64,
+    pub(crate) barriers: AtomicU64,
 
     /// Per-worker ready queues of runnable node ids.
     queues: Vec<Mutex<VecDeque<u32>>>,
-    /// Unspawned-node cursor: nodes start life here, not in a queue.
-    pub(crate) cursor: ClaimCursor,
+    pub(crate) blocks: Vec<WorkerBlock>,
+    /// Nodes per home range: node `x` is at home on worker `x / range`.
+    range: usize,
     sleep: Mutex<StallClock>,
     sleep_cv: Condvar,
     sleepers: AtomicUsize,
     done: AtomicBool,
-    pub(crate) completed: AtomicUsize,
-
-    // Counters for `RunStats`.
-    pub(crate) messages: AtomicU64,
-    pub(crate) barriers: AtomicU64,
-    pub(crate) parks: AtomicU64,
-    pub(crate) wakes: AtomicU64,
-    pub(crate) steals: Vec<AtomicU64>,
-    live: AtomicU32,
-    pub(crate) peak_live: AtomicU32,
-    /// Bumped on every poll and wake; stillness is what the stall
-    /// detector times.
-    pub(crate) progress: AtomicU64,
 }
 
 thread_local! {
     /// Which worker of the current run this thread is (set by
-    /// [`worker_loop`]); sends always enqueue wakes on their own worker's
-    /// queue, so no cross-thread queue choice exists.
+    /// [`worker_loop`]): selects the [`WorkerBlock`] whose counters a
+    /// send, wake or park on this thread bumps.
     static WORKER: Cell<usize> = const { Cell::new(0) };
 }
 
 impl<T> Shared<T> {
     pub(crate) fn new(topo: TopoSpec, workers: usize, stall_timeout: Duration) -> Self {
         let num = topo.num_nodes();
-        let ports = topo.ports();
+        let range = num.div_ceil(workers);
+        let block = |w: usize| {
+            let start = (w * range).min(num);
+            WorkerBlock {
+                unspawned: ClaimCursor::new(((w + 1) * range).min(num) - start),
+                start,
+                messages: AtomicU64::new(0),
+                parks: AtomicU64::new(0),
+                wakes: AtomicU64::new(0),
+                steals: AtomicU64::new(0),
+                polls: AtomicU64::new(0),
+                spawned: AtomicU64::new(0),
+                completed: AtomicU64::new(0),
+                peak_live: AtomicU64::new(0),
+            }
+        };
         Shared {
             topo,
-            ports,
+            ports: topo.ports(),
             num,
-            workers,
             stall_timeout,
-            mail: (0..num * ports as usize)
-                .map(|_| Mutex::new(MailSlot { queue: VecDeque::new(), parked: false }))
-                .collect(),
+            inboxes: (0..num).map(|_| Mutex::new(Inbox::new())).collect(),
             want: (0..num).map(|_| AtomicU64::new(WANT_NONE)).collect(),
             barrier: Mutex::new(BarrierState { generation: 0, arrived: 0, waiters: Vec::new() }),
             barrier_generation: AtomicU64::new(0),
+            barriers: AtomicU64::new(0),
             queues: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
-            cursor: ClaimCursor::new(num),
+            blocks: (0..workers).map(block).collect(),
+            range,
             sleep: Mutex::new(StallClock { last_progress: 0, since: Instant::now() }),
             sleep_cv: Condvar::new(),
             sleepers: AtomicUsize::new(0),
             done: AtomicBool::new(false),
-            completed: AtomicUsize::new(0),
-            messages: AtomicU64::new(0),
-            barriers: AtomicU64::new(0),
-            parks: AtomicU64::new(0),
-            wakes: AtomicU64::new(0),
-            steals: (0..workers).map(|_| AtomicU64::new(0)).collect(),
-            live: AtomicU32::new(0),
-            peak_live: AtomicU32::new(0),
-            progress: AtomicU64::new(0),
         }
     }
 
-    /// The mailbox where `node` receives from its neighbor across `port`.
-    pub(crate) fn slot(&self, node: u64, port: u32) -> &Mutex<MailSlot<T>> {
-        &self.mail[node as usize * self.ports as usize + port as usize]
+    /// Where `node` receives from all of its neighbors.
+    pub(crate) fn inbox(&self, node: u64) -> &Mutex<Inbox<T>> {
+        &self.inboxes[node as usize]
     }
 
-    /// Marks a context as spawned for the live/peak accounting.
-    pub(crate) fn note_spawned(&self) {
-        let live = self.live.fetch_add(1, Ordering::Relaxed) + 1;
-        self.peak_live.fetch_max(live, Ordering::Relaxed);
+    /// The calling worker's counter block.
+    pub(crate) fn my_block(&self) -> &WorkerBlock {
+        &self.blocks[WORKER.with(Cell::get)]
     }
 
-    /// Marks a context as finished; returns true when it was the last.
-    pub(crate) fn note_completed(&self) -> bool {
-        self.live.fetch_sub(1, Ordering::Relaxed);
-        self.progress.fetch_add(1, Ordering::SeqCst);
-        self.completed.fetch_add(1, Ordering::SeqCst) + 1 == self.num
+    /// Sums one counter over the workers.
+    pub(crate) fn total(&self, cell: impl Fn(&WorkerBlock) -> &AtomicU64) -> u64 {
+        self.blocks.iter().map(|b| cell(b).load(Ordering::Relaxed)).sum()
     }
 
-    /// Enqueues `node` on the current worker's ready queue and pokes a
+    /// Node programs finished so far. `Acquire` pairs with the `Release`
+    /// in [`Shared::note_completed`], so a worker that counts another's
+    /// completion also sees the spawns that preceded it.
+    fn completed(&self) -> usize {
+        self.blocks.iter().map(|b| b.completed.load(Ordering::Acquire)).sum::<u64>() as usize
+    }
+
+    /// Records that the calling worker finished a node program, first
+    /// sampling the ensemble-wide live count if this worker's own share
+    /// of it stands at a new high (`own_high`, the worker's running
+    /// maximum) — the moment a peak is about to recede. Spawns are read
+    /// before completions, so a sample never exceeds a live count that
+    /// really occurred; when no program can finish before all have
+    /// started, the first completion anywhere samples exactly `num`.
+    fn note_completed(&self, me: &WorkerBlock, own_high: &mut i64) {
+        let done = me.completed.load(Ordering::Relaxed);
+        let own = me.spawned.load(Ordering::Relaxed) as i64 - done as i64;
+        if own > *own_high {
+            *own_high = own;
+            let spawned = self.total(|b| &b.spawned);
+            let live = spawned.saturating_sub(self.completed() as u64);
+            if live > me.peak_live.load(Ordering::Relaxed) {
+                me.peak_live.store(live, Ordering::Relaxed);
+            }
+        }
+        me.completed.store(done + 1, Ordering::Release);
+    }
+
+    /// The worker whose home range holds `node`.
+    fn home(&self, node: u32) -> usize {
+        node as usize / self.range
+    }
+
+    /// Enqueues `node` on its home worker's ready queue and pokes a
     /// sleeper if one might miss it.
     pub(crate) fn push_ready(&self, node: u32) {
-        let w = WORKER.with(Cell::get);
-        lock(&self.queues[w]).push_back(node);
+        lock(&self.queues[self.home(node)]).push_back(node);
         self.notify_sleepers(false);
     }
 
     /// Wakes a parked node: the caller already cleared its parked flag
-    /// (or drained it from the barrier wait list) under the relevant
-    /// lock, so exactly one waker enqueues it.
+    /// under the inbox lock, so exactly one waker enqueues it.
     pub(crate) fn wake(&self, node: u32) {
-        self.wakes.fetch_add(1, Ordering::Relaxed);
-        self.progress.fetch_add(1, Ordering::SeqCst);
+        bump(&self.my_block().wakes, 1);
         self.push_ready(node);
     }
 
-    /// Wakes every node on `drained` (barrier release): one queue lock,
-    /// one notify.
-    pub(crate) fn wake_all(&self, drained: &mut Vec<u32>) {
-        self.wakes.fetch_add(drained.len() as u64, Ordering::Relaxed);
-        self.progress.fetch_add(drained.len() as u64 + 1, Ordering::SeqCst);
-        let w = WORKER.with(Cell::get);
-        lock(&self.queues[w]).extend(drained.drain(..));
+    /// Wakes every waiter of a released barrier: one queue lock per home
+    /// worker, one notify.
+    pub(crate) fn wake_all(&self, mut waiters: Vec<u32>) {
+        bump(&self.my_block().wakes, waiters.len() as u64);
+        waiters.sort_unstable();
+        for run in waiters.chunk_by(|&a, &b| self.home(a) == self.home(b)) {
+            lock(&self.queues[self.home(run[0])]).extend(run);
+        }
         self.notify_sleepers(true);
     }
 
@@ -261,25 +379,30 @@ impl<T> Shared<T> {
                 self.push_ready(node);
             } else {
                 b.waiters.push(node);
-                self.parks.fetch_add(1, Ordering::Relaxed);
+                bump(&self.my_block().parks, 1);
             }
         } else {
-            let mut s = lock(self.slot(node as u64, want as u32));
-            if s.queue.is_empty() {
-                s.parked = true;
-                self.parks.fetch_add(1, Ordering::Relaxed);
-            } else {
-                drop(s);
+            let port = want as u32;
+            let mut inbox = lock(self.inbox(node as u64));
+            // A backlog on other ports does not count: waking for it
+            // would re-poll a `recv` that still has nothing to take.
+            if inbox.has(port) {
+                drop(inbox);
                 self.push_ready(node);
+            } else {
+                inbox.parked = Some(port);
+                bump(&self.my_block().parks, 1);
             }
         }
     }
 
-    /// Finds the next node for worker `w` to run: own queue, then a
-    /// steal from another worker's queue (front half), then an
-    /// unspawned node from the cursor, then sleep. Returns `None` when
-    /// the run is over.
+    /// Finds the next node for worker `w` to run: own queue, then an
+    /// unspawned node of its own range, then a steal from another
+    /// worker's queue (front half), then an unspawned node of another
+    /// range, then sleep. Returns `None` when the run is over.
     pub(crate) fn next_work(&self, w: usize) -> Option<u32> {
+        let workers = self.blocks.len();
+        let siblings = || (1..workers).map(move |i| (w + i) % workers);
         loop {
             if self.is_done() {
                 return None;
@@ -287,8 +410,10 @@ impl<T> Shared<T> {
             if let Some(x) = lock(&self.queues[w]).pop_front() {
                 return Some(x);
             }
-            for i in 1..self.workers {
-                let victim = (w + i) % self.workers;
+            if let Some(x) = self.blocks[w].claim() {
+                return Some(x);
+            }
+            for victim in siblings() {
                 let mut q = lock(&self.queues[victim]);
                 if q.is_empty() {
                     continue;
@@ -296,35 +421,45 @@ impl<T> Shared<T> {
                 let take = q.len().div_ceil(2);
                 let grabbed: Vec<u32> = q.drain(..take).collect();
                 drop(q);
-                self.steals[w].fetch_add(grabbed.len() as u64, Ordering::Relaxed);
+                bump(&self.blocks[w].steals, grabbed.len() as u64);
                 let (&first, rest) = grabbed.split_first().expect("took at least one");
                 if !rest.is_empty() {
                     lock(&self.queues[w]).extend(rest.iter().copied());
                 }
                 return Some(first);
             }
-            if let Some(i) = self.cursor.claim() {
-                return Some(i as u32);
+            for victim in siblings() {
+                if let Some(x) = self.blocks[victim].claim() {
+                    bump(&self.blocks[w].steals, 1);
+                    return Some(x);
+                }
             }
-            if !self.sleep(w) {
+            if !self.sleep() {
                 return None;
             }
         }
     }
 
-    /// Blocks worker `w` until new work may exist; runs the stall check
-    /// on each timeout tick. Returns `false` when the run is over.
-    fn sleep(&self, _w: usize) -> bool {
+    /// Blocks the calling worker until new work may exist; ends the run
+    /// if every program has finished, and runs the stall check on each
+    /// timeout tick. Returns `false` when the run is over.
+    fn sleep(&self) -> bool {
         let mut clock = lock(&self.sleep);
         // Register as a sleeper *before* re-checking the queues: a waker
         // pushes before it reads the sleeper count, so either we see its
         // work here or it sees us and notifies.
         self.sleepers.fetch_add(1, Ordering::SeqCst);
-        let has_work =
-            self.queues.iter().any(|q| !lock(q).is_empty()) || !self.cursor.is_exhausted();
+        let has_work = self.queues.iter().any(|q| !lock(q).is_empty())
+            || self.blocks.iter().any(|b| !b.unspawned.is_exhausted());
         if has_work || self.is_done() {
             self.sleepers.fetch_sub(1, Ordering::SeqCst);
             return !self.is_done();
+        }
+        if self.completed() == self.num {
+            self.sleepers.fetch_sub(1, Ordering::SeqCst);
+            drop(clock);
+            self.finish();
+            return false;
         }
         let tick =
             (self.stall_timeout / 4).clamp(Duration::from_millis(10), Duration::from_secs(1));
@@ -335,13 +470,12 @@ impl<T> Shared<T> {
         if self.is_done() {
             return false;
         }
-        let current = self.progress.load(Ordering::SeqCst);
+        let current =
+            self.total(|b| &b.polls) + self.total(|b| &b.wakes) + self.total(|b| &b.messages);
         if current != clock.last_progress {
             clock.last_progress = current;
             clock.since = Instant::now();
-        } else if clock.since.elapsed() >= self.stall_timeout
-            && self.completed.load(Ordering::SeqCst) < self.num
-        {
+        } else if clock.since.elapsed() >= self.stall_timeout && self.completed() < self.num {
             let report = self.stall_report();
             drop(clock);
             self.finish();
@@ -354,7 +488,7 @@ impl<T> Shared<T> {
     /// are parked on which dims (first few, then a count).
     fn stall_report(&self) -> String {
         use std::fmt::Write;
-        let completed = self.completed.load(Ordering::SeqCst);
+        let completed = self.completed();
         let mut parked = 0usize;
         let mut detail = String::new();
         for (x, cell) in self.want.iter().enumerate() {
@@ -408,6 +542,8 @@ pub(crate) fn worker_loop<T, R, Fut, F>(
 {
     use std::task::{Context, Poll, Waker};
     WORKER.with(|c| c.set(w));
+    let me = &shared.blocks[w];
+    let mut own_high = i64::MIN;
     let mut cx = Context::from_waker(Waker::noop());
     while let Some(node) = shared.next_work(w) {
         let mut slot = lock(&slab[node as usize]);
@@ -420,7 +556,7 @@ pub(crate) fn worker_loop<T, R, Fut, F>(
                 cubesync::sync::Arc::clone(shared),
             );
             slot.fut = Some(Box::pin(program(ctx)));
-            shared.note_spawned();
+            bump(&me.spawned, 1);
         }
         let fut = slot.fut.as_mut().expect("context spawned above");
         let polled =
@@ -438,17 +574,40 @@ pub(crate) fn worker_loop<T, R, Fut, F>(
                 slot.result = Some(r);
                 drop(slot);
                 shared.want[node as usize].store(WANT_NONE, Ordering::Relaxed);
-                if shared.note_completed() {
-                    shared.finish();
-                }
+                bump(&me.polls, 1);
+                shared.note_completed(me, &mut own_high);
             }
             Ok(Poll::Pending) => {
                 // Phase two of the suspend protocol happens only after
                 // the context lock is released (see module docs).
                 drop(slot);
-                shared.progress.fetch_add(1, Ordering::SeqCst);
+                bump(&me.polls, 1);
                 shared.park(node);
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::Inbox;
+
+    #[test]
+    fn inbox_is_fifo_per_port_and_inline_for_one_message() {
+        let mut inbox = Inbox::new();
+        assert_eq!(inbox.take(0), None::<&str>);
+        inbox.push(3, "a0");
+        assert_eq!(inbox.rest.capacity(), 0, "one pending message stays inline");
+        inbox.push(5, "b0");
+        inbox.push(3, "a1");
+        inbox.push(5, "b1");
+        assert!(inbox.has(3) && inbox.has(5) && !inbox.has(4));
+        assert_eq!(inbox.take(4), None);
+        assert_eq!(inbox.take(5), Some("b0"));
+        assert_eq!(inbox.take(5), Some("b1"));
+        assert!(!inbox.has(5));
+        assert_eq!(inbox.take(3), Some("a0"));
+        assert_eq!(inbox.take(3), Some("a1"));
+        assert!(inbox.first.is_none() && inbox.rest.is_empty());
     }
 }

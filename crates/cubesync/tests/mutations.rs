@@ -1,4 +1,4 @@
-//! Seeded-mutation suite: five known concurrency bugs re-introduced
+//! Seeded-mutation suite: seven known concurrency bugs re-introduced
 //! into miniature copies of the repo's protocols, each proven *caught*
 //! by the model checker — and each correct twin proven clean — so the
 //! checker's coverage claims are themselves tested.
@@ -10,6 +10,8 @@
 //! | barrier generation off-by-one  | `cuberun` generation barrier    | panic (early release) |
 //! | Relaxed sleeper registration   | `cuberun` sleeper Dekker pair   | lost wakeup (weak memory) |
 //! | cache overwrite without re-check | `PlanCache` build-outside-lock | panic (split identity) |
+//! | waker compares the wrong port  | `cuberun` port-tagged inbox     | lost wakeup |
+//! | park re-check accepts any port | `cuberun` port-tagged inbox     | livelock |
 //!
 //! Like the engine suite, this drives [`cubesync::model`] types
 //! directly and runs in the plain `cargo test` pass.
@@ -279,4 +281,124 @@ fn cache_build_outside_lock_is_clean() {
 #[should_panic(expected = "two callers hold different plans for the same key")]
 fn mutation_cache_double_build_without_recheck_is_caught() {
     check(|| cache_race(false));
+}
+
+// ---------------------------------------------------------------------
+// Mutations 6 + 7: the port-tagged inbox (cuberun sched.rs). One inbox
+// per node holds messages from every link, so both the waker's test
+// ("is the node parked on *this* port?") and the parker's locked
+// re-check ("did a message *for the awaited port* race in?") name a
+// port. The worker thread below is a node awaiting port A while a
+// neighbor delivers on port B and another on port A.
+// ---------------------------------------------------------------------
+
+const PORT_A: u32 = 0;
+const PORT_B: u32 = 1;
+/// The A-neighbor's *own* number for the link — what its `send` was
+/// called with, as opposed to the receiver-side tag the message carries.
+const PORT_A_SENDER_SIDE: u32 = 7;
+
+struct PortInbox {
+    /// Receiver-side port tags of the pending messages, arrival order.
+    pending: Vec<u32>,
+    parked: Option<u32>,
+}
+
+struct PortNode {
+    inbox: Mutex<PortInbox>,
+    /// Stands in for the ready queue: the parked node sleeps here.
+    ready: Condvar,
+}
+
+#[derive(Clone, Copy, PartialEq)]
+enum PortBug {
+    None,
+    /// The waker tests `parked` against the sender-side port number.
+    WakerComparesOwnPort,
+    /// The park re-check asks "inbox non-empty?" instead of "anything
+    /// for the awaited port?".
+    RecheckAcceptsAnyPort,
+}
+
+/// A neighbor's `send`: store the message under its receiver-side tag,
+/// wake the node only if it is parked on `wake_if_parked_on`.
+fn deliver(node: &PortNode, tag: u32, wake_if_parked_on: u32) {
+    let mut inbox = node.inbox.lock().unwrap();
+    inbox.pending.push(tag);
+    if inbox.parked == Some(wake_if_parked_on) {
+        inbox.parked = None;
+        node.ready.notify_one();
+    }
+}
+
+fn port_park_wake(bug: PortBug) {
+    let node = Arc::new(PortNode {
+        inbox: Mutex::new(PortInbox { pending: Vec::new(), parked: None }),
+        ready: Condvar::new(),
+    });
+    thread::scope(|s| {
+        let me = Arc::clone(&node);
+        s.spawn(move || {
+            let mut woken = false;
+            loop {
+                // Phase one — poll `recv(PORT_A)`.
+                {
+                    let mut inbox = me.inbox.lock().unwrap();
+                    if let Some(at) = inbox.pending.iter().position(|&p| p == PORT_A) {
+                        inbox.pending.remove(at);
+                        return;
+                    }
+                }
+                assert!(!woken, "woken with nothing to take on the awaited port");
+                // Phase two — park, after the context was released.
+                let mut inbox = me.inbox.lock().unwrap();
+                let raced_in = if bug == PortBug::RecheckAcceptsAnyPort {
+                    !inbox.pending.is_empty()
+                } else {
+                    inbox.pending.contains(&PORT_A)
+                };
+                if raced_in {
+                    continue; // back on the ready queue: poll again
+                }
+                inbox.parked = Some(PORT_A);
+                while inbox.parked.is_some() {
+                    inbox = me.ready.wait(inbox).unwrap();
+                }
+                woken = true;
+            }
+        });
+        let b_neighbor = Arc::clone(&node);
+        s.spawn(move || deliver(&b_neighbor, PORT_B, PORT_B));
+        let wake_on =
+            if bug == PortBug::WakerComparesOwnPort { PORT_A_SENDER_SIDE } else { PORT_A };
+        deliver(&node, PORT_A, wake_on);
+    });
+}
+
+#[test]
+fn port_tagged_park_wake_is_clean() {
+    let report = check(|| port_park_wake(PortBug::None));
+    assert!(report.exhaustive, "small config must be fully enumerated");
+}
+
+#[test]
+#[should_panic(expected = "lost wakeup")]
+fn mutation_waker_compares_wrong_port_is_caught() {
+    // On the cube both ends of a link carry the same number, which is
+    // why this bug would pass every cube test: the miniature gives the
+    // two ends different numbers, as the Dragonfly does. The node parks
+    // on the receiver-side port; the waker looks for the sender-side
+    // one, stores the message and walks away.
+    check(|| port_park_wake(PortBug::WakerComparesOwnPort));
+}
+
+#[test]
+#[should_panic(expected = "livelock")]
+fn mutation_park_recheck_accepting_any_port_is_caught() {
+    // With B's message pending and A's not yet sent, the re-check keeps
+    // answering "something raced in", the node keeps going back on the
+    // ready queue, and its poll keeps finding nothing for port A.
+    check_with(Config { max_steps: 2_000, ..Config::default() }, || {
+        port_park_wake(PortBug::RecheckAcceptsAnyPort)
+    });
 }

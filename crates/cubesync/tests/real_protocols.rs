@@ -64,8 +64,9 @@ fn par_map_uneven_work_still_returns_input_order() {
 }
 
 // ---------------------------------------------------------------------
-// cuberun — mailbox park/wake, generation barrier, steal queues, under
-// the real virtual-node scheduler with a 2-worker pool.
+// cuberun — inbox park/wake, generation barrier, steal queues, the
+// idle-path end-of-run check, under the real virtual-node scheduler with
+// a 2-worker pool.
 // ---------------------------------------------------------------------
 
 #[test]
@@ -79,6 +80,40 @@ fn spmd_exchange_on_two_nodes_two_workers() {
                     ctx.send(0, ctx.id().bits() + 100);
                     ctx.recv(0).await
                 });
+                results
+            })
+        })
+    });
+    assert!(report.schedules > 1);
+}
+
+#[test]
+fn spmd_message_on_a_non_awaited_port_neither_wakes_nor_strands() {
+    // n = 2, two workers: node 0 (worker 0's range) awaits port 0, then
+    // port 1; node 2 (worker 1's range) sends on port 1 and node 1 on
+    // port 0. The explorer interleaves node 2's send with every step of
+    // node 0's suspension — before the poll, between the want-cell
+    // write and the park, after the park — so the port-1 message lands
+    // in the inbox of a node that is, or is about to be, parked on
+    // port 0. It must stay there unwoken, and still be taken afterwards.
+    let report = check_with(budget(), || {
+        cuberun::with_workers(2, || {
+            cuberun::with_stall_timeout(Duration::from_secs(3600), || {
+                let (results, _stats) = cuberun::run_spmd::<u64, u64, _, _>(2, |ctx| async move {
+                    match ctx.id().bits() {
+                        0 => 10 * ctx.recv(0).await + ctx.recv(1).await,
+                        1 => {
+                            ctx.send(0, 4);
+                            0
+                        }
+                        2 => {
+                            ctx.send(1, 2);
+                            0
+                        }
+                        _ => 0,
+                    }
+                });
+                assert_eq!(results[0], 42);
                 results
             })
         })

@@ -2,7 +2,7 @@
 //!
 //! The paper's algorithms are stated on the Boolean *n*-cube, but the
 //! simulator (`cubesim`-style flat link slabs), the store-and-forward
-//! router, the SPMD mailbox slab and the static schedule checker only
+//! router, the SPMD runtime's inboxes and the static schedule checker only
 //! need three facts about the machine graph: how many nodes there are,
 //! how many ports a node has, and which node sits at the far end of each
 //! port. This crate states those facts once, as the [`Topology`] trait,

@@ -5,11 +5,12 @@
 //! phases in the different directions", §1).
 //!
 //! The temperature field is partitioned by rows over a real
-//! **multithreaded cube** (one OS thread per node, channels per link).
+//! **message-passing cube** (every node a virtual node of the `cuberun`
+//! worker pool, one inbox per node).
 //! Each Peaceman–Rachford half-step solves tridiagonal systems along one
 //! grid direction; rows are local, so the x-sweep needs no communication,
 //! and a full matrix transposition (the standard exchange algorithm,
-//! executed as an SPMD node program on the threads) makes the y-lines
+//! executed as an SPMD node program on that runtime) makes the y-lines
 //! local for the second half-step.
 //!
 //! Run with `cargo run --example adi_heat`.

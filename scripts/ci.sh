@@ -89,8 +89,9 @@ timeout 300 env RUSTFLAGS="--cfg cubesync_model" \
     cargo test -q -p cubesync --test real_protocols
 
 begin "model-check: seeded-mutation detection suite"
-# The checker's own coverage gate: five historical concurrency bugs
-# re-introduced into protocol miniatures must each be *caught*.
+# The checker's own coverage gate: seven concurrency bugs (two of them
+# the port tests of cuberun's per-node inbox) re-introduced into protocol
+# miniatures must each be *caught*.
 timeout 300 cargo test -q -p cubesync --test mutations
 
 begin "cubecheck: static invariants of the figure schedules"
@@ -127,12 +128,14 @@ timeout 300 cargo test --release -q -p cubetranspose --test perf_smoke -- --igno
 begin "local-kernels smoke: in-place transpose no slower than scratch gather"
 timeout 300 cargo test --release -q -p cubetranspose --test local_kernels_smoke -- --ignored
 
-begin "allocation gates: no O(mn)-sized scratch in place; MPT allocates O(1) per node"
+begin "allocation gates: no O(mn)-sized scratch in place; MPT and run_spmd allocate O(1) per node"
 # The counting global allocator lives in crates/core/src/local.rs's test
 # module (the one unsafe-allowlisted file). One gate arms it around a
 # warmed in-place transpose and fails on any matrix-sized allocation;
-# the other counts every allocation of one transpose_mpt at the reduced
-# cm16-2d-mpt shape and fails if anything is allocated per path.
+# one counts every allocation of one transpose_mpt at the reduced
+# cm16-2d-mpt shape and fails if anything is allocated per path; one
+# counts an all-dimensions exchange on run_spmd(10) and fails if anything
+# is allocated per directed link (a mailbox per link was 10 per node).
 cargo test --release -q -p cubetranspose --lib alloc_gate_tests
 
 begin "perf smoke: n=14 schedule construction + rule sweep (time-bounded)"

@@ -400,8 +400,10 @@ mod alloc_gate_tests {
     /// its inbox (≈ 2 per node in all) — nothing per directed link:
     /// there are `num × ports` = 10 per node of those, and a queue
     /// apiece is what the bound rules out. Counted on both threads that
-    /// allocate: this one (inboxes, slab, results) and the worker, which
-    /// starts counting in the first node program it polls.
+    /// allocate: this one (the state the workers share, the collected
+    /// results) and the worker, which starts counting in the first node
+    /// program it polls — just after it allocated its inboxes and slots,
+    /// a handful of `Vec`s, and before every per-node allocation.
     #[test]
     fn spmd_exchange_allocates_a_small_constant_per_node() {
         use cubesync::atomic::AtomicUsize;

@@ -6,11 +6,15 @@
 //! message passing. Every cube node is a **virtual node**: an `async`
 //! node program compiled into a resumable state machine, multiplexed
 //! with all its siblings onto a fixed worker pool by a cooperative
-//! scheduler (one inbox per node, park on a `recv` with nothing pending
-//! on its port, wake on the matching `send`, counters private to each
-//! worker — see `sched`'s module docs for the protocol and the
-//! determinism argument). That is how the paper's machines actually
-//! worked — many logical processes per physical processor — and it lets
+//! scheduler. Every worker owns a contiguous range of nodes outright —
+//! their inboxes (one per node), ready queue, futures and results are
+//! private to its thread — so a node parks on a `recv` with nothing
+//! pending on its port and wakes on the matching `send` without a lock,
+//! and only a message to another worker's node goes through one (that
+//! worker's mailbox); see `sched`'s module docs for the protocols and
+//! the determinism argument. That is how the paper's machines actually
+//! worked — a fixed set of virtual processors in each real processor's
+//! private memory, links only between real processors — and it lets
 //! `n = 16` (65 536 nodes, the paper's Connection Machine scale) run on
 //! a laptop's worth of threads.
 //!

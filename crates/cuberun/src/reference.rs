@@ -6,8 +6,7 @@
 //! `n = 10` (2^n OS threads), which is why [`crate::run_spmd`] replaced
 //! it, but within that range it is the simplest possible executable
 //! spec: the equivalence tests run the same transposes on both runtimes
-//! and require identical results, and the `spmd_runtime` benchmark
-//! group reports old-vs-new wall clock.
+//! and require identical results.
 //!
 //! Node programs here are plain blocking closures (`recv` parks the OS
 //! thread), with the historical per-receive `CUBERUN_RECV_TIMEOUT_MS`

@@ -6,21 +6,24 @@
 //! worker instead of blocking an OS thread. The compiler turns each
 //! program into a resumable state machine, so 2^16 suspended nodes cost
 //! heap bytes, not stacks — the paper's Connection-Machine scale (n = 16,
-//! 64K nodes) runs on a handful of workers. See the `sched` module for the
-//! scheduler internals and the determinism argument.
+//! 64K nodes) runs on a handful of workers. A node lives on one worker
+//! for the whole run, so a [`NodeCtx`] is `!Send` and a node program
+//! may hold non-`Send` state across an `.await`. See the `sched` module
+//! for the scheduler internals and the determinism argument.
 //!
 //! The former thread-per-node runtime survives as [`crate::reference`]
 //! (the equivalence tests run both).
 
-use crate::sched::{self, lock, Shared, VSlot, WANT_BARRIER, WANT_NONE};
+use crate::sched::{self, Local, Shared};
 use cubeaddr::NodeId;
 use cubesync::atomic::Ordering;
-use cubesync::sync::{Arc, Mutex, OnceLock};
+use cubesync::sync::{Arc, OnceLock};
 use cubesync::thread;
 use cubetopo::{TopoSpec, Topology};
 use std::cell::Cell;
 use std::future::Future;
 use std::pin::Pin;
+use std::rc::Rc;
 use std::task::{Context, Poll};
 use std::time::Duration;
 
@@ -132,8 +135,8 @@ pub(crate) fn parse_stall_timeout(var: &str, raw: &str) -> Duration {
 /// Aggregate statistics of one SPMD run.
 ///
 /// `messages` and `barriers` are deterministic (scheduling-independent);
-/// the scheduler counters (`peak_live`, `parks`, `wakes`, `steals`)
-/// depend on timing and worker count.
+/// the scheduler counters (`peak_live`, `parks`, `wakes`) depend on
+/// timing and worker count.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct RunStats {
     /// Total messages sent over all links.
@@ -155,16 +158,17 @@ pub struct RunStats {
     pub parks: u64,
     /// Times a parked node was woken by a message or barrier release.
     pub wakes: u64,
-    /// Contexts each worker took from its siblings (`steals[w]` = ready
-    /// nodes worker `w` drained from other queues plus unspawned nodes
-    /// it claimed from other home ranges).
+    /// Always `workers` zeros: a node runs on its home worker from its
+    /// first poll to its last, so nothing is ever stolen. The field
+    /// stays because the benchmark harness sums it.
     pub steals: Vec<u64>,
 }
 
 /// The per-node handle a node program runs against: its identity plus
 /// its communication ports. Obtained from [`run_spmd`] /
 /// [`run_spmd_on`]; `recv`, `exchange`, `barrier` and `all_reduce` are
-/// `async` and suspend the virtual node, never an OS thread.
+/// `async` and suspend the virtual node, never an OS thread. It is
+/// `!Send`: a node never leaves the worker that spawned it.
 ///
 /// On a hypercube a port *is* a cube dimension and every port is wired;
 /// on other topologies (e.g. the Swapped Dragonfly) ports are the
@@ -173,12 +177,17 @@ pub struct RunStats {
 /// than deadlocking.
 pub struct NodeCtx<T> {
     id: NodeId,
-    shared: Arc<Shared<T>>,
+    /// The private state of the worker this node lives on.
+    local: Rc<Local<T>>,
 }
 
 impl<T> NodeCtx<T> {
-    pub(crate) fn new(id: NodeId, shared: Arc<Shared<T>>) -> Self {
-        NodeCtx { id, shared }
+    pub(crate) fn new(id: NodeId, local: Rc<Local<T>>) -> Self {
+        NodeCtx { id, local }
+    }
+
+    fn shared(&self) -> &Shared<T> {
+        &self.local.shared
     }
 
     /// This node's address.
@@ -189,29 +198,29 @@ impl<T> NodeCtx<T> {
     /// The cube dimension `n` — an alias of [`NodeCtx::ports`], kept
     /// for the hypercube node programs the paper is written in.
     pub fn n(&self) -> u32 {
-        self.shared.ports
+        self.shared().ports
     }
 
     /// Number of communication ports per node (`n` on the cube).
     pub fn ports(&self) -> u32 {
-        self.shared.ports
+        self.shared().ports
     }
 
     /// The topology this run executes on.
     pub fn topology(&self) -> TopoSpec {
-        self.shared.topo
+        self.shared().topo
     }
 
     /// Number of nodes in the ensemble (`2^n` on the cube).
     pub fn num_nodes(&self) -> usize {
-        self.shared.num
+        self.shared().num
     }
 
     /// The neighbor across `port`, panicking with a link diagnostic if
     /// the port is out of range or unwired on this topology.
     #[track_caller]
     fn wired_neighbor(&self, port: u32, what: &str) -> u64 {
-        let sh = &*self.shared;
+        let sh = self.shared();
         match (port < sh.ports).then(|| sh.topo.neighbor(self.id.bits(), port)).flatten() {
             Some(peer) => peer,
             None => panic!(
@@ -223,28 +232,15 @@ impl<T> NodeCtx<T> {
     }
 
     /// Sends `msg` to the neighbor across port `dim` (immediate; links
-    /// are buffered). If the neighbor is parked on this link, it is
-    /// woken onto its home worker's ready queue; a neighbor parked on
+    /// are buffered). A neighbor parked on this link becomes runnable
+    /// (next in line, if it lives on this worker); a neighbor parked on
     /// another link is left alone.
     #[track_caller]
     pub fn send(&self, dim: u32, msg: T) {
         let peer = self.wired_neighbor(dim, "send");
-        let sh = &*self.shared;
-        let back =
-            sh.topo.reverse_port(self.id.bits(), dim).expect("a wired link has a reverse port");
-        sched::bump(&sh.my_block().messages, 1);
-        let woke = {
-            let mut inbox = lock(sh.inbox(peer));
-            inbox.push(back, msg);
-            let awaited = inbox.parked == Some(back);
-            if awaited {
-                inbox.parked = None;
-            }
-            awaited
-        };
-        if woke {
-            sh.wake(peer as u32);
-        }
+        let topo = self.shared().topo;
+        let back = topo.reverse_port(self.id.bits(), dim).expect("a wired link has a reverse port");
+        self.local.send(peer as u32, back, msg);
     }
 
     /// Receives the next message from the neighbor across port `dim`,
@@ -296,9 +292,9 @@ impl<T: Clone> NodeCtx<T> {
     /// address bits, which only the cube's wiring satisfies.
     pub async fn all_reduce(&self, value: T, mut combine: impl FnMut(T, T) -> T) -> T {
         assert!(
-            self.shared.topo.is_hypercube(),
+            self.shared().topo.is_hypercube(),
             "all_reduce is a hypercube dimension scan; the {} has no such pairing",
-            self.shared.topo.label()
+            self.shared().topo.label()
         );
         let mut acc = value;
         for d in 0..self.n() {
@@ -316,8 +312,8 @@ impl<T: Clone> NodeCtx<T> {
 }
 
 /// Future of [`NodeCtx::recv`]: ready as soon as the node's inbox holds
-/// a message from the awaited port, otherwise records that port in the
-/// node's want cell for the scheduler to park on.
+/// a message from the awaited port, otherwise parks the node on that
+/// port until the message is delivered.
 #[must_use = "recv does nothing until awaited"]
 pub struct Recv<'a, T> {
     ctx: &'a NodeCtx<T>,
@@ -328,27 +324,15 @@ impl<T> Future for Recv<'_, T> {
     type Output = T;
 
     fn poll(self: Pin<&mut Self>, _cx: &mut Context<'_>) -> Poll<T> {
-        let sh = &*self.ctx.shared;
-        let me = self.ctx.id.bits();
-        let popped = lock(sh.inbox(me)).take(self.dim);
-        match popped {
-            Some(msg) => {
-                sh.want[me as usize].store(WANT_NONE, Ordering::Relaxed);
-                Poll::Ready(msg)
-            }
-            None => {
-                // Phase one of the suspend protocol: only record what we
-                // wait for; the worker publishes the park after it has
-                // released this context (see sched module docs).
-                sh.want[me as usize].store(self.dim as u64, Ordering::Relaxed);
-                Poll::Pending
-            }
+        match self.ctx.local.recv(self.ctx.id.bits() as u32, self.dim) {
+            Some(msg) => Poll::Ready(msg),
+            None => Poll::Pending,
         }
     }
 }
 
 /// Future of [`NodeCtx::barrier`]: arrives once, then waits for the
-/// barrier generation to advance. The last arriver releases everyone.
+/// barrier generation to advance. The last arriver passes at once.
 #[must_use = "barrier does nothing until awaited"]
 pub struct BarrierWait<'a, T> {
     ctx: &'a NodeCtx<T>,
@@ -361,35 +345,9 @@ impl<T> Future for BarrierWait<'_, T> {
 
     fn poll(self: Pin<&mut Self>, _cx: &mut Context<'_>) -> Poll<()> {
         let this = self.get_mut();
-        let sh = &*this.ctx.shared;
-        let me = this.ctx.id.bits() as usize;
-        if let Some(generation) = this.joined {
-            return if sh.barrier_generation.load(Ordering::Acquire) > generation {
-                sh.want[me].store(WANT_NONE, Ordering::Relaxed);
-                Poll::Ready(())
-            } else {
-                sh.want[me].store(WANT_BARRIER | generation, Ordering::Relaxed);
-                Poll::Pending
-            };
-        }
-        let mut b = lock(&sh.barrier);
-        if b.arrived + 1 == sh.num {
-            // Last arriver: advance the generation and release everyone.
-            b.arrived = 0;
-            b.generation += 1;
-            sh.barrier_generation.store(b.generation, Ordering::Release);
-            sh.barriers.fetch_add(1, Ordering::Relaxed);
-            let waiters = std::mem::take(&mut b.waiters);
-            drop(b);
-            sh.wake_all(waiters);
-            sh.want[me].store(WANT_NONE, Ordering::Relaxed);
+        if this.ctx.local.barrier(this.ctx.id.bits() as u32, &mut this.joined) {
             Poll::Ready(())
         } else {
-            b.arrived += 1;
-            let generation = b.generation;
-            drop(b);
-            this.joined = Some(generation);
-            sh.want[me].store(WANT_BARRIER | generation, Ordering::Relaxed);
             Poll::Pending
         }
     }
@@ -406,13 +364,15 @@ impl<T> Future for BarrierWait<'_, T> {
 ///
 /// The program receives an owned [`NodeCtx`] for its node and returns a
 /// future (write it as `|ctx| async move { … }`). Message type `T` and
-/// result type `R` are arbitrary `Send` types.
+/// result type `R` are arbitrary `Send` types; the future itself need
+/// not be `Send`, because a node never leaves the worker that spawned
+/// it.
 pub fn run_spmd<T, R, F, Fut>(n: u32, program: F) -> (Vec<R>, RunStats)
 where
     T: Send,
     R: Send,
     F: Fn(NodeCtx<T>) -> Fut + Sync,
-    Fut: Future<Output = R> + Send,
+    Fut: Future<Output = R>,
 {
     cubeaddr::check_dims(n);
     assert!(
@@ -439,7 +399,7 @@ where
     T: Send,
     R: Send,
     F: Fn(NodeCtx<T>) -> Fut + Sync,
-    Fut: Future<Output = R> + Send,
+    Fut: Future<Output = R>,
 {
     let num = topo.num_nodes();
     assert!(
@@ -448,39 +408,40 @@ where
     );
     let workers = num_workers().clamp(1, num);
     let shared = Arc::new(Shared::<T>::new(topo, workers, stall_timeout()));
-    let slab: Vec<Mutex<VSlot<Fut, R>>> =
-        (0..num).map(|_| Mutex::new(VSlot { fut: None, result: None })).collect();
 
-    thread::scope(|scope| {
+    // Each worker returns its home range's results; the ranges are
+    // contiguous and ascending, so the parts concatenate in node order.
+    let parts: Vec<Vec<Option<R>>> = thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
             .map(|w| {
-                let shared = &shared;
-                let slab = &slab;
-                let program = &program;
-                scope.spawn(move || sched::worker_loop(w, shared, slab, program))
+                let (shared, program) = (&shared, &program);
+                scope.spawn(move || sched::worker_loop(w, shared, program))
             })
             .collect();
         // Join explicitly and re-raise the *original* payload (a node
         // program's panic or the stall report), not the scope's generic
         // "a scoped thread panicked". A panicking worker marks the run
         // done first, so the others drain out and this join completes.
+        let mut parts = Vec::with_capacity(workers);
         let mut first_panic = None;
         for h in handles {
-            if let Err(payload) = h.join() {
-                first_panic.get_or_insert(payload);
+            match h.join() {
+                Ok(part) => parts.push(part),
+                Err(payload) => {
+                    first_panic.get_or_insert(payload);
+                }
             }
         }
         if let Some(payload) = first_panic {
             std::panic::resume_unwind(payload);
         }
+        parts
     });
-
-    let results: Vec<R> = slab
+    let results: Vec<R> = parts
         .into_iter()
+        .flatten()
         .enumerate()
-        .map(|(x, slot)| {
-            lock(&slot).result.take().unwrap_or_else(|| panic!("node {x} produced no result"))
-        })
+        .map(|(x, r)| r.unwrap_or_else(|| panic!("node {x} produced no result")))
         .collect();
 
     // The scope join above ordered every worker's counter stores before
@@ -493,7 +454,7 @@ where
         peak_live: peak_live.unwrap_or(0) as u32,
         parks: shared.total(|b| &b.parks),
         wakes: shared.total(|b| &b.wakes),
-        steals: shared.blocks.iter().map(|b| b.steals.load(Ordering::Relaxed)).collect(),
+        steals: vec![0; workers],
     };
     (results, stats)
 }
@@ -616,21 +577,27 @@ mod tests {
 
     #[test]
     fn messages_preserve_order_per_link() {
-        let (results, _) = run_spmd(1, |ctx| async move {
-            if ctx.id().bits() == 0 {
-                for i in 0..100u64 {
-                    ctx.send(0, i);
-                }
-                Vec::new()
-            } else {
-                let mut got = Vec::new();
-                for _ in 0..100 {
-                    got.push(ctx.recv(0).await);
-                }
-                got
-            }
-        });
-        assert_eq!(results[1], (0..100).collect::<Vec<u64>>());
+        // One worker: the 100 messages queue up in node 1's inbox. Two:
+        // they cross worker 1's mailbox, in whatever batches it drains.
+        for workers in [1usize, 2] {
+            let (results, _) = with_workers(workers, || {
+                run_spmd(1, |ctx| async move {
+                    if ctx.id().bits() == 0 {
+                        for i in 0..100u64 {
+                            ctx.send(0, i);
+                        }
+                        Vec::new()
+                    } else {
+                        let mut got = Vec::new();
+                        for _ in 0..100 {
+                            got.push(ctx.recv(0).await);
+                        }
+                        got
+                    }
+                })
+            });
+            assert_eq!(results[1], (0..100).collect::<Vec<u64>>(), "workers={workers}");
+        }
     }
 
     #[test]
@@ -705,14 +672,21 @@ mod tests {
 
     #[test]
     fn backlog_on_another_port_neither_wakes_nor_requeues() {
-        // One worker spawns nodes 0..4 in order, so the run is exact.
-        // Nodes 0, 1 (after leaving two messages on node 3's port 1)
-        // and 2 park; node 3 wakes 1 and 2, then awaits port 0 with a
-        // backlog only on port 1 — it must park, not bounce off the
-        // backlog. Node 1 adds three more on port 1, which must not wake
-        // node 3; node 2 detours through node 0 (so a node 3 woken early
-        // would be polled, and park, again) and only then answers on
-        // port 0. Five parks, five wakes, no more.
+        // One worker runs a woken node next and otherwise spawns nodes
+        // 0..4 in order, so the run is exact:
+        //
+        // * 0, 1 (after leaving 100, 101 on node 3's port 1) and 2 are
+        //   spawned and park: three parks.
+        // * 3 is spawned, wakes 2 and then 1 (ready: 1, 2) and awaits
+        //   port 0 with a backlog only on port 1 — a fourth park.
+        // * 1 takes its message and adds 102..104 on node 3's port 1:
+        //   no wake, node 3 awaits port 0. Had one woken it, node 3
+        //   would run next, find nothing on port 0 and park again.
+        // * 2 takes the 7, wakes 0 and parks on port 1 (the fifth
+        //   park); 0 echoes and wakes 2; 2 answers on port 0 and wakes
+        //   3, which takes the 8 and then the whole backlog in order.
+        //
+        // Five parks, five wakes, no more.
         let (results, stats) = with_workers(1, || {
             run_spmd(2, |ctx| async move {
                 match ctx.id().bits() {
@@ -731,8 +705,8 @@ mod tests {
                         ctx.send(0, echoed + 1);
                     }
                     _ => {
-                        ctx.send(1, 0);
                         ctx.send(0, 7);
+                        ctx.send(1, 0);
                         let mut got = vec![ctx.recv(0).await];
                         for _ in 0..5 {
                             got.push(ctx.recv(1).await);
@@ -745,6 +719,73 @@ mod tests {
         });
         assert_eq!(results[3], [8, 100, 101, 102, 103, 104]);
         assert_eq!((stats.parks, stats.wakes), (5, 5), "{stats:?}");
+    }
+
+    #[test]
+    fn node_state_need_not_be_send() {
+        // A node lives on one worker for the whole run, so its program
+        // may keep an `Rc` across a suspension.
+        let mut seen: Option<Vec<u64>> = None;
+        for workers in [1usize, 2, 5] {
+            let (results, _) = with_workers(workers, || {
+                run_spmd(6, |ctx| async move {
+                    let acc = Rc::new(Cell::new(ctx.id().bits()));
+                    for d in 0..ctx.n() {
+                        let theirs = ctx.exchange(d, acc.get()).await;
+                        acc.set(acc.get().wrapping_mul(31).wrapping_add(theirs));
+                    }
+                    ctx.barrier().await;
+                    acc.get()
+                })
+            });
+            match &seen {
+                None => seen = Some(results),
+                Some(first) => assert_eq!(&results, first, "workers={workers}"),
+            }
+        }
+    }
+
+    #[test]
+    fn skewed_program_completes_without_rebalancing() {
+        // Nodes 56..64 — inside the last home range at 1, 2 and 5
+        // workers — exchange 1 000 times among themselves; the other 56
+        // return at once. Nothing migrates to the idle workers.
+        let mut seen: Option<Vec<u64>> = None;
+        for workers in [1usize, 2, 5] {
+            let (results, stats) = with_workers(workers, || {
+                run_spmd(6, |ctx| async move {
+                    let mut acc = ctx.id().bits();
+                    if acc >= 56 {
+                        for round in 0..1_000 {
+                            acc = acc.wrapping_mul(31) ^ ctx.exchange(round % 3, acc).await;
+                        }
+                    }
+                    acc
+                })
+            });
+            assert_eq!(stats.messages, 8 * 1_000);
+            assert_eq!(stats.steals, vec![0; workers]);
+            match &seen {
+                None => seen = Some(results),
+                Some(first) => assert_eq!(&results, first, "workers={workers}"),
+            }
+        }
+    }
+
+    #[test]
+    fn a_worker_without_nodes_is_not_waited_for() {
+        // 8 nodes on 5 workers: home ranges of 2, so the fifth worker
+        // has none and must neither hold up a barrier nor the end.
+        let (results, stats) = with_workers(5, || {
+            run_spmd(3, |ctx| async move {
+                ctx.barrier().await;
+                let sum = ctx.all_reduce(ctx.id().bits(), |a, b| a + b).await;
+                ctx.barrier().await;
+                sum
+            })
+        });
+        assert_eq!(results, [28; 8]);
+        assert_eq!((stats.workers, stats.barriers), (5, 2));
     }
 
     #[test]
@@ -810,6 +851,19 @@ mod tests {
         assert!(msg.contains("SPMD scheduler stalled"), "{msg}");
         assert!(msg.contains("node 0 on dim 0"), "{msg}");
         assert!(msg.contains("3/4 node programs completed"), "{msg}");
+    }
+
+    #[test]
+    fn suspending_on_a_foreign_future_is_reported() {
+        for workers in [1usize, 2] {
+            let caught = std::panic::catch_unwind(|| {
+                with_workers(workers, || {
+                    run_spmd::<u64, _, _, _>(1, |_| std::future::pending::<()>())
+                })
+            });
+            let msg = panic_message(caught.unwrap_err());
+            assert!(msg.contains("suspended on a foreign future"), "{msg}");
+        }
     }
 
     #[test]

@@ -77,10 +77,10 @@ pub fn with_threads<R>(threads: usize, f: impl FnOnce() -> R) -> R {
 /// [`claim`](ClaimCursor::claim) hands out the next unclaimed index
 /// exactly once, across any number of threads.
 ///
-/// This is the machinery behind [`par_map`]'s load balancing, factored
-/// out so other schedulers (the `cuberun` virtual-node worker pool seeds
-/// its 2^n node contexts from one) can share it: uneven item costs
-/// balance because idle workers simply claim the next index.
+/// This is the machinery behind [`par_map`]'s load balancing: uneven
+/// item costs balance because idle workers simply claim the next index.
+/// (The `cuberun` worker pool once seeded its node contexts from one;
+/// its workers now own fixed ranges and claim nothing.)
 pub struct ClaimCursor {
     next: AtomicUsize,
     limit: usize,

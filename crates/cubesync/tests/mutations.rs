@@ -1,17 +1,20 @@
-//! Seeded-mutation suite: seven known concurrency bugs re-introduced
+//! Seeded-mutation suite: six known concurrency bugs re-introduced
 //! into miniature copies of the repo's protocols, each proven *caught*
 //! by the model checker — and each correct twin proven clean — so the
 //! checker's coverage claims are themselves tested.
 //!
 //! | mutation | protocol mirrored | detector that fires |
 //! |---|---|---|
-//! | dropped parked-flag clear      | `cuberun` mailbox park/wake     | lost wakeup |
-//! | missing re-check under lock    | `cuberun` two-phase park        | lost wakeup |
+//! | hint stored outside the mailbox lock   | `cuberun` worker mailbox         | livelock |
+//! | sleeper re-checks before registering   | `cuberun` worker mailbox + sleep | lost wakeup |
+//! | waiters released at the local report   | `cuberun` per-worker barrier report | panic (early release) |
 //! | barrier generation off-by-one  | `cuberun` generation barrier    | panic (early release) |
 //! | Relaxed sleeper registration   | `cuberun` sleeper Dekker pair   | lost wakeup (weak memory) |
 //! | cache overwrite without re-check | `PlanCache` build-outside-lock | panic (split identity) |
-//! | waker compares the wrong port  | `cuberun` port-tagged inbox     | lost wakeup |
-//! | park re-check accepts any port | `cuberun` port-tagged inbox     | livelock |
+//!
+//! The first three are the whole cross-thread surface of the sharded
+//! scheduler: everything else a message or a barrier touches is private
+//! to one worker.
 //!
 //! Like the engine suite, this drives [`cubesync::model`] types
 //! directly and runs in the plain `cargo test` pass.
@@ -24,92 +27,212 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 // ---------------------------------------------------------------------
-// Mutations 1 + 2: the mailbox park/wake protocol (cuberun sched.rs).
-// A worker publishes "I am parked" under the slot lock and sleeps until
-// the flag is cleared; a producer publishes work in an atomic want cell
-// and wakes the worker if it finds the flag set.
+// Mutations 1 + 2: the worker mailbox (cuberun sched.rs) — the only
+// lock a message can take. A sender on another worker pushes under the
+// mailbox lock, sets the "non-empty" hint if the mailbox was empty, and
+// pokes sleepers; the owner drains when it reads the hint, and with
+// nothing to run registers as a sleeper, re-checks the mailbox under
+// its lock, and sleeps.
 // ---------------------------------------------------------------------
 
-const WANT_NONE: u64 = u64::MAX;
-
-struct MailSlot {
-    want: AtomicU64,
-    parked: Mutex<bool>,
+struct WorkerMailbox {
+    mail: Mutex<Vec<u32>>,
+    /// The hint the owner tests without the lock.
+    full: AtomicBool,
+    sleep: Mutex<()>,
     cv: Condvar,
+    sleepers: AtomicUsize,
 }
 
-/// The park/wake protocol with two seeded mutations behind flags:
-/// `clear_on_wake = false` drops the producer's parked-flag clear,
-/// `recheck_under_lock = false` parks without the locked re-check of
-/// the want cell.
-fn park_wake(clear_on_wake: bool, recheck_under_lock: bool) {
-    let slot = Arc::new(MailSlot {
-        want: AtomicU64::new(WANT_NONE),
-        parked: Mutex::new(false),
+#[derive(Clone, Copy, PartialEq)]
+enum MailBug {
+    None,
+    /// The sender sets the hint after releasing the mailbox lock.
+    HintOutsideLock,
+    /// The sleeper looks into its mailbox first and registers second.
+    RecheckBeforeRegister,
+}
+
+/// A cross-worker `send`.
+fn post(mb: &WorkerMailbox, msg: u32, bug: MailBug) {
+    let mut mail = mb.mail.lock().unwrap();
+    mail.push(msg);
+    let first = mail.len() == 1;
+    if first && bug != MailBug::HintOutsideLock {
+        mb.full.store(true, Ordering::SeqCst);
+    }
+    drop(mail);
+    if first && bug == MailBug::HintOutsideLock {
+        mb.full.store(true, Ordering::SeqCst);
+    }
+    if mb.sleepers.load(Ordering::SeqCst) > 0 {
+        let _sleep = mb.sleep.lock().unwrap();
+        mb.cv.notify_all();
+    }
+}
+
+/// The owner's scheduling loop, until `expect` messages have arrived;
+/// returns them in arrival order.
+fn drain_or_sleep(mb: &WorkerMailbox, expect: usize, bug: MailBug) -> Vec<u32> {
+    let mut got = Vec::new();
+    while got.len() < expect {
+        if mb.full.load(Ordering::SeqCst) {
+            let mut mail = mb.mail.lock().unwrap();
+            got.append(&mut mail);
+            mb.full.store(false, Ordering::SeqCst);
+            continue;
+        }
+        // Nothing to run: sleep, unless mail raced in.
+        let sleep = mb.sleep.lock().unwrap();
+        if bug == MailBug::RecheckBeforeRegister {
+            if !mb.mail.lock().unwrap().is_empty() {
+                continue;
+            }
+            mb.sleepers.fetch_add(1, Ordering::SeqCst);
+        } else {
+            mb.sleepers.fetch_add(1, Ordering::SeqCst);
+            if !mb.mail.lock().unwrap().is_empty() {
+                mb.sleepers.fetch_sub(1, Ordering::SeqCst);
+                continue;
+            }
+        }
+        drop(mb.cv.wait(sleep).unwrap());
+        mb.sleepers.fetch_sub(1, Ordering::SeqCst);
+    }
+    got
+}
+
+/// One worker posts two messages to another; the result — what the
+/// owner received, in order — must be the same under every schedule.
+fn mailbox_handoff(bug: MailBug) -> Vec<u32> {
+    let mb = Arc::new(WorkerMailbox {
+        mail: Mutex::new(Vec::new()),
+        full: AtomicBool::new(false),
+        sleep: Mutex::new(()),
         cv: Condvar::new(),
+        sleepers: AtomicUsize::new(0),
     });
     thread::scope(|s| {
-        let worker_slot = Arc::clone(&slot);
-        s.spawn(move || {
-            // Fast path: work already posted.
-            if worker_slot.want.load(Ordering::SeqCst) != WANT_NONE {
-                return;
-            }
-            let mut parked = worker_slot.parked.lock().unwrap();
-            // Two-phase park: the re-check under the lock closes the
-            // window between the fast-path miss and going to sleep.
-            if recheck_under_lock && worker_slot.want.load(Ordering::SeqCst) != WANT_NONE {
-                return;
-            }
-            *parked = true;
-            while *parked {
-                parked = worker_slot.cv.wait(parked).unwrap();
-            }
-            assert_ne!(
-                worker_slot.want.load(Ordering::SeqCst),
-                WANT_NONE,
-                "woken with nothing to do"
-            );
-        });
+        let owner_mb = Arc::clone(&mb);
+        let owner = s.spawn(move || drain_or_sleep(&owner_mb, 2, bug));
+        post(&mb, 1, bug);
+        post(&mb, 2, bug);
+        owner.join().expect("owner does not panic")
+    })
+}
 
-        // Producer: publish work, then wake the worker if it parked.
-        slot.want.store(7, Ordering::SeqCst);
-        let mut parked = slot.parked.lock().unwrap();
-        if *parked {
-            if clear_on_wake {
-                *parked = false;
-            }
-            slot.cv.notify_one();
+#[test]
+fn worker_mailbox_is_clean() {
+    let report = check(|| {
+        let got = mailbox_handoff(MailBug::None);
+        assert_eq!(got, [1, 2], "a mailbox keeps send order");
+        got
+    });
+    assert!(report.exhaustive, "small config must be fully enumerated");
+}
+
+#[test]
+#[should_panic(expected = "livelock")]
+fn mutation_hint_stored_outside_the_mailbox_lock_is_caught() {
+    // Between the sender's unlock and its hint store the owner is told
+    // two things: the sleep re-check, under the lock, finds mail and
+    // refuses to sleep; the drain test, on the hint, finds none and
+    // refuses to drain. It spins for as long as the sender stays
+    // descheduled.
+    check_with(Config { max_steps: 2_000, ..Config::default() }, || {
+        mailbox_handoff(MailBug::HintOutsideLock)
+    });
+}
+
+#[test]
+#[should_panic(expected = "lost wakeup")]
+fn mutation_sleeper_recheck_before_registering_is_caught() {
+    // The owner finds its mailbox empty; the sender then posts, reads a
+    // sleeper count of zero and skips the notify; the owner registers
+    // and sleeps on mail nobody will announce.
+    check(|| mailbox_handoff(MailBug::RecheckBeforeRegister));
+}
+
+// ---------------------------------------------------------------------
+// Mutation 3: the per-worker barrier report (cuberun sched.rs). Every
+// worker counts the arrivals of its own nodes and reports once, under
+// the barrier lock, when its range is complete; the last reporter
+// advances the generation, and a worker's waiters may run only once it
+// has seen the new generation. The oracle counts arrivals across the
+// ensemble.
+// ---------------------------------------------------------------------
+
+struct ShardedBarrier {
+    /// Workers whose whole range has arrived.
+    reported: Mutex<usize>,
+    generation: AtomicU64,
+    /// Stands in for the sleep condvar a worker with only waiters left
+    /// sleeps on.
+    cv: Condvar,
+    arrivals: AtomicUsize,
+}
+
+const BARRIER_WORKERS: usize = 2;
+const NODES_PER_WORKER: usize = 2;
+
+fn sharded_barrier_worker(b: &ShardedBarrier, release_at_report: bool) {
+    // Polling the home range: every node arrives and waits.
+    for _ in 0..NODES_PER_WORKER {
+        b.arrivals.fetch_add(1, Ordering::SeqCst);
+    }
+    // The range is complete: report once.
+    let mut reported = b.reported.lock().unwrap();
+    *reported += 1;
+    if *reported == BARRIER_WORKERS {
+        *reported = 0;
+        b.generation.store(1, Ordering::SeqCst);
+        b.cv.notify_all();
+    }
+    // SEEDED BUG when `release_at_report`: "my range is complete" is
+    // taken for "the episode is complete".
+    while !release_at_report && b.generation.load(Ordering::SeqCst) == 0 {
+        reported = b.cv.wait(reported).unwrap();
+    }
+    drop(reported);
+    // The waiters run.
+    for _ in 0..NODES_PER_WORKER {
+        assert_eq!(
+            b.arrivals.load(Ordering::SeqCst),
+            BARRIER_WORKERS * NODES_PER_WORKER,
+            "crossed the barrier before every node arrived"
+        );
+    }
+}
+
+fn sharded_barrier(release_at_report: bool) {
+    let barrier = Arc::new(ShardedBarrier {
+        reported: Mutex::new(0),
+        generation: AtomicU64::new(0),
+        cv: Condvar::new(),
+        arrivals: AtomicUsize::new(0),
+    });
+    thread::scope(|s| {
+        for _ in 0..BARRIER_WORKERS {
+            let barrier = Arc::clone(&barrier);
+            s.spawn(move || sharded_barrier_worker(&barrier, release_at_report));
         }
     });
 }
 
 #[test]
-fn park_wake_protocol_is_clean() {
-    let report = check(|| park_wake(true, true));
+fn per_worker_barrier_report_is_clean() {
+    let report = check(|| sharded_barrier(false));
     assert!(report.exhaustive, "small config must be fully enumerated");
 }
 
 #[test]
-#[should_panic(expected = "lost wakeup")]
-fn mutation_dropped_parked_flag_clear_is_caught() {
-    // The producer notifies but leaves `parked` set; the worker's
-    // predicate loop re-checks, still sees itself parked, and sleeps
-    // through a signal that will never repeat.
-    check(|| park_wake(false, true));
-}
-
-#[test]
-#[should_panic(expected = "lost wakeup")]
-fn mutation_missing_recheck_under_lock_is_caught() {
-    // Without the locked re-check, work posted between the fast-path
-    // miss and the park is invisible: the producer saw `parked ==
-    // false` and skipped the notify.
-    check(|| park_wake(true, false));
+#[should_panic(expected = "crossed the barrier before every node arrived")]
+fn mutation_waiters_released_at_the_local_report_is_caught() {
+    check(|| sharded_barrier(true));
 }
 
 // ---------------------------------------------------------------------
-// Mutation 3: the generation-counted barrier (cuberun sched.rs).
+// Mutation 4: the generation-counted barrier (cuberun sched.rs).
 // ---------------------------------------------------------------------
 
 struct MiniBarrier {
@@ -170,7 +293,7 @@ fn mutation_barrier_generation_off_by_one_is_caught() {
 }
 
 // ---------------------------------------------------------------------
-// Mutation 4: the sleeper-registration Dekker pair (cuberun sched.rs
+// Mutation 5: the sleeper-registration Dekker pair (cuberun sched.rs
 // `sleep`/`notify_sleepers`). Correctness rests on both sides of the
 // store/load pair being SeqCst; the mutation downgrades them to
 // Relaxed, which weak-memory exploration turns into stale reads.
@@ -226,7 +349,7 @@ fn mutation_relaxed_sleeper_registration_is_caught() {
 }
 
 // ---------------------------------------------------------------------
-// Mutation 5: the plan cache's build-outside-lock protocol
+// Mutation 6: the plan cache's build-outside-lock protocol
 // (cubecomm::plan::cache::PlanCache::get_or_build). Losing the
 // racing-builder re-check lets two builders hand out *different* plans
 // for the same key.
@@ -281,124 +404,4 @@ fn cache_build_outside_lock_is_clean() {
 #[should_panic(expected = "two callers hold different plans for the same key")]
 fn mutation_cache_double_build_without_recheck_is_caught() {
     check(|| cache_race(false));
-}
-
-// ---------------------------------------------------------------------
-// Mutations 6 + 7: the port-tagged inbox (cuberun sched.rs). One inbox
-// per node holds messages from every link, so both the waker's test
-// ("is the node parked on *this* port?") and the parker's locked
-// re-check ("did a message *for the awaited port* race in?") name a
-// port. The worker thread below is a node awaiting port A while a
-// neighbor delivers on port B and another on port A.
-// ---------------------------------------------------------------------
-
-const PORT_A: u32 = 0;
-const PORT_B: u32 = 1;
-/// The A-neighbor's *own* number for the link — what its `send` was
-/// called with, as opposed to the receiver-side tag the message carries.
-const PORT_A_SENDER_SIDE: u32 = 7;
-
-struct PortInbox {
-    /// Receiver-side port tags of the pending messages, arrival order.
-    pending: Vec<u32>,
-    parked: Option<u32>,
-}
-
-struct PortNode {
-    inbox: Mutex<PortInbox>,
-    /// Stands in for the ready queue: the parked node sleeps here.
-    ready: Condvar,
-}
-
-#[derive(Clone, Copy, PartialEq)]
-enum PortBug {
-    None,
-    /// The waker tests `parked` against the sender-side port number.
-    WakerComparesOwnPort,
-    /// The park re-check asks "inbox non-empty?" instead of "anything
-    /// for the awaited port?".
-    RecheckAcceptsAnyPort,
-}
-
-/// A neighbor's `send`: store the message under its receiver-side tag,
-/// wake the node only if it is parked on `wake_if_parked_on`.
-fn deliver(node: &PortNode, tag: u32, wake_if_parked_on: u32) {
-    let mut inbox = node.inbox.lock().unwrap();
-    inbox.pending.push(tag);
-    if inbox.parked == Some(wake_if_parked_on) {
-        inbox.parked = None;
-        node.ready.notify_one();
-    }
-}
-
-fn port_park_wake(bug: PortBug) {
-    let node = Arc::new(PortNode {
-        inbox: Mutex::new(PortInbox { pending: Vec::new(), parked: None }),
-        ready: Condvar::new(),
-    });
-    thread::scope(|s| {
-        let me = Arc::clone(&node);
-        s.spawn(move || {
-            let mut woken = false;
-            loop {
-                // Phase one — poll `recv(PORT_A)`.
-                {
-                    let mut inbox = me.inbox.lock().unwrap();
-                    if let Some(at) = inbox.pending.iter().position(|&p| p == PORT_A) {
-                        inbox.pending.remove(at);
-                        return;
-                    }
-                }
-                assert!(!woken, "woken with nothing to take on the awaited port");
-                // Phase two — park, after the context was released.
-                let mut inbox = me.inbox.lock().unwrap();
-                let raced_in = if bug == PortBug::RecheckAcceptsAnyPort {
-                    !inbox.pending.is_empty()
-                } else {
-                    inbox.pending.contains(&PORT_A)
-                };
-                if raced_in {
-                    continue; // back on the ready queue: poll again
-                }
-                inbox.parked = Some(PORT_A);
-                while inbox.parked.is_some() {
-                    inbox = me.ready.wait(inbox).unwrap();
-                }
-                woken = true;
-            }
-        });
-        let b_neighbor = Arc::clone(&node);
-        s.spawn(move || deliver(&b_neighbor, PORT_B, PORT_B));
-        let wake_on =
-            if bug == PortBug::WakerComparesOwnPort { PORT_A_SENDER_SIDE } else { PORT_A };
-        deliver(&node, PORT_A, wake_on);
-    });
-}
-
-#[test]
-fn port_tagged_park_wake_is_clean() {
-    let report = check(|| port_park_wake(PortBug::None));
-    assert!(report.exhaustive, "small config must be fully enumerated");
-}
-
-#[test]
-#[should_panic(expected = "lost wakeup")]
-fn mutation_waker_compares_wrong_port_is_caught() {
-    // On the cube both ends of a link carry the same number, which is
-    // why this bug would pass every cube test: the miniature gives the
-    // two ends different numbers, as the Dragonfly does. The node parks
-    // on the receiver-side port; the waker looks for the sender-side
-    // one, stores the message and walks away.
-    check(|| port_park_wake(PortBug::WakerComparesOwnPort));
-}
-
-#[test]
-#[should_panic(expected = "livelock")]
-fn mutation_park_recheck_accepting_any_port_is_caught() {
-    // With B's message pending and A's not yet sent, the re-check keeps
-    // answering "something raced in", the node keeps going back on the
-    // ready queue, and its poll keeps finding nothing for port A.
-    check_with(Config { max_steps: 2_000, ..Config::default() }, || {
-        port_park_wake(PortBug::RecheckAcceptsAnyPort)
-    });
 }

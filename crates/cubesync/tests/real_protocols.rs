@@ -64,9 +64,10 @@ fn par_map_uneven_work_still_returns_input_order() {
 }
 
 // ---------------------------------------------------------------------
-// cuberun — inbox park/wake, generation barrier, steal queues, the
-// idle-path end-of-run check, under the real virtual-node scheduler with
-// a 2-worker pool.
+// cuberun — the worker mailbox and its hint, the per-worker barrier
+// report, the sleeper pair and the idle-path end-of-run check: all the
+// real virtual-node scheduler shares between threads, on 2- and
+// 3-worker pools.
 // ---------------------------------------------------------------------
 
 #[test]
@@ -74,7 +75,7 @@ fn spmd_exchange_on_two_nodes_two_workers() {
     let report = check_with(budget(), || {
         cuberun::with_workers(2, || {
             cuberun::with_stall_timeout(Duration::from_secs(3600), || {
-                // Results only: scheduler counters (parks/wakes/steals)
+                // Results only: scheduler counters (parks/wakes)
                 // legitimately vary by interleaving.
                 let (results, _stats) = cuberun::run_spmd::<u64, u64, _, _>(1, |ctx| async move {
                     ctx.send(0, ctx.id().bits() + 100);
@@ -92,10 +93,11 @@ fn spmd_message_on_a_non_awaited_port_neither_wakes_nor_strands() {
     // n = 2, two workers: node 0 (worker 0's range) awaits port 0, then
     // port 1; node 2 (worker 1's range) sends on port 1 and node 1 on
     // port 0. The explorer interleaves node 2's send with every step of
-    // node 0's suspension — before the poll, between the want-cell
-    // write and the park, after the park — so the port-1 message lands
-    // in the inbox of a node that is, or is about to be, parked on
-    // port 0. It must stay there unwoken, and still be taken afterwards.
+    // worker 0 — before node 0's poll, after it parked, around a drain,
+    // on the way into `sleep` — so the port-1 message comes out of the
+    // mailbox into the inbox of a node that is, or is about to be,
+    // parked on port 0. It must stay there unwoken, and still be taken
+    // afterwards.
     let report = check_with(budget(), || {
         cuberun::with_workers(2, || {
             cuberun::with_stall_timeout(Duration::from_secs(3600), || {
@@ -130,6 +132,50 @@ fn spmd_barrier_and_all_reduce_on_two_nodes() {
                     ctx.barrier().await;
                     ctx.all_reduce(ctx.id().bits() + 1, |a, b| a + b).await
                 });
+                results
+            })
+        })
+    });
+    assert!(report.schedules > 1);
+}
+
+#[test]
+fn spmd_barrier_and_all_reduce_with_an_empty_home_range() {
+    // 4 nodes on 3 workers: home ranges of 2, so worker 2 has no node.
+    // It must not be waited for at the barrier, and it sleeps through
+    // the run next to workers that post, report and finish.
+    let report = check_with(budget(), || {
+        cuberun::with_workers(3, || {
+            cuberun::with_stall_timeout(Duration::from_secs(3600), || {
+                let (results, _stats) = cuberun::run_spmd::<u64, u64, _, _>(2, |ctx| async move {
+                    ctx.barrier().await;
+                    ctx.all_reduce(ctx.id().bits() + 1, |a, b| a + b).await
+                });
+                assert_eq!(results, [10; 4]);
+                results
+            })
+        })
+    });
+    assert!(report.schedules > 1);
+}
+
+#[test]
+fn spmd_cross_worker_send_races_the_receiver_into_sleep() {
+    // Node 0 (worker 0) only receives, node 1 (worker 1) only sends:
+    // worker 0 parks its node, finds nothing to run and goes to sleep
+    // while the message is pushed, hinted and announced.
+    let report = check_with(budget(), || {
+        cuberun::with_workers(2, || {
+            cuberun::with_stall_timeout(Duration::from_secs(3600), || {
+                let (results, _stats) = cuberun::run_spmd::<u64, u64, _, _>(1, |ctx| async move {
+                    if ctx.id().bits() == 0 {
+                        ctx.recv(0).await
+                    } else {
+                        ctx.send(0, 7);
+                        0
+                    }
+                });
+                assert_eq!(results, [7, 0]);
                 results
             })
         })

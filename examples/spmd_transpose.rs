@@ -1,8 +1,8 @@
 //! SPMD transpose on the virtual-node runtime: run the paper's exchange
 //! transposition with real message passing at several cube sizes — up to
 //! n = 16, the full 65 536-node Connection-Machine configuration — and
-//! print the scheduler's run statistics (messages, parks, wakes, steals,
-//! peak live contexts).
+//! print the scheduler's run statistics (messages, parks, wakes, peak
+//! live contexts).
 //!
 //! Run with `cargo run --release --example spmd_transpose`.
 //! The pool size comes from `CUBERUN_WORKERS` (default: the ambient
@@ -34,10 +34,8 @@ fn main() {
             stats.messages
         );
         println!(
-            "        peak live contexts {:>6}, parks {:>8}, wakes {:>8}, barriers {}",
+            "        peak live contexts {:>6}, parks {:>8}, wakes {:>8}, barriers {}\n",
             stats.peak_live, stats.parks, stats.wakes, stats.barriers
         );
-        let steals: u64 = stats.steals.iter().sum();
-        println!("        steals {steals:>6} (per worker: {:?})\n", stats.steals);
     }
 }

@@ -89,9 +89,11 @@ timeout 300 env RUSTFLAGS="--cfg cubesync_model" \
     cargo test -q -p cubesync --test real_protocols
 
 begin "model-check: seeded-mutation detection suite"
-# The checker's own coverage gate: seven concurrency bugs (two of them
-# the port tests of cuberun's per-node inbox) re-introduced into protocol
-# miniatures must each be *caught*.
+# The checker's own coverage gate: six concurrency bugs (three of them
+# all that cuberun's sharded scheduler shares between threads: the worker
+# mailbox's hint, the sleeper's register-then-re-check order, the
+# per-worker barrier report) re-introduced into protocol miniatures must
+# each be *caught*.
 timeout 300 cargo test -q -p cubesync --test mutations
 
 begin "cubecheck: static invariants of the figure schedules"
@@ -134,8 +136,10 @@ begin "allocation gates: no O(mn)-sized scratch in place; MPT and run_spmd alloc
 # warmed in-place transpose and fails on any matrix-sized allocation;
 # one counts every allocation of one transpose_mpt at the reduced
 # cm16-2d-mpt shape and fails if anything is allocated per path; one
-# counts an all-dimensions exchange on run_spmd(10) and fails if anything
-# is allocated per directed link (a mailbox per link was 10 per node).
+# counts an all-dimensions exchange on run_spmd(10) — on the calling
+# thread and on the worker, which allocates its own inboxes and slots —
+# and fails if anything is allocated per directed link (a queue per link
+# was 10 per node).
 cargo test --release -q -p cubetranspose --lib alloc_gate_tests
 
 begin "perf smoke: n=14 schedule construction + rule sweep (time-bounded)"
@@ -169,12 +173,13 @@ begin "perfbench: the harness's own unit tests"
 # never reaches these.
 cargo test --offline -q --manifest-path perfbench/Cargo.toml
 
-begin "perfbench smoke: one round of each driver::execute, router and plan workload must be correct"
+begin "perfbench smoke: one round of each of the eight workloads must be correct"
 # Paper-scale ops with every check on (output labels, chosen algorithm,
-# router twin agreement, plan lint and replay, pinned simulated time).
-# No time bound: timing is BENCHMARK.json's job.
-for workload in ipsc6-2d-spt ipsc6-1d-exchange cm16-2d-mpt \
-    cm14-router cm14-plan-cold cm14-plan-warm; do
+# router twin agreement, plan lint and replay, pinned simulated time,
+# the SPMD run's message count). No time bound: timing is
+# BENCHMARK.json's job.
+for workload in ipsc6-2d-spt ipsc6-1d-exchange cm16-2d-mpt cm16-spmd-exchange \
+    ipsc6-convert-alg2 cm14-router cm14-plan-cold cm14-plan-warm; do
     verdict="$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
         --workload "$workload" --rounds 1 | tail -n 1)"
     case "$verdict" in

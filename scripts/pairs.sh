@@ -1,0 +1,99 @@
+#!/usr/bin/env bash
+# Alternating parent/change pairs of one perfbench workload: the
+# measurement discipline a performance claim in this repo rests on.
+#
+# Usage: scripts/pairs.sh <workload> [pairs=10] [seconds=12]
+#
+# The parent is `git archive HEAD` exported into a temporary directory,
+# the change is the working tree, and each side is built into a
+# CARGO_TARGET_DIR of its own under that directory. Every pair runs both
+# sides once with BENCHMARK.json's command (`--trace 0`), alternating
+# which side goes first; at the end each side's median and quartiles of
+# the three end-to-end metrics are printed with the change's win count
+# (lower wins, ties count for neither).
+#
+# Why separate exports and target directories, instead of `git stash`
+# or `git checkout` in place: cargo decides what to rebuild from mtime
+# fingerprints, and sources rewound in place can be older than the rlib
+# a later state left behind. While sizing the sharded scheduler a
+# root-workspace build silently linked a `cuberun` rlib left by an
+# unmerged attempt and read 80 ms where perfbench, built from the same
+# sources into its own directory, read 230.
+#
+# Run it on an otherwise idle box, and read the quartiles before the
+# medians: on a time-sliced host the spread between runs of one side is
+# often wider than the effect.
+
+set -euo pipefail
+cd "$(dirname "$0")/.."
+
+workload="${1:?usage: scripts/pairs.sh <workload> [pairs=10] [seconds=12]}"
+pairs="${2:-10}"
+seconds="${3:-12}"
+metrics=(wall_ms setup_s peak_rss_mib)
+
+work="$(mktemp -d)"
+trap 'rm -rf "$work"' EXIT
+mkdir "$work/parent"
+git archive HEAD | tar -x -C "$work/parent"
+
+# cargo_in <side> <cargo arguments…>: cargo in that side's checkout, on
+# that side's target directory.
+cargo_in() {
+    local side="$1" dir="$PWD"
+    shift
+    [ "$side" = parent ] && dir="$work/parent"
+    (cd "$dir" && CARGO_TARGET_DIR="$work/target-$side" cargo "$@")
+}
+
+# run <side>: one benchmark run; prints the three end-to-end metrics on
+# one line.
+run() {
+    local verdict
+    verdict="$(cargo_in "$1" run --release --offline --quiet \
+        --manifest-path perfbench/Cargo.toml -- \
+        --workload "$workload" --seconds "$seconds" --trace 0 | tail -n 1)"
+    case "$verdict" in
+        *'"correct": true'*'"failed": 0'*) ;;
+        *) echo "FAIL: $1 $workload: $verdict" >&2; exit 1 ;;
+    esac
+    for m in "${metrics[@]}"; do
+        printf '%s ' "$(sed -E "s/.*\"$m\": \{\"value\": ([0-9.eE+-]+).*/\1/" <<<"$verdict")"
+    done
+    echo
+}
+
+echo "building parent ($(git rev-parse --short HEAD)) and change (working tree) ..."
+for side in parent change; do
+    cargo_in "$side" build --release --offline --quiet --manifest-path perfbench/Cargo.toml
+done
+
+for ((i = 1; i <= pairs; i++)); do
+    if ((i % 2)); then order=(parent change); else order=(change parent); fi
+    for side in "${order[@]}"; do
+        run "$side" >>"$work/$side.txt"
+    done
+    echo "pair $i: parent $(tail -n 1 "$work/parent.txt")| change $(tail -n 1 "$work/change.txt")"
+done
+
+# quartiles <file> <column>: q1 median q3 by linear interpolation.
+quartiles() {
+    cut -d' ' -f"$2" "$1" | sort -g | awk '
+        { v[NR] = $1 }
+        function q(p,  pos, lo) {
+            pos = (NR - 1) * p + 1; lo = int(pos)
+            return lo == NR ? v[NR] : v[lo] + (pos - lo) * (v[lo + 1] - v[lo])
+        }
+        END { printf "%.4g %.4g %.4g", q(0.25), q(0.5), q(0.75) }'
+}
+
+echo
+echo "$workload: $pairs pairs of ${seconds} s, nproc $(nproc) — q1 / median / q3"
+for c in 1 2 3; do
+    wins="$(paste -d' ' "$work/parent.txt" "$work/change.txt" \
+        | awk -v p="$c" -v c="$((c + 3))" '$c < $p { n++ } END { print n + 0 }')"
+    read -r p1 p2 p3 <<<"$(quartiles "$work/parent.txt" "$c")"
+    read -r c1 c2 c3 <<<"$(quartiles "$work/change.txt" "$c")"
+    printf '  %-13s parent %s / %s / %s   change %s / %s / %s   change wins %s/%s\n' \
+        "${metrics[c - 1]}" "$p1" "$p2" "$p3" "$c1" "$c2" "$c3" "$wins" "$pairs"
+done

@@ -312,7 +312,9 @@ mod tests {
 /// with two independent counters. While a thread is `ARMED` it counts
 /// allocations at or above a size threshold (the in-place kernel's
 /// gate); while a thread has `COUNTED` set it counts every allocation
-/// that thread makes (the CM-scale MPT gate). The second is thread-local
+/// that thread makes (the CM-scale MPT gate and one gate for each of
+/// `cuberun`'s front doors: `spmd_exchange_…` for the async door,
+/// `round_exchange_…` for the round door). The second is thread-local
 /// end to end, so the gates cannot disturb each other when the harness
 /// runs them side by side. `unsafe impl GlobalAlloc` must live in this
 /// module — the workspace denies `unsafe_code` everywhere except this
@@ -394,7 +396,7 @@ mod alloc_gate_tests {
         assert!(allocs <= 4 * nodes, "transpose_mpt made {allocs} allocations for {nodes} nodes");
     }
 
-    /// The `cuberun` data plane at one worker: an all-dimensions `u64`
+    /// `cuberun`'s async door at one worker: an all-dimensions `u64`
     /// exchange on a 10-cube may allocate each node's boxed program and,
     /// for a node that falls behind its neighbors, the overflow deque of
     /// its inbox (≈ 2 per node in all) — nothing per directed link:
@@ -434,6 +436,64 @@ mod alloc_gate_tests {
         assert!(
             allocs <= 4 * nodes,
             "run_spmd made {allocs} allocations for {nodes} nodes × {n} ports"
+        );
+    }
+
+    /// The same exchange through `cuberun`'s round door at one worker:
+    /// the runtime allocates the state, inbox, outgoing and result
+    /// vectors and the worker thread — nothing per node and nothing per
+    /// message, since a `u64` state is not boxed and the one message
+    /// pending per node sits inline in its inbox. So the bound is a
+    /// constant, not a multiple of `nodes × rounds`. Counted as in the
+    /// gate above: on this thread, and on the worker from the first
+    /// `init` (its inboxes exist by then) to the last `finish`.
+    #[test]
+    fn round_exchange_allocates_a_constant() {
+        use cuberun::{NodeId, Outbox, RoundInbox, RoundProgram};
+        use cubesync::atomic::AtomicUsize;
+        use std::cell::Cell;
+
+        struct AllDims<'a> {
+            n: u32,
+            on_worker: &'a AtomicUsize,
+        }
+        impl RoundProgram<u64> for AllDims<'_> {
+            type State = u64;
+            type Out = u64;
+            fn rounds(&self) -> u32 {
+                self.n
+            }
+            fn init(&self, id: NodeId) -> u64 {
+                COUNTED.with(|c| c.set(c.get().or(Some(0))));
+                id.bits()
+            }
+            fn send(&self, round: u32, _id: NodeId, acc: &mut u64, out: &mut Outbox<'_, u64>) {
+                out.send(round, *acc);
+            }
+            fn recv(&self, round: u32, _: NodeId, acc: &mut u64, inbox: &mut RoundInbox<'_, u64>) {
+                *acc += inbox.take(round).expect("the neighbor sent in this round");
+            }
+            fn finish(&self, _id: NodeId, acc: u64) -> u64 {
+                self.on_worker.fetch_max(COUNTED.with(Cell::get).unwrap_or(0), Ordering::Relaxed);
+                acc
+            }
+        }
+
+        let n = 10u32;
+        let on_worker = AtomicUsize::new(0);
+        COUNTED.with(|c| c.set(Some(0)));
+        let (sums, stats) = cuberun::with_workers(1, || {
+            cuberun::run_rounds(n, &AllDims { n, on_worker: &on_worker })
+        });
+        let on_caller = COUNTED.with(|c| c.take()).expect("counting was on");
+        let nodes = 1usize << n;
+        let total: u64 = (0..nodes as u64).sum();
+        assert!(sums.iter().all(|&s| s == total), "dimension scan must sum every id");
+        assert_eq!(stats.messages, (nodes as u64) * n as u64);
+        let allocs = on_caller + on_worker.load(Ordering::Relaxed);
+        assert!(
+            allocs <= 64,
+            "run_rounds made {allocs} allocations for {nodes} nodes × {n} rounds"
         );
     }
 

@@ -9,13 +9,24 @@
 //! 65 536-node Connection-Machine configuration runs on a handful of
 //! worker threads.
 //!
+//! `cuberun` has two front doors and the programs here use both. The
+//! exchange transpose is "for j := n−1 downto 0: exchange on dimension
+//! j" — a round schedule every node knows in advance — so
+//! [`spmd_transpose_exchange`] is a [`RoundProgram`] on
+//! [`cuberun::run_rounds`]: each worker loops over the nodes it hosts,
+//! round by round. [`spmd_transpose_spt`] (a node relays arrays it
+//! learns of as they arrive) and [`spmd_transpose_combined_gray`] (a
+//! relaying node receives before it sends inside one iteration) are
+//! free-form `async` programs on [`cuberun::run_spmd`].
+//!
 //! The results are bit-identical to the simulator drivers, which the test
 //! suite checks; this module's tests also run the exchange program on
 //! the thread-per-node oracle runtime ([`cuberun::reference`]), which no
 //! library function calls.
 
+use cubeaddr::NodeId;
 use cubelayout::{DistMatrix, Layout, TransposeSpec};
-use cuberun::{run_spmd, RunStats};
+use cuberun::{run_rounds, run_spmd, Outbox, RoundInbox, RoundProgram, RunStats};
 
 /// One routed element in an SPMD message: `(dst_node, dst_local, value)`.
 type Elem<T> = (u64, u64, T);
@@ -53,10 +64,80 @@ fn place_held<T: Copy + Default>(me: u64, held: Vec<Elem<T>>, per_after: usize) 
     local
 }
 
+/// §5's exchange transpose as a [`RoundProgram`]: round `r` scans
+/// dimension `j = n − 1 − r`, highest first. A node's state is the
+/// routed elements it holds.
+struct ExchangeRounds<'a, T> {
+    n: u32,
+    per_after: usize,
+    initial: &'a [Vec<Elem<T>>],
+}
+
+impl<T: Copy + Default + Send + Sync> RoundProgram<Vec<Elem<T>>> for ExchangeRounds<'_, T> {
+    type State = Vec<Elem<T>>;
+    type Out = Vec<T>;
+
+    fn rounds(&self) -> u32 {
+        self.n
+    }
+
+    fn init(&self, id: NodeId) -> Vec<Elem<T>> {
+        self.initial[id.index()].clone()
+    }
+
+    fn send(
+        &self,
+        round: u32,
+        id: NodeId,
+        held: &mut Vec<Elem<T>>,
+        out: &mut Outbox<'_, Vec<Elem<T>>>,
+    ) {
+        let (j, me) = (self.n - 1 - round, id.bits());
+        // Partition in place: what crosses dimension j moves to `send`,
+        // the rest keeps its buffer.
+        let mut send = Vec::new();
+        held.retain(|&elem| {
+            let stays = (elem.0 >> j) & 1 == (me >> j) & 1;
+            if !stays {
+                send.push(elem);
+            }
+            stays
+        });
+        // Both partners always send (possibly an empty vector): every
+        // node's receive of the round then has exactly one message.
+        out.send(j, send);
+    }
+
+    fn recv(
+        &self,
+        round: u32,
+        id: NodeId,
+        held: &mut Vec<Elem<T>>,
+        inbox: &mut RoundInbox<'_, Vec<Elem<T>>>,
+    ) {
+        let j = self.n - 1 - round;
+        let incoming = inbox
+            .take(j)
+            .unwrap_or_else(|| panic!("round {round}: node {} got nothing on dim {j}", id.bits()));
+        if held.is_empty() {
+            *held = incoming;
+        } else {
+            held.extend(incoming);
+        }
+    }
+
+    fn finish(&self, id: NodeId, held: Vec<Elem<T>>) -> Vec<T> {
+        place_held(id.bits(), held, self.per_after)
+    }
+}
+
 /// Runs the standard-exchange transposition as an SPMD program: every
 /// node partitions its held elements by the destination's bit in the
 /// scanned dimension and exchanges them with its neighbor, one dimension
-/// per step, highest first (§5's pseudo-code).
+/// per round, highest first (§5's pseudo-code). The round schedule is
+/// fixed, so the program runs through `cuberun`'s round door: each
+/// worker loops over the nodes it hosts, round by round, and no node is
+/// ever suspended.
 ///
 /// Returns the transposed matrix and the runtime statistics.
 ///
@@ -68,39 +149,9 @@ pub fn spmd_transpose_exchange<T: Copy + Default + Send + Sync>(
 ) -> (DistMatrix<T>, RunStats) {
     let spec = TransposeSpec::with_after(m.layout().clone(), after.clone());
     let n = after.n();
-    let num = after.num_nodes();
-    let per_after = after.elems_per_node();
-    let initial = exchange_initial(m, &spec, num);
-
-    let (results, stats) = run_spmd::<Vec<Elem<T>>, _, _, _>(n, |ctx| {
-        let initial = &initial;
-        async move {
-            let me = ctx.id().bits();
-            let mut held = initial[ctx.id().index()].clone();
-            for j in (0..n).rev() {
-                // Partition in place: what crosses dimension j moves to
-                // `send`, the rest keeps its buffer.
-                let mut send = Vec::new();
-                held.retain(|&elem| {
-                    let stays = (elem.0 >> j) & 1 == (me >> j) & 1;
-                    if !stays {
-                        send.push(elem);
-                    }
-                    stays
-                });
-                // Both partners always exchange (possibly empty vectors):
-                // the synchronous exchange keeps every pair in lock step.
-                let incoming = ctx.exchange(j, send).await;
-                if held.is_empty() {
-                    held = incoming;
-                } else {
-                    held.extend(incoming);
-                }
-            }
-            place_held(me, held, per_after)
-        }
-    });
-
+    let initial = exchange_initial(m, &spec, after.num_nodes());
+    let program = ExchangeRounds { n, per_after: after.elems_per_node(), initial: &initial };
+    let (results, stats) = run_rounds(n, &program);
     (DistMatrix::from_buffers(after.clone(), results), stats)
 }
 
@@ -303,8 +354,8 @@ mod tests {
 
     /// The exchange program of [`spmd_transpose_exchange`] on the
     /// thread-per-node oracle runtime ([`cuberun::reference`], capped at
-    /// `n <= 10`): the cooperative scheduler changed the execution
-    /// substrate, not the algorithm.
+    /// `n <= 10`): the round door changed the execution substrate, not
+    /// the algorithm.
     fn spmd_transpose_exchange_threads<T: Copy + Default + Send + Sync>(
         m: &DistMatrix<T>,
         after: &Layout,

@@ -3,26 +3,45 @@
 //!
 //! Where `cubesim` *simulates* the paper's machines under their cost
 //! model, this crate *executes* the same node programs with genuine
-//! message passing. Every cube node is a **virtual node**: an `async`
-//! node program compiled into a resumable state machine, multiplexed
-//! with all its siblings onto a fixed worker pool by a cooperative
-//! scheduler. Every worker owns a contiguous range of nodes outright —
-//! their inboxes (one per node), ready queue, futures and results are
-//! private to its thread — so a node parks on a `recv` with nothing
-//! pending on its port and wakes on the matching `send` without a lock,
-//! and only a message to another worker's node goes through one (that
-//! worker's mailbox); see `sched`'s module docs for the protocols and
-//! the determinism argument. That is how the paper's machines actually
-//! worked — a fixed set of virtual processors in each real processor's
-//! private memory, links only between real processors — and it lets
-//! `n = 16` (65 536 nodes, the paper's Connection Machine scale) run on
-//! a laptop's worth of threads.
+//! message passing. Every cube node is a **virtual node** hosted, with
+//! a contiguous range of its siblings, by one worker of a fixed pool —
+//! the way the paper's machines actually worked: a fixed set of virtual
+//! processors in each real processor's private memory, links only
+//! between real processors. That lets `n = 16` (65 536 nodes, the
+//! paper's Connection Machine scale) run on a laptop's worth of
+//! threads.
 //!
-//! The paper's pseudo-code — `send(buf, j)`, `recv(tmp, j)`, exchanges
-//! on a dimension — maps 1:1 onto [`NodeCtx::send`], [`NodeCtx::recv`]
-//! and [`NodeCtx::exchange`], so algorithms validated on the simulator
-//! can be run end-to-end with real message passing (the role an iPSC
-//! node program or a thin MPI layer plays for the original experiments).
+//! # One runtime, two front doors, one data plane
+//!
+//! Both doors split the nodes into the same home ranges, keep one
+//! inbox per node in its worker's private memory, move every message
+//! by value into the receiver's inbox (per-link FIFO, tagged with the
+//! receiver's port), size the pool by [`num_workers`], share the stall
+//! detector and return [`RunStats`]. Only a message to another worker's
+//! node crosses threads, through that worker's mailbox. They differ in
+//! what a node program is:
+//!
+//! * **[`run_spmd`] — free-form.** An `async` node program against
+//!   [`NodeCtx`], compiled into a resumable state machine and run by a
+//!   cooperative scheduler: a node parks on a `recv` with nothing
+//!   pending on its port and wakes on the matching `send`. The paper's
+//!   pseudo-code — `send(buf, j)`, `recv(tmp, j)`, exchanges on a
+//!   dimension — maps 1:1 onto [`NodeCtx::send`], [`NodeCtx::recv`]
+//!   and [`NodeCtx::exchange`]. Use it when a node decides at run time
+//!   what to wait for, relays, or receives before it sends; the
+//!   [`collectives`] live here. See `sched`'s module docs for the
+//!   protocols and the determinism argument.
+//! * **[`run_rounds`] — a fixed round structure.** A [`RoundProgram`]
+//!   is a per-round step — `init`, then for every round `send` followed
+//!   by `recv`, then `finish` — and each worker *is* the paper's real
+//!   processor looping over the virtual processors it hosts, round by
+//!   round; workers trade one batch of messages per round. Nothing is
+//!   boxed, spawned or suspended. Use it when every node knows the
+//!   schedule in advance, as in §5's "for j := n−1 downto 0: exchange
+//!   on dimension j". See [`rounds`]' module docs for the batch
+//!   protocol.
+//!
+//! The same swap through each door:
 //!
 //! ```
 //! use cuberun::run_spmd;
@@ -34,22 +53,56 @@
 //! assert_eq!(stats.messages, 8);
 //! ```
 //!
+//! ```
+//! use cuberun::{run_rounds, NodeId, Outbox, RoundInbox, RoundProgram};
+//!
+//! struct Swap;
+//! impl RoundProgram<u64> for Swap {
+//!     type State = u64;
+//!     type Out = u64;
+//!     fn rounds(&self) -> u32 {
+//!         1
+//!     }
+//!     fn init(&self, id: NodeId) -> u64 {
+//!         id.bits()
+//!     }
+//!     fn send(&self, _round: u32, _id: NodeId, mine: &mut u64, out: &mut Outbox<'_, u64>) {
+//!         out.send(0, *mine);
+//!     }
+//!     fn recv(&self, _round: u32, _id: NodeId, mine: &mut u64, inbox: &mut RoundInbox<'_, u64>) {
+//!         *mine = inbox.take(0).expect("the neighbor sent in this round");
+//!     }
+//!     fn finish(&self, _id: NodeId, mine: u64) -> u64 {
+//!         mine
+//!     }
+//! }
+//!
+//! let (results, stats) = run_rounds(3, &Swap);
+//! assert_eq!(results, vec![1, 0, 3, 2, 5, 4, 7, 6]);
+//! assert_eq!(stats.messages, 8);
+//! ```
+//!
 //! The worker pool is sized by `CUBERUN_WORKERS` (falling back to the
 //! ambient `cubesim::par` thread count); results are byte-identical at
-//! any pool size. The pre-scheduler thread-per-node runtime survives in
-//! [`mod@reference`] as the oracle of the equivalence tests.
+//! any pool size, on either door. The pre-scheduler thread-per-node
+//! runtime survives in [`mod@reference`] as the oracle of the
+//! equivalence tests.
 //!
-//! The runtime is topology-generic underneath: [`run_spmd`] is the
-//! hypercube specialization of [`run_spmd_on`], which runs the same
-//! node programs on any [`cubetopo::TopoSpec`] (e.g. the Swapped
-//! Dragonfly) with ports in place of dimensions.
+//! The runtime is topology-generic underneath: [`run_spmd`] and
+//! [`run_rounds`] are the hypercube specializations of [`run_spmd_on`]
+//! and [`run_rounds_on`], which run the same node programs on any
+//! [`cubetopo::TopoSpec`] (e.g. the Swapped Dragonfly) with ports in
+//! place of dimensions.
 
 pub mod collectives;
 pub mod reference;
+pub mod rounds;
 pub mod runtime;
 mod sched;
 
 pub use collectives::{all_to_all, broadcast, gather};
+pub use cubeaddr::NodeId;
+pub use rounds::{run_rounds, run_rounds_on, Outbox, RoundInbox, RoundProgram};
 pub use runtime::{
     num_workers, run_spmd, run_spmd_on, with_stall_timeout, with_workers, NodeCtx, RunStats,
 };

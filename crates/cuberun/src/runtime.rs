@@ -1,5 +1,15 @@
 //! Virtual-node SPMD execution: many cube nodes per worker thread.
 //!
+//! One runtime, two front doors, one data plane. This module holds the
+//! free-form door ([`run_spmd`] / [`run_spmd_on`] and the [`NodeCtx`]
+//! its programs run against) and what both doors share: the pool size
+//! ([`num_workers`], [`with_workers`]), the stall timeout
+//! ([`with_stall_timeout`]), the size refusals, the link diagnostic,
+//! the join-every-worker loop and [`RunStats`]. The round door —
+//! [`crate::run_rounds`], for programs with a fixed round structure —
+//! is [`crate::rounds`]; the home ranges and the per-node inbox both
+//! doors use are in `sched`.
+//!
 //! Node programs are written as `async` blocks against [`NodeCtx`]:
 //! `send` is immediate (links are buffered), `recv` *suspends* the node
 //! until the message arrives, parking the virtual node and yielding the
@@ -106,7 +116,7 @@ pub fn with_stall_timeout<R>(timeout: Duration, f: impl FnOnce() -> R) -> R {
 /// far longer than any one receive used to take — so its
 /// `CUBERUN_RECV_TIMEOUT_MS` is not read here; only
 /// [`crate::reference`], which still has that watchdog, reads it.)
-fn stall_timeout() -> Duration {
+pub(crate) fn stall_timeout() -> Duration {
     if let Some(t) = STALL_OVERRIDE.with(Cell::get) {
         return t;
     }
@@ -136,7 +146,9 @@ pub(crate) fn parse_stall_timeout(var: &str, raw: &str) -> Duration {
 ///
 /// `messages` and `barriers` are deterministic (scheduling-independent);
 /// the scheduler counters (`peak_live`, `parks`, `wakes`) depend on
-/// timing and worker count.
+/// timing and worker count. The field docs describe [`run_spmd`]; on
+/// the round door workers park, not nodes, and every node state is live
+/// from start to end — see [`crate::run_rounds`].
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct RunStats {
     /// Total messages sent over all links.
@@ -162,6 +174,17 @@ pub struct RunStats {
     /// first poll to its last, so nothing is ever stolen. The field
     /// stays because the benchmark harness sums it.
     pub steals: Vec<u64>,
+}
+
+/// The neighbor of `id` across `port`, panicking with the link
+/// diagnostic both front doors give if the port is out of range or
+/// unwired on this topology.
+#[track_caller]
+pub(crate) fn wired_neighbor(topo: &TopoSpec, id: NodeId, port: u32, what: &str) -> u64 {
+    match (port < topo.ports()).then(|| topo.neighbor(id.bits(), port)).flatten() {
+        Some(peer) => peer,
+        None => panic!("{what} on port {port} of node {id}: no such link on the {}", topo.label()),
+    }
 }
 
 /// The per-node handle a node program runs against: its identity plus
@@ -220,15 +243,7 @@ impl<T> NodeCtx<T> {
     /// the port is out of range or unwired on this topology.
     #[track_caller]
     fn wired_neighbor(&self, port: u32, what: &str) -> u64 {
-        let sh = self.shared();
-        match (port < sh.ports).then(|| sh.topo.neighbor(self.id.bits(), port)).flatten() {
-            Some(peer) => peer,
-            None => panic!(
-                "{what} on port {port} of node {}: no such link on the {}",
-                self.id,
-                sh.topo.label()
-            ),
-        }
+        wired_neighbor(&self.shared().topo, self.id, port, what)
     }
 
     /// Sends `msg` to the neighbor across port `dim` (immediate; links
@@ -374,12 +389,7 @@ where
     F: Fn(NodeCtx<T>) -> Fut + Sync,
     Fut: Future<Output = R>,
 {
-    cubeaddr::check_dims(n);
-    assert!(
-        n <= 16,
-        "refusing to allocate inboxes for 2^{n} virtual nodes; use the simulator for giant cubes"
-    );
-    run_spmd_on(TopoSpec::hypercube(n), program)
+    run_spmd_on(cube(n), program)
 }
 
 /// Runs `program` on every node of an arbitrary [`TopoSpec`] topology —
@@ -401,42 +411,12 @@ where
     F: Fn(NodeCtx<T>) -> Fut + Sync,
     Fut: Future<Output = R>,
 {
-    let num = topo.num_nodes();
-    assert!(
-        num <= 1 << 16,
-        "refusing to allocate inboxes for {num} virtual nodes; use the simulator for giant ensembles"
-    );
-    let workers = num_workers().clamp(1, num);
+    let workers = pool_size(&topo);
     let shared = Arc::new(Shared::<T>::new(topo, workers, stall_timeout()));
 
     // Each worker returns its home range's results; the ranges are
     // contiguous and ascending, so the parts concatenate in node order.
-    let parts: Vec<Vec<Option<R>>> = thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|w| {
-                let (shared, program) = (&shared, &program);
-                scope.spawn(move || sched::worker_loop(w, shared, program))
-            })
-            .collect();
-        // Join explicitly and re-raise the *original* payload (a node
-        // program's panic or the stall report), not the scope's generic
-        // "a scoped thread panicked". A panicking worker marks the run
-        // done first, so the others drain out and this join completes.
-        let mut parts = Vec::with_capacity(workers);
-        let mut first_panic = None;
-        for h in handles {
-            match h.join() {
-                Ok(part) => parts.push(part),
-                Err(payload) => {
-                    first_panic.get_or_insert(payload);
-                }
-            }
-        }
-        if let Some(payload) = first_panic {
-            std::panic::resume_unwind(payload);
-        }
-        parts
-    });
+    let parts = run_workers(workers, |w| sched::worker_loop(w, &shared, &program));
     let results: Vec<R> = parts
         .into_iter()
         .flatten()
@@ -457,6 +437,63 @@ where
         steals: vec![0; workers],
     };
     (results, stats)
+}
+
+/// The `n`-cube the cube entry points of both front doors run on.
+///
+/// # Panics
+/// If `n` is no cube dimension, or above the 16 an inbox per node is
+/// allocated for.
+pub(crate) fn cube(n: u32) -> TopoSpec {
+    cubeaddr::check_dims(n);
+    assert!(
+        n <= 16,
+        "refusing to allocate inboxes for 2^{n} virtual nodes; use the simulator for giant cubes"
+    );
+    TopoSpec::hypercube(n)
+}
+
+/// The pool size of a run on `topo`, on either front door:
+/// [`num_workers`], but never more workers than nodes.
+///
+/// # Panics
+/// If the topology has more than 2^16 nodes.
+pub(crate) fn pool_size(topo: &TopoSpec) -> usize {
+    let num = topo.num_nodes();
+    assert!(
+        num <= 1 << 16,
+        "refusing to allocate inboxes for {num} virtual nodes; use the simulator for giant ensembles"
+    );
+    num_workers().clamp(1, num)
+}
+
+/// Runs `body(w)` for every worker `w` of the pool on a scoped thread
+/// of its own and returns what they returned, in worker order.
+///
+/// Every worker is joined, and if any panicked the *original* payload
+/// of the first such worker (a node program's panic, a stall report) is
+/// re-raised — not the scope's generic "a scoped thread panicked". A
+/// panicking worker ends the run first, so the others leave and the
+/// joins complete.
+pub(crate) fn run_workers<P: Send>(workers: usize, body: impl Fn(usize) -> P + Sync) -> Vec<P> {
+    thread::scope(|scope| {
+        let body = &body;
+        let handles: Vec<_> = (0..workers).map(|w| scope.spawn(move || body(w))).collect();
+        let mut parts = Vec::with_capacity(workers);
+        let mut first_panic = None;
+        for h in handles {
+            match h.join() {
+                Ok(part) => parts.push(part),
+                Err(payload) => {
+                    first_panic.get_or_insert(payload);
+                }
+            }
+        }
+        if let Some(payload) = first_panic {
+            std::panic::resume_unwind(payload);
+        }
+        parts
+    })
 }
 
 #[cfg(test)]

@@ -2,6 +2,13 @@
 //! a fixed worker pool multiplexing up to 2^16 node contexts, sharded
 //! so that a worker shares only what must cross threads.
 //!
+//! One runtime, two front doors, one data plane: the split of the node
+//! ids into home ranges ([`Homes`]) and the per-node [`Inbox`] defined
+//! here are also what the round door ([`crate::rounds`]) runs on. That
+//! door has no scheduler — a program with a fixed round structure needs
+//! none — so everything below about ready queues, parking, the barrier
+//! and the sleep protocol describes the free-form door only.
+//!
 //! # Ownership
 //!
 //! Every worker owns a contiguous range of node ids — its *home* range
@@ -117,8 +124,46 @@ const DRAIN_EVERY: u32 = 256;
 /// Locks a mutex, recovering the guard if a panicking node program
 /// poisoned it (the panic itself is propagated separately; diagnostic
 /// state behind the lock is still worth reading).
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// How long a blocked worker waits between two looks at the stall
+/// clock: a quarter of the stall timeout, within [10 ms, 1 s].
+pub(crate) fn stall_tick(stall_timeout: Duration) -> Duration {
+    (stall_timeout / 4).clamp(Duration::from_millis(10), Duration::from_secs(1))
+}
+
+/// The split of the node ids over the pool, shared by both front doors:
+/// worker `w` is at home to the `w`-th contiguous range of `range` ids
+/// (the last non-empty one may be shorter; trailing workers get none
+/// when the ranges do not divide evenly).
+#[derive(Clone, Copy)]
+pub(crate) struct Homes {
+    num: usize,
+    /// Nodes per home range: node `x` is at home on worker `x / range`.
+    range: usize,
+}
+
+impl Homes {
+    pub(crate) fn new(num: usize, workers: usize) -> Self {
+        Homes { num, range: num.div_ceil(workers) }
+    }
+
+    /// The node ids at home on worker `w`.
+    pub(crate) fn range_of(&self, w: usize) -> Range<usize> {
+        (w * self.range).min(self.num)..((w + 1) * self.range).min(self.num)
+    }
+
+    /// The worker `node` is at home on.
+    pub(crate) fn worker_of(&self, node: usize) -> usize {
+        node / self.range
+    }
+
+    /// Workers with a non-empty home range.
+    pub(crate) fn active(&self) -> usize {
+        self.num.div_ceil(self.range)
+    }
 }
 
 /// Everything in flight towards one node: `(port, message)` entries in
@@ -127,21 +172,27 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 /// `first` is the oldest entry and `rest` the later ones (`first` is
 /// `None` only when nothing is pending), so the common case of at most
 /// one pending message never touches the heap.
-struct Inbox<T> {
+pub(crate) struct Inbox<T> {
     first: Option<(u32, T)>,
     rest: VecDeque<(u32, T)>,
     /// The port the node's suspended `recv` awaits; cleared by the
-    /// delivery on that port, which also makes the node ready.
+    /// delivery on that port, which also makes the node ready. Always
+    /// `None` on the round door, where no node ever suspends.
     parked: Option<u32>,
 }
 
 impl<T> Inbox<T> {
-    fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Inbox { first: None, rest: VecDeque::new(), parked: None }
     }
 
+    /// Whether nothing is pending on any port.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.first.is_none()
+    }
+
     /// Appends a message that arrived on `port`.
-    fn push(&mut self, port: u32, msg: T) {
+    pub(crate) fn push(&mut self, port: u32, msg: T) {
         if self.first.is_none() {
             self.first = Some((port, msg));
         } else {
@@ -151,7 +202,7 @@ impl<T> Inbox<T> {
 
     /// Removes the oldest message that arrived on `port`. A backlog on
     /// other ports costs one tag comparison per entry ahead of it.
-    fn take(&mut self, port: u32) -> Option<T> {
+    pub(crate) fn take(&mut self, port: u32) -> Option<T> {
         if matches!(self.first, Some((p, _)) if p == port) {
             let taken = std::mem::replace(&mut self.first, self.rest.pop_front());
             return taken.map(|(_, msg)| msg);
@@ -224,8 +275,7 @@ pub(crate) struct Shared<T> {
     pub(crate) barriers: AtomicU64,
 
     pub(crate) blocks: Vec<WorkerBlock>,
-    /// Nodes per home range: node `x` is at home on worker `x / range`.
-    range: usize,
+    homes: Homes,
     sleep: Mutex<StallClock>,
     sleep_cv: Condvar,
     sleepers: AtomicUsize,
@@ -247,18 +297,12 @@ impl<T> Shared<T> {
             barrier_generation: AtomicU64::new(0),
             barriers: AtomicU64::new(0),
             blocks: (0..workers).map(|_| WorkerBlock::default()).collect(),
-            range: num.div_ceil(workers),
+            homes: Homes::new(num, workers),
             sleep: Mutex::new(StallClock { last_progress: 0, since: Instant::now() }),
             sleep_cv: Condvar::new(),
             sleepers: AtomicUsize::new(0),
             done: AtomicBool::new(false),
         }
-    }
-
-    /// The node ids at home on worker `w` (empty for a trailing worker
-    /// when the ranges do not divide evenly).
-    fn home_range(&self, w: usize) -> Range<usize> {
-        (w * self.range).min(self.num)..((w + 1) * self.range).min(self.num)
     }
 
     /// Sums one counter over the workers.
@@ -296,7 +340,7 @@ impl<T> Shared<T> {
 
     /// Hands a message for `node` to its home worker.
     fn post(&self, node: u32, port: u32, msg: T) {
-        let mailbox = &self.mailboxes[node as usize / self.range];
+        let mailbox = &self.mailboxes[self.homes.worker_of(node as usize)];
         let mut mail = lock(&mailbox.mail);
         mail.push((node, port, msg));
         if mail.len() == 1 {
@@ -313,7 +357,7 @@ impl<T> Shared<T> {
         let mut reported = lock(&self.barrier);
         *reported += 1;
         // Only workers with a non-empty home range ever report.
-        if *reported < self.num.div_ceil(self.range) {
+        if *reported < self.homes.active() {
             return None;
         }
         *reported = 0;
@@ -370,10 +414,10 @@ impl<T> Shared<T> {
             self.finish();
             return false;
         }
-        let tick =
-            (self.stall_timeout / 4).clamp(Duration::from_millis(10), Duration::from_secs(1));
-        let (guard, _) =
-            self.sleep_cv.wait_timeout(clock, tick).unwrap_or_else(PoisonError::into_inner);
+        let (guard, _) = self
+            .sleep_cv
+            .wait_timeout(clock, stall_tick(self.stall_timeout))
+            .unwrap_or_else(PoisonError::into_inner);
         clock = guard;
         self.sleepers.fetch_sub(1, Ordering::SeqCst);
         if self.is_done() {
@@ -487,7 +531,7 @@ impl<T> Own<T> {
 
 impl<T> Local<T> {
     fn new(me: usize, shared: Arc<Shared<T>>) -> Self {
-        let home = shared.home_range(me);
+        let home = shared.homes.range_of(me);
         let own = Own {
             inboxes: home.clone().map(|_| Inbox::new()).collect(),
             ready: VecDeque::new(),

@@ -1,4 +1,4 @@
-//! Seeded-mutation suite: six known concurrency bugs re-introduced
+//! Seeded-mutation suite: eight known concurrency bugs re-introduced
 //! into miniature copies of the repo's protocols, each proven *caught*
 //! by the model checker — and each correct twin proven clean — so the
 //! checker's coverage claims are themselves tested.
@@ -8,13 +8,16 @@
 //! | hint stored outside the mailbox lock   | `cuberun` worker mailbox         | livelock |
 //! | sleeper re-checks before registering   | `cuberun` worker mailbox + sleep | lost wakeup |
 //! | waiters released at the local report   | `cuberun` per-worker barrier report | panic (early release) |
+//! | later-round batch counted for this round | `cuberun` round-door batch mailbox | result non-determinism |
+//! | mailbox checked, unlocked, then waited on | `cuberun` round-door batch mailbox | lost wakeup |
 //! | barrier generation off-by-one  | `cuberun` generation barrier    | panic (early release) |
 //! | Relaxed sleeper registration   | `cuberun` sleeper Dekker pair   | lost wakeup (weak memory) |
 //! | cache overwrite without re-check | `PlanCache` build-outside-lock | panic (split identity) |
 //!
 //! The first three are the whole cross-thread surface of the sharded
 //! scheduler: everything else a message or a barrier touches is private
-//! to one worker.
+//! to one worker. The next two are the round door's: its batch mailbox
+//! is the only thing its workers share.
 //!
 //! Like the engine suite, this drives [`cubesync::model`] types
 //! directly and runs in the plain `cargo test` pass.
@@ -232,7 +235,109 @@ fn mutation_waiters_released_at_the_local_report_is_caught() {
 }
 
 // ---------------------------------------------------------------------
-// Mutation 4: the generation-counted barrier (cuberun sched.rs).
+// Mutations 4 + 5: the round door's batch mailbox (cuberun rounds.rs).
+// Every round, each worker posts one batch — tagged with the round —
+// into every other worker's mailbox under its lock and notifies; the
+// owner waits until the batches *of its round* are all there and takes
+// those out, leaving a batch of the next round (a neighbour may run one
+// round ahead) where it is.
+// ---------------------------------------------------------------------
+
+struct BatchMailbox {
+    /// `(round, message)` in arrival order.
+    batches: Mutex<Vec<(u32, u32)>>,
+    arrived: Condvar,
+}
+
+#[derive(Clone, Copy, PartialEq)]
+enum BatchBug {
+    None,
+    /// Any batch in the mailbox counts toward the round being
+    /// collected, and the oldest ones are taken whatever their round.
+    CountsLaterRound,
+    /// The owner looks into the mailbox, lets go of the lock, and only
+    /// then waits.
+    CheckThenWait,
+}
+
+const POSTERS: usize = 2;
+const BATCH_ROUNDS: u32 = 2;
+
+/// One worker's posts of `round` to the owner.
+fn post_batch(mb: &BatchMailbox, round: u32, msg: u32) {
+    mb.batches.lock().unwrap().push((round, msg));
+    mb.arrived.notify_all();
+}
+
+/// The owner's collect step: what the nodes see in `round`, sorted —
+/// nodes take by link, so the order in which different workers' batches
+/// arrived is invisible to them.
+fn collect(mb: &BatchMailbox, round: u32, bug: BatchBug) -> Vec<u32> {
+    let due = |b: &(u32, u32)| bug == BatchBug::CountsLaterRound || b.0 == round;
+    let mut batches = mb.batches.lock().unwrap();
+    while batches.iter().filter(|b| due(b)).count() < POSTERS {
+        if bug == BatchBug::CheckThenWait {
+            drop(batches);
+            batches = mb.batches.lock().unwrap();
+        }
+        batches = mb.arrived.wait(batches).unwrap();
+    }
+    let mut taken = Vec::new();
+    batches.retain(|b| {
+        let take = taken.len() < POSTERS && due(b);
+        if take {
+            taken.push(b.1);
+        }
+        !take
+    });
+    taken.sort_unstable();
+    taken
+}
+
+/// Two workers post a batch per round to a third, which collects round
+/// by round; returns what its nodes saw in each round.
+fn batch_rounds(bug: BatchBug) -> Vec<Vec<u32>> {
+    let mb = Arc::new(BatchMailbox { batches: Mutex::new(Vec::new()), arrived: Condvar::new() });
+    thread::scope(|s| {
+        let owner_mb = Arc::clone(&mb);
+        let owner =
+            s.spawn(move || (0..BATCH_ROUNDS).map(|r| collect(&owner_mb, r, bug)).collect());
+        let poster_mb = Arc::clone(&mb);
+        s.spawn(move || (0..BATCH_ROUNDS).for_each(|r| post_batch(&poster_mb, r, 10 + r)));
+        (0..BATCH_ROUNDS).for_each(|r| post_batch(&mb, r, 20 + r));
+        owner.join().expect("owner does not panic")
+    })
+}
+
+#[test]
+fn round_batch_mailbox_is_clean() {
+    let report = check(|| {
+        let seen = batch_rounds(BatchBug::None);
+        assert_eq!(seen, [[10, 20], [11, 21]], "a round sees that round's batches");
+        seen
+    });
+    assert!(report.exhaustive, "small config must be fully enumerated");
+}
+
+#[test]
+#[should_panic(expected = "result non-determinism")]
+fn mutation_later_round_batch_counted_for_this_round_is_caught() {
+    // One poster runs a round ahead: its batches of rounds 0 and 1 are
+    // both in the mailbox before the other's batch of round 0, make up
+    // the count, and the nodes take a round-1 message in round 0.
+    check(|| batch_rounds(BatchBug::CountsLaterRound));
+}
+
+#[test]
+#[should_panic(expected = "lost wakeup")]
+fn mutation_mailbox_checked_then_unlocked_then_waited_on_is_caught() {
+    // The last batch lands, and its notify fires, between the owner's
+    // look and its wait.
+    check(|| batch_rounds(BatchBug::CheckThenWait));
+}
+
+// ---------------------------------------------------------------------
+// Mutation 6: the generation-counted barrier (cuberun sched.rs).
 // ---------------------------------------------------------------------
 
 struct MiniBarrier {
@@ -293,7 +398,7 @@ fn mutation_barrier_generation_off_by_one_is_caught() {
 }
 
 // ---------------------------------------------------------------------
-// Mutation 5: the sleeper-registration Dekker pair (cuberun sched.rs
+// Mutation 7: the sleeper-registration Dekker pair (cuberun sched.rs
 // `sleep`/`notify_sleepers`). Correctness rests on both sides of the
 // store/load pair being SeqCst; the mutation downgrades them to
 // Relaxed, which weak-memory exploration turns into stale reads.
@@ -349,7 +454,7 @@ fn mutation_relaxed_sleeper_registration_is_caught() {
 }
 
 // ---------------------------------------------------------------------
-// Mutation 6: the plan cache's build-outside-lock protocol
+// Mutation 8: the plan cache's build-outside-lock protocol
 // (cubecomm::plan::cache::PlanCache::get_or_build). Losing the
 // racing-builder re-check lets two builders hand out *different* plans
 // for the same key.

@@ -1,8 +1,9 @@
 //! Model-checks the *real* crates' concurrency protocols — not
 //! miniature mirrors — by building the whole workspace against the
 //! model backend (`RUSTFLAGS="--cfg cubesync_model"`) so every
-//! `cubesync` facade call in `cubesim::par`, the `cuberun` scheduler,
-//! and `cubecomm`'s plan cache routes through the explorer.
+//! `cubesync` facade call in `cubesim::par`, the `cuberun` scheduler
+//! and round door, and `cubecomm`'s plan cache routes through the
+//! explorer.
 //!
 //! Compiled to nothing in the ordinary test pass: these are the CI
 //! `model-check` step (`scripts/ci.sh`).
@@ -20,6 +21,7 @@
 
 use cubecomm::plan::cache::{PlanCache, PlanKey};
 use cubecomm::plan::ecube_route_plan;
+use cuberun::{NodeId, Outbox, RoundInbox, RoundProgram};
 use cubesync::model::{check_with, Config};
 use cubesync::sync::Arc;
 use cubesync::thread;
@@ -200,6 +202,67 @@ fn spmd_single_worker_cooperative_schedule_is_clean() {
         })
     });
     assert!(report.schedules >= 1);
+}
+
+// ---------------------------------------------------------------------
+// cuberun's round door — the per-round batch mailbox: every active
+// worker posts one batch per other active worker per round, and waits
+// on its own mailbox for the batches of the round it is in.
+// ---------------------------------------------------------------------
+
+/// Every node exchanges with its neighbor across dimension `round`, all
+/// dimensions in turn, and folds what it gets order-sensitively — a
+/// message taken a round early or late changes the result.
+struct AllDims(u32);
+
+impl RoundProgram<u64> for AllDims {
+    type State = u64;
+    type Out = u64;
+    fn rounds(&self) -> u32 {
+        self.0
+    }
+    fn init(&self, id: NodeId) -> u64 {
+        id.bits() + 1
+    }
+    fn send(&self, round: u32, _id: NodeId, acc: &mut u64, out: &mut Outbox<'_, u64>) {
+        out.send(round, *acc);
+    }
+    fn recv(&self, round: u32, _id: NodeId, acc: &mut u64, inbox: &mut RoundInbox<'_, u64>) {
+        *acc = 10 * *acc + inbox.take(round).expect("the neighbor sent in this round");
+    }
+    fn finish(&self, _id: NodeId, acc: u64) -> u64 {
+        acc
+    }
+}
+
+/// `AllDims` on a 2-cube at `workers` workers, results only (parks and
+/// wakes legitimately vary by interleaving).
+fn rounds_on_a_two_cube(workers: usize) -> Vec<u64> {
+    cuberun::with_workers(workers, || {
+        cuberun::with_stall_timeout(Duration::from_secs(3600), || {
+            let (results, _stats) = cuberun::run_rounds(2, &AllDims(2));
+            assert_eq!(results, [154, 253, 352, 451]);
+            results
+        })
+    })
+}
+
+#[test]
+fn rounds_all_dims_on_two_workers() {
+    // Round 0 (dim 0) stays inside the home ranges, round 1 (dim 1)
+    // crosses them; both rounds post a batch each way. A worker can run
+    // one round ahead of the other, so a mailbox holds batches of two
+    // rounds at once in some schedules.
+    let report = check_with(budget(), || rounds_on_a_two_cube(2));
+    assert!(report.schedules > 1);
+}
+
+#[test]
+fn rounds_with_an_empty_home_range() {
+    // 4 nodes on 3 workers: home ranges of 2, so worker 2 has no node.
+    // It must neither post nor be waited for.
+    let report = check_with(budget(), || rounds_on_a_two_cube(3));
+    assert!(report.schedules > 1);
 }
 
 // ---------------------------------------------------------------------

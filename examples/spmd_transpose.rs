@@ -1,8 +1,10 @@
 //! SPMD transpose on the virtual-node runtime: run the paper's exchange
 //! transposition with real message passing at several cube sizes — up to
 //! n = 16, the full 65 536-node Connection-Machine configuration — and
-//! print the scheduler's run statistics (messages, parks, wakes, peak
-//! live contexts).
+//! print the run statistics. The exchange has a fixed round schedule,
+//! so it goes through `cuberun`'s round door: every worker loops over
+//! the nodes it hosts, and what parks (at most once a round) is a
+//! worker waiting for the others' batches, not a node.
 //!
 //! Run with `cargo run --release --example spmd_transpose`.
 //! The pool size comes from `CUBERUN_WORKERS` (default: the ambient
@@ -34,7 +36,7 @@ fn main() {
             stats.messages
         );
         println!(
-            "        peak live contexts {:>6}, parks {:>8}, wakes {:>8}, barriers {}\n",
+            "        live node states {:>6}, worker parks {:>4}, wakes {:>4}, barriers {}\n",
             stats.peak_live, stats.parks, stats.wakes, stats.barriers
         );
     }

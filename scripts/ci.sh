@@ -82,18 +82,21 @@ fi
 
 begin "model-check: exhaustive interleaving of the real concurrency protocols (time-bounded)"
 # Rebuilds the facade's dependents against the model backend and
-# enumerates schedules of cubesim::par, the cuberun scheduler, and the
-# plan cache. The bound is generous — the suite runs in seconds — and
-# exists to turn an exploration blow-up into a failure, not a hang.
+# enumerates schedules of cubesim::par, the cuberun scheduler (six
+# programs on the async door, two on the round door's batch mailbox),
+# and the plan cache. The bound is generous — the suite runs in seconds —
+# and exists to turn an exploration blow-up into a failure, not a hang.
 timeout 300 env RUSTFLAGS="--cfg cubesync_model" \
     cargo test -q -p cubesync --test real_protocols
 
 begin "model-check: seeded-mutation detection suite"
-# The checker's own coverage gate: six concurrency bugs (three of them
+# The checker's own coverage gate: eight concurrency bugs (three of them
 # all that cuberun's sharded scheduler shares between threads: the worker
 # mailbox's hint, the sleeper's register-then-re-check order, the
-# per-worker barrier report) re-introduced into protocol miniatures must
-# each be *caught*.
+# per-worker barrier report; two of them the round door's batch mailbox:
+# a later-round batch counted for the current round, a look at the
+# mailbox separated from the wait) re-introduced into protocol
+# miniatures must each be *caught*.
 timeout 300 cargo test -q -p cubesync --test mutations
 
 begin "cubecheck: static invariants of the figure schedules"
@@ -130,7 +133,7 @@ timeout 300 cargo test --release -q -p cubetranspose --test perf_smoke -- --igno
 begin "local-kernels smoke: in-place transpose no slower than scratch gather"
 timeout 300 cargo test --release -q -p cubetranspose --test local_kernels_smoke -- --ignored
 
-begin "allocation gates: no O(mn)-sized scratch in place; MPT and run_spmd allocate O(1) per node"
+begin "allocation gates: no O(mn)-sized scratch in place; MPT and run_spmd allocate O(1) per node, run_rounds O(1) per run"
 # The counting global allocator lives in crates/core/src/local.rs's test
 # module (the one unsafe-allowlisted file). One gate arms it around a
 # warmed in-place transpose and fails on any matrix-sized allocation;
@@ -139,7 +142,8 @@ begin "allocation gates: no O(mn)-sized scratch in place; MPT and run_spmd alloc
 # counts an all-dimensions exchange on run_spmd(10) — on the calling
 # thread and on the worker, which allocates its own inboxes and slots —
 # and fails if anything is allocated per directed link (a queue per link
-# was 10 per node).
+# was 10 per node); one counts the same exchange on run_rounds(10) and
+# fails if the count depends on nodes or rounds at all.
 cargo test --release -q -p cubetranspose --lib alloc_gate_tests
 
 begin "perf smoke: n=14 schedule construction + rule sweep (time-bounded)"

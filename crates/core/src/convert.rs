@@ -22,6 +22,7 @@
 
 use crate::fieldmap::{FieldMap, MappedMatrix, SendPolicy};
 use crate::one_dim::fieldmap_after;
+use cubeaddr::NodeId;
 use cubelayout::{Assignment, DistMatrix, Encoding, Layout, TransposeSpec};
 use cubesim::SimNet;
 
@@ -182,11 +183,16 @@ pub fn convert_algorithm2<T: Copy + Default + Send + Sync>(
     for (&a, &b) in v1.iter().zip(&u3) {
         bring_in(&mut mm, net, a, b, policy);
     }
-    // Local transposes of the N small matrices.
-    let vp2 = mm.map().vp();
-    let split = vp2 - vcol;
-    let perm2: Vec<u32> = (split..vp2).chain(0..split).collect();
-    mm.permute_virt(net, &perm2);
+    // Local transposes of the N small matrices: a rotation of the local
+    // address by `vp - vcol`, charged as one full-array copy per node.
+    // On the host the rotation and `finish`'s free relabel are one
+    // permutation, so `finish` writes the arrays into the target's order
+    // in a single pass.
+    if vcol != 0 && vcol != vp {
+        for x in 0..1u64 << mm.map().n() {
+            net.local_copy(NodeId(x), 1usize << vp);
+        }
+    }
     net.finish_round();
     finish(spec, mm)
 }
@@ -294,6 +300,44 @@ mod tests {
         // Two full-array copies of 2^{8-2} = 64 elements each.
         assert_eq!(r.max_node_copy_elems, 64);
         assert_eq!(r.copy_time, 128.0);
+    }
+
+    /// Algorithm 2 charges its second local transpose and moves the data
+    /// once, straight into the target's order. The paper's two steps —
+    /// rotate the local address, then re-interpret it for free — must
+    /// give the same matrix and be charged the same, whatever the shape
+    /// and the send policy.
+    #[test]
+    fn algorithm2_equals_rotation_then_free_relabel() {
+        let params = MachineParams::unit(PortMode::OnePort).with_t_copy(0.5);
+        for (p, q) in (0..=6).flat_map(|p| (0..=6).map(move |q| (p, q))) {
+            for n_r in 0..=p.min(q) / 2 {
+                for policy in [SendPolicy::Ideal, SendPolicy::Buffered { min_direct: 4 }] {
+                    let spec = ConvertSpec::new(p, q, n_r);
+                    let m = labels(spec.before());
+                    let mut net: SimNet<Vec<u64>> = SimNet::new(2 * n_r, params.clone());
+                    let direct = convert_algorithm2(&spec, &m, &mut net, policy);
+                    let direct = (direct, net.finalize());
+
+                    let mut net: SimNet<Vec<u64>> = SimNet::new(2 * n_r, params.clone());
+                    let (u1, u3, v1, v3) = spec.fields();
+                    let mut mm = start(&spec, &m);
+                    let vp = mm.map().vp();
+                    let vcol = q - n_r;
+                    let transpose: Vec<u32> = (vcol..vp).chain(0..vcol).collect();
+                    mm.permute_virt(&mut net, &transpose);
+                    for (&a, &b) in u1.iter().zip(&v3).chain(v1.iter().zip(&u3)) {
+                        bring_in(&mut mm, &mut net, a, b, policy);
+                    }
+                    let split = vp - vcol;
+                    let small_transposes: Vec<u32> = (split..vp).chain(0..split).collect();
+                    mm.permute_virt(&mut net, &small_transposes);
+                    net.finish_round();
+                    let two_step = (finish(&spec, mm), net.finalize());
+                    assert_eq!(direct, two_step, "p={p} q={q} n_r={n_r} {policy:?}");
+                }
+            }
+        }
     }
 
     #[test]

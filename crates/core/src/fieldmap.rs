@@ -25,71 +25,42 @@
 //!
 //! The simulated *costs* are those of the paper's model, but the
 //! simulator's own wall-clock time is dominated by how the primitives
-//! move host memory. Two structural facts keep that cheap:
+//! move host memory. Each primitive touches every element once, through
+//! a working set that fits a second-level cache:
 //!
-//! * the half of a node's array that an exchange moves is `2^{vp-j-1}`
-//!   *contiguous runs* of `2^j` elements, so gather and scatter are
-//!   `copy_from_slice` block moves (a per-element path survives only for
-//!   `j = 0`);
-//! * a virtual-dimension permutation is node-independent, so its
-//!   realization — a cache-aware local transpose for address rotations, a
-//!   list of block-move start offsets for run-preserving permutations, or
-//!   a full relocation table in the general case — is computed once
-//!   (`PermPlan`) and shared by every node.
+//! * **Streamed sub-rounds.** The half of a node's array that an
+//!   exchange moves is `2^{vp-j-1}` *contiguous runs* of `2^j` elements.
+//!   When each run is its own message (unbuffered sends, or runs of at
+//!   least `min_direct`), sub-round `r` reads and writes only run `r` of
+//!   every node, so one set of `num` message buffers is filled, sent,
+//!   drained, copied into place and reused for sub-round `r + 1`: live
+//!   message memory is `num × run` elements, not half the matrix. When
+//!   the runs are gathered into one message per node, gather and scatter
+//!   are block moves — fixed-size array copies for runs shorter than a
+//!   cache line.
+//! * **Rotating scratch.** A virtual-dimension permutation is
+//!   node-independent, so its realization (`PermPlan`: a local transpose
+//!   for address rotations, a list of block-move start offsets for
+//!   run-preserving permutations, a relocation table otherwise) is
+//!   computed once, and every node's array is written out of place into
+//!   one scratch buffer that then trades places with it — the array a
+//!   node gives up is the next node's scratch. Staging is one node-sized,
+//!   cache-hot buffer per worker instead of one per node.
+//! * **Register tile.** Rotations go through
+//!   [`crate::local::transpose_flat_blocked_into`], whose 8×8 register
+//!   tile reads and writes whole cache lines.
 //!
-//! Per-node work (gathering runs into messages, scattering arrivals,
-//! applying a permutation plan) touches only that node's buffers, so it
-//! fans out across [`cubesim::par`] worker threads; all interaction with
-//! the [`SimNet`] — legality checks, cost accounting, the send/recv
-//! sequence itself — stays on one thread via the staged
-//! [`SimNet::send_batch`] / [`SimNet::drain_dim`] commit rounds, keeping
-//! reports deterministic at any thread count.
-
-use std::cell::Cell;
+//! Gathering, scattering and permuting touch only one node's buffers, so
+//! they fan out across [`cubesim::par`] worker threads (the streamed
+//! sub-rounds, 64 two-KiB copies apiece at the paper's sizes, stay
+//! serial); all interaction with the [`SimNet`] — legality checks, cost
+//! accounting, the send/recv sequence itself — stays on one thread via
+//! the staged [`SimNet::send_batch`] / [`SimNet::drain_dim`] commit
+//! rounds, keeping reports deterministic at any thread count.
 
 use cubeaddr::NodeId;
 use cubelayout::{Encoding, Layout};
 use cubesim::{par, BufferPool, SimNet};
-
-/// Default minimum local-array size (elements) for realizing a rotation
-/// permutation with the in-place C2R kernel instead of the pooled
-/// out-of-place tiled transpose. Below this the blocked copy's better
-/// locality wins and the scratch buffer is too small to matter.
-const INPLACE_MIN_DEFAULT: usize = 1 << 12;
-
-thread_local! {
-    /// Threshold override installed by [`with_inplace_min`].
-    static INPLACE_MIN_OVERRIDE: Cell<Option<usize>> = const { Cell::new(None) };
-}
-
-/// Minimum local-array elements at which a rotation permutation is
-/// realized in place ([`crate::inplace`]) rather than through a pooled
-/// scratch buffer. Overridable with the `CUBEBENCH_INPLACE_MIN`
-/// environment variable (for benching both paths at one shape) or,
-/// scoped and thread-local, with [`with_inplace_min`].
-pub fn inplace_min() -> usize {
-    if let Some(v) = INPLACE_MIN_OVERRIDE.with(Cell::get) {
-        return v;
-    }
-    match std::env::var("CUBEBENCH_INPLACE_MIN") {
-        Ok(v) => v.parse().unwrap_or(INPLACE_MIN_DEFAULT),
-        Err(_) => INPLACE_MIN_DEFAULT,
-    }
-}
-
-/// Runs `f` with [`inplace_min`] pinned to `min` on the current thread
-/// (restored on exit, even across a panic). Tests use this to force the
-/// in-place plan on for small arrays, or off entirely (`usize::MAX`).
-pub fn with_inplace_min<R>(min: usize, f: impl FnOnce() -> R) -> R {
-    struct Restore(Option<usize>);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            INPLACE_MIN_OVERRIDE.with(|o| o.set(self.0));
-        }
-    }
-    let _restore = Restore(INPLACE_MIN_OVERRIDE.with(|o| o.replace(Some(min))));
-    f()
-}
 
 /// Where the bits of the matrix address currently live: node address bits
 /// (`real`) and local address bits (`virt`).
@@ -238,24 +209,15 @@ pub struct MappedMatrix<T> {
     map: FieldMap,
     /// `data[node][local]`.
     data: Vec<Vec<T>>,
-    /// Spare message buffers recycled across exchange rounds. Warmed
-    /// lazily by [`MappedMatrix::ensure_warm`] the first time a primitive
-    /// actually needs scratch (one full-size prefaulted buffer per node),
-    /// so schedules whose permutations all run in place — or matrices
-    /// that never communicate — hold zero pooled bytes.
+    /// Message buffers and permutation scratch, recycled from one
+    /// primitive to the next. Empty until a primitive first needs
+    /// staging; clones start empty.
     pool: BufferPool<T>,
-    /// Whether [`MappedMatrix::ensure_warm`] has run.
-    warmed: bool,
 }
 
 impl<T: Copy> Clone for MappedMatrix<T> {
     fn clone(&self) -> Self {
-        MappedMatrix {
-            map: self.map.clone(),
-            data: self.data.clone(),
-            pool: BufferPool::new(),
-            warmed: false,
-        }
+        MappedMatrix { map: self.map.clone(), data: self.data.clone(), pool: BufferPool::new() }
     }
 }
 
@@ -269,7 +231,7 @@ impl<T: Copy + Default> MappedMatrix<T> {
             let (node, local) = map.place(w);
             data[node.index()][local as usize] = f(w);
         }
-        MappedMatrix { map, data, pool: BufferPool::new(), warmed: false }
+        MappedMatrix { map, data, pool: BufferPool::new() }
     }
 }
 
@@ -285,7 +247,7 @@ impl<T: Copy> MappedMatrix<T> {
         for d in &data {
             assert_eq!(d.len(), 1usize << map.vp());
         }
-        MappedMatrix { map, data, pool: BufferPool::new(), warmed: false }
+        MappedMatrix { map, data, pool: BufferPool::new() }
     }
 
     /// Consumes into per-node buffers (node order).
@@ -309,23 +271,13 @@ impl<T: Copy> MappedMatrix<T> {
         &self.data[x.index()]
     }
 
-    /// Elements of scratch capacity currently held by the buffer pool —
-    /// zero until a primitive that needs pooled staging runs
-    /// (footprint stat for the `local_kernels` bench).
+    /// Elements of staging capacity currently held by the buffer pool —
+    /// zero until a primitive that needs staging runs; afterwards the
+    /// last exchange's message buffers plus one node-sized permutation
+    /// scratch per worker (footprint stat for the `local_kernels` bench
+    /// and `perfbench`).
     pub fn pool_capacity_elems(&self) -> usize {
         self.pool.capacity_elems()
-    }
-
-    /// Warms the pool on first use: one prefaulted spare buffer per
-    /// node, each of full local size — the working set of a gathered
-    /// exchange or an out-of-place permutation plan. In-place and
-    /// identity plans never call this, so they never pay the O(mn)
-    /// pooled footprint.
-    fn ensure_warm(&mut self) {
-        if !self.warmed {
-            self.pool.warm(self.data.len(), 1usize << self.map.vp(), self.data[0][0]);
-            self.warmed = true;
-        }
     }
 }
 
@@ -346,7 +298,6 @@ impl<T: Copy + Send + Sync> MappedMatrix<T> {
         policy: SendPolicy,
     ) {
         assert!(i < self.map.n() && j < self.map.vp());
-        self.ensure_warm();
         let per = 1usize << self.map.vp();
         let run = 1usize << j;
         let num = self.data.len();
@@ -392,52 +343,31 @@ impl<T: Copy + Send + Sync> MappedMatrix<T> {
                 self.pool.put(buf);
             }
         } else {
-            // One synchronized sub-round per run. All sub-rounds' messages
-            // are staged in one parallel pass up front, committed serially
-            // round by round, and the arrivals scattered in one parallel
-            // pass at the end (arrival order is immaterial: sub-round r
-            // always carries run r).
-            let runs_per_node = per / (run * 2);
-            let mut staged: Vec<Vec<Vec<T>>> =
-                (0..num).map(|_| (0..runs_per_node).map(|_| self.pool.take()).collect()).collect();
-            let data = &self.data;
-            par::par_for_each_mut(&mut staged, |x, msgs| {
-                let want = want_of(x);
-                for (r, msg) in msgs.iter_mut().enumerate() {
-                    let s = r * run * 2 + want * run;
-                    msg.extend_from_slice(&data[x][s..s + run]);
-                }
-            });
-            let mut landed: Vec<Vec<Vec<T>>> =
-                (0..num).map(|_| Vec::with_capacity(runs_per_node)).collect();
+            // One synchronized sub-round per run, streamed: sub-round r
+            // reads and writes only run r of every node, so the round's
+            // `num` message buffers are filled, sent, drained into place
+            // and reused for sub-round r + 1. Serial — a sub-round is one
+            // short copy per node each way.
+            let mut msgs: Vec<Vec<T>> = (0..num).map(|_| self.pool.take()).collect();
             let mut arrivals: Vec<(NodeId, Vec<T>)> = Vec::with_capacity(num);
-            for r in 0..runs_per_node {
-                net.send_batch(
-                    i,
-                    staged
-                        .iter_mut()
-                        .enumerate()
-                        .map(|(x, msgs)| (NodeId(x as u64), std::mem::take(&mut msgs[r]))),
-                );
+            for base in (0..per).step_by(run * 2) {
+                let at = |x: usize| base + want_of(x) * run;
+                for (x, msg) in msgs.iter_mut().enumerate() {
+                    msg.extend_from_slice(&self.data[x][at(x)..at(x) + run]);
+                }
+                net.send_batch(i, msgs.drain(..).enumerate().map(|(x, m)| (NodeId(x as u64), m)));
                 net.finish_round();
                 net.drain_dim(i, &mut arrivals);
                 debug_assert_eq!(arrivals.len(), num);
-                for (dst, msg) in arrivals.drain(..) {
-                    landed[dst.index()].push(msg);
+                for (dst, mut msg) in arrivals.drain(..) {
+                    let x = dst.index();
+                    self.data[x][at(x)..at(x) + run].copy_from_slice(&msg);
+                    msg.clear();
+                    msgs.push(msg);
                 }
             }
-            let arrived = &landed;
-            par::par_for_each_mut(&mut self.data, |x, slot| {
-                let want = want_of(x);
-                for (r, msg) in arrived[x].iter().enumerate() {
-                    let s = r * run * 2 + want * run;
-                    slot[s..s + run].copy_from_slice(msg);
-                }
-            });
-            for msgs in landed {
-                for m in msgs {
-                    self.pool.put(m);
-                }
+            for msg in msgs {
+                self.pool.put(msg);
             }
         }
         std::mem::swap(&mut self.map.real[i as usize], &mut self.map.virt[j as usize]);
@@ -491,10 +421,12 @@ impl<T: Copy + Send + Sync> MappedMatrix<T> {
     /// the old one.
     ///
     /// This models a change of *storage interpretation* ("implicitly by
-    /// indirect addressing", §5): choosing how the local array is ordered
-    /// is free — subsequent address arithmetic simply changes. Use
-    /// [`MappedMatrix::permute_virt`] when the rearrangement should be
-    /// charged as an explicit copy.
+    /// indirect addressing", §5): in the *model*, choosing how the local
+    /// array is ordered is free — subsequent address arithmetic simply
+    /// changes. The host keeps arrays in map order, so unless `perm` is
+    /// the identity it moves every element, exactly as
+    /// [`MappedMatrix::permute_virt`] does; use that one when the
+    /// rearrangement should also be charged as an explicit copy.
     #[track_caller]
     pub fn relabel_virt(&mut self, perm: &[u32]) {
         self.apply_virt_perm(perm);
@@ -517,40 +449,31 @@ impl<T: Copy + Send + Sync> MappedMatrix<T> {
     /// permutation was not the identity.
     ///
     /// The permutation's realization is node-independent, so one
-    /// [`PermPlan`] — a local-transpose call, a block-move schedule, or a
-    /// relocation table — is computed once and applied to every node's
-    /// array in parallel, writing into pool-recycled buffers.
+    /// [`PermPlan`] is computed and applied to every node's array: out
+    /// of place into a scratch buffer, which then trades places with the
+    /// array — what one node gives up is the next node's scratch. The
+    /// nodes are split into one contiguous group per [`par`] worker, each
+    /// group rotating a scratch of its own.
     #[track_caller]
     fn apply_virt_perm(&mut self, perm: &[u32]) -> bool {
         let vp = self.map.vp();
         assert_eq!(perm.len() as u32, vp);
-        let per = 1usize << vp;
         if perm.iter().enumerate().all(|(j, &p)| j as u32 == p) {
             return false;
         }
         let plan = PermPlan::build(perm);
-        if let PermPlan::InPlace { rows, cols } = plan {
-            // No staging buffers at all: each node's array is transposed
-            // where it lives, O(max(rows, cols)) scratch per worker.
-            par::par_for_each_mut(&mut self.data, |_, d| {
-                debug_assert_eq!(d.len(), per);
-                crate::inplace::transpose_serial(d, rows, cols);
-            });
-        } else {
-            self.ensure_warm();
-            let mut work: Vec<(Vec<T>, Vec<T>)> = self
-                .data
-                .iter_mut()
-                .map(|d| {
-                    debug_assert_eq!(d.len(), per);
-                    (std::mem::take(d), self.pool.take())
-                })
-                .collect();
-            par::par_for_each_mut(&mut work, |_, (old, fresh)| plan.apply(old, fresh));
-            for (x, (old, fresh)) in work.into_iter().enumerate() {
-                self.data[x] = fresh;
-                self.pool.put(old);
+        let group = self.data.len().div_ceil(par::num_threads());
+        let mut work: Vec<(&mut [Vec<T>], Vec<T>)> =
+            self.data.chunks_mut(group).map(|nodes| (nodes, self.pool.take())).collect();
+        par::par_for_each_mut(&mut work, |_, (nodes, scratch)| {
+            for d in nodes.iter_mut() {
+                debug_assert_eq!(d.len(), 1usize << vp);
+                plan.apply(d, scratch);
+                std::mem::swap(d, scratch);
             }
+        });
+        for (_, scratch) in work {
+            self.pool.put(scratch);
         }
         let old_virt = self.map.virt.clone();
         for (jn, &jo) in perm.iter().enumerate() {
@@ -603,38 +526,56 @@ impl<T: Copy + Send + Sync> MappedMatrix<T> {
     }
 }
 
-/// Start offsets of the `run`-element runs whose local bit `log2(run)`
-/// equals `want` — the outgoing (and incoming) half of a node's array in
-/// an exchange.
-fn run_starts(per: usize, run: usize, want: usize) -> impl Iterator<Item = usize> {
-    let stride = run * 2;
-    (0..per / stride).map(move |b| b * stride + want * run)
-}
-
-/// Appends to `out` the half of `data` selected by (`run`, `want`) as
-/// block moves; single-element fallback for `run == 1`.
+/// Appends to `out` the half of `data` an exchange moves: of every
+/// `2·run` elements, the `run` whose local bit `log2(run)` equals
+/// `want`. Runs shorter than a cache line are fixed-size array copies
+/// ([`gather_runs`]); longer ones are block moves.
 fn gather_half<T: Copy>(data: &[T], run: usize, want: usize, out: &mut Vec<T>) {
-    if run == 1 {
-        out.extend(data.iter().skip(want).step_by(2).copied());
-    } else {
-        out.reserve(data.len() / 2);
-        for s in run_starts(data.len(), run, want) {
-            out.extend_from_slice(&data[s..s + run]);
+    out.reserve(data.len() / 2);
+    match run {
+        1 => gather_runs::<T, 1>(data, want, out),
+        2 => gather_runs::<T, 2>(data, want, out),
+        4 => gather_runs::<T, 4>(data, want, out),
+        8 => gather_runs::<T, 8>(data, want, out),
+        _ => {
+            for pair in data.chunks_exact(run * 2) {
+                out.extend_from_slice(&pair[want * run..][..run]);
+            }
         }
     }
+}
+
+/// [`gather_half`] for a run length known at compile time, so each run
+/// is a few register moves rather than a `memcpy` call.
+fn gather_runs<T: Copy, const R: usize>(data: &[T], want: usize, out: &mut Vec<T>) {
+    out.extend(data.chunks_exact(R * 2).flat_map(|pair| {
+        let half: [T; R] = pair[want * R..][..R].try_into().expect("a run is R elements");
+        half
+    }));
 }
 
 /// Writes `incoming` back into the half of `data` selected by (`run`,
 /// `want`): the inverse of [`gather_half`].
 fn scatter_half<T: Copy>(data: &mut [T], run: usize, want: usize, incoming: &[T]) {
-    if run == 1 {
-        for (slot, &v) in data.iter_mut().skip(want).step_by(2).zip(incoming) {
-            *slot = v;
+    match run {
+        1 => scatter_runs::<T, 1>(data, want, incoming),
+        2 => scatter_runs::<T, 2>(data, want, incoming),
+        4 => scatter_runs::<T, 4>(data, want, incoming),
+        8 => scatter_runs::<T, 8>(data, want, incoming),
+        _ => {
+            for (pair, chunk) in data.chunks_exact_mut(run * 2).zip(incoming.chunks_exact(run)) {
+                pair[want * run..][..run].copy_from_slice(chunk);
+            }
         }
-    } else {
-        for (s, chunk) in run_starts(data.len(), run, want).zip(incoming.chunks_exact(run)) {
-            data[s..s + run].copy_from_slice(chunk);
-        }
+    }
+}
+
+/// [`scatter_half`] for a run length known at compile time.
+fn scatter_runs<T: Copy, const R: usize>(data: &mut [T], want: usize, incoming: &[T]) {
+    for (pair, chunk) in data.chunks_exact_mut(R * 2).zip(incoming.chunks_exact(R)) {
+        let half: &mut [T; R] =
+            (&mut pair[want * R..][..R]).try_into().expect("a run is R elements");
+        *half = chunk.try_into().expect("chunks_exact yields R elements");
     }
 }
 
@@ -644,20 +585,11 @@ enum PermPlan {
     /// The permutation rotates the local address by `a` positions
     /// (`perm[j] = (j + a) mod vp`): equivalent to transposing the local
     /// array viewed as a row-major `rows × cols` matrix, dispatched to the
-    /// cache-aware tiled kernel (out of place, through the pool).
+    /// tiled kernel of [`crate::local`].
     Transpose {
         /// `2^{vp-a}` rows of the equivalent local matrix.
         rows: usize,
         /// `2^a` columns.
-        cols: usize,
-    },
-    /// A rotation over a local array of at least [`inplace_min`]
-    /// elements: realized by the C2R in-place kernel
-    /// ([`crate::inplace`]), no pooled staging buffer.
-    InPlace {
-        /// Rows of the equivalent local matrix.
-        rows: usize,
-        /// Columns of the equivalent local matrix.
         cols: usize,
     },
     /// The permutation fixes the low `log2(run)` local bits: the new
@@ -695,11 +627,7 @@ impl PermPlan {
         if let Some(a) =
             (1..vp).find(|&a| perm.iter().enumerate().all(|(jn, &jo)| jo == (jn as u32 + a) % vp))
         {
-            let (rows, cols) = (1usize << (vp - a), 1usize << a);
-            if per >= inplace_min() {
-                return PermPlan::InPlace { rows, cols };
-            }
-            return PermPlan::Transpose { rows, cols };
+            return PermPlan::Transpose { rows: 1usize << (vp - a), cols: 1usize << a };
         }
         let fixed = perm.iter().enumerate().take_while(|&(jn, &jo)| jn as u32 == jo).count();
         let run = 1usize << fixed;
@@ -710,15 +638,14 @@ impl PermPlan {
         PermPlan::Gather { table: (0..per).map(|l| gather(l) as u32).collect() }
     }
 
-    /// Fills `fresh` with the permutation of `old` (out-of-place plans
-    /// only; `InPlace` is dispatched directly in `apply_virt_perm`).
+    /// Fills `fresh` (cleared first, capacity reused) with the
+    /// permutation of `old`.
     fn apply<T: Copy>(&self, old: &[T], fresh: &mut Vec<T>) {
         fresh.clear();
         match self {
             PermPlan::Transpose { rows, cols } => {
                 crate::local::transpose_flat_blocked_into(old, *rows, *cols, 64, fresh);
             }
-            PermPlan::InPlace { .. } => unreachable!("InPlace plans never stage through a buffer"),
             PermPlan::Runs { starts, run } => {
                 fresh.reserve(old.len());
                 for &s in starts {
@@ -856,56 +783,44 @@ mod tests {
         assert_eq!(r.total_elems, 0);
     }
 
+    /// Footprint gate (a deterministic budget in the sense of ROADMAP
+    /// item 3(b)): a permutation stages through one rotating scratch per
+    /// worker, not one buffer per node.
     #[test]
-    fn inplace_plan_keeps_pool_cold() {
-        // vp = 12 → 4096 elements per node: exactly the default
-        // threshold, so the rotation runs in place and the lazily-warmed
-        // pool must stay empty.
-        let map = FieldMap::new(vec![0], (1..13).collect());
-        let mut m = label_mapped(map);
-        assert_eq!(m.pool_capacity_elems(), 0, "pool warmed at construction");
-        let mut net = SimNet::new(1, MachineParams::unit(PortMode::OnePort).with_t_copy(0.5));
-        let rotation: Vec<u32> = (6..12).chain(0..6).collect();
+    fn permutation_scratch_is_one_buffer_per_worker() {
+        let (vp, per) = (12u32, 1usize << 12);
+        let rotation: Vec<u32> = (6..vp).chain(0..6).collect();
+        for threads in [1usize, 3] {
+            let mut m = label_mapped(FieldMap::new(vec![0, 1, 2], (3..3 + vp).collect()));
+            assert_eq!(m.pool_capacity_elems(), 0, "staging held before any primitive ran");
+            let mut net = SimNet::new(3, MachineParams::unit(PortMode::OnePort).with_t_copy(0.5));
+            par::with_threads(threads, || m.permute_virt(&mut net, &rotation));
+            assert_eq!(check_labels(&m), None);
+            let held = m.pool_capacity_elems();
+            assert!(held <= threads * per, "{held} elements pooled by {threads} worker(s)");
+            net.finish_round();
+            assert!(net.finalize().copy_time > 0.0, "the model still charges the copy");
+        }
+    }
+
+    /// Footprint gate, as above: an exchange that sends every run as its
+    /// own message holds one run-sized buffer per node (one of them may
+    /// be the permutation scratch, reused), not half the matrix.
+    #[test]
+    fn direct_exchange_holds_one_run_per_node() {
+        let (n, vp, j) = (3u32, 12u32, 7u32);
+        let (num, per, run) = (1usize << n, 1usize << vp, 1usize << j);
+        assert_eq!(per / (2 * run), 16, "runs per node");
+        let mut m = label_mapped(FieldMap::new((0..n).collect(), (n..n + vp).collect()));
+        let mut net = unit_net(n);
+        let rotation: Vec<u32> = (6..vp).chain(0..6).collect();
+        let threads = par::num_threads();
         m.permute_virt(&mut net, &rotation);
+        m.exchange_real_virt(&mut net, 1, j, SendPolicy::Buffered { min_direct: run });
         assert_eq!(check_labels(&m), None);
-        assert_eq!(m.pool_capacity_elems(), 0, "in-place plan warmed the pool");
-        net.finish_round();
-        // The copy cost is charged identically on both realizations.
-        assert!(net.finalize().copy_time > 0.0);
-    }
-
-    #[test]
-    fn pooled_plan_warms_lazily() {
-        let map = FieldMap::new(vec![0], (1..13).collect());
-        let mut m = label_mapped(map);
-        let mut net = unit_net(1);
-        let rotation: Vec<u32> = (6..12).chain(0..6).collect();
-        // Forcing the threshold above per ⇒ the pooled tiled path runs
-        // and warms one full-size buffer per node on first use.
-        with_inplace_min(usize::MAX, || m.permute_virt(&mut net, &rotation));
-        assert_eq!(check_labels(&m), None);
-        assert_eq!(m.pool_capacity_elems(), 2 * (1 << 12), "2 nodes x full local size");
-        net.finish_round();
-        net.finalize();
-    }
-
-    #[test]
-    fn forced_inplace_plan_matches_pooled_result() {
-        // Same scramble schedule under both realizations of the rotation
-        // permutations must give identical data.
-        let run = |min: usize| {
-            with_inplace_min(min, || {
-                let mut m = label_mapped(map_2_2());
-                let mut net = unit_net(2);
-                m.permute_virt(&mut net, &[1, 0]);
-                m.exchange_real_virt(&mut net, 0, 1, SendPolicy::Ideal);
-                m.permute_virt(&mut net, &[1, 0]);
-                net.finish_round();
-                let report = net.finalize();
-                (m.into_buffers(), report)
-            })
-        };
-        assert_eq!(run(1), run(usize::MAX));
+        let held = m.pool_capacity_elems();
+        assert!(held <= num * run + threads * per, "{held} elements pooled");
+        assert_eq!(net.finalize().rounds, 16, "one sub-round per run");
     }
 
     #[test]

@@ -1,8 +1,11 @@
 //! In-place local transpose via the C2R/R2C decomposition.
 //!
-//! Every local transpose in the engine used to round-trip through an
-//! `O(mn)` staging buffer: gather the permuted array into a pooled
-//! scratch block, copy it back. This module replaces that with the
+//! A caller that holds one node's block and nothing to stage through —
+//! the SPMD node programs, the Gray-code transposes,
+//! `Dense::transpose_in_place` — would have to allocate an `O(mn)`
+//! buffer for an out-of-place transpose. (The `fieldmap` data plane
+//! holds every node's array and rotates one hot scratch through them
+//! instead.) This module transposes where the block lives, with the
 //! decomposition of Catanzaro, Keller & Garland, *A Decomposition for
 //! In-place Matrix Transposition* (PPoPP 2014): transposition of a
 //! row-major `m × n` buffer factors into three passes that each permute

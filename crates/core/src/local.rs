@@ -186,10 +186,26 @@ pub fn transpose_flat_blocked_into<T: Copy>(
     unsafe { out.set_len(src.len()) };
 }
 
+/// Side of the register tile inside [`tiled_transpose_write`].
+const REG: usize = 8;
+
 /// The one tiling loop behind the out-of-place transpose family
 /// ([`transpose_flat`], [`transpose_flat_blocked_into`],
 /// [`Dense::transpose_blocked`]): writes `out[c·rows + r] = src[r·cols
 /// + c]` tile by tile, initializing every slot of `out` exactly once.
+///
+/// Inside a tile the work is done in 8×8 register tiles
+/// ([`transpose_reg`]). A source-major element loop over a whole tile
+/// writes `out[c·rows + r]` one element per cache line at a power-of-two
+/// stride (2 KiB at 256 rows of `u64`): the destination lines of a 64×64
+/// tile pile into four L1 sets and each is written eight separate times.
+/// Eight is the side at which, for an 8-byte `T`, a register tile reads
+/// eight whole 64-byte source lines and writes eight whole destination
+/// lines, each touched exactly once while it is hot. The register tiles
+/// of a tile are visited destination-major (source column block outside,
+/// source row block inside), so the eight destination rows are written
+/// as eight forward streams. The element loop keeps the ragged edges,
+/// and with them every shape that has a side below eight.
 fn tiled_transpose_write<T: Copy>(
     src: &[T],
     rows: usize,
@@ -197,13 +213,60 @@ fn tiled_transpose_write<T: Copy>(
     tile: usize,
     out: &mut [std::mem::MaybeUninit<T>],
 ) {
+    use std::mem::MaybeUninit;
+    use std::ops::Range;
+    let scalar = |out: &mut [MaybeUninit<T>], rs: Range<usize>, cs: Range<usize>| {
+        for r in rs {
+            for c in cs.clone() {
+                out[c * rows + r].write(src[r * cols + c]);
+            }
+        }
+    };
+    if rows < REG || cols < REG {
+        // No register tile fits, and with a side this short source and
+        // destination are a handful of forward streams without tiling —
+        // the CM-scale transposes call this once per 1×1 local array.
+        return scalar(out, 0..rows, 0..cols);
+    }
     for rb in (0..rows).step_by(tile) {
+        let r_end = (rb + tile).min(rows);
+        let r_full = rb + (r_end - rb) / REG * REG;
         for cb in (0..cols).step_by(tile) {
-            for r in rb..(rb + tile).min(rows) {
-                for c in cb..(cb + tile).min(cols) {
-                    out[c * rows + r].write(src[r * cols + c]);
+            let c_end = (cb + tile).min(cols);
+            let c_full = cb + (c_end - cb) / REG * REG;
+            for c0 in (cb..c_full).step_by(REG) {
+                for r0 in (rb..r_full).step_by(REG) {
+                    transpose_reg(&src[r0 * cols + c0..], cols, &mut out[c0 * rows + r0..], rows);
                 }
             }
+            // Ragged edges: the columns past the last full register
+            // tile, then the rows past it (the whole tile when it has a
+            // side below eight).
+            scalar(out, rb..r_full, c_full..c_end);
+            scalar(out, r_full..r_end, cb..c_end);
+        }
+    }
+}
+
+/// One 8×8 register tile of [`tiled_transpose_write`]: `src` starts at
+/// the tile's first source element (row stride `cols`), `out` at its
+/// first destination element (row stride `rows`). Destination-major, so
+/// every destination row is eight consecutive stores; both windows are
+/// cut to length once, which lets the 64 element moves run without a
+/// bounds check apiece.
+#[inline(always)]
+fn transpose_reg<T: Copy>(
+    src: &[T],
+    cols: usize,
+    out: &mut [std::mem::MaybeUninit<T>],
+    rows: usize,
+) {
+    let src = &src[..(REG - 1) * cols + REG];
+    let out = &mut out[..(REG - 1) * rows + REG];
+    for c in 0..REG {
+        let line = &mut out[c * rows..][..REG];
+        for (r, slot) in line.iter_mut().enumerate() {
+            slot.write(src[r * cols + c]);
         }
     }
 }
@@ -283,6 +346,37 @@ mod tests {
         }
     }
 
+    /// Every branch of the tiling loop against the naive double loop:
+    /// full register tiles, ragged edges in either direction, shapes with
+    /// a side below eight, tiles smaller than a register tile, and
+    /// elements that are not a power-of-two fraction of a cache line.
+    #[test]
+    fn kernel_shape_sweep() {
+        fn sweep<T: Copy + PartialEq + std::fmt::Debug>(mk: impl Fn(usize) -> T) {
+            let small = (0..=24).flat_map(|rows| (0..=24).map(move |cols| (rows, cols)));
+            let big = [(256, 256), (8192, 8), (8, 8192), (32, 2048), (1, 777), (777, 1)];
+            let mut out = Vec::new();
+            for (rows, cols) in small.chain(big) {
+                let src: Vec<T> = (0..rows * cols).map(&mk).collect();
+                let mut expect = Vec::with_capacity(src.len());
+                for c in 0..cols {
+                    for r in 0..rows {
+                        expect.push(src[r * cols + c]);
+                    }
+                }
+                for tile in [1, 4, 64] {
+                    transpose_flat_blocked_into(&src, rows, cols, tile, &mut out);
+                    assert!(out == expect, "{rows}×{cols} tile {tile}");
+                }
+            }
+        }
+        #[derive(Clone, Copy, PartialEq, Debug)]
+        struct Wide([u64; 3]);
+        sweep(|i| i as u8);
+        sweep(|i| i as u64);
+        sweep(|i| Wide([i as u64, !(i as u64), 3 * i as u64]));
+    }
+
     #[test]
     fn flat_blocked_recycles_and_handles_empty() {
         let mut out = vec![99u64; 3]; // stale contents must be discarded
@@ -309,31 +403,26 @@ mod tests {
 }
 
 /// Allocation gates: a counting global allocator (test harness only)
-/// with two independent counters. While a thread is `ARMED` it counts
-/// allocations at or above a size threshold (the in-place kernel's
-/// gate); while a thread has `COUNTED` set it counts every allocation
-/// that thread makes (the CM-scale MPT gate and one gate for each of
+/// with two independent counters. While a thread has `BIG` set it counts
+/// the allocations it makes at or above a size threshold (the in-place
+/// kernel's gate and the permutation-scratch gate); while a thread has
+/// `COUNTED` set it counts every allocation that thread makes (the
+/// CM-scale MPT gate, the direct-exchange gate and one gate for each of
 /// `cuberun`'s front doors: `spmd_exchange_…` for the async door,
-/// `round_exchange_…` for the round door). The second is thread-local
-/// end to end, so the gates cannot disturb each other when the harness
-/// runs them side by side. `unsafe impl GlobalAlloc` must live in this
+/// `round_exchange_…` for the round door). Both are thread-local end to
+/// end, so the gates cannot disturb each other when the harness runs
+/// them side by side. `unsafe impl GlobalAlloc` must live in this
 /// module — the workspace denies `unsafe_code` everywhere except this
 /// file.
 #[cfg(test)]
 mod alloc_gate {
-    use cubesync::atomic::{AtomicUsize, Ordering};
     use std::alloc::{GlobalAlloc, Layout, System};
     use std::cell::Cell;
 
-    /// Allocations of at least [`THRESHOLD`] bytes seen while armed.
-    pub static BIG_ALLOCS: AtomicUsize = AtomicUsize::new(0);
-    /// Size (bytes) at which an allocation counts as "big".
-    pub static THRESHOLD: AtomicUsize = AtomicUsize::new(usize::MAX);
-
     thread_local! {
-        /// Only the thread running the gated test arms itself, so the
-        /// rest of the (parallel) test harness doesn't pollute the count.
-        pub static ARMED: Cell<bool> = const { Cell::new(false) };
+        /// `Some((threshold, seen))` while this thread counts its
+        /// allocations of at least `threshold` bytes.
+        pub static BIG: Cell<Option<(usize, usize)>> = const { Cell::new(None) };
         /// `Some(allocations so far)` while this thread counts every
         /// allocation it makes, whatever its size.
         pub static COUNTED: Cell<Option<usize>> = const { Cell::new(None) };
@@ -347,11 +436,11 @@ mod alloc_gate {
         unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
             // try_with: thread-local storage may itself allocate during
             // thread teardown.
-            if ARMED.try_with(Cell::get).unwrap_or(false)
-                && layout.size() >= THRESHOLD.load(Ordering::Relaxed)
-            {
-                BIG_ALLOCS.fetch_add(1, Ordering::Relaxed);
-            }
+            let _ = BIG.try_with(|b| {
+                if let Some((threshold, seen)) = b.get() {
+                    b.set(Some((threshold, seen + (layout.size() >= threshold) as usize)));
+                }
+            });
             let _ = COUNTED.try_with(|c| c.set(c.get().map(|seen| seen + 1)));
             unsafe { System.alloc(layout) }
         }
@@ -367,8 +456,16 @@ mod alloc_gate {
 
 #[cfg(test)]
 mod alloc_gate_tests {
-    use super::alloc_gate::{ARMED, BIG_ALLOCS, COUNTED, THRESHOLD};
+    use super::alloc_gate::{BIG, COUNTED};
     use cubesync::atomic::Ordering;
+
+    /// Allocations of at least `threshold` bytes that `f` makes on this
+    /// thread.
+    fn big_allocs(threshold: usize, f: impl FnOnce()) -> usize {
+        BIG.with(|b| b.set(Some((threshold, 0))));
+        f();
+        BIG.with(|b| b.take()).expect("counting was on").1
+    }
 
     /// `cm16-2d-mpt` at reduced size — one element per node, 256 nodes,
     /// every packet a one-element message: MPT may allocate a packet's
@@ -497,6 +594,65 @@ mod alloc_gate_tests {
         );
     }
 
+    /// `fieldmap`'s streamed direct exchange at one worker — 64 nodes,
+    /// 16 runs of 32 elements each, every run its own message: the
+    /// exchange may allocate the sub-round's message buffer per node and
+    /// a constant (the buffer lists, `SimNet`'s round store growing) —
+    /// nothing per message: there are `num × runs_per_node` = 1 024 of
+    /// those, and a buffer apiece is what the bound rules out. On a
+    /// matrix that has exchanged before, the buffers come back out of
+    /// its pool and only the constant is left. With the two `BIG` gates
+    /// and `fieldmap`'s footprint tests these are deterministic budgets
+    /// of the kind ROADMAP item 3(b) asks for: exact on any host, no
+    /// stopwatch.
+    #[test]
+    fn direct_exchange_allocates_per_node_not_per_message() {
+        use crate::fieldmap::{check_labels, label_mapped, FieldMap, SendPolicy};
+        use cubesim::{MachineParams, PortMode, SimNet};
+        let (n, vp, j) = (6u32, 10u32, 5u32);
+        let num = 1usize << n;
+        assert_eq!((1usize << vp) / (2usize << j), 16, "runs per node");
+        let mut m = label_mapped(FieldMap::new((0..n).collect(), (n..n + vp).collect()));
+        let mut net: SimNet<Vec<u64>> = SimNet::new(n, MachineParams::unit(PortMode::OnePort));
+        let mut counted_exchange = |i: u32| {
+            cubesim::par::with_threads(1, || {
+                COUNTED.with(|c| c.set(Some(0)));
+                m.exchange_real_virt(&mut net, i, j, SendPolicy::Unbuffered);
+                COUNTED.with(|c| c.take()).expect("counting was on")
+            })
+        };
+        let cold = counted_exchange(0);
+        let warm = counted_exchange(1);
+        assert_eq!(check_labels(&m), None);
+        assert_eq!(net.finalize().rounds, 32);
+        assert!(cold <= num + 64, "cold exchange made {cold} allocations for {num} nodes");
+        assert!(warm <= 8, "warmed exchange made {warm} allocations for {num} nodes");
+    }
+
+    /// A permutation stages through one rotating scratch: the first
+    /// `permute_virt` of a matrix allocates at most one node-sized
+    /// buffer (not one per node), the next one none — the scratch waits
+    /// in the pool.
+    #[test]
+    fn permute_virt_allocates_one_node_sized_scratch() {
+        use crate::fieldmap::{check_labels, label_mapped, FieldMap};
+        use cubesim::{MachineParams, PortMode, SimNet};
+        let (n, vp) = (3u32, 12u32);
+        let node_bytes = (1usize << vp) * std::mem::size_of::<u64>();
+        let mut m = label_mapped(FieldMap::new((0..n).collect(), (n..n + vp).collect()));
+        let mut net: SimNet<Vec<u64>> = SimNet::new(n, MachineParams::unit(PortMode::OnePort));
+        let rotation: Vec<u32> = (6..vp).chain(0..6).collect();
+        let mut big_of_permute = || {
+            cubesim::par::with_threads(1, || {
+                big_allocs(node_bytes, || m.permute_virt(&mut net, &rotation))
+            })
+        };
+        let (first, second) = (big_of_permute(), big_of_permute());
+        assert_eq!(check_labels(&m), None);
+        assert!(first <= 1, "first permutation made {first} node-sized allocations");
+        assert_eq!(second, 0, "the scratch was not recycled");
+    }
+
     /// The in-place path must never allocate O(mn)-sized scratch after
     /// warmup: with `mn` elements of `u64`, no single allocation may
     /// reach a quarter of the matrix (the kernel's strip scratch is
@@ -507,15 +663,10 @@ mod alloc_gate_tests {
         let mut data: Vec<u64> = (0..(rows * cols) as u64).collect();
         // Warmup: one full transpose before arming.
         crate::inplace::transpose_serial(&mut data, rows, cols);
-        THRESHOLD.store(rows * cols * std::mem::size_of::<u64>() / 4, Ordering::SeqCst);
-        ARMED.with(|a| a.set(true));
-        crate::inplace::transpose_serial(&mut data, cols, rows);
-        ARMED.with(|a| a.set(false));
-        assert_eq!(
-            BIG_ALLOCS.load(Ordering::SeqCst),
-            0,
-            "in-place kernel allocated O(mn)-sized scratch"
-        );
+        let big = big_allocs(rows * cols * std::mem::size_of::<u64>() / 4, || {
+            crate::inplace::transpose_serial(&mut data, cols, rows);
+        });
+        assert_eq!(big, 0, "in-place kernel allocated O(mn)-sized scratch");
         let expect: Vec<u64> = (0..(rows * cols) as u64).collect();
         assert_eq!(data, expect, "roundtrip while gated");
     }

@@ -3,9 +3,9 @@
 //! The exchange engines build one payload vector per node per round and
 //! tear it down after delivery. [`BufferPool`] keeps those vectors alive
 //! across rounds: [`BufferPool::take`] hands out an empty vector with its
-//! previous capacity intact, [`BufferPool::put`] returns a spent one.
-//! After the first round of a schedule primes the pool, steady-state
-//! rounds allocate nothing.
+//! previous capacity intact, [`BufferPool::put`] returns a spent one. A
+//! round allocates only where it needs more capacity than the buffers
+//! the previous rounds returned.
 
 /// An arena of spare `Vec<T>` buffers.
 #[derive(Debug, Default)]
@@ -43,23 +43,6 @@ impl<T> BufferPool<T> {
     pub fn capacity_elems(&self) -> usize {
         self.free.iter().map(Vec::capacity).sum()
     }
-
-    /// Primes the pool with `buffers` empty buffers of `elems` capacity,
-    /// each filled with `seed` once and cleared so every page is really
-    /// mapped. A data structure that warms its pool at construction runs
-    /// its first communication step allocation- and page-fault-free, not
-    /// just its steady-state ones.
-    pub fn warm(&mut self, buffers: usize, elems: usize, seed: T)
-    where
-        T: Clone,
-    {
-        self.free.reserve(buffers);
-        for _ in 0..buffers {
-            let mut buf = vec![seed.clone(); elems];
-            buf.clear();
-            self.free.push(buf);
-        }
-    }
 }
 
 /// Pooled capacity is a cache, not data: clones start empty.
@@ -94,17 +77,6 @@ mod tests {
         let mut pool: BufferPool<u64> = BufferPool::new();
         assert_eq!(pool.idle(), 0);
         assert!(pool.take().is_empty());
-    }
-
-    #[test]
-    fn warm_primes_capacity() {
-        let mut pool: BufferPool<u64> = BufferPool::new();
-        pool.warm(3, 128, 0);
-        assert_eq!(pool.idle(), 3);
-        assert_eq!(pool.capacity_elems(), 3 * 128);
-        let v = pool.take();
-        assert!(v.is_empty());
-        assert_eq!(v.capacity(), 128);
     }
 
     #[test]

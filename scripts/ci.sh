@@ -80,6 +80,19 @@ if [ -n "$violations" ]; then
     false
 fi
 
+begin "lint policy: the fieldmap in-place knob stays deleted"
+# MappedMatrix has one realisation of a permutation (out of place through
+# a rotating scratch) and no prefaulted pool; the threshold, its
+# environment variable and the warm-up that chose between the old forks
+# must not come back. (Bracketed so this script does not match itself.)
+violations="$(grep -rln -E 'inplace_mi[n]|INPLACE_MI[N]|ensure_war[m]' \
+    crates src tests examples 2>/dev/null || true)"
+if [ -n "$violations" ]; then
+    echo "FAIL: files mention the deleted in-place threshold or pool warm-up:" >&2
+    echo "$violations" >&2
+    false
+fi
+
 begin "model-check: exhaustive interleaving of the real concurrency protocols (time-bounded)"
 # Rebuilds the facade's dependents against the model backend and
 # enumerates schedules of cubesim::par, the cuberun scheduler (six
@@ -133,10 +146,15 @@ timeout 300 cargo test --release -q -p cubetranspose --test perf_smoke -- --igno
 begin "local-kernels smoke: in-place transpose no slower than scratch gather"
 timeout 300 cargo test --release -q -p cubetranspose --test local_kernels_smoke -- --ignored
 
-begin "allocation gates: no O(mn)-sized scratch in place; MPT and run_spmd allocate O(1) per node, run_rounds O(1) per run"
+begin "allocation gates: no O(mn)-sized scratch in place; one node-sized scratch per permute_virt; a direct fieldmap exchange, MPT and run_spmd allocate O(1) per node, run_rounds O(1) per run"
 # The counting global allocator lives in crates/core/src/local.rs's test
 # module (the one unsafe-allowlisted file). One gate arms it around a
 # warmed in-place transpose and fails on any matrix-sized allocation;
+# one arms it around MappedMatrix::permute_virt and fails on a second
+# node-sized allocation (the rotating scratch is one buffer, and the
+# next permutation finds it in the pool); one counts every allocation of
+# a fieldmap exchange that sends 16 runs per node as separate messages
+# and fails if anything is allocated per message rather than per node;
 # one counts every allocation of one transpose_mpt at the reduced
 # cm16-2d-mpt shape and fails if anything is allocated per path; one
 # counts an all-dimensions exchange on run_spmd(10) — on the calling

@@ -2,7 +2,11 @@
 # Alternating parent/change pairs of one perfbench workload: the
 # measurement discipline a performance claim in this repo rests on.
 #
-# Usage: scripts/pairs.sh <workload> [pairs=10] [seconds=12]
+# Usage: scripts/pairs.sh <workload>|all [pairs=10] [seconds=12]
+#
+# `all` runs the eight workloads of BENCHMARK.json one after the other
+# against one build of each side and ends with one table row apiece —
+# the no-regression table a change to shared code owes.
 #
 # The parent is `git archive HEAD` exported into a temporary directory,
 # the change is the working tree, and each side is built into a
@@ -27,7 +31,11 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-workload="${1:?usage: scripts/pairs.sh <workload> [pairs=10] [seconds=12]}"
+workloads=("${1:?usage: scripts/pairs.sh <workload>|all [pairs=10] [seconds=12]}")
+if [ "${workloads[0]}" = all ]; then
+    workloads=(ipsc6-2d-spt ipsc6-1d-exchange cm16-2d-mpt cm16-spmd-exchange
+        ipsc6-convert-alg2 cm14-router cm14-plan-cold cm14-plan-warm)
+fi
 pairs="${2:-10}"
 seconds="${3:-12}"
 metrics=(wall_ms setup_s peak_rss_mib)
@@ -46,16 +54,16 @@ cargo_in() {
     (cd "$dir" && CARGO_TARGET_DIR="$work/target-$side" cargo "$@")
 }
 
-# run <side>: one benchmark run; prints the three end-to-end metrics on
-# one line.
+# run <side> <workload>: one benchmark run; prints the three end-to-end
+# metrics on one line.
 run() {
     local verdict
     verdict="$(cargo_in "$1" run --release --offline --quiet \
         --manifest-path perfbench/Cargo.toml -- \
-        --workload "$workload" --seconds "$seconds" --trace 0 | tail -n 1)"
+        --workload "$2" --seconds "$seconds" --trace 0 | tail -n 1)"
     case "$verdict" in
         *'"correct": true'*'"failed": 0'*) ;;
-        *) echo "FAIL: $1 $workload: $verdict" >&2; exit 1 ;;
+        *) echo "FAIL: $1 $2: $verdict" >&2; exit 1 ;;
     esac
     for m in "${metrics[@]}"; do
         printf '%s ' "$(sed -E "s/.*\"$m\": \{\"value\": ([0-9.eE+-]+).*/\1/" <<<"$verdict")"
@@ -66,14 +74,6 @@ run() {
 echo "building parent ($(git rev-parse --short HEAD)) and change (working tree) ..."
 for side in parent change; do
     cargo_in "$side" build --release --offline --quiet --manifest-path perfbench/Cargo.toml
-done
-
-for ((i = 1; i <= pairs; i++)); do
-    if ((i % 2)); then order=(parent change); else order=(change parent); fi
-    for side in "${order[@]}"; do
-        run "$side" >>"$work/$side.txt"
-    done
-    echo "pair $i: parent $(tail -n 1 "$work/parent.txt")| change $(tail -n 1 "$work/change.txt")"
 done
 
 # quartiles <file> <column>: q1 median q3 by linear interpolation.
@@ -87,13 +87,47 @@ quartiles() {
         END { printf "%.4g %.4g %.4g", q(0.25), q(0.5), q(0.75) }'
 }
 
-echo
-echo "$workload: $pairs pairs of ${seconds} s, nproc $(nproc) — q1 / median / q3"
-for c in 1 2 3; do
-    wins="$(paste -d' ' "$work/parent.txt" "$work/change.txt" \
-        | awk -v p="$c" -v c="$((c + 3))" '$c < $p { n++ } END { print n + 0 }')"
-    read -r p1 p2 p3 <<<"$(quartiles "$work/parent.txt" "$c")"
-    read -r c1 c2 c3 <<<"$(quartiles "$work/change.txt" "$c")"
-    printf '  %-13s parent %s / %s / %s   change %s / %s / %s   change wins %s/%s\n' \
-        "${metrics[c - 1]}" "$p1" "$p2" "$p3" "$c1" "$c2" "$c3" "$wins" "$pairs"
+# summary <workload> <column>: sets p1 p2 p3 / c1 c2 c3 (each side's
+# quartiles of that metric) and wins (pairs in which the change read
+# lower).
+summary() {
+    wins="$(paste -d' ' "$work/$1.parent.txt" "$work/$1.change.txt" \
+        | awk -v p="$2" -v c="$(($2 + 3))" '$c < $p { n++ } END { print n + 0 }')"
+    read -r p1 p2 p3 <<<"$(quartiles "$work/$1.parent.txt" "$2")"
+    read -r c1 c2 c3 <<<"$(quartiles "$work/$1.change.txt" "$2")"
+}
+
+for workload in "${workloads[@]}"; do
+    for ((i = 1; i <= pairs; i++)); do
+        if ((i % 2)); then order=(parent change); else order=(change parent); fi
+        for side in "${order[@]}"; do
+            run "$side" "$workload" >>"$work/$workload.$side.txt"
+        done
+        echo "$workload pair $i: parent $(tail -n 1 "$work/$workload.parent.txt")|" \
+            "change $(tail -n 1 "$work/$workload.change.txt")"
+    done
+
+    echo
+    echo "$workload: $pairs pairs of ${seconds} s, nproc $(nproc) — q1 / median / q3"
+    for c in 1 2 3; do
+        summary "$workload" "$c"
+        printf '  %-13s parent %s / %s / %s   change %s / %s / %s   change wins %s/%s\n' \
+            "${metrics[c - 1]}" "$p1" "$p2" "$p3" "$c1" "$c2" "$c3" "$wins" "$pairs"
+    done
+    echo
 done
+
+if ((${#workloads[@]} > 1)); then
+    echo "| workload | wall_ms parent q1 / med / q3 | change q1 / med / q3 | wins |" \
+        "setup_s med | peak_rss_mib med |"
+    echo "| --- | --- | --- | --- | --- | --- |"
+    for workload in "${workloads[@]}"; do
+        summary "$workload" 1
+        row="| \`$workload\` | $p1 / $p2 / $p3 | $c1 / $c2 / $c3 | $wins/$pairs |"
+        for c in 2 3; do
+            summary "$workload" "$c"
+            row+=" $p2 → $c2 ($wins/$pairs) |"
+        done
+        echo "$row"
+    done
+fi

@@ -104,12 +104,13 @@ fn main() {
             println!("{}", f());
         }
     }
-    // Compute the selected figures in parallel (each generator may itself
-    // fan its point grid out over par_map); print in declaration order so
-    // the output is byte-identical to a sequential run.
+    // Compute the selected figures in parallel (a generator's own par_map
+    // over its point grid is a plain loop on its worker, and the level
+    // that forks when one figure is selected); print in declaration
+    // order so the output is byte-identical to a sequential run.
     let chosen: Vec<(&str, Gen)> =
         numeric.iter().copied().filter(|(name, _)| selected(name)).collect();
-    let sets = cubebench::par::par_map(&chosen, |&(_, f)| f());
+    let sets = cubesim::par::par_map(&chosen, |&(_, f)| f());
     for ((name, _), set) in chosen.iter().zip(&sets) {
         {
             println!("==== {name} ====");

@@ -6,13 +6,13 @@
 //! *shapes* — who wins, by what factor, where curves cross — are the
 //! reproduction targets (see EXPERIMENTS.md at the repository root).
 
-use crate::par::par_map;
 use crate::series::{Series, SeriesSet};
 use cubeaddr::NodeId;
 use cubecomm::ecube::{ecube_route, RouteMsg};
 use cubecomm::{Block, BufferPolicy};
 use cubelayout::{Assignment, Direction, Encoding, Layout};
 use cubemodel as model;
+use cubesim::par::par_map;
 use cubesim::{MachineParams, PortMode, SimNet};
 use cubetranspose::gray::{transpose_combined, transpose_naive_mixed, MixedSpec};
 use cubetranspose::two_dim::{tr, Packet};

@@ -1,11 +1,10 @@
-//! Benchmark and figure-regeneration support library.
+//! Figure-regeneration support library.
 //!
-//! Shared helpers for the Criterion benches and the `figures` binary that
-//! regenerate the tables and figures of the Johnsson–Ho paper. See
+//! Shared helpers for the `figures` binary that regenerates the tables
+//! and figures of the Johnsson–Ho paper. See
 //! `EXPERIMENTS.md` at the repository root for the experiment index.
 
 pub mod experiments;
-pub mod par;
 pub mod series;
 
 #[cfg(test)]

@@ -45,22 +45,21 @@
 //!   computed once, and every node's array is written out of place into
 //!   one scratch buffer that then trades places with it — the array a
 //!   node gives up is the next node's scratch. Staging is one node-sized,
-//!   cache-hot buffer per worker instead of one per node.
+//!   cache-hot buffer instead of one per node.
 //! * **Register tile.** Rotations go through
 //!   [`crate::local::transpose_flat_blocked_into`], whose 8×8 register
 //!   tile reads and writes whole cache lines.
 //!
-//! Gathering, scattering and permuting touch only one node's buffers, so
-//! they fan out across [`cubesim::par`] worker threads (the streamed
-//! sub-rounds, 64 two-KiB copies apiece at the paper's sizes, stay
-//! serial); all interaction with the [`SimNet`] — legality checks, cost
-//! accounting, the send/recv sequence itself — stays on one thread via
-//! the staged [`SimNet::send_batch`] / [`SimNet::drain_dim`] commit
-//! rounds, keeping reports deterministic at any thread count.
+//! Everything runs on the calling thread, like the [`SimNet`] whose
+//! cost accounting it feeds: a node's gather, scatter or permutation is
+//! a memory-bound copy, and forking those loops over worker threads
+//! measured no gain on the workload they dominate. A round reaches the
+//! net through the staged [`SimNet::send_batch`] / [`SimNet::drain_dim`]
+//! commit.
 
 use cubeaddr::NodeId;
 use cubelayout::{Encoding, Layout};
-use cubesim::{par, BufferPool, SimNet};
+use cubesim::{BufferPool, SimNet};
 
 /// Where the bits of the matrix address currently live: node address bits
 /// (`real`) and local address bits (`virt`).
@@ -274,8 +273,7 @@ impl<T: Copy> MappedMatrix<T> {
     /// Elements of staging capacity currently held by the buffer pool —
     /// zero until a primitive that needs staging runs; afterwards the
     /// last exchange's message buffers plus one node-sized permutation
-    /// scratch per worker (footprint stat for the `local_kernels` bench
-    /// and `perfbench`).
+    /// scratch (footprint stat for `perfbench`).
     pub fn pool_capacity_elems(&self) -> usize {
         self.pool.capacity_elems()
     }
@@ -322,32 +320,27 @@ impl<T: Copy + Send + Sync> MappedMatrix<T> {
                     net.local_copy(NodeId(x), per / 2);
                 }
             }
-            // Stage outgoing messages in parallel (no net access), then
-            // commit the whole round serially.
+            // Stage every outgoing message, then commit the whole round.
             let mut msgs: Vec<Vec<T>> = (0..num).map(|_| self.pool.take()).collect();
-            let data = &self.data;
-            par::par_for_each_mut(&mut msgs, |x, msg| gather_half(&data[x], run, want_of(x), msg));
+            for (x, msg) in msgs.iter_mut().enumerate() {
+                gather_half(&self.data[x], run, want_of(x), msg);
+            }
             net.send_batch(i, msgs.into_iter().enumerate().map(|(x, m)| (NodeId(x as u64), m)));
             net.finish_round();
             let mut incoming: Vec<(NodeId, Vec<T>)> = Vec::with_capacity(num);
             net.drain_dim(i, &mut incoming);
             debug_assert_eq!(incoming.len(), num);
-            let arrived = &incoming;
-            par::par_for_each_mut(&mut self.data, |x, slot| {
-                let (dst, msg) = &arrived[x];
+            for (x, (dst, msg)) in incoming.into_iter().enumerate() {
                 debug_assert_eq!(dst.index(), x);
                 debug_assert_eq!(msg.len(), per / 2);
-                scatter_half(slot, run, want_of(x), msg);
-            });
-            for (_, buf) in incoming {
-                self.pool.put(buf);
+                scatter_half(&mut self.data[x], run, want_of(x), &msg);
+                self.pool.put(msg);
             }
         } else {
             // One synchronized sub-round per run, streamed: sub-round r
             // reads and writes only run r of every node, so the round's
             // `num` message buffers are filled, sent, drained into place
-            // and reused for sub-round r + 1. Serial — a sub-round is one
-            // short copy per node each way.
+            // and reused for sub-round r + 1.
             let mut msgs: Vec<Vec<T>> = (0..num).map(|_| self.pool.take()).collect();
             let mut arrivals: Vec<(NodeId, Vec<T>)> = Vec::with_capacity(num);
             for base in (0..per).step_by(run * 2) {
@@ -451,9 +444,7 @@ impl<T: Copy + Send + Sync> MappedMatrix<T> {
     /// The permutation's realization is node-independent, so one
     /// [`PermPlan`] is computed and applied to every node's array: out
     /// of place into a scratch buffer, which then trades places with the
-    /// array — what one node gives up is the next node's scratch. The
-    /// nodes are split into one contiguous group per [`par`] worker, each
-    /// group rotating a scratch of its own.
+    /// array — what one node gives up is the next node's scratch.
     #[track_caller]
     fn apply_virt_perm(&mut self, perm: &[u32]) -> bool {
         let vp = self.map.vp();
@@ -462,19 +453,13 @@ impl<T: Copy + Send + Sync> MappedMatrix<T> {
             return false;
         }
         let plan = PermPlan::build(perm);
-        let group = self.data.len().div_ceil(par::num_threads());
-        let mut work: Vec<(&mut [Vec<T>], Vec<T>)> =
-            self.data.chunks_mut(group).map(|nodes| (nodes, self.pool.take())).collect();
-        par::par_for_each_mut(&mut work, |_, (nodes, scratch)| {
-            for d in nodes.iter_mut() {
-                debug_assert_eq!(d.len(), 1usize << vp);
-                plan.apply(d, scratch);
-                std::mem::swap(d, scratch);
-            }
-        });
-        for (_, scratch) in work {
-            self.pool.put(scratch);
+        let mut scratch = self.pool.take();
+        for d in &mut self.data {
+            debug_assert_eq!(d.len(), 1usize << vp);
+            plan.apply(d, &mut scratch);
+            std::mem::swap(d, &mut scratch);
         }
+        self.pool.put(scratch);
         let old_virt = self.map.virt.clone();
         for (jn, &jo) in perm.iter().enumerate() {
             self.map.virt[jn] = old_virt[jo as usize];
@@ -784,23 +769,21 @@ mod tests {
     }
 
     /// Footprint gate (a deterministic budget in the sense of ROADMAP
-    /// item 3(b)): a permutation stages through one rotating scratch per
-    /// worker, not one buffer per node.
+    /// item 3(b)): a permutation stages through one rotating scratch,
+    /// not one buffer per node.
     #[test]
-    fn permutation_scratch_is_one_buffer_per_worker() {
+    fn permutation_scratch_is_one_buffer() {
         let (vp, per) = (12u32, 1usize << 12);
         let rotation: Vec<u32> = (6..vp).chain(0..6).collect();
-        for threads in [1usize, 3] {
-            let mut m = label_mapped(FieldMap::new(vec![0, 1, 2], (3..3 + vp).collect()));
-            assert_eq!(m.pool_capacity_elems(), 0, "staging held before any primitive ran");
-            let mut net = SimNet::new(3, MachineParams::unit(PortMode::OnePort).with_t_copy(0.5));
-            par::with_threads(threads, || m.permute_virt(&mut net, &rotation));
-            assert_eq!(check_labels(&m), None);
-            let held = m.pool_capacity_elems();
-            assert!(held <= threads * per, "{held} elements pooled by {threads} worker(s)");
-            net.finish_round();
-            assert!(net.finalize().copy_time > 0.0, "the model still charges the copy");
-        }
+        let mut m = label_mapped(FieldMap::new(vec![0, 1, 2], (3..3 + vp).collect()));
+        assert_eq!(m.pool_capacity_elems(), 0, "staging held before any primitive ran");
+        let mut net = SimNet::new(3, MachineParams::unit(PortMode::OnePort).with_t_copy(0.5));
+        m.permute_virt(&mut net, &rotation);
+        assert_eq!(check_labels(&m), None);
+        let held = m.pool_capacity_elems();
+        assert!(held <= per, "{held} elements pooled");
+        net.finish_round();
+        assert!(net.finalize().copy_time > 0.0, "the model still charges the copy");
     }
 
     /// Footprint gate, as above: an exchange that sends every run as its
@@ -814,12 +797,11 @@ mod tests {
         let mut m = label_mapped(FieldMap::new((0..n).collect(), (n..n + vp).collect()));
         let mut net = unit_net(n);
         let rotation: Vec<u32> = (6..vp).chain(0..6).collect();
-        let threads = par::num_threads();
         m.permute_virt(&mut net, &rotation);
         m.exchange_real_virt(&mut net, 1, j, SendPolicy::Buffered { min_direct: run });
         assert_eq!(check_labels(&m), None);
         let held = m.pool_capacity_elems();
-        assert!(held <= num * run + threads * per, "{held} elements pooled");
+        assert!(held <= num * run + per, "{held} elements pooled");
         assert_eq!(net.finalize().rounds, 16, "one sub-round per run");
     }
 

@@ -150,7 +150,7 @@ fn rebuild<T: Copy + Default>(spec: &MixedSpec, pass: Pass<T>) -> DistMatrix<T> 
         let mut b = slot.pop().expect("checked above");
         let want = spec.node_of(b.v, b.u);
         assert_eq!(want.index(), x, "block ({}, {}) stranded at node {x}", b.u, b.v);
-        crate::inplace::transpose_serial(&mut b.data, before.local_rows(), before.local_cols());
+        crate::inplace::transpose(&mut b.data, before.local_rows(), before.local_cols());
         out.node_mut(NodeId(x as u64)).copy_from_slice(&b.data);
     }
     out
@@ -276,7 +276,7 @@ fn rebuild_recode<T: Copy + Default>(spec: &MixedSpec, pass: Pass<T>) -> DistMat
         let mut b = slot.pop().expect("checked above");
         let want = cubeaddr::concat(spec.col_enc.encode(b.v), spec.row_enc.encode(b.u), spec.half);
         assert_eq!(want, x as u64, "block ({}, {}) stranded at node {x}", b.u, b.v);
-        crate::inplace::transpose_serial(&mut b.data, before.local_rows(), before.local_cols());
+        crate::inplace::transpose(&mut b.data, before.local_rows(), before.local_cols());
         out.node_mut(NodeId(x as u64)).copy_from_slice(&b.data);
     }
     out

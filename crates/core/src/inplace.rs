@@ -20,12 +20,13 @@
 //! 3. **column shuffle** — column `j` gathers its element for row `i`
 //!    from row `g_j(i) = (in + j − ⌊ic/m⌋) mod m`.
 //!
-//! Because each pass is independent per row (or per column), the passes
-//! parallelize over [`cubesim::par`] with no coordination beyond the
-//! barrier between passes, and the result is byte-identical at any
-//! worker count. Auxiliary space is `O(max(m, n))` per worker (one row
-//! or one column-strip staging buffer), never `O(mn)` — the
-//! counting-allocator gate in [`crate::local`]'s test module pins this.
+//! The passes run one after another on the calling thread — every
+//! caller is already inside one node's work. Auxiliary space is
+//! `O(max(m, n))` (one row or one column-strip staging buffer), never
+//! `O(mn)` — the counting-allocator gate in [`crate::local`]'s test
+//! module pins this. Square blocks and blocks where one side divides
+//! the other (every power-of-two block the engine holds) take cheaper
+//! fast paths.
 //!
 //! The closed forms were re-derived for this codebase and are verified
 //! exhaustively against the naive out-of-place transpose for every shape
@@ -44,68 +45,42 @@
 //! `d_i(j) = (i + jm) mod n` for `gcd(m, n) > 1` disappear), and the
 //! remaining row fix-up is the affine per-column gather `g_j`.
 
-use cubesim::par;
-
-/// Maximum elements in one column-strip staging buffer (per worker).
-/// Strips narrow automatically for tall matrices so the staging stays
-/// `O(max(m, n))` with a small constant, never `O(mn)`.
+/// Maximum elements in one column-strip staging buffer. Strips narrow
+/// automatically for tall matrices so the staging stays `O(max(m, n))`
+/// with a small constant, never `O(mn)`.
 const SCRATCH_ELEMS: usize = 1 << 16;
 
 /// Widest column strip staged at once by the column passes.
 const STRIP: usize = 32;
 
 /// Transposes a row-major `rows × cols` buffer in place (the buffer
-/// becomes the row-major `cols × rows` transpose), using
-/// [`par::num_threads`] workers.
+/// becomes the row-major `cols × rows` transpose).
 ///
 /// # Panics
 /// If `data.len() != rows · cols`.
 #[track_caller]
-pub fn transpose<T: Copy + Send>(data: &mut [T], rows: usize, cols: usize) {
-    transpose_with(par::num_threads(), data, rows, cols);
-}
-
-/// [`transpose`] with an explicit worker count.
-#[track_caller]
-pub fn transpose_with<T: Copy + Send>(threads: usize, data: &mut [T], rows: usize, cols: usize) {
+pub fn transpose<T: Copy>(data: &mut [T], rows: usize, cols: usize) {
     assert_eq!(data.len(), rows * cols, "buffer is not rows x cols");
     if is_trivial(rows, cols) {
+        return;
+    }
+    if rows == cols {
+        square(data, rows);
+        return;
+    }
+    if rows.is_multiple_of(cols) || cols.is_multiple_of(rows) {
+        divisible(data, rows, cols);
         return;
     }
     let geom = Geom::new(rows, cols);
-    if threads <= 1 {
-        run_serial(data, &geom);
-    } else {
-        run_parallel(threads, data, &geom);
+    let mut scratch: Vec<T> = Vec::new();
+    if geom.c > 1 {
+        rotate_columns(data, &geom, &mut scratch);
     }
-}
-
-/// Serial [`transpose`]: same permutation, no worker fan-out and no
-/// `Send` bound — the entry point for code already running *inside* a
-/// parallel region (per-node plan application, SPMD node programs).
-#[track_caller]
-pub fn transpose_serial<T: Copy>(data: &mut [T], rows: usize, cols: usize) {
-    assert_eq!(data.len(), rows * cols, "buffer is not rows x cols");
-    if is_trivial(rows, cols) {
-        return;
+    for (x, row) in data.chunks_exact_mut(cols).enumerate() {
+        shuffle_row(x, row, &geom, &mut scratch);
     }
-    run_serial(data, &Geom::new(rows, cols));
-}
-
-/// Converts a column-major `m × n` matrix to row-major in place
-/// (Catanzaro et al.'s C2R direction). A column-major `m × n` buffer
-/// *is* the row-major `n × m` transpose, so this is
-/// `transpose(data, n, m)`.
-#[track_caller]
-pub fn c2r<T: Copy + Send>(data: &mut [T], m: usize, n: usize) {
-    transpose(data, n, m);
-}
-
-/// Converts a row-major `m × n` matrix to column-major in place (the
-/// R2C direction, inverse of [`c2r`] at the same shape).
-#[track_caller]
-pub fn r2c<T: Copy + Send>(data: &mut [T], m: usize, n: usize) {
-    transpose(data, m, n);
+    shuffle_columns(data, &geom, &mut scratch);
 }
 
 /// A `1 × k`, `k × 1` or empty buffer transposes to itself.
@@ -113,10 +88,9 @@ fn is_trivial(rows: usize, cols: usize) -> bool {
     rows <= 1 || cols <= 1
 }
 
-/// Peak auxiliary elements one worker stages while transposing a
-/// `rows × cols` buffer — the kernel's scratch footprint, reported by
-/// the `local_kernels` bench next to the O(rows·cols) staging of the
-/// out-of-place paths. Zero for the square swap path; otherwise the
+/// Peak auxiliary elements staged while transposing a `rows × cols`
+/// buffer — the kernel's scratch footprint, reported by `perfbench`.
+/// Zero for the square swap path; otherwise the
 /// larger of the column-strip buffer and the row-pass buffer.
 pub fn scratch_elems(rows: usize, cols: usize) -> usize {
     if is_trivial(rows, cols) || rows == cols {
@@ -161,69 +135,11 @@ fn gcd(mut a: usize, mut b: usize) -> usize {
     a
 }
 
-fn run_serial<T: Copy>(data: &mut [T], geom: &Geom) {
-    if geom.rows == geom.cols {
-        square_serial(data, geom.rows);
-        return;
-    }
-    if geom.rows.is_multiple_of(geom.cols) || geom.cols.is_multiple_of(geom.rows) {
-        divisible_serial(data, geom.rows, geom.cols);
-        return;
-    }
-    let mut scratch: Vec<T> = Vec::new();
-    if geom.c > 1 {
-        let mut panel = Panel { j0: 0, rows: data.chunks_exact_mut(geom.cols).collect() };
-        rotate_panel(&mut panel, geom, &mut scratch);
-    }
-    for (x, row) in data.chunks_exact_mut(geom.cols).enumerate() {
-        shuffle_row(x, row, geom, &mut scratch);
-    }
-    let mut panel = Panel { j0: 0, rows: data.chunks_exact_mut(geom.cols).collect() };
-    col_shuffle_panel(&mut panel, geom, &mut scratch);
-}
-
-fn run_parallel<T: Copy + Send>(threads: usize, data: &mut [T], geom: &Geom) {
-    if geom.c > 1 {
-        let mut panels = vertical_panels(data, geom.cols, threads);
-        par::par_for_each_mut_with(threads, &mut panels, |_, panel| {
-            rotate_panel(panel, geom, &mut Vec::new());
-        });
-    }
-    {
-        // Rows are contiguous: fan static groups of whole rows out, one
-        // staging buffer per group.
-        let mut rows: Vec<&mut [T]> = data.chunks_exact_mut(geom.cols).collect();
-        let group = rows.len().div_ceil(threads.max(1));
-        let mut groups: Vec<(usize, &mut [&mut [T]])> = Vec::with_capacity(threads);
-        let mut rest = rows.as_mut_slice();
-        let mut base = 0;
-        while !rest.is_empty() {
-            let take = group.min(rest.len());
-            let (head, tail) = rest.split_at_mut(take);
-            groups.push((base, head));
-            base += take;
-            rest = tail;
-        }
-        par::par_for_each_mut_with(threads, &mut groups, |_, (first, rows)| {
-            let mut scratch: Vec<T> = Vec::new();
-            for (k, row) in rows.iter_mut().enumerate() {
-                shuffle_row(*first + k, row, geom, &mut scratch);
-            }
-        });
-    }
-    {
-        let mut panels = vertical_panels(data, geom.cols, threads);
-        par::par_for_each_mut_with(threads, &mut panels, |_, panel| {
-            col_shuffle_panel(panel, geom, &mut Vec::new());
-        });
-    }
-}
-
 /// Square fast path: pairwise element swaps, tiled so both the `(i, j)`
 /// read stream and the `(j, i)` write stream stay cache-resident — two
 /// triangular sweeps of traffic instead of the three full passes of the
 /// general decomposition, and zero scratch.
-fn square_serial<T: Copy>(data: &mut [T], n: usize) {
+fn square<T: Copy>(data: &mut [T], n: usize) {
     const TILE: usize = 32;
     let mut i0 = 0;
     while i0 < n {
@@ -251,18 +167,18 @@ fn square_serial<T: Copy>(data: &mut [T], n: usize) {
 /// block in the engine): the matrix splits into square blocks —
 /// `rows/cols` stacked vertically when `rows > cols`, `cols/rows` side
 /// by side when `cols > rows`. Each square block transposes in place
-/// via [`square_serial`], and gluing the block-transposes into the
+/// via [`square`], and gluing the block-transposes into the
 /// final row-major layout is a *grid* transpose over whole
 /// `min(rows, cols)`-element chunks, done by cycle-following with one
 /// chunk-sized temporary — every move a contiguous `memcpy`.
-fn divisible_serial<T: Copy>(data: &mut [T], rows: usize, cols: usize) {
+fn divisible<T: Copy>(data: &mut [T], rows: usize, cols: usize) {
     if rows > cols {
         // M stacked cols × cols squares. Block i's row k (a cols-chunk at
         // chunk index i·cols + k) belongs at final row k, block-column i
         // (chunk index k·M + i): a chunk-grid transpose of M × cols.
         let m = rows / cols;
         for b in 0..m {
-            square_serial(&mut data[b * cols * cols..(b + 1) * cols * cols], cols);
+            square(&mut data[b * cols * cols..(b + 1) * cols * cols], cols);
         }
         chunk_grid_transpose(data, m, cols, cols);
     } else {
@@ -273,7 +189,7 @@ fn divisible_serial<T: Copy>(data: &mut [T], rows: usize, cols: usize) {
         let m = cols / rows;
         chunk_grid_transpose(data, rows, m, rows);
         for b in 0..m {
-            square_serial(&mut data[b * rows * rows..(b + 1) * rows * rows], rows);
+            square(&mut data[b * rows * rows..(b + 1) * rows * rows], rows);
         }
     }
 }
@@ -314,62 +230,25 @@ fn chunk_grid_transpose<T: Copy>(data: &mut [T], gr: usize, gc: usize, clen: usi
     }
 }
 
-/// A contiguous range of columns, held as one `&mut` row segment per
-/// matrix row — the safe-Rust handle for mutating a vertical stripe of a
-/// row-major buffer from its own worker.
-struct Panel<'a, T> {
-    /// Absolute column index of the panel's first column.
-    j0: usize,
-    /// `rows[i]` = the panel's segment of matrix row `i`.
-    rows: Vec<&'a mut [T]>,
-}
-
-/// Splits the buffer into `want` near-equal vertical panels (`O(rows)`
-/// slice handles per panel; no elements are copied).
-fn vertical_panels<'a, T>(data: &'a mut [T], cols: usize, want: usize) -> Vec<Panel<'a, T>> {
-    let k = want.clamp(1, cols);
-    let base = cols / k;
-    let extra = cols % k;
-    let width = |p: usize| base + usize::from(p < extra);
-    let mut j0 = 0;
-    let mut panels: Vec<Panel<'a, T>> = (0..k)
-        .map(|p| {
-            let panel = Panel { j0, rows: Vec::new() };
-            j0 += width(p);
-            panel
-        })
-        .collect();
-    for row in data.chunks_exact_mut(cols) {
-        let mut rest = row;
-        for (p, panel) in panels.iter_mut().enumerate() {
-            let (seg, tail) = rest.split_at_mut(width(p));
-            panel.rows.push(seg);
-            rest = tail;
-        }
-    }
-    panels
-}
-
-/// Pass 1: rotate every column `j` of the panel up by `⌊j/q⌋` rows.
+/// Pass 1: rotate every column `j` up by `⌊j/q⌋` rows.
 /// Strip-buffered: a strip of columns is staged row-major (sequential
 /// reads), then written back rotated with per-column incremental source
 /// cursors — no division or multiplication in the element loop.
-fn rotate_panel<T: Copy>(panel: &mut Panel<'_, T>, geom: &Geom, scratch: &mut Vec<T>) {
-    let rows = geom.rows;
-    let width = panel.rows.first().map_or(0, |r| r.len());
+fn rotate_columns<T: Copy>(data: &mut [T], geom: &Geom, scratch: &mut Vec<T>) {
+    let (rows, cols) = (geom.rows, geom.cols);
     let strip = geom.strip();
     let mut src = vec![0usize; strip];
     let mut s = 0;
-    while s < width {
-        let w = strip.min(width - s);
+    while s < cols {
+        let w = strip.min(cols - s);
         scratch.clear();
-        for row in panel.rows.iter() {
+        for row in data.chunks_exact(cols) {
             scratch.extend_from_slice(&row[s..s + w]);
         }
         for (jj, slot) in src[..w].iter_mut().enumerate() {
-            *slot = (panel.j0 + s + jj) / geom.q; // rotation amount < c <= rows
+            *slot = (s + jj) / geom.q; // rotation amount < c <= rows
         }
-        for row in panel.rows.iter_mut() {
+        for row in data.chunks_exact_mut(cols) {
             for (jj, slot) in row[s..s + w].iter_mut().enumerate() {
                 *slot = scratch[src[jj] * w + jj];
                 src[jj] += 1;
@@ -424,27 +303,26 @@ fn shuffle_row<T: Copy>(x: usize, row: &mut [T], geom: &Geom, scratch: &mut Vec<
 
 /// Pass 3: gather column `j`'s element for row `i` from row
 /// `g_j(i) = (i·cols + j − ⌊i·c/rows⌋) mod rows`. Strip-buffered like
-/// [`rotate_panel`], with an incremental `(source, remainder)` cursor
+/// [`rotate_columns`], with an incremental `(source, remainder)` cursor
 /// per column (`⌊i·c/rows⌋` advances by the carry of `rem += c`).
-fn col_shuffle_panel<T: Copy>(panel: &mut Panel<'_, T>, geom: &Geom, scratch: &mut Vec<T>) {
+fn shuffle_columns<T: Copy>(data: &mut [T], geom: &Geom, scratch: &mut Vec<T>) {
     let (rows, cols, c) = (geom.rows, geom.cols, geom.c);
-    let width = panel.rows.first().map_or(0, |r| r.len());
     let strip = geom.strip();
     let step = cols % rows;
     let mut src = vec![0usize; strip];
     let mut rem = vec![0usize; strip];
     let mut s = 0;
-    while s < width {
-        let w = strip.min(width - s);
+    while s < cols {
+        let w = strip.min(cols - s);
         scratch.clear();
-        for row in panel.rows.iter() {
+        for row in data.chunks_exact(cols) {
             scratch.extend_from_slice(&row[s..s + w]);
         }
         for jj in 0..w {
-            src[jj] = (panel.j0 + s + jj) % rows; // g_j(0) = j mod rows
+            src[jj] = (s + jj) % rows; // g_j(0) = j mod rows
             rem[jj] = 0;
         }
-        for row in panel.rows.iter_mut() {
+        for row in data.chunks_exact_mut(cols) {
             for (jj, slot) in row[s..s + w].iter_mut().enumerate() {
                 *slot = scratch[src[jj] * w + jj];
                 // Advance to g_j(i+1): add cols, subtract the carry of
@@ -485,14 +363,14 @@ mod tests {
             for cols in 1..=24 {
                 let data: Vec<u32> = (0..(rows * cols) as u32).collect();
                 let mut got = data.clone();
-                transpose_with(1, &mut got, rows, cols);
+                transpose(&mut got, rows, cols);
                 assert_eq!(got, naive(&data, rows, cols), "{rows}x{cols}");
             }
         }
     }
 
     #[test]
-    fn coprime_and_gcd_families_parallel() {
+    fn coprime_and_gcd_families() {
         for (rows, cols) in [
             (3, 5),
             (5, 3),
@@ -506,12 +384,9 @@ mod tests {
             (33, 33),
         ] {
             let data: Vec<u64> = (0..(rows * cols) as u64).collect();
-            let expect = naive(&data, rows, cols);
-            for threads in [1usize, 2, 3, 5] {
-                let mut got = data.clone();
-                transpose_with(threads, &mut got, rows, cols);
-                assert_eq!(got, expect, "{rows}x{cols} at {threads} threads");
-            }
+            let mut got = data.clone();
+            transpose(&mut got, rows, cols);
+            assert_eq!(got, naive(&data, rows, cols), "{rows}x{cols}");
         }
     }
 
@@ -532,17 +407,17 @@ mod tests {
         let cols = 24;
         let data: Vec<u32> = (0..(rows * cols) as u32).collect();
         let mut got = data.clone();
-        transpose_with(2, &mut got, rows, cols);
+        transpose(&mut got, rows, cols);
         assert_eq!(got, naive(&data, rows, cols));
     }
 
     #[test]
-    fn c2r_r2c_roundtrip() {
+    fn transpose_roundtrip() {
         for (m, n) in [(4, 6), (6, 4), (5, 7), (8, 8), (1, 5), (16, 2)] {
             let data: Vec<u64> = (0..(m * n) as u64).collect();
             let mut buf = data.clone();
-            r2c(&mut buf, m, n);
-            c2r(&mut buf, m, n);
+            transpose(&mut buf, m, n);
+            transpose(&mut buf, n, m);
             assert_eq!(buf, data, "{m}x{n}");
         }
     }

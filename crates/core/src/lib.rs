@@ -26,11 +26,11 @@
 //! * [`permute`] — §7: bit-reversal, dimension permutations by parallel
 //!   swapping (Lemma 15), and arbitrary permutations via two all-to-all
 //!   personalized communications.
-//! * [`local`] — in-node dense transpose kernels (naive, blocked, and
-//!   cache-oblivious) used by the conversion algorithms and examples.
+//! * [`local`] — in-node dense transpose kernels (naive and
+//!   register-tiled) used by the conversion algorithms and examples.
 //! * [`inplace`] — the C2R/R2C in-place transpose decomposition
 //!   (Catanzaro et al., PPoPP 2014): O(mn) work, O(max(m,n)) auxiliary
-//!   space, each pass independently parallel.
+//!   space.
 //! * [`verify`] — helpers asserting that a distributed matrix really is
 //!   the transpose of its input (label tracking).
 

@@ -5,12 +5,12 @@
 //! concurrently"), and the iPSC implementation's copy costs come from
 //! exactly this kind of local rearrangement. These kernels provide the
 //! local step: a straightforward row-major transpose, a cache-blocked
-//! version, an in-place square variant, and a cache-oblivious recursive
-//! version for large tiles.
+//! out-of-place version and an in-place one for any shape.
 
 // The workspace denies `unsafe_code` (`[workspace.lints]`); this module
-// is the single allowlisted carve-out, for the two uninitialized-output
-// `set_len` kernels below (each with its own SAFETY comment). Do not add
+// is the single allowlisted carve-out, for the uninitialized-output
+// `set_len` kernel below and the test-only counting allocator (each with
+// its own SAFETY comment). Do not add
 // unsafe anywhere else — scripts/ci.sh grep-gates every other file.
 #![allow(unsafe_code)]
 
@@ -94,59 +94,12 @@ impl<T: Copy> Dense<T> {
         Dense { rows: self.cols, cols: self.rows, data: out }
     }
 
-    /// Cache-blocked out-of-place transpose with `tile × tile` tiles.
-    #[track_caller]
-    pub fn transpose_blocked(&self, tile: usize) -> Dense<T> {
-        let mut data = Vec::new();
-        transpose_flat_blocked_into(&self.data, self.rows, self.cols, tile, &mut data);
-        Dense { rows: self.cols, cols: self.rows, data }
-    }
-
-    /// Cache-oblivious recursive transpose (split the longer axis until
-    /// the tile fits `base` elements on a side).
-    pub fn transpose_cache_oblivious(&self, base: usize) -> Dense<T> {
-        let mut data = Vec::with_capacity(self.data.len());
-        self.co_rec(data.spare_capacity_mut(), 0, self.rows, 0, self.cols, base.max(1));
-        // SAFETY: co_rec's recursion partitions the (row, col) index space
-        // exactly, so every one of the `rows·cols` destination slots has
-        // been written.
-        unsafe { data.set_len(self.data.len()) };
-        Dense { rows: self.cols, cols: self.rows, data }
-    }
-
-    fn co_rec(
-        &self,
-        out: &mut [std::mem::MaybeUninit<T>],
-        r0: usize,
-        r1: usize,
-        c0: usize,
-        c1: usize,
-        base: usize,
-    ) {
-        let (dr, dc) = (r1 - r0, c1 - c0);
-        if dr <= base && dc <= base {
-            for r in r0..r1 {
-                for c in c0..c1 {
-                    out[c * self.rows + r].write(self.get(r, c));
-                }
-            }
-        } else if dr >= dc {
-            let mid = r0 + dr / 2;
-            self.co_rec(out, r0, mid, c0, c1, base);
-            self.co_rec(out, mid, r1, c0, c1, base);
-        } else {
-            let mid = c0 + dc / 2;
-            self.co_rec(out, r0, r1, c0, mid, base);
-            self.co_rec(out, r0, r1, mid, c1, base);
-        }
-    }
-
     /// In-place transpose — any rectangular shape, via the C2R
     /// decomposition ([`crate::inplace`]): O(rows·cols) work,
     /// O(max(rows, cols)) auxiliary space. The square case goes through
     /// the same kernel, so there is exactly one in-place path.
     pub fn transpose_in_place(&mut self) {
-        crate::inplace::transpose_serial(&mut self.data, self.rows, self.cols);
+        crate::inplace::transpose(&mut self.data, self.rows, self.cols);
         std::mem::swap(&mut self.rows, &mut self.cols);
     }
 }
@@ -190,9 +143,9 @@ pub fn transpose_flat_blocked_into<T: Copy>(
 const REG: usize = 8;
 
 /// The one tiling loop behind the out-of-place transpose family
-/// ([`transpose_flat`], [`transpose_flat_blocked_into`],
-/// [`Dense::transpose_blocked`]): writes `out[c·rows + r] = src[r·cols
-/// + c]` tile by tile, initializing every slot of `out` exactly once.
+/// ([`transpose_flat`], [`transpose_flat_blocked_into`]): writes
+/// `out[c·rows + r] = src[r·cols + c]` tile by tile, initializing every
+/// slot of `out` exactly once.
 ///
 /// Inside a tile the work is done in 8×8 register tiles
 /// ([`transpose_reg`]). A source-major element loop over a whole tile
@@ -289,16 +242,6 @@ mod tests {
             for c in 0..5 {
                 assert_eq!(t.get(c, r), m.get(r, c));
             }
-        }
-    }
-
-    #[test]
-    fn all_kernels_agree() {
-        for (rows, cols) in [(1, 1), (4, 4), (8, 2), (3, 7), (16, 16), (5, 32)] {
-            let m = sample(rows, cols);
-            let expect = m.transpose_naive();
-            assert_eq!(m.transpose_blocked(4), expect, "{rows}×{cols} blocked");
-            assert_eq!(m.transpose_cache_oblivious(4), expect, "{rows}×{cols} cache-oblivious");
         }
     }
 
@@ -481,12 +424,9 @@ mod alloc_gate_tests {
         let after = before.swapped_shape();
         let m = crate::verify::labels(before.clone());
         let mut net = SimNet::new(8, MachineParams::connection_machine());
-        // One worker: `rebuild` then runs on this (counted) thread.
-        let (out, allocs) = cubesim::par::with_threads(1, || {
-            COUNTED.with(|c| c.set(Some(0)));
-            let out = crate::two_dim::transpose_mpt(&m, &after, &mut net, 1);
-            (out, COUNTED.with(|c| c.take()).expect("counting was on"))
-        });
+        COUNTED.with(|c| c.set(Some(0)));
+        let out = crate::two_dim::transpose_mpt(&m, &after, &mut net, 1);
+        let allocs = COUNTED.with(|c| c.take()).expect("counting was on");
         crate::verify::assert_transposed(&before, &out);
         net.finalize();
         let nodes = before.num_nodes();
@@ -594,7 +534,7 @@ mod alloc_gate_tests {
         );
     }
 
-    /// `fieldmap`'s streamed direct exchange at one worker — 64 nodes,
+    /// `fieldmap`'s streamed direct exchange — 64 nodes,
     /// 16 runs of 32 elements each, every run its own message: the
     /// exchange may allocate the sub-round's message buffer per node and
     /// a constant (the buffer lists, `SimNet`'s round store growing) —
@@ -615,11 +555,9 @@ mod alloc_gate_tests {
         let mut m = label_mapped(FieldMap::new((0..n).collect(), (n..n + vp).collect()));
         let mut net: SimNet<Vec<u64>> = SimNet::new(n, MachineParams::unit(PortMode::OnePort));
         let mut counted_exchange = |i: u32| {
-            cubesim::par::with_threads(1, || {
-                COUNTED.with(|c| c.set(Some(0)));
-                m.exchange_real_virt(&mut net, i, j, SendPolicy::Unbuffered);
-                COUNTED.with(|c| c.take()).expect("counting was on")
-            })
+            COUNTED.with(|c| c.set(Some(0)));
+            m.exchange_real_virt(&mut net, i, j, SendPolicy::Unbuffered);
+            COUNTED.with(|c| c.take()).expect("counting was on")
         };
         let cold = counted_exchange(0);
         let warm = counted_exchange(1);
@@ -642,11 +580,7 @@ mod alloc_gate_tests {
         let mut m = label_mapped(FieldMap::new((0..n).collect(), (n..n + vp).collect()));
         let mut net: SimNet<Vec<u64>> = SimNet::new(n, MachineParams::unit(PortMode::OnePort));
         let rotation: Vec<u32> = (6..vp).chain(0..6).collect();
-        let mut big_of_permute = || {
-            cubesim::par::with_threads(1, || {
-                big_allocs(node_bytes, || m.permute_virt(&mut net, &rotation))
-            })
-        };
+        let mut big_of_permute = || big_allocs(node_bytes, || m.permute_virt(&mut net, &rotation));
         let (first, second) = (big_of_permute(), big_of_permute());
         assert_eq!(check_labels(&m), None);
         assert!(first <= 1, "first permutation made {first} node-sized allocations");
@@ -662,9 +596,9 @@ mod alloc_gate_tests {
         let (rows, cols) = (1 << 10, 1 << 9);
         let mut data: Vec<u64> = (0..(rows * cols) as u64).collect();
         // Warmup: one full transpose before arming.
-        crate::inplace::transpose_serial(&mut data, rows, cols);
+        crate::inplace::transpose(&mut data, rows, cols);
         let big = big_allocs(rows * cols * std::mem::size_of::<u64>() / 4, || {
-            crate::inplace::transpose_serial(&mut data, cols, rows);
+            crate::inplace::transpose(&mut data, cols, rows);
         });
         assert_eq!(big, 0, "in-place kernel allocated O(mn)-sized scratch");
         let expect: Vec<u64> = (0..(rows * cols) as u64).collect();

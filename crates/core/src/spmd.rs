@@ -221,7 +221,7 @@ pub fn spmd_transpose_spt<T: Copy + Default + Send + Sync>(
             // In place, serial: the node program already runs inside the
             // worker pool, and the O(mn) staging copy per virtual node is
             // exactly the footprint this kernel exists to avoid.
-            crate::inplace::transpose_serial(&mut arr, lr, lc);
+            crate::inplace::transpose(&mut arr, lr, lc);
             arr
         }
     });
@@ -338,7 +338,7 @@ pub fn spmd_transpose_combined_gray<T: Copy + Default + Send + Sync>(
                     epbc = !epbc;
                 }
             }
-            crate::inplace::transpose_serial(&mut buf, lr, lc);
+            crate::inplace::transpose(&mut buf, lr, lc);
             buf
         }
     });

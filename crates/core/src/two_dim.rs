@@ -247,12 +247,11 @@ fn check_pairwise(spec: &TransposeSpec) -> u32 {
 /// transposed (the local step of §6.1), which is exactly `after`'s
 /// storage order.
 ///
-/// Each destination's work — sorting its packets by offset, block-copying
-/// them into the source array they tile exactly (skipped when the array
-/// arrived as one whole packet, which is then transposed where it lies),
-/// and the tiled local transpose — is independent, so destinations are
-/// processed in parallel.
-fn rebuild<T: Copy + Default + Send + Sync>(
+/// Each destination sorts its packets by offset, block-copies them into
+/// the source array they tile exactly (skipped when the array arrived as
+/// one whole packet, which is then transposed where it lies), and runs
+/// the tiled local transpose into its output buffer.
+fn rebuild<T: Copy + Default>(
     spec: &TransposeSpec,
     m: &DistMatrix<T>,
     deliveries: Vec<Vec<Packet<T>>>,
@@ -261,9 +260,8 @@ fn rebuild<T: Copy + Default + Send + Sync>(
     let before = &spec.before;
     let per = before.elems_per_node();
     let (rows, cols) = (before.local_rows(), before.local_cols());
-    let mut slots: Vec<(Vec<Packet<T>>, Vec<T>)> =
-        deliveries.into_iter().map(|pkts| (pkts, Vec::new())).collect();
-    cubesim::par::par_for_each_mut(&mut slots, |dst, (pkts, out)| {
+    let mut buffers: Vec<Vec<T>> = Vec::with_capacity(deliveries.len());
+    for (dst, mut pkts) in deliveries.into_iter().enumerate() {
         // Each destination receives from exactly one source, tr(dst).
         let src = tr(dst as u64, half);
         let whole = pkts.len() == 1 && pkts[0].offset == 0 && pkts[0].data.len() == per;
@@ -287,9 +285,8 @@ fn rebuild<T: Copy + Default + Send + Sync>(
             assert_eq!(covered, per, "node {dst} missing elements from {src}");
             &gathered
         };
-        crate::local::transpose_flat_blocked_into(arr, rows, cols, 64, out);
-    });
-    let buffers: Vec<Vec<T>> = slots.into_iter().map(|(_, out)| out).collect();
+        buffers.push(crate::local::transpose_flat(arr, rows, cols));
+    }
     DistMatrix::from_buffers(spec.after.clone(), buffers)
 }
 

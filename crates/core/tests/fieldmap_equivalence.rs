@@ -4,12 +4,9 @@
 //!
 //! Random legal schedules of the exchange-engine primitives run through
 //! both implementations and must produce identical payloads at every
-//! node, identical role maps, and identical [`CommReport`]s — and the
-//! block-move implementation must produce that same result at every
-//! worker-thread count (the staging/commit split keeps all `SimNet`
-//! interaction serial, so parallelism must be invisible).
+//! node, identical role maps, and identical [`CommReport`]s.
 
-use cubesim::{par, CommReport, MachineParams, PortMode, SimNet};
+use cubesim::{CommReport, MachineParams, PortMode, SimNet};
 use cubetranspose::reference::ref_twin;
 use cubetranspose::{FieldMap, MappedMatrix, SendPolicy};
 use proptest::prelude::*;
@@ -159,12 +156,10 @@ proptest! {
         let count = 1 + rng.below(6) as usize;
         let ops = random_ops(&mut rng, n, vp, count);
         let expect = run_reference(map.clone(), &ops);
-        for threads in [1usize, 2, 5] {
-            let got = par::with_threads(threads, || run_block(map.clone(), &ops));
-            prop_assert_eq!(&expect.0, &got.0, "payloads diverge at {} threads", threads);
-            prop_assert_eq!(&expect.1, &got.1, "role maps diverge at {} threads", threads);
-            prop_assert_eq!(&expect.2, &got.2, "reports diverge at {} threads", threads);
-        }
+        let got = run_block(map, &ops);
+        prop_assert_eq!(&expect.0, &got.0, "payloads diverge");
+        prop_assert_eq!(&expect.1, &got.1, "role maps diverge");
+        prop_assert_eq!(&expect.2, &got.2, "reports diverge");
     }
 
     #[test]
@@ -182,17 +177,12 @@ proptest! {
         rnet.finish_round();
         let expect = (rm.into_buffers(), rsteps, rnet.finalize());
 
-        for threads in [1usize, 3] {
-            let (buffers, steps, report) = par::with_threads(threads, || {
-                let mut m = MappedMatrix::<u64>::from_fn(start.clone(), |w| w);
-                let mut net = unit_net(n);
-                let steps = m.rearrange_to(&mut net, &target, policy);
-                net.finish_round();
-                (m.into_buffers(), steps, net.finalize())
-            });
-            prop_assert_eq!(&expect.0, &buffers, "payloads diverge at {} threads", threads);
-            prop_assert_eq!(expect.1, steps);
-            prop_assert_eq!(&expect.2, &report, "reports diverge at {} threads", threads);
-        }
+        let mut m = MappedMatrix::<u64>::from_fn(start, |w| w);
+        let mut net = unit_net(n);
+        let steps = m.rearrange_to(&mut net, &target, policy);
+        net.finish_round();
+        prop_assert_eq!(&expect.0, &m.into_buffers(), "payloads diverge");
+        prop_assert_eq!(expect.1, steps);
+        prop_assert_eq!(&expect.2, &net.finalize(), "reports diverge");
     }
 }

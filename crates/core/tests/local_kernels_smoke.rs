@@ -51,8 +51,8 @@ fn inplace_no_slower_than_scratch_gather() {
 
     let mut buf = data.clone();
     let inplace_t = best_of(3, || {
-        inplace::transpose_serial(&mut buf, rows, cols);
-        inplace::transpose_serial(&mut buf, cols, rows);
+        inplace::transpose(&mut buf, rows, cols);
+        inplace::transpose(&mut buf, cols, rows);
     });
     // The in-place timing covers TWO transposes (there and back, so every
     // rep starts from the same layout); halve it for the per-call figure.

@@ -1,15 +1,10 @@
-//! Plan ⇔ execution equivalence, on random schedules, at multiple
-//! thread settings.
+//! Plan ⇔ execution equivalence, on random schedules.
 //!
 //! For every engine with a static planner, the lowered plan's per-round
 //! link claims must coincide exactly — round counts, link sets, element
 //! counts, message/packet totals — with the `CommReport` of a real
-//! execution recorded under `record_links`. The engines with a parallel
-//! data plane execute under `cubesim::par::with_threads` at 1 and 2
-//! workers, pinning the determinism claim they make ("results do not
-//! depend on the thread count") to the static schedule; the
-//! store-and-forward router is serial and runs once. Every random plan
-//! must also pass `check_all` cleanly: no false positives.
+//! execution recorded under `record_links`. Every random plan must also
+//! pass `check_all` cleanly: no false positives.
 
 use cubeaddr::{DimSet, NodeId};
 use cubecomm::ecube::{ecube_route, RouteMsg};
@@ -24,14 +19,9 @@ use cubecomm::sbnt::all_to_all_sbnt;
 use cubecomm::sbt::Sbt;
 use cubecomm::some_to_all::some_to_all;
 use cubecomm::{Block, BlockMsg, BufferPolicy};
-use cubesim::par::with_threads;
 use cubesim::{CommReport, MachineParams, PortMode, SimNet};
 use cubetopo::{SwappedDragonfly, Topology};
 use proptest::prelude::*;
-
-/// Thread settings every execution is replayed at (satellite 1: the
-/// proptest runs in CI at >= 2 settings).
-const THREADS: [usize; 2] = [1, 2];
 
 /// Deterministic pseudo-random size matrix (same hash as
 /// `cubecomm/tests/props.rs`), zeros included.
@@ -98,15 +88,10 @@ proptest! {
             BufferPolicy::Buffered { min_direct: 2 },
         ] {
             let plan = all_to_all_exchange_plan(n, &sizes, policy, PortMode::OnePort);
-            for t in THREADS {
-                let report = with_threads(t, || {
-                    let mut net = SimNet::new(n, params.clone());
-                    net.record_links();
-                    let _ = all_to_all_exchange(&mut net, payloads(&sizes), policy);
-                    net.finalize()
-                });
-                assert_equivalent(&plan, &params, &report);
-            }
+            let mut net = SimNet::new(n, params.clone());
+            net.record_links();
+            let _ = all_to_all_exchange(&mut net, payloads(&sizes), policy);
+            assert_equivalent(&plan, &params, &net.finalize());
         }
     }
 
@@ -116,15 +101,10 @@ proptest! {
         let sizes = random_sizes(n, seed, max_b);
         let params = MachineParams::unit(PortMode::AllPorts);
         let plan = all_to_all_sbnt_plan(n, &sizes);
-        for t in THREADS {
-            let report = with_threads(t, || {
-                let mut net = SimNet::new(n, params.clone());
-                net.record_links();
-                let _ = all_to_all_sbnt(&mut net, payloads(&sizes));
-                net.finalize()
-            });
-            assert_equivalent(&plan, &params, &report);
-        }
+        let mut net = SimNet::new(n, params.clone());
+        net.record_links();
+        let _ = all_to_all_sbnt(&mut net, payloads(&sizes));
+        assert_equivalent(&plan, &params, &net.finalize());
     }
 
     /// The SBT and rotated-tree planners mirror the one-to-all engines.
@@ -137,29 +117,19 @@ proptest! {
 
         let params = MachineParams::unit(PortMode::OnePort);
         let plan = one_to_all_sbt_plan(n, root, &sizes);
-        for t in THREADS {
-            let report = with_threads(t, || {
-                let mut net = SimNet::new(n, params.clone());
-                net.record_links();
-                let _ = one_to_all_sbt(&mut net, root, blocks.clone());
-                net.finalize()
-            });
-            assert_equivalent(&plan, &params, &report);
-        }
+        let mut net = SimNet::new(n, params.clone());
+        net.record_links();
+        let _ = one_to_all_sbt(&mut net, root, blocks.clone());
+        assert_equivalent(&plan, &params, &net.finalize());
 
         let params = MachineParams::unit(PortMode::AllPorts);
         let trees: Vec<Sbt> = (0..n).map(|k| Sbt::rotated(n, root, k)).collect();
         if !trees.is_empty() {
             let plan = one_to_all_trees_plan(n, &sizes, &trees);
-            for t in THREADS {
-                let report = with_threads(t, || {
-                    let mut net = SimNet::new(n, params.clone());
-                    net.record_links();
-                    let _ = one_to_all_rotated_sbts(&mut net, root, blocks.clone());
-                    net.finalize()
-                });
-                assert_equivalent(&plan, &params, &report);
-            }
+            let mut net = SimNet::new(n, params.clone());
+            net.record_links();
+            let _ = one_to_all_rotated_sbts(&mut net, root, blocks.clone());
+            assert_equivalent(&plan, &params, &net.finalize());
         }
     }
 
@@ -184,20 +154,14 @@ proptest! {
         let params = MachineParams::unit(PortMode::OnePort);
         let plan =
             some_to_all_plan(n, l_dims, k_dims, &sizes, BufferPolicy::Ideal, PortMode::OnePort);
-        for t in THREADS {
-            let report = with_threads(t, || {
-                let mut net: SimNet<BlockMsg<u64>> = SimNet::new(n, params.clone());
-                net.record_links();
-                let _ = some_to_all(&mut net, l_dims, k_dims, blocks.clone(), BufferPolicy::Ideal);
-                net.finalize()
-            });
-            assert_equivalent(&plan, &params, &report);
-        }
+        let mut net: SimNet<BlockMsg<u64>> = SimNet::new(n, params.clone());
+        net.record_links();
+        let _ = some_to_all(&mut net, l_dims, k_dims, blocks.clone(), BufferPolicy::Ideal);
+        assert_equivalent(&plan, &params, &net.finalize());
     }
 
     /// The e-cube flight planner mirrors the router, including its
-    /// contention serialization (one execution: the router is a serial
-    /// loop that does not consult the thread setting).
+    /// contention serialization.
     #[test]
     fn ecube_plan_equivalent(n in 1u32..5, seed in any::<u64>(), count in 0usize..12) {
         let num = 1u64 << n;

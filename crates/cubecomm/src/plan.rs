@@ -29,9 +29,8 @@
 //!
 //! Construction is factored and fast (see the `skeleton` module): the
 //! node-independent round structure is computed once directly from
-//! block addresses and instantiated per node by relabeling, with the
-//! allocation-heavy per-round materialization fanned over
-//! [`cubesim::par`] (byte-identical output at any `CUBEBENCH_THREADS`).
+//! block addresses and instantiated per node by relabeling, round by
+//! round on the calling thread.
 //! The pre-optimization planners survive verbatim in [`mod@reference`],
 //! pinned to the fast builders by the `plan_construction` property
 //! tests. A keyed

@@ -1,4 +1,4 @@
-//! Factored, parallel schedule construction — and the control flow of
+//! Factored schedule construction — and the control flow of
 //! the engines: the block engines execute these rounds
 //! ([`crate::exec::execute`]) and the router runs [`route_hops`]' log,
 //! so nothing here mirrors anything.
@@ -12,9 +12,10 @@
 //! trajectory is a function of its own addresses, not of the global
 //! state.
 //!
-//! Every builder here is factored into the same two phases:
+//! Every builder here is factored into the same two phases, both on
+//! the calling thread:
 //!
-//! 1. **Skeleton (serial, allocation-light).** The node-independent
+//! 1. **Skeleton (allocation-light).** The node-independent
 //!    round structure is computed once, directly from block addresses:
 //!    the exchange family moves a block at step `t` iff bit `dims[t]` of
 //!    `src ⊕ dst` is set, and the holder is `src` relabeled by the
@@ -25,12 +26,12 @@
 //!    relative address's path is computed once and shared. Scratch
 //!    buffers (`buckets`, `touched`, keep/move lists) are hoisted out of
 //!    the round loop and reused.
-//! 2. **Instantiation (parallel, deterministic).** The per-round
-//!    [`PlanRound`]s — where the allocation-heavy `PlannedMsg`/block-id
-//!    vectors are materialized — are fanned over
-//!    [`cubesim::par::par_map`], which returns results in input order on
-//!    any worker count. Emitted schedules are therefore byte-identical
-//!    at any `CUBEBENCH_THREADS`, and byte-identical to
+//! 2. **Instantiation (serial, deterministic).** Each round's
+//!    [`PlanRound`] — where the allocation-heavy `PlannedMsg`/block-id
+//!    vectors are materialized — is emitted as soon as its skeleton is
+//!    known, in round order. Forking the rounds over threads was
+//!    measured and never won (the table is in the module doc of
+//!    `cubesim`'s `par`). Emitted schedules are byte-identical to
 //!    [`super::reference`] (enforced by the `plan_construction` property
 //!    tests).
 //!
@@ -46,19 +47,18 @@ use crate::exchange::BufferPolicy;
 use crate::sbnt::sbnt_path_dims;
 use crate::sbt::Sbt;
 use cubeaddr::NodeId;
-use cubesim::par;
 use cubetopo::MinimalRoute;
 
 /// One exchange step's instantiated skeleton: the dimension crossed, its
 /// position in the dimension sequence, and the senders with their block
 /// runs (senders ascending, blocks in held order).
-struct ExchangeStep {
+struct ExchangeStep<'a> {
     dim: u32,
     step_index: usize,
     /// `(node, start, end)` runs into `movers`, senders ascending.
-    senders: Vec<(u64, u32, u32)>,
+    senders: &'a [(u64, u32, u32)],
     /// Moving block ids, grouped by sender.
-    movers: Vec<u32>,
+    movers: &'a [u32],
 }
 
 /// Rounds of [`super::exchange_plan`] and of
@@ -84,8 +84,10 @@ pub(crate) fn exchange_rounds(
     let mut moved: Vec<u32> = Vec::with_capacity(blocks.len());
     let mut buckets: Vec<Vec<u32>> = vec![Vec::new(); num];
     let mut touched: Vec<u64> = Vec::new();
+    let mut movers: Vec<u32> = Vec::with_capacity(blocks.len());
+    let mut senders: Vec<(u64, u32, u32)> = Vec::new();
     let mut seen = 0u64;
-    let mut steps: Vec<ExchangeStep> = Vec::with_capacity(dims.len());
+    let mut rounds: Vec<PlanRound> = Vec::with_capacity(dims.len());
     for (step_index, &j) in dims.iter().enumerate() {
         assert!(j < n, "exchange dimension {j} outside the {n}-cube");
         let bit = 1u64 << j;
@@ -107,8 +109,8 @@ pub(crate) fn exchange_rounds(
             }
         }
         touched.sort_unstable();
-        let mut movers: Vec<u32> = Vec::with_capacity(moved.len());
-        let mut senders: Vec<(u64, u32, u32)> = Vec::with_capacity(touched.len());
+        movers.clear();
+        senders.clear();
         for &x in &touched {
             let slot = &mut buckets[x as usize];
             let start = movers.len() as u32;
@@ -117,14 +119,15 @@ pub(crate) fn exchange_rounds(
             senders.push((x, start, movers.len() as u32));
         }
         touched.clear();
-        steps.push(ExchangeStep { dim: j, step_index, senders, movers });
+        let step = ExchangeStep { dim: j, step_index, senders: &senders, movers: &movers };
+        rounds.extend(emit_exchange_step(&step, blocks, policy));
         // Keepers first, movers after — the arrival order at every node.
         rank.clear();
         rank.extend_from_slice(&keeps);
         rank.extend_from_slice(&moved);
         seen |= bit;
     }
-    par::par_map(&steps, |s| emit_exchange_step(s, blocks, policy)).concat()
+    rounds
 }
 
 /// Materializes one exchange step's rounds under the send policy (paper
@@ -233,8 +236,8 @@ fn emit_exchange_step(
 /// tree's `physical`/`physical_dim` relabeling instantiates it.
 pub(crate) fn sbt_rounds(n: u32, blocks: &[BlockMeta], tree: &Sbt) -> Vec<PlanRound> {
     let logical: Vec<u64> = blocks.iter().map(|b| tree.logical(b.dst)).collect();
-    let rounds: Vec<u32> = (0..n).collect();
-    par::par_map(&rounds, |&j| {
+    let mut rounds = Vec::with_capacity(n as usize);
+    for j in 0..n {
         let dim = tree.physical_dim(j);
         let mut round = PlanRound::default();
         // Movers in id order (= held order: all blocks share the root
@@ -245,8 +248,9 @@ pub(crate) fn sbt_rounds(n: u32, blocks: &[BlockMeta], tree: &Sbt) -> Vec<PlanRo
             .collect();
         movers.sort_by_key(|&(lx, _)| lx);
         emit_grouped(&mut round, &movers, |lx| (tree.physical(lx), dim));
-        round
-    })
+        rounds.push(round);
+    }
+    rounds
 }
 
 /// Rounds of [`super::one_to_all_trees_plan`]: the SBT skeleton of
@@ -266,8 +270,8 @@ pub(crate) fn trees_rounds(
         ids_by_tree[k as usize].push(id as u32);
         logical.push(trees[k as usize].logical(b.dst));
     }
-    let rounds: Vec<u32> = (0..n).collect();
-    par::par_map(&rounds, |&j| {
+    let mut rounds = Vec::with_capacity(n as usize);
+    for j in 0..n {
         let mut round = PlanRound::default();
         for (tree, ids) in trees.iter().zip(&ids_by_tree) {
             let dim = tree.physical_dim(j);
@@ -279,8 +283,9 @@ pub(crate) fn trees_rounds(
             movers.sort_by_key(|&(lx, _)| lx);
             emit_grouped(&mut round, &movers, |lx| (tree.physical(lx), dim));
         }
-        round
-    })
+        rounds.push(round);
+    }
+    rounds
 }
 
 /// Appends one message per `(logical holder)` group of `movers` (sorted
@@ -304,13 +309,6 @@ fn emit_grouped(
             blocks: movers[start..i].iter().map(|&(_, id)| id).collect(),
         });
     }
-}
-
-/// One SBnT round's instantiated skeleton: `(node, dim, start, end)`
-/// message groups over the round's active-block snapshot.
-struct SbntRound {
-    groups: Vec<(u64, u32, u32, u32)>,
-    ids: Vec<u32>,
 }
 
 /// Rounds of [`super::all_to_all_sbnt_plan`]. The skeleton is the path
@@ -340,23 +338,23 @@ pub(crate) fn sbnt_rounds(n: u32, blocks: &[BlockMeta]) -> Vec<PlanRound> {
     fn next_dim(path_of_rel: &[Vec<u32>], rel_of: &[u64], pos: &[u32], id: u32) -> u32 {
         path_of_rel[rel_of[id as usize] as usize][pos[id as usize] as usize]
     }
-    let mut rounds: Vec<SbntRound> = Vec::new();
+    let mut rounds: Vec<PlanRound> = Vec::new();
     while !rank.is_empty() {
         // Pending order at every node is the restriction of one global
         // rank; grouping by (node, dim) is a stable sort of it.
         let key = |id: u32| (cur[id as usize], next_dim(&path_of_rel, &rel_of, &pos, id));
         rank.sort_by_key(|&id| key(id));
-        let mut groups: Vec<(u64, u32, u32, u32)> = Vec::new();
+        let mut round = PlanRound::default();
         let mut i = 0;
         while i < rank.len() {
-            let k = key(rank[i]);
+            let (x, dim) = key(rank[i]);
             let start = i;
-            while i < rank.len() && key(rank[i]) == k {
+            while i < rank.len() && key(rank[i]) == (x, dim) {
                 i += 1;
             }
-            groups.push((k.0, k.1, start as u32, i as u32));
+            round.msgs.push(PlannedMsg { src: NodeId(x), dim, blocks: rank[start..i].to_vec() });
         }
-        rounds.push(SbntRound { groups, ids: rank.clone() });
+        rounds.push(round);
         for &id in &rank {
             let d = next_dim(&path_of_rel, &rel_of, &pos, id);
             cur[id as usize] ^= 1u64 << d;
@@ -366,18 +364,7 @@ pub(crate) fn sbnt_rounds(n: u32, blocks: &[BlockMeta]) -> Vec<PlanRound> {
             (pos[id as usize] as usize) < path_of_rel[rel_of[id as usize] as usize].len()
         });
     }
-    par::par_map(&rounds, |r| PlanRound {
-        msgs: r
-            .groups
-            .iter()
-            .map(|&(x, dim, s, e)| PlannedMsg {
-                src: NodeId(x),
-                dim,
-                blocks: r.ids[s as usize..e as usize].to_vec(),
-            })
-            .collect(),
-        copies: Vec::new(),
-    })
+    rounds
 }
 
 /// "Empty" sentinel for the intrusive lane FIFOs (block ids are `u32`
@@ -484,12 +471,14 @@ pub(crate) fn route_hops<G: MinimalRoute>(topo: &G, blocks: &[BlockMeta]) -> Hop
 /// single-block message per hop.
 pub(super) fn route_rounds<G: MinimalRoute>(topo: &G, blocks: &[BlockMeta]) -> Vec<PlanRound> {
     let (hops, bounds) = route_hops(topo, blocks);
-    let ranges: Vec<(usize, usize)> = bounds.windows(2).map(|w| (w[0], w[1])).collect();
-    par::par_map(&ranges, |&(s, e)| PlanRound {
-        msgs: hops[s..e]
-            .iter()
-            .map(|&(src, dim, id)| PlannedMsg { src: NodeId(src), dim, blocks: vec![id] })
-            .collect(),
-        copies: Vec::new(),
-    })
+    bounds
+        .windows(2)
+        .map(|w| PlanRound {
+            msgs: hops[w[0]..w[1]]
+                .iter()
+                .map(|&(src, dim, id)| PlannedMsg { src: NodeId(src), dim, blocks: vec![id] })
+                .collect(),
+            copies: Vec::new(),
+        })
+        .collect()
 }

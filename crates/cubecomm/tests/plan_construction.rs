@@ -1,7 +1,7 @@
-//! Property tests pinning the factored, parallel plan builders to their
+//! Property tests pinning the factored plan builders to their
 //! reference implementations — the `plan_reference` discipline.
 //!
-//! Three properties, each over every planner:
+//! Two properties, each over every planner:
 //!
 //! 1. **Reference equivalence:** the fast skeleton-based builders in
 //!    `cubecomm::plan` emit [`CommSchedule`]s byte-identical to the
@@ -11,15 +11,12 @@
 //! 2. **Cold = cached:** a warm [`PlanCache`] hit returns a plan
 //!    byte-identical to an uncached construction of the same inputs
 //!    (and the very same `Arc` on the second fetch).
-//! 3. **Thread independence:** construction under
-//!    `cubesim::par::with_threads` at 1, 2 and 5 workers produces
-//!    identical output — the parallel merge is deterministic.
 
 use cubeaddr::{DimSet, NodeId};
 use cubecomm::exchange::BufferPolicy;
 use cubecomm::plan::{self, reference, BlockMeta, CommSchedule, PlanCache};
 use cubecomm::sbt::Sbt;
-use cubesim::{par, PortMode};
+use cubesim::PortMode;
 use cubesync::sync::Arc;
 use proptest::prelude::*;
 
@@ -93,9 +90,10 @@ fn assert_identical(fast: &CommSchedule, reference: &CommSchedule, what: &str) {
     }
 }
 
-/// Every planner as a boxed closure over shared random inputs, paired
-/// with its reference twin (where one exists).
-type Planner = (&'static str, Box<dyn Fn() -> CommSchedule>, Option<Box<dyn Fn() -> CommSchedule>>);
+/// Every planner with a reference twin, both as boxed closures over
+/// shared random inputs. (`all_to_all_exchange_plan` and
+/// `some_to_all_plan` delegate to `exchange_plan`.)
+type Planner = (&'static str, Box<dyn Fn() -> CommSchedule>, Box<dyn Fn() -> CommSchedule>);
 
 fn planners(n: u32, seed: u64, max_b: u64, policy: BufferPolicy) -> Vec<Planner> {
     let sizes = random_sizes(n, seed, max_b);
@@ -105,8 +103,6 @@ fn planners(n: u32, seed: u64, max_b: u64, policy: BufferPolicy) -> Vec<Planner>
     let one_sizes = random_vec(n, seed, max_b);
     let msgs = random_msgs(n, seed, max_b);
     let rotated: Vec<Sbt> = (0..n).map(|k| Sbt::rotated(n, root, k)).collect();
-    let k_dims = DimSet::from_dims((0..n).filter(|d| (seed >> d) & 1 == 1));
-    let l_dims = k_dims.complement(n);
 
     let mut out: Vec<Planner> = Vec::new();
     {
@@ -116,7 +112,7 @@ fn planners(n: u32, seed: u64, max_b: u64, policy: BufferPolicy) -> Vec<Planner>
             Box::new(move || {
                 plan::exchange_plan(n, b.clone(), &d, policy, PortMode::OnePort, "prop/exchange")
             }),
-            Some({
+            {
                 let (b, d) = (blocks.clone(), dims.clone());
                 Box::new(move || {
                     reference::exchange_plan(
@@ -128,71 +124,36 @@ fn planners(n: u32, seed: u64, max_b: u64, policy: BufferPolicy) -> Vec<Planner>
                         "prop/exchange",
                     )
                 })
-            }),
-        ));
-    }
-    {
-        let s = sizes.clone();
-        out.push((
-            "all_to_all_exchange",
-            Box::new(move || plan::all_to_all_exchange_plan(n, &s, policy, PortMode::OnePort)),
-            None, // delegates to exchange_plan; covered by the twin above
-        ));
-    }
-    {
-        let s = sizes.clone();
-        out.push((
-            "some_to_all",
-            Box::new(move || {
-                let rows = 1usize << (n - k_dims.len());
-                plan::some_to_all_plan(n, l_dims, k_dims, &s[..rows], policy, PortMode::OnePort)
-            }),
-            None, // delegates to exchange_plan
+            },
         ));
     }
     {
         let s = one_sizes.clone();
-        out.push((
-            "one_to_all_sbt",
-            Box::new(move || plan::one_to_all_sbt_plan(n, root, &s)),
-            Some({
-                let s = one_sizes.clone();
-                Box::new(move || reference::one_to_all_sbt_plan(n, root, &s))
-            }),
-        ));
+        out.push(("one_to_all_sbt", Box::new(move || plan::one_to_all_sbt_plan(n, root, &s)), {
+            let s = one_sizes.clone();
+            Box::new(move || reference::one_to_all_sbt_plan(n, root, &s))
+        }));
     }
     {
         let (s, t) = (one_sizes.clone(), rotated.clone());
-        out.push((
-            "one_to_all_trees",
-            Box::new(move || plan::one_to_all_trees_plan(n, &s, &t)),
-            Some({
-                let (s, t) = (one_sizes.clone(), rotated.clone());
-                Box::new(move || reference::one_to_all_trees_plan(n, &s, &t))
-            }),
-        ));
+        out.push(("one_to_all_trees", Box::new(move || plan::one_to_all_trees_plan(n, &s, &t)), {
+            let (s, t) = (one_sizes.clone(), rotated.clone());
+            Box::new(move || reference::one_to_all_trees_plan(n, &s, &t))
+        }));
     }
     {
         let s = sizes.clone();
-        out.push((
-            "all_to_all_sbnt",
-            Box::new(move || plan::all_to_all_sbnt_plan(n, &s)),
-            Some({
-                let s = sizes.clone();
-                Box::new(move || reference::all_to_all_sbnt_plan(n, &s))
-            }),
-        ));
+        out.push(("all_to_all_sbnt", Box::new(move || plan::all_to_all_sbnt_plan(n, &s)), {
+            let s = sizes.clone();
+            Box::new(move || reference::all_to_all_sbnt_plan(n, &s))
+        }));
     }
     {
         let m = msgs.clone();
-        out.push((
-            "ecube_route",
-            Box::new(move || plan::ecube_route_plan(n, &m)),
-            Some({
-                let m = msgs.clone();
-                Box::new(move || reference::ecube_route_plan(n, &m))
-            }),
-        ));
+        out.push(("ecube_route", Box::new(move || plan::ecube_route_plan(n, &m)), {
+            let m = msgs.clone();
+            Box::new(move || reference::ecube_route_plan(n, &m))
+        }));
     }
     out
 }
@@ -218,9 +179,7 @@ proptest! {
         policy in policy_strategy(),
     ) {
         for (what, fast, twin) in planners(n, seed, max_b, policy) {
-            if let Some(twin) = twin {
-                assert_identical(&fast(), &twin(), what);
-            }
+            assert_identical(&fast(), &twin(), what);
         }
     }
 
@@ -306,23 +265,5 @@ proptest! {
         let stats = cache.stats();
         assert_eq!(stats.misses, pairs.len() as u64, "one miss per planner");
         assert_eq!(stats.hits, pairs.len() as u64, "one hit per planner");
-    }
-
-    /// Property 3: construction is byte-identical at 1, 2 and 5 worker
-    /// threads for every planner.
-    #[test]
-    fn construction_is_thread_count_independent(
-        n in 1u32..5,
-        seed in any::<u64>(),
-        max_b in 0u64..6,
-        policy in policy_strategy(),
-    ) {
-        for (what, fast, _) in planners(n, seed, max_b, policy) {
-            let serial = par::with_threads(1, &fast);
-            for threads in [2usize, 5] {
-                let parallel = par::with_threads(threads, &fast);
-                assert_identical(&parallel, &serial, &format!("{what} @ {threads} threads"));
-            }
-        }
     }
 }

@@ -10,20 +10,13 @@
 //! goes through the value-level [`TopoSpec`] dispatch (the form the
 //! Dragonfly planners use), so the generic path is held to the hypercube
 //! baseline exactly.
-//!
-//! This suite used to repeat both routers at 1, 2 and 5 worker threads.
-//! What that checked — a per-round thread fork inside the router agreeing
-//! with its serial twin — is deleted: the router is one serial loop and
-//! does not consult [`cubesim::par`]. [`router_ignores_thread_count`]
-//! stands guard instead: a reintroduced fork that changed anything
-//! observable fails it.
 
 use cubeaddr::NodeId;
 use cubecomm::block::Block;
 use cubecomm::ecube::reference::RefRouter;
 use cubecomm::ecube::{ecube_route, RouteMsg};
 use cubecomm::graph::graph_route;
-use cubesim::{par, CommReport, MachineParams, Payload, PortMode, SimNet};
+use cubesim::{CommReport, MachineParams, Payload, PortMode, SimNet};
 use cubetopo::{TopoSpec, Topology};
 use proptest::prelude::*;
 
@@ -156,17 +149,4 @@ fn flat_matches_reference_on_all_to_all() {
         assert_equivalent(n, true, &all_to_all_msgs(n), "all-to-all");
         assert_equivalent(n, false, &all_to_all_msgs(n), "all-to-all");
     }
-}
-
-/// The router has no thread-count-dependent path: pinned to 1 and to 5
-/// workers it returns the same arrivals and the same report.
-#[test]
-fn router_ignores_thread_count() {
-    let msgs = transpose_msgs(6, 4);
-    let at = |threads| {
-        par::with_threads(threads, || {
-            run(SimNet::new(6, params(false)), |net| ecube_route(net, msgs.clone()))
-        })
-    };
-    assert_eq!(at(1), at(5));
 }

@@ -83,7 +83,7 @@
 //! ```
 //!
 //! The worker pool is sized by `CUBERUN_WORKERS` (falling back to the
-//! ambient `cubesim::par` thread count); results are byte-identical at
+//! figure sweep's thread count, `CUBEBENCH_THREADS`); results are byte-identical at
 //! any pool size, on either door. The pre-scheduler thread-per-node
 //! runtime survives in [`mod@reference`] as the oracle of the
 //! equivalence tests.

@@ -53,8 +53,8 @@ thread_local! {
 /// The worker-pool size for [`run_spmd`]: the [`with_workers`] override
 /// if installed, else the `CUBERUN_WORKERS` environment variable, else
 /// the ambient `cubesim::par` thread count (`CUBEBENCH_THREADS` /
-/// available parallelism) — the pool is sized like the rest of the
-/// repo's data-plane fan-out unless explicitly overridden.
+/// available parallelism) — the pool is sized like the figure sweep's
+/// fan-out unless explicitly overridden.
 ///
 /// # Panics
 /// If `CUBERUN_WORKERS` is set but not a positive integer — a silent

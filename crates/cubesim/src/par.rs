@@ -1,24 +1,46 @@
-//! Scoped-thread parallel helpers for per-node data-plane work.
+//! Scoped-thread fan-out for the experiment sweeps.
 //!
-//! Two consumers share this module: the experiment sweeps (independent
-//! `(n, PQ, preset)` simulation points fanned out with [`par_map`]) and
-//! the field-map data plane (per-node gather/scatter/permute loops
-//! fanned out with [`par_for_each_mut`] while the central `SimNet` cost
-//! accounting stays serial). The store-and-forward router
-//! (`cubecomm::graph`) is deliberately not a consumer: a node's work in
-//! one round is tiny next to a scoped-thread fork, and forking it once
-//! per round measured 2.6–3.8× slower than the serial loop.
+//! One consumer: `cubebench`'s figure sweep. `figures` fans its
+//! generators out with [`par_map`], and each generator fans its
+//! independent `(n, PQ, preset)` simulation points out the same way.
+//! Threads exist at that one level only — *around* units of work, never
+//! inside one — which is the paper's own shape: real processors run in
+//! parallel and each loops serially over the virtual processors it
+//! hosts. So a [`par_map`] worker runs its items with the count pinned
+//! to one: a nested [`par_map`] (a generator's point grid, inside the
+//! sweep over generators) is a plain loop, and T workers stay T threads
+//! instead of T².
 //!
-//! Every helper returns results **in input order** and runs each item on
+//! Nothing inside a unit of work forks. The planners' per-round
+//! materialization, `fieldmap`'s gather / scatter / permute loops,
+//! `two_dim`'s rebuild and the in-place kernel's passes once fanned out
+//! here too; measured on the 2-vCPU box at 1 and 2 threads (four
+//! alternating `perfbench` runs a side, `wall_ms`), none won:
+//!
+//! | workload (fan-outs it reached) | 1 thread | 2 threads |
+//! | --- | --- | --- |
+//! | `cm16-2d-mpt` (`two_dim::rebuild`) | 42.9 – 44.6 | 47.6 – 50.6 |
+//! | `cm14-plan-cold` (planner rounds) | 43.4 – 48.2 | 46.8 – 48.6 |
+//! | `ipsc6-convert-alg2` (`fieldmap`) | 29.1 – 30.1 | 29.9 – 31.3 |
+//! | `ipsc6-1d-exchange` (exchange planner) | 19.4 – 20.8 | 20.3 – 21.4 |
+//! | `ipsc6-2d-spt` (`two_dim::rebuild`) | 2.37 – 2.60 | 2.31 – 2.55 |
+//!
+//! and because the levels multiplied, the whole `figures` run was slower
+//! at two threads (193–220 ms) than at one (148–161 ms); with one level
+//! it is 99–118 ms. The store-and-forward router's per-round fork had
+//! already measured 2.6–3.8× slower than its serial loop.
+//!
+//! [`par_map`] returns results **in input order** and runs each item on
 //! exactly one worker, so a parallel run is byte-identical to the
-//! sequential one whenever the per-item work is deterministic — the
-//! property the `fieldmap_equivalence` suite checks across thread counts.
+//! sequential one whenever the per-item work is deterministic — CI diffs
+//! the router figures' CSVs at one thread and at the default count.
 //!
 //! The worker count is `cubesync::thread::available_parallelism`,
 //! overridable with the `CUBEBENCH_THREADS` environment variable (`1`
 //! forces the sequential path; useful for timing comparisons) or,
-//! scoped and thread-local, with [`with_threads`] (used by tests to pin
-//! a count without mutating the process environment). A set but
+//! scoped and thread-local, with [`with_threads`] (how `perfbench` and
+//! tests pin a count without mutating the process environment;
+//! `cuberun` reads [`num_threads`] as its default pool size). A set but
 //! malformed `CUBEBENCH_THREADS` (garbage, empty, or `0`) panics with
 //! the offending value instead of silently falling back to one thread.
 //!
@@ -35,7 +57,7 @@ thread_local! {
     static OVERRIDE: Cell<Option<usize>> = const { Cell::new(None) };
 }
 
-/// Worker threads to use for sweeps and data-plane fan-out.
+/// Worker threads a [`par_map`] on this thread fans out over.
 ///
 /// # Panics
 /// If `CUBEBENCH_THREADS` is set but not a positive integer — a silent
@@ -61,7 +83,8 @@ fn parse_thread_count(var: &str, raw: &str) -> usize {
 
 /// Runs `f` with [`num_threads`] pinned to `threads` on the current
 /// thread (restored on exit, even across a panic). Nested calls shadow
-/// each other; spawned workers themselves see the default count.
+/// each other. The pin does not follow work onto other threads: a
+/// [`par_map`] worker sees one, any other spawned thread the default.
 pub fn with_threads<R>(threads: usize, f: impl FnOnce() -> R) -> R {
     struct Restore(Option<usize>);
     impl Drop for Restore {
@@ -103,23 +126,18 @@ impl ClaimCursor {
         let i = self.next.fetch_add(1, Ordering::Relaxed);
         (i < self.limit).then_some(i)
     }
-
-    /// Whether every index has been handed out (racy by nature: a `false`
-    /// may be stale by the time the caller acts on it).
-    pub fn is_exhausted(&self) -> bool {
-        self.next.load(Ordering::Relaxed) >= self.limit
-    }
 }
 
 /// Maps `f` over `items` on [`num_threads`] scoped threads; results come
-/// back in input order.
+/// back in input order. Inside `f` the count is one, so a nested
+/// `par_map` runs as a plain loop on its worker.
 pub fn par_map<T: Sync, R: Send>(items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec<R> {
     par_map_with(num_threads(), items, f)
 }
 
 /// [`par_map`] with an explicit worker count (work-claiming through a
 /// [`ClaimCursor`], so uneven item costs balance).
-pub fn par_map_with<T: Sync, R: Send>(
+fn par_map_with<T: Sync, R: Send>(
     threads: usize,
     items: &[T],
     f: impl Fn(&T) -> R + Sync,
@@ -133,11 +151,13 @@ pub fn par_map_with<T: Sync, R: Send>(
         let handles: Vec<_> = (0..threads)
             .map(|_| {
                 s.spawn(|| {
-                    let mut out = Vec::new();
-                    while let Some(i) = cursor.claim() {
-                        out.push((i, f(&items[i])));
-                    }
-                    out
+                    with_threads(1, || {
+                        let mut out = Vec::new();
+                        while let Some(i) = cursor.claim() {
+                            out.push((i, f(&items[i])));
+                        }
+                        out
+                    })
                 })
             })
             .collect();
@@ -145,49 +165,6 @@ pub fn par_map_with<T: Sync, R: Send>(
     });
     tagged.sort_unstable_by_key(|&(i, _)| i);
     tagged.into_iter().map(|(_, r)| r).collect()
-}
-
-/// Runs `f(index, item)` for every item, fanning contiguous chunks out
-/// over [`num_threads`] scoped threads.
-///
-/// Unlike [`par_map`], items are mutated in place and the partition is
-/// static (near-equal chunks), which fits the data-plane loops: every
-/// node costs the same, so work-claiming would only add contention.
-pub fn par_for_each_mut<T: Send>(items: &mut [T], f: impl Fn(usize, &mut T) + Sync) {
-    par_for_each_mut_with(num_threads(), items, f);
-}
-
-/// [`par_for_each_mut`] with an explicit worker count.
-pub fn par_for_each_mut_with<T: Send>(
-    threads: usize,
-    items: &mut [T],
-    f: impl Fn(usize, &mut T) + Sync,
-) {
-    let threads = threads.min(items.len());
-    if threads <= 1 {
-        for (i, item) in items.iter_mut().enumerate() {
-            f(i, item);
-        }
-        return;
-    }
-    let chunk = items.len().div_ceil(threads);
-    thread::scope(|s| {
-        let handles: Vec<_> = items
-            .chunks_mut(chunk)
-            .enumerate()
-            .map(|(ci, block)| {
-                let f = &f;
-                s.spawn(move || {
-                    for (k, item) in block.iter_mut().enumerate() {
-                        f(ci * chunk + k, item);
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().expect("data-plane worker panicked");
-        }
-    });
 }
 
 #[cfg(test)]
@@ -214,15 +191,12 @@ mod tests {
         let mut all: Vec<usize> = claims.into_iter().flatten().collect();
         all.sort_unstable();
         assert_eq!(all, (0..1000).collect::<Vec<_>>());
-        assert!(cursor.is_exhausted());
         assert_eq!(cursor.claim(), None);
     }
 
     #[test]
-    fn claim_cursor_empty_is_exhausted_immediately() {
-        let cursor = ClaimCursor::new(0);
-        assert!(cursor.is_exhausted());
-        assert_eq!(cursor.claim(), None);
+    fn claim_cursor_empty_hands_out_nothing() {
+        assert_eq!(ClaimCursor::new(0).claim(), None);
     }
 
     #[test]
@@ -264,26 +238,14 @@ mod tests {
     }
 
     #[test]
-    fn for_each_mut_sees_every_index_once() {
-        for threads in [1, 2, 3, 8, 100] {
-            let mut items = vec![0u64; 37];
-            par_for_each_mut_with(threads, &mut items, |i, slot| *slot += i as u64 + 1);
-            let expect: Vec<u64> = (1..=37).collect();
-            assert_eq!(items, expect, "{threads} threads");
+    fn nested_par_map_sees_one_thread_and_keeps_order() {
+        let outer: Vec<u64> = (0..6).collect();
+        let inner: Vec<u64> = (0..5).collect();
+        let out = par_map_with(3, &outer, |&a| (num_threads(), par_map(&inner, |&b| a * 10 + b)));
+        for (a, (seen, row)) in outer.iter().zip(out) {
+            assert_eq!(seen, 1, "a par_map worker runs its items at count one");
+            assert_eq!(row, inner.iter().map(|b| a * 10 + b).collect::<Vec<_>>());
         }
-    }
-
-    #[test]
-    fn for_each_mut_empty_is_fine() {
-        let mut items: Vec<u64> = Vec::new();
-        par_for_each_mut_with(4, &mut items, |_, _| unreachable!());
-    }
-
-    #[test]
-    #[should_panic(expected = "data-plane worker panicked")]
-    fn for_each_mut_worker_panic_propagates() {
-        let mut items = vec![0u64; 8];
-        par_for_each_mut_with(4, &mut items, |i, _| assert!(i != 6, "boom"));
     }
 
     #[test]

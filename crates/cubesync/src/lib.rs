@@ -23,8 +23,8 @@
 //! engine tests and the seeded-mutation suite (which model-check small
 //! *copies* of the repo's protocols with known bugs re-introduced) run
 //! in the normal `cargo test` pass. The `--cfg cubesync_model` build is
-//! only needed to re-thread the *real* `cubesim::par` / `cuberun` /
-//! `cubecomm::plan::cache` code onto the instrumented types, which
+//! only needed to re-thread the *real* `cubesim` sweep fan-out,
+//! `cuberun` and `cubecomm::plan::cache` code onto the instrumented types, which
 //! `crates/cubesync/tests/real_protocols.rs` does in CI's `model-check`
 //! step.
 //!

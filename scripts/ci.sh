@@ -93,6 +93,30 @@ if [ -n "$violations" ]; then
     false
 fi
 
+begin "lint policy: threads at one level only (no fan-out inside a unit of work)"
+# cubesim::par has one consumer, the figure sweep, and a par_map worker
+# runs its items at count one. The static-chunk fan-out and the threaded
+# in-place kernel are deleted and must not come back; the planners, the
+# fieldmap data plane and the local kernels must not reach for the sweep
+# helper (cuberun reads num_threads as its default pool size). This gate
+# replaces the "ignores the thread count" tests those forks had.
+# (Bracketed so this script does not match itself.)
+violations="$(grep -rln -E 'par_for_each_mu[t]|transpose_wit[h]|run_paralle[l]' \
+    crates src tests examples 2>/dev/null || true)"
+if [ -n "$violations" ]; then
+    echo "FAIL: files mention a deleted nested fan-out:" >&2
+    echo "$violations" >&2
+    false
+fi
+violations="$(grep -rl -E 'par::par_ma[p]|cubesim::pa[r]' --include='*.rs' crates/*/src 2>/dev/null \
+    | grep -v -e '^crates/cubesim/src/par.rs$' -e '^crates/cuberun/src/runtime.rs$' \
+        -e '^crates/bench/src/' || true)"
+if [ -n "$violations" ]; then
+    echo "FAIL: library code outside the figure sweep calls into the sweep's thread helper:" >&2
+    echo "$violations" >&2
+    false
+fi
+
 begin "model-check: exhaustive interleaving of the real concurrency protocols (time-bounded)"
 # Rebuilds the facade's dependents against the model backend and
 # enumerates schedules of cubesim::par, the cuberun scheduler (six
@@ -115,12 +139,8 @@ timeout 300 cargo test -q -p cubesync --test mutations
 begin "cubecheck: static invariants of the figure schedules"
 cargo run --release -q -p cubecheck -- --all-figures
 
-begin "cubecheck: plan/execution equivalence at 1 and 2 worker threads"
-# The equivalence suite loops its executions over with_threads(1|2)
-# internally; running it under both ambient settings also pins the
-# thread-local default path.
-CUBEBENCH_THREADS=1 cargo test --release -q -p cubecheck --test equivalence
-CUBEBENCH_THREADS=2 cargo test --release -q -p cubecheck --test equivalence
+begin "cubecheck: plan/execution equivalence"
+cargo test --release -q -p cubecheck --test equivalence
 
 begin "cubesim: flat SimNet vs ReferenceNet (reports, payloads, drain order, panic text)"
 # With the equivalence suite above, the simulator's regression net. The
@@ -211,6 +231,8 @@ for workload in ipsc6-2d-spt ipsc6-1d-exchange cm16-2d-mpt cm16-spmd-exchange \
 done
 
 begin "router figures: CSVs must match committed baselines at every thread count"
+# The sweep's par_map is the one parallel path in the tree; this diff at
+# one thread and at the default count is what guards it.
 for threads in 1 default; do
     rm -rf "$fig_tmp"/*
     if [ "$threads" = default ]; then

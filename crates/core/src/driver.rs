@@ -15,7 +15,7 @@
 //! [`plan`] picks; [`execute`] runs the choice and returns the output
 //! with the communication report, so callers can audit the decision.
 
-use crate::one_dim::{transpose_1d_exchange, transpose_1d_sbnt, Routed};
+use crate::one_dim::{transpose_1d_exchange, transpose_1d_sbnt};
 use crate::two_dim::{transpose_mpt, transpose_spt_stepwise, Packet};
 use cubecomm::{BlockMsg, BufferPolicy};
 use cubelayout::{CommPattern, DistMatrix, Layout, TransposeSpec};
@@ -121,13 +121,13 @@ pub fn execute<T: Copy + Default + Send + Sync>(
             (out, choice, net.finalize())
         }
         Choice::ExchangeBuffered { min_direct } => {
-            let mut net: SimNet<BlockMsg<Routed<T>>> = SimNet::new(n, params.clone());
+            let mut net: SimNet<BlockMsg<T>> = SimNet::new(n, params.clone());
             let out =
                 transpose_1d_exchange(m, after, &mut net, BufferPolicy::Buffered { min_direct });
             (out, choice, net.finalize())
         }
         Choice::Sbnt => {
-            let mut net: SimNet<BlockMsg<Routed<T>>> = SimNet::new(n, params.clone());
+            let mut net: SimNet<BlockMsg<T>> = SimNet::new(n, params.clone());
             let out = transpose_1d_sbnt(m, after, &mut net);
             (out, choice, net.finalize())
         }

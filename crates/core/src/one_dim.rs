@@ -5,27 +5,36 @@
 //! model:
 //!
 //! * [`transpose_1d_exchange`] — the standard exchange algorithm on
-//!   destination-tagged blocks (works for *any* pair of layouts,
-//!   including Gray-encoded ones), with the §8.1 buffering policies;
+//!   node-pair blocks (works for *any* pair of layouts, including
+//!   Gray-encoded ones), with the §8.1 buffering policies;
 //! * [`transpose_1d_sbnt`] — n-port spanning-balanced-n-tree routing of
 //!   the same blocks;
 //! * [`transpose_stepwise`] — the field-map engine
 //!   ([`crate::fieldmap`]): for binary layouts, executes the general
 //!   exchange algorithm with exact §8.1 memory-run modeling.
 //!
-//! All three verify, at assembly time, that every element arrived where
-//! `loc(u‖v) ← loc(v‖u)` demands.
+//! The two block engines (and [`crate::relayout()`]) ship values only, as
+//! the paper does: a block's local addresses at both ends follow from the
+//! separable placement tables ([`BlockMoves`]), "implicitly by indirect
+//! addressing". At assembly they keep a block ledger: every block of the
+//! traffic matrix must arrive exactly once, on its destination node, at
+//! its full length. That suffices for every element to land exactly once,
+//! because the blocks partition the elements and, inside a block,
+//! placement is the layouts' bijection (which `cubelayout`'s proptests
+//! check against the per-element enumeration).
 
 use crate::fieldmap::{FieldMap, MappedMatrix, SendPolicy};
-use cubeaddr::NodeId;
 use cubecomm::exchange::{exchange_over_dims, BufferPolicy};
-use cubecomm::sbnt::all_to_all_sbnt;
+use cubecomm::sbnt::route_sbnt;
 use cubecomm::{Block, BlockMsg};
-use cubelayout::pattern::ElementMove;
-use cubelayout::{DistMatrix, Layout, TransposeSpec};
+use cubelayout::{BlockMoves, DistMatrix, Layout, TransposeSpec};
 use cubesim::SimNet;
 
 /// A routed element: its destination local address and its value.
+///
+/// The engines here move values only. The tagged path [`spec_blocks`] →
+/// engine → [`assemble`] is kept for the benchmark's per-layer
+/// decomposition of the exchange and for the driver pins' "long way".
 pub type Routed<T> = (u64, T);
 
 /// Groups the elements of `m` into per-(source, destination) blocks for
@@ -34,22 +43,12 @@ pub type Routed<T> = (u64, T);
 /// are not communicated).
 pub fn spec_blocks<T: Copy>(spec: &TransposeSpec, m: &DistMatrix<T>) -> Vec<Vec<Vec<Routed<T>>>> {
     let num = spec.before.num_nodes().max(spec.after.num_nodes());
-    route_blocks(m, num, &spec.traffic_matrix(), spec.moves())
-}
-
-/// `blocks[src][dst]` over `num` nodes: the `(dst_local, value)` pairs of
-/// `moves`, in order, each block allocated once at its `traffic` size.
-pub(crate) fn route_blocks<T: Copy>(
-    m: &DistMatrix<T>,
-    num: usize,
-    traffic: &[Vec<usize>],
-    moves: impl Iterator<Item = ElementMove>,
-) -> Vec<Vec<Vec<Routed<T>>>> {
+    let traffic = spec.traffic_matrix();
     let sized =
         |s: usize, d: usize| traffic.get(s).and_then(|row| row.get(d)).copied().unwrap_or(0);
     let mut blocks: Vec<Vec<Vec<Routed<T>>>> =
         (0..num).map(|s| (0..num).map(|d| Vec::with_capacity(sized(s, d))).collect()).collect();
-    for mv in moves {
+    for mv in spec.moves() {
         let value = m.node(mv.src)[mv.src_local as usize];
         blocks[mv.src.index()][mv.dst.index()].push((mv.dst_local, value));
     }
@@ -89,28 +88,58 @@ pub fn assemble<T: Copy + Default>(
     out
 }
 
-/// `exchange_over_dims`' inputs for a `per_pair[src][dst]` payload
-/// matrix: the non-empty blocks each node holds, and the dimensions any
-/// of them crosses, highest first.
-pub(crate) fn held_and_dims<T>(per_pair: Vec<Vec<Vec<T>>>) -> (Vec<Vec<Block<T>>>, Vec<u32>) {
-    let mut diff = 0u64;
-    let held = per_pair
-        .into_iter()
-        .enumerate()
-        .map(|(s, per_dst)| {
-            per_dst
-                .into_iter()
-                .enumerate()
-                .filter(|(_, data)| !data.is_empty())
-                .map(|(d, data)| {
-                    diff |= (s ^ d) as u64;
-                    Block::new(NodeId(s as u64), NodeId(d as u64), data)
-                })
-                .collect()
+/// Moves `m` by `moves` with the standard exchange algorithm over the
+/// node dimensions any block crosses, highest first, into a matrix laid
+/// out by `to`.
+pub(crate) fn exchange_blocks<T: Copy + Default>(
+    moves: &BlockMoves,
+    m: &DistMatrix<T>,
+    to: &Layout,
+    net: &mut SimNet<BlockMsg<T>>,
+    policy: BufferPolicy,
+) -> DistMatrix<T> {
+    let diff = moves.blocks().fold(0u64, |acc, (s, d, _)| acc | (s.bits() ^ d.bits()));
+    let dims: Vec<u32> = (0..u64::BITS).rev().filter(|&d| (diff >> d) & 1 == 1).collect();
+    let result = exchange_over_dims(net, moves.gather(m, Block::new), &dims, policy);
+    place_blocks(moves, to, result)
+}
+
+/// Places the delivered blocks of `moves` into a matrix laid out by `to`
+/// (`result[x]` is what node `x` received), checking them off a ledger.
+///
+/// # Panics
+/// Naming the block's source, destination and node, if a block sits on
+/// a node other than its destination, is not one of `moves`' blocks,
+/// arrives twice or with the wrong length, or never arrives.
+#[track_caller]
+pub(crate) fn place_blocks<T: Copy + Default>(
+    moves: &BlockMoves,
+    to: &Layout,
+    result: Vec<Vec<Block<T>>>,
+) -> DistMatrix<T> {
+    let mut arrived: Vec<Option<Vec<T>>> = vec![None; moves.blocks().len()];
+    for (x, blks) in result.into_iter().enumerate() {
+        for Block { src, dst, data } in blks {
+            assert_eq!(dst.index(), x, "block {src} → {dst} delivered to node {x}");
+            let Some(id) = moves.find(src, dst) else {
+                panic!("block {src} → {dst} at node {x} is not one of this move's blocks");
+            };
+            assert!(
+                arrived[id].replace(data).is_none(),
+                "block {src} → {dst} delivered twice to node {x}"
+            );
+        }
+    }
+    let data: Vec<Vec<T>> = moves
+        .blocks()
+        .zip(arrived)
+        .map(|((src, dst, _), data)| {
+            data.unwrap_or_else(|| panic!("block {src} → {dst} never reached node {dst}"))
         })
         .collect();
-    let dims = (0..u64::BITS).rev().filter(|&d| (diff >> d) & 1 == 1).collect();
-    (held, dims)
+    let mut out = DistMatrix::zeroed(to.clone());
+    moves.place(&data, &mut out);
+    out
 }
 
 /// Transposes `m` into layout `after` with the standard exchange
@@ -136,13 +165,11 @@ pub(crate) fn held_and_dims<T>(per_pair: Vec<Vec<Vec<T>>>) -> (Vec<Vec<Block<T>>
 pub fn transpose_1d_exchange<T: Copy + Default + Send + Sync>(
     m: &DistMatrix<T>,
     after: &Layout,
-    net: &mut SimNet<BlockMsg<Routed<T>>>,
+    net: &mut SimNet<BlockMsg<T>>,
     policy: BufferPolicy,
 ) -> DistMatrix<T> {
     let spec = TransposeSpec::with_after(m.layout().clone(), after.clone());
-    let (held, dims) = held_and_dims(spec_blocks(&spec, m));
-    let result = exchange_over_dims(net, held, &dims, policy);
-    assemble(after, result)
+    exchange_blocks(&spec.block_moves(), m, after, net, policy)
 }
 
 /// Transposes `m` into layout `after` with n-port SBnT routing (§5's
@@ -150,12 +177,11 @@ pub fn transpose_1d_exchange<T: Copy + Default + Send + Sync>(
 pub fn transpose_1d_sbnt<T: Copy + Default + Send + Sync>(
     m: &DistMatrix<T>,
     after: &Layout,
-    net: &mut SimNet<BlockMsg<Routed<T>>>,
+    net: &mut SimNet<BlockMsg<T>>,
 ) -> DistMatrix<T> {
-    let spec = TransposeSpec::with_after(m.layout().clone(), after.clone());
-    let blocks = spec_blocks(&spec, m);
-    let result = all_to_all_sbnt(net, blocks);
-    assemble(after, result)
+    let moves = TransposeSpec::with_after(m.layout().clone(), after.clone()).block_moves();
+    let held = moves.gather(m, Block::new).into_iter().flatten().collect();
+    place_blocks(&moves, after, route_sbnt(net, held))
 }
 
 /// The matrix-of-`A` field map that `after` (a layout of `A^T`) induces:
@@ -254,6 +280,7 @@ pub fn transpose_stepwise<T: Copy + Default + Send + Sync>(
 mod tests {
     use super::*;
     use crate::verify::{assert_transposed, labels};
+    use cubeaddr::NodeId;
     use cubelayout::{Assignment, Direction, Encoding};
     use cubesim::{MachineParams, PortMode};
 
@@ -307,6 +334,67 @@ mod tests {
         let (after, mut result) = delivered();
         result[3].remove(2);
         assemble(&after, result);
+    }
+
+    /// The delivery of a correct 8×8 transpose over 4 nodes as
+    /// values-only blocks of 4 elements (`result[dst]` in source order),
+    /// for the ledger diagnostics below to corrupt.
+    fn delivered_blocks() -> (BlockMoves, Layout, Vec<Vec<Block<u64>>>) {
+        let (before, after) = canonical_1d(3, 3, 2);
+        let moves = TransposeSpec::with_after(before.clone(), after.clone()).block_moves();
+        let mut result: Vec<Vec<Block<u64>>> = vec![Vec::new(); 4];
+        for b in moves.gather(&labels(before), Block::new).into_iter().flatten() {
+            result[b.dst.index()].push(b);
+        }
+        (moves, after, result)
+    }
+
+    #[test]
+    fn the_ledger_accepts_a_complete_delivery() {
+        let (moves, after, result) = delivered_blocks();
+        assert_transposed(&canonical_1d(3, 3, 2).0, &place_blocks(&moves, &after, result));
+    }
+
+    #[test]
+    #[should_panic(expected = "block 2 → 3 never reached node 3")]
+    fn the_ledger_names_a_dropped_block() {
+        let (moves, after, mut result) = delivered_blocks();
+        result[3].remove(2);
+        place_blocks(&moves, &after, result);
+    }
+
+    #[test]
+    #[should_panic(expected = "block 0 → 1 delivered twice to node 1")]
+    fn the_ledger_names_a_duplicated_block() {
+        let (moves, after, mut result) = delivered_blocks();
+        let twin = result[1][0].clone();
+        result[1].push(twin);
+        place_blocks(&moves, &after, result);
+    }
+
+    #[test]
+    #[should_panic(expected = "block 1 → 2 delivered to node 0")]
+    fn the_ledger_names_a_block_on_the_wrong_node() {
+        let (moves, after, mut result) = delivered_blocks();
+        let stray = result[2].remove(1);
+        result[0].push(stray);
+        place_blocks(&moves, &after, result);
+    }
+
+    #[test]
+    #[should_panic(expected = "block 0 → 3 at node 3 holds 3 elements, not 4")]
+    fn the_ledger_names_a_truncated_block() {
+        let (moves, after, mut result) = delivered_blocks();
+        result[3][0].data.pop();
+        place_blocks(&moves, &after, result);
+    }
+
+    #[test]
+    #[should_panic(expected = "block 7 → 1 at node 1 is not one of this move's blocks")]
+    fn the_ledger_names_a_block_it_does_not_know() {
+        let (moves, after, mut result) = delivered_blocks();
+        result[1][0].src = NodeId(7);
+        place_blocks(&moves, &after, result);
     }
 
     #[test]

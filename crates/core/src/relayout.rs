@@ -9,11 +9,10 @@
 //! such conversion; this module drives it from a pair of layouts of the
 //! *same* matrix.
 
-use crate::one_dim::{held_and_dims, route_blocks, Routed};
-use cubeaddr::NodeId;
-use cubecomm::exchange::{exchange_over_dims, BufferPolicy};
+use crate::one_dim::exchange_blocks;
+use cubecomm::exchange::BufferPolicy;
 use cubecomm::BlockMsg;
-use cubelayout::pattern::{relayout_moves, relayout_traffic};
+use cubelayout::pattern::relayout_block_moves;
 use cubelayout::{DistMatrix, Layout};
 use cubesim::SimNet;
 
@@ -22,31 +21,18 @@ use cubesim::SimNet;
 /// algorithm over the node dimensions any element actually crosses.
 ///
 /// # Panics
-/// If the shapes differ, or on routing violations.
+/// If the shapes differ, or on routing violations (a block misdelivered,
+/// duplicated, truncated or lost).
 #[track_caller]
 pub fn relayout<T: Copy + Default + Send + Sync>(
     m: &DistMatrix<T>,
     to: &Layout,
-    net: &mut SimNet<BlockMsg<Routed<T>>>,
+    net: &mut SimNet<BlockMsg<T>>,
     policy: BufferPolicy,
 ) -> DistMatrix<T> {
     let from = m.layout();
     assert_eq!((from.p(), from.q()), (to.p(), to.q()), "shape mismatch");
-    let num = from.num_nodes().max(to.num_nodes());
-    let (held, dims) =
-        held_and_dims(route_blocks(m, num, &relayout_traffic(from, to), relayout_moves(from, to)));
-    let result = exchange_over_dims(net, held, &dims, policy);
-
-    let mut out = DistMatrix::<T>::zeroed(to.clone());
-    for (x, blks) in result.into_iter().enumerate() {
-        for b in blks {
-            assert_eq!(b.dst.index(), x);
-            for (local, value) in b.data {
-                out.node_mut(NodeId(x as u64))[local as usize] = value;
-            }
-        }
-    }
-    out
+    exchange_blocks(&relayout_block_moves(from, to), m, to, net, policy)
 }
 
 #[cfg(test)]

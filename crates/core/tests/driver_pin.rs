@@ -1,17 +1,20 @@
 //! End-to-end pin of `driver::execute` on the three perfbench driver
-//! configurations, at reduced size.
+//! configurations and the all-port one-dimensional transpose (SBnT), at
+//! reduced size.
 //!
 //! The layout maps under the driver are table-driven; nothing the driver
 //! returns may depend on that. Each configuration is therefore run twice:
 //! through `driver::execute`, and "the long way" — inputs and expected
 //! output placed element by element with `Layout::place`, the blocks of
-//! the exchange path grown one `push` at a time in `elements()` order, and
-//! the engine called directly on a net built the way the driver builds
-//! it. Matrix, choice and every field of the report must agree, and the
-//! report's counts must equal the values recorded before the change.
+//! the one-dimensional paths grown one `push` at a time in `elements()`
+//! order, and the engine called directly on a net built the way the
+//! driver builds it. Matrix, choice and every field of the report must
+//! agree, and the report's counts must equal the values recorded before
+//! the change.
 
 use cubeaddr::NodeId;
 use cubecomm::exchange::exchange_over_dims;
+use cubecomm::sbnt::all_to_all_sbnt;
 use cubecomm::{Block, BlockMsg, BufferPolicy};
 use cubelayout::{Assignment, Direction, DistMatrix, Encoding, Layout, TransposeSpec};
 use cubesim::{CommReport, MachineParams, PortMode, SimNet};
@@ -20,8 +23,9 @@ use cubetranspose::one_dim::{assemble, spec_blocks, Routed};
 use cubetranspose::two_dim::{transpose_mpt, transpose_spt_stepwise, Packet};
 
 /// What the simulator reported for one op at the commit before the
-/// tables: `(rounds, messages, elements, critical start-ups, max link
-/// elements, simulated seconds)`.
+/// tables (the SBnT pin: before the values-only block mover):
+/// `(rounds, messages, elements, critical start-ups, max link elements,
+/// simulated seconds)`.
 type Counts = (usize, u64, u64, u64, u64, f64);
 
 fn place_each<T: Copy + Default>(layout: &Layout, f: impl Fn(u64, u64) -> T) -> DistMatrix<T> {
@@ -70,14 +74,20 @@ fn blocks_each(spec: &TransposeSpec, m: &DistMatrix<u64>) -> Vec<Vec<Vec<Routed<
     blocks
 }
 
+/// [`blocks_each`], checked against `one_dim::spec_blocks`.
+fn checked_blocks(spec: &TransposeSpec, m: &DistMatrix<u64>) -> Vec<Vec<Vec<Routed<u64>>>> {
+    let blocks = blocks_each(spec, m);
+    assert_eq!(spec_blocks(spec, m), blocks, "block contents or element order changed");
+    blocks
+}
+
 fn exchange_the_long_way(
     spec: &TransposeSpec,
     m: &DistMatrix<u64>,
     net: &mut SimNet<BlockMsg<Routed<u64>>>,
     min_direct: usize,
 ) -> DistMatrix<u64> {
-    let blocks = blocks_each(spec, m);
-    assert_eq!(spec_blocks(spec, m), blocks, "block contents or element order changed");
+    let blocks = checked_blocks(spec, m);
     let mut diff = 0u64;
     let held: Vec<Vec<Block<Routed<u64>>>> = blocks
         .into_iter()
@@ -97,6 +107,14 @@ fn exchange_the_long_way(
     let dims: Vec<u32> = (0..net.n()).rev().filter(|&d| (diff >> d) & 1 == 1).collect();
     let result = exchange_over_dims(net, held, &dims, BufferPolicy::Buffered { min_direct });
     assemble(&spec.after, result)
+}
+
+fn sbnt_the_long_way(
+    spec: &TransposeSpec,
+    m: &DistMatrix<u64>,
+    net: &mut SimNet<BlockMsg<Routed<u64>>>,
+) -> DistMatrix<u64> {
+    assemble(&spec.after, all_to_all_sbnt(net, checked_blocks(spec, m)))
 }
 
 fn pin(name: &str, before: Layout, params: MachineParams, expect: Choice, counts: Counts) {
@@ -128,6 +146,11 @@ fn pin(name: &str, before: Layout, params: MachineParams, expect: Choice, counts
             let spec = TransposeSpec::with_after(before.clone(), after.clone());
             let mut net = SimNet::new(n, params.clone());
             (exchange_the_long_way(&spec, &input, &mut net, min_direct), net.finalize())
+        }
+        Choice::Sbnt => {
+            let spec = TransposeSpec::with_after(before.clone(), after.clone());
+            let mut net = SimNet::new(n, params.clone());
+            (sbnt_the_long_way(&spec, &input, &mut net), net.finalize())
         }
         other => panic!("{name}: no long way for {other:?}"),
     };
@@ -177,5 +200,16 @@ fn cm_2d_mpt() {
         MachineParams::connection_machine(),
         Choice::Mpt { k: 1 },
         (8, 1024, 1024, 8, 1, 5.6000000000000006e-5),
+    );
+}
+
+#[test]
+fn ipsc_1d_sbnt() {
+    pin(
+        "ipsc-1d-sbnt",
+        Layout::one_dim(6, 6, Direction::Rows, 4, Assignment::Cyclic, Encoding::Binary),
+        MachineParams::intel_ipsc().with_ports(PortMode::AllPorts),
+        Choice::Sbnt,
+        (4, 208, 8192, 4, 128, 0.020704),
     );
 }

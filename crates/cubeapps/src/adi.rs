@@ -13,7 +13,7 @@ use crate::tridiag::{thomas, ConstTridiag};
 use cubecomm::{BlockMsg, BufferPolicy};
 use cubelayout::{Assignment, Direction, DistMatrix, Encoding, Layout};
 use cubesim::{MachineParams, SimNet};
-use cubetranspose::one_dim::{transpose_1d_exchange, Routed};
+use cubetranspose::one_dim::transpose_1d_exchange;
 
 /// An ADI heat-diffusion problem on a `2^p × 2^p` grid over a `2^n`-node
 /// cube.
@@ -70,7 +70,7 @@ impl AdiSolver {
 
     fn transpose(&mut self, m: &DistMatrix<f64>) -> DistMatrix<f64> {
         let after = m.layout().swapped_shape();
-        let mut net: SimNet<BlockMsg<Routed<f64>>> = SimNet::new(self.n, self.params.clone());
+        let mut net: SimNet<BlockMsg<f64>> = SimNet::new(self.n, self.params.clone());
         let out = transpose_1d_exchange(
             m,
             &after,

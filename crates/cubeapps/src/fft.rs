@@ -13,7 +13,7 @@ use crate::cplx::Cplx;
 use cubecomm::{BlockMsg, BufferPolicy};
 use cubelayout::{Assignment, Direction, DistMatrix, Encoding, Layout};
 use cubesim::{CommReport, MachineParams, SimNet};
-use cubetranspose::one_dim::{transpose_1d_exchange, Routed};
+use cubetranspose::one_dim::transpose_1d_exchange;
 
 /// In-place iterative radix-2 Cooley–Tukey FFT (forward transform,
 /// `ω = e^{-2πi/n}`).
@@ -109,7 +109,7 @@ pub fn fft_four_step(
     let a =
         DistMatrix::from_fn(layout_a.clone(), |n1, n2| signal[(n1 as usize) * cols + n2 as usize]);
 
-    let mut net: SimNet<BlockMsg<Routed<Cplx>>> = SimNet::new(n, params.clone());
+    let mut net: SimNet<BlockMsg<Cplx>> = SimNet::new(n, params.clone());
 
     // Step 1: transpose → T[n2][n1] = x[n1·C + n2].
     let mut t = transpose_1d_exchange(&a, &layout_t, &mut net, BufferPolicy::Ideal);
@@ -125,7 +125,7 @@ pub fn fft_four_step(
     });
 
     // Step 3: transpose back → Z[k1][n2].
-    let mut net: SimNet<BlockMsg<Routed<Cplx>>> = SimNet::new(n, params.clone());
+    let mut net: SimNet<BlockMsg<Cplx>> = SimNet::new(n, params.clone());
     let mut z = transpose_1d_exchange(&t, &layout_a, &mut net, BufferPolicy::Ideal);
     let mut report = net.finalize();
 

@@ -10,7 +10,7 @@ use crate::tridiag::{thomas, ConstTridiag};
 use cubecomm::{BlockMsg, BufferPolicy};
 use cubelayout::{Assignment, Direction, DistMatrix, Encoding, Layout};
 use cubesim::{CommReport, MachineParams, SimNet};
-use cubetranspose::one_dim::{transpose_1d_exchange, Routed};
+use cubetranspose::one_dim::transpose_1d_exchange;
 use std::f64::consts::PI;
 
 /// Discrete sine transform (DST-I) of `n` interior points.
@@ -49,7 +49,7 @@ pub fn solve_poisson(
     per_row(&mut work, |_, line| dst(line));
 
     // 2. Transpose: modes become rows.
-    let mut net: SimNet<BlockMsg<Routed<f64>>> = SimNet::new(n, params.clone());
+    let mut net: SimNet<BlockMsg<f64>> = SimNet::new(n, params.clone());
     let mut hat = transpose_1d_exchange(&work, &layout, &mut net, BufferPolicy::Ideal);
     let mut report = net.finalize();
 
@@ -60,7 +60,7 @@ pub fn solve_poisson(
     });
 
     // 4. Transpose back and inverse transform.
-    let mut net: SimNet<BlockMsg<Routed<f64>>> = SimNet::new(n, params.clone());
+    let mut net: SimNet<BlockMsg<f64>> = SimNet::new(n, params.clone());
     let mut sol = transpose_1d_exchange(&hat, &layout, &mut net, BufferPolicy::Ideal);
     let r2 = net.finalize();
     report.merge(&r2);

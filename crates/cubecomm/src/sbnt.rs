@@ -66,8 +66,10 @@ pub fn all_to_all_sbnt<T>(
     route_sbnt(net, payloads)
 }
 
-/// Routes every block from its `src` along its SBnT path.
-fn route_sbnt<T>(net: &mut SimNet<BlockMsg<T>>, payloads: Vec<Block<T>>) -> Vec<Vec<Block<T>>> {
+/// Routes every block from its `src` along its SBnT path (the engine of
+/// [`all_to_all_sbnt`], for blocks already cut); `result[dst]` holds the
+/// blocks delivered to `dst`.
+pub fn route_sbnt<T>(net: &mut SimNet<BlockMsg<T>>, payloads: Vec<Block<T>>) -> Vec<Vec<Block<T>>> {
     let metas = exec::metas_at_src(&payloads);
     let rounds = skeleton::sbnt_rounds(net.n(), &metas);
     exec::execute(net, &metas, &rounds, payloads)

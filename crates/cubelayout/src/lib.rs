@@ -18,6 +18,8 @@
 //!   communication pattern of a transposition ([`pattern`]),
 //! * a distributed matrix container used by the simulator and the SPMD
 //!   runtime ([`dist::DistMatrix`]),
+//! * values-only node-pair blocks for moving such a matrix between two
+//!   layouts ([`BlockMoves`]),
 //! * textual renderings of the paper's Tables 1 and 2 ([`table`]).
 
 pub mod dist;
@@ -34,3 +36,4 @@ pub use field::{FieldGroup, SubField};
 pub use layout::{Layout, Placement};
 pub use pattern::{classify_transpose, CommPattern, TransposeSpec};
 pub use scheme::{Assignment, Direction, Encoding};
+pub use separable::BlockMoves;

@@ -16,7 +16,7 @@
 //!   reference \[4\]).
 
 use crate::layout::Layout;
-use crate::separable::{MoveTables, PlaceTables};
+use crate::separable::{BlockMoves, MoveTables, PlaceTables};
 use cubeaddr::{DimSet, NodeId};
 
 /// A transposition problem: the layout of `A` before, and the layout the
@@ -176,35 +176,25 @@ impl TransposeSpec {
     pub fn moves(&self) -> impl Iterator<Item = ElementMove> {
         self.tables().into_moves()
     }
+
+    /// The same movement as values-only node-pair blocks: one per
+    /// non-zero entry of [`TransposeSpec::traffic_matrix`].
+    pub fn block_moves(&self) -> BlockMoves {
+        self.tables().block_moves(self.before.num_nodes().max(self.after.num_nodes()))
+    }
 }
 
-/// A storage-form change of the *same* matrix (no transposition): element
-/// `(u, v)` goes from `from.place(u, v)` to `to.place(u, v)`.
+/// A storage-form change of the *same* matrix (no transposition) as
+/// values-only node-pair blocks: element `(u, v)` goes from
+/// `from.place(u, v)` to `to.place(u, v)`, and there is one block per
+/// pair of nodes that exchanges any element.
+///
+/// # Panics
+/// If the layouts' shapes differ.
 #[track_caller]
-fn relayout_tables(from: &Layout, to: &Layout) -> MoveTables {
+pub fn relayout_block_moves(from: &Layout, to: &Layout) -> BlockMoves {
     MoveTables::new(PlaceTables::new(from), PlaceTables::new(to))
-}
-
-/// The traffic matrix of a storage-form change of the *same* matrix (no
-/// transposition): `counts[s][d]` = number of elements `(u, v)` with
-/// `from.place(u, v)` on node `s` and `to.place(u, v)` on node `d`.
-///
-/// # Panics
-/// If the layouts' shapes differ.
-#[track_caller]
-pub fn relayout_traffic(from: &Layout, to: &Layout) -> Vec<Vec<usize>> {
-    relayout_tables(from, to).traffic(from.num_nodes(), to.num_nodes())
-}
-
-/// Iterates every element move of a storage-form change of the *same*
-/// matrix, in row-major `(u, v)` order: element `(u, v)` goes from
-/// `from.place(u, v)` to `to.place(u, v)`.
-///
-/// # Panics
-/// If the layouts' shapes differ.
-#[track_caller]
-pub fn relayout_moves(from: &Layout, to: &Layout) -> impl Iterator<Item = ElementMove> {
-    relayout_tables(from, to).into_moves()
+        .block_moves(from.num_nodes().max(to.num_nodes()))
 }
 
 /// One element's source and destination placement in a transposition.

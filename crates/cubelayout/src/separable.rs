@@ -8,11 +8,14 @@
 //! `DimSet::extract` calls `place` makes — so a walk over all `PQ`
 //! elements costs two loads and two ORs per element instead of a bit
 //! loop, and every question about the *node-level* structure of a data
-//! movement ([`MoveTables`]) is answered from the `P + Q` entries alone.
+//! movement ([`MoveTables`]) is answered from the `P + Q` entries alone —
+//! including how to cut it into values-only node-pair blocks
+//! ([`BlockMoves`]).
 //!
 //! Tables are built per call and dropped: a `Layout` stays a four-field
 //! value and nothing is cached.
 
+use crate::dist::DistMatrix;
 use crate::layout::{Layout, Placement};
 use crate::pattern::ElementMove;
 use cubeaddr::NodeId;
@@ -67,26 +70,6 @@ pub(crate) struct MoveTables {
     dst: PlaceTables,
 }
 
-/// The distinct `(source node part, destination node part)` pairs of one
-/// direction, sorted, each with the number of indices that produce it.
-fn pair_counts(src: &[Part], dst: &[Part]) -> Vec<(u64, u64, usize)> {
-    let mut pairs: Vec<(u64, u64)> = src.iter().zip(dst).map(|(s, d)| (s.node, d.node)).collect();
-    pairs.sort_unstable();
-    let mut out: Vec<(u64, u64, usize)> = Vec::new();
-    for (s, d) in pairs {
-        match out.last_mut() {
-            Some(last) if (last.0, last.1) == (s, d) => last.2 += 1,
-            _ => out.push((s, d, 1)),
-        }
-    }
-    out
-}
-
-/// True when no source part is paired with two destination parts.
-fn is_function(sorted_pairs: &[(u64, u64, usize)]) -> bool {
-    sorted_pairs.windows(2).all(|w| w[0].0 != w[1].0)
-}
-
 impl MoveTables {
     /// # Panics
     /// If the two sides do not tabulate the same `P × Q` index space.
@@ -111,14 +94,13 @@ impl MoveTables {
     /// decided from the `P + Q` table entries; the map itself is then the
     /// product of the two per-direction functions.
     pub fn node_map(&self, n_nodes: usize) -> Option<Vec<NodeId>> {
-        let rows = pair_counts(&self.src.rows, &self.dst.rows);
-        let cols = pair_counts(&self.src.cols, &self.dst.cols);
-        if !is_function(&rows) || !is_function(&cols) {
+        let (rows, cols) = self.groups();
+        if !rows.is_function() || !cols.is_function() {
             return None;
         }
         let mut dst_of: Vec<Option<NodeId>> = vec![None; n_nodes];
-        for &(sr, dr, _) in &rows {
-            for &(sc, dc, _) in &cols {
+        for &(sr, dr) in &rows.keys {
+            for &(sc, dc) in &cols.keys {
                 dst_of[(sr | sc) as usize] = Some(NodeId(dr | dc));
             }
         }
@@ -137,22 +119,224 @@ impl MoveTables {
     }
 
     /// `counts[s][d]`: how many elements move from node `s` to node `d` —
-    /// the product of the per-direction pair counts.
+    /// the product of the per-direction group sizes.
     pub fn traffic(&self, src_nodes: usize, dst_nodes: usize) -> Vec<Vec<usize>> {
-        let rows = pair_counts(&self.src.rows, &self.dst.rows);
-        let cols = pair_counts(&self.src.cols, &self.dst.cols);
+        let (rows, cols) = self.groups();
         let mut counts = vec![vec![0usize; dst_nodes]; src_nodes];
-        for &(sr, dr, in_rows) in &rows {
-            for &(sc, dc, in_cols) in &cols {
-                counts[(sr | sc) as usize][(dr | dc) as usize] = in_rows * in_cols;
+        for (r, &(sr, dr)) in rows.keys.iter().enumerate() {
+            for (c, &(sc, dc)) in cols.keys.iter().enumerate() {
+                counts[(sr | sc) as usize][(dr | dc) as usize] =
+                    rows.members(r).len() * cols.members(c).len();
             }
         }
         counts
     }
 
+    fn groups(&self) -> (Groups, Groups) {
+        (Groups::new(&self.src.rows, &self.dst.rows), Groups::new(&self.src.cols, &self.dst.cols))
+    }
+
     /// Every element's move, in row-major `(u, v)` order.
     pub fn into_moves(self) -> Moves {
         Moves { tables: self, u: 0, v: 0 }
+    }
+
+    /// The movement as node-pair blocks, over `nodes` nodes (at least the
+    /// node count of either side).
+    pub fn block_moves(&self, nodes: usize) -> BlockMoves {
+        let (rows, cols) = self.groups();
+        let mut blocks = Vec::with_capacity(rows.keys.len() * cols.keys.len());
+        for (row, &(sr, dr)) in rows.keys.iter().enumerate() {
+            for (col, &(sc, dc)) in cols.keys.iter().enumerate() {
+                blocks.push(BlockRef { src: NodeId(sr | sc), dst: NodeId(dr | dc), row, col });
+            }
+        }
+        blocks.sort_unstable_by_key(|b| (b.src, b.dst));
+        BlockMoves { rows, cols, blocks, nodes }
+    }
+}
+
+/// The indices of one direction grouped by `(source node part,
+/// destination node part)`: group `g` has parts `keys[g]` and members
+/// `starts[g] .. starts[g + 1]` of `src` / `dst`, indices ascending.
+struct Groups {
+    keys: Vec<(u64, u64)>,
+    starts: Vec<usize>,
+    /// The members' source and destination local parts.
+    src: Vec<u64>,
+    dst: Vec<u64>,
+}
+
+impl Groups {
+    fn new(src: &[Part], dst: &[Part]) -> Self {
+        let mut order: Vec<usize> = (0..src.len()).collect();
+        // Stable: indices stay ascending inside a group.
+        order.sort_by_key(|&i| (src[i].node, dst[i].node));
+        let mut groups = Groups {
+            keys: Vec::new(),
+            starts: Vec::new(),
+            src: Vec::with_capacity(src.len()),
+            dst: Vec::with_capacity(src.len()),
+        };
+        for (at, &i) in order.iter().enumerate() {
+            let key = (src[i].node, dst[i].node);
+            if groups.keys.last() != Some(&key) {
+                groups.keys.push(key);
+                groups.starts.push(at);
+            }
+            groups.src.push(src[i].local);
+            groups.dst.push(dst[i].local);
+        }
+        groups.starts.push(order.len());
+        groups
+    }
+
+    fn members(&self, g: usize) -> std::ops::Range<usize> {
+        self.starts[g]..self.starts[g + 1]
+    }
+
+    /// True when no source part is paired with two destination parts.
+    fn is_function(&self) -> bool {
+        self.keys.windows(2).all(|w| w[0].0 != w[1].0)
+    }
+}
+
+/// One block of a [`BlockMoves`]: its end nodes and the row and column
+/// groups whose product it is.
+#[derive(Clone, Copy)]
+struct BlockRef {
+    src: NodeId,
+    dst: NodeId,
+    row: usize,
+    col: usize,
+}
+
+/// An element-wise data movement between two separable layouts, cut into
+/// node-pair blocks that carry values only.
+///
+/// The row parts and column parts of a placement occupy disjoint bit
+/// fields on both sides, so the elements moving from node `a | c` to node
+/// `b | e` are exactly the product `U(a, b) × V(c, e)` of the rows whose
+/// source / destination row node parts are `(a, b)` and the columns whose
+/// column node parts are `(c, e)`. A block's source and destination local
+/// addresses are therefore the OR of one row-local list and one
+/// column-local list, and neither end needs a per-element address. Built
+/// per call in `O(P + Q)` plus one entry per non-empty block.
+pub struct BlockMoves {
+    rows: Groups,
+    cols: Groups,
+    /// Every non-empty block, ascending `(src, dst)`.
+    blocks: Vec<BlockRef>,
+    nodes: usize,
+}
+
+impl BlockMoves {
+    /// Every non-empty block as `(src, dst, elements)`, ascending
+    /// `(src, dst)`: exactly the non-zero entries of the traffic matrix.
+    /// The position in this sequence is the block's id.
+    pub fn blocks(&self) -> impl ExactSizeIterator<Item = (NodeId, NodeId, usize)> + '_ {
+        self.blocks.iter().map(|b| (b.src, b.dst, self.len(b)))
+    }
+
+    fn len(&self, b: &BlockRef) -> usize {
+        self.rows.members(b.row).len() * self.cols.members(b.col).len()
+    }
+
+    /// The id of the block from `src` to `dst`, if that pair exchanges
+    /// any element.
+    pub fn find(&self, src: NodeId, dst: NodeId) -> Option<usize> {
+        self.blocks.binary_search_by_key(&(src, dst), |b| (b.src, b.dst)).ok()
+    }
+
+    /// Reads every block out of `m` (laid out by the source layout these
+    /// moves were built from): `held[x]` is node `x`'s blocks,
+    /// destinations ascending, each built by `block(src, dst, data)` from
+    /// its elements in row-major `(u, v)` order. One list per node of the
+    /// larger cube.
+    pub fn gather<T: Copy, B>(
+        &self,
+        m: &DistMatrix<T>,
+        mut block: impl FnMut(NodeId, NodeId, Vec<T>) -> B,
+    ) -> Vec<Vec<B>> {
+        let mut held: Vec<Vec<B>> = (0..self.nodes).map(|_| Vec::new()).collect();
+        for b in &self.blocks {
+            let (rows, cols) = (self.rows.members(b.row), self.cols.members(b.col));
+            let (rows, cols) = (&self.rows.src[rows], &self.cols.src[cols]);
+            let from = m.node(b.src);
+            let mut data = Vec::with_capacity(rows.len() * cols.len());
+            for &r in rows {
+                data.extend(cols.iter().map(|&c| from[(r | c) as usize]));
+            }
+            held[b.src.index()].push(block(b.src, b.dst, data));
+        }
+        held
+    }
+
+    /// Writes every block into `out`, laid out by the destination layout
+    /// these moves were built from: `data[id]` is block `id`'s elements as
+    /// [`BlockMoves::gather`] built them.
+    ///
+    /// Each node is written in the order of its own addresses rather than
+    /// block by block. The direction that owns the destination's lowest
+    /// local bit is the inner loop, run across all of the node's blocks
+    /// that share one group of the other direction, so every write for
+    /// one high-order local part is done before the next begins. One
+    /// block's addresses alone can be strided: at 1024 × 1024 with cyclic
+    /// rows on 64 nodes, each of a transpose block's 256 elements lands on
+    /// its own cache line, 8 KiB from the next.
+    ///
+    /// # Panics
+    /// If `data` does not hold one vector per block, or a block's vector
+    /// is not exactly its length.
+    #[track_caller]
+    pub fn place<T: Copy>(&self, data: &[Vec<T>], out: &mut DistMatrix<T>) {
+        assert_eq!(data.len(), self.blocks.len(), "one data vector per block");
+        for (b, data) in self.blocks.iter().zip(data) {
+            assert!(
+                data.len() == self.len(b),
+                "block {} → {} at node {} holds {} elements, not {}",
+                b.src,
+                b.dst,
+                b.dst,
+                data.len(),
+                self.len(b)
+            );
+        }
+        let rows_low = self.rows.dst.iter().any(|&local| local & 1 == 1);
+        let (outer, inner) =
+            if rows_low { (&self.cols, &self.rows) } else { (&self.rows, &self.cols) };
+        let groups = |id: usize| {
+            let b = &self.blocks[id];
+            if rows_low {
+                (b.col, b.row)
+            } else {
+                (b.row, b.col)
+            }
+        };
+        let mut order: Vec<usize> = (0..self.blocks.len()).collect();
+        order.sort_unstable_by_key(|&id| (self.blocks[id].dst, groups(id)));
+        for node in order.chunk_by(|&x, &y| self.blocks[x].dst == self.blocks[y].dst) {
+            let to = out.node_mut(self.blocks[node[0]].dst);
+            for run in node.chunk_by(|&x, &y| groups(x).0 == groups(y).0) {
+                let outer_locals = &outer.dst[outer.members(groups(run[0]).0)];
+                for (po, &o) in outer_locals.iter().enumerate() {
+                    for &id in run {
+                        let inner_locals = &inner.dst[inner.members(groups(id).1)];
+                        // Block data is row-major: `(row, column)` sits at
+                        // `row · width + column`.
+                        let (outer_stride, inner_stride) = if rows_low {
+                            (1, outer_locals.len())
+                        } else {
+                            (inner_locals.len(), 1)
+                        };
+                        let block = &data[id][po * outer_stride..];
+                        for (pi, &l) in inner_locals.iter().enumerate() {
+                            to[(o | l) as usize] = block[pi * inner_stride];
+                        }
+                    }
+                }
+            }
+        }
     }
 }
 

@@ -3,13 +3,14 @@
 //!
 //! The oracles below are the pre-table implementations, kept here and
 //! nowhere else: `place` as the bit-by-bit formula, `node_map` /
-//! `traffic_matrix` / `moves` as walks over all `PQ` elements.
+//! `traffic_matrix` / `moves` as walks over all `PQ` elements. The block
+//! mover (`BlockMoves`) is checked against the same walks.
 
 use cubeaddr::{concat, DimSet, NodeId};
-use cubelayout::pattern::{relayout_moves, relayout_traffic, ElementMove};
+use cubelayout::pattern::{relayout_block_moves, ElementMove};
 use cubelayout::{
-    Assignment, CommPattern, Direction, DistMatrix, Encoding, Layout, Placement, SubField,
-    TransposeSpec,
+    Assignment, BlockMoves, CommPattern, Direction, DistMatrix, Encoding, Layout, Placement,
+    SubField, TransposeSpec,
 };
 use proptest::prelude::*;
 
@@ -33,6 +34,15 @@ fn naive_moves(spec: &TransposeSpec) -> Vec<ElementMove> {
                 dst: to.node,
                 dst_local: to.local,
             }
+        })
+        .collect()
+}
+
+fn naive_relayout_moves(from: &Layout, to: &Layout) -> Vec<ElementMove> {
+    from.elements()
+        .map(|(u, v)| {
+            let (s, d) = (naive_place(from, u, v), naive_place(to, u, v));
+            ElementMove { u, v, src: s.node, src_local: s.local, dst: d.node, dst_local: d.local }
         })
         .collect()
 }
@@ -109,6 +119,52 @@ fn check_spec(spec: &TransposeSpec) {
     );
 }
 
+/// The blocks of `moves` (from layout `from` to layout `to`) against the
+/// element moves `naive` they cut up: one block per non-zero traffic
+/// entry with its count, each gathering its pair's elements in `naive`'s
+/// order, and every element placed where `naive` says.
+fn check_blocks(moves: &BlockMoves, from: &Layout, to: &Layout, naive: &[ElementMove]) {
+    let traffic = naive_traffic(naive, from.num_nodes(), to.num_nodes());
+    let nonzero: Vec<(NodeId, NodeId, usize)> = traffic
+        .iter()
+        .enumerate()
+        .flat_map(|(s, row)| {
+            row.iter()
+                .enumerate()
+                .filter(|&(_, &count)| count > 0)
+                .map(move |(d, &count)| (NodeId(s as u64), NodeId(d as u64), count))
+        })
+        .collect();
+    assert_eq!(moves.blocks().collect::<Vec<_>>(), nonzero, "{from:?} → {to:?}");
+
+    // Labels start at 1, so a slot no block wrote still reads 0.
+    let q = from.q();
+    let label = |u: u64, v: u64| ((u << q) | v) + 1;
+    let held = moves.gather(&DistMatrix::from_fn(from.clone(), label), |s, d, data| (s, d, data));
+    assert_eq!(held.len(), from.num_nodes().max(to.num_nodes()));
+    let (mut gathered, mut data) = (Vec::new(), Vec::new());
+    for (x, blocks) in held.into_iter().enumerate() {
+        for (s, d, block) in blocks {
+            assert_eq!(s.index(), x, "a block of {s} held by {x}");
+            let want: Vec<u64> = naive
+                .iter()
+                .filter(|mv| (mv.src, mv.dst) == (s, d))
+                .map(|mv| label(mv.u, mv.v))
+                .collect();
+            assert_eq!(block, want, "block {s} → {d} of {from:?} → {to:?}");
+            assert_eq!(moves.find(s, d), Some(gathered.len()), "block {s} → {d}'s id");
+            gathered.push((s, d, block.len()));
+            data.push(block);
+        }
+    }
+    assert_eq!(gathered, nonzero, "gathered blocks, in order");
+    let mut out = DistMatrix::zeroed(to.clone());
+    moves.place(&data, &mut out);
+    for mv in naive {
+        assert_eq!(out.node(mv.dst)[mv.dst_local as usize], label(mv.u, mv.v), "{mv:?}");
+    }
+}
+
 /// `place`, `from_fn`, `gather`, `get` and the label check of one layout.
 fn check_layout(l: &Layout) {
     let q = l.q();
@@ -177,6 +233,19 @@ fn spec_strategy() -> impl Strategy<Value = TransposeSpec> {
     )
 }
 
+/// Two independently drawn layouts of one `2^p × 2^q` matrix (so `n`
+/// may differ between them).
+fn relayout_strategy() -> impl Strategy<Value = (Layout, Layout)> {
+    ((0u32..5, 0u32..5), (field_draw(), field_draw()), (field_draw(), field_draw())).prop_map(
+        |((p, q), from, to)| {
+            (
+                Layout::new(p, q, field(p, from.0), field(q, from.1)),
+                Layout::new(p, q, field(p, to.0), field(q, to.1)),
+            )
+        },
+    )
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -187,24 +256,16 @@ proptest! {
     }
 
     #[test]
-    fn random_relayouts_match_the_enumeration(
-        (p, q) in (0u32..5, 0u32..5),
-        from in (field_draw(), field_draw()),
-        to in (field_draw(), field_draw()),
+    fn random_block_moves_match_the_enumeration(
+        spec in spec_strategy(),
+        (from, to) in relayout_strategy(),
     ) {
-        let from = Layout::new(p, q, field(p, from.0), field(q, from.1));
-        let to = Layout::new(p, q, field(p, to.0), field(q, to.1));
-        let naive: Vec<ElementMove> = from
-            .elements()
-            .map(|(u, v)| {
-                let (s, d) = (naive_place(&from, u, v), naive_place(&to, u, v));
-                ElementMove { u, v, src: s.node, src_local: s.local, dst: d.node, dst_local: d.local }
-            })
-            .collect();
-        prop_assert_eq!(relayout_moves(&from, &to).collect::<Vec<_>>(), naive.clone());
-        prop_assert_eq!(
-            relayout_traffic(&from, &to),
-            naive_traffic(&naive, from.num_nodes(), to.num_nodes())
+        check_blocks(&spec.block_moves(), &spec.before, &spec.after, &naive_moves(&spec));
+        check_blocks(
+            &relayout_block_moves(&from, &to),
+            &from,
+            &to,
+            &naive_relayout_moves(&from, &to),
         );
     }
 }

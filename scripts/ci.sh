@@ -117,6 +117,20 @@ if [ -n "$violations" ]; then
     false
 fi
 
+begin "lint policy: the tagged (dst_local, value) element stays a loan (one_dim.rs and the driver pins only)"
+# The one-dimensional engines and relayout move values-only blocks
+# (cubelayout::BlockMoves). The tagged type survives only for perfbench's
+# per-layer decomposition of ipsc6-1d-exchange and driver_pin.rs's long
+# way; no other code may route elements through it again.
+# (Bracketed so this script does not match itself.)
+violations="$(grep -rlw 'Route[d]' --include='*.rs' crates src tests examples 2>/dev/null \
+    | grep -v -x -e 'crates/core/src/one_dim.rs' -e 'crates/core/tests/driver_pin.rs' || true)"
+if [ -n "$violations" ]; then
+    echo "FAIL: files use the tagged element type outside its loan:" >&2
+    echo "$violations" >&2
+    false
+fi
+
 begin "model-check: exhaustive interleaving of the real concurrency protocols (time-bounded)"
 # Rebuilds the facade's dependents against the model backend and
 # enumerates schedules of cubesim::par, the cuberun scheduler (six
@@ -229,6 +243,17 @@ for workload in ipsc6-2d-spt ipsc6-1d-exchange cm16-2d-mpt cm16-spmd-exchange \
         *) echo "FAIL: perfbench $workload: $verdict" >&2; false ;;
     esac
 done
+
+begin "perfbench smoke: the traced ipsc6-1d-exchange pass (tagged decomposition = values-only driver)"
+# The traced pass re-runs the op through one_dim's tagged loan path and
+# fails unless its matrix and CommReport equal driver::execute's, which
+# moves values-only blocks: the two paths compared at paper scale.
+verdict="$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+    --workload ipsc6-1d-exchange --rounds 1 --trace 1 | tail -n 1)"
+case "$verdict" in
+    *'"correct": true'*) ;;
+    *) echo "FAIL: perfbench ipsc6-1d-exchange --trace 1: $verdict" >&2; false ;;
+esac
 
 begin "router figures: CSVs must match committed baselines at every thread count"
 # The sweep's par_map is the one parallel path in the tree; this diff at

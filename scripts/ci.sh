@@ -156,6 +156,12 @@ cargo run --release -q -p cubecheck -- --all-figures
 begin "cubecheck: plan/execution equivalence"
 cargo test --release -q -p cubecheck --test equivalence
 
+begin "cubecheck: every rule fires on its corruption (n = 2 … 14)"
+# The precision side of the equivalence step: each corrupted schedule
+# fires exactly its own rule at its own round / node / dim, including
+# the ignored paper-scale case on the n = 14 router lowering.
+cargo test --release -q -p cubecheck --test corruption -- --include-ignored
+
 begin "cubesim: flat SimNet vs ReferenceNet (reports, payloads, drain order, panic text)"
 # With the equivalence suite above, the simulator's regression net. The
 # workspace test step already ran it; running it by name makes a

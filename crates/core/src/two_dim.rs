@@ -29,6 +29,21 @@
 //! the whole transpose. MPT at the paper's CM size is 65 536 nodes of
 //! `2H(x)` paths each, of which a one-element array rides one; nothing
 //! is allocated per path, and an unused path is never written.
+//!
+//! Running a plan lands every packet once, in a *delivery ledger*: one
+//! `(source, landed at, packet)` line per flight, in plan order. Between
+//! hops a packet is parked on its line; each round's deliveries come
+//! back from [`SimNet::drain_all_with`] in send order, which is the
+//! order of the live flights, and each is checked to be the hop its
+//! flight planned. Flights are planned source by source in ascending
+//! offsets, so each source's packets are one contiguous run of the
+//! ledger, and `rebuild` gives destination `d` the run of `tr(d)` after
+//! checking that every packet landed at `d` and that the offsets tile
+//! the array — no per-destination list, no sort. The local step of §6.1
+//! transposes the `rows × cols` local array; with one local row or
+//! column that is the identity, so a whole array arriving as one packet
+//! (the paper's CM configuration: one element per node) *is* the output
+//! buffer.
 
 use cubeaddr::NodeId;
 use cubelayout::{CommPattern, DistMatrix, Layout, TransposeSpec};
@@ -158,60 +173,83 @@ impl<T: Copy> FlightPlan<T> {
     }
 }
 
+/// One flight's line in the delivery ledger: its source, the node its
+/// packet landed at, and the packet.
+struct Landed<T> {
+    src: NodeId,
+    at: NodeId,
+    packet: Packet<T>,
+}
+
 /// Runs all flights to completion, one hop per cycle starting at each
-/// flight's injection cycle, and returns the packets delivered per node.
+/// flight's injection cycle, and returns the delivery ledger in plan
+/// order.
 ///
 /// Panics (inside the simulator) if the flight set ever contends for a
-/// directed link — the runtime check of the edge-disjointness lemmas.
-fn run_flights<T>(net: &mut SimNet<Packet<T>>, plan: FlightPlan<T>) -> Vec<Vec<Packet<T>>> {
-    let num = net.num_nodes();
-    let mut deliveries: Vec<Vec<Packet<T>>> = (0..num).map(|_| Vec::new()).collect();
-    /// A launched flight: where its packet is, and the arena positions
-    /// of its next hop and of its path's end.
-    struct Live<T> {
-        at: NodeId,
+/// directed link — the runtime check of the edge-disjointness lemmas —
+/// and here if a delivery is not the hop its flight planned.
+fn run_flights<T>(net: &mut SimNet<Packet<T>>, plan: FlightPlan<T>) -> Vec<Landed<T>> {
+    /// A launched flight: its ledger line, the arena positions of its
+    /// next hop and of its path's end, and where its packet is.
+    #[derive(Clone, Copy)]
+    struct Live {
+        id: usize,
         next: u32,
         end: u32,
-        packet: Packet<T>,
+        at: NodeId,
     }
-    let FlightPlan { arena, flights: mut waiting } = plan;
-    // Stable sort by injection cycle, then drain through a cursor: the
-    // launch scan is one pass over the schedule instead of re-partitioning
-    // (and reallocating) the whole waiting list every cycle.
-    waiting.sort_by_key(|f| f.inject);
+    let FlightPlan { arena, flights } = plan;
+    // Packets are parked in the ledger by flight id between hops; the
+    // launch schedule is stably sorted by injection cycle and drained
+    // through a cursor, one pass over it for the whole run.
+    let mut ledger = Vec::with_capacity(flights.len());
+    let mut waiting = Vec::with_capacity(flights.len());
+    for (id, f) in flights.into_iter().enumerate() {
+        let PathRef { start, len } = f.path;
+        waiting.push((f.inject, Live { id, next: start, end: start + len, at: f.src }));
+        ledger.push(Landed { src: f.src, at: f.src, packet: f.packet });
+    }
+    waiting.sort_by_key(|&(inject, _)| inject);
     let mut waiting = waiting.into_iter().peekable();
-    let mut live: Vec<Live<T>> = Vec::new();
+    let mut live: Vec<Live> = Vec::new();
     let mut cycle = 0usize;
     while waiting.peek().is_some() || !live.is_empty() {
-        // Launch this cycle's injections.
-        while let Some(f) = waiting.next_if(|f| f.inject <= cycle) {
-            debug_assert_eq!(f.inject, cycle, "missed injection cycle");
-            let PathRef { start, len } = f.path;
-            live.push(Live { at: f.src, next: start, end: start + len, packet: f.packet });
+        while let Some((inject, l)) = waiting.next_if(|&(inject, _)| inject <= cycle) {
+            debug_assert_eq!(inject, cycle, "missed injection cycle");
+            live.push(l);
         }
         // Every live packet advances one hop: the payload itself moves
-        // (no per-hop clone) and is reclaimed from the inbox below.
-        for l in &mut live {
-            let pkt = std::mem::replace(&mut l.packet, Packet { offset: 0, data: Vec::new() });
+        // (no per-hop clone) and comes back through the drain below.
+        for l in &live {
+            let pkt =
+                std::mem::replace(&mut ledger[l.id].packet, Packet { offset: 0, data: Vec::new() });
             net.send(l.at, u32::from(arena[l.next as usize]), pkt);
         }
         net.finish_round();
-        live.retain_mut(|l| {
-            let dim = u32::from(arena[l.next as usize]);
-            let next = l.at.neighbor(dim);
-            l.packet = net.recv(next, dim);
+        // Deliveries come back in send order, which is `live`'s order.
+        let mut hop = live.iter_mut();
+        net.drain_all_with(|dst, dim, pkt| {
+            let l = hop.next().expect("one delivery per live flight");
+            let want = u32::from(arena[l.next as usize]);
+            let next = l.at.neighbor(want);
+            let line = &mut ledger[l.id];
+            assert!(
+                dst == next && dim == want,
+                "flight {} from {}: hop from {} planned to {next} on dim {want}, delivered at \
+                 {dst} on dim {dim}",
+                l.id,
+                line.src,
+                l.at
+            );
+            line.packet = pkt;
+            line.at = next;
             l.at = next;
             l.next += 1;
-            if l.next == l.end {
-                let pkt = std::mem::replace(&mut l.packet, Packet { offset: 0, data: Vec::new() });
-                deliveries[l.at.index()].push(pkt);
-                return false;
-            }
-            true
         });
+        live.retain(|l| l.next != l.end);
         cycle += 1;
     }
-    deliveries
+    ledger
 }
 
 /// Shared validation and setup: the spec must be a pairwise exchange with
@@ -242,50 +280,85 @@ fn check_pairwise(spec: &TransposeSpec) -> u32 {
     half
 }
 
-/// Rebuilds the output matrix: node `tr(x)` received `x`'s entire local
-/// array (as offset-tagged packets); the local 2D array is then
-/// transposed (the local step of §6.1), which is exactly `after`'s
-/// storage order.
+/// Rebuilds the output matrix from the delivery ledger: node `tr(x)`
+/// received `x`'s entire local array (as offset-tagged packets); the
+/// local 2D array is then transposed (the local step of §6.1), which is
+/// exactly `after`'s storage order.
 ///
-/// Each destination sorts its packets by offset, block-copies them into
-/// the source array they tile exactly (skipped when the array arrived as
-/// one whole packet, which is then transposed where it lies), and runs
-/// the tiled local transpose into its output buffer.
-fn rebuild<T: Copy + Default>(
+/// Flights are planned source by source in ascending offsets, so each
+/// source's packets are one run of the ledger. Destination `d` takes
+/// `tr(d)`'s run and checks that every packet came from `tr(d)`, landed
+/// at `d`, and that the offsets tile `0..per` with nothing missing. A
+/// whole array in one packet is transposed where it lies — or, with one
+/// local row or column, where the transpose is the identity, *is* the
+/// output buffer; several packets are appended into one buffer first.
+fn rebuild<T: Copy>(
     spec: &TransposeSpec,
     m: &DistMatrix<T>,
-    deliveries: Vec<Vec<Packet<T>>>,
+    mut ledger: Vec<Landed<T>>,
     half: u32,
 ) -> DistMatrix<T> {
     let before = &spec.before;
+    let num = before.num_nodes();
     let per = before.elems_per_node();
     let (rows, cols) = (before.local_rows(), before.local_cols());
-    let mut buffers: Vec<Vec<T>> = Vec::with_capacity(deliveries.len());
-    for (dst, mut pkts) in deliveries.into_iter().enumerate() {
-        // Each destination receives from exactly one source, tr(dst).
-        let src = tr(dst as u64, half);
-        let whole = pkts.len() == 1 && pkts[0].offset == 0 && pkts[0].data.len() == per;
-        let mut gathered;
-        let arr: &[T] = if src == dst as u64 {
-            // Diagonal node (H = 0): its own array, nothing arrived.
-            debug_assert!(pkts.is_empty());
-            m.node(NodeId(src))
-        } else if whole {
-            // The source's array arrived as one packet: it is the array.
-            &pkts[0].data
+    let local_step = |arr: Vec<T>| {
+        if rows == 1 || cols == 1 {
+            arr
         } else {
-            gathered = vec![T::default(); per];
-            pkts.sort_unstable_by_key(|p| p.offset);
-            let mut covered = 0usize;
-            for pkt in pkts.iter() {
-                assert_eq!(pkt.offset, covered, "node {dst}: packet gap or overlap at {covered}");
-                gathered[covered..covered + pkt.data.len()].copy_from_slice(&pkt.data);
-                covered += pkt.data.len();
+            crate::local::transpose_flat(&arr, rows, cols)
+        }
+    };
+    let mut starts = vec![0usize; num + 1];
+    for line in &ledger {
+        starts[line.src.index() + 1] += 1;
+    }
+    for x in 0..num {
+        starts[x + 1] += starts[x];
+    }
+    let mut buffers: Vec<Vec<T>> = Vec::with_capacity(num);
+    for dst in 0..num {
+        let src = tr(dst as u64, half) as usize;
+        let run = &mut ledger[starts[src]..starts[src + 1]];
+        for line in run.iter() {
+            assert!(
+                line.src.index() == src && line.at.index() == dst && src != dst,
+                "src {} -> dst {dst}: packet at offset {} landed at node {}",
+                line.src,
+                line.packet.offset,
+                line.at
+            );
+        }
+        let out = match run {
+            // Diagonal node (H = 0): its own array, nothing travels.
+            [] if src == dst => {
+                crate::local::transpose_flat(m.node(NodeId(dst as u64)), rows, cols)
             }
-            assert_eq!(covered, per, "node {dst} missing elements from {src}");
-            &gathered
+            [one] if one.packet.offset == 0 && one.packet.data.len() == per => {
+                let arr = std::mem::take(&mut one.packet.data);
+                local_step(arr)
+            }
+            _ => {
+                let mut arr = Vec::with_capacity(per);
+                for line in run.iter() {
+                    let pkt = &line.packet;
+                    assert!(
+                        pkt.offset == arr.len() && pkt.data.len() <= per - arr.len(),
+                        "src {src} -> dst {dst}: packets leave a gap or overlap at offset {} \
+                         of {per} at node {dst}",
+                        arr.len()
+                    );
+                    arr.extend_from_slice(&pkt.data);
+                }
+                assert!(
+                    arr.len() == per,
+                    "src {src} -> dst {dst}: elements {}..{per} missing at node {dst}",
+                    arr.len()
+                );
+                local_step(arr)
+            }
         };
-        buffers.push(crate::local::transpose_flat(arr, rows, cols));
+        buffers.push(out);
     }
     DistMatrix::from_buffers(spec.after.clone(), buffers)
 }
@@ -310,8 +383,8 @@ pub fn transpose_spt<T: Copy + Default + Send + Sync>(
         let data = m.node(NodeId(x));
         plan.pipeline(x, path, data, 0..data.len(), b);
     }
-    let deliveries = run_flights(net, plan);
-    rebuild(&spec, m, deliveries, half)
+    let ledger = run_flights(net, plan);
+    rebuild(&spec, m, ledger, half)
 }
 
 /// The iPSC step-by-step SPT (§8.2.1): the whole local array as a single
@@ -359,8 +432,8 @@ pub fn transpose_dpt<T: Copy + Default + Send + Sync>(
             plan.pipeline(x, path, data, range, b);
         }
     }
-    let deliveries = run_flights(net, plan);
-    rebuild(&spec, m, deliveries, half)
+    let ledger = run_flights(net, plan);
+    rebuild(&spec, m, ledger, half)
 }
 
 /// Multiple Paths Transpose (§6.1.3): `4kH(x)` packets over the `2H(x)`
@@ -390,8 +463,8 @@ pub fn transpose_mpt<T: Copy + Default + Send + Sync>(
     assert!(k >= 1);
     let spec = TransposeSpec::with_after(m.layout().clone(), after.clone());
     let half = check_pairwise(&spec);
-    let deliveries = run_flights(net, mpt_plan(m, half, k));
-    rebuild(&spec, m, deliveries, half)
+    let ledger = run_flights(net, mpt_plan(m, half, k));
+    rebuild(&spec, m, ledger, half)
 }
 
 /// The MPT flight plan: node `x`'s array cut into `4·k_H·H(x)` near-equal
@@ -587,32 +660,70 @@ mod tests {
             let m = labels(before.clone());
             for k in 1..=3u32 {
                 let mut net = net(before.n());
-                let deliveries = run_flights(&mut net, mpt_plan(&m, half, k));
+                let ledger = run_flights(&mut net, mpt_plan(&m, half, k));
                 net.finalize();
-                for (dst, mut pkts) in deliveries.into_iter().enumerate() {
-                    let src = tr(dst as u64, half);
-                    let h = h_of(src, half);
-                    if h == 0 {
-                        assert!(pkts.is_empty());
-                        continue;
-                    }
+                // One run per off-diagonal source, in ascending order.
+                let runs: Vec<&[Landed<u64>]> = ledger.chunk_by(|a, b| a.src == b.src).collect();
+                let sources: Vec<u64> = runs.iter().map(|run| run[0].src.bits()).collect();
+                let off_diagonal: Vec<u64> =
+                    (0..before.num_nodes() as u64).filter(|&x| h_of(x, half) > 0).collect();
+                assert_eq!(sources, off_diagonal, "k={k}");
+                for run in runs {
+                    let src = run[0].src.bits();
+                    let (dst, h) = (tr(src, half), h_of(src, half));
                     let n_packets = (4 * (k * half / h).max(1) * h) as usize;
                     ragged += usize::from(!per.is_multiple_of(n_packets));
-                    assert_eq!(pkts.len(), n_packets.min(per), "node {dst} k={k}");
-                    pkts.sort_by_key(|p| p.offset);
+                    assert_eq!(run.len(), n_packets.min(per), "src {src} k={k}");
                     let mut covered = 0;
-                    for pkt in &pkts {
-                        assert_eq!(pkt.offset, covered, "node {dst} k={k}: gap or overlap");
+                    for line in run {
+                        let pkt = &line.packet;
+                        assert_eq!(line.at.bits(), dst, "src {src} k={k}: landed elsewhere");
+                        assert_eq!(pkt.offset, covered, "src {src} k={k}: gap or overlap");
                         assert!(!pkt.data.is_empty() && pkt.data.len() <= per.div_ceil(n_packets));
                         let end = covered + pkt.data.len();
                         assert_eq!(pkt.data, m.node(NodeId(src))[covered..end]);
                         covered = end;
                     }
-                    assert_eq!(covered, per, "node {dst} k={k}: offsets must tile 0..{per}");
+                    assert_eq!(covered, per, "src {src} k={k}: offsets must tile 0..{per}");
                 }
             }
         }
         assert!(ragged > 0, "no shape exercised the ragged split");
+    }
+
+    /// A single-packet SPT plan on the `2·half`-cube, corrupted by
+    /// `corrupt`, run and rebuilt.
+    fn run_corrupted(half: u32, corrupt: impl FnOnce(&mut FlightPlan<u64>)) {
+        let (before, after) = square(half, half, Assignment::Consecutive, Encoding::Binary);
+        let spec = TransposeSpec::with_after(before.clone(), after);
+        let m = labels(before.clone());
+        let mut plan = FlightPlan::new();
+        for x in 0..before.num_nodes() as u64 {
+            if h_of(x, half) > 0 {
+                let path = plan.path(x, half, 0);
+                let data = m.node(NodeId(x));
+                plan.pipeline(x, path, data, 0..data.len(), data.len());
+            }
+        }
+        corrupt(&mut plan);
+        let mut net = net(2 * half);
+        let ledger = run_flights(&mut net, plan);
+        let _ = rebuild(&spec, &m, ledger, half);
+    }
+
+    #[test]
+    #[should_panic(expected = "src 1 -> dst 2: packet at offset 0 landed at node 3")]
+    fn path_one_hop_short_strays_onto_a_diagonal_node() {
+        // Node 1's flight (the plan's first) stops one hop short of
+        // tr(1) = 2, on diagonal node 3, which expects nothing.
+        run_corrupted(1, |plan| plan.flights[0].path.len -= 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "src 1 -> dst 4: packet at offset 0 landed at node 11")]
+    fn path_ending_at_another_destination_is_caught() {
+        // Node 1 rides node 2's path (dims 3, 1): 1 → 9 → 11 = tr(14).
+        run_corrupted(2, |plan| plan.flights[0].path = plan.flights[1].path);
     }
 
     #[test]

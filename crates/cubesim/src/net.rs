@@ -87,22 +87,33 @@ scalar_payloads!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize, f32, f64);
 ///
 /// # Performance
 ///
-/// Two things are dense, indexed by directed link (`node * ports + port`;
-/// `node * n + dim` on the cube) and allocated zeroed once at
-/// construction: a `u32` *position index* per link for each of the two
-/// rounds in play (this round's sends, last boundary's deliveries) and
-/// the cumulative `u64` element total per link — 16 bytes per link, so
-/// 3.5 MiB on the 14-cube and 16 MiB on the paper's 65 536-node 16-cube,
-/// whatever the payload type. Everything else is per round and compact:
-/// payloads and their `(link, elements)` records sit in send order in
-/// vectors that grow to the busiest round's message count and are
-/// recycled, and a link's position index says where in them its message
-/// is (0 = none). `send`, `recv` and `has_message` are O(1) through the
-/// index; round boundaries, drains and the unconsumed checks walk the
-/// compact vectors front to back, so they cost O(messages), not
-/// O(nodes·ports), and an idle link is never touched. Construction is
-/// O(N·ports) in the machine size and refuses a graph whose link count
-/// overflows the 32-bit index (the 27-cube is the largest cube). On
+/// One thing is dense: a 16-byte record per directed link, indexed by
+/// the receiver's side (`dst * ports + rp`; `dst * n + dim` on the cube)
+/// and allocated zeroed once at construction — 3.5 MiB on the 14-cube
+/// and 16 MiB on the paper's 65 536-node 16-cube, whatever the payload
+/// type. It holds the link's cumulative `u64` element total and the
+/// *stamps* of the last two messages sent on it: every message is
+/// stamped with its 1-based sequence number, and the net keeps the
+/// message counts before this round and before the last one. A stamp
+/// past the first is this round's send (contention); a stamp between the
+/// two is a message delivered at the last boundary, and its distance
+/// from the second is its place in the inbox; anything older is stale
+/// and means nothing. Keeping two stamps lets a link carry its next
+/// round's message before its delivered one is received.
+///
+/// Everything else is per round and compact: payloads and their
+/// `(link, elements)` records sit in send order in vectors that grow to
+/// the busiest round's message count and are recycled. `send`, `recv`
+/// and `has_message` are O(1) through the stamps; nothing is written to
+/// the dense side on receipt, so drains walk only the compact inbox, and
+/// the unconsumed checks are a counter of delivered-but-unreceived
+/// messages (the inbox is scanned only to name an offender). An idle
+/// link is never touched. Stamps are `u32`: when a boundary leaves fewer
+/// than one per link below `u32::MAX`, every link is rebased once,
+/// O(links) — on the 16-cube once per ≈ 2^32 messages, and never within
+/// a round. Construction is O(N·ports) in the machine size
+/// and refuses a graph of more than 2^31 − 1 directed links, so two
+/// rounds of stamps always fit (the 26-cube is the largest cube). On
 /// [`Hypercube`] every topology query monomorphizes to bit arithmetic,
 /// so the generic layer costs nothing.
 pub struct SimNet<P, T: Topology = Hypercube> {
@@ -119,20 +130,26 @@ pub struct SimNet<P, T: Topology = Hypercube> {
     /// slot is `dst * ports + rp` where `rp` is the *receiver's* port for
     /// the link (on the cube, the shared dimension).
     outgoing_idx: Vec<(u32, u32)>,
-    /// Per link slot: 0 when the link is free this round, else the
-    /// message's index in `out_msgs` plus one.
-    out_pos: Vec<u32>,
     /// Payloads delivered at the last round boundary, in the order they
     /// were sent; `None` once received.
     in_msgs: Vec<Option<P>>,
     /// Parallel to `in_msgs` (consumed messages stay listed until the
     /// next boundary).
     inbox_idx: Vec<(u32, u32)>,
-    /// Per link slot: 0 when nothing is pending on the link, else the
-    /// message's index in `in_msgs` plus one. Zeroed as each message is
-    /// received, so it is all zero when the boundary swaps it with
-    /// `out_pos`.
-    in_pos: Vec<u32>,
+    /// Delivered messages not yet received or drained.
+    pending: usize,
+    /// Per link slot, 16 bytes: `(last, prev, total)` — the stamps of
+    /// the last two messages sent on the link (0: none) and its
+    /// cumulative element count. A tuple, not a struct, so the zeroed
+    /// vector comes from the allocator's zeroed pages instead of a
+    /// 16 MiB fill at n = 16.
+    links: Vec<(u32, u32, u64)>,
+    /// Messages sent before this round (stamps above it are this
+    /// round's; this round's `i`-th send is stamped `round_start + i + 1`).
+    round_start: u32,
+    /// Messages sent before the last round: the inbox holds the stamps
+    /// `prev_start + 1 ..= round_start`, in order.
+    prev_start: u32,
     /// Ports used per node this round (bit mask), for port checks.
     dims_used: Vec<u64>,
     /// Nodes with a non-zero `dims_used` mask this round.
@@ -141,9 +158,6 @@ pub struct SimNet<P, T: Topology = Hypercube> {
     copies: Vec<usize>,
     /// Nodes with a non-zero copy charge this round.
     copies_touched: Vec<usize>,
-    /// Cumulative elements per directed link, indexed by the *sender's*
-    /// side `src * ports + port`.
-    link_totals: Vec<u64>,
     /// When set, every finish_round appends a RoundDetail.
     record_history: bool,
     /// When set, every finish_round appends the round's link events.
@@ -169,9 +183,11 @@ impl<P: Payload, T: Topology> SimNet<P, T> {
         let nodes = topo.num_nodes();
         let ports = topo.ports();
         assert!(ports <= 64, "{}: {ports} ports exceed the 64-bit port masks", topo.label());
+        // The two rounds in play stamp at most one message per link each,
+        // and their stamps must fit u32 together.
         let links = nodes
             .checked_mul(ports as usize)
-            .filter(|&links| u32::try_from(links).is_ok())
+            .filter(|&links| links <= u32::MAX as usize / 2)
             .unwrap_or_else(|| {
                 panic!(
                     "{}: {nodes} nodes x {ports} ports exceed the 32-bit link index",
@@ -185,15 +201,16 @@ impl<P: Payload, T: Topology> SimNet<P, T> {
             params,
             out_msgs: Vec::new(),
             outgoing_idx: Vec::new(),
-            out_pos: vec![0; links],
             in_msgs: Vec::new(),
             inbox_idx: Vec::new(),
-            in_pos: vec![0; links],
+            pending: 0,
+            links: vec![(0, 0, 0); links],
+            round_start: 0,
+            prev_start: 0,
             dims_used: vec![0; nodes],
             dims_touched: Vec::new(),
             copies: vec![0; nodes],
             copies_touched: Vec::new(),
-            link_totals: vec![0; links],
             record_history: false,
             record_links: false,
             report: CommReport::default(),
@@ -270,7 +287,7 @@ impl<P: Payload, T: Topology> SimNet<P, T> {
         let rp = self.topo.reverse_port(src.index() as u64, dim).unwrap();
         let slot = self.slot(dst, rp);
         assert!(
-            self.out_pos[slot] == 0,
+            self.links[slot].0 <= self.round_start,
             "link contention: directed link {src}--dim {dim}--> {dst} used twice in round {}",
             self.report.rounds
         );
@@ -278,10 +295,15 @@ impl<P: Payload, T: Topology> SimNet<P, T> {
             panic!("message from {src} on dim {dim} carries {elems} elements, over the u32 limit")
         });
         self.out_msgs.push(Some(data));
-        // At most one message per link per round, and the link count
-        // fits u32 (checked at construction), so the position does too.
-        self.out_pos[slot] = self.out_msgs.len() as u32;
         self.outgoing_idx.push((slot as u32, elems32));
+        // At most one message per link per round, and `finish_round`
+        // keeps `round_start` a link count below u32::MAX, so the stamp
+        // fits.
+        let (last, _, total) = self.links[slot];
+        let total = total + elems as u64;
+        self.links[slot] = (self.round_start + self.out_msgs.len() as u32, last, total);
+        // Totals only grow, so the running maximum is the final one.
+        self.report.max_link_elems = self.report.max_link_elems.max(total);
         // Port-usage masks only feed the one-port legality check; under
         // all-port rules skip the bookkeeping (two random-access writes
         // per send on the hottest path).
@@ -289,10 +311,6 @@ impl<P: Payload, T: Topology> SimNet<P, T> {
             self.mark_dim(src.index(), dim);
             self.mark_dim(dst.index(), rp);
         }
-        let src_slot = self.slot(src, dim);
-        self.link_totals[src_slot] += elems as u64;
-        // Totals only grow, so the running maximum is the final one.
-        self.report.max_link_elems = self.report.max_link_elems.max(self.link_totals[src_slot]);
         self.report.total_messages += 1;
         self.report.total_elems += elems as u64;
         self.report.total_packets += self.params.packets(elems) as u64;
@@ -339,7 +357,7 @@ impl<P: Payload, T: Topology> SimNet<P, T> {
             let slot = slot as usize;
             if slot % n == dim as usize {
                 if let Some(data) = msg.take() {
-                    self.in_pos[slot] = 0;
+                    self.pending -= 1;
                     out.push((NodeId((slot / n) as u64), data));
                 }
             }
@@ -373,10 +391,27 @@ impl<P: Payload, T: Topology> SimNet<P, T> {
         for (msg, &(slot, _)) in self.in_msgs.iter_mut().zip(&self.inbox_idx) {
             if let Some(data) = msg.take() {
                 let slot = slot as usize;
-                self.in_pos[slot] = 0;
+                self.pending -= 1;
                 consume(NodeId((slot / n) as u64), (slot % n) as u32, data);
             }
         }
+    }
+
+    /// Where in the inbox the message delivered on `(dst, dim)` at the
+    /// last boundary sits, if one was (received or not): whichever of the
+    /// link's two stamps falls in `prev_start + 1 ..= round_start`.
+    #[inline]
+    fn inbox_pos(&self, dst: NodeId, dim: u32) -> Option<usize> {
+        if dst.index() >= self.num || dim >= self.ports {
+            return None;
+        }
+        let (last, prev, _) = self.links[self.slot(dst, dim)];
+        // Wrapping: a stamp at or below `prev_start` lands far above the
+        // inbox length, like one above `round_start`.
+        [last, prev]
+            .into_iter()
+            .map(|stamp| stamp.wrapping_sub(self.prev_start).wrapping_sub(1) as usize)
+            .find(|&pos| pos < self.in_msgs.len())
     }
 
     /// Receives the message delivered to `dst` on its port `dim` at the
@@ -388,15 +423,10 @@ impl<P: Payload, T: Topology> SimNet<P, T> {
     #[track_caller]
     pub fn recv(&mut self, dst: NodeId, dim: u32) -> P {
         self.check_node(dst);
-        let msg = if dim < self.ports {
-            let slot = self.slot(dst, dim);
-            match std::mem::take(&mut self.in_pos[slot]) {
-                0 => None,
-                pos => self.in_msgs[pos as usize - 1].take(),
-            }
-        } else {
-            None
-        };
+        let msg = self.inbox_pos(dst, dim).and_then(|pos| self.in_msgs[pos].take());
+        if msg.is_some() {
+            self.pending -= 1;
+        }
         msg.unwrap_or_else(|| {
             panic!(
                 "recv at {dst} on dim {dim}: no message delivered (round {})",
@@ -407,7 +437,7 @@ impl<P: Payload, T: Topology> SimNet<P, T> {
 
     /// True when a message is pending for `dst` on `dim`.
     pub fn has_message(&self, dst: NodeId, dim: u32) -> bool {
-        dst.index() < self.num && dim < self.ports && self.in_pos[self.slot(dst, dim)] != 0
+        self.inbox_pos(dst, dim).is_some_and(|pos| self.in_msgs[pos].is_some())
     }
 
     /// Charges `elems` elements of local copy/rearrangement work to `node`
@@ -430,13 +460,15 @@ impl<P: Payload, T: Topology> SimNet<P, T> {
     /// delivered at the previous boundary were never received.
     #[track_caller]
     pub fn finish_round(&mut self) {
-        if let Some(i) = self.in_msgs.iter().position(Option::is_some) {
-            let slot = self.inbox_idx[i].0 as usize;
-            let (dst, dim) = (slot / self.ports as usize, slot % self.ports as usize);
-            panic!(
-                "unconsumed message at node {dst} on dim {dim} when round {} ended",
-                self.report.rounds
-            );
+        if self.pending != 0 {
+            if let Some(i) = self.in_msgs.iter().position(Option::is_some) {
+                let slot = self.inbox_idx[i].0 as usize;
+                let (dst, dim) = (slot / self.ports as usize, slot % self.ports as usize);
+                panic!(
+                    "unconsumed message at node {dst} on dim {dim} when round {} ended",
+                    self.report.rounds
+                );
+            }
         }
         if self.params.ports == PortMode::OnePort {
             for &node in &self.dims_touched {
@@ -495,15 +527,20 @@ impl<P: Payload, T: Topology> SimNet<P, T> {
             });
         }
 
-        // Deliver: this round's messages and position index become the
-        // inbox. Every message of the old inbox was received (verified
-        // above), which zeroed its position, so the old index comes back
-        // as an all-free `out_pos` without a sweep. No per-round allocation.
+        // Deliver: this round's messages become the inbox, and its stamps
+        // the delivered window. The old inbox was all received (verified
+        // above); its stamps go stale by moving the window, not by a
+        // sweep. No per-round allocation.
         std::mem::swap(&mut self.in_msgs, &mut self.out_msgs);
         std::mem::swap(&mut self.inbox_idx, &mut self.outgoing_idx);
-        std::mem::swap(&mut self.in_pos, &mut self.out_pos);
         self.out_msgs.clear();
         self.outgoing_idx.clear();
+        self.pending = self.in_msgs.len();
+        self.prev_start = self.round_start;
+        self.round_start += self.in_msgs.len() as u32;
+        if self.round_start > u32::MAX - self.links.len() as u32 {
+            self.rebase_stamps();
+        }
         for &x in &self.dims_touched {
             self.dims_used[x] = 0;
         }
@@ -512,6 +549,29 @@ impl<P: Payload, T: Topology> SimNet<P, T> {
             self.copies[x] = 0;
         }
         self.copies_touched.clear();
+    }
+
+    /// Renumbers every stamp down by `prev_start`, so the window starts
+    /// at 0 again: a stamp at or below it (stale) becomes 0. With at most
+    /// `links ≤ u32::MAX / 2` messages in the window, `round_start` then
+    /// sits a full round of stamps below `u32::MAX`. O(links).
+    fn rebase_stamps(&mut self) {
+        let base = self.prev_start;
+        for (last, prev, _) in &mut self.links {
+            *last = last.saturating_sub(base);
+            *prev = prev.saturating_sub(base);
+        }
+        self.prev_start = 0;
+        self.round_start -= base;
+    }
+
+    /// Test hook: a fresh net whose stamps start at `stamp`, so a short
+    /// schedule crosses the rebase point.
+    #[cfg(test)]
+    fn start_stamps_at(&mut self, stamp: u32) {
+        assert!(self.round_start == 0 && stamp <= u32::MAX - self.links.len() as u32);
+        self.prev_start = stamp;
+        self.round_start = stamp;
     }
 
     /// Ends the simulation and returns the accumulated report.
@@ -525,7 +585,7 @@ impl<P: Payload, T: Topology> SimNet<P, T> {
             "{} messages sent but the round never finished",
             self.outgoing_idx.len()
         );
-        let pending = self.in_msgs.iter().filter(|m| m.is_some()).count();
+        let pending = self.pending;
         assert!(pending == 0, "{pending} delivered messages never received");
         self.report
     }
@@ -835,6 +895,82 @@ mod tests {
     fn link_count_beyond_u32_rejected() {
         // Refused before anything is allocated.
         let _ = unit_net(28, PortMode::AllPorts);
+    }
+
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    #[should_panic(expected = "27-cube: 134217728 nodes x 27 ports exceed the 32-bit link index")]
+    fn two_rounds_of_stamps_must_fit_u32() {
+        // 27 · 2^27 links fit u32 once, but not the two rounds in play.
+        let _ = unit_net(27, PortMode::AllPorts);
+    }
+
+    /// Random legal all-port schedules on the 3-cube, started a few
+    /// rounds below the stamp rebase at every phase: each round's sends
+    /// are made before the last round's deliveries are received, so links
+    /// hold a delivered and a fresh stamp when the rebase renumbers them.
+    /// Reports and payloads must equal the reference net's.
+    #[test]
+    fn stamp_rebase_is_invisible() {
+        use crate::reference::ReferenceNet;
+        let mut rng = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move || {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            rng
+        };
+        let (n, links) = (3u32, 24u32);
+        let rounds: Vec<Vec<(NodeId, u32, Vec<u64>)>> = (0..30)
+            .map(|r| {
+                let mut sends = Vec::new();
+                for x in 0..8 {
+                    for d in 0..n {
+                        // Every fifth round idle, the rest about half full.
+                        if r % 5 != 4 && next() % 2 == 0 {
+                            sends.push((NodeId(x), d, vec![next() % 100; 1 + (x as usize & 1)]));
+                        }
+                    }
+                }
+                sends
+            })
+            .collect();
+        macro_rules! drive {
+            ($net:expr) => {{
+                let mut net = $net;
+                net.record_history();
+                net.record_links();
+                let mut got = Vec::new();
+                let mut delivered: Vec<(NodeId, u32)> = Vec::new();
+                for round in &rounds {
+                    for (src, dim, data) in round {
+                        net.send(*src, *dim, data.clone());
+                    }
+                    for &(dst, dim) in &delivered {
+                        assert!(net.has_message(dst, dim));
+                        got.push(net.recv(dst, dim));
+                        assert!(!net.has_message(dst, dim));
+                    }
+                    net.finish_round();
+                    delivered = round.iter().map(|(s, d, _)| (s.neighbor(*d), *d)).collect();
+                }
+                for &(dst, dim) in &delivered {
+                    got.push(net.recv(dst, dim));
+                }
+                (net, got)
+            }};
+        }
+        let (reference, want) =
+            drive!(ReferenceNet::new(n, MachineParams::unit(PortMode::AllPorts)));
+        let want = (reference.finalize(), want);
+        for phase in 0..40 {
+            let start = u32::MAX - links - phase;
+            let mut net = unit_net(n, PortMode::AllPorts);
+            net.start_stamps_at(start);
+            let (net, got) = drive!(net);
+            assert!(net.round_start < start, "phase {phase}: no rebase");
+            assert_eq!((net.finalize(), got), want, "phase {phase}");
+        }
     }
 
     #[test]

@@ -7,6 +7,9 @@
 //! messages at the same points. `ReferenceNet` has no drains, so the
 //! drain tests receive from it one message at a time in the order each
 //! drain documents (send order; ascending destination per dimension).
+//! The `u32` stamp rebase is crossed by a unit test in `net.rs`, the
+//! only place that reaches the crate-private hook starting the stamps
+//! near `u32::MAX`.
 
 use cubeaddr::NodeId;
 use cubesim::reference::ReferenceNet;
@@ -79,10 +82,33 @@ trait Net {
     fn finish_round(&mut self);
     fn finalize_report(self) -> CommReport;
     fn record_all(&mut self);
+    fn n(&self) -> u32;
+
+    /// Everything delivered, sorted by `(destination, dim)`. The
+    /// reference net has no drains: it receives slot by slot.
+    fn drain_all_sorted(&mut self) -> Vec<Delivery> {
+        let mut got = Vec::new();
+        for d in 0..self.n() {
+            got.extend(self.drain_dim(d).into_iter().map(|(dst, data)| (dst, d, data)));
+        }
+        got.sort_by_key(|&(dst, dim, _)| (dst.index(), dim));
+        got
+    }
+
+    /// Everything delivered on `dim`, in ascending destination order.
+    fn drain_dim(&mut self, dim: u32) -> Vec<(NodeId, Vec<u64>)> {
+        let mut got = Vec::new();
+        for x in (0..1u64 << self.n()).map(NodeId) {
+            if self.has_message(x, dim) {
+                got.push((x, self.recv(x, dim)));
+            }
+        }
+        got
+    }
 }
 
 macro_rules! impl_net {
-    ($ty:ident) => {
+    ($ty:ident { $($drains:tt)* }) => {
         impl Net for $ty<Vec<u64>> {
             fn send(&mut self, src: NodeId, dim: u32, data: Vec<u64>) {
                 $ty::send(self, src, dim, data)
@@ -106,12 +132,28 @@ macro_rules! impl_net {
                 $ty::record_history(self);
                 $ty::record_links(self);
             }
+            fn n(&self) -> u32 {
+                $ty::n(self)
+            }
+            $($drains)*
         }
     };
 }
 
-impl_net!(SimNet);
-impl_net!(ReferenceNet);
+impl_net!(SimNet {
+    fn drain_all_sorted(&mut self) -> Vec<Delivery> {
+        let mut got = Vec::new();
+        SimNet::drain_all(self, &mut got);
+        got.sort_by_key(|&(dst, dim, _)| (dst.index(), dim));
+        got
+    }
+    fn drain_dim(&mut self, dim: u32) -> Vec<(NodeId, Vec<u64>)> {
+        let mut got = Vec::new();
+        SimNet::drain_dim(self, dim, &mut got);
+        got
+    }
+});
+impl_net!(ReferenceNet {});
 
 /// Runs the schedule to completion: each round sends, closes the round,
 /// and receives every delivered message (probed via `has_message` in
@@ -250,6 +292,8 @@ enum Op {
     Send(u64, u32, Vec<u64>),
     Recv(u64, u32),
     Has(u64, u32),
+    DrainAll,
+    DrainDim(u32),
     Finish,
 }
 
@@ -258,6 +302,7 @@ enum Op {
 enum Seen {
     Payload(Vec<u64>),
     Pending(bool),
+    Drained(Vec<Delivery>),
 }
 
 /// Runs `ops` then `finalize`; returns everything observed on the way
@@ -271,6 +316,10 @@ fn run_script<N: Net>(mut net: N, ops: &[Op]) -> (Vec<Seen>, Result<CommReport, 
                 Op::Send(src, dim, data) => net.send(NodeId(*src), *dim, data.clone()),
                 Op::Recv(dst, dim) => log.push(Seen::Payload(net.recv(NodeId(*dst), *dim))),
                 Op::Has(dst, dim) => log.push(Seen::Pending(net.has_message(NodeId(*dst), *dim))),
+                Op::DrainAll => log.push(Seen::Drained(net.drain_all_sorted())),
+                Op::DrainDim(dim) => log.push(Seen::Drained(
+                    net.drain_dim(*dim).into_iter().map(|(dst, data)| (dst, *dim, data)).collect(),
+                )),
                 Op::Finish => net.finish_round(),
             }
         }
@@ -432,6 +481,151 @@ fn unfinished_round_and_unconsumed_delivery_rejected() {
         Op::Finish,
     ]);
     assert_eq!(outcome.unwrap_err(), "unconsumed message at node 1 on dim 1 when round 1 ended");
+}
+
+/// A link's round-(r+1) send made before its round-r delivery is
+/// received: the delivery is found through the older of the link's two
+/// stamps, and a link whose only stamp is this round's has nothing.
+#[test]
+fn send_before_receive_finds_the_delivery_behind_the_new_stamp() {
+    let (seen, outcome) = both(&[
+        Op::Send(0, 0, vec![1]),
+        Op::Send(2, 1, vec![7]),
+        Op::Finish,
+        Op::Send(1, 1, vec![5]),
+        Op::Has(3, 1),
+        Op::Send(0, 0, vec![2]),
+        Op::Has(1, 0),
+        Op::Recv(1, 0),
+        Op::Has(1, 0),
+        Op::Recv(0, 1),
+        Op::Finish,
+        Op::Has(1, 0),
+        Op::Recv(1, 0),
+        Op::Has(3, 1),
+        Op::Recv(3, 1),
+        Op::Has(1, 0),
+    ]);
+    assert_eq!(
+        seen,
+        vec![
+            Seen::Pending(false),
+            Seen::Pending(true),
+            Seen::Payload(vec![1]),
+            Seen::Pending(false),
+            Seen::Payload(vec![7]),
+            Seen::Pending(true),
+            Seen::Payload(vec![2]),
+            Seen::Pending(true),
+            Seen::Payload(vec![5]),
+            Seen::Pending(false),
+        ]
+    );
+    let report = outcome.expect("legal schedule");
+    assert_eq!((report.rounds, report.total_messages, report.max_link_elems), (2, 4, 2));
+}
+
+/// A link used in rounds r and r+2 and idle in between, once with other
+/// traffic in round r+1 and once with round r+1 wholly idle: its stale
+/// stamp is neither contention nor a delivery.
+#[test]
+fn stale_stamp_is_neither_contention_nor_delivery() {
+    let (seen, outcome) = both(&[
+        Op::Send(0, 0, vec![1]),
+        Op::Finish,
+        Op::Recv(1, 0),
+        Op::Send(2, 0, vec![3]),
+        Op::Finish,
+        Op::Recv(3, 0),
+        Op::Has(1, 0),
+        Op::Send(0, 0, vec![2]),
+        Op::Has(1, 0),
+        Op::Finish,
+        Op::Recv(1, 0),
+        Op::Finish,
+        Op::Has(1, 0),
+        Op::Send(0, 0, vec![4]),
+        Op::Finish,
+        Op::Has(1, 0),
+        Op::Recv(1, 0),
+        Op::Finish,
+        Op::Recv(1, 0),
+    ]);
+    assert_eq!(
+        seen,
+        vec![
+            Seen::Payload(vec![1]),
+            Seen::Payload(vec![3]),
+            Seen::Pending(false),
+            Seen::Pending(false),
+            Seen::Payload(vec![2]),
+            Seen::Pending(false),
+            Seen::Pending(true),
+            Seen::Payload(vec![4]),
+        ]
+    );
+    assert_eq!(outcome.unwrap_err(), "recv at 1 on dim 0: no message delivered (round 6)");
+}
+
+/// Drains take payloads without touching the stamps: a `recv` on a
+/// drained slot must still find nothing, and the slots a drain left
+/// alone still deliver.
+#[test]
+fn recv_after_a_drain_emptied_the_slot() {
+    let sends = || [Op::Send(0, 0, vec![1]), Op::Send(1, 1, vec![2]), Op::Send(2, 0, vec![3])];
+    let mut ops: Vec<Op> = sends().into_iter().collect();
+    ops.extend([Op::Finish, Op::DrainDim(0), Op::Has(1, 0), Op::Recv(3, 1), Op::Recv(1, 0)]);
+    let (seen, outcome) = both(&ops);
+    assert_eq!(
+        seen,
+        vec![
+            Seen::Drained(vec![(NodeId(1), 0, vec![1]), (NodeId(3), 0, vec![3])]),
+            Seen::Pending(false),
+            Seen::Payload(vec![2]),
+        ]
+    );
+    assert_eq!(outcome.unwrap_err(), "recv at 1 on dim 0: no message delivered (round 1)");
+
+    let mut ops: Vec<Op> = sends().into_iter().collect();
+    ops.extend([Op::Finish, Op::DrainAll, Op::Has(3, 1), Op::Finish, Op::Recv(3, 1)]);
+    let (seen, outcome) = both(&ops);
+    assert_eq!(
+        seen,
+        vec![
+            Seen::Drained(vec![
+                (NodeId(1), 0, vec![1]),
+                (NodeId(3), 0, vec![3]),
+                (NodeId(3), 1, vec![2]),
+            ]),
+            Seen::Pending(false),
+        ]
+    );
+    assert_eq!(outcome.unwrap_err(), "recv at 3 on dim 1: no message delivered (round 2)");
+}
+
+/// Several deliveries left at a boundary: the flat net names the first
+/// left in send order (not the lowest slot). The reference keeps its
+/// inbox in a hash map and names any one of them.
+#[test]
+fn unconsumed_check_names_the_first_left_in_send_order() {
+    let ops = [
+        Op::Send(3, 1, vec![1]),
+        Op::Send(2, 0, vec![2]),
+        Op::Send(0, 0, vec![3]),
+        Op::Finish,
+        Op::Recv(1, 1),
+        Op::Finish,
+    ];
+    let left = ["node 3 on dim 0", "node 1 on dim 0"];
+    let text = |at: &str| format!("unconsumed message at {at} when round 1 ended");
+    let (seen, outcome) = run_script(SimNet::<Vec<u64>>::new(2, params(PortMode::AllPorts)), &ops);
+    assert_eq!(seen, vec![Seen::Payload(vec![1])]);
+    assert_eq!(outcome.unwrap_err(), text(left[0]));
+    let (ref_seen, ref_outcome) =
+        run_script(ReferenceNet::<Vec<u64>>::new(2, params(PortMode::AllPorts)), &ops);
+    assert_eq!(ref_seen, seen);
+    let ref_err = ref_outcome.unwrap_err();
+    assert!(left.iter().any(|at| ref_err == text(at)), "reference: {ref_err}");
 }
 
 proptest! {

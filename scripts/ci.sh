@@ -186,7 +186,7 @@ timeout 300 cargo test --release -q -p cubetranspose --test perf_smoke -- --igno
 begin "local-kernels smoke: in-place transpose no slower than scratch gather"
 timeout 300 cargo test --release -q -p cubetranspose --test local_kernels_smoke -- --ignored
 
-begin "allocation gates: no O(mn)-sized scratch in place; one node-sized scratch per permute_virt; a direct fieldmap exchange, MPT and run_spmd allocate O(1) per node, run_rounds O(1) per run"
+begin "allocation gates: no O(mn)-sized scratch in place; one node-sized scratch per permute_virt; a direct fieldmap exchange and run_spmd allocate O(1) per node, MPT at most 2 per node, run_rounds O(1) per run"
 # The counting global allocator lives in crates/core/src/local.rs's test
 # module (the one unsafe-allowlisted file). One gate arms it around a
 # warmed in-place transpose and fails on any matrix-sized allocation;
@@ -196,7 +196,8 @@ begin "allocation gates: no O(mn)-sized scratch in place; one node-sized scratch
 # a fieldmap exchange that sends 16 runs per node as separate messages
 # and fails if anything is allocated per message rather than per node;
 # one counts every allocation of one transpose_mpt at the reduced
-# cm16-2d-mpt shape and fails if anything is allocated per path; one
+# cm16-2d-mpt shape and fails above 2 per node (a delivery list per node,
+# or anything allocated per path); one
 # counts an all-dimensions exchange on run_spmd(10) — on the calling
 # thread and on the worker, which allocates its own inboxes and slots —
 # and fails if anything is allocated per directed link (a queue per link
@@ -250,16 +251,20 @@ for workload in ipsc6-2d-spt ipsc6-1d-exchange cm16-2d-mpt cm16-spmd-exchange \
     esac
 done
 
-begin "perfbench smoke: the traced ipsc6-1d-exchange pass (tagged decomposition = values-only driver)"
-# The traced pass re-runs the op through one_dim's tagged loan path and
-# fails unless its matrix and CommReport equal driver::execute's, which
-# moves values-only blocks: the two paths compared at paper scale.
-verdict="$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
-    --workload ipsc6-1d-exchange --rounds 1 --trace 1 | tail -n 1)"
-case "$verdict" in
-    *'"correct": true'*) ;;
-    *) echo "FAIL: perfbench ipsc6-1d-exchange --trace 1: $verdict" >&2; false ;;
-esac
+begin "perfbench smoke: the traced ipsc6-1d-exchange and cm16-2d-mpt passes (decomposition = driver::execute)"
+# Each traced pass re-runs the op through perfbench's decomposition and
+# fails unless its matrix and CommReport equal driver::execute's: for
+# ipsc6-1d-exchange one_dim's tagged loan path against the values-only
+# blocks, for cm16-2d-mpt a direct transpose_mpt call against the
+# driver's — the flight ledger and SimNet's stamp index at paper scale.
+for workload in ipsc6-1d-exchange cm16-2d-mpt; do
+    verdict="$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+        --workload "$workload" --rounds 1 --trace 1 | tail -n 1)"
+    case "$verdict" in
+        *'"correct": true'*) ;;
+        *) echo "FAIL: perfbench $workload --trace 1: $verdict" >&2; false ;;
+    esac
+done
 
 begin "router figures: CSVs must match committed baselines at every thread count"
 # The sweep's par_map is the one parallel path in the tree; this diff at

@@ -54,8 +54,8 @@
 //! cost accounting it feeds: a node's gather, scatter or permutation is
 //! a memory-bound copy, and forking those loops over worker threads
 //! measured no gain on the workload they dominate. A round reaches the
-//! net through the staged [`SimNet::send_batch`] / [`SimNet::drain_dim`]
-//! commit.
+//! net as one [`SimNet::send`] per node, and every delivery is scattered
+//! from [`SimNet::drain_all_with`] at the node the net names.
 
 use cubeaddr::NodeId;
 use cubelayout::{Encoding, Layout};
@@ -320,44 +320,39 @@ impl<T: Copy + Send + Sync> MappedMatrix<T> {
                     net.local_copy(NodeId(x), per / 2);
                 }
             }
-            // Stage every outgoing message, then commit the whole round.
-            let mut msgs: Vec<Vec<T>> = (0..num).map(|_| self.pool.take()).collect();
-            for (x, msg) in msgs.iter_mut().enumerate() {
-                gather_half(&self.data[x], run, want_of(x), msg);
+            for x in 0..num {
+                let mut msg = self.pool.take();
+                gather_half(&self.data[x], run, want_of(x), &mut msg);
+                net.send(NodeId(x as u64), i, msg);
             }
-            net.send_batch(i, msgs.into_iter().enumerate().map(|(x, m)| (NodeId(x as u64), m)));
             net.finish_round();
-            let mut incoming: Vec<(NodeId, Vec<T>)> = Vec::with_capacity(num);
-            net.drain_dim(i, &mut incoming);
-            debug_assert_eq!(incoming.len(), num);
-            for (x, (dst, msg)) in incoming.into_iter().enumerate() {
-                debug_assert_eq!(dst.index(), x);
+            let (data, pool) = (&mut self.data, &mut self.pool);
+            net.drain_all_with(|dst, _, msg| {
+                let x = dst.index();
                 debug_assert_eq!(msg.len(), per / 2);
-                scatter_half(&mut self.data[x], run, want_of(x), &msg);
-                self.pool.put(msg);
-            }
+                scatter_half(&mut data[x], run, want_of(x), &msg);
+                pool.put(msg);
+            });
         } else {
             // One synchronized sub-round per run, streamed: sub-round r
             // reads and writes only run r of every node, so the round's
             // `num` message buffers are filled, sent, drained into place
             // and reused for sub-round r + 1.
             let mut msgs: Vec<Vec<T>> = (0..num).map(|_| self.pool.take()).collect();
-            let mut arrivals: Vec<(NodeId, Vec<T>)> = Vec::with_capacity(num);
             for base in (0..per).step_by(run * 2) {
                 let at = |x: usize| base + want_of(x) * run;
-                for (x, msg) in msgs.iter_mut().enumerate() {
+                for (x, mut msg) in msgs.drain(..).enumerate() {
                     msg.extend_from_slice(&self.data[x][at(x)..at(x) + run]);
+                    net.send(NodeId(x as u64), i, msg);
                 }
-                net.send_batch(i, msgs.drain(..).enumerate().map(|(x, m)| (NodeId(x as u64), m)));
                 net.finish_round();
-                net.drain_dim(i, &mut arrivals);
-                debug_assert_eq!(arrivals.len(), num);
-                for (dst, mut msg) in arrivals.drain(..) {
+                let data = &mut self.data;
+                net.drain_all_with(|dst, _, mut msg| {
                     let x = dst.index();
-                    self.data[x][at(x)..at(x) + run].copy_from_slice(&msg);
+                    data[x][at(x)..at(x) + run].copy_from_slice(&msg);
                     msg.clear();
                     msgs.push(msg);
-                }
+                });
             }
             for msg in msgs {
                 self.pool.put(msg);
@@ -373,39 +368,7 @@ impl<T: Copy + Send + Sync> MappedMatrix<T> {
     pub fn swap_real_real(&mut self, net: &mut SimNet<Vec<T>>, i1: u32, i2: u32) {
         let n = self.map.n();
         assert!(i1 < n && i2 < n && i1 != i2);
-        let num = self.data.len();
-        let moves = |x: u64| ((x >> i1) & 1) != ((x >> i2) & 1);
-
-        // Hop 1: movers send across i1 to the intermediate node.
-        for x in 0..num as u64 {
-            if moves(x) {
-                let payload = std::mem::take(&mut self.data[x as usize]);
-                net.send(NodeId(x), i1, payload);
-            }
-        }
-        net.finish_round();
-        // Hop 2: intermediates (bits equal) forward across i2.
-        let mut in_transit: Vec<Option<Vec<T>>> = (0..num).map(|_| None).collect();
-        for x in 0..num as u64 {
-            let node = NodeId(x);
-            if net.has_message(node, i1) {
-                in_transit[x as usize] = Some(net.recv(node, i1));
-            }
-        }
-        for (x, payload) in in_transit.into_iter().enumerate() {
-            if let Some(p) = payload {
-                net.send(NodeId(x as u64), i2, p);
-            }
-        }
-        net.finish_round();
-        for x in 0..num as u64 {
-            let node = NodeId(x);
-            if net.has_message(node, i2) {
-                debug_assert!(moves(x));
-                debug_assert!(self.data[x as usize].is_empty());
-                self.data[x as usize] = net.recv(node, i2);
-            }
-        }
+        crate::permute::relocate_pair(net, &mut self.data, i1, i2);
         self.map.real.swap(i1 as usize, i2 as usize);
     }
 

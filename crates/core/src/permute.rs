@@ -49,47 +49,49 @@ pub fn dimension_permutation<T: Clone>(
     (data, steps)
 }
 
-/// Executes a set of disjoint dimension transpositions: for each pair
-/// `(i, j)`, every node whose bits `i` and `j` differ relocates its array
-/// across a distance-2 path (`i` then `j`). Pairs are processed
-/// sequentially (two one-port-legal rounds each); within a pair all
-/// affected nodes move concurrently.
-fn swap_pairs_sequence<T: Clone>(
+/// Executes a set of disjoint dimension transpositions, one
+/// [`relocate_pair`] per pair `(i, j)`, in order.
+fn swap_pairs_sequence<T>(
     net: &mut SimNet<Vec<T>>,
     mut data: Vec<Vec<T>>,
     pairs: &[(u32, u32)],
 ) -> Vec<Vec<T>> {
-    let num = net.num_nodes();
-    assert_eq!(data.len(), num);
+    assert_eq!(data.len(), net.num_nodes());
     for &(i1, i2) in pairs {
-        let moves = |x: u64| ((x >> i1) & 1) != ((x >> i2) & 1);
-        for x in 0..num as u64 {
-            if moves(x) && !data[x as usize].is_empty() {
-                let payload = std::mem::take(&mut data[x as usize]);
-                net.send(NodeId(x), i1, payload);
-            }
-        }
-        net.finish_round();
-        let mut transit: Vec<Option<Vec<T>>> = (0..num).map(|_| None).collect();
-        for x in 0..num as u64 {
-            if net.has_message(NodeId(x), i1) {
-                transit[x as usize] = Some(net.recv(NodeId(x), i1));
-            }
-        }
-        for (x, t) in transit.into_iter().enumerate() {
-            if let Some(p) = t {
-                net.send(NodeId(x as u64), i2, p);
-            }
-        }
-        net.finish_round();
-        for x in 0..num as u64 {
-            if net.has_message(NodeId(x), i2) {
-                debug_assert!(moves(x));
-                data[x as usize] = net.recv(NodeId(x), i2);
-            }
-        }
+        relocate_pair(net, &mut data, i1, i2);
     }
     data
+}
+
+/// Lemma 6's distance-2 relocation: every node whose address bits `i1`
+/// and `i2` differ sends its array across `i1`, and the intermediate
+/// node forwards it across `i2` — two one-port-legal rounds, in which
+/// all affected nodes move concurrently. Afterwards `data[x]` holds what
+/// node `x ^ 2^i1 ^ 2^i2` held. An empty array is not sent (the net
+/// refuses empty messages), so its destination ends up empty.
+pub(crate) fn relocate_pair<T>(net: &mut SimNet<Vec<T>>, data: &mut [Vec<T>], i1: u32, i2: u32) {
+    let moves = |x: u64| ((x >> i1) & 1) != ((x >> i2) & 1);
+    let num = data.len() as u64;
+    let nodes = || (0..num).map(NodeId);
+    for x in nodes() {
+        if moves(x.bits()) && !data[x.index()].is_empty() {
+            net.send(x, i1, std::mem::take(&mut data[x.index()]));
+        }
+    }
+    net.finish_round();
+    for x in nodes() {
+        if net.has_message(x, i1) {
+            let payload = net.recv(x, i1);
+            net.send(x, i2, payload);
+        }
+    }
+    net.finish_round();
+    for x in nodes() {
+        if net.has_message(x, i2) {
+            debug_assert!(moves(x.bits()) && data[x.index()].is_empty());
+            data[x.index()] = net.recv(x, i2);
+        }
+    }
 }
 
 /// Routes an arbitrary node permutation `π` with two all-to-all

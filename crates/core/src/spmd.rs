@@ -9,15 +9,18 @@
 //! 65 536-node Connection-Machine configuration runs on a handful of
 //! worker threads.
 //!
-//! `cuberun` has two front doors and the programs here use both. The
+//! `cuberun` has one executor — each worker loops over the nodes it
+//! hosts, step by step, trading one batch per other worker between
+//! steps — behind two front doors, and the programs here use both. The
 //! exchange transpose is "for j := n−1 downto 0: exchange on dimension
 //! j" — a round schedule every node knows in advance — so
 //! [`spmd_transpose_exchange`] is a [`RoundProgram`] on
-//! [`cuberun::run_rounds`]: each worker loops over the nodes it hosts,
-//! round by round. [`spmd_transpose_spt`] (a node relays arrays it
-//! learns of as they arrive) and [`spmd_transpose_combined_gray`] (a
-//! relaying node receives before it sends inside one iteration) are
-//! free-form `async` programs on [`cuberun::run_spmd`].
+//! [`cuberun::run_rounds`], a step per round. [`spmd_transpose_spt`] (a
+//! node relays arrays it learns of as they arrive) and
+//! [`spmd_transpose_combined_gray`] (a relaying node receives before it
+//! sends inside one iteration) are free-form `async` programs on
+//! [`cuberun::run_spmd`], polled in sweeps until every node has
+//! finished.
 //!
 //! The results are bit-identical to the simulator drivers, which the test
 //! suite checks; this module's tests also run the exchange program on

@@ -11,35 +11,40 @@
 //! paper's Connection Machine scale) run on a laptop's worth of
 //! threads.
 //!
-//! # One runtime, two front doors, one data plane
+//! # One executor, two front doors
 //!
-//! Both doors split the nodes into the same home ranges, keep one
-//! inbox per node in its worker's private memory, move every message
+//! Both doors run on the same worker loop: each worker owns a
+//! contiguous home range of nodes and their inboxes in its private
+//! memory, runs them in supersteps, and trades one batch of messages
+//! with every other worker between two steps. Every message is moved
 //! by value into the receiver's inbox (per-link FIFO, tagged with the
-//! receiver's port), size the pool by [`num_workers`], share the stall
-//! detector and return [`RunStats`]. Only a message to another worker's
-//! node crosses threads, through that worker's mailbox. They differ in
+//! receiver's port); only a message to another worker's node crosses
+//! threads, in a batch. The doors share the pool size
+//! ([`num_workers`]), the stall timeout and [`RunStats`], and differ in
 //! what a node program is:
 //!
 //! * **[`run_spmd`] — free-form.** An `async` node program against
-//!   [`NodeCtx`], compiled into a resumable state machine and run by a
-//!   cooperative scheduler: a node parks on a `recv` with nothing
-//!   pending on its port and wakes on the matching `send`. The paper's
-//!   pseudo-code — `send(buf, j)`, `recv(tmp, j)`, exchanges on a
-//!   dimension — maps 1:1 onto [`NodeCtx::send`], [`NodeCtx::recv`]
-//!   and [`NodeCtx::exchange`]. Use it when a node decides at run time
-//!   what to wait for, relays, or receives before it sends; the
-//!   [`collectives`] live here. See `sched`'s module docs for the
-//!   protocols and the determinism argument.
+//!   [`NodeCtx`], compiled into a resumable state machine. A step is a
+//!   *sweep*: the worker polls its nodes until each has finished or
+//!   waits — a `recv` with nothing pending parks its node, the matching
+//!   delivery makes it ready again. The batches' headers tell every
+//!   worker at once whether the run is finished, the barrier released,
+//!   or the programs deadlocked, which is reported at the sweep where
+//!   nothing moved. The paper's pseudo-code — `send(buf, j)`,
+//!   `recv(tmp, j)`, exchanges on a dimension — maps 1:1 onto
+//!   [`NodeCtx::send`], [`NodeCtx::recv`] and [`NodeCtx::exchange`].
+//!   Use it when a node decides at run time what to wait for, relays,
+//!   or receives before it sends; the [`collectives`] live here.
 //! * **[`run_rounds`] — a fixed round structure.** A [`RoundProgram`]
 //!   is a per-round step — `init`, then for every round `send` followed
-//!   by `recv`, then `finish` — and each worker *is* the paper's real
-//!   processor looping over the virtual processors it hosts, round by
-//!   round; workers trade one batch of messages per round. Nothing is
-//!   boxed, spawned or suspended. Use it when every node knows the
-//!   schedule in advance, as in §5's "for j := n−1 downto 0: exchange
-//!   on dimension j". See [`rounds`]' module docs for the batch
-//!   protocol.
+//!   by `recv`, then `finish` — and a step is a round: each worker *is*
+//!   the paper's real processor looping over the virtual processors it
+//!   hosts. Nothing is boxed, spawned or suspended. Use it when every
+//!   node knows the schedule in advance, as in §5's "for j := n−1
+//!   downto 0: exchange on dimension j".
+//!
+//! See [`rounds`]' module docs for the worker loop and its batch
+//! protocol, and [`runtime`]'s for the sweep rule.
 //!
 //! The same swap through each door:
 //!

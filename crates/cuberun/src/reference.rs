@@ -10,8 +10,8 @@
 //!
 //! Node programs here are plain blocking closures (`recv` parks the OS
 //! thread), with the historical per-receive `CUBERUN_RECV_TIMEOUT_MS`
-//! watchdog; the pool runtime replaces that with a scheduler-level
-//! stall detector.
+//! watchdog; the pool runtime instead reports a deadlock at the sweep
+//! where nothing moved.
 
 use crate::runtime::RunStats;
 use cubeaddr::NodeId;

@@ -1,66 +1,78 @@
-//! The round door: a node program with a fixed round structure runs as
-//! a per-worker superstep loop over the worker's home range.
+//! The executor both front doors run on, and the round door itself.
 //!
-//! [`crate::run_spmd`] takes a free-form `async` program and suspends a
-//! node wherever it receives. The paper's transposes are not free-form:
-//! "for j := n−1 downto 0, every node exchanges on dimension j" is a
-//! schedule every processor knows in advance, and the machines ran it
-//! bulk-synchronously — a real processor looping over the virtual
-//! processors it hosts. [`run_rounds`] executes a [`RoundProgram`] that
-//! way. Worker `w`, at home to the same contiguous node range the async
-//! door would give it, does for every round `r`:
+//! The paper's machines ran every algorithm bulk-synchronously: a real
+//! processor looped over the virtual processors it hosted, and the real
+//! processors traded messages between two such loops. Each worker of
+//! the pool does the same over its home range. One *step* of worker `w`
+//! is:
 //!
-//! 1. **send** — calls the program's `send` step for every home node. A
-//!    message for a home node is moved straight into that node's inbox
-//!    (the async door's `Inbox`: `(port, message)` entries in arrival
-//!    order, so taking the oldest entry of a port is per-link FIFO); a
-//!    message for another worker's node is appended to the batch for
-//!    that worker.
+//! 1. **run** — its home nodes do their work. A message for a home node
+//!    is moved straight into that node's inbox (`(port, message)`
+//!    entries in arrival order, so taking the oldest entry of a port is
+//!    per-link FIFO); a message for another worker's node is appended
+//!    to the batch for that worker.
 //! 2. **post** — pushes *one batch per other active worker, also when
-//!    it is empty*, tagged with `r`, into that worker's mailbox under
-//!    its lock, and notifies the mailbox's condvar.
-//! 3. **collect** — waits on its own mailbox until the batches of round
-//!    `r` from all other active workers are there, takes them out and
+//!    it is empty*, tagged with the step and headed by a small
+//!    header, into that worker's mailbox under its lock, and notifies
+//!    the mailbox's condvar.
+//! 3. **collect** — waits on its own mailbox until the batches of this
+//!    step from all other active workers are there, takes them out and
 //!    moves their messages into the inboxes in arrival order.
-//! 4. **recv** — calls the program's `recv` step for every home node.
 //!
-//! After the last round every state is finished in node order; the
-//! parts concatenate as they do behind `run_spmd_on`. No node is boxed,
-//! spawned or suspended, and a worker blocks at most once per round.
+//! The two doors differ only in what "run" is:
 //!
-//! # One round ahead, never two
+//! * **The round door** ([`run_rounds`]) executes a [`RoundProgram`]:
+//!   step `r` is round `r`, "run" calls the program's `send` step for
+//!   every home node, and after the collect its `recv` step for every
+//!   home node. After the last round every state is finished in node
+//!   order. No node is boxed, spawned or suspended.
+//! * **The async door** ([`crate::run_spmd`]) polls free-form `async`
+//!   node programs. A step is a *sweep*: "run" spawns the home range
+//!   lazily and polls ready nodes until none is left. A `recv` with
+//!   nothing pending parks its node on that port, and a delivery on
+//!   that port (local, or from a collected batch) puts the node at the
+//!   front of the ready queue. The headers then decide, identically on
+//!   every worker, whether the run is finished, the barrier is
+//!   released, or the node programs are deadlocked (see the runtime
+//!   module).
 //!
-//! A worker posts its batches of round `r + 1` only after it collected
-//! round `r`, which needs *our* batch of round `r`; so while we wait in
-//! round `r` a mailbox can hold batches of `r` and of `r + 1`, nothing
-//! later. A batch of `r + 1` stays in the mailbox until its round: were
-//! it delivered early, a `take` in round `r` could see a message of
-//! round `r + 1` or not, by timing.
+//! The parts of the workers concatenate in node order. A worker blocks
+//! at most once per step.
+//!
+//! # One step ahead, never two
+//!
+//! A worker posts its batches of step `s + 1` only after it collected
+//! step `s`, which needs *our* batch of step `s`; so while we wait in
+//! step `s` a mailbox can hold batches of `s` and of `s + 1`, nothing
+//! later. A batch of `s + 1` stays in the mailbox until its step: were
+//! it delivered early, a `take` in step `s` could see a message of step
+//! `s + 1` or not, by timing.
 //!
 //! # What cannot hang
 //!
-//! A round is complete when the batches have arrived, not when a count
-//! the program declared is met, so a wrong program cannot stall the
-//! door: a `recv` step that finds nothing where it expects a message
-//! sees `None` at once (and should panic naming round, node and dim),
-//! and messages nobody took are reported when the run ends. A panic in
-//! any step is caught once per worker, ends the run for the others (a
-//! `done` flag stored before every mailbox is locked and notified, so a
-//! waiter either reads it under its lock or is woken), and is re-raised
-//! from [`run_rounds`] with its original payload. The mailbox wait
-//! ticks like the async door's sleep; a worker that saw no batch arrive
-//! for the stall timeout panics with a report naming itself, its node
-//! range, the round and the workers it waits for. Liveness does not
-//! rest on the tick: the `cubesync` model suite runs this door with a
-//! wait that never times out.
+//! A step is complete when the batches have arrived, not when a count
+//! the program declared is met, so a wrong round program cannot stall
+//! the door: a `recv` step that finds nothing where it expects a
+//! message sees `None` at once (and should panic naming round, node and
+//! dim), and messages nobody took are reported when the run ends. A
+//! panic in any step is caught once per worker, ends the run for the
+//! others (a `done` flag stored before every mailbox is locked and
+//! notified, so a waiter either reads it under its lock or is woken),
+//! and is re-raised from the door with its original payload. The
+//! mailbox wait ticks; a worker that saw no batch arrive for the stall
+//! timeout panics with a report naming itself, its node range, the step
+//! and the workers it waits for — a step that never returns. Liveness
+//! does not rest on the tick: the `cubesync` model suite runs both
+//! doors with a wait that never times out.
 //!
 //! # Determinism
 //!
-//! As on the async door: every directed link has one sending node, an
-//! inbox and a batch keep send order, batches of one sender arrive in
-//! round order, and `take` names the link it consumes from. The order
-//! in which batches of *different* workers reach an inbox differs by
-//! timing and is invisible to the program.
+//! Every directed link has one sending node, an inbox and a batch keep
+//! send order, batches of one sender arrive in step order, and a `take`
+//! or `recv` names the link it consumes from. The order in which
+//! batches of *different* workers reach an inbox differs by timing and
+//! is invisible to the program; the pool only decides *when* a node
+//! runs, never *what* it observes.
 
 use crate::runtime::{cube, pool_size, run_workers, stall_timeout, wired_neighbor, RunStats};
 use crate::sched::{lock, stall_tick, Homes, Inbox};
@@ -68,6 +80,7 @@ use cubeaddr::NodeId;
 use cubesync::atomic::{AtomicBool, Ordering};
 use cubesync::sync::{Condvar, Mutex, PoisonError};
 use cubetopo::{TopoSpec, Topology};
+use std::collections::VecDeque;
 use std::ops::Range;
 use std::time::{Duration, Instant};
 
@@ -121,14 +134,10 @@ impl<T> Outbox<'_, T> {
     #[track_caller]
     pub fn send(&mut self, port: u32, msg: T) {
         let lane = &mut *self.lane;
-        let peer = wired_neighbor(&lane.topo, self.id, port, "send") as usize;
+        let peer = wired_neighbor(&lane.topo, self.id, port, "send");
         let back =
             lane.topo.reverse_port(self.id.bits(), port).expect("a wired link has a reverse port");
-        lane.messages += 1;
-        match peer.checked_sub(lane.home.start).filter(|&at| at < lane.inboxes.len()) {
-            Some(at) => lane.inboxes[at].push(back, msg),
-            None => lane.outgoing[lane.homes.worker_of(peer)].push((peer as u32, back, msg)),
-        }
+        lane.send(peer as usize, back, msg);
     }
 }
 
@@ -147,11 +156,36 @@ impl<T> RoundInbox<'_, T> {
     }
 }
 
-/// What one worker sent to the nodes of another in one round: `(node,
+/// What the sender of a batch says about itself at the end of a step.
+/// Summed over every active worker, it is the same on all of them, so
+/// they all take the same decision at the same step boundary. The round
+/// door does not read it.
+#[derive(Clone, Copy, Default)]
+pub(crate) struct Header {
+    /// Messages the sender posted to other workers in this step.
+    pub(crate) sent: u64,
+    /// Its home nodes whose program has not finished.
+    pub(crate) unfinished: u64,
+    /// Its home nodes waiting at the barrier.
+    pub(crate) arrived: u64,
+}
+
+impl Header {
+    pub(crate) fn plus(self, other: Header) -> Header {
+        Header {
+            sent: self.sent + other.sent,
+            unfinished: self.unfinished + other.unfinished,
+            arrived: self.arrived + other.arrived,
+        }
+    }
+}
+
+/// What one worker sent to the nodes of another in one step: `(node,
 /// port, message)` in send order.
 struct Batch<T> {
-    round: u32,
+    step: u32,
     from: usize,
+    head: Header,
     mail: Vec<(u32, u32, T)>,
 }
 
@@ -163,132 +197,69 @@ struct Mailbox<T> {
 }
 
 /// What the workers of one run share.
-struct Pool<T> {
+pub(crate) struct Pool<T> {
     homes: Homes,
     stall_timeout: Duration,
+    /// "round" or "async", for the stall report.
+    door: &'static str,
+    /// What one step is called on this door ("round" or "sweep").
+    step: &'static str,
     /// One per worker.
     mailboxes: Vec<Mailbox<T>>,
     /// Set by a worker that panicked, before it notifies every mailbox.
     done: AtomicBool,
 }
 
-impl<T> Pool<T> {
-    /// Cuts the run short: every waiting worker leaves.
-    fn abort(&self) {
-        self.done.store(true, Ordering::SeqCst);
-        for mailbox in &self.mailboxes {
-            drop(lock(&mailbox.batches));
-            mailbox.arrived.notify_all();
-        }
-    }
-}
-
-/// A worker's private data plane, which its nodes' [`Outbox`]es write.
-struct Lane<T> {
-    topo: TopoSpec,
+/// A worker's private data plane, which its nodes' sends write.
+pub(crate) struct Lane<T> {
+    pub(crate) topo: TopoSpec,
     homes: Homes,
     /// The node ids at home here.
-    home: Range<usize>,
+    pub(crate) home: Range<usize>,
     /// One per home node.
-    inboxes: Vec<Inbox<T>>,
+    pub(crate) inboxes: Vec<Inbox<T>>,
     /// The batch being filled for each worker (this one's stays empty).
     outgoing: Vec<Vec<(u32, u32, T)>>,
-    messages: u64,
+    /// Home nodes (by index in the home range) a delivery on the port
+    /// they are parked on made runnable, next at the front. Always
+    /// empty on the round door, where no node parks.
+    pub(crate) ready: VecDeque<u32>,
+    pub(crate) messages: u64,
+    /// Times a node parked (async door) or this worker blocked on its
+    /// mailbox, and times either was released.
+    pub(crate) parks: u64,
+    pub(crate) wakes: u64,
 }
 
-/// What a worker returns: its home range's results in node order
-/// (nothing if the run was cut short) and its counters.
-struct Part<R> {
-    results: Vec<R>,
-    messages: u64,
-    parks: u64,
-    wakes: u64,
-}
-
-/// One worker of a run: the pool, its lane, and its mailbox counters.
-struct Worker<'a, T> {
-    pool: &'a Pool<T>,
-    me: usize,
-    lane: Lane<T>,
-    parks: u64,
-    wakes: u64,
-}
-
-impl<T> Worker<'_, T> {
-    /// Posts this round's batch to every other active worker.
-    fn post(&mut self, round: u32) {
-        for to in (0..self.pool.homes.active()).filter(|&to| to != self.me) {
-            let mail = std::mem::take(&mut self.lane.outgoing[to]);
-            let mailbox = &self.pool.mailboxes[to];
-            lock(&mailbox.batches).push(Batch { round, from: self.me, mail });
-            mailbox.arrived.notify_all();
+impl<T> Lane<T> {
+    /// Sends `msg` to node `peer`, arriving on its port `port`: a move
+    /// into its inbox if it lives here, else into the batch for its
+    /// worker.
+    pub(crate) fn send(&mut self, peer: usize, port: u32, msg: T) {
+        self.messages += 1;
+        match peer.checked_sub(self.home.start).filter(|&at| at < self.inboxes.len()) {
+            Some(at) => self.deliver(at, port, msg),
+            None => self.outgoing[self.homes.worker_of(peer)].push((peer as u32, port, msg)),
         }
     }
 
-    /// Waits for the batch of `round` from every other active worker
-    /// and moves their messages into the inboxes, in arrival order.
-    /// Returns `false` if the run was cut short.
-    fn collect(&mut self, round: u32) -> bool {
-        let pool = self.pool;
-        let expected = pool.homes.active() - 1;
-        if expected == 0 {
-            return true;
+    /// Puts a message into home node `at`'s inbox. A node parked on
+    /// exactly that port runs next; a message on any other port wakes
+    /// nobody — a re-polled `recv` would still have nothing to take.
+    fn deliver(&mut self, at: usize, port: u32, msg: T) {
+        let inbox = &mut self.inboxes[at];
+        inbox.push(port, msg);
+        if inbox.parked == Some(port) {
+            inbox.parked = None;
+            self.ready.push_front(at as u32);
+            self.wakes += 1;
         }
-        let mailbox = &pool.mailboxes[self.me];
-        let mut batches = lock(&mailbox.batches);
-        // The stall clock: how many batches were here at the last look,
-        // and when that last changed.
-        let (mut seen, mut since) = (batches.len(), Instant::now());
-        let mut parked = false;
-        while batches.iter().filter(|b| b.round == round).count() < expected {
-            if pool.done.load(Ordering::SeqCst) {
-                return false;
-            }
-            if batches.len() != seen {
-                (seen, since) = (batches.len(), Instant::now());
-            } else if since.elapsed() >= pool.stall_timeout {
-                let report = self.stall_report(round, &batches);
-                drop(batches);
-                panic!("{report}");
-            }
-            if !parked {
-                parked = true;
-                self.parks += 1;
-            }
-            (batches, _) = mailbox
-                .arrived
-                .wait_timeout(batches, stall_tick(pool.stall_timeout))
-                .unwrap_or_else(PoisonError::into_inner);
-        }
-        self.wakes += u64::from(parked);
-        // A batch of the next round stays where it is.
-        let due: Vec<Batch<T>> = batches.extract_if(.., |b| b.round == round).collect();
-        drop(batches);
-        let start = self.lane.home.start;
-        for (node, port, msg) in due.into_iter().flat_map(|b| b.mail) {
-            self.lane.inboxes[node as usize - start].push(port, msg);
-        }
-        true
-    }
-
-    /// The stall diagnostic of a worker waiting in `round` with
-    /// `batches` in its mailbox.
-    fn stall_report(&self, round: u32, batches: &[Batch<T>]) -> String {
-        let missing: Vec<usize> = (0..self.pool.homes.active())
-            .filter(|&w| w != self.me && !batches.iter().any(|b| b.round == round && b.from == w))
-            .collect();
-        format!(
-            "SPMD scheduler stalled: no virtual-node progress for {:?} (worker {} of the round \
-             door, nodes {:?}, waiting in round {round} for the batch of workers {missing:?}) \
-             — a step that never returns?",
-            self.pool.stall_timeout, self.me, self.lane.home
-        )
     }
 
     /// Panics if a home node still has a message nobody took.
     fn assert_all_read(&mut self) {
-        let ports = self.lane.topo.ports();
-        for (at, inbox) in self.lane.inboxes.iter_mut().enumerate() {
+        let ports = self.topo.ports();
+        for (at, inbox) in self.inboxes.iter_mut().enumerate() {
             if inbox.is_empty() {
                 continue;
             }
@@ -300,37 +271,219 @@ impl<T> Worker<'_, T> {
             }
             panic!(
                 "node {} ended with {} unread messages on dims {dims:?}",
-                self.lane.home.start + at,
+                self.home.start + at,
                 dims.len()
             );
         }
     }
+}
 
-    /// The whole run of this worker.
-    fn run<P: RoundProgram<T>>(&mut self, program: &P) -> Vec<P::Out> {
-        let home = self.lane.home.clone();
-        if home.is_empty() {
-            // A trailing worker of an uneven split: it posts to nobody
-            // and nobody waits for it.
-            return Vec::new();
+/// What a worker returns: its home range's results in node order and
+/// its counters. `results` is empty if the run was cut short or
+/// deadlocked.
+pub(crate) struct Part<R> {
+    pub(crate) results: Vec<R>,
+    pub(crate) messages: u64,
+    pub(crate) parks: u64,
+    pub(crate) wakes: u64,
+    /// Barrier episodes released.
+    pub(crate) barriers: u64,
+    /// The largest live-context count this worker knows occurred.
+    pub(crate) peak_live: u64,
+    /// At a deadlock: the home nodes still waiting, each with the port
+    /// it is parked on (`None`: the barrier).
+    pub(crate) stuck: Vec<(usize, Option<u32>)>,
+}
+
+impl<R> Part<R> {
+    /// A part with `lane`'s counters and nothing else.
+    pub(crate) fn of<T>(lane: &Lane<T>, results: Vec<R>) -> Self {
+        Part {
+            results,
+            messages: lane.messages,
+            parks: lane.parks,
+            wakes: lane.wakes,
+            barriers: 0,
+            peak_live: 0,
+            stuck: Vec::new(),
         }
-        let ids = || home.clone().map(|x| NodeId(x as u64));
-        let mut states: Vec<P::State> = ids().map(|id| program.init(id)).collect();
-        for round in 0..program.rounds() {
-            for (id, state) in ids().zip(&mut states) {
-                program.send(round, id, state, &mut Outbox { lane: &mut self.lane, id });
-            }
-            self.post(round);
-            if !self.collect(round) {
-                return Vec::new();
-            }
-            for ((id, state), inbox) in ids().zip(&mut states).zip(&mut self.lane.inboxes) {
-                program.recv(round, id, state, &mut RoundInbox { inbox });
-            }
-        }
-        self.assert_all_read();
-        ids().zip(states).map(|(id, state)| program.finish(id, state)).collect()
     }
+}
+
+impl<T> Pool<T> {
+    /// Cuts the run short: every waiting worker leaves.
+    fn abort(&self) {
+        self.done.store(true, Ordering::SeqCst);
+        for mailbox in &self.mailboxes {
+            drop(lock(&mailbox.batches));
+            mailbox.arrived.notify_all();
+        }
+    }
+
+    /// Posts worker `me`'s batch of `step` to every other active worker,
+    /// headed by `head` with its `sent` filled in; returns that header.
+    pub(crate) fn post(&self, me: usize, lane: &mut Lane<T>, step: u32, head: Header) -> Header {
+        let head = Header { sent: lane.outgoing.iter().map(|o| o.len() as u64).sum(), ..head };
+        for to in (0..self.homes.active()).filter(|&to| to != me) {
+            let mail = std::mem::take(&mut lane.outgoing[to]);
+            let mailbox = &self.mailboxes[to];
+            lock(&mailbox.batches).push(Batch { step, from: me, head, mail });
+            mailbox.arrived.notify_all();
+        }
+        head
+    }
+
+    /// Waits for the batch of `step` from every other active worker,
+    /// moves their messages into `lane`'s inboxes in arrival order and
+    /// returns the sum of their headers; `None` if the run was cut
+    /// short.
+    pub(crate) fn collect(&self, me: usize, lane: &mut Lane<T>, step: u32) -> Option<Header> {
+        let expected = self.homes.active() - 1;
+        if expected == 0 {
+            return Some(Header::default());
+        }
+        let mailbox = &self.mailboxes[me];
+        let mut batches = lock(&mailbox.batches);
+        // The stall clock: how many batches were here at the last look,
+        // and when that last changed.
+        let (mut seen, mut since) = (batches.len(), Instant::now());
+        let mut parked = false;
+        while batches.iter().filter(|b| b.step == step).count() < expected {
+            if self.done.load(Ordering::SeqCst) {
+                return None;
+            }
+            if batches.len() != seen {
+                (seen, since) = (batches.len(), Instant::now());
+            } else if since.elapsed() >= self.stall_timeout {
+                let report = self.stall_report(me, lane, step, &batches);
+                drop(batches);
+                panic!("{report}");
+            }
+            if !parked {
+                parked = true;
+                lane.parks += 1;
+            }
+            (batches, _) = mailbox
+                .arrived
+                .wait_timeout(batches, stall_tick(self.stall_timeout))
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+        lane.wakes += u64::from(parked);
+        // A batch of the next step stays where it is.
+        let due: Vec<Batch<T>> = batches.extract_if(.., |b| b.step == step).collect();
+        drop(batches);
+        let mut heads = Header::default();
+        for batch in due {
+            heads = heads.plus(batch.head);
+            for (node, port, msg) in batch.mail {
+                lane.deliver(node as usize - lane.home.start, port, msg);
+            }
+        }
+        Some(heads)
+    }
+
+    /// The stall diagnostic of worker `me` waiting in `step` with
+    /// `batches` in its mailbox.
+    fn stall_report(&self, me: usize, lane: &Lane<T>, step: u32, batches: &[Batch<T>]) -> String {
+        let missing: Vec<usize> = (0..self.homes.active())
+            .filter(|&w| w != me && !batches.iter().any(|b| b.step == step && b.from == w))
+            .collect();
+        format!(
+            "SPMD scheduler stalled: no virtual-node progress for {:?} (worker {me} of the {} \
+             door, nodes {:?}, waiting in {} {step} for the batch of workers {missing:?}) \
+             — a step that never returns?",
+            self.stall_timeout, self.door, lane.home, self.step
+        )
+    }
+}
+
+/// Runs `body(pool, w, lane)` for every worker `w` of a pool sized for
+/// `topo`, each on its own thread with a fresh lane for its home range,
+/// and returns the parts in worker order with the [`RunStats`] they add
+/// up to. `door` and `step` name the door and its step in the stall
+/// report. A panic in a body ends the run for the others and is
+/// re-raised with its own payload.
+pub(crate) fn run_pool<T: Send, R: Send>(
+    topo: TopoSpec,
+    door: &'static str,
+    step: &'static str,
+    body: impl Fn(&Pool<T>, usize, Lane<T>) -> Part<R> + Sync,
+) -> (Vec<Part<R>>, RunStats) {
+    let (num, workers) = (topo.num_nodes(), pool_size(&topo));
+    let pool = Pool {
+        homes: Homes::new(num, workers),
+        stall_timeout: stall_timeout(),
+        door,
+        step,
+        mailboxes: (0..workers)
+            .map(|_| Mailbox { batches: Mutex::new(Vec::new()), arrived: Condvar::new() })
+            .collect(),
+        done: AtomicBool::new(false),
+    };
+    let parts = run_workers(workers, |me| {
+        let home = pool.homes.range_of(me);
+        let lane = Lane {
+            topo,
+            homes: pool.homes,
+            inboxes: home.clone().map(|_| Inbox::new()).collect(),
+            home,
+            outgoing: (0..workers).map(|_| Vec::new()).collect(),
+            ready: VecDeque::new(),
+            messages: 0,
+            parks: 0,
+            wakes: 0,
+        };
+        // One catch per worker: the others must be told before the
+        // payload travels on.
+        let run = std::panic::AssertUnwindSafe(|| body(&pool, me, lane));
+        std::panic::catch_unwind(run).unwrap_or_else(|payload| {
+            pool.abort();
+            std::panic::resume_unwind(payload)
+        })
+    });
+    let stats = RunStats {
+        messages: parts.iter().map(|p| p.messages).sum(),
+        barriers: parts.iter().map(|p| p.barriers).max().unwrap_or(0),
+        workers,
+        peak_live: parts.iter().map(|p| p.peak_live).max().unwrap_or(0) as u32,
+        parks: parts.iter().map(|p| p.parks).sum(),
+        wakes: parts.iter().map(|p| p.wakes).sum(),
+        steals: vec![0; workers],
+    };
+    (parts, stats)
+}
+
+/// The round door's worker: `program`'s rounds over `lane`'s home range.
+fn round_worker<T, P: RoundProgram<T>>(
+    pool: &Pool<T>,
+    me: usize,
+    mut lane: Lane<T>,
+    program: &P,
+) -> Part<P::Out> {
+    let home = lane.home.clone();
+    if home.is_empty() {
+        // A trailing worker of an uneven split: it posts to nobody and
+        // nobody waits for it.
+        return Part::of(&lane, Vec::new());
+    }
+    let ids = || home.clone().map(|x| NodeId(x as u64));
+    let mut states: Vec<P::State> = ids().map(|id| program.init(id)).collect();
+    for round in 0..program.rounds() {
+        for (id, state) in ids().zip(&mut states) {
+            program.send(round, id, state, &mut Outbox { lane: &mut lane, id });
+        }
+        pool.post(me, &mut lane, round, Header::default());
+        if pool.collect(me, &mut lane, round).is_none() {
+            return Part::of(&lane, Vec::new());
+        }
+        for ((id, state), inbox) in ids().zip(&mut states).zip(&mut lane.inboxes) {
+            program.recv(round, id, state, &mut RoundInbox { inbox });
+        }
+    }
+    lane.assert_all_read();
+    let results = ids().zip(states).map(|(id, state)| program.finish(id, state)).collect();
+    // Every state exists from before round 0 to after the last.
+    Part { peak_live: lane.topo.num_nodes() as u64, ..Part::of(&lane, results) }
 }
 
 /// Runs `program` on every node of an `n`-cube through the round door
@@ -340,7 +493,8 @@ impl<T> Worker<'_, T> {
 /// rounds; a program that decides at run time what to wait for belongs
 /// on [`crate::run_spmd`]. Both doors size the pool by
 /// [`crate::num_workers`], split the nodes into the same home ranges,
-/// and give byte-identical results at any worker count.
+/// run the same worker loop, and give byte-identical results at any
+/// worker count.
 ///
 /// [`RunStats`] on this door: `messages` counts every `Outbox::send`;
 /// `parks` / `wakes` count the times a worker blocked on / was released
@@ -364,46 +518,8 @@ pub fn run_rounds_on<T: Send, P: RoundProgram<T>>(
     topo: TopoSpec,
     program: &P,
 ) -> (Vec<P::Out>, RunStats) {
-    let (num, workers) = (topo.num_nodes(), pool_size(&topo));
-    let pool = Pool {
-        homes: Homes::new(num, workers),
-        stall_timeout: stall_timeout(),
-        mailboxes: (0..workers)
-            .map(|_| Mailbox { batches: Mutex::new(Vec::new()), arrived: Condvar::new() })
-            .collect(),
-        done: AtomicBool::new(false),
-    };
-
-    let parts = run_workers(workers, |me| {
-        let home = pool.homes.range_of(me);
-        let lane = Lane {
-            topo,
-            homes: pool.homes,
-            inboxes: home.clone().map(|_| Inbox::new()).collect(),
-            home,
-            outgoing: (0..workers).map(|_| Vec::new()).collect(),
-            messages: 0,
-        };
-        let mut worker = Worker { pool: &pool, me, lane, parks: 0, wakes: 0 };
-        // One catch per worker: the others must be told before the
-        // payload travels on.
-        let run = std::panic::AssertUnwindSafe(|| worker.run(program));
-        let results = std::panic::catch_unwind(run).unwrap_or_else(|payload| {
-            pool.abort();
-            std::panic::resume_unwind(payload)
-        });
-        Part { results, messages: worker.lane.messages, parks: worker.parks, wakes: worker.wakes }
-    });
-
-    let stats = RunStats {
-        messages: parts.iter().map(|p| p.messages).sum(),
-        barriers: 0,
-        workers,
-        peak_live: num as u32,
-        parks: parts.iter().map(|p| p.parks).sum(),
-        wakes: parts.iter().map(|p| p.wakes).sum(),
-        steals: vec![0; workers],
-    };
+    let (parts, stats) =
+        run_pool(topo, "round", "round", |pool, me, lane| round_worker(pool, me, lane, program));
     // The home ranges are contiguous and ascending, so the parts
     // concatenate in node order.
     (parts.into_iter().flat_map(|p| p.results).collect(), stats)

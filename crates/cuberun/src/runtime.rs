@@ -1,14 +1,12 @@
 //! Virtual-node SPMD execution: many cube nodes per worker thread.
 //!
-//! One runtime, two front doors, one data plane. This module holds the
-//! free-form door ([`run_spmd`] / [`run_spmd_on`] and the [`NodeCtx`]
-//! its programs run against) and what both doors share: the pool size
-//! ([`num_workers`], [`with_workers`]), the stall timeout
-//! ([`with_stall_timeout`]), the size refusals, the link diagnostic,
-//! the join-every-worker loop and [`RunStats`]. The round door —
-//! [`crate::run_rounds`], for programs with a fixed round structure —
-//! is [`crate::rounds`]; the home ranges and the per-node inbox both
-//! doors use are in `sched`.
+//! This module holds the async door ([`run_spmd`] / [`run_spmd_on`]
+//! and the [`NodeCtx`] its programs run against) and what both doors
+//! share: the pool size ([`num_workers`], [`with_workers`]), the stall
+//! timeout ([`with_stall_timeout`]), the size refusals, the link
+//! diagnostic, the join-every-worker loop and [`RunStats`]. Both doors
+//! run on the one worker loop of [`crate::rounds`]; the home ranges
+//! and the per-node inbox are in `sched`.
 //!
 //! Node programs are written as `async` blocks against [`NodeCtx`]:
 //! `send` is immediate (links are buffered), `recv` *suspends* the node
@@ -18,29 +16,47 @@
 //! heap bytes, not stacks — the paper's Connection-Machine scale (n = 16,
 //! 64K nodes) runs on a handful of workers. A node lives on one worker
 //! for the whole run, so a [`NodeCtx`] is `!Send` and a node program
-//! may hold non-`Send` state across an `.await`. See the `sched` module
-//! for the scheduler internals and the determinism argument.
+//! may hold non-`Send` state across an `.await`.
+//!
+//! # Sweeps
+//!
+//! A worker polls its ready nodes until none is left — every home node
+//! has finished, or waits on a port or at the barrier — and then trades
+//! one batch with every other worker: a *sweep*. Each batch is headed
+//! by the sender's cross-worker sends in the sweep, its unfinished node
+//! count and its barrier arrivals. Summed, the headers are the same on
+//! every worker, so every worker takes the same decision at the same
+//! sweep boundary:
+//!
+//! * **finished** — no node is unfinished;
+//! * **barrier released** — the arrivals reach the node count: every
+//!   waiter runs in the next sweep, after every message sent before the
+//!   barrier has been delivered;
+//! * **deadlock** — nothing crossed between workers and nodes are still
+//!   unfinished: every one of them waits for something nobody can send,
+//!   so the run panics with a report naming each waiting node and its
+//!   port or barrier, at the sweep where nothing moved;
+//! * otherwise the next sweep.
 //!
 //! The former thread-per-node runtime survives as [`crate::reference`]
 //! (the equivalence tests run both).
 
-use crate::sched::{self, Local, Shared};
+use crate::rounds::{run_pool, Header, Lane, Part, Pool};
 use cubeaddr::NodeId;
-use cubesync::atomic::Ordering;
-use cubesync::sync::{Arc, OnceLock};
+use cubesync::sync::OnceLock;
 use cubesync::thread;
 use cubetopo::{TopoSpec, Topology};
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::future::Future;
 use std::pin::Pin;
 use std::rc::Rc;
-use std::task::{Context, Poll};
+use std::task::{Context, Poll, Waker};
 use std::time::Duration;
 
-/// Default for how long the scheduler tolerates a run making no progress
-/// before declaring the node programs deadlocked. Algorithms on these
-/// cube sizes complete in milliseconds; half a minute of global silence
-/// is a bug, and a diagnostic panic beats a hung test suite.
+/// Default for how long a worker waits for another worker's batch
+/// before declaring a step hung. Algorithms on these cube sizes complete
+/// in milliseconds; half a minute of silence is a bug, and a diagnostic
+/// panic beats a hung test suite.
 pub(crate) const DEFAULT_STALL_TIMEOUT: Duration = Duration::from_secs(30);
 
 thread_local! {
@@ -94,9 +110,11 @@ pub fn with_workers<R>(workers: usize, f: impl FnOnce() -> R) -> R {
     f()
 }
 
-/// Runs `f` with the scheduler stall timeout pinned to `timeout` on the
-/// current thread (restored on exit, even across a panic). Deadlock
-/// tests tighten it; loaded CI machines widen it via the environment.
+/// Runs `f` with the stall timeout pinned to `timeout` on the current
+/// thread (restored on exit, even across a panic). The timeout bounds a
+/// worker's wait for another worker's batch — a step that never
+/// returns; a deadlock of the node programs is reported without it.
+/// Tests tighten it; loaded CI machines widen it via the environment.
 pub fn with_stall_timeout<R>(timeout: Duration, f: impl FnOnce() -> R) -> R {
     struct Restore(Option<Duration>);
     impl Drop for Restore {
@@ -108,14 +126,12 @@ pub fn with_stall_timeout<R>(timeout: Duration, f: impl FnOnce() -> R) -> R {
     f()
 }
 
-/// The scheduler stall timeout: the [`with_stall_timeout`] override if
-/// installed, else `CUBERUN_STALL_TIMEOUT_MS`, else
-/// [`DEFAULT_STALL_TIMEOUT`]; a set but malformed value panics. (The
-/// per-receive watchdog this detector replaced false-positived under
-/// heavy oversubscription — a virtual node can legitimately sit parked
-/// far longer than any one receive used to take — so its
-/// `CUBERUN_RECV_TIMEOUT_MS` is not read here; only
-/// [`crate::reference`], which still has that watchdog, reads it.)
+/// The stall timeout: the [`with_stall_timeout`] override if installed,
+/// else `CUBERUN_STALL_TIMEOUT_MS`, else [`DEFAULT_STALL_TIMEOUT`]; a
+/// set but malformed value panics. (`CUBERUN_RECV_TIMEOUT_MS`, the
+/// per-receive watchdog of the thread-per-node runtime, is not read
+/// here; only [`crate::reference`], which still has that watchdog,
+/// reads it.)
 pub(crate) fn stall_timeout() -> Duration {
     if let Some(t) = STALL_OVERRIDE.with(Cell::get) {
         return t;
@@ -145,30 +161,34 @@ pub(crate) fn parse_stall_timeout(var: &str, raw: &str) -> Duration {
 /// Aggregate statistics of one SPMD run.
 ///
 /// `messages` and `barriers` are deterministic (scheduling-independent);
-/// the scheduler counters (`peak_live`, `parks`, `wakes`) depend on
-/// timing and worker count. The field docs describe [`run_spmd`]; on
-/// the round door workers park, not nodes, and every node state is live
-/// from start to end — see [`crate::run_rounds`].
+/// `peak_live`, `parks` and `wakes` depend on timing and worker count.
+/// The field docs describe [`run_spmd`]; on the round door no node
+/// parks and every node state is live from start to end — see
+/// [`crate::run_rounds`].
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct RunStats {
     /// Total messages sent over all links.
     pub messages: u64,
-    /// Total global barrier episodes.
+    /// Barrier episodes released.
     pub barriers: u64,
     /// Size of the worker pool that executed the run.
     pub workers: usize,
     /// High-water mark of simultaneously live (spawned, unfinished)
-    /// virtual-node contexts — the memory footprint the cooperative
-    /// scheduler actually paid for. The largest of the samples workers
-    /// take as their own share of the live set peaks: never more than a
-    /// count that really occurred, and exact when every context is live
-    /// at once (any program in which all nodes must start before one can
-    /// finish).
+    /// virtual-node contexts — the memory footprint the run actually
+    /// paid for — as far as the run can vouch for it: the larger of
+    /// every worker's own live count and the ensemble's live count at
+    /// each sweep boundary. Never more than a count that really
+    /// occurred, and exact when every node must start before any can
+    /// finish: one worker then counts all of them itself, and on
+    /// several no node can finish in the first sweep, whose boundary
+    /// counts them all.
     pub peak_live: u32,
-    /// Times a virtual node parked (suspended with no message pending
-    /// on the awaited port, or on an incomplete barrier).
+    /// Times a virtual node parked (a `recv` with nothing pending on
+    /// its port, or a barrier arrival), plus times a worker blocked on
+    /// its mailbox waiting for a batch.
     pub parks: u64,
-    /// Times a parked node was woken by a message or barrier release.
+    /// Times a parked node was made runnable by a delivery on its port
+    /// or a barrier release, plus times a blocked worker was released.
     pub wakes: u64,
     /// Always `workers` zeros: a node runs on its home worker from its
     /// first poll to its last, so nothing is ever stolen. The field
@@ -187,6 +207,63 @@ pub(crate) fn wired_neighbor(topo: &TopoSpec, id: NodeId, port: u32, what: &str)
     }
 }
 
+/// A worker's side of an async run, shared with its node contexts
+/// through an `Rc`. `own` is borrowed inside a context's `send` /
+/// `recv` / barrier poll and by the worker between polls, never across
+/// a poll, so the borrows cannot overlap.
+struct Host<T> {
+    topo: TopoSpec,
+    /// First node id of the home range.
+    start: u64,
+    own: RefCell<Own<T>>,
+}
+
+/// The mutable part of a [`Host`]. Nodes are named by their index in
+/// the home range.
+struct Own<T> {
+    lane: Lane<T>,
+    /// Home nodes waiting at the barrier.
+    waiters: Vec<u32>,
+    /// Barrier episodes released so far.
+    barriers: u64,
+    /// Set by a context future that returns `Pending`, taken by the
+    /// worker after every poll: a node that suspends without it awaited
+    /// something foreign.
+    suspended: bool,
+}
+
+impl<T> Own<T> {
+    /// One poll of home node `at`'s `recv(port)`: the oldest message
+    /// from that port, or `None` with the node parked on it.
+    fn recv(&mut self, at: usize, port: u32) -> Option<T> {
+        let inbox = &mut self.lane.inboxes[at];
+        let got = inbox.take(port);
+        if got.is_none() {
+            if inbox.parked.replace(port) != Some(port) {
+                self.lane.parks += 1;
+            }
+            self.suspended = true;
+        }
+        got
+    }
+
+    /// One poll of home node `at`'s barrier wait; `joined` is the
+    /// episode it arrived in, once it has. Returns whether it may pass.
+    fn barrier(&mut self, at: usize, joined: &mut Option<u64>) -> bool {
+        match *joined {
+            Some(episode) if self.barriers > episode => return true,
+            Some(_) => {}
+            None => {
+                *joined = Some(self.barriers);
+                self.waiters.push(at as u32);
+                self.lane.parks += 1;
+            }
+        }
+        self.suspended = true;
+        false
+    }
+}
+
 /// The per-node handle a node program runs against: its identity plus
 /// its communication ports. Obtained from [`run_spmd`] /
 /// [`run_spmd_on`]; `recv`, `exchange`, `barrier` and `all_reduce` are
@@ -200,17 +277,14 @@ pub(crate) fn wired_neighbor(topo: &TopoSpec, id: NodeId, port: u32, what: &str)
 /// than deadlocking.
 pub struct NodeCtx<T> {
     id: NodeId,
-    /// The private state of the worker this node lives on.
-    local: Rc<Local<T>>,
+    /// The worker this node lives on.
+    host: Rc<Host<T>>,
 }
 
 impl<T> NodeCtx<T> {
-    pub(crate) fn new(id: NodeId, local: Rc<Local<T>>) -> Self {
-        NodeCtx { id, local }
-    }
-
-    fn shared(&self) -> &Shared<T> {
-        &self.local.shared
+    /// This node's index in its worker's home range.
+    fn at(&self) -> usize {
+        (self.id.bits() - self.host.start) as usize
     }
 
     /// This node's address.
@@ -221,51 +295,54 @@ impl<T> NodeCtx<T> {
     /// The cube dimension `n` — an alias of [`NodeCtx::ports`], kept
     /// for the hypercube node programs the paper is written in.
     pub fn n(&self) -> u32 {
-        self.shared().ports
+        self.ports()
     }
 
     /// Number of communication ports per node (`n` on the cube).
     pub fn ports(&self) -> u32 {
-        self.shared().ports
+        self.host.topo.ports()
     }
 
     /// The topology this run executes on.
     pub fn topology(&self) -> TopoSpec {
-        self.shared().topo
+        self.host.topo
     }
 
     /// Number of nodes in the ensemble (`2^n` on the cube).
     pub fn num_nodes(&self) -> usize {
-        self.shared().num
+        self.host.topo.num_nodes()
     }
 
     /// The neighbor across `port`, panicking with a link diagnostic if
     /// the port is out of range or unwired on this topology.
     #[track_caller]
     fn wired_neighbor(&self, port: u32, what: &str) -> u64 {
-        wired_neighbor(&self.shared().topo, self.id, port, what)
+        wired_neighbor(&self.host.topo, self.id, port, what)
     }
 
     /// Sends `msg` to the neighbor across port `dim` (immediate; links
-    /// are buffered). A neighbor parked on this link becomes runnable
-    /// (next in line, if it lives on this worker); a neighbor parked on
-    /// another link is left alone.
+    /// are buffered). A neighbor parked on this link becomes runnable —
+    /// next in line if it lives on this worker, after this sweep if it
+    /// lives on another; a neighbor parked on another link is left
+    /// alone.
     #[track_caller]
     pub fn send(&self, dim: u32, msg: T) {
         let peer = self.wired_neighbor(dim, "send");
-        let topo = self.shared().topo;
-        let back = topo.reverse_port(self.id.bits(), dim).expect("a wired link has a reverse port");
-        self.local.send(peer as u32, back, msg);
+        let back = self
+            .host
+            .topo
+            .reverse_port(self.id.bits(), dim)
+            .expect("a wired link has a reverse port");
+        self.host.own.borrow_mut().lane.send(peer as usize, back, msg);
     }
 
     /// Receives the next message from the neighbor across port `dim`,
     /// suspending this virtual node until it arrives.
     ///
     /// # Panics
-    /// The run panics if no virtual node makes progress for the stall
-    /// timeout (30 s by default; `CUBERUN_STALL_TIMEOUT_MS` /
-    /// [`with_stall_timeout`]) — a deadlocked node program — or if any
-    /// node program panicked.
+    /// The run panics if its node programs deadlock — at the first
+    /// sweep in which every unfinished node waits and nothing moved
+    /// between workers — or if any node program panicked.
     #[track_caller]
     pub fn recv(&self, dim: u32) -> Recv<'_, T> {
         let _ = self.wired_neighbor(dim, "recv");
@@ -306,10 +383,11 @@ impl<T: Clone> NodeCtx<T> {
     /// If the run is not on a hypercube — the scan pairs nodes by
     /// address bits, which only the cube's wiring satisfies.
     pub async fn all_reduce(&self, value: T, mut combine: impl FnMut(T, T) -> T) -> T {
+        let topo = self.host.topo;
         assert!(
-            self.shared().topo.is_hypercube(),
+            topo.is_hypercube(),
             "all_reduce is a hypercube dimension scan; the {} has no such pairing",
-            self.shared().topo.label()
+            topo.label()
         );
         let mut acc = value;
         for d in 0..self.n() {
@@ -339,7 +417,8 @@ impl<T> Future for Recv<'_, T> {
     type Output = T;
 
     fn poll(self: Pin<&mut Self>, _cx: &mut Context<'_>) -> Poll<T> {
-        match self.ctx.local.recv(self.ctx.id.bits() as u32, self.dim) {
+        let ctx = self.ctx;
+        match ctx.host.own.borrow_mut().recv(ctx.at(), self.dim) {
             Some(msg) => Poll::Ready(msg),
             None => Poll::Pending,
         }
@@ -347,11 +426,11 @@ impl<T> Future for Recv<'_, T> {
 }
 
 /// Future of [`NodeCtx::barrier`]: arrives once, then waits for the
-/// barrier generation to advance. The last arriver passes at once.
+/// sweep boundary at which every node has arrived.
 #[must_use = "barrier does nothing until awaited"]
 pub struct BarrierWait<'a, T> {
     ctx: &'a NodeCtx<T>,
-    /// The generation this node arrived in, once registered.
+    /// The episode this node arrived in, once registered.
     joined: Option<u64>,
 }
 
@@ -360,12 +439,136 @@ impl<T> Future for BarrierWait<'_, T> {
 
     fn poll(self: Pin<&mut Self>, _cx: &mut Context<'_>) -> Poll<()> {
         let this = self.get_mut();
-        if this.ctx.local.barrier(this.ctx.id.bits() as u32, &mut this.joined) {
+        let ctx = this.ctx;
+        if ctx.host.own.borrow_mut().barrier(ctx.at(), &mut this.joined) {
             Poll::Ready(())
         } else {
             Poll::Pending
         }
     }
+}
+
+/// The async door's worker: polls the node programs of `lane`'s home
+/// range sweep by sweep until the headers of every worker say the run
+/// is finished or deadlocked (see the module docs).
+fn node_worker<T, R, Fut, F>(pool: &Pool<T>, me: usize, lane: Lane<T>, program: &F) -> Part<R>
+where
+    Fut: Future<Output = R>,
+    F: Fn(NodeCtx<T>) -> Fut,
+{
+    let (start, len) = (lane.home.start, lane.home.len());
+    if len == 0 {
+        // A trailing worker of an uneven split: it posts to nobody and
+        // nobody waits for it.
+        return Part::of(&lane, Vec::new());
+    }
+    let num = lane.topo.num_nodes() as u64;
+    let own = Own { lane, waiters: Vec::new(), barriers: 0, suspended: false };
+    let host = Rc::new(Host { topo: own.lane.topo, start: start as u64, own: RefCell::new(own) });
+    let mut futs: Vec<Option<Pin<Box<Fut>>>> = (0..len).map(|_| None).collect();
+    let mut results: Vec<Option<R>> = (0..len).map(|_| None).collect();
+    let mut unspawned = 0..len;
+    // Home nodes spawned and unfinished, and the largest live count
+    // this worker has seen.
+    let (mut live, mut peak) = (0u64, 0u64);
+    let mut cx = Context::from_waker(Waker::noop());
+    let mut sweep = 0u32;
+    loop {
+        // Poll ready nodes, spawning the home range lazily, until every
+        // home node has finished or waits.
+        loop {
+            let ready = host.own.borrow_mut().lane.ready.pop_front();
+            let Some(at) = ready.map(|at| at as usize).or_else(|| unspawned.next()) else {
+                break;
+            };
+            let fut = match &mut futs[at] {
+                Some(fut) => fut,
+                // Finished, yet woken by a late delivery: it once awaited
+                // a `recv` and the barrier at the same time.
+                None if results[at].is_some() => continue,
+                slot => {
+                    live += 1;
+                    peak = peak.max(live);
+                    let ctx = NodeCtx { id: NodeId((start + at) as u64), host: Rc::clone(&host) };
+                    slot.insert(Box::pin(program(ctx)))
+                }
+            };
+            match fut.as_mut().poll(&mut cx) {
+                Poll::Ready(r) => {
+                    futs[at] = None;
+                    results[at] = Some(r);
+                    live -= 1;
+                }
+                Poll::Pending => {
+                    let suspended = std::mem::take(&mut host.own.borrow_mut().suspended);
+                    assert!(
+                        suspended,
+                        "node {} suspended on a foreign future; only NodeCtx recv/barrier may \
+                         suspend",
+                        start + at
+                    );
+                }
+            }
+        }
+        // Trade batches, then decide from everybody's header.
+        let mut own = host.own.borrow_mut();
+        let own = &mut *own;
+        let head =
+            Header { unfinished: live, arrived: own.waiters.len() as u64, ..Header::default() };
+        let head = pool.post(me, &mut own.lane, sweep, head);
+        let Some(others) = pool.collect(me, &mut own.lane, sweep) else {
+            return Part::of(&own.lane, Vec::new());
+        };
+        let all = head.plus(others);
+        // Between two sweeps every worker sits at the count it posted.
+        peak = peak.max(all.unfinished);
+        if all.unfinished == 0 {
+            let results = results.into_iter().map(|r| r.expect("every program finished")).collect();
+            return Part {
+                barriers: own.barriers,
+                peak_live: peak,
+                ..Part::of(&own.lane, results)
+            };
+        }
+        if all.arrived == num {
+            own.barriers += 1;
+            own.lane.wakes += own.waiters.len() as u64;
+            own.lane.ready.extend(own.waiters.drain(..));
+        } else if all.sent == 0 {
+            let stuck = (0..len)
+                .filter(|&at| futs[at].is_some())
+                .map(|at| (start + at, own.lane.inboxes[at].parked))
+                .collect();
+            return Part { barriers: own.barriers, stuck, ..Part::of(&own.lane, Vec::new()) };
+        }
+        sweep = sweep.wrapping_add(1);
+    }
+}
+
+/// The deadlock diagnostic: how far the run got, and which nodes wait
+/// on which dim or barrier episode (the first few, then a count).
+fn deadlock_report(num: usize, barriers: u64, stuck: &[(usize, Option<u32>)]) -> String {
+    use std::fmt::Write;
+    let mut detail = String::new();
+    for (k, &(x, port)) in stuck.iter().take(12).enumerate() {
+        if k > 0 {
+            detail.push_str(", ");
+        }
+        let _ = match port {
+            Some(dim) => write!(detail, "node {x} on dim {dim}"),
+            None => write!(detail, "node {x} on barrier #{barriers}"),
+        };
+    }
+    if stuck.len() > 12 {
+        let _ = write!(detail, ", … ({} more)", stuck.len() - 12);
+    }
+    format!(
+        "SPMD scheduler stalled: a sweep moved no message between workers and released no \
+         barrier ({}/{num} node programs completed, {} waiting: {detail}) — deadlocked node \
+         program?",
+        num - stuck.len(),
+        stuck.len()
+    )
 }
 
 /// Runs `program` on every node of an `n`-cube and returns the per-node
@@ -382,6 +585,12 @@ impl<T> Future for BarrierWait<'_, T> {
 /// result type `R` are arbitrary `Send` types; the future itself need
 /// not be `Send`, because a node never leaves the worker that spawned
 /// it.
+///
+/// # Panics
+/// If `n > 16`; with a node program's own panic; with the deadlock
+/// report if every unfinished node waits for something nobody can send
+/// (see the module docs); or with the stall report if a worker waits
+/// for a batch longer than the stall timeout ([`with_stall_timeout`]).
 pub fn run_spmd<T, R, F, Fut>(n: u32, program: F) -> (Vec<R>, RunStats)
 where
     T: Send,
@@ -402,8 +611,8 @@ where
 /// receives what the neighbor across port `q` sent. Sends and receives
 /// on unwired ports (the Swapped Dragonfly's fixed-point gateway ports)
 /// panic with a link diagnostic instead of deadlocking. Everything else
-/// — the cooperative scheduler, determinism at any worker count, the
-/// stall detector — is shared with the cube entry point.
+/// — the sweeps, determinism at any worker count, the deadlock report —
+/// is shared with the cube entry point.
 pub fn run_spmd_on<T, R, F, Fut>(topo: TopoSpec, program: F) -> (Vec<R>, RunStats)
 where
     T: Send,
@@ -411,32 +620,15 @@ where
     F: Fn(NodeCtx<T>) -> Fut + Sync,
     Fut: Future<Output = R>,
 {
-    let workers = pool_size(&topo);
-    let shared = Arc::new(Shared::<T>::new(topo, workers, stall_timeout()));
-
-    // Each worker returns its home range's results; the ranges are
-    // contiguous and ascending, so the parts concatenate in node order.
-    let parts = run_workers(workers, |w| sched::worker_loop(w, &shared, &program));
-    let results: Vec<R> = parts
-        .into_iter()
-        .flatten()
-        .enumerate()
-        .map(|(x, r)| r.unwrap_or_else(|| panic!("node {x} produced no result")))
-        .collect();
-
-    // The scope join above ordered every worker's counter stores before
-    // these reads.
-    let peak_live = shared.blocks.iter().map(|b| b.peak_live.load(Ordering::Relaxed)).max();
-    let stats = RunStats {
-        messages: shared.total(|b| &b.messages),
-        barriers: shared.barriers.load(Ordering::Relaxed),
-        workers,
-        peak_live: peak_live.unwrap_or(0) as u32,
-        parks: shared.total(|b| &b.parks),
-        wakes: shared.total(|b| &b.wakes),
-        steals: vec![0; workers],
-    };
-    (results, stats)
+    let (parts, stats) =
+        run_pool(topo, "async", "sweep", |pool, me, lane| node_worker(pool, me, lane, &program));
+    let stuck: Vec<(usize, Option<u32>)> = parts.iter().flat_map(|p| p.stuck.clone()).collect();
+    if !stuck.is_empty() {
+        panic!("{}", deadlock_report(topo.num_nodes(), stats.barriers, &stuck));
+    }
+    // The home ranges are contiguous and ascending, so the parts
+    // concatenate in node order.
+    (parts.into_iter().flat_map(|p| p.results).collect(), stats)
 }
 
 /// The `n`-cube the cube entry points of both front doors run on.
@@ -499,7 +691,7 @@ pub(crate) fn run_workers<P: Send>(workers: usize, body: impl Fn(usize) -> P + S
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cubesync::atomic::AtomicU64;
+    use cubesync::atomic::{AtomicU64, Ordering};
 
     /// Extracts the message from a caught panic payload (both literal
     /// and formatted panics appear across these tests).

@@ -1,10 +1,16 @@
-//! End-to-end stall-detector coverage: a deliberately deadlocked node
-//! program must be *reported*, not hung on — and the report must name
-//! the parked nodes and the dimensions they are stuck on, because that
-//! is the part a user debugging a real deadlock reads first.
+//! End-to-end deadlock coverage: a deliberately deadlocked node program
+//! must be *reported*, not hung on — and the report must name the
+//! waiting nodes and what they wait on (a dim, or the barrier), because
+//! that is the part a user debugging a real deadlock reads first.
+//!
+//! Every case runs under a stall timeout of 20 s and must be reported
+//! in under half of it: a deadlock is decided at the sweep where
+//! nothing moved, not by the clock.
 
-use cuberun::{run_spmd, with_stall_timeout, with_workers};
-use std::time::Duration;
+use cuberun::{run_spmd, with_stall_timeout, with_workers, NodeCtx};
+use std::time::{Duration, Instant};
+
+const STALL: Duration = Duration::from_secs(20);
 
 /// Extracts the message from a caught panic payload.
 fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
@@ -15,24 +21,33 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
         .expect("non-string panic payload")
 }
 
-/// Both nodes of a 1-cube receive on dim 0 and nobody ever sends: the
-/// canonical deadlock. The stall detector must fire within the (tight)
-/// timeout and its report must name both parked nodes and the dim.
-fn deadlocked_pair_reports_parked_nodes(workers: usize) {
-    let caught = std::panic::catch_unwind(|| {
-        with_workers(workers, || {
-            with_stall_timeout(Duration::from_millis(200), || {
-                run_spmd::<u64, u64, _, _>(1, |ctx| async move { ctx.recv(0).await })
-            })
-        })
-    });
+/// Runs `program` on an `n`-cube at `workers` workers under [`STALL`],
+/// and returns its deadlock report after checking it came well before
+/// the stall clock could have fired.
+fn report<Fut>(workers: usize, n: u32, program: impl Fn(NodeCtx<u64>) -> Fut + Sync) -> String
+where
+    Fut: std::future::Future<Output = u64>,
+{
+    let start = Instant::now();
+    let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        with_workers(workers, || with_stall_timeout(STALL, || run_spmd(n, program)))
+    }));
     let msg = panic_message(caught.expect_err("deadlocked program must not complete"));
-    assert!(msg.contains("SPMD scheduler stalled"), "{msg}");
+    assert!(start.elapsed() < STALL / 2, "workers={workers}: waited for the stall clock");
+    assert!(msg.contains("SPMD scheduler stalled"), "workers={workers}: {msg}");
+    assert!(msg.contains("deadlocked node program?"), "workers={workers}: {msg}");
+    msg
+}
+
+/// Both nodes of a 1-cube receive on dim 0 and nobody ever sends: the
+/// canonical deadlock. The report must name both parked nodes and the
+/// dim.
+fn deadlocked_pair_reports_parked_nodes(workers: usize) {
+    let msg = report(workers, 1, |ctx| async move { ctx.recv(0).await });
     assert!(msg.contains("0/2 node programs completed"), "{msg}");
     assert!(msg.contains("2 waiting"), "{msg}");
     assert!(msg.contains("node 0 on dim 0"), "{msg}");
     assert!(msg.contains("node 1 on dim 0"), "{msg}");
-    assert!(msg.contains("deadlocked node program?"), "{msg}");
 }
 
 #[test]
@@ -45,28 +60,49 @@ fn deadlocked_pair_is_reported_with_two_workers() {
     deadlocked_pair_reports_parked_nodes(2);
 }
 
+#[test]
+fn deadlocked_pair_is_reported_with_five_workers() {
+    deadlocked_pair_reports_parked_nodes(5);
+}
+
 /// One-sided deadlock: node 1 sends and finishes, node 0 receives twice
 /// but only one message ever arrives. The report must show the partial
 /// completion and name only the stuck node.
 #[test]
 fn half_completed_run_names_only_the_stuck_node() {
-    let caught = std::panic::catch_unwind(|| {
-        with_workers(2, || {
-            with_stall_timeout(Duration::from_millis(200), || {
-                run_spmd::<u64, u64, _, _>(1, |ctx| async move {
-                    if ctx.id().bits() == 1 {
-                        ctx.send(0, 7);
-                        0
-                    } else {
-                        let first = ctx.recv(0).await;
-                        first + ctx.recv(0).await
-                    }
-                })
-            })
-        })
-    });
-    let msg = panic_message(caught.expect_err("deadlocked program must not complete"));
-    assert!(msg.contains("1/2 node programs completed"), "{msg}");
-    assert!(msg.contains("node 0 on dim 0"), "{msg}");
-    assert!(!msg.contains("node 1 on dim"), "{msg}");
+    let program = |ctx: NodeCtx<u64>| async move {
+        if ctx.id().bits() == 1 {
+            ctx.send(0, 7);
+            0
+        } else {
+            let first = ctx.recv(0).await;
+            first + ctx.recv(0).await
+        }
+    };
+    for workers in [1, 2, 5] {
+        let msg = report(workers, 1, program);
+        assert!(msg.contains("1/2 node programs completed"), "{msg}");
+        assert!(msg.contains("node 0 on dim 0"), "{msg}");
+        assert!(!msg.contains("node 1 on dim"), "{msg}");
+    }
+}
+
+/// Node 5 of a 3-cube returns without arriving at the barrier the other
+/// seven wait at, so the barrier can never be released. The report must
+/// name the seven waiters "on barrier" and leave node 5 out.
+#[test]
+fn a_node_that_skips_the_barrier_is_reported() {
+    let program = |ctx: NodeCtx<u64>| async move {
+        if ctx.id().bits() != 5 {
+            ctx.barrier().await;
+        }
+        0
+    };
+    for workers in [1, 2, 5] {
+        let msg = report(workers, 3, program);
+        assert!(msg.contains("1/8 node programs completed, 7 waiting"), "{msg}");
+        assert!(msg.contains("node 0 on barrier"), "{msg}");
+        assert!(msg.contains("node 7 on barrier"), "{msg}");
+        assert!(!msg.contains("node 5 on"), "{msg}");
+    }
 }

@@ -256,11 +256,6 @@ impl<P: Payload, T: Topology> SimNet<P, T> {
         &self.params
     }
 
-    /// Read-only view of the statistics accumulated so far.
-    pub fn report_so_far(&self) -> &CommReport {
-        &self.report
-    }
-
     #[track_caller]
     fn check_node(&self, x: NodeId) {
         assert!(x.index() < self.num, "node {x} outside the {}", self.topo.label());
@@ -326,66 +321,12 @@ impl<P: Payload, T: Topology> SimNet<P, T> {
         self.dims_used[node] |= 1 << dim;
     }
 
-    /// Commits a batch of pre-staged messages, all crossing dimension
-    /// `dim`, in iteration order.
-    ///
-    /// This is the serial half of the staging/commit split used by the
-    /// exchange-engine data plane: worker threads *stage* per-node
-    /// outgoing buffers in parallel (no `SimNet` access), then a single
-    /// thread commits them here so legality checks and cost accounting
-    /// stay deterministic. Equivalent to calling [`SimNet::send`] once
-    /// per `(src, payload)` pair.
-    #[track_caller]
-    pub fn send_batch(&mut self, dim: u32, staged: impl IntoIterator<Item = (NodeId, P)>) {
-        for (src, data) in staged {
-            self.send(src, dim, data);
-        }
-    }
-
-    /// Drains into `out` every message delivered on dimension `dim` at
-    /// the last round boundary, as `(destination, payload)` pairs in
-    /// ascending destination order. `out` is cleared first, so a caller
-    /// can recycle one buffer across rounds.
-    ///
-    /// The receiving half of the staging/commit split: one serial pass
-    /// empties the inbox, then worker threads scatter the collected
-    /// payloads into per-node storage in parallel.
-    pub fn drain_dim(&mut self, dim: u32, out: &mut Vec<(NodeId, P)>) {
-        out.clear();
-        let n = self.ports as usize;
-        for (msg, &(slot, _)) in self.in_msgs.iter_mut().zip(&self.inbox_idx) {
-            let slot = slot as usize;
-            if slot % n == dim as usize {
-                if let Some(data) = msg.take() {
-                    self.pending -= 1;
-                    out.push((NodeId((slot / n) as u64), data));
-                }
-            }
-        }
-        out.sort_unstable_by_key(|e| e.0.index());
-    }
-
-    /// Drains into `out` every message delivered at the last round
-    /// boundary, regardless of dimension, as `(destination, dimension,
-    /// payload)` triples **in send order** (the order the previous
-    /// round's `send`/`send_batch` calls were made). `out` is cleared
-    /// first, so a caller can recycle one buffer across rounds.
-    ///
-    /// The all-port sibling of [`SimNet::drain_dim`]: a router that uses
-    /// every dimension each round empties its whole inbox in one
-    /// O(messages) pass instead of `n` per-dimension sweeps. Send order
-    /// is deterministic, so a caller that commits sends in a fixed order
-    /// gets its deliveries back in that same fixed order.
-    pub fn drain_all(&mut self, out: &mut Vec<(NodeId, u32, P)>) {
-        out.clear();
-        self.drain_all_with(|dst, dim, data| out.push((dst, dim, data)));
-    }
-
-    /// [`SimNet::drain_all`] without the intermediate buffer: hands each
-    /// delivered message straight to `consume` as `(destination,
-    /// dimension, payload)`, in send order. For consumers that scatter
-    /// deliveries into their own per-node storage anyway, this saves one
-    /// buffer round-trip per message.
+    /// Hands every message delivered at the last round boundary and not
+    /// yet received to `consume` as `(destination, dimension, payload)`,
+    /// **in send order** (the order the previous round's `send` calls
+    /// were made). A consumer that sends in a fixed order gets its
+    /// deliveries back in that same fixed order, and one that scatters
+    /// them into its own per-node storage needs no buffer in between.
     pub fn drain_all_with(&mut self, mut consume: impl FnMut(NodeId, u32, P)) {
         let n = self.ports as usize;
         for (msg, &(slot, _)) in self.in_msgs.iter_mut().zip(&self.inbox_idx) {
@@ -785,36 +726,16 @@ mod tests {
     }
 
     #[test]
-    fn send_batch_and_drain_dim_round_trip() {
-        let mut net = unit_net(3, PortMode::OnePort);
-        let num = net.num_nodes() as u64;
-        // Stage in descending node order to prove drain_dim re-sorts.
-        net.send_batch(1, (0..num).rev().map(|x| (NodeId(x), vec![x * 10])));
-        net.finish_round();
-        let mut got = Vec::new();
-        net.drain_dim(1, &mut got);
-        assert_eq!(got.len(), num as usize);
-        for (k, (dst, data)) in got.iter().enumerate() {
-            assert_eq!(dst.index(), k);
-            // Node k's message came from its dim-1 neighbor.
-            assert_eq!(data, &vec![(k as u64 ^ 2) * 10]);
-        }
-        let r = net.finalize();
-        assert_eq!(r.rounds, 1);
-        assert_eq!(r.total_messages, num);
-    }
-
-    #[test]
-    fn drain_all_returns_send_order() {
+    fn drain_all_with_returns_send_order() {
         let mut net = unit_net(2, PortMode::AllPorts);
-        // Deliberately interleave dims and nodes; drain_all must echo
+        // Deliberately interleave dims and nodes; the drain must echo
         // this exact send order back.
         net.send(NodeId(3), 1, vec![1]);
         net.send(NodeId(0), 0, vec![2]);
         net.send(NodeId(2), 1, vec![3]);
         net.finish_round();
         let mut got = Vec::new();
-        net.drain_all(&mut got);
+        net.drain_all_with(|dst, dim, data| got.push((dst, dim, data)));
         assert_eq!(
             got,
             vec![(NodeId(1), 1, vec![1]), (NodeId(1), 0, vec![2]), (NodeId(0), 1, vec![3]),]
@@ -823,32 +744,18 @@ mod tests {
     }
 
     #[test]
-    fn drain_all_skips_already_received() {
+    fn drain_all_with_skips_already_received() {
         let mut net = unit_net(2, PortMode::AllPorts);
         net.send(NodeId(0), 0, vec![1]);
         net.send(NodeId(0), 1, vec![2]);
         net.finish_round();
         assert_eq!(net.recv(NodeId(1), 0), vec![1]);
         let mut got = Vec::new();
-        net.drain_all(&mut got);
+        net.drain_all_with(|dst, dim, data| got.push((dst, dim, data)));
         assert_eq!(got, vec![(NodeId(2), 1, vec![2])]);
-        // Buffer is cleared on reuse, and an empty inbox drains to empty.
+        // An empty inbox drains to nothing.
         net.finish_round();
-        net.drain_all(&mut got);
-        assert!(got.is_empty());
-        let _ = net.finalize();
-    }
-
-    #[test]
-    fn drain_dim_leaves_other_dims_pending() {
-        let mut net = unit_net(2, PortMode::AllPorts);
-        net.send(NodeId(0), 0, vec![1]);
-        net.send(NodeId(0), 1, vec![2]);
-        net.finish_round();
-        let mut got = Vec::new();
-        net.drain_dim(0, &mut got);
-        assert_eq!(got, vec![(NodeId(1), vec![1])]);
-        assert_eq!(net.recv(NodeId(2), 1), vec![2]);
+        net.drain_all_with(|_, _, _| panic!("nothing was sent"));
         let _ = net.finalize();
     }
 

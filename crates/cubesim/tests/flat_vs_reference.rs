@@ -4,9 +4,9 @@
 //! Both nets are driven through identical randomly generated schedules
 //! (legal and deliberately illegal ones) and must produce identical
 //! [`CommReport`]s, identical received payloads, and identical panic
-//! messages at the same points. `ReferenceNet` has no drains, so the
-//! drain tests receive from it one message at a time in the order each
-//! drain documents (send order; ascending destination per dimension).
+//! messages at the same points. `ReferenceNet` has no drain, so the
+//! drain tests receive from it one message at a time in the order
+//! [`SimNet::drain_all_with`] documents: send order.
 //! The `u32` stamp rebase is crossed by a unit test in `net.rs`, the
 //! only place that reaches the crate-private hook starting the stamps
 //! near `u32::MAX`.
@@ -85,22 +85,14 @@ trait Net {
     fn n(&self) -> u32;
 
     /// Everything delivered, sorted by `(destination, dim)`. The
-    /// reference net has no drains: it receives slot by slot.
+    /// reference net has no drain: it receives slot by slot.
     fn drain_all_sorted(&mut self) -> Vec<Delivery> {
         let mut got = Vec::new();
-        for d in 0..self.n() {
-            got.extend(self.drain_dim(d).into_iter().map(|(dst, data)| (dst, d, data)));
-        }
-        got.sort_by_key(|&(dst, dim, _)| (dst.index(), dim));
-        got
-    }
-
-    /// Everything delivered on `dim`, in ascending destination order.
-    fn drain_dim(&mut self, dim: u32) -> Vec<(NodeId, Vec<u64>)> {
-        let mut got = Vec::new();
         for x in (0..1u64 << self.n()).map(NodeId) {
-            if self.has_message(x, dim) {
-                got.push((x, self.recv(x, dim)));
+            for d in 0..self.n() {
+                if self.has_message(x, d) {
+                    got.push((x, d, self.recv(x, d)));
+                }
             }
         }
         got
@@ -143,13 +135,8 @@ macro_rules! impl_net {
 impl_net!(SimNet {
     fn drain_all_sorted(&mut self) -> Vec<Delivery> {
         let mut got = Vec::new();
-        SimNet::drain_all(self, &mut got);
+        self.drain_all_with(|dst, dim, data| got.push((dst, dim, data)));
         got.sort_by_key(|&(dst, dim, _)| (dst.index(), dim));
-        got
-    }
-    fn drain_dim(&mut self, dim: u32) -> Vec<(NodeId, Vec<u64>)> {
-        let mut got = Vec::new();
-        SimNet::drain_dim(self, dim, &mut got);
         got
     }
 });
@@ -189,15 +176,6 @@ fn drive<N: Net>(
     (net.finalize_report(), received)
 }
 
-/// How [`drive_drained`] empties what a boundary delivered, after the
-/// round's early `recv`s.
-#[derive(Clone, Copy, Debug)]
-enum Drain {
-    All,
-    AllWith,
-    Dim,
-}
-
 type Delivery = (NodeId, u32, Vec<u64>);
 
 /// Sends one round and closes it, then receives the sends marked in
@@ -225,33 +203,16 @@ fn round_with_early_recvs<N: Net>(
 }
 
 /// Runs the schedule on the flat net, emptying each round's remaining
-/// deliveries through the drain under test.
+/// deliveries through [`SimNet::drain_all_with`].
 fn drive_drained(
     mut net: SimNet<Vec<u64>>,
-    n: u32,
     schedule: &[Round],
     early: &[Vec<bool>],
-    mode: Drain,
 ) -> (CommReport, Vec<Delivery>) {
     let mut got = Vec::new();
-    // Recycled across rounds, stale on entry: the drains must clear them.
-    let mut all_buf = vec![(NodeId(0), 0, vec![0xdead])];
-    let mut dim_buf = vec![(NodeId(0), vec![0xdead])];
     for (round, early) in schedule.iter().zip(early) {
         round_with_early_recvs(&mut net, round, early, &mut got);
-        match mode {
-            Drain::All => {
-                net.drain_all(&mut all_buf);
-                got.extend(all_buf.iter().cloned());
-            }
-            Drain::AllWith => net.drain_all_with(|dst, dim, data| got.push((dst, dim, data))),
-            Drain::Dim => {
-                for d in 0..n {
-                    net.drain_dim(d, &mut dim_buf);
-                    got.extend(dim_buf.iter().map(|(dst, data)| (*dst, d, data.clone())));
-                }
-            }
-        }
+        net.drain_all_with(|dst, dim, data| got.push((dst, dim, data)));
         for (src, dim, _) in &round.sends {
             assert!(!net.has_message(src.neighbor(*dim), *dim), "drained slot still pending");
         }
@@ -260,28 +221,18 @@ fn drive_drained(
 }
 
 /// Runs the schedule on the reference net, receiving each round's
-/// remaining deliveries in the order `mode`'s drain documents.
+/// remaining deliveries in send order, as the drain documents.
 fn drive_reference_ordered(
     mut net: ReferenceNet<Vec<u64>>,
     schedule: &[Round],
     early: &[Vec<bool>],
-    mode: Drain,
 ) -> (CommReport, Vec<Delivery>) {
     let mut got = Vec::new();
     for (round, early) in schedule.iter().zip(early) {
         round_with_early_recvs(&mut net, round, early, &mut got);
-        let mut rest: Vec<(NodeId, u32)> = round
-            .sends
-            .iter()
-            .zip(early)
-            .filter(|(_, &e)| !e)
-            .map(|((src, dim, _), _)| (src.neighbor(*dim), *dim))
-            .collect();
-        if let Drain::Dim = mode {
-            rest.sort_by_key(|&(dst, dim)| (dim, dst.index()));
-        }
-        for (dst, dim) in rest {
-            got.push((dst, dim, net.recv(dst, dim)));
+        for ((src, dim, _), _) in round.sends.iter().zip(early).filter(|(_, &e)| !e) {
+            let dst = src.neighbor(*dim);
+            got.push((dst, *dim, net.recv(dst, *dim)));
         }
     }
     (net.finalize(), got)
@@ -293,7 +244,6 @@ enum Op {
     Recv(u64, u32),
     Has(u64, u32),
     DrainAll,
-    DrainDim(u32),
     Finish,
 }
 
@@ -317,9 +267,6 @@ fn run_script<N: Net>(mut net: N, ops: &[Op]) -> (Vec<Seen>, Result<CommReport, 
                 Op::Recv(dst, dim) => log.push(Seen::Payload(net.recv(NodeId(*dst), *dim))),
                 Op::Has(dst, dim) => log.push(Seen::Pending(net.has_message(NodeId(*dst), *dim))),
                 Op::DrainAll => log.push(Seen::Drained(net.drain_all_sorted())),
-                Op::DrainDim(dim) => log.push(Seen::Drained(
-                    net.drain_dim(*dim).into_iter().map(|(dst, data)| (dst, *dim, data)).collect(),
-                )),
                 Op::Finish => net.finish_round(),
             }
         }
@@ -567,21 +514,21 @@ fn stale_stamp_is_neither_contention_nor_delivery() {
     assert_eq!(outcome.unwrap_err(), "recv at 1 on dim 0: no message delivered (round 6)");
 }
 
-/// Drains take payloads without touching the stamps: a `recv` on a
-/// drained slot must still find nothing, and the slots a drain left
-/// alone still deliver.
+/// The drain takes payloads without touching the stamps: a `recv` on a
+/// drained slot must still find nothing, and a slot received before
+/// the drain is left out of it.
 #[test]
 fn recv_after_a_drain_emptied_the_slot() {
     let sends = || [Op::Send(0, 0, vec![1]), Op::Send(1, 1, vec![2]), Op::Send(2, 0, vec![3])];
     let mut ops: Vec<Op> = sends().into_iter().collect();
-    ops.extend([Op::Finish, Op::DrainDim(0), Op::Has(1, 0), Op::Recv(3, 1), Op::Recv(1, 0)]);
+    ops.extend([Op::Finish, Op::Recv(3, 1), Op::DrainAll, Op::Has(1, 0), Op::Recv(1, 0)]);
     let (seen, outcome) = both(&ops);
     assert_eq!(
         seen,
         vec![
+            Seen::Payload(vec![2]),
             Seen::Drained(vec![(NodeId(1), 0, vec![1]), (NodeId(3), 0, vec![3])]),
             Seen::Pending(false),
-            Seen::Payload(vec![2]),
         ]
     );
     assert_eq!(outcome.unwrap_err(), "recv at 1 on dim 0: no message delivered (round 1)");
@@ -650,35 +597,31 @@ proptest! {
         prop_assert_eq!(&flat.1, &reference.1, "payloads diverge (seed {seed} n {n})");
     }
 
-    /// Legal schedules emptied through each drain, mixed with partial
+    /// Legal schedules emptied through the drain, mixed with partial
     /// `recv`s: same report as the reference, and the deliveries come
-    /// back in the order the drain documents.
+    /// back in send order.
     #[test]
-    fn drains_match_reference_in_documented_order(
+    fn drain_matches_reference_in_send_order(
         seed in 0u64..u64::MAX,
         n in 1u32..=4,
         rounds in 1usize..=5,
         one_port in prop::bool::ANY,
-        mode in 0u32..3,
     ) {
         let ports = if one_port { PortMode::OnePort } else { PortMode::AllPorts };
-        let mode = [Drain::All, Drain::AllWith, Drain::Dim][mode as usize];
         let mut rng = Rng(seed);
         let schedule = legal_schedule(&mut rng, n, rounds, ports);
         let early: Vec<Vec<bool>> = schedule
             .iter()
             .map(|round| round.sends.iter().map(|_| rng.below(4) == 0).collect())
             .collect();
-        let flat =
-            drive_drained(SimNet::<Vec<u64>>::new(n, params(ports)), n, &schedule, &early, mode);
+        let flat = drive_drained(SimNet::<Vec<u64>>::new(n, params(ports)), &schedule, &early);
         let reference = drive_reference_ordered(
             ReferenceNet::<Vec<u64>>::new(n, params(ports)),
             &schedule,
             &early,
-            mode,
         );
-        prop_assert_eq!(&flat.0, &reference.0, "reports diverge (seed {seed} n {n} {mode:?})");
-        prop_assert_eq!(&flat.1, &reference.1, "deliveries diverge (seed {seed} n {n} {mode:?})");
+        prop_assert_eq!(&flat.0, &reference.0, "reports diverge (seed {seed} n {n})");
+        prop_assert_eq!(&flat.1, &reference.1, "deliveries diverge (seed {seed} n {n})");
     }
 
     /// Illegal schedules: both implementations must reject the same

@@ -47,8 +47,8 @@
 //! `Condvar::wait_timeout` under the model never times out: the model
 //! explores schedules, not wall-clock time, so a protocol whose
 //! liveness depends on a timeout backstop shows up as the deadlock it
-//! really is. That is exactly the property the `cuberun` sleep protocol
-//! is checked for — no lost wakeups *without* the stall-detector tick.
+//! really is. That is exactly the property `cuberun`'s batch mailbox is
+//! checked for — no lost wakeups *without* the stall tick.
 
 pub mod model;
 

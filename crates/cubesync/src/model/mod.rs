@@ -35,8 +35,8 @@
 //! argument beyond "the Dekker-style pairs are SeqCst", and a protocol
 //! it fails is relying on subtler reasoning that this repo's audit
 //! table (DESIGN.md) must then spell out. The seeded
-//! `Relaxed`-instead-of-`SeqCst` mutation of the `cuberun` sleeper
-//! protocol is caught exactly this way.
+//! `Relaxed`-instead-of-`SeqCst` mutation of a sleeper protocol is
+//! caught exactly this way.
 
 pub mod atomic;
 mod engine;

@@ -1,23 +1,25 @@
 //! Seeded-mutation suite: eight known concurrency bugs re-introduced
-//! into miniature copies of the repo's protocols, each proven *caught*
-//! by the model checker — and each correct twin proven clean — so the
-//! checker's coverage claims are themselves tested.
+//! into miniature protocols, each proven *caught* by the model checker
+//! — and each correct twin proven clean — so the checker's coverage
+//! claims are themselves tested.
 //!
 //! | mutation | protocol mirrored | detector that fires |
 //! |---|---|---|
-//! | hint stored outside the mailbox lock   | `cuberun` worker mailbox         | livelock |
-//! | sleeper re-checks before registering   | `cuberun` worker mailbox + sleep | lost wakeup |
-//! | waiters released at the local report   | `cuberun` per-worker barrier report | panic (early release) |
-//! | later-round batch counted for this round | `cuberun` round-door batch mailbox | result non-determinism |
-//! | mailbox checked, unlocked, then waited on | `cuberun` round-door batch mailbox | lost wakeup |
-//! | barrier generation off-by-one  | `cuberun` generation barrier    | panic (early release) |
-//! | Relaxed sleeper registration   | `cuberun` sleeper Dekker pair   | lost wakeup (weak memory) |
+//! | hint stored outside the mailbox lock   | hinted worker mailbox            | livelock |
+//! | sleeper re-checks before registering   | hinted worker mailbox + sleep    | lost wakeup |
+//! | waiters released at the local report   | per-worker barrier report        | panic (early release) |
+//! | later-round batch counted for this round | `cuberun` batch mailbox        | result non-determinism |
+//! | mailbox checked, unlocked, then waited on | `cuberun` batch mailbox       | lost wakeup |
+//! | barrier generation off-by-one  | generation barrier              | panic (early release) |
+//! | Relaxed sleeper registration   | sleeper Dekker pair             | lost wakeup (weak memory) |
 //! | cache overwrite without re-check | `PlanCache` build-outside-lock | panic (split identity) |
 //!
-//! The first three are the whole cross-thread surface of the sharded
-//! scheduler: everything else a message or a barrier touches is private
-//! to one worker. The next two are the round door's: its batch mailbox
-//! is the only thing its workers share.
+//! Mutations 4 and 5 mirror what `cuberun` ships: its batch mailbox is
+//! the only thing its workers share, on both doors. Mutations 1–3, 6
+//! and 7 mirror the cooperative scheduler `cuberun` once had (a hinted
+//! mailbox, a sleeper pair, a generation barrier); the protocols are
+//! gone from the runtime, and the miniatures stay as tests of the
+//! checker itself — each is a bug class it must keep catching.
 //!
 //! Like the engine suite, this drives [`cubesync::model`] types
 //! directly and runs in the plain `cargo test` pass.
@@ -30,12 +32,13 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 // ---------------------------------------------------------------------
-// Mutations 1 + 2: the worker mailbox (cuberun sched.rs) — the only
-// lock a message can take. A sender on another worker pushes under the
-// mailbox lock, sets the "non-empty" hint if the mailbox was empty, and
-// pokes sleepers; the owner drains when it reads the hint, and with
-// nothing to run registers as a sleeper, re-checks the mailbox under
-// its lock, and sleeps.
+// Mutations 1 + 2: a hinted worker mailbox (the shape of cuberun's
+// former cooperative scheduler), the only lock a message could take. A
+// sender on another worker pushes under the mailbox lock, sets the
+// "non-empty" hint if the mailbox was empty, and pokes sleepers; the
+// owner drains when it reads the hint, and with nothing to run
+// registers as a sleeper, re-checks the mailbox under its lock, and
+// sleeps.
 // ---------------------------------------------------------------------
 
 struct WorkerMailbox {
@@ -157,7 +160,7 @@ fn mutation_sleeper_recheck_before_registering_is_caught() {
 }
 
 // ---------------------------------------------------------------------
-// Mutation 3: the per-worker barrier report (cuberun sched.rs). Every
+// Mutation 3: a per-worker barrier report (the former scheduler's). Every
 // worker counts the arrivals of its own nodes and reports once, under
 // the barrier lock, when its range is complete; the last reporter
 // advances the generation, and a worker's waiters may run only once it
@@ -235,8 +238,9 @@ fn mutation_waiters_released_at_the_local_report_is_caught() {
 }
 
 // ---------------------------------------------------------------------
-// Mutations 4 + 5: the round door's batch mailbox (cuberun rounds.rs).
-// Every round, each worker posts one batch — tagged with the round —
+// Mutations 4 + 5: the batch mailbox both cuberun doors run on
+// (cuberun rounds.rs). Every round (a sweep, on the async door), each
+// worker posts one batch — tagged with the round —
 // into every other worker's mailbox under its lock and notifies; the
 // owner waits until the batches *of its round* are all there and takes
 // those out, leaving a batch of the next round (a neighbour may run one
@@ -337,7 +341,7 @@ fn mutation_mailbox_checked_then_unlocked_then_waited_on_is_caught() {
 }
 
 // ---------------------------------------------------------------------
-// Mutation 6: the generation-counted barrier (cuberun sched.rs).
+// Mutation 6: a generation-counted barrier.
 // ---------------------------------------------------------------------
 
 struct MiniBarrier {
@@ -398,8 +402,8 @@ fn mutation_barrier_generation_off_by_one_is_caught() {
 }
 
 // ---------------------------------------------------------------------
-// Mutation 7: the sleeper-registration Dekker pair (cuberun sched.rs
-// `sleep`/`notify_sleepers`). Correctness rests on both sides of the
+// Mutation 7: a sleeper-registration Dekker pair (the former scheduler's
+// sleep / notify). Correctness rests on both sides of the
 // store/load pair being SeqCst; the mutation downgrades them to
 // Relaxed, which weak-memory exploration turns into stale reads.
 // ---------------------------------------------------------------------

@@ -1,9 +1,8 @@
 //! Model-checks the *real* crates' concurrency protocols — not
 //! miniature mirrors — by building the whole workspace against the
 //! model backend (`RUSTFLAGS="--cfg cubesync_model"`) so every
-//! `cubesync` facade call in `cubesim::par`, the `cuberun` scheduler
-//! and round door, and `cubecomm`'s plan cache routes through the
-//! explorer.
+//! `cubesync` facade call in `cubesim::par`, both `cuberun` doors and
+//! `cubecomm`'s plan cache routes through the explorer.
 //!
 //! Compiled to nothing in the ordinary test pass: these are the CI
 //! `model-check` step (`scripts/ci.sh`).
@@ -66,10 +65,14 @@ fn par_map_uneven_work_still_returns_input_order() {
 }
 
 // ---------------------------------------------------------------------
-// cuberun — the worker mailbox and its hint, the per-worker barrier
-// report, the sleeper pair and the idle-path end-of-run check: all the
-// real virtual-node scheduler shares between threads, on 2- and
-// 3-worker pools.
+// cuberun's async door — sweeps over the batch mailbox: every active
+// worker polls its nodes until none is ready, posts one batch per other
+// active worker headed by its cross-worker sends, unfinished nodes and
+// barrier arrivals, and decides from the summed headers whether the run
+// is finished, the barrier released or the programs deadlocked. A
+// worker that decided differently from the others would leave them
+// waiting for its batch (a deadlock here) or end the run early (a
+// missing result).
 // ---------------------------------------------------------------------
 
 #[test]
@@ -93,13 +96,11 @@ fn spmd_exchange_on_two_nodes_two_workers() {
 #[test]
 fn spmd_message_on_a_non_awaited_port_neither_wakes_nor_strands() {
     // n = 2, two workers: node 0 (worker 0's range) awaits port 0, then
-    // port 1; node 2 (worker 1's range) sends on port 1 and node 1 on
-    // port 0. The explorer interleaves node 2's send with every step of
-    // worker 0 — before node 0's poll, after it parked, around a drain,
-    // on the way into `sleep` — so the port-1 message comes out of the
-    // mailbox into the inbox of a node that is, or is about to be,
-    // parked on port 0. It must stay there unwoken, and still be taken
-    // afterwards.
+    // port 1. Node 2 (worker 1's range) sends on port 1 in the first
+    // sweep; node 1 sends on port 0 only once node 3's message reached
+    // it across the workers. So the port-1 message lands, in the first
+    // sweep's batch, in the inbox of a node parked on port 0: it must
+    // stay there unwoken, and still be taken in a later sweep.
     let report = check_with(budget(), || {
         cuberun::with_workers(2, || {
             cuberun::with_stall_timeout(Duration::from_secs(3600), || {
@@ -107,14 +108,18 @@ fn spmd_message_on_a_non_awaited_port_neither_wakes_nor_strands() {
                     match ctx.id().bits() {
                         0 => 10 * ctx.recv(0).await + ctx.recv(1).await,
                         1 => {
-                            ctx.send(0, 4);
+                            let got = ctx.recv(1).await;
+                            ctx.send(0, got);
                             0
                         }
                         2 => {
                             ctx.send(1, 2);
                             0
                         }
-                        _ => 0,
+                        _ => {
+                            ctx.send(1, 4);
+                            0
+                        }
                     }
                 });
                 assert_eq!(results[0], 42);
@@ -144,8 +149,7 @@ fn spmd_barrier_and_all_reduce_on_two_nodes() {
 #[test]
 fn spmd_barrier_and_all_reduce_with_an_empty_home_range() {
     // 4 nodes on 3 workers: home ranges of 2, so worker 2 has no node.
-    // It must not be waited for at the barrier, and it sleeps through
-    // the run next to workers that post, report and finish.
+    // It neither posts nor is waited for, at the barrier or at the end.
     let report = check_with(budget(), || {
         cuberun::with_workers(3, || {
             cuberun::with_stall_timeout(Duration::from_secs(3600), || {
@@ -162,10 +166,11 @@ fn spmd_barrier_and_all_reduce_with_an_empty_home_range() {
 }
 
 #[test]
-fn spmd_cross_worker_send_races_the_receiver_into_sleep() {
-    // Node 0 (worker 0) only receives, node 1 (worker 1) only sends:
-    // worker 0 parks its node, finds nothing to run and goes to sleep
-    // while the message is pushed, hinted and announced.
+fn spmd_cross_worker_send_reaches_a_parked_receiver() {
+    // Node 0 (worker 0) only receives, node 1 (worker 1) only sends and
+    // finishes in the first sweep: worker 1's header says one message
+    // moved, so neither worker may call the run deadlocked or finished
+    // before node 0 has taken it.
     let report = check_with(budget(), || {
         cuberun::with_workers(2, || {
             cuberun::with_stall_timeout(Duration::from_secs(3600), || {
@@ -202,6 +207,38 @@ fn spmd_single_worker_cooperative_schedule_is_clean() {
         })
     });
     assert!(report.schedules >= 1);
+}
+
+#[test]
+fn spmd_cross_worker_relay_chain_on_two_workers() {
+    // n = 2, two workers: nodes 0, 1 on worker 0 and 2, 3 on worker 1.
+    // A token travels 0 → 2 → 3 → 1 → 0 over dims 1, 0, 1, 0. Two hops
+    // cross the workers, so the run takes three sweeps, and in the last
+    // two one worker has nothing to poll and sends nothing while the
+    // other relays: only the sum of both headers shows that something
+    // is still moving. No schedule may report a deadlock or end early.
+    let report = check_with(budget(), || {
+        cuberun::with_workers(2, || {
+            cuberun::with_stall_timeout(Duration::from_secs(3600), || {
+                let (results, _stats) = cuberun::run_spmd::<u64, u64, _, _>(2, |ctx| async move {
+                    let (from, to) = match ctx.id().bits() {
+                        0 => {
+                            ctx.send(1, 1);
+                            return ctx.recv(0).await;
+                        }
+                        1 | 2 => (1, 0),
+                        _ => (0, 1),
+                    };
+                    let token = ctx.recv(from).await;
+                    ctx.send(to, token + 1);
+                    0
+                });
+                assert_eq!(results, [4, 0, 0, 0]);
+                results
+            })
+        })
+    });
+    assert!(report.schedules > 1);
 }
 
 // ---------------------------------------------------------------------

@@ -131,23 +131,46 @@ if [ -n "$violations" ]; then
     false
 fi
 
+begin "lint policy: cuberun has one executor (condvar waits only in rounds.rs; the cooperative scheduler stays deleted)"
+# Both doors run on the worker loop in rounds.rs, whose batch mailbox is
+# the only thing cuberun's workers share; the async door decides
+# finished / barrier / deadlock from the batches' headers. The sleeper
+# condvar, the per-worker counter blocks, the drain budget and the want
+# cells of the cooperative scheduler must not come back.
+# (Bracketed so this script does not match itself.)
+violations="$(grep -rl -E 'Condva[r]|wait_timeou[t]' --include='*.rs' crates/cuberun/src 2>/dev/null \
+    | grep -v -x 'crates/cuberun/src/rounds.rs' || true)"
+if [ -n "$violations" ]; then
+    echo "FAIL: cuberun waits on a condvar outside the worker loop:" >&2
+    echo "$violations" >&2
+    false
+fi
+violations="$(grep -rln -E 'notify_sleeper[s]|WorkerBloc[k]|DRAIN_EVER[Y]|WANT_BARRIE[R]' \
+    crates src tests examples 2>/dev/null || true)"
+if [ -n "$violations" ]; then
+    echo "FAIL: files mention the deleted cooperative scheduler:" >&2
+    echo "$violations" >&2
+    false
+fi
+
 begin "model-check: exhaustive interleaving of the real concurrency protocols (time-bounded)"
 # Rebuilds the facade's dependents against the model backend and
-# enumerates schedules of cubesim::par, the cuberun scheduler (six
-# programs on the async door, two on the round door's batch mailbox),
+# enumerates schedules of cubesim::par, cuberun's batch mailbox (seven
+# programs on the async door's sweeps, among them a cross-worker relay
+# chain only the summed headers keep alive; two on the round door),
 # and the plan cache. The bound is generous — the suite runs in seconds —
 # and exists to turn an exploration blow-up into a failure, not a hang.
 timeout 300 env RUSTFLAGS="--cfg cubesync_model" \
     cargo test -q -p cubesync --test real_protocols
 
 begin "model-check: seeded-mutation detection suite"
-# The checker's own coverage gate: eight concurrency bugs (three of them
-# all that cuberun's sharded scheduler shares between threads: the worker
-# mailbox's hint, the sleeper's register-then-re-check order, the
-# per-worker barrier report; two of them the round door's batch mailbox:
-# a later-round batch counted for the current round, a look at the
-# mailbox separated from the wait) re-introduced into protocol
-# miniatures must each be *caught*.
+# The checker's own coverage gate: eight concurrency bugs re-introduced
+# into protocol miniatures must each be *caught*. Two mirror cuberun's
+# batch mailbox (a later-round batch counted for the current round, a
+# look at the mailbox separated from the wait); the others are bug
+# classes the checker must keep catching — a mailbox hint, a sleeper's
+# register-then-re-check order, a barrier report, a Relaxed Dekker
+# pair, a cache re-check — in protocols no longer shipped or elsewhere.
 timeout 300 cargo test -q -p cubesync --test mutations
 
 begin "cubecheck: static invariants of the figure schedules"

@@ -294,11 +294,10 @@ pub fn fig15() -> SeriesSet {
         let m = verify::labels(spec.before());
         let params = MachineParams::intel_ipsc().with_ports(PortMode::AllPorts);
 
-        let mut net1: SimNet<cubetranspose::gray::BlockFlight<u64>> =
-            SimNet::new(n, params.clone());
+        let mut net1: SimNet<Vec<u64>> = SimNet::new(n, params.clone());
         let _ = transpose_naive_mixed(&spec, &m, &mut net1);
 
-        let mut net2: SimNet<cubetranspose::gray::BlockFlight<u64>> = SimNet::new(n, params);
+        let mut net2: SimNet<Vec<u64>> = SimNet::new(n, params);
         let _ = transpose_combined(&spec, &m, &mut net2);
         (net1.finalize().time, net2.finalize().time)
     });

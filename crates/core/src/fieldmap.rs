@@ -11,7 +11,8 @@
 //!   (one step of the standard/general exchange algorithm);
 //! * [`MappedMatrix::swap_real_real`] — swap two real dimensions: the
 //!   affected nodes relocate their whole array over a distance-2 path
-//!   (Lemma 6); one (g, f) pair of the SPT algorithm;
+//!   (Lemma 6, a one-pair flight plan); one (g, f) pair of the SPT
+//!   algorithm;
 //! * [`MappedMatrix::permute_virt`] — reassign virtual dimensions: pure
 //!   local data movement (a shuffle of the local array), charged as copy
 //!   time.
@@ -364,11 +365,12 @@ impl<T: Copy + Send + Sync> MappedMatrix<T> {
     /// Swaps real dimension positions `i1` and `i2`: the nodes whose two
     /// address bits differ relocate their entire local array over a
     /// distance-2 path (first across `i1`, then `i2`) — Lemma 6's
-    /// real/real exchange, two one-port rounds.
+    /// real/real exchange, two one-port rounds of the flight executor.
     pub fn swap_real_real(&mut self, net: &mut SimNet<Vec<T>>, i1: u32, i2: u32) {
         let n = self.map.n();
         assert!(i1 < n && i2 < n && i1 != i2);
-        crate::permute::relocate_pair(net, &mut self.data, i1, i2);
+        let data = std::mem::take(&mut self.data);
+        self.data = crate::permute::swap_pairs_sequence(net, data, &[(i1, i2)]);
         self.map.real.swap(i1 as usize, i2 as usize);
     }
 

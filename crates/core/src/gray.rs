@@ -11,34 +11,20 @@
 //!   fixing bit `j` of both halves with at most one row-dimension and one
 //!   column-dimension routing step per block: `n` routing steps.
 //!
-//! The implementation drives both from the *block identity*: at every
-//! iteration each block knows its `(u, v)` and therefore exactly which of
-//! the two hops it needs; the paper's case table (even-block-row /
-//! even-parity-block-column flags) is the control-driven computation of
-//! the same moves. The simulator's contention checks verify that the
-//! schedule stays conflict-free, and the final placement is checked
-//! against the mixed-encoding layout of `A^T`.
+//! The implementation drives both from the *block identity*: each is a
+//! flight plan (`crate::flight`) with one flight per block `(u, v)` and
+//! one path entry per routing step, which fixes one bit of the row or
+//! column field toward the node the block is bound for — a crossing where
+//! its current node differs there, a hold elsewhere. The paper's case
+//! table (even-block-row / even-parity-block-column flags) is the
+//! control-driven computation of the same moves. The simulator's
+//! contention checks verify that the schedule stays conflict-free, and
+//! every block's landing node is checked against the output's layout.
 
+use crate::flight::{run_flights, FlightPlan};
 use cubeaddr::NodeId;
 use cubelayout::{Assignment, DistMatrix, Encoding, Layout};
 use cubesim::SimNet;
-
-/// One whole-block message (the §6.3 algorithms move entire local blocks).
-#[derive(Clone, Debug)]
-pub struct BlockFlight<T> {
-    /// Block row index `u` (of `A`).
-    pub u: u64,
-    /// Block column index `v`.
-    pub v: u64,
-    /// The block's elements (the sender's local array).
-    pub data: Vec<T>,
-}
-
-impl<T> cubesim::Payload for BlockFlight<T> {
-    fn elems(&self) -> usize {
-        self.data.len()
-    }
-}
 
 /// A mixed-encoding square two-dimensional problem: `half` processor
 /// dimensions per direction, with chosen encodings before and after.
@@ -84,202 +70,117 @@ impl MixedSpec {
     }
 }
 
-/// State for the block-movement pass: the blocks currently at each node.
-///
-/// A node may transiently hold two blocks between the row and column
-/// steps of an iteration — its own (staying this iteration) and one in
-/// transit (the paper's relay case, `recv(tmp); send(tmp)`); the link
-/// discipline is still enforced by the simulator (one message per
-/// directed link per step).
-struct Pass<T> {
-    /// `at[x]` = blocks currently stored at node `x`.
-    at: Vec<Vec<BlockFlight<T>>>,
+/// A block's target node, from its block indices `(u, v)`.
+type Target<'a> = &'a dyn Fn(u64, u64) -> u64;
+
+/// The routing steps of the plain pairwise transpose: for each bit `j`
+/// descending, a row-dimension step then a column-dimension step.
+fn transpose_steps(half: u32) -> Vec<u32> {
+    (0..half).rev().flat_map(|j| [half + j, j]).collect()
 }
 
-impl<T: Copy> Pass<T> {
-    fn seed(spec: &MixedSpec, m: &DistMatrix<T>) -> Self {
-        let num = 1usize << (2 * spec.half);
-        let mut at: Vec<Vec<BlockFlight<T>>> = (0..num).map(|_| Vec::new()).collect();
-        for bu in 0..(1u64 << spec.half) {
-            for bv in 0..(1u64 << spec.half) {
-                let x = spec.node_of(bu, bv);
-                at[x.index()].push(BlockFlight { u: bu, v: bv, data: m.node(x).to_vec() });
-            }
-        }
-        Pass { at }
-    }
-
-    /// One synchronized hop: every block for which `dim_of` returns a
-    /// dimension moves across it. Blocks without a move stay.
-    fn hop(
-        &mut self,
-        net: &mut SimNet<BlockFlight<T>>,
-        mut dim_of: impl FnMut(u64, &BlockFlight<T>) -> Option<u32>,
-    ) {
-        let mut moving: Vec<(NodeId, u32)> = Vec::new();
-        for x in 0..self.at.len() as u64 {
-            let mut keep = Vec::new();
-            for b in self.at[x as usize].drain(..) {
-                match dim_of(x, &b) {
-                    Some(d) => {
-                        net.send(NodeId(x), d, b);
-                        moving.push((NodeId(x).neighbor(d), d));
-                    }
-                    None => keep.push(b),
-                }
-            }
-            self.at[x as usize] = keep;
-        }
-        net.finish_round();
-        for (dst, d) in moving {
-            let b = net.recv(dst, d);
-            self.at[dst.index()].push(b);
-        }
-    }
+/// The routing steps that re-encode the row (`row_field`) or column
+/// field between binary and Gray: bits `half - 2 … 0` (the top bits of
+/// both codes agree). Each step's move is decided from the block's
+/// target, which subsumes the descending (Gray→binary) and ascending
+/// (binary→Gray) sweeps of the paper's conversion.
+fn recode_steps(half: u32, row_field: bool) -> impl Iterator<Item = u32> {
+    let base = if row_field { half } else { 0 };
+    (0..half.saturating_sub(1)).rev().map(move |j| base + j)
 }
 
-/// Reassembles the output matrix: node `(E_r(v) ‖ E_c(u))` must hold
-/// block `(u, v)`'s data, locally transposed.
+/// Moves every block `(u, v)` from its node under `spec` as one flight,
+/// one round per routing step. Each phase `(steps, target)` walks its
+/// dimensions in order: the block crosses a dimension where its
+/// current node and `target(u, v)` differ and holds elsewhere. Block
+/// `(u, v)` must land at the last phase's target, where its array —
+/// locally transposed when `transpose` — is that node's part of a matrix
+/// laid out by `layout`.
 #[track_caller]
-fn rebuild<T: Copy + Default>(spec: &MixedSpec, pass: Pass<T>) -> DistMatrix<T> {
-    let after = spec.after();
-    let before = spec.before();
-    let mut out = DistMatrix::<T>::zeroed(after.clone());
-    for (x, mut slot) in pass.at.into_iter().enumerate() {
-        assert_eq!(slot.len(), 1, "node {x} ended with {} blocks", slot.len());
-        let mut b = slot.pop().expect("checked above");
-        let want = spec.node_of(b.v, b.u);
-        assert_eq!(want.index(), x, "block ({}, {}) stranded at node {x}", b.u, b.v);
-        crate::inplace::transpose(&mut b.data, before.local_rows(), before.local_cols());
-        out.node_mut(NodeId(x as u64)).copy_from_slice(&b.data);
+fn move_blocks<T: Copy>(
+    spec: &MixedSpec,
+    m: &DistMatrix<T>,
+    net: &mut SimNet<Vec<T>>,
+    phases: &[(Vec<u32>, Target)],
+    transpose: bool,
+    layout: Layout,
+) -> DistMatrix<T> {
+    let num = 1u64 << (2 * spec.half);
+    let block = |i: u64| (i >> spec.half, i & ((1 << spec.half) - 1));
+    let mut plan = FlightPlan::new(phases.iter().map(|(steps, _)| steps.len()).sum());
+    for (u, v) in (0..num).map(block) {
+        let src = spec.node_of(u, v);
+        let mut at = src.bits();
+        let steps = phases.iter().flat_map(|(steps, target)| {
+            let t = target(u, v);
+            steps.iter().map(move |&d| (t, d))
+        });
+        let path = plan.path(steps.map(|(t, d)| {
+            let cross = ((at ^ t) >> d) & 1 == 1;
+            at ^= u64::from(cross) << d;
+            cross.then_some(d)
+        }));
+        plan.fly(src, path, 0, m.node(src).to_vec());
     }
-    out
+    // Flight `i` carries block `block(i)`.
+    let (_, target) = phases.last().expect("a pass has a phase");
+    let (rows, cols) = (spec.before().local_rows(), spec.before().local_cols());
+    let mut buffers: Vec<Vec<T>> = (0..num).map(|_| Vec::new()).collect();
+    for (i, line) in run_flights(net, plan).into_iter().enumerate() {
+        let ((u, v), x) = (block(i as u64), line.at.bits());
+        assert_eq!(target(u, v), x, "block ({u}, {v}) stranded at node {x}");
+        let mut data = line.payload;
+        if transpose {
+            crate::inplace::transpose(&mut data, rows, cols);
+        }
+        buffers[line.at.index()] = data;
+    }
+    DistMatrix::from_buffers(layout, buffers)
 }
 
 /// The combined conversion-and-transpose algorithm (§6.3): `n/2`
 /// iterations, each fixing bit `j` of the row and column halves —
-/// `n = 2·half` routing steps total.
+/// `n = 2·half` routing steps total. Block `(u, v)` goes straight to
+/// `(E_r(v) ‖ E_c(u))`.
 pub fn transpose_combined<T: Copy + Default>(
     spec: &MixedSpec,
     m: &DistMatrix<T>,
-    net: &mut SimNet<BlockFlight<T>>,
+    net: &mut SimNet<Vec<T>>,
 ) -> DistMatrix<T> {
-    let half = spec.half;
-    let mut pass = Pass::seed(spec, m);
-    for j in (0..half).rev() {
-        // Row step: block (u, v) must reach row part E_r(v); fix bit j.
-        pass.hop(net, |x, b| {
-            let target = spec.row_enc.encode(b.v);
-            let cur = x >> half;
-            (((cur ^ target) >> j) & 1 == 1).then_some(half + j)
-        });
-        // Column step: fix bit j of the column part toward E_c(u).
-        pass.hop(net, |x, b| {
-            let target = spec.col_enc.encode(b.u);
-            (((x ^ target) >> j) & 1 == 1).then_some(j)
-        });
-    }
-    rebuild(spec, pass)
+    let target = |u: u64, v: u64| spec.node_of(v, u).bits();
+    move_blocks(spec, m, net, &[(transpose_steps(spec.half), &target)], true, spec.after())
 }
 
 /// The naive composition (§6.3): re-encode the row field to the *column*
 /// encoding and the column field to the *row* encoding (so that the plain
 /// exchange transpose lands blocks on the right nodes), then transpose:
 /// `2n - 2` routing steps when exactly one of the encodings is Gray.
+///
+/// Block `(u, v)` ends at `(E_c(v) ‖ E_r(u))`, the same physical placement
+/// `A^T` wants once its fields are read with the swapped encodings — the
+/// paper's accounting simply *declares* the fields so. The output is laid
+/// out that way, so both algorithms produce the same dense matrix.
 pub fn transpose_naive_mixed<T: Copy + Default>(
     spec: &MixedSpec,
     m: &DistMatrix<T>,
-    net: &mut SimNet<BlockFlight<T>>,
+    net: &mut SimNet<Vec<T>>,
 ) -> DistMatrix<T> {
     let half = spec.half;
-    let mut pass = Pass::seed(spec, m);
-
-    // Phase 1a: convert the row field from E_r(u) to E_c(u) (only needed
-    // when the encodings differ): per §6.3, a Gray↔binary conversion
-    // within every column subcube, half - 1 steps.
-    if spec.row_enc != spec.col_enc {
-        recode_field(&mut pass, net, half, true, spec.row_enc, spec.col_enc);
-        // Phase 1b: convert the column field from E_c(v) to E_r(v).
-        recode_field(&mut pass, net, half, false, spec.col_enc, spec.row_enc);
-    }
-
-    // Phase 2: plain pairwise transpose — for each j descending, a row
-    // hop then a column hop for blocks whose bits differ.
-    for j in (0..half).rev() {
-        pass.hop(net, |x, b| {
-            let target = spec.col_enc.encode(b.v); // row field now holds E_c(u)
-            let cur = x >> half;
-            (((cur ^ target) >> j) & 1 == 1).then_some(half + j)
-        });
-        pass.hop(net, |x, b| {
-            let target = spec.row_enc.encode(b.u); // column field now holds E_r(v)
-            (((x ^ target) >> j) & 1 == 1).then_some(j)
-        });
-    }
-    rebuild_recode(spec, pass)
-}
-
-/// Re-encodes one processor subfield in `half - 1` exchange steps: after
-/// the pass, the field that encoded `E_from(idx)` encodes `E_to(idx)`.
-///
-/// Both conversions between binary and the binary-reflected Gray code
-/// flip bit `i` exactly when the *binary* value's bit `i+1` is one, so a
-/// single sweep (descending for Gray→binary, ascending for
-/// binary→Gray) realizes either direction; here the target bit is
-/// computed directly from the block identity, which subsumes both sweeps.
-fn recode_field<T: Copy>(
-    pass: &mut Pass<T>,
-    net: &mut SimNet<BlockFlight<T>>,
-    half: u32,
-    row_field: bool,
-    _from: Encoding,
-    to: Encoding,
-) {
-    // Bits half-2 .. 0: the top bit of Gray and binary agree.
-    for j in (0..half.saturating_sub(1)).rev() {
-        pass.hop(net, |x, b| {
-            let idx = if row_field { b.u } else { b.v };
-            let target = to.encode(idx);
-            let cur = if row_field { x >> half } else { x };
-            let dim = if row_field { half + j } else { j };
-            (((cur ^ target) >> j) & 1 == 1).then_some(dim)
-        });
-    }
-}
-
-/// Rebuild for the naive path, where the *final* node of block `(u, v)`
-/// is `(E_c(v) ‖ E_r(u))` — the re-encoded fields — which is the same
-/// physical placement `A^T` wants once its fields are read with the
-/// swapped encodings. A last re-encoding pass aligns it with
-/// [`MixedSpec::after`].
-#[track_caller]
-fn rebuild_recode<T: Copy + Default>(spec: &MixedSpec, pass: Pass<T>) -> DistMatrix<T> {
-    // After phase 2 the block (u,v) sits at (E_c(v) ‖ E_r(u)); the target
-    // layout wants (E_r(v) ‖ E_c(u)). When the encodings differ these are
-    // different nodes unless we re-encode back. The paper's accounting
-    // (2n - 2 steps) covers getting the data to (E_c(v) ‖ E_r(u)) with
-    // the transposed interpretation: the subsequent fields are simply
-    // *declared* with the swapped encodings. We instead normalize to
-    // `after()` so both algorithms produce identical matrices; the extra
-    // steps are physical-placement alignment, counted separately by the
-    // caller if desired.
-    let after_swapped = Layout::two_dim(
-        spec.p,
-        spec.p,
-        (spec.half, Assignment::Consecutive, spec.col_enc),
-        (spec.half, Assignment::Consecutive, spec.row_enc),
-    );
-    let before = spec.before();
-    let mut out = DistMatrix::<T>::zeroed(after_swapped);
-    for (x, mut slot) in pass.at.into_iter().enumerate() {
-        assert_eq!(slot.len(), 1, "node {x} ended with {} blocks", slot.len());
-        let mut b = slot.pop().expect("checked above");
-        let want = cubeaddr::concat(spec.col_enc.encode(b.v), spec.row_enc.encode(b.u), spec.half);
-        assert_eq!(want, x as u64, "block ({}, {}) stranded at node {x}", b.u, b.v);
-        crate::inplace::transpose(&mut b.data, before.local_rows(), before.local_cols());
-        out.node_mut(NodeId(x as u64)).copy_from_slice(&b.data);
-    }
-    out
+    let swapped = MixedSpec { row_enc: spec.col_enc, col_enc: spec.row_enc, ..*spec };
+    // Phase 1: convert the row field from E_r(u) to E_c(u) and the column
+    // field from E_c(v) to E_r(v) (only needed when the encodings differ):
+    // per §6.3, a Gray↔binary conversion within every column (row)
+    // subcube, half - 1 steps each.
+    let recode = if spec.row_enc != spec.col_enc {
+        recode_steps(half, true).chain(recode_steps(half, false)).collect()
+    } else {
+        Vec::new()
+    };
+    let recoded = |u: u64, v: u64| swapped.node_of(u, v).bits();
+    // Phase 2: the plain pairwise transpose of the re-encoded fields.
+    let target = |u: u64, v: u64| swapped.node_of(v, u).bits();
+    let phases = [(recode, &recoded as Target), (transpose_steps(half), &target)];
+    move_blocks(spec, m, net, &phases, true, swapped.before())
 }
 
 /// Re-encodes a mixed-encoding matrix in place on the cube: converts the
@@ -292,27 +193,20 @@ fn rebuild_recode<T: Copy + Default>(spec: &MixedSpec, pass: Pass<T>) -> DistMat
 pub fn recode_encodings<T: Copy + Default>(
     spec: &MixedSpec,
     m: &DistMatrix<T>,
-    net: &mut SimNet<BlockFlight<T>>,
+    net: &mut SimNet<Vec<T>>,
     row_to: Encoding,
     col_to: Encoding,
 ) -> DistMatrix<T> {
-    let half = spec.half;
-    let mut pass = Pass::seed(spec, m);
+    let recoded = MixedSpec { row_enc: row_to, col_enc: col_to, ..*spec };
+    let mut steps = Vec::new();
     if spec.row_enc != row_to {
-        recode_field(&mut pass, net, half, true, spec.row_enc, row_to);
+        steps.extend(recode_steps(spec.half, true));
     }
     if spec.col_enc != col_to {
-        recode_field(&mut pass, net, half, false, spec.col_enc, col_to);
+        steps.extend(recode_steps(spec.half, false));
     }
-    let new_spec = MixedSpec { p: spec.p, half, row_enc: row_to, col_enc: col_to };
-    let mut out = DistMatrix::<T>::zeroed(new_spec.before());
-    for (x, mut slot) in pass.at.into_iter().enumerate() {
-        assert_eq!(slot.len(), 1, "node {x} ended with {} blocks", slot.len());
-        let b = slot.pop().expect("checked above");
-        assert_eq!(new_spec.node_of(b.u, b.v).index(), x, "block ({}, {}) stranded", b.u, b.v);
-        out.node_mut(NodeId(x as u64)).copy_from_slice(&b.data);
-    }
-    out
+    let target = |u: u64, v: u64| recoded.node_of(u, v).bits();
+    move_blocks(spec, m, net, &[(steps, &target)], false, recoded.before())
 }
 
 /// Verifies a mixed-encoding transpose output against the spec: the
@@ -339,7 +233,7 @@ mod tests {
     use crate::verify::labels;
     use cubesim::{MachineParams, PortMode};
 
-    fn net(n: u32) -> SimNet<BlockFlight<u64>> {
+    fn net(n: u32) -> SimNet<Vec<u64>> {
         SimNet::new(n, MachineParams::unit(PortMode::AllPorts))
     }
 
@@ -402,10 +296,10 @@ mod tests {
         let spec = MixedSpec::binary_rows_gray_cols(5, 2);
         let m = labels(spec.before());
         let params = MachineParams::unit(PortMode::AllPorts);
-        let mut net1: SimNet<BlockFlight<u64>> = SimNet::new(4, params.clone());
+        let mut net1: SimNet<Vec<u64>> = SimNet::new(4, params.clone());
         let _ = transpose_combined(&spec, &m, &mut net1);
         let r1 = net1.finalize();
-        let mut net2: SimNet<BlockFlight<u64>> = SimNet::new(4, params);
+        let mut net2: SimNet<Vec<u64>> = SimNet::new(4, params);
         let _ = transpose_naive_mixed(&spec, &m, &mut net2);
         let r2 = net2.finalize();
         assert!(r1.time < r2.time, "combined {} vs naive {}", r1.time, r2.time);

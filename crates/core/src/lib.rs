@@ -37,6 +37,7 @@
 pub mod convert;
 pub mod driver;
 pub mod fieldmap;
+mod flight;
 pub mod gray;
 pub mod inplace;
 pub mod local;

@@ -5,11 +5,13 @@
 //!   algorithm with dimension pairs `f(i) = i`, `g(i) = n-1-i`;
 //! * [`dimension_permutation`] — any permutation of the cube dimensions
 //!   (Definition 17) realized by `⌈log₂ n⌉` *parallel swappings*
-//!   (Lemma 15), each a set of disjoint dimension transpositions;
+//!   (Lemma 15), each a set of disjoint dimension transpositions — both
+//!   run their relocations as one plan on the crate's flight executor;
 //! * [`arbitrary_permutation`] — any node-level permutation realized by
 //!   two all-to-all personalized communications (message size at least
 //!   `N` per node makes the splitting exact).
 
+use crate::flight::{run_flights, FlightPlan};
 use cubeaddr::{DimPermutation, NodeId};
 use cubecomm::exchange::{all_to_all_exchange, BufferPolicy};
 use cubecomm::{Block, BlockMsg};
@@ -49,49 +51,39 @@ pub fn dimension_permutation<T: Clone>(
     (data, steps)
 }
 
-/// Executes a set of disjoint dimension transpositions, one
-/// [`relocate_pair`] per pair `(i, j)`, in order.
-fn swap_pairs_sequence<T>(
+/// Executes dimension transpositions in order, Lemma 6's distance-2
+/// relocation per pair `(i1, i2)`: two one-port-legal rounds in which
+/// every array whose node's bits `i1` and `i2` differ crosses `i1`, then
+/// `i2`, so node `x` then holds what node `x ^ 2^i1 ^ 2^i2` held. One
+/// flight per non-empty array: hops `i1, i2` where the node it has
+/// reached moves, two holds elsewhere. An empty array is not sent (the
+/// net refuses empty messages), so its destination ends up empty.
+pub(crate) fn swap_pairs_sequence<T>(
     net: &mut SimNet<Vec<T>>,
-    mut data: Vec<Vec<T>>,
+    data: Vec<Vec<T>>,
     pairs: &[(u32, u32)],
 ) -> Vec<Vec<T>> {
     assert_eq!(data.len(), net.num_nodes());
-    for &(i1, i2) in pairs {
-        relocate_pair(net, &mut data, i1, i2);
-    }
-    data
-}
-
-/// Lemma 6's distance-2 relocation: every node whose address bits `i1`
-/// and `i2` differ sends its array across `i1`, and the intermediate
-/// node forwards it across `i2` — two one-port-legal rounds, in which
-/// all affected nodes move concurrently. Afterwards `data[x]` holds what
-/// node `x ^ 2^i1 ^ 2^i2` held. An empty array is not sent (the net
-/// refuses empty messages), so its destination ends up empty.
-pub(crate) fn relocate_pair<T>(net: &mut SimNet<Vec<T>>, data: &mut [Vec<T>], i1: u32, i2: u32) {
-    let moves = |x: u64| ((x >> i1) & 1) != ((x >> i2) & 1);
-    let num = data.len() as u64;
-    let nodes = || (0..num).map(NodeId);
-    for x in nodes() {
-        if moves(x.bits()) && !data[x.index()].is_empty() {
-            net.send(x, i1, std::mem::take(&mut data[x.index()]));
+    let mut plan = FlightPlan::new(2 * pairs.len());
+    let mut out: Vec<Vec<T>> = Vec::with_capacity(data.len());
+    for (x, arr) in data.into_iter().enumerate() {
+        out.push(Vec::new());
+        if arr.is_empty() {
+            continue;
         }
+        let mut at = x as u64;
+        let path = plan.path(pairs.iter().flat_map(|&(i1, i2)| {
+            let hop = ((at >> i1) ^ (at >> i2)) & 1 == 1;
+            at ^= u64::from(hop) * ((1 << i1) | (1 << i2));
+            [hop.then_some(i1), hop.then_some(i2)]
+        }));
+        plan.fly(NodeId(x as u64), path, 0, arr);
     }
-    net.finish_round();
-    for x in nodes() {
-        if net.has_message(x, i1) {
-            let payload = net.recv(x, i1);
-            net.send(x, i2, payload);
-        }
+    for line in run_flights(net, plan) {
+        debug_assert!(out[line.at.index()].is_empty());
+        out[line.at.index()] = line.payload;
     }
-    net.finish_round();
-    for x in nodes() {
-        if net.has_message(x, i2) {
-            debug_assert!(moves(x.bits()) && data[x.index()].is_empty());
-            data[x.index()] = net.recv(x, i2);
-        }
-    }
+    out
 }
 
 /// Routes an arbitrary node permutation `π` with two all-to-all
@@ -144,12 +136,7 @@ pub fn arbitrary_permutation<T: Clone + Send + Sync>(
         (0..num).map(|_| (0..num).map(|_| Vec::new()).collect()).collect();
     for (j, blocks) in mid.into_iter().enumerate() {
         for Block { src, data, .. } in blocks {
-            let dst = perm[src.index()];
-            assert!(
-                phase2[j][dst.index()].is_empty() || perm[src.index()] == NodeId(src.bits()),
-                "two pieces for one destination in phase 2"
-            );
-            phase2[j][dst.index()].extend(data);
+            phase2[j][perm[src.index()].index()].extend(data);
         }
     }
     let fin = all_to_all_exchange(net, phase2, BufferPolicy::Ideal);

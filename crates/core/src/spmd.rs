@@ -464,7 +464,7 @@ mod tests {
             let spec = crate::gray::MixedSpec::binary_rows_gray_cols(p, half);
             let m = labels(spec.before());
             let (spmd_out, stats) = spmd_transpose_combined_gray(&spec, &m);
-            let mut net: cubesim::SimNet<crate::gray::BlockFlight<u64>> = cubesim::SimNet::new(
+            let mut net: cubesim::SimNet<Vec<u64>> = cubesim::SimNet::new(
                 2 * half,
                 cubesim::MachineParams::unit(cubesim::PortMode::AllPorts),
             );

@@ -22,21 +22,17 @@
 //! The simulator enforces the edge-disjointness claims at runtime: any
 //! two messages on one directed link in the same round abort the run.
 //!
-//! All three build one *flight plan* and run it: a flight is a packet,
-//! its injection cycle and a `(start, len)` reference to its path, and
-//! every path a packet actually rides is written once — by the same
-//! allocation-free writer behind [`mpt_path`] — into one byte arena for
-//! the whole transpose. MPT at the paper's CM size is 65 536 nodes of
-//! `2H(x)` paths each, of which a one-element array rides one; nothing
-//! is allocated per path, and an unused path is never written.
+//! All three build one *flight plan* and run it on the crate's flight
+//! executor (`crate::flight`): a flight is a packet, its injection cycle
+//! and its path, and every path a packet actually rides is written once —
+//! by the same allocation-free construction behind [`mpt_path`] — into
+//! one byte arena for the whole transpose. MPT at the paper's CM size is
+//! 65 536 nodes of `2H(x)` paths each, of which a one-element array rides
+//! one; nothing is allocated per path, and an unused path is never
+//! written. A plan is as long as its last delivery.
 //!
-//! Running a plan lands every packet once, in a *delivery ledger*: one
-//! `(source, landed at, packet)` line per flight, in plan order. Between
-//! hops a packet is parked on its line; each round's deliveries come
-//! back from [`SimNet::drain_all_with`] in send order, which is the
-//! order of the live flights, and each is checked to be the hop its
-//! flight planned. Flights are planned source by source in ascending
-//! offsets, so each source's packets are one contiguous run of the
+//! Flights are planned source by source in ascending offsets, so each
+//! source's packets are one contiguous run of the executor's delivery
 //! ledger, and `rebuild` gives destination `d` the run of `tr(d)` after
 //! checking that every packet landed at `d` and that the offsets tile
 //! the array — no per-destination list, no sort. The local step of §6.1
@@ -45,13 +41,14 @@
 //! (the paper's CM configuration: one element per node) *is* the output
 //! buffer.
 
+use crate::flight::{run_flights, FlightPlan, Landed, PathRef};
 use cubeaddr::NodeId;
 use cubelayout::{CommPattern, DistMatrix, Layout, TransposeSpec};
 use cubesim::{Payload, SimNet};
 use std::ops::Range;
 
 /// A pipelined packet: a slice of the source node's local array.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct Packet<T> {
     /// Position of the slice in the source local array.
     pub offset: usize,
@@ -124,41 +121,15 @@ pub fn spt_path(x: u64, half: u32) -> Vec<u32> {
     mpt_path(x, half, 0)
 }
 
-/// A path written into a [`FlightPlan`]'s arena: the dimensions
-/// `arena[start..start + len]`.
-#[derive(Clone, Copy)]
-struct PathRef {
-    start: u32,
-    len: u32,
-}
-
-/// One pipelined flight: a packet, its path, and its injection cycle.
-struct Flight<T> {
-    src: NodeId,
-    path: PathRef,
-    inject: usize,
-    packet: Packet<T>,
-}
-
-/// Every flight of one transpose, and the one arena their paths live in
-/// (a dimension fits a byte: `n ≤ 64`).
-struct FlightPlan<T> {
-    arena: Vec<u8>,
-    flights: Vec<Flight<T>>,
-}
-
-impl<T: Copy> FlightPlan<T> {
-    fn new() -> Self {
-        FlightPlan { arena: Vec::new(), flights: Vec::new() }
-    }
-
+impl<T: Copy> FlightPlan<Packet<T>> {
     /// Writes path `p` of node `x` into the arena.
-    fn path(&mut self, x: u64, half: u32, p: u32) -> PathRef {
-        let start = self.arena.len();
-        write_path(x, half, p, |d| self.arena.push(d as u8));
-        // The end fitting u32 means every position before it does.
-        let end = u32::try_from(self.arena.len()).expect("flight-plan arena exceeds 4 GiB");
-        PathRef { start: start as u32, len: end - start as u32 }
+    fn tr_path(&mut self, x: u64, half: u32, p: u32) -> PathRef {
+        let (mut dims, mut len) = ([0u8; 64], 0);
+        write_path(x, half, p, |d| {
+            dims[len] = d as u8;
+            len += 1;
+        });
+        self.path(dims[..len].iter().map(|&d| Some(u32::from(d))))
     }
 
     /// Adds the flights carrying `data[range]` in packets of at most `b`
@@ -168,88 +139,9 @@ impl<T: Copy> FlightPlan<T> {
         let first = range.start;
         for (i, chunk) in data[range].chunks(b).enumerate() {
             let packet = Packet { offset: first + i * b, data: chunk.to_vec() };
-            self.flights.push(Flight { src: NodeId(x), path, inject: i, packet });
+            self.fly(NodeId(x), path, i, packet);
         }
     }
-}
-
-/// One flight's line in the delivery ledger: its source, the node its
-/// packet landed at, and the packet.
-struct Landed<T> {
-    src: NodeId,
-    at: NodeId,
-    packet: Packet<T>,
-}
-
-/// Runs all flights to completion, one hop per cycle starting at each
-/// flight's injection cycle, and returns the delivery ledger in plan
-/// order.
-///
-/// Panics (inside the simulator) if the flight set ever contends for a
-/// directed link — the runtime check of the edge-disjointness lemmas —
-/// and here if a delivery is not the hop its flight planned.
-fn run_flights<T>(net: &mut SimNet<Packet<T>>, plan: FlightPlan<T>) -> Vec<Landed<T>> {
-    /// A launched flight: its ledger line, the arena positions of its
-    /// next hop and of its path's end, and where its packet is.
-    #[derive(Clone, Copy)]
-    struct Live {
-        id: usize,
-        next: u32,
-        end: u32,
-        at: NodeId,
-    }
-    let FlightPlan { arena, flights } = plan;
-    // Packets are parked in the ledger by flight id between hops; the
-    // launch schedule is stably sorted by injection cycle and drained
-    // through a cursor, one pass over it for the whole run.
-    let mut ledger = Vec::with_capacity(flights.len());
-    let mut waiting = Vec::with_capacity(flights.len());
-    for (id, f) in flights.into_iter().enumerate() {
-        let PathRef { start, len } = f.path;
-        waiting.push((f.inject, Live { id, next: start, end: start + len, at: f.src }));
-        ledger.push(Landed { src: f.src, at: f.src, packet: f.packet });
-    }
-    waiting.sort_by_key(|&(inject, _)| inject);
-    let mut waiting = waiting.into_iter().peekable();
-    let mut live: Vec<Live> = Vec::new();
-    let mut cycle = 0usize;
-    while waiting.peek().is_some() || !live.is_empty() {
-        while let Some((inject, l)) = waiting.next_if(|&(inject, _)| inject <= cycle) {
-            debug_assert_eq!(inject, cycle, "missed injection cycle");
-            live.push(l);
-        }
-        // Every live packet advances one hop: the payload itself moves
-        // (no per-hop clone) and comes back through the drain below.
-        for l in &live {
-            let pkt =
-                std::mem::replace(&mut ledger[l.id].packet, Packet { offset: 0, data: Vec::new() });
-            net.send(l.at, u32::from(arena[l.next as usize]), pkt);
-        }
-        net.finish_round();
-        // Deliveries come back in send order, which is `live`'s order.
-        let mut hop = live.iter_mut();
-        net.drain_all_with(|dst, dim, pkt| {
-            let l = hop.next().expect("one delivery per live flight");
-            let want = u32::from(arena[l.next as usize]);
-            let next = l.at.neighbor(want);
-            let line = &mut ledger[l.id];
-            assert!(
-                dst == next && dim == want,
-                "flight {} from {}: hop from {} planned to {next} on dim {want}, delivered at \
-                 {dst} on dim {dim}",
-                l.id,
-                line.src,
-                l.at
-            );
-            line.packet = pkt;
-            line.at = next;
-            l.at = next;
-            l.next += 1;
-        });
-        live.retain(|l| l.next != l.end);
-        cycle += 1;
-    }
-    ledger
 }
 
 /// Shared validation and setup: the spec must be a pairwise exchange with
@@ -295,7 +187,7 @@ fn check_pairwise(spec: &TransposeSpec) -> u32 {
 fn rebuild<T: Copy>(
     spec: &TransposeSpec,
     m: &DistMatrix<T>,
-    mut ledger: Vec<Landed<T>>,
+    mut ledger: Vec<Landed<Packet<T>>>,
     half: u32,
 ) -> DistMatrix<T> {
     let before = &spec.before;
@@ -325,7 +217,7 @@ fn rebuild<T: Copy>(
                 line.src.index() == src && line.at.index() == dst && src != dst,
                 "src {} -> dst {dst}: packet at offset {} landed at node {}",
                 line.src,
-                line.packet.offset,
+                line.payload.offset,
                 line.at
             );
         }
@@ -334,14 +226,14 @@ fn rebuild<T: Copy>(
             [] if src == dst => {
                 crate::local::transpose_flat(m.node(NodeId(dst as u64)), rows, cols)
             }
-            [one] if one.packet.offset == 0 && one.packet.data.len() == per => {
-                let arr = std::mem::take(&mut one.packet.data);
+            [one] if one.payload.offset == 0 && one.payload.data.len() == per => {
+                let arr = std::mem::take(&mut one.payload.data);
                 local_step(arr)
             }
             _ => {
                 let mut arr = Vec::with_capacity(per);
                 for line in run.iter() {
-                    let pkt = &line.packet;
+                    let pkt = &line.payload;
                     assert!(
                         pkt.offset == arr.len() && pkt.data.len() <= per - arr.len(),
                         "src {src} -> dst {dst}: packets leave a gap or overlap at offset {} \
@@ -374,15 +266,16 @@ pub fn transpose_spt<T: Copy + Default + Send + Sync>(
 ) -> DistMatrix<T> {
     let spec = TransposeSpec::with_after(m.layout().clone(), after.clone());
     let half = check_pairwise(&spec);
-    let mut plan = FlightPlan::new();
+    let mut plan = FlightPlan::new(0);
     for x in 0..spec.before.num_nodes() as u64 {
         if h_of(x, half) == 0 {
             continue;
         }
-        let path = plan.path(x, half, 0);
+        let path = plan.tr_path(x, half, 0);
         let data = m.node(NodeId(x));
         plan.pipeline(x, path, data, 0..data.len(), b);
     }
+    plan.fit_rounds();
     let ledger = run_flights(net, plan);
     rebuild(&spec, m, ledger, half)
 }
@@ -419,7 +312,7 @@ pub fn transpose_dpt<T: Copy + Default + Send + Sync>(
 ) -> DistMatrix<T> {
     let spec = TransposeSpec::with_after(m.layout().clone(), after.clone());
     let half = check_pairwise(&spec);
-    let mut plan = FlightPlan::new();
+    let mut plan = FlightPlan::new(0);
     for x in 0..spec.before.num_nodes() as u64 {
         let h = h_of(x, half);
         if h == 0 {
@@ -428,10 +321,11 @@ pub fn transpose_dpt<T: Copy + Default + Send + Sync>(
         let data = m.node(NodeId(x));
         let mid = data.len() / 2;
         for (path_id, range) in [(0u32, 0..mid), (h, mid..data.len())] {
-            let path = plan.path(x, half, path_id);
+            let path = plan.tr_path(x, half, path_id);
             plan.pipeline(x, path, data, range, b);
         }
     }
+    plan.fit_rounds();
     let ledger = run_flights(net, plan);
     rebuild(&spec, m, ledger, half)
 }
@@ -471,8 +365,8 @@ pub fn transpose_mpt<T: Copy + Default + Send + Sync>(
 /// packets (sizes differing by at most one, the longer ones first), packet
 /// `idx` on path `idx mod 2H`. Empty packets — and the paths only they
 /// would ride — are never materialized.
-fn mpt_plan<T: Copy>(m: &DistMatrix<T>, half: u32, k: u32) -> FlightPlan<T> {
-    let mut plan = FlightPlan::new();
+fn mpt_plan<T: Copy>(m: &DistMatrix<T>, half: u32, k: u32) -> FlightPlan<Packet<T>> {
+    let mut plan = FlightPlan::new(0);
     for x in 0..m.layout().num_nodes() as u64 {
         let h = h_of(x, half);
         if h == 0 {
@@ -500,14 +394,15 @@ fn mpt_plan<T: Copy>(m: &DistMatrix<T>, half: u32, k: u32) -> FlightPlan<T> {
             // every 2H cycles, the (2, 2H)-disjoint schedule of Lemma 14.
             let (p, o) = (idx % n_paths, idx / n_paths);
             if o == 0 {
-                paths[p] = plan.path(x, half, p as u32);
+                paths[p] = plan.tr_path(x, half, p as u32);
             }
             let inject = n_paths * (o / 2) + (o % 2);
             let packet = Packet { offset, data: data[offset..offset + take].to_vec() };
-            plan.flights.push(Flight { src: NodeId(x), path: paths[p], inject, packet });
+            plan.fly(NodeId(x), paths[p], inject, packet);
             offset += take;
         }
     }
+    plan.fit_rounds();
     plan
 }
 
@@ -629,11 +524,11 @@ mod tests {
         // All 2H paths of every node of the 6-cube in one arena: each
         // reference must slice out exactly its own path.
         let half = 3;
-        let mut plan: FlightPlan<u64> = FlightPlan::new();
+        let mut plan: FlightPlan<Packet<u64>> = FlightPlan::new(0);
         let mut refs = Vec::new();
         for x in 0..1u64 << (2 * half) {
             for p in 0..2 * h_of(x, half) {
-                refs.push((x, p, plan.path(x, half, p)));
+                refs.push((x, p, plan.tr_path(x, half, p)));
             }
         }
         assert_eq!(plan.arena.len(), refs.iter().map(|r| r.2.len as usize).sum::<usize>());
@@ -663,7 +558,8 @@ mod tests {
                 let ledger = run_flights(&mut net, mpt_plan(&m, half, k));
                 net.finalize();
                 // One run per off-diagonal source, in ascending order.
-                let runs: Vec<&[Landed<u64>]> = ledger.chunk_by(|a, b| a.src == b.src).collect();
+                let runs: Vec<&[Landed<Packet<u64>>]> =
+                    ledger.chunk_by(|a, b| a.src == b.src).collect();
                 let sources: Vec<u64> = runs.iter().map(|run| run[0].src.bits()).collect();
                 let off_diagonal: Vec<u64> =
                     (0..before.num_nodes() as u64).filter(|&x| h_of(x, half) > 0).collect();
@@ -676,7 +572,7 @@ mod tests {
                     assert_eq!(run.len(), n_packets.min(per), "src {src} k={k}");
                     let mut covered = 0;
                     for line in run {
-                        let pkt = &line.packet;
+                        let pkt = &line.payload;
                         assert_eq!(line.at.bits(), dst, "src {src} k={k}: landed elsewhere");
                         assert_eq!(pkt.offset, covered, "src {src} k={k}: gap or overlap");
                         assert!(!pkt.data.is_empty() && pkt.data.len() <= per.div_ceil(n_packets));
@@ -693,18 +589,19 @@ mod tests {
 
     /// A single-packet SPT plan on the `2·half`-cube, corrupted by
     /// `corrupt`, run and rebuilt.
-    fn run_corrupted(half: u32, corrupt: impl FnOnce(&mut FlightPlan<u64>)) {
+    fn run_corrupted(half: u32, corrupt: impl FnOnce(&mut FlightPlan<Packet<u64>>)) {
         let (before, after) = square(half, half, Assignment::Consecutive, Encoding::Binary);
         let spec = TransposeSpec::with_after(before.clone(), after);
         let m = labels(before.clone());
-        let mut plan = FlightPlan::new();
+        let mut plan = FlightPlan::new(0);
         for x in 0..before.num_nodes() as u64 {
             if h_of(x, half) > 0 {
-                let path = plan.path(x, half, 0);
+                let path = plan.tr_path(x, half, 0);
                 let data = m.node(NodeId(x));
                 plan.pipeline(x, path, data, 0..data.len(), data.len());
             }
         }
+        plan.fit_rounds();
         corrupt(&mut plan);
         let mut net = net(2 * half);
         let ledger = run_flights(&mut net, plan);

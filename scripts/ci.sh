@@ -80,6 +80,41 @@ if [ -n "$violations" ]; then
     false
 fi
 
+begin "lint policy: one round loop per substrate in cubetranspose (finish_round only in flight.rs, fieldmap.rs, two_dim.rs, convert.rs, reference.rs)"
+# Every mover that carries whole arrays along dimension paths (§6.1's
+# SPT/DPT/MPT, §6.3's mixed-encoding transposes, Lemma 6's relocations)
+# plans flights and runs them on flight.rs's executor. The other sites
+# are fieldmap's exchange, two_dim's stepwise copy-charge round,
+# algorithm 2's copy charge in convert.rs, and RefMappedMatrix, the
+# oracle. The §6.3 block payload type is deleted and must not come back.
+# (Bracketed so this script does not match itself.)
+violations="$(grep -rl 'finish_round' --include='*.rs' crates/core/src 2>/dev/null \
+    | grep -v -x -e 'crates/core/src/flight.rs' -e 'crates/core/src/fieldmap.rs' \
+        -e 'crates/core/src/two_dim.rs' -e 'crates/core/src/convert.rs' \
+        -e 'crates/core/src/reference.rs' || true)"
+if [ -n "$violations" ]; then
+    echo "FAIL: hand-written round loops outside the flight executor:" >&2
+    echo "$violations" >&2
+    false
+fi
+violations="$(grep -rlw 'BlockFligh[t]' crates src tests examples 2>/dev/null || true)"
+if [ -n "$violations" ]; then
+    echo "FAIL: files mention the deleted block payload type:" >&2
+    echo "$violations" >&2
+    false
+fi
+
+begin "examples: every root example runs to completion in release"
+# cargo test only builds examples/*.rs; their own assertions (placement
+# checks in permutations.rs, the SPT/DPT/MPT self-check in quickstart.rs,
+# ...) run here.
+for example in examples/*.rs; do
+    name="$(basename "$example" .rs)"
+    started="$(date +%s%N)"
+    cargo run --release -q --example "$name" >/dev/null
+    echo "    $name: $(( ($(date +%s%N) - started) / 1000000 )) ms"
+done
+
 begin "lint policy: the fieldmap in-place knob stays deleted"
 # MappedMatrix has one realisation of a permutation (out of place through
 # a rotating scratch) and no prefaulted pool; the threshold, its

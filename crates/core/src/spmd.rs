@@ -158,11 +158,42 @@ pub fn spmd_transpose_exchange<T: Copy + Default + Send + Sync>(
     (DistMatrix::from_buffers(after.clone(), results), stats)
 }
 
+/// One event of a node's part in the SPT schedule.
+enum Hop {
+    /// Forward source `src`'s array across `dim`.
+    Send { src: u64, dim: u32 },
+    /// Receive an array across `dim`.
+    Recv { dim: u32 },
+}
+
+/// Every node's part in the SPT schedule, in order: source `x`'s array
+/// takes hop `s` of `spt_path(x)` in routing step `s`, and within a step
+/// a node does its sends before its receives. Each path is built once
+/// and walked once, so the whole schedule costs O(N·n).
+fn spt_hops(n: u32, half: u32) -> Vec<Vec<Hop>> {
+    let num = 1usize << n;
+    let paths: Vec<Vec<u32>> = (0..num as u64).map(|x| crate::two_dim::spt_path(x, half)).collect();
+    // Where each source's array is at the start of the current step.
+    let mut pos: Vec<u64> = (0..num as u64).collect();
+    let mut hops: Vec<Vec<Hop>> = (0..num).map(|_| Vec::new()).collect();
+    for step in 0..n as usize {
+        let moving = || (0..num).filter_map(|x| Some((x, *paths[x].get(step)?)));
+        for (x, dim) in moving() {
+            hops[pos[x] as usize].push(Hop::Send { src: x as u64, dim });
+        }
+        for (x, dim) in moving() {
+            pos[x] ^= 1 << dim;
+            hops[pos[x] as usize].push(Hop::Recv { dim });
+        }
+    }
+    hops
+}
+
 /// Runs the step-by-step SPT two-dimensional transpose as an SPMD
 /// program: every node's whole array travels hop by hop along its SPT
-/// path; every node computes, from addresses alone, whether it must
-/// originate, relay, or absorb an array in each routing step (§6.1.1 /
-/// §8.2.1).
+/// path (§6.1.1 / §8.2.1). The schedule is known in advance and built
+/// once: each node originates, relays or absorbs arrays in the order
+/// its part of the schedule lists.
 pub fn spmd_transpose_spt<T: Copy + Default + Send + Sync>(
     m: &DistMatrix<T>,
     after: &Layout,
@@ -177,40 +208,28 @@ pub fn spmd_transpose_spt<T: Copy + Default + Send + Sync>(
 
     let buffers: Vec<Vec<T>> =
         (0..num).map(|x| m.node(cubeaddr::NodeId(x as u64)).to_vec()).collect();
+    let hops = spt_hops(n, half);
 
     // Messages are source-tagged: a node may relay several arrays at once
     // (paths are edge-disjoint, not node-disjoint).
     let (results, stats) = run_spmd::<(u64, Vec<T>), _, _, _>(n, |ctx| {
-        let buffers = &buffers;
+        let (buffers, hops) = (&buffers, &hops);
         async move {
             let me = ctx.id().bits();
-            // The global schedule: source x's array is at hop `step` of
-            // spt_path(x) at the start of step `step`. Every node scans all
-            // sources and plays its role — purely address arithmetic, no
-            // coordinator.
             let mut held: std::collections::HashMap<u64, Vec<T>> = std::collections::HashMap::new();
             if crate::two_dim::h_of(me, half) > 0 {
                 held.insert(me, buffers[me as usize].clone());
             }
-            let walk = |x: u64, dims: &[u32]| dims.iter().fold(x, |p, &d| p ^ (1 << d));
-            for step in 0..n as usize {
-                let mut recv_dims: Vec<u32> = Vec::new();
-                for x in 0..(1u64 << n) {
-                    let path = crate::two_dim::spt_path(x, half);
-                    if step < path.len() {
-                        let pos = walk(x, &path[..step]);
-                        if pos == me {
-                            let arr = held.remove(&x).expect("schedule expects x's array here");
-                            ctx.send(path[step], (x, arr));
-                        }
-                        if pos ^ (1 << path[step]) == me {
-                            recv_dims.push(path[step]);
-                        }
+            for hop in &hops[me as usize] {
+                match *hop {
+                    Hop::Send { src, dim } => {
+                        let arr = held.remove(&src).expect("schedule expects src's array here");
+                        ctx.send(dim, (src, arr));
                     }
-                }
-                for d in recv_dims {
-                    let (x, arr) = ctx.recv(d).await;
-                    held.insert(x, arr);
+                    Hop::Recv { dim } => {
+                        let (x, arr) = ctx.recv(dim).await;
+                        held.insert(x, arr);
+                    }
                 }
             }
             // The unique source ending here is tr(me) (me itself when H = 0).

@@ -1,29 +1,18 @@
 //! Applications of Boolean-cube matrix transposition — the workloads the
 //! paper's introduction motivates.
 //!
-//! * [`cplx`] — a minimal complex-number type for the spectral solvers.
+//! * [`cplx`] — a minimal complex-number type for the FFT.
 //! * [`fft`] — radix-2 FFTs: the local kernel, and the transpose-based
 //!   *four-step* parallel FFT whose global data movement is exactly the
 //!   matrix transposition the paper optimizes.
-//! * [`tridiag`] — tridiagonal system solvers: the sequential Thomas
-//!   algorithm and odd-even cyclic reduction (the paper's companion
-//!   solver on ensemble architectures, its refs \[11, 13\]).
-//! * [`adi`] — the Alternating Direction Implicit heat solver: implicit
-//!   sweeps along one grid direction at a time, with a matrix
-//!   transposition between the phases (§1's first motivation).
-//! * [`poisson`] — Poisson's problem by Fourier analysis (the FACR
-//!   family, §1's second motivation): sine transform, transpose,
-//!   per-mode tridiagonal solves, transpose back.
 //!
-//! Every solver runs its communication through the simulated cube, so
-//! the transposition costs are accounted under the paper's model, and
-//! every solver is verified against an independent reference (naive DFT,
-//! dense LU-free direct solves, manufactured exact solutions).
+//! The FFT runs its communication through the simulated cube, so the
+//! transposition costs are accounted under the paper's model, and it is
+//! verified against the naive DFT. §1's other two motivations, ADI and
+//! FACR, live in the `adi_heat` and `poisson_facr` examples, which
+//! assert their own numerical checks.
 
-pub mod adi;
 pub mod cplx;
 pub mod fft;
-pub mod poisson;
-pub mod tridiag;
 
 pub use cplx::Cplx;

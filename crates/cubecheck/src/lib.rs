@@ -14,9 +14,9 @@
 //! 4. [`crossval::cross_validate`] ties the static story to the dynamic
 //!    one: the lowered claims must coincide, round for round and link
 //!    for link, with the [`cubesim::CommReport::link_history`] an actual
-//!    execution records. Property tests enforce this on random schedules
-//!    at multiple thread settings, so the checkers are guaranteed to be
-//!    analyzing the schedules the engines really run.
+//!    execution records. Property tests enforce this on random schedules,
+//!    so the checkers are guaranteed to be analyzing the schedules the
+//!    engines really run.
 //!
 //! The `cubecheck` binary lints the figure workloads
 //! ([`workloads`]) at the benchmarked cube sizes, so CI catches any

@@ -28,10 +28,10 @@
 //!   *sweep*: the worker polls its nodes until each has finished or
 //!   waits — a `recv` with nothing pending parks its node, the matching
 //!   delivery makes it ready again. The batches' headers tell every
-//!   worker at once whether the run is finished, the barrier released,
-//!   or the programs deadlocked, which is reported at the sweep where
-//!   nothing moved. The paper's pseudo-code — `send(buf, j)`,
-//!   `recv(tmp, j)`, exchanges on a dimension — maps 1:1 onto
+//!   worker at once whether the run is finished or the programs
+//!   deadlocked, which is reported at the sweep where nothing moved.
+//!   The paper's pseudo-code — `send(buf, j)`, `recv(tmp, j)`,
+//!   exchanges on a dimension — maps 1:1 onto
 //!   [`NodeCtx::send`], [`NodeCtx::recv`] and [`NodeCtx::exchange`].
 //!   Use it when a node decides at run time what to wait for, relays,
 //!   or receives before it sends; the [`collectives`] live here.
@@ -93,11 +93,11 @@
 //! runtime survives in [`mod@reference`] as the oracle of the
 //! equivalence tests.
 //!
-//! The runtime is topology-generic underneath: [`run_spmd`] and
-//! [`run_rounds`] are the hypercube specializations of [`run_spmd_on`]
-//! and [`run_rounds_on`], which run the same node programs on any
-//! [`cubetopo::TopoSpec`] (e.g. the Swapped Dragonfly) with ports in
-//! place of dimensions.
+//! The round door is topology-generic underneath: [`run_rounds`] is the
+//! hypercube specialization of [`run_rounds_on`], which runs the same
+//! round programs on any [`cubetopo::TopoSpec`] (e.g. the Swapped
+//! Dragonfly) with ports in place of dimensions. [`run_spmd`] runs on
+//! the cube only.
 
 pub mod collectives;
 pub mod reference;
@@ -108,6 +108,4 @@ mod sched;
 pub use collectives::{all_to_all, broadcast, gather};
 pub use cubeaddr::NodeId;
 pub use rounds::{run_rounds, run_rounds_on, Outbox, RoundInbox, RoundProgram};
-pub use runtime::{
-    num_workers, run_spmd, run_spmd_on, with_stall_timeout, with_workers, NodeCtx, RunStats,
-};
+pub use runtime::{num_workers, run_spmd, with_stall_timeout, with_workers, NodeCtx, RunStats};

@@ -17,7 +17,7 @@ use crate::runtime::RunStats;
 use cubeaddr::NodeId;
 use cubesync::atomic::{AtomicU64, Ordering};
 use cubesync::channel::{unbounded, Receiver, Sender};
-use cubesync::sync::{Arc, Barrier, OnceLock};
+use cubesync::sync::{Arc, OnceLock};
 use cubesync::thread;
 use std::time::Duration;
 
@@ -42,9 +42,7 @@ pub struct NodeCtx<T> {
     tx: Vec<Sender<T>>,
     /// `rx[d]` receives what `id.neighbor(d)` sent across dimension `d`.
     rx: Vec<Receiver<T>>,
-    barrier: Arc<Barrier>,
     messages: Arc<AtomicU64>,
-    barriers: Arc<AtomicU64>,
 }
 
 impl<T> NodeCtx<T> {
@@ -95,32 +93,6 @@ impl<T> NodeCtx<T> {
         self.send(dim, msg);
         self.recv(dim)
     }
-
-    /// Global barrier over all nodes.
-    pub fn barrier(&self) {
-        if self.barrier.wait().is_leader() {
-            self.barriers.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-}
-
-impl<T: Clone> NodeCtx<T> {
-    /// All-reduce by dimension scan (see
-    /// [`crate::NodeCtx::all_reduce`]; same wire protocol, blocking).
-    pub fn all_reduce(&self, value: T, mut combine: impl FnMut(T, T) -> T) -> T {
-        let mut acc = value;
-        for d in 0..self.n {
-            if (self.id.0 >> d) & 1 == 0 {
-                let theirs = self.recv(d);
-                acc = combine(acc, theirs);
-                self.send(d, acc.clone());
-            } else {
-                self.send(d, acc);
-                acc = self.recv(d);
-            }
-        }
-        acc
-    }
 }
 
 /// Runs `program` on every node of an `n`-cube concurrently — one OS
@@ -159,9 +131,7 @@ where
         }
     }
 
-    let barrier = Arc::new(Barrier::new(num));
     let messages = Arc::new(AtomicU64::new(0));
-    let barriers = Arc::new(AtomicU64::new(0));
 
     let mut ctxs: Vec<NodeCtx<T>> = senders
         .into_iter()
@@ -172,9 +142,7 @@ where
             n,
             tx: tx.into_iter().map(Option::unwrap).collect(),
             rx: rx.into_iter().map(Option::unwrap).collect(),
-            barrier: Arc::clone(&barrier),
             messages: Arc::clone(&messages),
-            barriers: Arc::clone(&barriers),
         })
         .collect();
 
@@ -189,7 +157,6 @@ where
         results,
         RunStats {
             messages: messages.load(Ordering::Relaxed),
-            barriers: barriers.load(Ordering::Relaxed),
             workers: num,
             peak_live: num as u32,
             parks: 0,
@@ -237,23 +204,6 @@ mod tests {
         });
         assert_eq!(results[7], Some(vec![99]));
         assert!(results[..7].iter().all(Option::is_none));
-    }
-
-    #[test]
-    fn all_reduce_and_barrier_match_pool_runtime() {
-        // The same logical program on both runtimes: identical results
-        // and deterministic counters.
-        let (old, old_stats) = run_spmd_threads(4, |ctx| {
-            ctx.barrier();
-            ctx.all_reduce(ctx.id().bits(), |a, b| a + b)
-        });
-        let (new, new_stats) = crate::run_spmd(4, |ctx| async move {
-            ctx.barrier().await;
-            ctx.all_reduce(ctx.id().bits(), |a, b| a + b).await
-        });
-        assert_eq!(old, new);
-        assert_eq!(old_stats.messages, new_stats.messages);
-        assert_eq!(old_stats.barriers, new_stats.barriers);
     }
 
     #[test]

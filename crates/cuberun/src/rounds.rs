@@ -32,9 +32,8 @@
 //!   nothing pending parks its node on that port, and a delivery on
 //!   that port (local, or from a collected batch) puts the node at the
 //!   front of the ready queue. The headers then decide, identically on
-//!   every worker, whether the run is finished, the barrier is
-//!   released, or the node programs are deadlocked (see the runtime
-//!   module).
+//!   every worker, whether the run is finished or the node programs
+//!   are deadlocked (see the runtime module).
 //!
 //! The parts of the workers concatenate in node order. A worker blocks
 //! at most once per step.
@@ -166,17 +165,11 @@ pub(crate) struct Header {
     pub(crate) sent: u64,
     /// Its home nodes whose program has not finished.
     pub(crate) unfinished: u64,
-    /// Its home nodes waiting at the barrier.
-    pub(crate) arrived: u64,
 }
 
 impl Header {
     pub(crate) fn plus(self, other: Header) -> Header {
-        Header {
-            sent: self.sent + other.sent,
-            unfinished: self.unfinished + other.unfinished,
-            arrived: self.arrived + other.arrived,
-        }
+        Header { sent: self.sent + other.sent, unfinished: self.unfinished + other.unfinished }
     }
 }
 
@@ -286,13 +279,11 @@ pub(crate) struct Part<R> {
     pub(crate) messages: u64,
     pub(crate) parks: u64,
     pub(crate) wakes: u64,
-    /// Barrier episodes released.
-    pub(crate) barriers: u64,
     /// The largest live-context count this worker knows occurred.
     pub(crate) peak_live: u64,
     /// At a deadlock: the home nodes still waiting, each with the port
-    /// it is parked on (`None`: the barrier).
-    pub(crate) stuck: Vec<(usize, Option<u32>)>,
+    /// it is parked on.
+    pub(crate) stuck: Vec<(usize, u32)>,
 }
 
 impl<R> Part<R> {
@@ -303,7 +294,6 @@ impl<R> Part<R> {
             messages: lane.messages,
             parks: lane.parks,
             wakes: lane.wakes,
-            barriers: 0,
             peak_live: 0,
             stuck: Vec::new(),
         }
@@ -443,7 +433,6 @@ pub(crate) fn run_pool<T: Send, R: Send>(
     });
     let stats = RunStats {
         messages: parts.iter().map(|p| p.messages).sum(),
-        barriers: parts.iter().map(|p| p.barriers).max().unwrap_or(0),
         workers,
         peak_live: parts.iter().map(|p| p.peak_live).max().unwrap_or(0) as u32,
         parks: parts.iter().map(|p| p.parks).sum(),
@@ -500,7 +489,7 @@ fn round_worker<T, P: RoundProgram<T>>(
 /// `parks` / `wakes` count the times a worker blocked on / was released
 /// from its mailbox wait (at most once per round per worker); `peak_live`
 /// is the node count, since every state is built before round 0;
-/// `barriers` is 0 and `steals` the usual zeros.
+/// `steals` is the usual zeros.
 ///
 /// The crate docs have an example beside its `run_spmd` twin.
 ///
@@ -513,7 +502,12 @@ pub fn run_rounds<T: Send, P: RoundProgram<T>>(n: u32, program: &P) -> (Vec<P::O
 }
 
 /// [`run_rounds`] on an arbitrary [`TopoSpec`] topology, with ports in
-/// place of dimensions as on [`crate::run_spmd_on`].
+/// place of dimensions. A node's `Outbox::send(p, …)` crosses the link
+/// at its port `p`, and the message arrives tagged with the neighbor's
+/// *reverse* port, so `RoundInbox::take(q)` takes what the neighbor
+/// across port `q` sent. A send on an unwired port (the Swapped
+/// Dragonfly's fixed-point gateway ports) panics with the link
+/// diagnostic.
 pub fn run_rounds_on<T: Send, P: RoundProgram<T>>(
     topo: TopoSpec,
     program: &P,
@@ -562,7 +556,7 @@ mod tests {
         // 5 workers on 8 nodes: home ranges of 2, the fifth worker has
         // none and must neither post nor be waited for.
         let (one, stats) = with_workers(1, || run_rounds(3, &AllDims(3)));
-        assert_eq!((stats.messages, stats.parks, stats.peak_live, stats.barriers), (24, 0, 8, 0));
+        assert_eq!((stats.messages, stats.parks, stats.peak_live), (24, 0, 8));
         for workers in [2usize, 5] {
             let (results, stats) = with_workers(workers, || run_rounds(3, &AllDims(3)));
             assert_eq!(results, one, "workers={workers}");
@@ -603,26 +597,108 @@ mod tests {
 
     #[test]
     fn dragonfly_messages_arrive_on_the_reverse_port_at_any_worker_count() {
-        let program = CliqueRotate(SwappedDragonfly::new(2, 4));
-        let run = |workers| with_workers(workers, || run_rounds_on(program.0.into(), &program));
+        let d = SwappedDragonfly::new(2, 4);
+        let program = CliqueRotate(d);
+        let run = |workers| with_workers(workers, || run_rounds_on(d.into(), &program));
         let (one, stats) = run(1);
         assert_eq!(stats.messages, 32 * 3);
-        // What the async door computes for the same rotation.
-        let (async_door, _) = crate::run_spmd_on(program.0.into(), |ctx| async move {
-            let d = SwappedDragonfly::new(2, 4);
-            let (_, r) = d.coords(ctx.id().bits());
-            let mut acc = ctx.id().bits();
-            for step in 1..4u64 {
-                ctx.send(d.intra_port(r, (r + step) % 4), acc);
-                let got = ctx.recv(d.intra_port(r, (r + 4 - step) % 4)).await;
-                acc = acc.wrapping_mul(31).wrapping_add(got);
-            }
-            acc
-        });
-        assert_eq!(one, async_door);
+        // The same rotation computed sequentially, round by round.
+        let m = u64::from(d.m());
+        let mut expect: Vec<u64> = (0..d.num_nodes() as u64).collect();
+        for round in 1..m {
+            expect = (0..d.num_nodes() as u64)
+                .map(|x| {
+                    let (g, r) = d.coords(x);
+                    let from = d.node_at(g, (r + m - round) % m);
+                    expect[x as usize].wrapping_mul(31).wrapping_add(expect[from as usize])
+                })
+                .collect();
+        }
+        assert_eq!(one, expect);
         for workers in [2usize, 5] {
             assert_eq!(run(workers).0, one, "workers={workers}");
         }
+    }
+
+    /// In one round every node sends its id over every wired port and
+    /// takes one message from each.
+    struct NeighborIds(SwappedDragonfly);
+
+    impl NeighborIds {
+        fn wired(&self, id: NodeId) -> impl Iterator<Item = u32> + '_ {
+            (0..self.0.ports()).filter(move |&p| self.0.neighbor(id.bits(), p).is_some())
+        }
+    }
+
+    impl RoundProgram<u64> for NeighborIds {
+        type State = Vec<u64>;
+        type Out = Vec<u64>;
+        fn rounds(&self) -> u32 {
+            1
+        }
+        fn init(&self, _id: NodeId) -> Vec<u64> {
+            Vec::new()
+        }
+        fn send(&self, _round: u32, id: NodeId, _: &mut Vec<u64>, out: &mut Outbox<'_, u64>) {
+            self.wired(id).for_each(|p| out.send(p, id.bits()));
+        }
+        fn recv(&self, _: u32, id: NodeId, got: &mut Vec<u64>, inbox: &mut RoundInbox<'_, u64>) {
+            got.extend(self.wired(id).map(|p| inbox.take(p).expect("every wired port sent")));
+        }
+        fn finish(&self, _id: NodeId, got: Vec<u64>) -> Vec<u64> {
+            got
+        }
+    }
+
+    #[test]
+    fn dragonfly_neighbor_sweep_delivers_on_reverse_ports() {
+        // A take on port p must yield exactly neighbor(me, p)'s id, the
+        // global links' swap included.
+        let d = SwappedDragonfly::new(2, 3);
+        let (results, stats) = run_rounds_on(d.into(), &NeighborIds(d));
+        let mut links = 0u64;
+        for x in 0..d.num_nodes() as u64 {
+            let expect: Vec<u64> = (0..d.ports()).filter_map(|p| d.neighbor(x, p)).collect();
+            links += expect.len() as u64;
+            assert_eq!(results[x as usize], expect, "node {x}");
+        }
+        assert_eq!(stats.messages, links, "one message per wired directed link");
+    }
+
+    /// Node 0 sends on port 1, which is unwired on a D3(2,2).
+    struct SendOnPortOne;
+
+    impl RoundProgram<u64> for SendOnPortOne {
+        type State = ();
+        type Out = ();
+        fn rounds(&self) -> u32 {
+            1
+        }
+        fn init(&self, _id: NodeId) {}
+        fn send(&self, _round: u32, id: NodeId, _: &mut (), out: &mut Outbox<'_, u64>) {
+            if id.bits() == 0 {
+                out.send(1, 7);
+            }
+        }
+        fn recv(&self, _round: u32, _id: NodeId, _: &mut (), _: &mut RoundInbox<'_, u64>) {}
+        fn finish(&self, _id: NodeId, _: ()) {}
+    }
+
+    #[test]
+    fn unwired_port_panics_with_a_link_diagnostic() {
+        // Port 1 of node (0, 0) is group 0's swap fixed point on a
+        // D3(2,2): unwired, so a send must fail loudly, not deadlock.
+        let caught = std::panic::catch_unwind(|| {
+            run_rounds_on(SwappedDragonfly::new(2, 2).into(), &SendOnPortOne)
+        });
+        let payload = caught.unwrap_err();
+        let msg = payload
+            .downcast_ref::<String>()
+            .cloned()
+            .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+            .expect("a string panic payload");
+        assert!(msg.contains("send on port 1 of node 0"), "{msg}");
+        assert!(msg.contains("no such link on the D3(2,2)"), "{msg}");
     }
 
     /// Node 0 sends `a`, `b` on dim 0 in round 0 and `c` in round 1;

@@ -1,12 +1,13 @@
 //! Virtual-node SPMD execution: many cube nodes per worker thread.
 //!
-//! This module holds the async door ([`run_spmd`] / [`run_spmd_on`]
-//! and the [`NodeCtx`] its programs run against) and what both doors
-//! share: the pool size ([`num_workers`], [`with_workers`]), the stall
-//! timeout ([`with_stall_timeout`]), the size refusals, the link
-//! diagnostic, the join-every-worker loop and [`RunStats`]. Both doors
-//! run on the one worker loop of [`crate::rounds`]; the home ranges
-//! and the per-node inbox are in `sched`.
+//! This module holds the async door ([`run_spmd`] and the [`NodeCtx`]
+//! its programs run against) and what both doors share: the pool size
+//! ([`num_workers`], [`with_workers`]), the stall timeout
+//! ([`with_stall_timeout`]), the size refusals, the link diagnostic, the
+//! join-every-worker loop and [`RunStats`]. Both doors run on the one
+//! worker loop of [`crate::rounds`]; the home ranges and the per-node
+//! inbox are in `sched`. The async door runs on the cube only; a program
+//! for another topology is a round program on [`crate::run_rounds_on`].
 //!
 //! Node programs are written as `async` blocks against [`NodeCtx`]:
 //! `send` is immediate (links are buffered), `recv` *suspends* the node
@@ -21,21 +22,17 @@
 //! # Sweeps
 //!
 //! A worker polls its ready nodes until none is left — every home node
-//! has finished, or waits on a port or at the barrier — and then trades
-//! one batch with every other worker: a *sweep*. Each batch is headed
-//! by the sender's cross-worker sends in the sweep, its unfinished node
-//! count and its barrier arrivals. Summed, the headers are the same on
-//! every worker, so every worker takes the same decision at the same
-//! sweep boundary:
+//! has finished or waits on a port — and then trades one batch with
+//! every other worker: a *sweep*. Each batch is headed by the sender's
+//! cross-worker sends in the sweep and its unfinished node count.
+//! Summed, the headers are the same on every worker, so every worker
+//! takes the same decision at the same sweep boundary:
 //!
 //! * **finished** — no node is unfinished;
-//! * **barrier released** — the arrivals reach the node count: every
-//!   waiter runs in the next sweep, after every message sent before the
-//!   barrier has been delivered;
 //! * **deadlock** — nothing crossed between workers and nodes are still
-//!   unfinished: every one of them waits for something nobody can send,
+//!   unfinished: every one of them waits for a message nobody can send,
 //!   so the run panics with a report naming each waiting node and its
-//!   port or barrier, at the sweep where nothing moved;
+//!   port, at the sweep where nothing moved;
 //! * otherwise the next sweep.
 //!
 //! The former thread-per-node runtime survives as [`crate::reference`]
@@ -160,17 +157,15 @@ pub(crate) fn parse_stall_timeout(var: &str, raw: &str) -> Duration {
 
 /// Aggregate statistics of one SPMD run.
 ///
-/// `messages` and `barriers` are deterministic (scheduling-independent);
-/// `peak_live`, `parks` and `wakes` depend on timing and worker count.
-/// The field docs describe [`run_spmd`]; on the round door no node
-/// parks and every node state is live from start to end — see
+/// `messages` is deterministic (scheduling-independent); `peak_live`,
+/// `parks` and `wakes` depend on timing and worker count. The field
+/// docs describe [`run_spmd`]; on the round door no node parks and
+/// every node state is live from start to end — see
 /// [`crate::run_rounds`].
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct RunStats {
     /// Total messages sent over all links.
     pub messages: u64,
-    /// Barrier episodes released.
-    pub barriers: u64,
     /// Size of the worker pool that executed the run.
     pub workers: usize,
     /// High-water mark of simultaneously live (spawned, unfinished)
@@ -184,11 +179,11 @@ pub struct RunStats {
     /// counts them all.
     pub peak_live: u32,
     /// Times a virtual node parked (a `recv` with nothing pending on
-    /// its port, or a barrier arrival), plus times a worker blocked on
-    /// its mailbox waiting for a batch.
+    /// its port), plus times a worker blocked on its mailbox waiting
+    /// for a batch.
     pub parks: u64,
-    /// Times a parked node was made runnable by a delivery on its port
-    /// or a barrier release, plus times a blocked worker was released.
+    /// Times a parked node was made runnable by a delivery on its port,
+    /// plus times a blocked worker was released.
     pub wakes: u64,
     /// Always `workers` zeros: a node runs on its home worker from its
     /// first poll to its last, so nothing is ever stolen. The field
@@ -209,8 +204,8 @@ pub(crate) fn wired_neighbor(topo: &TopoSpec, id: NodeId, port: u32, what: &str)
 
 /// A worker's side of an async run, shared with its node contexts
 /// through an `Rc`. `own` is borrowed inside a context's `send` /
-/// `recv` / barrier poll and by the worker between polls, never across
-/// a poll, so the borrows cannot overlap.
+/// `recv` poll and by the worker between polls, never across a poll,
+/// so the borrows cannot overlap.
 struct Host<T> {
     topo: TopoSpec,
     /// First node id of the home range.
@@ -222,10 +217,6 @@ struct Host<T> {
 /// the home range.
 struct Own<T> {
     lane: Lane<T>,
-    /// Home nodes waiting at the barrier.
-    waiters: Vec<u32>,
-    /// Barrier episodes released so far.
-    barriers: u64,
     /// Set by a context future that returns `Pending`, taken by the
     /// worker after every poll: a node that suspends without it awaited
     /// something foreign.
@@ -246,35 +237,14 @@ impl<T> Own<T> {
         }
         got
     }
-
-    /// One poll of home node `at`'s barrier wait; `joined` is the
-    /// episode it arrived in, once it has. Returns whether it may pass.
-    fn barrier(&mut self, at: usize, joined: &mut Option<u64>) -> bool {
-        match *joined {
-            Some(episode) if self.barriers > episode => return true,
-            Some(_) => {}
-            None => {
-                *joined = Some(self.barriers);
-                self.waiters.push(at as u32);
-                self.lane.parks += 1;
-            }
-        }
-        self.suspended = true;
-        false
-    }
 }
 
 /// The per-node handle a node program runs against: its identity plus
-/// its communication ports. Obtained from [`run_spmd`] /
-/// [`run_spmd_on`]; `recv`, `exchange`, `barrier` and `all_reduce` are
-/// `async` and suspend the virtual node, never an OS thread. It is
-/// `!Send`: a node never leaves the worker that spawned it.
-///
-/// On a hypercube a port *is* a cube dimension and every port is wired;
-/// on other topologies (e.g. the Swapped Dragonfly) ports are the
-/// [`cubetopo::Topology`] port numbering and some may be unwired —
-/// sending or receiving on an unwired port panics immediately rather
-/// than deadlocking.
+/// its `n` communication ports, one per cube dimension. Obtained from
+/// [`run_spmd`]; `recv` and `exchange` are `async` and suspend the
+/// virtual node, never an OS thread. It is `!Send`: a node never leaves
+/// the worker that spawned it. Sending or receiving on a dimension the
+/// cube does not have panics immediately rather than deadlocking.
 pub struct NodeCtx<T> {
     id: NodeId,
     /// The worker this node lives on.
@@ -292,52 +262,37 @@ impl<T> NodeCtx<T> {
         self.id
     }
 
-    /// The cube dimension `n` — an alias of [`NodeCtx::ports`], kept
-    /// for the hypercube node programs the paper is written in.
+    /// The cube dimension `n`.
     pub fn n(&self) -> u32 {
-        self.ports()
-    }
-
-    /// Number of communication ports per node (`n` on the cube).
-    pub fn ports(&self) -> u32 {
         self.host.topo.ports()
     }
 
-    /// The topology this run executes on.
-    pub fn topology(&self) -> TopoSpec {
-        self.host.topo
-    }
-
-    /// Number of nodes in the ensemble (`2^n` on the cube).
+    /// Number of nodes in the ensemble, `2^n`.
     pub fn num_nodes(&self) -> usize {
         self.host.topo.num_nodes()
     }
 
-    /// The neighbor across `port`, panicking with a link diagnostic if
-    /// the port is out of range or unwired on this topology.
+    /// The neighbor across dimension `dim`, panicking with a link
+    /// diagnostic if the cube has no such dimension.
     #[track_caller]
-    fn wired_neighbor(&self, port: u32, what: &str) -> u64 {
-        wired_neighbor(&self.host.topo, self.id, port, what)
+    fn wired_neighbor(&self, dim: u32, what: &str) -> u64 {
+        wired_neighbor(&self.host.topo, self.id, dim, what)
     }
 
-    /// Sends `msg` to the neighbor across port `dim` (immediate; links
-    /// are buffered). A neighbor parked on this link becomes runnable —
-    /// next in line if it lives on this worker, after this sweep if it
-    /// lives on another; a neighbor parked on another link is left
-    /// alone.
+    /// Sends `msg` to the neighbor across dimension `dim` (immediate;
+    /// links are buffered). A neighbor parked on this link becomes
+    /// runnable — next in line if it lives on this worker, after this
+    /// sweep if it lives on another; a neighbor parked on another link
+    /// is left alone.
     #[track_caller]
     pub fn send(&self, dim: u32, msg: T) {
         let peer = self.wired_neighbor(dim, "send");
-        let back = self
-            .host
-            .topo
-            .reverse_port(self.id.bits(), dim)
-            .expect("a wired link has a reverse port");
-        self.host.own.borrow_mut().lane.send(peer as usize, back, msg);
+        // On the cube a link joins the same dimension at both ends.
+        self.host.own.borrow_mut().lane.send(peer as usize, dim, msg);
     }
 
-    /// Receives the next message from the neighbor across port `dim`,
-    /// suspending this virtual node until it arrives.
+    /// Receives the next message from the neighbor across dimension
+    /// `dim`, suspending this virtual node until it arrives.
     ///
     /// # Panics
     /// The run panics if its node programs deadlock — at the first
@@ -349,58 +304,13 @@ impl<T> NodeCtx<T> {
         Recv { ctx: self, dim }
     }
 
-    /// Bidirectional exchange across the link at port `dim`: sends
-    /// `msg` and returns the neighbor's message (full-duplex links —
-    /// one exchange costs one send on the paper's machines). The
-    /// neighbor must exchange on its own port of the same link.
+    /// Bidirectional exchange across dimension `dim`: sends `msg` and
+    /// returns the neighbor's message (full-duplex links — one exchange
+    /// costs one send on the paper's machines). The neighbor must
+    /// exchange across the same dimension.
     pub async fn exchange(&self, dim: u32, msg: T) -> T {
         self.send(dim, msg);
         self.recv(dim).await
-    }
-
-    /// Global barrier over all nodes.
-    pub fn barrier(&self) -> BarrierWait<'_, T> {
-        BarrierWait { ctx: self, joined: None }
-    }
-}
-
-impl<T: Clone> NodeCtx<T> {
-    /// All-reduce by dimension scan: every node contributes `value`;
-    /// after `n` exchange steps every node holds the fold of all `2^n`
-    /// contributions (`combine` must be associative and commutative).
-    ///
-    /// This is the classic hypercube reduction the paper's machines used
-    /// for global sums and synchronization predicates.
-    ///
-    /// Per dimension the upper node of each link pair moves its partial
-    /// down (by value), the lower node folds the pair once and sends one
-    /// copy of the result back, and the upper node swaps that in as its
-    /// new accumulator. One clone and one `combine` per link per step —
-    /// the minimum for owned channels — instead of a clone and a fold on
-    /// both ends.
-    ///
-    /// # Panics
-    /// If the run is not on a hypercube — the scan pairs nodes by
-    /// address bits, which only the cube's wiring satisfies.
-    pub async fn all_reduce(&self, value: T, mut combine: impl FnMut(T, T) -> T) -> T {
-        let topo = self.host.topo;
-        assert!(
-            topo.is_hypercube(),
-            "all_reduce is a hypercube dimension scan; the {} has no such pairing",
-            topo.label()
-        );
-        let mut acc = value;
-        for d in 0..self.n() {
-            if (self.id.0 >> d) & 1 == 0 {
-                let theirs = self.recv(d).await;
-                acc = combine(acc, theirs);
-                self.send(d, acc.clone());
-            } else {
-                self.send(d, acc);
-                acc = self.recv(d).await;
-            }
-        }
-        acc
     }
 }
 
@@ -425,29 +335,6 @@ impl<T> Future for Recv<'_, T> {
     }
 }
 
-/// Future of [`NodeCtx::barrier`]: arrives once, then waits for the
-/// sweep boundary at which every node has arrived.
-#[must_use = "barrier does nothing until awaited"]
-pub struct BarrierWait<'a, T> {
-    ctx: &'a NodeCtx<T>,
-    /// The episode this node arrived in, once registered.
-    joined: Option<u64>,
-}
-
-impl<T> Future for BarrierWait<'_, T> {
-    type Output = ();
-
-    fn poll(self: Pin<&mut Self>, _cx: &mut Context<'_>) -> Poll<()> {
-        let this = self.get_mut();
-        let ctx = this.ctx;
-        if ctx.host.own.borrow_mut().barrier(ctx.at(), &mut this.joined) {
-            Poll::Ready(())
-        } else {
-            Poll::Pending
-        }
-    }
-}
-
 /// The async door's worker: polls the node programs of `lane`'s home
 /// range sweep by sweep until the headers of every worker say the run
 /// is finished or deadlocked (see the module docs).
@@ -462,8 +349,7 @@ where
         // nobody waits for it.
         return Part::of(&lane, Vec::new());
     }
-    let num = lane.topo.num_nodes() as u64;
-    let own = Own { lane, waiters: Vec::new(), barriers: 0, suspended: false };
+    let own = Own { lane, suspended: false };
     let host = Rc::new(Host { topo: own.lane.topo, start: start as u64, own: RefCell::new(own) });
     let mut futs: Vec<Option<Pin<Box<Fut>>>> = (0..len).map(|_| None).collect();
     let mut results: Vec<Option<R>> = (0..len).map(|_| None).collect();
@@ -483,8 +369,8 @@ where
             };
             let fut = match &mut futs[at] {
                 Some(fut) => fut,
-                // Finished, yet woken by a late delivery: it once awaited
-                // a `recv` and the barrier at the same time.
+                // Finished, yet woken by a late delivery: it polled a
+                // `recv` and finished without awaiting it.
                 None if results[at].is_some() => continue,
                 slot => {
                     live += 1;
@@ -503,8 +389,7 @@ where
                     let suspended = std::mem::take(&mut host.own.borrow_mut().suspended);
                     assert!(
                         suspended,
-                        "node {} suspended on a foreign future; only NodeCtx recv/barrier may \
-                         suspend",
+                        "node {} suspended on a foreign future; only NodeCtx::recv may suspend",
                         start + at
                     );
                 }
@@ -513,9 +398,7 @@ where
         // Trade batches, then decide from everybody's header.
         let mut own = host.own.borrow_mut();
         let own = &mut *own;
-        let head =
-            Header { unfinished: live, arrived: own.waiters.len() as u64, ..Header::default() };
-        let head = pool.post(me, &mut own.lane, sweep, head);
+        let head = pool.post(me, &mut own.lane, sweep, Header { unfinished: live, sent: 0 });
         let Some(others) = pool.collect(me, &mut own.lane, sweep) else {
             return Part::of(&own.lane, Vec::new());
         };
@@ -524,48 +407,39 @@ where
         peak = peak.max(all.unfinished);
         if all.unfinished == 0 {
             let results = results.into_iter().map(|r| r.expect("every program finished")).collect();
-            return Part {
-                barriers: own.barriers,
-                peak_live: peak,
-                ..Part::of(&own.lane, results)
-            };
+            return Part { peak_live: peak, ..Part::of(&own.lane, results) };
         }
-        if all.arrived == num {
-            own.barriers += 1;
-            own.lane.wakes += own.waiters.len() as u64;
-            own.lane.ready.extend(own.waiters.drain(..));
-        } else if all.sent == 0 {
+        if all.sent == 0 {
             let stuck = (0..len)
                 .filter(|&at| futs[at].is_some())
-                .map(|at| (start + at, own.lane.inboxes[at].parked))
+                .map(|at| {
+                    let port = own.lane.inboxes[at].parked;
+                    (start + at, port.expect("a waiting node is parked on a port"))
+                })
                 .collect();
-            return Part { barriers: own.barriers, stuck, ..Part::of(&own.lane, Vec::new()) };
+            return Part { stuck, ..Part::of(&own.lane, Vec::new()) };
         }
         sweep = sweep.wrapping_add(1);
     }
 }
 
 /// The deadlock diagnostic: how far the run got, and which nodes wait
-/// on which dim or barrier episode (the first few, then a count).
-fn deadlock_report(num: usize, barriers: u64, stuck: &[(usize, Option<u32>)]) -> String {
+/// on which dim (the first few, then a count).
+fn deadlock_report(num: usize, stuck: &[(usize, u32)]) -> String {
     use std::fmt::Write;
     let mut detail = String::new();
-    for (k, &(x, port)) in stuck.iter().take(12).enumerate() {
+    for (k, &(x, dim)) in stuck.iter().take(12).enumerate() {
         if k > 0 {
             detail.push_str(", ");
         }
-        let _ = match port {
-            Some(dim) => write!(detail, "node {x} on dim {dim}"),
-            None => write!(detail, "node {x} on barrier #{barriers}"),
-        };
+        let _ = write!(detail, "node {x} on dim {dim}");
     }
     if stuck.len() > 12 {
         let _ = write!(detail, ", … ({} more)", stuck.len() - 12);
     }
     format!(
-        "SPMD scheduler stalled: a sweep moved no message between workers and released no \
-         barrier ({}/{num} node programs completed, {} waiting: {detail}) — deadlocked node \
-         program?",
+        "SPMD scheduler stalled: a sweep moved no message between workers ({}/{num} node \
+         programs completed, {} waiting: {detail}) — deadlocked node program?",
         num - stuck.len(),
         stuck.len()
     )
@@ -598,33 +472,12 @@ where
     F: Fn(NodeCtx<T>) -> Fut + Sync,
     Fut: Future<Output = R>,
 {
-    run_spmd_on(cube(n), program)
-}
-
-/// Runs `program` on every node of an arbitrary [`TopoSpec`] topology —
-/// the graph-generic twin of [`run_spmd`], which is exactly
-/// `run_spmd_on(TopoSpec::hypercube(n), …)`.
-///
-/// Port numbering follows the topology's [`cubetopo::Topology`]
-/// contract: `ctx.send(p, …)` crosses the link at port `p`, and the
-/// message arrives at the neighbor's *reverse* port, so `ctx.recv(q)`
-/// receives what the neighbor across port `q` sent. Sends and receives
-/// on unwired ports (the Swapped Dragonfly's fixed-point gateway ports)
-/// panic with a link diagnostic instead of deadlocking. Everything else
-/// — the sweeps, determinism at any worker count, the deadlock report —
-/// is shared with the cube entry point.
-pub fn run_spmd_on<T, R, F, Fut>(topo: TopoSpec, program: F) -> (Vec<R>, RunStats)
-where
-    T: Send,
-    R: Send,
-    F: Fn(NodeCtx<T>) -> Fut + Sync,
-    Fut: Future<Output = R>,
-{
+    let topo = cube(n);
     let (parts, stats) =
         run_pool(topo, "async", "sweep", |pool, me, lane| node_worker(pool, me, lane, &program));
-    let stuck: Vec<(usize, Option<u32>)> = parts.iter().flat_map(|p| p.stuck.clone()).collect();
+    let stuck: Vec<(usize, u32)> = parts.iter().flat_map(|p| p.stuck.clone()).collect();
     if !stuck.is_empty() {
-        panic!("{}", deadlock_report(topo.num_nodes(), stats.barriers, &stuck));
+        panic!("{}", deadlock_report(topo.num_nodes(), &stuck));
     }
     // The home ranges are contiguous and ascending, so the parts
     // concatenate in node order.
@@ -691,7 +544,15 @@ pub(crate) fn run_workers<P: Send>(workers: usize, body: impl Fn(usize) -> P + S
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cubesync::atomic::{AtomicU64, Ordering};
+
+    /// Sums every node's `acc` by exchanging partial sums across each
+    /// dimension in turn.
+    async fn dimension_scan(ctx: &NodeCtx<u64>, mut acc: u64) -> u64 {
+        for d in 0..ctx.n() {
+            acc = acc.wrapping_add(ctx.exchange(d, acc).await);
+        }
+        acc
+    }
 
     /// Extracts the message from a caught panic payload (both literal
     /// and formatted panics appear across these tests).
@@ -723,57 +584,10 @@ mod tests {
     fn dimension_scan_accumulates_all_ids() {
         // Classic all-reduce by dimension scan: after exchanging partial
         // sums across every dimension, every node holds Σ ids.
-        let (results, _) = run_spmd(4, |ctx| async move {
-            let mut acc = ctx.id().bits();
-            for d in 0..ctx.n() {
-                acc += ctx.exchange(d, acc).await;
-            }
-            acc
-        });
+        let (results, _) =
+            run_spmd(4, |ctx| async move { dimension_scan(&ctx, ctx.id().bits()).await });
         let total: u64 = (0..16).sum();
         assert!(results.iter().all(|&r| r == total), "{results:?}");
-    }
-
-    #[test]
-    fn all_reduce_sum_and_max() {
-        let (sums, _) =
-            run_spmd(4, |ctx| async move { ctx.all_reduce(ctx.id().bits(), |a, b| a + b).await });
-        let total: u64 = (0..16).sum();
-        assert!(sums.iter().all(|&s| s == total));
-        let (maxes, _) =
-            run_spmd(3, |ctx| async move { ctx.all_reduce(ctx.id().bits(), u64::max).await });
-        assert!(maxes.iter().all(|&m| m == 7));
-    }
-
-    #[test]
-    fn all_reduce_clones_once_per_link_step() {
-        static CLONES: AtomicU64 = AtomicU64::new(0);
-        #[derive(Debug)]
-        struct Tracked(u64);
-        impl Clone for Tracked {
-            fn clone(&self) -> Self {
-                CLONES.fetch_add(1, Ordering::Relaxed);
-                Tracked(self.0)
-            }
-        }
-        let n = 3u32;
-        let (vals, _) = run_spmd(n, |ctx: NodeCtx<Tracked>| async move {
-            ctx.all_reduce(Tracked(ctx.id().bits()), |a, b| Tracked(a.0 + b.0)).await.0
-        });
-        let total: u64 = (0..8).sum();
-        assert!(vals.iter().all(|&v| v == total), "{vals:?}");
-        // One clone per link per step (the lower node copying the folded
-        // pair back), not one per node: 2^(n-1) links × n steps.
-        assert_eq!(CLONES.load(Ordering::Relaxed), (1u64 << (n - 1)) * n as u64);
-    }
-
-    #[test]
-    fn barrier_counts_episodes() {
-        let (_, stats) = run_spmd::<u64, _, _, _>(2, |ctx| async move {
-            ctx.barrier().await;
-            ctx.barrier().await;
-        });
-        assert_eq!(stats.barriers, 2);
     }
 
     #[test]
@@ -835,9 +649,7 @@ mod tests {
         let mut seen: Option<Vec<u64>> = None;
         for workers in [1usize, 2, 5] {
             let (results, stats) = with_workers(workers, || {
-                run_spmd(10, |ctx| async move {
-                    ctx.all_reduce(ctx.id().bits(), |a, b| a.wrapping_add(b)).await
-                })
+                run_spmd(10, |ctx| async move { dimension_scan(&ctx, ctx.id().bits()).await })
             });
             assert_eq!(stats.workers, workers);
             assert!(stats.peak_live >= 2, "pool should oversubscribe: {stats:?}");
@@ -875,28 +687,6 @@ mod tests {
             assert_eq!(results, expect, "workers={workers}");
             assert_eq!(stats.messages, (n as u64) << n);
         }
-    }
-
-    #[test]
-    fn two_ports_interleaved_stay_fifo_per_link() {
-        // Node 0's inbox sees a0 b0 a1 b1 in that arrival order (a
-        // barrier after each send pins it) and is read b, b, a, a.
-        let (results, _) = run_spmd(2, |ctx| async move {
-            let me = ctx.id().bits();
-            for step in 0..4u64 {
-                match (me, step % 2) {
-                    (1, 0) => ctx.send(0, 10 + step / 2), // a: across port 0
-                    (2, 1) => ctx.send(1, 20 + step / 2), // b: across port 1
-                    _ => {}
-                }
-                ctx.barrier().await;
-            }
-            if me != 0 {
-                return Vec::new();
-            }
-            vec![ctx.recv(1).await, ctx.recv(1).await, ctx.recv(0).await, ctx.recv(0).await]
-        });
-        assert_eq!(results[0], [20, 21, 10, 11]);
     }
 
     #[test]
@@ -963,7 +753,6 @@ mod tests {
                         let theirs = ctx.exchange(d, acc.get()).await;
                         acc.set(acc.get().wrapping_mul(31).wrapping_add(theirs));
                     }
-                    ctx.barrier().await;
                     acc.get()
                 })
             });
@@ -1004,17 +793,12 @@ mod tests {
     #[test]
     fn a_worker_without_nodes_is_not_waited_for() {
         // 8 nodes on 5 workers: home ranges of 2, so the fifth worker
-        // has none and must neither hold up a barrier nor the end.
+        // has none and must neither hold up a sweep nor the end.
         let (results, stats) = with_workers(5, || {
-            run_spmd(3, |ctx| async move {
-                ctx.barrier().await;
-                let sum = ctx.all_reduce(ctx.id().bits(), |a, b| a + b).await;
-                ctx.barrier().await;
-                sum
-            })
+            run_spmd(3, |ctx| async move { dimension_scan(&ctx, ctx.id().bits()).await })
         });
         assert_eq!(results, [28; 8]);
-        assert_eq!((stats.workers, stats.barriers), (5, 2));
+        assert_eq!(stats.workers, 5);
     }
 
     #[test]
@@ -1030,10 +814,23 @@ mod tests {
         let start = std::time::Instant::now();
         let (results, _) = run_spmd(2, |ctx| async move {
             let me = ctx.id().bits();
-            if me == 1 {
-                (0..BACKLOG).for_each(|i| ctx.send(0, i));
+            // Node 1 sends the backlog, then a token that reaches node 2
+            // by way of node 3: every exchange node 2 answers arrives
+            // behind the backlog in node 0's inbox.
+            match me {
+                1 => {
+                    (0..BACKLOG).for_each(|i| ctx.send(0, i));
+                    ctx.send(1, 0);
+                }
+                2 => {
+                    ctx.recv(0).await;
+                }
+                3 => {
+                    let token = ctx.recv(1).await;
+                    ctx.send(0, token);
+                }
+                _ => {}
             }
-            ctx.barrier().await; // the backlog is in node 0's inbox
             let mut sum = 0u64;
             if me == 0 || me == 2 {
                 for i in 0..ROUNDS {
@@ -1108,123 +905,19 @@ mod tests {
     }
 
     #[test]
-    fn dragonfly_neighbor_sweep_delivers_on_reverse_ports() {
-        // Every Dragonfly node sends its id over every wired port; a
-        // recv on port p must yield exactly neighbor(me, p)'s id — the
-        // slab indexing and reverse-port resolution in one sweep.
-        use cubetopo::SwappedDragonfly;
-        let d = SwappedDragonfly::new(2, 3);
-        let (results, stats) = run_spmd_on(TopoSpec::dragonfly(2, 3), |ctx| async move {
-            let me = ctx.id().bits();
-            let wired: Vec<u32> =
-                (0..ctx.ports()).filter(|&p| ctx.topology().neighbor(me, p).is_some()).collect();
-            for &p in &wired {
-                ctx.send(p, me);
-            }
-            let mut got = Vec::new();
-            for &p in &wired {
-                got.push(ctx.recv(p).await);
-            }
-            got
-        });
-        let mut links = 0u64;
-        for x in 0..d.num_nodes() as u64 {
-            let expect: Vec<u64> = (0..d.ports()).filter_map(|p| d.neighbor(x, p)).collect();
-            links += expect.len() as u64;
-            assert_eq!(results[x as usize], expect, "node {x}");
-        }
-        assert_eq!(stats.messages, links, "one message per wired directed link");
-    }
-
-    #[test]
-    fn dragonfly_gateway_relay_crosses_groups() {
-        // Group 0's router 1 is the gateway toward group 2 on a
-        // D3(2,3): node (0,0) hands a token to it over the intra link,
-        // the gateway forwards it over its global port, and the arrival
-        // router reports what landed — a minimal local-global hop chain
-        // through ports the cube runtime never had.
-        use cubetopo::SwappedDragonfly;
-        let d = SwappedDragonfly::new(2, 3);
-        let src = d.node_at(0, 0);
-        let gw_router = d.gateway_router(2);
-        let gw = d.node_at(0, gw_router);
-        let to_gw = d.intra_port(0, gw_router);
-        let global = d.global_port_to(gw_router, 2).expect("gateway port is wired");
-        // Crossing from group 0, the swap lands on router 0/K = 0.
-        let arrival = d.node_at(2, 0);
-        let back = d.reverse_port(gw, global).expect("wired link");
-        let (results, _) = run_spmd_on(TopoSpec::dragonfly(2, 3), move |ctx| async move {
-            let me = ctx.id().bits();
-            if me == src {
-                ctx.send(to_gw, 99u64);
-            } else if me == gw {
-                let t = ctx.recv(d.reverse_port(src, to_gw).unwrap()).await;
-                ctx.send(global, t);
-            } else if me == arrival {
-                return Some(ctx.recv(back).await);
-            }
-            None
-        });
-        for (x, r) in results.iter().enumerate() {
-            assert_eq!(*r, (x as u64 == arrival).then_some(99), "node {x}");
-        }
-    }
-
-    #[test]
-    fn dragonfly_runs_identically_at_any_worker_count() {
-        let mut seen: Option<Vec<u64>> = None;
-        for workers in [1usize, 2, 5] {
-            let (results, stats) = with_workers(workers, || {
-                run_spmd_on(TopoSpec::dragonfly(2, 4), |ctx| async move {
-                    // Each router rotates its partial around the intra
-                    // clique, folding whatever arrives each step.
-                    let d = cubetopo::SwappedDragonfly::new(2, 4);
-                    let (_, r) = d.coords(ctx.id().bits());
-                    let mut acc = ctx.id().bits();
-                    for step in 1..4u64 {
-                        let to = (r + step) % 4;
-                        let from = (r + 4 - step) % 4;
-                        ctx.send(d.intra_port(r, to), acc);
-                        acc = acc.wrapping_add(ctx.recv(d.intra_port(r, from)).await);
-                    }
-                    ctx.barrier().await;
-                    acc
-                })
-            });
-            assert_eq!(stats.workers, workers);
-            assert_eq!(stats.barriers, 1);
-            match &seen {
-                None => seen = Some(results),
-                Some(first) => assert_eq!(&results, first, "workers={workers}"),
-            }
-        }
-    }
-
-    #[test]
-    fn unwired_port_panics_with_a_link_diagnostic() {
-        // Port 1 of node (0, 0) is group 0's swap fixed point on a
-        // D3(2,2): unwired, so a send must fail loudly, not deadlock.
+    fn a_dimension_beyond_the_cube_panics_with_a_link_diagnostic() {
+        // A 2-cube has no dimension 2: the send must fail loudly, not
+        // deadlock the node waiting for an answer.
         let caught = std::panic::catch_unwind(|| {
-            run_spmd_on(TopoSpec::dragonfly(2, 2), |ctx| async move {
+            run_spmd(2, |ctx| async move {
                 if ctx.id().bits() == 0 {
-                    ctx.send(1, 7u64);
+                    ctx.send(2, 7u64);
                 }
             })
         });
         let msg = panic_message(caught.unwrap_err());
-        assert!(msg.contains("send on port 1 of node 0"), "{msg}");
-        assert!(msg.contains("no such link on the D3(2,2)"), "{msg}");
-    }
-
-    #[test]
-    fn all_reduce_rejects_non_hypercubes() {
-        let caught = std::panic::catch_unwind(|| {
-            run_spmd_on(TopoSpec::dragonfly(2, 2), |ctx| async move {
-                ctx.all_reduce(ctx.id().bits(), |a, b| a + b).await
-            })
-        });
-        let msg = panic_message(caught.unwrap_err());
-        assert!(msg.contains("hypercube dimension scan"), "{msg}");
+        assert!(msg.contains("send on port 2 of node 0"), "{msg}");
+        assert!(msg.contains("no such link on the 2-cube"), "{msg}");
     }
 
     const STALL_VAR: &str = "CUBERUN_STALL_TIMEOUT_MS";

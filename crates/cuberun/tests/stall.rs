@@ -1,7 +1,7 @@
 //! End-to-end deadlock coverage: a deliberately deadlocked node program
 //! must be *reported*, not hung on — and the report must name the
-//! waiting nodes and what they wait on (a dim, or the barrier), because
-//! that is the part a user debugging a real deadlock reads first.
+//! waiting nodes and the dim each waits on, because that is the part a
+//! user debugging a real deadlock reads first.
 //!
 //! Every case runs under a stall timeout of 20 s and must be reported
 //! in under half of it: a deadlock is decided at the sweep where
@@ -84,25 +84,5 @@ fn half_completed_run_names_only_the_stuck_node() {
         assert!(msg.contains("1/2 node programs completed"), "{msg}");
         assert!(msg.contains("node 0 on dim 0"), "{msg}");
         assert!(!msg.contains("node 1 on dim"), "{msg}");
-    }
-}
-
-/// Node 5 of a 3-cube returns without arriving at the barrier the other
-/// seven wait at, so the barrier can never be released. The report must
-/// name the seven waiters "on barrier" and leave node 5 out.
-#[test]
-fn a_node_that_skips_the_barrier_is_reported() {
-    let program = |ctx: NodeCtx<u64>| async move {
-        if ctx.id().bits() != 5 {
-            ctx.barrier().await;
-        }
-        0
-    };
-    for workers in [1, 2, 5] {
-        let msg = report(workers, 3, program);
-        assert!(msg.contains("1/8 node programs completed, 7 waiting"), "{msg}");
-        assert!(msg.contains("node 0 on barrier"), "{msg}");
-        assert!(msg.contains("node 7 on barrier"), "{msg}");
-        assert!(!msg.contains("node 5 on"), "{msg}");
     }
 }

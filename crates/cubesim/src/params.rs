@@ -125,15 +125,6 @@ impl MachineParams {
         }
     }
 
-    /// Cost of moving `elems` elements across one link in one round.
-    #[inline]
-    pub fn link_cost(&self, elems: usize) -> f64 {
-        if elems == 0 {
-            return 0.0;
-        }
-        self.packets(elems) as f64 * self.tau + elems as f64 * self.t_c
-    }
-
     /// The block size beyond which sending without buffering beats copying
     /// into a buffer: `B_copy = τ / t_copy` elements (paper §8.1: "the
     /// copy of 64 single-precision floating-point numbers takes
@@ -171,21 +162,6 @@ mod tests {
     fn pipelined_never_fragments() {
         let m = MachineParams::connection_machine();
         assert_eq!(m.packets(1 << 20), 1);
-    }
-
-    #[test]
-    fn link_cost_formula() {
-        let m = MachineParams::intel_ipsc();
-        let s = 300;
-        let expect = 2.0 * 5e-3 + 300.0 * 4e-6;
-        assert!((m.link_cost(s) - expect).abs() < 1e-12);
-        assert_eq!(m.link_cost(0), 0.0);
-    }
-
-    #[test]
-    fn unit_model_counts() {
-        let m = MachineParams::unit(PortMode::OnePort);
-        assert_eq!(m.link_cost(10), 11.0); // 1 start-up + 10 elements.
     }
 
     #[test]

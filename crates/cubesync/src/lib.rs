@@ -38,9 +38,8 @@
 //!
 //! * [`sync::Arc`] — reference counting is `std`'s problem, not a
 //!   protocol under test.
-//! * [`sync::OnceLock`], [`sync::Barrier`] — used only on cold setup
-//!   paths (env-var parsing, the legacy thread-per-node reference
-//!   runtime) that the model suite never exercises.
+//! * [`sync::OnceLock`] — used only on cold setup paths (env-var
+//!   parsing) that the model suite never exercises.
 //! * [`channel`] — the crossbeam-shim MPSC channels of the legacy
 //!   reference runtime.
 //!
@@ -55,11 +54,10 @@ pub mod model;
 /// Locks, guards and shared-ownership types.
 ///
 /// `Mutex`/`Condvar`/`MutexGuard`/`WaitTimeoutResult` switch backends
-/// with `--cfg cubesync_model`; `Arc`, `OnceLock`, `Barrier`,
-/// `PoisonError` and `LockResult` are always `std`'s (see the crate
-/// docs for why).
+/// with `--cfg cubesync_model`; `Arc`, `OnceLock`, `PoisonError` and
+/// `LockResult` are always `std`'s (see the crate docs for why).
 pub mod sync {
-    pub use std::sync::{Arc, Barrier, LockResult, OnceLock, PoisonError, Weak};
+    pub use std::sync::{Arc, LockResult, OnceLock, PoisonError, Weak};
 
     #[cfg(not(cubesync_model))]
     pub use std::sync::{Condvar, Mutex, MutexGuard, WaitTimeoutResult};

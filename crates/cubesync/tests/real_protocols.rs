@@ -67,12 +67,11 @@ fn par_map_uneven_work_still_returns_input_order() {
 // ---------------------------------------------------------------------
 // cuberun's async door — sweeps over the batch mailbox: every active
 // worker polls its nodes until none is ready, posts one batch per other
-// active worker headed by its cross-worker sends, unfinished nodes and
-// barrier arrivals, and decides from the summed headers whether the run
-// is finished, the barrier released or the programs deadlocked. A
-// worker that decided differently from the others would leave them
-// waiting for its batch (a deadlock here) or end the run early (a
-// missing result).
+// active worker headed by its cross-worker sends and unfinished nodes,
+// and decides from the summed headers whether the run is finished or
+// the programs deadlocked. A worker that decided differently from the
+// others would leave them waiting for its batch (a deadlock here) or
+// end the run early (a missing result).
 // ---------------------------------------------------------------------
 
 #[test]
@@ -131,31 +130,20 @@ fn spmd_message_on_a_non_awaited_port_neither_wakes_nor_strands() {
 }
 
 #[test]
-fn spmd_barrier_and_all_reduce_on_two_nodes() {
-    let report = check_with(budget(), || {
-        cuberun::with_workers(2, || {
-            cuberun::with_stall_timeout(Duration::from_secs(3600), || {
-                let (results, _stats) = cuberun::run_spmd::<u64, u64, _, _>(1, |ctx| async move {
-                    ctx.barrier().await;
-                    ctx.all_reduce(ctx.id().bits() + 1, |a, b| a + b).await
-                });
-                results
-            })
-        })
-    });
-    assert!(report.schedules > 1);
-}
-
-#[test]
-fn spmd_barrier_and_all_reduce_with_an_empty_home_range() {
+fn spmd_dimension_scan_with_an_empty_home_range() {
     // 4 nodes on 3 workers: home ranges of 2, so worker 2 has no node.
-    // It neither posts nor is waited for, at the barrier or at the end.
+    // It neither posts nor is waited for, in any sweep or at the end.
+    // Dimension 0 stays inside the home ranges, dimension 1 crosses
+    // them.
     let report = check_with(budget(), || {
         cuberun::with_workers(3, || {
             cuberun::with_stall_timeout(Duration::from_secs(3600), || {
                 let (results, _stats) = cuberun::run_spmd::<u64, u64, _, _>(2, |ctx| async move {
-                    ctx.barrier().await;
-                    ctx.all_reduce(ctx.id().bits() + 1, |a, b| a + b).await
+                    let mut acc = ctx.id().bits() + 1;
+                    for d in 0..ctx.n() {
+                        acc += ctx.exchange(d, acc).await;
+                    }
+                    acc
                 });
                 assert_eq!(results, [10; 4]);
                 results

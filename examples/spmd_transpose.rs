@@ -36,8 +36,8 @@ fn main() {
             stats.messages
         );
         println!(
-            "        live node states {:>6}, worker parks {:>4}, wakes {:>4}, barriers {}\n",
-            stats.peak_live, stats.parks, stats.wakes, stats.barriers
+            "        live node states {:>6}, worker parks {:>4}, wakes {:>4}\n",
+            stats.peak_live, stats.parks, stats.wakes
         );
     }
 }

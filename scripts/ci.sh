@@ -169,7 +169,7 @@ fi
 begin "lint policy: cuberun has one executor (condvar waits only in rounds.rs; the cooperative scheduler stays deleted)"
 # Both doors run on the worker loop in rounds.rs, whose batch mailbox is
 # the only thing cuberun's workers share; the async door decides
-# finished / barrier / deadlock from the batches' headers. The sleeper
+# finished / deadlock from the batches' headers. The sleeper
 # condvar, the per-worker counter blocks, the drain budget and the want
 # cells of the cooperative scheduler must not come back.
 # (Bracketed so this script does not match itself.)
@@ -188,12 +188,35 @@ if [ -n "$violations" ]; then
     false
 fi
 
+begin "lint policy: the async door's barrier, all-reduce and topology entry point stay deleted"
+# The async door synchronises only through send / recv on the cube; a
+# program on another topology is a round program on run_rounds_on. The
+# applications ADI and FACR live once, in their examples, so cubeapps
+# keeps only the FFT. (Bracketed so this script does not match itself.)
+violations="$(grep -rln -E 'all_reduc[e]|BarrierWai[t]|run_spmd_o[n]' \
+    crates src tests examples 2>/dev/null || true)"
+if [ -n "$violations" ]; then
+    echo "FAIL: files mention a deleted async-door item:" >&2
+    echo "$violations" >&2
+    false
+fi
+violations="$(find crates/cubeapps/src -type f \
+    | grep -v -x -e 'crates/cubeapps/src/lib.rs' -e 'crates/cubeapps/src/cplx.rs' \
+        -e 'crates/cubeapps/src/fft.rs' || true)"
+if [ -n "$violations" ]; then
+    echo "FAIL: cubeapps holds more than the FFT:" >&2
+    echo "$violations" >&2
+    false
+fi
+
 begin "model-check: exhaustive interleaving of the real concurrency protocols (time-bounded)"
 # Rebuilds the facade's dependents against the model backend and
-# enumerates schedules of cubesim::par, cuberun's batch mailbox (seven
-# programs on the async door's sweeps, among them a cross-worker relay
-# chain only the summed headers keep alive; two on the round door),
-# and the plan cache. The bound is generous — the suite runs in seconds —
+# enumerates schedules of cubesim::par, cuberun's batch mailbox (six
+# programs on the async door's sweeps: an exchange on two workers and
+# on one, a cross-worker send to a parked receiver, a delivery on a port
+# its node is not parked on, a dimension scan with an empty home range,
+# and a cross-worker relay chain only the summed headers keep alive;
+# two on the round door), and the plan cache. The bound is generous — the suite runs in seconds —
 # and exists to turn an exploration blow-up into a failure, not a hang.
 timeout 300 env RUSTFLAGS="--cfg cubesync_model" \
     cargo test -q -p cubesync --test real_protocols
@@ -274,6 +297,10 @@ timeout 300 cargo test --release -q -p cubecheck --test perf_smoke -- --ignored 
 begin "perf smoke: n=12 SPMD transpose on the virtual-node scheduler (time-bounded)"
 timeout 300 cargo test --release -q -p boolcube --test spmd_perf_smoke -- --ignored \
     n12_spmd_transpose_completes_within_bound
+
+begin "SPMD smoke: n=10 SPT transpose on the async door equals the simulator's (time-bounded)"
+timeout 300 cargo test --release -q -p boolcube --test spmd_perf_smoke -- --ignored \
+    n10_spmd_spt_matches_the_simulator
 
 begin "SPMD smoke: n=16 (65536 virtual nodes), byte-identical at 1/2/5 workers"
 timeout 300 cargo test --release -q -p boolcube --test spmd_perf_smoke -- --ignored \

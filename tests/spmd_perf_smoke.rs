@@ -1,6 +1,6 @@
 //! Time-bounded performance smokes for the virtual-node SPMD scheduler.
 //!
-//! Two gates, both ignored by default so ordinary debug test runs stay
+//! Three gates, all ignored by default so ordinary debug test runs stay
 //! fast; `scripts/ci.sh` runs them in release mode with `--ignored`:
 //!
 //! * `n12_spmd_transpose_completes_within_bound` — the full n = 12
@@ -11,10 +11,16 @@
 //!   scale: a complete transpose across 65 536 virtual nodes, run on 1,
 //!   2 and 5 workers, with byte-identical results at every pool size and
 //!   every context provably live at once.
+//! * `n10_spmd_spt_matches_the_simulator` — the async door's SPT
+//!   transpose on 1024 virtual nodes equals the simulator's; CI's
+//!   timeout catches a schedule rebuilt per node and step, whose work
+//!   grows with the square of the node count.
 
 use boolcube::layout::{Assignment, Encoding, Layout};
 use boolcube::run::with_workers;
-use boolcube::transpose::spmd::spmd_transpose_exchange;
+use boolcube::sim::{MachineParams, PortMode, SimNet};
+use boolcube::transpose::spmd::{spmd_transpose_exchange, spmd_transpose_spt};
+use boolcube::transpose::two_dim::transpose_spt;
 use boolcube::transpose::verify::{assert_transposed, labels};
 use std::time::{Duration, Instant};
 
@@ -73,4 +79,18 @@ fn n16_virtual_nodes_full_transpose() {
     // transposed coordinate), matching the simulator semantics the n=12
     // stress test cross-checks directly.
     assert_transposed(&before, &runs[0].1);
+}
+
+#[test]
+#[ignore = "perf smoke; run in release via scripts/ci.sh"]
+fn n10_spmd_spt_matches_the_simulator() {
+    // 2^6 x 2^6 matrix on a 10-cube: 1024 virtual nodes, four elements
+    // each, every off-diagonal array relayed along its SPT path.
+    let before = Layout::square(6, 6, 5, Assignment::Consecutive, Encoding::Binary);
+    let after = before.swapped_shape();
+    let m = labels(before.clone());
+    let (out, _) = spmd_transpose_spt(&m, &after);
+    let mut net = SimNet::new(10, MachineParams::unit(PortMode::AllPorts));
+    assert_eq!(out, transpose_spt(&m, &after, &mut net, before.elems_per_node()));
+    assert_transposed(&before, &out);
 }

@@ -30,18 +30,22 @@ fn sixty_four_nodes_repeated_transposes() {
 }
 
 /// Collectives compose within one node program: broadcast a seed, local
-/// work, all-reduce the checksum.
+/// work, then sum the checksum by exchanging partial sums across every
+/// dimension.
 #[test]
 fn collective_composition_under_contention() {
     for _ in 0..10 {
         let (results, _) = run_spmd(5, |ctx| async move {
             let seed = broadcast(&ctx, NodeId(7), (ctx.id().bits() == 7).then_some(13u64)).await;
-            // The channel type is Option<u64>, so the reduction runs on it.
-            let local = Some(seed * ctx.id().bits());
-            ctx.all_reduce(local, |a, b| Some(a.unwrap_or(0).wrapping_add(b.unwrap_or(0)))).await
+            // The channel type is Option<u64>, so the scan runs on it.
+            let mut sum = seed * ctx.id().bits();
+            for d in 0..ctx.n() {
+                sum += ctx.exchange(d, Some(sum)).await.expect("a partial sum");
+            }
+            sum
         });
         let want: u64 = (0..32u64).map(|x| 13 * x).sum();
-        assert!(results.iter().all(|r| *r == Some(want)));
+        assert!(results.iter().all(|&r| r == want));
     }
 }
 

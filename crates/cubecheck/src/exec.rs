@@ -1,57 +1,242 @@
-//! A schedule executor: replays a [`CommSchedule`] on a [`SimNet`] of
-//! its own topology, payload-free.
+//! The schedule executor: folds a [`CommSchedule`] into the
+//! [`CommReport`] a run of it produces, without running it.
 //!
-//! [`run_schedule`] drives the net round by round exactly as the
-//! schedule dictates — every planned message becomes one send of a
-//! size-only payload, every planned copy a [`SimNet::local_copy`]
-//! charge — and returns the [`CommReport`] with link recording enabled.
-//! The net dynamically enforces what it always enforces (real wired
-//! links, port discipline, nonempty messages), so replaying a schedule
-//! is itself a check; feeding the report to
-//! [`crate::crossval::cross_validate`] against the schedule's own
-//! lowering then closes the loop. The Dragonfly planner family, which
-//! has no payload engine, is validated this way. The cube engines run
-//! their plans with real blocks through [`cubecomm::exec::execute`],
-//! which also tracks where every block is; this replay carries sizes
-//! only, so the warm-cache path it dominates moves no payloads.
+//! The paper's §2 cost model charges each round its maxima over links,
+//! so a report is a pure function of the schedule's
+//! `(round, src, dim, elems)` sends and `(round, node, elems)` copies.
+//! [`run_schedule`] makes one pass over them. Per round it packs each
+//! message into a `channel << 32 | elems` key (`channel = src · ports +
+//! dim`), radix-sorts the keys by channel unless they already ascend,
+//! and walks them once: that walk yields the round's
+//! [`CommReport::link_history`] in `(src, dim)` order, finds link
+//! contention as two adjacent equal channels, and adds into the
+//! per-link running totals behind `max_link_elems`. The round's maxima
+//! close through [`cubesim::RoundCost`], the arithmetic a
+//! [`cubesim::SimNet`] closes its rounds with, so the report's `f64`
+//! sums are the simulator's bit for bit.
+//!
+//! The fold enforces what the simulator enforces, with the simulator's
+//! messages: nodes and ports in range, wired links, nonempty messages
+//! of at most `u32::MAX` elements, one message per directed link per
+//! round, the one-port discipline when `params` claims it, and at most
+//! `2^31 − 1` directed links. Folding a schedule is therefore itself a
+//! check; feeding the report to [`crate::crossval::cross_validate`]
+//! against the schedule's own lowering then closes the loop. The
+//! Dragonfly planner family, which has no payload engine, is validated
+//! this way. The cube engines run their plans with real blocks through
+//! [`cubecomm::exec::execute`], which also tracks where every block is;
+//! the fold moves nothing, which is what the warm-cache path needs.
 
+use cubeaddr::NodeId;
 use cubecomm::plan::CommSchedule;
-use cubesim::{CommReport, MachineParams, Payload, SimNet};
-use cubetopo::TopoSpec;
+use cubesim::{link_slots, CommReport, LinkEvent, MachineParams, PortMode, RoundCost};
+use cubetopo::Topology;
 
-/// A payload that is nothing but its element count.
-#[derive(Clone, Copy, Debug)]
-struct Elems(u64);
+/// The report a run of `schedule` under `params` produces, link
+/// history included (the report of a [`cubesim::SimNet`] with
+/// [`record_links`](cubesim::SimNet::record_links) on, after every
+/// planned message is sent and every planned copy charged).
+///
+/// # Panics
+/// If the schedule names a node or port outside its topology, sends
+/// over an unwired port, plans an empty message or one of more than
+/// `u32::MAX` elements, sends twice over one directed link in a round,
+/// or breaks the one-port discipline while `params` claims one-port;
+/// or if the topology has more than `2^31 − 1` directed links. These
+/// are the simulator's own dynamic checks, with its messages; a
+/// schedule that passes [`crate::rules::check_all`] never trips them.
+#[track_caller]
+pub fn run_schedule(schedule: &CommSchedule, params: &MachineParams) -> CommReport {
+    let topo = &schedule.topo;
+    let links = link_slots(topo);
+    let (nodes, ports) = (topo.num_nodes(), topo.ports());
+    let check_node = |x: NodeId| {
+        assert!(x.index() < nodes, "node {x} outside the {}", topo.label());
+    };
+    // A channel id is below `links` <= 2^31 - 1.
+    let channel_bits = u64::BITS - (links.max(1) as u64 - 1).leading_zeros();
+    let mut totals = LinkTotals::Narrow(vec![0; links]);
+    // One-port only: per node, `(round + 1) << 6 | port` of the last
+    // link it used.
+    let mut port_stamps =
+        if params.ports == PortMode::OnePort { vec![0u64; nodes] } else { Vec::new() };
+    let mut radix = RadixScratch::default();
+    let (mut keys, mut copies) = (Vec::new(), Vec::new());
+    let mut report = CommReport::default();
+    for (r, round) in schedule.rounds.iter().enumerate() {
+        let mut cost = RoundCost::default();
+        let (mut ascending, mut port_clash) = (true, false);
+        keys.clear();
+        for msg in &round.msgs {
+            let (src, dim) = (msg.src, msg.dim);
+            check_node(src);
+            assert!(dim < ports, "dimension {dim} outside the {}", topo.label());
+            let elems = schedule.msg_elems(msg);
+            assert!(elems > 0, "empty message from {src} on dim {dim}; skip empty sends");
+            let dst = topo.neighbor(src.bits(), dim).unwrap_or_else(|| {
+                panic!("send from {src} on unwired port {dim} of the {}", topo.label())
+            });
+            let elems = u32::try_from(elems).unwrap_or_else(|_| {
+                panic!(
+                    "message from {src} on dim {dim} carries {elems} elements, over the u32 limit"
+                )
+            });
+            if !port_stamps.is_empty() {
+                let rp = topo.reverse_port(src.bits(), dim).unwrap();
+                port_clash |= stamp_port(&mut port_stamps, src.bits(), dim, r)
+                    | stamp_port(&mut port_stamps, dst, rp, r);
+            }
+            cost.send(params, elems as usize);
+            let key = (src.bits() * u64::from(ports) + u64::from(dim)) << 32 | u64::from(elems);
+            ascending &= keys.last().is_none_or(|&last| last <= key);
+            keys.push(key);
+        }
+        if !ascending {
+            radix.sort_by_channel(&mut keys, channel_bits);
+        }
+        let mut events = Vec::with_capacity(keys.len());
+        let mut last_channel = u32::MAX;
+        for &key in &keys {
+            // A channel fits u32 (`link_slots`), whose division is cheaper.
+            let (channel, elems) = ((key >> 32) as u32, key as u32);
+            let (src, dim) = (channel / ports, channel % ports);
+            if channel == last_channel {
+                let dst = topo.neighbor(src.into(), dim).unwrap();
+                panic!(
+                    "link contention: directed link {src}--dim {dim}--> {dst} used twice in round {r}"
+                );
+            }
+            last_channel = channel;
+            events.push(LinkEvent { src: src.into(), dim, elems });
+            report.max_link_elems = report.max_link_elems.max(totals.add(channel as usize, elems));
+        }
+        copies.clear();
+        copies.extend(round.copies.iter().map(|&(node, elems)| {
+            check_node(node);
+            (node, elems as usize)
+        }));
+        copies.sort_unstable_by_key(|&(node, _)| node);
+        for node in copies.chunk_by(|a, b| a.0 == b.0) {
+            cost.copy(node.iter().map(|&(_, elems)| elems).sum());
+        }
+        if port_clash {
+            one_port_violation(schedule, r);
+        }
+        cost.close(params, &mut report, false);
+        report.link_history.push(events);
+    }
+    report
+}
 
-impl Payload for Elems {
-    fn elems(&self) -> usize {
-        self.0 as usize
+/// Records that `node` uses `port` in `round`; true if it already used
+/// another port in that round.
+#[inline]
+fn stamp_port(stamps: &mut [u64], node: u64, port: u32, round: usize) -> bool {
+    let stamp = (round as u64 + 1) << 6 | u64::from(port);
+    let last = std::mem::replace(&mut stamps[node as usize], stamp);
+    last >> 6 == stamp >> 6 && last != stamp
+}
+
+/// Panics with the simulator's one-port message for `round`: the first
+/// node, in the order the round's sends first touch nodes, whose port
+/// set has two members, named with its whole set.
+#[cold]
+#[track_caller]
+fn one_port_violation(schedule: &CommSchedule, round: usize) -> ! {
+    let topo = &schedule.topo;
+    let mut masks = vec![0u64; topo.num_nodes()];
+    let mut touched = Vec::new();
+    for msg in &schedule.rounds[round].msgs {
+        let src = msg.src.bits();
+        let (dst, rp) = (topo.neighbor(src, msg.dim), topo.reverse_port(src, msg.dim));
+        for (node, port) in [(src, msg.dim), (dst.unwrap(), rp.unwrap())] {
+            if masks[node as usize] == 0 {
+                touched.push(node);
+            }
+            masks[node as usize] |= 1 << port;
+        }
+    }
+    let node = touched.into_iter().find(|&x| masks[x as usize].count_ones() > 1).unwrap();
+    let mask = masks[node as usize];
+    panic!("one-port violation: node {node} used dims {mask:#b} in round {round}")
+}
+
+/// Per-directed-link element totals over the run, by channel: `u32`
+/// until a total first overflows it, `u64` from then on. (A dense `u64`
+/// array would double the footprint of every run for a case no figure
+/// reaches.)
+enum LinkTotals {
+    Narrow(Vec<u32>),
+    Wide(Vec<u64>),
+}
+
+impl LinkTotals {
+    /// Adds `elems` to `channel`'s total; returns the new total.
+    #[inline]
+    fn add(&mut self, channel: usize, elems: u32) -> u64 {
+        match self {
+            LinkTotals::Narrow(totals) => {
+                if let Some(total) = totals[channel].checked_add(elems) {
+                    totals[channel] = total;
+                    return u64::from(total);
+                }
+                *self = LinkTotals::Wide(totals.iter().map(|&t| u64::from(t)).collect());
+                self.add(channel, elems)
+            }
+            LinkTotals::Wide(totals) => {
+                totals[channel] += u64::from(elems);
+                totals[channel]
+            }
+        }
     }
 }
 
-/// Replays `schedule` on a fresh net of its topology under `params`,
-/// with link recording on, and returns the finalized report.
-///
-/// # Panics
-/// If the schedule sends over nonexistent or unwired links, breaks the
-/// one-port discipline while `params` claims one-port, or plans an
-/// empty message — the net's own dynamic checks, which a schedule that
-/// passes [`crate::rules::check_all`] never trips.
-#[track_caller]
-pub fn run_schedule(schedule: &CommSchedule, params: &MachineParams) -> CommReport {
-    let mut net: SimNet<Elems, TopoSpec> = SimNet::on_topology(schedule.topo, params.clone());
-    net.record_links();
-    for round in &schedule.rounds {
-        for msg in &round.msgs {
-            net.send(msg.src, msg.dim, Elems(schedule.msg_elems(msg)));
+/// The buffers of a stable LSD radix sort on a key's channel bits,
+/// reused across rounds.
+#[derive(Default)]
+struct RadixScratch {
+    keys: Vec<u64>,
+    counts: Vec<u32>,
+}
+
+impl RadixScratch {
+    /// Widest digit: 2^11 counters stay in L1.
+    const DIGIT_BITS: u32 = 11;
+
+    /// Sorts `keys` by bits `32 .. 32 + channel_bits`, stably, in as few
+    /// equal-width digits as fit [`Self::DIGIT_BITS`]; a digit every key
+    /// shares costs one counting read and no scatter.
+    fn sort_by_channel(&mut self, keys: &mut Vec<u64>, channel_bits: u32) {
+        let passes = channel_bits.div_ceil(Self::DIGIT_BITS);
+        if passes == 0 || keys.is_empty() {
+            return;
         }
-        for &(node, elems) in &round.copies {
-            net.local_copy(node, elems as usize);
+        let digit_bits = channel_bits.div_ceil(passes);
+        let mask = (1u64 << digit_bits) - 1;
+        self.counts.resize(1 << digit_bits, 0);
+        self.keys.resize(keys.len(), 0);
+        for pass in 0..passes {
+            let shift = 32 + pass * digit_bits;
+            let digit = |key: u64| ((key >> shift) & mask) as usize;
+            self.counts.fill(0);
+            for &key in keys.iter() {
+                self.counts[digit(key)] += 1;
+            }
+            if self.counts[digit(keys[0])] as usize == keys.len() {
+                continue;
+            }
+            let mut start = 0;
+            for count in &mut self.counts {
+                (*count, start) = (start, start + *count);
+            }
+            for &key in keys.iter() {
+                let slot = &mut self.counts[digit(key)];
+                self.keys[*slot as usize] = key;
+                *slot += 1;
+            }
+            std::mem::swap(keys, &mut self.keys);
         }
-        net.finish_round();
-        net.drain_all_with(|_, _, _| {});
     }
-    net.finalize()
 }
 
 #[cfg(test)]
@@ -60,14 +245,13 @@ mod tests {
     use crate::crossval::cross_validate;
     use crate::ir::lower;
     use crate::rules::check_all;
-    use cubeaddr::NodeId;
     use cubecomm::plan::{
         all_to_all_exchange_plan, dragonfly_direct_plan, dragonfly_swap_exchange_plan,
         ecube_route_plan,
     };
     use cubecomm::BufferPolicy;
     use cubesim::{MachineParams, PortMode};
-    use cubetopo::{SwappedDragonfly, Topology};
+    use cubetopo::{SwappedDragonfly, TopoSpec};
 
     fn all_to_all_sizes(num: usize, elems: u64) -> Vec<Vec<u64>> {
         (0..num).map(|s| (0..num).map(|t| if s == t { 0 } else { elems }).collect()).collect()
@@ -124,5 +308,78 @@ mod tests {
             }],
         };
         let _ = run_schedule(&plan, &MachineParams::unit(PortMode::AllPorts));
+    }
+
+    /// Folds a one-round schedule of `(src, dim, elems)` messages on the
+    /// `n`-cube under `ports`.
+    fn fold_round(n: u32, msgs: &[(u64, u32, u64)], ports: PortMode) -> CommReport {
+        use cubecomm::plan::{BlockMeta, PlanRound, PlannedMsg};
+        let plan = CommSchedule {
+            name: "corrupt".into(),
+            topo: TopoSpec::hypercube(n),
+            ports,
+            dimension_ordered: false,
+            blocks: msgs
+                .iter()
+                .map(|&(src, _, elems)| BlockMeta { src: NodeId(src), dst: NodeId(src), elems })
+                .collect(),
+            rounds: vec![PlanRound {
+                msgs: msgs
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &(src, dim, _))| PlannedMsg {
+                        src: NodeId(src),
+                        dim,
+                        blocks: vec![i as u32],
+                    })
+                    .collect(),
+                copies: vec![],
+            }],
+        };
+        run_schedule(&plan, &MachineParams::unit(ports))
+    }
+
+    #[test]
+    #[should_panic(expected = "outside the")]
+    fn fold_rejects_out_of_range_nodes() {
+        fold_round(2, &[(7, 0, 1)], PortMode::OnePort);
+    }
+
+    #[test]
+    #[should_panic(expected = "dimension")]
+    fn fold_rejects_out_of_range_ports() {
+        fold_round(2, &[(0, 5, 1)], PortMode::OnePort);
+    }
+
+    #[test]
+    #[should_panic(expected = "empty message")]
+    fn fold_rejects_empty_messages() {
+        fold_round(2, &[(0, 0, 0)], PortMode::OnePort);
+    }
+
+    #[test]
+    #[should_panic(expected = "message from 1 on dim 0 carries 4294967296 elements")]
+    fn fold_rejects_messages_beyond_u32() {
+        fold_round(1, &[(1, 0, 1 << 32)], PortMode::OnePort);
+    }
+
+    #[test]
+    #[should_panic(expected = "link contention")]
+    fn fold_rejects_link_contention() {
+        fold_round(2, &[(0, 0, 1), (0, 0, 2)], PortMode::AllPorts);
+    }
+
+    #[test]
+    #[should_panic(expected = "one-port violation")]
+    fn fold_rejects_one_port_violations() {
+        fold_round(3, &[(0, 0, 1), (0, 1, 2)], PortMode::OnePort);
+    }
+
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    #[should_panic(expected = "28-cube: 268435456 nodes x 28 ports exceed the 32-bit link index")]
+    fn fold_refuses_more_links_than_u32_indexes() {
+        // Refused before the link totals are allocated.
+        fold_round(28, &[], PortMode::AllPorts);
     }
 }

@@ -11,12 +11,17 @@
 //! 3. [`rules::check_all`] runs the five checkers; each violation is a
 //!    structured [`diag::Diag`] naming the schedule, round, node, link,
 //!    broken [`diag::Rule`] and the paper clause it contradicts.
-//! 4. [`crossval::cross_validate`] ties the static story to the dynamic
+//! 4. [`exec::run_schedule`] folds a schedule into the
+//!    [`cubesim::CommReport`] a run of it produces — no simulator, one
+//!    pass over its sends and copies, each round closed by the
+//!    simulator's own [`cubesim::RoundCost`] — and
+//!    [`crossval::cross_validate`] ties the static story to the dynamic
 //!    one: the lowered claims must coincide, round for round and link
-//!    for link, with the [`cubesim::CommReport::link_history`] an actual
-//!    execution records. Property tests enforce this on random schedules,
-//!    so the checkers are guaranteed to be analyzing the schedules the
-//!    engines really run.
+//!    for link, with the [`cubesim::CommReport::link_history`] of that
+//!    fold or of an actual execution, and with its critical path and
+//!    maxima. Property tests enforce this on random schedules against
+//!    the engines, so the checkers are guaranteed to be analyzing the
+//!    schedules the engines really run.
 //!
 //! The `cubecheck` binary lints the figure workloads
 //! ([`workloads`]) at the benchmarked cube sizes, so CI catches any

@@ -23,8 +23,12 @@
 //! the maximum over directed links of that link's packet cost, plus the
 //! maximum over nodes of local copy/rearrangement work charged in the
 //! round. Total time is the sum over rounds, exactly the structure of
-//! every `T = Σ(step cost)` expression in the paper.
+//! every `T = Σ(step cost)` expression in the paper. That per-round
+//! arithmetic lives once, in [`cost::RoundCost`]: [`SimNet`] and
+//! `cubecheck`'s fold over a schedule both close their rounds with it
+//! (the frozen `reference` net keeps its own copy, as the oracle).
 
+pub mod cost;
 pub mod net;
 pub mod par;
 pub mod params;
@@ -33,6 +37,7 @@ pub mod pool;
 pub mod reference;
 pub mod report;
 
+pub use cost::{link_slots, RoundCost};
 pub use net::{Payload, SimNet};
 pub use params::{MachineParams, PortMode};
 pub use pool::BufferPool;

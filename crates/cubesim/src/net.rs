@@ -1,5 +1,6 @@
 //! The round-synchronous network simulator, generic over [`Topology`].
 
+use crate::cost::{link_slots, RoundCost};
 use crate::params::{MachineParams, PortMode};
 use crate::report::CommReport;
 use cubeaddr::NodeId;
@@ -182,18 +183,9 @@ impl<P: Payload, T: Topology> SimNet<P, T> {
     pub fn on_topology(topo: T, params: MachineParams) -> Self {
         let nodes = topo.num_nodes();
         let ports = topo.ports();
-        assert!(ports <= 64, "{}: {ports} ports exceed the 64-bit port masks", topo.label());
         // The two rounds in play stamp at most one message per link each,
         // and their stamps must fit u32 together.
-        let links = nodes
-            .checked_mul(ports as usize)
-            .filter(|&links| links <= u32::MAX as usize / 2)
-            .unwrap_or_else(|| {
-                panic!(
-                    "{}: {nodes} nodes x {ports} ports exceed the 32-bit link index",
-                    topo.label()
-                )
-            });
+        let links = link_slots(&topo);
         SimNet {
             ports,
             num: nodes,
@@ -306,9 +298,6 @@ impl<P: Payload, T: Topology> SimNet<P, T> {
             self.mark_dim(src.index(), dim);
             self.mark_dim(dst.index(), rp);
         }
-        self.report.total_messages += 1;
-        self.report.total_elems += elems as u64;
-        self.report.total_packets += self.params.packets(elems) as u64;
     }
 
     /// Records `node` using port `dim` this round (for port-legality
@@ -421,27 +410,14 @@ impl<P: Payload, T: Topology> SimNet<P, T> {
                 );
             }
         }
-        let mut max_pkts = 0usize;
-        let mut max_elems = 0usize;
-        let mut round_total = 0u64;
+        let mut cost = RoundCost::default();
         for &(_, elems) in &self.outgoing_idx {
-            let elems = elems as usize;
-            max_pkts = max_pkts.max(self.params.packets(elems));
-            max_elems = max_elems.max(elems);
-            round_total += elems as u64;
+            cost.send(&self.params, elems as usize);
         }
-        let max_copy = self.copies_touched.iter().map(|&x| self.copies[x]).max().unwrap_or(0);
-        let startup = max_pkts as f64 * self.params.tau;
-        let transfer = max_elems as f64 * self.params.t_c;
-        let copy = max_copy as f64 * self.params.t_copy;
-        self.report.rounds += 1;
-        self.report.time += startup + transfer + copy;
-        self.report.startup_time += startup;
-        self.report.transfer_time += transfer;
-        self.report.copy_time += copy;
-        self.report.critical_startups += max_pkts as u64;
-        self.report.critical_elems += max_elems as u64;
-        self.report.max_node_copy_elems = self.report.max_node_copy_elems.max(max_copy as u64);
+        for &x in &self.copies_touched {
+            cost.copy(self.copies[x]);
+        }
+        cost.close(&self.params, &mut self.report, self.record_history);
         if self.record_links {
             let n = self.ports as usize;
             let mut events: Vec<crate::report::LinkEvent> = self
@@ -458,14 +434,6 @@ impl<P: Payload, T: Topology> SimNet<P, T> {
                 .collect();
             events.sort_by_key(|e| (e.src, e.dim));
             self.report.link_history.push(events);
-        }
-        if self.record_history {
-            self.report.history.push(crate::report::RoundDetail {
-                time: startup + transfer + copy,
-                messages: self.outgoing_idx.len() as u32,
-                max_elems: max_elems as u32,
-                total_elems: round_total,
-            });
         }
 
         // Deliver: this round's messages become the inbox, and its stamps

@@ -104,6 +104,18 @@ if [ -n "$violations" ]; then
     false
 fi
 
+begin "lint policy: cubecheck folds schedules, it runs no round loop (finish_round nowhere in crates/cubecheck/src)"
+# run_schedule computes a schedule's CommReport in one pass and closes
+# its rounds through cubesim::RoundCost, the arithmetic SimNet's
+# finish_round shares. A SimNet round loop here would be the replay the
+# fold replaced; fold_vs_replay.rs keeps that replay as its test oracle.
+violations="$(grep -rl 'finish_round' --include='*.rs' crates/cubecheck/src 2>/dev/null || true)"
+if [ -n "$violations" ]; then
+    echo "FAIL: round loops in the static checker:" >&2
+    echo "$violations" >&2
+    false
+fi
+
 begin "examples: every root example runs to completion in release"
 # cargo test only builds examples/*.rs; their own assertions (placement
 # checks in permutations.rs, the SPT/DPT/MPT self-check in quickstart.rs,
@@ -236,6 +248,9 @@ cargo run --release -q -p cubecheck -- --all-figures
 
 begin "cubecheck: plan/execution equivalence"
 cargo test --release -q -p cubecheck --test equivalence
+
+begin "cubecheck: the schedule fold equals the SimNet replay (reports, time bits, panic text)"
+cargo test --release -q -p cubecheck --test fold_vs_replay
 
 begin "cubecheck: every rule fires on its corruption (n = 2 … 14)"
 # The precision side of the equivalence step: each corrupted schedule

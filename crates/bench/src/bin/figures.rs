@@ -4,9 +4,10 @@
 //! cargo run --release -p cubebench --bin figures            # everything
 //! cargo run --release -p cubebench --bin figures fig10 tab3 # a subset
 //! cargo run --release -p cubebench --bin figures --csv out/ # also CSV files
-//! cargo run --release -p cubebench --bin figures --lint     # statically
-//!                       # verify the routed figures' schedules first
 //! ```
+//!
+//! An unknown figure name exits 2 and lists the known ones. The routed
+//! figures' schedules are checked statically by `cubecheck --all-figures`.
 
 use cubebench::experiments as exp;
 use cubebench::SeriesSet;
@@ -16,7 +17,6 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut csv_dir: Option<String> = None;
     let mut plot = false;
-    let mut lint = false;
     let mut wanted: Vec<String> = Vec::new();
     let mut it = args.into_iter();
     while let Some(a) = it.next() {
@@ -27,8 +27,6 @@ fn main() {
             }));
         } else if a == "--plot" {
             plot = true;
-        } else if a == "--lint" {
-            lint = true;
         } else {
             wanted.push(a);
         }
@@ -68,30 +66,17 @@ fn main() {
     let run_all = wanted.is_empty() || wanted.iter().any(|w| w == "all");
     let selected = |name: &str| run_all || wanted.iter().any(|w| w == name);
 
-    // Static schedule verification before any data generation: lint the
-    // selected routed figures' communication schedules with cubecheck
-    // and abort on the first invariant violation.
-    if lint {
-        let mut violations = 0usize;
-        for name in cubecheck::workloads::FIGURES {
-            if !selected(name) {
-                continue;
-            }
-            let workloads = cubecheck::workloads::figure(name).expect("lintable figure");
-            for w in &workloads {
-                let mut low = cubecheck::lower(&w.schedule, &w.params);
-                low.name = w.name.clone();
-                for d in cubecheck::check_all(&low, &w.params) {
-                    eprintln!("{d}");
-                    violations += 1;
-                }
-            }
-            eprintln!("lint: {name}: {} schedules checked", workloads.len());
+    let known =
+        || numeric.iter().map(|&(name, _)| name).chain(textual.iter().map(|&(name, _)| name));
+    if let Some(unknown) = wanted.iter().find(|w| *w != "all" && !known().any(|k| k == *w)) {
+        // Exit 2 before generating anything, as `cubecheck` does for an
+        // unknown workload: a typo must not pass for an empty selection.
+        eprintln!("figures: unknown figure '{unknown}'; nothing was generated");
+        eprintln!("known figures:");
+        for name in known() {
+            eprintln!("  {name}");
         }
-        if violations > 0 {
-            eprintln!("lint: {violations} schedule violation(s); not generating figures");
-            std::process::exit(1);
-        }
+        std::process::exit(2);
     }
 
     if let Some(dir) = &csv_dir {

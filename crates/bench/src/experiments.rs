@@ -16,7 +16,7 @@ use cubesim::par::par_map;
 use cubesim::{MachineParams, PortMode, SimNet};
 use cubetranspose::gray::{transpose_combined, transpose_naive_mixed, MixedSpec};
 use cubetranspose::two_dim::{tr, Packet};
-use cubetranspose::{verify, SendPolicy};
+use cubetranspose::verify;
 
 /// Builds the canonical 1D row-consecutive transpose pair for `pq = 2^m`
 /// elements on an `n`-cube.
@@ -41,7 +41,7 @@ pub fn transpose_route_msgs(n: u32, elems: usize) -> Vec<RouteMsg<u64>> {
 }
 
 /// Simulated 1D transpose time under a send policy (iPSC constants).
-fn one_dim_time(m_log: u32, n: u32, policy: SendPolicy) -> f64 {
+fn one_dim_time(m_log: u32, n: u32, policy: BufferPolicy) -> f64 {
     let params = MachineParams::intel_ipsc();
     let (before, after) = one_dim_pair(m_log, n);
     let m = verify::labels(before);
@@ -83,8 +83,8 @@ pub fn fig10() -> SeriesSet {
         [12u32, 16].into_iter().flat_map(|m| (1..=6u32).map(move |n| (m, n))).collect();
     let times = par_map(&points, |&(m_log, n)| {
         (
-            one_dim_time(m_log, n, SendPolicy::Unbuffered),
-            one_dim_time(m_log, n, SendPolicy::Buffered { min_direct: b_copy }),
+            one_dim_time(m_log, n, BufferPolicy::Unbuffered),
+            one_dim_time(m_log, n, BufferPolicy::Buffered { min_direct: b_copy }),
         )
     });
     let mut at = times.iter();
@@ -114,7 +114,7 @@ pub fn fig11() -> SeriesSet {
         .flat_map(|(m, n)| (0..=10u32).map(move |t| (m, n, t)))
         .collect();
     let times = par_map(&points, |&(m_log, n, t_log)| {
-        one_dim_time(m_log, n, SendPolicy::Buffered { min_direct: 1 << t_log })
+        one_dim_time(m_log, n, BufferPolicy::Buffered { min_direct: 1 << t_log })
     });
     let mut at = times.iter();
     for (m_log, n) in [(14u32, 5u32), (16, 6)] {
@@ -139,8 +139,8 @@ pub fn fig12() -> SeriesSet {
     let points: Vec<u32> = (12..=18u32).collect();
     let times = par_map(&points, |&m_log| {
         (
-            one_dim_time(m_log, n, SendPolicy::Unbuffered),
-            one_dim_time(m_log, n, SendPolicy::Buffered { min_direct: b_copy }),
+            one_dim_time(m_log, n, BufferPolicy::Unbuffered),
+            one_dim_time(m_log, n, BufferPolicy::Buffered { min_direct: b_copy }),
         )
     });
     let mut unbuf = Series::new("unbuffered");
@@ -398,7 +398,7 @@ pub fn fig19() -> SeriesSet {
         [12u32, 16].into_iter().flat_map(|m| (1..=(m / 2).min(8)).map(move |n| (m, n))).collect();
     let times = par_map(&points, |&(m_log, n)| {
         (
-            one_dim_time(m_log, n, SendPolicy::Buffered { min_direct: b_copy }),
+            one_dim_time(m_log, n, BufferPolicy::Buffered { min_direct: b_copy }),
             (n % 2 == 0).then(|| spt_stepwise_parts(m_log, n).2),
         )
     });
@@ -615,11 +615,11 @@ pub fn ablation_convert() -> SeriesSet {
             &ConvertSpec,
             &cubelayout::DistMatrix<u64>,
             &mut SimNet<Vec<u64>>,
-            SendPolicy,
+            BufferPolicy,
         ) -> cubelayout::DistMatrix<u64>;
         let run = |alg: Alg| {
             let mut net: SimNet<Vec<u64>> = SimNet::new(4, params.clone());
-            let _ = alg(&spec, &m, &mut net, SendPolicy::Ideal);
+            let _ = alg(&spec, &m, &mut net, BufferPolicy::Ideal);
             net.finalize().time
         };
         a1.push(pq, run(convert_algorithm1));

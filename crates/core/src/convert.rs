@@ -20,9 +20,10 @@
 //! All three run on the field-map engine and are verified to produce the
 //! same distributed matrix.
 
-use crate::fieldmap::{FieldMap, MappedMatrix, SendPolicy};
+use crate::fieldmap::{FieldMap, MappedMatrix};
 use crate::one_dim::fieldmap_after;
 use cubeaddr::NodeId;
+use cubecomm::BufferPolicy;
 use cubelayout::{Assignment, DistMatrix, Encoding, Layout, TransposeSpec};
 use cubesim::SimNet;
 
@@ -112,7 +113,7 @@ fn bring_in<T: Copy + Send + Sync>(
     net: &mut SimNet<Vec<T>>,
     from: u32,
     to: u32,
-    policy: SendPolicy,
+    policy: BufferPolicy,
 ) {
     let i = match mapped.map().locate(from) {
         crate::fieldmap::Role::Real(i) => i,
@@ -132,7 +133,7 @@ pub fn convert_algorithm1<T: Copy + Default + Send + Sync>(
     spec: &ConvertSpec,
     m: &DistMatrix<T>,
     net: &mut SimNet<Vec<T>>,
-    policy: SendPolicy,
+    policy: BufferPolicy,
 ) -> DistMatrix<T> {
     let (u1, u3, v1, v3) = spec.fields();
     let mut mm = start(spec, m);
@@ -166,7 +167,7 @@ pub fn convert_algorithm2<T: Copy + Default + Send + Sync>(
     spec: &ConvertSpec,
     m: &DistMatrix<T>,
     net: &mut SimNet<Vec<T>>,
-    policy: SendPolicy,
+    policy: BufferPolicy,
 ) -> DistMatrix<T> {
     let (u1, u3, v1, v3) = spec.fields();
     let mut mm = start(spec, m);
@@ -205,7 +206,7 @@ pub fn convert_algorithm3<T: Copy + Default + Send + Sync>(
     spec: &ConvertSpec,
     m: &DistMatrix<T>,
     net: &mut SimNet<Vec<T>>,
-    policy: SendPolicy,
+    policy: BufferPolicy,
 ) -> DistMatrix<T> {
     let (u1, u3, v1, v3) = spec.fields();
     let mut mm = start(spec, m);
@@ -236,7 +237,7 @@ mod tests {
             &ConvertSpec,
             &DistMatrix<u64>,
             &mut SimNet<Vec<u64>>,
-            SendPolicy,
+            BufferPolicy,
         ) -> DistMatrix<u64>;
         let algs: [(&str, Alg); 3] = [
             ("alg1", convert_algorithm1),
@@ -245,7 +246,7 @@ mod tests {
         ];
         for (name, alg) in algs {
             let mut net = unit_net(2 * spec.n_r);
-            let out = alg(&spec, &m, &mut net, SendPolicy::Ideal);
+            let out = alg(&spec, &m, &mut net, BufferPolicy::Ideal);
             assert_transposed(&spec.before(), &out);
             net.finalize();
             let _ = name;
@@ -260,11 +261,11 @@ mod tests {
             &ConvertSpec,
             &DistMatrix<u64>,
             &mut SimNet<Vec<u64>>,
-            SendPolicy,
+            BufferPolicy,
         ) -> DistMatrix<u64>;
         let run = |alg: Alg| {
             let mut net = unit_net(2 * spec.n_r);
-            alg(&spec, &m, &mut net, SendPolicy::Ideal)
+            alg(&spec, &m, &mut net, BufferPolicy::Ideal)
         };
         let a = run(convert_algorithm1);
         let b = run(convert_algorithm2);
@@ -281,11 +282,11 @@ mod tests {
         let m = labels(spec.before());
 
         let mut net1 = unit_net(2 * spec.n_r);
-        let _ = convert_algorithm1(&spec, &m, &mut net1, SendPolicy::Ideal);
+        let _ = convert_algorithm1(&spec, &m, &mut net1, BufferPolicy::Ideal);
         assert_eq!(net1.finalize().rounds, 2 * n, "algorithm 1");
 
         let mut net3 = unit_net(2 * spec.n_r);
-        let _ = convert_algorithm3(&spec, &m, &mut net3, SendPolicy::Ideal);
+        let _ = convert_algorithm3(&spec, &m, &mut net3, BufferPolicy::Ideal);
         assert_eq!(net3.finalize().rounds, n, "algorithm 3");
     }
 
@@ -295,7 +296,7 @@ mod tests {
         let m = labels(spec.before());
         let params = MachineParams::unit(PortMode::OnePort).with_t_copy(1.0);
         let mut net: SimNet<Vec<u64>> = SimNet::new(2, params);
-        let _ = convert_algorithm2(&spec, &m, &mut net, SendPolicy::Ideal);
+        let _ = convert_algorithm2(&spec, &m, &mut net, BufferPolicy::Ideal);
         let r = net.finalize();
         // Two full-array copies of 2^{8-2} = 64 elements each.
         assert_eq!(r.max_node_copy_elems, 64);
@@ -312,7 +313,7 @@ mod tests {
         let params = MachineParams::unit(PortMode::OnePort).with_t_copy(0.5);
         for (p, q) in (0..=6).flat_map(|p| (0..=6).map(move |q| (p, q))) {
             for n_r in 0..=p.min(q) / 2 {
-                for policy in [SendPolicy::Ideal, SendPolicy::Buffered { min_direct: 4 }] {
+                for policy in [BufferPolicy::Ideal, BufferPolicy::Buffered { min_direct: 4 }] {
                     let spec = ConvertSpec::new(p, q, n_r);
                     let m = labels(spec.before());
                     let mut net: SimNet<Vec<u64>> = SimNet::new(2 * n_r, params.clone());
@@ -349,11 +350,11 @@ mod tests {
             &ConvertSpec,
             &DistMatrix<u64>,
             &mut SimNet<Vec<u64>>,
-            SendPolicy,
+            BufferPolicy,
         ) -> DistMatrix<u64>;
         let run = |alg: Alg| {
             let mut net: SimNet<Vec<u64>> = SimNet::new(4, params.clone());
-            let _ = alg(&spec, &m, &mut net, SendPolicy::Ideal);
+            let _ = alg(&spec, &m, &mut net, BufferPolicy::Ideal);
             net.finalize()
         };
         let r1 = run(convert_algorithm1);
@@ -368,7 +369,7 @@ mod tests {
         let spec = ConvertSpec::new(3, 5, 1);
         let m = labels(spec.before());
         let mut net = unit_net(2);
-        let out = convert_algorithm3(&spec, &m, &mut net, SendPolicy::Ideal);
+        let out = convert_algorithm3(&spec, &m, &mut net, BufferPolicy::Ideal);
         assert_transposed(&spec.before(), &out);
     }
 

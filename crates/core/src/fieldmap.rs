@@ -59,8 +59,12 @@
 //! from [`SimNet::drain_all_with`] at the node the net names.
 
 use cubeaddr::NodeId;
+use cubecomm::BufferPolicy;
 use cubelayout::{Encoding, Layout};
 use cubesim::{BufferPool, SimNet};
+
+/// [`BufferPolicy`] under the name the `perfbench` harness imports.
+pub use cubecomm::BufferPolicy as SendPolicy;
 
 /// Where the bits of the matrix address currently live: node address bits
 /// (`real`) and local address bits (`virt`).
@@ -185,24 +189,6 @@ pub enum Role {
     Virt(u32),
 }
 
-/// Send policy for [`MappedMatrix::exchange_real_virt`], mirroring
-/// [`cubecomm::BufferPolicy`] at the memory-layout level: the outgoing
-/// half of the local array at virtual position `j` consists of contiguous
-/// runs of `2^j` elements.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum SendPolicy {
-    /// One message, no copy charged (the idealized complexity model).
-    Ideal,
-    /// One message per `2^j`-element run.
-    Unbuffered,
-    /// Runs shorter than `min_direct` elements are gathered (copy charged
-    /// on both the gather and the scatter side); longer runs go directly.
-    Buffered {
-        /// Minimum run length sent without buffering.
-        min_direct: usize,
-    },
-}
-
 /// A distributed data set governed by a [`FieldMap`].
 #[derive(Debug)]
 pub struct MappedMatrix<T> {
@@ -288,13 +274,16 @@ impl<T: Copy + Send + Sync> MappedMatrix<T> {
     ///
     /// The outgoing elements occupy `2^{vp-j-1}` contiguous runs of `2^j`
     /// elements in the local array; `policy` decides how the runs become
-    /// messages (§8.1).
+    /// messages (§8.1): one message with no copy charged (`Ideal`), one
+    /// message per run (`Unbuffered`), or runs shorter than `min_direct`
+    /// gathered into one message, copy charged on both the gather and
+    /// the scatter side (`Buffered`).
     pub fn exchange_real_virt(
         &mut self,
         net: &mut SimNet<Vec<T>>,
         i: u32,
         j: u32,
-        policy: SendPolicy,
+        policy: BufferPolicy,
     ) {
         assert!(i < self.map.n() && j < self.map.vp());
         let per = 1usize << self.map.vp();
@@ -307,13 +296,13 @@ impl<T: Copy + Send + Sync> MappedMatrix<T> {
         let want_of = move |x: usize| (((x as u64 >> i) & 1) ^ 1) as usize;
 
         let gathered = match policy {
-            SendPolicy::Ideal => true,
-            SendPolicy::Unbuffered => false,
-            SendPolicy::Buffered { min_direct } => run < min_direct,
+            BufferPolicy::Ideal => true,
+            BufferPolicy::Unbuffered => false,
+            BufferPolicy::Buffered { min_direct } => run < min_direct,
         };
 
         if gathered {
-            if matches!(policy, SendPolicy::Buffered { .. }) {
+            if matches!(policy, BufferPolicy::Buffered { .. }) {
                 // Gather at the sender; the scatter on arrival is charged
                 // symmetrically at the same node (its own gather covers
                 // its send; its scatter covers its receive).
@@ -444,7 +433,7 @@ impl<T: Copy + Send + Sync> MappedMatrix<T> {
         &mut self,
         net: &mut SimNet<Vec<T>>,
         target: &FieldMap,
-        policy: SendPolicy,
+        policy: BufferPolicy,
     ) -> usize {
         assert_eq!(self.map.n(), target.n());
         assert_eq!(self.map.vp(), target.vp());
@@ -684,9 +673,11 @@ mod tests {
 
     #[test]
     fn exchange_real_virt_preserves_labels() {
-        for policy in
-            [SendPolicy::Ideal, SendPolicy::Unbuffered, SendPolicy::Buffered { min_direct: 2 }]
-        {
+        for policy in [
+            BufferPolicy::Ideal,
+            BufferPolicy::Unbuffered,
+            BufferPolicy::Buffered { min_direct: 2 },
+        ] {
             let mut m = label_mapped(map_2_2());
             let mut net = unit_net(2);
             m.exchange_real_virt(&mut net, 0, 1, policy);
@@ -701,7 +692,7 @@ mod tests {
     fn exchange_moves_half_the_data() {
         let mut m = label_mapped(map_2_2());
         let mut net = unit_net(2);
-        m.exchange_real_virt(&mut net, 1, 0, SendPolicy::Ideal);
+        m.exchange_real_virt(&mut net, 1, 0, BufferPolicy::Ideal);
         let r = net.finalize();
         assert_eq!(r.rounds, 1);
         // Each node sent half of its 4 elements.
@@ -763,7 +754,7 @@ mod tests {
         let mut net = unit_net(n);
         let rotation: Vec<u32> = (6..vp).chain(0..6).collect();
         m.permute_virt(&mut net, &rotation);
-        m.exchange_real_virt(&mut net, 1, j, SendPolicy::Buffered { min_direct: run });
+        m.exchange_real_virt(&mut net, 1, j, BufferPolicy::Buffered { min_direct: run });
         assert_eq!(check_labels(&m), None);
         let held = m.pool_capacity_elems();
         assert!(held <= num * run + per, "{held} elements pooled");
@@ -786,7 +777,7 @@ mod tests {
         let target = FieldMap::new(vec![5, 0, 4], vec![2, 3, 1]);
         let mut m = label_mapped(start);
         let mut net: SimNet<Vec<u64>> = SimNet::new(3, MachineParams::unit(PortMode::OnePort));
-        let steps = m.rearrange_to(&mut net, &target, SendPolicy::Ideal);
+        let steps = m.rearrange_to(&mut net, &target, BufferPolicy::Ideal);
         assert_eq!(check_labels(&m), None);
         assert_eq!(m.map(), &target);
         assert!(steps <= 6, "{steps} steps");
@@ -804,7 +795,7 @@ mod tests {
             FieldMap::new((0..m_bits).map(|i| (i + m_bits / 2) % m_bits).collect(), vec![]);
         let mut mm = label_mapped(start);
         let mut net: SimNet<Vec<u64>> = SimNet::new(m_bits, MachineParams::unit(PortMode::OnePort));
-        let steps = mm.rearrange_to(&mut net, &target, SendPolicy::Ideal);
+        let steps = mm.rearrange_to(&mut net, &target, BufferPolicy::Ideal);
         assert_eq!(check_labels(&mm), None);
         // m/2 real/real swaps, 2 rounds each.
         assert_eq!(steps, m_bits as usize);
@@ -826,7 +817,7 @@ mod tests {
         let after = FieldMap::new(vec![2, 3], vec![0, 1]);
         let mut m = label_mapped(before);
         let mut net = unit_net(2);
-        let steps = m.rearrange_to(&mut net, &after, SendPolicy::Ideal);
+        let steps = m.rearrange_to(&mut net, &after, BufferPolicy::Ideal);
         assert_eq!(steps, 2); // n exchange steps.
         assert_eq!(check_labels(&m), None);
         let r = net.finalize();

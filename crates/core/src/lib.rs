@@ -51,7 +51,7 @@ pub mod two_dim;
 pub mod verify;
 
 pub use driver::{execute, plan, Choice};
-pub use fieldmap::{FieldMap, MappedMatrix, SendPolicy};
+pub use fieldmap::{FieldMap, MappedMatrix};
 pub use one_dim::{transpose_1d_exchange, transpose_1d_sbnt, transpose_stepwise};
 pub use relayout::relayout;
 pub use two_dim::{transpose_dpt, transpose_mpt, transpose_spt, transpose_spt_stepwise};

@@ -548,7 +548,8 @@ mod alloc_gate_tests {
     /// stopwatch.
     #[test]
     fn direct_exchange_allocates_per_node_not_per_message() {
-        use crate::fieldmap::{check_labels, label_mapped, FieldMap, SendPolicy};
+        use crate::fieldmap::{check_labels, label_mapped, FieldMap};
+        use cubecomm::BufferPolicy;
         use cubesim::{MachineParams, PortMode, SimNet};
         let (n, vp, j) = (6u32, 10u32, 5u32);
         let num = 1usize << n;
@@ -557,7 +558,7 @@ mod alloc_gate_tests {
         let mut net: SimNet<Vec<u64>> = SimNet::new(n, MachineParams::unit(PortMode::OnePort));
         let mut counted_exchange = |i: u32| {
             COUNTED.with(|c| c.set(Some(0)));
-            m.exchange_real_virt(&mut net, i, j, SendPolicy::Unbuffered);
+            m.exchange_real_virt(&mut net, i, j, BufferPolicy::Unbuffered);
             COUNTED.with(|c| c.take()).expect("counting was on")
         };
         let cold = counted_exchange(0);

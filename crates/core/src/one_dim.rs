@@ -23,7 +23,7 @@
 //! placement is the layouts' bijection (which `cubelayout`'s proptests
 //! check against the per-element enumeration).
 
-use crate::fieldmap::{FieldMap, MappedMatrix, SendPolicy};
+use crate::fieldmap::{FieldMap, MappedMatrix};
 use cubecomm::exchange::{exchange_over_dims, BufferPolicy};
 use cubecomm::sbnt::route_sbnt;
 use cubecomm::{Block, BlockMsg};
@@ -215,7 +215,7 @@ pub fn transpose_stepwise<T: Copy + Default + Send + Sync>(
     m: &DistMatrix<T>,
     after: &Layout,
     net: &mut SimNet<Vec<T>>,
-    policy: SendPolicy,
+    policy: BufferPolicy,
 ) -> DistMatrix<T> {
     let spec = TransposeSpec::with_after(m.layout().clone(), after.clone());
     let start = FieldMap::from_layout(&spec.before);
@@ -456,7 +456,7 @@ mod tests {
         let mut net_a = SimNet::new(n, MachineParams::unit(PortMode::OnePort));
         let a = transpose_1d_exchange(&m, &after, &mut net_a, BufferPolicy::Ideal);
         let mut net_b: SimNet<Vec<u64>> = SimNet::new(n, MachineParams::unit(PortMode::OnePort));
-        let b = transpose_stepwise(&m, &after, &mut net_b, SendPolicy::Ideal);
+        let b = transpose_stepwise(&m, &after, &mut net_b, BufferPolicy::Ideal);
         assert_transposed(&before, &b);
         assert_eq!(a, b);
         // Same communication totals for the ideal policy.
@@ -472,7 +472,7 @@ mod tests {
         let m = labels(before.clone());
         let params = MachineParams::unit(PortMode::OnePort).with_max_packet(8);
         let mut net: SimNet<Vec<u64>> = SimNet::new(n, params.clone());
-        let _ = transpose_stepwise(&m, &after, &mut net, SendPolicy::Unbuffered);
+        let _ = transpose_stepwise(&m, &after, &mut net, BufferPolicy::Unbuffered);
         let r = net.finalize();
         let expect = cubemodel::one_dim::unbuffered(1 << (p + q), n, &params);
         assert!((r.time - expect).abs() < 1e-9, "simulated {} vs model {expect}", r.time);
@@ -486,7 +486,8 @@ mod tests {
         let params = MachineParams::unit(PortMode::OnePort).with_max_packet(8).with_t_copy(0.25);
         for min_direct in [1usize, 4, 16, 64] {
             let mut net: SimNet<Vec<u64>> = SimNet::new(n, params.clone());
-            let out = transpose_stepwise(&m, &after, &mut net, SendPolicy::Buffered { min_direct });
+            let out =
+                transpose_stepwise(&m, &after, &mut net, BufferPolicy::Buffered { min_direct });
             assert_transposed(&before, &out);
             let r = net.finalize();
             let expect = cubemodel::one_dim::buffered(1 << (p + q), n, &params, min_direct);

@@ -13,8 +13,9 @@
 //! Not part of the public API (`doc(hidden)`); exported only for tests
 //! and differential experiments.
 
-use crate::fieldmap::{FieldMap, MappedMatrix, Role, SendPolicy};
+use crate::fieldmap::{FieldMap, MappedMatrix, Role};
 use cubeaddr::NodeId;
+use cubecomm::BufferPolicy;
 use cubesim::SimNet;
 
 /// The reference twin of [`MappedMatrix`]: same observable behavior,
@@ -63,7 +64,7 @@ impl<T: Copy> RefMappedMatrix<T> {
         net: &mut SimNet<Vec<T>>,
         i: u32,
         j: u32,
-        policy: SendPolicy,
+        policy: BufferPolicy,
     ) {
         assert!(i < self.map.n() && j < self.map.vp());
         let per = 1usize << self.map.vp();
@@ -74,12 +75,12 @@ impl<T: Copy> RefMappedMatrix<T> {
             (0..per).filter(move |l| (l >> j) & 1 == want)
         };
         let gathered = match policy {
-            SendPolicy::Ideal => true,
-            SendPolicy::Unbuffered => false,
-            SendPolicy::Buffered { min_direct } => run < min_direct,
+            BufferPolicy::Ideal => true,
+            BufferPolicy::Unbuffered => false,
+            BufferPolicy::Buffered { min_direct } => run < min_direct,
         };
         if gathered {
-            if matches!(policy, SendPolicy::Buffered { .. }) {
+            if matches!(policy, BufferPolicy::Buffered { .. }) {
                 for x in 0..num as u64 {
                     net.local_copy(NodeId(x), per / 2);
                 }
@@ -209,7 +210,7 @@ impl<T: Copy> RefMappedMatrix<T> {
         &mut self,
         net: &mut SimNet<Vec<T>>,
         target: &FieldMap,
-        policy: SendPolicy,
+        policy: BufferPolicy,
     ) -> usize {
         assert_eq!(self.map.n(), target.n());
         assert_eq!(self.map.vp(), target.vp());

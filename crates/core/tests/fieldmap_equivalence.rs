@@ -6,9 +6,10 @@
 //! both implementations and must produce identical payloads at every
 //! node, identical role maps, and identical [`CommReport`]s.
 
+use cubecomm::BufferPolicy;
 use cubesim::{CommReport, MachineParams, PortMode, SimNet};
 use cubetranspose::reference::ref_twin;
-use cubetranspose::{FieldMap, MappedMatrix, SendPolicy};
+use cubetranspose::{FieldMap, MappedMatrix};
 use proptest::prelude::*;
 
 /// SplitMix64 so schedules are a pure function of the seed.
@@ -30,7 +31,7 @@ impl Rng {
 
 #[derive(Clone, Debug)]
 enum Op {
-    Exchange { i: u32, j: u32, policy: SendPolicy },
+    Exchange { i: u32, j: u32, policy: BufferPolicy },
     Swap { i1: u32, i2: u32 },
     Permute { perm: Vec<u32> },
     Relabel { perm: Vec<u32> },
@@ -52,11 +53,11 @@ fn random_perm(rng: &mut Rng, vp: u32) -> Vec<u32> {
     p
 }
 
-fn random_policy(rng: &mut Rng, vp: u32) -> SendPolicy {
+fn random_policy(rng: &mut Rng, vp: u32) -> BufferPolicy {
     match rng.below(3) {
-        0 => SendPolicy::Ideal,
-        1 => SendPolicy::Unbuffered,
-        _ => SendPolicy::Buffered { min_direct: 1 << rng.below(vp as u64 + 1) },
+        0 => BufferPolicy::Ideal,
+        1 => BufferPolicy::Unbuffered,
+        _ => BufferPolicy::Buffered { min_direct: 1 << rng.below(vp as u64 + 1) },
     }
 }
 
@@ -84,8 +85,8 @@ fn random_ops(rng: &mut Rng, n: u32, vp: u32, count: usize) -> Vec<Op> {
     if vp >= 3 {
         let j = rng.below(vp as u64 - 2) as u32;
         let policy = match rng.below(2) {
-            0 => SendPolicy::Unbuffered,
-            _ => SendPolicy::Buffered { min_direct: 1 << j },
+            0 => BufferPolicy::Unbuffered,
+            _ => BufferPolicy::Buffered { min_direct: 1 << j },
         };
         ops.push(Op::Exchange { i: rng.below(n as u64) as u32, j, policy });
     }

@@ -8,9 +8,10 @@
 //! default so ordinary debug test runs stay fast; `scripts/ci.sh` runs
 //! it in release mode with `--ignored`.
 
+use cubecomm::BufferPolicy;
 use cubesim::{MachineParams, PortMode, SimNet};
 use cubetranspose::fieldmap::{check_labels, label_mapped};
-use cubetranspose::{FieldMap, SendPolicy};
+use cubetranspose::FieldMap;
 use std::time::{Duration, Instant};
 
 #[test]
@@ -25,7 +26,7 @@ fn n10_fieldmap_sweep_completes_within_bound() {
 
     let start = Instant::now();
     for i in 0..n {
-        m.exchange_real_virt(&mut net, i, i, SendPolicy::Ideal);
+        m.exchange_real_virt(&mut net, i, i, BufferPolicy::Ideal);
     }
     let rotation: Vec<u32> = (vp / 2..vp).chain(0..vp / 2).collect();
     m.permute_virt(&mut net, &rotation);

@@ -21,13 +21,6 @@ pub fn bit_reverse(w: u64, m: u32) -> u64 {
     w.reverse_bits() >> (64 - m)
 }
 
-/// The set of fixed points of the `m`-bit reversal is the set of
-/// palindromic addresses; this predicate tests membership.
-#[inline]
-pub fn is_palindrome(w: u64, m: u32) -> bool {
-    bit_reverse(w, m) == w
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -60,17 +53,5 @@ mod tests {
             seen[r] = true;
         }
         assert!(seen.iter().all(|&s| s));
-    }
-
-    #[test]
-    fn palindromes() {
-        assert!(is_palindrome(0b101, 3));
-        assert!(is_palindrome(0b0110, 4));
-        assert!(!is_palindrome(0b0111, 4));
-        // Number of m-bit palindromes is 2^ceil(m/2).
-        for m in 1..=10u32 {
-            let count = (0..(1u64 << m)).filter(|&w| is_palindrome(w, m)).count();
-            assert_eq!(count, 1 << m.div_ceil(2), "m={m}");
-        }
     }
 }

@@ -5,8 +5,6 @@
 //! preserves adjacency: `G(w)` and `G(w+1)` differ in exactly one bit, so
 //! consecutive rows (columns) land on neighboring processors.
 
-use crate::mask;
-
 /// Binary-reflected Gray code of `w`: `G(w) = w ⊕ (w >> 1)`.
 ///
 /// ```
@@ -35,31 +33,6 @@ pub fn gray_inverse(g: u64) -> u64 {
     w ^= w >> 2;
     w ^= w >> 1;
     w
-}
-
-/// Gray code restricted to an `m`-bit field (identical to [`gray`] for
-/// in-range inputs; asserts the input is in range in debug builds).
-#[inline]
-pub fn gray_m(w: u64, m: u32) -> u64 {
-    debug_assert_eq!(w & !mask(m), 0);
-    gray(w)
-}
-
-/// The dimension in which `G(w)` and `G(w+1)` differ: the number of
-/// trailing ones of `w`, i.e. `trailing_zeros(!w)`.
-///
-/// This is the classic "ruler sequence" of Gray-code transitions; it is the
-/// dimension along which a Gray-code-embedded ring takes its next step.
-#[inline]
-pub fn gray_transition_dim(w: u64) -> u32 {
-    (!w).trailing_zeros()
-}
-
-/// Iterator over the `2^m` Gray codewords in sequence order
-/// `G(0), G(1), …, G(2^m - 1)`.
-pub fn gray_sequence(m: u32) -> impl Iterator<Item = u64> {
-    crate::check_dims(m);
-    (0..(1u64 << m)).map(gray)
 }
 
 #[cfg(test)]
@@ -110,7 +83,6 @@ mod tests {
     fn transition_dims_are_ruler_sequence() {
         let expect = [0, 1, 0, 2, 0, 1, 0, 3, 0, 1, 0, 2, 0, 1, 0, 4];
         for (w, &d) in expect.iter().enumerate() {
-            assert_eq!(gray_transition_dim(w as u64), d);
             assert_eq!(
                 gray(w as u64) ^ gray(w as u64 + 1),
                 1 << d,
@@ -128,13 +100,5 @@ mod tests {
                 assert_eq!(gray(w) >> (m - 1), w >> (m - 1));
             }
         }
-    }
-
-    #[test]
-    fn sequence_enumerates_all() {
-        let mut seen: Vec<u64> = gray_sequence(8).collect();
-        seen.sort_unstable();
-        let all: Vec<u64> = (0..256).collect();
-        assert_eq!(seen, all);
     }
 }

@@ -15,8 +15,7 @@
 //!   swappings* (paper Lemma 15, [`dimperm`]),
 //! * necklace/rotation utilities used by spanning balanced *n*-tree
 //!   routing ([`necklace`]),
-//! * sets of cube dimensions and subcube enumeration ([`dimset`]),
-//! * proximity-preserving ring/mesh embeddings ([`embed`]).
+//! * sets of cube dimensions and subcube enumeration ([`dimset`]).
 //!
 //! Addresses are plain `u64` bit strings; an *m*-bit address space supports
 //! `m <= 63`. All operations are `O(1)` or `O(m)` bit manipulation with no
@@ -26,7 +25,6 @@
 pub mod bitrev;
 pub mod dimperm;
 pub mod dimset;
-pub mod embed;
 pub mod gray;
 pub mod hamming;
 pub mod necklace;

@@ -61,18 +61,6 @@ impl NodeId {
         (self.0 ^ other.0).count_ones() == 1
     }
 
-    /// The dimension connecting `self` to neighbor `other`.
-    ///
-    /// # Panics
-    /// If `other` is not a neighbor of `self`.
-    #[inline]
-    #[track_caller]
-    pub fn dim_to(self, other: NodeId) -> u32 {
-        let diff = self.0 ^ other.0;
-        assert_eq!(diff.count_ones(), 1, "{self:?} and {other:?} are not cube neighbors");
-        diff.trailing_zeros()
-    }
-
     /// Iterator over all `n` neighbors, in ascending dimension order.
     pub fn neighbors(self, n: u32) -> impl Iterator<Item = NodeId> {
         (0..n).map(move |d| self.neighbor(d))
@@ -81,16 +69,6 @@ impl NodeId {
     /// Iterator over every node of an `n`-cube in address order.
     pub fn all(n: u32) -> impl Iterator<Item = NodeId> {
         (0..crate::num_nodes(n) as u64).map(NodeId)
-    }
-
-    /// Translation of this node by `s` (bitwise exclusive or).
-    ///
-    /// The paper uses translations to relate spanning trees rooted at
-    /// different nodes: the tree rooted at `s` is the tree rooted at 0 with
-    /// every address XORed by `s`.
-    #[inline]
-    pub fn translate(self, s: NodeId) -> NodeId {
-        NodeId(self.0 ^ s.0)
     }
 
     /// Index usable for array storage (`usize` form of the address).
@@ -118,37 +96,6 @@ impl From<u64> for NodeId {
     }
 }
 
-/// Number of nodes of an `n`-cube. Alias for [`crate::num_nodes`].
-#[inline]
-pub fn cube_size(n: u32) -> usize {
-    crate::num_nodes(n)
-}
-
-/// Number of undirected links of an `n`-cube: `n·N/2`.
-#[inline]
-pub fn link_count(n: u32) -> usize {
-    if n == 0 {
-        0
-    } else {
-        (n as usize) << (n - 1)
-    }
-}
-
-/// Enumerates the `Hamming(x, y)` shortest paths' first-step dimensions:
-/// the set of dimensions in which `x` and `y` differ, ascending.
-pub fn differing_dims(x: NodeId, y: NodeId) -> impl Iterator<Item = u32> {
-    let mut diff = x.0 ^ y.0;
-    std::iter::from_fn(move || {
-        if diff == 0 {
-            None
-        } else {
-            let d = diff.trailing_zeros();
-            diff &= diff - 1;
-            Some(d)
-        }
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -168,20 +115,8 @@ mod tests {
         for x in NodeId::all(5) {
             for d in 0..5 {
                 assert_eq!(x.neighbor(d).neighbor(d), x);
-                assert_eq!(x.dim_to(x.neighbor(d)), d);
             }
         }
-    }
-
-    #[test]
-    fn counts() {
-        assert_eq!(cube_size(0), 1);
-        assert_eq!(cube_size(6), 64);
-        assert_eq!(link_count(0), 0);
-        assert_eq!(link_count(1), 1);
-        assert_eq!(link_count(3), 12);
-        // n·N/2 with n=6: 6·64/2 = 192.
-        assert_eq!(link_count(6), 192);
     }
 
     #[test]
@@ -197,35 +132,8 @@ mod tests {
     }
 
     #[test]
-    fn differing_dims_matches_distance() {
-        let x = NodeId(0b110100);
-        let y = NodeId(0b011001);
-        let dims: Vec<_> = differing_dims(x, y).collect();
-        assert_eq!(dims.len() as u32, x.distance(y));
-        assert_eq!(dims, vec![0, 2, 3, 5]);
-    }
-
-    #[test]
-    fn translation_preserves_adjacency() {
-        let n = 4;
-        let s = NodeId(0b0110);
-        for x in NodeId::all(n) {
-            for d in 0..n {
-                let y = x.neighbor(d);
-                assert!(x.translate(s).is_neighbor(y.translate(s)));
-            }
-        }
-    }
-
-    #[test]
     #[should_panic]
     fn new_rejects_out_of_range() {
         NodeId::new(0b10000, 4);
-    }
-
-    #[test]
-    #[should_panic]
-    fn dim_to_rejects_non_neighbor() {
-        NodeId(0).dim_to(NodeId(0b11));
     }
 }

@@ -5,8 +5,7 @@
 //! is the corresponding [`CommSchedule`] (built by
 //! [`cubecomm::plan::ecube_route_plan`]) paired with the figure's
 //! machine model, at every benchmarked parameter point. The `cubecheck`
-//! binary lints them all; `cubebench`'s figure driver can do the same
-//! before generating data (`--lint`).
+//! binary lints them all (`cubecheck --all-figures`).
 //!
 //! Schedules are built through a process-wide [`PlanCache`] (see
 //! [`plan_cache`]): figures sharing a parameter point (the same `n` and

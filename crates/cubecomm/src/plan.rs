@@ -34,8 +34,9 @@
 //! The pre-optimization planners survive verbatim in [`mod@reference`],
 //! pinned to the fast builders by the `plan_construction` property
 //! tests. A keyed
-//! LRU [`PlanCache`] (see [`cache`]) plus the `*_cached` wrappers below
-//! make repeated requests for the same shape pay construction once.
+//! LRU [`PlanCache`] (see [`cache`]) and the three `*_plan_cached`
+//! front doors ([`ecube_route_plan_cached`] and the two Dragonfly ones)
+//! make repeated requests for the same plan pay construction once.
 //!
 //! Builders never panic on *invariant* violations (a plan for a broken
 //! schedule is still a plan — `cubecheck` reports the breakage as
@@ -47,7 +48,7 @@ pub mod dragonfly;
 pub mod reference;
 pub(crate) mod skeleton;
 
-pub use cache::{fingerprint, CacheStats, MachineKey, PlanCache, PlanKey};
+pub use cache::{fingerprint, CacheStats, PlanCache, PlanKey};
 pub use dragonfly::{
     dragonfly_direct_plan, dragonfly_direct_plan_cached, dragonfly_swap_exchange_plan,
     dragonfly_swap_exchange_plan_cached,
@@ -397,92 +398,11 @@ pub fn ecube_route_plan(n: u32, msgs: &[(NodeId, NodeId, u64)]) -> CommSchedule 
     }
 }
 
-// --- Cached front-ends -------------------------------------------------
+// --- Cached front door -------------------------------------------------
 //
-// One wrapper per planner: the cache key fingerprints the *complete*
-// planner input (see `cache` module docs on keying), so a hit is
-// guaranteed byte-identical to the cold construction it replaces.
-
-/// [`exchange_plan`] through a [`PlanCache`].
-#[track_caller]
-pub fn exchange_plan_cached(
-    cache: &PlanCache,
-    n: u32,
-    blocks: &[BlockMeta],
-    dims: &[u32],
-    policy: BufferPolicy,
-    ports: PortMode,
-    name: &str,
-) -> Arc<CommSchedule> {
-    let key = PlanKey::new("exchange", n)
-        .with_fingerprint(fingerprint(&(blocks, dims, policy, ports, name)));
-    cache.get_or_build(key, || exchange_plan(n, blocks.to_vec(), dims, policy, ports, name))
-}
-
-/// [`all_to_all_exchange_plan`] through a [`PlanCache`].
-#[track_caller]
-pub fn all_to_all_exchange_plan_cached(
-    cache: &PlanCache,
-    n: u32,
-    sizes: &[Vec<u64>],
-    policy: BufferPolicy,
-    ports: PortMode,
-) -> Arc<CommSchedule> {
-    let key = PlanKey::new("all_to_all_exchange", n)
-        .with_fingerprint(fingerprint(&(sizes, policy, ports)));
-    cache.get_or_build(key, || all_to_all_exchange_plan(n, sizes, policy, ports))
-}
-
-/// [`some_to_all_plan`] through a [`PlanCache`].
-#[track_caller]
-pub fn some_to_all_plan_cached(
-    cache: &PlanCache,
-    n: u32,
-    l_dims: DimSet,
-    k_dims: DimSet,
-    sizes: &[Vec<u64>],
-    policy: BufferPolicy,
-    ports: PortMode,
-) -> Arc<CommSchedule> {
-    let key = PlanKey::new("some_to_all", n)
-        .with_fingerprint(fingerprint(&(l_dims.0, k_dims.0, sizes, policy, ports)));
-    cache.get_or_build(key, || some_to_all_plan(n, l_dims, k_dims, sizes, policy, ports))
-}
-
-/// [`one_to_all_sbt_plan`] through a [`PlanCache`].
-#[track_caller]
-pub fn one_to_all_sbt_plan_cached(
-    cache: &PlanCache,
-    n: u32,
-    root: NodeId,
-    sizes: &[u64],
-) -> Arc<CommSchedule> {
-    let key = PlanKey::new("one_to_all_sbt", n).with_fingerprint(fingerprint(&(root, sizes)));
-    cache.get_or_build(key, || one_to_all_sbt_plan(n, root, sizes))
-}
-
-/// [`one_to_all_trees_plan`] through a [`PlanCache`].
-#[track_caller]
-pub fn one_to_all_trees_plan_cached(
-    cache: &PlanCache,
-    n: u32,
-    sizes: &[u64],
-    trees: &[Sbt],
-) -> Arc<CommSchedule> {
-    let key = PlanKey::new("one_to_all_trees", n).with_fingerprint(fingerprint(&(sizes, trees)));
-    cache.get_or_build(key, || one_to_all_trees_plan(n, sizes, trees))
-}
-
-/// [`all_to_all_sbnt_plan`] through a [`PlanCache`].
-#[track_caller]
-pub fn all_to_all_sbnt_plan_cached(
-    cache: &PlanCache,
-    n: u32,
-    sizes: &[Vec<u64>],
-) -> Arc<CommSchedule> {
-    let key = PlanKey::new("all_to_all_sbnt", n).with_fingerprint(fingerprint(&sizes));
-    cache.get_or_build(key, || all_to_all_sbnt_plan(n, sizes))
-}
+// The cache key fingerprints the *complete* planner input (see `cache`
+// module docs on keying), so a hit is guaranteed byte-identical to the
+// cold construction it replaces.
 
 /// [`ecube_route_plan`] through a [`PlanCache`].
 #[track_caller]
@@ -491,7 +411,7 @@ pub fn ecube_route_plan_cached(
     n: u32,
     msgs: &[(NodeId, NodeId, u64)],
 ) -> Arc<CommSchedule> {
-    let key = PlanKey::new("ecube_route", n).with_fingerprint(fingerprint(&msgs));
+    let key = PlanKey::new("ecube_route", n, fingerprint(&msgs));
     cache.get_or_build(key, || ecube_route_plan(n, msgs))
 }
 

@@ -11,19 +11,12 @@
 //!
 //! # Keying and invalidation
 //!
-//! A [`PlanKey`] names a plan by *shape*, never by payload: the
-//! algorithm tag, the cube dimension `n`, an optional `(p, q)` matrix
-//! shape, an optional layout tag, an optional machine fingerprint
-//! ([`MachineKey`] — [`MachineParams`] with its `f64` fields keyed by
-//! bit pattern), and a 64-bit fingerprint of whatever remaining inputs
-//! the algorithm takes (block lists, size matrices, dimension
-//! sequences, policies). The `*_cached` wrappers below fingerprint the
-//! *complete* planner input, so two keys collide only if every input
-//! hashes identically — there is no invalidation protocol to run,
-//! because nothing a key omits can influence the plan. Callers that key
-//! by `(p, q, layout, machine)` instead take responsibility for that
-//! tuple determining their inputs. Entries are only ever dropped by LRU
-//! eviction (capacity pressure) or [`PlanCache::clear`].
+//! A [`PlanKey`] is the algorithm tag, the cube dimension `n` and a
+//! 64-bit [`fingerprint`] of the *complete* planner input (message
+//! lists, size matrices, Dragonfly `(k, m)`). Two keys collide only if
+//! every input hashes identically — there is no invalidation protocol
+//! to run, because nothing a key omits can influence the plan. Entries
+//! are only ever dropped by LRU eviction (capacity pressure).
 //!
 //! Lookups lock a [`Mutex`]; construction on a miss runs *outside* the
 //! lock, so a slow build never blocks concurrent hits. Two threads
@@ -31,88 +24,28 @@
 //! both results identical, and the first insert wins.
 
 use super::CommSchedule;
-use cubesim::{MachineParams, PortMode};
 use cubesync::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::collections::HashMap;
 use std::hash::{DefaultHasher, Hash, Hasher};
 
-/// [`MachineParams`] as a hashable cache-key component: `f64` fields
-/// are keyed by their bit patterns, so any parameter change — however
-/// small — keys a different plan.
-#[derive(Clone, PartialEq, Eq, Hash, Debug)]
-pub struct MachineKey {
-    name: String,
-    tau: u64,
-    t_c: u64,
-    max_packet: usize,
-    t_copy: u64,
-    ports: PortMode,
-    pipelined: bool,
-}
-
-impl From<&MachineParams> for MachineKey {
-    fn from(m: &MachineParams) -> Self {
-        MachineKey {
-            name: m.name.clone(),
-            tau: m.tau.to_bits(),
-            t_c: m.t_c.to_bits(),
-            max_packet: m.max_packet,
-            t_copy: m.t_copy.to_bits(),
-            ports: m.ports,
-            pipelined: m.pipelined,
-        }
-    }
-}
-
-/// Cache key: the shape of a plan request.
+/// Cache key: the algorithm, the cube dimension and a fingerprint of
+/// the complete planner input.
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub struct PlanKey {
-    /// Algorithm tag (`"ecube_route"`, `"exchange"`, …).
+    /// Algorithm tag (`"ecube_route"`, `"dragonfly_direct"`, …).
     pub algorithm: &'static str,
-    /// Cube dimension.
+    /// Cube dimension (`0` for the Dragonfly, whose `(k, m)` is part
+    /// of the fingerprint).
     pub n: u32,
-    /// Matrix shape `(p, q)` when the caller addresses plans by shape;
-    /// `(0, 0)` otherwise.
-    pub shape: (u64, u64),
-    /// Data-layout tag (consecutive/cyclic/…, encoded by the caller);
-    /// `0` when not layout-addressed.
-    pub layout: u64,
-    /// Machine fingerprint, when the plan depends on machine parameters.
-    pub machine: Option<MachineKey>,
-    /// Fingerprint of the remaining planner inputs (see
-    /// [`fingerprint`]).
+    /// Fingerprint of the planner inputs (see [`fingerprint`]).
     pub fingerprint: u64,
 }
 
 impl PlanKey {
-    /// A key with neither shape, layout, machine nor fingerprint —
-    /// refine with the builder methods.
-    pub fn new(algorithm: &'static str, n: u32) -> Self {
-        PlanKey { algorithm, n, shape: (0, 0), layout: 0, machine: None, fingerprint: 0 }
-    }
-
-    /// Keys the plan by matrix shape `(p, q)`.
-    pub fn with_shape(mut self, p: u64, q: u64) -> Self {
-        self.shape = (p, q);
-        self
-    }
-
-    /// Keys the plan by a caller-encoded layout tag.
-    pub fn with_layout(mut self, layout: u64) -> Self {
-        self.layout = layout;
-        self
-    }
-
-    /// Keys the plan by machine parameters.
-    pub fn with_machine(mut self, m: &MachineParams) -> Self {
-        self.machine = Some(m.into());
-        self
-    }
-
-    /// Keys the plan by a fingerprint of arbitrary extra inputs.
-    pub fn with_fingerprint(mut self, fingerprint: u64) -> Self {
-        self.fingerprint = fingerprint;
-        self
+    /// The key of `algorithm`'s plan for cube dimension `n` and inputs
+    /// hashing to `fingerprint`.
+    pub fn new(algorithm: &'static str, n: u32, fingerprint: u64) -> Self {
+        PlanKey { algorithm, n, fingerprint }
     }
 }
 
@@ -242,32 +175,16 @@ impl PlanCache {
             capacity: self.capacity,
         }
     }
-
-    /// Number of plans currently held.
-    pub fn len(&self) -> usize {
-        self.lock().map.len()
-    }
-
-    /// True when no plan is held.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Drops every entry (counters are kept).
-    pub fn clear(&self) {
-        self.lock().map.clear();
-    }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::super::{all_to_all_exchange_plan_cached, ecube_route_plan_cached};
+    use super::super::ecube_route_plan_cached;
     use super::*;
-    use crate::BufferPolicy;
     use cubeaddr::NodeId;
 
     fn probe(n: u32, tag: u64) -> PlanKey {
-        PlanKey::new("probe", n).with_fingerprint(tag)
+        PlanKey::new("probe", n, tag)
     }
 
     fn tiny(n: u32) -> CommSchedule {
@@ -295,7 +212,7 @@ mod tests {
         assert!(cache.get(&probe(2, 1)).is_some(), "recently used entry survived");
         assert!(cache.get(&probe(2, 2)).is_none(), "LRU entry evicted");
         assert_eq!(cache.stats().evictions, 1);
-        assert_eq!(cache.len(), 2);
+        assert_eq!(cache.stats().entries, 2);
     }
 
     #[test]
@@ -304,13 +221,6 @@ mod tests {
         let by_n = cache.get_or_build(probe(2, 1), || tiny(2));
         let other = cache.get_or_build(probe(3, 1), || tiny(3));
         assert_ne!(by_n.topo, other.topo);
-        let params = MachineParams::intel_ipsc();
-        let with_machine = PlanKey::new("probe", 2).with_machine(&params);
-        assert_ne!(with_machine, PlanKey::new("probe", 2));
-        assert_ne!(
-            PlanKey::new("probe", 2).with_shape(4, 8),
-            PlanKey::new("probe", 2).with_shape(8, 4)
-        );
     }
 
     #[test]
@@ -323,24 +233,8 @@ mod tests {
         // Changing one element count is a different plan.
         let c = ecube_route_plan_cached(&cache, 2, &[(NodeId(0), NodeId(3), 3u64)]);
         assert!(!Arc::ptr_eq(&a, &c));
-        let sizes = vec![vec![1u64; 4]; 4];
-        let d = all_to_all_exchange_plan_cached(
-            &cache,
-            2,
-            &sizes,
-            BufferPolicy::Ideal,
-            PortMode::OnePort,
-        );
-        let e = all_to_all_exchange_plan_cached(
-            &cache,
-            2,
-            &sizes,
-            BufferPolicy::Unbuffered,
-            PortMode::OnePort,
-        );
-        assert!(!Arc::ptr_eq(&d, &e), "policy is part of the key");
         assert_eq!(cache.stats().hits, 1);
-        assert_eq!(cache.stats().misses, 4);
+        assert_eq!(cache.stats().misses, 2);
     }
 
     #[test]

@@ -178,9 +178,7 @@ pub fn dragonfly_direct_plan_cached(
     m: u32,
     msgs: &[(NodeId, NodeId, u64)],
 ) -> Arc<CommSchedule> {
-    let key = PlanKey::new("dragonfly_direct", 0)
-        .with_shape(u64::from(k), u64::from(m))
-        .with_fingerprint(fingerprint(&msgs));
+    let key = PlanKey::new("dragonfly_direct", 0, fingerprint(&(k, m, msgs)));
     cache.get_or_build(key, || dragonfly_direct_plan(k, m, msgs))
 }
 
@@ -192,9 +190,7 @@ pub fn dragonfly_swap_exchange_plan_cached(
     m: u32,
     sizes: &[Vec<u64>],
 ) -> Arc<CommSchedule> {
-    let key = PlanKey::new("dragonfly_swap_exchange", 0)
-        .with_shape(u64::from(k), u64::from(m))
-        .with_fingerprint(fingerprint(&sizes));
+    let key = PlanKey::new("dragonfly_swap_exchange", 0, fingerprint(&(k, m, sizes)));
     cache.get_or_build(key, || dragonfly_swap_exchange_plan(k, m, sizes))
 }
 
@@ -324,5 +320,23 @@ mod tests {
         let c = dragonfly_direct_plan_cached(&cache, 2, 2, &msgs);
         let e = dragonfly_direct_plan_cached(&cache, 2, 2, &msgs);
         assert!(Arc::ptr_eq(&c, &e));
+    }
+
+    #[test]
+    fn cached_wrappers_key_on_k_and_m() {
+        // The same message list plans differently on D3(2,2) and D3(1,3)
+        // (8 and 9 nodes): (k, m) is part of each key's fingerprint.
+        let cache = PlanCache::new(8);
+        let msgs = [(NodeId(0), NodeId(5), 4)];
+        let a = dragonfly_direct_plan_cached(&cache, 2, 2, &msgs);
+        let b = dragonfly_direct_plan_cached(&cache, 1, 3, &msgs);
+        assert!(!Arc::ptr_eq(&a, &b));
+        assert_ne!(a.topo, b.topo);
+        let sizes = all_to_all_sizes(4, 1);
+        let c = dragonfly_swap_exchange_plan_cached(&cache, 1, 2, &sizes);
+        let e = dragonfly_swap_exchange_plan_cached(&cache, 4, 1, &sizes);
+        assert!(!Arc::ptr_eq(&c, &e));
+        assert_ne!(c.topo, e.topo);
+        assert_eq!(cache.stats().misses, 4);
     }
 }

@@ -8,22 +8,28 @@
 //!    original per-node simulations preserved in
 //!    `cubecomm::plan::reference` (same rounds, same message order, same
 //!    block ids, same copies).
-//! 2. **Cold = cached:** a warm [`PlanCache`] hit returns a plan
-//!    byte-identical to an uncached construction of the same inputs
-//!    (and the very same `Arc` on the second fetch).
+//! 2. **Cold = cached:** for each cached front door, a warm
+//!    [`PlanCache`] hit returns a plan byte-identical to an uncached
+//!    construction of the same inputs (and the very same `Arc` on the
+//!    second fetch).
 
-use cubeaddr::{DimSet, NodeId};
+use cubeaddr::NodeId;
 use cubecomm::exchange::BufferPolicy;
 use cubecomm::plan::{self, reference, BlockMeta, CommSchedule, PlanCache};
 use cubecomm::sbt::Sbt;
 use cubesim::PortMode;
 use cubesync::sync::Arc;
+use cubetopo::{SwappedDragonfly, Topology};
 use proptest::prelude::*;
 
 /// Deterministic pseudo-random size matrix (zeros allowed — dropped
 /// blocks), the same generator idiom as `tests/props.rs`.
 fn random_sizes(n: u32, seed: u64, max_b: u64) -> Vec<Vec<u64>> {
-    let num = 1usize << n;
+    random_matrix(1 << n, seed, max_b)
+}
+
+/// A `num × num` [`random_sizes`] for any node count.
+fn random_matrix(num: usize, seed: u64, max_b: u64) -> Vec<Vec<u64>> {
     (0..num as u64)
         .map(|s| {
             (0..num as u64)
@@ -184,78 +190,43 @@ proptest! {
     }
 
     /// Property 2: a cache hit is byte-identical to a cold build, and a
-    /// repeat fetch returns the very same `Arc`.
+    /// repeat fetch returns the very same `Arc` — for the cube's e-cube
+    /// router and both Swapped Dragonfly front doors.
     #[test]
     fn cached_plans_match_cold_construction(
         n in 1u32..5,
+        (k, m) in (1u32..4, 1u32..4),
         seed in any::<u64>(),
         max_b in 0u64..6,
-        policy in policy_strategy(),
     ) {
         let cache = PlanCache::new(16);
-        let sizes = random_sizes(n, seed, max_b);
-        let blocks = random_blocks(n, seed, max_b);
-        let dims = random_dims(n, seed);
-        let root = NodeId(seed % (1 << n));
-        let one_sizes = random_vec(n, seed, max_b);
         let msgs = random_msgs(n, seed, max_b);
-        let trees: Vec<Sbt> = (0..n).map(|k| Sbt::rotated(n, root, k)).collect();
-        let k_dims = DimSet::from_dims((0..n).filter(|d| (seed >> d) & 1 == 1));
-        let l_dims = k_dims.complement(n);
-        let rows = 1usize << (n - k_dims.len());
+        let df = SwappedDragonfly::new(k, m).num_nodes();
+        let df_sizes = random_matrix(df, seed, max_b);
+        let df_msgs: Vec<(NodeId, NodeId, u64)> = df_sizes[0]
+            .iter()
+            .enumerate()
+            .map(|(i, &h)| (NodeId(i as u64), NodeId(h.wrapping_mul(i as u64 + 1) % df as u64), h))
+            .collect();
 
         let pairs: Vec<(&str, CommSchedule, Arc<CommSchedule>, Arc<CommSchedule>)> = vec![
-            (
-                "exchange",
-                plan::exchange_plan(
-                    n, blocks.clone(), &dims, policy, PortMode::OnePort, "prop/exchange",
-                ),
-                plan::exchange_plan_cached(
-                    &cache, n, &blocks, &dims, policy, PortMode::OnePort, "prop/exchange",
-                ),
-                plan::exchange_plan_cached(
-                    &cache, n, &blocks, &dims, policy, PortMode::OnePort, "prop/exchange",
-                ),
-            ),
-            (
-                "all_to_all_exchange",
-                plan::all_to_all_exchange_plan(n, &sizes, policy, PortMode::OnePort),
-                plan::all_to_all_exchange_plan_cached(&cache, n, &sizes, policy, PortMode::OnePort),
-                plan::all_to_all_exchange_plan_cached(&cache, n, &sizes, policy, PortMode::OnePort),
-            ),
-            (
-                "some_to_all",
-                plan::some_to_all_plan(n, l_dims, k_dims, &sizes[..rows], policy, PortMode::OnePort),
-                plan::some_to_all_plan_cached(
-                    &cache, n, l_dims, k_dims, &sizes[..rows], policy, PortMode::OnePort,
-                ),
-                plan::some_to_all_plan_cached(
-                    &cache, n, l_dims, k_dims, &sizes[..rows], policy, PortMode::OnePort,
-                ),
-            ),
-            (
-                "one_to_all_sbt",
-                plan::one_to_all_sbt_plan(n, root, &one_sizes),
-                plan::one_to_all_sbt_plan_cached(&cache, n, root, &one_sizes),
-                plan::one_to_all_sbt_plan_cached(&cache, n, root, &one_sizes),
-            ),
-            (
-                "one_to_all_trees",
-                plan::one_to_all_trees_plan(n, &one_sizes, &trees),
-                plan::one_to_all_trees_plan_cached(&cache, n, &one_sizes, &trees),
-                plan::one_to_all_trees_plan_cached(&cache, n, &one_sizes, &trees),
-            ),
-            (
-                "all_to_all_sbnt",
-                plan::all_to_all_sbnt_plan(n, &sizes),
-                plan::all_to_all_sbnt_plan_cached(&cache, n, &sizes),
-                plan::all_to_all_sbnt_plan_cached(&cache, n, &sizes),
-            ),
             (
                 "ecube_route",
                 plan::ecube_route_plan(n, &msgs),
                 plan::ecube_route_plan_cached(&cache, n, &msgs),
                 plan::ecube_route_plan_cached(&cache, n, &msgs),
+            ),
+            (
+                "dragonfly_direct",
+                plan::dragonfly_direct_plan(k, m, &df_msgs),
+                plan::dragonfly_direct_plan_cached(&cache, k, m, &df_msgs),
+                plan::dragonfly_direct_plan_cached(&cache, k, m, &df_msgs),
+            ),
+            (
+                "dragonfly_swap_exchange",
+                plan::dragonfly_swap_exchange_plan(k, m, &df_sizes),
+                plan::dragonfly_swap_exchange_plan_cached(&cache, k, m, &df_sizes),
+                plan::dragonfly_swap_exchange_plan_cached(&cache, k, m, &df_sizes),
             ),
         ];
         for (what, cold, first, second) in &pairs {

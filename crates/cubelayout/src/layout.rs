@@ -241,14 +241,6 @@ impl Layout {
         self.row_part(u).with(self.col_part(v))
     }
 
-    /// Maps the flat element address `w = (u || v)` to its placement.
-    #[inline]
-    #[track_caller]
-    pub fn place_w(&self, w: u64) -> Placement {
-        let (u, v) = split(w, self.q);
-        self.place(u, v)
-    }
-
     /// Inverse of [`Layout::place`]: which element lives at `(node, local)`.
     pub fn element_at(&self, node: NodeId, local: u64) -> (u64, u64) {
         let (row_proc, col_proc) = split(node.bits(), self.n_c());

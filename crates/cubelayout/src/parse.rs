@@ -21,8 +21,18 @@ use crate::scheme::{Assignment, Direction, Encoding};
 
 /// Parses a layout spec string for a `2^p × 2^q` matrix.
 ///
-/// Errors describe the offending token.
+/// Errors describe the offending token; a count the shape cannot hold
+/// (`p + q` beyond [`cubeaddr::MAX_DIMS`], more processor dimensions
+/// than index bits, a band wider than the matrix) is an error naming the
+/// field and its bound, never a panic.
 pub fn parse_layout(spec: &str, p: u32, q: u32) -> Result<Layout, String> {
+    let bits = u64::from(p) + u64::from(q);
+    if bits > u64::from(cubeaddr::MAX_DIMS) {
+        return Err(format!(
+            "matrix address of p + q = {bits} bits exceeds MAX_DIMS = {}",
+            cubeaddr::MAX_DIMS
+        ));
+    }
     let parts: Vec<&str> = spec.split(':').collect();
     match parts.as_slice() {
         ["1d", dir, scheme, enc, n] => {
@@ -30,12 +40,18 @@ pub fn parse_layout(spec: &str, p: u32, q: u32) -> Result<Layout, String> {
             let scheme = parse_scheme(scheme)?;
             let enc = parse_enc(enc)?;
             let n = parse_kv(n, "n")?;
+            match dir {
+                Direction::Rows => within(n, "n", p, "row")?,
+                Direction::Cols => within(n, "n", q, "column")?,
+            }
             Ok(Layout::one_dim(p, q, dir, n, scheme, enc))
         }
         ["2d", scheme, enc, half] => {
             let scheme = parse_scheme(scheme)?;
             let enc = parse_enc(enc)?;
             let half = parse_kv(half, "half")?;
+            within(half, "half", p, "row")?;
+            within(half, "half", q, "column")?;
             Ok(Layout::square(p, q, half, scheme, enc))
         }
         ["2d", rs, re, cs, ce, nr, nc] => {
@@ -44,11 +60,17 @@ pub fn parse_layout(spec: &str, p: u32, q: u32) -> Result<Layout, String> {
             let cs = parse_scheme(cs)?;
             let ce = parse_enc(ce)?;
             let nr = parse_kv(nr, "nr")?;
+            within(nr, "nr", p, "row")?;
             let nc = parse_kv(nc, "nc")?;
+            within(nc, "nc", q, "column")?;
             Ok(Layout::two_dim(p, q, (nr, rs, re), (nc, cs, ce)))
         }
         ["banded", nc] => {
+            if p < q {
+                return Err(format!("banded layout needs p ≥ q, got p = {p} < q = {q}"));
+            }
             let nc = parse_kv(nc, "nc")?;
+            within(nc, "nc", q, "column")?;
             Ok(Layout::banded(p, q, nc))
         }
         _ => Err(format!("unrecognized layout spec '{spec}'; expected 1d:…, 2d:…, or banded:…")),
@@ -84,6 +106,15 @@ fn parse_kv(s: &str, key: &str) -> Result<u32, String> {
         return Err(format!("expected '{key}=<int>', got '{s}'"));
     };
     value.parse().map_err(|e| format!("bad integer in '{s}': {e}"))
+}
+
+/// Checks that the processor-dimension count `key=value` fits the
+/// `bits` bits of the row or column index (`index`) it is taken from.
+fn within(value: u32, key: &str, bits: u32, index: &str) -> Result<(), String> {
+    if value > bits {
+        return Err(format!("{key}={value} exceeds the {bits} {index} index bits"));
+    }
+    Ok(())
 }
 
 /// Renders a layout back into spec-string form when it matches one of
@@ -178,6 +209,45 @@ mod tests {
         assert!(parse_layout("1d:diag:cyclic:binary:n=1", 2, 2).unwrap_err().contains("direction"));
         assert!(parse_layout("1d:rows:cyclic:binary:m=1", 2, 2).unwrap_err().contains("n=<int>"));
         assert!(parse_layout("2d:cyclic:hex:half=1", 2, 2).unwrap_err().contains("encoding"));
+    }
+
+    #[test]
+    fn address_wider_than_max_dims_is_an_error() {
+        let err = parse_layout("1d:rows:cyclic:binary:n=1", 64, 2).unwrap_err();
+        assert!(err.contains("p + q = 66 bits exceeds MAX_DIMS = 63"), "{err}");
+        assert!(parse_layout("1d:rows:cyclic:binary:n=1", u32::MAX, u32::MAX).is_err());
+    }
+
+    #[test]
+    fn one_dim_count_beyond_the_index_is_an_error() {
+        let err = parse_layout("1d:rows:cyclic:binary:n=9", 4, 4).unwrap_err();
+        assert_eq!(err, "n=9 exceeds the 4 row index bits");
+        let err = parse_layout("1d:cols:consecutive:gray:n=4", 5, 3).unwrap_err();
+        assert_eq!(err, "n=4 exceeds the 3 column index bits");
+    }
+
+    #[test]
+    fn square_half_beyond_the_index_is_an_error() {
+        let err = parse_layout("2d:cyclic:binary:half=5", 4, 4).unwrap_err();
+        assert_eq!(err, "half=5 exceeds the 4 row index bits");
+        let err = parse_layout("2d:cyclic:binary:half=3", 4, 2).unwrap_err();
+        assert_eq!(err, "half=3 exceeds the 2 column index bits");
+    }
+
+    #[test]
+    fn two_dim_counts_beyond_the_index_are_errors() {
+        let err = parse_layout("2d:cyclic:binary:cyclic:binary:nr=5:nc=0", 4, 4).unwrap_err();
+        assert_eq!(err, "nr=5 exceeds the 4 row index bits");
+        let err = parse_layout("2d:cyclic:binary:cyclic:binary:nr=0:nc=5", 4, 4).unwrap_err();
+        assert_eq!(err, "nc=5 exceeds the 4 column index bits");
+    }
+
+    #[test]
+    fn banded_band_beyond_the_matrix_is_an_error() {
+        let err = parse_layout("banded:nc=7", 4, 4).unwrap_err();
+        assert_eq!(err, "nc=7 exceeds the 4 column index bits");
+        let err = parse_layout("banded:nc=1", 3, 5).unwrap_err();
+        assert_eq!(err, "banded layout needs p ≥ q, got p = 3 < q = 5");
     }
 
     #[test]

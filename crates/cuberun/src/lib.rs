@@ -34,7 +34,7 @@
 //!   exchanges on a dimension — maps 1:1 onto
 //!   [`NodeCtx::send`], [`NodeCtx::recv`] and [`NodeCtx::exchange`].
 //!   Use it when a node decides at run time what to wait for, relays,
-//!   or receives before it sends; the [`collectives`] live here.
+//!   or receives before it sends.
 //! * **[`run_rounds`] — a fixed round structure.** A [`RoundProgram`]
 //!   is a per-round step — `init`, then for every round `send` followed
 //!   by `recv`, then `finish` — and a step is a round: each worker *is*
@@ -87,9 +87,9 @@
 //! assert_eq!(stats.messages, 8);
 //! ```
 //!
-//! The worker pool is sized by `CUBERUN_WORKERS` (falling back to the
-//! figure sweep's thread count, `CUBEBENCH_THREADS`); results are byte-identical at
-//! any pool size, on either door. The pre-scheduler thread-per-node
+//! The worker pool is sized by [`with_workers`] (falling back to the
+//! figure sweep's thread count, `CUBEBENCH_THREADS`); results are
+//! byte-identical at any pool size, on either door. The pre-scheduler thread-per-node
 //! runtime survives in [`mod@reference`] as the oracle of the
 //! equivalence tests.
 //!
@@ -99,13 +99,11 @@
 //! Dragonfly) with ports in place of dimensions. [`run_spmd`] runs on
 //! the cube only.
 
-pub mod collectives;
 pub mod reference;
 pub mod rounds;
 pub mod runtime;
 mod sched;
 
-pub use collectives::{all_to_all, broadcast, gather};
 pub use cubeaddr::NodeId;
 pub use rounds::{run_rounds, run_rounds_on, Outbox, RoundInbox, RoundProgram};
 pub use runtime::{num_workers, run_spmd, with_stall_timeout, with_workers, NodeCtx, RunStats};

@@ -9,29 +9,16 @@
 //! and require identical results.
 //!
 //! Node programs here are plain blocking closures (`recv` parks the OS
-//! thread), with the historical per-receive `CUBERUN_RECV_TIMEOUT_MS`
-//! watchdog; the pool runtime instead reports a deadlock at the sweep
+//! thread), with a per-receive watchdog of the shared 30 s stall
+//! timeout; the pool runtime instead reports a deadlock at the sweep
 //! where nothing moved.
 
 use crate::runtime::RunStats;
 use cubeaddr::NodeId;
 use cubesync::atomic::{AtomicU64, Ordering};
 use cubesync::channel::{unbounded, Receiver, Sender};
-use cubesync::sync::{Arc, OnceLock};
+use cubesync::sync::Arc;
 use cubesync::thread;
-use std::time::Duration;
-
-/// The receive timeout, read once per process from the
-/// `CUBERUN_RECV_TIMEOUT_MS` environment variable: loaded CI machines
-/// widen it, deadlock stress tests tighten it. Unset falls back to the
-/// shared 30 s default; a set but malformed value panics.
-fn recv_timeout() -> Duration {
-    static TIMEOUT: OnceLock<Duration> = OnceLock::new();
-    *TIMEOUT.get_or_init(|| match std::env::var("CUBERUN_RECV_TIMEOUT_MS") {
-        Ok(v) => crate::runtime::parse_stall_timeout("CUBERUN_RECV_TIMEOUT_MS", &v),
-        Err(_) => crate::runtime::DEFAULT_STALL_TIMEOUT,
-    })
-}
 
 /// The per-node handle a blocking node program runs against: its
 /// identity plus its `n` communication ports.
@@ -76,15 +63,14 @@ impl<T> NodeCtx<T> {
     /// `dim`, blocking this OS thread until it arrives.
     ///
     /// # Panics
-    /// After the receive timeout elapses in silence (30 s by default,
-    /// overridable via `CUBERUN_RECV_TIMEOUT_MS`; a deadlocked node
-    /// program), or if the peer panicked.
+    /// After 30 s of silence (a deadlocked node program), or if the peer
+    /// panicked.
     #[track_caller]
     pub fn recv(&self, dim: u32) -> T {
         assert!(dim < self.n, "dimension {dim} out of range on node {}", self.id);
-        self.rx[dim as usize].recv_timeout(recv_timeout()).unwrap_or_else(|e| {
-            panic!("node {} recv on dim {dim}: {e} (deadlocked node program?)", self.id)
-        })
+        self.rx[dim as usize].recv_timeout(crate::runtime::DEFAULT_STALL_TIMEOUT).unwrap_or_else(
+            |e| panic!("node {} recv on dim {dim}: {e} (deadlocked node program?)", self.id),
+        )
     }
 
     /// Bidirectional exchange across `dim`: sends `msg` and returns the

@@ -40,7 +40,6 @@
 
 use crate::rounds::{run_pool, Header, Lane, Part, Pool};
 use cubeaddr::NodeId;
-use cubesync::sync::OnceLock;
 use cubesync::thread;
 use cubetopo::{TopoSpec, Topology};
 use std::cell::{Cell, RefCell};
@@ -64,32 +63,11 @@ thread_local! {
 }
 
 /// The worker-pool size for [`run_spmd`]: the [`with_workers`] override
-/// if installed, else the `CUBERUN_WORKERS` environment variable, else
-/// the ambient `cubesim::par` thread count (`CUBEBENCH_THREADS` /
-/// available parallelism) — the pool is sized like the figure sweep's
-/// fan-out unless explicitly overridden.
-///
-/// # Panics
-/// If `CUBERUN_WORKERS` is set but not a positive integer — a silent
-/// one-worker fallback would quietly serialize the run.
+/// if installed, else the ambient `cubesim::par` thread count
+/// (`CUBEBENCH_THREADS` / available parallelism) — the pool is sized
+/// like the figure sweep's fan-out unless explicitly overridden.
 pub fn num_workers() -> usize {
-    if let Some(w) = WORKERS_OVERRIDE.with(Cell::get) {
-        return w;
-    }
-    match std::env::var("CUBERUN_WORKERS") {
-        Ok(v) => parse_worker_count("CUBERUN_WORKERS", &v),
-        Err(_) => cubesim::par::num_threads(),
-    }
-}
-
-/// Strictly parses a worker-pool size from an environment value: any
-/// non-integer, `0`, or negative input panics naming the variable and
-/// the offending value rather than silently serializing the run.
-pub(crate) fn parse_worker_count(var: &str, raw: &str) -> usize {
-    match raw.trim().parse::<usize>() {
-        Ok(n) if n >= 1 => n,
-        _ => panic!("{var} must be a positive integer worker count, got {raw:?}"),
-    }
+    WORKERS_OVERRIDE.with(Cell::get).unwrap_or_else(cubesim::par::num_threads)
 }
 
 /// Runs `f` with [`num_workers`] pinned to `workers` on the current
@@ -111,7 +89,7 @@ pub fn with_workers<R>(workers: usize, f: impl FnOnce() -> R) -> R {
 /// thread (restored on exit, even across a panic). The timeout bounds a
 /// worker's wait for another worker's batch — a step that never
 /// returns; a deadlock of the node programs is reported without it.
-/// Tests tighten it; loaded CI machines widen it via the environment.
+/// Tests tighten it.
 pub fn with_stall_timeout<R>(timeout: Duration, f: impl FnOnce() -> R) -> R {
     struct Restore(Option<Duration>);
     impl Drop for Restore {
@@ -124,35 +102,9 @@ pub fn with_stall_timeout<R>(timeout: Duration, f: impl FnOnce() -> R) -> R {
 }
 
 /// The stall timeout: the [`with_stall_timeout`] override if installed,
-/// else `CUBERUN_STALL_TIMEOUT_MS`, else [`DEFAULT_STALL_TIMEOUT`]; a
-/// set but malformed value panics. (`CUBERUN_RECV_TIMEOUT_MS`, the
-/// per-receive watchdog of the thread-per-node runtime, is not read
-/// here; only [`crate::reference`], which still has that watchdog,
-/// reads it.)
+/// else [`DEFAULT_STALL_TIMEOUT`].
 pub(crate) fn stall_timeout() -> Duration {
-    if let Some(t) = STALL_OVERRIDE.with(Cell::get) {
-        return t;
-    }
-    static TIMEOUT: OnceLock<Duration> = OnceLock::new();
-    *TIMEOUT.get_or_init(|| match std::env::var("CUBERUN_STALL_TIMEOUT_MS") {
-        Ok(v) => parse_stall_timeout("CUBERUN_STALL_TIMEOUT_MS", &v),
-        Err(_) => DEFAULT_STALL_TIMEOUT,
-    })
-}
-
-/// Parses a stall-timeout value in milliseconds, clamping to
-/// [1 ms, 1 h] so a zero can't turn every run into an instant panic and
-/// a stray large number can't hang CI for days.
-///
-/// # Panics
-/// On anything that is not an unsigned integer — a malformed timeout
-/// silently widening to 30 s would mask exactly the hangs the variable
-/// exists to catch.
-pub(crate) fn parse_stall_timeout(var: &str, raw: &str) -> Duration {
-    match raw.trim().parse::<u64>() {
-        Ok(ms) => Duration::from_millis(ms.clamp(1, 3_600_000)),
-        Err(_) => panic!("{var} must be an integer number of milliseconds, got {raw:?}"),
-    }
+    STALL_OVERRIDE.with(Cell::get).unwrap_or(DEFAULT_STALL_TIMEOUT)
 }
 
 /// Aggregate statistics of one SPMD run.
@@ -918,65 +870,5 @@ mod tests {
         let msg = panic_message(caught.unwrap_err());
         assert!(msg.contains("send on port 2 of node 0"), "{msg}");
         assert!(msg.contains("no such link on the 2-cube"), "{msg}");
-    }
-
-    const STALL_VAR: &str = "CUBERUN_STALL_TIMEOUT_MS";
-
-    #[test]
-    fn worker_count_parses_positive_integers() {
-        assert_eq!(parse_worker_count("CUBERUN_WORKERS", "4"), 4);
-        assert_eq!(parse_worker_count("CUBERUN_WORKERS", " 16 "), 16);
-    }
-
-    #[test]
-    #[should_panic(
-        expected = "CUBERUN_WORKERS must be a positive integer worker count, got \"many\""
-    )]
-    fn worker_count_rejects_garbage() {
-        parse_worker_count("CUBERUN_WORKERS", "many");
-    }
-
-    #[test]
-    #[should_panic(expected = "CUBERUN_WORKERS must be a positive integer worker count, got \"0\"")]
-    fn worker_count_rejects_zero() {
-        parse_worker_count("CUBERUN_WORKERS", "0");
-    }
-
-    #[test]
-    #[should_panic(expected = "got \"-2\"")]
-    fn worker_count_rejects_negative() {
-        parse_worker_count("CUBERUN_WORKERS", "-2");
-    }
-
-    #[test]
-    fn stall_timeout_parses_and_clamps() {
-        // Plain values parse as milliseconds (whitespace tolerated).
-        assert_eq!(parse_stall_timeout(STALL_VAR, "250"), Duration::from_millis(250));
-        assert_eq!(parse_stall_timeout(STALL_VAR, " 1500 "), Duration::from_millis(1500));
-        // Zero clamps up to 1 ms, absurd values down to an hour.
-        assert_eq!(parse_stall_timeout(STALL_VAR, "0"), Duration::from_millis(1));
-        assert_eq!(parse_stall_timeout(STALL_VAR, "999999999999"), Duration::from_secs(3600));
-    }
-
-    #[test]
-    #[should_panic(
-        expected = "CUBERUN_STALL_TIMEOUT_MS must be an integer number of milliseconds, got \"fast\""
-    )]
-    fn stall_timeout_rejects_garbage() {
-        parse_stall_timeout(STALL_VAR, "fast");
-    }
-
-    #[test]
-    #[should_panic(
-        expected = "CUBERUN_STALL_TIMEOUT_MS must be an integer number of milliseconds, got \"-5\""
-    )]
-    fn stall_timeout_rejects_negative() {
-        parse_stall_timeout(STALL_VAR, "-5");
-    }
-
-    #[test]
-    #[should_panic(expected = "must be an integer number of milliseconds, got \"\"")]
-    fn stall_timeout_rejects_empty() {
-        parse_stall_timeout(STALL_VAR, "");
     }
 }

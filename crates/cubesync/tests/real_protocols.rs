@@ -298,7 +298,7 @@ fn rounds_with_an_empty_home_range() {
 fn plan_cache_racing_builders_agree_on_one_plan() {
     let report = check_with(budget(), || {
         let cache = Arc::new(PlanCache::new(4));
-        let key = || PlanKey::new("model-probe", 2).with_fingerprint(7);
+        let key = || PlanKey::new("model-probe", 2, 7);
         let tiny = || ecube_route_plan(2, &[(cubeaddr::NodeId(0), cubeaddr::NodeId(1), 1)]);
         let (a, b) = thread::scope(|s| {
             let cache2 = Arc::clone(&cache);

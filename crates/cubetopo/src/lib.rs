@@ -289,11 +289,6 @@ impl TopoSpec {
         let d = SwappedDragonfly::new(k, m);
         TopoSpec::Dragonfly { k: d.k(), m: d.m() }
     }
-
-    /// True for the hypercube family (the flat fast paths).
-    pub fn is_hypercube(&self) -> bool {
-        matches!(self, TopoSpec::Hypercube { .. })
-    }
 }
 
 impl From<Hypercube> for TopoSpec {
@@ -544,8 +539,6 @@ mod tests {
                 assert_eq!(spec.reverse_port(x, p), d.reverse_port(x, p));
             }
         }
-        assert!(TopoSpec::hypercube(3).is_hypercube());
-        assert!(!spec.is_hypercube());
         assert_eq!(TopoSpec::from(Hypercube::new(3)), TopoSpec::hypercube(3));
         assert_eq!(TopoSpec::from(d), spec);
     }

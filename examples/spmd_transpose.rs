@@ -7,8 +7,8 @@
 //! worker waiting for the others' batches, not a node.
 //!
 //! Run with `cargo run --release --example spmd_transpose`.
-//! The pool size comes from `CUBERUN_WORKERS` (default: the ambient
-//! `cubesim::par` thread count); results are byte-identical at any size.
+//! The pool size is the ambient `cubesim::par` thread count
+//! (`CUBEBENCH_THREADS`); results are byte-identical at any size.
 
 use boolcube::layout::{Assignment, Encoding, Layout};
 use boolcube::run::num_workers;

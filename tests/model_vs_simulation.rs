@@ -10,7 +10,7 @@ use boolcube::comm::BufferPolicy;
 use boolcube::layout::{Assignment, Direction, Encoding, Layout};
 use boolcube::model;
 use boolcube::sim::{MachineParams, PortMode, SimNet};
-use boolcube::transpose::{self, verify, SendPolicy};
+use boolcube::transpose::{self, verify};
 use cubeaddr::{DimSet, NodeId};
 
 fn uniform_blocks(n: u32, b: usize) -> Vec<Vec<Vec<u64>>> {
@@ -156,7 +156,7 @@ fn section81_ipsc_exact() {
             let pq = 1u64 << pq_log;
 
             let mut net: SimNet<Vec<u64>> = SimNet::new(n, params.clone());
-            let _ = transpose::transpose_stepwise(&m, &after, &mut net, SendPolicy::Unbuffered);
+            let _ = transpose::transpose_stepwise(&m, &after, &mut net, BufferPolicy::Unbuffered);
             let r = net.finalize();
             let expect = model::one_dim::unbuffered(pq, n, &params);
             assert!(
@@ -170,7 +170,7 @@ fn section81_ipsc_exact() {
                 &m,
                 &after,
                 &mut net,
-                SendPolicy::Buffered { min_direct: params.b_copy() },
+                BufferPolicy::Buffered { min_direct: params.b_copy() },
             );
             let r = net.finalize();
             let expect = model::one_dim::buffered_opt(pq, n, &params);

@@ -186,9 +186,9 @@ proptest! {
         let after = Layout::one_dim(q, p, Direction::Rows, n, Assignment::Consecutive, Encoding::Binary);
         let m = verify::labels(before.clone());
         let mut net1: SimNet<Vec<u64>> = SimNet::new(n, MachineParams::unit(PortMode::OnePort));
-        let t = transpose::transpose_stepwise(&m, &after, &mut net1, transpose::SendPolicy::Ideal);
+        let t = transpose::transpose_stepwise(&m, &after, &mut net1, BufferPolicy::Ideal);
         let mut net2: SimNet<Vec<u64>> = SimNet::new(n, MachineParams::unit(PortMode::OnePort));
-        let back = transpose::transpose_stepwise(&t, &before, &mut net2, transpose::SendPolicy::Ideal);
+        let back = transpose::transpose_stepwise(&t, &before, &mut net2, BufferPolicy::Ideal);
         prop_assert_eq!(m, back);
     }
 }

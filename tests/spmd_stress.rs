@@ -5,7 +5,7 @@
 //! worker interleavings and at any pool size.
 
 use boolcube::layout::{Assignment, Direction, DistMatrix, Encoding, Layout};
-use boolcube::run::{all_to_all, broadcast, gather, run_spmd, with_workers};
+use boolcube::run::{run_spmd, with_workers};
 use boolcube::transpose::spmd::spmd_transpose_exchange;
 use cubeaddr::NodeId;
 use proptest::prelude::*;
@@ -29,16 +29,26 @@ fn sixty_four_nodes_repeated_transposes() {
     boolcube::transpose::verify::assert_transposed(&before, &first);
 }
 
-/// Collectives compose within one node program: broadcast a seed, local
-/// work, then sum the checksum by exchanging partial sums across every
-/// dimension.
+/// Collectives compose within one node program: broadcast a seed along
+/// a spanning binomial tree, local work, then sum the checksum by
+/// exchanging partial sums across every dimension.
 #[test]
 fn collective_composition_under_contention() {
     for _ in 0..10 {
         let (results, _) = run_spmd(5, |ctx| async move {
-            let seed = broadcast(&ctx, NodeId(7), (ctx.id().bits() == 7).then_some(13u64)).await;
+            // Node 7 is the root; after step d every node whose relative
+            // address is below 2^(d+1) holds the seed.
+            let rel = ctx.id().bits() ^ 7;
+            let mut seed = (rel == 0).then_some(13u64);
+            for d in 0..ctx.n() {
+                match rel >> d {
+                    0 => ctx.send(d, seed),
+                    1 => seed = ctx.recv(d).await,
+                    _ => {}
+                }
+            }
             // The channel type is Option<u64>, so the scan runs on it.
-            let mut sum = seed * ctx.id().bits();
+            let mut sum = seed.expect("the broadcast reached this node") * ctx.id().bits();
             for d in 0..ctx.n() {
                 sum += ctx.exchange(d, Some(sum)).await.expect("a partial sum");
             }
@@ -49,19 +59,29 @@ fn collective_composition_under_contention() {
     }
 }
 
-/// The all-to-all collective on the full 64-node cube with uneven
-/// payloads.
+/// An all-to-all personalized exchange (§3.2, dimensions descending) on
+/// the full 64-node cube with uneven payloads: each message carries
+/// `(origin, dest, payload)` triples.
 #[test]
 fn all_to_all_uneven_payloads() {
     let (results, _) = run_spmd(6, |ctx| async move {
         let me = ctx.id().bits();
-        let blocks: Vec<Vec<u64>> = (0..ctx.num_nodes() as u64)
-            .map(|d| (0..(me + d) % 5).map(|i| me * 10_000 + d * 100 + i).collect())
+        let mut held: Vec<(u64, u64, Vec<u64>)> = (0..ctx.num_nodes() as u64)
+            .map(|d| (me, d, (0..(me + d) % 5).map(|i| me * 10_000 + d * 100 + i).collect()))
             .collect();
-        all_to_all(&ctx, blocks).await
+        for j in (0..ctx.n()).rev() {
+            let (keep, send): (Vec<_>, Vec<_>) =
+                held.into_iter().partition(|&(_, d, _)| ((d ^ me) >> j) & 1 == 0);
+            held = keep;
+            held.extend(ctx.exchange(j, send).await);
+        }
+        held.sort_by_key(|&(s, _, _)| s);
+        held
     });
     for (d, got) in results.iter().enumerate() {
-        for (s, block) in got.iter().enumerate() {
+        assert_eq!(got.len(), 64, "node {d} holds one block per source");
+        for (s, (origin, dest, block)) in got.iter().enumerate() {
+            assert_eq!((*origin, *dest), (s as u64, d as u64));
             let want: Vec<u64> = (0..(s as u64 + d as u64) % 5)
                 .map(|i| s as u64 * 10_000 + d as u64 * 100 + i)
                 .collect();
@@ -70,16 +90,29 @@ fn all_to_all_uneven_payloads() {
     }
 }
 
-/// Gather under repeated roots: no stale messages leak between runs.
+/// Gather along a reversed spanning binomial tree under repeated roots:
+/// no stale messages leak between runs.
 #[test]
 fn gather_no_cross_run_leakage() {
     for round in 0..8u64 {
         let root = NodeId(round % 16);
         let (results, _) = run_spmd(4, move |ctx| async move {
-            gather(&ctx, root, ctx.id().bits() + round * 1000).await
+            let rel = ctx.id().bits() ^ root.bits();
+            let mut held = vec![(ctx.id().bits(), ctx.id().bits() + round * 1000)];
+            // The upper half of each relative subcube folds into the lower.
+            for j in (0..ctx.n()).rev() {
+                match rel >> j {
+                    0 => held.extend(ctx.recv(j).await),
+                    1 => ctx.send(j, std::mem::take(&mut held)),
+                    _ => {}
+                }
+            }
+            held.sort_unstable();
+            held.into_iter().map(|(_, v)| v).collect::<Vec<u64>>()
         });
         let want: Vec<u64> = (0..16).map(|x| x + round * 1000).collect();
-        assert_eq!(results[root.index()].as_ref().unwrap(), &want);
+        assert_eq!(results[root.index()], want);
+        assert!(results.iter().enumerate().all(|(x, r)| x == root.index() || r.is_empty()));
     }
 }
 

@@ -5,7 +5,7 @@ use boolcube::comm::BufferPolicy;
 use boolcube::layout::{Assignment, Direction, DistMatrix, Encoding, Layout};
 use boolcube::sim::{MachineParams, PortMode, SimNet};
 use boolcube::transpose::two_dim::Packet;
-use boolcube::transpose::{self, verify, SendPolicy};
+use boolcube::transpose::{self, verify};
 
 fn unit(ports: PortMode) -> MachineParams {
     MachineParams::unit(ports)
@@ -27,7 +27,7 @@ fn all_one_dim_engines_agree() {
     let b = transpose::transpose_1d_sbnt(&m, &after, &mut net2);
 
     let mut net3: SimNet<Vec<u64>> = SimNet::new(3, unit(PortMode::OnePort));
-    let c = transpose::transpose_stepwise(&m, &after, &mut net3, SendPolicy::Ideal);
+    let c = transpose::transpose_stepwise(&m, &after, &mut net3, BufferPolicy::Ideal);
 
     let (d, _) = transpose::spmd::spmd_transpose_exchange(&m, &after);
 
@@ -119,7 +119,7 @@ fn conversion_then_transpose_roundtrip() {
     let spec = ConvertSpec::new(4, 4, 1);
     let m = verify::labels(spec.before());
     let mut net: SimNet<Vec<u64>> = SimNet::new(2, unit(PortMode::OnePort));
-    let t = convert_algorithm3(&spec, &m, &mut net, SendPolicy::Ideal);
+    let t = convert_algorithm3(&spec, &m, &mut net, BufferPolicy::Ideal);
 
     // t is A^T in cyclic/cyclic layout; transpose again (cyclic square,
     // pairwise) to recover A.

@@ -11,7 +11,7 @@
 //!   two all-to-all personalized communications (message size at least
 //!   `N` per node makes the splitting exact).
 
-use crate::flight::{run_flights, FlightPlan};
+use crate::flight::{run_flights, FlightPlan, Landed};
 use cubeaddr::{DimPermutation, NodeId};
 use cubecomm::exchange::{all_to_all_exchange, BufferPolicy};
 use cubecomm::{Block, BlockMsg};
@@ -64,10 +64,15 @@ pub(crate) fn swap_pairs_sequence<T>(
     pairs: &[(u32, u32)],
 ) -> Vec<Vec<T>> {
     assert_eq!(data.len(), net.num_nodes());
+    let num = data.len();
+    land(run_flights(net, relocation_plan(data, pairs)), num)
+}
+
+/// The flights of [`swap_pairs_sequence`]: `2 × pairs` rounds, one
+/// flight per non-empty array.
+fn relocation_plan<T>(data: Vec<Vec<T>>, pairs: &[(u32, u32)]) -> FlightPlan<Vec<T>> {
     let mut plan = FlightPlan::new(2 * pairs.len());
-    let mut out: Vec<Vec<T>> = Vec::with_capacity(data.len());
     for (x, arr) in data.into_iter().enumerate() {
-        out.push(Vec::new());
         if arr.is_empty() {
             continue;
         }
@@ -79,9 +84,27 @@ pub(crate) fn swap_pairs_sequence<T>(
         }));
         plan.fly(NodeId(x as u64), path, 0, arr);
     }
-    for line in run_flights(net, plan) {
-        debug_assert!(out[line.at.index()].is_empty());
-        out[line.at.index()] = line.payload;
+    plan
+}
+
+/// Places each landed array on its node of `num`.
+///
+/// # Panics
+/// If two arrays land on one node, naming it and both sources: a plan
+/// that does not permute the nodes would otherwise drop one of them.
+#[track_caller]
+fn land<T>(mut ledger: Vec<Landed<Vec<T>>>, num: usize) -> Vec<Vec<T>> {
+    let mut out: Vec<Vec<T>> = (0..num).map(|_| Vec::new()).collect();
+    for i in 0..ledger.len() {
+        let at = ledger[i].at;
+        if !out[at.index()].is_empty() {
+            let first = ledger[..i].iter().find(|l| l.at == at).expect("an earlier landing");
+            panic!(
+                "relocation lands two arrays at node {at}: from {} and from {}",
+                first.src, ledger[i].src
+            );
+        }
+        out[at.index()] = std::mem::take(&mut ledger[i].payload);
     }
     out
 }
@@ -271,6 +294,20 @@ mod tests {
         let mut net: SimNet<BlockMsg<(u64, u64)>> =
             SimNet::new(1, MachineParams::unit(PortMode::OnePort));
         let _ = arbitrary_permutation(&mut net, vec![vec![1], vec![2]], &[NodeId(0), NodeId(0)]);
+    }
+
+    /// A plan whose flights do not permute the nodes: node 1's array is
+    /// planned with an empty pair list (it stays put) while node 2's is
+    /// planned with `(0, 1)` and lands on node 1 too.
+    #[test]
+    #[should_panic(expected = "relocation lands two arrays at node 1: from 1 and from 2")]
+    fn two_arrays_landing_on_one_node_panic() {
+        let mut net = unit_net(2);
+        let mut plan = relocation_plan(node_data(2, 1), &[(0, 1)]);
+        let stay = plan.path([]);
+        let node1 = plan.flights.iter_mut().find(|f| f.src == NodeId(1)).unwrap();
+        node1.path = stay;
+        let _ = land(run_flights(&mut net, plan), 4);
     }
 
     #[test]

@@ -20,7 +20,7 @@
 //!   two per path every `2H(x)` cycles, finishing in `2kH(x) + 1` cycles.
 //!
 //! The simulator enforces the edge-disjointness claims at runtime: any
-//! two messages on one directed link in the same round abort the run.
+//! two packets on one directed link in the same round abort the run.
 //!
 //! All three build one *flight plan* and run it on the crate's flight
 //! executor (`crate::flight`): a flight is a packet, its injection cycle
@@ -29,7 +29,11 @@
 //! one byte arena for the whole transpose. MPT at the paper's CM size is
 //! 65 536 nodes of `2H(x)` paths each, of which a one-element array rides
 //! one; nothing is allocated per path, and an unused path is never
-//! written. A plan is as long as its last delivery.
+//! written. A plan is as long as its last delivery. The executor charges
+//! each hop to the net — checked, costed and recorded as a send of the
+//! packet would be — and leaves the packet on its ledger line, so a
+//! packet is copied once, when it is cut from its source array, and
+//! never moved until `rebuild` takes it.
 //!
 //! Flights are planned source by source in ascending offsets, so each
 //! source's packets are one contiguous run of the executor's delivery

@@ -10,8 +10,9 @@
 //! and walks them once: that walk yields the round's
 //! [`CommReport::link_history`] in `(src, dim)` order, finds link
 //! contention as two adjacent equal channels, and adds into the
-//! per-link running totals behind `max_link_elems`. The round's maxima
-//! close through [`cubesim::RoundCost`], the arithmetic a
+//! per-link running totals behind `max_link_elems`, a
+//! [`cubesim::LinkTotals`] like the one a [`cubesim::SimNet`] keeps. The
+//! round's maxima close through [`cubesim::RoundCost`], the arithmetic a
 //! [`cubesim::SimNet`] closes its rounds with, so the report's `f64`
 //! sums are the simulator's bit for bit.
 //!
@@ -29,7 +30,7 @@
 
 use cubeaddr::NodeId;
 use cubecomm::plan::CommSchedule;
-use cubesim::{link_slots, CommReport, LinkEvent, MachineParams, PortMode, RoundCost};
+use cubesim::{link_slots, CommReport, LinkEvent, LinkTotals, MachineParams, PortMode, RoundCost};
 use cubetopo::Topology;
 
 /// The report a run of `schedule` under `params` produces, link
@@ -55,7 +56,7 @@ pub fn run_schedule(schedule: &CommSchedule, params: &MachineParams) -> CommRepo
     };
     // A channel id is below `links` <= 2^31 - 1.
     let channel_bits = u64::BITS - (links.max(1) as u64 - 1).leading_zeros();
-    let mut totals = LinkTotals::Narrow(vec![0; links]);
+    let mut totals = LinkTotals::new(links);
     // One-port only: per node, `(round + 1) << 6 | port` of the last
     // link it used.
     let mut port_stamps =
@@ -159,36 +160,6 @@ fn one_port_violation(schedule: &CommSchedule, round: usize) -> ! {
     let node = touched.into_iter().find(|&x| masks[x as usize].count_ones() > 1).unwrap();
     let mask = masks[node as usize];
     panic!("one-port violation: node {node} used dims {mask:#b} in round {round}")
-}
-
-/// Per-directed-link element totals over the run, by channel: `u32`
-/// until a total first overflows it, `u64` from then on. (A dense `u64`
-/// array would double the footprint of every run for a case no figure
-/// reaches.)
-enum LinkTotals {
-    Narrow(Vec<u32>),
-    Wide(Vec<u64>),
-}
-
-impl LinkTotals {
-    /// Adds `elems` to `channel`'s total; returns the new total.
-    #[inline]
-    fn add(&mut self, channel: usize, elems: u32) -> u64 {
-        match self {
-            LinkTotals::Narrow(totals) => {
-                if let Some(total) = totals[channel].checked_add(elems) {
-                    totals[channel] = total;
-                    return u64::from(total);
-                }
-                *self = LinkTotals::Wide(totals.iter().map(|&t| u64::from(t)).collect());
-                self.add(channel, elems)
-            }
-            LinkTotals::Wide(totals) => {
-                totals[channel] += u64::from(elems);
-                totals[channel]
-            }
-        }
-    }
 }
 
 /// The buffers of a stable LSD radix sort on a key's channel bits,

@@ -79,6 +79,60 @@ impl RoundCost {
     }
 }
 
+/// Per-directed-link element totals over a run, indexed by sender
+/// channel (`src · ports + port`): `u32` until a total first overflows
+/// it, `u64` from then on. (A dense `u64` array would double the
+/// footprint of every run for a case no figure reaches.) [`SimNet`]
+/// and `cubecheck`'s fold keep theirs in one of these, so both find the
+/// same `max_link_elems`.
+///
+/// [`SimNet`]: crate::SimNet
+#[derive(Clone, Debug)]
+pub struct LinkTotals(Totals);
+
+#[derive(Clone, Debug)]
+enum Totals {
+    Narrow(Vec<u32>),
+    Wide(Vec<u64>),
+}
+
+impl LinkTotals {
+    /// All-zero totals for `links` channels (zeroed pages: an idle
+    /// channel costs no resident memory).
+    pub fn new(links: usize) -> Self {
+        LinkTotals(Totals::Narrow(vec![0; links]))
+    }
+
+    /// Adds `elems` to `channel`'s total; returns the new total.
+    #[inline]
+    pub fn add(&mut self, channel: usize, elems: u32) -> u64 {
+        match &mut self.0 {
+            Totals::Narrow(totals) => match totals[channel].checked_add(elems) {
+                Some(total) => {
+                    totals[channel] = total;
+                    u64::from(total)
+                }
+                None => self.add_wide(channel, elems),
+            },
+            Totals::Wide(totals) => {
+                totals[channel] += u64::from(elems);
+                totals[channel]
+            }
+        }
+    }
+
+    /// [`LinkTotals::add`] past the `u32` range: widens every total to
+    /// `u64` first.
+    #[cold]
+    #[inline(never)]
+    fn add_wide(&mut self, channel: usize, elems: u32) -> u64 {
+        if let Totals::Narrow(totals) = &self.0 {
+            self.0 = Totals::Wide(totals.iter().map(|&t| u64::from(t)).collect());
+        }
+        self.add(channel, elems)
+    }
+}
+
 /// The number of directed-link slots of `topo` (`nodes × ports`), which
 /// every executor indexes with `u32`s.
 ///
@@ -104,6 +158,18 @@ pub fn link_slots<T: Topology>(topo: &T) -> usize {
 mod tests {
     use super::*;
     use crate::PortMode;
+
+    #[test]
+    fn link_totals_widen_on_the_first_u32_overflow() {
+        let mut totals = LinkTotals::new(3);
+        assert_eq!(totals.add(1, u32::MAX), u64::from(u32::MAX));
+        assert_eq!(totals.add(2, 5), 5);
+        // Channel 1 overflows u32: every total carries over into u64.
+        assert_eq!(totals.add(1, 2), u64::from(u32::MAX) + 2);
+        assert_eq!(totals.add(2, 1), 6);
+        assert_eq!(totals.add(0, u32::MAX), u64::from(u32::MAX));
+        assert_eq!(totals.add(1, u32::MAX), 2 * u64::from(u32::MAX) + 2);
+    }
 
     #[test]
     fn close_charges_the_maxima() {

@@ -13,7 +13,10 @@
 //! [`SimNet`] executes an algorithm's communication *for real* — payload
 //! buffers move between per-node mailboxes, so the final data placement is
 //! the algorithm's actual output — while simultaneously charging the cost
-//! model and enforcing the model's legality constraints:
+//! model and enforcing the model's legality constraints. An executor that
+//! moves its data itself along routes fixed in advance
+//! ([`SimNet::charge`]) has its messages checked, costed and recorded the
+//! same way without handing the net a payload:
 //!
 //! * transfers only between cube neighbors (by construction of the API),
 //! * no directed link carries two messages in the same round,
@@ -37,7 +40,7 @@ pub mod pool;
 pub mod reference;
 pub mod report;
 
-pub use cost::{link_slots, RoundCost};
+pub use cost::{link_slots, LinkTotals, RoundCost};
 pub use net::{Payload, SimNet};
 pub use params::{MachineParams, PortMode};
 pub use pool::BufferPool;

@@ -1,6 +1,6 @@
 //! The round-synchronous network simulator, generic over [`Topology`].
 
-use crate::cost::{link_slots, RoundCost};
+use crate::cost::{link_slots, LinkTotals, RoundCost};
 use crate::params::{MachineParams, PortMode};
 use crate::report::CommReport;
 use cubeaddr::NodeId;
@@ -46,7 +46,7 @@ scalar_payloads!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize, f32, f64);
 /// Execution alternates between *send phases* and round boundaries:
 ///
 /// ```text
-/// net.send(src, dim, data);   // any number of sends (and local_copy calls)
+/// net.send(src, dim, data);   // any number of sends, charges and local_copy calls
 /// net.finish_round();         // cost accounting + delivery
 /// let data = net.recv(dst, dim);  // drain everything delivered
 /// net.send(...);              // next round's sends may interleave with recvs
@@ -60,7 +60,9 @@ scalar_payloads!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize, f32, f64);
 ///
 /// * `send` targets a wired neighbor by construction (`src` + port; on
 ///   the cube, port ≡ dimension — the API keeps the paper's `dim` name);
-/// * a directed link carries at most one message per round;
+/// * a directed link carries at most one message per round, whether it
+///   is a payload ([`SimNet::send`]) or only a charge for one
+///   ([`SimNet::charge`]);
 /// * in [`PortMode::OnePort`], a node uses at most one port per round
 ///   (counting both its outgoing and incoming message, which may share the
 ///   link — a bidirectional exchange);
@@ -88,35 +90,43 @@ scalar_payloads!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize, f32, f64);
 ///
 /// # Performance
 ///
-/// One thing is dense: a 16-byte record per directed link, indexed by
-/// the receiver's side (`dst * ports + rp`; `dst * n + dim` on the cube)
-/// and allocated zeroed once at construction — 3.5 MiB on the 14-cube
-/// and 16 MiB on the paper's 65 536-node 16-cube, whatever the payload
-/// type. It holds the link's cumulative `u64` element total and the
-/// *stamps* of the last two messages sent on it: every message is
-/// stamped with its 1-based sequence number, and the net keeps the
-/// message counts before this round and before the last one. A stamp
-/// past the first is this round's send (contention); a stamp between the
-/// two is a message delivered at the last boundary, and its distance
-/// from the second is its place in the inbox; anything older is stale
-/// and means nothing. Keeping two stamps lets a link carry its next
-/// round's message before its delivered one is received.
+/// A message claims its link by *sender channel* (`src · ports + port`;
+/// `src · n + dim` on the cube), the same for a payload and a charge.
+/// Two things are dense over the channels, both allocated zeroed at
+/// construction so an idle channel costs no resident page: a one-bit
+/// "claimed this round" bitmap (128 KiB on the paper's 65 536-node
+/// 16-cube), cleared at the boundary from the round's claims, and the
+/// channel's cumulative element total in a [`LinkTotals`] (`u32`, so
+/// 4 MiB at n = 16, widened to `u64` on the first overflow). `send` and
+/// `charge` fold each updated total into `max_link_elems`: totals only
+/// grow, so the running maximum is what a final scan would find.
 ///
-/// Everything else is per round and compact: payloads and their
-/// `(link, elements)` records sit in send order in vectors that grow to
-/// the busiest round's message count and are recycled. `send`, `recv`
-/// and `has_message` are O(1) through the stamps; nothing is written to
-/// the dense side on receipt, so drains walk only the compact inbox, and
-/// the unconsumed checks are a counter of delivered-but-unreceived
-/// messages (the inbox is scanned only to name an offender). An idle
-/// link is never touched. Stamps are `u32`: when a boundary leaves fewer
-/// than one per link below `u32::MAX`, every link is rebased once,
-/// O(links) — on the 16-cube once per ≈ 2^32 messages, and never within
-/// a round. Construction is O(N·ports) in the machine size
-/// and refuses a graph of more than 2^31 − 1 directed links, so two
-/// rounds of stamps always fit (the 26-cube is the largest cube). On
-/// [`Hypercube`] every topology query monomorphizes to bit arithmetic,
-/// so the generic layer costs nothing.
+/// Only payloads need a receiver-side index, for [`SimNet::recv`]: an
+/// 8-byte pair of *stamps* per link slot (`dst · ports + rp`), allocated
+/// zeroed on the first payload `send` — 8 MiB at n = 16, never on a net
+/// that only charges. Every payload is stamped with its 1-based sequence
+/// number, and the net keeps the payload counts before this round and
+/// before the last one. A stamp between the two is a payload delivered
+/// at the last boundary, and its distance from the second is its place
+/// in the inbox; anything older is stale and means nothing. Keeping two
+/// stamps lets a link carry its next round's payload before its
+/// delivered one is received.
+///
+/// Everything else is per round and compact: the claims (channel,
+/// elements), the payloads and their receiver slots sit in send order in
+/// vectors that grow to the busiest round's message count and are
+/// recycled. `send`, `charge`, `recv` and `has_message` are O(1);
+/// nothing is written to the dense side on receipt, so drains walk only
+/// the compact inbox, and the unconsumed checks are a counter of
+/// delivered-but-unreceived payloads (the inbox is scanned only to name
+/// an offender). Stamps are `u32`: when a boundary leaves fewer than one
+/// per link below `u32::MAX`, every link is rebased once, O(links) — on
+/// the 16-cube once per ≈ 2^32 payloads, and never within a round.
+/// Construction is O(N·ports) in the machine size and refuses a graph of
+/// more than 2^31 − 1 directed links, so two rounds of stamps always fit
+/// (the 26-cube is the largest cube). On [`Hypercube`] every topology
+/// query monomorphizes to bit arithmetic, so the generic layer costs
+/// nothing.
 pub struct SimNet<P, T: Topology = Hypercube> {
     topo: T,
     /// Cached `topo.ports()` — the stride of every flat slab.
@@ -124,31 +134,41 @@ pub struct SimNet<P, T: Topology = Hypercube> {
     /// Cached `topo.num_nodes()`.
     num: usize,
     params: MachineParams,
+    /// Number of directed-link slots (`num × ports`).
+    links: usize,
+    /// This round's claims, payload sends and charges alike, in claim
+    /// order: each one's sender channel and element count — the round's
+    /// cost, its link events and the bits to clear in `claimed`.
+    claims: Vec<(u32, u32)>,
+    /// One bit per sender channel, set while the channel is claimed
+    /// this round.
+    claimed: Vec<u64>,
+    /// Per sender channel, the cumulative element count.
+    totals: LinkTotals,
     /// This round's payloads, in send order; delivered at the boundary.
     out_msgs: Vec<Option<P>>,
-    /// Parallel to `out_msgs`: each message's link slot and its element
-    /// count, cached so round boundaries never re-read the payloads. A
-    /// slot is `dst * ports + rp` where `rp` is the *receiver's* port for
-    /// the link (on the cube, the shared dimension).
-    outgoing_idx: Vec<(u32, u32)>,
+    /// Parallel to `out_msgs`: each payload's link slot `dst * ports +
+    /// rp`, where `rp` is the *receiver's* port for the link (on the
+    /// cube, the shared dimension).
+    out_slots: Vec<u32>,
     /// Payloads delivered at the last round boundary, in the order they
     /// were sent; `None` once received.
     in_msgs: Vec<Option<P>>,
-    /// Parallel to `in_msgs` (consumed messages stay listed until the
+    /// Parallel to `in_msgs` (consumed payloads stay listed until the
     /// next boundary).
-    inbox_idx: Vec<(u32, u32)>,
-    /// Delivered messages not yet received or drained.
+    in_slots: Vec<u32>,
+    /// Delivered payloads not yet received or drained.
     pending: usize,
-    /// Per link slot, 16 bytes: `(last, prev, total)` — the stamps of
-    /// the last two messages sent on the link (0: none) and its
-    /// cumulative element count. A tuple, not a struct, so the zeroed
-    /// vector comes from the allocator's zeroed pages instead of a
-    /// 16 MiB fill at n = 16.
-    links: Vec<(u32, u32, u64)>,
-    /// Messages sent before this round (stamps above it are this
-    /// round's; this round's `i`-th send is stamped `round_start + i + 1`).
+    /// Per link slot, `(last, prev)`: the stamps of the last two
+    /// payloads sent on the link (0: none). Empty until the first
+    /// payload is sent; a tuple, not a struct, so the zeroed vector comes
+    /// from the allocator's zeroed pages instead of a fill.
+    stamps: Vec<(u32, u32)>,
+    /// Payloads sent before this round (stamps above it are this
+    /// round's; this round's `i`-th payload is stamped `round_start + i +
+    /// 1`).
     round_start: u32,
-    /// Messages sent before the last round: the inbox holds the stamps
+    /// Payloads sent before the last round: the inbox holds the stamps
     /// `prev_start + 1 ..= round_start`, in order.
     prev_start: u32,
     /// Ports used per node this round (bit mask), for port checks.
@@ -191,12 +211,16 @@ impl<P: Payload, T: Topology> SimNet<P, T> {
             num: nodes,
             topo,
             params,
+            links,
+            claims: Vec::new(),
+            claimed: vec![0; links.div_ceil(64)],
+            totals: LinkTotals::new(links),
             out_msgs: Vec::new(),
-            outgoing_idx: Vec::new(),
+            out_slots: Vec::new(),
             in_msgs: Vec::new(),
-            inbox_idx: Vec::new(),
+            in_slots: Vec::new(),
             pending: 0,
-            links: vec![(0, 0, 0); links],
+            stamps: Vec::new(),
             round_start: 0,
             prev_start: 0,
             dims_used: vec![0; nodes],
@@ -264,40 +288,71 @@ impl<P: Payload, T: Topology> SimNet<P, T> {
     /// ports, or when the directed link was already used this round.
     #[track_caller]
     pub fn send(&mut self, src: NodeId, dim: u32, data: P) {
+        let (dst, rp) = self.claim(src, dim, data.elems());
+        if self.stamps.is_empty() {
+            self.stamps = vec![(0, 0); self.links];
+        }
+        let slot = self.slot(dst, rp);
+        self.out_msgs.push(Some(data));
+        self.out_slots.push(slot as u32);
+        // At most one payload per link per round, and `finish_round`
+        // keeps `round_start` a link count below u32::MAX, so the stamp
+        // fits.
+        let (last, _) = self.stamps[slot];
+        self.stamps[slot] = (self.round_start + self.out_msgs.len() as u32, last);
+    }
+
+    /// Charges a message of `elems` elements from `src` across port
+    /// `dim` without carrying a payload: it is checked, costed and
+    /// recorded exactly as [`SimNet::send`] of such a message would be,
+    /// and never delivered. For executors that move their data
+    /// themselves along routes fixed in advance.
+    ///
+    /// # Panics
+    /// As [`SimNet::send`], with its messages.
+    #[track_caller]
+    pub fn charge(&mut self, src: NodeId, dim: u32, elems: usize) {
+        self.claim(src, dim, elems);
+    }
+
+    /// What every message, payload or charge, does to its link: the
+    /// checks (node and port in range, wired, non-empty, at most
+    /// `u32::MAX` elements, the directed link free this round), the
+    /// claim, the link total and the one-port marks. Returns the
+    /// receiver and its port.
+    #[track_caller]
+    #[inline]
+    fn claim(&mut self, src: NodeId, dim: u32, elems: usize) -> (NodeId, u32) {
         self.check_node(src);
         assert!(dim < self.ports, "dimension {dim} outside the {}", self.topo.label());
-        let elems = data.elems();
         assert!(elems > 0, "empty message from {src} on dim {dim}; skip empty sends");
         let dst = NodeId(self.topo.neighbor(src.index() as u64, dim).unwrap_or_else(|| {
             panic!("send from {src} on unwired port {dim} of the {}", self.topo.label())
         }));
         let rp = self.topo.reverse_port(src.index() as u64, dim).unwrap();
-        let slot = self.slot(dst, rp);
+        let channel = self.slot(src, dim);
+        let (word, bit) = (channel / 64, 1u64 << (channel % 64));
         assert!(
-            self.links[slot].0 <= self.round_start,
+            self.claimed[word] & bit == 0,
             "link contention: directed link {src}--dim {dim}--> {dst} used twice in round {}",
             self.report.rounds
         );
         let elems32 = u32::try_from(elems).unwrap_or_else(|_| {
             panic!("message from {src} on dim {dim} carries {elems} elements, over the u32 limit")
         });
-        self.out_msgs.push(Some(data));
-        self.outgoing_idx.push((slot as u32, elems32));
-        // At most one message per link per round, and `finish_round`
-        // keeps `round_start` a link count below u32::MAX, so the stamp
-        // fits.
-        let (last, _, total) = self.links[slot];
-        let total = total + elems as u64;
-        self.links[slot] = (self.round_start + self.out_msgs.len() as u32, last, total);
+        self.claimed[word] |= bit;
+        self.claims.push((channel as u32, elems32));
+        let total = self.totals.add(channel, elems32);
         // Totals only grow, so the running maximum is the final one.
         self.report.max_link_elems = self.report.max_link_elems.max(total);
         // Port-usage masks only feed the one-port legality check; under
         // all-port rules skip the bookkeeping (two random-access writes
-        // per send on the hottest path).
+        // per message on the hottest path).
         if self.params.ports == PortMode::OnePort {
             self.mark_dim(src.index(), dim);
             self.mark_dim(dst.index(), rp);
         }
+        (dst, rp)
     }
 
     /// Records `node` using port `dim` this round (for port-legality
@@ -318,7 +373,7 @@ impl<P: Payload, T: Topology> SimNet<P, T> {
     /// them into its own per-node storage needs no buffer in between.
     pub fn drain_all_with(&mut self, mut consume: impl FnMut(NodeId, u32, P)) {
         let n = self.ports as usize;
-        for (msg, &(slot, _)) in self.in_msgs.iter_mut().zip(&self.inbox_idx) {
+        for (msg, &slot) in self.in_msgs.iter_mut().zip(&self.in_slots) {
             if let Some(data) = msg.take() {
                 let slot = slot as usize;
                 self.pending -= 1;
@@ -335,7 +390,8 @@ impl<P: Payload, T: Topology> SimNet<P, T> {
         if dst.index() >= self.num || dim >= self.ports {
             return None;
         }
-        let (last, prev, _) = self.links[self.slot(dst, dim)];
+        // No stamps: the net never carried a payload.
+        let &(last, prev) = self.stamps.get(self.slot(dst, dim))?;
         // Wrapping: a stamp at or below `prev_start` lands far above the
         // inbox length, like one above `round_start`.
         [last, prev]
@@ -392,7 +448,7 @@ impl<P: Payload, T: Topology> SimNet<P, T> {
     pub fn finish_round(&mut self) {
         if self.pending != 0 {
             if let Some(i) = self.in_msgs.iter().position(Option::is_some) {
-                let slot = self.inbox_idx[i].0 as usize;
+                let slot = self.in_slots[i] as usize;
                 let (dst, dim) = (slot / self.ports as usize, slot % self.ports as usize);
                 panic!(
                     "unconsumed message at node {dst} on dim {dim} when round {} ended",
@@ -411,43 +467,45 @@ impl<P: Payload, T: Topology> SimNet<P, T> {
             }
         }
         let mut cost = RoundCost::default();
-        for &(_, elems) in &self.outgoing_idx {
+        for &(channel, elems) in &self.claims {
             cost.send(&self.params, elems as usize);
+            // Every bit set in the word is one of this round's claims.
+            self.claimed[channel as usize / 64] = 0;
         }
         for &x in &self.copies_touched {
             cost.copy(self.copies[x]);
         }
         cost.close(&self.params, &mut self.report, self.record_history);
         if self.record_links {
-            let n = self.ports as usize;
+            // A channel names the sender and its port (dim, on the
+            // cube), so channel order is `(src, dim)` order.
+            let n = self.ports;
             let mut events: Vec<crate::report::LinkEvent> = self
-                .outgoing_idx
+                .claims
                 .iter()
-                .map(|&(slot, elems)| {
-                    // Slot is receiver-side (dst, rp); the event names the
-                    // sender and the sender's port (dim, on the cube).
-                    let (dst, rp) = ((slot as usize / n) as u64, (slot as usize % n) as u32);
-                    let src = self.topo.neighbor(dst, rp).unwrap();
-                    let dim = self.topo.reverse_port(dst, rp).unwrap();
-                    crate::report::LinkEvent { src, dim, elems }
+                .map(|&(channel, elems)| crate::report::LinkEvent {
+                    src: u64::from(channel / n),
+                    dim: channel % n,
+                    elems,
                 })
                 .collect();
-            events.sort_by_key(|e| (e.src, e.dim));
+            events.sort_unstable_by_key(|e| (e.src, e.dim));
             self.report.link_history.push(events);
         }
+        self.claims.clear();
 
-        // Deliver: this round's messages become the inbox, and its stamps
-        // the delivered window. The old inbox was all received (verified
-        // above); its stamps go stale by moving the window, not by a
-        // sweep. No per-round allocation.
+        // Deliver: this round's payloads become the inbox, and their
+        // stamps the delivered window. The old inbox was all received
+        // (verified above); its stamps go stale by moving the window, not
+        // by a sweep. No per-round allocation.
         std::mem::swap(&mut self.in_msgs, &mut self.out_msgs);
-        std::mem::swap(&mut self.inbox_idx, &mut self.outgoing_idx);
+        std::mem::swap(&mut self.in_slots, &mut self.out_slots);
         self.out_msgs.clear();
-        self.outgoing_idx.clear();
+        self.out_slots.clear();
         self.pending = self.in_msgs.len();
         self.prev_start = self.round_start;
         self.round_start += self.in_msgs.len() as u32;
-        if self.round_start > u32::MAX - self.links.len() as u32 {
+        if self.round_start > u32::MAX - self.links as u32 {
             self.rebase_stamps();
         }
         for &x in &self.dims_touched {
@@ -466,7 +524,7 @@ impl<P: Payload, T: Topology> SimNet<P, T> {
     /// sits a full round of stamps below `u32::MAX`. O(links).
     fn rebase_stamps(&mut self) {
         let base = self.prev_start;
-        for (last, prev, _) in &mut self.links {
+        for (last, prev) in &mut self.stamps {
             *last = last.saturating_sub(base);
             *prev = prev.saturating_sub(base);
         }
@@ -478,7 +536,7 @@ impl<P: Payload, T: Topology> SimNet<P, T> {
     /// schedule crosses the rebase point.
     #[cfg(test)]
     fn start_stamps_at(&mut self, stamp: u32) {
-        assert!(self.round_start == 0 && stamp <= u32::MAX - self.links.len() as u32);
+        assert!(self.round_start == 0 && stamp <= u32::MAX - self.links as u32);
         self.prev_start = stamp;
         self.round_start = stamp;
     }
@@ -490,9 +548,9 @@ impl<P: Payload, T: Topology> SimNet<P, T> {
     #[track_caller]
     pub fn finalize(self) -> CommReport {
         assert!(
-            self.outgoing_idx.is_empty(),
+            self.claims.is_empty(),
             "{} messages sent but the round never finished",
-            self.outgoing_idx.len()
+            self.claims.len()
         );
         let pending = self.pending;
         assert!(pending == 0, "{pending} delivered messages never received");
@@ -846,6 +904,101 @@ mod tests {
             assert!(net.round_start < start, "phase {phase}: no rebase");
             assert_eq!((net.finalize(), got), want, "phase {phase}");
         }
+    }
+
+    #[test]
+    fn payload_and_charge_on_one_link_share_its_total() {
+        let mut net = unit_net(2, PortMode::AllPorts);
+        net.record_history();
+        net.record_links();
+        net.send(NodeId(0), 1, vec![1, 2]);
+        net.finish_round();
+        assert_eq!(net.recv(NodeId(2), 1), vec![1, 2]);
+        net.charge(NodeId(0), 1, 3);
+        net.finish_round();
+        // A charge is never delivered.
+        assert!(!net.has_message(NodeId(2), 1));
+        let r = net.finalize();
+        assert_eq!(r.max_link_elems, 5);
+        assert_eq!((r.rounds, r.total_messages, r.total_elems), (2, 2, 5));
+        assert_eq!(r.time, 3.0 + 4.0);
+        assert_eq!(r.history[1].messages, 1);
+        let e = &r.link_history[1][0];
+        assert_eq!((e.src, e.dim, e.elems), (0, 1, 3));
+    }
+
+    #[test]
+    fn payload_and_charge_contend_for_one_link_in_either_order() {
+        for charge_first in [false, true] {
+            let outcome = std::panic::catch_unwind(|| {
+                let mut net = unit_net(2, PortMode::AllPorts);
+                if charge_first {
+                    net.charge(NodeId(1), 0, 1);
+                    net.send(NodeId(1), 0, vec![7]);
+                } else {
+                    net.send(NodeId(1), 0, vec![7]);
+                    net.charge(NodeId(1), 0, 1);
+                }
+            });
+            let text = *outcome.unwrap_err().downcast::<String>().unwrap();
+            assert_eq!(text, "link contention: directed link 1--dim 0--> 0 used twice in round 0");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "recv at 1 on dim 0: no message delivered (round 1)")]
+    fn recv_on_a_net_that_only_charged_panics() {
+        let mut net = unit_net(2, PortMode::OnePort);
+        net.charge(NodeId(0), 0, 4);
+        net.finish_round();
+        assert!(!net.has_message(NodeId(1), 0));
+        let _ = net.recv(NodeId(1), 0);
+    }
+
+    #[test]
+    fn charges_keep_the_one_port_rule() {
+        let outcome = std::panic::catch_unwind(|| {
+            let mut net = unit_net(3, PortMode::OnePort);
+            net.charge(NodeId(0), 0, 1);
+            net.send(NodeId(2), 1, vec![2]);
+            net.finish_round();
+        });
+        let text = *outcome.unwrap_err().downcast::<String>().unwrap();
+        assert_eq!(text, "one-port violation: node 0 used dims 0b11 in round 0");
+    }
+
+    #[test]
+    #[should_panic(expected = "1 messages sent but the round never finished")]
+    fn finalize_rejects_an_unfinished_charge() {
+        let mut net = unit_net(2, PortMode::OnePort);
+        net.charge(NodeId(0), 0, 1);
+        let _ = net.finalize();
+    }
+
+    #[test]
+    #[should_panic(expected = "empty message from 0 on dim 1; skip empty sends")]
+    fn empty_charge_rejected() {
+        unit_net(2, PortMode::OnePort).charge(NodeId(0), 1, 0);
+    }
+
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn link_totals_past_u32_are_exact() {
+        let mut net = unit_net(1, PortMode::OnePort);
+        let max = u32::MAX as usize;
+        for _ in 0..2 {
+            net.charge(NodeId(1), 0, max);
+            net.finish_round();
+        }
+        let r = net.finalize();
+        assert_eq!(r.max_link_elems, 2 * u64::from(u32::MAX));
+    }
+
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    #[should_panic(expected = "message from 1 on dim 0 carries 4294967296 elements")]
+    fn charge_beyond_u32_rejected() {
+        unit_net(1, PortMode::OnePort).charge(NodeId(1), 0, 1 << 32);
     }
 
     #[test]

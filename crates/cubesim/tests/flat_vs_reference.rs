@@ -6,7 +6,9 @@
 //! [`CommReport`]s, identical received payloads, and identical panic
 //! messages at the same points. `ReferenceNet` has no drain, so the
 //! drain tests receive from it one message at a time in the order
-//! [`SimNet::drain_all_with`] documents: send order.
+//! [`SimNet::drain_all_with`] documents: send order. One property sends
+//! a random half of the messages as payload-free [`SimNet::charge`]s on
+//! the flat net only: the reports must still be equal.
 //! The `u32` stamp rebase is crossed by a unit test in `net.rs`, the
 //! only place that reaches the crate-private hook starting the stamps
 //! near `u32::MAX`.
@@ -622,6 +624,61 @@ proptest! {
         );
         prop_assert_eq!(&flat.0, &reference.0, "reports diverge (seed {seed} n {n})");
         prop_assert_eq!(&flat.1, &reference.1, "deliveries diverge (seed {seed} n {n})");
+    }
+
+    /// Legal schedules in which randomly chosen messages go as payload-
+    /// free charges on the flat net and as ordinary sends on the
+    /// reference: the same report, and the same payloads for the
+    /// messages that carried one (a charge is never delivered).
+    #[test]
+    fn charges_match_reference_sends(
+        seed in 0u64..u64::MAX,
+        n in 1u32..=4,
+        rounds in 1usize..=5,
+        one_port in prop::bool::ANY,
+        record in prop::bool::ANY,
+    ) {
+        let ports = if one_port { PortMode::OnePort } else { PortMode::AllPorts };
+        let mut rng = Rng(seed);
+        let schedule = legal_schedule(&mut rng, n, rounds, ports);
+        let charged: Vec<Vec<bool>> = schedule
+            .iter()
+            .map(|round| round.sends.iter().map(|_| rng.below(2) == 0).collect())
+            .collect();
+        let mut flat = SimNet::<Vec<u64>>::new(n, params(ports));
+        let mut reference = ReferenceNet::<Vec<u64>>::new(n, params(ports));
+        if record {
+            Net::record_all(&mut flat);
+            Net::record_all(&mut reference);
+        }
+        let (mut flat_got, mut reference_got) = (Vec::new(), Vec::new());
+        for (round, charged) in schedule.iter().zip(&charged) {
+            for ((src, dim, payload), &charge) in round.sends.iter().zip(charged) {
+                if charge {
+                    flat.charge(*src, *dim, payload.len());
+                } else {
+                    flat.send(*src, *dim, payload.clone());
+                }
+                reference.send(*src, *dim, payload.clone());
+            }
+            for (node, elems) in &round.copies {
+                flat.local_copy(*node, *elems);
+                reference.local_copy(*node, *elems);
+            }
+            flat.finish_round();
+            reference.finish_round();
+            for ((src, dim, _), &charge) in round.sends.iter().zip(charged) {
+                let dst = src.neighbor(*dim);
+                prop_assert_eq!(flat.has_message(dst, *dim), !charge);
+                let payload = reference.recv(dst, *dim);
+                if !charge {
+                    flat_got.push(flat.recv(dst, *dim));
+                    reference_got.push(payload);
+                }
+            }
+        }
+        prop_assert_eq!(flat.finalize(), reference.finalize(), "reports diverge (seed {})", seed);
+        prop_assert_eq!(flat_got, reference_got, "payloads diverge (seed {})", seed);
     }
 
     /// Illegal schedules: both implementations must reject the same

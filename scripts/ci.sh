@@ -279,6 +279,14 @@ begin "cubesim: flat SimNet vs ReferenceNet (reports, payloads, drain order, pan
 # simulator regression fail under the simulator's name.
 cargo test --release -q -p cubesim --test flat_vs_reference
 
+begin "flights: the charged executor vs the hop-by-hop oracle (ledgers, reports, panic text)"
+# run_flights charges each hop to the net and never moves a payload; the
+# executor it replaced, which carried every payload through SimNet hop by
+# hop, survives in flight.rs's tests as the oracle. Random plans (holds,
+# staggered injections, one-port and all-port, history and link history
+# recorded) must give identical ledgers and reports, or identical panics.
+cargo test --release -q -p cubetranspose --lib flight::tests::differential
+
 begin "perf smoke: n=10 all-to-all schedule (time-bounded)"
 timeout 300 cargo test --release -q -p cubecomm --test perf_smoke -- --ignored \
     n10_all_to_all_completes_within_bound
@@ -297,7 +305,7 @@ timeout 300 cargo test --release -q -p cubetranspose --test perf_smoke -- --igno
 begin "local-kernels smoke: in-place transpose no slower than scratch gather"
 timeout 300 cargo test --release -q -p cubetranspose --test local_kernels_smoke -- --ignored
 
-begin "allocation gates: no O(mn)-sized scratch in place; one node-sized scratch per permute_virt; a direct fieldmap exchange and run_spmd allocate O(1) per node, MPT at most 2 per node, run_rounds O(1) per run"
+begin "allocation gates: no O(mn)-sized scratch in place; one node-sized scratch per permute_virt; a direct fieldmap exchange and run_spmd allocate O(1) per node, MPT at most 1.4 per node and no link-sized table, run_rounds O(1) per run"
 # The counting global allocator lives in crates/core/src/local.rs's test
 # module (the one unsafe-allowlisted file). One gate arms it around a
 # warmed in-place transpose and fails on any matrix-sized allocation;
@@ -307,8 +315,11 @@ begin "allocation gates: no O(mn)-sized scratch in place; one node-sized scratch
 # a fieldmap exchange that sends 16 runs per node as separate messages
 # and fails if anything is allocated per message rather than per node;
 # one counts every allocation of one transpose_mpt at the reduced
-# cm16-2d-mpt shape and fails above 2 per node (a delivery list per node,
-# or anything allocated per path); one
+# cm16-2d-mpt shape and fails above 1.4 per node (a delivery list per
+# node, or anything allocated per path); one arms the size counter
+# around the same transpose, net construction included, and fails on an
+# allocation of 16 bytes per directed link (the payload table a net
+# that is only charged never builds); one
 # counts an all-dimensions exchange on run_spmd(10) — on the calling
 # thread and on the worker, which allocates its own inboxes and slots —
 # and fails if anything is allocated per directed link (a queue per link
@@ -371,7 +382,7 @@ begin "perfbench smoke: the traced ipsc6-1d-exchange and cm16-2d-mpt passes (dec
 # fails unless its matrix and CommReport equal driver::execute's: for
 # ipsc6-1d-exchange one_dim's tagged loan path against the values-only
 # blocks, for cm16-2d-mpt a direct transpose_mpt call against the
-# driver's — the flight ledger and SimNet's stamp index at paper scale.
+# driver's — the flight ledger and SimNet's charged claims at paper scale.
 for workload in ipsc6-1d-exchange cm16-2d-mpt; do
     verdict="$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
         --workload "$workload" --rounds 1 --trace 1 | tail -n 1)"

@@ -22,7 +22,6 @@
 
 use crate::fieldmap::{FieldMap, MappedMatrix};
 use crate::one_dim::fieldmap_after;
-use cubeaddr::NodeId;
 use cubecomm::BufferPolicy;
 use cubelayout::{Assignment, DistMatrix, Encoding, Layout, TransposeSpec};
 use cubesim::SimNet;
@@ -83,15 +82,12 @@ impl ConvertSpec {
     }
 }
 
-fn start<T: Copy>(spec: &ConvertSpec, m: &DistMatrix<T>) -> MappedMatrix<T> {
-    let map = FieldMap::from_layout(&spec.before());
-    MappedMatrix::from_buffers(map, m.clone().into_buffers())
+/// Reads `m` in place: its arrays are copied once, by `finish`.
+fn start<'a, T: Copy>(spec: &ConvertSpec, m: &'a DistMatrix<T>) -> MappedMatrix<'a, T> {
+    MappedMatrix::from_dist(FieldMap::from_layout(&spec.before()), m)
 }
 
-fn finish<T: Copy + Default + Send + Sync>(
-    spec: &ConvertSpec,
-    mut mapped: MappedMatrix<T>,
-) -> DistMatrix<T> {
+fn finish<T: Copy + Default>(spec: &ConvertSpec, mut mapped: MappedMatrix<'_, T>) -> DistMatrix<T> {
     let target = fieldmap_after(&spec.spec());
     // The algorithms leave the real roles correct; align the virtual
     // interpretation for free (indirect addressing).
@@ -108,8 +104,8 @@ fn finish<T: Copy + Default + Send + Sync>(
 
 /// Swaps the data so that the real position currently encoding matrix
 /// dimension `from` encodes `to` instead (which must be virtual).
-fn bring_in<T: Copy + Send + Sync>(
-    mapped: &mut MappedMatrix<T>,
+fn bring_in<T: Copy>(
+    mapped: &mut MappedMatrix<'_, T>,
     net: &mut SimNet<Vec<T>>,
     from: u32,
     to: u32,
@@ -186,14 +182,11 @@ pub fn convert_algorithm2<T: Copy + Default + Send + Sync>(
     }
     // Local transposes of the N small matrices: a rotation of the local
     // address by `vp - vcol`, charged as one full-array copy per node.
-    // On the host the rotation and `finish`'s free relabel are one
-    // permutation, so `finish` writes the arrays into the target's order
-    // in a single pass.
-    if vcol != 0 && vcol != vp {
-        for x in 0..1u64 << mm.map().n() {
-            net.local_copy(NodeId(x), 1usize << vp);
-        }
-    }
+    // Like every step before it, it only updates the map: `finish` reads
+    // the caller's arrays out once, in the target's order.
+    let split = vp - vcol;
+    let small: Vec<u32> = (split..vp).chain(0..split).collect();
+    mm.permute_virt(net, &small);
     net.finish_round();
     finish(spec, mm)
 }
@@ -303,13 +296,16 @@ mod tests {
         assert_eq!(r.copy_time, 128.0);
     }
 
-    /// Algorithm 2 charges its second local transpose and moves the data
-    /// once, straight into the target's order. The paper's two steps —
-    /// rotate the local address, then re-interpret it for free — must
-    /// give the same matrix and be charged the same, whatever the shape
-    /// and the send policy.
+    /// Algorithm 2 only charges its steps and moves the caller's data
+    /// once, by the composed move. The element-path reference, which
+    /// carries every step's payload through the net — rotate the local
+    /// address, exchange, rotate again, then re-interpret for free — must
+    /// give the same matrix and the same report, whatever the shape and
+    /// the send policy.
     #[test]
     fn algorithm2_equals_rotation_then_free_relabel() {
+        use crate::fieldmap::Role;
+        use crate::reference::RefMappedMatrix;
         let params = MachineParams::unit(PortMode::OnePort).with_t_copy(0.5);
         for (p, q) in (0..=6).flat_map(|p| (0..=6).map(move |q| (p, q))) {
             for n_r in 0..=p.min(q) / 2 {
@@ -322,20 +318,34 @@ mod tests {
 
                     let mut net: SimNet<Vec<u64>> = SimNet::new(2 * n_r, params.clone());
                     let (u1, u3, v1, v3) = spec.fields();
-                    let mut mm = start(&spec, &m);
-                    let vp = mm.map().vp();
+                    let map = FieldMap::from_layout(&spec.before());
+                    let mut rm = RefMappedMatrix::from_buffers(map, m.clone().into_buffers());
+                    let vp = rm.map().vp();
                     let vcol = q - n_r;
                     let transpose: Vec<u32> = (vcol..vp).chain(0..vcol).collect();
-                    mm.permute_virt(&mut net, &transpose);
+                    rm.permute_virt(&mut net, &transpose);
                     for (&a, &b) in u1.iter().zip(&v3).chain(v1.iter().zip(&u3)) {
-                        bring_in(&mut mm, &mut net, a, b, policy);
+                        let (Role::Real(i), Role::Virt(j)) =
+                            (rm.map().locate(a), rm.map().locate(b))
+                        else {
+                            panic!("dimension {a} should be real and {b} virtual");
+                        };
+                        rm.exchange_real_virt(&mut net, i, j, policy);
                     }
                     let split = vp - vcol;
                     let small_transposes: Vec<u32> = (split..vp).chain(0..split).collect();
-                    mm.permute_virt(&mut net, &small_transposes);
+                    rm.permute_virt(&mut net, &small_transposes);
                     net.finish_round();
-                    let two_step = (finish(&spec, mm), net.finalize());
-                    assert_eq!(direct, two_step, "p={p} q={q} n_r={n_r} {policy:?}");
+                    let target = fieldmap_after(&spec.spec());
+                    let relabel: Vec<u32> = (0..vp)
+                        .map(|j| match rm.map().locate(target.virt_dim(j)) {
+                            Role::Virt(old) => old,
+                            Role::Real(_) => panic!("real roles not fixed"),
+                        })
+                        .collect();
+                    rm.relabel_virt(&relabel);
+                    let out = DistMatrix::from_buffers(spec.after(), rm.into_buffers());
+                    assert_eq!(direct, (out, net.finalize()), "p={p} q={q} n_r={n_r} {policy:?}");
                 }
             }
         }

@@ -11,57 +11,34 @@
 //!   (one step of the standard/general exchange algorithm);
 //! * [`MappedMatrix::swap_real_real`] — swap two real dimensions: the
 //!   affected nodes relocate their whole array over a distance-2 path
-//!   (Lemma 6, a one-pair flight plan); one (g, f) pair of the SPT
-//!   algorithm;
-//! * [`MappedMatrix::permute_virt`] — reassign virtual dimensions: pure
-//!   local data movement (a shuffle of the local array), charged as copy
-//!   time.
+//!   (Lemma 6's relocation); one (g, f) pair of the SPT algorithm;
+//! * [`MappedMatrix::permute_virt`] — reassign virtual dimensions: local
+//!   data movement (a shuffle of the local array), charged as copy time.
 //!
 //! Composing these primitives yields the one-dimensional transpose, the
 //! §6.2 conversion algorithms, bit-reversal and every dimension
 //! permutation — with the cost model charged exactly as the paper
 //! analyzes each.
 //!
-//! # The block-move data plane
+//! # Charged primitives, one composed move
 //!
-//! The simulated *costs* are those of the paper's model, but the
-//! simulator's own wall-clock time is dominated by how the primitives
-//! move host memory. Each primitive touches every element once, through
-//! a working set that fits a second-level cache:
-//!
-//! * **Streamed sub-rounds.** The half of a node's array that an
-//!   exchange moves is `2^{vp-j-1}` *contiguous runs* of `2^j` elements.
-//!   When each run is its own message (unbuffered sends, or runs of at
-//!   least `min_direct`), sub-round `r` reads and writes only run `r` of
-//!   every node, so one set of `num` message buffers is filled, sent,
-//!   drained, copied into place and reused for sub-round `r + 1`: live
-//!   message memory is `num × run` elements, not half the matrix. When
-//!   the runs are gathered into one message per node, gather and scatter
-//!   are block moves — fixed-size array copies for runs shorter than a
-//!   cache line.
-//! * **Rotating scratch.** A virtual-dimension permutation is
-//!   node-independent, so its realization (`PermPlan`: a local transpose
-//!   for address rotations, a list of block-move start offsets for
-//!   run-preserving permutations, a relocation table otherwise) is
-//!   computed once, and every node's array is written out of place into
-//!   one scratch buffer that then trades places with it — the array a
-//!   node gives up is the next node's scratch. Staging is one node-sized,
-//!   cache-hot buffer instead of one per node.
-//! * **Register tile.** Rotations go through
-//!   [`crate::local::transpose_flat_blocked_into`], whose 8×8 register
-//!   tile reads and writes whole cache lines.
-//!
-//! Everything runs on the calling thread, like the [`SimNet`] whose
-//! cost accounting it feeds: a node's gather, scatter or permutation is
-//! a memory-bound copy, and forking those loops over worker threads
-//! measured no gain on the workload they dominate. A round reaches the
-//! net as one [`SimNet::send`] per node, and every delivery is scattered
-//! from [`SimNet::drain_all_with`] at the node the net names.
+//! A chain of primitives is one permutation of the matrix-address bits,
+//! and a storage reinterpretation is done "implicitly by indirect
+//! addressing" (§5). So a primitive only updates the role map and makes
+//! exactly the claims a payload-carrying run would — the same rounds and
+//! `(source, dimension, elements)` in the same order, through
+//! [`SimNet::charge`] and [`SimNet::local_copy`], every net check with
+//! its panic text. The elements stay where they were when the matrix was
+//! built, in arrays it owns or borrows from the caller's [`DistMatrix`],
+//! until reading them out runs the one composed move
+//! ([`MappedMatrix::to_buffers`]) on the calling thread.
+
+use std::borrow::Cow;
 
 use cubeaddr::NodeId;
 use cubecomm::BufferPolicy;
-use cubelayout::{Encoding, Layout};
-use cubesim::{BufferPool, SimNet};
+use cubelayout::{DistMatrix, Encoding, Layout};
+use cubesim::SimNet;
 
 /// [`BufferPolicy`] under the name the `perfbench` harness imports.
 pub use cubecomm::BufferPolicy as SendPolicy;
@@ -190,55 +167,46 @@ pub enum Role {
 }
 
 /// A distributed data set governed by a [`FieldMap`].
-#[derive(Debug)]
-pub struct MappedMatrix<T> {
+///
+/// The elements stay where they were when the matrix was built, placed
+/// by its origin map; the primitives charge the net and update the
+/// current map, and reading the data out moves it once (see the module
+/// doc).
+#[derive(Clone, Debug)]
+pub struct MappedMatrix<'a, T: Clone> {
+    /// The current role map.
     map: FieldMap,
-    /// `data[node][local]`.
-    data: Vec<Vec<T>>,
-    /// Message buffers and permutation scratch, recycled from one
-    /// primitive to the next. Empty until a primitive first needs
-    /// staging; clones start empty.
-    pool: BufferPool<T>,
+    /// The role map the stored arrays are placed by.
+    origin: FieldMap,
+    /// `data[node][local]` under `origin`: adopted, or borrowed from the
+    /// caller.
+    data: Vec<Cow<'a, [T]>>,
 }
 
-impl<T: Copy> Clone for MappedMatrix<T> {
-    fn clone(&self) -> Self {
-        MappedMatrix { map: self.map.clone(), data: self.data.clone(), pool: BufferPool::new() }
-    }
-}
-
-impl<T: Copy + Default> MappedMatrix<T> {
-    /// Builds the matrix by evaluating `f(w)` for every matrix address.
-    pub fn from_fn(map: FieldMap, mut f: impl FnMut(u64) -> T) -> Self {
-        let num = cubeaddr::num_nodes(map.n());
-        let per = 1usize << map.vp();
-        let mut data = vec![vec![T::default(); per]; num];
-        for w in 0..(1u64 << map.m()) {
-            let (node, local) = map.place(w);
-            data[node.index()][local as usize] = f(w);
-        }
-        MappedMatrix { map, data, pool: BufferPool::new() }
-    }
-}
-
-impl<T: Copy> MappedMatrix<T> {
+impl<'a, T: Copy> MappedMatrix<'a, T> {
     /// Adopts existing per-node buffers (placement must already agree
-    /// with `map`).
-    ///
-    /// # Panics
-    /// On shape mismatch.
+    /// with `map`). Panics on shape mismatch.
     #[track_caller]
     pub fn from_buffers(map: FieldMap, data: Vec<Vec<T>>) -> Self {
+        MappedMatrix::adopt(map, data.into_iter().map(Cow::Owned).collect())
+    }
+
+    /// Reads `m`'s per-node arrays in place, without copying them
+    /// (placement must already agree with `map`). Panics on shape
+    /// mismatch.
+    #[track_caller]
+    pub fn from_dist(map: FieldMap, m: &'a DistMatrix<T>) -> Self {
+        let num = m.layout().num_nodes() as u64;
+        MappedMatrix::adopt(map, (0..num).map(|x| Cow::Borrowed(m.node(NodeId(x)))).collect())
+    }
+
+    #[track_caller]
+    fn adopt(map: FieldMap, data: Vec<Cow<'a, [T]>>) -> Self {
         assert_eq!(data.len(), 1usize << map.n());
         for d in &data {
             assert_eq!(d.len(), 1usize << map.vp());
         }
-        MappedMatrix { map, data, pool: BufferPool::new() }
-    }
-
-    /// Consumes into per-node buffers (node order).
-    pub fn into_buffers(self) -> Vec<Vec<T>> {
-        self.data
+        MappedMatrix { origin: map.clone(), map, data }
     }
 
     /// The current role map.
@@ -246,38 +214,26 @@ impl<T: Copy> MappedMatrix<T> {
         &self.map
     }
 
-    /// The element with matrix address `w`.
-    pub fn get(&self, w: u64) -> T {
-        let (node, local) = self.map.place(w);
-        self.data[node.index()][local as usize]
-    }
-
-    /// One node's local array.
-    pub fn node(&self, x: NodeId) -> &[T] {
-        &self.data[x.index()]
-    }
-
-    /// Elements of staging capacity currently held by the buffer pool —
-    /// zero until a primitive that needs staging runs; afterwards the
-    /// last exchange's message buffers plus one node-sized permutation
-    /// scratch (footprint stat for `perfbench`).
+    /// Staging elements held between primitives (a `perfbench` footprint
+    /// stat): none, since the primitives move no data.
     pub fn pool_capacity_elems(&self) -> usize {
-        self.pool.capacity_elems()
+        0
     }
-}
 
-impl<T: Copy + Send + Sync> MappedMatrix<T> {
-    /// Swaps real dimension position `i` with virtual position `j`,
-    /// moving half of every node's data across cube dimension `i` — one
-    /// step of the general exchange algorithm (distance-1 communication,
-    /// one-port legal).
+    /// Swaps real dimension position `i` with virtual position `j` — one
+    /// step of the general exchange algorithm (distance-1 communication
+    /// across cube dimension `i`, one-port legal): every node sends half
+    /// of its data.
     ///
     /// The outgoing elements occupy `2^{vp-j-1}` contiguous runs of `2^j`
     /// elements in the local array; `policy` decides how the runs become
     /// messages (§8.1): one message with no copy charged (`Ideal`), one
-    /// message per run (`Unbuffered`), or runs shorter than `min_direct`
-    /// gathered into one message, copy charged on both the gather and
-    /// the scatter side (`Buffered`).
+    /// message per run, each in a round of its own (`Unbuffered`), or
+    /// runs shorter than `min_direct` gathered into one message, copy
+    /// charged on both the gather and the scatter side (`Buffered`).
+    ///
+    /// Panics if `i` or `j` is outside the map, naming it and its bound.
+    #[track_caller]
     pub fn exchange_real_virt(
         &mut self,
         net: &mut SimNet<Vec<T>>,
@@ -285,68 +241,31 @@ impl<T: Copy + Send + Sync> MappedMatrix<T> {
         j: u32,
         policy: BufferPolicy,
     ) {
-        assert!(i < self.map.n() && j < self.map.vp());
-        let per = 1usize << self.map.vp();
-        let run = 1usize << j;
-        let num = self.data.len();
-
-        // The vacated half of node x's array: the runs whose local bit j
-        // is ¬(node bit i). These are both the send positions and the
-        // positions the incoming elements land in.
-        let want_of = move |x: usize| (((x as u64 >> i) & 1) ^ 1) as usize;
-
-        let gathered = match policy {
-            BufferPolicy::Ideal => true,
-            BufferPolicy::Unbuffered => false,
-            BufferPolicy::Buffered { min_direct } => run < min_direct,
-        };
-
-        if gathered {
-            if matches!(policy, BufferPolicy::Buffered { .. }) {
+        let (n, vp) = (self.map.n(), self.map.vp());
+        assert!(i < n, "exchange of real position {i}: the map has {n} real dimensions");
+        assert!(j < vp, "exchange of virtual position {j}: the map has {vp} virtual dimensions");
+        let (half, run) = (1usize << (vp - 1), 1usize << j);
+        let num = self.data.len() as u64;
+        // One message of the whole half per node, or one synchronized
+        // sub-round per run.
+        let (rounds, elems) = match policy {
+            BufferPolicy::Ideal => (1, half),
+            BufferPolicy::Buffered { min_direct } if run < min_direct => {
                 // Gather at the sender; the scatter on arrival is charged
                 // symmetrically at the same node (its own gather covers
                 // its send; its scatter covers its receive).
-                for x in 0..num as u64 {
-                    net.local_copy(NodeId(x), per / 2);
+                for x in 0..num {
+                    net.local_copy(NodeId(x), half);
                 }
+                (1, half)
             }
+            _ => (half / run, run),
+        };
+        for _ in 0..rounds {
             for x in 0..num {
-                let mut msg = self.pool.take();
-                gather_half(&self.data[x], run, want_of(x), &mut msg);
-                net.send(NodeId(x as u64), i, msg);
+                net.charge(NodeId(x), i, elems);
             }
             net.finish_round();
-            let (data, pool) = (&mut self.data, &mut self.pool);
-            net.drain_all_with(|dst, _, msg| {
-                let x = dst.index();
-                debug_assert_eq!(msg.len(), per / 2);
-                scatter_half(&mut data[x], run, want_of(x), &msg);
-                pool.put(msg);
-            });
-        } else {
-            // One synchronized sub-round per run, streamed: sub-round r
-            // reads and writes only run r of every node, so the round's
-            // `num` message buffers are filled, sent, drained into place
-            // and reused for sub-round r + 1.
-            let mut msgs: Vec<Vec<T>> = (0..num).map(|_| self.pool.take()).collect();
-            for base in (0..per).step_by(run * 2) {
-                let at = |x: usize| base + want_of(x) * run;
-                for (x, mut msg) in msgs.drain(..).enumerate() {
-                    msg.extend_from_slice(&self.data[x][at(x)..at(x) + run]);
-                    net.send(NodeId(x as u64), i, msg);
-                }
-                net.finish_round();
-                let data = &mut self.data;
-                net.drain_all_with(|dst, _, mut msg| {
-                    let x = dst.index();
-                    data[x][at(x)..at(x) + run].copy_from_slice(&msg);
-                    msg.clear();
-                    msgs.push(msg);
-                });
-            }
-            for msg in msgs {
-                self.pool.put(msg);
-            }
         }
         std::mem::swap(&mut self.map.real[i as usize], &mut self.map.virt[j as usize]);
     }
@@ -354,12 +273,29 @@ impl<T: Copy + Send + Sync> MappedMatrix<T> {
     /// Swaps real dimension positions `i1` and `i2`: the nodes whose two
     /// address bits differ relocate their entire local array over a
     /// distance-2 path (first across `i1`, then `i2`) — Lemma 6's
-    /// real/real exchange, two one-port rounds of the flight executor.
+    /// real/real exchange, two one-port rounds, charged in source-node
+    /// order as the flight executor charges a relocation. Panics if `i1`
+    /// or `i2` is outside the map, naming it and its bound, or if they are
+    /// equal.
+    #[track_caller]
     pub fn swap_real_real(&mut self, net: &mut SimNet<Vec<T>>, i1: u32, i2: u32) {
         let n = self.map.n();
-        assert!(i1 < n && i2 < n && i1 != i2);
-        let data = std::mem::take(&mut self.data);
-        self.data = crate::permute::swap_pairs_sequence(net, data, &[(i1, i2)]);
+        for i in [i1, i2] {
+            assert!(i < n, "swap of real position {i}: the map has {n} real dimensions");
+        }
+        assert!(i1 != i2, "swap of real position {i1} with itself");
+        assert_eq!(self.data.len(), net.num_nodes());
+        let per = 1usize << self.map.vp();
+        let num = self.data.len() as u64;
+        let moves = |x: &u64| ((x >> i1) ^ (x >> i2)) & 1 == 1;
+        for x in (0..num).filter(moves) {
+            net.charge(NodeId(x), i1, per);
+        }
+        net.finish_round();
+        for x in (0..num).filter(moves) {
+            net.charge(NodeId(x).neighbor(i1), i2, per);
+        }
+        net.finish_round();
         self.map.real.swap(i1 as usize, i2 as usize);
     }
 
@@ -368,12 +304,11 @@ impl<T: Copy + Send + Sync> MappedMatrix<T> {
     /// the old one.
     ///
     /// This models a change of *storage interpretation* ("implicitly by
-    /// indirect addressing", §5): in the *model*, choosing how the local
-    /// array is ordered is free — subsequent address arithmetic simply
-    /// changes. The host keeps arrays in map order, so unless `perm` is
-    /// the identity it moves every element, exactly as
-    /// [`MappedMatrix::permute_virt`] does; use that one when the
-    /// rearrangement should also be charged as an explicit copy.
+    /// indirect addressing", §5): it is free in the model and on the host
+    /// alike, since only the map changes. Use
+    /// [`MappedMatrix::permute_virt`] when the rearrangement should be
+    /// charged as an explicit copy.
+    /// Panics unless `perm` is a permutation of the virtual positions.
     #[track_caller]
     pub fn relabel_virt(&mut self, perm: &[u32]) {
         self.apply_virt_perm(perm);
@@ -381,43 +316,35 @@ impl<T: Copy + Send + Sync> MappedMatrix<T> {
 
     /// Applies a permutation of the virtual dimensions: local bit `j` of
     /// the new map reads matrix dimension `virt[perm[j]]` of the old one.
-    /// Explicit local data movement; every node is charged a full-array
-    /// copy.
+    /// Explicit local data movement: unless `perm` is the identity, every
+    /// node is charged a full-array copy. Panics as
+    /// [`MappedMatrix::relabel_virt`] does.
     #[track_caller]
     pub fn permute_virt(&mut self, net: &mut SimNet<Vec<T>>, perm: &[u32]) {
         if self.apply_virt_perm(perm) {
-            for x in 0..self.data.len() {
-                net.local_copy(NodeId(x as u64), self.data[x].len());
+            let per = 1usize << self.map.vp();
+            for x in 0..self.data.len() as u64 {
+                net.local_copy(NodeId(x), per);
             }
         }
     }
 
-    /// Shared implementation: permutes map and data; returns true when the
-    /// permutation was not the identity.
-    ///
-    /// The permutation's realization is node-independent, so one
-    /// [`PermPlan`] is computed and applied to every node's array: out
-    /// of place into a scratch buffer, which then trades places with the
-    /// array — what one node gives up is the next node's scratch.
+    /// Shared implementation: permutes the map's virtual roles; returns
+    /// true when the permutation was not the identity.
     #[track_caller]
     fn apply_virt_perm(&mut self, perm: &[u32]) -> bool {
         let vp = self.map.vp();
         assert_eq!(perm.len() as u32, vp);
+        // vp ≤ MAX_DIMS < 64: one bit per position.
+        let seen = perm.iter().fold(0u64, |seen, &jo| seen | 1u64.checked_shl(jo).unwrap_or(0));
+        assert!(
+            seen == (1u64 << vp) - 1,
+            "{perm:?} is not a permutation of the {vp} virtual positions"
+        );
         if perm.iter().enumerate().all(|(j, &p)| j as u32 == p) {
             return false;
         }
-        let plan = PermPlan::build(perm);
-        let mut scratch = self.pool.take();
-        for d in &mut self.data {
-            debug_assert_eq!(d.len(), 1usize << vp);
-            plan.apply(d, &mut scratch);
-            std::mem::swap(d, &mut scratch);
-        }
-        self.pool.put(scratch);
-        let old_virt = self.map.virt.clone();
-        for (jn, &jo) in perm.iter().enumerate() {
-            self.map.virt[jn] = old_virt[jo as usize];
-        }
+        self.map.virt = perm.iter().map(|&jo| self.map.virt[jo as usize]).collect();
         true
     }
 
@@ -465,61 +392,122 @@ impl<T: Copy + Send + Sync> MappedMatrix<T> {
     }
 }
 
-/// Appends to `out` the half of `data` an exchange moves: of every
-/// `2·run` elements, the `run` whose local bit `log2(run)` equals
-/// `want`. Runs shorter than a cache line are fixed-size array copies
-/// ([`gather_runs`]); longer ones are block moves.
-fn gather_half<T: Copy>(data: &[T], run: usize, want: usize, out: &mut Vec<T>) {
-    out.reserve(data.len() / 2);
-    match run {
-        1 => gather_runs::<T, 1>(data, want, out),
-        2 => gather_runs::<T, 2>(data, want, out),
-        4 => gather_runs::<T, 4>(data, want, out),
-        8 => gather_runs::<T, 8>(data, want, out),
-        _ => {
-            for pair in data.chunks_exact(run * 2) {
-                out.extend_from_slice(&pair[want * run..][..run]);
+impl<T: Copy + Default> MappedMatrix<'_, T> {
+    /// Builds the matrix by evaluating `f(w)` for every matrix address.
+    pub fn from_fn(map: FieldMap, mut f: impl FnMut(u64) -> T) -> Self {
+        let num = cubeaddr::num_nodes(map.n());
+        let per = 1usize << map.vp();
+        let mut data = vec![vec![T::default(); per]; num];
+        for w in 0..(1u64 << map.m()) {
+            let (node, local) = map.place(w);
+            data[node.index()][local as usize] = f(w);
+        }
+        MappedMatrix::from_buffers(map, data)
+    }
+
+    /// Consumes into per-node buffers (node order) placed by the current
+    /// map: the stored arrays themselves when the map never changed,
+    /// else [`MappedMatrix::to_buffers`].
+    pub fn into_buffers(self) -> Vec<Vec<T>> {
+        if self.map == self.origin {
+            return self.data.into_iter().map(Cow::into_owned).collect();
+        }
+        self.to_buffers()
+    }
+
+    /// Per-node buffers (node order) placed by the current map, written
+    /// by one permutation of the address bits, from the build-time map to
+    /// the current one, run per source node.
+    ///
+    /// The destination's low `t` local bits whose dimensions are local at
+    /// the source too span *runs* of `2^t` elements. One local
+    /// permutation into a scratch shared by all source nodes brings those
+    /// bits to the bottom in destination order (a rotation of the local
+    /// address runs on the register-tiled
+    /// [`crate::local::transpose_flat_blocked_into`]); then each run is
+    /// one block copy. Source nodes and runs are taken in the order their
+    /// bits land in the destination, so the sources that fill one
+    /// destination page follow each other. When a source node bit feeds
+    /// the destination's local bit 0, `t = 0` and a run is one element.
+    pub fn to_buffers(&self) -> Vec<Vec<T>> {
+        compose_move(&self.origin, &self.map, &self.data)
+    }
+}
+
+/// [`MappedMatrix::to_buffers`]: writes `data`, placed by `from`, into
+/// fresh arrays placed by `to`. The scratch permutation keeps the bits
+/// above the run ascending, so it is a rotation whenever the run bits
+/// sit at the top of the source's local address, in order.
+fn compose_move<T: Copy + Default>(
+    from: &FieldMap,
+    to: &FieldMap,
+    data: &[Cow<'_, [T]>],
+) -> Vec<Vec<T>> {
+    let vp = from.vp();
+    let per = 1usize << vp;
+    let local_at_source = |d: u32| match from.locate(d) {
+        Role::Virt(j) => Some(j),
+        Role::Real(_) => None,
+    };
+    let mut perm: Vec<u32> = to.virt.iter().map_while(|&d| local_at_source(d)).collect();
+    let run = 1usize << perm.len();
+    let above_run = perm.len() as u32..vp;
+    let rest: Vec<u32> = (0..vp).filter(|j| !perm.contains(j)).collect();
+    perm.extend(rest);
+    let plan = perm.iter().enumerate().any(|(k, &j)| k as u32 != j).then(|| PermPlan::build(&perm));
+    // Bit of a dimension in the destination's address `node << vp |
+    // local`; `(landing bit, source bit)` pairs are sorted by it.
+    let landing = |d: u32| match to.locate(d) {
+        Role::Real(i) => vp + i,
+        Role::Virt(j) => j,
+    };
+    let mut sources: Vec<(u32, u32)> =
+        (0..from.n()).map(|b| (landing(from.real[b as usize]), b)).collect();
+    let mut high: Vec<(u32, u32)> =
+        above_run.map(|k| (landing(from.virt[perm[k as usize] as usize]), k)).collect();
+    sources.sort_unstable();
+    high.sort_unstable();
+    let (low_half, high_half) = high.split_at(high.len() / 2);
+    let (inner, outer) = (deposits(low_half), deposits(high_half));
+
+    let mut out: Vec<Vec<T>> = (0..data.len()).map(|_| vec![T::default(); per]).collect();
+    let mut scratch = Vec::new();
+    for (x, base) in deposits(&sources) {
+        let src: &[T] = match &plan {
+            Some(plan) => {
+                plan.apply(&data[x], &mut scratch);
+                &scratch
+            }
+            None => &data[x],
+        };
+        for &(s_hi, g_hi) in &outer {
+            for &(s_lo, g_lo) in &inner {
+                let (s, g) = (s_hi | s_lo, base | g_hi | g_lo);
+                let (y, l) = ((g >> vp) as usize, g as usize & (per - 1));
+                out[y][l..l + run].copy_from_slice(&src[s..s + run]);
             }
         }
     }
+    out
 }
 
-/// [`gather_half`] for a run length known at compile time, so each run
-/// is a few register moves rather than a `memcpy` call.
-fn gather_runs<T: Copy, const R: usize>(data: &[T], want: usize, out: &mut Vec<T>) {
-    out.extend(data.chunks_exact(R * 2).flat_map(|pair| {
-        let half: [T; R] = pair[want * R..][..R].try_into().expect("a run is R elements");
-        half
-    }));
-}
-
-/// Writes `incoming` back into the half of `data` selected by (`run`,
-/// `want`): the inverse of [`gather_half`].
-fn scatter_half<T: Copy>(data: &mut [T], run: usize, want: usize, incoming: &[T]) {
-    match run {
-        1 => scatter_runs::<T, 1>(data, want, incoming),
-        2 => scatter_runs::<T, 2>(data, want, incoming),
-        4 => scatter_runs::<T, 4>(data, want, incoming),
-        8 => scatter_runs::<T, 8>(data, want, incoming),
-        _ => {
-            for (pair, chunk) in data.chunks_exact_mut(run * 2).zip(incoming.chunks_exact(run)) {
-                pair[want * run..][..run].copy_from_slice(chunk);
-            }
+/// The `(source offset, destination address)` pairs spanned by `bits`
+/// (`(destination bit, source bit)`, ascending by destination bit), in
+/// ascending destination order.
+fn deposits(bits: &[(u32, u32)]) -> Vec<(usize, u64)> {
+    let mut table = vec![(0usize, 0u64)];
+    for &(g, s) in bits {
+        let len = table.len();
+        for e in 0..len {
+            let (so, go) = table[e];
+            table.push((so | 1 << s, go | 1 << g));
         }
     }
+    table
 }
 
-/// [`scatter_half`] for a run length known at compile time.
-fn scatter_runs<T: Copy, const R: usize>(data: &mut [T], want: usize, incoming: &[T]) {
-    for (pair, chunk) in data.chunks_exact_mut(R * 2).zip(incoming.chunks_exact(R)) {
-        let half: &mut [T; R] =
-            (&mut pair[want * R..][..R]).try_into().expect("a run is R elements");
-        *half = chunk.try_into().expect("chunks_exact yields R elements");
-    }
-}
-
-/// Precomputed, node-independent realization of a virtual-dimension
-/// permutation, shared by every node in `apply_virt_perm`.
+/// Precomputed, node-independent realization of a local-address
+/// permutation, shared by every source node in [`compose_move`].
 enum PermPlan {
     /// The permutation rotates the local address by `a` positions
     /// (`perm[j] = (j + a) mod vp`): equivalent to transposing the local
@@ -599,19 +587,19 @@ impl PermPlan {
 }
 
 /// Builds the label matrix for a map (element `w` carries value `w`).
-pub fn label_mapped(map: FieldMap) -> MappedMatrix<u64> {
+pub fn label_mapped(map: FieldMap) -> MappedMatrix<'static, u64> {
     MappedMatrix::<u64>::from_fn(map, |w| w)
 }
 
-/// Asserts that `m`'s stored labels agree with its role map: the element
-/// at every (node, local) position is the address the map says lives
-/// there. Returns the first mismatch as `(node, local, found)`.
-pub fn check_labels(m: &MappedMatrix<u64>) -> Option<(u64, u64, u64)> {
-    for x in 0..(1u64 << m.map().n()) {
-        for l in 0..(1u64 << m.map().vp()) {
-            let want = m.map().element_at(NodeId(x), l);
-            let found = m.node(NodeId(x))[l as usize];
-            if found != want {
+/// Asserts that `m`'s labels agree with its role map: the element at
+/// every (node, local) position of the data read out is the address the
+/// map says lives there. Returns the first mismatch as
+/// `(node, local, found)`.
+pub fn check_labels(m: &MappedMatrix<'_, u64>) -> Option<(u64, u64, u64)> {
+    for (x, arr) in m.to_buffers().iter().enumerate() {
+        for (l, &found) in arr.iter().enumerate() {
+            let (x, l) = (x as u64, l as u64);
+            if found != m.map().element_at(NodeId(x), l) {
                 return Some((x, l, found));
             }
         }
@@ -725,40 +713,67 @@ mod tests {
     }
 
     /// Footprint gate (a deterministic budget in the sense of ROADMAP
-    /// item 3(b)): a permutation stages through one rotating scratch,
-    /// not one buffer per node.
+    /// item 4): a permutation is charged, not staged — the matrix holds
+    /// no buffer between primitives.
     #[test]
-    fn permutation_scratch_is_one_buffer() {
-        let (vp, per) = (12u32, 1usize << 12);
+    fn permutation_holds_no_buffer() {
+        let vp = 12u32;
         let rotation: Vec<u32> = (6..vp).chain(0..6).collect();
         let mut m = label_mapped(FieldMap::new(vec![0, 1, 2], (3..3 + vp).collect()));
-        assert_eq!(m.pool_capacity_elems(), 0, "staging held before any primitive ran");
         let mut net = SimNet::new(3, MachineParams::unit(PortMode::OnePort).with_t_copy(0.5));
         m.permute_virt(&mut net, &rotation);
+        assert_eq!(m.pool_capacity_elems(), 0, "staging held after a permutation");
         assert_eq!(check_labels(&m), None);
-        let held = m.pool_capacity_elems();
-        assert!(held <= per, "{held} elements pooled");
         net.finish_round();
         assert!(net.finalize().copy_time > 0.0, "the model still charges the copy");
     }
 
     /// Footprint gate, as above: an exchange that sends every run as its
-    /// own message holds one run-sized buffer per node (one of them may
-    /// be the permutation scratch, reused), not half the matrix.
+    /// own message charges one sub-round per run and holds no message
+    /// buffer.
     #[test]
-    fn direct_exchange_holds_one_run_per_node() {
+    fn direct_exchange_holds_no_buffer() {
         let (n, vp, j) = (3u32, 12u32, 7u32);
-        let (num, per, run) = (1usize << n, 1usize << vp, 1usize << j);
+        let (per, run) = (1usize << vp, 1usize << j);
         assert_eq!(per / (2 * run), 16, "runs per node");
         let mut m = label_mapped(FieldMap::new((0..n).collect(), (n..n + vp).collect()));
         let mut net = unit_net(n);
         let rotation: Vec<u32> = (6..vp).chain(0..6).collect();
         m.permute_virt(&mut net, &rotation);
         m.exchange_real_virt(&mut net, 1, j, BufferPolicy::Buffered { min_direct: run });
+        assert_eq!(m.pool_capacity_elems(), 0, "staging held after an exchange");
         assert_eq!(check_labels(&m), None);
-        let held = m.pool_capacity_elems();
-        assert!(held <= num * run + per, "{held} elements pooled");
         assert_eq!(net.finalize().rounds, 16, "one sub-round per run");
+    }
+
+    #[test]
+    #[should_panic(expected = "exchange of real position 2: the map has 2 real dimensions")]
+    fn exchange_names_its_real_position() {
+        label_mapped(map_2_2()).exchange_real_virt(&mut unit_net(2), 2, 0, BufferPolicy::Ideal);
+    }
+
+    #[test]
+    #[should_panic(expected = "exchange of virtual position 5: the map has 2 virtual dimensions")]
+    fn exchange_names_its_virtual_position() {
+        label_mapped(map_2_2()).exchange_real_virt(&mut unit_net(2), 0, 5, BufferPolicy::Ideal);
+    }
+
+    #[test]
+    #[should_panic(expected = "swap of real position 3: the map has 2 real dimensions")]
+    fn swap_names_its_real_position() {
+        label_mapped(map_2_2()).swap_real_real(&mut unit_net(2), 0, 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "swap of real position 1 with itself")]
+    fn swap_with_itself_rejected() {
+        label_mapped(map_2_2()).swap_real_real(&mut unit_net(2), 1, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "[1, 1] is not a permutation of the 2 virtual positions")]
+    fn permute_virt_rejects_a_non_permutation() {
+        label_mapped(map_2_2()).permute_virt(&mut unit_net(2), &[1, 1]);
     }
 
     #[test]

@@ -560,58 +560,73 @@ mod alloc_gate_tests {
         );
     }
 
-    /// `fieldmap`'s streamed direct exchange — 64 nodes,
-    /// 16 runs of 32 elements each, every run its own message: the
-    /// exchange may allocate the sub-round's message buffer per node and
-    /// a constant (the buffer lists, `SimNet`'s round store growing) —
-    /// nothing per message: there are `num × runs_per_node` = 1 024 of
-    /// those, and a buffer apiece is what the bound rules out. On a
-    /// matrix that has exchanged before, the buffers come back out of
-    /// its pool and only the constant is left. With the two `BIG` gates
-    /// and `fieldmap`'s footprint tests these are deterministic budgets
-    /// of the kind ROADMAP item 3(b) asks for: exact on any host, no
+    /// `fieldmap`'s primitives are charged, not carried: a direct
+    /// exchange that sends 16 runs of 32 elements per node as separate
+    /// messages, and a rotation of every local array, allocate nothing
+    /// node-sized, and nothing but the permutation's new role vector
+    /// whatever the node count — counted at 8 and at 64 nodes, each on a
+    /// net that has run one exchange and one permutation already, so its
+    /// per-round stores have grown. With the other `BIG` gates of this
+    /// module and `fieldmap`'s footprint tests these are deterministic
+    /// budgets of the kind ROADMAP item 4 asks for: exact on any host, no
     /// stopwatch.
     #[test]
-    fn direct_exchange_allocates_per_node_not_per_message() {
+    fn exchange_and_permute_allocate_a_constant() {
         use crate::fieldmap::{check_labels, label_mapped, FieldMap};
         use cubecomm::BufferPolicy;
         use cubesim::{MachineParams, PortMode, SimNet};
-        let (n, vp, j) = (6u32, 10u32, 5u32);
-        let num = 1usize << n;
+        let (vp, j) = (10u32, 5u32);
+        let node_bytes = (1usize << vp) * std::mem::size_of::<u64>();
         assert_eq!((1usize << vp) / (2usize << j), 16, "runs per node");
-        let mut m = label_mapped(FieldMap::new((0..n).collect(), (n..n + vp).collect()));
-        let mut net: SimNet<Vec<u64>> = SimNet::new(n, MachineParams::unit(PortMode::OnePort));
-        let mut counted_exchange = |i: u32| {
+        let rotation: Vec<u32> = (6..vp).chain(0..6).collect();
+        let counts = [3u32, 6].map(|n| {
+            let mut m = label_mapped(FieldMap::new((0..n).collect(), (n..n + vp).collect()));
+            let mut net: SimNet<Vec<u64>> = SimNet::new(n, MachineParams::unit(PortMode::OnePort));
+            m.exchange_real_virt(&mut net, 0, j, BufferPolicy::Unbuffered);
+            m.permute_virt(&mut net, &rotation);
             COUNTED.with(|c| c.set(Some(0)));
-            m.exchange_real_virt(&mut net, i, j, BufferPolicy::Unbuffered);
-            COUNTED.with(|c| c.take()).expect("counting was on")
-        };
-        let cold = counted_exchange(0);
-        let warm = counted_exchange(1);
-        assert_eq!(check_labels(&m), None);
-        assert_eq!(net.finalize().rounds, 32);
-        assert!(cold <= num + 64, "cold exchange made {cold} allocations for {num} nodes");
-        assert!(warm <= 8, "warmed exchange made {warm} allocations for {num} nodes");
+            let big = big_allocs(node_bytes, || {
+                m.exchange_real_virt(&mut net, 1, j, BufferPolicy::Unbuffered);
+                m.permute_virt(&mut net, &rotation);
+            });
+            let allocs = COUNTED.with(|c| c.take()).expect("counting was on");
+            assert_eq!(big, 0, "a primitive allocated node-sized staging at n = {n}");
+            assert_eq!(check_labels(&m), None);
+            assert_eq!(net.finalize().rounds, 32);
+            allocs
+        });
+        assert_eq!(counts[0], counts[1], "allocations at 8 and at 64 nodes");
+        assert!(counts[0] <= 1, "an exchange and a permutation made {} allocations", counts[0]);
     }
 
-    /// A permutation stages through one rotating scratch: the first
-    /// `permute_virt` of a matrix allocates at most one node-sized
-    /// buffer (not one per node), the next one none — the scratch waits
-    /// in the pool.
+    /// Algorithm 2 of §6.2 at a reduced shape (16 nodes of 4 096
+    /// elements) reads the caller's matrix in place: its only
+    /// allocations of half a node or more are the output arrays and the
+    /// one scratch of the composed move — no input clone, and none of
+    /// the exchanges' half-node message buffers (the payload-carrying
+    /// engine made 32).
     #[test]
-    fn permute_virt_allocates_one_node_sized_scratch() {
-        use crate::fieldmap::{check_labels, label_mapped, FieldMap};
-        use cubesim::{MachineParams, PortMode, SimNet};
-        let (n, vp) = (3u32, 12u32);
-        let node_bytes = (1usize << vp) * std::mem::size_of::<u64>();
-        let mut m = label_mapped(FieldMap::new((0..n).collect(), (n..n + vp).collect()));
-        let mut net: SimNet<Vec<u64>> = SimNet::new(n, MachineParams::unit(PortMode::OnePort));
-        let rotation: Vec<u32> = (6..vp).chain(0..6).collect();
-        let mut big_of_permute = || big_allocs(node_bytes, || m.permute_virt(&mut net, &rotation));
-        let (first, second) = (big_of_permute(), big_of_permute());
-        assert_eq!(check_labels(&m), None);
-        assert!(first <= 1, "first permutation made {first} node-sized allocations");
-        assert_eq!(second, 0, "the scratch was not recycled");
+    fn convert_algorithm2_allocates_outputs_and_one_scratch() {
+        use crate::convert::{convert_algorithm2, ConvertSpec};
+        use cubecomm::BufferPolicy;
+        use cubesim::{MachineParams, SimNet};
+        let spec = ConvertSpec::new(8, 8, 2);
+        let before = spec.before();
+        let (num, per) = (before.num_nodes(), before.elems_per_node());
+        let m = crate::verify::labels(before.clone());
+        let mut net = SimNet::new(2 * spec.n_r, MachineParams::intel_ipsc());
+        let mut out = None;
+        let big = big_allocs(per / 2 * std::mem::size_of::<u64>(), || {
+            out = Some(convert_algorithm2(
+                &spec,
+                &m,
+                &mut net,
+                BufferPolicy::Buffered { min_direct: 139 },
+            ));
+        });
+        crate::verify::assert_transposed(&before, &out.expect("the op ran"));
+        net.finalize();
+        assert!(big <= num + 1, "{big} allocations of half a node or more for {num} nodes");
     }
 
     /// The in-place path must never allocate O(mn)-sized scratch after

@@ -220,7 +220,7 @@ pub fn transpose_stepwise<T: Copy + Default + Send + Sync>(
     let spec = TransposeSpec::with_after(m.layout().clone(), after.clone());
     let start = FieldMap::from_layout(&spec.before);
     let target = fieldmap_after(&spec);
-    let mut mapped = MappedMatrix::from_buffers(start.clone(), m.clone().into_buffers());
+    let mut mapped = MappedMatrix::from_dist(start.clone(), m);
 
     // The (real position, dimension) pairs that must be brought in from
     // the virtual side, in descending real-position order (the standard

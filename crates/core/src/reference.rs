@@ -4,11 +4,11 @@
 //! `RefMappedMatrix` preserves the original per-element formulation of
 //! the exchange engine — index-filter iterators for the exchanged half,
 //! a per-element relocation loop for virtual permutations, one `SimNet`
-//! call per node in node order — as the executable specification the
-//! block-move data plane in [`crate::fieldmap`] is checked against: the
+//! send per node in node order, every payload carried through the net —
+//! as the executable specification the charged primitives and the
+//! composed move of [`crate::fieldmap`] are checked against: the
 //! `fieldmap_equivalence` suite drives random schedules through both and
-//! requires identical payloads, role maps, and [`cubesim::CommReport`]s
-//! at every thread count.
+//! requires identical payloads, role maps, and [`cubesim::CommReport`]s.
 //!
 //! Not part of the public API (`doc(hidden)`); exported only for tests
 //! and differential experiments.
@@ -241,9 +241,7 @@ impl<T: Copy> RefMappedMatrix<T> {
     }
 }
 
-/// Reference twin of a block-move matrix with the same contents.
-pub fn ref_twin<T: Copy>(m: &MappedMatrix<T>) -> RefMappedMatrix<T> {
-    let map = m.map().clone();
-    let data = (0..1u64 << map.n()).map(|x| m.node(NodeId(x)).to_vec()).collect();
-    RefMappedMatrix::from_buffers(map, data)
+/// Reference twin of a [`MappedMatrix`] with the same contents.
+pub fn ref_twin<T: Copy + Default>(m: &MappedMatrix<'_, T>) -> RefMappedMatrix<T> {
+    RefMappedMatrix::from_buffers(m.map().clone(), m.to_buffers())
 }

@@ -35,7 +35,6 @@ pub mod cost;
 pub mod net;
 pub mod par;
 pub mod params;
-pub mod pool;
 #[doc(hidden)]
 pub mod reference;
 pub mod report;
@@ -43,7 +42,6 @@ pub mod report;
 pub use cost::{link_slots, LinkTotals, RoundCost};
 pub use net::{Payload, SimNet};
 pub use params::{MachineParams, PortMode};
-pub use pool::BufferPool;
 pub use report::{CommReport, LinkEvent, RoundDetail};
 // The topology vocabulary, re-exported so simulator users need not
 // depend on `cubetopo` directly.

@@ -12,16 +12,17 @@
 //! instead of T².
 //!
 //! Nothing inside a unit of work forks. The planners' per-round
-//! materialization, `fieldmap`'s gather / scatter / permute loops,
-//! `two_dim`'s rebuild and the in-place kernel's passes once fanned out
-//! here too; measured on the 2-vCPU box at 1 and 2 threads (four
-//! alternating `perfbench` runs a side, `wall_ms`), none won:
+//! materialization, `fieldmap`'s gather / scatter / permute loops (since
+//! replaced by one composed move), `two_dim`'s rebuild and the in-place
+//! kernel's passes once fanned out here too; measured on the 2-vCPU box
+//! at 1 and 2 threads (four alternating `perfbench` runs a side,
+//! `wall_ms`), none won:
 //!
 //! | workload (fan-outs it reached) | 1 thread | 2 threads |
 //! | --- | --- | --- |
 //! | `cm16-2d-mpt` (`two_dim::rebuild`) | 42.9 – 44.6 | 47.6 – 50.6 |
 //! | `cm14-plan-cold` (planner rounds) | 43.4 – 48.2 | 46.8 – 48.6 |
-//! | `ipsc6-convert-alg2` (`fieldmap`) | 29.1 – 30.1 | 29.9 – 31.3 |
+//! | `ipsc6-convert-alg2` (`fieldmap`'s old loops) | 29.1 – 30.1 | 29.9 – 31.3 |
 //! | `ipsc6-1d-exchange` (exchange planner) | 19.4 – 20.8 | 20.3 – 21.4 |
 //! | `ipsc6-2d-spt` (`two_dim::rebuild`) | 2.37 – 2.60 | 2.31 – 2.55 |
 //!

@@ -84,9 +84,10 @@ begin "lint policy: one round loop per substrate in cubetranspose (finish_round 
 # Every mover that carries whole arrays along dimension paths (§6.1's
 # SPT/DPT/MPT, §6.3's mixed-encoding transposes, Lemma 6's relocations)
 # plans flights and runs them on flight.rs's executor. The other sites
-# are fieldmap's exchange, two_dim's stepwise copy-charge round,
-# algorithm 2's copy charge in convert.rs, and RefMappedMatrix, the
-# oracle. The §6.3 block payload type is deleted and must not come back.
+# are fieldmap's charged primitives (the exchange's rounds and sub-rounds,
+# the real/real swap's two rounds — they move no data), two_dim's
+# stepwise copy-charge round, algorithm 2's copy-charge round in
+# convert.rs, and RefMappedMatrix, the oracle. The §6.3 block payload type is deleted and must not come back.
 # (Bracketed so this script does not match itself.)
 violations="$(grep -rl 'finish_round' --include='*.rs' crates/core/src 2>/dev/null \
     | grep -v -x -e 'crates/core/src/flight.rs' -e 'crates/core/src/fieldmap.rs' \
@@ -128,14 +129,34 @@ for example in examples/*.rs; do
 done
 
 begin "lint policy: the fieldmap in-place knob stays deleted"
-# MappedMatrix has one realisation of a permutation (out of place through
-# a rotating scratch) and no prefaulted pool; the threshold, its
-# environment variable and the warm-up that chose between the old forks
-# must not come back. (Bracketed so this script does not match itself.)
+# MappedMatrix moves its data once, by the composed move through one
+# scratch, and has no prefaulted pool; the threshold, its environment
+# variable and the warm-up that chose between the old forks must not
+# come back. (Bracketed so this script does not match itself.)
 violations="$(grep -rln -E 'inplace_mi[n]|INPLACE_MI[N]|ensure_war[m]' \
     crates src tests examples 2>/dev/null || true)"
 if [ -n "$violations" ]; then
     echo "FAIL: files mention the deleted in-place threshold or pool warm-up:" >&2
+    echo "$violations" >&2
+    false
+fi
+
+begin "lint policy: fieldmap charges the net and carries no payload (no send, no drain, no buffer pool)"
+# MappedMatrix's primitives make their claims with SimNet::charge and
+# local_copy and move no element; the data moves once, when it is read
+# out. A payload send, a drain of delivered messages or the deleted
+# message-buffer pool in fieldmap.rs would bring back the carried
+# exchange. RefMappedMatrix (reference.rs) still sends payloads: it is
+# the oracle. (Bracketed so this script does not match itself.)
+violations="$(grep -n -E '[.]sen[d][(]|drain_all_wit[h]|BufferPoo[l]' crates/core/src/fieldmap.rs || true)"
+if [ -n "$violations" ]; then
+    echo "FAIL: fieldmap.rs carries payloads through the net again:" >&2
+    echo "$violations" >&2
+    false
+fi
+violations="$(grep -rln -E 'BufferPoo[l]|mod poo[l]' --include='*.rs' crates src tests examples 2>/dev/null || true)"
+if [ -n "$violations" ]; then
+    echo "FAIL: files mention the deleted message-buffer pool:" >&2
     echo "$violations" >&2
     false
 fi
@@ -279,6 +300,15 @@ begin "cubesim: flat SimNet vs ReferenceNet (reports, payloads, drain order, pan
 # simulator regression fail under the simulator's name.
 cargo test --release -q -p cubesim --test flat_vs_reference
 
+begin "fieldmap: the composed move vs the per-element placement oracle"
+# MappedMatrix's primitives only charge the net; reading the data out runs
+# one bit permutation from the map the arrays were built under to the
+# current one. Random map pairs (n <= 6, vp <= 12) and the special shapes
+# (identity, local-only, node-only, a node bit feeding local bit 0, no
+# node or no local dimensions) must place every element where
+# FieldMap::place / element_at say.
+cargo test --release -q -p cubetranspose --test composed_move
+
 begin "flights: the charged executor vs the hop-by-hop oracle (ledgers, reports, panic text)"
 # run_flights charges each hop to the net and never moves a payload; the
 # executor it replaced, which carried every payload through SimNet hop by
@@ -305,15 +335,17 @@ timeout 300 cargo test --release -q -p cubetranspose --test perf_smoke -- --igno
 begin "local-kernels smoke: in-place transpose no slower than scratch gather"
 timeout 300 cargo test --release -q -p cubetranspose --test local_kernels_smoke -- --ignored
 
-begin "allocation gates: no O(mn)-sized scratch in place; one node-sized scratch per permute_virt; a direct fieldmap exchange and run_spmd allocate O(1) per node, MPT at most 1.4 per node and no link-sized table, run_rounds O(1) per run"
+begin "allocation gates: no O(mn)-sized scratch in place; fieldmap's exchange and permute_virt allocate nothing node-sized and a constant count, convert_algorithm2 only its outputs and one scratch; run_spmd O(1) per node, MPT at most 1.4 per node and no link-sized table, run_rounds O(1) per run"
 # The counting global allocator lives in crates/core/src/local.rs's test
 # module (the one unsafe-allowlisted file). One gate arms it around a
 # warmed in-place transpose and fails on any matrix-sized allocation;
-# one arms it around MappedMatrix::permute_virt and fails on a second
-# node-sized allocation (the rotating scratch is one buffer, and the
-# next permutation finds it in the pool); one counts every allocation of
-# a fieldmap exchange that sends 16 runs per node as separate messages
-# and fails if anything is allocated per message rather than per node;
+# one counts a fieldmap exchange that sends 16 runs per node as separate
+# messages plus a permute_virt, at 8 and at 64 nodes, and fails on any
+# node-sized allocation or on a count that grows with the nodes (the
+# primitives charge the net and move no data); one arms the size counter
+# around convert_algorithm2 at a reduced shape and fails above one
+# half-node-or-larger allocation per node plus one (an input clone or the
+# exchanges' message buffers would double it);
 # one counts every allocation of one transpose_mpt at the reduced
 # cm16-2d-mpt shape and fails above 1.4 per node (a delivery list per
 # node, or anything allocated per path); one arms the size counter

@@ -3,7 +3,7 @@
 //! ([`crate::two_dim`]), §6.3's mixed-encoding transposes
 //! ([`crate::gray`]) and Lemma 6's relocations ([`crate::permute`]).
 //!
-//! A *flight* is a payload, its source, an injection cycle and a
+//! A *flight* is an element count, its source, an injection cycle and a
 //! `(start, len)` path in the plan's byte arena, one entry per routing
 //! step: a dimension to cross, or a *hold* ([`HOLD`], a byte no dimension
 //! uses) on which the flight stays put and sends nothing. Leading holds
@@ -12,15 +12,14 @@
 //! length in rounds and its run closes exactly that many, empty ones
 //! included.
 //!
-//! The run never moves a payload. Every payload is parked on its line
-//! of the *delivery ledger* — `(source, landed at, payload)`, one line
-//! per flight, in plan order — from the start. Each cycle, every live
-//! flight that does not hold is charged to the net for its hop
+//! A plan carries no data, and the run moves none. Each cycle, every
+//! live flight that does not hold is charged to the net for its hop
 //! ([`SimNet::charge`]: the link checks, the cost and the records a send
-//! of the payload would make) and its position advances across the
-//! dimension; the landing node is written to its line once, when its
-//! path ends. The net never sees a payload, so nothing is delivered,
-//! drained or matched back to its flight.
+//! of its elements would make) and its position advances across the
+//! dimension. The run returns the *delivery ledger*: where each flight
+//! landed, in plan order. Each mover then reads its arrays from its own
+//! input, checks the ledger against where they must land, and writes
+//! each one once.
 
 use cubeaddr::NodeId;
 use cubesim::{Payload, SimNet};
@@ -35,23 +34,24 @@ pub(crate) struct PathRef {
     pub(crate) len: u32,
 }
 
-/// One flight: a payload, its path, and its injection cycle.
-pub(crate) struct Flight<P> {
+/// One flight: its source, its path, its injection cycle, and the
+/// number of elements it carries.
+pub(crate) struct Flight {
     pub(crate) src: NodeId,
     pub(crate) path: PathRef,
     pub(crate) inject: usize,
-    pub(crate) payload: P,
+    pub(crate) elems: usize,
 }
 
 /// Every flight of one mover, the arena their paths live in (a dimension
 /// fits a byte: `n ≤ 64`), and the plan's length in rounds.
-pub(crate) struct FlightPlan<P> {
+pub(crate) struct FlightPlan {
     pub(crate) arena: Vec<u8>,
-    pub(crate) flights: Vec<Flight<P>>,
+    pub(crate) flights: Vec<Flight>,
     rounds: usize,
 }
 
-impl<P> FlightPlan<P> {
+impl FlightPlan {
     /// An empty plan `rounds` rounds long.
     pub(crate) fn new(rounds: usize) -> Self {
         FlightPlan { arena: Vec::new(), flights: Vec::new(), rounds }
@@ -70,10 +70,10 @@ impl<P> FlightPlan<P> {
         PathRef { start: start as u32, len: end - start as u32 }
     }
 
-    /// Adds a flight of `payload` from `src` along `path`, taking its
-    /// first step at cycle `inject`.
-    pub(crate) fn fly(&mut self, src: NodeId, path: PathRef, inject: usize, payload: P) {
-        self.flights.push(Flight { src, path, inject, payload });
+    /// Adds a flight of `elems` elements from `src` along `path`, taking
+    /// its first step at cycle `inject`.
+    pub(crate) fn fly(&mut self, src: NodeId, path: PathRef, inject: usize, elems: usize) {
+        self.flights.push(Flight { src, path, inject, elems });
     }
 
     /// Makes the plan exactly as long as its longest flight.
@@ -83,25 +83,17 @@ impl<P> FlightPlan<P> {
     }
 }
 
-/// One flight's ledger line: its source, where its payload landed, and
-/// the payload.
-pub(crate) struct Landed<P> {
-    pub(crate) src: NodeId,
-    pub(crate) at: NodeId,
-    pub(crate) payload: P,
-}
-
 /// Runs the plan for exactly its length in rounds, every flight taking
 /// one step per cycle from its injection cycle on, and returns the
-/// delivery ledger in plan order.
+/// delivery ledger: each flight's landing node, in plan order.
 ///
 /// Panics, naming the flight, if its last hop falls after the plan's
 /// length; inside the simulator if two flights contend for a directed
 /// link — the runtime check of the edge-disjointness lemmas — or break
 /// the port discipline.
-pub(crate) fn run_flights<P: Payload>(net: &mut SimNet<P>, plan: FlightPlan<P>) -> Vec<Landed<P>> {
-    /// A launched flight: its ledger line, its payload's size, the arena
-    /// positions of its next step and of its path's end, and where it is.
+pub(crate) fn run_flights<P: Payload>(net: &mut SimNet<P>, plan: &FlightPlan) -> Vec<NodeId> {
+    /// A launched flight: its ledger line, its size, the arena positions
+    /// of its next step and of its path's end, and where it is.
     #[derive(Clone, Copy)]
     struct Live {
         id: usize,
@@ -115,25 +107,25 @@ pub(crate) fn run_flights<P: Payload>(net: &mut SimNet<P>, plan: FlightPlan<P>) 
     // through a cursor, one pass over it for the whole run.
     let mut ledger = Vec::with_capacity(flights.len());
     let mut waiting = Vec::with_capacity(flights.len());
-    for (id, f) in flights.into_iter().enumerate() {
+    for (id, f) in flights.iter().enumerate() {
         let PathRef { start, len } = f.path;
         if len > 0 {
             let end = f.inject + len as usize;
             assert!(
-                end <= rounds,
+                end <= *rounds,
                 "flight {id} from {}: last hop in round {} of a {rounds}-round plan",
                 f.src,
                 end - 1
             );
-            let elems = f.payload.elems();
-            waiting.push((f.inject, Live { id, elems, next: start, end: start + len, at: f.src }));
+            let live = Live { id, elems: f.elems, next: start, end: start + len, at: f.src };
+            waiting.push((f.inject, live));
         }
-        ledger.push(Landed { src: f.src, at: f.src, payload: f.payload });
+        ledger.push(f.src);
     }
     waiting.sort_by_key(|&(inject, _)| inject);
     let mut waiting = waiting.into_iter().peekable();
     let mut live: Vec<Live> = Vec::new();
-    for cycle in 0..rounds {
+    for cycle in 0..*rounds {
         while let Some((_, l)) = waiting.next_if(|&(inject, _)| inject == cycle) {
             live.push(l);
         }
@@ -148,7 +140,7 @@ pub(crate) fn run_flights<P: Payload>(net: &mut SimNet<P>, plan: FlightPlan<P>) 
         live.retain_mut(|l| {
             l.next += 1;
             if l.next == l.end {
-                ledger[l.id].at = l.at;
+                ledger[l.id] = l.at;
             }
             l.next != l.end
         });
@@ -162,13 +154,11 @@ mod tests {
     use cubesim::{CommReport, MachineParams, PortMode};
 
     /// The executor the charged one replaced, kept as its oracle: every
-    /// hop carries the payload through the net as a message and back out
-    /// of [`SimNet::drain_all_with`] (in send order, the order of the live
-    /// flights that hopped), checked against the hop its flight planned.
-    fn run_flights_hop_by_hop<P: Payload + Default>(
-        net: &mut SimNet<P>,
-        plan: FlightPlan<P>,
-    ) -> Vec<Landed<P>> {
+    /// hop carries a payload of the flight's size through the net as a
+    /// message and back out with [`SimNet::recv`] at the node and
+    /// dimension its flight planned, in the order of the live flights
+    /// that hopped, and the payload must come back intact.
+    fn run_flights_hop_by_hop(net: &mut SimNet<Vec<u64>>, plan: &FlightPlan) -> Vec<NodeId> {
         #[derive(Clone, Copy)]
         struct Live {
             id: usize,
@@ -178,47 +168,45 @@ mod tests {
         }
         let FlightPlan { arena, flights, rounds } = plan;
         let mut ledger = Vec::with_capacity(flights.len());
+        let mut payloads: Vec<Vec<u64>> = Vec::with_capacity(flights.len());
         let mut waiting = Vec::with_capacity(flights.len());
-        for (id, f) in flights.into_iter().enumerate() {
+        for (id, f) in flights.iter().enumerate() {
             let PathRef { start, len } = f.path;
             if len > 0 {
                 let end = f.inject + len as usize;
                 assert!(
-                    end <= rounds,
+                    end <= *rounds,
                     "flight {id} from {}: last hop in round {} of a {rounds}-round plan",
                     f.src,
                     end - 1
                 );
                 waiting.push((f.inject, Live { id, next: start, end: start + len, at: f.src }));
             }
-            ledger.push(Landed { src: f.src, at: f.src, payload: f.payload });
+            ledger.push(f.src);
+            payloads.push(vec![id as u64; f.elems]);
         }
         waiting.sort_by_key(|&(inject, _)| inject);
         let mut waiting = waiting.into_iter().peekable();
         let mut live: Vec<Live> = Vec::new();
-        for cycle in 0..rounds {
+        for cycle in 0..*rounds {
             while let Some((_, l)) = waiting.next_if(|&(inject, _)| inject == cycle) {
                 live.push(l);
             }
             for l in &live {
                 let dim = arena[l.next as usize];
                 if dim != HOLD {
-                    let payload = std::mem::take(&mut ledger[l.id].payload);
-                    net.send(l.at, u32::from(dim), payload);
+                    net.send(l.at, u32::from(dim), std::mem::take(&mut payloads[l.id]));
                 }
             }
             net.finish_round();
-            let mut hopped = live.iter_mut().filter(|l| arena[l.next as usize] != HOLD);
-            net.drain_all_with(|dst, dim, payload| {
-                let l = hopped.next().expect("one delivery per hopping flight");
-                let want = u32::from(arena[l.next as usize]);
-                let next = l.at.neighbor(want);
-                assert!(dst == next && dim == want, "flight {} delivered off its path", l.id);
-                let line = &mut ledger[l.id];
-                line.payload = payload;
-                line.at = next;
-                l.at = next;
-            });
+            for l in live.iter_mut().filter(|l| arena[l.next as usize] != HOLD) {
+                let dim = u32::from(arena[l.next as usize]);
+                l.at = l.at.neighbor(dim);
+                let payload = net.recv(l.at, dim);
+                assert!(payload.iter().all(|&x| x == l.id as u64), "flight {} got another", l.id);
+                payloads[l.id] = payload;
+                ledger[l.id] = l.at;
+            }
             live.retain_mut(|l| {
                 l.next += 1;
                 l.next != l.end
@@ -231,12 +219,12 @@ mod tests {
         let mut plan = FlightPlan::new(rounds);
         for &(src, inject, steps) in flights {
             let path = plan.path(steps.iter().copied());
-            plan.fly(NodeId(src), path, inject, vec![src]);
+            plan.fly(NodeId(src), path, inject, 1);
         }
-        let mut net = SimNet::new(3, MachineParams::unit(PortMode::AllPorts));
+        let mut net: SimNet<Vec<u64>> = SimNet::new(3, MachineParams::unit(PortMode::AllPorts));
         net.record_links();
-        let ledger = run_flights(&mut net, plan);
-        (ledger.iter().map(|l| l.at.bits()).collect(), net.finalize())
+        let ledger = run_flights(&mut net, &plan);
+        (ledger.iter().map(|at| at.bits()).collect(), net.finalize())
     }
 
     #[test]
@@ -264,8 +252,8 @@ mod tests {
     }
 
     /// The charged executor against the hop-by-hop oracle: the same
-    /// ledger (sources, landing nodes, payloads) and the same report,
-    /// history and link history included — or the same panic text.
+    /// ledger (landing nodes) and the same report, history and link
+    /// history included — or the same panic text.
     mod differential {
         use super::*;
         use std::collections::HashSet;
@@ -284,11 +272,11 @@ mod tests {
             }
         }
 
-        /// One flight as data: source, injection cycle, steps, payload.
-        type FlightSpec = (u64, usize, Vec<Option<u32>>, Vec<u64>);
+        /// One flight as data: source, injection cycle, steps, elements.
+        type FlightSpec = (u64, usize, Vec<Option<u32>>, usize);
 
-        /// A plan as data, so each executor gets its own copy: the cube,
-        /// the port rule, the length in rounds and the flights.
+        /// A plan as data: the cube, the port rule, the length in rounds
+        /// and the flights.
         struct Spec {
             n: u32,
             ports: PortMode,
@@ -296,13 +284,13 @@ mod tests {
             flights: Vec<FlightSpec>,
         }
 
-        type Outcome = Result<(Vec<(u64, u64, Vec<u64>)>, CommReport), String>;
+        type Outcome = Result<(Vec<u64>, CommReport), String>;
 
         fn outcome(spec: &Spec, charged: bool) -> Outcome {
             let mut plan = FlightPlan::new(spec.rounds);
-            for (src, inject, steps, payload) in &spec.flights {
+            for &(src, inject, ref steps, elems) in &spec.flights {
                 let path = plan.path(steps.iter().copied());
-                plan.fly(NodeId(*src), path, *inject, payload.clone());
+                plan.fly(NodeId(src), path, inject, elems);
             }
             let params = MachineParams::intel_ipsc().with_ports(spec.ports).with_max_packet(2);
             catch_unwind(AssertUnwindSafe(|| {
@@ -310,12 +298,11 @@ mod tests {
                 net.record_history();
                 net.record_links();
                 let ledger = if charged {
-                    run_flights(&mut net, plan)
+                    run_flights(&mut net, &plan)
                 } else {
-                    run_flights_hop_by_hop(&mut net, plan)
+                    run_flights_hop_by_hop(&mut net, &plan)
                 };
-                let lines = ledger.into_iter().map(|l| (l.src.bits(), l.at.bits(), l.payload));
-                (lines.collect(), net.finalize())
+                (ledger.iter().map(|at| at.bits()).collect(), net.finalize())
             }))
             .map_err(|e| match e.downcast::<String>() {
                 Ok(text) => *text,
@@ -333,7 +320,7 @@ mod tests {
         }
 
         /// A random plan on a cube of at most 5 dimensions: holds,
-        /// staggered injections, payloads of 1–3 elements (rarely none).
+        /// staggered injections, flights of 1–3 elements (rarely none).
         /// When `legal`, a flight that would share a directed link in a
         /// cycle with an earlier one, or a node's port under one-port
         /// rules, is left out; otherwise clashes are likely. The length
@@ -352,8 +339,7 @@ mod tests {
                 let steps: Vec<Option<u32>> = (0..rng.below(2 * u64::from(n) + 1))
                     .map(|_| (rng.below(4) != 0).then(|| rng.below(u64::from(n)) as u32))
                     .collect();
-                let len = if rng.below(50) == 0 { 0 } else { 1 + rng.below(3) };
-                let payload = (0..len).map(|i| src * 10 + i).collect();
+                let elems = if rng.below(50) == 0 { 0 } else { 1 + rng.below(3) as usize };
                 if legal {
                     // Every (cycle, node, port) the flight's hops touch,
                     // at both ends of each link.
@@ -370,7 +356,7 @@ mod tests {
                             || (ports == PortMode::OnePort
                                 && node_ports.get(&(cycle, node)).is_some_and(|&p| p != d))
                     });
-                    if clash || len == 0 {
+                    if clash || elems == 0 {
                         continue;
                     }
                     for (cycle, node, d, out) in used {
@@ -380,7 +366,7 @@ mod tests {
                         node_ports.insert((cycle, node), d);
                     }
                 }
-                flights.push((src, inject, steps, payload));
+                flights.push((src, inject, steps, elems));
             }
             let fit = flights
                 .iter()
@@ -425,7 +411,7 @@ mod tests {
         fn spec(ports: PortMode, rounds: usize, flights: &[(u64, usize, &[Option<u32>])]) -> Spec {
             let flights = flights
                 .iter()
-                .map(|&(src, inject, steps)| (src, inject, steps.to_vec(), vec![src; 2]))
+                .map(|&(src, inject, steps)| (src, inject, steps.to_vec(), 2))
                 .collect();
             Spec { n: 3, ports, rounds, flights }
         }

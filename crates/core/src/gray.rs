@@ -19,7 +19,8 @@
 //! table (even-block-row / even-parity-block-column flags) is the
 //! control-driven computation of the same moves. The simulator's
 //! contention checks verify that the schedule stays conflict-free, and
-//! every block's landing node is checked against the output's layout.
+//! every block's landing node is checked against the output's layout
+//! before its array is written there, once, from the input.
 
 use crate::flight::{run_flights, FlightPlan};
 use cubeaddr::NodeId;
@@ -120,20 +121,18 @@ fn move_blocks<T: Copy>(
             at ^= u64::from(cross) << d;
             cross.then_some(d)
         }));
-        plan.fly(src, path, 0, m.node(src).to_vec());
+        plan.fly(src, path, 0, m.node(src).len());
     }
     // Flight `i` carries block `block(i)`.
     let (_, target) = phases.last().expect("a pass has a phase");
     let (rows, cols) = (spec.before().local_rows(), spec.before().local_cols());
     let mut buffers: Vec<Vec<T>> = (0..num).map(|_| Vec::new()).collect();
-    for (i, line) in run_flights(net, plan).into_iter().enumerate() {
-        let ((u, v), x) = (block(i as u64), line.at.bits());
+    for (i, (f, at)) in plan.flights.iter().zip(run_flights(net, &plan)).enumerate() {
+        let ((u, v), x) = (block(i as u64), at.bits());
         assert_eq!(target(u, v), x, "block ({u}, {v}) stranded at node {x}");
-        let mut data = line.payload;
-        if transpose {
-            crate::inplace::transpose(&mut data, rows, cols);
-        }
-        buffers[line.at.index()] = data;
+        let data = m.node(f.src);
+        buffers[at.index()] =
+            if transpose { crate::local::transpose_flat(data, rows, cols) } else { data.to_vec() };
     }
     DistMatrix::from_buffers(layout, buffers)
 }

@@ -3,7 +3,8 @@
 //! (YALEU/DCS/TR-572, 1987).
 //!
 //! The crate provides every transpose algorithm of the paper, executable
-//! on the `cubesim` cost-model simulator (data really moves;
+//! on the `cubesim` cost-model simulator (every message is charged to
+//! the net, and each array really moves, once, to where its route ends;
 //! time, start-ups and link loads are accounted):
 //!
 //! * [`fieldmap`] — the *general exchange algorithm* engine (Definitions

@@ -11,7 +11,7 @@
 //!   two all-to-all personalized communications (message size at least
 //!   `N` per node makes the splitting exact).
 
-use crate::flight::{run_flights, FlightPlan, Landed};
+use crate::flight::{run_flights, FlightPlan};
 use cubeaddr::{DimPermutation, NodeId};
 use cubecomm::exchange::{all_to_all_exchange, BufferPolicy};
 use cubecomm::{Block, BlockMsg};
@@ -64,15 +64,16 @@ pub(crate) fn swap_pairs_sequence<T>(
     pairs: &[(u32, u32)],
 ) -> Vec<Vec<T>> {
     assert_eq!(data.len(), net.num_nodes());
-    let num = data.len();
-    land(run_flights(net, relocation_plan(data, pairs)), num)
+    let plan = relocation_plan(&data, pairs);
+    let ledger = run_flights(net, &plan);
+    land(&plan, &ledger, data)
 }
 
 /// The flights of [`swap_pairs_sequence`]: `2 × pairs` rounds, one
 /// flight per non-empty array.
-fn relocation_plan<T>(data: Vec<Vec<T>>, pairs: &[(u32, u32)]) -> FlightPlan<Vec<T>> {
+fn relocation_plan<T>(data: &[Vec<T>], pairs: &[(u32, u32)]) -> FlightPlan {
     let mut plan = FlightPlan::new(2 * pairs.len());
-    for (x, arr) in data.into_iter().enumerate() {
+    for (x, arr) in data.iter().enumerate() {
         if arr.is_empty() {
             continue;
         }
@@ -82,29 +83,30 @@ fn relocation_plan<T>(data: Vec<Vec<T>>, pairs: &[(u32, u32)]) -> FlightPlan<Vec
             at ^= u64::from(hop) * ((1 << i1) | (1 << i2));
             [hop.then_some(i1), hop.then_some(i2)]
         }));
-        plan.fly(NodeId(x as u64), path, 0, arr);
+        plan.fly(NodeId(x as u64), path, 0, arr.len());
     }
     plan
 }
 
-/// Places each landed array on its node of `num`.
+/// Moves each flight's array from its source in `data` to the node the
+/// ledger says it landed on.
 ///
 /// # Panics
 /// If two arrays land on one node, naming it and both sources: a plan
 /// that does not permute the nodes would otherwise drop one of them.
 #[track_caller]
-fn land<T>(mut ledger: Vec<Landed<Vec<T>>>, num: usize) -> Vec<Vec<T>> {
-    let mut out: Vec<Vec<T>> = (0..num).map(|_| Vec::new()).collect();
-    for i in 0..ledger.len() {
-        let at = ledger[i].at;
+fn land<T>(plan: &FlightPlan, ledger: &[NodeId], mut data: Vec<Vec<T>>) -> Vec<Vec<T>> {
+    let mut out: Vec<Vec<T>> = (0..data.len()).map(|_| Vec::new()).collect();
+    for (i, (f, &at)) in plan.flights.iter().zip(ledger).enumerate() {
         if !out[at.index()].is_empty() {
-            let first = ledger[..i].iter().find(|l| l.at == at).expect("an earlier landing");
+            let first = plan.flights[..i].iter().zip(ledger).find(|(_, &a)| a == at);
+            let (first, _) = first.expect("an earlier landing");
             panic!(
                 "relocation lands two arrays at node {at}: from {} and from {}",
-                first.src, ledger[i].src
+                first.src, f.src
             );
         }
-        out[at.index()] = std::mem::take(&mut ledger[i].payload);
+        out[at.index()] = std::mem::take(&mut data[f.src.index()]);
     }
     out
 }
@@ -303,11 +305,13 @@ mod tests {
     #[should_panic(expected = "relocation lands two arrays at node 1: from 1 and from 2")]
     fn two_arrays_landing_on_one_node_panic() {
         let mut net = unit_net(2);
-        let mut plan = relocation_plan(node_data(2, 1), &[(0, 1)]);
+        let data = node_data(2, 1);
+        let mut plan = relocation_plan(&data, &[(0, 1)]);
         let stay = plan.path([]);
         let node1 = plan.flights.iter_mut().find(|f| f.src == NodeId(1)).unwrap();
         node1.path = stay;
-        let _ = land(run_flights(&mut net, plan), 4);
+        let ledger = run_flights(&mut net, &plan);
+        let _ = land(&plan, &ledger, data);
     }
 
     #[test]

@@ -23,35 +23,36 @@
 //! two packets on one directed link in the same round abort the run.
 //!
 //! All three build one *flight plan* and run it on the crate's flight
-//! executor (`crate::flight`): a flight is a packet, its injection cycle
-//! and its path, and every path a packet actually rides is written once —
-//! by the same allocation-free construction behind [`mpt_path`] — into
-//! one byte arena for the whole transpose. MPT at the paper's CM size is
-//! 65 536 nodes of `2H(x)` paths each, of which a one-element array rides
-//! one; nothing is allocated per path, and an unused path is never
-//! written. A plan is as long as its last delivery. The executor charges
-//! each hop to the net — checked, costed and recorded as a send of the
-//! packet would be — and leaves the packet on its ledger line, so a
-//! packet is copied once, when it is cut from its source array, and
-//! never moved until `rebuild` takes it.
+//! executor (`crate::flight`): a flight is a packet's element count, its
+//! injection cycle and its path, and every path a packet actually rides
+//! is written once — by the same allocation-free construction behind
+//! [`mpt_path`] — into one byte arena for the whole transpose. MPT at the
+//! paper's CM size is 65 536 nodes of `2H(x)` paths each, of which a
+//! one-element array rides one; nothing is allocated per path, and an
+//! unused path is never written. A plan is as long as its last delivery.
+//! The executor charges each hop to the net — checked, costed and
+//! recorded as a send of the packet would be — and returns where each
+//! flight landed. No packet is ever cut from its source array.
 //!
 //! Flights are planned source by source in ascending offsets, so each
-//! source's packets are one contiguous run of the executor's delivery
-//! ledger, and `rebuild` gives destination `d` the run of `tr(d)` after
-//! checking that every packet landed at `d` and that the offsets tile
-//! the array — no per-destination list, no sort. The local step of §6.1
-//! transposes the `rows × cols` local array; with one local row or
-//! column that is the identity, so a whole array arriving as one packet
-//! (the paper's CM configuration: one element per node) *is* the output
-//! buffer.
+//! source's packets are one contiguous run of the plan and its delivery
+//! ledger, and a packet's offset is the sum of the sizes before it in
+//! its run. `rebuild` checks that every packet of `tr(d)`'s run landed at
+//! `d` and that the run's sizes add up to the local array, then writes
+//! destination `d`'s output once: the local step of §6.1, the transpose
+//! of `tr(d)`'s `rows × cols` array, read straight from the input.
 
-use crate::flight::{run_flights, FlightPlan, Landed, PathRef};
+use crate::flight::{run_flights, FlightPlan, PathRef};
 use cubeaddr::NodeId;
 use cubelayout::{CommPattern, DistMatrix, Layout, TransposeSpec};
 use cubesim::{Payload, SimNet};
-use std::ops::Range;
 
 /// A pipelined packet: a slice of the source node's local array.
+///
+/// No mover builds one: the transposes charge their packets to the net
+/// and write each output array once, so this type survives only as the
+/// payload type of the nets they take, which callers name. It goes when
+/// `SimNet` loses its payload type.
 #[derive(Clone, Debug, Default)]
 pub struct Packet<T> {
     /// Position of the slice in the source local array.
@@ -125,7 +126,7 @@ pub fn spt_path(x: u64, half: u32) -> Vec<u32> {
     mpt_path(x, half, 0)
 }
 
-impl<T: Copy> FlightPlan<Packet<T>> {
+impl FlightPlan {
     /// Writes path `p` of node `x` into the arena.
     fn tr_path(&mut self, x: u64, half: u32, p: u32) -> PathRef {
         let (mut dims, mut len) = ([0u8; 64], 0);
@@ -136,14 +137,12 @@ impl<T: Copy> FlightPlan<Packet<T>> {
         self.path(dims[..len].iter().map(|&d| Some(u32::from(d))))
     }
 
-    /// Adds the flights carrying `data[range]` in packets of at most `b`
+    /// Adds the flights carrying `len` elements in packets of at most `b`
     /// elements, injected one per cycle along `path`.
-    fn pipeline(&mut self, x: u64, path: PathRef, data: &[T], range: Range<usize>, b: usize) {
+    fn pipeline(&mut self, x: u64, path: PathRef, len: usize, b: usize) {
         assert!(b > 0);
-        let first = range.start;
-        for (i, chunk) in data[range].chunks(b).enumerate() {
-            let packet = Packet { offset: first + i * b, data: chunk.to_vec() };
-            self.fly(NodeId(x), path, i, packet);
+        for (i, start) in (0..len).step_by(b).enumerate() {
+            self.fly(NodeId(x), path, i, b.min(len - start));
         }
     }
 }
@@ -177,37 +176,31 @@ fn check_pairwise(spec: &TransposeSpec) -> u32 {
 }
 
 /// Rebuilds the output matrix from the delivery ledger: node `tr(x)`
-/// received `x`'s entire local array (as offset-tagged packets); the
-/// local 2D array is then transposed (the local step of §6.1), which is
-/// exactly `after`'s storage order.
+/// received `x`'s entire local array (as packets); the local 2D array is
+/// then transposed (the local step of §6.1), which is exactly `after`'s
+/// storage order.
 ///
 /// Flights are planned source by source in ascending offsets, so each
-/// source's packets are one run of the ledger. Destination `d` takes
-/// `tr(d)`'s run and checks that every packet came from `tr(d)`, landed
-/// at `d`, and that the offsets tile `0..per` with nothing missing. A
-/// whole array in one packet is transposed where it lies — or, with one
-/// local row or column, where the transpose is the identity, *is* the
-/// output buffer; several packets are appended into one buffer first.
+/// source's packets are one run of the plan. Destination `d` takes
+/// `tr(d)`'s run and checks that every packet came from `tr(d)` and
+/// landed at `d`, and that the packets' sizes add up to the whole array;
+/// then it transposes `tr(d)`'s array from the input into its output —
+/// with one local row or column, where the transpose is the identity,
+/// it copies it.
 fn rebuild<T: Copy>(
     spec: &TransposeSpec,
     m: &DistMatrix<T>,
-    mut ledger: Vec<Landed<Packet<T>>>,
+    plan: &FlightPlan,
+    ledger: &[NodeId],
     half: u32,
 ) -> DistMatrix<T> {
     let before = &spec.before;
     let num = before.num_nodes();
     let per = before.elems_per_node();
     let (rows, cols) = (before.local_rows(), before.local_cols());
-    let local_step = |arr: Vec<T>| {
-        if rows == 1 || cols == 1 {
-            arr
-        } else {
-            crate::local::transpose_flat(&arr, rows, cols)
-        }
-    };
     let mut starts = vec![0usize; num + 1];
-    for line in &ledger {
-        starts[line.src.index() + 1] += 1;
+    for f in &plan.flights {
+        starts[f.src.index() + 1] += 1;
     }
     for x in 0..num {
         starts[x + 1] += starts[x];
@@ -215,46 +208,27 @@ fn rebuild<T: Copy>(
     let mut buffers: Vec<Vec<T>> = Vec::with_capacity(num);
     for dst in 0..num {
         let src = tr(dst as u64, half) as usize;
-        let run = &mut ledger[starts[src]..starts[src + 1]];
-        for line in run.iter() {
+        let run = starts[src]..starts[src + 1];
+        let mut offset = 0;
+        for (f, at) in plan.flights[run.clone()].iter().zip(&ledger[run]) {
             assert!(
-                line.src.index() == src && line.at.index() == dst && src != dst,
-                "src {} -> dst {dst}: packet at offset {} landed at node {}",
-                line.src,
-                line.payload.offset,
-                line.at
+                f.src.index() == src && at.index() == dst && src != dst,
+                "src {} -> dst {dst}: packet at offset {offset} landed at node {at}",
+                f.src
             );
+            offset += f.elems;
         }
-        let out = match run {
-            // Diagonal node (H = 0): its own array, nothing travels.
-            [] if src == dst => {
-                crate::local::transpose_flat(m.node(NodeId(dst as u64)), rows, cols)
-            }
-            [one] if one.payload.offset == 0 && one.payload.data.len() == per => {
-                let arr = std::mem::take(&mut one.payload.data);
-                local_step(arr)
-            }
-            _ => {
-                let mut arr = Vec::with_capacity(per);
-                for line in run.iter() {
-                    let pkt = &line.payload;
-                    assert!(
-                        pkt.offset == arr.len() && pkt.data.len() <= per - arr.len(),
-                        "src {src} -> dst {dst}: packets leave a gap or overlap at offset {} \
-                         of {per} at node {dst}",
-                        arr.len()
-                    );
-                    arr.extend_from_slice(&pkt.data);
-                }
-                assert!(
-                    arr.len() == per,
-                    "src {src} -> dst {dst}: elements {}..{per} missing at node {dst}",
-                    arr.len()
-                );
-                local_step(arr)
-            }
-        };
-        buffers.push(out);
+        // Diagonal node (H = 0): its own array, nothing travels.
+        assert!(
+            offset == per || (offset == 0 && src == dst),
+            "src {src} -> dst {dst}: packets deliver {offset} of {per} elements at node {dst}"
+        );
+        let arr = m.node(NodeId(src as u64));
+        buffers.push(if rows == 1 || cols == 1 {
+            arr.to_vec()
+        } else {
+            crate::local::transpose_flat(arr, rows, cols)
+        });
     }
     DistMatrix::from_buffers(spec.after.clone(), buffers)
 }
@@ -276,12 +250,11 @@ pub fn transpose_spt<T: Copy + Default + Send + Sync>(
             continue;
         }
         let path = plan.tr_path(x, half, 0);
-        let data = m.node(NodeId(x));
-        plan.pipeline(x, path, data, 0..data.len(), b);
+        plan.pipeline(x, path, m.node(NodeId(x)).len(), b);
     }
     plan.fit_rounds();
-    let ledger = run_flights(net, plan);
-    rebuild(&spec, m, ledger, half)
+    let ledger = run_flights(net, &plan);
+    rebuild(&spec, m, &plan, &ledger, half)
 }
 
 /// The iPSC step-by-step SPT (§8.2.1): the whole local array as a single
@@ -322,16 +295,15 @@ pub fn transpose_dpt<T: Copy + Default + Send + Sync>(
         if h == 0 {
             continue;
         }
-        let data = m.node(NodeId(x));
-        let mid = data.len() / 2;
-        for (path_id, range) in [(0u32, 0..mid), (h, mid..data.len())] {
+        let len = m.node(NodeId(x)).len();
+        for (path_id, part) in [(0u32, len / 2), (h, len - len / 2)] {
             let path = plan.tr_path(x, half, path_id);
-            plan.pipeline(x, path, data, range, b);
+            plan.pipeline(x, path, part, b);
         }
     }
     plan.fit_rounds();
-    let ledger = run_flights(net, plan);
-    rebuild(&spec, m, ledger, half)
+    let ledger = run_flights(net, &plan);
+    rebuild(&spec, m, &plan, &ledger, half)
 }
 
 /// Multiple Paths Transpose (§6.1.3): `4kH(x)` packets over the `2H(x)`
@@ -361,33 +333,33 @@ pub fn transpose_mpt<T: Copy + Default + Send + Sync>(
     assert!(k >= 1);
     let spec = TransposeSpec::with_after(m.layout().clone(), after.clone());
     let half = check_pairwise(&spec);
-    let ledger = run_flights(net, mpt_plan(m, half, k));
-    rebuild(&spec, m, ledger, half)
+    let plan = mpt_plan(m, half, k);
+    let ledger = run_flights(net, &plan);
+    rebuild(&spec, m, &plan, &ledger, half)
 }
 
 /// The MPT flight plan: node `x`'s array cut into `4·k_H·H(x)` near-equal
 /// packets (sizes differing by at most one, the longer ones first), packet
 /// `idx` on path `idx mod 2H`. Empty packets — and the paths only they
 /// would ride — are never materialized.
-fn mpt_plan<T: Copy>(m: &DistMatrix<T>, half: u32, k: u32) -> FlightPlan<Packet<T>> {
+fn mpt_plan<T: Copy>(m: &DistMatrix<T>, half: u32, k: u32) -> FlightPlan {
     let mut plan = FlightPlan::new(0);
     for x in 0..m.layout().num_nodes() as u64 {
         let h = h_of(x, half);
         if h == 0 {
             continue;
         }
-        let data = m.node(NodeId(x));
+        let len = m.node(NodeId(x)).len();
         // Classes with small H split into more bursts so every class's
         // packet size stays near PQ/(4·k·(n/2)·N) and all classes finish
         // within 2·k·(n/2) + 1 cycles (the paper's ⌊(n/2)/H⌋·4H packets).
         let k_h = (k * half / h).max(1);
         let n_paths = 2 * h as usize;
         let n_packets = 2 * k_h as usize * n_paths;
-        let (base, extra) = (data.len() / n_packets, data.len() % n_packets);
+        let (base, extra) = (len / n_packets, len % n_packets);
         // A path's first packet is the longest it ever carries, so the
         // first pass over the paths (o = 0) writes every path in use.
         let mut paths = [PathRef { start: 0, len: 0 }; 64];
-        let mut offset = 0usize;
         for idx in 0..n_packets {
             let take = base + usize::from(idx < extra);
             if take == 0 {
@@ -401,9 +373,7 @@ fn mpt_plan<T: Copy>(m: &DistMatrix<T>, half: u32, k: u32) -> FlightPlan<Packet<
                 paths[p] = plan.tr_path(x, half, p as u32);
             }
             let inject = n_paths * (o / 2) + (o % 2);
-            let packet = Packet { offset, data: data[offset..offset + take].to_vec() };
-            plan.fly(NodeId(x), paths[p], inject, packet);
-            offset += take;
+            plan.fly(NodeId(x), paths[p], inject, take);
         }
     }
     plan.fit_rounds();
@@ -528,7 +498,7 @@ mod tests {
         // All 2H paths of every node of the 6-cube in one arena: each
         // reference must slice out exactly its own path.
         let half = 3;
-        let mut plan: FlightPlan<Packet<u64>> = FlightPlan::new(0);
+        let mut plan = FlightPlan::new(0);
         let mut refs = Vec::new();
         for x in 0..1u64 << (2 * half) {
             for p in 0..2 * h_of(x, half) {
@@ -559,32 +529,30 @@ mod tests {
             let m = labels(before.clone());
             for k in 1..=3u32 {
                 let mut net = net(before.n());
-                let ledger = run_flights(&mut net, mpt_plan(&m, half, k));
+                let plan = mpt_plan(&m, half, k);
+                let ledger = run_flights(&mut net, &plan);
                 net.finalize();
                 // One run per off-diagonal source, in ascending order.
-                let runs: Vec<&[Landed<Packet<u64>>]> =
-                    ledger.chunk_by(|a, b| a.src == b.src).collect();
-                let sources: Vec<u64> = runs.iter().map(|run| run[0].src.bits()).collect();
+                let lines: Vec<(&crate::flight::Flight, NodeId)> =
+                    plan.flights.iter().zip(ledger).collect();
+                let runs: Vec<_> = lines.chunk_by(|a, b| a.0.src == b.0.src).collect();
+                let sources: Vec<u64> = runs.iter().map(|run| run[0].0.src.bits()).collect();
                 let off_diagonal: Vec<u64> =
                     (0..before.num_nodes() as u64).filter(|&x| h_of(x, half) > 0).collect();
                 assert_eq!(sources, off_diagonal, "k={k}");
                 for run in runs {
-                    let src = run[0].src.bits();
+                    let src = run[0].0.src.bits();
                     let (dst, h) = (tr(src, half), h_of(src, half));
                     let n_packets = (4 * (k * half / h).max(1) * h) as usize;
                     ragged += usize::from(!per.is_multiple_of(n_packets));
                     assert_eq!(run.len(), n_packets.min(per), "src {src} k={k}");
                     let mut covered = 0;
-                    for line in run {
-                        let pkt = &line.payload;
-                        assert_eq!(line.at.bits(), dst, "src {src} k={k}: landed elsewhere");
-                        assert_eq!(pkt.offset, covered, "src {src} k={k}: gap or overlap");
-                        assert!(!pkt.data.is_empty() && pkt.data.len() <= per.div_ceil(n_packets));
-                        let end = covered + pkt.data.len();
-                        assert_eq!(pkt.data, m.node(NodeId(src))[covered..end]);
-                        covered = end;
+                    for (f, at) in run {
+                        assert_eq!(at.bits(), dst, "src {src} k={k}: landed elsewhere");
+                        assert!(f.elems > 0 && f.elems <= per.div_ceil(n_packets));
+                        covered += f.elems;
                     }
-                    assert_eq!(covered, per, "src {src} k={k}: offsets must tile 0..{per}");
+                    assert_eq!(covered, per, "src {src} k={k}: sizes must add up to {per}");
                 }
             }
         }
@@ -593,7 +561,7 @@ mod tests {
 
     /// A single-packet SPT plan on the `2·half`-cube, corrupted by
     /// `corrupt`, run and rebuilt.
-    fn run_corrupted(half: u32, corrupt: impl FnOnce(&mut FlightPlan<Packet<u64>>)) {
+    fn run_corrupted(half: u32, corrupt: impl FnOnce(&mut FlightPlan)) {
         let (before, after) = square(half, half, Assignment::Consecutive, Encoding::Binary);
         let spec = TransposeSpec::with_after(before.clone(), after);
         let m = labels(before.clone());
@@ -601,15 +569,15 @@ mod tests {
         for x in 0..before.num_nodes() as u64 {
             if h_of(x, half) > 0 {
                 let path = plan.tr_path(x, half, 0);
-                let data = m.node(NodeId(x));
-                plan.pipeline(x, path, data, 0..data.len(), data.len());
+                let len = m.node(NodeId(x)).len();
+                plan.pipeline(x, path, len, len);
             }
         }
         plan.fit_rounds();
         corrupt(&mut plan);
         let mut net = net(2 * half);
-        let ledger = run_flights(&mut net, plan);
-        let _ = rebuild(&spec, &m, ledger, half);
+        let ledger = run_flights(&mut net, &plan);
+        let _ = rebuild(&spec, &m, &plan, &ledger, half);
     }
 
     #[test]
@@ -625,6 +593,15 @@ mod tests {
     fn path_ending_at_another_destination_is_caught() {
         // Node 1 rides node 2's path (dims 3, 1): 1 → 9 → 11 = tr(14).
         run_corrupted(2, |plan| plan.flights[0].path = plan.flights[1].path);
+    }
+
+    #[test]
+    #[should_panic(expected = "src 1 -> dst 2: packets deliver 0 of 1 elements at node 2")]
+    fn a_source_whose_packets_are_missing_is_caught() {
+        // Node 1's only packet is dropped from the plan.
+        run_corrupted(1, |plan| {
+            plan.flights.remove(0);
+        });
     }
 
     #[test]

@@ -30,9 +30,11 @@ impl Payload for Elems {
 }
 
 /// The oracle: every planned message sent as a size-only payload, every
-/// planned copy charged, every round finished and drained.
+/// planned copy charged, every round finished and every message received
+/// at the far end of its link.
 fn replay(schedule: &CommSchedule, params: &MachineParams) -> CommReport {
-    let mut net: SimNet<Elems, TopoSpec> = SimNet::on_topology(schedule.topo, params.clone());
+    let topo = schedule.topo;
+    let mut net: SimNet<Elems, TopoSpec> = SimNet::on_topology(topo, params.clone());
     net.record_links();
     for round in &schedule.rounds {
         for msg in &round.msgs {
@@ -42,7 +44,12 @@ fn replay(schedule: &CommSchedule, params: &MachineParams) -> CommReport {
             net.local_copy(node, elems as usize);
         }
         net.finish_round();
-        net.drain_all_with(|_, _, _| {});
+        for msg in &round.msgs {
+            let (src, dim) = (msg.src.bits(), msg.dim);
+            let far = topo.neighbor(src, dim).expect("sent");
+            let got = net.recv(NodeId(far), topo.reverse_port(src, dim).expect("sent"));
+            assert_eq!(got.0, schedule.msg_elems(msg), "a delivery off its link");
+        }
     }
     net.finalize()
 }

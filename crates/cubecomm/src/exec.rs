@@ -1,19 +1,23 @@
-//! The schedule executor: runs planned rounds on a [`SimNet`], moving
-//! real blocks.
+//! The schedule executor: runs planned rounds on a [`SimNet`], charging
+//! every planned message and landing every block once.
 //!
 //! Every block engine of this crate (exchange, SBT and tree families,
 //! SBnT) is "tag the payloads as [`BlockMeta`], build the rounds with the
 //! planner's `skeleton`, [`execute`]" — the round structure the static
 //! checkers analyse is the one that runs, because there is no other.
-//! The executor owns the per-round protocol (send every planned message,
-//! charge every planned copy, finish the round, take every delivery) and
-//! the bookkeeping that turns a wrong schedule into a diagnostic instead
-//! of misplaced data: it knows where every block is, so a message naming
-//! a block its sender does not hold, or naming a block twice in a round,
-//! panics before that round is sent, and a block that ends anywhere but
-//! its destination panics before anything is returned. What the net
-//! itself enforces (wired links, one message per link per round, port
-//! discipline, nonempty messages) it still enforces.
+//! The executor owns the per-round protocol (charge every planned
+//! message with [`SimNet::charge`] and every planned copy, finish the
+//! round) and the bookkeeping that turns a wrong schedule into a
+//! diagnostic instead of misplaced data: it knows where every block is,
+//! so a message naming a block its sender does not hold, or naming a
+//! block twice in a round, panics before that message is charged, and a
+//! block that ends anywhere but its destination panics before anything
+//! is returned. The net carries no block: after the last round each one
+//! moves once, from the input to its destination's list, and the
+//! payloads are checked against their planned blocks up front, so what
+//! the net is charged is what lands. What the net itself enforces (wired
+//! links, one message per link per round, port discipline, nonempty
+//! messages) it still enforces.
 
 use crate::block::{Block, BlockMsg};
 use crate::plan::{BlockMeta, PlanRound};
@@ -37,11 +41,12 @@ pub(crate) fn metas_at_src<T>(payloads: &[Block<T>]) -> Vec<BlockMeta> {
 /// holding, in id order.
 ///
 /// # Panics
-/// With the round index, the block as `id: src -> dst` and the node, if a
-/// message names a block its sender does not hold or a block already
-/// named that round; with the block and the node it is stranded at, if a
-/// block ends short of its destination; and on the net's own legality
-/// checks.
+/// Naming the id, if a payload's `dst` or length disagrees with its
+/// planned block; with the round index, the block as `id: src -> dst`
+/// and the node, if a message names a block its sender does not hold or
+/// a block already named that round; with the block and the node it is
+/// stranded at, if a block ends short of its destination; and on the
+/// net's own legality checks.
 #[track_caller]
 pub fn execute<T, G: Topology>(
     net: &mut SimNet<BlockMsg<T>, G>,
@@ -50,20 +55,32 @@ pub fn execute<T, G: Topology>(
     payloads: Vec<Block<T>>,
 ) -> Vec<Vec<Block<T>>> {
     assert_eq!(payloads.len(), blocks.len(), "one payload per planned block");
+    for (id, (p, b)) in payloads.iter().zip(blocks).enumerate() {
+        assert!(
+            p.dst == b.dst && p.data.len() as u64 == b.elems,
+            "payload {id}: {} elements for node {}, but block {id}: {} -> {} is planned with {}",
+            p.data.len(),
+            p.dst,
+            b.src,
+            b.dst,
+            b.elems
+        );
+    }
     let mut at: Vec<NodeId> = blocks.iter().map(|b| b.src).collect();
-    // A block is `None` exactly while it is on the wire.
-    let mut store: Vec<Option<Block<T>>> = payloads.into_iter().map(Some).collect();
+    // The 1-based index of the last round that named each block.
+    let mut named = vec![0usize; blocks.len()];
     for (r, round) in rounds.iter().enumerate() {
         for msg in &round.msgs {
-            let mut batch = Vec::with_capacity(msg.blocks.len());
+            let mut elems = 0;
             for &id in &msg.blocks {
                 let (i, b) = (id as usize, &blocks[id as usize]);
-                let Some(block) = store[i].take() else {
-                    panic!(
-                        "round {r}: block {id}: {} -> {} is named twice; the second sender is node {}",
-                        b.src, b.dst, msg.src
-                    );
-                };
+                assert!(
+                    named[i] != r + 1,
+                    "round {r}: block {id}: {} -> {} is named twice; the second sender is node {}",
+                    b.src,
+                    b.dst,
+                    msg.src
+                );
                 assert!(
                     at[i] == msg.src,
                     "round {r}: node {} sends block {id}: {} -> {}, which is at node {}",
@@ -72,26 +89,22 @@ pub fn execute<T, G: Topology>(
                     b.dst,
                     at[i]
                 );
-                batch.push(block);
+                named[i] = r + 1;
+                elems += b.elems;
             }
-            net.send(msg.src, msg.dim, BlockMsg(batch));
+            net.charge(msg.src, msg.dim, elems as usize);
+            let far = NodeId(net.topology().neighbor(msg.src.bits(), msg.dim).expect("charged"));
+            for &id in &msg.blocks {
+                at[id as usize] = far;
+            }
         }
         for &(node, elems) in &round.copies {
             net.local_copy(node, elems as usize);
         }
         net.finish_round();
-        // Deliveries come back in send order: the i-th is `msgs[i]`.
-        let mut sent = round.msgs.iter();
-        net.drain_all_with(|node, _, BlockMsg(batch)| {
-            let msg = sent.next().expect("one delivery per planned message");
-            for (&id, block) in msg.blocks.iter().zip(batch) {
-                at[id as usize] = node;
-                store[id as usize] = Some(block);
-            }
-        });
     }
     let mut held: Vec<Vec<Block<T>>> = (0..net.num_nodes()).map(|_| Vec::new()).collect();
-    for (id, (block, b)) in store.into_iter().zip(blocks).enumerate() {
+    for (id, (block, b)) in payloads.into_iter().zip(blocks).enumerate() {
         if at[id] != b.dst {
             let mut dims: Vec<u32> = rounds.iter().flat_map(|r| &r.msgs).map(|m| m.dim).collect();
             dims.sort_unstable();
@@ -105,7 +118,7 @@ pub fn execute<T, G: Topology>(
                 rounds.len()
             );
         }
-        held[at[id].index()].push(block.expect("every delivery was put back"));
+        held[b.dst.index()].push(block);
     }
     held
 }

@@ -16,16 +16,18 @@
 //! messages as [`BlockMeta`], asks the planner's contention simulation
 //! (`plan::skeleton::route_hops`, the one place the FIFO discipline
 //! lives) for its flat `(sender, port, block)` hop log, and runs the
-//! log. A round is one serial pass on the calling thread: every hop's
-//! bare [`Block`] is sent, the round is finished, and
-//! [`SimNet::drain_all_with`] hands the deliveries back in send order,
-//! each retired at its destination or parked by id for its next hop. A
-//! hop moves a block from the parking table to a link slot and back — no
-//! buffer allocation on the path, 16 bytes of log per hop, and no limit
-//! on the topology's port count. The router starts no threads and does
-//! not read `CUBEBENCH_THREADS`. The full-lattice implementation it
-//! replaced survives as [`crate::ecube::reference::RefRouter`], the
-//! independent oracle of the contention simulation
+//! log. A round is one serial pass on the calling thread: every hop is
+//! charged to the net ([`SimNet::charge`]: checked, costed and recorded
+//! as a send of the block would be) and the round is finished. The net
+//! carries no block: a block's data stays in the router's input until
+//! its last hop, when it is moved once to its destination's list — in
+//! log order, so every node sees its arrivals port-ascending, the
+//! reference router's arrival order. Nothing is allocated per hop, the
+//! log costs 16 bytes a hop, and the topology's port count is not
+//! limited. The router starts no threads and does not read
+//! `CUBEBENCH_THREADS`. The full-lattice implementation it replaced
+//! survives as [`crate::ecube::reference::RefRouter`], the independent
+//! oracle of the contention simulation
 //! (`crates/cubecomm/tests/router_equivalence.rs`).
 //!
 //! [`Hypercube`]: cubetopo::Hypercube
@@ -45,15 +47,31 @@ use cubetopo::MinimalRoute;
 /// The router hardware operates independently on every link, so this is
 /// an all-port operation regardless of what the node processors could
 /// do; run it on a net with [`cubesim::PortMode::AllPorts`].
+///
+/// # Panics
+/// Naming the message, if an endpoint of any message (empty ones
+/// included) is not a node of the topology; and on the net's own
+/// legality checks.
+#[track_caller]
 pub fn graph_route<T, G: MinimalRoute>(
     net: &mut SimNet<Block<T>, G>,
     msgs: Vec<RouteMsg<T>>,
 ) -> Vec<Vec<Block<T>>> {
-    let mut result: Vec<Vec<Block<T>>> = (0..net.num_nodes()).map(|_| Vec::new()).collect();
+    let num = net.num_nodes();
+    for (i, m) in msgs.iter().enumerate() {
+        assert!(
+            m.src.index() < num && m.dst.index() < num,
+            "block endpoints outside the {}: message {i}: {} -> {}",
+            net.topology().label(),
+            m.src,
+            m.dst
+        );
+    }
+    let mut result: Vec<Vec<Block<T>>> = (0..num).map(|_| Vec::new()).collect();
     // Local messages arrive immediately; the rest get ids in input order
-    // and wait, parked, for their hops.
+    // and keep their data here until their last hop.
     let mut metas: Vec<BlockMeta> = Vec::new();
-    let mut parked: Vec<Option<Block<T>>> = Vec::new();
+    let mut data: Vec<Vec<T>> = Vec::new();
     for m in msgs {
         if m.data.is_empty() {
             continue;
@@ -62,29 +80,20 @@ pub fn graph_route<T, G: MinimalRoute>(
             result[m.dst.index()].push(Block::new(m.src, m.dst, m.data));
         } else {
             metas.push(BlockMeta { src: m.src, dst: m.dst, elems: m.data.len() as u64 });
-            parked.push(Some(Block::new(m.src, m.dst, m.data)));
+            data.push(m.data);
         }
     }
     let (hops, bounds) = skeleton::route_hops(net.topology(), &metas);
     for w in bounds.windows(2) {
-        let round = &hops[w[0]..w[1]];
-        for &(src, port, id) in round {
-            let block = parked[id as usize].take().expect("a block makes one hop per round");
-            net.send(NodeId(src), port, block);
+        for &(src, port, id) in &hops[w[0]..w[1]] {
+            let b = &metas[id as usize];
+            net.charge(NodeId(src), port, b.elems as usize);
+            if net.topology().neighbor(src, port) == Some(b.dst.bits()) {
+                let arrived = std::mem::take(&mut data[id as usize]);
+                result[b.dst.index()].push(Block::new(b.src, b.dst, arrived));
+            }
         }
         net.finish_round();
-        // Deliveries come back in send order — the i-th is `round[i]` —
-        // so every node sees its arrivals port-ascending, the reference
-        // router's arrival order.
-        let mut sent = round.iter();
-        net.drain_all_with(|at, _, block| {
-            let &(_, _, id) = sent.next().expect("one delivery per hop");
-            if block.dst == at {
-                result[at.index()].push(block);
-            } else {
-                parked[id as usize] = Some(block);
-            }
-        });
     }
     result
 }
@@ -208,5 +217,49 @@ mod tests {
         );
         assert_eq!(out[0b101].len(), 1);
         assert_eq!(net.finalize().rounds, 2);
+    }
+
+    /// Unchecked, an out-of-range destination routes forever on the
+    /// cube: node 0's next port toward 8 is 3, whose lane is node 1's
+    /// port 0.
+    #[test]
+    #[should_panic(expected = "block endpoints outside the 3-cube: message 1: 0 -> 8")]
+    fn out_of_range_destination_is_refused_on_the_cube() {
+        let mut net: SimNet<Block<u64>> = SimNet::new(3, MachineParams::unit(PortMode::AllPorts));
+        let msgs = vec![
+            RouteMsg { src: NodeId(1), dst: NodeId(2), data: vec![1u64] },
+            RouteMsg { src: NodeId(0), dst: NodeId(8), data: vec![2] },
+        ];
+        let _ = graph_route(&mut net, msgs);
+    }
+
+    #[test]
+    #[should_panic(expected = "block endpoints outside the 3-cube: message 0: 9 -> 9")]
+    fn out_of_range_local_message_is_refused_on_the_cube() {
+        let mut net: SimNet<Block<u64>> = SimNet::new(3, MachineParams::unit(PortMode::AllPorts));
+        let _ = graph_route(
+            &mut net,
+            vec![RouteMsg { src: NodeId(9), dst: NodeId(9), data: vec![1u64] }],
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "block endpoints outside the D3(2,3): message 0: 0 -> 18")]
+    fn out_of_range_destination_is_refused_on_the_dragonfly() {
+        let mut net = dragonfly_net(2, 3);
+        let _ = graph_route(
+            &mut net,
+            vec![RouteMsg { src: NodeId(0), dst: NodeId(18), data: vec![1] }],
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "block endpoints outside the D3(2,3): message 0: 20 -> 20")]
+    fn out_of_range_local_message_is_refused_on_the_dragonfly() {
+        let mut net = dragonfly_net(2, 3);
+        let _ = graph_route(
+            &mut net,
+            vec![RouteMsg { src: NodeId(20), dst: NodeId(20), data: vec![1] }],
+        );
     }
 }

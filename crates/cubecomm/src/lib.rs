@@ -2,10 +2,12 @@
 //! (paper §3).
 //!
 //! Everything here moves *source-tagged blocks* ([`block::Block`]) between
-//! nodes of a simulated cube ([`cubesim::SimNet`]), charging the paper's
-//! cost model while really moving the data. Each algorithm exists once,
-//! as the schedule [`plan`] builds; the modules below tag their payloads,
-//! build that schedule and hand it to the one executor, [`exec`]:
+//! nodes of a simulated cube ([`cubesim::SimNet`]): every planned message
+//! is charged to the net under the paper's cost model, and every block is
+//! moved once, from its source to its destination, when its route ends.
+//! Each algorithm exists once, as the schedule [`plan`] builds; the
+//! modules below tag their payloads, build that schedule and hand it to
+//! the one executor, [`exec`]:
 //!
 //! * [`sbt`] — spanning binomial trees: standard, translated, rotated and
 //!   reflected variants (Definitions 8–9).
@@ -27,9 +29,9 @@
 //! * [`plan`] — all the above as first-class, payload-free data: the
 //!   schedules the engines run, the `cubecheck` invariant checkers
 //!   analyse and the planning-cost benchmarks time.
-//! * [`exec`] — the executor: runs planned rounds on a `SimNet` with the
-//!   real blocks, and turns a schedule that misplaces one into a
-//!   diagnostic.
+//! * [`exec`] — the executor: charges planned rounds to a `SimNet`,
+//!   tracks where every block is and lands each once, and turns a
+//!   schedule that misplaces one into a diagnostic.
 
 pub mod block;
 pub mod ecube;

@@ -399,7 +399,7 @@ pub(crate) type HopLog = (Vec<(u64, u32, u32)>, Vec<usize>);
 /// The contention simulation of minimal-path store-and-forward routing
 /// on `topo`: one message per directed link per round, FIFO per link.
 /// [`route_rounds`] materializes its log as a plan and
-/// [`crate::graph::graph_route`] runs it with payloads, so the FIFO
+/// [`crate::graph::graph_route`] charges it hop by hop, so the FIFO
 /// discipline exists once. One lane per directed link
 /// (`node * ports + port`), each an intrusive FIFO (a block sits in at
 /// most one queue, so one `next` slot per block suffices), and a

@@ -76,3 +76,28 @@ fn duplicated_block_id_is_reported() {
     round.msgs[1].blocks.push(1);
     let _ = run(&plan, payloads);
 }
+
+/// Payloads of 3 elements against a plan of 1-element blocks: the net
+/// would be charged 48 elements for a 16-element plan, and the executor,
+/// which charges the plan, would land the wrong payloads silently.
+#[test]
+#[should_panic(
+    expected = "payload 0: 3 elements for node 0, but block 0: 0 -> 0 is planned with 1"
+)]
+fn payload_disagreeing_with_its_block_is_refused_up_front() {
+    let (plan, payloads) = fixture();
+    let payloads = payloads.into_iter().map(|b| Block::new(b.src, b.dst, vec![b.dst.bits(); 3]));
+    let _ = run(&plan, payloads.collect());
+}
+
+/// A payload bound for another node than its planned block.
+#[test]
+#[should_panic(
+    expected = "payload 5: 1 elements for node 3, but block 5: 1 -> 1 is planned with 1"
+)]
+fn payload_for_another_node_is_refused_up_front() {
+    let (plan, mut payloads) = fixture();
+    assert_eq!((plan.blocks[5].src, plan.blocks[5].dst), (NodeId(1), NodeId(1)));
+    payloads[5].dst = NodeId(3);
+    let _ = run(&plan, payloads);
+}

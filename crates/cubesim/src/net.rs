@@ -38,18 +38,22 @@ macro_rules! scalar_payloads {
 // wrapping allocation.
 scalar_payloads!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize, f32, f64);
 
-/// A simulated ensemble network carrying payloads of type `P` over a
-/// machine graph `T` (a [`Topology`]; the Boolean `n`-cube by default,
-/// built with [`SimNet::new`] — other topologies via
-/// [`SimNet::on_topology`]).
+/// A simulated ensemble network over a machine graph `T` (a
+/// [`Topology`]; the Boolean `n`-cube by default, built with
+/// [`SimNet::new`] — other topologies via [`SimNet::on_topology`]) that
+/// can carry payloads of type `P`.
 ///
-/// Execution alternates between *send phases* and round boundaries:
+/// Execution alternates between *claim phases* and round boundaries.
+/// Every library mover only claims: it charges each message
+/// ([`SimNet::charge`]) and moves its data itself, once. Payloads
+/// ([`SimNet::send`] / [`SimNet::recv`]) remain for test oracles and
+/// probes:
 ///
 /// ```text
-/// net.send(src, dim, data);   // any number of sends, charges and local_copy calls
-/// net.finish_round();         // cost accounting + delivery
-/// let data = net.recv(dst, dim);  // drain everything delivered
-/// net.send(...);              // next round's sends may interleave with recvs
+/// net.charge(src, dim, elems); // any number of charges, sends and local_copy calls
+/// net.finish_round();          // cost accounting (+ delivery of sent payloads)
+/// let data = net.recv(dst, dim);  // pick up every payload delivered
+/// net.charge(...);             // next round's claims may interleave with recvs
 /// net.finish_round();
 /// ...
 /// let report = net.finalize();
@@ -116,10 +120,10 @@ scalar_payloads!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize, f32, f64);
 /// elements), the payloads and their receiver slots sit in send order in
 /// vectors that grow to the busiest round's message count and are
 /// recycled. `send`, `charge`, `recv` and `has_message` are O(1);
-/// nothing is written to the dense side on receipt, so drains walk only
-/// the compact inbox, and the unconsumed checks are a counter of
-/// delivered-but-unreceived payloads (the inbox is scanned only to name
-/// an offender). Stamps are `u32`: when a boundary leaves fewer than one
+/// nothing is written to the dense side on receipt, and the unconsumed
+/// checks are a counter of delivered-but-unreceived payloads (the inbox
+/// is scanned only to name an offender). A net that is only charged
+/// touches none of the payload side. Stamps are `u32`: when a boundary leaves fewer than one
 /// per link below `u32::MAX`, every link is rebased once, O(links) — on
 /// the 16-cube once per ≈ 2^32 payloads, and never within a round.
 /// Construction is O(N·ports) in the machine size and refuses a graph of
@@ -157,7 +161,7 @@ pub struct SimNet<P, T: Topology = Hypercube> {
     /// Parallel to `in_msgs` (consumed payloads stay listed until the
     /// next boundary).
     in_slots: Vec<u32>,
-    /// Delivered payloads not yet received or drained.
+    /// Delivered payloads not yet received.
     pending: usize,
     /// Per link slot, `(last, prev)`: the stamps of the last two
     /// payloads sent on the link (0: none). Empty until the first
@@ -363,23 +367,6 @@ impl<P: Payload, T: Topology> SimNet<P, T> {
             self.dims_touched.push(node);
         }
         self.dims_used[node] |= 1 << dim;
-    }
-
-    /// Hands every message delivered at the last round boundary and not
-    /// yet received to `consume` as `(destination, dimension, payload)`,
-    /// **in send order** (the order the previous round's `send` calls
-    /// were made). A consumer that sends in a fixed order gets its
-    /// deliveries back in that same fixed order, and one that scatters
-    /// them into its own per-node storage needs no buffer in between.
-    pub fn drain_all_with(&mut self, mut consume: impl FnMut(NodeId, u32, P)) {
-        let n = self.ports as usize;
-        for (msg, &slot) in self.in_msgs.iter_mut().zip(&self.in_slots) {
-            if let Some(data) = msg.take() {
-                let slot = slot as usize;
-                self.pending -= 1;
-                consume(NodeId((slot / n) as u64), (slot % n) as u32, data);
-            }
-        }
     }
 
     /// Where in the inbox the message delivered on `(dst, dim)` at the
@@ -749,40 +736,6 @@ mod tests {
         assert_eq!(round.len(), 2);
         assert_eq!((round[0].src, round[0].dim, round[0].elems), (0, 1, 2));
         assert_eq!((round[1].src, round[1].dim, round[1].elems), (2, 0, 1));
-    }
-
-    #[test]
-    fn drain_all_with_returns_send_order() {
-        let mut net = unit_net(2, PortMode::AllPorts);
-        // Deliberately interleave dims and nodes; the drain must echo
-        // this exact send order back.
-        net.send(NodeId(3), 1, vec![1]);
-        net.send(NodeId(0), 0, vec![2]);
-        net.send(NodeId(2), 1, vec![3]);
-        net.finish_round();
-        let mut got = Vec::new();
-        net.drain_all_with(|dst, dim, data| got.push((dst, dim, data)));
-        assert_eq!(
-            got,
-            vec![(NodeId(1), 1, vec![1]), (NodeId(1), 0, vec![2]), (NodeId(0), 1, vec![3]),]
-        );
-        let _ = net.finalize();
-    }
-
-    #[test]
-    fn drain_all_with_skips_already_received() {
-        let mut net = unit_net(2, PortMode::AllPorts);
-        net.send(NodeId(0), 0, vec![1]);
-        net.send(NodeId(0), 1, vec![2]);
-        net.finish_round();
-        assert_eq!(net.recv(NodeId(1), 0), vec![1]);
-        let mut got = Vec::new();
-        net.drain_all_with(|dst, dim, data| got.push((dst, dim, data)));
-        assert_eq!(got, vec![(NodeId(2), 1, vec![2])]);
-        // An empty inbox drains to nothing.
-        net.finish_round();
-        net.drain_all_with(|_, _, _| panic!("nothing was sent"));
-        let _ = net.finalize();
     }
 
     #[test]

@@ -4,11 +4,11 @@
 //! Both nets are driven through identical randomly generated schedules
 //! (legal and deliberately illegal ones) and must produce identical
 //! [`CommReport`]s, identical received payloads, and identical panic
-//! messages at the same points. `ReferenceNet` has no drain, so the
-//! drain tests receive from it one message at a time in the order
-//! [`SimNet::drain_all_with`] documents: send order. One property sends
-//! a random half of the messages as payload-free [`SimNet::charge`]s on
-//! the flat net only: the reports must still be equal.
+//! messages at the same points. One property receives part of each
+//! round's deliveries early and the rest in send order on both nets; one
+//! sends a random half of the messages as payload-free
+//! [`SimNet::charge`]s on the flat net only: the reports must still be
+//! equal.
 //! The `u32` stamp rebase is crossed by a unit test in `net.rs`, the
 //! only place that reaches the crate-private hook starting the stamps
 //! near `u32::MAX`.
@@ -86,8 +86,8 @@ trait Net {
     fn record_all(&mut self);
     fn n(&self) -> u32;
 
-    /// Everything delivered, sorted by `(destination, dim)`. The
-    /// reference net has no drain: it receives slot by slot.
+    /// Everything delivered, received slot by slot, sorted by
+    /// `(destination, dim)`.
     fn drain_all_sorted(&mut self) -> Vec<Delivery> {
         let mut got = Vec::new();
         for x in (0..1u64 << self.n()).map(NodeId) {
@@ -102,7 +102,7 @@ trait Net {
 }
 
 macro_rules! impl_net {
-    ($ty:ident { $($drains:tt)* }) => {
+    ($ty:ident) => {
         impl Net for $ty<Vec<u64>> {
             fn send(&mut self, src: NodeId, dim: u32, data: Vec<u64>) {
                 $ty::send(self, src, dim, data)
@@ -129,20 +129,12 @@ macro_rules! impl_net {
             fn n(&self) -> u32 {
                 $ty::n(self)
             }
-            $($drains)*
         }
     };
 }
 
-impl_net!(SimNet {
-    fn drain_all_sorted(&mut self) -> Vec<Delivery> {
-        let mut got = Vec::new();
-        self.drain_all_with(|dst, dim, data| got.push((dst, dim, data)));
-        got.sort_by_key(|&(dst, dim, _)| (dst.index(), dim));
-        got
-    }
-});
-impl_net!(ReferenceNet {});
+impl_net!(SimNet);
+impl_net!(ReferenceNet);
 
 /// Runs the schedule to completion: each round sends, closes the round,
 /// and receives every delivered message (probed via `has_message` in
@@ -180,64 +172,33 @@ fn drive<N: Net>(
 
 type Delivery = (NodeId, u32, Vec<u64>);
 
-/// Sends one round and closes it, then receives the sends marked in
-/// `early` one by one (in send order) — the part of [`drive_drained`]
-/// and [`drive_reference_ordered`] that is the same on both nets.
-fn round_with_early_recvs<N: Net>(
-    net: &mut N,
-    round: &Round,
-    early: &[bool],
-    got: &mut Vec<Delivery>,
-) {
-    for (src, dim, payload) in &round.sends {
-        net.send(*src, *dim, payload.clone());
-    }
-    for (node, elems) in &round.copies {
-        net.local_copy(*node, *elems);
-    }
-    net.finish_round();
-    for ((src, dim, _), _) in round.sends.iter().zip(early).filter(|(_, &e)| e) {
-        let dst = src.neighbor(*dim);
-        assert!(net.has_message(dst, *dim));
-        got.push((dst, *dim, net.recv(dst, *dim)));
-        assert!(!net.has_message(dst, *dim), "has_message still true after recv");
-    }
-}
-
-/// Runs the schedule on the flat net, emptying each round's remaining
-/// deliveries through [`SimNet::drain_all_with`].
-fn drive_drained(
-    mut net: SimNet<Vec<u64>>,
+/// Runs the schedule, receiving each round's deliveries in two passes:
+/// first the sends marked in `early`, then the rest, each pass in send
+/// order.
+fn drive_in_send_order<N: Net>(
+    mut net: N,
     schedule: &[Round],
     early: &[Vec<bool>],
 ) -> (CommReport, Vec<Delivery>) {
     let mut got = Vec::new();
     for (round, early) in schedule.iter().zip(early) {
-        round_with_early_recvs(&mut net, round, early, &mut got);
-        net.drain_all_with(|dst, dim, data| got.push((dst, dim, data)));
-        for (src, dim, _) in &round.sends {
-            assert!(!net.has_message(src.neighbor(*dim), *dim), "drained slot still pending");
+        for (src, dim, payload) in &round.sends {
+            net.send(*src, *dim, payload.clone());
+        }
+        for (node, elems) in &round.copies {
+            net.local_copy(*node, *elems);
+        }
+        net.finish_round();
+        for pass in [true, false] {
+            for ((src, dim, _), _) in round.sends.iter().zip(early).filter(|(_, &e)| e == pass) {
+                let dst = src.neighbor(*dim);
+                assert!(net.has_message(dst, *dim));
+                got.push((dst, *dim, net.recv(dst, *dim)));
+                assert!(!net.has_message(dst, *dim), "has_message still true after recv");
+            }
         }
     }
-    (net.finalize(), got)
-}
-
-/// Runs the schedule on the reference net, receiving each round's
-/// remaining deliveries in send order, as the drain documents.
-fn drive_reference_ordered(
-    mut net: ReferenceNet<Vec<u64>>,
-    schedule: &[Round],
-    early: &[Vec<bool>],
-) -> (CommReport, Vec<Delivery>) {
-    let mut got = Vec::new();
-    for (round, early) in schedule.iter().zip(early) {
-        round_with_early_recvs(&mut net, round, early, &mut got);
-        for ((src, dim, _), _) in round.sends.iter().zip(early).filter(|(_, &e)| !e) {
-            let dst = src.neighbor(*dim);
-            got.push((dst, *dim, net.recv(dst, *dim)));
-        }
-    }
-    (net.finalize(), got)
+    (net.finalize_report(), got)
 }
 
 /// One step of a directed case.
@@ -516,9 +477,9 @@ fn stale_stamp_is_neither_contention_nor_delivery() {
     assert_eq!(outcome.unwrap_err(), "recv at 1 on dim 0: no message delivered (round 6)");
 }
 
-/// The drain takes payloads without touching the stamps: a `recv` on a
-/// drained slot must still find nothing, and a slot received before
-/// the drain is left out of it.
+/// Receiving every delivery leaves nothing behind the stamps: a `recv`
+/// on an emptied slot must still find nothing, and a slot received
+/// before is left out of the sweep.
 #[test]
 fn recv_after_a_drain_emptied_the_slot() {
     let sends = || [Op::Send(0, 0, vec![1]), Op::Send(1, 1, vec![2]), Op::Send(2, 0, vec![3])];
@@ -599,11 +560,11 @@ proptest! {
         prop_assert_eq!(&flat.1, &reference.1, "payloads diverge (seed {seed} n {n})");
     }
 
-    /// Legal schedules emptied through the drain, mixed with partial
-    /// `recv`s: same report as the reference, and the deliveries come
-    /// back in send order.
+    /// Legal schedules received in send order after a random part of
+    /// each round was received early: same report and same deliveries
+    /// from both implementations.
     #[test]
-    fn drain_matches_reference_in_send_order(
+    fn late_recvs_in_send_order_match_reference(
         seed in 0u64..u64::MAX,
         n in 1u32..=4,
         rounds in 1usize..=5,
@@ -616,8 +577,8 @@ proptest! {
             .iter()
             .map(|round| round.sends.iter().map(|_| rng.below(4) == 0).collect())
             .collect();
-        let flat = drive_drained(SimNet::<Vec<u64>>::new(n, params(ports)), &schedule, &early);
-        let reference = drive_reference_ordered(
+        let flat = drive_in_send_order(SimNet::<Vec<u64>>::new(n, params(ports)), &schedule, &early);
+        let reference = drive_in_send_order(
             ReferenceNet::<Vec<u64>>::new(n, params(ports)),
             &schedule,
             &early,

@@ -141,16 +141,35 @@ if [ -n "$violations" ]; then
     false
 fi
 
-begin "lint policy: fieldmap charges the net and carries no payload (no send, no drain, no buffer pool)"
+begin "lint policy: fieldmap and the movers charge the net and carry no payload (no send, recv or drain; no buffer pool)"
 # MappedMatrix's primitives make their claims with SimNet::charge and
 # local_copy and move no element; the data moves once, when it is read
-# out. A payload send, a drain of delivered messages or the deleted
-# message-buffer pool in fieldmap.rs would bring back the carried
-# exchange. RefMappedMatrix (reference.rs) still sends payloads: it is
-# the oracle. (Bracketed so this script does not match itself.)
+# out. The block executor (exec.rs), the router (graph.rs) and the flight
+# movers (two_dim.rs, gray.rs, permute.rs) likewise charge every hop and
+# land each block or array once. A payload send or receive, or the
+# deleted drain of delivered messages, in any of them would bring back
+# the carried data plane; a buffer pool in fieldmap.rs the deleted
+# message-buffer pool. RefMappedMatrix (reference.rs) still sends
+# payloads: it is the oracle, as are the test-only executors in flight.rs
+# and crates/cubecomm/tests/exec_oracle.rs. (Bracketed so this script
+# does not match itself.)
 violations="$(grep -n -E '[.]sen[d][(]|drain_all_wit[h]|BufferPoo[l]' crates/core/src/fieldmap.rs || true)"
 if [ -n "$violations" ]; then
     echo "FAIL: fieldmap.rs carries payloads through the net again:" >&2
+    echo "$violations" >&2
+    false
+fi
+violations="$(grep -n -E '[.]sen[d][(]|[.]rec[v][(]|drain_all_wit[h]' \
+    crates/cubecomm/src/exec.rs crates/cubecomm/src/graph.rs crates/core/src/two_dim.rs \
+    crates/core/src/gray.rs crates/core/src/permute.rs || true)"
+if [ -n "$violations" ]; then
+    echo "FAIL: a mover carries payloads through the net again:" >&2
+    echo "$violations" >&2
+    false
+fi
+violations="$(grep -rln 'drain_all_wit[h]' crates src tests examples 2>/dev/null || true)"
+if [ -n "$violations" ]; then
+    echo "FAIL: files mention the deleted SimNet drain:" >&2
     echo "$violations" >&2
     false
 fi
@@ -294,7 +313,7 @@ begin "cubecheck: every rule fires on its corruption (n = 2 … 14)"
 # the ignored paper-scale case on the n = 14 router lowering.
 cargo test --release -q -p cubecheck --test corruption -- --include-ignored
 
-begin "cubesim: flat SimNet vs ReferenceNet (reports, payloads, drain order, panic text)"
+begin "cubesim: flat SimNet vs ReferenceNet (reports, payloads, receive order, panic text)"
 # With the equivalence suite above, the simulator's regression net. The
 # workspace test step already ran it; running it by name makes a
 # simulator regression fail under the simulator's name.
@@ -316,6 +335,17 @@ begin "flights: the charged executor vs the hop-by-hop oracle (ledgers, reports,
 # staggered injections, one-port and all-port, history and link history
 # recorded) must give identical ledgers and reports, or identical panics.
 cargo test --release -q -p cubetranspose --lib flight::tests::differential
+
+begin "exec: the charged block executor vs the send-and-receive oracle (held blocks, reports, panic text)"
+# cubecomm::exec::execute charges each planned message and lands each
+# block once; the executor it replaced, which carried every block through
+# SimNet in BlockMsg payloads and received them with recv, survives in
+# exec_oracle.rs as the oracle. Every engine's plans (exchange under the
+# three policies, SBT, rotated and reflected trees, SBnT, some-to-all,
+# all-to-some) and seeded corruptions of them (dropped round, retargeted
+# sender, duplicated id) must give identical held blocks and reports, or
+# identical panics.
+cargo test --release -q -p cubecomm --test exec_oracle
 
 begin "perf smoke: n=10 all-to-all schedule (time-bounded)"
 timeout 300 cargo test --release -q -p cubecomm --test perf_smoke -- --ignored \

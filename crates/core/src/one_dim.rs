@@ -13,22 +13,25 @@
 //!   ([`crate::fieldmap`]): for binary layouts, executes the general
 //!   exchange algorithm with exact §8.1 memory-run modeling.
 //!
-//! The two block engines (and [`crate::relayout()`]) ship values only, as
+//! The two block engines (and [`crate::relayout()`]) move values only, as
 //! the paper does: a block's local addresses at both ends follow from the
 //! separable placement tables ([`BlockMoves`]), "implicitly by indirect
-//! addressing". At assembly they keep a block ledger: every block of the
-//! traffic matrix must arrive exactly once, on its destination node, at
-//! its full length. That suffices for every element to land exactly once,
-//! because the blocks partition the elements and, inside a block,
-//! placement is the layouts' bijection (which `cubelayout`'s proptests
-//! check against the per-element enumeration).
+//! addressing". Each one plans the blocks with `cubecomm::plan`, runs
+//! the plan with [`exec::run`] — which charges every message and tracks
+//! every block — and writes the output once with [`BlockMoves::copy`],
+//! straight from the input. Every element lands exactly once: the blocks
+//! partition the elements, `run` refuses a block that ends short of its
+//! destination, and inside a block placement is the layouts' bijection
+//! (which `cubelayout`'s proptests check against the per-element
+//! enumeration).
 
 use crate::fieldmap::{FieldMap, MappedMatrix};
-use cubecomm::exchange::{exchange_over_dims, BufferPolicy};
-use cubecomm::sbnt::route_sbnt;
+use cubecomm::exchange::BufferPolicy;
+use cubecomm::exec;
+use cubecomm::plan::{exchange_plan, sbnt_plan, BlockMeta, CommSchedule};
 use cubecomm::{Block, BlockMsg};
 use cubelayout::{BlockMoves, DistMatrix, Layout, TransposeSpec};
-use cubesim::SimNet;
+use cubesim::{Payload, SimNet};
 
 /// A routed element: its destination local address and its value.
 ///
@@ -88,57 +91,49 @@ pub fn assemble<T: Copy + Default>(
     out
 }
 
-/// Moves `m` by `moves` with the standard exchange algorithm over the
-/// node dimensions any block crosses, highest first, into a matrix laid
-/// out by `to`.
-pub(crate) fn exchange_blocks<T: Copy + Default>(
+/// The blocks of `moves` as a plan's blocks, in `moves`' order.
+fn metas(moves: &BlockMoves) -> Vec<BlockMeta> {
+    moves.blocks().map(|(src, dst, elems)| BlockMeta { src, dst, elems: elems as u64 }).collect()
+}
+
+/// The standard exchange algorithm's plan for `moves` on `net`: over the
+/// node dimensions any block crosses, highest first.
+fn exchange_schedule<P: Payload>(
+    moves: &BlockMoves,
+    net: &SimNet<P>,
+    policy: BufferPolicy,
+) -> CommSchedule {
+    let diff = moves.blocks().fold(0u64, |acc, (s, d, _)| acc | (s.bits() ^ d.bits()));
+    let dims: Vec<u32> = (0..u64::BITS).rev().filter(|&d| (diff >> d) & 1 == 1).collect();
+    exchange_plan(net.n(), metas(moves), &dims, policy, net.params().ports, "one_dim/exchange")
+}
+
+/// Moves `m` by `moves` with the standard exchange algorithm into a
+/// matrix laid out by `to`.
+pub(crate) fn exchange_moves<T: Copy + Default>(
     moves: &BlockMoves,
     m: &DistMatrix<T>,
     to: &Layout,
     net: &mut SimNet<BlockMsg<T>>,
     policy: BufferPolicy,
 ) -> DistMatrix<T> {
-    let diff = moves.blocks().fold(0u64, |acc, (s, d, _)| acc | (s.bits() ^ d.bits()));
-    let dims: Vec<u32> = (0..u64::BITS).rev().filter(|&d| (diff >> d) & 1 == 1).collect();
-    let result = exchange_over_dims(net, moves.gather(m, Block::new), &dims, policy);
-    place_blocks(moves, to, result)
+    let plan = exchange_schedule(moves, net, policy);
+    run_and_copy(moves, m, to, net, &plan)
 }
 
-/// Places the delivered blocks of `moves` into a matrix laid out by `to`
-/// (`result[x]` is what node `x` received), checking them off a ledger.
-///
-/// # Panics
-/// Naming the block's source, destination and node, if a block sits on
-/// a node other than its destination, is not one of `moves`' blocks,
-/// arrives twice or with the wrong length, or never arrives.
+/// Runs `plan`, whose blocks are `moves`' blocks, on `net`, then writes
+/// `m` into a matrix laid out by `to` with one copy.
 #[track_caller]
-pub(crate) fn place_blocks<T: Copy + Default>(
+fn run_and_copy<T: Copy + Default, P: Payload>(
     moves: &BlockMoves,
+    m: &DistMatrix<T>,
     to: &Layout,
-    result: Vec<Vec<Block<T>>>,
+    net: &mut SimNet<P>,
+    plan: &CommSchedule,
 ) -> DistMatrix<T> {
-    let mut arrived: Vec<Option<Vec<T>>> = vec![None; moves.blocks().len()];
-    for (x, blks) in result.into_iter().enumerate() {
-        for Block { src, dst, data } in blks {
-            assert_eq!(dst.index(), x, "block {src} → {dst} delivered to node {x}");
-            let Some(id) = moves.find(src, dst) else {
-                panic!("block {src} → {dst} at node {x} is not one of this move's blocks");
-            };
-            assert!(
-                arrived[id].replace(data).is_none(),
-                "block {src} → {dst} delivered twice to node {x}"
-            );
-        }
-    }
-    let data: Vec<Vec<T>> = moves
-        .blocks()
-        .zip(arrived)
-        .map(|((src, dst, _), data)| {
-            data.unwrap_or_else(|| panic!("block {src} → {dst} never reached node {dst}"))
-        })
-        .collect();
+    exec::run(net, &plan.blocks, &plan.rounds);
     let mut out = DistMatrix::zeroed(to.clone());
-    moves.place(&data, &mut out);
+    moves.copy(m, &mut out);
     out
 }
 
@@ -162,26 +157,33 @@ pub(crate) fn place_blocks<T: Copy + Default>(
 /// verify::assert_transposed(&before, &out);
 /// assert_eq!(net.finalize().rounds, 2); // n exchange steps
 /// ```
-pub fn transpose_1d_exchange<T: Copy + Default + Send + Sync>(
+///
+/// # Panics
+/// If a layout's cube is larger than the net's (`block endpoints outside
+/// the …`); a larger net is fine.
+pub fn transpose_1d_exchange<T: Copy + Default>(
     m: &DistMatrix<T>,
     after: &Layout,
     net: &mut SimNet<BlockMsg<T>>,
     policy: BufferPolicy,
 ) -> DistMatrix<T> {
     let spec = TransposeSpec::with_after(m.layout().clone(), after.clone());
-    exchange_blocks(&spec.block_moves(), m, after, net, policy)
+    exchange_moves(&spec.block_moves(), m, after, net, policy)
 }
 
 /// Transposes `m` into layout `after` with n-port SBnT routing (§5's
 /// n-port algorithm, optimum within a factor of 2).
-pub fn transpose_1d_sbnt<T: Copy + Default + Send + Sync>(
+///
+/// # Panics
+/// As [`transpose_1d_exchange`] does.
+pub fn transpose_1d_sbnt<T: Copy + Default>(
     m: &DistMatrix<T>,
     after: &Layout,
     net: &mut SimNet<BlockMsg<T>>,
 ) -> DistMatrix<T> {
     let moves = TransposeSpec::with_after(m.layout().clone(), after.clone()).block_moves();
-    let held = moves.gather(m, Block::new).into_iter().flatten().collect();
-    place_blocks(&moves, after, route_sbnt(net, held))
+    let plan = sbnt_plan(net.n(), metas(&moves));
+    run_and_copy(&moves, m, after, net, &plan)
 }
 
 /// The matrix-of-`A` field map that `after` (a layout of `A^T`) induces:
@@ -336,65 +338,102 @@ mod tests {
         assemble(&after, result);
     }
 
-    /// The delivery of a correct 8×8 transpose over 4 nodes as
-    /// values-only blocks of 4 elements (`result[dst]` in source order),
-    /// for the ledger diagnostics below to corrupt.
-    fn delivered_blocks() -> (BlockMoves, Layout, Vec<Vec<Block<u64>>>) {
+    /// An 8×8 transpose over 4 nodes run through [`run_and_copy`] on the
+    /// plan the exchange (`sbnt: false`) or SBnT mover builds, after
+    /// `corrupt` has had its way with the plan.
+    fn run_corrupted(sbnt: bool, corrupt: impl FnOnce(&mut CommSchedule)) {
         let (before, after) = canonical_1d(3, 3, 2);
         let moves = TransposeSpec::with_after(before.clone(), after.clone()).block_moves();
-        let mut result: Vec<Vec<Block<u64>>> = vec![Vec::new(); 4];
-        for b in moves.gather(&labels(before), Block::new).into_iter().flatten() {
-            result[b.dst.index()].push(b);
-        }
-        (moves, after, result)
+        let ports = if sbnt { PortMode::AllPorts } else { PortMode::OnePort };
+        let mut net: SimNet<BlockMsg<u64>> = SimNet::new(2, MachineParams::unit(ports));
+        let mut plan = if sbnt {
+            sbnt_plan(2, metas(&moves))
+        } else {
+            exchange_schedule(&moves, &net, BufferPolicy::Ideal)
+        };
+        corrupt(&mut plan);
+        let out = run_and_copy(&moves, &labels(before.clone()), &after, &mut net, &plan);
+        assert_transposed(&before, &out);
+        net.finalize();
     }
 
     #[test]
-    fn the_ledger_accepts_a_complete_delivery() {
-        let (moves, after, result) = delivered_blocks();
-        assert_transposed(&canonical_1d(3, 3, 2).0, &place_blocks(&moves, &after, result));
+    fn the_movers_plans_run_uncorrupted() {
+        run_corrupted(false, |_| {});
+        run_corrupted(true, |_| {});
     }
 
     #[test]
-    #[should_panic(expected = "block 2 → 3 never reached node 3")]
-    fn the_ledger_names_a_dropped_block() {
-        let (moves, after, mut result) = delivered_blocks();
-        result[3].remove(2);
-        place_blocks(&moves, &after, result);
+    #[should_panic(expected = "block 1: 0 -> 1 stranded at node 0 after 1 rounds")]
+    fn a_dropped_exchange_round_strands_a_block() {
+        run_corrupted(false, |plan| {
+            plan.rounds.pop();
+        });
     }
 
     #[test]
-    #[should_panic(expected = "block 0 → 1 delivered twice to node 1")]
-    fn the_ledger_names_a_duplicated_block() {
-        let (moves, after, mut result) = delivered_blocks();
-        let twin = result[1][0].clone();
-        result[1].push(twin);
-        place_blocks(&moves, &after, result);
+    #[should_panic(expected = "stranded at node")]
+    fn a_dropped_sbnt_round_strands_a_block() {
+        run_corrupted(true, |plan| {
+            plan.rounds.pop();
+        });
     }
 
     #[test]
-    #[should_panic(expected = "block 1 → 2 delivered to node 0")]
-    fn the_ledger_names_a_block_on_the_wrong_node() {
-        let (moves, after, mut result) = delivered_blocks();
-        let stray = result[2].remove(1);
-        result[0].push(stray);
-        place_blocks(&moves, &after, result);
+    #[should_panic(expected = "round 0: node 2 sends block 2: 0 -> 2, which is at node 0")]
+    fn a_retargeted_exchange_sender_is_refused() {
+        run_corrupted(false, |plan| {
+            let msg = plan.rounds[0].msgs.iter_mut().find(|m| m.src == NodeId(0)).unwrap();
+            msg.src = NodeId(2);
+        });
     }
 
     #[test]
-    #[should_panic(expected = "block 0 → 3 at node 3 holds 3 elements, not 4")]
-    fn the_ledger_names_a_truncated_block() {
-        let (moves, after, mut result) = delivered_blocks();
-        result[3][0].data.pop();
-        place_blocks(&moves, &after, result);
+    #[should_panic(expected = "which is at node 0")]
+    fn a_retargeted_sbnt_sender_is_refused() {
+        run_corrupted(true, |plan| {
+            let msg = plan.rounds[0].msgs.iter_mut().find(|m| m.src == NodeId(0)).unwrap();
+            msg.src = NodeId(3);
+        });
+    }
+
+    /// The 8 × 8 cyclic-rows transpose on a 2-cube layout.
+    fn cyclic_8x8() -> (Layout, Layout) {
+        let before =
+            Layout::one_dim(3, 3, Direction::Rows, 2, Assignment::Cyclic, Encoding::Binary);
+        let after = before.swapped_shape();
+        (before, after)
     }
 
     #[test]
-    #[should_panic(expected = "block 7 → 1 at node 1 is not one of this move's blocks")]
-    fn the_ledger_names_a_block_it_does_not_know() {
-        let (moves, after, mut result) = delivered_blocks();
-        result[1][0].src = NodeId(7);
-        place_blocks(&moves, &after, result);
+    fn both_movers_run_on_a_net_larger_than_the_layouts_cube() {
+        let (before, after) = cyclic_8x8();
+        let m = labels(before.clone());
+        let mut net = SimNet::new(3, MachineParams::unit(PortMode::OnePort));
+        assert_transposed(
+            &before,
+            &transpose_1d_exchange(&m, &after, &mut net, BufferPolicy::Ideal),
+        );
+        net.finalize();
+        let mut net = SimNet::new(3, MachineParams::unit(PortMode::AllPorts));
+        assert_transposed(&before, &transpose_1d_sbnt(&m, &after, &mut net));
+        net.finalize();
+    }
+
+    #[test]
+    #[should_panic(expected = "block endpoints outside the 1-cube")]
+    fn the_exchange_refuses_a_net_smaller_than_the_layouts_cube() {
+        let (before, after) = cyclic_8x8();
+        let mut net = SimNet::new(1, MachineParams::unit(PortMode::OnePort));
+        let _ = transpose_1d_exchange(&labels(before), &after, &mut net, BufferPolicy::Ideal);
+    }
+
+    #[test]
+    #[should_panic(expected = "block endpoints outside the 1-cube")]
+    fn sbnt_refuses_a_net_smaller_than_the_layouts_cube() {
+        let (before, after) = cyclic_8x8();
+        let mut net = SimNet::new(1, MachineParams::unit(PortMode::AllPorts));
+        let _ = transpose_1d_sbnt(&labels(before), &after, &mut net);
     }
 
     #[test]

@@ -13,8 +13,10 @@
 
 use crate::flight::{run_flights, FlightPlan};
 use cubeaddr::{DimPermutation, NodeId};
-use cubecomm::exchange::{all_to_all_exchange, BufferPolicy};
-use cubecomm::{Block, BlockMsg};
+use cubecomm::exchange::BufferPolicy;
+use cubecomm::exec;
+use cubecomm::plan::all_to_all_exchange_plan;
+use cubecomm::BlockMsg;
 use cubesim::SimNet;
 
 /// Moves every node's array to the node with the bit-reversed address:
@@ -113,17 +115,21 @@ fn land<T>(plan: &FlightPlan, ledger: &[NodeId], mut data: Vec<Vec<T>>) -> Vec<V
 
 /// Routes an arbitrary node permutation `π` with two all-to-all
 /// personalized communications (§7, after Stout & Wagar): node `x`'s
-/// message for `π(x)` is split into `N` equal pieces; the first all-to-all
-/// scatters piece `j` to node `j`, the second forwards each piece to its
-/// final destination. Balanced regardless of `π`.
+/// message for `π(x)` is split into `N` near-equal pieces (the first
+/// `len mod N` one longer); the first all-to-all scatters piece `j` to
+/// node `j`, the second forwards each piece to its final destination.
+/// Balanced regardless of `π`.
 ///
 /// `data[x]` is `x`'s message; `perm[x] = π(x)` must be a permutation.
 /// Message lengths should be multiples of `N` for perfectly equal pieces
-/// (smaller messages still work, with ragged pieces).
+/// (other lengths still work, with ragged pieces; an empty piece is not
+/// sent). Both exchanges are planned from the piece sizes and charged to
+/// `net` with [`exec::run`], which checks that every piece reaches its
+/// node; then each message moves once, from `x` to `π(x)`.
 #[track_caller]
-pub fn arbitrary_permutation<T: Clone + Send + Sync>(
-    net: &mut SimNet<BlockMsg<(u64, T)>>,
-    data: Vec<Vec<T>>,
+pub fn arbitrary_permutation<T>(
+    net: &mut SimNet<BlockMsg<T>>,
+    mut data: Vec<Vec<T>>,
     perm: &[NodeId],
 ) -> Vec<Vec<T>> {
     let num = net.num_nodes();
@@ -134,49 +140,28 @@ pub fn arbitrary_permutation<T: Clone + Send + Sync>(
         assert!(!seen[d.index()], "perm is not a permutation");
         seen[d.index()] = true;
     }
-
-    // Phase 1: scatter. Piece j of x's message goes to node j, tagged
-    // with its position so the final message reassembles in order.
-    let mut phase1: Vec<Vec<Vec<(u64, T)>>> =
-        (0..num).map(|_| (0..num).map(|_| Vec::new()).collect()).collect();
-    for (x, msg) in data.into_iter().enumerate() {
-        let total = msg.len();
-        let base = total / num;
-        let extra = total % num;
-        let mut offset = 0usize;
-        let mut iter = msg.into_iter();
-        for (j, slot) in phase1[x].iter_mut().enumerate() {
-            let take = base + usize::from(j < extra);
-            let piece: Vec<(u64, T)> =
-                (0..take).map(|i| ((offset + i) as u64, iter.next().expect("sized"))).collect();
-            offset += take;
-            *slot = piece;
+    let piece =
+        |x: usize, j: usize| (data[x].len() / num + usize::from(j < data[x].len() % num)) as u64;
+    // Phase 1: piece j of x's message goes to node j. Phase 2: node j
+    // forwards the piece it holds from x to π(x).
+    let mut scatter = vec![vec![0u64; num]; num];
+    let mut forward = vec![vec![0u64; num]; num];
+    for x in 0..num {
+        for j in 0..num {
+            scatter[x][j] = piece(x, j);
+            forward[j][perm[x].index()] = piece(x, j);
         }
     }
-    let mid = all_to_all_exchange(net, phase1, BufferPolicy::Ideal);
-
-    // Phase 2: forward. Node j holds one piece per source x; send it to
-    // π(x).
-    let mut phase2: Vec<Vec<Vec<(u64, T)>>> =
-        (0..num).map(|_| (0..num).map(|_| Vec::new()).collect()).collect();
-    for (j, blocks) in mid.into_iter().enumerate() {
-        for Block { src, data, .. } in blocks {
-            phase2[j][perm[src.index()].index()].extend(data);
-        }
+    let ports = net.params().ports;
+    for sizes in [scatter, forward] {
+        let plan = all_to_all_exchange_plan(net.n(), &sizes, BufferPolicy::Ideal, ports);
+        exec::run(net, &plan.blocks, &plan.rounds);
     }
-    let fin = all_to_all_exchange(net, phase2, BufferPolicy::Ideal);
-
-    // Reassemble by tag.
-    fin.into_iter()
-        .map(|blocks| {
-            let mut tagged: Vec<(u64, T)> = blocks.into_iter().flat_map(|b| b.data).collect();
-            tagged.sort_by_key(|&(pos, _)| pos);
-            for (k, &(pos, _)) in tagged.iter().enumerate() {
-                assert_eq!(pos as usize, k, "missing piece at position {k}");
-            }
-            tagged.into_iter().map(|(_, v)| v).collect()
-        })
-        .collect()
+    let mut out: Vec<Vec<T>> = (0..num).map(|_| Vec::new()).collect();
+    for (x, to) in perm.iter().enumerate() {
+        out[to.index()] = std::mem::take(&mut data[x]);
+    }
+    out
 }
 
 #[cfg(test)]
@@ -290,11 +275,27 @@ mod tests {
         }
     }
 
+    /// Messages shorter than `N` and of different lengths, one empty:
+    /// most pieces are empty and plan no block.
+    #[test]
+    fn short_and_empty_messages_arrive_intact() {
+        let n = 3;
+        let perm: Vec<NodeId> = [5, 2, 7, 0, 1, 3, 6, 4].map(NodeId).to_vec();
+        let data: Vec<Vec<u64>> =
+            (0..8u64).map(|x| (0..x * 3 % 8).map(|i| x * 10 + i).collect()).collect();
+        assert!(data[0].is_empty() && data.iter().all(|msg| msg.len() < 8));
+        let mut net = SimNet::new(n, MachineParams::unit(PortMode::OnePort));
+        let out = arbitrary_permutation(&mut net, data.clone(), &perm);
+        for x in 0..8 {
+            assert_eq!(out[perm[x].index()], data[x], "x={x}");
+        }
+        net.finalize();
+    }
+
     #[test]
     #[should_panic(expected = "not a permutation")]
     fn invalid_permutation_rejected() {
-        let mut net: SimNet<BlockMsg<(u64, u64)>> =
-            SimNet::new(1, MachineParams::unit(PortMode::OnePort));
+        let mut net: SimNet<BlockMsg<u64>> = SimNet::new(1, MachineParams::unit(PortMode::OnePort));
         let _ = arbitrary_permutation(&mut net, vec![vec![1], vec![2]], &[NodeId(0), NodeId(0)]);
     }
 

@@ -9,7 +9,7 @@
 //! such conversion; this module drives it from a pair of layouts of the
 //! *same* matrix.
 
-use crate::one_dim::exchange_blocks;
+use crate::one_dim::exchange_moves;
 use cubecomm::exchange::BufferPolicy;
 use cubecomm::BlockMsg;
 use cubelayout::pattern::relayout_block_moves;
@@ -21,10 +21,10 @@ use cubesim::SimNet;
 /// algorithm over the node dimensions any element actually crosses.
 ///
 /// # Panics
-/// If the shapes differ, or on routing violations (a block misdelivered,
-/// duplicated, truncated or lost).
+/// If the shapes differ; if a layout's cube is larger than the net's
+/// (`block endpoints outside the …`); and on the net's legality checks.
 #[track_caller]
-pub fn relayout<T: Copy + Default + Send + Sync>(
+pub fn relayout<T: Copy + Default>(
     m: &DistMatrix<T>,
     to: &Layout,
     net: &mut SimNet<BlockMsg<T>>,
@@ -32,7 +32,7 @@ pub fn relayout<T: Copy + Default + Send + Sync>(
 ) -> DistMatrix<T> {
     let from = m.layout();
     assert_eq!((from.p(), from.q()), (to.p(), to.q()), "shape mismatch");
-    exchange_blocks(&relayout_block_moves(from, to), m, to, net, policy)
+    exchange_moves(&relayout_block_moves(from, to), m, to, net, policy)
 }
 
 #[cfg(test)]
@@ -176,5 +176,32 @@ mod tests {
         let r = net.finalize();
         assert_eq!(r.total_elems, 0);
         assert_eq!(r.rounds, 0);
+    }
+
+    /// Cyclic to consecutive rows of an 8 × 8 matrix on a 2-cube layout.
+    fn cyclic_to_consecutive() -> (DistMatrix<u64>, Layout) {
+        let from = Layout::one_dim(3, 3, Direction::Rows, 2, Assignment::Cyclic, Encoding::Binary);
+        let to =
+            Layout::one_dim(3, 3, Direction::Rows, 2, Assignment::Consecutive, Encoding::Binary);
+        (crate::verify::labels(from), to)
+    }
+
+    #[test]
+    fn a_net_larger_than_the_layouts_cube_is_accepted() {
+        let (m, to) = cyclic_to_consecutive();
+        let mut net = SimNet::new(3, MachineParams::unit(PortMode::OnePort));
+        let out = relayout(&m, &to, &mut net, BufferPolicy::Ideal);
+        for (u, v) in to.elements() {
+            assert_eq!(out.get(u, v), m.get(u, v), "({u}, {v})");
+        }
+        net.finalize();
+    }
+
+    #[test]
+    #[should_panic(expected = "block endpoints outside the 1-cube")]
+    fn a_net_smaller_than_the_layouts_cube_is_refused() {
+        let (m, to) = cyclic_to_consecutive();
+        let mut net = SimNet::new(1, MachineParams::unit(PortMode::OnePort));
+        let _ = relayout(&m, &to, &mut net, BufferPolicy::Ideal);
     }
 }

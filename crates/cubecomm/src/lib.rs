@@ -31,7 +31,10 @@
 //!   analyse and the planning-cost benchmarks time.
 //! * [`exec`] — the executor: charges planned rounds to a `SimNet`,
 //!   tracks where every block is and lands each once, and turns a
-//!   schedule that misplaces one into a diagnostic.
+//!   schedule that misplaces one into a diagnostic. Its metadata walk,
+//!   [`exec::run`], also serves movers that place their own data
+//!   (`cubetranspose`'s one-dimensional transposes, `relayout` and
+//!   arbitrary permutation): they charge a plan and copy once.
 
 pub mod block;
 pub mod ecube;

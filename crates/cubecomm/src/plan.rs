@@ -155,6 +155,22 @@ pub(crate) fn check_blocks(topo: &TopoSpec, blocks: &[BlockMeta]) {
     }
 }
 
+/// One block per positive `sizes[s][d]` of a `num × num` size table,
+/// ascending `(src, dst)`. `need` starts the panic text for a table of
+/// the wrong shape, as each caller words it.
+#[track_caller]
+fn all_to_all_blocks(num: usize, sizes: &[Vec<u64>], need: &str) -> Vec<BlockMeta> {
+    assert_eq!(sizes.len(), num, "{need}one size row per source");
+    let mut blocks = Vec::new();
+    for (s, per_dst) in sizes.iter().enumerate() {
+        assert_eq!(per_dst.len(), num, "{need}one (possibly zero) size per destination");
+        let src = NodeId(s as u64);
+        let sized = per_dst.iter().enumerate().filter(|&(_, &elems)| elems > 0);
+        blocks.extend(sized.map(|(d, &elems)| BlockMeta { src, dst: NodeId(d as u64), elems }));
+    }
+    blocks
+}
+
 /// The memory-contiguous chunks the iPSC implementation sees at exchange
 /// step `step_index` (0-based): the exchange works in place, so the
 /// elements to send occupy `2^step` equal non-contiguous runs of the
@@ -222,17 +238,7 @@ pub fn all_to_all_exchange_plan(
     policy: BufferPolicy,
     ports: PortMode,
 ) -> CommSchedule {
-    let num = cubeaddr::num_nodes(n);
-    assert_eq!(sizes.len(), num, "need one size row per source");
-    let mut blocks = Vec::new();
-    for (s, per_dst) in sizes.iter().enumerate() {
-        assert_eq!(per_dst.len(), num, "need one (possibly zero) size per destination");
-        for (d, &elems) in per_dst.iter().enumerate() {
-            if elems > 0 {
-                blocks.push(BlockMeta { src: NodeId(s as u64), dst: NodeId(d as u64), elems });
-            }
-        }
-    }
+    let blocks = all_to_all_blocks(cubeaddr::num_nodes(n), sizes, "need ");
     let dims: Vec<u32> = (0..n).rev().collect();
     exchange_plan(n, blocks, &dims, policy, ports, format!("all_to_all_exchange/n{n}"))
 }
@@ -339,26 +345,23 @@ pub fn one_to_all_trees_plan(n: u32, sizes: &[u64], trees: &[Sbt]) -> CommSchedu
     }
 }
 
-/// Plans [`crate::sbnt::all_to_all_sbnt`]: every block follows its SBnT
-/// path one hop per round, blocks queued at a node for the same port
-/// travelling as one message.
+/// Plans [`crate::sbnt::all_to_all_sbnt`]: [`sbnt_plan`] of one block
+/// per `(src, dst)` pair (zero sizes dropped, the diagonal kept in place).
 #[track_caller]
 pub fn all_to_all_sbnt_plan(n: u32, sizes: &[Vec<u64>]) -> CommSchedule {
-    let num = cubeaddr::num_nodes(n);
-    assert_eq!(sizes.len(), num, "one size row per source");
-    let mut blocks = Vec::new();
-    for (s, per_dst) in sizes.iter().enumerate() {
-        assert_eq!(per_dst.len(), num, "one (possibly zero) size per destination");
-        for (d, &elems) in per_dst.iter().enumerate() {
-            if elems > 0 {
-                blocks.push(BlockMeta { src: NodeId(s as u64), dst: NodeId(d as u64), elems });
-            }
-        }
-    }
+    let blocks = all_to_all_blocks(cubeaddr::num_nodes(n), sizes, "");
+    CommSchedule { name: format!("all_to_all_sbnt/n{n}"), ..sbnt_plan(n, blocks) }
+}
+
+/// Plans [`crate::sbnt::route_sbnt`]: every block follows its SBnT path
+/// from its `src` one hop per round, blocks queued at a node for the same
+/// port travelling as one message.
+#[track_caller]
+pub fn sbnt_plan(n: u32, blocks: Vec<BlockMeta>) -> CommSchedule {
     check_blocks(&TopoSpec::hypercube(n), &blocks);
     let rounds = skeleton::sbnt_rounds(n, &blocks);
     CommSchedule {
-        name: format!("all_to_all_sbnt/n{n}"),
+        name: format!("sbnt/n{n}"),
         topo: TopoSpec::hypercube(n),
         ports: PortMode::AllPorts,
         // SBnT forwarding follows set bits cyclically to the left from

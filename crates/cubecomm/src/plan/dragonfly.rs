@@ -28,8 +28,8 @@
 //! (`dimension_ordered: false`).
 
 use super::{
-    check_blocks, fingerprint, skeleton, BlockMeta, CommSchedule, PlanCache, PlanKey, PlanRound,
-    PlannedMsg,
+    all_to_all_blocks, check_blocks, fingerprint, skeleton, BlockMeta, CommSchedule, PlanCache,
+    PlanKey, PlanRound, PlannedMsg,
 };
 use cubeaddr::NodeId;
 use cubesim::PortMode;
@@ -89,17 +89,7 @@ pub fn dragonfly_direct_plan(k: u32, m: u32, msgs: &[(NodeId, NodeId, u64)]) -> 
 pub fn dragonfly_swap_exchange_plan(k: u32, m: u32, sizes: &[Vec<u64>]) -> CommSchedule {
     let d = SwappedDragonfly::new(k, m);
     let topo = TopoSpec::from(d);
-    let num = d.num_nodes();
-    assert_eq!(sizes.len(), num, "need one size row per source");
-    let mut blocks = Vec::new();
-    for (s, per_dst) in sizes.iter().enumerate() {
-        assert_eq!(per_dst.len(), num, "need one (possibly zero) size per destination");
-        for (t, &elems) in per_dst.iter().enumerate() {
-            if elems > 0 {
-                blocks.push(BlockMeta { src: NodeId(s as u64), dst: NodeId(t as u64), elems });
-            }
-        }
-    }
+    let blocks = all_to_all_blocks(d.num_nodes(), sizes, "need ");
     check_blocks(&topo, &blocks);
 
     let mm = u64::from(m);

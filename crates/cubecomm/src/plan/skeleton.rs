@@ -311,7 +311,7 @@ fn emit_grouped(
     }
 }
 
-/// Rounds of [`super::all_to_all_sbnt_plan`]. The skeleton is the path
+/// Rounds of [`super::sbnt_plan`]. The skeleton is the path
 /// table: SBnT paths depend only on the relative address `src ⊕ dst`
 /// (trees at different roots are translations of each other), so each
 /// distinct relative address's path is computed once and shared by all

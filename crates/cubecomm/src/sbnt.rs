@@ -71,6 +71,7 @@ pub fn all_to_all_sbnt<T>(
 /// blocks delivered to `dst`.
 pub fn route_sbnt<T>(net: &mut SimNet<BlockMsg<T>>, payloads: Vec<Block<T>>) -> Vec<Vec<Block<T>>> {
     let metas = exec::metas_at_src(&payloads);
+    exec::check_endpoints(net.topology(), &metas);
     let rounds = skeleton::sbnt_rounds(net.n(), &metas);
     exec::execute(net, &metas, &rounds, payloads)
 }

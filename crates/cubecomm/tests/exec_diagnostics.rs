@@ -5,8 +5,10 @@
 //! with payloads can see (who really holds a block).
 
 use cubeaddr::NodeId;
+use cubecomm::exchange::exchange_over_dims;
 use cubecomm::exec::execute;
 use cubecomm::plan::{all_to_all_exchange_plan, CommSchedule};
+use cubecomm::sbnt::route_sbnt;
 use cubecomm::{Block, BlockMsg, BufferPolicy};
 use cubesim::{MachineParams, PortMode, SimNet};
 
@@ -100,4 +102,33 @@ fn payload_for_another_node_is_refused_up_front() {
     assert_eq!((plan.blocks[5].src, plan.blocks[5].dst), (NodeId(1), NodeId(1)));
     payloads[5].dst = NodeId(3);
     let _ = run(&plan, payloads);
+}
+
+/// A block bound for node 5 of a 2-cube is refused before the first
+/// round, by the exchange engine and by the SBnT router alike, whichever
+/// end is off the net.
+#[test]
+#[should_panic(expected = "block endpoints outside the 2-cube: block 1: 0 -> 5")]
+fn exchange_refuses_a_destination_off_the_net() {
+    let mut net: SimNet<BlockMsg<u64>> = SimNet::new(2, MachineParams::unit(PortMode::OnePort));
+    let mut held = vec![Vec::new(); 4];
+    held[0] =
+        vec![Block::new(NodeId(0), NodeId(1), vec![1]), Block::new(NodeId(0), NodeId(5), vec![5])];
+    let _ = exchange_over_dims(&mut net, held, &[1, 0], BufferPolicy::Ideal);
+}
+
+#[test]
+#[should_panic(expected = "block endpoints outside the 2-cube: block 0: 0 -> 5")]
+fn sbnt_refuses_a_destination_off_the_net() {
+    let mut net: SimNet<BlockMsg<u64>> = SimNet::new(2, MachineParams::unit(PortMode::AllPorts));
+    let _ = route_sbnt(&mut net, vec![Block::new(NodeId(0), NodeId(5), vec![5])]);
+}
+
+#[test]
+#[should_panic(expected = "block endpoints outside the 2-cube: block 1: 6 -> 0")]
+fn sbnt_refuses_a_source_off_the_net() {
+    let mut net: SimNet<BlockMsg<u64>> = SimNet::new(2, MachineParams::unit(PortMode::AllPorts));
+    let blocks =
+        vec![Block::new(NodeId(1), NodeId(0), vec![1]), Block::new(NodeId(6), NodeId(0), vec![6])];
+    let _ = route_sbnt(&mut net, blocks);
 }

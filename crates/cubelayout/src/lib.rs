@@ -18,8 +18,9 @@
 //!   communication pattern of a transposition ([`pattern`]),
 //! * a distributed matrix container used by the simulator and the SPMD
 //!   runtime ([`dist::DistMatrix`]),
-//! * values-only node-pair blocks for moving such a matrix between two
-//!   layouts ([`BlockMoves`]),
+//! * node-pair blocks for moving such a matrix between two layouts: the
+//!   sizes a communication plan charges, and one copy that lands the
+//!   data ([`BlockMoves`]),
 //! * textual renderings of the paper's Tables 1 and 2 ([`table`]).
 
 pub mod dist;

@@ -177,15 +177,15 @@ impl TransposeSpec {
         self.tables().into_moves()
     }
 
-    /// The same movement as values-only node-pair blocks: one per
+    /// The same movement as node-pair blocks: one per
     /// non-zero entry of [`TransposeSpec::traffic_matrix`].
     pub fn block_moves(&self) -> BlockMoves {
-        self.tables().block_moves(self.before.num_nodes().max(self.after.num_nodes()))
+        self.tables().block_moves()
     }
 }
 
 /// A storage-form change of the *same* matrix (no transposition) as
-/// values-only node-pair blocks: element `(u, v)` goes from
+/// node-pair blocks: element `(u, v)` goes from
 /// `from.place(u, v)` to `to.place(u, v)`, and there is one block per
 /// pair of nodes that exchanges any element.
 ///
@@ -193,8 +193,7 @@ impl TransposeSpec {
 /// If the layouts' shapes differ.
 #[track_caller]
 pub fn relayout_block_moves(from: &Layout, to: &Layout) -> BlockMoves {
-    MoveTables::new(PlaceTables::new(from), PlaceTables::new(to))
-        .block_moves(from.num_nodes().max(to.num_nodes()))
+    MoveTables::new(PlaceTables::new(from), PlaceTables::new(to)).block_moves()
 }
 
 /// One element's source and destination placement in a transposition.

@@ -9,7 +9,7 @@
 //! elements costs two loads and two ORs per element instead of a bit
 //! loop, and every question about the *node-level* structure of a data
 //! movement ([`MoveTables`]) is answered from the `P + Q` entries alone —
-//! including how to cut it into values-only node-pair blocks
+//! including how to cut it into node-pair blocks and land it in one copy
 //! ([`BlockMoves`]).
 //!
 //! Tables are built per call and dropped: a `Layout` stays a four-field
@@ -141,9 +141,8 @@ impl MoveTables {
         Moves { tables: self, u: 0, v: 0 }
     }
 
-    /// The movement as node-pair blocks, over `nodes` nodes (at least the
-    /// node count of either side).
-    pub fn block_moves(&self, nodes: usize) -> BlockMoves {
+    /// The movement as node-pair blocks.
+    pub fn block_moves(&self) -> BlockMoves {
         let (rows, cols) = self.groups();
         let mut blocks = Vec::with_capacity(rows.keys.len() * cols.keys.len());
         for (row, &(sr, dr)) in rows.keys.iter().enumerate() {
@@ -152,7 +151,7 @@ impl MoveTables {
             }
         }
         blocks.sort_unstable_by_key(|b| (b.src, b.dst));
-        BlockMoves { rows, cols, blocks, nodes }
+        BlockMoves { rows, cols, blocks }
     }
 }
 
@@ -212,7 +211,8 @@ struct BlockRef {
 }
 
 /// An element-wise data movement between two separable layouts, cut into
-/// node-pair blocks that carry values only.
+/// node-pair blocks: what a communication plan charges ([`BlockMoves::blocks`])
+/// and where every element goes ([`BlockMoves::copy`]).
 ///
 /// The row parts and column parts of a placement occupy disjoint bit
 /// fields on both sides, so the elements moving from node `a | c` to node
@@ -220,14 +220,15 @@ struct BlockRef {
 /// source / destination row node parts are `(a, b)` and the columns whose
 /// column node parts are `(c, e)`. A block's source and destination local
 /// addresses are therefore the OR of one row-local list and one
-/// column-local list, and neither end needs a per-element address. Built
-/// per call in `O(P + Q)` plus one entry per non-empty block.
+/// column-local list, so a block needs neither a per-element address nor
+/// a buffer: the data moves once, source address to destination address
+/// ("implicitly by indirect addressing", §5). Built per call in
+/// `O(P + Q)` plus one entry per non-empty block.
 pub struct BlockMoves {
     rows: Groups,
     cols: Groups,
     /// Every non-empty block, ascending `(src, dst)`.
     blocks: Vec<BlockRef>,
-    nodes: usize,
 }
 
 impl BlockMoves {
@@ -242,39 +243,10 @@ impl BlockMoves {
         self.rows.members(b.row).len() * self.cols.members(b.col).len()
     }
 
-    /// The id of the block from `src` to `dst`, if that pair exchanges
-    /// any element.
-    pub fn find(&self, src: NodeId, dst: NodeId) -> Option<usize> {
-        self.blocks.binary_search_by_key(&(src, dst), |b| (b.src, b.dst)).ok()
-    }
-
-    /// Reads every block out of `m` (laid out by the source layout these
-    /// moves were built from): `held[x]` is node `x`'s blocks,
-    /// destinations ascending, each built by `block(src, dst, data)` from
-    /// its elements in row-major `(u, v)` order. One list per node of the
-    /// larger cube.
-    pub fn gather<T: Copy, B>(
-        &self,
-        m: &DistMatrix<T>,
-        mut block: impl FnMut(NodeId, NodeId, Vec<T>) -> B,
-    ) -> Vec<Vec<B>> {
-        let mut held: Vec<Vec<B>> = (0..self.nodes).map(|_| Vec::new()).collect();
-        for b in &self.blocks {
-            let (rows, cols) = (self.rows.members(b.row), self.cols.members(b.col));
-            let (rows, cols) = (&self.rows.src[rows], &self.cols.src[cols]);
-            let from = m.node(b.src);
-            let mut data = Vec::with_capacity(rows.len() * cols.len());
-            for &r in rows {
-                data.extend(cols.iter().map(|&c| from[(r | c) as usize]));
-            }
-            held[b.src.index()].push(block(b.src, b.dst, data));
-        }
-        held
-    }
-
-    /// Writes every block into `out`, laid out by the destination layout
-    /// these moves were built from: `data[id]` is block `id`'s elements as
-    /// [`BlockMoves::gather`] built them.
+    /// Writes every element these moves carry from `m` (laid out by the
+    /// source layout they were built from) into `out` (laid out by the
+    /// destination layout), reading each straight from its source address.
+    /// Slots no block covers are left as they are.
     ///
     /// Each node is written in the order of its own addresses rather than
     /// block by block. The direction that owns the destination's lowest
@@ -284,24 +256,7 @@ impl BlockMoves {
     /// block's addresses alone can be strided: at 1024 × 1024 with cyclic
     /// rows on 64 nodes, each of a transpose block's 256 elements lands on
     /// its own cache line, 8 KiB from the next.
-    ///
-    /// # Panics
-    /// If `data` does not hold one vector per block, or a block's vector
-    /// is not exactly its length.
-    #[track_caller]
-    pub fn place<T: Copy>(&self, data: &[Vec<T>], out: &mut DistMatrix<T>) {
-        assert_eq!(data.len(), self.blocks.len(), "one data vector per block");
-        for (b, data) in self.blocks.iter().zip(data) {
-            assert!(
-                data.len() == self.len(b),
-                "block {} → {} at node {} holds {} elements, not {}",
-                b.src,
-                b.dst,
-                b.dst,
-                data.len(),
-                self.len(b)
-            );
-        }
+    pub fn copy<T: Copy>(&self, m: &DistMatrix<T>, out: &mut DistMatrix<T>) {
         let rows_low = self.rows.dst.iter().any(|&local| local & 1 == 1);
         let (outer, inner) =
             if rows_low { (&self.cols, &self.rows) } else { (&self.rows, &self.cols) };
@@ -318,20 +273,13 @@ impl BlockMoves {
         for node in order.chunk_by(|&x, &y| self.blocks[x].dst == self.blocks[y].dst) {
             let to = out.node_mut(self.blocks[node[0]].dst);
             for run in node.chunk_by(|&x, &y| groups(x).0 == groups(y).0) {
-                let outer_locals = &outer.dst[outer.members(groups(run[0]).0)];
-                for (po, &o) in outer_locals.iter().enumerate() {
+                let o = outer.members(groups(run[0]).0);
+                for (&od, &os) in outer.dst[o.clone()].iter().zip(&outer.src[o]) {
                     for &id in run {
-                        let inner_locals = &inner.dst[inner.members(groups(id).1)];
-                        // Block data is row-major: `(row, column)` sits at
-                        // `row · width + column`.
-                        let (outer_stride, inner_stride) = if rows_low {
-                            (1, outer_locals.len())
-                        } else {
-                            (inner_locals.len(), 1)
-                        };
-                        let block = &data[id][po * outer_stride..];
-                        for (pi, &l) in inner_locals.iter().enumerate() {
-                            to[(o | l) as usize] = block[pi * inner_stride];
+                        let from = m.node(self.blocks[id].src);
+                        let i = inner.members(groups(id).1);
+                        for (&ld, &ls) in inner.dst[i.clone()].iter().zip(&inner.src[i]) {
+                            to[(od | ld) as usize] = from[(os | ls) as usize];
                         }
                     }
                 }

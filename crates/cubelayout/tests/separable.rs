@@ -121,8 +121,8 @@ fn check_spec(spec: &TransposeSpec) {
 
 /// The blocks of `moves` (from layout `from` to layout `to`) against the
 /// element moves `naive` they cut up: one block per non-zero traffic
-/// entry with its count, each gathering its pair's elements in `naive`'s
-/// order, and every element placed where `naive` says.
+/// entry with its count, and `copy` writing every element where `naive`
+/// says and no other slot.
 fn check_blocks(moves: &BlockMoves, from: &Layout, to: &Layout, naive: &[ElementMove]) {
     let traffic = naive_traffic(naive, from.num_nodes(), to.num_nodes());
     let nonzero: Vec<(NodeId, NodeId, usize)> = traffic
@@ -140,29 +140,15 @@ fn check_blocks(moves: &BlockMoves, from: &Layout, to: &Layout, naive: &[Element
     // Labels start at 1, so a slot no block wrote still reads 0.
     let q = from.q();
     let label = |u: u64, v: u64| ((u << q) | v) + 1;
-    let held = moves.gather(&DistMatrix::from_fn(from.clone(), label), |s, d, data| (s, d, data));
-    assert_eq!(held.len(), from.num_nodes().max(to.num_nodes()));
-    let (mut gathered, mut data) = (Vec::new(), Vec::new());
-    for (x, blocks) in held.into_iter().enumerate() {
-        for (s, d, block) in blocks {
-            assert_eq!(s.index(), x, "a block of {s} held by {x}");
-            let want: Vec<u64> = naive
-                .iter()
-                .filter(|mv| (mv.src, mv.dst) == (s, d))
-                .map(|mv| label(mv.u, mv.v))
-                .collect();
-            assert_eq!(block, want, "block {s} → {d} of {from:?} → {to:?}");
-            assert_eq!(moves.find(s, d), Some(gathered.len()), "block {s} → {d}'s id");
-            gathered.push((s, d, block.len()));
-            data.push(block);
-        }
-    }
-    assert_eq!(gathered, nonzero, "gathered blocks, in order");
     let mut out = DistMatrix::zeroed(to.clone());
-    moves.place(&data, &mut out);
+    moves.copy(&DistMatrix::from_fn(from.clone(), label), &mut out);
     for mv in naive {
         assert_eq!(out.node(mv.dst)[mv.dst_local as usize], label(mv.u, mv.v), "{mv:?}");
     }
+    let written: usize = (0..to.num_nodes() as u64)
+        .map(|x| out.node(NodeId(x)).iter().filter(|&&value| value != 0).count())
+        .sum();
+    assert_eq!(written, naive.len(), "slots written by {from:?} → {to:?}");
 }
 
 /// `place`, `from_fn`, `gather`, `get` and the label check of one layout.

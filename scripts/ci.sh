@@ -144,8 +144,9 @@ fi
 begin "lint policy: fieldmap and the movers charge the net and carry no payload (no send, recv or drain; no buffer pool)"
 # MappedMatrix's primitives make their claims with SimNet::charge and
 # local_copy and move no element; the data moves once, when it is read
-# out. The block executor (exec.rs), the router (graph.rs) and the flight
-# movers (two_dim.rs, gray.rs, permute.rs) likewise charge every hop and
+# out. The block executor (exec.rs), the router (graph.rs), the flight
+# movers (two_dim.rs, gray.rs, permute.rs) and the block movers
+# (one_dim.rs, relayout.rs, permute.rs) likewise charge every hop and
 # land each block or array once. A payload send or receive, or the
 # deleted drain of delivered messages, in any of them would bring back
 # the carried data plane; a buffer pool in fieldmap.rs the deleted
@@ -161,7 +162,8 @@ if [ -n "$violations" ]; then
 fi
 violations="$(grep -n -E '[.]sen[d][(]|[.]rec[v][(]|drain_all_wit[h]' \
     crates/cubecomm/src/exec.rs crates/cubecomm/src/graph.rs crates/core/src/two_dim.rs \
-    crates/core/src/gray.rs crates/core/src/permute.rs || true)"
+    crates/core/src/gray.rs crates/core/src/permute.rs crates/core/src/one_dim.rs \
+    crates/core/src/relayout.rs || true)"
 if [ -n "$violations" ]; then
     echo "FAIL: a mover carries payloads through the net again:" >&2
     echo "$violations" >&2
@@ -170,6 +172,23 @@ fi
 violations="$(grep -rln 'drain_all_wit[h]' crates src tests examples 2>/dev/null || true)"
 if [ -n "$violations" ]; then
     echo "FAIL: files mention the deleted SimNet drain:" >&2
+    echo "$violations" >&2
+    false
+fi
+# The one-dimensional transposes, relayout and arbitrary permutation
+# plan their blocks, charge the plan with exec::run and copy their data
+# once; a cubecomm payload engine in them would bring back the per-block
+# buffers, and the deleted ledger that checked what the engine delivered.
+violations="$(grep -n -E 'exchange_over_dim[s]|route_sbn[t]|all_to_all_exchang[e]([^_]|$)' \
+    crates/core/src/one_dim.rs crates/core/src/relayout.rs crates/core/src/permute.rs || true)"
+if [ -n "$violations" ]; then
+    echo "FAIL: a core block mover ships payload blocks through a cubecomm engine again:" >&2
+    echo "$violations" >&2
+    false
+fi
+violations="$(grep -rln 'place_block[s]' crates src tests examples 2>/dev/null || true)"
+if [ -n "$violations" ]; then
+    echo "FAIL: files mention the deleted block ledger:" >&2
     echo "$violations" >&2
     false
 fi
@@ -205,8 +224,8 @@ if [ -n "$violations" ]; then
 fi
 
 begin "lint policy: the tagged (dst_local, value) element stays a loan (one_dim.rs and the driver pins only)"
-# The one-dimensional engines and relayout move values-only blocks
-# (cubelayout::BlockMoves). The tagged type survives only for perfbench's
+# The one-dimensional engines and relayout plan node-pair blocks and copy
+# their values once (cubelayout::BlockMoves). The tagged type survives only for perfbench's
 # per-layer decomposition of ipsc6-1d-exchange and driver_pin.rs's long
 # way; no other code may route elements through it again.
 # (Bracketed so this script does not match itself.)
@@ -442,8 +461,8 @@ done
 begin "perfbench smoke: the traced ipsc6-1d-exchange and cm16-2d-mpt passes (decomposition = driver::execute)"
 # Each traced pass re-runs the op through perfbench's decomposition and
 # fails unless its matrix and CommReport equal driver::execute's: for
-# ipsc6-1d-exchange one_dim's tagged loan path against the values-only
-# blocks, for cm16-2d-mpt a direct transpose_mpt call against the
+# ipsc6-1d-exchange one_dim's tagged loan path against the planned,
+# copied blocks, for cm16-2d-mpt a direct transpose_mpt call against the
 # driver's — the flight ledger and SimNet's charged claims at paper scale.
 for workload in ipsc6-1d-exchange cm16-2d-mpt; do
     verdict="$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \

@@ -560,6 +560,73 @@ mod alloc_gate_tests {
         );
     }
 
+    /// `cm16-spmd-exchange` at n = 10 — `spmd_transpose_exchange` of a
+    /// square layout with one element per node, at one worker — makes
+    /// at most 3 allocations per node (measured 2.71): each node's
+    /// initial holding, plus a message `Vec` where a holding splits and
+    /// a regrowth where two holdings merge. Per-node initial lists
+    /// cloned in `init`, a fresh `Vec` per non-empty message or two
+    /// landing ledgers per node (the triple-carrying program: 6.9) blow
+    /// it. Counted as in the gate above, tag table and output included.
+    #[test]
+    fn spmd_exchange_transpose_allocates_at_most_three_per_node() {
+        use cubelayout::{Assignment, Encoding, Layout};
+        use cuberun::{NodeId, Outbox, RoundInbox, RoundProgram};
+        use cubesync::atomic::AtomicUsize;
+        use std::cell::Cell;
+
+        /// `program`, counting on the worker from its first `init`.
+        struct CountFromInit<'a, P> {
+            program: &'a P,
+            on_worker: &'a AtomicUsize,
+        }
+        impl<E: Send, P: RoundProgram<E>> RoundProgram<E> for CountFromInit<'_, P> {
+            type State = P::State;
+            type Out = P::Out;
+            fn rounds(&self) -> u32 {
+                self.program.rounds()
+            }
+            fn init(&self, id: NodeId) -> P::State {
+                COUNTED.with(|c| c.set(c.get().or(Some(0))));
+                self.program.init(id)
+            }
+            fn send(&self, round: u32, id: NodeId, s: &mut P::State, out: &mut Outbox<'_, E>) {
+                self.program.send(round, id, s, out);
+            }
+            fn recv(
+                &self,
+                round: u32,
+                id: NodeId,
+                s: &mut P::State,
+                inbox: &mut RoundInbox<'_, E>,
+            ) {
+                self.program.recv(round, id, s, inbox);
+            }
+            fn finish(&self, id: NodeId, s: P::State) -> P::Out {
+                let out = self.program.finish(id, s);
+                self.on_worker.fetch_max(COUNTED.with(Cell::get).unwrap_or(0), Ordering::Relaxed);
+                out
+            }
+        }
+
+        let before = Layout::square(5, 5, 5, Assignment::Consecutive, Encoding::Binary);
+        let after = before.swapped_shape();
+        let m = crate::verify::labels(before.clone());
+        let on_worker = AtomicUsize::new(0);
+        COUNTED.with(|c| c.set(Some(0)));
+        let (out, stats) = cuberun::with_workers(1, || {
+            crate::spmd::exchange_on(&m, &after, |n, program| {
+                cuberun::run_rounds(n, &CountFromInit { program, on_worker: &on_worker })
+            })
+        });
+        let on_caller = COUNTED.with(|c| c.take()).expect("counting was on");
+        crate::verify::assert_transposed(&before, &out);
+        let nodes = before.num_nodes();
+        assert_eq!(stats.messages, nodes as u64 * 10);
+        let allocs = on_caller + on_worker.load(Ordering::Relaxed);
+        assert!(allocs <= 3 * nodes, "the exchange made {allocs} allocations for {nodes} nodes");
+    }
+
     /// `fieldmap`'s primitives are charged, not carried: a direct
     /// exchange that sends 16 runs of 32 elements per node as separate
     /// messages, and a rotation of every local array, allocate nothing

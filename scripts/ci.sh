@@ -366,6 +366,21 @@ begin "exec: the charged block executor vs the send-and-receive oracle (held blo
 # identical panics.
 cargo test --release -q -p cubecomm --test exec_oracle
 
+begin "spmd: the tagged exchange program vs the triple oracle (outputs, messages, send log, panic text), and after-layouts on a smaller and a larger cube"
+# spmd_transpose_exchange carries one-word destination tags, sends a
+# holding that crosses whole without copying it and lands each node by
+# sorting its tags; the (dst_node, dst_local, value) program it replaced
+# survives in spmd.rs's tests as the oracle. Binary and Gray, one- and
+# two-dimensional, consecutive and cyclic layout pairs on equal and
+# unequal cubes, at 1, 2 and 5 workers, must give identical outputs,
+# message counts and per-(round, node) message lengths, and a seeded
+# duplicate or stranded tag the same panic. The two cube-size tests run
+# the program on the larger cube in each direction.
+cargo test --release -q -p cubetranspose --lib -- --exact \
+    spmd::tests::tagged_program_matches_the_triple_oracle \
+    spmd::tests::spmd_exchange_onto_a_smaller_cube \
+    spmd::tests::spmd_exchange_onto_a_larger_cube
+
 begin "perf smoke: n=10 all-to-all schedule (time-bounded)"
 timeout 300 cargo test --release -q -p cubecomm --test perf_smoke -- --ignored \
     n10_all_to_all_completes_within_bound
@@ -384,7 +399,7 @@ timeout 300 cargo test --release -q -p cubetranspose --test perf_smoke -- --igno
 begin "local-kernels smoke: in-place transpose no slower than scratch gather"
 timeout 300 cargo test --release -q -p cubetranspose --test local_kernels_smoke -- --ignored
 
-begin "allocation gates: no O(mn)-sized scratch in place; fieldmap's exchange and permute_virt allocate nothing node-sized and a constant count, convert_algorithm2 only its outputs and one scratch; run_spmd O(1) per node, MPT at most 1.4 per node and no link-sized table, run_rounds O(1) per run"
+begin "allocation gates: no O(mn)-sized scratch in place; fieldmap's exchange and permute_virt allocate nothing node-sized and a constant count, convert_algorithm2 only its outputs and one scratch; run_spmd O(1) per node, MPT at most 1.4 per node and no link-sized table, run_rounds O(1) per run, the SPMD exchange transpose at most 3 per node"
 # The counting global allocator lives in crates/core/src/local.rs's test
 # module (the one unsafe-allowlisted file). One gate arms it around a
 # warmed in-place transpose and fails on any matrix-sized allocation;
@@ -405,7 +420,11 @@ begin "allocation gates: no O(mn)-sized scratch in place; fieldmap's exchange an
 # thread and on the worker, which allocates its own inboxes and slots —
 # and fails if anything is allocated per directed link (a queue per link
 # was 10 per node); one counts the same exchange on run_rounds(10) and
-# fails if the count depends on nodes or rounds at all.
+# fails if the count depends on nodes or rounds at all; one counts
+# spmd_transpose_exchange of a one-element-per-node square layout on the
+# 10-cube, tag table and output included, and fails above 3 per node
+# (the triple-carrying program made 6.9: per-node lists cloned in init, a
+# fresh Vec per message, two ledgers per node to land).
 cargo test --release -q -p cubetranspose --lib alloc_gate_tests
 
 begin "perf smoke: n=14 schedule construction + rule sweep (time-bounded)"

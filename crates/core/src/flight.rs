@@ -1,5 +1,5 @@
-//! The flight executor: the one round loop of the movers that carry
-//! whole arrays along dimension paths — §6.1's SPT / DPT / MPT
+//! The flight executors: the one round loop per substrate of the movers
+//! that carry whole arrays along dimension paths — §6.1's SPT / DPT / MPT
 //! ([`crate::two_dim`]), §6.3's mixed-encoding transposes
 //! ([`crate::gray`]) and Lemma 6's relocations ([`crate::permute`]).
 //!
@@ -9,20 +9,22 @@
 //! uses) on which the flight stays put and sends nothing. Leading holds
 //! delay a flight as a later injection cycle does; trailing holds are not
 //! written, so a flight without a hop is never sent. A plan carries its
-//! length in rounds and its run closes exactly that many, empty ones
-//! included.
+//! length in rounds, and its run closes exactly that many.
 //!
-//! A plan carries no data, and the run moves none. Each cycle, every
-//! live flight that does not hold is charged to the net for its hop
-//! ([`SimNet::charge`]: the link checks, the cost and the records a send
-//! of its elements would make) and its position advances across the
-//! dimension. The run returns the *delivery ledger*: where each flight
-//! landed, in plan order. Each mover then reads its arrays from its own
-//! input, checks the ledger against where they must land, and writes
-//! each one once.
+//! A plan carries no data. On the simulator [`run_flights`] moves none:
+//! each cycle it charges every live flight that does not hold to the net
+//! for its hop ([`SimNet::charge`]: the checks, cost and records of a
+//! send). On `cuberun`'s round door [`FlightRounds`] sends each flight's
+//! piece of its source's array — a source's flights, in plan order, cut
+//! it into consecutive pieces. Either way the mover gets a [`Landing`],
+//! checks it against where its arrays must go, and writes each one once.
 
 use cubeaddr::NodeId;
+use cubelayout::DistMatrix;
+use cuberun::{Outbox, RoundInbox, RoundProgram, RunStats};
 use cubesim::{Payload, SimNet};
+use std::borrow::Cow;
+use std::ops::Range;
 
 /// The arena entry of a routing step on which a flight stays put.
 const HOLD: u8 = u8::MAX;
@@ -80,6 +82,43 @@ impl FlightPlan {
     pub(crate) fn fit_rounds(&mut self) {
         self.rounds =
             self.flights.iter().map(|f| f.inject + f.path.len as usize).max().unwrap_or(0);
+    }
+
+    /// The dimension flight `id` crosses in cycle `cycle`; `None` while it
+    /// holds, before its injection and after its last step.
+    pub(crate) fn step(&self, id: usize, cycle: usize) -> Option<u32> {
+        let f = &self.flights[id];
+        let s = cycle.checked_sub(f.inject).filter(|&s| s < f.path.len as usize)?;
+        let dim = self.arena[f.path.start as usize + s];
+        (dim != HOLD).then_some(u32::from(dim))
+    }
+}
+
+/// Each flight's landing node, in plan order, and on the round door its piece.
+pub(crate) struct Landing<'m, T> {
+    pub(crate) ledger: Vec<NodeId>,
+    m: &'m DistMatrix<T>,
+    carried: Vec<Vec<T>>,
+}
+
+impl<'m, T: Copy> Landing<'m, T> {
+    /// The ledger of [`run_flights`], which carries nothing.
+    pub(crate) fn charged(ledger: Vec<NodeId>, m: &'m DistMatrix<T>) -> Self {
+        Landing { ledger, m, carried: Vec::new() }
+    }
+
+    /// The array that flights `ids` of `src` deliver: their pieces joined
+    /// in plan order — or, where none flew or none carried, `src`'s array.
+    #[inline]
+    pub(crate) fn array(&mut self, src: NodeId, ids: Range<usize>) -> Cow<'m, [T]> {
+        match self.carried.get_mut(ids) {
+            Some([first, rest @ ..]) => {
+                let mut arr = std::mem::take(first);
+                rest.iter().for_each(|piece| arr.extend_from_slice(piece));
+                Cow::Owned(arr)
+            }
+            _ => Cow::Borrowed(self.m.node(src)),
+        }
     }
 }
 
@@ -146,6 +185,85 @@ pub(crate) fn run_flights<P: Payload>(net: &mut SimNet<P>, plan: &FlightPlan) ->
         });
     }
     ledger
+}
+
+/// A flight on the round door: its id in the plan and its piece.
+pub(crate) type Carried<T> = (u32, Vec<T>);
+
+/// The round door's flight executor: a plan as a [`RoundProgram`] on
+/// `m`'s cube, round `r` being cycle `r`. A node starts with the flights
+/// it sources, each with its piece of the node's array, sends each held
+/// flight across the dimension of its step, takes every message on every
+/// port, and ends with the flights it holds.
+pub(crate) struct FlightRounds<'a, T> {
+    plan: &'a FlightPlan,
+    m: &'a DistMatrix<T>,
+    /// Flight ids sorted by source, stably: plan order within a source.
+    by_src: Vec<u32>,
+}
+
+impl<T: Copy + Send + Sync> RoundProgram<Carried<T>> for FlightRounds<'_, T> {
+    type State = Vec<Carried<T>>;
+    type Out = Vec<Carried<T>>;
+
+    fn rounds(&self) -> u32 {
+        self.plan.rounds as u32
+    }
+
+    fn init(&self, id: NodeId) -> Vec<Carried<T>> {
+        let from = |f: &&u32| self.plan.flights[**f as usize].src;
+        let mut rest = self.m.node(id);
+        let lo = self.by_src.partition_point(|f| from(&f) < id);
+        let mine = self.by_src[lo..].iter().take_while(|f| from(f) == id);
+        mine.map(|&f| {
+            let piece;
+            (piece, rest) = rest.split_at(self.plan.flights[f as usize].elems);
+            (f, piece.to_vec())
+        })
+        .collect()
+    }
+
+    fn send(&self, r: u32, _: NodeId, held: &mut Self::State, out: &mut Outbox<'_, Carried<T>>) {
+        let mut i = 0;
+        while i < held.len() {
+            match self.plan.step(held[i].0 as usize, r as usize) {
+                Some(dim) => out.send(dim, held.swap_remove(i)),
+                None => i += 1,
+            }
+        }
+    }
+
+    fn recv(&self, _: u32, _: NodeId, s: &mut Self::State, inbox: &mut RoundInbox<'_, Carried<T>>) {
+        for port in 0..self.m.layout().n() {
+            s.extend(std::iter::from_fn(|| inbox.take(port)));
+        }
+    }
+
+    fn finish(&self, _: NodeId, held: Self::State) -> Self::Out {
+        held
+    }
+}
+
+/// Runs `plan` over `m`'s arrays on the round door — `run` runs the program
+/// on the `n`-cube, as [`cuberun::run_rounds`] does — leaving its `stats`.
+pub(crate) fn run_flight_rounds<'m, T: Copy + Send + Sync>(
+    plan: &FlightPlan,
+    m: &'m DistMatrix<T>,
+    run: impl FnOnce(u32, &FlightRounds<'_, T>) -> (Vec<Vec<Carried<T>>>, RunStats),
+    stats: &mut RunStats,
+) -> Landing<'m, T> {
+    let mut by_src: Vec<u32> = (0..plan.flights.len() as u32).collect();
+    by_src.sort_by_key(|&f| plan.flights[f as usize].src);
+    let held;
+    (held, *stats) = run(m.layout().n(), &FlightRounds { plan, m, by_src });
+    let mut landing = Landing::charged(plan.flights.iter().map(|f| f.src).collect(), m);
+    landing.carried = (0..plan.flights.len()).map(|_| Vec::new()).collect();
+    for (x, flights) in held.into_iter().enumerate() {
+        for (id, piece) in flights {
+            (landing.ledger[id as usize], landing.carried[id as usize]) = (NodeId(x as u64), piece);
+        }
+    }
+    landing
 }
 
 #[cfg(test)]

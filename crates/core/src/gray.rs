@@ -15,14 +15,17 @@
 //! flight plan (`crate::flight`) with one flight per block `(u, v)` and
 //! one path entry per routing step, which fixes one bit of the row or
 //! column field toward the node the block is bound for — a crossing where
-//! its current node differs there, a hold elsewhere. The paper's case
-//! table (even-block-row / even-parity-block-column flags) is the
-//! control-driven computation of the same moves. The simulator's
+//! its current node differs there, a hold elsewhere. The simulator's
 //! contention checks verify that the schedule stays conflict-free, and
 //! every block's landing node is checked against the output's layout
-//! before its array is written there, once, from the input.
+//! before its array is written there, once. The combined plan also runs
+//! on `cuberun`'s round door ([`crate::spmd::spmd_transpose_combined_gray`]).
+//! The paper's case table (even-block-row / even-parity-block-column
+//! flags) is the control-driven computation of the same moves; the tests
+//! keep it as the oracle of which nodes the plan sends from, and on which
+//! dimension, iteration by iteration.
 
-use crate::flight::{run_flights, FlightPlan};
+use crate::flight::{run_flights, FlightPlan, Landing};
 use cubeaddr::NodeId;
 use cubelayout::{Assignment, DistMatrix, Encoding, Layout};
 use cubesim::SimNet;
@@ -90,22 +93,21 @@ fn recode_steps(half: u32, row_field: bool) -> impl Iterator<Item = u32> {
     (0..half.saturating_sub(1)).rev().map(move |j| base + j)
 }
 
-/// Moves every block `(u, v)` from its node under `spec` as one flight,
-/// one round per routing step. Each phase `(steps, target)` walks its
-/// dimensions in order: the block crosses a dimension where its
-/// current node and `target(u, v)` differ and holds elsewhere. Block
-/// `(u, v)` must land at the last phase's target, where its array —
-/// locally transposed when `transpose` — is that node's part of a matrix
-/// laid out by `layout`.
-#[track_caller]
-fn move_blocks<T: Copy>(
+/// Moves every block `(u, v)` of `m` (laid out by `spec.before()`) as one
+/// flight, one round per routing step of the phases `(steps, target)`,
+/// crossing where its node and `target(u, v)` differ, and has `run`
+/// execute the plan. The block must land at the last phase's target, as
+/// that node's array — transposed when `transpose` — of `layout`.
+fn move_blocks<'m, T: Copy>(
     spec: &MixedSpec,
-    m: &DistMatrix<T>,
-    net: &mut SimNet<Vec<T>>,
+    m: &'m DistMatrix<T>,
     phases: &[(Vec<u32>, Target)],
     transpose: bool,
     layout: Layout,
+    run: impl FnOnce(&FlightPlan) -> Landing<'m, T>,
 ) -> DistMatrix<T> {
+    let before = spec.before();
+    assert!(m.layout() == &before, "matrix laid out as {:?}, not as {before:?}", m.layout());
     let num = 1u64 << (2 * spec.half);
     let block = |i: u64| (i >> spec.half, i & ((1 << spec.half) - 1));
     let mut plan = FlightPlan::new(phases.iter().map(|(steps, _)| steps.len()).sum());
@@ -125,14 +127,15 @@ fn move_blocks<T: Copy>(
     }
     // Flight `i` carries block `block(i)`.
     let (_, target) = phases.last().expect("a pass has a phase");
-    let (rows, cols) = (spec.before().local_rows(), spec.before().local_cols());
+    let (rows, cols) = (before.local_rows(), before.local_cols());
+    let mut landing = run(&plan);
     let mut buffers: Vec<Vec<T>> = (0..num).map(|_| Vec::new()).collect();
-    for (i, (f, at)) in plan.flights.iter().zip(run_flights(net, &plan)).enumerate() {
-        let ((u, v), x) = (block(i as u64), at.bits());
+    for (i, f) in plan.flights.iter().enumerate() {
+        let ((u, v), x) = (block(i as u64), landing.ledger[i].bits());
         assert_eq!(target(u, v), x, "block ({u}, {v}) stranded at node {x}");
-        let data = m.node(f.src);
-        buffers[at.index()] =
-            if transpose { crate::local::transpose_flat(data, rows, cols) } else { data.to_vec() };
+        let arr = landing.array(f.src, i..i + 1);
+        buffers[x as usize] =
+            if transpose { crate::local::transposed(arr, rows, cols) } else { arr.into_owned() };
     }
     DistMatrix::from_buffers(layout, buffers)
 }
@@ -140,14 +143,24 @@ fn move_blocks<T: Copy>(
 /// The combined conversion-and-transpose algorithm (§6.3): `n/2`
 /// iterations, each fixing bit `j` of the row and column halves —
 /// `n = 2·half` routing steps total. Block `(u, v)` goes straight to
-/// `(E_r(v) ‖ E_c(u))`.
+/// `(E_r(v) ‖ E_c(u))`. Panics, as the other movers here do, if `m` is
+/// not laid out by `spec.before()`.
 pub fn transpose_combined<T: Copy + Default>(
     spec: &MixedSpec,
     m: &DistMatrix<T>,
     net: &mut SimNet<Vec<T>>,
 ) -> DistMatrix<T> {
+    combined(spec, m, |plan| Landing::charged(run_flights(net, plan), m))
+}
+
+/// [`transpose_combined`] on either substrate: `run` executes its plan.
+pub(crate) fn combined<'m, T: Copy>(
+    spec: &MixedSpec,
+    m: &'m DistMatrix<T>,
+    run: impl FnOnce(&FlightPlan) -> Landing<'m, T>,
+) -> DistMatrix<T> {
     let target = |u: u64, v: u64| spec.node_of(v, u).bits();
-    move_blocks(spec, m, net, &[(transpose_steps(spec.half), &target)], true, spec.after())
+    move_blocks(spec, m, &[(transpose_steps(spec.half), &target)], true, spec.after(), run)
 }
 
 /// The naive composition (§6.3): re-encode the row field to the *column*
@@ -179,7 +192,8 @@ pub fn transpose_naive_mixed<T: Copy + Default>(
     // Phase 2: the plain pairwise transpose of the re-encoded fields.
     let target = |u: u64, v: u64| swapped.node_of(v, u).bits();
     let phases = [(recode, &recoded as Target), (transpose_steps(half), &target)];
-    move_blocks(spec, m, net, &phases, true, swapped.before())
+    let run = |plan: &FlightPlan| Landing::charged(run_flights(net, plan), m);
+    move_blocks(spec, m, &phases, true, swapped.before(), run)
 }
 
 /// Re-encodes a mixed-encoding matrix in place on the cube: converts the
@@ -205,7 +219,8 @@ pub fn recode_encodings<T: Copy + Default>(
         steps.extend(recode_steps(spec.half, false));
     }
     let target = |u: u64, v: u64| recoded.node_of(u, v).bits();
-    move_blocks(spec, m, net, &[(steps, &target)], false, recoded.before())
+    let run = |plan: &FlightPlan| Landing::charged(run_flights(net, plan), m);
+    move_blocks(spec, m, &[(steps, &target)], false, recoded.before(), run)
 }
 
 /// Verifies a mixed-encoding transpose output against the spec: the
@@ -338,6 +353,100 @@ mod tests {
         let want_spec =
             MixedSpec { p: 3, half: 2, row_enc: Encoding::Binary, col_enc: Encoding::Binary };
         assert_eq!(out, labels(want_spec.before()));
+    }
+
+    /// A node's action in one iteration of the §6.3 pseudo-code.
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    enum Action {
+        /// `recv(tmp, j+n/2); send(tmp, j)`: pass a block on.
+        Relay,
+        /// `send(buf, j+n/2); recv(buf, j)`.
+        RowFirst,
+        /// `send(buf, j); recv(buf, j+n/2)`.
+        ColFirst,
+    }
+
+    /// The case table of §6.3, verbatim: a node's action from
+    /// `(even-block-row, even-parity-block-column, bit j+n/2, bit j)`.
+    fn case(ebr: bool, epbc: bool, hi: bool, lo: bool) -> Action {
+        const T: bool = true;
+        const F: bool = false;
+        match (ebr, epbc, hi, lo) {
+            (T, T, F, F) | (T, T, T, T) | (F, F, F, T) | (F, F, T, F) => Action::Relay,
+            (T, T, F, T) | (T, T, T, F) | (F, F, F, F) | (F, F, T, T) => Action::RowFirst,
+            (T, F, F, T) | (T, F, T, F) | (F, T, F, F) | (F, T, T, T) => Action::RowFirst,
+            (T, F, F, F) | (T, F, T, T) | (F, T, F, T) | (F, T, T, F) => Action::ColFirst,
+        }
+    }
+
+    /// The sends the case table makes, per iteration: node `x` runs the
+    /// pseudo-code's loop from its own address bits, and its action's one
+    /// send is `(x, j)` for a relay or a column-first node and
+    /// `(x, j + half)` for a row-first one. Each list is sorted.
+    fn table_sends(half: u32) -> Vec<Vec<(u64, u32)>> {
+        let mut sends = vec![Vec::new(); half as usize];
+        for x in 0..1u64 << (2 * half) {
+            let bit = |pos: u32| (x >> pos) & 1 == 1;
+            let (mut ebr, mut epbc) = (true, true);
+            for (i, j) in (0..half).rev().enumerate() {
+                let dim = match case(ebr, epbc, bit(j + half), bit(j)) {
+                    Action::Relay | Action::ColFirst => j,
+                    Action::RowFirst => j + half,
+                };
+                sends[i].push((x, dim));
+                ebr = !bit(j + half);
+                epbc ^= bit(j);
+            }
+        }
+        sends.iter_mut().for_each(|s| s.sort_unstable());
+        sends
+    }
+
+    /// The sends of a combined plan, per iteration — cycles `2i` and
+    /// `2i + 1` — with each flight's node when it sends. Each list is
+    /// sorted.
+    fn plan_sends(plan: &FlightPlan, half: u32) -> Vec<Vec<(u64, u32)>> {
+        let mut sends = vec![Vec::new(); half as usize];
+        for (id, f) in plan.flights.iter().enumerate() {
+            let mut at = f.src.bits();
+            for cycle in 0..2 * half as usize {
+                if let Some(dim) = plan.step(id, cycle) {
+                    sends[cycle / 2].push((at, dim));
+                    at ^= 1 << dim;
+                }
+            }
+        }
+        sends.iter_mut().for_each(|s| s.sort_unstable());
+        sends
+    }
+
+    /// The §6.3 case table is the oracle of the combined plan: node by
+    /// node and iteration by iteration it names the nodes that send and
+    /// the dimension each sends on, one send per node per iteration.
+    #[test]
+    fn case_table_predicts_the_combined_plans_senders() {
+        for (p, half) in [(3u32, 2u32), (4, 2), (4, 3), (5, 2), (6, 4)] {
+            let spec = MixedSpec::binary_rows_gray_cols(p, half);
+            let m = labels(spec.before());
+            let mut net = net(2 * half);
+            let mut sends = Vec::new();
+            let out = combined(&spec, &m, |plan| {
+                sends = plan_sends(plan, half);
+                Landing::charged(run_flights(&mut net, plan), &m)
+            });
+            assert_mixed_transposed(&spec, &m, &out);
+            assert_eq!(sends, table_sends(half), "p={p} half={half}");
+            let per_iteration = 1usize << (2 * half);
+            assert!(sends.iter().all(|s| s.len() == per_iteration), "p={p} half={half}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "matrix laid out as")]
+    fn combined_refuses_a_matrix_not_laid_out_by_the_spec() {
+        let spec = MixedSpec::binary_rows_gray_cols(3, 2);
+        let m = labels(Layout::square(3, 3, 2, Assignment::Cyclic, Encoding::Binary));
+        transpose_combined(&spec, &m, &mut net(4));
     }
 
     #[test]

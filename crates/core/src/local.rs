@@ -14,6 +14,8 @@
 // unsafe anywhere else — scripts/ci.sh grep-gates every other file.
 #![allow(unsafe_code)]
 
+use std::borrow::Cow;
+
 /// A dense row-major matrix.
 #[derive(Clone, PartialEq, Debug)]
 pub struct Dense<T> {
@@ -112,6 +114,21 @@ pub fn transpose_flat<T: Copy>(data: &[T], rows: usize, cols: usize) -> Vec<T> {
     let mut out = Vec::new();
     transpose_flat_blocked_into(data, rows, cols, 64, &mut out);
     out
+}
+
+/// `arr`, a row-major `rows × cols` array, transposed: in place when it
+/// is owned, in one tiled pass into a new buffer when it is borrowed (a
+/// copy, with one row or column).
+#[inline]
+pub(crate) fn transposed<T: Copy>(arr: Cow<'_, [T]>, rows: usize, cols: usize) -> Vec<T> {
+    match arr {
+        Cow::Borrowed(a) if rows == 1 || cols == 1 => a.to_vec(),
+        Cow::Borrowed(a) => transpose_flat(a, rows, cols),
+        Cow::Owned(mut a) => {
+            crate::inplace::transpose(&mut a, rows, cols);
+            a
+        }
+    }
 }
 
 /// Tiled transpose of a flat row-major `rows × cols` buffer into `out`
@@ -625,6 +642,80 @@ mod alloc_gate_tests {
         assert_eq!(stats.messages, nodes as u64 * 10);
         let allocs = on_caller + on_worker.load(Ordering::Relaxed);
         assert!(allocs <= 3 * nodes, "the exchange made {allocs} allocations for {nodes} nodes");
+    }
+
+    /// `spmd_transpose_spt` of a square layout — 64 nodes of 1 024 `u64`s
+    /// — at one worker makes one node-sized allocation per node: the piece
+    /// each off-diagonal array's flight is cut into at its source, which
+    /// travels and is transposed in place where it lands, and a diagonal
+    /// node's transposed copy of its own array. Counted on this thread,
+    /// and on the worker from its first `init`. Copying every array
+    /// before the run and again inside it (the `async` program the flight
+    /// adaptor replaced) makes two per node.
+    #[test]
+    fn spmd_spt_allocates_one_node_sized_buffer_per_node() {
+        use cubelayout::{Assignment, Encoding, Layout};
+        use cuberun::{NodeId, Outbox, RoundInbox, RoundProgram};
+        use cubesync::atomic::AtomicUsize;
+
+        /// `program`, counting node-sized allocations on the worker from
+        /// its first `init`.
+        struct BigFromInit<'a, P> {
+            program: &'a P,
+            node_bytes: usize,
+            on_worker: &'a AtomicUsize,
+        }
+        impl<E: Send, P: RoundProgram<E>> RoundProgram<E> for BigFromInit<'_, P> {
+            type State = P::State;
+            type Out = P::Out;
+            fn rounds(&self) -> u32 {
+                self.program.rounds()
+            }
+            fn init(&self, id: NodeId) -> P::State {
+                BIG.with(|b| b.set(b.get().or(Some((self.node_bytes, 0)))));
+                self.program.init(id)
+            }
+            fn send(&self, round: u32, id: NodeId, s: &mut P::State, out: &mut Outbox<'_, E>) {
+                self.program.send(round, id, s, out);
+            }
+            fn recv(
+                &self,
+                round: u32,
+                id: NodeId,
+                s: &mut P::State,
+                inbox: &mut RoundInbox<'_, E>,
+            ) {
+                self.program.recv(round, id, s, inbox);
+            }
+            fn finish(&self, id: NodeId, s: P::State) -> P::Out {
+                let out = self.program.finish(id, s);
+                let seen = BIG.with(|b| b.get()).map_or(0, |(_, seen)| seen);
+                self.on_worker.fetch_max(seen, Ordering::Relaxed);
+                out
+            }
+        }
+
+        let before = Layout::square(8, 8, 3, Assignment::Consecutive, Encoding::Binary);
+        let after = before.swapped_shape();
+        let m = crate::verify::labels(before.clone());
+        let (nodes, node_bytes) = (before.num_nodes(), before.elems_per_node() * 8);
+        let on_worker = AtomicUsize::new(0);
+        let mut out = None;
+        let on_caller = big_allocs(node_bytes, || {
+            out = Some(cuberun::with_workers(1, || {
+                crate::spmd::spt_on(&m, &after, |n, program| {
+                    let program = BigFromInit { program, node_bytes, on_worker: &on_worker };
+                    cuberun::run_rounds(n, &program)
+                })
+            }));
+        });
+        let (out, stats) = out.expect("the transpose ran");
+        crate::verify::assert_transposed(&before, &out);
+        // One message per hop: Σ 2H(x), each of the 3 bit pairs differing
+        // at half the 64 nodes.
+        assert_eq!(stats.messages, 2 * 3 * 32);
+        let big = on_caller + on_worker.load(Ordering::Relaxed);
+        assert!(big <= nodes, "the SPT made {big} node-sized allocations for {nodes} nodes");
     }
 
     /// `fieldmap`'s primitives are charged, not carried: a direct

@@ -1,38 +1,24 @@
-//! SPMD node programs: the paper's algorithms with real message passing.
-//!
-//! The simulator ([`cubesim`]) charges the cost model; these programs run
-//! the same algorithms on the [`cuberun`] runtime — every cube node a
-//! virtual node multiplexed onto a fixed worker pool — the way an iPSC
-//! node program (or a thin MPI layer) executes them. Every node derives
-//! its entire behaviour from its own address, exactly like the paper's
-//! pseudo-code: there is no global coordinator, and at `n = 16` the full
-//! 65 536-node Connection-Machine configuration runs on a handful of
-//! worker threads.
-//!
-//! `cuberun` has one executor — each worker loops over the nodes it
-//! hosts, step by step, trading one batch per other worker between
-//! steps — behind two front doors, and the programs here use both. The
-//! exchange transpose is "for j := n−1 downto 0: exchange on dimension
-//! j" — a round schedule every node knows in advance — so
-//! [`spmd_transpose_exchange`] is a [`RoundProgram`] on
-//! [`cuberun::run_rounds`], a step per round. Its elements travel as a
-//! one-word destination tag and a value, a holding that crosses whole
-//! moves without a copy, and a node lands its elements in place by
-//! sorting their tags. [`spmd_transpose_spt`] (a
-//! node relays arrays it learns of as they arrive) and
-//! [`spmd_transpose_combined_gray`] (a relaying node receives before it
-//! sends inside one iteration) are free-form `async` programs on
-//! [`cuberun::run_spmd`], polled in sweeps until every node has
-//! finished.
-//!
-//! The results are bit-identical to the simulator drivers, which the test
-//! suite checks. This module's tests pin the exchange program, message by
-//! message, to the triple-carrying one it replaced, and run that on the
-//! thread-per-node oracle runtime ([`cuberun::reference`]).
+//! SPMD node programs: the paper's algorithms with real message passing,
+//! on the [`cuberun`] runtime — every cube node a virtual node of a fixed
+//! worker pool, as an iPSC node program runs (at `n = 16`, 65 536 nodes
+//! on a handful of threads). Each runs a round schedule built once on the
+//! host, on the round door ([`cuberun::run_rounds`]): each worker loops
+//! over its nodes round by round, and no node is ever suspended.
+//! [`spmd_transpose_exchange`] is a [`RoundProgram`] of its own, a round
+//! per dimension; its elements travel as a one-word destination tag and a
+//! value, and a node lands them in place by sorting their tags.
+//! [`spmd_transpose_spt`] and [`spmd_transpose_combined_gray`] run the
+//! simulator's own flight plans through the flight executor's round-door
+//! adaptor (`crate::flight`) and land what travelled with the simulator
+//! movers' ledger checks. The results are bit-identical to the simulator
+//! drivers'. The tests pin the exchange program, message by message, to
+//! the triple-carrying one it replaced, run on the thread-per-node oracle
+//! runtime ([`cuberun::reference`]).
 
+use crate::flight::{run_flight_rounds, Carried, FlightRounds};
 use cubeaddr::NodeId;
 use cubelayout::{DistMatrix, Layout, TransposeSpec};
-use cuberun::{run_rounds, run_spmd, Outbox, RoundInbox, RoundProgram, RunStats};
+use cuberun::{run_rounds, Outbox, RoundInbox, RoundProgram, RunStats};
 
 /// One element of the exchange program: its destination address as one
 /// tag, `dst_node << lg(per_after) | dst_local`, and its value.
@@ -136,18 +122,19 @@ impl<T: Copy + Default + Send + Sync> RoundProgram<Vec<Elem<T>>> for ExchangeRou
             prev = Some(tag);
         }
         assert!(held.len() == share, "node {me} missing elements");
-        held.into_iter().map(|(_, value)| value).collect()
+        let mut values: Vec<T> = held.into_iter().map(|(_, value)| value).collect();
+        if values.len() > 1 {
+            values.shrink_to_fit(); // the holding's slack, and twice its slots
+        }
+        values
     }
 }
 
 /// Runs the standard-exchange transposition as an SPMD program: every
 /// node partitions its held elements by the destination's bit in the
 /// scanned dimension and exchanges them with its neighbor, one dimension
-/// per round, highest first (§5's pseudo-code). The round schedule is
-/// fixed, so the program runs through `cuberun`'s round door: each
-/// worker loops over the nodes it hosts, round by round, and no node is
-/// ever suspended. It runs on the larger of the two layouts' cubes, so
-/// every node of the run sends once per round: `2^n · n` messages.
+/// per round, highest first (§5's pseudo-code), on the larger of the two
+/// layouts' cubes: every node sends once per round, `2^n · n` messages.
 ///
 /// Returns the transposed matrix and the runtime statistics.
 ///
@@ -178,214 +165,44 @@ pub(crate) fn exchange_on<T: Copy + Default + Send + Sync>(
     (DistMatrix::from_buffers(after.clone(), results), stats)
 }
 
-/// One event of a node's part in the SPT schedule.
-enum Hop {
-    /// Forward source `src`'s array across `dim`.
-    Send { src: u64, dim: u32 },
-    /// Receive an array across `dim`.
-    Recv { dim: u32 },
-}
-
-/// Every node's part in the SPT schedule, in order: source `x`'s array
-/// takes hop `s` of `spt_path(x)` in routing step `s`, and within a step
-/// a node does its sends before its receives. Each path is built once
-/// and walked once, so the whole schedule costs O(N·n).
-fn spt_hops(n: u32, half: u32) -> Vec<Vec<Hop>> {
-    let num = 1usize << n;
-    let paths: Vec<Vec<u32>> = (0..num as u64).map(|x| crate::two_dim::spt_path(x, half)).collect();
-    // Where each source's array is at the start of the current step.
-    let mut pos: Vec<u64> = (0..num as u64).collect();
-    let mut hops: Vec<Vec<Hop>> = (0..num).map(|_| Vec::new()).collect();
-    for step in 0..n as usize {
-        let moving = || (0..num).filter_map(|x| Some((x, *paths[x].get(step)?)));
-        for (x, dim) in moving() {
-            hops[pos[x] as usize].push(Hop::Send { src: x as u64, dim });
-        }
-        for (x, dim) in moving() {
-            pos[x] ^= 1 << dim;
-            hops[pos[x] as usize].push(Hop::Recv { dim });
-        }
-    }
-    hops
-}
-
-/// Runs the step-by-step SPT two-dimensional transpose as an SPMD
-/// program: every node's whole array travels hop by hop along its SPT
-/// path (§6.1.1 / §8.2.1). The schedule is known in advance and built
-/// once: each node originates, relays or absorbs arrays in the order
-/// its part of the schedule lists.
+/// Runs the step-by-step SPT transpose (§6.1.1 / §8.2.1) as an SPMD
+/// program: the simulator's SPT plan, each off-diagonal node's whole
+/// array one flight, relayed along its path to `tr(x)`, which transposes
+/// it in place. Panics as [`crate::two_dim::transpose_spt`] does.
 pub fn spmd_transpose_spt<T: Copy + Default + Send + Sync>(
     m: &DistMatrix<T>,
     after: &Layout,
 ) -> (DistMatrix<T>, RunStats) {
-    let before = m.layout().clone();
-    let n = before.n();
-    assert!(n.is_multiple_of(2), "SPT needs an even cube dimension");
-    let half = n / 2;
-    let lr = before.local_rows();
-    let lc = before.local_cols();
-    let num = before.num_nodes();
-
-    let buffers: Vec<Vec<T>> =
-        (0..num).map(|x| m.node(cubeaddr::NodeId(x as u64)).to_vec()).collect();
-    let hops = spt_hops(n, half);
-
-    // Messages are source-tagged: a node may relay several arrays at once
-    // (paths are edge-disjoint, not node-disjoint).
-    let (results, stats) = run_spmd::<(u64, Vec<T>), _, _, _>(n, |ctx| {
-        let (buffers, hops) = (&buffers, &hops);
-        async move {
-            let me = ctx.id().bits();
-            let mut held: std::collections::HashMap<u64, Vec<T>> = std::collections::HashMap::new();
-            if crate::two_dim::h_of(me, half) > 0 {
-                held.insert(me, buffers[me as usize].clone());
-            }
-            for hop in &hops[me as usize] {
-                match *hop {
-                    Hop::Send { src, dim } => {
-                        let arr = held.remove(&src).expect("schedule expects src's array here");
-                        ctx.send(dim, (src, arr));
-                    }
-                    Hop::Recv { dim } => {
-                        let (x, arr) = ctx.recv(dim).await;
-                        held.insert(x, arr);
-                    }
-                }
-            }
-            // The unique source ending here is tr(me) (me itself when H = 0).
-            let src = crate::two_dim::tr(me, half);
-            let mut arr = if src == me {
-                buffers[me as usize].clone()
-            } else {
-                held.remove(&src).expect("destination array missing")
-            };
-            assert!(held.is_empty(), "node {me} ended holding stray arrays");
-            // In place, serial: the node program already runs inside the
-            // worker pool, and the O(mn) staging copy per virtual node is
-            // exactly the footprint this kernel exists to avoid.
-            crate::inplace::transpose(&mut arr, lr, lc);
-            arr
-        }
-    });
-
-    (DistMatrix::from_buffers(after.clone(), results), stats)
+    spt_on(m, after, |n, program| run_rounds(n, program))
 }
 
-/// The §6.3 combined conversion-and-transpose algorithm, transcribed
-/// *verbatim* from the paper's pseudo-code, as an SPMD node program:
-/// rows binary-encoded, columns Gray-encoded, every node deriving its
-/// send/receive/relay role in each iteration from its own address bits
-/// and the two running control flags:
-///
-/// ```text
-/// even-block-row := true; even-parity-block-column := true;
-/// for j := n/2-1 downto 0 do
-///   case (ebr, epbc, bit j+n/2, bit j) of
-///     (TT00),(TT11),(FF01),(FF10): recv(tmp, j+n/2); send(tmp, j);
-///     (TT01),(TT10),(FF00),(FF11),
-///     (TF01),(TF10),(FT00),(FT11): send(buf, j+n/2); recv(buf, j);
-///     (TF00),(TF11),(FT01),(FT10): send(buf, j); recv(buf, j+n/2);
-///   endcase
-///   even-block-row := (bit j+n/2 = 0);
-///   if (bit j = 1) then even-parity-block-column := not epbc;
-/// endfor
-/// ```
-///
-/// The relay case means a node can hold a transiting block while its own
-/// block stays put for the iteration. The test suite checks the result
-/// equals the data-driven [`crate::gray::transpose_combined`] exactly —
-/// i.e. the paper's control table computes the same moves.
+/// [`spmd_transpose_spt`], with `run` running the program on the `n`-cube.
+pub(crate) fn spt_on<T: Copy + Send + Sync>(
+    m: &DistMatrix<T>,
+    after: &Layout,
+    run: impl FnOnce(u32, &FlightRounds<'_, T>) -> (Vec<Vec<Carried<T>>>, RunStats),
+) -> (DistMatrix<T>, RunStats) {
+    let mut stats = RunStats::default();
+    let per = m.layout().elems_per_node();
+    let out =
+        crate::two_dim::spt(m, after, per, |plan| run_flight_rounds(plan, m, run, &mut stats));
+    (out, stats)
+}
+
+/// Runs the §6.3 combined conversion-and-transpose algorithm as an SPMD
+/// program: the plan of [`crate::gray::transpose_combined`], every block
+/// one flight, `n/2` iterations of a row- and a column-dimension round in
+/// which a block crosses, holds or is relayed (the paper's case table
+/// says which nodes send). Panics as that mover does.
 pub fn spmd_transpose_combined_gray<T: Copy + Default + Send + Sync>(
     spec: &crate::gray::MixedSpec,
     m: &DistMatrix<T>,
 ) -> (DistMatrix<T>, RunStats) {
-    use cubelayout::Encoding;
-    assert_eq!(spec.row_enc, Encoding::Binary, "the pseudo-code assumes binary rows");
-    assert_eq!(spec.col_enc, Encoding::Gray, "the pseudo-code assumes Gray columns");
-    let half = spec.half;
-    let n = 2 * half;
-    let before = spec.before();
-    let after = spec.after();
-    let (lr, lc) = (before.local_rows(), before.local_cols());
-    let num = before.num_nodes();
-    let buffers: Vec<Vec<T>> =
-        (0..num).map(|x| m.node(cubeaddr::NodeId(x as u64)).to_vec()).collect();
-
-    let (results, stats) = run_spmd::<Vec<T>, _, _, _>(n, |ctx| {
-        let buffers = &buffers;
-        async move {
-            let me = ctx.id().bits();
-            let bit = |pos: u32| (me >> pos) & 1 == 1;
-            let mut buf = buffers[ctx.id().index()].clone();
-            let mut ebr = true; // even-block-row
-            let mut epbc = true; // even-parity-block-column
-            for j in (0..half).rev() {
-                let (hi, lo) = (bit(j + half), bit(j));
-                // The three action patterns of the case table.
-                enum Action {
-                    Relay,
-                    RowFirst,
-                    ColFirst,
-                }
-                let action = match (ebr, epbc) {
-                    // (TT00),(TT11) relay; (TT01),(TT10) row-first.
-                    (true, true) => {
-                        if hi == lo {
-                            Action::Relay
-                        } else {
-                            Action::RowFirst
-                        }
-                    }
-                    // (FF01),(FF10) relay; (FF00),(FF11) row-first.
-                    (false, false) => {
-                        if hi != lo {
-                            Action::Relay
-                        } else {
-                            Action::RowFirst
-                        }
-                    }
-                    // (TF00),(TF11) col-first; (TF01),(TF10) row-first.
-                    (true, false) => {
-                        if hi == lo {
-                            Action::ColFirst
-                        } else {
-                            Action::RowFirst
-                        }
-                    }
-                    // (FT01),(FT10) col-first; (FT00),(FT11) row-first.
-                    (false, true) => {
-                        if hi != lo {
-                            Action::ColFirst
-                        } else {
-                            Action::RowFirst
-                        }
-                    }
-                };
-                match action {
-                    Action::Relay => {
-                        let tmp = ctx.recv(j + half).await;
-                        ctx.send(j, tmp);
-                    }
-                    Action::RowFirst => {
-                        ctx.send(j + half, std::mem::take(&mut buf));
-                        buf = ctx.recv(j).await;
-                    }
-                    Action::ColFirst => {
-                        ctx.send(j, std::mem::take(&mut buf));
-                        buf = ctx.recv(j + half).await;
-                    }
-                }
-                ebr = !bit(j + half);
-                if bit(j) {
-                    epbc = !epbc;
-                }
-            }
-            crate::inplace::transpose(&mut buf, lr, lc);
-            buf
-        }
+    let mut stats = RunStats::default();
+    let out = crate::gray::combined(spec, m, |plan| {
+        run_flight_rounds(plan, m, |n, program| run_rounds(n, program), &mut stats)
     });
-
-    (DistMatrix::from_buffers(after, results), stats)
+    (out, stats)
 }
 
 #[cfg(test)]
@@ -810,9 +627,9 @@ mod tests {
 
     #[test]
     fn paper_case_table_matches_semantic_combined_transpose() {
-        // The literal §6.3 pseudo-code (control-flag case table, on the
-        // virtual-node runtime) and the data-driven implementation compute
-        // identical results — validating the paper's case analysis.
+        // The combined plan on the round door and on the simulator give
+        // identical results; `gray`'s tests check that the §6.3 case table
+        // predicts the plan's senders.
         for (p, half) in [(3u32, 2u32), (4, 2), (4, 3), (5, 2)] {
             let spec = crate::gray::MixedSpec::binary_rows_gray_cols(p, half);
             let m = labels(spec.before());
@@ -828,6 +645,88 @@ mod tests {
             // messages, i.e. n routing steps spread over the machine.
             assert_eq!(stats.messages, (1u64 << (2 * half)) * half as u64);
         }
+    }
+
+    /// Square layouts on the 2-, 4- and 6-cube, binary and Gray, with
+    /// four elements per node.
+    fn square_layouts() -> impl Iterator<Item = Layout> {
+        let encodings = [Encoding::Binary, Encoding::Gray];
+        (1..=3).flat_map(move |half| {
+            encodings
+                .map(|enc| Layout::square(half + 1, half + 1, half, Assignment::Consecutive, enc))
+        })
+    }
+
+    /// The round door's run of a flight plan lands what the simulator's
+    /// run of the same plan lands, with one message per hop it charged,
+    /// at any worker count.
+    #[test]
+    fn spmd_spt_and_combined_match_the_simulator_at_1_2_and_5_workers() {
+        use crate::gray::{transpose_combined, MixedSpec};
+        let unit = cubesim::MachineParams::unit(cubesim::PortMode::AllPorts);
+        for before in square_layouts() {
+            let (after, m) = (before.swapped_shape(), labels(before.clone()));
+            let mut net = cubesim::SimNet::new(before.n(), unit.clone());
+            let sim = crate::two_dim::transpose_spt(&m, &after, &mut net, before.elems_per_node());
+            let hops = net.finalize().total_messages;
+            for workers in [1, 2, 5] {
+                let (out, stats) =
+                    cuberun::with_workers(workers, || spmd_transpose_spt(&m, &after));
+                assert_eq!((&out, stats.messages), (&sim, hops), "SPT {before:?} at {workers}");
+            }
+        }
+        for half in 1..=3 {
+            for (row_enc, col_enc) in [Encoding::Binary, Encoding::Gray]
+                .into_iter()
+                .flat_map(|r| [(r, Encoding::Binary), (r, Encoding::Gray)])
+            {
+                let spec = MixedSpec { p: half + 1, half, row_enc, col_enc };
+                let m = labels(spec.before());
+                let mut net = cubesim::SimNet::new(2 * half, unit.clone());
+                let sim = transpose_combined(&spec, &m, &mut net);
+                let hops = net.finalize().total_messages;
+                for workers in [1, 2, 5] {
+                    let (out, stats) =
+                        cuberun::with_workers(workers, || spmd_transpose_combined_gray(&spec, &m));
+                    assert_eq!((&out, stats.messages), (&sim, hops), "{spec:?} at {workers}");
+                }
+            }
+        }
+    }
+
+    /// Unequal row and column processor dimensions are no pairwise
+    /// exchange: the program refuses them as the simulator's SPT does.
+    #[test]
+    #[should_panic(expected = "SPT/DPT/MPT need equally many row and column processor dimensions")]
+    fn spmd_spt_refuses_a_one_dimensional_layout() {
+        let before =
+            Layout::one_dim(2, 2, Direction::Rows, 2, Assignment::Consecutive, Encoding::Binary);
+        spmd_transpose_spt(&labels(before.clone()), &before);
+    }
+
+    #[test]
+    #[should_panic(expected = "matrix laid out as")]
+    fn spmd_combined_refuses_a_matrix_not_laid_out_by_the_spec() {
+        let spec = crate::gray::MixedSpec::binary_rows_gray_cols(3, 2);
+        let m = labels(Layout::square(3, 3, 2, Assignment::Cyclic, Encoding::Binary));
+        spmd_transpose_combined_gray(&spec, &m);
+    }
+
+    /// A node of several elements gets a buffer as long as its share:
+    /// neither the slack its holding grew nor the second slot per element
+    /// that the 16-byte `(tag, value)` pairs leave when collected in place.
+    #[test]
+    fn spmd_exchange_returns_buffers_without_slack() {
+        let before = Layout::square(4, 4, 1, Assignment::Consecutive, Encoding::Binary);
+        let m = labels(before.clone());
+        let (out, _) = exchange_on(&m, &before.swapped_shape(), |n, program| {
+            let (outs, stats) = run_rounds(n, program);
+            for (x, buffer) in outs.iter().enumerate() {
+                assert_eq!((buffer.len(), buffer.capacity()), (64, 64), "node {x}");
+            }
+            (outs, stats)
+        });
+        assert_transposed(&before, &out);
     }
 
     #[test]

@@ -22,27 +22,20 @@
 //! The simulator enforces the edge-disjointness claims at runtime: any
 //! two packets on one directed link in the same round abort the run.
 //!
-//! All three build one *flight plan* and run it on the crate's flight
-//! executor (`crate::flight`): a flight is a packet's element count, its
-//! injection cycle and its path, and every path a packet actually rides
-//! is written once — by the same allocation-free construction behind
-//! [`mpt_path`] — into one byte arena for the whole transpose. MPT at the
-//! paper's CM size is 65 536 nodes of `2H(x)` paths each, of which a
-//! one-element array rides one; nothing is allocated per path, and an
-//! unused path is never written. A plan is as long as its last delivery.
-//! The executor charges each hop to the net — checked, costed and
-//! recorded as a send of the packet would be — and returns where each
-//! flight landed. No packet is ever cut from its source array.
-//!
-//! Flights are planned source by source in ascending offsets, so each
-//! source's packets are one contiguous run of the plan and its delivery
-//! ledger, and a packet's offset is the sum of the sizes before it in
-//! its run. `rebuild` checks that every packet of `tr(d)`'s run landed at
-//! `d` and that the run's sizes add up to the local array, then writes
-//! destination `d`'s output once: the local step of §6.1, the transpose
-//! of `tr(d)`'s `rows × cols` array, read straight from the input.
+//! All three build one *flight plan* (`crate::flight`) and run it on the
+//! simulator's flight executor; SPT's also runs on `cuberun`'s round door
+//! ([`crate::spmd::spmd_transpose_spt`]). A flight is a packet's element
+//! count, injection cycle and path; every path a packet rides is written
+//! once, by the allocation-free construction behind [`mpt_path`], into
+//! one byte arena — at the paper's CM size nothing is allocated per path
+//! and an unused path is never written. A plan is as long as its last
+//! delivery. Each source's packets, in ascending offsets, are one run of
+//! the plan and of its ledger; `rebuild` checks that `tr(d)`'s run landed
+//! at `d` and covers its array, then writes `d`'s output once: the local
+//! step of §6.1, the transpose of that array — read from the input on the
+//! simulator, in place in what travelled on the round door.
 
-use crate::flight::{run_flights, FlightPlan, PathRef};
+use crate::flight::{run_flights, FlightPlan, Landing, PathRef};
 use cubeaddr::NodeId;
 use cubelayout::{CommPattern, DistMatrix, Layout, TransposeSpec};
 use cubesim::{Payload, SimNet};
@@ -175,23 +168,15 @@ fn check_pairwise(spec: &TransposeSpec) -> u32 {
     half
 }
 
-/// Rebuilds the output matrix from the delivery ledger: node `tr(x)`
-/// received `x`'s entire local array (as packets); the local 2D array is
-/// then transposed (the local step of §6.1), which is exactly `after`'s
+/// Rebuilds the output matrix from what the substrate landed: node
+/// `d` checks that every packet of `tr(d)`'s run came from `tr(d)` and
+/// landed at `d`, and that their sizes add up to the whole array, then
+/// transposes that array (the local step of §6.1) — exactly `after`'s
 /// storage order.
-///
-/// Flights are planned source by source in ascending offsets, so each
-/// source's packets are one run of the plan. Destination `d` takes
-/// `tr(d)`'s run and checks that every packet came from `tr(d)` and
-/// landed at `d`, and that the packets' sizes add up to the whole array;
-/// then it transposes `tr(d)`'s array from the input into its output —
-/// with one local row or column, where the transpose is the identity,
-/// it copies it.
 fn rebuild<T: Copy>(
     spec: &TransposeSpec,
-    m: &DistMatrix<T>,
     plan: &FlightPlan,
-    ledger: &[NodeId],
+    mut landing: Landing<'_, T>,
     half: u32,
 ) -> DistMatrix<T> {
     let before = &spec.before;
@@ -210,7 +195,7 @@ fn rebuild<T: Copy>(
         let src = tr(dst as u64, half) as usize;
         let run = starts[src]..starts[src + 1];
         let mut offset = 0;
-        for (f, at) in plan.flights[run.clone()].iter().zip(&ledger[run]) {
+        for (f, at) in plan.flights[run.clone()].iter().zip(&landing.ledger[run.clone()]) {
             assert!(
                 f.src.index() == src && at.index() == dst && src != dst,
                 "src {} -> dst {dst}: packet at offset {offset} landed at node {at}",
@@ -223,12 +208,8 @@ fn rebuild<T: Copy>(
             offset == per || (offset == 0 && src == dst),
             "src {src} -> dst {dst}: packets deliver {offset} of {per} elements at node {dst}"
         );
-        let arr = m.node(NodeId(src as u64));
-        buffers.push(if rows == 1 || cols == 1 {
-            arr.to_vec()
-        } else {
-            crate::local::transpose_flat(arr, rows, cols)
-        });
+        let arr = landing.array(NodeId(src as u64), run);
+        buffers.push(crate::local::transposed(arr, rows, cols));
     }
     DistMatrix::from_buffers(spec.after.clone(), buffers)
 }
@@ -242,6 +223,17 @@ pub fn transpose_spt<T: Copy + Default + Send + Sync>(
     net: &mut SimNet<Packet<T>>,
     b: usize,
 ) -> DistMatrix<T> {
+    spt(m, after, b, |plan| Landing::charged(run_flights(net, plan), m))
+}
+
+/// SPT on either substrate: one path per off-diagonal node, packets of at
+/// most `b` elements, the plan run by `run`.
+pub(crate) fn spt<'m, T: Copy>(
+    m: &'m DistMatrix<T>,
+    after: &Layout,
+    b: usize,
+    run: impl FnOnce(&FlightPlan) -> Landing<'m, T>,
+) -> DistMatrix<T> {
     let spec = TransposeSpec::with_after(m.layout().clone(), after.clone());
     let half = check_pairwise(&spec);
     let mut plan = FlightPlan::new(0);
@@ -253,8 +245,7 @@ pub fn transpose_spt<T: Copy + Default + Send + Sync>(
         plan.pipeline(x, path, m.node(NodeId(x)).len(), b);
     }
     plan.fit_rounds();
-    let ledger = run_flights(net, &plan);
-    rebuild(&spec, m, &plan, &ledger, half)
+    rebuild(&spec, &plan, run(&plan), half)
 }
 
 /// The iPSC step-by-step SPT (§8.2.1): the whole local array as a single
@@ -302,8 +293,7 @@ pub fn transpose_dpt<T: Copy + Default + Send + Sync>(
         }
     }
     plan.fit_rounds();
-    let ledger = run_flights(net, &plan);
-    rebuild(&spec, m, &plan, &ledger, half)
+    rebuild(&spec, &plan, Landing::charged(run_flights(net, &plan), m), half)
 }
 
 /// Multiple Paths Transpose (§6.1.3): `4kH(x)` packets over the `2H(x)`
@@ -334,8 +324,7 @@ pub fn transpose_mpt<T: Copy + Default + Send + Sync>(
     let spec = TransposeSpec::with_after(m.layout().clone(), after.clone());
     let half = check_pairwise(&spec);
     let plan = mpt_plan(m, half, k);
-    let ledger = run_flights(net, &plan);
-    rebuild(&spec, m, &plan, &ledger, half)
+    rebuild(&spec, &plan, Landing::charged(run_flights(net, &plan), m), half)
 }
 
 /// The MPT flight plan: node `x`'s array cut into `4·k_H·H(x)` near-equal
@@ -576,8 +565,7 @@ mod tests {
         plan.fit_rounds();
         corrupt(&mut plan);
         let mut net = net(2 * half);
-        let ledger = run_flights(&mut net, &plan);
-        let _ = rebuild(&spec, &m, &plan, &ledger, half);
+        let _ = rebuild(&spec, &plan, Landing::charged(run_flights(&mut net, &plan), &m), half);
     }
 
     #[test]

@@ -381,6 +381,37 @@ cargo test --release -q -p cubetranspose --lib -- --exact \
     spmd::tests::spmd_exchange_onto_a_smaller_cube \
     spmd::tests::spmd_exchange_onto_a_larger_cube
 
+begin "spmd: one flight plan, two substrates (the SPT and combined plans on the round door vs the simulator, the §6.3 case table as the combined plan's oracle)"
+# spmd_transpose_spt and spmd_transpose_combined_gray run the simulator's
+# own flight plans through flight.rs's round-door adaptor. At 1, 2 and 5
+# workers, on square layouts of the 2-, 4- and 6-cube, binary and Gray,
+# their outputs must equal the simulator movers' byte for byte and their
+# message counts the hops the simulator charged. The paper's §6.3 case
+# table, once a hand-written node program, is gray.rs's test oracle: per
+# iteration, the sorted (sender, dim) lists it makes must equal the
+# combined plan's. The bug tests: the SPT refuses unequal row and column
+# processor dimensions, and both §6.3 substrates a matrix not laid out by
+# the spec; the exchange program returns buffers without slack.
+cargo test --release -q -p cubetranspose --lib -- --exact \
+    gray::tests::case_table_predicts_the_combined_plans_senders \
+    gray::tests::combined_refuses_a_matrix_not_laid_out_by_the_spec \
+    spmd::tests::spmd_spt_and_combined_match_the_simulator_at_1_2_and_5_workers \
+    spmd::tests::spmd_spt_refuses_a_one_dimensional_layout \
+    spmd::tests::spmd_combined_refuses_a_matrix_not_laid_out_by_the_spec \
+    spmd::tests::spmd_exchange_returns_buffers_without_slack \
+    spmd::tests::paper_case_table_matches_semantic_combined_transpose \
+    local::alloc_gate_tests::spmd_spt_allocates_one_node_sized_buffer_per_node
+# core runs no program on the async door: spmd.rs's programs are round
+# schedules built once on the host. (Word-bounded, so the tests' oracle
+# runtime, cuberun::reference::run_spmd_threads, does not match; bracketed
+# so this script does not match itself.)
+violations="$(grep -n -E '\brun_spm[d]\b|asyn[c]|[.]awai[t]' crates/core/src/spmd.rs || true)"
+if [ -n "$violations" ]; then
+    echo "FAIL: spmd.rs is back on the async door:" >&2
+    echo "$violations" >&2
+    false
+fi
+
 begin "perf smoke: n=10 all-to-all schedule (time-bounded)"
 timeout 300 cargo test --release -q -p cubecomm --test perf_smoke -- --ignored \
     n10_all_to_all_completes_within_bound
@@ -399,7 +430,7 @@ timeout 300 cargo test --release -q -p cubetranspose --test perf_smoke -- --igno
 begin "local-kernels smoke: in-place transpose no slower than scratch gather"
 timeout 300 cargo test --release -q -p cubetranspose --test local_kernels_smoke -- --ignored
 
-begin "allocation gates: no O(mn)-sized scratch in place; fieldmap's exchange and permute_virt allocate nothing node-sized and a constant count, convert_algorithm2 only its outputs and one scratch; run_spmd O(1) per node, MPT at most 1.4 per node and no link-sized table, run_rounds O(1) per run, the SPMD exchange transpose at most 3 per node"
+begin "allocation gates: no O(mn)-sized scratch in place; fieldmap's exchange and permute_virt allocate nothing node-sized and a constant count, convert_algorithm2 only its outputs and one scratch; run_spmd O(1) per node, MPT at most 1.4 per node and no link-sized table, run_rounds O(1) per run, the SPMD exchange transpose at most 3 per node, the SPMD SPT one node-sized buffer per node"
 # The counting global allocator lives in crates/core/src/local.rs's test
 # module (the one unsafe-allowlisted file). One gate arms it around a
 # warmed in-place transpose and fails on any matrix-sized allocation;
@@ -424,7 +455,10 @@ begin "allocation gates: no O(mn)-sized scratch in place; fieldmap's exchange an
 # spmd_transpose_exchange of a one-element-per-node square layout on the
 # 10-cube, tag table and output included, and fails above 3 per node
 # (the triple-carrying program made 6.9: per-node lists cloned in init, a
-# fresh Vec per message, two ledgers per node to land).
+# fresh Vec per message, two ledgers per node to land); one counts the
+# node-sized allocations of spmd_transpose_spt on 64 nodes, on the caller
+# and the worker, and fails above one per node (the async program it
+# replaced copied every array twice).
 cargo test --release -q -p cubetranspose --lib alloc_gate_tests
 
 begin "perf smoke: n=14 schedule construction + rule sweep (time-bounded)"
@@ -439,7 +473,7 @@ begin "perf smoke: n=12 SPMD transpose on the virtual-node scheduler (time-bound
 timeout 300 cargo test --release -q -p boolcube --test spmd_perf_smoke -- --ignored \
     n12_spmd_transpose_completes_within_bound
 
-begin "SPMD smoke: n=10 SPT transpose on the async door equals the simulator's (time-bounded)"
+begin "SPMD smoke: n=10 SPT transpose on the round door equals the simulator's (time-bounded)"
 timeout 300 cargo test --release -q -p boolcube --test spmd_perf_smoke -- --ignored \
     n10_spmd_spt_matches_the_simulator
 

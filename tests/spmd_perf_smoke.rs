@@ -11,7 +11,7 @@
 //!   scale: a complete transpose across 65 536 virtual nodes, run on 1,
 //!   2 and 5 workers, with byte-identical results at every pool size and
 //!   every context provably live at once.
-//! * `n10_spmd_spt_matches_the_simulator` — the async door's SPT
+//! * `n10_spmd_spt_matches_the_simulator` — the round door's SPT
 //!   transpose on 1024 virtual nodes equals the simulator's; CI's
 //!   timeout catches a schedule rebuilt per node and step, whose work
 //!   grows with the square of the node count.

@@ -437,18 +437,18 @@ pub fn tab3() -> SeriesSet {
         let k_dims = cubeaddr::DimSet::range(l, n);
         let sources = 1usize << l;
         let num = 1usize << n;
-        let blocks: Vec<Vec<Vec<u64>>> = (0..sources as u64)
-            .map(|i| (0..num as u64).map(|d| vec![i ^ d; b]).collect())
-            .collect();
+        let sizes = vec![vec![b as u64; num]; sources];
         let params = MachineParams::unit(PortMode::OnePort);
-        let mut net = SimNet::new(n, params.clone());
-        let _ = cubecomm::some_to_all::some_to_all(
-            &mut net,
+        let plan = cubecomm::plan::some_to_all_plan(
+            n,
             l_dims,
             k_dims,
-            blocks,
+            &sizes,
             BufferPolicy::Ideal,
+            PortMode::OnePort,
         );
+        let mut net: SimNet<u64> = SimNet::new(n, params.clone());
+        cubecomm::exec::run(&mut net, &plan.blocks, &plan.rounds);
         let pq = (sources * num * b) as u64;
         sim.push(k as f64, net.finalize().time);
         mdl.push(k as f64, model::some_to_all::one_port(pq, k, l, &params));

@@ -120,7 +120,8 @@ fn land<T>(plan: &FlightPlan, ledger: &[NodeId], mut data: Vec<Vec<T>>) -> Vec<V
 /// node `j`, the second forwards each piece to its final destination.
 /// Balanced regardless of `π`.
 ///
-/// `data[x]` is `x`'s message; `perm[x] = π(x)` must be a permutation.
+/// `data[x]` is `x`'s message; `perm[x] = π(x)` must be a permutation of
+/// the cube's nodes (an entry off the cube panics, naming it).
 /// Message lengths should be multiples of `N` for perfectly equal pieces
 /// (other lengths still work, with ragged pieces; an empty piece is not
 /// sent). Both exchanges are planned from the piece sizes and charged to
@@ -136,7 +137,8 @@ pub fn arbitrary_permutation<T>(
     assert_eq!(data.len(), num);
     assert_eq!(perm.len(), num);
     let mut seen = vec![false; num];
-    for d in perm {
+    for (x, d) in perm.iter().enumerate() {
+        assert!(d.index() < num, "perm[{x}] = {d} is not a node of the {}-cube", net.n());
         assert!(!seen[d.index()], "perm is not a permutation");
         seen[d.index()] = true;
     }
@@ -297,6 +299,14 @@ mod tests {
     fn invalid_permutation_rejected() {
         let mut net: SimNet<BlockMsg<u64>> = SimNet::new(1, MachineParams::unit(PortMode::OnePort));
         let _ = arbitrary_permutation(&mut net, vec![vec![1], vec![2]], &[NodeId(0), NodeId(0)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "perm[3] = 9 is not a node of the 3-cube")]
+    fn entry_off_the_cube_is_named() {
+        let mut net: SimNet<BlockMsg<u64>> = SimNet::new(3, MachineParams::unit(PortMode::OnePort));
+        let perm = [0, 1, 2, 9, 4, 5, 6, 7].map(NodeId);
+        let _ = arbitrary_permutation(&mut net, node_data(3, 8), &perm);
     }
 
     /// A plan whose flights do not permute the nodes: node 1's array is

@@ -149,7 +149,7 @@ fn max_link_total(rounds: &[Vec<(u64, u32, u64)>]) -> u64 {
 mod tests {
     use super::*;
     use crate::ir::lower;
-    use cubecomm::exchange::all_to_all_exchange;
+    use cubecomm::exec;
     use cubecomm::plan::all_to_all_exchange_plan;
     use cubecomm::BufferPolicy;
     use cubesim::{MachineParams, PortMode, SimNet};
@@ -163,11 +163,9 @@ mod tests {
         let plan = all_to_all_exchange_plan(n, &sizes, BufferPolicy::Ideal, PortMode::OnePort);
         let low = lower(&plan, &params);
 
-        let mut net = SimNet::new(n, params);
+        let mut net: SimNet<u64> = SimNet::new(n, params);
         net.record_links();
-        let blocks: Vec<Vec<Vec<u64>>> =
-            sizes.iter().map(|row| row.iter().map(|&e| vec![7u64; e as usize]).collect()).collect();
-        let _ = all_to_all_exchange(&mut net, blocks, BufferPolicy::Ideal);
+        exec::run(&mut net, &plan.blocks, &plan.rounds);
         let report = net.finalize();
         let errs = cross_validate(&low, &report);
         assert!(errs.is_empty(), "{}", errs.join("\n"));
@@ -182,11 +180,9 @@ mod tests {
         let mut low = lower(&plan, &params);
         low.claims[0].elems += 1; // corrupt one link claim
 
-        let mut net = SimNet::new(n, params);
+        let mut net: SimNet<u64> = SimNet::new(n, params);
         net.record_links();
-        let blocks: Vec<Vec<Vec<u64>>> =
-            sizes.iter().map(|row| row.iter().map(|&e| vec![0u64; e as usize]).collect()).collect();
-        let _ = all_to_all_exchange(&mut net, blocks, BufferPolicy::Ideal);
+        exec::run(&mut net, &plan.blocks, &plan.rounds);
         let errs = cross_validate(&low, &net.finalize());
         assert!(!errs.is_empty());
         assert!(errs.iter().any(|e| e.contains("plan-only link")), "{}", errs.join("\n"));

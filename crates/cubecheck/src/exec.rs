@@ -23,12 +23,10 @@
 //! `2^31 − 1` directed links. Folding a schedule is therefore itself a
 //! check; feeding the report to [`crate::crossval::cross_validate`]
 //! against the schedule's own lowering then closes the loop. The
-//! Dragonfly planner family, which has no payload engine, is validated
-//! this way. The cube engines run their plans through
-//! [`cubecomm::exec::execute`], which charges the same messages to a
-//! [`cubesim::SimNet`], tracks where every block is and lands each block
-//! once; the fold moves nothing and keeps no net, which is what the
-//! warm-cache path needs.
+//! Dragonfly planner family is validated this way. A cube plan runs
+//! through [`cubecomm::exec::run`], which charges the same messages to a
+//! [`cubesim::SimNet`] and tracks where every block is; the fold moves
+//! nothing and keeps no net, which is what the warm-cache path needs.
 
 use cubeaddr::NodeId;
 use cubecomm::plan::CommSchedule;

@@ -19,9 +19,9 @@
 //!    one: the lowered claims must coincide, round for round and link
 //!    for link, with the [`cubesim::CommReport::link_history`] of that
 //!    fold or of an actual execution, and with its critical path and
-//!    maxima. Property tests enforce this on random schedules against
-//!    the engines, so the checkers are guaranteed to be analyzing the
-//!    schedules the engines really run.
+//!    maxima. Property tests enforce this on random schedules, run by
+//!    `cubecomm::exec` and the router, so the checkers are guaranteed to
+//!    be analyzing the schedules that really run.
 //!
 //! The `cubecheck` binary lints the figure workloads
 //! ([`workloads`]) at the benchmarked cube sizes, so CI catches any

@@ -1,23 +1,21 @@
 //! Plan ⇔ execution equivalence, on random schedules.
 //!
-//! For every engine with a static planner, the lowered plan's per-round
-//! link claims must coincide exactly — round counts, link sets, element
-//! counts, message/packet totals — with the `CommReport` of a real
-//! execution recorded under `record_links`. Every random plan must also
-//! pass `check_all` cleanly: no false positives.
+//! For every planner, the lowered plan's per-round link claims must
+//! coincide exactly — round counts, link sets, element counts,
+//! message/packet totals — with the `CommReport` of a real execution
+//! recorded under `record_links`: the cube's block plans run by
+//! `exec::run`, the routing plans against the router. Every random plan
+//! must also pass `check_all` cleanly: no false positives.
 
 use cubeaddr::{DimSet, NodeId};
 use cubecomm::ecube::{ecube_route, RouteMsg};
-use cubecomm::exchange::all_to_all_exchange;
+use cubecomm::exec;
 use cubecomm::graph::graph_route;
-use cubecomm::one_to_all::{one_to_all_rotated_sbts, one_to_all_sbt};
 use cubecomm::plan::{
     all_to_all_exchange_plan, all_to_all_sbnt_plan, dragonfly_direct_plan, ecube_route_plan,
     one_to_all_sbt_plan, one_to_all_trees_plan, some_to_all_plan, CommSchedule,
 };
-use cubecomm::sbnt::all_to_all_sbnt;
 use cubecomm::sbt::Sbt;
-use cubecomm::some_to_all::some_to_all;
 use cubecomm::{Block, BlockMsg, BufferPolicy};
 use cubesim::{CommReport, MachineParams, PortMode, SimNet};
 use cubetopo::{SwappedDragonfly, Topology};
@@ -35,21 +33,6 @@ fn random_sizes(n: u32, seed: u64, max_b: u64) -> Vec<Vec<u64>> {
                         (s.wrapping_mul(0x9E3779B97F4A7C15).wrapping_add(d).wrapping_mul(seed | 1))
                             >> 33;
                     h % (max_b + 1)
-                })
-                .collect()
-        })
-        .collect()
-}
-
-fn payloads(sizes: &[Vec<u64>]) -> Vec<Vec<Vec<u64>>> {
-    sizes
-        .iter()
-        .enumerate()
-        .map(|(s, row)| {
-            row.iter()
-                .enumerate()
-                .map(|(d, &e)| {
-                    (0..e).map(|i| (s as u64) * 1_000_000 + (d as u64) * 1000 + i).collect()
                 })
                 .collect()
         })
@@ -76,8 +59,8 @@ fn route_msgs(msgs: &[(NodeId, NodeId, u64)]) -> Vec<RouteMsg<u64>> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// The exchange planner mirrors `all_to_all_exchange` under all
-    /// three buffering policies.
+    /// The all-to-all exchange planner, under all three buffering
+    /// policies.
     #[test]
     fn exchange_plan_equivalent(n in 1u32..5, seed in any::<u64>(), max_b in 0u64..6) {
         let sizes = random_sizes(n, seed, max_b);
@@ -90,12 +73,12 @@ proptest! {
             let plan = all_to_all_exchange_plan(n, &sizes, policy, PortMode::OnePort);
             let mut net = SimNet::new(n, params.clone());
             net.record_links();
-            let _ = all_to_all_exchange(&mut net, payloads(&sizes), policy);
+            exec::run::<BlockMsg<u64>, _>(&mut net, &plan.blocks, &plan.rounds);
             assert_equivalent(&plan, &params, &net.finalize());
         }
     }
 
-    /// The SBnT planner mirrors `all_to_all_sbnt`.
+    /// The all-to-all SBnT planner.
     #[test]
     fn sbnt_plan_equivalent(n in 1u32..5, seed in any::<u64>(), max_b in 0u64..6) {
         let sizes = random_sizes(n, seed, max_b);
@@ -103,23 +86,21 @@ proptest! {
         let plan = all_to_all_sbnt_plan(n, &sizes);
         let mut net = SimNet::new(n, params.clone());
         net.record_links();
-        let _ = all_to_all_sbnt(&mut net, payloads(&sizes));
+        exec::run::<BlockMsg<u64>, _>(&mut net, &plan.blocks, &plan.rounds);
         assert_equivalent(&plan, &params, &net.finalize());
     }
 
-    /// The SBT and rotated-tree planners mirror the one-to-all engines.
+    /// The SBT and rotated-tree one-to-all planners.
     #[test]
     fn one_to_all_plans_equivalent(n in 1u32..5, root_raw in any::<u64>(), len in 0u64..6) {
         let root = NodeId(root_raw & cubeaddr::mask(n));
         let sizes: Vec<u64> = (0..(1u64 << n)).map(|d| (len + d) % 5).collect();
-        let blocks: Vec<Vec<u64>> =
-            sizes.iter().enumerate().map(|(d, &e)| vec![d as u64; e as usize]).collect();
 
         let params = MachineParams::unit(PortMode::OnePort);
         let plan = one_to_all_sbt_plan(n, root, &sizes);
         let mut net = SimNet::new(n, params.clone());
         net.record_links();
-        let _ = one_to_all_sbt(&mut net, root, blocks.clone());
+        exec::run::<BlockMsg<u64>, _>(&mut net, &plan.blocks, &plan.rounds);
         assert_equivalent(&plan, &params, &net.finalize());
 
         let params = MachineParams::unit(PortMode::AllPorts);
@@ -128,13 +109,12 @@ proptest! {
             let plan = one_to_all_trees_plan(n, &sizes, &trees);
             let mut net = SimNet::new(n, params.clone());
             net.record_links();
-            let _ = one_to_all_rotated_sbts(&mut net, root, blocks.clone());
+            exec::run::<BlockMsg<u64>, _>(&mut net, &plan.blocks, &plan.rounds);
             assert_equivalent(&plan, &params, &net.finalize());
         }
     }
 
-    /// The some-to-all planner mirrors `some_to_all` for random
-    /// dimension splits.
+    /// The some-to-all planner, for random dimension splits.
     #[test]
     fn some_to_all_plan_equivalent(n in 1u32..5, mask_raw in any::<u64>(), seed in any::<u64>()) {
         let l_dims = DimSet(mask_raw & cubeaddr::mask(n));
@@ -144,19 +124,12 @@ proptest! {
         let sizes: Vec<Vec<u64>> = (0..sources as u64)
             .map(|i| (0..num as u64).map(|d| (i + d + seed) % 4).collect())
             .collect();
-        let blocks: Vec<Vec<Vec<u64>>> = sizes
-            .iter()
-            .enumerate()
-            .map(|(i, row)| {
-                row.iter().map(|&e| vec![i as u64; e as usize]).collect()
-            })
-            .collect();
         let params = MachineParams::unit(PortMode::OnePort);
         let plan =
             some_to_all_plan(n, l_dims, k_dims, &sizes, BufferPolicy::Ideal, PortMode::OnePort);
         let mut net: SimNet<BlockMsg<u64>> = SimNet::new(n, params.clone());
         net.record_links();
-        let _ = some_to_all(&mut net, l_dims, k_dims, blocks.clone(), BufferPolicy::Ideal);
+        exec::run(&mut net, &plan.blocks, &plan.rounds);
         assert_equivalent(&plan, &params, &net.finalize());
     }
 

@@ -26,17 +26,6 @@ impl<T> Block<T> {
     }
 }
 
-/// One source's non-empty per-destination payloads (`per_dst[d]` is for
-/// node `d`) as blocks, destinations ascending.
-pub(crate) fn blocks_from<T>(src: NodeId, per_dst: Vec<Vec<T>>) -> Vec<Block<T>> {
-    per_dst
-        .into_iter()
-        .enumerate()
-        .filter(|(_, data)| !data.is_empty())
-        .map(|(d, data)| Block::new(src, NodeId(d as u64), data))
-        .collect()
-}
-
 /// A bare block is a message: the store-and-forward router sends one
 /// block per link per round, with no batching wrapper (and therefore no
 /// per-hop buffer allocation).

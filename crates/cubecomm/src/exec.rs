@@ -1,10 +1,10 @@
 //! The schedule executor: runs planned rounds on a [`SimNet`], charging
 //! every planned message and landing every block once.
 //!
-//! Every block engine of this crate (exchange, SBT and tree families,
-//! SBnT) is "tag the payloads as [`BlockMeta`], build the rounds with the
-//! planner's `skeleton`, [`execute`]" — the round structure the static
-//! checkers analyse is the one that runs, because there is no other.
+//! Every block algorithm of this crate (exchange, SBT and tree families,
+//! SBnT) is a [`crate::plan`] builder, and running it is handing the
+//! plan to this module — the round structure the static checkers
+//! analyse is the one that runs, because there is no other.
 //! [`run`] owns the per-round protocol (charge every planned message
 //! with [`SimNet::charge`] and every planned copy, finish the round) and
 //! the bookkeeping that turns a wrong schedule into a diagnostic instead
@@ -16,39 +16,19 @@
 //! the metadata only: a mover that can place its data itself
 //! (`cubetranspose`'s one-dimensional transposes, `relayout` and
 //! arbitrary permutation) runs its plan with it and then writes its
-//! output once from its input. [`execute`] adds the payloads: they are
-//! checked against their planned blocks up front, so what the net is
-//! charged is what lands, and after the last round each one moves once,
-//! from the input to its destination's list. What the net itself
-//! enforces (wired links, one message per link per round, port
-//! discipline, nonempty messages) it still enforces.
+//! output once from its input. [`execute`] adds the payloads, one per
+//! plan block in id order: they are checked against their planned
+//! blocks up front, so what the net is charged is what lands, and after
+//! the last round each one moves once, from the input to its
+//! destination's list. What the net itself enforces (wired links, one
+//! message per link per round, port discipline, nonempty messages) it
+//! still enforces.
 
 use crate::block::{Block, BlockMsg};
-use crate::plan::{BlockMeta, PlanRound};
+use crate::plan::{check_endpoints, BlockMeta, PlanRound};
 use cubeaddr::NodeId;
 use cubesim::{Payload, SimNet};
 use cubetopo::Topology;
-
-/// The plan-side record of `block`, currently held at `holder`.
-pub(crate) fn meta_at<T>(holder: NodeId, block: &Block<T>) -> BlockMeta {
-    BlockMeta { src: holder, dst: block.dst, elems: block.data.len() as u64 }
-}
-
-/// [`meta_at`] for blocks that all start at their own `src`.
-pub(crate) fn metas_at_src<T>(payloads: &[Block<T>]) -> Vec<BlockMeta> {
-    payloads.iter().map(|b| meta_at(b.src, b)).collect()
-}
-
-/// Refuses a block with an endpoint that is not a node of `topo`, in
-/// [`crate::plan`]'s words, naming the first such block.
-#[track_caller]
-pub(crate) fn check_endpoints<G: Topology>(topo: &G, blocks: &[BlockMeta]) {
-    let num = topo.num_nodes() as u64;
-    if let Some(id) = blocks.iter().position(|b| b.src.bits() >= num || b.dst.bits() >= num) {
-        let b = &blocks[id];
-        panic!("block endpoints outside the {}: block {id}: {} -> {}", topo.label(), b.src, b.dst);
-    }
-}
 
 /// Runs `rounds` on `net` without payloads: charges every planned
 /// message and copy and tracks where each block is. Block `id` is
@@ -153,4 +133,16 @@ pub fn execute<T, G: Topology>(
         held[b.dst.index()].push(block);
     }
     held
+}
+
+/// The report of [`run`]ning `plan` on a fresh net of its cube under
+/// `params` — the cost of a planned algorithm, for tests that pin it.
+#[cfg(test)]
+pub(crate) fn report(
+    plan: &crate::plan::CommSchedule,
+    params: cubesim::MachineParams,
+) -> cubesim::CommReport {
+    let mut net: SimNet<u64, _> = SimNet::on_topology(plan.topo, params);
+    run(&mut net, &plan.blocks, &plan.rounds);
+    net.finalize()
 }

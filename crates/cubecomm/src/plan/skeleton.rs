@@ -1,7 +1,7 @@
-//! Factored schedule construction — and the control flow of
-//! the engines: the block engines execute these rounds
-//! ([`crate::exec::execute`]) and the router runs [`route_hops`]' log,
-//! so nothing here mirrors anything.
+//! Factored schedule construction — the one copy of each algorithm's
+//! control flow: the executor runs these rounds ([`crate::exec::run`])
+//! and the router runs [`route_hops`]' log, so nothing here mirrors
+//! anything.
 //!
 //! The original planners (preserved verbatim in [`super::reference`])
 //! rebuilt every schedule by simulating every node: per-node `Vec`s of

@@ -50,6 +50,32 @@ impl Sbt {
         t
     }
 
+    /// §3.1's `k` *optimally rotated* SBTs, for the `PQ/N = k < n`
+    /// regime: trees rotated by multiples of `n/k`. `k = n` gives the `n`
+    /// distinctly rotated SBTs of n-port one-to-all communication.
+    ///
+    /// # Panics
+    /// Unless `k ≥ 1` divides `n`.
+    #[track_caller]
+    pub fn k_rotated(n: u32, root: NodeId, k: u32) -> Vec<Sbt> {
+        assert!(k >= 1 && n.is_multiple_of(k), "optimal rotation needs k | n");
+        (0..k).map(|i| Self::rotated(n, root, i * (n / k))).collect()
+    }
+
+    /// §3.1's `k = 2` alternative to rotation: the standard tree and its
+    /// reflection. The paper credits it with a maximum edge load of
+    /// `N/2 + 1` element transfers, against `N/2 + √(N/2)` for two
+    /// rotated trees.
+    ///
+    /// # Panics
+    /// On odd `n`, where the two trees would share a dimension in the
+    /// middle step.
+    #[track_caller]
+    pub fn reflected_pair(n: u32, root: NodeId) -> [Sbt; 2] {
+        assert!(n.is_multiple_of(2), "reflected pair needs an even cube dimension");
+        [Self::new(n, root), Self::reflected(n, root)]
+    }
+
     /// Cube dimension.
     pub fn n(&self) -> u32 {
         self.n
@@ -291,5 +317,17 @@ mod tests {
         }
         // Node with logical msb set ↔ physical bit 0 set.
         assert_eq!(t.depth(NodeId(0b001)), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "optimal rotation needs k | n")]
+    fn k_rotated_requires_divisor() {
+        let _ = Sbt::k_rotated(6, NodeId(0), 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "reflected pair needs an even cube dimension")]
+    fn reflected_pair_requires_even_cube() {
+        let _ = Sbt::reflected_pair(5, NodeId(0));
     }
 }

@@ -1,12 +1,10 @@
-//! Behaviour pins for the block engines: inputs `exchange_over_dims`
-//! accepts and orderings `one_to_all_trees` guarantees that no planner
-//! equivalence test exercises, because the public planners are stricter
-//! than the engines (`exchange_plan` rejects duplicate `(src, dst)`
-//! pairs) or never see payload contents.
+//! Behaviour pins for `exchange_over_dims`, the exchange's payload front
+//! door: inputs it accepts that no planner test exercises, because the
+//! planner is stricter (`exchange_plan` rejects duplicate `(src, dst)`
+//! pairs) and plans every block from its source, not from its holder.
 
 use cubeaddr::NodeId;
 use cubecomm::exchange::{exchange_over_dims, BufferPolicy};
-use cubecomm::one_to_all::{one_to_all_k_rotated_sbts, one_to_all_rotated_sbts};
 use cubecomm::{Block, BlockMsg};
 use cubesim::{MachineParams, PortMode, SimNet};
 
@@ -58,23 +56,4 @@ fn exchange_routes_from_the_holder_not_from_the_src_tag() {
         let report = net.finalize();
         assert_eq!((report.rounds, report.total_messages), (2, 2), "{policy:?}");
     }
-}
-
-#[test]
-fn trees_reassemble_ragged_totals_in_tree_order() {
-    // Totals 0..=6 over 3 and 2 trees: some slices are empty, most
-    // destinations get unequal slices, and every destination must still
-    // read its elements back in their original order.
-    let n = 6;
-    let blocks: Vec<Vec<u64>> =
-        (0..(1u64 << n)).map(|d| (0..d % 7).map(|i| d * 100 + i).collect()).collect();
-    for k in [2u32, 3] {
-        let mut net = SimNet::new(n, MachineParams::unit(PortMode::AllPorts));
-        let got = one_to_all_k_rotated_sbts(&mut net, NodeId(9), blocks.clone(), k);
-        assert_eq!(got, blocks, "k = {k}");
-        net.finalize();
-    }
-    let mut net = SimNet::new(n, MachineParams::unit(PortMode::AllPorts));
-    assert_eq!(one_to_all_rotated_sbts(&mut net, NodeId(40), blocks.clone()), blocks);
-    assert_eq!(net.finalize().rounds, n as usize);
 }

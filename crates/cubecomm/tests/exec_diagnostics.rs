@@ -7,8 +7,7 @@
 use cubeaddr::NodeId;
 use cubecomm::exchange::exchange_over_dims;
 use cubecomm::exec::execute;
-use cubecomm::plan::{all_to_all_exchange_plan, CommSchedule};
-use cubecomm::sbnt::route_sbnt;
+use cubecomm::plan::{all_to_all_exchange_plan, sbnt_plan, BlockMeta, CommSchedule};
 use cubecomm::{Block, BlockMsg, BufferPolicy};
 use cubesim::{MachineParams, PortMode, SimNet};
 
@@ -105,8 +104,8 @@ fn payload_for_another_node_is_refused_up_front() {
 }
 
 /// A block bound for node 5 of a 2-cube is refused before the first
-/// round, by the exchange engine and by the SBnT router alike, whichever
-/// end is off the net.
+/// round by the exchange engine, and before any round is planned by the
+/// SBnT planner, whichever end is off the net, in the same words.
 #[test]
 #[should_panic(expected = "block endpoints outside the 2-cube: block 1: 0 -> 5")]
 fn exchange_refuses_a_destination_off_the_net() {
@@ -117,18 +116,18 @@ fn exchange_refuses_a_destination_off_the_net() {
     let _ = exchange_over_dims(&mut net, held, &[1, 0], BufferPolicy::Ideal);
 }
 
+fn block(src: u64, dst: u64) -> BlockMeta {
+    BlockMeta { src: NodeId(src), dst: NodeId(dst), elems: 1 }
+}
+
 #[test]
 #[should_panic(expected = "block endpoints outside the 2-cube: block 0: 0 -> 5")]
 fn sbnt_refuses_a_destination_off_the_net() {
-    let mut net: SimNet<BlockMsg<u64>> = SimNet::new(2, MachineParams::unit(PortMode::AllPorts));
-    let _ = route_sbnt(&mut net, vec![Block::new(NodeId(0), NodeId(5), vec![5])]);
+    let _ = sbnt_plan(2, vec![block(0, 5)]);
 }
 
 #[test]
 #[should_panic(expected = "block endpoints outside the 2-cube: block 1: 6 -> 0")]
 fn sbnt_refuses_a_source_off_the_net() {
-    let mut net: SimNet<BlockMsg<u64>> = SimNet::new(2, MachineParams::unit(PortMode::AllPorts));
-    let blocks =
-        vec![Block::new(NodeId(1), NodeId(0), vec![1]), Block::new(NodeId(6), NodeId(0), vec![6])];
-    let _ = route_sbnt(&mut net, blocks);
+    let _ = sbnt_plan(2, vec![block(1, 0), block(6, 0)]);
 }

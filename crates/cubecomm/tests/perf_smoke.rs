@@ -1,13 +1,14 @@
 //! Time-bounded performance smoke test for the schedule executor.
 //!
 //! Runs the full n = 10 all-to-all personalized exchange (1024 nodes,
-//! ~one million blocks planned, then executed on `SimNet`) and fails if
+//! ~one million blocks planned, then charged to `SimNet`) and fails if
 //! it takes longer than a generous wall-clock bound. Ignored by default
 //! so ordinary debug test runs stay fast; `scripts/ci.sh` runs it in
 //! release mode with `--ignored`.
 
-use cubecomm::exchange::{all_to_all_exchange, BufferPolicy};
-use cubecomm::BlockMsg;
+use cubecomm::exec;
+use cubecomm::plan::all_to_all_exchange_plan;
+use cubecomm::{BlockMsg, BufferPolicy};
 use cubesim::{MachineParams, PortMode, SimNet};
 use std::time::{Duration, Instant};
 
@@ -16,18 +17,18 @@ use std::time::{Duration, Instant};
 fn n10_all_to_all_completes_within_bound() {
     let n = 10u32;
     let num = 1usize << n;
-    let blocks: Vec<Vec<Vec<u64>>> =
-        (0..num as u64).map(|s| (0..num as u64).map(|d| vec![s * 1000 + d]).collect()).collect();
+    let sizes = vec![vec![1u64; num]; num];
 
     let mut net: SimNet<BlockMsg<u64>> =
         SimNet::new(n, MachineParams::intel_ipsc().with_ports(PortMode::AllPorts));
     let start = Instant::now();
-    let result = all_to_all_exchange(&mut net, blocks, BufferPolicy::Ideal);
+    let plan = all_to_all_exchange_plan(n, &sizes, BufferPolicy::Ideal, PortMode::AllPorts);
+    exec::run(&mut net, &plan.blocks, &plan.rounds);
     let report = net.finalize();
     let elapsed = start.elapsed();
 
     assert_eq!(report.rounds, n as usize);
-    assert!(result.iter().all(|per_node| per_node.len() == num));
+    assert_eq!(plan.blocks.len(), num * num);
     // ~0.5 s on a modest core; the bound only catches order-of-magnitude
     // regressions (e.g. accidental per-round allocation or quadratic
     // bookkeeping), not scheduler jitter.

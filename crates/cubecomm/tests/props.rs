@@ -1,148 +1,133 @@
 //! Property-based tests for the personalized-communication algorithms:
-//! random block matrices, random machines, random dimension splits.
+//! every planner family, on random sizes, roots and dimension splits,
+//! delivers labelled payloads through `exec::execute`.
 
 use cubeaddr::{DimSet, NodeId};
-use cubecomm::exchange::{all_to_all_exchange, BufferPolicy};
-use cubecomm::one_to_all::{one_to_all_rotated_sbts, one_to_all_sbt};
-use cubecomm::sbnt::all_to_all_sbnt;
-use cubecomm::some_to_all::some_to_all;
-use cubesim::{MachineParams, PortMode, SimNet};
+use cubecomm::exec::execute;
+use cubecomm::plan::{
+    all_to_all_exchange_plan, all_to_all_sbnt_plan, exchange_plan, one_to_all_sbt_plan,
+    one_to_all_trees_plan, sbnt_plan, some_to_all_plan, BlockMeta, CommSchedule,
+};
+use cubecomm::sbt::Sbt;
+use cubecomm::{Block, BufferPolicy};
+use cubesim::{CommReport, MachineParams, PortMode, SimNet};
 use proptest::prelude::*;
 
-/// Deterministic pseudo-random block sizes from a seed: blocks[s][d] has
-/// `hash(s, d, seed) % max_b` elements (zeros allowed — virtual
-/// elements).
-fn random_blocks(n: u32, seed: u64, max_b: u64) -> Vec<Vec<Vec<u64>>> {
-    let num = 1usize << n;
-    (0..num as u64)
+/// Deterministic pseudo-random size table from a seed: `sizes[s][d]` is
+/// `hash(s, d, seed) % (max_b + 1)` (zeros allowed — virtual elements).
+fn random_sizes(n: u32, seed: u64, max_b: u64) -> Vec<Vec<u64>> {
+    let num = 1u64 << n;
+    (0..num)
         .map(|s| {
-            (0..num as u64)
+            (0..num)
                 .map(|d| {
                     let h =
                         (s.wrapping_mul(0x9E3779B97F4A7C15).wrapping_add(d).wrapping_mul(seed | 1))
                             >> 33;
-                    let len = h % (max_b + 1);
-                    (0..len).map(|i| s * 1_000_000 + d * 1000 + i).collect()
+                    h % (max_b + 1)
                 })
                 .collect()
         })
         .collect()
 }
 
-fn check_delivery(n: u32, blocks: &[Vec<Vec<u64>>], result: &[Vec<cubecomm::Block<u64>>]) {
-    let num = 1usize << n;
-    for d in 0..num {
-        let mut got: Vec<(u64, Vec<u64>)> = result[d]
-            .iter()
-            .map(|b| {
-                assert_eq!(b.dst.index(), d);
-                (b.src.bits(), b.data.clone())
-            })
-            .collect();
-        got.sort();
-        let mut want: Vec<(u64, Vec<u64>)> = (0..num as u64)
-            .filter(|&s| !blocks[s as usize][d].is_empty())
-            .map(|s| (s, blocks[s as usize][d].clone()))
-            .collect();
-        want.sort();
-        assert_eq!(got, want, "destination {d}");
+/// The payload of block `id`: its elements labelled `id·1000 + i`.
+fn labelled(id: usize, b: &BlockMeta) -> Block<u64> {
+    Block::new(b.src, b.dst, (0..b.elems).map(|i| id as u64 * 1000 + i).collect())
+}
+
+/// Executes `plan` with one labelled payload per block, in plan-block
+/// order, on a unit net of `ports`, and checks that every node ends up
+/// holding exactly the blocks planned for it, intact and in id order.
+fn delivers(plan: &CommSchedule, ports: PortMode) -> CommReport {
+    let payloads = plan.blocks.iter().enumerate().map(|(id, b)| labelled(id, b)).collect();
+    let mut net = SimNet::on_topology(plan.topo, MachineParams::unit(ports));
+    let held = execute(&mut net, &plan.blocks, &plan.rounds, payloads);
+    for (x, got) in held.iter().enumerate() {
+        let planned = plan.blocks.iter().enumerate().filter(|(_, b)| b.dst.index() == x);
+        let want: Vec<Block<u64>> = planned.map(|(id, b)| labelled(id, b)).collect();
+        assert_eq!(got, &want, "{}: node {x}", plan.name);
     }
+    net.finalize()
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The exchange algorithm delivers arbitrary (ragged, sparse) block
-    /// matrices under every buffering policy, and its time respects the
-    /// all-to-all lower bound computed from the actual critical volume.
+    /// The exchange delivers arbitrary (ragged, sparse) size tables under
+    /// every buffering policy, and its time respects the all-to-all lower
+    /// bound computed from the actual critical volume.
     #[test]
     fn exchange_random_blocks(n in 1u32..5, seed in any::<u64>(), max_b in 0u64..6) {
-        let blocks = random_blocks(n, seed, max_b);
+        let sizes = random_sizes(n, seed, max_b);
         for policy in [
             BufferPolicy::Ideal,
             BufferPolicy::Unbuffered,
             BufferPolicy::Buffered { min_direct: 2 },
         ] {
-            let mut net = SimNet::new(n, MachineParams::unit(PortMode::OnePort));
-            let result = all_to_all_exchange(&mut net, blocks.clone(), policy);
-            check_delivery(n, &blocks, &result);
-            let r = net.finalize();
+            let plan = all_to_all_exchange_plan(n, &sizes, policy, PortMode::OnePort);
+            let r = delivers(&plan, PortMode::OnePort);
             prop_assert!(r.time >= r.critical_elems as f64);
         }
     }
 
-    /// SBnT routing delivers the same random block matrices (n-port).
+    /// SBnT routing delivers the same random size tables (n-port).
     #[test]
     fn sbnt_random_blocks(n in 1u32..5, seed in any::<u64>(), max_b in 0u64..6) {
-        let blocks = random_blocks(n, seed, max_b);
-        let mut net = SimNet::new(n, MachineParams::unit(PortMode::AllPorts));
-        let result = all_to_all_sbnt(&mut net, blocks.clone());
-        check_delivery(n, &blocks, &result);
-        net.finalize();
+        delivers(&all_to_all_sbnt_plan(n, &random_sizes(n, seed, max_b)), PortMode::AllPorts);
     }
 
-    /// Exchange and SBnT agree on total delivered volume.
+    /// One-to-all delivers ragged per-destination data from any root
+    /// through the SBT, every tree family the cube admits (the `n`
+    /// rotated trees, each `k | n` optimally rotated family, the
+    /// reflected pair on even cubes) and the SBnT.
     #[test]
-    fn exchange_and_sbnt_agree(n in 1u32..5, seed in any::<u64>()) {
-        let blocks = random_blocks(n, seed, 4);
-        let run_elems = |result: Vec<Vec<cubecomm::Block<u64>>>| -> usize {
-            result.iter().flatten().map(|b| b.data.len()).sum()
-        };
-        let mut net1 = SimNet::new(n, MachineParams::unit(PortMode::OnePort));
-        let a = run_elems(all_to_all_exchange(&mut net1, blocks.clone(), BufferPolicy::Ideal));
-        let mut net2 = SimNet::new(n, MachineParams::unit(PortMode::AllPorts));
-        let b = run_elems(all_to_all_sbnt(&mut net2, blocks));
-        prop_assert_eq!(a, b);
-    }
-
-    /// One-to-all delivers random per-destination payloads through both
-    /// the SBT and the rotated-SBT family, from any root.
-    #[test]
-    fn one_to_all_random(n in 1u32..6, root_raw in any::<u64>(), len in 0usize..9) {
+    fn one_to_all_random(n in 1u32..6, root_raw in any::<u64>(), len in 0u64..9) {
         let root = NodeId(root_raw & cubeaddr::mask(n));
-        let blocks: Vec<Vec<u64>> = (0..(1u64 << n))
-            .map(|d| (0..(len as u64 + d % 3)).map(|i| d * 100 + i).collect())
-            .collect();
-        let mut net1 = SimNet::new(n, MachineParams::unit(PortMode::OnePort));
-        let a = one_to_all_sbt(&mut net1, root, blocks.clone());
-        prop_assert_eq!(&a, &blocks);
-        net1.finalize();
-        let mut net2 = SimNet::new(n, MachineParams::unit(PortMode::AllPorts));
-        let b = one_to_all_rotated_sbts(&mut net2, root, blocks.clone());
-        prop_assert_eq!(&b, &blocks);
-        net2.finalize();
+        let sizes: Vec<u64> = (0..(1u64 << n)).map(|d| len + d % 3).collect();
+        delivers(&one_to_all_sbt_plan(n, root, &sizes), PortMode::OnePort);
+        let mut families: Vec<Vec<Sbt>> =
+            (1..=n).filter(|k| n % k == 0).map(|k| Sbt::k_rotated(n, root, k)).collect();
+        if n % 2 == 0 {
+            families.push(Sbt::reflected_pair(n, root).to_vec());
+        }
+        for trees in &families {
+            let r = delivers(&one_to_all_trees_plan(n, &sizes, trees), PortMode::AllPorts);
+            prop_assert!(r.rounds <= n as usize);
+        }
+        let blocks = NodeId::all(n).zip(&sizes).filter(|&(_, &elems)| elems > 0);
+        let blocks = blocks.map(|(dst, &elems)| BlockMeta { src: root, dst, elems }).collect();
+        delivers(&sbnt_plan(n, blocks), PortMode::AllPorts);
     }
 
-    /// Some-to-all with a random split of the cube dimensions into l and
-    /// k sets delivers everything, whatever the subset shape.
+    /// Some-to-all in both phase orders, and all-to-some, with a random
+    /// split of the cube dimensions into l and k sets, deliver
+    /// everything, whatever the subset shape.
     #[test]
     fn some_to_all_random_split(n in 1u32..5, mask_raw in any::<u64>(), seed in any::<u64>()) {
         let l_dims = DimSet(mask_raw & cubeaddr::mask(n));
         let k_dims = l_dims.complement(n);
-        let sources = 1usize << l_dims.len();
-        let num = 1usize << n;
-        let blocks: Vec<Vec<Vec<u64>>> = (0..sources as u64)
-            .map(|i| {
-                (0..num as u64)
-                    .map(|d| {
-                        let len = ((i + d + seed) % 4) as usize;
-                        vec![i * 100 + d; len]
-                    })
-                    .collect()
-            })
+        let subcube: Vec<NodeId> = NodeId::all(n).filter(|x| x.bits() & k_dims.0 == 0).collect();
+        let num = 1u64 << n;
+        let sizes: Vec<Vec<u64>> = (0..subcube.len() as u64)
+            .map(|i| (0..num).map(|d| (i + d + seed) % 4).collect())
             .collect();
-        let mut net = SimNet::new(n, MachineParams::unit(PortMode::OnePort));
-        let result = some_to_all(&mut net, l_dims, k_dims, blocks.clone(), BufferPolicy::Ideal);
-        // Every nonempty block arrived at its destination.
-        let mut total = 0usize;
-        for (d, blks) in result.iter().enumerate() {
-            for b in blks {
-                prop_assert_eq!(b.dst.index(), d);
-                total += b.data.len();
+        let (ideal, one_port) = (BufferPolicy::Ideal, PortMode::OnePort);
+        let split_first = some_to_all_plan(n, l_dims, k_dims, &sizes, ideal, one_port);
+        delivers(&split_first, one_port);
+        let l_then_k: Vec<u32> = l_dims.iter_desc().chain(k_dims.iter_desc()).collect();
+        let blocks = split_first.blocks.clone();
+        delivers(&exchange_plan(n, blocks, &l_then_k, ideal, one_port, "l first"), one_port);
+        // All-to-some: every node to the k-subcube, accumulation last.
+        let mut blocks = Vec::new();
+        for src in NodeId::all(n) {
+            for (i, &dst) in subcube.iter().enumerate() {
+                let elems = (src.bits() + i as u64 + seed) % 4;
+                if elems > 0 {
+                    blocks.push(BlockMeta { src, dst, elems });
+                }
             }
         }
-        let want: usize = blocks.iter().flatten().map(Vec::len).sum();
-        prop_assert_eq!(total, want);
-        net.finalize();
+        delivers(&exchange_plan(n, blocks, &l_then_k, ideal, one_port, "all-to-some"), one_port);
     }
 }

@@ -80,6 +80,23 @@ if [ -n "$violations" ]; then
     false
 fi
 
+begin "lint policy: each cubecomm algorithm exists once, as its planner (skeleton:: only in plan.rs, plan/, exchange.rs, graph.rs)"
+# The planners build every schedule from plan::skeleton and the
+# executor runs them; exchange_over_dims (the exchange on blocks from
+# wherever they are held) and the router call the same skeleton
+# functions. A skeleton call anywhere else in the crate would be a
+# second copy of an algorithm's control flow beside its planner, which
+# the compiler cannot see.
+violations="$(grep -rl 'skeleton::' --include='*.rs' crates/cubecomm/src 2>/dev/null \
+    | grep -v -x -e 'crates/cubecomm/src/plan.rs' -e 'crates/cubecomm/src/exchange.rs' \
+        -e 'crates/cubecomm/src/graph.rs' \
+    | grep -v '^crates/cubecomm/src/plan/' || true)"
+if [ -n "$violations" ]; then
+    echo "FAIL: cubecomm files outside the planners build schedules from plan::skeleton:" >&2
+    echo "$violations" >&2
+    false
+fi
+
 begin "lint policy: one round loop per substrate in cubetranspose (finish_round only in flight.rs, fieldmap.rs, two_dim.rs, convert.rs, reference.rs)"
 # Every mover that carries whole arrays along dimension paths (§6.1's
 # SPT/DPT/MPT, §6.3's mixed-encoding transposes, Lemma 6's relocations)

@@ -3,19 +3,26 @@
 //! expression the simulator must match it exactly; where the expression
 //! is an optimum/bound the simulator must respect it.
 
-use boolcube::comm::exchange::all_to_all_exchange;
-use boolcube::comm::one_to_all::{one_to_all_rotated_sbts, one_to_all_sbt};
-use boolcube::comm::some_to_all::some_to_all;
+use boolcube::comm::exec;
+use boolcube::comm::plan::{self, CommSchedule};
+use boolcube::comm::sbt::Sbt;
 use boolcube::comm::BufferPolicy;
 use boolcube::layout::{Assignment, Direction, Encoding, Layout};
 use boolcube::model;
-use boolcube::sim::{MachineParams, PortMode, SimNet};
+use boolcube::sim::{CommReport, MachineParams, PortMode, SimNet};
 use boolcube::transpose::{self, verify};
 use cubeaddr::{DimSet, NodeId};
 
-fn uniform_blocks(n: u32, b: usize) -> Vec<Vec<Vec<u64>>> {
-    let num = 1usize << n;
-    (0..num as u64).map(|s| (0..num as u64).map(|d| vec![s ^ d; b]).collect()).collect()
+/// `b` elements from every node to every node of the `n`-cube.
+fn uniform_sizes(n: u32, b: usize) -> Vec<Vec<u64>> {
+    vec![vec![b as u64; 1 << n]; 1 << n]
+}
+
+/// The report of charging `plan` to an `n`-cube under `params`.
+fn run(n: u32, plan: &CommSchedule, params: &MachineParams) -> CommReport {
+    let mut net: SimNet<u64> = SimNet::new(n, params.clone());
+    exec::run(&mut net, &plan.blocks, &plan.rounds);
+    net.finalize()
 }
 
 /// One-to-all SBT: exact match with the §3.1 formula for every B_m.
@@ -25,10 +32,8 @@ fn one_to_all_sbt_exact() {
         for b in [1usize, 8, 64] {
             for bm in [usize::MAX, 16, 4] {
                 let params = MachineParams::unit(PortMode::OnePort).with_max_packet(bm);
-                let mut net = SimNet::new(n, params.clone());
-                let blocks: Vec<Vec<u64>> = (0..(1u64 << n)).map(|d| vec![d; b]).collect();
-                let _ = one_to_all_sbt(&mut net, NodeId(0), blocks);
-                let r = net.finalize();
+                let plan = plan::one_to_all_sbt_plan(n, NodeId(0), &vec![b as u64; 1 << n]);
+                let r = run(n, &plan, &params);
                 let pq = (b << n) as u64;
                 let expect = model::one_to_all::sbt_one_port(pq, n, &params);
                 assert!(
@@ -47,10 +52,8 @@ fn rotated_sbts_exact() {
     for n in [2u32, 4] {
         let b = 4 * n as usize;
         let params = MachineParams::unit(PortMode::AllPorts);
-        let mut net = SimNet::new(n, params.clone());
-        let blocks: Vec<Vec<u64>> = (0..(1u64 << n)).map(|d| vec![d; b]).collect();
-        let _ = one_to_all_rotated_sbts(&mut net, NodeId(0), blocks);
-        let r = net.finalize();
+        let trees = Sbt::k_rotated(n, NodeId(0), n);
+        let r = run(n, &plan::one_to_all_trees_plan(n, &vec![b as u64; 1 << n], &trees), &params);
         let pq = (b << n) as u64;
         let expect = model::one_to_all::rotated_sbts_all_port_min(pq, n, &params);
         assert!((r.time - expect).abs() < 1e-9, "n={n}: {} vs {expect}", r.time);
@@ -65,9 +68,14 @@ fn all_to_all_exchange_exact() {
         for b in [2usize, 8] {
             for bm in [usize::MAX, 8, 2] {
                 let params = MachineParams::unit(PortMode::OnePort).with_max_packet(bm);
-                let mut net = SimNet::new(n, params.clone());
-                let _ = all_to_all_exchange(&mut net, uniform_blocks(n, b), BufferPolicy::Ideal);
-                let r = net.finalize();
+                let sizes = uniform_sizes(n, b);
+                let plan = plan::all_to_all_exchange_plan(
+                    n,
+                    &sizes,
+                    BufferPolicy::Ideal,
+                    PortMode::OnePort,
+                );
+                let r = run(n, &plan, &params);
                 let pq = (b << (2 * n)) as u64;
                 let expect = model::all_to_all::exchange_one_port(pq, n, &params);
                 assert!(
@@ -87,9 +95,7 @@ fn sbnt_within_factor_two() {
     for n in [3u32, 4, 5] {
         let b = 16usize;
         let params = MachineParams::unit(PortMode::AllPorts);
-        let mut net = SimNet::new(n, params.clone());
-        let _ = boolcube::comm::sbnt::all_to_all_sbnt(&mut net, uniform_blocks(n, b));
-        let r = net.finalize();
+        let r = run(n, &plan::all_to_all_sbnt_plan(n, &uniform_sizes(n, b)), &params);
         let pq = (b << (2 * n)) as u64;
         let opt = model::all_to_all::sbnt_all_port_min(pq, n, &params);
         let lb = model::all_to_all::lower_bound(pq, n, &params);
@@ -111,13 +117,11 @@ fn table3_one_port_exact() {
         let b = 8usize;
         let num = 1usize << n;
         // Each source holds PQ/2^l elements = num·b.
-        let blocks: Vec<Vec<Vec<u64>>> = (0..sources as u64)
-            .map(|i| (0..num as u64).map(|d| vec![i * 100 + d; b]).collect())
-            .collect();
+        let sizes = vec![vec![b as u64; num]; sources];
         let params = MachineParams::unit(PortMode::OnePort);
-        let mut net = SimNet::new(n, params.clone());
-        let _ = some_to_all(&mut net, l_dims, k_dims, blocks, BufferPolicy::Ideal);
-        let r = net.finalize();
+        let ports = PortMode::OnePort;
+        let plan = plan::some_to_all_plan(n, l_dims, k_dims, &sizes, BufferPolicy::Ideal, ports);
+        let r = run(n, &plan, &params);
         let pq = (sources * num * b) as u64;
         let expect = model::some_to_all::one_port(pq, k, l, &params);
         assert!(

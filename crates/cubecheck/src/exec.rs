@@ -6,8 +6,10 @@
 //! `(round, src, dim, elems)` sends and `(round, node, elems)` copies.
 //! [`run_schedule`] makes one pass over them. Per round it packs each
 //! message into a `channel << 32 | elems` key (`channel = src · ports +
-//! dim`), radix-sorts the keys by channel unless they already ascend,
-//! and walks them once: that walk yields the round's
+//! dim`) and walks the keys once in channel order. Every
+//! `cubecomm::plan` builder emits its rounds in that order, so the keys
+//! of a built plan already ascend; the radix sort by channel runs only
+//! for hand-built (or corrupted) schedules. The walk yields the round's
 //! [`CommReport::link_history`] in `(src, dim)` order, finds link
 //! contention as two adjacent equal channels, and adds into the
 //! per-link running totals behind `max_link_elems`, a
@@ -258,6 +260,55 @@ mod tests {
             assert!(diags.is_empty(), "{}: {}", plan.name, diags[0]);
             let errs = cross_validate(&low, &run_schedule(&plan, &params));
             assert!(errs.is_empty(), "{}: {}", plan.name, errs.join("\n"));
+        }
+    }
+
+    /// Builders emit each round in channel order, so the fold's radix
+    /// sort runs only on hand-built schedules. Reversing every round of
+    /// every family's plan sends those rounds through it, and the
+    /// report, link history and time bits included, must not move.
+    #[test]
+    fn reversing_every_round_leaves_the_report_unchanged() {
+        use cubecomm::plan::{all_to_all_sbnt_plan, one_to_all_sbt_plan, one_to_all_trees_plan};
+        use cubecomm::sbt::Sbt;
+        let d = SwappedDragonfly::new(2, 3);
+        let df_msgs: Vec<(NodeId, NodeId, u64)> = (0..d.num_nodes() as u64)
+            .map(|x| (NodeId(x), NodeId((x * 7 + 3) % d.num_nodes() as u64), x % 3 + 1))
+            .collect();
+        let one_sizes: Vec<u64> = (0..16).map(|x| x % 5).collect();
+        let rotated: Vec<Sbt> = (0..4).map(|k| Sbt::rotated(4, NodeId(5), k)).collect();
+        let plans = [
+            ecube_route_plan(4, &crate::workloads::transpose_msgs(4, 3)),
+            all_to_all_exchange_plan(
+                3,
+                &all_to_all_sizes(8, 3),
+                BufferPolicy::Buffered { min_direct: 4 },
+                PortMode::OnePort,
+            ),
+            one_to_all_sbt_plan(4, NodeId(5), &one_sizes),
+            one_to_all_trees_plan(4, &one_sizes, &rotated),
+            all_to_all_sbnt_plan(3, &all_to_all_sizes(8, 2)),
+            dragonfly_direct_plan(2, 3, &df_msgs),
+            dragonfly_swap_exchange_plan(2, 3, &all_to_all_sizes(d.num_nodes(), 2)),
+        ];
+        for plan in &plans {
+            let params = MachineParams::unit(plan.ports);
+            let mut reversed = plan.clone();
+            for round in &mut reversed.rounds {
+                round.msgs.reverse();
+                round.copies.reverse();
+            }
+            assert!(
+                reversed.rounds.iter().any(|r| r.msgs.len() > 1),
+                "{}: no round for the sort to reorder",
+                plan.name
+            );
+            assert_eq!(
+                run_schedule(&reversed, &params),
+                run_schedule(plan, &params),
+                "{}",
+                plan.name
+            );
         }
     }
 

@@ -57,8 +57,9 @@ pub enum BufferPolicy {
 /// Each step is one-port legal: a node only touches the step's dimension.
 ///
 /// # Panics
-/// If some block's destination is unreachable through `dims` (left
-/// stranded), or on cost-model violations.
+/// If `held` does not have one list per node of the net, if some
+/// block's destination is unreachable through `dims` (left stranded),
+/// or on cost-model violations.
 #[track_caller]
 pub fn exchange_over_dims<T>(
     net: &mut SimNet<BlockMsg<T>>,
@@ -66,7 +67,13 @@ pub fn exchange_over_dims<T>(
     dims: &[u32],
     policy: BufferPolicy,
 ) -> Vec<Vec<Block<T>>> {
-    assert_eq!(held.len(), net.num_nodes());
+    assert!(
+        held.len() == net.num_nodes(),
+        "exchange_over_dims: {} holder lists for the {} nodes of the {}-cube",
+        held.len(),
+        net.num_nodes(),
+        net.n()
+    );
     // Planned from where each block *is*, whatever its `src` tag says.
     let mut metas = Vec::new();
     let mut payloads = Vec::new();
@@ -121,5 +128,13 @@ mod tests {
         ];
         let mut net = SimNet::new(2, MachineParams::unit(PortMode::OnePort));
         let _ = exchange_over_dims(&mut net, held, &[0], BufferPolicy::Ideal);
+    }
+
+    #[test]
+    #[should_panic(expected = "exchange_over_dims: 4 holder lists for the 8 nodes of the 3-cube")]
+    fn holder_lists_must_cover_the_cube() {
+        let held: Vec<Vec<Block<u64>>> = vec![Vec::new(); 4];
+        let mut net = SimNet::new(3, MachineParams::unit(PortMode::OnePort));
+        let _ = exchange_over_dims(&mut net, held, &[0, 1, 2], BufferPolicy::Ideal);
     }
 }

@@ -16,15 +16,17 @@
 //! messages as [`BlockMeta`], asks the planner's contention simulation
 //! (`plan::skeleton::route_hops`, the one place the FIFO discipline
 //! lives) for its flat `(sender, port, block)` hop log, and runs the
-//! log. A round is one serial pass on the calling thread: every hop is
-//! charged to the net ([`SimNet::charge`]: checked, costed and recorded
-//! as a send of the block would be) and the round is finished. The net
-//! carries no block: a block's data stays in the router's input until
-//! its last hop, when it is moved once to its destination's list — in
-//! log order, so every node sees its arrivals port-ascending, the
-//! reference router's arrival order. Nothing is allocated per hop, the
-//! log costs 16 bytes a hop, and the topology's port count is not
-//! limited. The router starts no threads and does not read
+//! log. The router asks for each round in landing order (port-major,
+//! senders ascending per port); the planners ask for the same hops in
+//! channel order. A round is one serial pass on the calling thread:
+//! every hop is charged to the net ([`SimNet::charge`]: checked, costed
+//! and recorded as a send of the block would be) and the round is
+//! finished. The net carries no block: a block's data stays in the
+//! router's input until its last hop, when it is moved once to its
+//! destination's list — in log order, so every node sees its arrivals
+//! port-ascending, the reference router's arrival order. Nothing is
+//! allocated per hop, the log costs 16 bytes a hop, and the topology's
+//! port count is not limited. The router starts no threads and does not read
 //! `CUBEBENCH_THREADS`. The full-lattice implementation it replaced
 //! survives as [`crate::ecube::reference::RefRouter`], the independent
 //! oracle of the contention simulation
@@ -83,7 +85,7 @@ pub fn graph_route<T, G: MinimalRoute>(
             data.push(m.data);
         }
     }
-    let (hops, bounds) = skeleton::route_hops(net.topology(), &metas);
+    let (hops, bounds) = skeleton::route_hops(net.topology(), &metas, skeleton::HopOrder::Landing);
     for w in bounds.windows(2) {
         for &(src, port, id) in &hops[w[0]..w[1]] {
             let b = &metas[id as usize];

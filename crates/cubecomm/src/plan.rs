@@ -91,7 +91,10 @@ pub struct PlannedMsg {
 /// the same round (the gather pass of the buffered exchange policy).
 #[derive(Clone, PartialEq, Eq, Debug, Default)]
 pub struct PlanRound {
-    /// Messages sent this round, in send order.
+    /// Messages sent this round. Every builder emits them in ascending
+    /// channel order (`src · ports + dim` of the schedule's topology);
+    /// every consumer accepts any order, since the §2 cost model charges
+    /// a round its maxima over links.
     pub msgs: Vec<PlannedMsg>,
     /// `(node, elements)` local-copy charges for this round.
     pub copies: Vec<(NodeId, u64)>,
@@ -417,10 +420,10 @@ pub fn sbnt_plan(n: u32, blocks: Vec<BlockMeta>) -> CommSchedule {
 
 /// Plans [`crate::ecube::ecube_route`]: dimension-ordered store-and-
 /// forward routing, one message per directed link per round, FIFO per
-/// link (nodes ascending, dimensions ascending per node, sends
-/// dimension-major) — the contention simulation
-/// [`dragonfly_direct_plan`] and the router itself share, on a
-/// [`Hypercube`].
+/// link (a round's sends land dimension-major, which fixes the FIFO
+/// order of later rounds; its messages are listed in channel order) —
+/// the contention simulation [`dragonfly_direct_plan`] and the router
+/// itself share, on a [`Hypercube`].
 ///
 /// `msgs` are `(src, dst, elems)`; zero-element and local messages plan
 /// no hops (local blocks still appear in the plan's block list, with an
@@ -819,6 +822,12 @@ mod tests {
         let plan = ecube_route_plan(2, &[(NodeId(2), NodeId(2), 5), (NodeId(0), NodeId(3), 0)]);
         assert!(plan.rounds.is_empty());
         assert_eq!(plan.blocks.len(), 1); // the local block survives; the empty one is dropped
+    }
+
+    #[test]
+    #[should_panic(expected = "one_to_all_trees_plan needs at least one tree")]
+    fn trees_plan_refuses_an_empty_family() {
+        let _ = one_to_all_trees_plan(3, &[1; 8], &[]);
     }
 
     #[test]

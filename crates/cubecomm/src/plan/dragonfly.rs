@@ -39,9 +39,10 @@ use std::collections::BTreeMap;
 
 /// Plans minimal (direct) store-and-forward routing on `D3(K,M)`: every
 /// message follows its local–global–local path, one message per
-/// directed link per round, FIFO per link — the same decisions in the
-/// same order as [`crate::graph::graph_route`] on a Dragonfly net, so
-/// the plan's per-round claims coincide with that execution's
+/// directed link per round, FIFO per link — the same decisions as
+/// [`crate::graph::graph_route`] on a Dragonfly net (each round's hops
+/// listed in channel order here, in landing order there), so the plan's
+/// per-round claims coincide with that execution's
 /// [`cubesim::CommReport::link_history`].
 ///
 /// `msgs` are `(src, dst, elems)`; zero-element and local messages plan

@@ -1,9 +1,12 @@
 //! The original, unfactored planners — kept as the executable
 //! specification of the fast builders in the `skeleton` module.
 //!
-//! Each function here is the pre-optimization implementation, verbatim:
-//! a direct simulation of its engine's control flow over per-node held
-//! lists (or, for the router, a full `2^n · n` queue lattice). They are
+//! Each function here is the pre-optimization implementation, verbatim
+//! but for one thing: the SBT, tree and router twins list each round's
+//! messages in channel order (`src · ports + dim`), the order every
+//! builder emits. Each is a direct simulation of its engine's control
+//! flow over per-node held lists (or, for the router, a full `2^n · n`
+//! queue lattice). They are
 //! O(2^n) per round and allocation-heavy, which is exactly why the
 //! public builders no longer use them — but their output *defines*
 //! correctness: the `plan_reference` property tests in
@@ -178,6 +181,7 @@ pub fn one_to_all_sbt_plan(n: u32, root: NodeId, sizes: &[u64]) -> CommSchedule 
                 round.msgs.push(PlannedMsg { src: x, dim, blocks: send });
             }
         }
+        round.msgs.sort_by_key(|m| m.src);
         rounds.push(round);
     }
     CommSchedule {
@@ -227,6 +231,7 @@ pub fn one_to_all_trees_plan(n: u32, sizes: &[u64], trees: &[Sbt]) -> CommSchedu
                 }
             }
         }
+        round.msgs.sort_by_key(|m| (m.src, m.dim));
         rounds.push(round);
     }
     CommSchedule {
@@ -330,26 +335,27 @@ pub fn ecube_route_plan(n: u32, msgs: &[(NodeId, NodeId, u64)]) -> CommSchedule 
     }
     let mut rounds = Vec::new();
     // Per-dimension commit buffers: heads pop lanes-ascending then
-    // dims-ascending, commit dimension-major — the router's send order.
+    // dims-ascending — the plan's message order — and land
+    // dimension-major, the router's delivery order.
     let mut commit: Vec<Vec<(NodeId, u32)>> = (0..nd).map(|_| Vec::new()).collect();
     while in_flight > 0 {
+        let mut round = PlanRound::default();
         for x in 0..num {
             for d in 0..nd {
                 if let Some(&id) = queues[x * nd + d].front() {
                     queues[x * nd + d].pop_front();
                     commit[d].push((NodeId(x as u64), id));
+                    round.msgs.push(PlannedMsg {
+                        src: NodeId(x as u64),
+                        dim: d as u32,
+                        blocks: vec![id],
+                    });
                 }
             }
         }
-        let mut round = PlanRound::default();
-        for (d, staged) in commit.iter().enumerate() {
-            for &(src, id) in staged {
-                round.msgs.push(PlannedMsg { src, dim: d as u32, blocks: vec![id] });
-            }
-        }
         rounds.push(round);
-        // Land in send order: retire arrivals, requeue the rest on their
-        // next e-cube dimension.
+        // Land dimension-major: retire arrivals, requeue the rest on
+        // their next e-cube dimension.
         for (d, staged) in commit.iter_mut().enumerate() {
             for (src, id) in staged.drain(..) {
                 let land = src.neighbor(d as u32);

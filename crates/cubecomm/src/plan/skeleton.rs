@@ -29,7 +29,10 @@
 //! 2. **Instantiation (serial, deterministic).** Each round's
 //!    [`PlanRound`] — where the allocation-heavy `PlannedMsg`/block-id
 //!    vectors are materialized — is emitted as soon as its skeleton is
-//!    known, in round order. Forking the rounds over threads was
+//!    known, in round order, its messages ascending by channel
+//!    (`src · ports + dim`): the order `cubecheck`'s fold walks without
+//!    sorting, produced by the grouping each builder already does
+//!    (no extra per-round sort). Forking the rounds over threads was
 //!    measured and never won (the table is in the module doc of
 //!    `cubesim`'s `par`). Emitted schedules are byte-identical to
 //!    [`super::reference`] (enforced by the `plan_construction` property
@@ -233,7 +236,9 @@ fn emit_exchange_step(
 /// Rounds of [`super::one_to_all_sbt_plan`]: in round `j` the block for
 /// logical destination `l` sits at logical node `l mod 2^j` and is sent
 /// iff bit `j` of `l` is set. The logical structure is the skeleton; the
-/// tree's `physical`/`physical_dim` relabeling instantiates it.
+/// tree's `physical`/`physical_dim` relabeling instantiates it. Every
+/// message of a round crosses the same dimension, so its senders
+/// ascend.
 pub(crate) fn sbt_rounds(n: u32, blocks: &[BlockMeta], tree: &Sbt) -> Vec<PlanRound> {
     let logical: Vec<u64> = blocks.iter().map(|b| tree.logical(b.dst)).collect();
     let mut rounds = Vec::with_capacity(n as usize);
@@ -241,73 +246,62 @@ pub(crate) fn sbt_rounds(n: u32, blocks: &[BlockMeta], tree: &Sbt) -> Vec<PlanRo
         let dim = tree.physical_dim(j);
         let mut round = PlanRound::default();
         // Movers in id order (= held order: all blocks share the root
-        // history), grouped by their logical holder.
+        // history), grouped by their physical holder.
         let mut movers: Vec<(u64, u32)> = (0..blocks.len() as u32)
             .filter(|&id| logical[id as usize] >> j & 1 == 1)
-            .map(|id| (logical[id as usize] & cubeaddr::mask(j), id))
+            .map(|id| (tree.physical(logical[id as usize] & cubeaddr::mask(j)).bits(), id))
             .collect();
-        movers.sort_by_key(|&(lx, _)| lx);
-        emit_grouped(&mut round, &movers, |lx| (tree.physical(lx), dim));
+        movers.sort_by_key(|&(x, _)| x);
+        emit_grouped(&mut round, &movers, |x| (NodeId(x), dim));
         rounds.push(round);
     }
     rounds
 }
 
 /// Rounds of [`super::one_to_all_trees_plan`]: the SBT skeleton of
-/// [`sbt_rounds`], once per tree per round, messages in tree-major
-/// order. `tree_of[id]` is the tree routing block `id`.
+/// [`sbt_rounds`], once per tree per round. A round's messages ascend
+/// by `(sender, dimension)`; two trees that claim one link (contention
+/// an execution refuses) keep one message each, in tree order.
+/// `tree_of[id]` is the tree routing block `id`.
 pub(crate) fn trees_rounds(
     n: u32,
     blocks: &[BlockMeta],
     trees: &[Sbt],
     tree_of: &[u32],
 ) -> Vec<PlanRound> {
-    // Per-tree id lists (ascending) and logical destinations, computed
-    // once and shared by every round.
-    let mut ids_by_tree: Vec<Vec<u32>> = vec![Vec::new(); trees.len()];
-    let mut logical: Vec<u64> = Vec::with_capacity(blocks.len());
-    for (id, (b, &k)) in blocks.iter().zip(tree_of).enumerate() {
-        ids_by_tree[k as usize].push(id as u32);
-        logical.push(trees[k as usize].logical(b.dst));
-    }
+    let logical: Vec<u64> =
+        blocks.iter().zip(tree_of).map(|(b, &k)| trees[k as usize].logical(b.dst)).collect();
     let mut rounds = Vec::with_capacity(n as usize);
     for j in 0..n {
+        let dims: Vec<u32> = trees.iter().map(|t| t.physical_dim(j)).collect();
         let mut round = PlanRound::default();
-        for (tree, ids) in trees.iter().zip(&ids_by_tree) {
-            let dim = tree.physical_dim(j);
-            let mut movers: Vec<(u64, u32)> = ids
-                .iter()
-                .filter(|&&id| logical[id as usize] >> j & 1 == 1)
-                .map(|&id| (logical[id as usize] & cubeaddr::mask(j), id))
-                .collect();
-            movers.sort_by_key(|&(lx, _)| lx);
-            emit_grouped(&mut round, &movers, |lx| (tree.physical(lx), dim));
-        }
+        // Movers in id order, grouped by (physical holder, dimension,
+        // tree).
+        let mut movers: Vec<((u64, u32, u32), u32)> = (0..blocks.len() as u32)
+            .filter(|&id| logical[id as usize] >> j & 1 == 1)
+            .map(|id| {
+                let k = tree_of[id as usize];
+                let lx = logical[id as usize] & cubeaddr::mask(j);
+                ((trees[k as usize].physical(lx).bits(), dims[k as usize], k), id)
+            })
+            .collect();
+        movers.sort_by_key(|&(key, _)| key);
+        emit_grouped(&mut round, &movers, |(x, dim, _)| (NodeId(x), dim));
         rounds.push(round);
     }
     rounds
 }
 
-/// Appends one message per `(logical holder)` group of `movers` (sorted
-/// by holder, ids in held order within a group) to `round`.
-fn emit_grouped(
+/// Appends one message per holder group of `movers` (sorted by their
+/// group key, ids in held order within a group) to `round`.
+fn emit_grouped<K: Copy + PartialEq>(
     round: &mut PlanRound,
-    movers: &[(u64, u32)],
-    src_dim: impl Fn(u64) -> (NodeId, u32),
+    movers: &[(K, u32)],
+    src_dim: impl Fn(K) -> (NodeId, u32),
 ) {
-    let mut i = 0;
-    while i < movers.len() {
-        let lx = movers[i].0;
-        let start = i;
-        while i < movers.len() && movers[i].0 == lx {
-            i += 1;
-        }
-        let (src, dim) = src_dim(lx);
-        round.msgs.push(PlannedMsg {
-            src,
-            dim,
-            blocks: movers[start..i].iter().map(|&(_, id)| id).collect(),
-        });
+    for group in movers.chunk_by(|a, b| a.0 == b.0) {
+        let (src, dim) = src_dim(group[0].0);
+        round.msgs.push(PlannedMsg { src, dim, blocks: group.iter().map(|&(_, id)| id).collect() });
     }
 }
 
@@ -392,21 +386,38 @@ fn lane_push(
 }
 
 /// One round-delimited hop log of [`route_hops`]: `(sender, port, block
-/// id)` records in send order, and the round bounds into them (round `r`
-/// is `hops[bounds[r]..bounds[r + 1]]`).
+/// id)` records, each round's in the [`HopOrder`] asked for, and the
+/// round bounds into them (round `r` is `hops[bounds[r]..bounds[r + 1]]`).
 pub(crate) type HopLog = (Vec<(u64, u32, u32)>, Vec<usize>);
+
+/// The order of each round's records in a [`HopLog`]. Either order logs
+/// the same hops; only the sequence inside a round differs.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub(crate) enum HopOrder {
+    /// Ascending channel (`sender · ports + port`): node-major,
+    /// port-minor — the order every plan builder emits.
+    Channel,
+    /// Port-major, senders ascending per port: the order hops land in,
+    /// and so the order a router delivers a round's arrivals in.
+    Landing,
+}
 
 /// The contention simulation of minimal-path store-and-forward routing
 /// on `topo`: one message per directed link per round, FIFO per link.
-/// [`route_rounds`] materializes its log as a plan and
-/// [`crate::graph::graph_route`] charges it hop by hop, so the FIFO
-/// discipline exists once. One lane per directed link
-/// (`node * ports + port`), each an intrusive FIFO (a block sits in at
-/// most one queue, so one `next` slot per block suffices), and a
-/// live-lane bitmap whose ascending scan stages nodes ascending, ports
-/// ascending; sends are committed port-major, and a landed block joins
-/// its next lane in send order.
-pub(crate) fn route_hops<G: MinimalRoute>(topo: &G, blocks: &[BlockMeta]) -> HopLog {
+/// [`route_rounds`] materializes its log as a plan (in
+/// [`HopOrder::Channel`]) and [`crate::graph::graph_route`] charges it
+/// hop by hop (in [`HopOrder::Landing`]), so the FIFO discipline exists
+/// once. One lane per directed link (`node * ports + port`), each an
+/// intrusive FIFO (a block sits in at most one queue, so one `next`
+/// slot per block suffices), and a live-lane bitmap whose ascending
+/// scan stages the round's heads in channel order. Landing is
+/// port-major whatever the log order: a landed block joins its next
+/// lane in that order, which is the FIFO rule later rounds depend on.
+pub(crate) fn route_hops<G: MinimalRoute>(
+    topo: &G,
+    blocks: &[BlockMeta],
+    order: HopOrder,
+) -> HopLog {
     assert!(blocks.len() < NONE as usize, "block id space exhausted");
     let ports = topo.ports() as usize;
     let lanes = topo.num_nodes() * ports;
@@ -425,10 +436,10 @@ pub(crate) fn route_hops<G: MinimalRoute>(topo: &G, blocks: &[BlockMeta]) -> Hop
     // The whole simulation allocates nothing per hop.
     let mut hops: Vec<(u64, u32, u32)> = Vec::new();
     let mut bounds: Vec<usize> = vec![0];
-    let mut commit: Vec<Vec<(u64, u32)>> = vec![Vec::new(); ports];
+    let mut landing: Vec<Vec<(u64, u32)>> = vec![Vec::new(); ports];
     while in_flight > 0 {
         // Stage: pop the head of every live lane, lanes ascending
-        // (node-major, port-minor).
+        // (node-major, port-minor) — channel order.
         for (w, word) in live.iter_mut().enumerate() {
             let mut bits = *word;
             while bits != 0 {
@@ -440,24 +451,28 @@ pub(crate) fn route_hops<G: MinimalRoute>(topo: &G, blocks: &[BlockMeta]) -> Hop
                     tail[lane] = NONE;
                     *word &= !(1u64 << (lane % 64));
                 }
-                commit[lane % ports].push(((lane / ports) as u64, id));
+                let (src, p) = ((lane / ports) as u64, lane % ports);
+                if order == HopOrder::Channel {
+                    hops.push((src, p as u32, id));
+                }
+                landing[p].push((src, id));
             }
         }
-        // Commit port-major — the send order.
-        for (p, staged) in commit.iter_mut().enumerate() {
+        // Land port-major: retire arrivals, requeue the rest on the next
+        // port of their route.
+        for (p, staged) in landing.iter_mut().enumerate() {
             for (src, id) in staged.drain(..) {
-                hops.push((src, p as u32, id));
-            }
-        }
-        // Land in send order: retire arrivals, requeue the rest on the
-        // next port of their route.
-        for &(src, p, id) in &hops[bounds[bounds.len() - 1]..] {
-            let land = topo.neighbor(src, p).expect("minimal routes cross wired ports only");
-            match topo.next_port(land, blocks[id as usize].dst.bits()) {
-                None => in_flight -= 1,
-                Some(np) => {
-                    let lane = land as usize * ports + np as usize;
-                    lane_push(&mut head, &mut tail, &mut next, &mut live, lane, id);
+                if order == HopOrder::Landing {
+                    hops.push((src, p as u32, id));
+                }
+                let land =
+                    topo.neighbor(src, p as u32).expect("minimal routes cross wired ports only");
+                match topo.next_port(land, blocks[id as usize].dst.bits()) {
+                    None => in_flight -= 1,
+                    Some(np) => {
+                        let lane = land as usize * ports + np as usize;
+                        lane_push(&mut head, &mut tail, &mut next, &mut live, lane, id);
+                    }
                 }
             }
         }
@@ -467,10 +482,10 @@ pub(crate) fn route_hops<G: MinimalRoute>(topo: &G, blocks: &[BlockMeta]) -> Hop
 }
 
 /// Rounds of [`super::ecube_route_plan`] and
-/// [`super::dragonfly_direct_plan`]: [`route_hops`]' log, one
-/// single-block message per hop.
+/// [`super::dragonfly_direct_plan`]: [`route_hops`]' log in channel
+/// order, one single-block message per hop.
 pub(super) fn route_rounds<G: MinimalRoute>(topo: &G, blocks: &[BlockMeta]) -> Vec<PlanRound> {
-    let (hops, bounds) = route_hops(topo, blocks);
+    let (hops, bounds) = route_hops(topo, blocks, HopOrder::Channel);
     bounds
         .windows(2)
         .map(|w| PlanRound {

@@ -181,10 +181,11 @@ impl Sbt {
 }
 
 /// The root a tree family shares, after checking it is a non-empty
-/// family of trees on the `n`-cube with one root.
+/// family of trees on the `n`-cube with one root — the family check of
+/// [`crate::plan::one_to_all_trees_plan`].
 #[track_caller]
 pub(crate) fn common_root(n: u32, trees: &[Sbt]) -> NodeId {
-    assert!(!trees.is_empty());
+    assert!(!trees.is_empty(), "one_to_all_trees_plan needs at least one tree");
     let root = trees[0].root();
     for t in trees {
         assert_eq!(t.n(), n, "tree on the wrong cube");

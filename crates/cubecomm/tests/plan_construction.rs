@@ -1,7 +1,7 @@
 //! Property tests pinning the factored plan builders to their
 //! reference implementations — the `plan_reference` discipline.
 //!
-//! Two properties, each over every planner:
+//! Three properties, each over every planner:
 //!
 //! 1. **Reference equivalence:** the fast skeleton-based builders in
 //!    `cubecomm::plan` emit [`CommSchedule`]s byte-identical to the
@@ -12,6 +12,10 @@
 //!    [`PlanCache`] hit returns a plan byte-identical to an uncached
 //!    construction of the same inputs (and the very same `Arc` on the
 //!    second fetch).
+//! 3. **Channel order:** every round's messages ascend by channel
+//!    `src · ports + dim`, the order `cubecheck`'s schedule fold walks
+//!    without sorting. (Consumers accept any order; builders promise
+//!    this one.)
 
 use cubeaddr::NodeId;
 use cubecomm::exchange::BufferPolicy;
@@ -94,6 +98,17 @@ fn assert_identical(fast: &CommSchedule, reference: &CommSchedule, what: &str) {
     for (i, (f, r)) in fast.rounds.iter().zip(&reference.rounds).enumerate() {
         assert_eq!(f, r, "{what}: round {i}");
     }
+}
+
+/// The first `(round, message)` whose channel `src · ports + dim` is
+/// below its predecessor's, if any.
+fn first_descent(plan: &CommSchedule) -> Option<(usize, usize)> {
+    let ports = u64::from(plan.topo.ports());
+    plan.rounds.iter().enumerate().find_map(|(r, round)| {
+        let channels: Vec<u64> =
+            round.msgs.iter().map(|m| m.src.bits() * ports + u64::from(m.dim)).collect();
+        channels.windows(2).position(|w| w[0] > w[1]).map(|i| (r, i + 1))
+    })
 }
 
 /// Every planner with a reference twin, both as boxed closures over
@@ -236,5 +251,35 @@ proptest! {
         let stats = cache.stats();
         assert_eq!(stats.misses, pairs.len() as u64, "one miss per planner");
         assert_eq!(stats.hits, pairs.len() as u64, "one hit per planner");
+    }
+
+    /// Property 3: every builder — each one with a reference twin, the
+    /// twin itself, and both Swapped Dragonfly planners — emits each
+    /// round's messages in ascending channel order.
+    #[test]
+    fn every_builder_emits_rounds_in_channel_order(
+        n in 1u32..6,
+        (k, m) in (1u32..4, 1u32..5),
+        seed in any::<u64>(),
+        max_b in 0u64..6,
+        policy in policy_strategy(),
+    ) {
+        let mut plans: Vec<(&str, CommSchedule)> = Vec::new();
+        for (what, fast, twin) in planners(n, seed, max_b, policy) {
+            plans.push((what, fast()));
+            plans.push((what, twin()));
+        }
+        let df = SwappedDragonfly::new(k, m).num_nodes();
+        let df_sizes = random_matrix(df, seed, max_b);
+        let df_msgs: Vec<(NodeId, NodeId, u64)> = df_sizes[0]
+            .iter()
+            .enumerate()
+            .map(|(i, &h)| (NodeId(i as u64), NodeId(h.wrapping_mul(i as u64 + 1) % df as u64), h))
+            .collect();
+        plans.push(("dragonfly_direct", plan::dragonfly_direct_plan(k, m, &df_msgs)));
+        plans.push(("dragonfly_swap_exchange", plan::dragonfly_swap_exchange_plan(k, m, &df_sizes)));
+        for (what, plan) in &plans {
+            prop_assert_eq!(first_descent(plan), None, "{}: (round, message) out of channel order", what);
+        }
     }
 }

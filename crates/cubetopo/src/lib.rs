@@ -66,6 +66,7 @@ pub struct Hypercube {
 
 impl Hypercube {
     /// An `n`-dimensional cube.
+    #[inline]
     #[track_caller]
     pub fn new(n: u32) -> Self {
         cubeaddr::check_dims(n);
@@ -304,6 +305,7 @@ impl From<SwappedDragonfly> for TopoSpec {
 }
 
 impl Topology for TopoSpec {
+    #[inline]
     fn num_nodes(&self) -> usize {
         match *self {
             TopoSpec::Hypercube { n } => Hypercube::new(n).num_nodes(),
@@ -311,6 +313,7 @@ impl Topology for TopoSpec {
         }
     }
 
+    #[inline]
     fn ports(&self) -> u32 {
         match *self {
             TopoSpec::Hypercube { n } => n,
@@ -318,6 +321,7 @@ impl Topology for TopoSpec {
         }
     }
 
+    #[inline]
     fn neighbor(&self, node: u64, port: u32) -> Option<u64> {
         match *self {
             TopoSpec::Hypercube { n } => Hypercube::new(n).neighbor(node, port),
@@ -325,6 +329,7 @@ impl Topology for TopoSpec {
         }
     }
 
+    #[inline]
     fn reverse_port(&self, node: u64, port: u32) -> Option<u32> {
         match *self {
             TopoSpec::Hypercube { n } => Hypercube::new(n).reverse_port(node, port),

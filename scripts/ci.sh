@@ -335,7 +335,11 @@ begin "model-check: seeded-mutation detection suite"
 timeout 300 cargo test -q -p cubesync --test mutations
 
 begin "cubecheck: static invariants of the figure schedules"
-cargo run --release -q -p cubecheck -- --all-figures
+# Each cubecheck run's stdout is diffed against its committed golden, so
+# a schedule change that moves a claim count or the cache tally fails
+# here instead of passing by eye.
+cargo run --release -q -p cubecheck -- --all-figures >"$fig_tmp/cubecheck-all-figures.txt"
+diff -u results/golden/cubecheck-all-figures.txt "$fig_tmp/cubecheck-all-figures.txt"
 
 begin "cubecheck: plan/execution equivalence"
 cargo test --release -q -p cubecheck --test equivalence
@@ -501,12 +505,15 @@ timeout 300 cargo test --release -q -p boolcube --test spmd_perf_smoke -- --igno
 begin "cubecheck: n=16 plan lint smoke (time-bounded)"
 # 65 536-node flight plan, feasible since factored construction; the
 # bound catches a return to per-node recomputation.
-timeout 300 cargo run --release -q -p cubecheck -- n16-smoke
+timeout 300 cargo run --release -q -p cubecheck -- n16-smoke >"$fig_tmp/cubecheck-n16-smoke.txt"
+diff -u results/golden/cubecheck-n16-smoke.txt "$fig_tmp/cubecheck-n16-smoke.txt"
 
 begin "cubecheck: Swapped Dragonfly planner lint smoke (time-bounded)"
 # Both Draper planner variants on a D3(4,8) through the same five rule
 # families the cube schedules pass — the topology-generic checker path.
-timeout 300 cargo run --release -q -p cubecheck -- dragonfly-smoke
+timeout 300 cargo run --release -q -p cubecheck -- dragonfly-smoke \
+    >"$fig_tmp/cubecheck-dragonfly-smoke.txt"
+diff -u results/golden/cubecheck-dragonfly-smoke.txt "$fig_tmp/cubecheck-dragonfly-smoke.txt"
 
 begin "perfbench: the harness's own unit tests"
 # perfbench/ is its own workspace root, so `cargo test --workspace` above

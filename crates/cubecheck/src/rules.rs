@@ -19,14 +19,28 @@
 //!   lowering already in schedule order) and walked a round at a time.
 //!   Per-node and per-channel slots carry the stamp of the round that
 //!   last wrote them, so nothing is cleared between rounds.
+//! - **Block ids.** A claim's blocks are a range of the lowering's one
+//!   id arena ([`Lowered::ids`]), so no rule chases a list per claim.
 //! - **Block hops.** One compressed index of every block's hops, each
 //!   block's slice sorted by `(round, src, dim)`. [`check_all`] builds it
-//!   once for the conservation and deadlock rules; the channel
-//!   dependency graph is a counting sort of its consecutive hop pairs.
+//!   once for the conservation and deadlock rules. It is a counting sort
+//!   by block, which keeps each slice in claim order; when the claims
+//!   already ascend by `(round, src, dim)` — every built plan's do, since
+//!   each round's messages ascend by channel — one linear check stands
+//!   in for the per-block sorts. Claims in any other order (hand-built,
+//!   corrupted) get them.
+//! - **Deadlock freedom by rank.** When every block's consecutive hops
+//!   cross strictly ascending ports (or every block's strictly
+//!   descending ones), each edge of the channel dependency graph climbs
+//!   (or falls) a fixed rank, the port, so the graph is acyclic — the
+//!   Dally–Seitz argument for e-cube routing, and the paper's for its §7
+//!   routing logic. One pass over the hops checks it; only a lowering
+//!   that fails it gets the graph built and searched.
 //!
 //! Cost is linear in claims + channels, plus one sort per round of that
-//! round's duplicate links and the short sorts of each block's hops and
-//! each channel's successors.
+//! round's duplicate links; a lowering out of key order adds the short
+//! sorts of each block's hops, and one without a port rank the sorts of
+//! each channel's successors and the search.
 
 use crate::diag::{Diag, Rule};
 use crate::ir::{LinkClaim, Lowered};
@@ -183,17 +197,19 @@ fn block_hops(low: &Lowered) -> Csr {
     let nblocks = low.blocks.len();
     let mut hops = Csr::new(nblocks, || {
         low.claims.iter().enumerate().flat_map(move |(i, c)| {
-            c.blocks
+            low.ids(c)
                 .iter()
                 .filter(move |&&b| (b as usize) < nblocks)
                 .map(move |&b| (b as usize, i as u32))
         })
     });
-    for id in 0..nblocks {
-        hops.row_mut(id).sort_unstable_by_key(|&i| {
-            let c = &low.claims[i as usize];
-            (c.round, c.src, c.dim)
-        });
+    // Rows keep claim order, so claims ascending by the key leave every
+    // row sorted (equal keys are one hop twice, alike to every rule).
+    let key = |c: &LinkClaim| (c.round, c.src, c.dim);
+    if !low.claims.is_sorted_by_key(key) {
+        for id in 0..nblocks {
+            hops.row_mut(id).sort_unstable_by_key(|&i| key(&low.claims[i as usize]));
+        }
     }
     hops
 }
@@ -355,7 +371,7 @@ fn conservation(low: &Lowered, hops: &Csr) -> Vec<Diag> {
     for c in &low.claims {
         let mut sum = 0u64;
         let mut bad_id = None;
-        for &b in &c.blocks {
+        for &b in low.ids(c) {
             match low.blocks.get(b as usize) {
                 Some(meta) => sum += meta.elems,
                 None => bad_id = bad_id.or(Some(b)),
@@ -440,15 +456,17 @@ fn conservation(low: &Lowered, hops: &Csr) -> Vec<Diag> {
 /// consecutive hop pair of any block — must be acyclic (the Dally–Seitz
 /// condition the e-cube order guarantees). Schedules not flagged
 /// dimension-ordered are skipped: their safety argument is the
-/// round-synchronous barrier, not channel ordering. Of several cycles,
-/// the one reported is the first a depth-first search meets from the
-/// lowest channel, successors ascending.
+/// round-synchronous barrier, not channel ordering. A lowering whose
+/// hops all climb (or all fall) in port is acyclic by that rank and is
+/// not searched (see the module docs). Of several cycles, the one
+/// reported is the first a depth-first search meets from the lowest
+/// channel, successors ascending.
 pub fn check_deadlock_free(low: &Lowered) -> Vec<Diag> {
     deadlock_free(low, &Channels::new(low), &block_hops(low))
 }
 
 fn deadlock_free(low: &Lowered, chans: &Channels, hops: &Csr) -> Vec<Diag> {
-    if !low.dimension_ordered {
+    if !low.dimension_ordered || port_ranked(low, hops) {
         return Vec::new();
     }
     let hop_chans = hops.map(|i| {
@@ -517,15 +535,127 @@ fn deadlock_free(low: &Lowered, chans: &Channels, hops: &Csr) -> Vec<Diag> {
     Vec::new()
 }
 
+/// Whether every block's consecutive hops cross strictly ascending
+/// ports, or every block's strictly descending ones: then every edge of
+/// the channel dependency graph moves the same way on the port, and the
+/// graph has no cycle.
+fn port_ranked(low: &Lowered, hops: &Csr) -> bool {
+    let (mut up, mut down) = (true, true);
+    for id in 0..low.blocks.len() {
+        for pair in hops.row(id).windows(2) {
+            let (from, to) = (low.claims[pair[0] as usize].dim, low.claims[pair[1] as usize].dim);
+            up &= from < to;
+            down &= from > to;
+        }
+        if !(up || down) {
+            return false;
+        }
+    }
+    true
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ir::lower;
     use cubeaddr::NodeId;
-    use cubecomm::plan::{all_to_all_exchange_plan, ecube_route_plan, one_to_all_sbt_plan};
+    use cubecomm::plan::{
+        all_to_all_exchange_plan, ecube_route_plan, exchange_plan, one_to_all_sbt_plan, BlockMeta,
+        CommSchedule, PlanRound, PlannedMsg,
+    };
     use cubecomm::BufferPolicy;
+    use cubetopo::TopoSpec;
 
     fn unit(ports: PortMode) -> MachineParams {
         MachineParams::unit(ports)
+    }
+
+    fn meta(src: u64, dst: u64) -> BlockMeta {
+        BlockMeta { src: NodeId(src), dst: NodeId(dst), elems: 1 }
+    }
+
+    fn ranked(low: &Lowered) -> bool {
+        port_ranked(low, &block_hops(low))
+    }
+
+    /// Two blocks from node 0 to node 3 of the 2-cube, one over dims 0
+    /// then 1, the other over dims 1 then 0. Neither port direction ranks
+    /// the hops, so the graph is built and searched — and it has no
+    /// cycle.
+    #[test]
+    fn mixed_port_directions_are_searched_and_pass() {
+        let msg = |src: u64, dim: u32, block: u32| PlannedMsg {
+            src: NodeId(src),
+            dim,
+            blocks: vec![block],
+        };
+        let plan = CommSchedule {
+            name: "mixed".into(),
+            topo: TopoSpec::hypercube(2),
+            ports: PortMode::AllPorts,
+            dimension_ordered: true,
+            blocks: vec![meta(0, 3), meta(0, 3)],
+            rounds: vec![
+                PlanRound { msgs: vec![msg(0, 0, 0), msg(0, 1, 1)], copies: vec![] },
+                PlanRound { msgs: vec![msg(1, 1, 0), msg(2, 0, 1)], copies: vec![] },
+            ],
+        };
+        let low = lower(&plan, &unit(PortMode::AllPorts));
+        assert!(!ranked(&low));
+        assert!(check_all(&low, &unit(PortMode::AllPorts)).is_empty());
+    }
+
+    /// The exchange over the dimensions highest first: every block's
+    /// hops fall in port, which proves the graph acyclic without a
+    /// search.
+    #[test]
+    fn descending_exchange_is_ranked_and_passes() {
+        let blocks: Vec<BlockMeta> =
+            (0..16).flat_map(|s| (0..16).map(move |d| meta(s, d))).collect();
+        let dims = [3, 2, 1, 0];
+        let plan =
+            exchange_plan(4, blocks, &dims, BufferPolicy::Ideal, PortMode::OnePort, "descending");
+        let low = lower(&plan, &unit(PortMode::OnePort));
+        assert!(low.dimension_ordered);
+        assert!(low.claims.iter().any(|c| low.ids(c).len() > 1), "blocks share hops");
+        assert!(ranked(&low));
+        assert!(check_all(&low, &unit(PortMode::OnePort)).is_empty());
+    }
+
+    /// The e-cube plan climbs in port; four blocks chasing each other
+    /// round one face of the cube in two appended rounds break the rank,
+    /// and the search reports their cycle.
+    #[test]
+    fn face_cycle_on_an_ascending_lowering_is_found() {
+        let params = unit(PortMode::AllPorts);
+        let plan = ecube_route_plan(4, &crate::workloads::transpose_msgs(4, 3));
+        let mut low = lower(&plan, &params);
+        assert!(ranked(&low));
+        let (base, round) = (low.blocks.len() as u32, low.rounds);
+        low.blocks.extend([meta(0, 3), meta(1, 2), meta(3, 0), meta(2, 1)]);
+        for (round, src, dim, block) in [
+            (round, 0, 0, 0),
+            (round, 1, 1, 1),
+            (round, 3, 0, 2),
+            (round, 2, 1, 3),
+            (round + 1, 1, 1, 0),
+            (round + 1, 3, 0, 1),
+            (round + 1, 2, 1, 2),
+            (round + 1, 0, 0, 3),
+        ] {
+            let blocks = low.push_ids(&[base + block]);
+            low.claims.push(LinkClaim { round, src, dim, elems: 1, packets: 1, blocks });
+        }
+        low.rounds += 2;
+        assert!(!ranked(&low));
+        let diags = check_all(&low, &params);
+        assert_eq!(diags.len(), 1, "{diags:?}");
+        assert_eq!(diags[0].rule, Rule::DeadlockFree);
+        assert_eq!((diags[0].node, diags[0].dim), (Some(0), Some(0)));
+        assert_eq!(
+            diags[0].detail,
+            "channel dependency cycle: (0, dim 0) -> (1, dim 1) -> (3, dim 0) -> (2, dim 1) -> back"
+        );
     }
 
     #[test]
@@ -537,7 +667,7 @@ mod tests {
             BufferPolicy::Buffered { min_direct: 6 },
         ] {
             let plan = all_to_all_exchange_plan(3, &sizes, policy, PortMode::OnePort);
-            let low = crate::ir::lower(&plan, &unit(PortMode::OnePort));
+            let low = lower(&plan, &unit(PortMode::OnePort));
             let diags = check_all(&low, &unit(PortMode::OnePort));
             assert!(diags.is_empty(), "{policy:?}: {}", diags[0]);
         }
@@ -548,12 +678,12 @@ mod tests {
         let msgs: Vec<(NodeId, NodeId, u64)> =
             (0..16u64).map(|x| (NodeId(x), NodeId(15 - x), 3)).collect();
         let plan = ecube_route_plan(4, &msgs);
-        let low = crate::ir::lower(&plan, &unit(PortMode::AllPorts));
+        let low = lower(&plan, &unit(PortMode::AllPorts));
         assert!(check_all(&low, &unit(PortMode::AllPorts)).is_empty());
 
         let sizes: Vec<u64> = (0..16).map(|d| d % 4).collect();
         let plan = one_to_all_sbt_plan(4, NodeId(3), &sizes);
-        let low = crate::ir::lower(&plan, &unit(PortMode::OnePort));
+        let low = lower(&plan, &unit(PortMode::OnePort));
         assert!(check_all(&low, &unit(PortMode::OnePort)).is_empty());
     }
 
@@ -562,7 +692,7 @@ mod tests {
         // Two claims at the same node on different dims in one round.
         let msgs = vec![(NodeId(0), NodeId(1), 2), (NodeId(0), NodeId(2), 2)];
         let plan = ecube_route_plan(2, &msgs);
-        let mut low = crate::ir::lower(&plan, &unit(PortMode::OnePort));
+        let mut low = lower(&plan, &unit(PortMode::OnePort));
         low.ports = PortMode::OnePort; // the router plans n-port; reinterpret
         let diags = check_port_model(&low);
         assert_eq!(diags.len(), 1);
@@ -579,7 +709,7 @@ mod tests {
         // use one link. SimNet allows this; so must the checker.
         let sizes: Vec<Vec<u64>> = vec![vec![0, 2], vec![2, 0]];
         let plan = all_to_all_exchange_plan(1, &sizes, BufferPolicy::Ideal, PortMode::OnePort);
-        let low = crate::ir::lower(&plan, &unit(PortMode::OnePort));
+        let low = lower(&plan, &unit(PortMode::OnePort));
         assert!(check_all(&low, &unit(PortMode::OnePort)).is_empty());
     }
 }

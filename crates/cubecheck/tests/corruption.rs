@@ -29,15 +29,16 @@ fn duplicate_link_claim_fires_link_exclusive_only() {
     let victim = low
         .claims
         .iter()
-        .position(|c| c.blocks.len() >= 2)
+        .position(|c| low.ids(c).len() >= 2)
         .expect("all-to-all claims carry >= 2 blocks");
     let mut split = low.claims[victim].clone();
-    let moved = split.blocks.split_off(1);
-    split.elems = split.blocks.iter().map(|&b| low.blocks[b as usize].elems).sum();
+    let moved = split.blocks.start + 1..split.blocks.end;
+    split.blocks.end = moved.start;
+    split.elems = low.ids(&split).iter().map(|&b| low.blocks[b as usize].elems).sum();
     split.packets = params.packets(split.elems as usize) as u64;
     let mut second = low.claims[victim].clone();
     second.blocks = moved;
-    second.elems = second.blocks.iter().map(|&b| low.blocks[b as usize].elems).sum();
+    second.elems = low.ids(&second).iter().map(|&b| low.blocks[b as usize].elems).sum();
     second.packets = params.packets(second.elems as usize) as u64;
     let (round, src, dim) = (split.round, split.src, split.dim);
     low.claims[victim] = split;
@@ -244,8 +245,7 @@ fn duplicate_unlinked_claims_fire_link_exclusive_on_their_pair() {
     let plan = ecube_route_plan(2, &[(NodeId(0), NodeId(3), 2)]);
     let params = MachineParams::unit(PortMode::AllPorts);
     let mut low = lower(&plan, &params);
-    let empty =
-        |dim: u32| LinkClaim { round: 0, src: 1, dim, elems: 0, packets: 0, blocks: vec![] };
+    let empty = |dim: u32| LinkClaim { round: 0, src: 1, dim, elems: 0, packets: 0, blocks: 0..0 };
     low.claims.extend([empty(2), empty(3), empty(2)]);
 
     let diags = check_all(&low, &params);
@@ -264,32 +264,34 @@ fn duplicate_unlinked_claims_fire_link_exclusive_on_their_pair() {
 
 /// The four blocks of `cyclic_channel_dependency_fires_deadlock_free_only`
 /// chasing each other around the 2-cube face `0 → 1 → 3 → 2`, as blocks
-/// `base..base + 4` in rounds `round` and `round + 1`.
-fn face_cycle(base: u32, round: usize) -> (Vec<BlockMeta>, Vec<LinkClaim>) {
+/// `base..base + 4` in rounds `round` and `round + 1`; their ids go into
+/// `low`'s arena.
+fn face_cycle(low: &mut Lowered, base: u32, round: usize) -> (Vec<BlockMeta>, Vec<LinkClaim>) {
     let blocks = [(0, 3), (1, 2), (3, 0), (2, 1)].map(|(src, dst)| BlockMeta {
         src: NodeId(src),
         dst: NodeId(dst),
         elems: 1,
     });
-    let hop = |round: usize, src: u64, dim: u32, block: u32| LinkClaim {
+    let hop = |(round, src, dim, block): (usize, u64, u32, u32)| LinkClaim {
         round,
         src,
         dim,
         elems: 1,
         packets: 1,
-        blocks: vec![base + block],
+        blocks: low.push_ids(&[base + block]),
     };
-    let claims = vec![
-        hop(round, 0, 0, 0),
-        hop(round, 1, 1, 1),
-        hop(round, 3, 0, 2),
-        hop(round, 2, 1, 3),
-        hop(round + 1, 1, 1, 0),
-        hop(round + 1, 3, 0, 1),
-        hop(round + 1, 2, 1, 2),
-        hop(round + 1, 0, 0, 3),
-    ];
-    (blocks.to_vec(), claims)
+    let claims = [
+        (round, 0, 0, 0),
+        (round, 1, 1, 1),
+        (round, 3, 0, 2),
+        (round, 2, 1, 3),
+        (round + 1, 1, 1, 0),
+        (round + 1, 3, 0, 1),
+        (round + 1, 2, 1, 2),
+        (round + 1, 0, 0, 3),
+    ]
+    .map(hop);
+    (blocks.to_vec(), claims.to_vec())
 }
 
 /// Two channel cycles on one face of the 3-cube, one each way round
@@ -398,10 +400,11 @@ fn claims_shuffled_across_rounds_give_the_same_diagnostics() {
     let (base, rounds) = (low.blocks.len() as u32, low.rounds);
     let c = low.claims[low.claims.len() / 2].clone();
     low.blocks.push(BlockMeta { src: NodeId(c.src), dst: NodeId(c.src ^ (1 << c.dim)), elems: 3 });
-    low.claims.push(LinkClaim { blocks: vec![base], ..c });
-    let last = low.claims.iter().rposition(|c| c.blocks == [1]).expect("block 1 is routed");
+    let blocks = low.push_ids(&[base]);
+    low.claims.push(LinkClaim { blocks, ..c });
+    let last = low.claims.iter().rposition(|c| low.ids(c) == [1]).expect("block 1 is routed");
     low.claims.remove(last);
-    let (blocks, claims) = face_cycle(base + 1, rounds);
+    let (blocks, claims) = face_cycle(&mut low, base + 1, rounds);
     low.blocks.extend(blocks);
     low.claims.extend(claims);
     low.rounds += 2;
@@ -429,7 +432,7 @@ fn paper_scale_corruptions_fire_their_rules() {
     assert_eq!(clean.claims.len(), 114_688);
     assert!(check_all(&clean, &params).is_empty());
     let victim = clean.claims[clean.claims.len() / 2].clone();
-    assert_eq!(victim.blocks.len(), 1, "router claims carry one block each");
+    assert_eq!(clean.ids(&victim).len(), 1, "router claims carry one block each");
 
     // A second message on a claimed link: a fresh one-hop block.
     let mut low = clean.clone();
@@ -439,7 +442,8 @@ fn paper_scale_corruptions_fire_their_rules() {
         dst: NodeId(victim.src ^ (1 << victim.dim)),
         elems: victim.elems,
     });
-    low.claims.push(LinkClaim { blocks: vec![id], ..victim.clone() });
+    let blocks = low.push_ids(&[id]);
+    low.claims.push(LinkClaim { blocks, ..victim.clone() });
     let diags = check_all(&low, &params);
     assert_eq!(rules_of(&diags), vec![Rule::LinkExclusive], "{diags:?}");
     assert_eq!(diags.len(), 1);
@@ -462,8 +466,8 @@ fn paper_scale_corruptions_fire_their_rules() {
 
     // The victim's block loses its last hop.
     let mut low = clean.clone();
-    let block = victim.blocks[0];
-    let last = low.claims.iter().rposition(|c| c.blocks == [block]).expect("routed");
+    let block = clean.ids(&victim)[0];
+    let last = low.claims.iter().rposition(|c| low.ids(c) == [block]).expect("routed");
     let dropped = low.claims.remove(last);
     assert_ne!(dropped.src, low.blocks[block as usize].src.bits(), "a block of two or more hops");
     let diags = check_all(&low, &params);
@@ -474,7 +478,8 @@ fn paper_scale_corruptions_fire_their_rules() {
 
     // The 2-cube face cycle appended in two new rounds.
     let mut low = clean.clone();
-    let (blocks, claims) = face_cycle(low.blocks.len() as u32, low.rounds);
+    let (base, rounds) = (low.blocks.len() as u32, low.rounds);
+    let (blocks, claims) = face_cycle(&mut low, base, rounds);
     low.blocks.extend(blocks);
     low.claims.extend(claims);
     low.rounds += 2;

@@ -222,6 +222,7 @@ impl Topology for SwappedDragonfly {
         self.m - 1 + self.k
     }
 
+    #[inline]
     fn neighbor(&self, node: u64, port: u32) -> Option<u64> {
         debug_assert!(node < self.num_nodes() as u64 && port < self.ports());
         let m = u64::from(self.m);
@@ -241,6 +242,7 @@ impl Topology for SwappedDragonfly {
         }
     }
 
+    #[inline]
     fn reverse_port(&self, node: u64, port: u32) -> Option<u32> {
         let m = u64::from(self.m);
         let (g, r) = self.coords(node);
@@ -270,13 +272,9 @@ pub enum TopoSpec {
         /// Cube dimension.
         n: u32,
     },
-    /// The Swapped Dragonfly `D3(K,M)`.
-    Dragonfly {
-        /// Global ports per router.
-        k: u32,
-        /// Routers per group.
-        m: u32,
-    },
+    /// The Swapped Dragonfly `D3(K,M)`, validated once when the spec is
+    /// made, so the methods dispatch to it without re-checking its shape.
+    Dragonfly(SwappedDragonfly),
 }
 
 impl TopoSpec {
@@ -286,9 +284,9 @@ impl TopoSpec {
     }
 
     /// The spec of a `D3(K,M)` Swapped Dragonfly.
+    #[track_caller]
     pub fn dragonfly(k: u32, m: u32) -> Self {
-        let d = SwappedDragonfly::new(k, m);
-        TopoSpec::Dragonfly { k: d.k(), m: d.m() }
+        TopoSpec::Dragonfly(SwappedDragonfly::new(k, m))
     }
 }
 
@@ -300,7 +298,7 @@ impl From<Hypercube> for TopoSpec {
 
 impl From<SwappedDragonfly> for TopoSpec {
     fn from(d: SwappedDragonfly) -> Self {
-        TopoSpec::Dragonfly { k: d.k(), m: d.m() }
+        TopoSpec::Dragonfly(d)
     }
 }
 
@@ -309,7 +307,7 @@ impl Topology for TopoSpec {
     fn num_nodes(&self) -> usize {
         match *self {
             TopoSpec::Hypercube { n } => Hypercube::new(n).num_nodes(),
-            TopoSpec::Dragonfly { k, m } => SwappedDragonfly::new(k, m).num_nodes(),
+            TopoSpec::Dragonfly(d) => d.num_nodes(),
         }
     }
 
@@ -317,7 +315,7 @@ impl Topology for TopoSpec {
     fn ports(&self) -> u32 {
         match *self {
             TopoSpec::Hypercube { n } => n,
-            TopoSpec::Dragonfly { k, m } => SwappedDragonfly::new(k, m).ports(),
+            TopoSpec::Dragonfly(d) => d.ports(),
         }
     }
 
@@ -325,7 +323,7 @@ impl Topology for TopoSpec {
     fn neighbor(&self, node: u64, port: u32) -> Option<u64> {
         match *self {
             TopoSpec::Hypercube { n } => Hypercube::new(n).neighbor(node, port),
-            TopoSpec::Dragonfly { k, m } => SwappedDragonfly::new(k, m).neighbor(node, port),
+            TopoSpec::Dragonfly(d) => d.neighbor(node, port),
         }
     }
 
@@ -333,14 +331,14 @@ impl Topology for TopoSpec {
     fn reverse_port(&self, node: u64, port: u32) -> Option<u32> {
         match *self {
             TopoSpec::Hypercube { n } => Hypercube::new(n).reverse_port(node, port),
-            TopoSpec::Dragonfly { k, m } => SwappedDragonfly::new(k, m).reverse_port(node, port),
+            TopoSpec::Dragonfly(d) => d.reverse_port(node, port),
         }
     }
 
     fn label(&self) -> String {
         match *self {
             TopoSpec::Hypercube { n } => Hypercube::new(n).label(),
-            TopoSpec::Dragonfly { k, m } => SwappedDragonfly::new(k, m).label(),
+            TopoSpec::Dragonfly(d) => d.label(),
         }
     }
 }
@@ -373,6 +371,7 @@ impl MinimalRoute for Hypercube {
 }
 
 impl MinimalRoute for SwappedDragonfly {
+    #[inline]
     fn next_port(&self, cur: u64, dst: u64) -> Option<u32> {
         if cur == dst {
             return None;
@@ -395,10 +394,11 @@ impl MinimalRoute for SwappedDragonfly {
 }
 
 impl MinimalRoute for TopoSpec {
+    #[inline]
     fn next_port(&self, cur: u64, dst: u64) -> Option<u32> {
         match *self {
             TopoSpec::Hypercube { n } => Hypercube::new(n).next_port(cur, dst),
-            TopoSpec::Dragonfly { k, m } => SwappedDragonfly::new(k, m).next_port(cur, dst),
+            TopoSpec::Dragonfly(d) => d.next_port(cur, dst),
         }
     }
 }
@@ -552,6 +552,12 @@ mod tests {
     #[should_panic(expected = "K >= 1")]
     fn zero_k_rejected() {
         let _ = SwappedDragonfly::new(0, 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "D3(K,M) needs K >= 1 and M >= 1, got D3(0,4)")]
+    fn spec_of_zero_k_rejected() {
+        let _ = TopoSpec::dragonfly(0, 4);
     }
 
     /// Walks `next_port` from `src` to `dst`, asserting every hop is

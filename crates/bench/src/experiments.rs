@@ -448,7 +448,7 @@ pub fn tab3() -> SeriesSet {
             PortMode::OnePort,
         );
         let mut net: SimNet<u64> = SimNet::new(n, params.clone());
-        cubecomm::exec::run(&mut net, &plan.blocks, &plan.rounds);
+        cubecomm::exec::run(&mut net, &plan);
         let pq = (sources * num * b) as u64;
         sim.push(k as f64, net.finalize().time);
         mdl.push(k as f64, model::some_to_all::one_port(pq, k, l, &params));

@@ -131,7 +131,7 @@ fn run_and_copy<T: Copy + Default, P: Payload>(
     net: &mut SimNet<P>,
     plan: &CommSchedule,
 ) -> DistMatrix<T> {
-    exec::run(net, &plan.blocks, &plan.rounds);
+    exec::run(net, plan);
     let mut out = DistMatrix::zeroed(to.clone());
     moves.copy(m, &mut out);
     out

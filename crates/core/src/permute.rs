@@ -157,7 +157,7 @@ pub fn arbitrary_permutation<T>(
     let ports = net.params().ports;
     for sizes in [scatter, forward] {
         let plan = all_to_all_exchange_plan(net.n(), &sizes, BufferPolicy::Ideal, ports);
-        exec::run(net, &plan.blocks, &plan.rounds);
+        exec::run(net, &plan);
     }
     let mut out: Vec<Vec<T>> = (0..num).map(|_| Vec::new()).collect();
     for (x, to) in perm.iter().enumerate() {

@@ -165,7 +165,7 @@ mod tests {
 
         let mut net: SimNet<u64> = SimNet::new(n, params);
         net.record_links();
-        exec::run(&mut net, &plan.blocks, &plan.rounds);
+        exec::run(&mut net, &plan);
         let report = net.finalize();
         let errs = cross_validate(&low, &report);
         assert!(errs.is_empty(), "{}", errs.join("\n"));
@@ -182,7 +182,7 @@ mod tests {
 
         let mut net: SimNet<u64> = SimNet::new(n, params);
         net.record_links();
-        exec::run(&mut net, &plan.blocks, &plan.rounds);
+        exec::run(&mut net, &plan);
         let errs = cross_validate(&low, &net.finalize());
         assert!(!errs.is_empty());
         assert!(errs.iter().any(|e| e.contains("plan-only link")), "{}", errs.join("\n"));

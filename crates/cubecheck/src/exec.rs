@@ -324,8 +324,9 @@ mod tests {
             ports: PortMode::AllPorts,
             dimension_ordered: false,
             blocks: vec![BlockMeta { src: NodeId(0), dst: NodeId(1), elems: 1 }],
+            block_ids: vec![0],
             rounds: vec![PlanRound {
-                msgs: vec![PlannedMsg { src: NodeId(d.node_at(0, 0)), dim: 1, blocks: vec![0] }],
+                msgs: vec![PlannedMsg { src: NodeId(d.node_at(0, 0)), dim: 1, blocks: 0..1 }],
                 copies: vec![],
             }],
         };
@@ -345,6 +346,8 @@ mod tests {
                 .iter()
                 .map(|&(src, _, elems)| BlockMeta { src: NodeId(src), dst: NodeId(src), elems })
                 .collect(),
+            // Message `i` carries block `i`, arena entry `i`.
+            block_ids: (0..msgs.len() as u32).collect(),
             rounds: vec![PlanRound {
                 msgs: msgs
                     .iter()
@@ -352,7 +355,7 @@ mod tests {
                     .map(|(i, &(src, dim, _))| PlannedMsg {
                         src: NodeId(src),
                         dim,
-                        blocks: vec![i as u32],
+                        blocks: i as u32..i as u32 + 1,
                     })
                     .collect(),
                 copies: vec![],

@@ -49,8 +49,10 @@ pub struct Lowered {
     /// All link claims, in schedule order (rounds ascending, send order
     /// within a round).
     pub claims: Vec<LinkClaim>,
-    /// The block-id arena: every claim's ids, one claim after another in
-    /// [`lower`]'s output. [`LinkClaim::blocks`] ranges index it.
+    /// The block-id arena: a clone of the schedule's
+    /// ([`CommSchedule::block_ids`]), so in [`lower`]'s output every
+    /// claim's ids lie one claim after another. [`LinkClaim::blocks`]
+    /// ranges index it.
     pub block_ids: Vec<u32>,
     /// Local-copy charges as `(round, node, elems)`.
     pub copies: Vec<(usize, u64, u64)>,
@@ -75,40 +77,37 @@ impl Lowered {
 
     /// Appends `ids` to the arena and returns their range, for a claim
     /// built or corrupted by hand.
+    ///
+    /// # Panics
+    /// Naming the schedule, if the arena outgrows 32-bit offsets.
     pub fn push_ids(&mut self, ids: &[u32]) -> Range<u32> {
         let start = self.block_ids.len();
         self.block_ids.extend_from_slice(ids);
-        start as u32..arena_len(self.block_ids.len())
+        let len = self.block_ids.len();
+        let end = u32::try_from(len)
+            .unwrap_or_else(|_| panic!("{}: {len} block ids exceed the 32-bit arena", self.name));
+        start as u32..end
     }
 }
 
-/// An arena length as a range bound; the ids of one lowering must fit
-/// 32-bit offsets.
-fn arena_len(len: usize) -> u32 {
-    u32::try_from(len).unwrap_or_else(|_| panic!("{len} block ids exceed the 32-bit arena"))
-}
-
 /// Flattens a schedule into link claims, sizing packets against the
-/// machine's `B_m`. Each output vector is allocated once, at its exact
-/// size, so the allocations do not grow with the schedule.
+/// machine's `B_m`. A claim's block range is its message's: the plan's
+/// arena is cloned whole, not copied message by message. Each output
+/// vector is allocated once, at its exact size, so the allocations do
+/// not grow with the schedule.
 pub fn lower(schedule: &CommSchedule, params: &MachineParams) -> Lowered {
-    let ids = schedule.rounds.iter().flat_map(|r| &r.msgs).map(|m| m.blocks.len()).sum();
     let mut claims = Vec::with_capacity(schedule.total_messages() as usize);
-    let mut block_ids = Vec::with_capacity(ids);
     let mut copies = Vec::with_capacity(schedule.rounds.iter().map(|r| r.copies.len()).sum());
-    let mut end = 0u32;
     for (round, r) in schedule.rounds.iter().enumerate() {
         for msg in &r.msgs {
             let elems = schedule.msg_elems(msg);
-            block_ids.extend_from_slice(&msg.blocks);
-            let start = std::mem::replace(&mut end, arena_len(block_ids.len()));
             claims.push(LinkClaim {
                 round,
                 src: msg.src.bits(),
                 dim: msg.dim,
                 elems,
                 packets: params.packets(elems as usize) as u64,
-                blocks: start..end,
+                blocks: msg.blocks.clone(),
             });
         }
         copies.extend(r.copies.iter().map(|&(node, elems)| (round, node.bits(), elems)));
@@ -121,7 +120,7 @@ pub fn lower(schedule: &CommSchedule, params: &MachineParams) -> Lowered {
         rounds: schedule.rounds.len(),
         blocks: schedule.blocks.clone(),
         claims,
-        block_ids,
+        block_ids: schedule.block_ids.clone(),
         copies,
     }
 }

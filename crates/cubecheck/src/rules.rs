@@ -5,42 +5,58 @@
 //! by construction — the corruption tests in `tests/corruption.rs` rely
 //! on a single broken invariant firing exactly its own rule.
 //!
-//! # Flat indexes
+//! # One ordered walk
 //!
-//! The rules run on dense arrays, not per-round maps:
+//! The rules run on dense arrays and one pass over the claims, not on
+//! per-round maps or per-block hop lists:
 //!
-//! - **Channel ids.** The directed link `(src, dim)` is channel
-//!   `src * ports + dim`, dense over `num_nodes * ports`. A pair only a
-//!   corrupted lowering names (`dim >= ports` or `src >= num_nodes`) gets
-//!   an id of its own after the real ones, in ascending `(src, dim)`
-//!   order, so it can neither overflow the arithmetic nor alias a real
-//!   channel.
-//! - **Rounds.** The claims are stably sorted by round (one pass for a
-//!   lowering already in schedule order) and walked a round at a time.
-//!   Per-node and per-channel slots carry the stamp of the round that
-//!   last wrote them, so nothing is cleared between rounds.
+//! - **Key order.** [`check_all`] walks the claims once, in
+//!   `(round, src, dim)` order. Every built plan's claims already ascend
+//!   by that key (each round's messages ascend by channel), so one
+//!   linear check lets the walk run over [`Lowered::claims`] in place.
+//!   Claims in any other order (hand-built, corrupted) are walked
+//!   through one stable index sort by the key.
 //! - **Block ids.** A claim's blocks are a range of the lowering's one
 //!   id arena ([`Lowered::ids`]), so no rule chases a list per claim.
-//! - **Block hops.** One compressed index of every block's hops, each
-//!   block's slice sorted by `(round, src, dim)`. [`check_all`] builds it
-//!   once for the conservation and deadlock rules. It is a counting sort
-//!   by block, which keeps each slice in claim order; when the claims
-//!   already ascend by `(round, src, dim)` — every built plan's do, since
-//!   each round's messages ascend by channel — one linear check stands
-//!   in for the per-block sorts. Claims in any other order (hand-built,
-//!   corrupted) get them.
+//! - **Per-claim rules.** Whether a claim names a link (the structural
+//!   half of the port model), its packet budget, and its size against
+//!   its blocks' are checked as the walk passes it; their diagnostics
+//!   are held with the claim's index and come out in schedule order.
+//! - **Edge-disjointness.** Two claims of one directed link in one
+//!   round have equal keys, so they are adjacent in the walk: each run
+//!   of equal keys longer than one is reported once, with its length.
+//! - **Conservation.** The walk meets each block's hops in key order,
+//!   so one record per block — where it is, the round and port of its
+//!   last hop, whether its chain broke — follows every chain as the
+//!   claims pass. A break is held until the walk ends and reported in
+//!   block-id order, each block's in its place among the blocks whose
+//!   chain ends off their destination.
 //! - **Deadlock freedom by rank.** When every block's consecutive hops
 //!   cross strictly ascending ports (or every block's strictly
 //!   descending ones), each edge of the channel dependency graph climbs
 //!   (or falls) a fixed rank, the port, so the graph is acyclic — the
 //!   Dally–Seitz argument for e-cube routing, and the paper's for its §7
-//!   routing logic. One pass over the hops checks it; only a lowering
-//!   that fails it gets the graph built and searched.
+//!   routing logic. The same per-block record checks it during the walk;
+//!   only a lowering that fails it gets the graph built, from a second
+//!   walk, and searched.
+//! - **Ports.** Under one-port only, the one-port rule walks the claims
+//!   a second time, a round at a time,
+//!   each round's in schedule order, since its text names whichever
+//!   claim comes first: in place when the claims ascend by round, else
+//!   through a stable index sort by round. Per-node slots carry the
+//!   stamp of the round that last wrote them, so nothing is cleared
+//!   between rounds.
+//! - **Channel ids.** The directed link `(src, dim)` is channel
+//!   `src * ports + dim`, dense over `num_nodes * ports`. A pair only a
+//!   corrupted lowering names (`dim >= ports` or `src >= num_nodes`) gets
+//!   an id of its own after the real ones, in ascending `(src, dim)`
+//!   order, so it can neither overflow the arithmetic nor alias a real
+//!   channel; the walk collects those pairs. The one-port rule and the
+//!   dependency graph name links by channel id.
 //!
-//! Cost is linear in claims + channels, plus one sort per round of that
-//! round's duplicate links; a lowering out of key order adds the short
-//! sorts of each block's hops, and one without a port rank the sorts of
-//! each channel's successors and the search.
+//! Cost is linear in claims + block ids + blocks; a lowering out of key
+//! order adds one sort of the claim indices, and one without a port rank
+//! the sort of its dependency edges and the search.
 
 use crate::diag::{Diag, Rule};
 use crate::ir::{LinkClaim, Lowered};
@@ -50,14 +66,15 @@ use cubetopo::Topology;
 /// Runs every checker; diagnostics come back grouped by rule, in
 /// schedule order within each rule.
 pub fn check_all(low: &Lowered, params: &MachineParams) -> Vec<Diag> {
-    let rounds = by_round(low);
-    let chans = Channels::new(low);
-    let hops = block_hops(low);
-    let mut diags = port_model(low, &rounds, &chans);
-    diags.extend(link_exclusive(low, &rounds, &chans));
-    diags.extend(check_packet_budget(low, params));
-    diags.extend(conservation(low, &hops));
-    diags.extend(deadlock_free(low, &chans, &hops));
+    let order = sorted_by(low, key);
+    let walk = Walk::new(low, Some(params), order.as_deref());
+    let chans = Channels::new(low, walk.extra);
+    let mut diags = walk.unlinked;
+    diags.extend(one_port(low, &chans));
+    diags.extend(walk.exclusive);
+    diags.extend(walk.budget);
+    diags.extend(walk.conservation);
+    diags.extend(deadlock_free(low, &chans, order.as_deref(), walk.ranked));
     diags
 }
 
@@ -73,20 +90,30 @@ fn diag(low: &Lowered, rule: Rule, detail: String) -> Diag {
     }
 }
 
-/// The claims stably sorted by round (rounds beyond [`Lowered::rounds`]
-/// included, so corrupted schedules still group sanely).
-fn by_round(low: &Lowered) -> Vec<&LinkClaim> {
-    let mut claims: Vec<&LinkClaim> = low.claims.iter().collect();
-    claims.sort_by_key(|c| c.round);
-    claims
+/// A claim's walk key (see the module docs).
+fn key(c: &LinkClaim) -> (usize, u64, u32) {
+    (c.round, c.src, c.dim)
 }
 
-/// One round's claims at a time, rounds ascending, each round's claims in
-/// schedule order, paired with a stamp unique to the round.
-fn rounds_of<'a>(
-    sorted: &'a [&'a LinkClaim],
-) -> impl Iterator<Item = (u32, &'a [&'a LinkClaim])> + 'a {
-    (1u32..).zip(sorted.chunk_by(|a, b| a.round == b.round))
+/// The claims' indices stably sorted by `by`, or `None` when the claims
+/// already ascend by it.
+fn sorted_by<K: Ord>(low: &Lowered, by: impl Fn(&LinkClaim) -> K) -> Option<Vec<u32>> {
+    if low.claims.is_sorted_by_key(&by) {
+        return None;
+    }
+    assert!(u32::try_from(low.claims.len()).is_ok(), "claim indices exceed 32 bits");
+    let mut order: Vec<u32> = (0..low.claims.len() as u32).collect();
+    order.sort_by_key(|&i| by(&low.claims[i as usize]));
+    Some(order)
+}
+
+/// Calls `f` with every claim and its index, in `order` (`None`: as
+/// listed).
+fn each<'a>(low: &'a Lowered, order: Option<&[u32]>, mut f: impl FnMut(usize, &'a LinkClaim)) {
+    match order {
+        None => low.claims.iter().enumerate().for_each(|(i, c)| f(i, c)),
+        Some(order) => order.iter().for_each(|&i| f(i as usize, &low.claims[i as usize])),
+    }
 }
 
 /// Dense channel ids (see the module docs).
@@ -101,14 +128,13 @@ struct Channels {
 }
 
 impl Channels {
-    fn new(low: &Lowered) -> Self {
+    /// The ids of `low`'s topology and of the out-of-range pairs `extra`
+    /// its claims name (in any order, repeats allowed).
+    ///
+    /// # Panics
+    /// Naming the topology, if the ids exceed 32 bits.
+    fn new(low: &Lowered, mut extra: Vec<(u64, u32)>) -> Self {
         let (num, ports) = (low.topo.num_nodes() as u64, low.topo.ports());
-        let mut extra: Vec<(u64, u32)> = low
-            .claims
-            .iter()
-            .filter(|c| c.dim >= ports || c.src >= num)
-            .map(|c| (c.src, c.dim))
-            .collect();
         extra.sort_unstable();
         extra.dedup();
         let total =
@@ -119,6 +145,13 @@ impl Channels {
             low.topo.label()
         );
         Channels { num, ports, real: (num * u64::from(ports)) as u32, extra }
+    }
+
+    /// [`Channels::new`] of every out-of-range pair `low`'s claims name.
+    fn of(low: &Lowered) -> Self {
+        let (num, ports) = (low.topo.num_nodes() as u64, low.topo.ports());
+        let extra = low.claims.iter().filter(|c| c.dim >= ports || c.src >= num);
+        Channels::new(low, extra.map(|c| (c.src, c.dim)).collect())
     }
 
     fn len(&self) -> usize {
@@ -142,76 +175,182 @@ impl Channels {
     }
 }
 
-/// Compressed rows of `u32` items: row `r` is
-/// `items[start[r]..start[r + 1]]`.
-struct Csr {
-    start: Vec<u32>,
-    items: Vec<u32>,
+/// One block's delivery chain, as far as the walk has followed it.
+#[derive(Clone, Copy)]
+struct Chain {
+    /// The node the block is at.
+    at: u64,
+    /// The round and port of its last hop, broken chains included.
+    last: Option<(usize, u32)>,
+    /// Whether the chain broke (its diagnostic is held).
+    broken: bool,
 }
 
-impl Csr {
-    /// Counting sort of `(row, item)` pairs into `rows` rows, each row's
-    /// items in iteration order; `pairs` is walked twice.
-    fn new<I: Iterator<Item = (usize, u32)>>(rows: usize, pairs: impl Fn() -> I) -> Self {
-        let mut start = vec![0u32; rows + 1];
-        let mut total = 0usize;
-        for (r, _) in pairs() {
-            start[r + 1] += 1;
-            total += 1;
-        }
-        assert!(u32::try_from(total).is_ok(), "{total} index entries exceed the 32-bit offsets");
-        for r in 0..rows {
-            start[r + 1] += start[r];
-        }
-        let mut items = vec![0u32; total];
-        for (r, x) in pairs() {
-            items[start[r] as usize] = x;
-            start[r] += 1;
-        }
-        // Each `start[r]` now holds row `r`'s end, which is row `r + 1`'s
-        // start.
-        start.copy_within(0..rows, 1);
-        start[0] = 0;
-        Csr { start, items }
-    }
-
-    /// The same rows with every item mapped through `f`.
-    fn map(&self, mut f: impl FnMut(u32) -> u32) -> Csr {
-        Csr { start: self.start.clone(), items: self.items.iter().map(|&x| f(x)).collect() }
-    }
-
-    fn row(&self, r: usize) -> &[u32] {
-        &self.items[self.start[r] as usize..self.start[r + 1] as usize]
-    }
-
-    fn row_mut(&mut self, r: usize) -> &mut [u32] {
-        &mut self.items[self.start[r] as usize..self.start[r + 1] as usize]
-    }
+/// What the key-ordered walk finds (see the module docs). Diagnostics
+/// of one claim come out in schedule order, whatever the walk's.
+struct Walk {
+    /// The claims that name no link (port-model diagnostics).
+    unlinked: Vec<Diag>,
+    /// The out-of-range `(src, dim)` pairs the claims name, repeats
+    /// included.
+    extra: Vec<(u64, u32)>,
+    /// Edge-disjointness diagnostics, in key order.
+    exclusive: Vec<Diag>,
+    /// Packet-budget diagnostics (empty unless the walk was given the
+    /// machine).
+    budget: Vec<Diag>,
+    /// Conservation diagnostics: the claims' own, in schedule order,
+    /// then the chains', in block-id order.
+    conservation: Vec<Diag>,
+    /// Whether every block's hops climb in port, or every block's fall.
+    ranked: bool,
 }
 
-/// The hops of every block: row `id` holds the indices of the claims
-/// carrying block `id`, sorted by `(round, src, dim)`. Ids naming no
-/// block are left out (conservation reports the claim).
-fn block_hops(low: &Lowered) -> Csr {
-    assert!(u32::try_from(low.claims.len()).is_ok(), "claim indices exceed 32 bits");
-    let nblocks = low.blocks.len();
-    let mut hops = Csr::new(nblocks, || {
-        low.claims.iter().enumerate().flat_map(move |(i, c)| {
-            low.ids(c)
-                .iter()
-                .filter(move |&&b| (b as usize) < nblocks)
-                .map(move |&b| (b as usize, i as u32))
-        })
-    });
-    // Rows keep claim order, so claims ascending by the key leave every
-    // row sorted (equal keys are one hop twice, alike to every rule).
-    let key = |c: &LinkClaim| (c.round, c.src, c.dim);
-    if !low.claims.is_sorted_by_key(key) {
-        for id in 0..nblocks {
-            hops.row_mut(id).sort_unstable_by_key(|&i| key(&low.claims[i as usize]));
+impl Walk {
+    fn new(low: &Lowered, params: Option<&MachineParams>, order: Option<&[u32]>) -> Self {
+        let topo = low.topo;
+        let (num, ports) = (topo.num_nodes() as u64, topo.ports());
+        let mut chains: Vec<Chain> = low
+            .blocks
+            .iter()
+            .map(|b| Chain { at: b.src.bits(), last: None, broken: false })
+            .collect();
+        let (mut extra, mut exclusive) = (Vec::new(), Vec::new());
+        // `(claim index, diag)` of the claims that name no link, break
+        // the packet budget, or whose size or ids are wrong; and
+        // `(block id, diag)` of broken chains.
+        let mut unlinked: Vec<(usize, Diag)> = Vec::new();
+        let mut budget: Vec<(usize, Diag)> = Vec::new();
+        let mut claimed: Vec<(usize, Diag)> = Vec::new();
+        let mut breaks: Vec<(u32, Diag)> = Vec::new();
+        let (mut up, mut down) = (true, true);
+        let contended = |c: &LinkClaim, count: u32| {
+            let mut d = diag(
+                low,
+                Rule::LinkExclusive,
+                format!("{count} messages claim one directed link in one round"),
+            );
+            (d.round, d.node, d.dim) = (Some(c.round), Some(c.src), Some(c.dim));
+            d
+        };
+        // The current run of equal keys: its first claim and its length.
+        let mut run: Option<(&LinkClaim, u32)> = None;
+        each(low, order, |i, c| {
+            let in_range = c.dim < ports && c.src < num;
+            if !in_range {
+                extra.push((c.src, c.dim));
+            }
+            // The far end of the claim's link, if it names one.
+            let far = in_range.then(|| topo.neighbor(c.src, c.dim)).flatten();
+            if far.is_none() {
+                unlinked.push((i, no_link(low, c)));
+            }
+            if let Some(d) = params.and_then(|params| over_budget(low, params, c)) {
+                budget.push((i, d));
+            }
+            match &mut run {
+                Some((first, count)) if key(first) == key(c) => *count += 1,
+                _ => {
+                    if let Some((first, count @ 2..)) = run.replace((c, 1)) {
+                        exclusive.push(contended(first, count));
+                    }
+                }
+            }
+            let mut sum = 0u64;
+            let mut bad_id = None;
+            for &b in low.ids(c) {
+                let Some(meta) = low.blocks.get(b as usize) else {
+                    bad_id = bad_id.or(Some(b));
+                    continue;
+                };
+                sum += meta.elems;
+                let chain = &mut chains[b as usize];
+                if let Some((_, port)) = chain.last {
+                    up &= port < c.dim;
+                    down &= port > c.dim;
+                }
+                if !chain.broken {
+                    let detail = if chain.last.is_some_and(|(round, _)| round == c.round) {
+                        Some("block claimed twice in one round".to_string())
+                    } else if c.src != chain.at {
+                        Some(format!(
+                            "claimed to depart node {} but the block is at node {}",
+                            c.src, chain.at
+                        ))
+                    } else {
+                        // The block is at `c.src`, so it moves to `far`.
+                        match far {
+                            Some(next) => {
+                                chain.at = next;
+                                None
+                            }
+                            // The hop names no link of the topology
+                            // (PortModel reports the claim itself); the
+                            // chain cannot continue past it.
+                            None => Some(format!(
+                                "block routed over a nonexistent link of the {}",
+                                topo.label()
+                            )),
+                        }
+                    };
+                    if let Some(detail) = detail {
+                        chain.broken = true;
+                        let mut d = diag(low, Rule::Conservation, detail);
+                        (d.round, d.node, d.dim, d.block) =
+                            (Some(c.round), Some(c.src), Some(c.dim), Some(b));
+                        breaks.push((b, d));
+                    }
+                }
+                chain.last = Some((c.round, c.dim));
+            }
+            let detail = match bad_id {
+                Some(_) => Some("claim carries an unknown block".to_string()),
+                None => (sum != c.elems).then(|| {
+                    format!("claim declares {} elems but its blocks total {}", c.elems, sum)
+                }),
+            };
+            if let Some(detail) = detail {
+                let mut d = diag(low, Rule::Conservation, detail);
+                (d.round, d.node, d.dim, d.block) =
+                    (Some(c.round), Some(c.src), Some(c.dim), bad_id);
+                claimed.push((i, d));
+            }
+        });
+        if let Some((first, count @ 2..)) = run {
+            exclusive.push(contended(first, count));
+        }
+        let in_schedule_order = |mut diags: Vec<(usize, Diag)>| {
+            diags.sort_by_key(|&(i, _)| i);
+            diags.into_iter().map(|(_, d)| d).collect::<Vec<Diag>>()
+        };
+        breaks.sort_by_key(|&(b, _)| b);
+        let mut conservation = in_schedule_order(claimed);
+        let mut breaks = breaks.into_iter().map(|(_, d)| d);
+        for (id, (meta, chain)) in low.blocks.iter().zip(&chains).enumerate() {
+            if chain.broken {
+                conservation.extend(breaks.next());
+            } else if chain.at != meta.dst.bits() {
+                let mut d = diag(
+                    low,
+                    Rule::Conservation,
+                    format!(
+                        "element dropped: delivery chain ends at node {}, not node {}",
+                        chain.at, meta.dst
+                    ),
+                );
+                (d.node, d.block) = (Some(chain.at), Some(id as u32));
+                conservation.push(d);
+            }
+        }
+        Walk {
+            unlinked: in_schedule_order(unlinked),
+            extra,
+            exclusive,
+            budget: in_schedule_order(budget),
+            conservation,
+            ranked: up || down,
         }
     }
-    hops
 }
 
 /// Port-model compliance (paper §2): claims name real links, and under
@@ -221,29 +360,38 @@ fn block_hops(low: &Lowered) -> Csr {
 /// counted — exactly the discipline [`cubesim::SimNet`] enforces
 /// dynamically.
 pub fn check_port_model(low: &Lowered) -> Vec<Diag> {
-    port_model(low, &by_round(low), &Channels::new(low))
+    let mut diags: Vec<Diag> =
+        low.claims.iter().filter(|&c| unlinked(low, c)).map(|c| no_link(low, c)).collect();
+    diags.extend(one_port(low, &Channels::of(low)));
+    diags
 }
 
-fn port_model(low: &Lowered, rounds: &[&LinkClaim], chans: &Channels) -> Vec<Diag> {
-    let mut diags = Vec::new();
+/// Whether `c` names no link: an endpoint out of range, or an unwired
+/// port (a cube port always is wired; a Dragonfly group's swap fixed
+/// point is not).
+fn unlinked(low: &Lowered, c: &LinkClaim) -> bool {
     let topo = low.topo;
-    let (num, ports) = (chans.num, chans.ports);
-    // A claim names a real link iff its endpoints are in range and the
-    // port is wired (a cube port always is; a Dragonfly group's swap
-    // fixed point is not).
-    let unlinked =
-        |c: &LinkClaim| c.dim >= ports || c.src >= num || topo.neighbor(c.src, c.dim).is_none();
-    for c in &low.claims {
-        if unlinked(c) {
-            let mut d =
-                diag(low, Rule::PortModel, format!("claim names no link of the {}", topo.label()));
-            (d.round, d.node, d.dim) = (Some(c.round), Some(c.src), Some(c.dim));
-            diags.push(d);
-        }
-    }
+    c.dim >= topo.ports()
+        || c.src >= topo.num_nodes() as u64
+        || topo.neighbor(c.src, c.dim).is_none()
+}
+
+fn no_link(low: &Lowered, c: &LinkClaim) -> Diag {
+    let mut d =
+        diag(low, Rule::PortModel, format!("claim names no link of the {}", low.topo.label()));
+    (d.round, d.node, d.dim) = (Some(c.round), Some(c.src), Some(c.dim));
+    d
+}
+
+/// The one-port half of [`check_port_model`]: each node touches at most
+/// one link per round (claims naming no link are reported by the other
+/// half and skipped here).
+fn one_port(low: &Lowered, chans: &Channels) -> Vec<Diag> {
+    let mut diags = Vec::new();
     if low.ports != PortMode::OnePort {
         return diags;
     }
+    let topo = low.topo;
     // Per node: the stamp of the round it last used a link in, that one
     // undirected link (canonically named from its lower endpoint), the
     // dim that claimed it, and whether the node was reported that round.
@@ -256,199 +404,80 @@ fn port_model(low: &Lowered, rounds: &[&LinkClaim], chans: &Channels) -> Vec<Dia
         dim: u32,
         reported: bool,
     }
-    let mut slots = vec![Slot { stamp: 0, link: 0, dim: 0, reported: false }; num as usize];
-    for (stamp, claims) in rounds_of(rounds) {
-        for c in claims {
-            if unlinked(c) {
-                continue; // already reported structurally
-            }
-            let far = topo.neighbor(c.src, c.dim).expect("wired: checked above");
-            let link = if c.src <= far {
-                chans.id(c.src, c.dim)
-            } else {
-                chans.id(far, topo.reverse_port(c.src, c.dim).expect("wired: checked above"))
-            };
-            for endpoint in [c.src, far] {
-                let slot = &mut slots[endpoint as usize];
-                if slot.stamp != stamp {
-                    *slot = Slot { stamp, link, dim: c.dim, reported: false };
-                } else if slot.link != link && !slot.reported {
-                    slot.reported = true;
-                    let mut d = diag(
-                        low,
-                        Rule::PortModel,
-                        format!(
-                            "one-port node uses links on dims {} and {} in one round",
-                            slot.dim, c.dim
-                        ),
-                    );
-                    (d.round, d.node, d.dim) = (Some(c.round), Some(endpoint), Some(c.dim));
-                    diags.push(d);
-                }
+    let mut slots = vec![Slot { stamp: 0, link: 0, dim: 0, reported: false }; topo.num_nodes()];
+    // Rounds ascending, each round's claims in schedule order; a stamp
+    // unique to each round.
+    let (mut stamp, mut round) = (0u32, None);
+    each(low, sorted_by(low, |c| c.round).as_deref(), |_, c| {
+        if round != Some(c.round) {
+            (stamp, round) = (stamp + 1, Some(c.round));
+        }
+        if unlinked(low, c) {
+            return; // reported structurally
+        }
+        let far = topo.neighbor(c.src, c.dim).expect("wired: checked above");
+        let link = if c.src <= far {
+            chans.id(c.src, c.dim)
+        } else {
+            chans.id(far, topo.reverse_port(c.src, c.dim).expect("wired: checked above"))
+        };
+        for endpoint in [c.src, far] {
+            let slot = &mut slots[endpoint as usize];
+            if slot.stamp != stamp {
+                *slot = Slot { stamp, link, dim: c.dim, reported: false };
+            } else if slot.link != link && !slot.reported {
+                slot.reported = true;
+                let mut d = diag(
+                    low,
+                    Rule::PortModel,
+                    format!(
+                        "one-port node uses links on dims {} and {} in one round",
+                        slot.dim, c.dim
+                    ),
+                );
+                (d.round, d.node, d.dim) = (Some(c.round), Some(endpoint), Some(c.dim));
+                diags.push(d);
             }
         }
-    }
+    });
     diags
 }
 
 /// Edge-disjointness within a round (§3/§8.1): one message per directed
 /// link per round.
 pub fn check_link_exclusive(low: &Lowered) -> Vec<Diag> {
-    link_exclusive(low, &by_round(low), &Channels::new(low))
-}
-
-fn link_exclusive(low: &Lowered, rounds: &[&LinkClaim], chans: &Channels) -> Vec<Diag> {
-    let mut diags = Vec::new();
-    // Per channel: (stamp of the round that last claimed it, claims in
-    // that round).
-    let mut seen = vec![(0u32, 0u32); chans.len()];
-    let mut dups: Vec<u32> = Vec::new();
-    for (stamp, claims) in rounds_of(rounds) {
-        for c in claims {
-            let ch = chans.id(c.src, c.dim);
-            let slot = &mut seen[ch as usize];
-            if slot.0 != stamp {
-                *slot = (stamp, 1);
-            } else {
-                slot.1 += 1;
-                if slot.1 == 2 {
-                    dups.push(ch);
-                }
-            }
-        }
-        dups.sort_unstable_by_key(|&ch| chans.pair(ch));
-        for ch in dups.drain(..) {
-            let (src, dim) = chans.pair(ch);
-            let count = seen[ch as usize].1;
-            let mut d = diag(
-                low,
-                Rule::LinkExclusive,
-                format!("{count} messages claim one directed link in one round"),
-            );
-            (d.round, d.node, d.dim) = (Some(claims[0].round), Some(src), Some(dim));
-            diags.push(d);
-        }
-    }
-    diags
+    Walk::new(low, None, sorted_by(low, key).as_deref()).exclusive
 }
 
 /// Packet budget (§2): every message carries data and declares enough
 /// packets that none exceeds `B_m`.
 pub fn check_packet_budget(low: &Lowered, params: &MachineParams) -> Vec<Diag> {
-    let mut diags = Vec::new();
-    for c in &low.claims {
-        let detail = if c.elems == 0 {
-            Some("empty message (a start-up with no data)".to_string())
-        } else {
-            let need = params.packets(c.elems as usize) as u64;
-            (c.packets < need).then(|| {
-                format!(
-                    "{} elems need {} packets of <= {} elems, claim declares {}",
-                    c.elems, need, params.max_packet, c.packets
-                )
-            })
-        };
-        if let Some(detail) = detail {
-            let mut d = diag(low, Rule::PacketBudget, detail);
-            (d.round, d.node, d.dim) = (Some(c.round), Some(c.src), Some(c.dim));
-            diags.push(d);
+    low.claims.iter().filter_map(|c| over_budget(low, params, c)).collect()
+}
+
+fn over_budget(low: &Lowered, params: &MachineParams, c: &LinkClaim) -> Option<Diag> {
+    let detail = if c.elems == 0 {
+        "empty message (a start-up with no data)".to_string()
+    } else {
+        let need = params.packets(c.elems as usize) as u64;
+        if c.packets >= need {
+            return None;
         }
-    }
-    diags
+        format!(
+            "{} elems need {} packets of <= {} elems, claim declares {}",
+            c.elems, need, params.max_packet, c.packets
+        )
+    };
+    let mut d = diag(low, Rule::PacketBudget, detail);
+    (d.round, d.node, d.dim) = (Some(c.round), Some(c.src), Some(c.dim));
+    Some(d)
 }
 
 /// Element conservation (§3): claim sizes are exactly the sums of their
 /// blocks, and every block's hops chain its source to its destination,
 /// one claim per hop, rounds strictly increasing.
 pub fn check_conservation(low: &Lowered) -> Vec<Diag> {
-    conservation(low, &block_hops(low))
-}
-
-fn conservation(low: &Lowered, hops: &Csr) -> Vec<Diag> {
-    let mut diags = Vec::new();
-    let topo = low.topo;
-    let (num, ports) = (topo.num_nodes() as u64, topo.ports());
-    for c in &low.claims {
-        let mut sum = 0u64;
-        let mut bad_id = None;
-        for &b in low.ids(c) {
-            match low.blocks.get(b as usize) {
-                Some(meta) => sum += meta.elems,
-                None => bad_id = bad_id.or(Some(b)),
-            }
-        }
-        if let Some(b) = bad_id {
-            let mut d = diag(low, Rule::Conservation, "claim carries an unknown block".into());
-            (d.round, d.node, d.dim, d.block) = (Some(c.round), Some(c.src), Some(c.dim), Some(b));
-            diags.push(d);
-        } else if sum != c.elems {
-            let mut d = diag(
-                low,
-                Rule::Conservation,
-                format!("claim declares {} elems but its blocks total {}", c.elems, sum),
-            );
-            (d.round, d.node, d.dim) = (Some(c.round), Some(c.src), Some(c.dim));
-            diags.push(d);
-        }
-    }
-    for (id, meta) in low.blocks.iter().enumerate() {
-        let mut at = meta.src.bits();
-        let mut last_round = None;
-        let mut broken = false;
-        for &i in hops.row(id) {
-            let LinkClaim { round, src, dim, .. } = low.claims[i as usize];
-            if last_round == Some(round) {
-                let mut d =
-                    diag(low, Rule::Conservation, "block claimed twice in one round".into());
-                (d.round, d.node, d.dim, d.block) =
-                    (Some(round), Some(src), Some(dim), Some(id as u32));
-                diags.push(d);
-                broken = true;
-                break;
-            }
-            if src != at {
-                let mut d = diag(
-                    low,
-                    Rule::Conservation,
-                    format!("claimed to depart node {src} but the block is at node {at}"),
-                );
-                (d.round, d.node, d.dim, d.block) =
-                    (Some(round), Some(src), Some(dim), Some(id as u32));
-                diags.push(d);
-                broken = true;
-                break;
-            }
-            match (dim < ports && at < num).then(|| topo.neighbor(at, dim)).flatten() {
-                Some(next) => at = next,
-                None => {
-                    // The hop names no link of the topology (PortModel
-                    // reports the claim itself); the chain cannot
-                    // continue past it.
-                    let mut d = diag(
-                        low,
-                        Rule::Conservation,
-                        format!("block routed over a nonexistent link of the {}", topo.label()),
-                    );
-                    (d.round, d.node, d.dim, d.block) =
-                        (Some(round), Some(src), Some(dim), Some(id as u32));
-                    diags.push(d);
-                    broken = true;
-                    break;
-                }
-            }
-            last_round = Some(round);
-        }
-        if !broken && at != meta.dst.bits() {
-            let mut d = diag(
-                low,
-                Rule::Conservation,
-                format!("element dropped: delivery chain ends at node {at}, not node {}", meta.dst),
-            );
-            (d.node, d.block) = (Some(at), Some(id as u32));
-            diags.push(d);
-        }
-    }
-    diags
+    Walk::new(low, None, sorted_by(low, key).as_deref()).conservation
 }
 
 /// Deadlock freedom for dimension-ordered schedules: the channel
@@ -462,52 +491,76 @@ fn conservation(low: &Lowered, hops: &Csr) -> Vec<Diag> {
 /// reported is the first a depth-first search meets from the lowest
 /// channel, successors ascending.
 pub fn check_deadlock_free(low: &Lowered) -> Vec<Diag> {
-    deadlock_free(low, &Channels::new(low), &block_hops(low))
+    let order = sorted_by(low, key);
+    let ranked = Walk::new(low, None, order.as_deref()).ranked;
+    deadlock_free(low, &Channels::of(low), order.as_deref(), ranked)
 }
 
-fn deadlock_free(low: &Lowered, chans: &Channels, hops: &Csr) -> Vec<Diag> {
-    if !low.dimension_ordered || port_ranked(low, hops) {
+fn deadlock_free(
+    low: &Lowered,
+    chans: &Channels,
+    order: Option<&[u32]>,
+    ranked: bool,
+) -> Vec<Diag> {
+    if !low.dimension_ordered || ranked {
         return Vec::new();
     }
-    let hop_chans = hops.map(|i| {
-        let c = &low.claims[i as usize];
-        chans.id(c.src, c.dim)
+    // The graph's edges, from a second walk: each block's channel to the
+    // next one it crosses. Ids naming no block are left out
+    // (conservation reports the claim).
+    const NONE: u32 = u32::MAX;
+    let mut last = vec![NONE; low.blocks.len()];
+    let mut edges: Vec<(u32, u32)> = Vec::new();
+    each(low, order, |_, c| {
+        let ch = chans.id(c.src, c.dim);
+        for &b in low.ids(c) {
+            if let Some(prev) = last.get_mut(b as usize) {
+                if *prev != NONE {
+                    edges.push((*prev, ch));
+                }
+                *prev = ch;
+            }
+        }
     });
-    let mut succ = Csr::new(chans.len(), || {
-        (0..low.blocks.len())
-            .flat_map(|id| hop_chans.row(id).windows(2))
-            .map(|pair| (pair[0] as usize, pair[1]))
-    });
-    for ch in 0..chans.len() {
-        succ.row_mut(ch).sort_unstable();
+    let total = edges.len();
+    assert!(u32::try_from(total).is_ok(), "{total} index entries exceed the 32-bit offsets");
+    edges.sort_unstable();
+    // Channel `c`'s successors, ascending, are `succ[start[c]..start[c + 1]]`.
+    let mut start = vec![0u32; chans.len() + 1];
+    for &(from, _) in &edges {
+        start[from as usize + 1] += 1;
     }
+    for ch in 0..chans.len() {
+        start[ch + 1] += start[ch];
+    }
+    let succ: Vec<u32> = edges.into_iter().map(|(_, to)| to).collect();
     // Iterative three-color DFS; a back edge is a cycle. A repeated
     // successor is black by its second visit, so edges need no dedup.
     const WHITE: u8 = 0;
     const GRAY: u8 = 1;
     const BLACK: u8 = 2;
     let mut color = vec![WHITE; chans.len()];
-    // Stack of (channel, position of its next successor in `succ.items`).
+    // Stack of (channel, position of its next successor in `succ`).
     let mut stack: Vec<(u32, u32)> = Vec::new();
     for root in 0..chans.len() as u32 {
         if color[root as usize] != WHITE {
             continue;
         }
         color[root as usize] = GRAY;
-        stack.push((root, succ.start[root as usize]));
+        stack.push((root, start[root as usize]));
         while let Some(frame) = stack.last_mut() {
             let (c, i) = *frame;
-            if i == succ.start[c as usize + 1] {
+            if i == start[c as usize + 1] {
                 color[c as usize] = BLACK;
                 stack.pop();
                 continue;
             }
             frame.1 += 1;
-            let next = succ.items[i as usize];
+            let next = succ[i as usize];
             match color[next as usize] {
                 WHITE => {
                     color[next as usize] = GRAY;
-                    stack.push((next, succ.start[next as usize]));
+                    stack.push((next, start[next as usize]));
                 }
                 GRAY => {
                     // Reconstruct the cycle from the gray stack.
@@ -535,25 +588,6 @@ fn deadlock_free(low: &Lowered, chans: &Channels, hops: &Csr) -> Vec<Diag> {
     Vec::new()
 }
 
-/// Whether every block's consecutive hops cross strictly ascending
-/// ports, or every block's strictly descending ones: then every edge of
-/// the channel dependency graph moves the same way on the port, and the
-/// graph has no cycle.
-fn port_ranked(low: &Lowered, hops: &Csr) -> bool {
-    let (mut up, mut down) = (true, true);
-    for id in 0..low.blocks.len() {
-        for pair in hops.row(id).windows(2) {
-            let (from, to) = (low.claims[pair[0] as usize].dim, low.claims[pair[1] as usize].dim);
-            up &= from < to;
-            down &= from > to;
-        }
-        if !(up || down) {
-            return false;
-        }
-    }
-    true
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -575,7 +609,7 @@ mod tests {
     }
 
     fn ranked(low: &Lowered) -> bool {
-        port_ranked(low, &block_hops(low))
+        Walk::new(low, None, sorted_by(low, key).as_deref()).ranked
     }
 
     /// Two blocks from node 0 to node 3 of the 2-cube, one over dims 0
@@ -584,10 +618,11 @@ mod tests {
     /// cycle.
     #[test]
     fn mixed_port_directions_are_searched_and_pass() {
+        // Block `b` is arena entry `b`.
         let msg = |src: u64, dim: u32, block: u32| PlannedMsg {
             src: NodeId(src),
             dim,
-            blocks: vec![block],
+            blocks: block..block + 1,
         };
         let plan = CommSchedule {
             name: "mixed".into(),
@@ -595,6 +630,7 @@ mod tests {
             ports: PortMode::AllPorts,
             dimension_ordered: true,
             blocks: vec![meta(0, 3), meta(0, 3)],
+            block_ids: vec![0, 1],
             rounds: vec![
                 PlanRound { msgs: vec![msg(0, 0, 0), msg(0, 1, 1)], copies: vec![] },
                 PlanRound { msgs: vec![msg(1, 1, 0), msg(2, 0, 1)], copies: vec![] },

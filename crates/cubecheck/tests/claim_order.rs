@@ -1,9 +1,10 @@
-//! `check_all` does not depend on the order of the claims within a
-//! round: reversing every round's claims gives the same diagnostics.
+//! `check_all` does not depend on the order of the claims: reversing
+//! every round's claims, or shuffling all of them across rounds, gives
+//! the same diagnostics.
 //!
 //! A built plan's claims ascend by `(round, src, dim)`, which lets the
-//! block-hop index skip its per-block sorts. A reversed lowering is out
-//! of that order, so these cases keep the sorting path exercised on
+//! rules walk them in place. A reversed or shuffled lowering is out of
+//! that order, so these cases keep the index-sorted walk exercised on
 //! every planner's output and on a corrupted lowering.
 
 use cubeaddr::NodeId;
@@ -20,6 +21,24 @@ fn reverse_rounds(low: &Lowered) -> Lowered {
     let mut claims = low.claims.clone();
     for round in claims.chunk_by_mut(|a, b| a.round == b.round) {
         round.reverse();
+    }
+    Lowered { claims, ..low.clone() }
+}
+
+/// The lowering with all its claims in an order drawn from `seed`
+/// (a Fisher–Yates shuffle on SplitMix64), rounds mixed.
+fn shuffle(low: &Lowered, seed: u64) -> Lowered {
+    let mut state = seed;
+    let mut next = || {
+        state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    };
+    let mut claims = low.claims.clone();
+    for i in (1..claims.len()).rev() {
+        claims.swap(i, (next() % (i as u64 + 1)) as usize);
     }
     Lowered { claims, ..low.clone() }
 }
@@ -120,15 +139,35 @@ fn reversing_every_round_leaves_every_planners_diagnostics_unchanged() {
     assert!(reordered > 100, "only {reordered} reversals left key order");
 }
 
+#[test]
+fn shuffling_all_claims_leaves_every_planners_diagnostics_unchanged() {
+    let mut mixed = 0;
+    for n in 1..=5 {
+        for shape in [(1, 2), (2, 3), (3, 4)] {
+            for seed in [1, 7, 42] {
+                for plan in plans(n, shape, seed, 4) {
+                    let params = MachineParams::unit(plan.ports);
+                    let low = lower(&plan, &params);
+                    let diags = check_all(&low, &params);
+                    assert!(diags.is_empty(), "{}: {}", plan.name, diags[0]);
+                    let shuffled = shuffle(&low, seed << 8 | u64::from(n));
+                    assert_eq!(check_all(&shuffled, &params), diags, "{}", plan.name);
+                    mixed += usize::from(!shuffled.claims.is_sorted_by_key(|c| c.round));
+                }
+            }
+        }
+    }
+    assert!(mixed > 100, "only {mixed} shuffles mixed rounds");
+}
+
 /// The e-cube transpose at n = 4 with three corruptions: a fresh one-hop
 /// block on a claimed link, placed right behind the claim it duplicates;
 /// one block's last hop dropped; and a block that forks, crossing dim 0
 /// in a round it also crosses a higher dim from the same node. Each
 /// keeps the claims in key order. The fork is the one a reversal can
-/// turn around within a block's hops, so it is what tells a sorted hop
-/// index from an unsorted one.
-#[test]
-fn reversing_every_round_leaves_a_corrupted_lowerings_diagnostics_unchanged() {
+/// turn around within a block's hops, so it is what tells a walk in key
+/// order from one in claim order.
+fn corrupted_lowering() -> (Lowered, LinkClaim) {
     let params = MachineParams::unit(PortMode::AllPorts);
     let plan = plan::ecube_route_plan(4, &transpose_msgs(4, 3));
     let mut low = lower(&plan, &params);
@@ -148,7 +187,13 @@ fn reversing_every_round_leaves_a_corrupted_lowerings_diagnostics_unchanged() {
     let forked = low.claims[fork_at].clone();
     low.claims.insert(fork_at, LinkClaim { dim: 0, ..forked.clone() });
     assert!(in_key_order(&low), "the corruptions keep key order");
+    (low, forked)
+}
 
+#[test]
+fn reversing_every_round_leaves_a_corrupted_lowerings_diagnostics_unchanged() {
+    let params = MachineParams::unit(PortMode::AllPorts);
+    let (low, forked) = corrupted_lowering();
     let diags = check_all(&low, &params);
     let twice: Vec<&Diag> =
         diags.iter().filter(|d| d.detail == "block claimed twice in one round").collect();
@@ -163,4 +208,17 @@ fn reversing_every_round_leaves_a_corrupted_lowerings_diagnostics_unchanged() {
     let reversed = reverse_rounds(&low);
     assert!(!in_key_order(&reversed));
     assert_eq!(check_all(&reversed, &params), diags);
+}
+
+#[test]
+fn shuffling_all_claims_leaves_a_corrupted_lowerings_diagnostics_unchanged() {
+    let params = MachineParams::unit(PortMode::AllPorts);
+    let (low, _) = corrupted_lowering();
+    let diags = check_all(&low, &params);
+    assert!(!diags.is_empty());
+    for seed in 0..16 {
+        let shuffled = shuffle(&low, seed);
+        assert!(!shuffled.claims.is_sorted_by_key(|c| c.round), "seed {seed} mixes rounds");
+        assert_eq!(check_all(&shuffled, &params), diags, "seed {seed}");
+    }
 }

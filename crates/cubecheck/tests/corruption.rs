@@ -77,8 +77,12 @@ fn oversized_packet_fires_packet_budget_only() {
 /// dimension-ordered routing exists to exclude.
 #[test]
 fn cyclic_channel_dependency_fires_deadlock_free_only() {
-    let msg =
-        |src: u64, dim: u32, block: u32| PlannedMsg { src: NodeId(src), dim, blocks: vec![block] };
+    // Block `b` is arena entry `b`.
+    let msg = |src: u64, dim: u32, block: u32| PlannedMsg {
+        src: NodeId(src),
+        dim,
+        blocks: block..block + 1,
+    };
     let plan = CommSchedule {
         name: "corrupt/cycle".into(),
         topo: cubetopo::TopoSpec::hypercube(2),
@@ -90,6 +94,7 @@ fn cyclic_channel_dependency_fires_deadlock_free_only() {
             BlockMeta { src: NodeId(3), dst: NodeId(0), elems: 1 },
             BlockMeta { src: NodeId(2), dst: NodeId(1), elems: 1 },
         ],
+        block_ids: (0..4).collect(),
         rounds: vec![
             PlanRound {
                 msgs: vec![msg(0, 0, 0), msg(1, 1, 1), msg(3, 0, 2), msg(2, 1, 3)],
@@ -300,8 +305,12 @@ fn face_cycle(low: &mut Lowered, base: u32, round: usize) -> (Vec<BlockMeta>, Ve
 /// the one behind the lower successor, on every run.
 #[test]
 fn two_cycles_report_the_lower_one_deterministically() {
-    let msg =
-        |src: u64, dim: u32, block: u32| PlannedMsg { src: NodeId(src), dim, blocks: vec![block] };
+    // Block `b` is arena entry `b`.
+    let msg = |src: u64, dim: u32, block: u32| PlannedMsg {
+        src: NodeId(src),
+        dim,
+        blocks: block..block + 1,
+    };
     let meta = |src: u64, dst: u64| BlockMeta { src: NodeId(src), dst: NodeId(dst), elems: 1 };
     let plan = CommSchedule {
         name: "corrupt/two-cycles".into(),
@@ -323,6 +332,7 @@ fn two_cycles_report_the_lower_one_deterministically() {
             meta(0, 5),
             meta(0, 6),
         ],
+        block_ids: (0..10).collect(),
         rounds: vec![
             PlanRound {
                 msgs: vec![

@@ -73,7 +73,7 @@ proptest! {
             let plan = all_to_all_exchange_plan(n, &sizes, policy, PortMode::OnePort);
             let mut net = SimNet::new(n, params.clone());
             net.record_links();
-            exec::run::<BlockMsg<u64>, _>(&mut net, &plan.blocks, &plan.rounds);
+            exec::run::<BlockMsg<u64>, _>(&mut net, &plan);
             assert_equivalent(&plan, &params, &net.finalize());
         }
     }
@@ -86,7 +86,7 @@ proptest! {
         let plan = all_to_all_sbnt_plan(n, &sizes);
         let mut net = SimNet::new(n, params.clone());
         net.record_links();
-        exec::run::<BlockMsg<u64>, _>(&mut net, &plan.blocks, &plan.rounds);
+        exec::run::<BlockMsg<u64>, _>(&mut net, &plan);
         assert_equivalent(&plan, &params, &net.finalize());
     }
 
@@ -100,7 +100,7 @@ proptest! {
         let plan = one_to_all_sbt_plan(n, root, &sizes);
         let mut net = SimNet::new(n, params.clone());
         net.record_links();
-        exec::run::<BlockMsg<u64>, _>(&mut net, &plan.blocks, &plan.rounds);
+        exec::run::<BlockMsg<u64>, _>(&mut net, &plan);
         assert_equivalent(&plan, &params, &net.finalize());
 
         let params = MachineParams::unit(PortMode::AllPorts);
@@ -109,7 +109,7 @@ proptest! {
             let plan = one_to_all_trees_plan(n, &sizes, &trees);
             let mut net = SimNet::new(n, params.clone());
             net.record_links();
-            exec::run::<BlockMsg<u64>, _>(&mut net, &plan.blocks, &plan.rounds);
+            exec::run::<BlockMsg<u64>, _>(&mut net, &plan);
             assert_equivalent(&plan, &params, &net.finalize());
         }
     }
@@ -129,7 +129,7 @@ proptest! {
             some_to_all_plan(n, l_dims, k_dims, &sizes, BufferPolicy::Ideal, PortMode::OnePort);
         let mut net: SimNet<BlockMsg<u64>> = SimNet::new(n, params.clone());
         net.record_links();
-        exec::run(&mut net, &plan.blocks, &plan.rounds);
+        exec::run(&mut net, &plan);
         assert_equivalent(&plan, &params, &net.finalize());
     }
 

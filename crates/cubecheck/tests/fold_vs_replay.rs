@@ -104,7 +104,9 @@ fn schedule(topo: TopoSpec, rounds: &[Round], ports: PortMode) -> CommSchedule {
                 .iter()
                 .map(|&(src, dim, elems)| {
                     blocks.push(BlockMeta { src: NodeId(src), dst: NodeId(src), elems });
-                    PlannedMsg { src: NodeId(src), dim, blocks: vec![blocks.len() as u32 - 1] }
+                    // Block `b` is arena entry `b`.
+                    let id = blocks.len() as u32 - 1;
+                    PlannedMsg { src: NodeId(src), dim, blocks: id..id + 1 }
                 })
                 .collect(),
             copies: copies.iter().map(|&(node, elems)| (NodeId(node), elems)).collect(),
@@ -115,6 +117,7 @@ fn schedule(topo: TopoSpec, rounds: &[Round], ports: PortMode) -> CommSchedule {
         topo,
         ports,
         dimension_ordered: false,
+        block_ids: (0..blocks.len() as u32).collect(),
         blocks,
         rounds,
     }

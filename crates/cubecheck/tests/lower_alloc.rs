@@ -1,7 +1,10 @@
-//! Allocation gate for `lower`: each vector of a lowering is allocated
-//! once, at its exact size, and the claims' block ids go into one arena,
-//! so lowering the e-cube transpose makes the same small number of
-//! allocations at n = 8 as at n = 10 — none per claim.
+//! Allocation gates for the plan → lower path of the e-cube transpose.
+//! `lower` allocates each vector of a lowering once, at its exact size,
+//! and clones the plan's one block-id arena, so it makes the same small
+//! number of allocations at n = 8 as at n = 10 — none per claim. The
+//! plan build appends every message's ids to that arena as it emits, so
+//! past one message list per round it too makes the same count at both
+//! sizes — none per message.
 //!
 //! The counting global allocator follows `crates/core/src/local.rs`' test
 //! module: a thread-local counter, armed around the call under test.
@@ -63,4 +66,23 @@ fn lowering_allocates_a_constant_count() {
     let [(small, at_8), (large, at_10)] = counts;
     assert_eq!(at_8, at_10, "{at_8} allocations for {small} claims, {at_10} for {large}");
     assert_eq!(at_8, 4, "lowering {small} claims");
+}
+
+/// The build of the same plans: the name, the block table, the router's
+/// four lane arrays, its two log columns (sized by the routes' lengths),
+/// its three staging buffers and the round list — twelve allocations —
+/// plus each round's message list. The block ids are the log's id
+/// column, the plan's one arena, so nothing is allocated per message:
+/// past one per round, n = 8 (12 rounds, 1 024 messages) and n = 10
+/// (21 rounds, 5 120 messages) make the same count.
+#[test]
+fn ecube_plan_build_allocates_a_constant_count_past_its_rounds() {
+    let counts = [8, 10].map(|n| {
+        let msgs = transpose_msgs(n, 4);
+        let (plan, allocs) = counted(|| ecube_route_plan(n, &msgs));
+        (plan.total_messages(), allocs - plan.rounds.len())
+    });
+    let [(small, at_8), (large, at_10)] = counts;
+    assert_eq!(at_8, at_10, "{at_8} allocations for {small} messages, {at_10} for {large}");
+    assert_eq!(at_8, 12, "building {small} messages");
 }

@@ -22,9 +22,10 @@
 
 use crate::block::{Block, BlockMsg};
 use crate::exec;
-use crate::plan::{skeleton, BlockMeta};
+use crate::plan::{skeleton, BlockMeta, CommSchedule};
 use cubeaddr::NodeId;
 use cubesim::SimNet;
+use cubetopo::TopoSpec;
 
 /// Send policy for one exchange step (paper §8.1).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -83,8 +84,18 @@ pub fn exchange_over_dims<T>(
             payloads.push(b);
         }
     }
-    let rounds = skeleton::exchange_rounds(net.n(), &metas, dims, policy);
-    exec::execute(net, &metas, &rounds, payloads)
+    let (rounds, block_ids) = skeleton::exchange_rounds(net.n(), &metas, dims, policy);
+    let plan = CommSchedule {
+        name: "exchange_over_dims".into(),
+        topo: TopoSpec::hypercube(net.n()),
+        ports: net.params().ports,
+        dimension_ordered: true,
+        blocks: metas,
+        block_ids,
+        rounds,
+    }
+    .checked();
+    exec::execute(net, &plan, payloads)
 }
 
 #[cfg(test)]

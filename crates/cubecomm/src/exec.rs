@@ -25,14 +25,17 @@
 //! still enforces.
 
 use crate::block::{Block, BlockMsg};
-use crate::plan::{check_endpoints, BlockMeta, PlanRound};
+use crate::plan::{check_endpoints, CommSchedule};
 use cubeaddr::NodeId;
 use cubesim::{Payload, SimNet};
 use cubetopo::Topology;
 
-/// Runs `rounds` on `net` without payloads: charges every planned
-/// message and copy and tracks where each block is. Block `id` is
-/// `blocks[id]` and starts at its `src`.
+/// Runs `plan`'s rounds on `net` without payloads: charges every
+/// planned message and copy and tracks where each block is. Block `id`
+/// is `plan.blocks[id]` and starts at its `src`; a message's ids are
+/// read from the plan's arena ([`CommSchedule::ids`]). The plan's own
+/// topology, port mode and name are not consulted: the net is the
+/// machine.
 ///
 /// # Panics
 /// Naming the block, if an endpoint is not a node of the net; with the
@@ -41,11 +44,8 @@ use cubetopo::Topology;
 /// round; with the block and the node it is stranded at, if a block ends
 /// short of its destination; and on the net's own legality checks.
 #[track_caller]
-pub fn run<P: Payload, G: Topology>(
-    net: &mut SimNet<P, G>,
-    blocks: &[BlockMeta],
-    rounds: &[PlanRound],
-) {
+pub fn run<P: Payload, G: Topology>(net: &mut SimNet<P, G>, plan: &CommSchedule) {
+    let (blocks, rounds) = (&plan.blocks, &plan.rounds);
     check_endpoints(net.topology(), blocks);
     let mut at: Vec<NodeId> = blocks.iter().map(|b| b.src).collect();
     // The 1-based index of the last round that named each block.
@@ -53,7 +53,8 @@ pub fn run<P: Payload, G: Topology>(
     for (r, round) in rounds.iter().enumerate() {
         for msg in &round.msgs {
             let mut elems = 0;
-            for &id in &msg.blocks {
+            let ids = plan.ids(msg);
+            for &id in ids {
                 let (i, b) = (id as usize, &blocks[id as usize]);
                 assert!(
                     named[i] != r + 1,
@@ -75,7 +76,7 @@ pub fn run<P: Payload, G: Topology>(
             }
             net.charge(msg.src, msg.dim, elems as usize);
             let far = NodeId(net.topology().neighbor(msg.src.bits(), msg.dim).expect("charged"));
-            for &id in &msg.blocks {
+            for &id in ids {
                 at[id as usize] = far;
             }
         }
@@ -100,8 +101,8 @@ pub fn run<P: Payload, G: Topology>(
     }
 }
 
-/// [`run`]s `rounds` on `net` and lands the payloads. `payloads[id]` is
-/// the block `blocks[id]` describes and starts at `blocks[id].src` (its
+/// [`run`]s `plan` on `net` and lands the payloads. `payloads[id]` is
+/// the block `plan.blocks[id]` describes and starts at its `src` (its
 /// own `src` tag is carried along untouched). Returns the blocks each
 /// node ends up holding, in id order.
 ///
@@ -111,10 +112,10 @@ pub fn run<P: Payload, G: Topology>(
 #[track_caller]
 pub fn execute<T, G: Topology>(
     net: &mut SimNet<BlockMsg<T>, G>,
-    blocks: &[BlockMeta],
-    rounds: &[PlanRound],
+    plan: &CommSchedule,
     payloads: Vec<Block<T>>,
 ) -> Vec<Vec<Block<T>>> {
+    let blocks = &plan.blocks;
     assert_eq!(payloads.len(), blocks.len(), "one payload per planned block");
     for (id, (p, b)) in payloads.iter().zip(blocks).enumerate() {
         assert!(
@@ -127,7 +128,7 @@ pub fn execute<T, G: Topology>(
             b.elems
         );
     }
-    run(net, blocks, rounds);
+    run(net, plan);
     let mut held: Vec<Vec<Block<T>>> = (0..net.num_nodes()).map(|_| Vec::new()).collect();
     for (block, b) in payloads.into_iter().zip(blocks) {
         held[b.dst.index()].push(block);
@@ -143,6 +144,6 @@ pub(crate) fn report(
     params: cubesim::MachineParams,
 ) -> cubesim::CommReport {
     let mut net: SimNet<u64, _> = SimNet::on_topology(plan.topo, params);
-    run(&mut net, &plan.blocks, &plan.rounds);
+    run(&mut net, plan);
     net.finalize()
 }

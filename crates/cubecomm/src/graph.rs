@@ -85,9 +85,10 @@ pub fn graph_route<T, G: MinimalRoute>(
             data.push(m.data);
         }
     }
-    let (hops, bounds) = skeleton::route_hops(net.topology(), &metas, skeleton::HopOrder::Landing);
-    for w in bounds.windows(2) {
-        for &(src, port, id) in &hops[w[0]..w[1]] {
+    let log = skeleton::route_hops(net.topology(), &metas, skeleton::HopOrder::Landing);
+    let mut ids = log.ids.iter();
+    for round in log.hops.chunk_by(|a, b| a.2 == b.2) {
+        for (&(src, port, _), &id) in round.iter().zip(ids.by_ref()) {
             let b = &metas[id as usize];
             net.charge(NodeId(src), port, b.elems as usize);
             if net.topology().neighbor(src, port) == Some(b.dst.bits()) {

@@ -61,6 +61,7 @@ use cubeaddr::{DimSet, NodeId};
 use cubesim::PortMode;
 use cubesync::sync::Arc;
 use cubetopo::{Hypercube, TopoSpec, Topology};
+use std::ops::Range;
 
 /// A block's metadata: everything the cost model and the invariants see.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -74,7 +75,9 @@ pub struct BlockMeta {
 }
 
 /// One planned message: the blocks crossing one directed link in one
-/// round. Block ids index [`CommSchedule::blocks`].
+/// round. Its block ids are a range of its schedule's one arena,
+/// [`CommSchedule::block_ids`]; read them with [`CommSchedule::ids`].
+/// Each id indexes [`CommSchedule::blocks`].
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct PlannedMsg {
     /// Sending node.
@@ -83,8 +86,24 @@ pub struct PlannedMsg {
     /// `src.neighbor(dim)`); generally, the receiver is
     /// `topo.neighbor(src, dim)` of the schedule's topology.
     pub dim: u32,
-    /// Ids of the blocks travelling in this message.
-    pub blocks: Vec<u32>,
+    /// The ids of the blocks travelling in this message, as a range of
+    /// [`CommSchedule::block_ids`].
+    pub blocks: Range<u32>,
+}
+
+impl PlannedMsg {
+    /// The message from `src` over port `dim` carrying `blocks`, whose
+    /// ids it appends to the arena `ids`.
+    pub(crate) fn push(
+        ids: &mut Vec<u32>,
+        src: NodeId,
+        dim: u32,
+        blocks: impl IntoIterator<Item = u32>,
+    ) -> Self {
+        let start = ids.len() as u32;
+        ids.extend(blocks);
+        PlannedMsg { src, dim, blocks: start..ids.len() as u32 }
+    }
 }
 
 /// One planned round: its messages plus any local-copy work charged in
@@ -101,6 +120,12 @@ pub struct PlanRound {
 }
 
 /// A complete static communication schedule.
+///
+/// Its messages keep no id lists of their own: every message's block
+/// ids lie in the one arena [`CommSchedule::block_ids`], and a message
+/// names its part as a range. A built plan lays the arena out in
+/// schedule order (rounds ascending, each round's messages in order),
+/// one message after another, so two builds of one plan compare equal.
 #[derive(Clone, PartialEq, Debug)]
 pub struct CommSchedule {
     /// Human-readable schedule name (carried into diagnostics).
@@ -120,15 +145,56 @@ pub struct CommSchedule {
     pub dimension_ordered: bool,
     /// The blocks moved by the schedule; ids are indices into this list.
     pub blocks: Vec<BlockMeta>,
+    /// The block-id arena: [`PlannedMsg::blocks`] ranges index it.
+    pub block_ids: Vec<u32>,
     /// The rounds, in execution order. Rounds with no messages are
     /// real: an execution still pays a round boundary there.
     pub rounds: Vec<PlanRound>,
 }
 
 impl CommSchedule {
+    /// The block ids `msg` carries.
+    #[inline]
+    pub fn ids(&self, msg: &PlannedMsg) -> &[u32] {
+        &self.block_ids[msg.blocks.start as usize..msg.blocks.end as usize]
+    }
+
+    /// Appends `ids` to the arena and returns their range, for a message
+    /// built or corrupted by hand (the ranges of the other messages stay
+    /// valid).
+    ///
+    /// # Panics
+    /// Naming the plan, if the arena outgrows 32-bit offsets.
+    #[track_caller]
+    pub fn push_ids(&mut self, ids: &[u32]) -> Range<u32> {
+        let start = self.block_ids.len() as u32;
+        self.block_ids.extend_from_slice(ids);
+        self.check_arena();
+        start..self.block_ids.len() as u32
+    }
+
+    /// Refuses a plan whose arena outgrows the `u32` ranges of its
+    /// messages, naming it — the last step of every builder, which
+    /// offsets its ranges with plain casts while it emits.
+    #[track_caller]
+    pub(crate) fn checked(self) -> Self {
+        self.check_arena();
+        self
+    }
+
+    #[track_caller]
+    fn check_arena(&self) {
+        let len = self.block_ids.len();
+        assert!(
+            u32::try_from(len).is_ok(),
+            "{}: {len} block ids exceed the 32-bit arena",
+            self.name
+        );
+    }
+
     /// Total elements carried by one planned message.
     pub fn msg_elems(&self, msg: &PlannedMsg) -> u64 {
-        msg.blocks.iter().map(|&i| self.blocks[i as usize].elems).sum()
+        self.ids(msg).iter().map(|&i| self.blocks[i as usize].elems).sum()
     }
 
     /// Total messages over all rounds.
@@ -186,18 +252,15 @@ fn all_to_all_blocks(num: usize, sizes: &[Vec<u64>], need: &str) -> Vec<BlockMet
 /// elements to send occupy `2^step` equal non-contiguous runs of the
 /// local array, because `step` already-processed address bits sit above
 /// the bit being exchanged (§8.1: "the local array is partitioned into
-/// `2^j` same-sized blocks during step `j`"). Ids are sorted by
+/// `2^j` same-sized blocks during step `j`"). Sorts `ids` in place by
 /// `(dst, src)` — the local storage order of the blocked array — and
-/// split into that many near-equal runs.
-fn chunk_ids(mut ids: Vec<u32>, step_index: usize, blocks: &[BlockMeta]) -> Vec<Vec<u32>> {
-    if ids.is_empty() {
-        return Vec::new();
-    }
+/// returns the length of a run: the chunks are `ids.chunks(len)`, that
+/// many near-equal runs.
+fn chunk_ids(ids: &mut [u32], step_index: usize, blocks: &[BlockMeta]) -> usize {
     ids.sort_by_key(|&i| (blocks[i as usize].dst, blocks[i as usize].src));
     let want = 1usize << step_index.min(62);
-    let chunks = want.min(ids.len());
-    let per = ids.len().div_ceil(chunks);
-    ids.chunks(per).map(<[u32]>::to_vec).collect()
+    let chunks = want.min(ids.len()).max(1);
+    ids.len().div_ceil(chunks).max(1)
 }
 
 /// The standard exchange algorithm (§3.2, §8.1) over `dims` in order,
@@ -234,15 +297,17 @@ pub fn exchange_plan(
             "exchange plans need pairwise distinct (src, dst) block pairs"
         );
     }
-    let rounds = skeleton::exchange_rounds(n, &blocks, dims, policy);
+    let (rounds, block_ids) = skeleton::exchange_rounds(n, &blocks, dims, policy);
     CommSchedule {
         name: name.into(),
         topo: TopoSpec::hypercube(n),
         ports,
         dimension_ordered: true,
         blocks,
+        block_ids,
         rounds,
     }
+    .checked()
 }
 
 /// All-to-all personalized communication by the standard exchange
@@ -321,7 +386,7 @@ pub fn one_to_all_sbt_plan(n: u32, root: NodeId, sizes: &[u64]) -> CommSchedule 
         .map(|(d, &elems)| BlockMeta { src: root, dst: NodeId(d as u64), elems })
         .collect();
     check_blocks(&TopoSpec::hypercube(n), &blocks);
-    let rounds = skeleton::sbt_rounds(n, &blocks, &tree);
+    let (rounds, block_ids) = skeleton::sbt_rounds(n, &blocks, &tree);
     CommSchedule {
         name: format!("one_to_all_sbt/n{n}/root{root}"),
         topo: TopoSpec::hypercube(n),
@@ -330,8 +395,10 @@ pub fn one_to_all_sbt_plan(n: u32, root: NodeId, sizes: &[u64]) -> CommSchedule 
         // dimensions in ascending order.
         dimension_ordered: true,
         blocks,
+        block_ids,
         rounds,
     }
+    .checked()
 }
 
 /// One-to-all personalized communication from the common root of a
@@ -370,7 +437,7 @@ pub fn one_to_all_trees_plan(n: u32, sizes: &[u64], trees: &[Sbt]) -> CommSchedu
         }
     }
     check_blocks(&TopoSpec::hypercube(n), &blocks);
-    let rounds = skeleton::trees_rounds(n, &blocks, trees, &tree_of);
+    let (rounds, block_ids) = skeleton::trees_rounds(n, &blocks, trees, &tree_of);
     CommSchedule {
         name: format!("one_to_all_trees/n{n}/root{root}/k{}", trees.len()),
         topo: TopoSpec::hypercube(n),
@@ -379,8 +446,10 @@ pub fn one_to_all_trees_plan(n: u32, sizes: &[u64], trees: &[Sbt]) -> CommSchedu
         // orders; no single channel order covers the family.
         dimension_ordered: false,
         blocks,
+        block_ids,
         rounds,
     }
+    .checked()
 }
 
 /// All-to-all personalized communication with n-port SBnT routing:
@@ -405,7 +474,7 @@ pub fn all_to_all_sbnt_plan(n: u32, sizes: &[Vec<u64>]) -> CommSchedule {
 #[track_caller]
 pub fn sbnt_plan(n: u32, blocks: Vec<BlockMeta>) -> CommSchedule {
     check_blocks(&TopoSpec::hypercube(n), &blocks);
-    let rounds = skeleton::sbnt_rounds(n, &blocks);
+    let (rounds, block_ids) = skeleton::sbnt_rounds(n, &blocks);
     CommSchedule {
         name: format!("sbnt/n{n}"),
         topo: TopoSpec::hypercube(n),
@@ -414,8 +483,10 @@ pub fn sbnt_plan(n: u32, blocks: Vec<BlockMeta>) -> CommSchedule {
         // the base port — not consistent with any fixed channel order.
         dimension_ordered: false,
         blocks,
+        block_ids,
         rounds,
     }
+    .checked()
 }
 
 /// Plans [`crate::ecube::ecube_route`]: dimension-ordered store-and-
@@ -430,21 +501,27 @@ pub fn sbnt_plan(n: u32, blocks: Vec<BlockMeta>) -> CommSchedule {
 /// empty path — conservation treats them as already delivered).
 #[track_caller]
 pub fn ecube_route_plan(n: u32, msgs: &[(NodeId, NodeId, u64)]) -> CommSchedule {
-    let blocks: Vec<BlockMeta> = msgs
-        .iter()
-        .filter(|&&(_, _, elems)| elems > 0)
-        .map(|&(src, dst, elems)| BlockMeta { src, dst, elems })
-        .collect();
+    // Sized for every message, so the table is allocated once.
+    let mut blocks: Vec<BlockMeta> = Vec::with_capacity(msgs.len());
+    blocks.extend(
+        msgs.iter().filter(|&&(_, _, elems)| elems > 0).map(|&(src, dst, elems)| BlockMeta {
+            src,
+            dst,
+            elems,
+        }),
+    );
     check_blocks(&TopoSpec::hypercube(n), &blocks);
-    let rounds = skeleton::route_rounds(&Hypercube::new(n), &blocks);
+    let (rounds, block_ids) = skeleton::route_rounds(&Hypercube::new(n), &blocks);
     CommSchedule {
         name: format!("ecube_route/n{n}"),
         topo: TopoSpec::hypercube(n),
         ports: PortMode::AllPorts,
         dimension_ordered: true,
         blocks,
+        block_ids,
         rounds,
     }
+    .checked()
 }
 
 // --- Cached front door -------------------------------------------------

@@ -35,7 +35,6 @@ use cubeaddr::NodeId;
 use cubesim::PortMode;
 use cubesync::sync::Arc;
 use cubetopo::{SwappedDragonfly, TopoSpec, Topology};
-use std::collections::BTreeMap;
 
 /// Plans minimal (direct) store-and-forward routing on `D3(K,M)`: every
 /// message follows its local–global–local path, one message per
@@ -59,15 +58,17 @@ pub fn dragonfly_direct_plan(k: u32, m: u32, msgs: &[(NodeId, NodeId, u64)]) -> 
         .collect();
     check_blocks(&topo, &blocks);
 
-    let rounds = skeleton::route_rounds(&d, &blocks);
+    let (rounds, block_ids) = skeleton::route_rounds(&d, &blocks);
     CommSchedule {
         name: format!("dragonfly_direct/{}", d.label()),
         topo,
         ports: PortMode::AllPorts,
         dimension_ordered: false,
         blocks,
+        block_ids,
         rounds,
     }
+    .checked()
 }
 
 /// Plans the scheduled Swapped-Dragonfly all-to-all (`sizes[s][d]`
@@ -97,10 +98,10 @@ pub fn dragonfly_swap_exchange_plan(k: u32, m: u32, sizes: &[Vec<u64>]) -> CommS
     let kk = u64::from(k);
     let n_rounds = if m > 1 { 2 * m as usize - 1 } else { 1 };
     let global_round = m as usize - 1;
-    // Per-round `(src, port) → block ids` accumulators; BTreeMap order
-    // gives rounds with nodes ascending, ports ascending.
-    let mut per_round: Vec<BTreeMap<(u64, u32), Vec<u32>>> =
-        (0..n_rounds).map(|_| BTreeMap::new()).collect();
+    // `(round, src, port, block id)` hops; a stable sort by the first
+    // three groups them into messages, nodes ascending, ports ascending,
+    // each message's ids in id order.
+    let mut hops: Vec<(usize, u64, u32, u32)> = Vec::new();
 
     for (id, b) in blocks.iter().enumerate() {
         let id = id as u32;
@@ -112,44 +113,33 @@ pub fn dragonfly_swap_exchange_plan(k: u32, m: u32, sizes: &[Vec<u64>]) -> CommS
         if gs == gd {
             // In-group delivery during the gather rotation.
             let t = (rd + mm - rs) % mm;
-            per_round[t as usize - 1]
-                .entry((b.src.bits(), d.intra_port(rs, rd)))
-                .or_default()
-                .push(id);
+            hops.push((t as usize - 1, b.src.bits(), d.intra_port(rs, rd), id));
             continue;
         }
         // Remote group: gather to the gateway, cross, distribute.
         let gw = d.gateway_router(gd);
         if rs != gw {
             let t = (gw + mm - rs) % mm;
-            per_round[t as usize - 1]
-                .entry((b.src.bits(), d.intra_port(rs, gw)))
-                .or_default()
-                .push(id);
+            hops.push((t as usize - 1, b.src.bits(), d.intra_port(rs, gw), id));
         }
         let gw_node = d.node_at(gs, gw);
         let gp = d.global_port_to(gw, gd).expect("gateway owns the link to gd");
-        per_round[global_round].entry((gw_node, gp)).or_default().push(id);
+        hops.push((global_round, gw_node, gp, id));
         let ra = gs / kk; // arrival router: the swap of the source group
         if rd != ra {
             let t = (rd + mm - ra) % mm;
-            per_round[global_round + t as usize]
-                .entry((d.node_at(gd, ra), d.intra_port(ra, rd)))
-                .or_default()
-                .push(id);
+            hops.push((global_round + t as usize, d.node_at(gd, ra), d.intra_port(ra, rd), id));
         }
     }
 
-    let rounds: Vec<PlanRound> = per_round
-        .into_iter()
-        .map(|msgs| PlanRound {
-            msgs: msgs
-                .into_iter()
-                .map(|((src, port), blocks)| PlannedMsg { src: NodeId(src), dim: port, blocks })
-                .collect(),
-            copies: Vec::new(),
-        })
-        .collect();
+    hops.sort_by_key(|&(round, src, port, _)| (round, src, port));
+    let mut rounds: Vec<PlanRound> = (0..n_rounds).map(|_| PlanRound::default()).collect();
+    let mut block_ids = Vec::with_capacity(hops.len());
+    for msg in hops.chunk_by(|a, b| (a.0, a.1, a.2) == (b.0, b.1, b.2)) {
+        let (round, src, port, _) = msg[0];
+        let ids = msg.iter().map(|&(.., id)| id);
+        rounds[round].msgs.push(PlannedMsg::push(&mut block_ids, NodeId(src), port, ids));
+    }
 
     CommSchedule {
         name: format!("dragonfly_swap_exchange/{}", d.label()),
@@ -157,8 +147,10 @@ pub fn dragonfly_swap_exchange_plan(k: u32, m: u32, sizes: &[Vec<u64>]) -> CommS
         ports: PortMode::AllPorts,
         dimension_ordered: false,
         blocks,
+        block_ids,
         rounds,
     }
+    .checked()
 }
 
 /// [`dragonfly_direct_plan`] through a [`PlanCache`].
@@ -279,7 +271,7 @@ mod tests {
         let mut at: Vec<u64> = plan.blocks.iter().map(|b| b.src.bits()).collect();
         for round in &plan.rounds {
             for msg in &round.msgs {
-                for &id in &msg.blocks {
+                for &id in plan.ids(msg) {
                     assert_eq!(at[id as usize], msg.src.bits(), "block {id} claimed off-node");
                     at[id as usize] = d.neighbor(msg.src.bits(), msg.dim).expect("wired link");
                 }

@@ -2,11 +2,13 @@
 //! specification of the fast builders in the `skeleton` module.
 //!
 //! Each function here is the pre-optimization implementation, verbatim
-//! but for one thing: the SBT, tree and router twins list each round's
+//! but for two things: the SBT, tree and router twins list each round's
 //! messages in channel order (`src · ports + dim`), the order every
-//! builder emits. Each is a direct simulation of its engine's control
-//! flow over per-node held lists (or, for the router, a full `2^n · n`
-//! queue lattice). They are
+//! builder emits; and each message's own id list, built as before, is
+//! laid into the plan's one block-id arena at the end (`schedule`).
+//! Each is a direct simulation of its engine's control flow over
+//! per-node held lists (or, for the router, a full `2^n · n` queue
+//! lattice). They are
 //! O(2^n) per round and allocation-heavy, which is exactly why the
 //! public builders no longer use them — but their output *defines*
 //! correctness: the `plan_reference` property tests in
@@ -14,13 +16,58 @@
 //! byte-identical [`CommSchedule`]s, the same discipline
 //! [`crate::ecube::reference::RefRouter`] applies to the flat router.
 
-use super::{chunk_ids, BlockMeta, CommSchedule, PlanRound, PlannedMsg};
+use super::{BlockMeta, CommSchedule};
 use crate::exchange::BufferPolicy;
 use crate::sbnt::sbnt_path_dims;
 use crate::sbt::Sbt;
 use cubeaddr::NodeId;
 use cubesim::PortMode;
 use std::collections::{BTreeMap, VecDeque};
+
+/// A round as these planners build it: each message owns its id list.
+#[derive(Default)]
+struct PlanRound {
+    msgs: Vec<PlannedMsg>,
+    copies: Vec<(NodeId, u64)>,
+}
+
+struct PlannedMsg {
+    src: NodeId,
+    dim: u32,
+    blocks: Vec<u32>,
+}
+
+/// The plan of `rounds` on the `n`-cube, every message's ids appended
+/// to the arena in schedule order.
+fn schedule(
+    name: String,
+    n: u32,
+    ports: PortMode,
+    dimension_ordered: bool,
+    blocks: Vec<BlockMeta>,
+    rounds: Vec<PlanRound>,
+) -> CommSchedule {
+    let mut block_ids = Vec::new();
+    let rounds = rounds
+        .into_iter()
+        .map(|r| super::PlanRound {
+            msgs: r
+                .msgs
+                .into_iter()
+                .map(|m| super::PlannedMsg::push(&mut block_ids, m.src, m.dim, m.blocks))
+                .collect(),
+            copies: r.copies,
+        })
+        .collect();
+    let topo = cubetopo::TopoSpec::hypercube(n);
+    CommSchedule { name, topo, ports, dimension_ordered, blocks, block_ids, rounds }.checked()
+}
+
+/// [`super::chunk_ids`]' chunks, each its own list.
+fn chunk_ids(mut ids: Vec<u32>, step_index: usize, blocks: &[BlockMeta]) -> Vec<Vec<u32>> {
+    let per = super::chunk_ids(&mut ids, step_index, blocks);
+    ids.chunks(per).map(<[u32]>::to_vec).collect()
+}
 
 /// Reference twin of [`super::exchange_plan`] (same input contract; the
 /// caller validates blocks).
@@ -143,14 +190,7 @@ pub fn exchange_plan(
             held[x ^ (1usize << j)].extend(send);
         }
     }
-    CommSchedule {
-        name: name.into(),
-        topo: cubetopo::TopoSpec::hypercube(n),
-        ports,
-        dimension_ordered: true,
-        blocks,
-        rounds,
-    }
+    schedule(name.into(), n, ports, true, blocks, rounds)
 }
 
 /// Reference twin of [`super::one_to_all_sbt_plan`].
@@ -184,14 +224,7 @@ pub fn one_to_all_sbt_plan(n: u32, root: NodeId, sizes: &[u64]) -> CommSchedule 
         round.msgs.sort_by_key(|m| m.src);
         rounds.push(round);
     }
-    CommSchedule {
-        name: format!("one_to_all_sbt/n{n}/root{root}"),
-        topo: cubetopo::TopoSpec::hypercube(n),
-        ports: PortMode::OnePort,
-        dimension_ordered: true,
-        blocks,
-        rounds,
-    }
+    schedule(format!("one_to_all_sbt/n{n}/root{root}"), n, PortMode::OnePort, true, blocks, rounds)
 }
 
 /// Reference twin of [`super::one_to_all_trees_plan`].
@@ -234,14 +267,14 @@ pub fn one_to_all_trees_plan(n: u32, sizes: &[u64], trees: &[Sbt]) -> CommSchedu
         round.msgs.sort_by_key(|m| (m.src, m.dim));
         rounds.push(round);
     }
-    CommSchedule {
-        name: format!("one_to_all_trees/n{n}/root{root}/k{}", trees.len()),
-        topo: cubetopo::TopoSpec::hypercube(n),
-        ports: PortMode::AllPorts,
-        dimension_ordered: false,
+    schedule(
+        format!("one_to_all_trees/n{n}/root{root}/k{}", trees.len()),
+        n,
+        PortMode::AllPorts,
+        false,
         blocks,
         rounds,
-    }
+    )
 }
 
 /// Reference twin of [`super::all_to_all_sbnt_plan`].
@@ -300,14 +333,7 @@ pub fn all_to_all_sbnt_plan(n: u32, sizes: &[Vec<u64>]) -> CommSchedule {
             }
         }
     }
-    CommSchedule {
-        name: format!("all_to_all_sbnt/n{n}"),
-        topo: cubetopo::TopoSpec::hypercube(n),
-        ports: PortMode::AllPorts,
-        dimension_ordered: false,
-        blocks,
-        rounds,
-    }
+    schedule(format!("all_to_all_sbnt/n{n}"), n, PortMode::AllPorts, false, blocks, rounds)
 }
 
 /// Reference twin of [`super::ecube_route_plan`]: the full `2^n · n`
@@ -368,12 +394,5 @@ pub fn ecube_route_plan(n: u32, msgs: &[(NodeId, NodeId, u64)]) -> CommSchedule 
             }
         }
     }
-    CommSchedule {
-        name: format!("ecube_route/n{n}"),
-        topo: cubetopo::TopoSpec::hypercube(n),
-        ports: PortMode::AllPorts,
-        dimension_ordered: true,
-        blocks,
-        rounds,
-    }
+    schedule(format!("ecube_route/n{n}"), n, PortMode::AllPorts, true, blocks, rounds)
 }

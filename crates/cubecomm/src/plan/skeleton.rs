@@ -27,9 +27,10 @@
 //!    buffers (`buckets`, `touched`, keep/move lists) are hoisted out of
 //!    the round loop and reused.
 //! 2. **Instantiation (serial, deterministic).** Each round's
-//!    [`PlanRound`] — where the allocation-heavy `PlannedMsg`/block-id
-//!    vectors are materialized — is emitted as soon as its skeleton is
-//!    known, in round order, its messages ascending by channel
+//!    [`PlanRound`] is emitted as soon as its skeleton is known: one
+//!    message list per round, each message's block ids appended to the
+//!    plan's one arena (no list per message). Rounds come in order, their
+//!    messages ascending by channel
 //!    (`src · ports + dim`): the order `cubecheck`'s fold walks without
 //!    sorting, produced by the grouping each builder already does
 //!    (no extra per-round sort). Forking the rounds over threads was
@@ -43,7 +44,10 @@
 //! contention simulation — so it exists once, [`route_hops`], generic
 //! over [`MinimalRoute`]: intrusive FIFO slabs (`head`/`tail`/`next`
 //! arrays, no per-lane `VecDeque`) and a live-lane bitmap, so a round
-//! costs O(live lanes), not O(nodes · ports) full-lattice scans.
+//! costs O(live lanes), not O(nodes · ports) full-lattice scans. Its hop
+//! log is sized up front by the routes' lengths and its id column is the
+//! plan's arena, so a routing plan allocates a fixed number of vectors
+//! plus one message list per round.
 
 use super::{chunk_ids, BlockMeta, PlanRound, PlannedMsg};
 use crate::exchange::BufferPolicy;
@@ -61,8 +65,12 @@ struct ExchangeStep<'a> {
     /// `(node, start, end)` runs into `movers`, senders ascending.
     senders: &'a [(u64, u32, u32)],
     /// Moving block ids, grouped by sender.
-    movers: &'a [u32],
+    movers: &'a mut [u32],
 }
+
+/// A builder's output: its rounds, and the block-id arena their
+/// messages' ranges index (laid out in schedule order).
+pub(crate) type Rounds = (Vec<PlanRound>, Vec<u32>);
 
 /// Rounds of [`super::exchange_plan`] and of
 /// [`crate::exchange::exchange_over_dims`]: dimension `dims[t]` is
@@ -79,7 +87,7 @@ pub(crate) fn exchange_rounds(
     blocks: &[BlockMeta],
     dims: &[u32],
     policy: BufferPolicy,
-) -> Vec<PlanRound> {
+) -> Rounds {
     let num = cubeaddr::num_nodes(n);
     let mut rank: Vec<u32> = (0..blocks.len() as u32).collect();
     // Round-local scratch, hoisted and reused across steps.
@@ -89,8 +97,10 @@ pub(crate) fn exchange_rounds(
     let mut touched: Vec<u64> = Vec::new();
     let mut movers: Vec<u32> = Vec::with_capacity(blocks.len());
     let mut senders: Vec<(u64, u32, u32)> = Vec::new();
+    let mut chunks = ChunkScratch::default();
     let mut seen = 0u64;
     let mut rounds: Vec<PlanRound> = Vec::with_capacity(dims.len());
+    let mut ids: Vec<u32> = Vec::new();
     for (step_index, &j) in dims.iter().enumerate() {
         assert!(j < n, "exchange dimension {j} outside the {n}-cube");
         let bit = 1u64 << j;
@@ -122,114 +132,104 @@ pub(crate) fn exchange_rounds(
             senders.push((x, start, movers.len() as u32));
         }
         touched.clear();
-        let step = ExchangeStep { dim: j, step_index, senders: &senders, movers: &movers };
-        rounds.extend(emit_exchange_step(&step, blocks, policy));
+        let step = ExchangeStep { dim: j, step_index, senders: &senders, movers: &mut movers };
+        emit_exchange_step(step, blocks, policy, &mut chunks, &mut rounds, &mut ids);
         // Keepers first, movers after — the arrival order at every node.
         rank.clear();
         rank.extend_from_slice(&keeps);
         rank.extend_from_slice(&moved);
         seen |= bit;
     }
-    rounds
+    (rounds, ids)
+}
+
+/// One step's chunk split under a chunking policy, reused across steps:
+/// per sender, its direct chunks (ranges of the step's movers) and its
+/// gathered ids.
+#[derive(Default)]
+struct ChunkScratch {
+    /// `(node, direct start, direct end, gathered start, gathered end)`
+    /// per sender, ranges into `direct` and `gathered`.
+    split: Vec<(u64, usize, usize, usize, usize)>,
+    /// Direct chunks as `(start, end)` ranges of the step's movers.
+    direct: Vec<(usize, usize)>,
+    gathered: Vec<u32>,
 }
 
 /// Materializes one exchange step's rounds under the send policy (paper
-/// §8.1), senders only.
+/// §8.1), senders only, appending them to `rounds` and their ids to the
+/// arena `ids`. The chunking policies sort each sender's run of movers
+/// in place into chunk order.
 fn emit_exchange_step(
-    step: &ExchangeStep,
+    step: ExchangeStep,
     blocks: &[BlockMeta],
     policy: BufferPolicy,
-) -> Vec<PlanRound> {
+    scratch: &mut ChunkScratch,
+    rounds: &mut Vec<PlanRound>,
+    ids: &mut Vec<u32>,
+) {
     let elems_of = |ids: &[u32]| -> u64 { ids.iter().map(|&i| blocks[i as usize].elems).sum() };
-    let run = |&(_, s, e): &(u64, u32, u32)| &step.movers[s as usize..e as usize];
-    match policy {
+    let min_direct = match policy {
         BufferPolicy::Ideal => {
             // One round per step, sends or not: the step's round boundary
             // is paid either way.
             let msgs = step
                 .senders
                 .iter()
-                .map(|sender| PlannedMsg {
-                    src: NodeId(sender.0),
-                    dim: step.dim,
-                    blocks: run(sender).to_vec(),
+                .map(|&(x, s, e)| {
+                    let run = &step.movers[s as usize..e as usize];
+                    PlannedMsg::push(ids, NodeId(x), step.dim, run.iter().copied())
                 })
                 .collect();
-            vec![PlanRound { msgs, copies: Vec::new() }]
+            rounds.push(PlanRound { msgs, copies: Vec::new() });
+            return;
         }
-        BufferPolicy::Unbuffered => {
-            let chunked: Vec<(u64, Vec<Vec<u32>>)> = step
-                .senders
-                .iter()
-                .map(|sender| (sender.0, chunk_ids(run(sender).to_vec(), step.step_index, blocks)))
-                .collect();
-            let max_chunks = chunked.iter().map(|(_, c)| c.len()).max().unwrap_or(0);
-            // One sub-round per chunk ordinal; a step nobody sends in
-            // costs no rounds at all.
-            (0..max_chunks)
-                .map(|i| PlanRound {
-                    msgs: chunked
-                        .iter()
-                        .filter(|(_, c)| i < c.len())
-                        .map(|(x, c)| PlannedMsg {
-                            src: NodeId(*x),
-                            dim: step.dim,
-                            blocks: c[i].clone(),
-                        })
-                        .collect(),
-                    copies: Vec::new(),
-                })
-                .collect()
-        }
-        BufferPolicy::Buffered { min_direct } => {
-            // (direct chunks, gathered ids) per sender.
-            let split: Vec<(u64, Vec<Vec<u32>>, Vec<u32>)> = step
-                .senders
-                .iter()
-                .map(|sender| {
-                    let mut direct = Vec::new();
-                    let mut gathered = Vec::new();
-                    for chunk in chunk_ids(run(sender).to_vec(), step.step_index, blocks) {
-                        if elems_of(&chunk) >= min_direct as u64 {
-                            direct.push(chunk);
-                        } else {
-                            gathered.extend(chunk);
-                        }
-                    }
-                    (sender.0, direct, gathered)
-                })
-                .collect();
-            let max_direct = split.iter().map(|(_, d, _)| d.len()).max().unwrap_or(0);
-            let mut rounds: Vec<PlanRound> = (0..max_direct)
-                .map(|i| PlanRound {
-                    msgs: split
-                        .iter()
-                        .filter(|(_, direct, _)| i < direct.len())
-                        .map(|(x, direct, _)| PlannedMsg {
-                            src: NodeId(*x),
-                            dim: step.dim,
-                            blocks: direct[i].clone(),
-                        })
-                        .collect(),
-                    copies: Vec::new(),
-                })
-                .collect();
-            if split.iter().any(|(_, _, g)| !g.is_empty()) {
-                let mut round = PlanRound::default();
-                for (x, _, gathered) in &split {
-                    if !gathered.is_empty() {
-                        round.copies.push((NodeId(*x), elems_of(gathered)));
-                        round.msgs.push(PlannedMsg {
-                            src: NodeId(*x),
-                            dim: step.dim,
-                            blocks: gathered.clone(),
-                        });
-                    }
-                }
-                rounds.push(round);
+        // Unbuffered sends every chunk directly: a threshold no chunk
+        // falls short of.
+        BufferPolicy::Unbuffered => 0,
+        BufferPolicy::Buffered { min_direct } => min_direct as u64,
+    };
+    let ChunkScratch { split, direct, gathered } = scratch;
+    split.clear();
+    direct.clear();
+    gathered.clear();
+    for &(x, s, e) in step.senders {
+        let (s, e) = (s as usize, e as usize);
+        let run = &mut step.movers[s..e];
+        let per = chunk_ids(run, step.step_index, blocks);
+        let (d0, g0) = (direct.len(), gathered.len());
+        for (k, chunk) in run.chunks(per).enumerate() {
+            if elems_of(chunk) >= min_direct {
+                direct.push((s + k * per, s + k * per + chunk.len()));
+            } else {
+                gathered.extend_from_slice(chunk);
             }
-            rounds
         }
+        split.push((x, d0, direct.len(), g0, gathered.len()));
+    }
+    let movers = &*step.movers;
+    // One sub-round per direct chunk ordinal; a step nobody sends in
+    // costs no rounds at all.
+    let max_direct = split.iter().map(|&(_, d0, d1, ..)| d1 - d0).max().unwrap_or(0);
+    for i in 0..max_direct {
+        let msgs = split
+            .iter()
+            .filter(|&&(_, d0, d1, ..)| i < d1 - d0)
+            .map(|&(x, d0, ..)| {
+                let (a, b) = direct[d0 + i];
+                PlannedMsg::push(ids, NodeId(x), step.dim, movers[a..b].iter().copied())
+            })
+            .collect();
+        rounds.push(PlanRound { msgs, copies: Vec::new() });
+    }
+    if !gathered.is_empty() {
+        let mut round = PlanRound::default();
+        for &(x, .., g0, g1) in split.iter().filter(|&&(.., g0, g1)| g0 < g1) {
+            let run = &gathered[g0..g1];
+            round.copies.push((NodeId(x), elems_of(run)));
+            round.msgs.push(PlannedMsg::push(ids, NodeId(x), step.dim, run.iter().copied()));
+        }
+        rounds.push(round);
     }
 }
 
@@ -239,9 +239,10 @@ fn emit_exchange_step(
 /// tree's `physical`/`physical_dim` relabeling instantiates it. Every
 /// message of a round crosses the same dimension, so its senders
 /// ascend.
-pub(crate) fn sbt_rounds(n: u32, blocks: &[BlockMeta], tree: &Sbt) -> Vec<PlanRound> {
+pub(crate) fn sbt_rounds(n: u32, blocks: &[BlockMeta], tree: &Sbt) -> Rounds {
     let logical: Vec<u64> = blocks.iter().map(|b| tree.logical(b.dst)).collect();
     let mut rounds = Vec::with_capacity(n as usize);
+    let mut ids = Vec::new();
     for j in 0..n {
         let dim = tree.physical_dim(j);
         let mut round = PlanRound::default();
@@ -252,10 +253,10 @@ pub(crate) fn sbt_rounds(n: u32, blocks: &[BlockMeta], tree: &Sbt) -> Vec<PlanRo
             .map(|id| (tree.physical(logical[id as usize] & cubeaddr::mask(j)).bits(), id))
             .collect();
         movers.sort_by_key(|&(x, _)| x);
-        emit_grouped(&mut round, &movers, |x| (NodeId(x), dim));
+        emit_grouped(&mut round, &mut ids, &movers, |x| (NodeId(x), dim));
         rounds.push(round);
     }
-    rounds
+    (rounds, ids)
 }
 
 /// Rounds of [`super::one_to_all_trees_plan`]: the SBT skeleton of
@@ -263,15 +264,11 @@ pub(crate) fn sbt_rounds(n: u32, blocks: &[BlockMeta], tree: &Sbt) -> Vec<PlanRo
 /// by `(sender, dimension)`; two trees that claim one link (contention
 /// an execution refuses) keep one message each, in tree order.
 /// `tree_of[id]` is the tree routing block `id`.
-pub(crate) fn trees_rounds(
-    n: u32,
-    blocks: &[BlockMeta],
-    trees: &[Sbt],
-    tree_of: &[u32],
-) -> Vec<PlanRound> {
+pub(crate) fn trees_rounds(n: u32, blocks: &[BlockMeta], trees: &[Sbt], tree_of: &[u32]) -> Rounds {
     let logical: Vec<u64> =
         blocks.iter().zip(tree_of).map(|(b, &k)| trees[k as usize].logical(b.dst)).collect();
     let mut rounds = Vec::with_capacity(n as usize);
+    let mut ids = Vec::new();
     for j in 0..n {
         let dims: Vec<u32> = trees.iter().map(|t| t.physical_dim(j)).collect();
         let mut round = PlanRound::default();
@@ -286,22 +283,24 @@ pub(crate) fn trees_rounds(
             })
             .collect();
         movers.sort_by_key(|&(key, _)| key);
-        emit_grouped(&mut round, &movers, |(x, dim, _)| (NodeId(x), dim));
+        emit_grouped(&mut round, &mut ids, &movers, |(x, dim, _)| (NodeId(x), dim));
         rounds.push(round);
     }
-    rounds
+    (rounds, ids)
 }
 
 /// Appends one message per holder group of `movers` (sorted by their
-/// group key, ids in held order within a group) to `round`.
+/// group key, ids in held order within a group) to `round`, and its ids
+/// to the arena `ids`.
 fn emit_grouped<K: Copy + PartialEq>(
     round: &mut PlanRound,
+    ids: &mut Vec<u32>,
     movers: &[(K, u32)],
     src_dim: impl Fn(K) -> (NodeId, u32),
 ) {
     for group in movers.chunk_by(|a, b| a.0 == b.0) {
         let (src, dim) = src_dim(group[0].0);
-        round.msgs.push(PlannedMsg { src, dim, blocks: group.iter().map(|&(_, id)| id).collect() });
+        round.msgs.push(PlannedMsg::push(ids, src, dim, group.iter().map(|&(_, id)| id)));
     }
 }
 
@@ -310,7 +309,7 @@ fn emit_grouped<K: Copy + PartialEq>(
 /// (trees at different roots are translations of each other), so each
 /// distinct relative address's path is computed once and shared by all
 /// `2^n` source nodes.
-pub(crate) fn sbnt_rounds(n: u32, blocks: &[BlockMeta]) -> Vec<PlanRound> {
+pub(crate) fn sbnt_rounds(n: u32, blocks: &[BlockMeta]) -> Rounds {
     let num = cubeaddr::num_nodes(n);
     let mut path_of_rel: Vec<Vec<u32>> = vec![Vec::new(); num];
     let mut rel_of: Vec<u64> = Vec::with_capacity(blocks.len());
@@ -333,6 +332,7 @@ pub(crate) fn sbnt_rounds(n: u32, blocks: &[BlockMeta]) -> Vec<PlanRound> {
         path_of_rel[rel_of[id as usize] as usize][pos[id as usize] as usize]
     }
     let mut rounds: Vec<PlanRound> = Vec::new();
+    let mut ids: Vec<u32> = Vec::new();
     while !rank.is_empty() {
         // Pending order at every node is the restriction of one global
         // rank; grouping by (node, dim) is a stable sort of it.
@@ -346,7 +346,8 @@ pub(crate) fn sbnt_rounds(n: u32, blocks: &[BlockMeta]) -> Vec<PlanRound> {
             while i < rank.len() && key(rank[i]) == (x, dim) {
                 i += 1;
             }
-            round.msgs.push(PlannedMsg { src: NodeId(x), dim, blocks: rank[start..i].to_vec() });
+            let group = rank[start..i].iter().copied();
+            round.msgs.push(PlannedMsg::push(&mut ids, NodeId(x), dim, group));
         }
         rounds.push(round);
         for &id in &rank {
@@ -358,7 +359,7 @@ pub(crate) fn sbnt_rounds(n: u32, blocks: &[BlockMeta]) -> Vec<PlanRound> {
             (pos[id as usize] as usize) < path_of_rel[rel_of[id as usize] as usize].len()
         });
     }
-    rounds
+    (rounds, ids)
 }
 
 /// "Empty" sentinel for the intrusive lane FIFOs (block ids are `u32`
@@ -385,10 +386,14 @@ fn lane_push(
     tail[lane] = id;
 }
 
-/// One round-delimited hop log of [`route_hops`]: `(sender, port, block
-/// id)` records, each round's in the [`HopOrder`] asked for, and the
-/// round bounds into them (round `r` is `hops[bounds[r]..bounds[r + 1]]`).
-pub(crate) type HopLog = (Vec<(u64, u32, u32)>, Vec<usize>);
+/// One hop log of [`route_hops`], in two columns: hop `i` is block
+/// `ids[i]` leaving node `hops[i].0` over port `hops[i].1` in round
+/// `hops[i].2`. Rounds ascend, each has at least one hop, and each
+/// round's hops are in the [`HopOrder`] asked for.
+pub(crate) struct HopLog {
+    pub hops: Vec<(u64, u32, u32)>,
+    pub ids: Vec<u32>,
+}
 
 /// The order of each round's records in a [`HopLog`]. Either order logs
 /// the same hops; only the sequence inside a round differs.
@@ -433,13 +438,22 @@ pub(crate) fn route_hops<G: MinimalRoute>(
             in_flight += 1;
         }
     }
-    // The whole simulation allocates nothing per hop.
-    let mut hops: Vec<(u64, u32, u32)> = Vec::new();
-    let mut bounds: Vec<usize> = vec![0];
-    let mut landing: Vec<Vec<(u64, u32)>> = vec![Vec::new(); ports];
+    // The log's columns at their exact size, the length of every route,
+    // and the staging buffers at the most hops a round can make (one per
+    // block in flight): the simulation allocates a fixed number of
+    // times, nothing per hop and nothing per round.
+    let total = blocks.iter().map(|b| topo.route_len(b.src.bits(), b.dst.bits())).sum();
+    let (mut hops, mut ids) = (Vec::with_capacity(total), Vec::with_capacity(total));
+    // A round's `(sender, port, block id)` hops in channel order, and the
+    // same hops port-major.
+    let mut staged: Vec<(u64, u32, u32)> = Vec::with_capacity(in_flight);
+    let mut landing: Vec<(u64, u32, u32)> = vec![(0, 0, 0); in_flight];
+    let mut starts = vec![0usize; ports + 1];
+    let mut round = 0u32;
     while in_flight > 0 {
         // Stage: pop the head of every live lane, lanes ascending
         // (node-major, port-minor) — channel order.
+        staged.clear();
         for (w, word) in live.iter_mut().enumerate() {
             let mut bits = *word;
             while bits != 0 {
@@ -451,49 +465,61 @@ pub(crate) fn route_hops<G: MinimalRoute>(
                     tail[lane] = NONE;
                     *word &= !(1u64 << (lane % 64));
                 }
-                let (src, p) = ((lane / ports) as u64, lane % ports);
-                if order == HopOrder::Channel {
-                    hops.push((src, p as u32, id));
-                }
-                landing[p].push((src, id));
+                staged.push(((lane / ports) as u64, (lane % ports) as u32, id));
             }
         }
+        // Port-major by a stable counting sort on the port, so each
+        // port's senders still ascend.
+        starts.fill(0);
+        for &(_, p, _) in &staged {
+            starts[p as usize + 1] += 1;
+        }
+        for p in 0..ports {
+            starts[p + 1] += starts[p];
+        }
+        for &hop in &staged {
+            let slot = &mut starts[hop.1 as usize];
+            landing[*slot] = hop;
+            *slot += 1;
+        }
+        let landing = &landing[..staged.len()];
+        let log = if order == HopOrder::Channel { &staged[..] } else { landing };
+        hops.extend(log.iter().map(|&(src, p, _)| (src, p, round)));
+        ids.extend(log.iter().map(|&(.., id)| id));
         // Land port-major: retire arrivals, requeue the rest on the next
         // port of their route.
-        for (p, staged) in landing.iter_mut().enumerate() {
-            for (src, id) in staged.drain(..) {
-                if order == HopOrder::Landing {
-                    hops.push((src, p as u32, id));
-                }
-                let land =
-                    topo.neighbor(src, p as u32).expect("minimal routes cross wired ports only");
-                match topo.next_port(land, blocks[id as usize].dst.bits()) {
-                    None => in_flight -= 1,
-                    Some(np) => {
-                        let lane = land as usize * ports + np as usize;
-                        lane_push(&mut head, &mut tail, &mut next, &mut live, lane, id);
-                    }
+        for &(src, p, id) in landing {
+            let land = topo.neighbor(src, p).expect("minimal routes cross wired ports only");
+            match topo.next_port(land, blocks[id as usize].dst.bits()) {
+                None => in_flight -= 1,
+                Some(np) => {
+                    let lane = land as usize * ports + np as usize;
+                    lane_push(&mut head, &mut tail, &mut next, &mut live, lane, id);
                 }
             }
         }
-        bounds.push(hops.len());
+        round += 1;
     }
-    (hops, bounds)
+    HopLog { hops, ids }
 }
 
 /// Rounds of [`super::ecube_route_plan`] and
 /// [`super::dragonfly_direct_plan`]: [`route_hops`]' log in channel
-/// order, one single-block message per hop.
-pub(super) fn route_rounds<G: MinimalRoute>(topo: &G, blocks: &[BlockMeta]) -> Vec<PlanRound> {
-    let (hops, bounds) = route_hops(topo, blocks, HopOrder::Channel);
-    bounds
-        .windows(2)
-        .map(|w| PlanRound {
-            msgs: hops[w[0]..w[1]]
-                .iter()
-                .map(|&(src, dim, id)| PlannedMsg { src: NodeId(src), dim, blocks: vec![id] })
-                .collect(),
-            copies: Vec::new(),
-        })
-        .collect()
+/// order, one single-block message per hop. The log's id column is the
+/// arena: hop `i` is the message of ids `i..i + 1`.
+pub(super) fn route_rounds<G: MinimalRoute>(topo: &G, blocks: &[BlockMeta]) -> Rounds {
+    let HopLog { hops, ids } = route_hops(topo, blocks, HopOrder::Channel);
+    let mut rounds = Vec::with_capacity(hops.last().map_or(0, |&(.., r)| r as usize + 1));
+    let mut at = 0u32;
+    for round in hops.chunk_by(|a, b| a.2 == b.2) {
+        let msgs = round
+            .iter()
+            .map(|&(src, dim, _)| {
+                at += 1;
+                PlannedMsg { src: NodeId(src), dim, blocks: at - 1..at }
+            })
+            .collect();
+        rounds.push(PlanRound { msgs, copies: Vec::new() });
+    }
+    (rounds, ids)
 }

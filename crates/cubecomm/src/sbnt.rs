@@ -60,7 +60,7 @@ pub fn all_to_all_sbnt<T>(
         let sent = row.into_iter().enumerate().filter(|(_, data)| !data.is_empty());
         sent.map(move |(d, data)| Block::new(NodeId(s as u64), NodeId(d as u64), data))
     });
-    exec::execute(net, &plan.blocks, &plan.rounds, payloads.collect())
+    exec::execute(net, &plan, payloads.collect())
 }
 
 #[cfg(test)]

@@ -26,7 +26,7 @@ fn fixture() -> (CommSchedule, Vec<Block<u64>>) {
 
 fn run(plan: &CommSchedule, payloads: Vec<Block<u64>>) -> Vec<Vec<Block<u64>>> {
     let mut net: SimNet<BlockMsg<u64>> = SimNet::new(2, MachineParams::unit(PortMode::OnePort));
-    let held = execute(&mut net, &plan.blocks, &plan.rounds, payloads);
+    let held = execute(&mut net, plan, payloads);
     net.finalize();
     held
 }
@@ -62,7 +62,7 @@ fn dropped_round_is_reported_as_stranded() {
 fn retargeted_sender_is_reported_before_the_round_is_sent() {
     let (mut plan, payloads) = fixture();
     let msg = plan.rounds[0].msgs.iter_mut().find(|m| m.src == NodeId(0)).unwrap();
-    assert_eq!(msg.blocks, vec![2, 3]);
+    assert_eq!(plan.block_ids[msg.blocks.start as usize..msg.blocks.end as usize], [2, 3]);
     msg.src = NodeId(2);
     let _ = run(&plan, payloads);
 }
@@ -72,9 +72,11 @@ fn retargeted_sender_is_reported_before_the_round_is_sent() {
 #[should_panic(expected = "round 1: block 1: 0 -> 1 is named twice; the second sender is node 1")]
 fn duplicated_block_id_is_reported() {
     let (mut plan, payloads) = fixture();
-    let round = &mut plan.rounds[1];
-    assert!(round.msgs[0].src == NodeId(0) && round.msgs[0].blocks.contains(&1));
-    round.msgs[1].blocks.push(1);
+    let round = &plan.rounds[1];
+    assert!(round.msgs[0].src == NodeId(0) && plan.ids(&round.msgs[0]).contains(&1));
+    let mut grown = plan.ids(&round.msgs[1]).to_vec();
+    grown.push(1);
+    plan.rounds[1].msgs[1].blocks = plan.push_ids(&grown);
     let _ = run(&plan, payloads);
 }
 

@@ -16,7 +16,7 @@ use cubeaddr::{DimSet, NodeId};
 use cubecomm::exec::execute;
 use cubecomm::plan::{
     all_to_all_exchange_plan, all_to_all_sbnt_plan, exchange_plan, one_to_all_sbt_plan,
-    one_to_all_trees_plan, some_to_all_plan, BlockMeta, CommSchedule, PlanRound,
+    one_to_all_trees_plan, some_to_all_plan, BlockMeta, CommSchedule,
 };
 use cubecomm::sbt::Sbt;
 use cubecomm::{Block, BlockMsg, BufferPolicy};
@@ -30,18 +30,18 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 #[track_caller]
 fn execute_by_sending(
     net: &mut SimNet<BlockMsg<u64>>,
-    blocks: &[BlockMeta],
-    rounds: &[PlanRound],
+    plan: &CommSchedule,
     payloads: Vec<Block<u64>>,
 ) -> Vec<Vec<Block<u64>>> {
+    let (blocks, rounds) = (&plan.blocks, &plan.rounds);
     assert_eq!(payloads.len(), blocks.len(), "one payload per planned block");
     let mut at: Vec<NodeId> = blocks.iter().map(|b| b.src).collect();
     // A block is `None` exactly while it is on the wire.
     let mut store: Vec<Option<Block<u64>>> = payloads.into_iter().map(Some).collect();
     for (r, round) in rounds.iter().enumerate() {
         for msg in &round.msgs {
-            let mut batch = Vec::with_capacity(msg.blocks.len());
-            for &id in &msg.blocks {
+            let mut batch = Vec::with_capacity(plan.ids(msg).len());
+            for &id in plan.ids(msg) {
                 let (i, b) = (id as usize, &blocks[id as usize]);
                 let Some(block) = store[i].take() else {
                     panic!(
@@ -68,7 +68,7 @@ fn execute_by_sending(
         for msg in &round.msgs {
             let far = msg.src.neighbor(msg.dim);
             let BlockMsg(batch) = net.recv(far, msg.dim);
-            for (&id, block) in msg.blocks.iter().zip(batch) {
+            for (&id, block) in plan.ids(msg).iter().zip(batch) {
                 at[id as usize] = far;
                 store[id as usize] = Some(block);
             }
@@ -115,9 +115,9 @@ fn outcome(plan: &CommSchedule, charged: bool) -> Outcome {
         net.record_history();
         net.record_links();
         let held = if charged {
-            execute(&mut net, &plan.blocks, &plan.rounds, payloads)
+            execute(&mut net, plan, payloads)
         } else {
-            execute_by_sending(&mut net, &plan.blocks, &plan.rounds, payloads)
+            execute_by_sending(&mut net, plan, payloads)
         };
         (held, net.finalize())
     }))
@@ -228,10 +228,12 @@ fn corrupt(mut plan: CommSchedule, rng: &mut Rng) -> CommSchedule {
             *src = NodeId((src.bits() + 1 + rng.below(num - 1)) % num);
         }
         _ => {
-            let ids = &plan.rounds[r].msgs[m].blocks;
+            let ids = plan.ids(&plan.rounds[r].msgs[m]);
             let id = ids[rng.below(ids.len() as u64) as usize];
             let (r2, m2) = msgs[rng.below(msgs.len() as u64) as usize];
-            plan.rounds[r2].msgs[m2].blocks.push(id);
+            let mut grown = plan.ids(&plan.rounds[r2].msgs[m2]).to_vec();
+            grown.push(id);
+            plan.rounds[r2].msgs[m2].blocks = plan.push_ids(&grown);
         }
     }
     plan

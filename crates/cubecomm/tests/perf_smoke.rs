@@ -23,7 +23,7 @@ fn n10_all_to_all_completes_within_bound() {
         SimNet::new(n, MachineParams::intel_ipsc().with_ports(PortMode::AllPorts));
     let start = Instant::now();
     let plan = all_to_all_exchange_plan(n, &sizes, BufferPolicy::Ideal, PortMode::AllPorts);
-    exec::run(&mut net, &plan.blocks, &plan.rounds);
+    exec::run(&mut net, &plan);
     let report = net.finalize();
     let elapsed = start.elapsed();
 

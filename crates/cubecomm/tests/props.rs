@@ -42,7 +42,7 @@ fn labelled(id: usize, b: &BlockMeta) -> Block<u64> {
 fn delivers(plan: &CommSchedule, ports: PortMode) -> CommReport {
     let payloads = plan.blocks.iter().enumerate().map(|(id, b)| labelled(id, b)).collect();
     let mut net = SimNet::on_topology(plan.topo, MachineParams::unit(ports));
-    let held = execute(&mut net, &plan.blocks, &plan.rounds, payloads);
+    let held = execute(&mut net, plan, payloads);
     for (x, got) in held.iter().enumerate() {
         let planned = plan.blocks.iter().enumerate().filter(|(_, b)| b.dst.index() == x);
         let want: Vec<Block<u64>> = planned.map(|(id, b)| labelled(id, b)).collect();

@@ -356,6 +356,17 @@ pub trait MinimalRoute: Topology {
     /// The port `cur` forwards on toward `dst`, or `None` on arrival
     /// (`cur == dst`). The returned port is always wired.
     fn next_port(&self, cur: u64, dst: u64) -> Option<u32>;
+
+    /// The hop count of the route from `src` to `dst`: by default,
+    /// walked with [`Self::next_port`].
+    fn route_len(&self, src: u64, dst: u64) -> usize {
+        let (mut cur, mut hops) = (src, 0);
+        while let Some(p) = self.next_port(cur, dst) {
+            cur = self.neighbor(cur, p).expect("next_port returns wired ports");
+            hops += 1;
+        }
+        hops
+    }
 }
 
 impl MinimalRoute for Hypercube {
@@ -367,6 +378,13 @@ impl MinimalRoute for Hypercube {
         } else {
             Some(diff.trailing_zeros())
         }
+    }
+
+    /// The Hamming distance: the e-cube route crosses each differing
+    /// dimension once.
+    #[inline]
+    fn route_len(&self, src: u64, dst: u64) -> usize {
+        (src ^ dst).count_ones() as usize
     }
 }
 
@@ -582,6 +600,7 @@ mod tests {
         for src in 0..32u64 {
             for dst in 0..32u64 {
                 assert_eq!(walk(&h, src, dst), (src ^ dst).count_ones());
+                assert_eq!(h.route_len(src, dst), walk(&h, src, dst) as usize);
                 // Lowest differing dimension first.
                 if src != dst {
                     assert_eq!(h.next_port(src, dst), Some((src ^ dst).trailing_zeros()));
@@ -597,6 +616,7 @@ mod tests {
             for src in 0..d.num_nodes() as u64 {
                 for dst in 0..d.num_nodes() as u64 {
                     let hops = walk(&d, src, dst);
+                    assert_eq!(d.route_len(src, dst), hops as usize);
                     // Local-global-local: at most 3 hops on any D3.
                     assert!(hops <= 3, "{d}: {src} -> {dst} took {hops} hops");
                     let ((gs, rs), (gd, _)) = (d.coords(src), d.coords(dst));

@@ -493,6 +493,12 @@ begin "allocation gate: cubecheck's lower allocates the same few vectors at n = 
 # of 1 024 and 5 120 claims) fails it.
 cargo test --release -q -p cubecheck --test lower_alloc lowering_allocates_a_constant_count
 
+begin "allocation gate: ecube_route_plan allocates the same count at n = 8 and n = 10 past one list per round, nothing per message"
+# The same binary: every message's block ids are appended to the plan's
+# one arena, so a Vec per message (1 024 and 5 120 of them) fails it.
+cargo test --release -q -p cubecheck --test lower_alloc \
+    ecube_plan_build_allocates_a_constant_count_past_its_rounds
+
 begin "perf smoke: D3(4,8) Dragonfly planning + replay loop (time-bounded)"
 timeout 300 cargo test --release -q -p cubecheck --test perf_smoke -- --ignored \
     dragonfly_planning_and_replay_stay_fast

@@ -8,9 +8,14 @@
 # against one build of each side and ends with one table row apiece —
 # the no-regression table a change to shared code owes.
 #
-# The parent is `git archive HEAD` exported into a temporary directory,
-# the change is the working tree, and each side is built into a
-# CARGO_TARGET_DIR of its own under that directory. Every pair runs both
+# Both sides are exports into one temporary directory, at paths of equal
+# length: the parent is `git archive HEAD` in `parent/`, the change is
+# the working tree's tracked files plus its untracked, not-ignored ones
+# in `change/`. Each side is built there into a CARGO_TARGET_DIR of its
+# own, also of equal length. (Built from the working tree itself, the
+# change embedded source paths of another length than the parent's, and
+# in an A/A run of identical sources the side built as "change" lost 9
+# pairs of 10 on cm14-plan-cold, 2.5 % slower.) Every pair runs both
 # sides once with BENCHMARK.json's command (`--trace 0`), alternating
 # which side goes first; at the end each side's median and quartiles of
 # the three end-to-end metrics are printed with the change's win count
@@ -42,16 +47,20 @@ metrics=(wall_ms setup_s peak_rss_mib)
 
 work="$(mktemp -d)"
 trap 'rm -rf "$work"' EXIT
-mkdir "$work/parent"
+mkdir "$work/parent" "$work/change"
 git archive HEAD | tar -x -C "$work/parent"
+# Tracked files deleted in the working tree are listed but missing:
+# skipped, as the change deletes them.
+git ls-files -z --cached --others --exclude-standard \
+    | tar --null --files-from=- --ignore-failed-read -c 2>/dev/null \
+    | tar -x -C "$work/change"
 
-# cargo_in <side> <cargo arguments…>: cargo in that side's checkout, on
+# cargo_in <side> <cargo arguments…>: cargo in that side's export, on
 # that side's target directory.
 cargo_in() {
-    local side="$1" dir="$PWD"
+    local side="$1"
     shift
-    [ "$side" = parent ] && dir="$work/parent"
-    (cd "$dir" && CARGO_TARGET_DIR="$work/target-$side" cargo "$@")
+    (cd "$work/$side" && CARGO_TARGET_DIR="$work/target-$side" cargo "$@")
 }
 
 # run <side> <workload>: one benchmark run; prints the three end-to-end

@@ -21,7 +21,7 @@ fn uniform_sizes(n: u32, b: usize) -> Vec<Vec<u64>> {
 /// The report of charging `plan` to an `n`-cube under `params`.
 fn run(n: u32, plan: &CommSchedule, params: &MachineParams) -> CommReport {
     let mut net: SimNet<u64> = SimNet::new(n, params.clone());
-    exec::run(&mut net, &plan.blocks, &plan.rounds);
+    exec::run(&mut net, plan);
     net.finalize()
 }
 

@@ -579,14 +579,17 @@ mod alloc_gate_tests {
 
     /// `cm16-spmd-exchange` at n = 10 — `spmd_transpose_exchange` of a
     /// square layout with one element per node, at one worker — makes
-    /// at most 3 allocations per node (measured 2.71): each node's
-    /// initial holding, plus a message `Vec` where a holding splits and
-    /// a regrowth where two holdings merge. Per-node initial lists
-    /// cloned in `init`, a fresh `Vec` per non-empty message or two
-    /// landing ledgers per node (the triple-carrying program: 6.9) blow
-    /// it. Counted as in the gate above, tag table and output included.
+    /// at most 2.25 allocations per node (measured 2.21): each node's
+    /// output buffer (1), a vector where two lone elements merge or two
+    /// vectors outgrow one (0.72), and a message vector where a split
+    /// sends two or more elements (0.47). A lone element, held, sent or
+    /// split off, stays inline. A heap holding per node from `init`
+    /// (2.71), per-node initial lists cloned in `init`, a fresh `Vec` per
+    /// non-empty message or two landing ledgers per node (the
+    /// triple-carrying program: 6.9) blow it. Counted as in the gate
+    /// above, tag table and output included.
     #[test]
-    fn spmd_exchange_transpose_allocates_at_most_three_per_node() {
+    fn spmd_exchange_transpose_allocates_at_most_two_and_a_quarter_per_node() {
         use cubelayout::{Assignment, Encoding, Layout};
         use cuberun::{NodeId, Outbox, RoundInbox, RoundProgram};
         use cubesync::atomic::AtomicUsize;
@@ -641,7 +644,10 @@ mod alloc_gate_tests {
         let nodes = before.num_nodes();
         assert_eq!(stats.messages, nodes as u64 * 10);
         let allocs = on_caller + on_worker.load(Ordering::Relaxed);
-        assert!(allocs <= 3 * nodes, "the exchange made {allocs} allocations for {nodes} nodes");
+        assert!(
+            allocs * 4 <= 9 * nodes,
+            "the exchange made {allocs} allocations for {nodes} nodes"
+        );
     }
 
     /// `spmd_transpose_spt` of a square layout — 64 nodes of 1 024 `u64`s

@@ -6,7 +6,11 @@
 //! over its nodes round by round, and no node is ever suspended.
 //! [`spmd_transpose_exchange`] is a [`RoundProgram`] of its own, a round
 //! per dimension; its elements travel as a one-word destination tag and a
-//! value, and a node lands them in place by sorting their tags.
+//! value, and a node lands them in place by sorting their tags. A node's
+//! holding, which is also its message, is none, one element inline or a
+//! vector of several: at one element per node, the paper's Connection
+//! Machine configuration, a node that holds at most one element never
+//! touches the heap until its output buffer.
 //! [`spmd_transpose_spt`] and [`spmd_transpose_combined_gray`] run the
 //! simulator's own flight plans through the flight executor's round-door
 //! adaptor (`crate::flight`) and land what travelled with the simulator
@@ -36,6 +40,28 @@ fn exchange_tags(spec: &TransposeSpec) -> Vec<u64> {
     tags
 }
 
+/// What a node of the exchange program holds, and what it sends: no
+/// element, one element inline, or several in a vector. A `Many` holds
+/// two or more.
+#[derive(Default)]
+pub(crate) enum Holding<T> {
+    #[default]
+    None,
+    One(Elem<T>),
+    Many(Vec<Elem<T>>),
+}
+
+impl<T> Holding<T> {
+    /// The held elements, in no particular order.
+    fn elems_mut(&mut self) -> &mut [Elem<T>] {
+        match self {
+            Holding::None => &mut [],
+            Holding::One(e) => std::slice::from_mut(e),
+            Holding::Many(v) => v,
+        }
+    }
+}
+
 /// §5's exchange transpose as a [`RoundProgram`]: round `r` scans
 /// dimension `j = n − 1 − r`, highest first, on the larger of the two
 /// layouts' cubes. A node's state is the tagged elements it holds.
@@ -47,43 +73,64 @@ pub(crate) struct ExchangeRounds<'a, T> {
     m: &'a DistMatrix<T>,
 }
 
-impl<T: Copy + Default + Send + Sync> RoundProgram<Vec<Elem<T>>> for ExchangeRounds<'_, T> {
-    type State = Vec<Elem<T>>;
+impl<T: Copy + Default + Send + Sync> RoundProgram<Holding<T>> for ExchangeRounds<'_, T> {
+    type State = Holding<T>;
     type Out = Vec<T>;
 
     fn rounds(&self) -> u32 {
         self.n
     }
 
-    fn init(&self, id: NodeId) -> Vec<Elem<T>> {
+    fn init(&self, id: NodeId) -> Holding<T> {
         // A node outside the before-layout's cube starts empty.
         let values = if id.index() < self.m.layout().num_nodes() { self.m.node(id) } else { &[] };
         let tags = &self.tags[id.index() * values.len()..][..values.len()];
-        tags.iter().copied().zip(values.iter().copied()).collect()
+        match values {
+            [] => Holding::None,
+            &[value] => Holding::One((tags[0], value)),
+            _ => Holding::Many(tags.iter().copied().zip(values.iter().copied()).collect()),
+        }
     }
 
     fn send(
         &self,
         round: u32,
         id: NodeId,
-        held: &mut Vec<Elem<T>>,
-        out: &mut Outbox<'_, Vec<Elem<T>>>,
+        held: &mut Holding<T>,
+        out: &mut Outbox<'_, Holding<T>>,
     ) {
         let j = self.n - 1 - round;
         let (bit, mine) = (self.lg + j, (id.bits() >> j) & 1);
         let crosses = |&(tag, _): &Elem<T>| (tag >> bit) & 1 != mine;
-        let moving = held.iter().filter(|e| crosses(e)).count();
-        // Both partners always send (possibly an empty vector): every
+        // Both partners always send (possibly the empty holding): every
         // node's receive of the round then has exactly one message. A
-        // holding that crosses whole travels as it is.
-        let msg = if moving == held.len() {
-            std::mem::take(held)
-        } else if moving == 0 {
-            Vec::new()
-        } else {
-            let mut msg = Vec::with_capacity(moving);
-            msg.extend(held.extract_if(.., |e| crosses(e)));
-            msg
+        // holding that crosses whole travels as it is; a split sends, and
+        // keeps, a lone element inline.
+        let msg = match held {
+            Holding::None => Holding::None,
+            Holding::One(e) if crosses(e) => std::mem::take(held),
+            Holding::One(_) => Holding::None,
+            Holding::Many(v) => {
+                let moving = v.iter().filter(|e| crosses(e)).count();
+                if moving == v.len() {
+                    std::mem::take(held)
+                } else if moving == 0 {
+                    Holding::None
+                } else {
+                    let msg = if moving == 1 {
+                        let at = v.iter().position(crosses).expect("one element crosses");
+                        Holding::One(v.swap_remove(at))
+                    } else {
+                        let mut msg = Vec::with_capacity(moving);
+                        msg.extend(v.extract_if(.., |e| crosses(e)));
+                        Holding::Many(msg)
+                    };
+                    if let [e] = v[..] {
+                        *held = Holding::One(e);
+                    }
+                    msg
+                }
+            }
         };
         out.send(j, msg);
     }
@@ -92,40 +139,53 @@ impl<T: Copy + Default + Send + Sync> RoundProgram<Vec<Elem<T>>> for ExchangeRou
         &self,
         round: u32,
         id: NodeId,
-        held: &mut Vec<Elem<T>>,
-        inbox: &mut RoundInbox<'_, Vec<Elem<T>>>,
+        held: &mut Holding<T>,
+        inbox: &mut RoundInbox<'_, Holding<T>>,
     ) {
         let j = self.n - 1 - round;
         let incoming = inbox
             .take(j)
             .unwrap_or_else(|| panic!("round {round}: node {} got nothing on dim {j}", id.bits()));
-        if held.is_empty() {
-            *held = incoming;
-        } else {
-            held.extend(incoming);
-        }
+        *held = match (std::mem::take(held), incoming) {
+            (Holding::None, h) | (h, Holding::None) => h,
+            (Holding::One(a), Holding::One(b)) => {
+                // Room for the next merge of two pairs, as `Vec`'s own
+                // first growth would leave.
+                let mut v = Vec::with_capacity(4);
+                v.extend([a, b]);
+                Holding::Many(v)
+            }
+            (Holding::One(e), Holding::Many(mut v)) | (Holding::Many(mut v), Holding::One(e)) => {
+                v.push(e);
+                Holding::Many(v)
+            }
+            (Holding::Many(mut v), Holding::Many(w)) => {
+                v.extend(w);
+                Holding::Many(v)
+            }
+        };
     }
 
     /// Lands the node's elements in place: sorted by tag they must be
     /// exactly `me << lg .. (me + 1) << lg`, checked in one pass that
     /// tells a stranded, a duplicate and a missing element apart. A node
     /// outside `after`'s cube has no share: anything it holds is stranded.
-    fn finish(&self, id: NodeId, mut held: Vec<Elem<T>>) -> Vec<T> {
+    /// The values go straight into a buffer as long as the holding.
+    fn finish(&self, id: NodeId, mut held: Holding<T>) -> Vec<T> {
         let me = id.bits();
         let share = if me < self.after_nodes { 1 << self.lg } else { 0 };
-        held.sort_unstable_by_key(|&(tag, _)| tag);
+        let elems = held.elems_mut();
+        elems.sort_unstable_by_key(|&(tag, _)| tag);
+        let mut values = Vec::with_capacity(elems.len());
         let mut prev = None;
-        for &(tag, _) in &held {
+        for &(tag, value) in &*elems {
             let (dst, dst_local) = (tag >> self.lg, tag & ((1 << self.lg) - 1));
             assert_eq!(dst, me, "element for {dst} stranded at {me}");
             assert!(prev != Some(tag), "duplicate at local {dst_local}");
             prev = Some(tag);
+            values.push(value);
         }
-        assert!(held.len() == share, "node {me} missing elements");
-        let mut values: Vec<T> = held.into_iter().map(|(_, value)| value).collect();
-        if values.len() > 1 {
-            values.shrink_to_fit(); // the holding's slack, and twice its slots
-        }
+        assert!(values.len() == share, "node {me} missing elements");
         values
     }
 }
@@ -353,46 +413,122 @@ mod tests {
         (DistMatrix::from_buffers(after.clone(), results), stats)
     }
 
+    /// A holding as the send log sees it.
+    trait Held {
+        fn len(&self) -> usize;
+
+        /// Whether the elements are in a vector: the tagged program's
+        /// holding keeps a lone element inline.
+        fn is_many(&self) -> bool {
+            self.len() > 1
+        }
+    }
+
+    impl<T> Held for Holding<T> {
+        fn len(&self) -> usize {
+            match self {
+                Holding::None => 0,
+                Holding::One(_) => 1,
+                Holding::Many(v) => v.len(),
+            }
+        }
+
+        fn is_many(&self) -> bool {
+            matches!(self, Holding::Many(_))
+        }
+    }
+
+    impl<E> Held for Vec<E> {
+        fn len(&self) -> usize {
+            self.len()
+        }
+    }
+
+    /// The holding transitions the multi-element arms of the tagged
+    /// program handle, as counted by [`Logged`]: each must occur over the
+    /// differential test's runs, so the inline one-element path leaves
+    /// none of them dead.
+    const TRANSITIONS: [&str; 5] = [
+        "one + one → many",
+        "many + one",
+        "many + many",
+        "a split of a many",
+        "a many that crosses whole",
+    ];
+
+    /// One count per entry of [`TRANSITIONS`].
+    type Seen = [AtomicUsize; TRANSITIONS.len()];
+
     /// An exchange program with its sends logged: entry
     /// `round · nodes + node` of `sent` is the length of the one message
     /// that node sent in that round — its holding before its send step
-    /// less what it kept.
+    /// less what it kept. `seen` counts the [`TRANSITIONS`] by length: a
+    /// receive reads its message's length from the partner's entry,
+    /// written before the worker posted the message, and the door's
+    /// hand-off of the batch orders that relaxed write before the relaxed
+    /// read. Every step checks that a holding is in a vector exactly when
+    /// it holds two or more.
     struct Logged<'a, P> {
         program: P,
         nodes: usize,
         sent: &'a [AtomicUsize],
+        seen: &'a Seen,
     }
 
-    impl<E: Send, P: RoundProgram<Vec<E>, State = Vec<E>>> RoundProgram<Vec<E>> for Logged<'_, P> {
-        type State = Vec<E>;
+    impl<P> Logged<'_, P> {
+        fn count(&self, transition: &str) {
+            let at = TRANSITIONS.iter().position(|&t| t == transition).expect("a transition");
+            self.seen[at].fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    /// Panics unless `held` is in a vector exactly when it holds two or
+    /// more elements.
+    fn check_form<M: Held>(held: &M, step: &str) {
+        assert_eq!(held.is_many(), held.len() > 1, "{step}: a holding of {}", held.len());
+    }
+
+    impl<M: Held + Send, P: RoundProgram<M, State = M>> RoundProgram<M> for Logged<'_, P> {
+        type State = M;
         type Out = P::Out;
 
         fn rounds(&self) -> u32 {
             self.program.rounds()
         }
 
-        fn init(&self, id: NodeId) -> Vec<E> {
-            self.program.init(id)
+        fn init(&self, id: NodeId) -> M {
+            let held = self.program.init(id);
+            check_form(&held, "init");
+            held
         }
 
-        fn send(&self, round: u32, id: NodeId, held: &mut Vec<E>, out: &mut Outbox<'_, Vec<E>>) {
+        fn send(&self, round: u32, id: NodeId, held: &mut M, out: &mut Outbox<'_, M>) {
             let before = held.len();
             self.program.send(round, id, held, out);
-            let at = round as usize * self.nodes + id.index();
-            self.sent[at].store(before - held.len(), Ordering::Relaxed);
+            check_form(held, "send");
+            let sent = before - held.len();
+            self.sent[round as usize * self.nodes + id.index()].store(sent, Ordering::Relaxed);
+            if before > 1 && sent > 0 {
+                let whole = sent == before;
+                self.count(if whole { "a many that crosses whole" } else { "a split of a many" });
+            }
         }
 
-        fn recv(
-            &self,
-            round: u32,
-            id: NodeId,
-            held: &mut Vec<E>,
-            inbox: &mut RoundInbox<'_, Vec<E>>,
-        ) {
+        fn recv(&self, round: u32, id: NodeId, held: &mut M, inbox: &mut RoundInbox<'_, M>) {
+            let j = self.program.rounds() - 1 - round;
+            let from = round as usize * self.nodes + (id.index() ^ 1 << j);
+            let (mine, incoming) = (held.len(), self.sent[from].load(Ordering::Relaxed));
             self.program.recv(round, id, held, inbox);
+            check_form(held, "recv");
+            match (mine, incoming) {
+                (0, _) | (_, 0) => {}
+                (1, 1) => self.count("one + one → many"),
+                (1, _) | (_, 1) => self.count("many + one"),
+                _ => self.count("many + many"),
+            }
         }
 
-        fn finish(&self, id: NodeId, held: Vec<E>) -> P::Out {
+        fn finish(&self, id: NodeId, held: M) -> P::Out {
             self.program.finish(id, held)
         }
     }
@@ -402,14 +538,14 @@ mod tests {
     type Side = Result<(Vec<Vec<u64>>, u64, Vec<usize>), String>;
 
     /// Runs `program` on the `n`-cube at `workers` workers with its
-    /// sends logged.
-    fn run_logged<E: Send, P>(n: u32, program: P, workers: usize) -> Side
+    /// sends logged, counting its transitions into `seen`.
+    fn run_logged<M: Held + Send, P>(n: u32, program: P, workers: usize, seen: &Seen) -> Side
     where
-        P: RoundProgram<Vec<E>, State = Vec<E>, Out = Vec<u64>>,
+        P: RoundProgram<M, State = M, Out = Vec<u64>>,
     {
         let nodes = 1usize << n;
         let sent: Vec<AtomicUsize> = (0..nodes * n as usize).map(|_| AtomicUsize::new(0)).collect();
-        let logged = Logged { program, nodes, sent: &sent };
+        let logged = Logged { program, nodes, sent: &sent, seen };
         let run = std::panic::AssertUnwindSafe(|| {
             cuberun::with_workers(workers, || run_rounds(n, &logged))
         });
@@ -422,8 +558,15 @@ mod tests {
 
     /// The tagged program on `tags` and the triple oracle on its own
     /// initial elements, each element where `tags` differs from the clean
-    /// table retargeted to the decoded tag, at `workers` workers.
-    fn both_sides(m: &DistMatrix<u64>, after: &Layout, tags: &[u64], workers: usize) -> [Side; 2] {
+    /// table retargeted to the decoded tag, at `workers` workers. The
+    /// tagged program's transitions are counted into `seen`.
+    fn both_sides(
+        m: &DistMatrix<u64>,
+        after: &Layout,
+        tags: &[u64],
+        workers: usize,
+        seen: &Seen,
+    ) -> [Side; 2] {
         let spec = TransposeSpec::with_after(m.layout().clone(), after.clone());
         let n = after.n().max(spec.before.n());
         let (lg, after_nodes) = (after.elems_per_node().trailing_zeros(), after.num_nodes() as u64);
@@ -440,7 +583,8 @@ mod tests {
         }
         let per_after = after.elems_per_node();
         let triples = oracle::ExchangeRounds { n, per_after, after_nodes, initial: &initial };
-        [run_logged(n, tagged, workers), run_logged(n, triples, workers)]
+        let unseen = Default::default();
+        [run_logged(n, tagged, workers, seen), run_logged(n, triples, workers, &unseen)]
     }
 
     /// Layout pairs for the differential test: binary and Gray, one- and
@@ -479,6 +623,7 @@ mod tests {
 
     #[test]
     fn tagged_program_matches_the_triple_oracle() {
+        let seen = Seen::default();
         for (before, after) in differential_pairs() {
             let m = labels(before.clone());
             let spec = TransposeSpec::with_after(before.clone(), after.clone());
@@ -486,13 +631,23 @@ mod tests {
             let n = before.n().max(after.n());
             let case = format!("{before:?} -> {after:?}");
             for workers in [1, 2, 5] {
-                let [tagged, triples] = both_sides(&m, &after, &tags, workers);
+                let [tagged, triples] = both_sides(&m, &after, &tags, workers, &seen);
                 assert_eq!(tagged, triples, "{case} at {workers} workers");
                 let (outs, messages, _) = tagged.expect("a clean run");
                 assert_eq!(messages, (1u64 << n) * u64::from(n), "{case}");
                 let outs = outs[..after.num_nodes()].to_vec();
                 assert_transposed(&before, &DistMatrix::from_buffers(after.clone(), outs));
             }
+            // Every layout pair's map of addresses is affine over GF(2),
+            // so the non-empty holdings of a round are all of one size and
+            // a one-element holding never meets a longer one. Two entries
+            // of the table swapped across nodes are still a bijection but
+            // not affine: both programs must land the same permutation.
+            let mut swapped = tags.clone();
+            swapped.swap(1, 6 * before.elems_per_node() % tags.len());
+            let [tagged, triples] = both_sides(&m, &after, &swapped, 1, &seen);
+            assert!(tagged.is_ok(), "{case}: swapped tags");
+            assert_eq!(tagged, triples, "{case}: swapped tags");
             // Seeded corruptions, at one worker so the first node to fail
             // is the lowest: both programs must fail with the same text.
             let lg = after.elems_per_node().trailing_zeros();
@@ -502,11 +657,14 @@ mod tests {
             let mut stranded = tags.clone();
             stranded[at(1)] |= 1 << (lg + n);
             for (what, bad) in [("duplicate", duplicate), ("stranded", stranded)] {
-                let [tagged, triples] = both_sides(&m, &after, &bad, 1);
+                let [tagged, triples] = both_sides(&m, &after, &bad, 1, &seen);
                 let text = tagged.expect_err(&format!("{case}: the {what} element went through"));
                 assert!(text.contains(what), "{case}: {text}");
                 assert_eq!(Err(text), triples, "{case}: {what}");
             }
+        }
+        for (what, count) in TRANSITIONS.iter().zip(&seen) {
+            assert!(count.load(Ordering::Relaxed) > 0, "no pair reaches {what}");
         }
     }
 
@@ -518,11 +676,11 @@ mod tests {
             Layout::one_dim(3, 3, Direction::Rows, 3, Assignment::Consecutive, Encoding::Binary);
         let m = labels(before.clone());
         let program = ExchangeRounds { n: 3, lg: 1, after_nodes: 4, tags: &[], m: &m };
-        let caught = std::panic::catch_unwind(|| program.finish(NodeId(5), vec![(3, 7)]));
+        let caught = std::panic::catch_unwind(|| program.finish(NodeId(5), Holding::One((3, 7))));
         let payload = caught.expect_err("node 5 held an element");
         let text = payload.downcast_ref::<String>().expect("a formatted panic");
         assert!(text.contains("element for 1 stranded at 5"), "{text}");
-        program.finish(NodeId(5), Vec::new());
+        program.finish(NodeId(5), Holding::None);
     }
 
     /// `after` on a smaller cube than `m`'s layout: the program runs on
@@ -712,21 +870,27 @@ mod tests {
         spmd_transpose_combined_gray(&spec, &m);
     }
 
-    /// A node of several elements gets a buffer as long as its share:
-    /// neither the slack its holding grew nor the second slot per element
-    /// that the 16-byte `(tag, value)` pairs leave when collected in place.
+    /// A node gets a buffer as long as its share: a node of several
+    /// elements neither the slack its holding grew nor the second slot
+    /// per element that the 16-byte `(tag, value)` pairs would leave if
+    /// collected in place, and a node of one element a buffer of one.
     #[test]
     fn spmd_exchange_returns_buffers_without_slack() {
-        let before = Layout::square(4, 4, 1, Assignment::Consecutive, Encoding::Binary);
-        let m = labels(before.clone());
-        let (out, _) = exchange_on(&m, &before.swapped_shape(), |n, program| {
-            let (outs, stats) = run_rounds(n, program);
-            for (x, buffer) in outs.iter().enumerate() {
-                assert_eq!((buffer.len(), buffer.capacity()), (64, 64), "node {x}");
-            }
-            (outs, stats)
-        });
-        assert_transposed(&before, &out);
+        for (before, share) in [
+            (Layout::square(4, 4, 1, Assignment::Consecutive, Encoding::Binary), 64),
+            (Layout::square(3, 3, 3, Assignment::Consecutive, Encoding::Binary), 1),
+        ] {
+            let m = labels(before.clone());
+            let (out, _) = exchange_on(&m, &before.swapped_shape(), |n, program| {
+                let (outs, stats) = run_rounds(n, program);
+                for (x, buffer) in outs.iter().enumerate() {
+                    let got = (buffer.len(), buffer.capacity());
+                    assert_eq!(got, (share, share), "node {x} of {before:?}");
+                }
+                (outs, stats)
+            });
+            assert_transposed(&before, &out);
+        }
     }
 
     #[test]

@@ -389,15 +389,19 @@ begin "exec: the charged block executor vs the send-and-receive oracle (held blo
 cargo test --release -q -p cubecomm --test exec_oracle
 
 begin "spmd: the tagged exchange program vs the triple oracle (outputs, messages, send log, panic text), and after-layouts on a smaller and a larger cube"
-# spmd_transpose_exchange carries one-word destination tags, sends a
-# holding that crosses whole without copying it and lands each node by
-# sorting its tags; the (dst_node, dst_local, value) program it replaced
-# survives in spmd.rs's tests as the oracle. Binary and Gray, one- and
-# two-dimensional, consecutive and cyclic layout pairs on equal and
-# unequal cubes, at 1, 2 and 5 workers, must give identical outputs,
+# spmd_transpose_exchange carries one-word destination tags, keeps a
+# lone element inline (a holding is none, one, or a Vec of several),
+# sends a holding that crosses whole without copying it and lands each
+# node by sorting its tags; the (dst_node, dst_local, value) program it
+# replaced survives in spmd.rs's tests as the oracle. Binary and Gray,
+# one- and two-dimensional, consecutive and cyclic layout pairs on equal
+# and unequal cubes, at 1, 2 and 5 workers, must give identical outputs,
 # message counts and per-(round, node) message lengths, and a seeded
-# duplicate or stranded tag the same panic. The two cube-size tests run
-# the program on the larger cube in each direction.
+# duplicate or stranded tag the same panic; a tag table with two entries
+# swapped must land the same permutation. The test also counts every
+# merge and split transition of the Vec form and fails if one never
+# occurs. The two cube-size tests run the program on the larger cube in
+# each direction.
 cargo test --release -q -p cubetranspose --lib -- --exact \
     spmd::tests::tagged_program_matches_the_triple_oracle \
     spmd::tests::spmd_exchange_onto_a_smaller_cube \
@@ -475,9 +479,11 @@ begin "allocation gates: no O(mn)-sized scratch in place; fieldmap's exchange an
 # was 10 per node); one counts the same exchange on run_rounds(10) and
 # fails if the count depends on nodes or rounds at all; one counts
 # spmd_transpose_exchange of a one-element-per-node square layout on the
-# 10-cube, tag table and output included, and fails above 3 per node
-# (the triple-carrying program made 6.9: per-node lists cloned in init, a
-# fresh Vec per message, two ledgers per node to land); one counts the
+# 10-cube, tag table and output included, and fails above 2.25 per node
+# (measured 2.21: the output buffer, merge and split vectors; a lone
+# element stays inline. A heap holding per node from init made 2.71, the
+# triple-carrying program 6.9: per-node lists cloned in init, a fresh Vec
+# per message, two ledgers per node to land); one counts the
 # node-sized allocations of spmd_transpose_spt on 64 nodes, on the caller
 # and the worker, and fails above one per node (the async program it
 # replaced copied every array twice).

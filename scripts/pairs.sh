@@ -19,7 +19,11 @@
 # sides once with BENCHMARK.json's command (`--trace 0`), alternating
 # which side goes first; at the end each side's median and quartiles of
 # the three end-to-end metrics are printed with the change's win count
-# (lower wins, ties count for neither).
+# (lower wins, ties count for neither), the quartiles of the per-pair
+# change/parent ratio and the two-sided sign-test p-value of the win
+# count (ties dropped). The ratio cancels drift that both sides of a
+# pair share; the p-value is the chance of a split at least as lopsided
+# if neither side were faster (10 pairs: 9 wins read 0.021, 8 read 0.11).
 #
 # Why separate exports and target directories, instead of `git stash`
 # or `git checkout` in place: cargo decides what to rebuild from mtime
@@ -96,14 +100,30 @@ quartiles() {
         END { printf "%.4g %.4g %.4g", q(0.25), q(0.5), q(0.75) }'
 }
 
+# sign_p <wins> <losses>: the two-sided sign-test p-value of that split.
+sign_p() {
+    awk -v w="$1" -v l="$2" 'BEGIN {
+        m = w + l; k = w < l ? w : l; c = 1; s = 0
+        for (i = 0; i <= k; i++) { s += c; c = c * (m - i) / (i + 1) }
+        p = 2 * s / 2 ^ m
+        printf "%.3g", (p > 1 ? 1 : p)
+    }'
+}
+
 # summary <workload> <column>: sets p1 p2 p3 / c1 c2 c3 (each side's
-# quartiles of that metric) and wins (pairs in which the change read
-# lower).
+# quartiles of that metric), wins (pairs in which the change read
+# lower), r1 r2 r3 (quartiles of the per-pair change/parent ratio) and
+# sign (the sign-test p-value of wins against losses).
 summary() {
-    wins="$(paste -d' ' "$work/$1.parent.txt" "$work/$1.change.txt" \
-        | awk -v p="$2" -v c="$(($2 + 3))" '$c < $p { n++ } END { print n + 0 }')"
+    local both="$work/$1.pairs.txt"
+    paste -d' ' "$work/$1.parent.txt" "$work/$1.change.txt" >"$both"
+    read -r wins losses <<<"$(awk -v p="$2" -v c="$(($2 + 3))" \
+        '$c < $p { w++ } $c > $p { l++ } END { print w + 0, l + 0 }' "$both")"
     read -r p1 p2 p3 <<<"$(quartiles "$work/$1.parent.txt" "$2")"
     read -r c1 c2 c3 <<<"$(quartiles "$work/$1.change.txt" "$2")"
+    awk -v p="$2" -v c="$(($2 + 3))" '{ print $c / $p }' "$both" >"$work/$1.ratio.txt"
+    read -r r1 r2 r3 <<<"$(quartiles "$work/$1.ratio.txt" 1)"
+    sign="$(sign_p "$wins" "$losses")"
 }
 
 for workload in "${workloads[@]}"; do
@@ -120,23 +140,25 @@ for workload in "${workloads[@]}"; do
     echo "$workload: $pairs pairs of ${seconds} s, nproc $(nproc) — q1 / median / q3"
     for c in 1 2 3; do
         summary "$workload" "$c"
-        printf '  %-13s parent %s / %s / %s   change %s / %s / %s   change wins %s/%s\n' \
+        printf '  %-13s parent %s / %s / %s   change %s / %s / %s   change wins %s/%s' \
             "${metrics[c - 1]}" "$p1" "$p2" "$p3" "$c1" "$c2" "$c3" "$wins" "$pairs"
+        printf '   ratio %s / %s / %s   sign p %s\n' "$r1" "$r2" "$r3" "$sign"
     done
     echo
 done
 
 if ((${#workloads[@]} > 1)); then
     echo "| workload | wall_ms parent q1 / med / q3 | change q1 / med / q3 | wins |" \
-        "setup_s med | peak_rss_mib med |"
-    echo "| --- | --- | --- | --- | --- | --- |"
+        "setup_s med | peak_rss_mib med | wall_ms ratio q1 / med / q3 | sign p |"
+    echo "| --- | --- | --- | --- | --- | --- | --- | --- |"
     for workload in "${workloads[@]}"; do
         summary "$workload" 1
         row="| \`$workload\` | $p1 / $p2 / $p3 | $c1 / $c2 / $c3 | $wins/$pairs |"
+        ratio=" $r1 / $r2 / $r3 | $sign |"
         for c in 2 3; do
             summary "$workload" "$c"
             row+=" $p2 → $c2 ($wins/$pairs) |"
         done
-        echo "$row"
+        echo "$row$ratio"
     done
 fi

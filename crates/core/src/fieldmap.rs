@@ -202,9 +202,20 @@ impl<'a, T: Copy> MappedMatrix<'a, T> {
 
     #[track_caller]
     fn adopt(map: FieldMap, data: Vec<Cow<'a, [T]>>) -> Self {
-        assert_eq!(data.len(), 1usize << map.n());
-        for d in &data {
-            assert_eq!(d.len(), 1usize << map.vp());
+        let (n, vp) = (map.n(), map.vp());
+        assert!(
+            data.len() == 1 << n,
+            "a map of {n} real dimensions needs {} node arrays, got {}",
+            1usize << n,
+            data.len()
+        );
+        for (x, d) in data.iter().enumerate() {
+            assert!(
+                d.len() == 1 << vp,
+                "node {x} holds {} elements, the map's {vp} virtual dimensions need {}",
+                d.len(),
+                1usize << vp
+            );
         }
         MappedMatrix { origin: map.clone(), map, data }
     }
@@ -284,7 +295,12 @@ impl<'a, T: Copy> MappedMatrix<'a, T> {
             assert!(i < n, "swap of real position {i}: the map has {n} real dimensions");
         }
         assert!(i1 != i2, "swap of real position {i1} with itself");
-        assert_eq!(self.data.len(), net.num_nodes());
+        assert!(
+            self.data.len() == net.num_nodes(),
+            "swap on a net of {} nodes: the map has {}",
+            net.num_nodes(),
+            self.data.len()
+        );
         let per = 1usize << self.map.vp();
         let num = self.data.len() as u64;
         let moves = |x: &u64| ((x >> i1) ^ (x >> i2)) & 1 == 1;
@@ -362,8 +378,13 @@ impl<'a, T: Copy> MappedMatrix<'a, T> {
         target: &FieldMap,
         policy: BufferPolicy,
     ) -> usize {
-        assert_eq!(self.map.n(), target.n());
-        assert_eq!(self.map.vp(), target.vp());
+        let (n, vp) = (self.map.n(), self.map.vp());
+        assert!(
+            (n, vp) == (target.n(), target.vp()),
+            "rearrange to a map of {} real and {} virtual dimensions: this map has {n} and {vp}",
+            target.n(),
+            target.vp()
+        );
         let mut steps = 0;
         for i in 0..target.n() {
             let want = target.real_dim(i);
@@ -768,6 +789,35 @@ mod tests {
     #[should_panic(expected = "swap of real position 1 with itself")]
     fn swap_with_itself_rejected() {
         label_mapped(map_2_2()).swap_real_real(&mut unit_net(2), 1, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "a map of 2 real dimensions needs 4 node arrays, got 3")]
+    fn from_buffers_names_its_node_count() {
+        MappedMatrix::from_buffers(map_2_2(), vec![vec![0u64; 4]; 3]);
+    }
+
+    #[test]
+    #[should_panic(expected = "node 2 holds 3 elements, the map's 2 virtual dimensions need 4")]
+    fn from_buffers_names_a_short_node() {
+        let mut data = vec![vec![0u64; 4]; 4];
+        data[2].pop();
+        MappedMatrix::from_buffers(map_2_2(), data);
+    }
+
+    #[test]
+    #[should_panic(expected = "swap on a net of 8 nodes: the map has 4")]
+    fn swap_names_a_net_of_another_size() {
+        label_mapped(map_2_2()).swap_real_real(&mut unit_net(3), 0, 1);
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "rearrange to a map of 3 real and 1 virtual dimensions: this map has 2 and 2"
+    )]
+    fn rearrange_names_a_map_of_another_shape() {
+        let target = FieldMap::new(vec![0, 1, 2], vec![3]);
+        label_mapped(map_2_2()).rearrange_to(&mut unit_net(2), &target, BufferPolicy::Ideal);
     }
 
     #[test]

@@ -374,21 +374,8 @@ mod tests {
     /// history included — or the same panic text.
     mod differential {
         use super::*;
+        use cubetest::{catch, Rng};
         use std::collections::HashSet;
-        use std::panic::{catch_unwind, AssertUnwindSafe};
-
-        /// SplitMix64, so a plan is a pure function of its seed.
-        struct Rng(u64);
-
-        impl Rng {
-            fn below(&mut self, span: u64) -> u64 {
-                self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-                let mut z = self.0;
-                z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-                z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-                (z ^ (z >> 31)) % span
-            }
-        }
 
         /// One flight as data: source, injection cycle, steps, elements.
         type FlightSpec = (u64, usize, Vec<Option<u32>>, usize);
@@ -411,7 +398,7 @@ mod tests {
                 plan.fly(NodeId(src), path, inject, elems);
             }
             let params = MachineParams::intel_ipsc().with_ports(spec.ports).with_max_packet(2);
-            catch_unwind(AssertUnwindSafe(|| {
+            catch(|| {
                 let mut net = SimNet::new(spec.n, params);
                 net.record_history();
                 net.record_links();
@@ -421,12 +408,6 @@ mod tests {
                     run_flights_hop_by_hop(&mut net, &plan)
                 };
                 (ledger.iter().map(|at| at.bits()).collect(), net.finalize())
-            }))
-            .map_err(|e| match e.downcast::<String>() {
-                Ok(text) => *text,
-                Err(e) => {
-                    e.downcast::<&str>().map_or("<non-string panic>".into(), |t| t.to_string())
-                }
             })
         }
 
@@ -445,7 +426,7 @@ mod tests {
         /// is the longest flight's, sometimes a round or two more and
         /// sometimes one short.
         fn random_spec(seed: u64, legal: bool) -> Spec {
-            let mut rng = Rng(seed);
+            let mut rng = Rng::new(seed);
             let n = 1 + rng.below(5) as u32;
             let ports = if rng.below(2) == 0 { PortMode::OnePort } else { PortMode::AllPorts };
             let mut links = HashSet::new();

@@ -56,3 +56,9 @@ pub use fieldmap::{FieldMap, MappedMatrix};
 pub use one_dim::{transpose_1d_exchange, transpose_1d_sbnt, transpose_stepwise};
 pub use relayout::relayout;
 pub use two_dim::{transpose_dpt, transpose_mpt, transpose_spt, transpose_spt_stepwise};
+
+/// The allocation gates' counter (`local::alloc_gate_tests`): the test
+/// kit's counting allocator, installed once for the unit-test binary.
+#[cfg(test)]
+#[global_allocator]
+static GLOBAL: cubetest::alloc::Counting = cubetest::alloc::Counting;

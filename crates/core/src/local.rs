@@ -8,10 +8,9 @@
 //! out-of-place version and an in-place one for any shape.
 
 // The workspace denies `unsafe_code` (`[workspace.lints]`); this module
-// is the single allowlisted carve-out, for the uninitialized-output
-// `set_len` kernel below and the test-only counting allocator (each with
-// its own SAFETY comment). Do not add
-// unsafe anywhere else — scripts/ci.sh grep-gates every other file.
+// is allowlisted for the uninitialized-output `set_len` kernel below
+// (with its SAFETY comment). The test kit's counting allocator is the
+// only other carve-out; scripts/ci.sh grep-gates every other file.
 #![allow(unsafe_code)]
 
 use std::borrow::Cow;
@@ -362,69 +361,49 @@ mod tests {
     }
 }
 
-/// Allocation gates: a counting global allocator (test harness only)
-/// with two independent counters. While a thread has `BIG` set it counts
-/// the allocations it makes at or above a size threshold (the in-place
-/// kernel's gate and the permutation-scratch gate); while a thread has
-/// `COUNTED` set it counts every allocation that thread makes (the
-/// CM-scale MPT gate, the direct-exchange gate and one gate for each of
-/// `cuberun`'s front doors: `spmd_exchange_…` for the async door,
-/// `round_exchange_…` for the round door). Both are thread-local end to
-/// end, so the gates cannot disturb each other when the harness runs
-/// them side by side. `unsafe impl GlobalAlloc` must live in this
-/// module — the workspace denies `unsafe_code` everywhere except this
-/// file.
-#[cfg(test)]
-mod alloc_gate {
-    use std::alloc::{GlobalAlloc, Layout, System};
-    use std::cell::Cell;
-
-    thread_local! {
-        /// `Some((threshold, seen))` while this thread counts its
-        /// allocations of at least `threshold` bytes.
-        pub static BIG: Cell<Option<(usize, usize)>> = const { Cell::new(None) };
-        /// `Some(allocations so far)` while this thread counts every
-        /// allocation it makes, whatever its size.
-        pub static COUNTED: Cell<Option<usize>> = const { Cell::new(None) };
-    }
-
-    struct Counting;
-
-    // SAFETY: defers every allocation verbatim to `System`; the only
-    // addition is a side-effect-free counter bump.
-    unsafe impl GlobalAlloc for Counting {
-        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-            // try_with: thread-local storage may itself allocate during
-            // thread teardown.
-            let _ = BIG.try_with(|b| {
-                if let Some((threshold, seen)) = b.get() {
-                    b.set(Some((threshold, seen + (layout.size() >= threshold) as usize)));
-                }
-            });
-            let _ = COUNTED.try_with(|c| c.set(c.get().map(|seen| seen + 1)));
-            unsafe { System.alloc(layout) }
-        }
-
-        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-            unsafe { System.dealloc(ptr, layout) }
-        }
-    }
-
-    #[global_allocator]
-    static GLOBAL: Counting = Counting;
-}
-
+/// Allocation gates, on the test kit's counting allocator (installed
+/// in `lib.rs`): while a thread counts `Count::Big`, the allocations it
+/// makes at or above a size threshold (the in-place kernel's gate and
+/// the permutation-scratch gate); while it counts `Count::All`, every
+/// allocation it makes (the CM-scale MPT gate, the direct-exchange gate
+/// and one gate for each of `cuberun`'s front doors: `spmd_exchange_…`
+/// for the async door, `round_exchange_…` for the round door).
 #[cfg(test)]
 mod alloc_gate_tests {
-    use super::alloc_gate::{BIG, COUNTED};
-    use cubesync::atomic::Ordering;
+    use cuberun::{NodeId, Outbox, RoundInbox, RoundProgram};
+    use cubesync::atomic::{AtomicUsize, Ordering};
+    use cubetest::alloc::Count;
 
-    /// Allocations of at least `threshold` bytes that `f` makes on this
-    /// thread.
-    fn big_allocs(threshold: usize, f: impl FnOnce()) -> usize {
-        BIG.with(|b| b.set(Some((threshold, 0))));
-        f();
-        BIG.with(|b| b.take()).expect("counting was on").1
+    /// `program`, counting on the worker with `count` from its first
+    /// `init` to its last `finish`, where the most it counted lands in
+    /// `on_worker`.
+    struct CountFromInit<'a, P> {
+        program: &'a P,
+        count: Count,
+        on_worker: &'a AtomicUsize,
+    }
+
+    impl<E: Send, P: RoundProgram<E>> RoundProgram<E> for CountFromInit<'_, P> {
+        type State = P::State;
+        type Out = P::Out;
+        fn rounds(&self) -> u32 {
+            self.program.rounds()
+        }
+        fn init(&self, id: NodeId) -> P::State {
+            self.count.start();
+            self.program.init(id)
+        }
+        fn send(&self, round: u32, id: NodeId, s: &mut P::State, out: &mut Outbox<'_, E>) {
+            self.program.send(round, id, s, out);
+        }
+        fn recv(&self, round: u32, id: NodeId, s: &mut P::State, inbox: &mut RoundInbox<'_, E>) {
+            self.program.recv(round, id, s, inbox);
+        }
+        fn finish(&self, id: NodeId, s: P::State) -> P::Out {
+            let out = self.program.finish(id, s);
+            self.on_worker.fetch_max(self.count.so_far(), Ordering::Relaxed);
+            out
+        }
     }
 
     /// `cm16-2d-mpt` at reduced size — one element per node, 256 nodes,
@@ -443,9 +422,8 @@ mod alloc_gate_tests {
         let after = before.swapped_shape();
         let m = crate::verify::labels(before.clone());
         let mut net = SimNet::new(8, MachineParams::connection_machine());
-        COUNTED.with(|c| c.set(Some(0)));
-        let out = crate::two_dim::transpose_mpt(&m, &after, &mut net, 1);
-        let allocs = COUNTED.with(|c| c.take()).expect("counting was on");
+        let (out, allocs) =
+            Count::All.around(|| crate::two_dim::transpose_mpt(&m, &after, &mut net, 1));
         crate::verify::assert_transposed(&before, &out);
         net.finalize();
         let nodes = before.num_nodes();
@@ -467,7 +445,7 @@ mod alloc_gate_tests {
         let after = before.swapped_shape();
         let m = crate::verify::labels(before.clone());
         let links = before.num_nodes() * 8;
-        let big = big_allocs(16 * links, || {
+        let ((), big) = Count::Big(16 * links).around(|| {
             let mut net = SimNet::new(8, MachineParams::connection_machine());
             let out = crate::two_dim::transpose_mpt(&m, &after, &mut net, 1);
             net.finalize();
@@ -488,26 +466,24 @@ mod alloc_gate_tests {
     /// a handful of `Vec`s, and before every per-node allocation.
     #[test]
     fn spmd_exchange_allocates_a_small_constant_per_node() {
-        use cubesync::atomic::AtomicUsize;
-        use std::cell::Cell;
         let n = 10u32;
         let on_worker = AtomicUsize::new(0);
-        COUNTED.with(|c| c.set(Some(0)));
-        let (sums, stats) = cuberun::with_workers(1, || {
-            cuberun::run_spmd(n, |ctx| {
-                let on_worker = &on_worker;
-                async move {
-                    COUNTED.with(|c| c.set(c.get().or(Some(0))));
-                    let mut acc = ctx.id().bits();
-                    for j in 0..ctx.n() {
-                        acc += ctx.exchange(j, acc).await;
+        let ((sums, stats), on_caller) = Count::All.around(|| {
+            cuberun::with_workers(1, || {
+                cuberun::run_spmd(n, |ctx| {
+                    let on_worker = &on_worker;
+                    async move {
+                        Count::All.start();
+                        let mut acc = ctx.id().bits();
+                        for j in 0..ctx.n() {
+                            acc += ctx.exchange(j, acc).await;
+                        }
+                        on_worker.fetch_max(Count::All.so_far(), Ordering::Relaxed);
+                        acc
                     }
-                    on_worker.fetch_max(COUNTED.with(Cell::get).unwrap_or(0), Ordering::Relaxed);
-                    acc
-                }
+                })
             })
         });
-        let on_caller = COUNTED.with(|c| c.take()).expect("counting was on");
         let nodes = 1usize << n;
         let total: u64 = (0..nodes as u64).sum();
         assert!(sums.iter().all(|&s| s == total), "dimension scan must sum every id");
@@ -529,22 +505,14 @@ mod alloc_gate_tests {
     /// `init` (its inboxes exist by then) to the last `finish`.
     #[test]
     fn round_exchange_allocates_a_constant() {
-        use cuberun::{NodeId, Outbox, RoundInbox, RoundProgram};
-        use cubesync::atomic::AtomicUsize;
-        use std::cell::Cell;
-
-        struct AllDims<'a> {
-            n: u32,
-            on_worker: &'a AtomicUsize,
-        }
-        impl RoundProgram<u64> for AllDims<'_> {
+        struct AllDims(u32);
+        impl RoundProgram<u64> for AllDims {
             type State = u64;
             type Out = u64;
             fn rounds(&self) -> u32 {
-                self.n
+                self.0
             }
             fn init(&self, id: NodeId) -> u64 {
-                COUNTED.with(|c| c.set(c.get().or(Some(0))));
                 id.bits()
             }
             fn send(&self, round: u32, _id: NodeId, acc: &mut u64, out: &mut Outbox<'_, u64>) {
@@ -554,18 +522,16 @@ mod alloc_gate_tests {
                 *acc += inbox.take(round).expect("the neighbor sent in this round");
             }
             fn finish(&self, _id: NodeId, acc: u64) -> u64 {
-                self.on_worker.fetch_max(COUNTED.with(Cell::get).unwrap_or(0), Ordering::Relaxed);
                 acc
             }
         }
 
         let n = 10u32;
         let on_worker = AtomicUsize::new(0);
-        COUNTED.with(|c| c.set(Some(0)));
-        let (sums, stats) = cuberun::with_workers(1, || {
-            cuberun::run_rounds(n, &AllDims { n, on_worker: &on_worker })
-        });
-        let on_caller = COUNTED.with(|c| c.take()).expect("counting was on");
+        let program =
+            CountFromInit { program: &AllDims(n), count: Count::All, on_worker: &on_worker };
+        let ((sums, stats), on_caller) =
+            Count::All.around(|| cuberun::with_workers(1, || cuberun::run_rounds(n, &program)));
         let nodes = 1usize << n;
         let total: u64 = (0..nodes as u64).sum();
         assert!(sums.iter().all(|&s| s == total), "dimension scan must sum every id");
@@ -591,55 +557,20 @@ mod alloc_gate_tests {
     #[test]
     fn spmd_exchange_transpose_allocates_at_most_two_and_a_quarter_per_node() {
         use cubelayout::{Assignment, Encoding, Layout};
-        use cuberun::{NodeId, Outbox, RoundInbox, RoundProgram};
-        use cubesync::atomic::AtomicUsize;
-        use std::cell::Cell;
-
-        /// `program`, counting on the worker from its first `init`.
-        struct CountFromInit<'a, P> {
-            program: &'a P,
-            on_worker: &'a AtomicUsize,
-        }
-        impl<E: Send, P: RoundProgram<E>> RoundProgram<E> for CountFromInit<'_, P> {
-            type State = P::State;
-            type Out = P::Out;
-            fn rounds(&self) -> u32 {
-                self.program.rounds()
-            }
-            fn init(&self, id: NodeId) -> P::State {
-                COUNTED.with(|c| c.set(c.get().or(Some(0))));
-                self.program.init(id)
-            }
-            fn send(&self, round: u32, id: NodeId, s: &mut P::State, out: &mut Outbox<'_, E>) {
-                self.program.send(round, id, s, out);
-            }
-            fn recv(
-                &self,
-                round: u32,
-                id: NodeId,
-                s: &mut P::State,
-                inbox: &mut RoundInbox<'_, E>,
-            ) {
-                self.program.recv(round, id, s, inbox);
-            }
-            fn finish(&self, id: NodeId, s: P::State) -> P::Out {
-                let out = self.program.finish(id, s);
-                self.on_worker.fetch_max(COUNTED.with(Cell::get).unwrap_or(0), Ordering::Relaxed);
-                out
-            }
-        }
 
         let before = Layout::square(5, 5, 5, Assignment::Consecutive, Encoding::Binary);
         let after = before.swapped_shape();
         let m = crate::verify::labels(before.clone());
         let on_worker = AtomicUsize::new(0);
-        COUNTED.with(|c| c.set(Some(0)));
-        let (out, stats) = cuberun::with_workers(1, || {
-            crate::spmd::exchange_on(&m, &after, |n, program| {
-                cuberun::run_rounds(n, &CountFromInit { program, on_worker: &on_worker })
+        let ((out, stats), on_caller) = Count::All.around(|| {
+            cuberun::with_workers(1, || {
+                crate::spmd::exchange_on(&m, &after, |n, program| {
+                    let program =
+                        CountFromInit { program, count: Count::All, on_worker: &on_worker };
+                    cuberun::run_rounds(n, &program)
+                })
             })
         });
-        let on_caller = COUNTED.with(|c| c.take()).expect("counting was on");
         crate::verify::assert_transposed(&before, &out);
         let nodes = before.num_nodes();
         assert_eq!(stats.messages, nodes as u64 * 10);
@@ -661,61 +592,20 @@ mod alloc_gate_tests {
     #[test]
     fn spmd_spt_allocates_one_node_sized_buffer_per_node() {
         use cubelayout::{Assignment, Encoding, Layout};
-        use cuberun::{NodeId, Outbox, RoundInbox, RoundProgram};
-        use cubesync::atomic::AtomicUsize;
-
-        /// `program`, counting node-sized allocations on the worker from
-        /// its first `init`.
-        struct BigFromInit<'a, P> {
-            program: &'a P,
-            node_bytes: usize,
-            on_worker: &'a AtomicUsize,
-        }
-        impl<E: Send, P: RoundProgram<E>> RoundProgram<E> for BigFromInit<'_, P> {
-            type State = P::State;
-            type Out = P::Out;
-            fn rounds(&self) -> u32 {
-                self.program.rounds()
-            }
-            fn init(&self, id: NodeId) -> P::State {
-                BIG.with(|b| b.set(b.get().or(Some((self.node_bytes, 0)))));
-                self.program.init(id)
-            }
-            fn send(&self, round: u32, id: NodeId, s: &mut P::State, out: &mut Outbox<'_, E>) {
-                self.program.send(round, id, s, out);
-            }
-            fn recv(
-                &self,
-                round: u32,
-                id: NodeId,
-                s: &mut P::State,
-                inbox: &mut RoundInbox<'_, E>,
-            ) {
-                self.program.recv(round, id, s, inbox);
-            }
-            fn finish(&self, id: NodeId, s: P::State) -> P::Out {
-                let out = self.program.finish(id, s);
-                let seen = BIG.with(|b| b.get()).map_or(0, |(_, seen)| seen);
-                self.on_worker.fetch_max(seen, Ordering::Relaxed);
-                out
-            }
-        }
 
         let before = Layout::square(8, 8, 3, Assignment::Consecutive, Encoding::Binary);
         let after = before.swapped_shape();
         let m = crate::verify::labels(before.clone());
         let (nodes, node_bytes) = (before.num_nodes(), before.elems_per_node() * 8);
         let on_worker = AtomicUsize::new(0);
-        let mut out = None;
-        let on_caller = big_allocs(node_bytes, || {
-            out = Some(cuberun::with_workers(1, || {
+        let count = Count::Big(node_bytes);
+        let ((out, stats), on_caller) = count.around(|| {
+            cuberun::with_workers(1, || {
                 crate::spmd::spt_on(&m, &after, |n, program| {
-                    let program = BigFromInit { program, node_bytes, on_worker: &on_worker };
-                    cuberun::run_rounds(n, &program)
+                    cuberun::run_rounds(n, &CountFromInit { program, count, on_worker: &on_worker })
                 })
-            }));
+            })
         });
-        let (out, stats) = out.expect("the transpose ran");
         crate::verify::assert_transposed(&before, &out);
         // One message per hop: Σ 2H(x), each of the 3 bit pairs differing
         // at half the 64 nodes.
@@ -730,10 +620,10 @@ mod alloc_gate_tests {
     /// node-sized, and nothing but the permutation's new role vector
     /// whatever the node count — counted at 8 and at 64 nodes, each on a
     /// net that has run one exchange and one permutation already, so its
-    /// per-round stores have grown. With the other `BIG` gates of this
-    /// module and `fieldmap`'s footprint tests these are deterministic
-    /// budgets of the kind ROADMAP item 4 asks for: exact on any host, no
-    /// stopwatch.
+    /// per-round stores have grown. With the other `Count::Big` gates of
+    /// this module and `fieldmap`'s footprint tests these are
+    /// deterministic budgets of the kind ROADMAP item 4 asks for: exact
+    /// on any host, no stopwatch.
     #[test]
     fn exchange_and_permute_allocate_a_constant() {
         use crate::fieldmap::{check_labels, label_mapped, FieldMap};
@@ -748,12 +638,12 @@ mod alloc_gate_tests {
             let mut net: SimNet<Vec<u64>> = SimNet::new(n, MachineParams::unit(PortMode::OnePort));
             m.exchange_real_virt(&mut net, 0, j, BufferPolicy::Unbuffered);
             m.permute_virt(&mut net, &rotation);
-            COUNTED.with(|c| c.set(Some(0)));
-            let big = big_allocs(node_bytes, || {
-                m.exchange_real_virt(&mut net, 1, j, BufferPolicy::Unbuffered);
-                m.permute_virt(&mut net, &rotation);
+            let (((), big), allocs) = Count::All.around(|| {
+                Count::Big(node_bytes).around(|| {
+                    m.exchange_real_virt(&mut net, 1, j, BufferPolicy::Unbuffered);
+                    m.permute_virt(&mut net, &rotation);
+                })
             });
-            let allocs = COUNTED.with(|c| c.take()).expect("counting was on");
             assert_eq!(big, 0, "a primitive allocated node-sized staging at n = {n}");
             assert_eq!(check_labels(&m), None);
             assert_eq!(net.finalize().rounds, 32);
@@ -779,16 +669,10 @@ mod alloc_gate_tests {
         let (num, per) = (before.num_nodes(), before.elems_per_node());
         let m = crate::verify::labels(before.clone());
         let mut net = SimNet::new(2 * spec.n_r, MachineParams::intel_ipsc());
-        let mut out = None;
-        let big = big_allocs(per / 2 * std::mem::size_of::<u64>(), || {
-            out = Some(convert_algorithm2(
-                &spec,
-                &m,
-                &mut net,
-                BufferPolicy::Buffered { min_direct: 139 },
-            ));
+        let (out, big) = Count::Big(per / 2 * std::mem::size_of::<u64>()).around(|| {
+            convert_algorithm2(&spec, &m, &mut net, BufferPolicy::Buffered { min_direct: 139 })
         });
-        crate::verify::assert_transposed(&before, &out.expect("the op ran"));
+        crate::verify::assert_transposed(&before, &out);
         net.finalize();
         assert!(big <= num + 1, "{big} allocations of half a node or more for {num} nodes");
     }
@@ -803,9 +687,8 @@ mod alloc_gate_tests {
         let mut data: Vec<u64> = (0..(rows * cols) as u64).collect();
         // Warmup: one full transpose before arming.
         crate::inplace::transpose(&mut data, rows, cols);
-        let big = big_allocs(rows * cols * std::mem::size_of::<u64>() / 4, || {
-            crate::inplace::transpose(&mut data, cols, rows);
-        });
+        let ((), big) = Count::Big(rows * cols * std::mem::size_of::<u64>() / 4)
+            .around(|| crate::inplace::transpose(&mut data, cols, rows));
         assert_eq!(big, 0, "in-place kernel allocated O(mn)-sized scratch");
         let expect: Vec<u64> = (0..(rows * cols) as u64).collect();
         assert_eq!(data, expect, "roundtrip while gated");

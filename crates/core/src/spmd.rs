@@ -546,13 +546,8 @@ mod tests {
         let nodes = 1usize << n;
         let sent: Vec<AtomicUsize> = (0..nodes * n as usize).map(|_| AtomicUsize::new(0)).collect();
         let logged = Logged { program, nodes, sent: &sent, seen };
-        let run = std::panic::AssertUnwindSafe(|| {
-            cuberun::with_workers(workers, || run_rounds(n, &logged))
-        });
-        let (outs, stats) = std::panic::catch_unwind(run).map_err(|payload| {
-            let text = payload.downcast_ref::<&str>().map(|s| s.to_string());
-            text.or_else(|| payload.downcast_ref::<String>().cloned()).expect("a text panic")
-        })?;
+        let (outs, stats) =
+            cubetest::catch(|| cuberun::with_workers(workers, || run_rounds(n, &logged)))?;
         Ok((outs, stats.messages, sent.iter().map(|s| s.load(Ordering::Relaxed)).collect()))
     }
 
@@ -676,9 +671,8 @@ mod tests {
             Layout::one_dim(3, 3, Direction::Rows, 3, Assignment::Consecutive, Encoding::Binary);
         let m = labels(before.clone());
         let program = ExchangeRounds { n: 3, lg: 1, after_nodes: 4, tags: &[], m: &m };
-        let caught = std::panic::catch_unwind(|| program.finish(NodeId(5), Holding::One((3, 7))));
-        let payload = caught.expect_err("node 5 held an element");
-        let text = payload.downcast_ref::<String>().expect("a formatted panic");
+        let caught = cubetest::catch(|| program.finish(NodeId(5), Holding::One((3, 7))));
+        let text = caught.expect_err("node 5 held an element");
         assert!(text.contains("element for 1 stranded at 5"), "{text}");
         program.finish(NodeId(5), Holding::None);
     }

@@ -12,33 +12,10 @@
 use cubeaddr::NodeId;
 use cubecomm::BufferPolicy;
 use cubesim::{MachineParams, PortMode, SimNet};
+use cubetest::Rng;
 use cubetranspose::fieldmap::Role;
 use cubetranspose::{FieldMap, MappedMatrix};
 use proptest::prelude::*;
-
-/// SplitMix64 so maps are a pure function of the seed.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e3779b97f4a7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, span: u64) -> u64 {
-        self.next() % span
-    }
-
-    fn shuffle(&mut self, v: &mut [u32]) {
-        for k in (1..v.len()).rev() {
-            let j = self.below(k as u64 + 1) as usize;
-            v.swap(k, j);
-        }
-    }
-}
 
 fn roles(map: &FieldMap) -> (Vec<u32>, Vec<u32>) {
     let real = (0..map.n()).map(|i| map.real_dim(i)).collect();
@@ -117,7 +94,7 @@ fn node_fed_bottom(rng: &mut Rng, from: &FieldMap) -> FieldMap {
 
 #[test]
 fn identity_move_is_a_copy() {
-    let mut rng = Rng(1);
+    let mut rng = Rng::new(1);
     for (n, vp) in [(0, 0), (0, 5), (3, 0), (3, 4), (6, 12)] {
         let from = random_map(&mut rng, n, vp);
         check_move(&from, &from);
@@ -126,7 +103,7 @@ fn identity_move_is_a_copy() {
 
 #[test]
 fn local_only_moves() {
-    let mut rng = Rng(2);
+    let mut rng = Rng::new(2);
     for (n, vp) in [(0, 7), (2, 3), (4, 8), (6, 12)] {
         let from = random_map(&mut rng, n, vp);
         check_move(&from, &local_only(&mut rng, &from));
@@ -135,7 +112,7 @@ fn local_only_moves() {
 
 #[test]
 fn node_only_moves() {
-    let mut rng = Rng(3);
+    let mut rng = Rng::new(3);
     for (n, vp) in [(2, 0), (3, 3), (5, 6), (6, 12)] {
         let from = random_map(&mut rng, n, vp);
         check_move(&from, &node_only(&mut rng, &from));
@@ -144,7 +121,7 @@ fn node_only_moves() {
 
 #[test]
 fn node_bit_feeding_local_bit_zero() {
-    let mut rng = Rng(4);
+    let mut rng = Rng::new(4);
     for (n, vp) in [(1, 1), (2, 5), (4, 8), (6, 12)] {
         let from = random_map(&mut rng, n, vp);
         let to = node_fed_bottom(&mut rng, &from);
@@ -155,7 +132,7 @@ fn node_bit_feeding_local_bit_zero() {
 
 #[test]
 fn no_node_or_no_local_dimensions() {
-    let mut rng = Rng(5);
+    let mut rng = Rng::new(5);
     for (n, vp) in [(0, 1), (0, 6), (0, 12), (1, 0), (4, 0), (6, 0)] {
         let from = random_map(&mut rng, n, vp);
         check_move(&from, &random_map(&mut rng, n, vp));
@@ -167,7 +144,7 @@ proptest! {
 
     #[test]
     fn random_map_pairs_match_the_oracle(seed in any::<u64>()) {
-        let mut rng = Rng(seed);
+        let mut rng = Rng::new(seed);
         let n = rng.below(7) as u32;
         let vp = rng.below(13) as u32;
         let from = random_map(&mut rng, n, vp);

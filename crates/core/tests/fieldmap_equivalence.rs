@@ -8,26 +8,10 @@
 
 use cubecomm::BufferPolicy;
 use cubesim::{CommReport, MachineParams, PortMode, SimNet};
+use cubetest::Rng;
 use cubetranspose::reference::ref_twin;
 use cubetranspose::{FieldMap, MappedMatrix};
 use proptest::prelude::*;
-
-/// SplitMix64 so schedules are a pure function of the seed.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e3779b97f4a7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, span: u64) -> u64 {
-        self.next() % span
-    }
-}
 
 #[derive(Clone, Debug)]
 enum Op {
@@ -46,10 +30,7 @@ fn random_perm(rng: &mut Rng, vp: u32) -> Vec<u32> {
         return (0..vp).map(|j| (j + a) % vp).collect();
     }
     let mut p: Vec<u32> = (0..vp).collect();
-    for k in (1..p.len()).rev() {
-        let j = rng.below(k as u64 + 1) as usize;
-        p.swap(k, j);
-    }
+    rng.shuffle(&mut p);
     p
 }
 
@@ -147,7 +128,7 @@ proptest! {
 
     #[test]
     fn block_move_data_plane_matches_reference(seed in any::<u64>()) {
-        let mut rng = Rng(seed);
+        let mut rng = Rng::new(seed);
         // Up to 256 elements per node, so that a rotation can have both
         // sides of the local matrix at the register tile's eight; fewer
         // nodes there, which keeps the per-element reference quick.
@@ -165,7 +146,7 @@ proptest! {
 
     #[test]
     fn rearrange_to_matches_reference(seed in any::<u64>()) {
-        let mut rng = Rng(seed);
+        let mut rng = Rng::new(seed);
         let n = 1 + rng.below(3) as u32;
         let vp = 1 + rng.below(4) as u32;
         let start = random_map(&mut rng, n, vp);

@@ -2,26 +2,10 @@
 //! (`cubetranspose::inplace`): round-trip identity and equivalence with
 //! the out-of-place kernels.
 
+use cubetest::Rng;
 use cubetranspose::inplace;
 use cubetranspose::local::Dense;
 use proptest::prelude::*;
-
-/// SplitMix64 so shapes are a pure function of the seed.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e3779b97f4a7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, span: u64) -> u64 {
-        self.next() % span
-    }
-}
 
 fn gcd(mut a: usize, mut b: usize) -> usize {
     while b != 0 {
@@ -64,7 +48,7 @@ proptest! {
     /// shape family.
     #[test]
     fn transpose_roundtrip_identity(seed in any::<u64>()) {
-        let mut rng = Rng(seed);
+        let mut rng = Rng::new(seed);
         let (m, n) = random_shape(&mut rng);
         let data = payload(m, n, seed);
         let mut buf = data.clone();
@@ -77,7 +61,7 @@ proptest! {
     /// the tiled out-of-place family.
     #[test]
     fn inplace_matches_naive(seed in any::<u64>()) {
-        let mut rng = Rng(seed);
+        let mut rng = Rng::new(seed);
         let (m, n) = random_shape(&mut rng);
         let data = payload(m, n, seed);
         let dense = Dense::from_vec(m, n, data.clone());
@@ -97,7 +81,7 @@ proptest! {
     /// the dimensions.
     #[test]
     fn dense_in_place_rectangular(seed in any::<u64>()) {
-        let mut rng = Rng(seed);
+        let mut rng = Rng::new(seed);
         let (m, n) = random_shape(&mut rng);
         let mut dense = Dense::from_vec(m, n, payload(m, n, seed));
         let expect = dense.transpose_naive();

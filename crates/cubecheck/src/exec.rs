@@ -8,8 +8,8 @@
 //! message into a `channel << 32 | elems` key (`channel = src · ports +
 //! dim`) and walks the keys once in channel order. Every
 //! `cubecomm::plan` builder emits its rounds in that order, so the keys
-//! of a built plan already ascend; the radix sort by channel runs only
-//! for hand-built (or corrupted) schedules. The walk yields the round's
+//! of a built plan already ascend; only a hand-built (or corrupted)
+//! schedule's keys are sorted. The walk yields the round's
 //! [`CommReport::link_history`] in `(src, dim)` order, finds link
 //! contention as two adjacent equal channels, and adds into the
 //! per-link running totals behind `max_link_elems`, a
@@ -56,14 +56,11 @@ pub fn run_schedule(schedule: &CommSchedule, params: &MachineParams) -> CommRepo
     let check_node = |x: NodeId| {
         assert!(x.index() < nodes, "node {x} outside the {}", topo.label());
     };
-    // A channel id is below `links` <= 2^31 - 1.
-    let channel_bits = u64::BITS - (links.max(1) as u64 - 1).leading_zeros();
     let mut totals = LinkTotals::new(links);
     // One-port only: per node, `(round + 1) << 6 | port` of the last
     // link it used.
     let mut port_stamps =
         if params.ports == PortMode::OnePort { vec![0u64; nodes] } else { Vec::new() };
-    let mut radix = RadixScratch::default();
     let (mut keys, mut copies) = (Vec::new(), Vec::new());
     let mut report = CommReport::default();
     for (r, round) in schedule.rounds.iter().enumerate() {
@@ -95,7 +92,7 @@ pub fn run_schedule(schedule: &CommSchedule, params: &MachineParams) -> CommRepo
             keys.push(key);
         }
         if !ascending {
-            radix.sort_by_channel(&mut keys, channel_bits);
+            keys.sort_unstable();
         }
         let mut events = Vec::with_capacity(keys.len());
         let mut last_channel = u32::MAX;
@@ -164,54 +161,6 @@ fn one_port_violation(schedule: &CommSchedule, round: usize) -> ! {
     panic!("one-port violation: node {node} used dims {mask:#b} in round {round}")
 }
 
-/// The buffers of a stable LSD radix sort on a key's channel bits,
-/// reused across rounds.
-#[derive(Default)]
-struct RadixScratch {
-    keys: Vec<u64>,
-    counts: Vec<u32>,
-}
-
-impl RadixScratch {
-    /// Widest digit: 2^11 counters stay in L1.
-    const DIGIT_BITS: u32 = 11;
-
-    /// Sorts `keys` by bits `32 .. 32 + channel_bits`, stably, in as few
-    /// equal-width digits as fit [`Self::DIGIT_BITS`]; a digit every key
-    /// shares costs one counting read and no scatter.
-    fn sort_by_channel(&mut self, keys: &mut Vec<u64>, channel_bits: u32) {
-        let passes = channel_bits.div_ceil(Self::DIGIT_BITS);
-        if passes == 0 || keys.is_empty() {
-            return;
-        }
-        let digit_bits = channel_bits.div_ceil(passes);
-        let mask = (1u64 << digit_bits) - 1;
-        self.counts.resize(1 << digit_bits, 0);
-        self.keys.resize(keys.len(), 0);
-        for pass in 0..passes {
-            let shift = 32 + pass * digit_bits;
-            let digit = |key: u64| ((key >> shift) & mask) as usize;
-            self.counts.fill(0);
-            for &key in keys.iter() {
-                self.counts[digit(key)] += 1;
-            }
-            if self.counts[digit(keys[0])] as usize == keys.len() {
-                continue;
-            }
-            let mut start = 0;
-            for count in &mut self.counts {
-                (*count, start) = (start, start + *count);
-            }
-            for &key in keys.iter() {
-                let slot = &mut self.counts[digit(key)];
-                self.keys[*slot as usize] = key;
-                *slot += 1;
-            }
-            std::mem::swap(keys, &mut self.keys);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -224,6 +173,7 @@ mod tests {
     };
     use cubecomm::BufferPolicy;
     use cubesim::{MachineParams, PortMode};
+    use cubetest::ScheduleBuilder;
     use cubetopo::{SwappedDragonfly, TopoSpec};
 
     fn all_to_all_sizes(num: usize, elems: u64) -> Vec<Vec<u64>> {
@@ -263,8 +213,8 @@ mod tests {
         }
     }
 
-    /// Builders emit each round in channel order, so the fold's radix
-    /// sort runs only on hand-built schedules. Reversing every round of
+    /// Builders emit each round in channel order, so the fold sorts
+    /// only hand-built schedules' rounds. Reversing every round of
     /// every family's plan sends those rounds through it, and the
     /// report, link history and time bits included, must not move.
     #[test]
@@ -315,52 +265,22 @@ mod tests {
     #[test]
     #[should_panic(expected = "unwired port")]
     fn replay_rejects_unwired_links() {
-        use cubecomm::plan::{BlockMeta, PlanRound, PlannedMsg};
         let d = SwappedDragonfly::new(2, 2);
         // Port 1 of node (0, 0) is group 0's swap fixed point: unwired.
-        let plan = CommSchedule {
-            name: "corrupt/unwired".into(),
-            topo: TopoSpec::dragonfly(2, 2),
-            ports: PortMode::AllPorts,
-            dimension_ordered: false,
-            blocks: vec![BlockMeta { src: NodeId(0), dst: NodeId(1), elems: 1 }],
-            block_ids: vec![0],
-            rounds: vec![PlanRound {
-                msgs: vec![PlannedMsg { src: NodeId(d.node_at(0, 0)), dim: 1, blocks: 0..1 }],
-                copies: vec![],
-            }],
-        };
+        let plan =
+            ScheduleBuilder::new("corrupt/unwired", TopoSpec::dragonfly(2, 2), PortMode::AllPorts)
+                .blocks(&[(0, 1)])
+                .round(&[(d.node_at(0, 0), 1, 0)])
+                .build();
         let _ = run_schedule(&plan, &MachineParams::unit(PortMode::AllPorts));
     }
 
     /// Folds a one-round schedule of `(src, dim, elems)` messages on the
     /// `n`-cube under `ports`.
     fn fold_round(n: u32, msgs: &[(u64, u32, u64)], ports: PortMode) -> CommReport {
-        use cubecomm::plan::{BlockMeta, PlanRound, PlannedMsg};
-        let plan = CommSchedule {
-            name: "corrupt".into(),
-            topo: TopoSpec::hypercube(n),
-            ports,
-            dimension_ordered: false,
-            blocks: msgs
-                .iter()
-                .map(|&(src, _, elems)| BlockMeta { src: NodeId(src), dst: NodeId(src), elems })
-                .collect(),
-            // Message `i` carries block `i`, arena entry `i`.
-            block_ids: (0..msgs.len() as u32).collect(),
-            rounds: vec![PlanRound {
-                msgs: msgs
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &(src, dim, _))| PlannedMsg {
-                        src: NodeId(src),
-                        dim,
-                        blocks: i as u32..i as u32 + 1,
-                    })
-                    .collect(),
-                copies: vec![],
-            }],
-        };
+        let plan = ScheduleBuilder::new("corrupt", TopoSpec::hypercube(n), ports)
+            .sized_round(msgs, &[])
+            .build();
         run_schedule(&plan, &MachineParams::unit(ports))
     }
 

@@ -1,9 +1,10 @@
 //! The invariant checkers.
 //!
-//! Each checker consumes a [`Lowered`] schedule and returns structured
-//! [`Diag`]s; [`check_all`] runs all five. The checkers are independent
-//! by construction — the corruption tests in `tests/corruption.rs` rely
-//! on a single broken invariant firing exactly its own rule.
+//! [`check_all`] consumes a [`Lowered`] schedule and returns structured
+//! [`Diag`]s for the five rules [`Rule`] documents. The rules are
+//! independent by construction — the corruption tests in
+//! `tests/corruption.rs` rely on a single broken invariant firing
+//! exactly its own rule.
 //!
 //! # One ordered walk
 //!
@@ -145,13 +146,6 @@ impl Channels {
             low.topo.label()
         );
         Channels { num, ports, real: (num * u64::from(ports)) as u32, extra }
-    }
-
-    /// [`Channels::new`] of every out-of-range pair `low`'s claims name.
-    fn of(low: &Lowered) -> Self {
-        let (num, ports) = (low.topo.num_nodes() as u64, low.topo.ports());
-        let extra = low.claims.iter().filter(|c| c.dim >= ports || c.src >= num);
-        Channels::new(low, extra.map(|c| (c.src, c.dim)).collect())
     }
 
     fn len(&self) -> usize {
@@ -353,19 +347,6 @@ impl Walk {
     }
 }
 
-/// Port-model compliance (paper §2): claims name real links, and under
-/// one-port communication each node touches at most one link per round.
-/// A node may send *and* receive on that one link (bidirectional
-/// exchange), so the constraint is on *distinct* links, both endpoints
-/// counted — exactly the discipline [`cubesim::SimNet`] enforces
-/// dynamically.
-pub fn check_port_model(low: &Lowered) -> Vec<Diag> {
-    let mut diags: Vec<Diag> =
-        low.claims.iter().filter(|&c| unlinked(low, c)).map(|c| no_link(low, c)).collect();
-    diags.extend(one_port(low, &Channels::of(low)));
-    diags
-}
-
 /// Whether `c` names no link: an endpoint out of range, or an unwired
 /// port (a cube port always is wired; a Dragonfly group's swap fixed
 /// point is not).
@@ -383,9 +364,9 @@ fn no_link(low: &Lowered, c: &LinkClaim) -> Diag {
     d
 }
 
-/// The one-port half of [`check_port_model`]: each node touches at most
-/// one link per round (claims naming no link are reported by the other
-/// half and skipped here).
+/// The one-port half of [`Rule::PortModel`]: each node touches at most
+/// one link per round (claims naming no link are reported by the
+/// walk's structural half and skipped here).
 fn one_port(low: &Lowered, chans: &Channels) -> Vec<Diag> {
     let mut diags = Vec::new();
     if low.ports != PortMode::OnePort {
@@ -443,18 +424,6 @@ fn one_port(low: &Lowered, chans: &Channels) -> Vec<Diag> {
     diags
 }
 
-/// Edge-disjointness within a round (§3/§8.1): one message per directed
-/// link per round.
-pub fn check_link_exclusive(low: &Lowered) -> Vec<Diag> {
-    Walk::new(low, None, sorted_by(low, key).as_deref()).exclusive
-}
-
-/// Packet budget (§2): every message carries data and declares enough
-/// packets that none exceeds `B_m`.
-pub fn check_packet_budget(low: &Lowered, params: &MachineParams) -> Vec<Diag> {
-    low.claims.iter().filter_map(|c| over_budget(low, params, c)).collect()
-}
-
 fn over_budget(low: &Lowered, params: &MachineParams, c: &LinkClaim) -> Option<Diag> {
     let detail = if c.elems == 0 {
         "empty message (a start-up with no data)".to_string()
@@ -473,29 +442,10 @@ fn over_budget(low: &Lowered, params: &MachineParams, c: &LinkClaim) -> Option<D
     Some(d)
 }
 
-/// Element conservation (§3): claim sizes are exactly the sums of their
-/// blocks, and every block's hops chain its source to its destination,
-/// one claim per hop, rounds strictly increasing.
-pub fn check_conservation(low: &Lowered) -> Vec<Diag> {
-    Walk::new(low, None, sorted_by(low, key).as_deref()).conservation
-}
-
-/// Deadlock freedom for dimension-ordered schedules: the channel
-/// dependency graph — one channel per `(node, dim)`, one edge per
-/// consecutive hop pair of any block — must be acyclic (the Dally–Seitz
-/// condition the e-cube order guarantees). Schedules not flagged
-/// dimension-ordered are skipped: their safety argument is the
-/// round-synchronous barrier, not channel ordering. A lowering whose
-/// hops all climb (or all fall) in port is acyclic by that rank and is
-/// not searched (see the module docs). Of several cycles, the one
-/// reported is the first a depth-first search meets from the lowest
-/// channel, successors ascending.
-pub fn check_deadlock_free(low: &Lowered) -> Vec<Diag> {
-    let order = sorted_by(low, key);
-    let ranked = Walk::new(low, None, order.as_deref()).ranked;
-    deadlock_free(low, &Channels::of(low), order.as_deref(), ranked)
-}
-
+/// [`Rule::DeadlockFree`] on a lowering the walk did not rank: the
+/// channel dependency graph is built and searched. Of several cycles,
+/// the one reported is the first a depth-first search meets from the
+/// lowest channel, successors ascending.
 fn deadlock_free(
     low: &Lowered,
     chans: &Channels,
@@ -595,9 +545,9 @@ mod tests {
     use cubeaddr::NodeId;
     use cubecomm::plan::{
         all_to_all_exchange_plan, ecube_route_plan, exchange_plan, one_to_all_sbt_plan, BlockMeta,
-        CommSchedule, PlanRound, PlannedMsg,
     };
     use cubecomm::BufferPolicy;
+    use cubetest::ScheduleBuilder;
     use cubetopo::TopoSpec;
 
     fn unit(ports: PortMode) -> MachineParams {
@@ -618,24 +568,12 @@ mod tests {
     /// cycle.
     #[test]
     fn mixed_port_directions_are_searched_and_pass() {
-        // Block `b` is arena entry `b`.
-        let msg = |src: u64, dim: u32, block: u32| PlannedMsg {
-            src: NodeId(src),
-            dim,
-            blocks: block..block + 1,
-        };
-        let plan = CommSchedule {
-            name: "mixed".into(),
-            topo: TopoSpec::hypercube(2),
-            ports: PortMode::AllPorts,
-            dimension_ordered: true,
-            blocks: vec![meta(0, 3), meta(0, 3)],
-            block_ids: vec![0, 1],
-            rounds: vec![
-                PlanRound { msgs: vec![msg(0, 0, 0), msg(0, 1, 1)], copies: vec![] },
-                PlanRound { msgs: vec![msg(1, 1, 0), msg(2, 0, 1)], copies: vec![] },
-            ],
-        };
+        let plan = ScheduleBuilder::new("mixed", TopoSpec::hypercube(2), PortMode::AllPorts)
+            .dimension_ordered()
+            .blocks(&[(0, 3), (0, 3)])
+            .round(&[(0, 0, 0), (0, 1, 1)])
+            .round(&[(1, 1, 0), (2, 0, 1)])
+            .build();
         let low = lower(&plan, &unit(PortMode::AllPorts));
         assert!(!ranked(&low));
         assert!(check_all(&low, &unit(PortMode::AllPorts)).is_empty());
@@ -730,13 +668,13 @@ mod tests {
         let plan = ecube_route_plan(2, &msgs);
         let mut low = lower(&plan, &unit(PortMode::OnePort));
         low.ports = PortMode::OnePort; // the router plans n-port; reinterpret
-        let diags = check_port_model(&low);
+        let diags = check_all(&low, &unit(PortMode::OnePort));
         assert_eq!(diags.len(), 1);
         assert_eq!(diags[0].rule, Rule::PortModel);
         assert_eq!(diags[0].node, Some(0));
         // Same schedule under n-port is clean.
         low.ports = PortMode::AllPorts;
-        assert!(check_port_model(&low).is_empty());
+        assert!(check_all(&low, &unit(PortMode::OnePort)).is_empty());
     }
 
     #[test]

@@ -14,6 +14,7 @@ use cubecomm::plan::{self, BlockMeta, CommSchedule};
 use cubecomm::sbt::Sbt;
 use cubecomm::BufferPolicy;
 use cubesim::{MachineParams, PortMode};
+use cubetest::Rng;
 use cubetopo::{SwappedDragonfly, Topology};
 
 /// The lowering with each round's claims reversed, rounds in place.
@@ -28,18 +29,8 @@ fn reverse_rounds(low: &Lowered) -> Lowered {
 /// The lowering with all its claims in an order drawn from `seed`
 /// (a Fisher–Yates shuffle on SplitMix64), rounds mixed.
 fn shuffle(low: &Lowered, seed: u64) -> Lowered {
-    let mut state = seed;
-    let mut next = || {
-        state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    };
     let mut claims = low.claims.clone();
-    for i in (1..claims.len()).rev() {
-        claims.swap(i, (next() % (i as u64 + 1)) as usize);
-    }
+    Rng::new(seed).shuffle(&mut claims);
     Lowered { claims, ..low.clone() }
 }
 

@@ -4,11 +4,10 @@
 
 use cubeaddr::NodeId;
 use cubecheck::{check_all, lower, Diag, LinkClaim, Lowered, Rule};
-use cubecomm::plan::{
-    all_to_all_exchange_plan, ecube_route_plan, BlockMeta, CommSchedule, PlanRound, PlannedMsg,
-};
+use cubecomm::plan::{all_to_all_exchange_plan, ecube_route_plan, BlockMeta};
 use cubecomm::BufferPolicy;
-use cubesim::{MachineParams, PortMode};
+use cubesim::{MachineParams, PortMode, TopoSpec};
+use cubetest::ScheduleBuilder;
 
 fn rules_of(diags: &[Diag]) -> Vec<Rule> {
     let mut rules: Vec<Rule> = diags.iter().map(|d| d.rule).collect();
@@ -77,35 +76,13 @@ fn oversized_packet_fires_packet_budget_only() {
 /// dimension-ordered routing exists to exclude.
 #[test]
 fn cyclic_channel_dependency_fires_deadlock_free_only() {
-    // Block `b` is arena entry `b`.
-    let msg = |src: u64, dim: u32, block: u32| PlannedMsg {
-        src: NodeId(src),
-        dim,
-        blocks: block..block + 1,
-    };
-    let plan = CommSchedule {
-        name: "corrupt/cycle".into(),
-        topo: cubetopo::TopoSpec::hypercube(2),
-        ports: PortMode::AllPorts,
-        dimension_ordered: true, // claims an order it does not have
-        blocks: vec![
-            BlockMeta { src: NodeId(0), dst: NodeId(3), elems: 1 },
-            BlockMeta { src: NodeId(1), dst: NodeId(2), elems: 1 },
-            BlockMeta { src: NodeId(3), dst: NodeId(0), elems: 1 },
-            BlockMeta { src: NodeId(2), dst: NodeId(1), elems: 1 },
-        ],
-        block_ids: (0..4).collect(),
-        rounds: vec![
-            PlanRound {
-                msgs: vec![msg(0, 0, 0), msg(1, 1, 1), msg(3, 0, 2), msg(2, 1, 3)],
-                copies: vec![],
-            },
-            PlanRound {
-                msgs: vec![msg(1, 1, 0), msg(3, 0, 1), msg(2, 1, 2), msg(0, 0, 3)],
-                copies: vec![],
-            },
-        ],
-    };
+    // Claims an order it does not have.
+    let plan = ScheduleBuilder::new("corrupt/cycle", TopoSpec::hypercube(2), PortMode::AllPorts)
+        .dimension_ordered()
+        .blocks(&[(0, 3), (1, 2), (3, 0), (2, 1)])
+        .round(&[(0, 0, 0), (1, 1, 1), (3, 0, 2), (2, 1, 3)])
+        .round(&[(1, 1, 0), (3, 0, 1), (2, 1, 2), (0, 0, 3)])
+        .build();
     let params = MachineParams::unit(PortMode::AllPorts);
     let low = lower(&plan, &params);
     let diags = check_all(&low, &params);
@@ -305,66 +282,47 @@ fn face_cycle(low: &mut Lowered, base: u32, round: usize) -> (Vec<BlockMeta>, Ve
 /// the one behind the lower successor, on every run.
 #[test]
 fn two_cycles_report_the_lower_one_deterministically() {
-    // Block `b` is arena entry `b`.
-    let msg = |src: u64, dim: u32, block: u32| PlannedMsg {
-        src: NodeId(src),
-        dim,
-        blocks: block..block + 1,
-    };
-    let meta = |src: u64, dst: u64| BlockMeta { src: NodeId(src), dst: NodeId(dst), elems: 1 };
-    let plan = CommSchedule {
-        name: "corrupt/two-cycles".into(),
-        topo: cubetopo::TopoSpec::hypercube(3),
-        ports: PortMode::AllPorts,
-        dimension_ordered: true,
-        blocks: vec![
-            // Clockwise: blocks 0-3.
-            meta(4, 7),
-            meta(5, 6),
-            meta(7, 4),
-            meta(6, 5),
-            // Counter-clockwise: blocks 4-7.
-            meta(4, 7),
-            meta(6, 5),
-            meta(7, 4),
-            meta(5, 6),
-            // Down (0, d2) into node 4, then onto either cycle.
-            meta(0, 5),
-            meta(0, 6),
-        ],
-        block_ids: (0..10).collect(),
-        rounds: vec![
-            PlanRound {
-                msgs: vec![
-                    msg(4, 0, 0),
-                    msg(5, 1, 1),
-                    msg(7, 0, 2),
-                    msg(6, 1, 3),
-                    msg(4, 1, 4),
-                    msg(6, 0, 5),
-                    msg(7, 1, 6),
-                    msg(5, 0, 7),
-                ],
-                copies: vec![],
-            },
-            PlanRound {
-                msgs: vec![
-                    msg(5, 1, 0),
-                    msg(7, 0, 1),
-                    msg(6, 1, 2),
-                    msg(4, 0, 3),
-                    msg(6, 0, 4),
-                    msg(7, 1, 5),
-                    msg(5, 0, 6),
-                    msg(4, 1, 7),
-                ],
-                copies: vec![],
-            },
-            PlanRound { msgs: vec![msg(0, 2, 8)], copies: vec![] },
-            PlanRound { msgs: vec![msg(4, 0, 8), msg(0, 2, 9)], copies: vec![] },
-            PlanRound { msgs: vec![msg(4, 1, 9)], copies: vec![] },
-        ],
-    };
+    let plan =
+        ScheduleBuilder::new("corrupt/two-cycles", TopoSpec::hypercube(3), PortMode::AllPorts)
+            .dimension_ordered()
+            // Clockwise: blocks 0-3; counter-clockwise: blocks 4-7; down
+            // (0, d2) into node 4, then onto either cycle: blocks 8-9.
+            .blocks(&[
+                (4, 7),
+                (5, 6),
+                (7, 4),
+                (6, 5),
+                (4, 7),
+                (6, 5),
+                (7, 4),
+                (5, 6),
+                (0, 5),
+                (0, 6),
+            ])
+            .round(&[
+                (4, 0, 0),
+                (5, 1, 1),
+                (7, 0, 2),
+                (6, 1, 3),
+                (4, 1, 4),
+                (6, 0, 5),
+                (7, 1, 6),
+                (5, 0, 7),
+            ])
+            .round(&[
+                (5, 1, 0),
+                (7, 0, 1),
+                (6, 1, 2),
+                (4, 0, 3),
+                (6, 0, 4),
+                (7, 1, 5),
+                (5, 0, 6),
+                (4, 1, 7),
+            ])
+            .round(&[(0, 2, 8)])
+            .round(&[(4, 0, 8), (0, 2, 9)])
+            .round(&[(4, 1, 9)])
+            .build();
     let params = MachineParams::unit(PortMode::AllPorts);
     let low = lower(&plan, &params);
     for _ in 0..8 {

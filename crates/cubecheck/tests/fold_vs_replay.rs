@@ -12,13 +12,13 @@ use cubecheck::run_schedule;
 use cubecheck::workloads::{figure, transpose_msgs, workload_names};
 use cubecomm::plan::{
     all_to_all_exchange_plan, dragonfly_direct_plan, dragonfly_swap_exchange_plan,
-    ecube_route_plan, BlockMeta, CommSchedule, PlanRound, PlannedMsg,
+    ecube_route_plan, CommSchedule,
 };
 use cubecomm::BufferPolicy;
 use cubesim::{CommReport, MachineParams, Payload, PortMode, SimNet, TopoSpec};
+use cubetest::{catch, ScheduleBuilder};
 use cubetopo::{SwappedDragonfly, Topology};
 use proptest::prelude::*;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// A payload that is nothing but its element count.
 struct Elems(u64);
@@ -64,15 +64,6 @@ fn assert_fold_is_replay(schedule: &CommSchedule, params: &MachineParams) -> Com
     got
 }
 
-/// The message a closure panics with.
-fn panic_text(f: impl FnOnce() -> CommReport) -> String {
-    let payload = catch_unwind(AssertUnwindSafe(f)).expect_err("no panic");
-    match payload.downcast::<String>() {
-        Ok(text) => *text,
-        Err(payload) => payload.downcast::<&str>().map(|s| s.to_string()).expect("a text panic"),
-    }
-}
-
 /// Deterministic pseudo-random size matrix (the hash of
 /// `equivalence.rs`), zeros included.
 fn random_sizes(num: usize, seed: u64, max_b: u64) -> Vec<Vec<u64>> {
@@ -96,31 +87,8 @@ type Round<'a> = (&'a [(u64, u32, u64)], &'a [(u64, u64)]);
 
 /// A schedule over `topo` from hand-built rounds, one block per message.
 fn schedule(topo: TopoSpec, rounds: &[Round], ports: PortMode) -> CommSchedule {
-    let mut blocks = Vec::new();
-    let rounds = rounds
-        .iter()
-        .map(|&(msgs, copies)| PlanRound {
-            msgs: msgs
-                .iter()
-                .map(|&(src, dim, elems)| {
-                    blocks.push(BlockMeta { src: NodeId(src), dst: NodeId(src), elems });
-                    // Block `b` is arena entry `b`.
-                    let id = blocks.len() as u32 - 1;
-                    PlannedMsg { src: NodeId(src), dim, blocks: id..id + 1 }
-                })
-                .collect(),
-            copies: copies.iter().map(|&(node, elems)| (NodeId(node), elems)).collect(),
-        })
-        .collect();
-    CommSchedule {
-        name: "hand-built".into(),
-        topo,
-        ports,
-        dimension_ordered: false,
-        block_ids: (0..blocks.len() as u32).collect(),
-        blocks,
-        rounds,
-    }
+    let builder = ScheduleBuilder::new("hand-built", topo, ports);
+    rounds.iter().fold(builder, |b, &(msgs, copies)| b.sized_round(msgs, copies)).build()
 }
 
 #[test]
@@ -278,8 +246,8 @@ fn checks_fail_with_the_replays_message() {
         ("too many links", schedule(TopoSpec::hypercube(28), &[], PortMode::AllPorts), &all),
     ];
     for (what, plan, params) in cases {
-        let want = panic_text(|| replay(&plan, params));
-        let got = panic_text(|| run_schedule(&plan, params));
+        let want = catch(|| replay(&plan, params)).expect_err("no panic");
+        let got = catch(|| run_schedule(&plan, params)).expect_err("no panic");
         assert_eq!(got, want, "{what}");
     }
 }

@@ -21,8 +21,8 @@ use cubecomm::plan::{
 use cubecomm::sbt::Sbt;
 use cubecomm::{Block, BlockMsg, BufferPolicy};
 use cubesim::{CommReport, MachineParams, PortMode, SimNet, Topology};
+use cubetest::{catch, Rng};
 use std::collections::BTreeMap;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// The executor before it charged its messages: blocks travel in
 /// `BlockMsg` payloads, each message received with `recv` at the far end
@@ -110,7 +110,7 @@ fn outcome(plan: &CommSchedule, charged: bool) -> Outcome {
             Block::new(b.src, b.dst, (0..b.elems).map(|i| id as u64 * 1000 + i).collect())
         })
         .collect();
-    catch_unwind(AssertUnwindSafe(|| {
+    catch(|| {
         let mut net = SimNet::new(n, params);
         net.record_history();
         net.record_links();
@@ -120,10 +120,6 @@ fn outcome(plan: &CommSchedule, charged: bool) -> Outcome {
             execute_by_sending(&mut net, plan, payloads)
         };
         (held, net.finalize())
-    }))
-    .map_err(|e| match e.downcast::<String>() {
-        Ok(text) => *text,
-        Err(e) => e.downcast::<&str>().map_or("<non-string panic>".into(), |t| t.to_string()),
     })
 }
 
@@ -134,22 +130,9 @@ fn both(plan: &CommSchedule) -> Outcome {
     charged
 }
 
-/// SplitMix64, so sizes and corruptions are a pure function of the seed.
-struct Rng(u64);
-
-impl Rng {
-    fn below(&mut self, span: u64) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        (z ^ (z >> 31)) % span
-    }
-
-    /// `rows × cols` sizes of 0–3 elements, about a quarter zero.
-    fn sizes(&mut self, rows: usize, cols: usize) -> Vec<Vec<u64>> {
-        (0..rows).map(|_| (0..cols).map(|_| self.below(4)).collect()).collect()
-    }
+/// `rows × cols` sizes of 0–3 elements, about a quarter zero.
+fn random_sizes(rng: &mut Rng, rows: usize, cols: usize) -> Vec<Vec<u64>> {
+    (0..rows).map(|_| (0..cols).map(|_| rng.below(4)).collect()).collect()
 }
 
 /// Every engine's plans on the cubes of 1–4 dimensions (the reflected
@@ -164,12 +147,12 @@ fn engine_plans(rng: &mut Rng) -> Vec<CommSchedule> {
         for policy in policies {
             plans.push(all_to_all_exchange_plan(
                 n,
-                &rng.sizes(num, num),
+                &random_sizes(rng, num, num),
                 policy,
                 PortMode::OnePort,
             ));
         }
-        let sizes = rng.sizes(1, num).remove(0);
+        let sizes = random_sizes(rng, 1, num).remove(0);
         plans.push(one_to_all_sbt_plan(n, root, &sizes));
         let rotated: Vec<Sbt> = (0..n).map(|k| Sbt::rotated(n, root, k)).collect();
         plans.push(one_to_all_trees_plan(n, &sizes, &rotated));
@@ -177,17 +160,17 @@ fn engine_plans(rng: &mut Rng) -> Vec<CommSchedule> {
             let pair = [Sbt::new(n, root), Sbt::reflected(n, root)];
             plans.push(one_to_all_trees_plan(n, &sizes, &pair));
         }
-        plans.push(all_to_all_sbnt_plan(n, &rng.sizes(num, num)));
+        plans.push(all_to_all_sbnt_plan(n, &random_sizes(rng, num, num)));
         // Split the dimensions into l (kept) and k (split / accumulated).
         let k_dims = DimSet(rng.below(num as u64) & (num as u64 - 1));
         let l_dims = DimSet::all(n).difference(k_dims);
         let policy = policies[rng.below(3) as usize];
         let subcube: Vec<NodeId> =
             (0..num as u64).filter(|x| x & k_dims.0 == 0).map(NodeId).collect();
-        let sizes = rng.sizes(subcube.len(), num);
+        let sizes = random_sizes(rng, subcube.len(), num);
         plans.push(some_to_all_plan(n, l_dims, k_dims, &sizes, policy, PortMode::OnePort));
         // All-to-some: every node to the k-subcube, accumulation last.
-        let sizes = rng.sizes(num, subcube.len());
+        let sizes = random_sizes(rng, num, subcube.len());
         let mut blocks = Vec::new();
         for (s, row) in sizes.iter().enumerate() {
             for (&elems, &dst) in row.iter().zip(&subcube) {
@@ -254,7 +237,7 @@ fn kind(outcome: &Outcome) -> &'static str {
 
 #[test]
 fn every_engine_plan_runs_alike_on_both_executors() {
-    let mut rng = Rng(7);
+    let mut rng = Rng::new(7);
     let mut count = 0;
     for _ in 0..4 {
         for plan in engine_plans(&mut rng) {
@@ -270,7 +253,7 @@ fn every_engine_plan_runs_alike_on_both_executors() {
 fn corrupted_plans_fail_alike_on_both_executors() {
     let mut seen = BTreeMap::new();
     for seed in 0..40 {
-        let mut rng = Rng(seed);
+        let mut rng = Rng::new(seed);
         for plan in engine_plans(&mut rng) {
             let plan = corrupt(plan, &mut rng);
             *seen.entry(kind(&both(&plan))).or_insert(0) += 1;

@@ -17,26 +17,9 @@ use cubecomm::ecube::reference::RefRouter;
 use cubecomm::ecube::{ecube_route, RouteMsg};
 use cubecomm::graph::graph_route;
 use cubesim::{CommReport, MachineParams, Payload, PortMode, SimNet};
+use cubetest::Rng;
 use cubetopo::{TopoSpec, Topology};
 use proptest::prelude::*;
-
-/// SplitMix64 so message sets are a pure function of the seed
-/// (independent of which proptest implementation supplies the seed).
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e3779b97f4a7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, span: u64) -> u64 {
-        self.next() % span
-    }
-}
 
 /// Random message set: arbitrary src/dst pairs (equal pairs and empty
 /// payloads included, since both are router edge cases).
@@ -48,7 +31,7 @@ fn random_msgs(rng: &mut Rng, n: u32, count: usize) -> Vec<RouteMsg<u64>> {
             RouteMsg {
                 src: NodeId(rng.below(num)),
                 dst: NodeId(rng.below(num)),
-                data: (0..len).map(|_| rng.next()).collect(),
+                data: (0..len).map(|_| rng.next_u64()).collect(),
             }
         })
         .collect()
@@ -130,7 +113,7 @@ proptest! {
         count in 1usize..=24,
         unit in prop::bool::ANY,
     ) {
-        let msgs = random_msgs(&mut Rng(seed), n, count);
+        let msgs = random_msgs(&mut Rng::new(seed), n, count);
         assert_equivalent(n, unit, &msgs, "random");
     }
 }

@@ -688,15 +688,9 @@ mod tests {
     fn unwired_port_panics_with_a_link_diagnostic() {
         // Port 1 of node (0, 0) is group 0's swap fixed point on a
         // D3(2,2): unwired, so a send must fail loudly, not deadlock.
-        let caught = std::panic::catch_unwind(|| {
-            run_rounds_on(SwappedDragonfly::new(2, 2).into(), &SendOnPortOne)
-        });
-        let payload = caught.unwrap_err();
-        let msg = payload
-            .downcast_ref::<String>()
-            .cloned()
-            .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
-            .expect("a string panic payload");
+        let msg =
+            cubetest::catch(|| run_rounds_on(SwappedDragonfly::new(2, 2).into(), &SendOnPortOne))
+                .unwrap_err();
         assert!(msg.contains("send on port 1 of node 0"), "{msg}");
         assert!(msg.contains("no such link on the D3(2,2)"), "{msg}");
     }

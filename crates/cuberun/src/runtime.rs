@@ -506,16 +506,6 @@ mod tests {
         acc
     }
 
-    /// Extracts the message from a caught panic payload (both literal
-    /// and formatted panics appear across these tests).
-    fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-        payload
-            .downcast_ref::<&str>()
-            .map(|s| s.to_string())
-            .or_else(|| payload.downcast_ref::<String>().cloned())
-            .expect("non-string panic payload")
-    }
-
     #[test]
     fn exchange_swaps_neighbors() {
         let (results, stats) =
@@ -803,10 +793,10 @@ mod tests {
 
     #[test]
     fn giant_cube_rejected() {
-        let caught = std::panic::catch_unwind(|| {
+        let msg = cubetest::catch(|| {
             let _ = run_spmd::<u64, _, _, _>(17, |_| async move {});
-        });
-        let msg = panic_message(caught.unwrap_err());
+        })
+        .unwrap_err();
         assert!(msg.contains("refusing to allocate inboxes for 2^17"), "{msg}");
     }
 
@@ -815,7 +805,7 @@ mod tests {
         // Node 0 receives on dim 0 but node 1 never sends: the run makes
         // no progress once everyone else finished, and the detector names
         // the parked node and dimension.
-        let caught = std::panic::catch_unwind(|| {
+        let msg = cubetest::catch(|| {
             with_stall_timeout(Duration::from_millis(50), || {
                 run_spmd::<u64, _, _, _>(2, |ctx| async move {
                     if ctx.id().bits() == 0 {
@@ -824,8 +814,8 @@ mod tests {
                     0u64
                 })
             })
-        });
-        let msg = panic_message(caught.unwrap_err());
+        })
+        .unwrap_err();
         assert!(msg.contains("SPMD scheduler stalled"), "{msg}");
         assert!(msg.contains("node 0 on dim 0"), "{msg}");
         assert!(msg.contains("3/4 node programs completed"), "{msg}");
@@ -834,25 +824,25 @@ mod tests {
     #[test]
     fn suspending_on_a_foreign_future_is_reported() {
         for workers in [1usize, 2] {
-            let caught = std::panic::catch_unwind(|| {
+            let msg = cubetest::catch(|| {
                 with_workers(workers, || {
                     run_spmd::<u64, _, _, _>(1, |_| std::future::pending::<()>())
                 })
-            });
-            let msg = panic_message(caught.unwrap_err());
+            })
+            .unwrap_err();
             assert!(msg.contains("suspended on a foreign future"), "{msg}");
         }
     }
 
     #[test]
     fn node_program_panic_propagates() {
-        let caught = std::panic::catch_unwind(|| {
+        let msg = cubetest::catch(|| {
             run_spmd::<u64, _, _, _>(3, |ctx| async move {
                 assert!(ctx.id().bits() != 5, "boom on node 5");
                 ctx.id().bits()
             })
-        });
-        let msg = panic_message(caught.unwrap_err());
+        })
+        .unwrap_err();
         assert!(msg.contains("boom on node 5"), "{msg}");
     }
 
@@ -860,14 +850,14 @@ mod tests {
     fn a_dimension_beyond_the_cube_panics_with_a_link_diagnostic() {
         // A 2-cube has no dimension 2: the send must fail loudly, not
         // deadlock the node waiting for an answer.
-        let caught = std::panic::catch_unwind(|| {
+        let msg = cubetest::catch(|| {
             run_spmd(2, |ctx| async move {
                 if ctx.id().bits() == 0 {
                     ctx.send(2, 7u64);
                 }
             })
-        });
-        let msg = panic_message(caught.unwrap_err());
+        })
+        .unwrap_err();
         assert!(msg.contains("send on port 2 of node 0"), "{msg}");
         assert!(msg.contains("no such link on the 2-cube"), "{msg}");
     }

@@ -49,15 +49,10 @@ fn take_or_name(round: u32, id: NodeId, inbox: &mut RoundInbox<'_, u64>) {
 /// The message of the panic `run` ends in, under `workers` workers and
 /// a stall timeout of `stall`.
 fn panic_of<R>(workers: usize, stall: Duration, run: impl FnOnce() -> R) -> String {
-    let run = std::panic::AssertUnwindSafe(|| {
+    cubetest::catch(|| {
         with_workers(workers, || with_stall_timeout(stall, run));
-    });
-    let payload = std::panic::catch_unwind(run).expect_err("a malformed program must not complete");
-    payload
-        .downcast_ref::<&str>()
-        .map(|s| s.to_string())
-        .or_else(|| payload.downcast_ref::<String>().cloned())
-        .expect("non-string panic payload")
+    })
+    .expect_err("a malformed program must not complete")
 }
 
 #[test]

@@ -8,18 +8,10 @@
 //! nothing moved, not by the clock.
 
 use cuberun::{run_spmd, with_stall_timeout, with_workers, NodeCtx};
+use cubetest::catch;
 use std::time::{Duration, Instant};
 
 const STALL: Duration = Duration::from_secs(20);
-
-/// Extracts the message from a caught panic payload.
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    payload
-        .downcast_ref::<&str>()
-        .map(|s| s.to_string())
-        .or_else(|| payload.downcast_ref::<String>().cloned())
-        .expect("non-string panic payload")
-}
 
 /// Runs `program` on an `n`-cube at `workers` workers under [`STALL`],
 /// and returns its deadlock report after checking it came well before
@@ -29,10 +21,9 @@ where
     Fut: std::future::Future<Output = u64>,
 {
     let start = Instant::now();
-    let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        with_workers(workers, || with_stall_timeout(STALL, || run_spmd(n, program)))
-    }));
-    let msg = panic_message(caught.expect_err("deadlocked program must not complete"));
+    let msg =
+        catch(|| with_workers(workers, || with_stall_timeout(STALL, || run_spmd(n, program))))
+            .expect_err("deadlocked program must not complete");
     assert!(start.elapsed() < STALL / 2, "workers={workers}: waited for the stall clock");
     assert!(msg.contains("SPMD scheduler stalled"), "workers={workers}: {msg}");
     assert!(msg.contains("deadlocked node program?"), "workers={workers}: {msg}");

@@ -883,7 +883,7 @@ mod tests {
     #[test]
     fn payload_and_charge_contend_for_one_link_in_either_order() {
         for charge_first in [false, true] {
-            let outcome = std::panic::catch_unwind(|| {
+            let text = cubetest::catch(|| {
                 let mut net = unit_net(2, PortMode::AllPorts);
                 if charge_first {
                     net.charge(NodeId(1), 0, 1);
@@ -892,8 +892,8 @@ mod tests {
                     net.send(NodeId(1), 0, vec![7]);
                     net.charge(NodeId(1), 0, 1);
                 }
-            });
-            let text = *outcome.unwrap_err().downcast::<String>().unwrap();
+            })
+            .unwrap_err();
             assert_eq!(text, "link contention: directed link 1--dim 0--> 0 used twice in round 0");
         }
     }
@@ -910,13 +910,13 @@ mod tests {
 
     #[test]
     fn charges_keep_the_one_port_rule() {
-        let outcome = std::panic::catch_unwind(|| {
+        let text = cubetest::catch(|| {
             let mut net = unit_net(3, PortMode::OnePort);
             net.charge(NodeId(0), 0, 1);
             net.send(NodeId(2), 1, vec![2]);
             net.finish_round();
-        });
-        let text = *outcome.unwrap_err().downcast::<String>().unwrap();
+        })
+        .unwrap_err();
         assert_eq!(text, "one-port violation: node 0 used dims 0b11 in round 0");
     }
 

@@ -16,26 +16,8 @@
 use cubeaddr::NodeId;
 use cubesim::reference::ReferenceNet;
 use cubesim::{CommReport, MachineParams, PortMode, SimNet};
+use cubetest::{catch, Rng};
 use proptest::prelude::*;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-
-/// SplitMix64 so schedules are a pure function of the seed (independent
-/// of which proptest implementation supplies the seed).
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e3779b97f4a7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, span: u64) -> u64 {
-        self.next() % span
-    }
-}
 
 /// One round of a generated schedule: `(src, dim, payload)` sends plus
 /// `(node, elems)` local-copy charges.
@@ -62,7 +44,7 @@ fn legal_schedule(rng: &mut Rng, n: u32, rounds: usize, ports: PortMode) -> Vec<
                     }
                     if rng.below(3) == 0 {
                         let len = 1 + rng.below(4) as usize;
-                        let payload: Vec<u64> = (0..len).map(|_| rng.next()).collect();
+                        let payload: Vec<u64> = (0..len).map(|_| rng.next_u64()).collect();
                         sends.push((NodeId(x), d, payload));
                     }
                 }
@@ -223,7 +205,7 @@ enum Seen {
 fn run_script<N: Net>(mut net: N, ops: &[Op]) -> (Vec<Seen>, Result<CommReport, String>) {
     let mut seen = Vec::new();
     let log = &mut seen;
-    let outcome = catch_unwind(AssertUnwindSafe(move || {
+    let outcome = catch(move || {
         for op in ops {
             match op {
                 Op::Send(src, dim, data) => net.send(NodeId(*src), *dim, data.clone()),
@@ -234,8 +216,8 @@ fn run_script<N: Net>(mut net: N, ops: &[Op]) -> (Vec<Seen>, Result<CommReport, 
             }
         }
         net.finalize_report()
-    }));
-    (seen, outcome.map_err(|e| panic_msg(Err(e)).expect("an Err carries a panic")))
+    });
+    (seen, outcome)
 }
 
 /// Runs a directed case on both nets (all-port 2-cube) and returns the
@@ -249,20 +231,6 @@ fn both(ops: &[Op]) -> (Vec<Seen>, Result<CommReport, String>) {
 
 fn params(ports: PortMode) -> MachineParams {
     MachineParams::intel_ipsc().with_ports(ports)
-}
-
-/// Extracts the panic message out of a `catch_unwind` payload.
-fn panic_msg(result: Result<(), Box<dyn std::any::Any + Send>>) -> Option<String> {
-    match result {
-        Ok(()) => None,
-        Err(e) => Some(match e.downcast::<String>() {
-            Ok(s) => *s,
-            Err(e) => e
-                .downcast::<&str>()
-                .map(|s| s.to_string())
-                .unwrap_or_else(|_| "<non-string panic>".to_string()),
-        }),
-    }
 }
 
 /// The same directed link used in consecutive rounds: the second send
@@ -552,7 +520,7 @@ proptest! {
         record in prop::bool::ANY,
     ) {
         let ports = if one_port { PortMode::OnePort } else { PortMode::AllPorts };
-        let schedule = legal_schedule(&mut Rng(seed), n, rounds, ports);
+        let schedule = legal_schedule(&mut Rng::new(seed), n, rounds, ports);
         let flat = drive(SimNet::<Vec<u64>>::new(n, params(ports)), n, &schedule, record);
         let reference =
             drive(ReferenceNet::<Vec<u64>>::new(n, params(ports)), n, &schedule, record);
@@ -571,7 +539,7 @@ proptest! {
         one_port in prop::bool::ANY,
     ) {
         let ports = if one_port { PortMode::OnePort } else { PortMode::AllPorts };
-        let mut rng = Rng(seed);
+        let mut rng = Rng::new(seed);
         let schedule = legal_schedule(&mut rng, n, rounds, ports);
         let early: Vec<Vec<bool>> = schedule
             .iter()
@@ -600,7 +568,7 @@ proptest! {
         record in prop::bool::ANY,
     ) {
         let ports = if one_port { PortMode::OnePort } else { PortMode::AllPorts };
-        let mut rng = Rng(seed);
+        let mut rng = Rng::new(seed);
         let schedule = legal_schedule(&mut rng, n, rounds, ports);
         let charged: Vec<Vec<bool>> = schedule
             .iter()
@@ -655,7 +623,7 @@ proptest! {
         let ports = if fault == 1 { PortMode::OnePort } else { PortMode::AllPorts };
 
         // A clean random prefix round, then exactly one violation.
-        let prefix = legal_schedule(&mut Rng(seed), n, 1, ports);
+        let prefix = legal_schedule(&mut Rng::new(seed), n, 1, ports);
         let run = |mut net: Box<dyn Net>| {
             for round in &prefix {
                 for (src, dim, payload) in &round.sends {
@@ -706,12 +674,9 @@ proptest! {
 
         let prev = std::panic::take_hook();
         std::panic::set_hook(Box::new(|_| {}));
-        let flat = panic_msg(catch_unwind(AssertUnwindSafe(|| {
-            run(Box::new(SimNet::<Vec<u64>>::new(n, params(ports))))
-        })));
-        let reference = panic_msg(catch_unwind(AssertUnwindSafe(|| {
-            run(Box::new(ReferenceNet::<Vec<u64>>::new(n, params(ports))))
-        })));
+        let flat = catch(|| run(Box::new(SimNet::<Vec<u64>>::new(n, params(ports))))).err();
+        let reference =
+            catch(|| run(Box::new(ReferenceNet::<Vec<u64>>::new(n, params(ports))))).err();
         std::panic::set_hook(prev);
 
         prop_assert!(flat.is_some(), "flat net accepted illegal schedule (fault {fault})");

@@ -36,17 +36,30 @@ cargo fmt --check
 begin "rustdoc (deny warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace -q
 
-begin "lint policy: no new code outside the allowlisted kernel module"
+begin "lint policy: no new code outside the allowlisted kernel module and the test kit's allocator; each test-kit fixture exists once"
 # The workspace denies the corresponding rustc lint ([workspace.lints]);
 # this grep additionally pins the module-level allow carve-outs to
-# crates/core/src/local.rs and the counting allocator of cubecheck's
-# lowering gate (crates/cubecheck/tests/lower_alloc.rs), so a new allow
-# attribute elsewhere fails even before clippy sees it.
+# crates/core/src/local.rs and the test kit's counting allocator
+# (crates/cubetest/src/alloc.rs), so a new allow attribute elsewhere
+# fails even before clippy sees it.
 violations="$(grep -rln 'uns[a]fe' \
     --include='*.rs' crates shims src tests examples 2>/dev/null \
-    | grep -v -e '^crates/core/src/local.rs$' -e '^crates/cubecheck/tests/lower_alloc.rs$' || true)"
+    | grep -v -e '^crates/core/src/local.rs$' -e '^crates/cubetest/src/alloc.rs$' || true)"
 if [ -n "$violations" ]; then
     echo "FAIL: non-allowlisted files mention the denied keyword:" >&2
+    echo "$violations" >&2
+    false
+fi
+# One test kit: the seeded SplitMix64 stream and the counting allocator
+# exist once, in crates/cubetest. Another copy's step constant or
+# allocator impl anywhere else fails. The model checker's schedule
+# scatter (crates/cubesync/src/model/engine.rs) is library code, which a
+# dev-only crate cannot serve.
+violations="$(grep -rliE 'wrapping_add\(0x9e37|uns[a]fe impl GlobalAlloc' \
+    --include='*.rs' crates src tests examples 2>/dev/null \
+    | grep -v -e '^crates/cubetest/' -e '^crates/cubesync/src/model/engine.rs$' || true)"
+if [ -n "$violations" ]; then
+    echo "FAIL: files outside crates/cubetest copy a test-kit fixture:" >&2
     echo "$violations" >&2
     false
 fi
@@ -457,9 +470,11 @@ begin "local-kernels smoke: in-place transpose no slower than scratch gather"
 timeout 300 cargo test --release -q -p cubetranspose --test local_kernels_smoke -- --ignored
 
 begin "allocation gates: no O(mn)-sized scratch in place; fieldmap's exchange and permute_virt allocate nothing node-sized and a constant count, convert_algorithm2 only its outputs and one scratch; run_spmd O(1) per node, MPT at most 1.4 per node and no link-sized table, run_rounds O(1) per run, the SPMD exchange transpose at most 3 per node, the SPMD SPT one node-sized buffer per node"
-# The counting global allocator lives in crates/core/src/local.rs's test
-# module (the one unsafe-allowlisted file). One gate arms it around a
-# warmed in-place transpose and fails on any matrix-sized allocation;
+# The counting global allocator is the test kit's
+# (crates/cubetest/src/alloc.rs), installed once in cubetranspose's
+# unit-test binary; the gates live in crates/core/src/local.rs's test
+# module. One gate arms it around a warmed in-place transpose and fails
+# on any matrix-sized allocation;
 # one counts a fieldmap exchange that sends 16 runs per node as separate
 # messages plus a permute_virt, at 8 and at 64 nodes, and fails on any
 # node-sized allocation or on a count that grows with the nodes (the
@@ -494,7 +509,7 @@ timeout 300 cargo test --release -q -p cubecheck --test perf_smoke -- --ignored 
     planning_and_checking_stay_fast
 
 begin "allocation gate: cubecheck's lower allocates the same few vectors at n = 8 and n = 10, nothing per claim"
-# Its own test binary with a counting global allocator: the claims'
+# Its own test binary with the test kit's counting allocator: the claims'
 # block ids go into one arena, so a Vec per claim (one allocation each
 # of 1 024 and 5 120 claims) fails it.
 cargo test --release -q -p cubecheck --test lower_alloc lowering_allocates_a_constant_count

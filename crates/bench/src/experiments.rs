@@ -45,8 +45,8 @@ fn one_dim_time(m_log: u32, n: u32, policy: BufferPolicy) -> f64 {
     let params = MachineParams::intel_ipsc();
     let (before, after) = one_dim_pair(m_log, n);
     let m = verify::labels(before);
-    let mut net: SimNet<Vec<u64>> = SimNet::new(n, params);
-    let _ = cubetranspose::transpose_stepwise(&m, &after, &mut net, policy);
+    let mut net = SimNet::new(n, params);
+    let _ = cubetranspose::transpose_1d_exchange(&m, &after, &mut net, policy);
     net.finalize().time
 }
 

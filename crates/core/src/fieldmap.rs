@@ -350,7 +350,11 @@ impl<'a, T: Copy> MappedMatrix<'a, T> {
     #[track_caller]
     fn apply_virt_perm(&mut self, perm: &[u32]) -> bool {
         let vp = self.map.vp();
-        assert_eq!(perm.len() as u32, vp);
+        assert!(
+            perm.len() as u32 == vp,
+            "permutation of {} virtual positions: the map has {vp} virtual dimensions",
+            perm.len()
+        );
         // vp ≤ MAX_DIMS < 64: one bit per position.
         let seen = perm.iter().fold(0u64, |seen, &jo| seen | 1u64.checked_shl(jo).unwrap_or(0));
         assert!(
@@ -824,6 +828,14 @@ mod tests {
     #[should_panic(expected = "[1, 1] is not a permutation of the 2 virtual positions")]
     fn permute_virt_rejects_a_non_permutation() {
         label_mapped(map_2_2()).permute_virt(&mut unit_net(2), &[1, 1]);
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "permutation of 3 virtual positions: the map has 2 virtual dimensions"
+    )]
+    fn permute_virt_rejects_a_permutation_of_another_length() {
+        label_mapped(map_2_2()).permute_virt(&mut unit_net(2), &[0, 1, 2]);
     }
 
     #[test]

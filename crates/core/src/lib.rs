@@ -53,7 +53,7 @@ pub mod verify;
 
 pub use driver::{execute, plan, Choice};
 pub use fieldmap::{FieldMap, MappedMatrix};
-pub use one_dim::{transpose_1d_exchange, transpose_1d_sbnt, transpose_stepwise};
+pub use one_dim::{transpose_1d_exchange, transpose_1d_sbnt};
 pub use relayout::relayout;
 pub use two_dim::{transpose_dpt, transpose_mpt, transpose_spt, transpose_spt_stepwise};
 

@@ -1,19 +1,17 @@
 //! Transposition drivers for distributed matrices (§5 and the generic
 //! `I = ∅` cases).
 //!
-//! Three interchangeable engines, all moving real data under the cost
+//! Two interchangeable engines, both moving real data under the cost
 //! model:
 //!
 //! * [`transpose_1d_exchange`] — the standard exchange algorithm on
 //!   node-pair blocks (works for *any* pair of layouts, including
-//!   Gray-encoded ones), with the §8.1 buffering policies;
+//!   Gray-encoded ones), with the §8.1 buffering policies: on a
+//!   consecutive-rows pair its time is exactly `cubemodel::one_dim`'s;
 //! * [`transpose_1d_sbnt`] — n-port spanning-balanced-n-tree routing of
-//!   the same blocks;
-//! * [`transpose_stepwise`] — the field-map engine
-//!   ([`crate::fieldmap`]): for binary layouts, executes the general
-//!   exchange algorithm with exact §8.1 memory-run modeling.
+//!   the same blocks.
 //!
-//! The two block engines (and [`crate::relayout()`]) move values only, as
+//! Both engines (and [`crate::relayout()`]) move values only, as
 //! the paper does: a block's local addresses at both ends follow from the
 //! separable placement tables ([`BlockMoves`]), "implicitly by indirect
 //! addressing". Each one plans the blocks with `cubecomm::plan`, runs
@@ -25,7 +23,7 @@
 //! (which `cubelayout`'s proptests check against the per-element
 //! enumeration).
 
-use crate::fieldmap::{FieldMap, MappedMatrix};
+use crate::fieldmap::FieldMap;
 use cubecomm::exchange::BufferPolicy;
 use cubecomm::exec;
 use cubecomm::plan::{exchange_plan, sbnt_plan, BlockMeta, CommSchedule};
@@ -197,85 +195,6 @@ pub fn fieldmap_after(spec: &TransposeSpec) -> FieldMap {
     let real = (0..after_map.n()).map(|i| conv(after_map.real_dim(i))).collect();
     let virt = (0..after_map.vp()).map(|j| conv(after_map.virt_dim(j))).collect();
     FieldMap::new(real, virt)
-}
-
-/// Transposes `m` into layout `after` with the field-map engine: the
-/// standard exchange algorithm on the *blocked array* storage order of
-/// §5/§8.1. Binary layouts only.
-///
-/// The local array is first (freely) viewed in blocked order — the
-/// dimensions about to become real processor bits occupy the top of the
-/// local address, so exchange step `k` sends exactly `2^k` memory chunks,
-/// reproducing the paper's unbuffered/buffered start-up counts. The final
-/// local array is re-interpreted in `after`'s order ("implicitly by
-/// indirect addressing"), without charge; the interprocessor cost is
-/// exactly `cubemodel::one_dim`'s expressions.
-///
-/// Falls back to the greedy general-exchange plan when the spec also
-/// requires real/real swaps (`I ≠ ∅` cases).
-pub fn transpose_stepwise<T: Copy + Default + Send + Sync>(
-    m: &DistMatrix<T>,
-    after: &Layout,
-    net: &mut SimNet<Vec<T>>,
-    policy: BufferPolicy,
-) -> DistMatrix<T> {
-    let spec = TransposeSpec::with_after(m.layout().clone(), after.clone());
-    let start = FieldMap::from_layout(&spec.before);
-    let target = fieldmap_after(&spec);
-    let mut mapped = MappedMatrix::from_dist(start.clone(), m);
-
-    // The (real position, dimension) pairs that must be brought in from
-    // the virtual side, in descending real-position order (the standard
-    // exchange scans from the highest-order dimension).
-    let mut incoming: Vec<(u32, u32)> = Vec::new();
-    let mut any_real_real = false;
-    for i in (0..target.n()).rev() {
-        let want = target.real_dim(i);
-        match start.locate(want) {
-            crate::fieldmap::Role::Real(cur) if cur == i => {}
-            crate::fieldmap::Role::Real(_) => any_real_real = true,
-            crate::fieldmap::Role::Virt(_) => incoming.push((i, want)),
-        }
-    }
-
-    if any_real_real {
-        // Mixed case: use the generic plan.
-        mapped.rearrange_to(net, &target, policy);
-        return DistMatrix::from_buffers(after.clone(), mapped.into_buffers());
-    }
-
-    // Free relabel into blocked order: the k-th incoming dimension goes to
-    // virtual position vp-1-k; the remaining virtual dims keep their
-    // relative order below.
-    let vp = start.vp();
-    let mut perm: Vec<u32> = Vec::with_capacity(vp as usize);
-    let in_set: std::collections::HashSet<u32> = incoming.iter().map(|&(_, d)| d).collect();
-    let keep: Vec<u32> = (0..vp).filter(|&j| !in_set.contains(&mapped.map().virt_dim(j))).collect();
-    perm.extend(&keep);
-    for (_, d) in incoming.iter().rev() {
-        match mapped.map().locate(*d) {
-            crate::fieldmap::Role::Virt(j) => perm.push(j),
-            crate::fieldmap::Role::Real(_) => unreachable!(),
-        }
-    }
-    mapped.relabel_virt(&perm);
-
-    // Exchange steps: step k pairs the k-th real position with the k-th
-    // virtual position from the top, so the outgoing data forms 2^k runs.
-    for (k, &(i, _)) in incoming.iter().enumerate() {
-        mapped.exchange_real_virt(net, i, vp - 1 - k as u32, policy);
-    }
-
-    // Final free relabel into the after layout's local order.
-    let final_perm: Vec<u32> = (0..target.vp())
-        .map(|jn| match mapped.map().locate(target.virt_dim(jn)) {
-            crate::fieldmap::Role::Virt(jo) => jo,
-            crate::fieldmap::Role::Real(_) => unreachable!("real roles already fixed"),
-        })
-        .collect();
-    mapped.relabel_virt(&final_perm);
-    debug_assert_eq!(mapped.map(), &target);
-    DistMatrix::from_buffers(after.clone(), mapped.into_buffers())
 }
 
 #[cfg(test)]
@@ -488,45 +407,28 @@ mod tests {
     }
 
     #[test]
-    fn stepwise_agrees_with_block_exchange() {
-        let (p, q, n) = (3, 3, 2);
-        let (before, after) = canonical_1d(p, q, n);
-        let m = labels(before.clone());
-        let mut net_a = SimNet::new(n, MachineParams::unit(PortMode::OnePort));
-        let a = transpose_1d_exchange(&m, &after, &mut net_a, BufferPolicy::Ideal);
-        let mut net_b: SimNet<Vec<u64>> = SimNet::new(n, MachineParams::unit(PortMode::OnePort));
-        let b = transpose_stepwise(&m, &after, &mut net_b, BufferPolicy::Ideal);
-        assert_transposed(&before, &b);
-        assert_eq!(a, b);
-        // Same communication totals for the ideal policy.
-        let (ra, rb) = (net_a.finalize(), net_b.finalize());
-        assert_eq!(ra.total_elems, rb.total_elems);
-        assert_eq!(ra.time, rb.time);
-    }
-
-    #[test]
-    fn stepwise_unbuffered_matches_section81_model() {
+    fn exchange_unbuffered_matches_section81_model() {
         let (p, q, n) = (4, 4, 3);
         let (before, after) = canonical_1d(p, q, n);
         let m = labels(before.clone());
         let params = MachineParams::unit(PortMode::OnePort).with_max_packet(8);
-        let mut net: SimNet<Vec<u64>> = SimNet::new(n, params.clone());
-        let _ = transpose_stepwise(&m, &after, &mut net, BufferPolicy::Unbuffered);
+        let mut net = SimNet::new(n, params.clone());
+        let _ = transpose_1d_exchange(&m, &after, &mut net, BufferPolicy::Unbuffered);
         let r = net.finalize();
         let expect = cubemodel::one_dim::unbuffered(1 << (p + q), n, &params);
         assert!((r.time - expect).abs() < 1e-9, "simulated {} vs model {expect}", r.time);
     }
 
     #[test]
-    fn stepwise_buffered_matches_section81_model() {
+    fn exchange_buffered_matches_section81_model() {
         let (p, q, n) = (4, 4, 3);
         let (before, after) = canonical_1d(p, q, n);
         let m = labels(before.clone());
         let params = MachineParams::unit(PortMode::OnePort).with_max_packet(8).with_t_copy(0.25);
         for min_direct in [1usize, 4, 16, 64] {
-            let mut net: SimNet<Vec<u64>> = SimNet::new(n, params.clone());
+            let mut net = SimNet::new(n, params.clone());
             let out =
-                transpose_stepwise(&m, &after, &mut net, BufferPolicy::Buffered { min_direct });
+                transpose_1d_exchange(&m, &after, &mut net, BufferPolicy::Buffered { min_direct });
             assert_transposed(&before, &out);
             let r = net.finalize();
             let expect = cubemodel::one_dim::buffered(1 << (p + q), n, &params, min_direct);

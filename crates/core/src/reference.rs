@@ -177,7 +177,11 @@ impl<T: Copy> RefMappedMatrix<T> {
     #[track_caller]
     fn apply_virt_perm(&mut self, perm: &[u32]) -> bool {
         let vp = self.map.vp();
-        assert_eq!(perm.len() as u32, vp);
+        assert!(
+            perm.len() as u32 == vp,
+            "permutation of {} virtual positions: the map has {vp} virtual dimensions",
+            perm.len()
+        );
         let per = 1usize << vp;
         if perm.iter().enumerate().all(|(j, &p)| j as u32 == p) {
             return false;

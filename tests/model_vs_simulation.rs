@@ -159,8 +159,9 @@ fn section81_ipsc_exact() {
             let m = verify::labels(before.clone());
             let pq = 1u64 << pq_log;
 
-            let mut net: SimNet<Vec<u64>> = SimNet::new(n, params.clone());
-            let _ = transpose::transpose_stepwise(&m, &after, &mut net, BufferPolicy::Unbuffered);
+            let mut net = SimNet::new(n, params.clone());
+            let _ =
+                transpose::transpose_1d_exchange(&m, &after, &mut net, BufferPolicy::Unbuffered);
             let r = net.finalize();
             let expect = model::one_dim::unbuffered(pq, n, &params);
             assert!(
@@ -169,8 +170,8 @@ fn section81_ipsc_exact() {
                 r.time
             );
 
-            let mut net: SimNet<Vec<u64>> = SimNet::new(n, params.clone());
-            let _ = transpose::transpose_stepwise(
+            let mut net = SimNet::new(n, params.clone());
+            let _ = transpose::transpose_1d_exchange(
                 &m,
                 &after,
                 &mut net,

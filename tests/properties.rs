@@ -177,18 +177,18 @@ proptest! {
         }
     }
 
-    /// Double transpose through the stepwise engine is the identity for
-    /// random binary layouts.
+    /// Double transpose through the standard exchange is the identity
+    /// for random binary layouts.
     #[test]
-    fn stepwise_involution(p in 1u32..4, q in 1u32..4, n_raw in 1u32..3) {
+    fn exchange_involution(p in 1u32..4, q in 1u32..4, n_raw in 1u32..3) {
         let n = n_raw.min(p).min(q);
         let before = Layout::one_dim(p, q, Direction::Rows, n, Assignment::Consecutive, Encoding::Binary);
         let after = Layout::one_dim(q, p, Direction::Rows, n, Assignment::Consecutive, Encoding::Binary);
         let m = verify::labels(before.clone());
-        let mut net1: SimNet<Vec<u64>> = SimNet::new(n, MachineParams::unit(PortMode::OnePort));
-        let t = transpose::transpose_stepwise(&m, &after, &mut net1, BufferPolicy::Ideal);
-        let mut net2: SimNet<Vec<u64>> = SimNet::new(n, MachineParams::unit(PortMode::OnePort));
-        let back = transpose::transpose_stepwise(&t, &before, &mut net2, BufferPolicy::Ideal);
+        let mut net1 = SimNet::new(n, MachineParams::unit(PortMode::OnePort));
+        let t = transpose::transpose_1d_exchange(&m, &after, &mut net1, BufferPolicy::Ideal);
+        let mut net2 = SimNet::new(n, MachineParams::unit(PortMode::OnePort));
+        let back = transpose::transpose_1d_exchange(&t, &before, &mut net2, BufferPolicy::Ideal);
         prop_assert_eq!(m, back);
     }
 }

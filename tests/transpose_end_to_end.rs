@@ -11,7 +11,8 @@ fn unit(ports: PortMode) -> MachineParams {
     MachineParams::unit(ports)
 }
 
-/// The three 1D engines and the SPMD runtime agree element-for-element.
+/// The two 1D engines (the exchange under two send policies) and the
+/// SPMD runtime agree element-for-element.
 #[test]
 fn all_one_dim_engines_agree() {
     let before =
@@ -26,8 +27,8 @@ fn all_one_dim_engines_agree() {
     let mut net2 = SimNet::new(3, unit(PortMode::AllPorts));
     let b = transpose::transpose_1d_sbnt(&m, &after, &mut net2);
 
-    let mut net3: SimNet<Vec<u64>> = SimNet::new(3, unit(PortMode::OnePort));
-    let c = transpose::transpose_stepwise(&m, &after, &mut net3, BufferPolicy::Ideal);
+    let mut net3 = SimNet::new(3, unit(PortMode::OnePort));
+    let c = transpose::transpose_1d_exchange(&m, &after, &mut net3, BufferPolicy::Unbuffered);
 
     let (d, _) = transpose::spmd::spmd_transpose_exchange(&m, &after);
 

@@ -404,6 +404,9 @@ mod alloc_gate_tests {
             self.on_worker.fetch_max(self.count.so_far(), Ordering::Relaxed);
             out
         }
+        fn exchange_dim(&self, round: u32) -> Option<u32> {
+            self.program.exchange_dim(round)
+        }
     }
 
     /// `cm16-2d-mpt` at reduced size — one element per node, 256 nodes,
@@ -500,9 +503,10 @@ mod alloc_gate_tests {
     /// vectors and the worker thread — nothing per node and nothing per
     /// message, since a `u64` state is not boxed and the one message
     /// pending per node sits inline in its inbox. So the bound is a
-    /// constant, not a multiple of `nodes × rounds`. Counted as in the
-    /// gate above: on this thread, and on the worker from the first
-    /// `init` (its inboxes exist by then) to the last `finish`.
+    /// constant, not a multiple of `nodes × rounds` (measured 11).
+    /// Counted as in the gate above: on this thread, and on the worker
+    /// from the first `init` (its inboxes, allocated at the first
+    /// undeclared round, are counted) to the last `finish`.
     #[test]
     fn round_exchange_allocates_a_constant() {
         struct AllDims(u32);
@@ -545,7 +549,8 @@ mod alloc_gate_tests {
 
     /// `cm16-spmd-exchange` at n = 10 — `spmd_transpose_exchange` of a
     /// square layout with one element per node, at one worker — makes
-    /// at most 2.25 allocations per node (measured 2.21): each node's
+    /// at most 2.25 allocations per node (measured 2.21, on the declared
+    /// rounds' slots as on the tagged inboxes before): each node's
     /// output buffer (1), a vector where two lone elements merge or two
     /// vectors outgrow one (0.72), and a message vector where a split
     /// sends two or more elements (0.47). A lone element, held, sent or

@@ -166,6 +166,11 @@ impl<T: Copy + Default + Send + Sync> RoundProgram<Holding<T>> for ExchangeRound
         };
     }
 
+    /// Round `r` is an exchange on dimension `n − 1 − r`.
+    fn exchange_dim(&self, round: u32) -> Option<u32> {
+        Some(self.n - 1 - round)
+    }
+
     /// Lands the node's elements in place: sorted by tag they must be
     /// exactly `me << lg .. (me + 1) << lg`, checked in one pass that
     /// tells a stranded, a duplicate and a missing element apart. A node
@@ -464,12 +469,15 @@ mod tests {
     /// that node sent in that round — its holding before its send step
     /// less what it kept. `seen` counts the [`TRANSITIONS`] by length: a
     /// receive reads its message's length from the partner's entry,
-    /// written before the worker posted the message, and the door's
-    /// hand-off of the batch orders that relaxed write before the relaxed
-    /// read. Every step checks that a holding is in a vector exactly when
-    /// it holds two or more.
+    /// written on the same worker or before the partner's worker posted
+    /// the message, whose hand-off orders that relaxed write before the
+    /// relaxed read. Every step checks that a holding is in a vector
+    /// exactly when it holds two or more. With `declared` false the
+    /// program's [`RoundProgram::exchange_dim`] is hidden, so the door
+    /// runs every round tagged.
     struct Logged<'a, P> {
         program: P,
+        declared: bool,
         nodes: usize,
         sent: &'a [AtomicUsize],
         seen: &'a Seen,
@@ -531,6 +539,10 @@ mod tests {
         fn finish(&self, id: NodeId, held: M) -> P::Out {
             self.program.finish(id, held)
         }
+
+        fn exchange_dim(&self, round: u32) -> Option<u32> {
+            self.program.exchange_dim(round).filter(|_| self.declared)
+        }
     }
 
     /// One side of the differential test: the outputs of every node of
@@ -538,14 +550,21 @@ mod tests {
     type Side = Result<(Vec<Vec<u64>>, u64, Vec<usize>), String>;
 
     /// Runs `program` on the `n`-cube at `workers` workers with its
-    /// sends logged, counting its transitions into `seen`.
-    fn run_logged<M: Held + Send, P>(n: u32, program: P, workers: usize, seen: &Seen) -> Side
+    /// sends logged, counting its transitions into `seen`; `declared`
+    /// false hides its declared rounds.
+    fn run_logged<M: Held + Send, P>(
+        n: u32,
+        program: P,
+        declared: bool,
+        workers: usize,
+        seen: &Seen,
+    ) -> Side
     where
         P: RoundProgram<M, State = M, Out = Vec<u64>>,
     {
         let nodes = 1usize << n;
         let sent: Vec<AtomicUsize> = (0..nodes * n as usize).map(|_| AtomicUsize::new(0)).collect();
-        let logged = Logged { program, nodes, sent: &sent, seen };
+        let logged = Logged { program, declared, nodes, sent: &sent, seen };
         let (outs, stats) =
             cubetest::catch(|| cuberun::with_workers(workers, || run_rounds(n, &logged)))?;
         Ok((outs, stats.messages, sent.iter().map(|s| s.load(Ordering::Relaxed)).collect()))
@@ -579,7 +598,7 @@ mod tests {
         let per_after = after.elems_per_node();
         let triples = oracle::ExchangeRounds { n, per_after, after_nodes, initial: &initial };
         let unseen = Default::default();
-        [run_logged(n, tagged, workers, seen), run_logged(n, triples, workers, &unseen)]
+        [run_logged(n, tagged, true, workers, seen), run_logged(n, triples, true, workers, &unseen)]
     }
 
     /// Layout pairs for the differential test: binary and Gray, one- and
@@ -645,13 +664,7 @@ mod tests {
             assert_eq!(tagged, triples, "{case}: swapped tags");
             // Seeded corruptions, at one worker so the first node to fail
             // is the lowest: both programs must fail with the same text.
-            let lg = after.elems_per_node().trailing_zeros();
-            let at = |tag: u64| tags.iter().position(|&t| t == tag).expect("every slot has a tag");
-            let mut duplicate = tags.clone();
-            duplicate[at(1)] = 0;
-            let mut stranded = tags.clone();
-            stranded[at(1)] |= 1 << (lg + n);
-            for (what, bad) in [("duplicate", duplicate), ("stranded", stranded)] {
+            for (what, bad) in corruptions(&tags, &after, n) {
                 let [tagged, triples] = both_sides(&m, &after, &bad, 1, &seen);
                 let text = tagged.expect_err(&format!("{case}: the {what} element went through"));
                 assert!(text.contains(what), "{case}: {text}");
@@ -660,6 +673,48 @@ mod tests {
         }
         for (what, count) in TRANSITIONS.iter().zip(&seen) {
             assert!(count.load(Ordering::Relaxed) > 0, "no pair reaches {what}");
+        }
+    }
+
+    /// The tag table with one element retargeted to another's slot
+    /// ("duplicate") and with one sent off the `n`-cube ("stranded").
+    fn corruptions(tags: &[u64], after: &Layout, n: u32) -> [(&'static str, Vec<u64>); 2] {
+        let lg = after.elems_per_node().trailing_zeros();
+        let at = |tag: u64| tags.iter().position(|&t| t == tag).expect("every slot has a tag");
+        let mut duplicate = tags.to_vec();
+        duplicate[at(1)] = 0;
+        let mut stranded = tags.to_vec();
+        stranded[at(1)] |= 1 << (lg + n);
+        [("duplicate", duplicate), ("stranded", stranded)]
+    }
+
+    /// A declared round runs on slots, and without a batch where every
+    /// pair is at home: on every differential pair, clean and corrupted,
+    /// at 1, 2 and 5 workers, the program must give what it gives with its
+    /// declaration hidden — outputs, messages and send log, or the panic
+    /// text.
+    #[test]
+    fn declared_rounds_match_the_tagged_door() {
+        let unseen = Seen::default();
+        for (before, after) in differential_pairs() {
+            let m = labels(before.clone());
+            let spec = TransposeSpec::with_after(before.clone(), after.clone());
+            let tags = exchange_tags(&spec);
+            let n = before.n().max(after.n());
+            let (lg, after_nodes) =
+                (after.elems_per_node().trailing_zeros(), after.num_nodes() as u64);
+            let case = format!("{before:?} -> {after:?}");
+            let tables = [("clean", tags.clone())].into_iter().chain(corruptions(&tags, &after, n));
+            for (what, table) in tables {
+                for workers in [1, 2, 5] {
+                    let [declared, hidden] = [true, false].map(|declared| {
+                        let program = ExchangeRounds { n, lg, after_nodes, tags: &table, m: &m };
+                        run_logged(n, program, declared, workers, &unseen)
+                    });
+                    assert_eq!(declared.is_ok(), what == "clean", "{case}: {what}");
+                    assert_eq!(declared, hidden, "{case}: {what} at {workers} workers");
+                }
+            }
         }
     }
 
@@ -675,6 +730,21 @@ mod tests {
         let text = caught.expect_err("node 5 held an element");
         assert!(text.contains("element for 1 stranded at 5"), "{text}");
         program.finish(NodeId(5), Holding::None);
+    }
+
+    /// At two workers on the 10-cube only round 0's dimension, the top
+    /// one, crosses the two home ranges. Every other round is declared
+    /// with its pairs at home and skips the batch, so the workers meet
+    /// once and at most one of them blocks.
+    #[test]
+    fn exchange_at_two_workers_blocks_at_most_once() {
+        let before = Layout::square(5, 5, 5, Assignment::Consecutive, Encoding::Binary);
+        let m = labels(before.clone());
+        let (out, stats) =
+            cuberun::with_workers(2, || spmd_transpose_exchange(&m, &before.swapped_shape()));
+        assert_transposed(&before, &out);
+        assert_eq!(stats.messages, 1024 * 10);
+        assert!(stats.parks <= 1 && stats.wakes <= stats.parks, "{stats:?}");
     }
 
     /// `after` on a smaller cube than `m`'s layout: the program runs on

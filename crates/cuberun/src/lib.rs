@@ -41,7 +41,9 @@
 //!   the paper's real processor looping over the virtual processors it
 //!   hosts. Nothing is boxed, spawned or suspended. Use it when every
 //!   node knows the schedule in advance, as in §5's "for j := n−1
-//!   downto 0: exchange on dimension j".
+//!   downto 0: exchange on dimension j". A program may declare such a
+//!   round ([`RoundProgram::exchange_dim`]); the door then runs it on a
+//!   slot per node, and without a batch where every pair is at home.
 //!
 //! See [`rounds`]' module docs for the worker loop and its batch
 //! protocol, and [`runtime`]'s for the sweep rule.

@@ -9,8 +9,9 @@
 //! 1. **run** — its home nodes do their work. A message for a home node
 //!    is moved straight into that node's inbox (`(port, message)`
 //!    entries in arrival order, so taking the oldest entry of a port is
-//!    per-link FIFO); a message for another worker's node is appended
-//!    to the batch for that worker.
+//!    per-link FIFO; in a declared round, into its slot — see below); a
+//!    message for another worker's node is appended to the batch for
+//!    that worker.
 //! 2. **post** — pushes *one batch per other active worker, also when
 //!    it is empty*, tagged with the step and headed by a small
 //!    header, into that worker's mailbox under its lock, and notifies
@@ -18,6 +19,8 @@
 //! 3. **collect** — waits on its own mailbox until the batches of this
 //!    step from all other active workers are there, takes them out and
 //!    moves their messages into the inboxes in arrival order.
+//!
+//! A declared round whose pairs are all at home skips post and collect.
 //!
 //! The two doors differ only in what "run" is:
 //!
@@ -36,16 +39,35 @@
 //!   are deadlocked (see the runtime module).
 //!
 //! The parts of the workers concatenate in node order. A worker blocks
-//! at most once per step.
+//! at most once per step, and never in a step that skips post and
+//! collect.
 //!
-//! # One step ahead, never two
+//! # Declared rounds
 //!
-//! A worker posts its batches of step `s + 1` only after it collected
+//! A round program may declare a round an exchange on dimension `j`
+//! ([`RoundProgram::exchange_dim`]), as §5's "for j := n−1 downto 0"
+//! is: every node sends at most one message, to its partner
+//! `x ^ 1 << j`. Such a round runs on one slot per home node instead of
+//! the inboxes. A send to a partner at home writes the partner's slot;
+//! a send to another worker's node goes into the batch for that worker,
+//! and collect lands the batch in the slots. A message its receiver
+//! leaves in its slot moves to that node's inbox, where a later round
+//! finds it. When the home ranges are whole blocks of `2 << j` nodes,
+//! every pair is at home on every worker, nothing crosses, and the round
+//! skips post and collect. Every worker has the same ranges, so all skip
+//! the same rounds. The round door allocates the inboxes at the first
+//! round that needs them — an undeclared round or an unread message —
+//! so a run of declared rounds whose receivers take every message never
+//! allocates them.
+//!
+//! # One posting step ahead, never two
+//!
+//! A worker posts its batches of a later step only after it collected
 //! step `s`, which needs *our* batch of step `s`; so while we wait in
-//! step `s` a mailbox can hold batches of `s` and of `s + 1`, nothing
-//! later. A batch of `s + 1` stays in the mailbox until its step: were
-//! it delivered early, a `take` in step `s` could see a message of step
-//! `s + 1` or not, by timing.
+//! step `s` a mailbox can hold batches of `s` and of the next step that
+//! posts, nothing more. A later batch stays in the mailbox until its
+//! step: were it delivered early, a `take` in step `s` could see a
+//! message of a later step or not, by timing.
 //!
 //! # What cannot hang
 //!
@@ -54,15 +76,18 @@
 //! the door: a `recv` step that finds nothing where it expects a
 //! message sees `None` at once (and should panic naming round, node and
 //! dim), and messages nobody took are reported when the run ends. A
+//! declared round's contract is checked at the send that breaks it. A
 //! panic in any step is caught once per worker, ends the run for the
 //! others (a `done` flag stored before every mailbox is locked and
 //! notified, so a waiter either reads it under its lock or is woken),
-//! and is re-raised from the door with its original payload. The
-//! mailbox wait ticks; a worker that saw no batch arrive for the stall
-//! timeout panics with a report naming itself, its node range, the step
-//! and the workers it waits for — a step that never returns. Liveness
-//! does not rest on the tick: the `cubesync` model suite runs both
-//! doors with a wait that never times out.
+//! and is re-raised from the door with its original payload. A worker
+//! in a run of rounds that skip post and collect does bounded work, then
+//! ends or reaches its next collect, which sees `done`. The mailbox wait
+//! ticks; a worker that saw no batch arrive for the stall timeout panics
+//! with a report naming itself, its node range, the step and the workers
+//! it waits for — a step that never returns. Liveness does not rest on
+//! the tick: the `cubesync` model suite runs both doors with a wait that
+//! never times out.
 //!
 //! # Determinism
 //!
@@ -113,12 +138,30 @@ pub trait RoundProgram<T>: Sync {
 
     /// Node `id`'s result, after the last round.
     fn finish(&self, id: NodeId, state: Self::State) -> Self::Out;
+
+    /// `Some(j)` declares `round` an exchange on dimension `j`: every
+    /// node sends at most one message, on `j`, to its partner
+    /// `x ^ 1 << j`, and takes it from `j`. The door then runs the round
+    /// on a slot per node, with no port tag and, when every pair is at
+    /// home on its worker, no batch (see the module docs). A program
+    /// sees what it would see undeclared. Legal on the cube only; the
+    /// default declares nothing.
+    ///
+    /// # Panics
+    /// A declared round panics at a send on another port or a second
+    /// send, naming the round, the node and the ports; [`run_rounds_on`]
+    /// panics if a program declares a round on another topology.
+    fn exchange_dim(&self, _round: u32) -> Option<u32> {
+        None
+    }
 }
 
 /// The sending half of a node's ports, handed to [`RoundProgram::send`].
 pub struct Outbox<'a, T> {
     lane: &'a mut Lane<T>,
     id: NodeId,
+    /// Whether the node has sent in this declared round.
+    sent: bool,
 }
 
 impl<T> Outbox<'_, T> {
@@ -129,29 +172,74 @@ impl<T> Outbox<'_, T> {
     ///
     /// # Panics
     /// With the link diagnostic of [`crate::NodeCtx::send`] if `port` is
-    /// out of range or unwired on this topology.
+    /// out of range or unwired on this topology; in a declared round, if
+    /// `port` is not its dimension or the node sent before.
+    #[inline]
     #[track_caller]
     pub fn send(&mut self, port: u32, msg: T) {
+        match self.lane.declared {
+            Some(j) if j == port && !self.sent => {
+                self.sent = true;
+                self.lane.send_declared(self.id.index(), j, msg);
+            }
+            Some(j) => self.breach(port, j),
+            None => self.send_tagged(port, msg),
+        }
+    }
+
+    #[track_caller]
+    fn send_tagged(&mut self, port: u32, msg: T) {
         let lane = &mut *self.lane;
         let peer = wired_neighbor(&lane.topo, self.id, port, "send");
         let back =
             lane.topo.reverse_port(self.id.bits(), port).expect("a wired link has a reverse port");
         lane.send(peer as usize, back, msg);
     }
+
+    /// The panic of a send that breaks the round's declaration.
+    #[cold]
+    #[inline(never)]
+    fn breach(&self, port: u32, j: u32) -> ! {
+        let (round, id) = (self.lane.round, self.id);
+        if port == j {
+            panic!("round {round}: node {id} sent a second message on dim {j}, declared one");
+        }
+        panic!("round {round}: node {id} sent on dim {port}, but the round is declared on dim {j}");
+    }
 }
 
 /// The receiving half of a node's ports, handed to
 /// [`RoundProgram::recv`].
 pub struct RoundInbox<'a, T> {
-    inbox: &'a mut Inbox<T>,
+    /// In a declared round: its dimension and the node's slot.
+    slot: Option<(u32, &'a mut Option<T>)>,
+    /// The node's tagged inbox; `None` while the inboxes are not
+    /// allocated.
+    inbox: Option<&'a mut Inbox<T>>,
 }
 
 impl<T> RoundInbox<'_, T> {
     /// Takes the oldest message that arrived on `port`, or `None` if
     /// nothing sent so far is pending there — the round's sends are all
     /// in, so `None` means nobody sent it.
+    #[inline]
     pub fn take(&mut self, port: u32) -> Option<T> {
-        self.inbox.take(port)
+        match &mut self.slot {
+            // Nothing older is pending, so the slot holds the oldest.
+            Some((j, slot)) if *j == port && self.inbox.as_ref().is_none_or(|i| i.is_empty()) => {
+                slot.take()
+            }
+            _ => self.take_tagged(port),
+        }
+    }
+
+    /// The oldest message on `port` in the tagged inbox, else the slot's.
+    fn take_tagged(&mut self, port: u32) -> Option<T> {
+        let older = self.inbox.as_mut().and_then(|inbox| inbox.take(port));
+        older.or_else(|| match &mut self.slot {
+            Some((j, slot)) if *j == port => slot.take(),
+            _ => None,
+        })
     }
 }
 
@@ -209,8 +297,15 @@ pub(crate) struct Lane<T> {
     homes: Homes,
     /// The node ids at home here.
     pub(crate) home: Range<usize>,
-    /// One per home node.
+    /// One per home node; empty until [`Lane::open_inboxes`].
     pub(crate) inboxes: Vec<Inbox<T>>,
+    /// One per home node from the first declared round on: what its
+    /// partner sent it in the declared round under way.
+    slots: Vec<Option<T>>,
+    /// The round under way, and its declared dimension. Always `None`
+    /// on the async door.
+    round: u32,
+    declared: Option<u32>,
     /// The batch being filled for each worker (this one's stays empty).
     outgoing: Vec<Vec<(u32, u32, T)>>,
     /// Home nodes (by index in the home range) a delivery on the port
@@ -225,14 +320,53 @@ pub(crate) struct Lane<T> {
 }
 
 impl<T> Lane<T> {
+    /// Allocates the home nodes' inboxes, unless they are.
+    pub(crate) fn open_inboxes(&mut self) {
+        if self.inboxes.is_empty() {
+            self.inboxes = self.home.clone().map(|_| Inbox::new()).collect();
+        }
+    }
+
     /// Sends `msg` to node `peer`, arriving on its port `port`: a move
     /// into its inbox if it lives here, else into the batch for its
     /// worker.
     pub(crate) fn send(&mut self, peer: usize, port: u32, msg: T) {
         self.messages += 1;
-        match peer.checked_sub(self.home.start).filter(|&at| at < self.inboxes.len()) {
+        match peer.checked_sub(self.home.start).filter(|&at| at < self.home.len()) {
             Some(at) => self.deliver(at, port, msg),
             None => self.outgoing[self.homes.worker_of(peer)].push((peer as u32, port, msg)),
+        }
+    }
+
+    /// Node `from`'s send of a round declared on dimension `j`: into its
+    /// partner's slot if the partner lives here, else into the batch for
+    /// the partner's worker.
+    #[inline]
+    fn send_declared(&mut self, from: usize, j: u32, msg: T) {
+        self.messages += 1;
+        let peer = from ^ 1 << j;
+        match peer.checked_sub(self.home.start).and_then(|at| self.slots.get_mut(at)) {
+            Some(slot) => *slot = Some(msg),
+            None => self.outgoing[self.homes.worker_of(peer)].push((peer as u32, j, msg)),
+        }
+    }
+
+    /// Lands a collected message for home node `at`: in its slot in a
+    /// declared round, else in its inbox.
+    fn land(&mut self, at: usize, port: u32, msg: T) {
+        match self.declared {
+            Some(_) => self.slots[at] = Some(msg),
+            None => self.deliver(at, port, msg),
+        }
+    }
+
+    /// Moves what home node `at` left in its slot to its inbox, where a
+    /// later round's `take` finds it after anything older on the link.
+    #[cold]
+    fn keep_unread(&mut self, at: usize, j: u32) {
+        self.open_inboxes();
+        if let Some(msg) = self.slots[at].take() {
+            self.inboxes[at].push(j, msg);
         }
     }
 
@@ -324,7 +458,8 @@ impl<T> Pool<T> {
     }
 
     /// Waits for the batch of `step` from every other active worker,
-    /// moves their messages into `lane`'s inboxes in arrival order and
+    /// lands their messages in `lane`'s inboxes (its slots, in a
+    /// declared round) in arrival order and
     /// returns the sum of their headers; `None` if the run was cut
     /// short.
     pub(crate) fn collect(&self, me: usize, lane: &mut Lane<T>, step: u32) -> Option<Header> {
@@ -366,7 +501,7 @@ impl<T> Pool<T> {
         for batch in due {
             heads = heads.plus(batch.head);
             for (node, port, msg) in batch.mail {
-                lane.deliver(node as usize - lane.home.start, port, msg);
+                lane.land(node as usize - lane.home.start, port, msg);
             }
         }
         Some(heads)
@@ -415,8 +550,11 @@ pub(crate) fn run_pool<T: Send, R: Send>(
         let lane = Lane {
             topo,
             homes: pool.homes,
-            inboxes: home.clone().map(|_| Inbox::new()).collect(),
             home,
+            inboxes: Vec::new(),
+            slots: Vec::new(),
+            round: 0,
+            declared: None,
             outgoing: (0..workers).map(|_| Vec::new()).collect(),
             ready: VecDeque::new(),
             messages: 0,
@@ -458,15 +596,46 @@ fn round_worker<T, P: RoundProgram<T>>(
     let ids = || home.clone().map(|x| NodeId(x as u64));
     let mut states: Vec<P::State> = ids().map(|id| program.init(id)).collect();
     for round in 0..program.rounds() {
+        let declared = program.exchange_dim(round);
+        (lane.round, lane.declared) = (round, declared);
+        match declared {
+            Some(j) => {
+                // One wiring check for the round's every send.
+                wired_neighbor(&lane.topo, NodeId(home.start as u64), j, "send");
+                if lane.slots.is_empty() {
+                    lane.slots = home.clone().map(|_| None).collect();
+                }
+            }
+            None => lane.open_inboxes(),
+        }
         for (id, state) in ids().zip(&mut states) {
-            program.send(round, id, state, &mut Outbox { lane: &mut lane, id });
+            program.send(round, id, state, &mut Outbox { lane: &mut lane, id, sent: false });
         }
-        pool.post(me, &mut lane, round, Header::default());
-        if pool.collect(me, &mut lane, round).is_none() {
-            return Part::of(&lane, Vec::new());
+        // Every worker skips the same declared rounds: those where
+        // nothing crosses.
+        if declared.is_none_or(|j| !pool.homes.pairs_at_home(j)) {
+            pool.post(me, &mut lane, round, Header::default());
+            if pool.collect(me, &mut lane, round).is_none() {
+                return Part::of(&lane, Vec::new());
+            }
         }
-        for ((id, state), inbox) in ids().zip(&mut states).zip(&mut lane.inboxes) {
-            program.recv(round, id, state, &mut RoundInbox { inbox });
+        match declared {
+            Some(j) => {
+                for (at, (id, state)) in ids().zip(&mut states).enumerate() {
+                    let slot = Some((j, &mut lane.slots[at]));
+                    let mut inbox = RoundInbox { slot, inbox: lane.inboxes.get_mut(at) };
+                    program.recv(round, id, state, &mut inbox);
+                    if lane.slots[at].is_some() {
+                        lane.keep_unread(at, j);
+                    }
+                }
+            }
+            None => {
+                for ((id, state), inbox) in ids().zip(&mut states).zip(&mut lane.inboxes) {
+                    let mut inbox = RoundInbox { slot: None, inbox: Some(inbox) };
+                    program.recv(round, id, state, &mut inbox);
+                }
+            }
         }
     }
     lane.assert_all_read();
@@ -487,15 +656,18 @@ fn round_worker<T, P: RoundProgram<T>>(
 ///
 /// [`RunStats`] on this door: `messages` counts every `Outbox::send`;
 /// `parks` / `wakes` count the times a worker blocked on / was released
-/// from its mailbox wait (at most once per round per worker); `peak_live`
-/// is the node count, since every state is built before round 0;
-/// `steals` is the usual zeros.
+/// from its mailbox wait — at most once per round per worker, and never
+/// in a declared round whose pairs are all at home, so 1 for the
+/// `n = 16` exchange on two workers and 0 on one; `peak_live` is the
+/// node count, since every state is built before round 0; `steals` is
+/// the usual zeros.
 ///
 /// The crate docs have an example beside its `run_spmd` twin.
 ///
 /// # Panics
-/// If `n > 16`; with a step's own panic; if a node ends with unread
-/// messages; or with the stall report if a worker waits for a batch
+/// If `n > 16`; with a step's own panic; at a send that breaks its
+/// round's declaration ([`RoundProgram::exchange_dim`]); if a node ends
+/// with unread messages; or with the stall report if a worker waits for a batch
 /// longer than the stall timeout ([`crate::with_stall_timeout`]).
 pub fn run_rounds<T: Send, P: RoundProgram<T>>(n: u32, program: &P) -> (Vec<P::Out>, RunStats) {
     run_rounds_on(cube(n), program)
@@ -508,10 +680,24 @@ pub fn run_rounds<T: Send, P: RoundProgram<T>>(n: u32, program: &P) -> (Vec<P::O
 /// across port `q` sent. A send on an unwired port (the Swapped
 /// Dragonfly's fixed-point gateway ports) panics with the link
 /// diagnostic.
+///
+/// # Panics
+/// As [`run_rounds`] does, and if `program` declares a round an exchange
+/// ([`RoundProgram::exchange_dim`]) on a topology other than the cube.
 pub fn run_rounds_on<T: Send, P: RoundProgram<T>>(
     topo: TopoSpec,
     program: &P,
 ) -> (Vec<P::Out>, RunStats) {
+    if !matches!(topo, TopoSpec::Hypercube { .. }) {
+        let declared = (0..program.rounds()).find_map(|r| program.exchange_dim(r).map(|j| (r, j)));
+        if let Some((round, j)) = declared {
+            panic!(
+                "round {round} is declared an exchange on dim {j}, but declared rounds run on \
+                 the cube only, not on the {}",
+                topo.label()
+            );
+        }
+    }
     let (parts, stats) =
         run_pool(topo, "round", "round", |pool, me, lane| round_worker(pool, me, lane, program));
     // The home ranges are contiguous and ascending, so the parts
@@ -696,8 +882,10 @@ mod tests {
     }
 
     /// Node 0 sends `a`, `b` on dim 0 in round 0 and `c` in round 1;
-    /// node 1 takes one message in round 0 and two in round 1.
-    struct TwoOnOnePort;
+    /// node 1 takes one message in round 0 and two in round 1. With
+    /// `.0` set round 1 is declared an exchange on dim 0, so `b` waits
+    /// in the tagged inbox and `c` in the slot.
+    struct TwoOnOnePort(bool);
 
     impl RoundProgram<&'static str> for TwoOnOnePort {
         type State = Vec<&'static str>;
@@ -736,13 +924,17 @@ mod tests {
         fn finish(&self, _id: NodeId, got: Self::State) -> Self::Out {
             got
         }
+        fn exchange_dim(&self, round: u32) -> Option<u32> {
+            (self.0 && round == 1).then_some(0)
+        }
     }
 
     #[test]
     fn a_link_is_fifo_and_a_message_left_in_the_inbox_waits_for_the_next_round() {
-        for workers in [1usize, 2] {
-            let (results, stats) = with_workers(workers, || run_rounds(1, &TwoOnOnePort));
-            assert_eq!(results, [vec![], vec!["a", "b", "c"]], "workers={workers}");
+        for (workers, declared) in [1usize, 2].into_iter().flat_map(|w| [(w, false), (w, true)]) {
+            let (results, stats) = with_workers(workers, || run_rounds(1, &TwoOnOnePort(declared)));
+            let case = format!("workers={workers} declared={declared}");
+            assert_eq!(results, [vec![], vec!["a", "b", "c"]], "{case}");
             assert_eq!(stats.messages, 3);
         }
     }

@@ -132,7 +132,9 @@ pub struct RunStats {
     pub peak_live: u32,
     /// Times a virtual node parked (a `recv` with nothing pending on
     /// its port), plus times a worker blocked on its mailbox waiting
-    /// for a batch.
+    /// for a batch. On the round door only the latter, and only in a
+    /// round that trades batches: a declared round whose pairs are all
+    /// at home trades none.
     pub parks: u64,
     /// Times a parked node was made runnable by a delivery on its port,
     /// plus times a blocked worker was released.
@@ -290,7 +292,7 @@ impl<T> Future for Recv<'_, T> {
 /// The async door's worker: polls the node programs of `lane`'s home
 /// range sweep by sweep until the headers of every worker say the run
 /// is finished or deadlocked (see the module docs).
-fn node_worker<T, R, Fut, F>(pool: &Pool<T>, me: usize, lane: Lane<T>, program: &F) -> Part<R>
+fn node_worker<T, R, Fut, F>(pool: &Pool<T>, me: usize, mut lane: Lane<T>, program: &F) -> Part<R>
 where
     Fut: Future<Output = R>,
     F: Fn(NodeCtx<T>) -> Fut,
@@ -301,6 +303,7 @@ where
         // nobody waits for it.
         return Part::of(&lane, Vec::new());
     }
+    lane.open_inboxes();
     let own = Own { lane, suspended: false };
     let host = Rc::new(Host { topo: own.lane.topo, start: start as u64, own: RefCell::new(own) });
     let mut futs: Vec<Option<Pin<Box<Fut>>>> = (0..len).map(|_| None).collect();

@@ -58,6 +58,12 @@ impl Homes {
         node / self.range
     }
 
+    /// Whether every pair `x`, `x ^ 1 << j` is at home on one worker:
+    /// the home ranges are whole blocks of `2 << j` nodes.
+    pub(crate) fn pairs_at_home(&self, j: u32) -> bool {
+        self.range.is_multiple_of(2 << j)
+    }
+
     /// Workers with a non-empty home range.
     pub(crate) fn active(&self) -> usize {
         self.num.div_ceil(self.range)

@@ -260,12 +260,40 @@ impl RoundProgram<u64> for AllDims {
     }
 }
 
-/// `AllDims` on a 2-cube at `workers` workers, results only (parks and
+/// `AllDims` with round `r` declared an exchange on dimension `r`: the
+/// door runs it on slots, and a round whose pairs are all at home on
+/// their workers posts no batch.
+struct DeclaredDims(AllDims);
+
+impl RoundProgram<u64> for DeclaredDims {
+    type State = u64;
+    type Out = u64;
+    fn rounds(&self) -> u32 {
+        self.0.rounds()
+    }
+    fn init(&self, id: NodeId) -> u64 {
+        self.0.init(id)
+    }
+    fn send(&self, round: u32, id: NodeId, acc: &mut u64, out: &mut Outbox<'_, u64>) {
+        self.0.send(round, id, acc, out);
+    }
+    fn recv(&self, round: u32, id: NodeId, acc: &mut u64, inbox: &mut RoundInbox<'_, u64>) {
+        self.0.recv(round, id, acc, inbox);
+    }
+    fn finish(&self, id: NodeId, acc: u64) -> u64 {
+        self.0.finish(id, acc)
+    }
+    fn exchange_dim(&self, round: u32) -> Option<u32> {
+        Some(round)
+    }
+}
+
+/// `program` on a 2-cube at `workers` workers, results only (parks and
 /// wakes legitimately vary by interleaving).
-fn rounds_on_a_two_cube(workers: usize) -> Vec<u64> {
+fn rounds_on_a_two_cube<P: RoundProgram<u64, Out = u64>>(workers: usize, program: &P) -> Vec<u64> {
     cuberun::with_workers(workers, || {
         cuberun::with_stall_timeout(Duration::from_secs(3600), || {
-            let (results, _stats) = cuberun::run_rounds(2, &AllDims(2));
+            let (results, _stats) = cuberun::run_rounds(2, program);
             assert_eq!(results, [154, 253, 352, 451]);
             results
         })
@@ -278,7 +306,7 @@ fn rounds_all_dims_on_two_workers() {
     // crosses them; both rounds post a batch each way. A worker can run
     // one round ahead of the other, so a mailbox holds batches of two
     // rounds at once in some schedules.
-    let report = check_with(budget(), || rounds_on_a_two_cube(2));
+    let report = check_with(budget(), || rounds_on_a_two_cube(2, &AllDims(2)));
     assert!(report.schedules > 1);
 }
 
@@ -286,7 +314,27 @@ fn rounds_all_dims_on_two_workers() {
 fn rounds_with_an_empty_home_range() {
     // 4 nodes on 3 workers: home ranges of 2, so worker 2 has no node.
     // It must neither post nor be waited for.
-    let report = check_with(budget(), || rounds_on_a_two_cube(3));
+    let report = check_with(budget(), || rounds_on_a_two_cube(3, &AllDims(2)));
+    assert!(report.schedules > 1);
+}
+
+#[test]
+fn declared_rounds_on_two_workers() {
+    // Home ranges of two: round 0 (dim 0) has every pair at home and
+    // skips post and collect, so a worker can run through it and post
+    // round 1's batch while the other is still in round 0; round 1
+    // (dim 1) crosses and lands the batch in the slots.
+    let report = check_with(budget(), || rounds_on_a_two_cube(2, &DeclaredDims(AllDims(2))));
+    assert!(report.schedules > 1);
+}
+
+#[test]
+fn declared_rounds_with_an_empty_home_range() {
+    // 4 nodes on 3 workers: home ranges of two, worker 2 has none, and
+    // the ranges are not whole blocks of 4, so round 1 posts and round 0
+    // skips as on two workers; the empty worker neither posts nor is
+    // waited for.
+    let report = check_with(budget(), || rounds_on_a_two_cube(3, &DeclaredDims(AllDims(2))));
     assert!(report.schedules > 1);
 }
 

@@ -3,8 +3,9 @@
 //! n = 16, the full 65 536-node Connection-Machine configuration — and
 //! print the run statistics. The exchange has a fixed round schedule,
 //! so it goes through `cuberun`'s round door: every worker loops over
-//! the nodes it hosts, and what parks (at most once a round) is a
-//! worker waiting for the others' batches, not a node.
+//! the nodes it hosts, and what parks is a worker waiting for the
+//! others' batches, not a node — at most once a round, and only in a
+//! round whose exchange pairs straddle two workers' nodes.
 //!
 //! Run with `cargo run --release --example spmd_transpose`.
 //! The pool size is the ambient `cubesim::par` thread count

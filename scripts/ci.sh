@@ -333,7 +333,9 @@ begin "model-check: exhaustive interleaving of the real concurrency protocols (t
 # on one, a cross-worker send to a parked receiver, a delivery on a port
 # its node is not parked on, a dimension scan with an empty home range,
 # and a cross-worker relay chain only the summed headers keep alive;
-# two on the round door), and the plan cache. The bound is generous — the suite runs in seconds —
+# four on the round door: a dimension scan on two and on three workers,
+# undeclared and with declared rounds, whose pairs-at-home rounds skip
+# the batch), and the plan cache. The bound is generous — the suite runs in seconds —
 # and exists to turn an exploration blow-up into a failure, not a hang.
 timeout 300 env RUSTFLAGS="--cfg cubesync_model" \
     cargo test -q -p cubesync --test real_protocols

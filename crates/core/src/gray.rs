@@ -223,28 +223,10 @@ pub fn recode_encodings<T: Copy + Default>(
     move_blocks(spec, m, &[(steps, &target)], false, recoded.before(), run)
 }
 
-/// Verifies a mixed-encoding transpose output against the spec: the
-/// element `(r, c)` of the produced `A^T` must equal element `(c, r)` of
-/// the label input.
-#[track_caller]
-pub fn assert_mixed_transposed(
-    _spec: &MixedSpec,
-    before_labels: &DistMatrix<u64>,
-    out: &DistMatrix<u64>,
-) {
-    let a = before_labels.gather();
-    let b = out.gather();
-    for (r, row) in b.iter().enumerate() {
-        for (c, val) in row.iter().enumerate() {
-            assert_eq!(*val, a[c][r], "A^T[{r}][{c}]");
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::verify::labels;
+    use crate::verify::{assert_dense_transposed, labels};
     use cubesim::{MachineParams, PortMode};
 
     fn net(n: u32) -> SimNet<Vec<u64>> {
@@ -258,7 +240,7 @@ mod tests {
             let m = labels(spec.before());
             let mut net = net(2 * half);
             let out = transpose_combined(&spec, &m, &mut net);
-            assert_mixed_transposed(&spec, &m, &out);
+            assert_dense_transposed(&m, &out);
             let r = net.finalize();
             assert_eq!(r.rounds, 2 * half as usize, "n routing steps");
         }
@@ -272,7 +254,7 @@ mod tests {
                 let m = labels(spec.before());
                 let mut net = net(4);
                 let out = transpose_combined(&spec, &m, &mut net);
-                assert_mixed_transposed(&spec, &m, &out);
+                assert_dense_transposed(&m, &out);
                 net.finalize();
             }
         }
@@ -286,7 +268,7 @@ mod tests {
         let combined = transpose_combined(&spec, &m, &mut net1);
         let mut net2 = net(4);
         let naive = transpose_naive_mixed(&spec, &m, &mut net2);
-        assert_mixed_transposed(&spec, &m, &naive);
+        assert_dense_transposed(&m, &naive);
         // Same dense content even though the two outputs use swapped
         // field encodings internally.
         assert_eq!(combined.gather(), naive.gather());
@@ -434,7 +416,7 @@ mod tests {
                 sends = plan_sends(plan, half);
                 Landing::charged(run_flights(&mut net, plan), &m)
             });
-            assert_mixed_transposed(&spec, &m, &out);
+            assert_dense_transposed(&m, &out);
             assert_eq!(sends, table_sends(half), "p={p} half={half}");
             let per_iteration = 1usize << (2 * half);
             assert!(sends.iter().all(|s| s.len() == per_iteration), "p={p} half={half}");
@@ -458,7 +440,7 @@ mod tests {
         let m = labels(spec.before());
         let mut n1 = net(4);
         let out = transpose_combined(&spec, &m, &mut n1);
-        assert_mixed_transposed(&spec, &m, &out);
+        assert_dense_transposed(&m, &out);
         let r = n1.finalize();
         assert_eq!(r.rounds, 4);
     }

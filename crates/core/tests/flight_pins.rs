@@ -16,7 +16,7 @@ use cubesim::{CommReport, MachineParams, PortMode, SimNet};
 use cubetranspose::gray::{self, MixedSpec};
 use cubetranspose::permute;
 use cubetranspose::reference::RefMappedMatrix;
-use cubetranspose::verify::labels;
+use cubetranspose::verify::{assert_dense_transposed, labels};
 use cubetranspose::FieldMap;
 
 /// The net the §6.3 movers run on.
@@ -129,12 +129,8 @@ fn run_gray(spec: &MixedSpec, algo: usize) -> CommReport {
     net.record_history();
     net.record_links();
     match algo {
-        0 => gray::assert_mixed_transposed(spec, &m, &gray::transpose_combined(spec, &m, &mut net)),
-        1 => gray::assert_mixed_transposed(
-            spec,
-            &m,
-            &gray::transpose_naive_mixed(spec, &m, &mut net),
-        ),
+        0 => assert_dense_transposed(&m, &gray::transpose_combined(spec, &m, &mut net)),
+        1 => assert_dense_transposed(&m, &gray::transpose_naive_mixed(spec, &m, &mut net)),
         _ => {
             let (row_to, col_to) = (flip(spec.row_enc), flip(spec.col_enc));
             let out = gray::recode_encodings(spec, &m, &mut net, row_to, col_to);

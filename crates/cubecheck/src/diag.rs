@@ -8,15 +8,15 @@ use std::fmt;
 pub enum Rule {
     /// Port-model compliance: under one-port communication a node uses at
     /// most one link per round (counting both endpoints; bidirectional
-    /// exchange on the *same* link is allowed), and every claim names a
-    /// real link of the cube.
+    /// exchange on the *same* link is allowed), every claim names a
+    /// real link of the cube, and every copy is charged at a real node.
     PortModel,
     /// Edge-disjointness within a round: at most one message per directed
     /// link per round.
     LinkExclusive,
-    /// Packet budget: every message carries data, and its declared packet
-    /// count covers `⌈S/B_m⌉` — no packet exceeds the machine's maximum
-    /// packet size.
+    /// Packet budget: every message carries data, at most `u32::MAX`
+    /// elements of it, and its declared packet count covers `⌈S/B_m⌉` —
+    /// no packet exceeds the machine's maximum packet size.
     PacketBudget,
     /// Element conservation: every block travels from its source to its
     /// destination along a connected chain of claims, each hop claimed

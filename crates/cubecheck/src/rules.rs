@@ -20,9 +20,11 @@
 //! - **Block ids.** A claim's blocks are a range of the lowering's one
 //!   id arena ([`Lowered::ids`]), so no rule chases a list per claim.
 //! - **Per-claim rules.** Whether a claim names a link (the structural
-//!   half of the port model), its packet budget, and its size against
-//!   its blocks' are checked as the walk passes it; their diagnostics
-//!   are held with the claim's index and come out in schedule order.
+//!   half of the port model), its packet budget (its size within the
+//!   `u32` message limit included), and its size against its blocks' are
+//!   checked as the walk passes it; their diagnostics are held with the
+//!   claim's index and come out in schedule order. A copy charged at a
+//!   node off the topology breaks the port model too.
 //! - **Edge-disjointness.** Two claims of one directed link in one
 //!   round have equal keys, so they are adjacent in the walk: each run
 //!   of equal keys longer than one is reported once, with its length.
@@ -71,6 +73,7 @@ pub fn check_all(low: &Lowered, params: &MachineParams) -> Vec<Diag> {
     let walk = Walk::new(low, Some(params), order.as_deref());
     let chans = Channels::new(low, walk.extra);
     let mut diags = walk.unlinked;
+    diags.extend(stray_copies(low));
     diags.extend(one_port(low, &chans));
     diags.extend(walk.exclusive);
     diags.extend(walk.budget);
@@ -424,9 +427,24 @@ fn one_port(low: &Lowered, chans: &Channels) -> Vec<Diag> {
     diags
 }
 
+/// The copies charged at a node off the topology (the copy half of
+/// [`Rule::PortModel`]), in schedule order.
+fn stray_copies(low: &Lowered) -> impl Iterator<Item = Diag> + '_ {
+    let num = low.topo.num_nodes() as u64;
+    low.copies.iter().filter(move |&&(_, node, _)| node >= num).map(|&(round, node, _)| {
+        let label = low.topo.label();
+        let mut d =
+            diag(low, Rule::PortModel, format!("copy charged at a node outside the {label}"));
+        (d.round, d.node) = (Some(round), Some(node));
+        d
+    })
+}
+
 fn over_budget(low: &Lowered, params: &MachineParams, c: &LinkClaim) -> Option<Diag> {
     let detail = if c.elems == 0 {
         "empty message (a start-up with no data)".to_string()
+    } else if c.elems > u64::from(u32::MAX) {
+        format!("{} elems exceed the u32 message limit", c.elems)
     } else {
         let need = params.packets(c.elems as usize) as u64;
         if c.packets >= need {

@@ -8,8 +8,8 @@
 //! dynamic check must fail with the same message.
 
 use cubeaddr::NodeId;
-use cubecheck::run_schedule;
 use cubecheck::workloads::{figure, transpose_msgs, workload_names};
+use cubecheck::{check_all, lower, run_schedule, Rule};
 use cubecomm::plan::{
     all_to_all_exchange_plan, dragonfly_direct_plan, dragonfly_swap_exchange_plan,
     ecube_route_plan, CommSchedule,
@@ -191,16 +191,30 @@ proptest! {
     }
 }
 
-/// Every dynamic check fails the fold with the replay's message.
+/// Every dynamic check fails the fold with the replay's message, and
+/// `check_all` reports each per-message and per-copy one under its rule.
 #[test]
 fn checks_fail_with_the_replays_message() {
     let one = MachineParams::unit(PortMode::OnePort);
     let all = MachineParams::unit(PortMode::AllPorts);
     let cube = TopoSpec::hypercube(3);
     let d = SwappedDragonfly::new(2, 2);
-    let cases: Vec<(&str, CommSchedule, &MachineParams)> = vec![
-        ("node out of range", schedule(cube, &[(&[(9, 0, 1)], &[])], PortMode::AllPorts), &all),
-        ("port out of range", schedule(cube, &[(&[(1, 3, 1)], &[])], PortMode::AllPorts), &all),
+    // A conserving plan with a copy at node 8 of the 3-cube in round 0.
+    let mut stray_copy = ecube_route_plan(3, &[(NodeId(1), NodeId(0), 4)]);
+    stray_copy.rounds[0].copies.push((NodeId(8), 1));
+    let cases: Vec<(&str, CommSchedule, &MachineParams, Option<Rule>)> = vec![
+        (
+            "node out of range",
+            schedule(cube, &[(&[(9, 0, 1)], &[])], PortMode::AllPorts),
+            &all,
+            Some(Rule::PortModel),
+        ),
+        (
+            "port out of range",
+            schedule(cube, &[(&[(1, 3, 1)], &[])], PortMode::AllPorts),
+            &all,
+            Some(Rule::PortModel),
+        ),
         (
             "unwired port",
             schedule(
@@ -209,17 +223,31 @@ fn checks_fail_with_the_replays_message() {
                 PortMode::AllPorts,
             ),
             &all,
+            Some(Rule::PortModel),
         ),
-        ("empty message", schedule(cube, &[(&[(1, 0, 0)], &[])], PortMode::AllPorts), &all),
+        (
+            "empty message",
+            schedule(cube, &[(&[(1, 0, 0)], &[])], PortMode::AllPorts),
+            &all,
+            Some(Rule::PacketBudget),
+        ),
         (
             "over u32 elements",
             schedule(cube, &[(&[(1, 0, 1 << 32)], &[])], PortMode::AllPorts),
             &all,
+            Some(Rule::PacketBudget),
+        ),
+        (
+            "over u32 elements, in a built plan",
+            ecube_route_plan(1, &[(NodeId(1), NodeId(0), 1 << 32)]),
+            &all,
+            Some(Rule::PacketBudget),
         ),
         (
             "link contention",
             schedule(cube, &[(&[(2, 1, 1), (5, 0, 3), (2, 1, 2)], &[])], PortMode::AllPorts),
             &all,
+            Some(Rule::LinkExclusive),
         ),
         (
             "one-port, in a later round",
@@ -229,6 +257,7 @@ fn checks_fail_with_the_replays_message() {
                 PortMode::OnePort,
             ),
             &one,
+            Some(Rule::PortModel),
         ),
         (
             // Node 4 breaks the rule first in send order, node 0 first in
@@ -241,13 +270,29 @@ fn checks_fail_with_the_replays_message() {
                 PortMode::OnePort,
             ),
             &one,
+            Some(Rule::PortModel),
         ),
-        ("copy node out of range", schedule(cube, &[(&[], &[(8, 1)])], PortMode::AllPorts), &all),
-        ("too many links", schedule(TopoSpec::hypercube(28), &[], PortMode::AllPorts), &all),
+        (
+            "copy node out of range",
+            schedule(cube, &[(&[], &[(8, 1)])], PortMode::AllPorts),
+            &all,
+            Some(Rule::PortModel),
+        ),
+        ("copy node out of range, beside a message", stray_copy, &all, Some(Rule::PortModel)),
+        ("too many links", schedule(TopoSpec::hypercube(28), &[], PortMode::AllPorts), &all, None),
     ];
-    for (what, plan, params) in cases {
+    for (what, plan, params, rule) in cases {
         let want = catch(|| replay(&plan, params)).expect_err("no panic");
         let got = catch(|| run_schedule(&plan, params)).expect_err("no panic");
         assert_eq!(got, want, "{what}");
+        // The hand-built rows' blocks stay home, so conservation fires
+        // too; diagnostics come grouped by rule, conservation after the
+        // rule under test.
+        if let Some(rule) = rule {
+            let diags = check_all(&lower(&plan, params), params);
+            let first = diags.first().unwrap_or_else(|| panic!("{what}: no diagnostic"));
+            assert_eq!(first.rule, rule, "{what}: {first}");
+            assert!(first.round.is_some() && first.node.is_some(), "{what}: {first}");
+        }
     }
 }

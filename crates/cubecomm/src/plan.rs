@@ -49,7 +49,7 @@ pub mod dragonfly;
 pub mod reference;
 pub(crate) mod skeleton;
 
-pub use cache::{fingerprint, CacheStats, PlanCache, PlanKey};
+pub use cache::{CacheStats, PlanCache, PlanInput};
 pub use dragonfly::{
     dragonfly_direct_plan, dragonfly_direct_plan_cached, dragonfly_swap_exchange_plan,
     dragonfly_swap_exchange_plan_cached,
@@ -526,9 +526,9 @@ pub fn ecube_route_plan(n: u32, msgs: &[(NodeId, NodeId, u64)]) -> CommSchedule 
 
 // --- Cached front door -------------------------------------------------
 //
-// The cache key fingerprints the *complete* planner input (see `cache`
-// module docs on keying), so a hit is guaranteed byte-identical to the
-// cold construction it replaces.
+// The cache keys on the *complete* planner input and confirms a hit
+// against the stored copy (see `cache` module docs on keying), so a hit
+// is guaranteed byte-identical to the cold construction it replaces.
 
 /// [`ecube_route_plan`] through a [`PlanCache`].
 #[track_caller]
@@ -537,8 +537,7 @@ pub fn ecube_route_plan_cached(
     n: u32,
     msgs: &[(NodeId, NodeId, u64)],
 ) -> Arc<CommSchedule> {
-    let key = PlanKey::new("ecube_route", n, fingerprint(&msgs));
-    cache.get_or_build(key, || ecube_route_plan(n, msgs))
+    cache.get_or_build("ecube_route", n, msgs, || ecube_route_plan(n, msgs))
 }
 
 #[cfg(test)]

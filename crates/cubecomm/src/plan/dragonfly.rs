@@ -28,8 +28,8 @@
 //! (`dimension_ordered: false`).
 
 use super::{
-    all_to_all_blocks, check_blocks, fingerprint, skeleton, BlockMeta, CommSchedule, PlanCache,
-    PlanKey, PlanRound, PlannedMsg,
+    all_to_all_blocks, check_blocks, skeleton, BlockMeta, CommSchedule, PlanCache, PlanRound,
+    PlannedMsg,
 };
 use cubeaddr::NodeId;
 use cubesim::PortMode;
@@ -161,8 +161,7 @@ pub fn dragonfly_direct_plan_cached(
     m: u32,
     msgs: &[(NodeId, NodeId, u64)],
 ) -> Arc<CommSchedule> {
-    let key = PlanKey::new("dragonfly_direct", 0, fingerprint(&(k, m, msgs)));
-    cache.get_or_build(key, || dragonfly_direct_plan(k, m, msgs))
+    cache.get_or_build("dragonfly_direct", 0, &(k, m, msgs), || dragonfly_direct_plan(k, m, msgs))
 }
 
 /// [`dragonfly_swap_exchange_plan`] through a [`PlanCache`].
@@ -173,8 +172,10 @@ pub fn dragonfly_swap_exchange_plan_cached(
     m: u32,
     sizes: &[Vec<u64>],
 ) -> Arc<CommSchedule> {
-    let key = PlanKey::new("dragonfly_swap_exchange", 0, fingerprint(&(k, m, sizes)));
-    cache.get_or_build(key, || dragonfly_swap_exchange_plan(k, m, sizes))
+    let input = (k, m, sizes);
+    cache.get_or_build("dragonfly_swap_exchange", 0, &input, || {
+        dragonfly_swap_exchange_plan(k, m, sizes)
+    })
 }
 
 #[cfg(test)]
@@ -308,7 +309,7 @@ mod tests {
     #[test]
     fn cached_wrappers_key_on_k_and_m() {
         // The same message list plans differently on D3(2,2) and D3(1,3)
-        // (8 and 9 nodes): (k, m) is part of each key's fingerprint.
+        // (8 and 9 nodes): (k, m) is part of each key's input.
         let cache = PlanCache::new(8);
         let msgs = [(NodeId(0), NodeId(5), 4)];
         let a = dragonfly_direct_plan_cached(&cache, 2, 2, &msgs);

@@ -138,9 +138,9 @@ impl LinkTotals {
 ///
 /// # Panics
 /// If a node has more than 64 ports (port sets are 64-bit masks), or if
-/// there are more than `2^31 − 1` directed links (two rounds of
-/// per-link message stamps must fit a `u32` together) — before anything
-/// is allocated.
+/// there are more than `2^31 − 1` directed links (so a link index fits
+/// either 32-bit integer type; the 26-cube is the largest cube) — before
+/// anything is allocated.
 #[track_caller]
 pub fn link_slots<T: Topology>(topo: &T) -> usize {
     let nodes = topo.num_nodes();

@@ -105,32 +105,21 @@ scalar_payloads!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize, f32, f64);
 /// `charge` fold each updated total into `max_link_elems`: totals only
 /// grow, so the running maximum is what a final scan would find.
 ///
-/// Only payloads need a receiver-side index, for [`SimNet::recv`]: an
-/// 8-byte pair of *stamps* per link slot (`dst · ports + rp`), allocated
-/// zeroed on the first payload `send` — 8 MiB at n = 16, never on a net
-/// that only charges. Every payload is stamped with its 1-based sequence
-/// number, and the net keeps the payload counts before this round and
-/// before the last one. A stamp between the two is a payload delivered
-/// at the last boundary, and its distance from the second is its place
-/// in the inbox; anything older is stale and means nothing. Keeping two
-/// stamps lets a link carry its next round's payload before its
-/// delivered one is received.
-///
 /// Everything else is per round and compact: the claims (channel,
-/// elements), the payloads and their receiver slots sit in send order in
-/// vectors that grow to the busiest round's message count and are
-/// recycled. `send`, `charge`, `recv` and `has_message` are O(1);
-/// nothing is written to the dense side on receipt, and the unconsumed
-/// checks are a counter of delivered-but-unreceived payloads (the inbox
-/// is scanned only to name an offender). A net that is only charged
-/// touches none of the payload side. Stamps are `u32`: when a boundary leaves fewer than one
-/// per link below `u32::MAX`, every link is rebased once, O(links) — on
-/// the 16-cube once per ≈ 2^32 payloads, and never within a round.
-/// Construction is O(N·ports) in the machine size and refuses a graph of
-/// more than 2^31 − 1 directed links, so two rounds of stamps always fit
-/// (the 26-cube is the largest cube). On [`Hypercube`] every topology
-/// query monomorphizes to bit arithmetic, so the generic layer costs
-/// nothing.
+/// elements) and the payloads with their receiver slots (`dst · ports +
+/// rp`) sit in send order in vectors that grow to the busiest round's
+/// message count and are recycled. At the boundary the round's payloads
+/// become the inbox, still in send order, and their positions are sorted
+/// once by receiver slot into `slot << 32 | pos` keys; `recv` and
+/// `has_message` binary-search the keys, O(log m) in that round's
+/// deliveries, and nothing is kept per link. `send` and `charge`
+/// are O(1); the unconsumed checks are a counter of
+/// delivered-but-unreceived payloads (the inbox is scanned only to name
+/// an offender). A net that is only charged allocates nothing for
+/// payloads. Construction is O(N·ports) in the machine size and refuses
+/// a graph of more than 2^31 − 1 directed links (see [`link_slots`]). On
+/// [`Hypercube`] every topology query monomorphizes to bit arithmetic,
+/// so the generic layer costs nothing.
 pub struct SimNet<P, T: Topology = Hypercube> {
     topo: T,
     /// Cached `topo.ports()` — the stride of every flat slab.
@@ -138,8 +127,6 @@ pub struct SimNet<P, T: Topology = Hypercube> {
     /// Cached `topo.num_nodes()`.
     num: usize,
     params: MachineParams,
-    /// Number of directed-link slots (`num × ports`).
-    links: usize,
     /// This round's claims, payload sends and charges alike, in claim
     /// order: each one's sender channel and element count — the round's
     /// cost, its link events and the bits to clear in `claimed`.
@@ -149,32 +136,17 @@ pub struct SimNet<P, T: Topology = Hypercube> {
     claimed: Vec<u64>,
     /// Per sender channel, the cumulative element count.
     totals: LinkTotals,
-    /// This round's payloads, in send order; delivered at the boundary.
-    out_msgs: Vec<Option<P>>,
-    /// Parallel to `out_msgs`: each payload's link slot `dst * ports +
-    /// rp`, where `rp` is the *receiver's* port for the link (on the
-    /// cube, the shared dimension).
-    out_slots: Vec<u32>,
-    /// Payloads delivered at the last round boundary, in the order they
-    /// were sent; `None` once received.
-    in_msgs: Vec<Option<P>>,
-    /// Parallel to `in_msgs` (consumed payloads stay listed until the
-    /// next boundary).
-    in_slots: Vec<u32>,
+    /// This round's payloads in send order, each with its link slot
+    /// `dst * ports + rp`, where `rp` is the *receiver's* port for the
+    /// link (on the cube, the shared dimension).
+    outbox: Vec<(u32, Option<P>)>,
+    /// The payloads delivered at the last round boundary, in send order;
+    /// `None` once received.
+    inbox: Vec<(u32, Option<P>)>,
+    /// The inbox's positions sorted by link slot, as `slot << 32 | pos`.
+    by_slot: Vec<u64>,
     /// Delivered payloads not yet received.
     pending: usize,
-    /// Per link slot, `(last, prev)`: the stamps of the last two
-    /// payloads sent on the link (0: none). Empty until the first
-    /// payload is sent; a tuple, not a struct, so the zeroed vector comes
-    /// from the allocator's zeroed pages instead of a fill.
-    stamps: Vec<(u32, u32)>,
-    /// Payloads sent before this round (stamps above it are this
-    /// round's; this round's `i`-th payload is stamped `round_start + i +
-    /// 1`).
-    round_start: u32,
-    /// Payloads sent before the last round: the inbox holds the stamps
-    /// `prev_start + 1 ..= round_start`, in order.
-    prev_start: u32,
     /// Ports used per node this round (bit mask), for port checks.
     dims_used: Vec<u64>,
     /// Nodes with a non-zero `dims_used` mask this round.
@@ -207,26 +179,19 @@ impl<P: Payload, T: Topology> SimNet<P, T> {
     pub fn on_topology(topo: T, params: MachineParams) -> Self {
         let nodes = topo.num_nodes();
         let ports = topo.ports();
-        // The two rounds in play stamp at most one message per link each,
-        // and their stamps must fit u32 together.
         let links = link_slots(&topo);
         SimNet {
             ports,
             num: nodes,
             topo,
             params,
-            links,
             claims: Vec::new(),
             claimed: vec![0; links.div_ceil(64)],
             totals: LinkTotals::new(links),
-            out_msgs: Vec::new(),
-            out_slots: Vec::new(),
-            in_msgs: Vec::new(),
-            in_slots: Vec::new(),
+            outbox: Vec::new(),
+            inbox: Vec::new(),
+            by_slot: Vec::new(),
             pending: 0,
-            stamps: Vec::new(),
-            round_start: 0,
-            prev_start: 0,
             dims_used: vec![0; nodes],
             dims_touched: Vec::new(),
             copies: vec![0; nodes],
@@ -293,17 +258,7 @@ impl<P: Payload, T: Topology> SimNet<P, T> {
     #[track_caller]
     pub fn send(&mut self, src: NodeId, dim: u32, data: P) {
         let (dst, rp) = self.claim(src, dim, data.elems());
-        if self.stamps.is_empty() {
-            self.stamps = vec![(0, 0); self.links];
-        }
-        let slot = self.slot(dst, rp);
-        self.out_msgs.push(Some(data));
-        self.out_slots.push(slot as u32);
-        // At most one payload per link per round, and `finish_round`
-        // keeps `round_start` a link count below u32::MAX, so the stamp
-        // fits.
-        let (last, _) = self.stamps[slot];
-        self.stamps[slot] = (self.round_start + self.out_msgs.len() as u32, last);
+        self.outbox.push((self.slot(dst, rp) as u32, Some(data)));
     }
 
     /// Charges a message of `elems` elements from `src` across port
@@ -370,21 +325,16 @@ impl<P: Payload, T: Topology> SimNet<P, T> {
     }
 
     /// Where in the inbox the message delivered on `(dst, dim)` at the
-    /// last boundary sits, if one was (received or not): whichever of the
-    /// link's two stamps falls in `prev_start + 1 ..= round_start`.
+    /// last boundary sits, if one was (received or not).
     #[inline]
-    fn inbox_pos(&self, dst: NodeId, dim: u32) -> Option<usize> {
+    fn delivery(&self, dst: NodeId, dim: u32) -> Option<usize> {
         if dst.index() >= self.num || dim >= self.ports {
             return None;
         }
-        // No stamps: the net never carried a payload.
-        let &(last, prev) = self.stamps.get(self.slot(dst, dim))?;
-        // Wrapping: a stamp at or below `prev_start` lands far above the
-        // inbox length, like one above `round_start`.
-        [last, prev]
-            .into_iter()
-            .map(|stamp| stamp.wrapping_sub(self.prev_start).wrapping_sub(1) as usize)
-            .find(|&pos| pos < self.in_msgs.len())
+        let slot = self.slot(dst, dim) as u64;
+        let i = self.by_slot.partition_point(|&key| key >> 32 < slot);
+        let key = *self.by_slot.get(i).filter(|&&key| key >> 32 == slot)?;
+        Some(key as u32 as usize)
     }
 
     /// Receives the message delivered to `dst` on its port `dim` at the
@@ -396,7 +346,7 @@ impl<P: Payload, T: Topology> SimNet<P, T> {
     #[track_caller]
     pub fn recv(&mut self, dst: NodeId, dim: u32) -> P {
         self.check_node(dst);
-        let msg = self.inbox_pos(dst, dim).and_then(|pos| self.in_msgs[pos].take());
+        let msg = self.delivery(dst, dim).and_then(|pos| self.inbox[pos].1.take());
         if msg.is_some() {
             self.pending -= 1;
         }
@@ -410,7 +360,7 @@ impl<P: Payload, T: Topology> SimNet<P, T> {
 
     /// True when a message is pending for `dst` on `dim`.
     pub fn has_message(&self, dst: NodeId, dim: u32) -> bool {
-        self.inbox_pos(dst, dim).is_some_and(|pos| self.in_msgs[pos].is_some())
+        self.delivery(dst, dim).is_some_and(|pos| self.inbox[pos].1.is_some())
     }
 
     /// Charges `elems` elements of local copy/rearrangement work to `node`
@@ -434,8 +384,8 @@ impl<P: Payload, T: Topology> SimNet<P, T> {
     #[track_caller]
     pub fn finish_round(&mut self) {
         if self.pending != 0 {
-            if let Some(i) = self.in_msgs.iter().position(Option::is_some) {
-                let slot = self.in_slots[i] as usize;
+            if let Some(&(slot, _)) = self.inbox.iter().find(|(_, msg)| msg.is_some()) {
+                let slot = slot as usize;
                 let (dst, dim) = (slot / self.ports as usize, slot % self.ports as usize);
                 panic!(
                     "unconsumed message at node {dst} on dim {dim} when round {} ended",
@@ -481,20 +431,17 @@ impl<P: Payload, T: Topology> SimNet<P, T> {
         }
         self.claims.clear();
 
-        // Deliver: this round's payloads become the inbox, and their
-        // stamps the delivered window. The old inbox was all received
-        // (verified above); its stamps go stale by moving the window, not
-        // by a sweep. No per-round allocation.
-        std::mem::swap(&mut self.in_msgs, &mut self.out_msgs);
-        std::mem::swap(&mut self.in_slots, &mut self.out_slots);
-        self.out_msgs.clear();
-        self.out_slots.clear();
-        self.pending = self.in_msgs.len();
-        self.prev_start = self.round_start;
-        self.round_start += self.in_msgs.len() as u32;
-        if self.round_start > u32::MAX - self.links as u32 {
-            self.rebase_stamps();
-        }
+        // Deliver: this round's payloads become the inbox, indexed by link
+        // slot (one payload per link, so the slots are distinct). The old
+        // inbox was all received (verified above). No per-round
+        // allocation.
+        std::mem::swap(&mut self.inbox, &mut self.outbox);
+        self.outbox.clear();
+        let keys = self.inbox.iter().enumerate();
+        self.by_slot.clear();
+        self.by_slot.extend(keys.map(|(pos, &(slot, _))| u64::from(slot) << 32 | pos as u64));
+        self.by_slot.sort_unstable();
+        self.pending = self.inbox.len();
         for &x in &self.dims_touched {
             self.dims_used[x] = 0;
         }
@@ -503,29 +450,6 @@ impl<P: Payload, T: Topology> SimNet<P, T> {
             self.copies[x] = 0;
         }
         self.copies_touched.clear();
-    }
-
-    /// Renumbers every stamp down by `prev_start`, so the window starts
-    /// at 0 again: a stamp at or below it (stale) becomes 0. With at most
-    /// `links ≤ u32::MAX / 2` messages in the window, `round_start` then
-    /// sits a full round of stamps below `u32::MAX`. O(links).
-    fn rebase_stamps(&mut self) {
-        let base = self.prev_start;
-        for (last, prev) in &mut self.stamps {
-            *last = last.saturating_sub(base);
-            *prev = prev.saturating_sub(base);
-        }
-        self.prev_start = 0;
-        self.round_start -= base;
-    }
-
-    /// Test hook: a fresh net whose stamps start at `stamp`, so a short
-    /// schedule crosses the rebase point.
-    #[cfg(test)]
-    fn start_stamps_at(&mut self, stamp: u32) {
-        assert!(self.round_start == 0 && stamp <= u32::MAX - self.links as u32);
-        self.prev_start = stamp;
-        self.round_start = stamp;
     }
 
     /// Ends the simulation and returns the accumulated report.
@@ -787,15 +711,15 @@ mod tests {
     #[cfg(target_pointer_width = "64")]
     #[should_panic(expected = "27-cube: 134217728 nodes x 27 ports exceed the 32-bit link index")]
     fn two_rounds_of_stamps_must_fit_u32() {
-        // 27 · 2^27 links fit u32 once, but not the two rounds in play.
+        // 27 · 2^27 links fit u32, but not the 2^31 − 1 bound.
         let _ = unit_net(27, PortMode::AllPorts);
     }
 
-    /// Random legal all-port schedules on the 3-cube, started a few
-    /// rounds below the stamp rebase at every phase: each round's sends
-    /// are made before the last round's deliveries are received, so links
-    /// hold a delivered and a fresh stamp when the rebase renumbers them.
-    /// Reports and payloads must equal the reference net's.
+    /// A random legal all-port schedule on the 3-cube whose sends for
+    /// each round are made before the last round's deliveries are
+    /// received, so a link carries its next payload while its delivered
+    /// one waits in the inbox. Reports and payloads must equal the
+    /// reference net's.
     #[test]
     fn stamp_rebase_is_invisible() {
         use crate::reference::ReferenceNet;
@@ -806,7 +730,7 @@ mod tests {
             rng ^= rng << 17;
             rng
         };
-        let (n, links) = (3u32, 24u32);
+        let n = 3u32;
         let rounds: Vec<Vec<(NodeId, u32, Vec<u64>)>> = (0..30)
             .map(|r| {
                 let mut sends = Vec::new();
@@ -848,15 +772,8 @@ mod tests {
         }
         let (reference, want) =
             drive!(ReferenceNet::new(n, MachineParams::unit(PortMode::AllPorts)));
-        let want = (reference.finalize(), want);
-        for phase in 0..40 {
-            let start = u32::MAX - links - phase;
-            let mut net = unit_net(n, PortMode::AllPorts);
-            net.start_stamps_at(start);
-            let (net, got) = drive!(net);
-            assert!(net.round_start < start, "phase {phase}: no rebase");
-            assert_eq!((net.finalize(), got), want, "phase {phase}");
-        }
+        let (net, got) = drive!(unit_net(n, PortMode::AllPorts));
+        assert_eq!((net.finalize(), got), (reference.finalize(), want));
     }
 
     #[test]

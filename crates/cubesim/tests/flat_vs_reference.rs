@@ -8,10 +8,8 @@
 //! round's deliveries early and the rest in send order on both nets; one
 //! sends a random half of the messages as payload-free
 //! [`SimNet::charge`]s on the flat net only: the reports must still be
-//! equal.
-//! The `u32` stamp rebase is crossed by a unit test in `net.rs`, the
-//! only place that reaches the crate-private hook starting the stamps
-//! near `u32::MAX`.
+//! equal. Directed cases pin what the flat net's inbox, a round's
+//! deliveries indexed by link slot, could get wrong.
 
 use cubeaddr::NodeId;
 use cubesim::reference::ReferenceNet;
@@ -362,8 +360,8 @@ fn unfinished_round_and_unconsumed_delivery_rejected() {
 }
 
 /// A link's round-(r+1) send made before its round-r delivery is
-/// received: the delivery is found through the older of the link's two
-/// stamps, and a link whose only stamp is this round's has nothing.
+/// received: the delivery is found in the inbox, and a link whose only
+/// payload is this round's has nothing delivered.
 #[test]
 fn send_before_receive_finds_the_delivery_behind_the_new_stamp() {
     let (seen, outcome) = both(&[
@@ -404,8 +402,8 @@ fn send_before_receive_finds_the_delivery_behind_the_new_stamp() {
 }
 
 /// A link used in rounds r and r+2 and idle in between, once with other
-/// traffic in round r+1 and once with round r+1 wholly idle: its stale
-/// stamp is neither contention nor a delivery.
+/// traffic in round r+1 and once with round r+1 wholly idle: its old
+/// payload is neither contention nor a delivery.
 #[test]
 fn stale_stamp_is_neither_contention_nor_delivery() {
     let (seen, outcome) = both(&[
@@ -445,7 +443,7 @@ fn stale_stamp_is_neither_contention_nor_delivery() {
     assert_eq!(outcome.unwrap_err(), "recv at 1 on dim 0: no message delivered (round 6)");
 }
 
-/// Receiving every delivery leaves nothing behind the stamps: a `recv`
+/// Receiving every delivery leaves nothing behind in the inbox: a `recv`
 /// on an emptied slot must still find nothing, and a slot received
 /// before is left out of the sweep.
 #[test]

@@ -18,7 +18,7 @@
 //! (deadlock, lost wakeup, livelock, panics, result determinism).
 #![cfg(cubesync_model)]
 
-use cubecomm::plan::cache::{PlanCache, PlanKey};
+use cubecomm::plan::cache::PlanCache;
 use cubecomm::plan::ecube_route_plan;
 use cuberun::{NodeId, Outbox, RoundInbox, RoundProgram};
 use cubesync::model::{check_with, Config};
@@ -346,12 +346,12 @@ fn declared_rounds_with_an_empty_home_range() {
 fn plan_cache_racing_builders_agree_on_one_plan() {
     let report = check_with(budget(), || {
         let cache = Arc::new(PlanCache::new(4));
-        let key = || PlanKey::new("model-probe", 2, 7);
-        let tiny = || ecube_route_plan(2, &[(cubeaddr::NodeId(0), cubeaddr::NodeId(1), 1)]);
+        let msgs = [(cubeaddr::NodeId(0), cubeaddr::NodeId(1), 1)];
+        let tiny = || ecube_route_plan(2, &msgs);
         let (a, b) = thread::scope(|s| {
             let cache2 = Arc::clone(&cache);
-            let h = s.spawn(move || cache2.get_or_build(key(), tiny));
-            let b = cache.get_or_build(key(), tiny);
+            let h = s.spawn(move || cache2.get_or_build("model-probe", 2, &msgs[..], tiny));
+            let b = cache.get_or_build("model-probe", 2, &msgs[..], tiny);
             (h.join().expect("builder does not panic"), b)
         });
         assert!(

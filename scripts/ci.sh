@@ -17,6 +17,15 @@ begin() {
     CURRENT_STEP="$1"
     echo "==> $1"
 }
+# Fails the current step when a lint policy's search found something:
+# names the policy's fault and lists what was found, on stderr.
+report_violations() {
+    if [ -n "$2" ]; then
+        echo "FAIL: $1" >&2
+        echo "$2" >&2
+        return 1
+    fi
+}
 fig_tmp="$(mktemp -d)"
 trap 'rm -rf "$fig_tmp"' EXIT
 trap 'echo "FAIL: CI step \"$CURRENT_STEP\" failed" >&2' ERR
@@ -45,11 +54,7 @@ begin "lint policy: no new code outside the allowlisted kernel module and the te
 violations="$(grep -rln 'uns[a]fe' \
     --include='*.rs' crates shims src tests examples 2>/dev/null \
     | grep -v -e '^crates/core/src/local.rs$' -e '^crates/cubetest/src/alloc.rs$' || true)"
-if [ -n "$violations" ]; then
-    echo "FAIL: non-allowlisted files mention the denied keyword:" >&2
-    echo "$violations" >&2
-    false
-fi
+report_violations "non-allowlisted files mention the denied keyword:" "$violations"
 # One test kit: the seeded SplitMix64 stream and the counting allocator
 # exist once, in crates/cubetest. Another copy's step constant or
 # allocator impl anywhere else fails. The model checker's schedule
@@ -58,11 +63,7 @@ fi
 violations="$(grep -rliE 'wrapping_add\(0x9e37|uns[a]fe impl GlobalAlloc' \
     --include='*.rs' crates src tests examples 2>/dev/null \
     | grep -v -e '^crates/cubetest/' -e '^crates/cubesync/src/model/engine.rs$' || true)"
-if [ -n "$violations" ]; then
-    echo "FAIL: files outside crates/cubetest copy a test-kit fixture:" >&2
-    echo "$violations" >&2
-    false
-fi
+report_violations "files outside crates/cubetest copy a test-kit fixture:" "$violations"
 
 begin "lint policy: no raw std::sync / std::thread / crossbeam outside cubesync"
 # Every crate synchronizes through the cubesync facade so the model
@@ -74,11 +75,7 @@ begin "lint policy: no raw std::sync / std::thread / crossbeam outside cubesync"
 violations="$(grep -rln -E 'std::sync|std::thread|crossbeam' \
     --include='*.rs' crates src tests examples 2>/dev/null \
     | grep -v '^crates/cubesync/' || true)"
-if [ -n "$violations" ]; then
-    echo "FAIL: files bypass the cubesync facade with raw sync/thread primitives:" >&2
-    echo "$violations" >&2
-    false
-fi
+report_violations "files bypass the cubesync facade with raw sync/thread primitives:" "$violations"
 
 begin "lint policy: one round loop per substrate in cubecomm (finish_round only in exec.rs, graph.rs, ecube/reference.rs)"
 # The block engines run their plans through cubecomm::exec and the router
@@ -88,11 +85,7 @@ begin "lint policy: one round loop per substrate in cubecomm (finish_round only 
 violations="$(grep -rl 'finish_round' --include='*.rs' crates/cubecomm/src 2>/dev/null \
     | grep -v -x -e 'crates/cubecomm/src/exec.rs' -e 'crates/cubecomm/src/graph.rs' \
         -e 'crates/cubecomm/src/ecube/reference.rs' || true)"
-if [ -n "$violations" ]; then
-    echo "FAIL: hand-written round loops outside the executor and the router:" >&2
-    echo "$violations" >&2
-    false
-fi
+report_violations "hand-written round loops outside the executor and the router:" "$violations"
 
 begin "lint policy: each cubecomm algorithm exists once, as its planner (skeleton:: only in plan.rs, plan/, exchange.rs, graph.rs)"
 # The planners build every schedule from plan::skeleton and the
@@ -105,11 +98,7 @@ violations="$(grep -rl 'skeleton::' --include='*.rs' crates/cubecomm/src 2>/dev/
     | grep -v -x -e 'crates/cubecomm/src/plan.rs' -e 'crates/cubecomm/src/exchange.rs' \
         -e 'crates/cubecomm/src/graph.rs' \
     | grep -v '^crates/cubecomm/src/plan/' || true)"
-if [ -n "$violations" ]; then
-    echo "FAIL: cubecomm files outside the planners build schedules from plan::skeleton:" >&2
-    echo "$violations" >&2
-    false
-fi
+report_violations "cubecomm files outside the planners build schedules from plan::skeleton:" "$violations"
 
 begin "lint policy: one round loop per substrate in cubetranspose (finish_round only in flight.rs, fieldmap.rs, two_dim.rs, convert.rs, reference.rs)"
 # Every mover that carries whole arrays along dimension paths (§6.1's
@@ -124,17 +113,9 @@ violations="$(grep -rl 'finish_round' --include='*.rs' crates/core/src 2>/dev/nu
     | grep -v -x -e 'crates/core/src/flight.rs' -e 'crates/core/src/fieldmap.rs' \
         -e 'crates/core/src/two_dim.rs' -e 'crates/core/src/convert.rs' \
         -e 'crates/core/src/reference.rs' || true)"
-if [ -n "$violations" ]; then
-    echo "FAIL: hand-written round loops outside the flight executor:" >&2
-    echo "$violations" >&2
-    false
-fi
+report_violations "hand-written round loops outside the flight executor:" "$violations"
 violations="$(grep -rlw 'BlockFligh[t]' crates src tests examples 2>/dev/null || true)"
-if [ -n "$violations" ]; then
-    echo "FAIL: files mention the deleted block payload type:" >&2
-    echo "$violations" >&2
-    false
-fi
+report_violations "files mention the deleted block payload type:" "$violations"
 
 begin "lint policy: cubecheck folds schedules, it runs no round loop (finish_round nowhere in crates/cubecheck/src)"
 # run_schedule computes a schedule's CommReport in one pass and closes
@@ -142,11 +123,7 @@ begin "lint policy: cubecheck folds schedules, it runs no round loop (finish_rou
 # finish_round shares. A SimNet round loop here would be the replay the
 # fold replaced; fold_vs_replay.rs keeps that replay as its test oracle.
 violations="$(grep -rl 'finish_round' --include='*.rs' crates/cubecheck/src 2>/dev/null || true)"
-if [ -n "$violations" ]; then
-    echo "FAIL: round loops in the static checker:" >&2
-    echo "$violations" >&2
-    false
-fi
+report_violations "round loops in the static checker:" "$violations"
 
 begin "examples: every root example runs to completion in release"
 # cargo test only builds examples/*.rs; their own assertions (placement
@@ -166,11 +143,7 @@ begin "lint policy: the fieldmap in-place knob stays deleted"
 # come back. (Bracketed so this script does not match itself.)
 violations="$(grep -rln -E 'inplace_mi[n]|INPLACE_MI[N]|ensure_war[m]' \
     crates src tests examples 2>/dev/null || true)"
-if [ -n "$violations" ]; then
-    echo "FAIL: files mention the deleted in-place threshold or pool warm-up:" >&2
-    echo "$violations" >&2
-    false
-fi
+report_violations "files mention the deleted in-place threshold or pool warm-up:" "$violations"
 
 begin "lint policy: fieldmap and the movers charge the net and carry no payload (no send, recv or drain; no buffer pool)"
 # MappedMatrix's primitives make their claims with SimNet::charge and
@@ -186,49 +159,25 @@ begin "lint policy: fieldmap and the movers charge the net and carry no payload 
 # and crates/cubecomm/tests/exec_oracle.rs. (Bracketed so this script
 # does not match itself.)
 violations="$(grep -n -E '[.]sen[d][(]|drain_all_wit[h]|BufferPoo[l]' crates/core/src/fieldmap.rs || true)"
-if [ -n "$violations" ]; then
-    echo "FAIL: fieldmap.rs carries payloads through the net again:" >&2
-    echo "$violations" >&2
-    false
-fi
+report_violations "fieldmap.rs carries payloads through the net again:" "$violations"
 violations="$(grep -n -E '[.]sen[d][(]|[.]rec[v][(]|drain_all_wit[h]' \
     crates/cubecomm/src/exec.rs crates/cubecomm/src/graph.rs crates/core/src/two_dim.rs \
     crates/core/src/gray.rs crates/core/src/permute.rs crates/core/src/one_dim.rs \
     crates/core/src/relayout.rs || true)"
-if [ -n "$violations" ]; then
-    echo "FAIL: a mover carries payloads through the net again:" >&2
-    echo "$violations" >&2
-    false
-fi
+report_violations "a mover carries payloads through the net again:" "$violations"
 violations="$(grep -rln 'drain_all_wit[h]' crates src tests examples 2>/dev/null || true)"
-if [ -n "$violations" ]; then
-    echo "FAIL: files mention the deleted SimNet drain:" >&2
-    echo "$violations" >&2
-    false
-fi
+report_violations "files mention the deleted SimNet drain:" "$violations"
 # The one-dimensional transposes, relayout and arbitrary permutation
 # plan their blocks, charge the plan with exec::run and copy their data
 # once; a cubecomm payload engine in them would bring back the per-block
 # buffers, and the deleted ledger that checked what the engine delivered.
 violations="$(grep -n -E 'exchange_over_dim[s]|route_sbn[t]|all_to_all_exchang[e]([^_]|$)' \
     crates/core/src/one_dim.rs crates/core/src/relayout.rs crates/core/src/permute.rs || true)"
-if [ -n "$violations" ]; then
-    echo "FAIL: a core block mover ships payload blocks through a cubecomm engine again:" >&2
-    echo "$violations" >&2
-    false
-fi
+report_violations "a core block mover ships payload blocks through a cubecomm engine again:" "$violations"
 violations="$(grep -rln 'place_block[s]' crates src tests examples 2>/dev/null || true)"
-if [ -n "$violations" ]; then
-    echo "FAIL: files mention the deleted block ledger:" >&2
-    echo "$violations" >&2
-    false
-fi
+report_violations "files mention the deleted block ledger:" "$violations"
 violations="$(grep -rln -E 'BufferPoo[l]|mod poo[l]' --include='*.rs' crates src tests examples 2>/dev/null || true)"
-if [ -n "$violations" ]; then
-    echo "FAIL: files mention the deleted message-buffer pool:" >&2
-    echo "$violations" >&2
-    false
-fi
+report_violations "files mention the deleted message-buffer pool:" "$violations"
 
 begin "lint policy: threads at one level only (no fan-out inside a unit of work)"
 # cubesim::par has one consumer, the figure sweep, and a par_map worker
@@ -240,19 +189,11 @@ begin "lint policy: threads at one level only (no fan-out inside a unit of work)
 # (Bracketed so this script does not match itself.)
 violations="$(grep -rln -E 'par_for_each_mu[t]|transpose_wit[h]|run_paralle[l]' \
     crates src tests examples 2>/dev/null || true)"
-if [ -n "$violations" ]; then
-    echo "FAIL: files mention a deleted nested fan-out:" >&2
-    echo "$violations" >&2
-    false
-fi
+report_violations "files mention a deleted nested fan-out:" "$violations"
 violations="$(grep -rl -E 'par::par_ma[p]|cubesim::pa[r]' --include='*.rs' crates/*/src 2>/dev/null \
     | grep -v -e '^crates/cubesim/src/par.rs$' -e '^crates/cuberun/src/runtime.rs$' \
         -e '^crates/bench/src/' || true)"
-if [ -n "$violations" ]; then
-    echo "FAIL: library code outside the figure sweep calls into the sweep's thread helper:" >&2
-    echo "$violations" >&2
-    false
-fi
+report_violations "library code outside the figure sweep calls into the sweep's thread helper:" "$violations"
 
 begin "lint policy: the tagged (dst_local, value) element stays a loan (one_dim.rs and the driver pins only)"
 # The one-dimensional engines and relayout plan node-pair blocks and copy
@@ -262,11 +203,7 @@ begin "lint policy: the tagged (dst_local, value) element stays a loan (one_dim.
 # (Bracketed so this script does not match itself.)
 violations="$(grep -rlw 'Route[d]' --include='*.rs' crates src tests examples 2>/dev/null \
     | grep -v -x -e 'crates/core/src/one_dim.rs' -e 'crates/core/tests/driver_pin.rs' || true)"
-if [ -n "$violations" ]; then
-    echo "FAIL: files use the tagged element type outside its loan:" >&2
-    echo "$violations" >&2
-    false
-fi
+report_violations "files use the tagged element type outside its loan:" "$violations"
 
 begin "lint policy: cuberun has one executor (condvar waits only in rounds.rs; the cooperative scheduler stays deleted)"
 # Both doors run on the worker loop in rounds.rs, whose batch mailbox is
@@ -277,18 +214,10 @@ begin "lint policy: cuberun has one executor (condvar waits only in rounds.rs; t
 # (Bracketed so this script does not match itself.)
 violations="$(grep -rl -E 'Condva[r]|wait_timeou[t]' --include='*.rs' crates/cuberun/src 2>/dev/null \
     | grep -v -x 'crates/cuberun/src/rounds.rs' || true)"
-if [ -n "$violations" ]; then
-    echo "FAIL: cuberun waits on a condvar outside the worker loop:" >&2
-    echo "$violations" >&2
-    false
-fi
+report_violations "cuberun waits on a condvar outside the worker loop:" "$violations"
 violations="$(grep -rln -E 'notify_sleeper[s]|WorkerBloc[k]|DRAIN_EVER[Y]|WANT_BARRIE[R]' \
     crates src tests examples 2>/dev/null || true)"
-if [ -n "$violations" ]; then
-    echo "FAIL: files mention the deleted cooperative scheduler:" >&2
-    echo "$violations" >&2
-    false
-fi
+report_violations "files mention the deleted cooperative scheduler:" "$violations"
 
 begin "lint policy: the async door's barrier, all-reduce and topology entry point stay deleted"
 # The async door synchronises only through send / recv on the cube; a
@@ -297,19 +226,11 @@ begin "lint policy: the async door's barrier, all-reduce and topology entry poin
 # keeps only the FFT. (Bracketed so this script does not match itself.)
 violations="$(grep -rln -E 'all_reduc[e]|BarrierWai[t]|run_spmd_o[n]' \
     crates src tests examples 2>/dev/null || true)"
-if [ -n "$violations" ]; then
-    echo "FAIL: files mention a deleted async-door item:" >&2
-    echo "$violations" >&2
-    false
-fi
+report_violations "files mention a deleted async-door item:" "$violations"
 violations="$(find crates/cubeapps/src -type f \
     | grep -v -x -e 'crates/cubeapps/src/lib.rs' -e 'crates/cubeapps/src/cplx.rs' \
         -e 'crates/cubeapps/src/fft.rs' || true)"
-if [ -n "$violations" ]; then
-    echo "FAIL: cubeapps holds more than the FFT:" >&2
-    echo "$violations" >&2
-    false
-fi
+report_violations "cubeapps holds more than the FFT:" "$violations"
 
 begin "lint policy: the test-only public items and the unset environment knobs stay deleted"
 # Nothing but their own tests called these: the plan cache has one key
@@ -320,11 +241,7 @@ begin "lint policy: the test-only public items and the unset environment knobs s
 # match itself.)
 violations="$(grep -rln -E 'MachineKe[y]|(all_to_all_|[^_a-z])exchange_plan_cache[d]|some_to_all_plan_cache[d]|one_to_all_(sbt|trees)_plan_cache[d]|all_to_all_sbnt_plan_cache[d]|[.]with_(shape|layout|machine|fingerprint)[(]|CUBERUN_WORKER[S]|CUBERUN_STALL_TIMEOUT_M[S]|CUBERUN_RECV_TIMEOUT_M[S]|parse_(worker_count|stall_timeout)[(]|collective[s]::|mod collective[s]|enum SendPolic[y]|cubeaddr::embe[d]|mod embe[d]|ring_nod[e]|mesh_nod[e]|[.]dim_t[o][(]|[.]translat[e][(]|cube_siz[e]|differing_dim[s]|gray_[m][(]|gray_sequenc[e]|gray_transition_di[m]|is_palindrom[e]|is_hypercub[e]|place_[w][(]' \
     crates src tests examples 2>/dev/null || true)"
-if [ -n "$violations" ]; then
-    echo "FAIL: files mention a deleted test-only item or environment knob:" >&2
-    echo "$violations" >&2
-    false
-fi
+report_violations "files mention a deleted test-only item or environment knob:" "$violations"
 
 begin "model-check: exhaustive interleaving of the real concurrency protocols (time-bounded)"
 # Rebuilds the facade's dependents against the model backend and
@@ -370,8 +287,11 @@ begin "cubecheck: every rule fires on its corruption (n = 2 … 14)"
 cargo test --release -q -p cubecheck --test corruption -- --include-ignored
 
 begin "cubesim: flat SimNet vs ReferenceNet (reports, payloads, receive order, panic text)"
-# With the equivalence suite above, the simulator's regression net. The
-# workspace test step already ran it; running it by name makes a
+# With the equivalence suite above, the simulator's regression net: the
+# flat net's inbox (a round's deliveries, indexed by link slot in one
+# sorted key vector) against the hash-map oracle, deliveries received out
+# of order and links re-used before their delivery is received included.
+# The workspace test step already ran it; running it by name makes a
 # simulator regression fail under the simulator's name.
 cargo test --release -q -p cubesim --test flat_vs_reference
 
@@ -447,11 +367,7 @@ cargo test --release -q -p cubetranspose --lib -- --exact \
 # runtime, cuberun::reference::run_spmd_threads, does not match; bracketed
 # so this script does not match itself.)
 violations="$(grep -n -E '\brun_spm[d]\b|asyn[c]|[.]awai[t]' crates/core/src/spmd.rs || true)"
-if [ -n "$violations" ]; then
-    echo "FAIL: spmd.rs is back on the async door:" >&2
-    echo "$violations" >&2
-    false
-fi
+report_violations "spmd.rs is back on the async door:" "$violations"
 
 begin "perf smoke: n=10 all-to-all schedule (time-bounded)"
 timeout 300 cargo test --release -q -p cubecomm --test perf_smoke -- --ignored \

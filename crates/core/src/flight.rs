@@ -56,7 +56,17 @@ pub(crate) struct FlightPlan {
 impl FlightPlan {
     /// An empty plan `rounds` rounds long.
     pub(crate) fn new(rounds: usize) -> Self {
-        FlightPlan { arena: Vec::new(), flights: Vec::new(), rounds }
+        FlightPlan::with_capacity(rounds, 0, 0)
+    }
+
+    /// An empty plan `rounds` rounds long with room for `flights` flights
+    /// and `arena` bytes of paths, for a builder that knows its sizes.
+    pub(crate) fn with_capacity(rounds: usize, flights: usize, arena: usize) -> Self {
+        FlightPlan {
+            arena: Vec::with_capacity(arena),
+            flights: Vec::with_capacity(flights),
+            rounds,
+        }
     }
 
     /// Writes a path into the arena, one entry per routing step:
@@ -67,6 +77,11 @@ impl FlightPlan {
         while self.arena.len() > start && self.arena.last() == Some(&HOLD) {
             self.arena.pop();
         }
+        self.path_from(start)
+    }
+
+    /// The path written into the arena from `start` to its end.
+    pub(crate) fn path_from(&self, start: usize) -> PathRef {
         // The end fitting u32 means every position before it does.
         let end = u32::try_from(self.arena.len()).expect("flight-plan arena exceeds 4 GiB");
         PathRef { start: start as u32, len: end - start as u32 }
@@ -107,6 +122,12 @@ impl<'m, T: Copy> Landing<'m, T> {
         Landing { ledger, m, carried: Vec::new() }
     }
 
+    /// Whether the substrate carried the arrays (the round door), so that
+    /// [`Landing::array`] hands out owned pieces.
+    pub(crate) fn carries(&self) -> bool {
+        !self.carried.is_empty()
+    }
+
     /// The array that flights `ids` of `src` deliver: their pieces joined
     /// in plan order — or, where none flew or none carried, `src`'s array.
     #[inline]
@@ -126,63 +147,95 @@ impl<'m, T: Copy> Landing<'m, T> {
 /// one step per cycle from its injection cycle on, and returns the
 /// delivery ledger: each flight's landing node, in plan order.
 ///
+/// Every flight with a hop gets a launch record, counting-sorted by
+/// injection cycle (plan order within a cycle), in one vector whose front
+/// is the live list. Each cycle appends that cycle's launches to the live
+/// list and makes one pass over it: charge the hop, advance, write the
+/// ledger line of a flight whose path ends, and move the others down over
+/// the finished ones, so the live list stays in launch order.
+///
 /// Panics, naming the flight, if its last hop falls after the plan's
 /// length; inside the simulator if two flights contend for a directed
 /// link — the runtime check of the edge-disjointness lemmas — or break
 /// the port discipline.
 pub(crate) fn run_flights<P: Payload>(net: &mut SimNet<P>, plan: &FlightPlan) -> Vec<NodeId> {
-    /// A launched flight: its ledger line, its size, the arena positions
-    /// of its next step and of its path's end, and where it is.
+    /// A launched flight: where it is, the arena positions of its next
+    /// step and of its path's end, its line in the plan and ledger, and
+    /// its size — `u32::MAX` standing for any size from there up, which
+    /// the net refuses at the first hop; the plan holds the exact one.
     #[derive(Clone, Copy)]
     struct Live {
-        id: usize,
-        elems: usize,
+        at: NodeId,
         next: u32,
         end: u32,
-        at: NodeId,
+        id: u32,
+        elems: u32,
     }
     let FlightPlan { arena, flights, rounds } = plan;
-    // The launch schedule is stably sorted by injection cycle and drained
-    // through a cursor, one pass over it for the whole run.
+    assert!(u32::try_from(flights.len()).is_ok(), "a flight plan holds fewer than 2^32 flights");
+    // `launched[c]`: how many flights launch before cycle `c`, then (once
+    // the records are placed) by the end of cycle `c`.
+    let mut launched = vec![0u32; rounds + 1];
     let mut ledger = Vec::with_capacity(flights.len());
-    let mut waiting = Vec::with_capacity(flights.len());
     for (id, f) in flights.iter().enumerate() {
-        let PathRef { start, len } = f.path;
-        if len > 0 {
-            let end = f.inject + len as usize;
+        if f.path.len > 0 {
+            let end = f.inject + f.path.len as usize;
             assert!(
                 end <= *rounds,
                 "flight {id} from {}: last hop in round {} of a {rounds}-round plan",
                 f.src,
                 end - 1
             );
-            let live = Live { id, elems: f.elems, next: start, end: start + len, at: f.src };
-            waiting.push((f.inject, live));
+            launched[f.inject + 1] += 1;
         }
         ledger.push(f.src);
     }
-    waiting.sort_by_key(|&(inject, _)| inject);
-    let mut waiting = waiting.into_iter().peekable();
-    let mut live: Vec<Live> = Vec::new();
-    for cycle in 0..*rounds {
-        while let Some((_, l)) = waiting.next_if(|&(inject, _)| inject == cycle) {
-            live.push(l);
+    for c in 0..*rounds {
+        launched[c + 1] += launched[c];
+    }
+    let unlaunched = Live { at: NodeId(0), next: 0, end: 0, id: 0, elems: 0 };
+    let mut flying = vec![unlaunched; launched[*rounds] as usize];
+    for (id, f) in flights.iter().enumerate() {
+        let PathRef { start, len } = f.path;
+        if len > 0 {
+            let slot = &mut launched[f.inject];
+            let elems = u32::try_from(f.elems).unwrap_or(u32::MAX);
+            flying[*slot as usize] =
+                Live { at: f.src, next: start, end: start + len, id: id as u32, elems };
+            *slot += 1;
         }
-        for l in &mut live {
+    }
+    // `flying[..live]` is the live list, `flying[waiting..]` the records
+    // not launched yet.
+    let (mut live, mut waiting) = (0, 0);
+    for &by_now in &launched[..*rounds] {
+        if live != waiting {
+            flying.copy_within(waiting..by_now as usize, live);
+        }
+        live += by_now as usize - waiting;
+        waiting = by_now as usize;
+        let mut kept = 0;
+        for i in 0..live {
+            let mut l = flying[i];
             let dim = arena[l.next as usize];
             if dim != HOLD {
-                net.charge(l.at, u32::from(dim), l.elems);
+                let elems = match l.elems {
+                    u32::MAX => flights[l.id as usize].elems,
+                    elems => elems as usize,
+                };
+                net.charge(l.at, u32::from(dim), elems);
                 l.at = l.at.neighbor(u32::from(dim));
             }
-        }
-        net.finish_round();
-        live.retain_mut(|l| {
             l.next += 1;
             if l.next == l.end {
-                ledger[l.id] = l.at;
+                ledger[l.id as usize] = l.at;
+            } else {
+                flying[kept] = l;
+                kept += 1;
             }
-            l.next != l.end
-        });
+        }
+        live = kept;
+        net.finish_round();
     }
     ledger
 }

@@ -116,17 +116,33 @@ pub fn transpose_flat<T: Copy>(data: &[T], rows: usize, cols: usize) -> Vec<T> {
 }
 
 /// `arr`, a row-major `rows × cols` array, transposed: in place when it
-/// is owned, in one tiled pass into a new buffer when it is borrowed (a
-/// copy, with one row or column).
+/// is owned, into a new buffer of its size when it is borrowed
+/// ([`transpose_into`]).
 #[inline]
 pub(crate) fn transposed<T: Copy>(arr: Cow<'_, [T]>, rows: usize, cols: usize) -> Vec<T> {
     match arr {
-        Cow::Borrowed(a) if rows == 1 || cols == 1 => a.to_vec(),
-        Cow::Borrowed(a) => transpose_flat(a, rows, cols),
+        Cow::Borrowed(a) => {
+            let mut out = Vec::with_capacity(a.len());
+            transpose_into(a, rows, cols, &mut out);
+            out
+        }
         Cow::Owned(mut a) => {
             crate::inplace::transpose(&mut a, rows, cols);
             a
         }
+    }
+}
+
+/// `arr`, a row-major `rows × cols` array, transposed into `out` (cleared
+/// first, capacity reused): one tiled pass, or a copy with one row or
+/// column.
+#[inline]
+pub(crate) fn transpose_into<T: Copy>(arr: &[T], rows: usize, cols: usize, out: &mut Vec<T>) {
+    if rows == 1 || cols == 1 {
+        out.clear();
+        out.extend_from_slice(arr);
+    } else {
+        transpose_flat_blocked_into(arr, rows, cols, 64, out);
     }
 }
 
@@ -410,13 +426,17 @@ mod alloc_gate_tests {
     }
 
     /// `cm16-2d-mpt` at reduced size — one element per node, 256 nodes,
-    /// every packet a one-element message: MPT may allocate a packet's
-    /// payload per node — which lands as that node's output buffer, a
-    /// one-row array being its own transpose — plus a handful of growing
-    /// vectors for the whole transpose (350 in all, ≈ 1.37 per node; 371
-    /// while the payloads rode the net). A delivery list per node (the
-    /// old ≈ 3.3) or anything allocated per path — there are 2H(x) of
-    /// them per node — blows the bound of 1.4 per node.
+    /// every packet a one-element message: MPT may allocate each node's
+    /// output buffer — a one-row array is its own transpose, copied once —
+    /// plus a fixed set of vectors for the whole transpose, each sized
+    /// once: the node map (27 allocations, built once), the plan's
+    /// flights and arena, the run's launch counts, records and ledger
+    /// (304 in all, ≈ 1.19 per node; 350 while the plan's vectors grew by
+    /// doubling and the node map was built twice, 371 while the payloads
+    /// rode the net). Growing the plan by doubling again, building the node
+    /// map twice, a delivery list per node (the old ≈ 3.3) or anything
+    /// allocated per path — there are 2H(x) of them per node — blows the
+    /// bound of 1.2 per node.
     #[test]
     fn mpt_at_cm_shape_allocates_a_small_constant_per_node() {
         use cubelayout::{Assignment, Encoding, Layout};
@@ -431,7 +451,7 @@ mod alloc_gate_tests {
         net.finalize();
         let nodes = before.num_nodes();
         assert!(
-            5 * allocs <= 7 * nodes,
+            5 * allocs <= 6 * nodes,
             "transpose_mpt made {allocs} allocations for {nodes} nodes"
         );
     }

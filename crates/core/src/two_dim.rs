@@ -26,19 +26,26 @@
 //! simulator's flight executor; SPT's also runs on `cuberun`'s round door
 //! ([`crate::spmd::spmd_transpose_spt`]). A flight is a packet's element
 //! count, injection cycle and path; every path a packet rides is written
-//! once, by the allocation-free construction behind [`mpt_path`], into
-//! one byte arena — at the paper's CM size nothing is allocated per path
-//! and an unused path is never written. A plan is as long as its last
-//! delivery. Each source's packets, in ascending offsets, are one run of
-//! the plan and of its ledger; `rebuild` checks that `tr(d)`'s run landed
-//! at `d` and covers its array, then writes `d`'s output once: the local
-//! step of §6.1, the transpose of that array — read from the input on the
-//! simulator, in place in what travelled on the round door.
+//! once, by the allocation-free construction behind [`mpt_path`], straight
+//! into one byte arena — at the paper's CM size nothing is allocated per
+//! path and an unused path is never written. MPT's plan is fixed in
+//! advance, so its flights and arena are sized exactly before the first
+//! is written. A plan is as long as its last delivery.
+//!
+//! Each source's packets, in ascending offsets, are one run of the plan
+//! and of its ledger, and the runs are in source order. `rebuild` walks
+//! both once, in that order, with one cursor: it checks that `s`'s run
+//! landed at `tr(s)` and covers its array, then writes `tr(s)`'s output
+//! once — the local step of §6.1, the transpose of that array, read from
+//! the input into an output allocated up front in destination order on
+//! the simulator, and done in place in what travelled on the round door.
+//! A flight the walk leaves over is out of source order, and refused.
 
 use crate::flight::{run_flights, FlightPlan, Landing, PathRef};
 use cubeaddr::NodeId;
 use cubelayout::{CommPattern, DistMatrix, Layout, TransposeSpec};
 use cubesim::{Payload, SimNet};
+use std::borrow::Cow;
 
 /// A pipelined packet: a slice of the source node's local array.
 ///
@@ -84,24 +91,27 @@ pub fn h_of(x: u64, half: u32) -> u32 {
 /// reversed. A diagonal node (`H = 0`) has no path.
 fn write_path(x: u64, half: u32, p: u32, mut push: impl FnMut(u32)) {
     let (r, c) = cubeaddr::split(x, half);
-    let mut diff = r ^ c;
+    let diff = r ^ c;
     let h = diff.count_ones();
     if h == 0 {
         return;
     }
     assert!(p < 2 * h, "path {p} out of range for H = {h}");
-    // β_k is the k-th lowest set bit; a field is at most 32 bits wide.
-    let mut beta = [0u32; 32];
-    for b in &mut beta[..h as usize] {
-        *b = diff.trailing_zeros();
-        diff &= diff - 1;
-    }
     let (j, row_first) = if p < h { (p, true) } else { (p - h, false) };
-    for step in 0..h {
-        let b = beta[((j + h - 1 - step) % h) as usize];
-        let (first, second) = if row_first { (b + half, b) } else { (b, b + half) };
-        push(first);
-        push(second);
+    // k runs from j-1 down to 0, then from H-1 down to j: the set bits
+    // below β_j, then those from β_j up, each highest first.
+    let mut high = diff;
+    for _ in 0..j {
+        high &= high - 1;
+    }
+    for mut bits in [diff ^ high, high] {
+        while bits != 0 {
+            let b = 63 - bits.leading_zeros();
+            bits ^= 1 << b;
+            let (first, second) = if row_first { (b + half, b) } else { (b, b + half) };
+            push(first);
+            push(second);
+        }
     }
 }
 
@@ -122,12 +132,9 @@ pub fn spt_path(x: u64, half: u32) -> Vec<u32> {
 impl FlightPlan {
     /// Writes path `p` of node `x` into the arena.
     fn tr_path(&mut self, x: u64, half: u32, p: u32) -> PathRef {
-        let (mut dims, mut len) = ([0u8; 64], 0);
-        write_path(x, half, p, |d| {
-            dims[len] = d as u8;
-            len += 1;
-        });
-        self.path(dims[..len].iter().map(|&d| Some(u32::from(d))))
+        let start = self.arena.len();
+        write_path(x, half, p, |d| self.arena.push(d as u8));
+        self.path_from(start)
     }
 
     /// Adds the flights carrying `len` elements in packets of at most `b`
@@ -141,7 +148,8 @@ impl FlightPlan {
 }
 
 /// Shared validation and setup: the spec must be a pairwise exchange with
-/// node map `tr`, and `n` even.
+/// node map `tr`, and `n` even. The node map is built once: a spec with
+/// none, or with the identity map, is refused by its classification.
 #[track_caller]
 fn check_pairwise(spec: &TransposeSpec) -> u32 {
     let n = spec.before.n();
@@ -151,13 +159,16 @@ fn check_pairwise(spec: &TransposeSpec) -> u32 {
         spec.before.n_c(),
         "SPT/DPT/MPT need equally many row and column processor dimensions"
     );
-    assert_eq!(
-        spec.classify(),
-        CommPattern::PairwiseExchange,
-        "layouts do not induce a pairwise exchange"
-    );
+    let map = spec.node_map().filter(|map| map.iter().enumerate().any(|(x, d)| d.index() != x));
+    let Some(map) = map else {
+        assert_eq!(
+            spec.classify(),
+            CommPattern::PairwiseExchange,
+            "layouts do not induce a pairwise exchange"
+        );
+        unreachable!("a spec whose node map moves a node is a pairwise exchange");
+    };
     let half = n / 2;
-    let map = spec.node_map().expect("pairwise spec has a node map");
     for (x, &d) in map.iter().enumerate() {
         assert_eq!(
             d.bits(),
@@ -168,11 +179,13 @@ fn check_pairwise(spec: &TransposeSpec) -> u32 {
     half
 }
 
-/// Rebuilds the output matrix from what the substrate landed: node
-/// `d` checks that every packet of `tr(d)`'s run came from `tr(d)` and
-/// landed at `d`, and that their sizes add up to the whole array, then
-/// transposes that array (the local step of §6.1) — exactly `after`'s
-/// storage order.
+/// Rebuilds the output matrix from what the substrate landed, walking the
+/// plan and its ledger once, in source order, with one cursor: source
+/// `s`'s run of packets must have landed at `d = tr(s)` and add up to the
+/// whole array, which is then transposed (the local step of §6.1) into
+/// `d`'s output — exactly `after`'s storage order. A flight left over
+/// after the walk is out of source order and refused, named; after it, a
+/// run that does not add up is refused, naming its source.
 fn rebuild<T: Copy>(
     spec: &TransposeSpec,
     plan: &FlightPlan,
@@ -183,33 +196,41 @@ fn rebuild<T: Copy>(
     let num = before.num_nodes();
     let per = before.elems_per_node();
     let (rows, cols) = (before.local_rows(), before.local_cols());
-    let mut starts = vec![0usize; num + 1];
-    for f in &plan.flights {
-        starts[f.src.index() + 1] += 1;
-    }
-    for x in 0..num {
-        starts[x + 1] += starts[x];
-    }
-    let mut buffers: Vec<Vec<T>> = Vec::with_capacity(num);
-    for dst in 0..num {
-        let src = tr(dst as u64, half) as usize;
-        let run = starts[src]..starts[src + 1];
-        let mut offset = 0;
-        for (f, at) in plan.flights[run.clone()].iter().zip(&landing.ledger[run.clone()]) {
+    // Copies go into outputs allocated up front, in destination order;
+    // an array the landing owns (the round door's) is moved instead.
+    let carries = landing.carries();
+    let mut buffers: Vec<Vec<T>> =
+        (0..num).map(|_| if carries { Vec::new() } else { Vec::with_capacity(per) }).collect();
+    let (mut cursor, mut short) = (0, None);
+    for src in 0..num {
+        let dst = tr(src as u64, half) as usize;
+        let (run, mut offset) = (cursor, 0);
+        while let Some(f) = plan.flights.get(cursor).filter(|f| f.src.index() == src) {
+            let at = landing.ledger[cursor];
             assert!(
-                f.src.index() == src && at.index() == dst && src != dst,
-                "src {} -> dst {dst}: packet at offset {offset} landed at node {at}",
-                f.src
+                at.index() == dst && src != dst,
+                "src {src} -> dst {dst}: packet at offset {offset} landed at node {at}"
             );
             offset += f.elems;
+            cursor += 1;
         }
         // Diagonal node (H = 0): its own array, nothing travels.
-        assert!(
-            offset == per || (offset == 0 && src == dst),
-            "src {src} -> dst {dst}: packets deliver {offset} of {per} elements at node {dst}"
-        );
-        let arr = landing.array(NodeId(src as u64), run);
-        buffers.push(crate::local::transposed(arr, rows, cols));
+        if offset != per && (offset != 0 || src != dst) {
+            short.get_or_insert((src, dst, offset));
+            continue;
+        }
+        match landing.array(NodeId(src as u64), run..cursor) {
+            Cow::Borrowed(arr) if !carries => {
+                crate::local::transpose_into(arr, rows, cols, &mut buffers[dst]);
+            }
+            arr => buffers[dst] = crate::local::transposed(arr, rows, cols),
+        }
+    }
+    if let Some(f) = plan.flights.get(cursor) {
+        panic!("flight {cursor} from {}: out of source order", f.src);
+    }
+    if let Some((src, dst, offset)) = short {
+        panic!("src {src} -> dst {dst}: packets deliver {offset} of {per} elements at node {dst}");
     }
     DistMatrix::from_buffers(spec.after.clone(), buffers)
 }
@@ -330,39 +351,62 @@ pub fn transpose_mpt<T: Copy + Default + Send + Sync>(
 /// The MPT flight plan: node `x`'s array cut into `4·k_H·H(x)` near-equal
 /// packets (sizes differing by at most one, the longer ones first), packet
 /// `idx` on path `idx mod 2H`. Empty packets — and the paths only they
-/// would ride — are never materialized.
+/// would ride — are never materialized. The flights and the arena are
+/// sized exactly before the first is written.
 fn mpt_plan<T: Copy>(m: &DistMatrix<T>, half: u32, k: u32) -> FlightPlan {
-    let mut plan = FlightPlan::new(0);
-    for x in 0..m.layout().num_nodes() as u64 {
+    let (num, len) = (m.layout().num_nodes() as u64, m.layout().elems_per_node());
+    // A class H(x) = h: its 2H paths and its packets, with their base size
+    // and how many are one longer. Classes with small H split into more
+    // bursts so every class's packet size stays near PQ/(4·k·(n/2)·N) and
+    // all classes finish within 2·k·(n/2) + 1 cycles (the paper's
+    // ⌊(n/2)/H⌋·4H packets).
+    let class = |h: u32| {
+        let k_h = (k * half / h).max(1);
+        let n_paths = 2 * h as usize;
+        let n_packets = 2 * k_h as usize * n_paths;
+        (n_paths, n_packets, len / n_packets, len % n_packets)
+    };
+    let classes: Vec<_> = (1..=half).map(class).collect();
+    // The first min(n_packets, len) packets are the non-empty ones, and
+    // they ride the first min(n_paths, ·) paths, 2H bytes each.
+    let mut nodes_in = vec![0usize; half as usize + 1];
+    for x in 0..num {
+        nodes_in[h_of(x, half) as usize] += 1;
+    }
+    let (mut flights, mut arena) = (0, 0);
+    for (&nodes, &(n_paths, n_packets, ..)) in nodes_in[1..].iter().zip(&classes) {
+        flights += nodes * n_packets.min(len);
+        arena += nodes * n_packets.min(len).min(n_paths) * n_paths;
+    }
+    let mut plan = FlightPlan::with_capacity(0, flights, arena);
+    for x in 0..num {
         let h = h_of(x, half);
         if h == 0 {
             continue;
         }
-        let len = m.node(NodeId(x)).len();
-        // Classes with small H split into more bursts so every class's
-        // packet size stays near PQ/(4·k·(n/2)·N) and all classes finish
-        // within 2·k·(n/2) + 1 cycles (the paper's ⌊(n/2)/H⌋·4H packets).
-        let k_h = (k * half / h).max(1);
-        let n_paths = 2 * h as usize;
-        let n_packets = 2 * k_h as usize * n_paths;
-        let (base, extra) = (len / n_packets, len % n_packets);
+        let (n_paths, n_packets, base, extra) = classes[h as usize - 1];
         // A path's first packet is the longest it ever carries, so the
-        // first pass over the paths (o = 0) writes every path in use.
-        let mut paths = [PathRef { start: 0, len: 0 }; 64];
-        for idx in 0..n_packets {
-            let take = base + usize::from(idx < extra);
-            if take == 0 {
-                break;
+        // first pass over the paths (o = 0) writes every path in use, path
+        // p at `first + p·2H`.
+        let first = plan.arena.len() as u32;
+        'packets: for o in 0..n_packets / n_paths {
+            for p in 0..n_paths {
+                let take = base + usize::from(o * n_paths + p < extra);
+                if take == 0 {
+                    break 'packets;
+                }
+                // Packet ordinal o on path p: o-th of the path's 2·k_h
+                // packets, injected at cycle 2H·(o/2) + (o mod 2) — two
+                // packets per path every 2H cycles, the (2, 2H)-disjoint
+                // schedule of Lemma 14.
+                let path = if o == 0 {
+                    plan.tr_path(x, half, p as u32)
+                } else {
+                    PathRef { start: first + (p * n_paths) as u32, len: n_paths as u32 }
+                };
+                let inject = n_paths * (o / 2) + (o % 2);
+                plan.fly(NodeId(x), path, inject, take);
             }
-            // Packet ordinal o on path p: o-th of the path's 2·k_h packets,
-            // injected at cycle 2H·(o/2) + (o mod 2) — two packets per path
-            // every 2H cycles, the (2, 2H)-disjoint schedule of Lemma 14.
-            let (p, o) = (idx % n_paths, idx / n_paths);
-            if o == 0 {
-                paths[p] = plan.tr_path(x, half, p as u32);
-            }
-            let inject = n_paths * (o / 2) + (o % 2);
-            plan.fly(NodeId(x), paths[p], inject, take);
         }
     }
     plan.fit_rounds();
@@ -590,6 +634,33 @@ mod tests {
         run_corrupted(1, |plan| {
             plan.flights.remove(0);
         });
+    }
+
+    #[test]
+    #[should_panic(expected = "flight 11 from 1: out of source order")]
+    fn a_flight_out_of_source_order_is_named() {
+        // Node 1's packet, the plan's first, moves behind node 14's: the
+        // walk in source order leaves it over, as the plan's flight 11.
+        run_corrupted(2, |plan| {
+            let first = plan.flights.remove(0);
+            plan.flights.push(first);
+        });
+    }
+
+    #[test]
+    fn mpt_plan_is_sized_before_it_is_written() {
+        // The 8-cube at one element per node (the cm16-2d-mpt shape) and
+        // at 16 per node, where every class but H = 3 splits its array
+        // into 16 packets: no vector of the plan grows while it is built.
+        for p in [4, 6] {
+            let before = Layout::square(p, p, 4, Assignment::Consecutive, Encoding::Binary);
+            let m = labels(before);
+            for k in 1..=3 {
+                let plan = mpt_plan(&m, 4, k);
+                assert_eq!(plan.flights.capacity(), plan.flights.len(), "p={p} k={k}");
+                assert_eq!(plan.arena.capacity(), plan.arena.len(), "p={p} k={k}");
+            }
+        }
     }
 
     #[test]
